@@ -123,18 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ranks", type=int, default=None,
                    help="worker count for the parallel backends "
                    "(default 4); rejected with --backend local/serial")
-    p.add_argument("--no-stream", action="store_true",
-                   help="disable streamed decompose->refine dispatch "
-                   "(equivalent to REPRO_STREAM=0): decouple fully, then "
-                   "refine; the mesh is byte-identical either way")
-    p.add_argument("--no-warm-pool", action="store_true",
-                   help="disable the persistent worker pool of the "
-                   "processes backend (equivalent to REPRO_POOL=0): fork "
-                   "workers per dispatch instead of reusing them")
-    p.add_argument("--pool-ttl", type=float, metavar="SECONDS", default=None,
-                   help="idle worker time-to-live for the persistent pool "
-                   f"(default {executor.DEFAULT_POOL_TTL:.0f}s; equivalent "
-                   "to REPRO_POOL_TTL)")
     adapt = p.add_argument_group(
         "metric adaptation",
         "solution-driven anisotropic adaptation of the inviscid mesh "
@@ -479,15 +467,6 @@ def main(argv=None) -> int:
             f"--backend {backend} shares no mutable state to instrument "
             "(use --backend threads to race-check the runtime)")
     canonical = executor.canonical_backend_name(backend)
-    if (args.no_warm_pool or args.pool_ttl is not None) \
-            and canonical != "processes":
-        parser.error(
-            "--no-warm-pool/--pool-ttl configure the processes backend's "
-            f"persistent worker pool; --backend {backend} has no pool")
-    if args.no_warm_pool:
-        os.environ[executor.POOL_ENV] = "0"
-    if args.pool_ttl is not None:
-        os.environ[executor.POOL_TTL_ENV] = repr(float(args.pool_ttl))
     n_ranks = args.ranks if args.ranks is not None else 4
     insert_strategy = insertion.resolve_strategy_name(args.insert_strategy)
     pslg = _load_geometry(args)
@@ -504,13 +483,11 @@ def main(argv=None) -> int:
             with use_counters() as profile_sink:
                 result = generate_mesh(pslg, config, backend=backend,
                                        n_ranks=n_ranks,
-                                       stream=not args.no_stream,
                                        insert_strategy=insert_strategy)
         else:
             profile_sink = None
             result = generate_mesh(pslg, config, backend=backend,
                                    n_ranks=n_ranks,
-                                   stream=not args.no_stream,
                                    insert_strategy=insert_strategy)
     elapsed = tm.elapsed
 
@@ -535,8 +512,6 @@ def main(argv=None) -> int:
         "backend": canonical,
         "insert_strategy": insert_strategy,
         "n_ranks": n_ranks,
-        "stream": not args.no_stream,
-        "warm_pool": bool(getattr(backend_impl, "pool_enabled", False)),
         "elapsed_s": round(elapsed, 3),
         "n_points": final_mesh.n_points,
         "n_triangles": final_mesh.n_triangles,

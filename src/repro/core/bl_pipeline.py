@@ -227,8 +227,13 @@ def generate_boundary_layer(
     config: Optional[BoundaryLayerConfig] = None,
     *,
     sizing: Optional[SizingFunction] = None,
+    insert_strategy: Optional[str] = None,
 ) -> BoundaryLayerResult:
-    """Run the full anisotropic boundary-layer stage on all body loops."""
+    """Run the full anisotropic boundary-layer stage on all body loops.
+
+    ``insert_strategy`` names the cavity-engine insertion strategy of
+    the BL triangulation (``None``: ``REPRO_INSERT``, then ``scalar``).
+    """
     config = config or BoundaryLayerConfig()
     growth = config.growth_function()
     default_height = min(growth.height(config.max_layers), config.max_height)
@@ -321,6 +326,7 @@ def generate_boundary_layer(
             tri = triangulate_pslg(
                 np.asarray(pts, dtype=np.float64),
                 np.asarray(segments, dtype=np.int64),
+                strategy=insert_strategy,
             )
             mask = carve(tri, holes)
             mesh = tri.to_mesh(keep_mask=mask)

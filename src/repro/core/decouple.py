@@ -382,12 +382,16 @@ def refine_subdomain(
     *,
     quality_bound: float = RUPPERT_BOUND,
     max_steiner: int = 2_000_000,
+    insert_strategy: Optional[str] = None,
 ) -> TriMesh:
     """Independently Ruppert-refine one decoupled subdomain.
 
     Border segments are locked (never split): the decoupling sized them so
     refinement terminates without touching them, keeping neighbouring
     subdomain meshes conforming with zero communication.
+    ``insert_strategy`` names the cavity-engine insertion strategy of
+    the initial triangulation (``None``: ``REPRO_INSERT``, then
+    ``scalar``).
     """
     parts = [sub.ring] + sub.hole_rings
     pts: List[Tuple[float, float]] = []
@@ -397,7 +401,8 @@ def refine_subdomain(
         m = len(part)
         pts.extend((float(x), float(y)) for x, y in part)
         segs.extend((base + i, base + (i + 1) % m) for i in range(m))
-    tri = triangulate_pslg(np.asarray(pts), np.asarray(segs, dtype=np.int64))
+    tri = triangulate_pslg(np.asarray(pts), np.asarray(segs, dtype=np.int64),
+                           strategy=insert_strategy)
     refiner = Refiner(
         tri,
         holes=sub.holes,

@@ -23,13 +23,12 @@ output without any human intervention."
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..delaunay.cavity import INSERT_ENV, resolve_strategy_name
+from ..delaunay.cavity import resolve_strategy_name
 from ..delaunay.mesh import TriMesh, merge_meshes
 from ..delaunay.refine import RUPPERT_BOUND
 from ..geometry.aabb import AABB
@@ -58,7 +57,6 @@ __all__ = [
     "MeshConfig",
     "MeshResult",
     "generate_mesh",
-    "STREAM_ENV",
     "pack_mesh_request",
     "unpack_mesh_request",
     "request_cost",
@@ -67,16 +65,6 @@ __all__ = [
     "adapt_workitem",
     "unpack_adapt_result",
 ]
-
-#: ``REPRO_STREAM=0`` disables streamed decompose->refine dispatch and
-#: restores the barriered two-stage flow (decouple fully, then refine).
-STREAM_ENV = "REPRO_STREAM"
-
-
-def _stream_enabled(stream: Optional[bool]) -> bool:
-    if stream is not None:
-        return bool(stream)
-    return os.environ.get(STREAM_ENV, "1") != "0"
 
 
 @dataclass
@@ -125,7 +113,6 @@ def generate_mesh(
     *,
     backend: Optional[str] = None,
     n_ranks: int = 4,
-    stream: Optional[bool] = None,
     insert_strategy: Optional[str] = None,
 ) -> MeshResult:
     """Generate the full hybrid mesh for ``pslg`` (all body loops).
@@ -136,45 +123,23 @@ def generate_mesh(
     Every backend produces the identical mesh — the subdomains are
     decoupled, so execution order cannot change the result.
 
-    ``stream`` (default on; ``REPRO_STREAM=0`` disables) feeds work to
-    the executor as it is discovered: the near-body subdomain is
-    submitted before decoupling starts and each decoupled subdomain the
-    moment it is final, so pool workers refine while the parent is
-    still splitting — the paper's overlap of decomposition with
-    refinement.  Submission order equals the barriered payload order,
-    so the merged mesh is byte-identical either way.
+    Work is fed to the executor as it is discovered: the near-body
+    subdomain is submitted before decoupling starts and each decoupled
+    subdomain the moment it is final, so pool workers refine while the
+    parent is still splitting — the paper's overlap of decomposition
+    with refinement.  ``serial`` buffers the submissions and maps them
+    after decoupling finished; submission order is the same, so it is
+    the barriered reference the parallel backends are byte-compared to.
 
     ``insert_strategy`` picks the Delaunay cavity-engine insertion
     strategy (any name from
     :func:`repro.delaunay.available_strategies`); ``None`` falls back
-    to ``REPRO_INSERT``, then ``scalar``.  An explicit choice is
-    exported through the environment for the duration of the run so
-    worker processes triangulate with the same strategy.
+    to ``REPRO_INSERT``, then ``scalar``.  It is resolved once here and
+    travels as data: an argument to the BL triangulation and a field of
+    every refinement work item, so workers forked earlier (a warm pool)
+    triangulate with the same strategy as the parent.
     """
-    strategy = resolve_strategy_name(insert_strategy)
-    if insert_strategy is None:
-        return _generate_mesh_impl(pslg, config, backend, n_ranks, stream,
-                                   strategy)
-    prev = os.environ.get(INSERT_ENV)
-    os.environ[INSERT_ENV] = strategy
-    try:
-        return _generate_mesh_impl(pslg, config, backend, n_ranks, stream,
-                                   strategy)
-    finally:
-        if prev is None:
-            os.environ.pop(INSERT_ENV, None)
-        else:
-            os.environ[INSERT_ENV] = prev
-
-
-def _generate_mesh_impl(
-    pslg: PSLG,
-    config: Optional[MeshConfig],
-    backend: Optional[str],
-    n_ranks: int,
-    stream: Optional[bool],
-    insert_strategy: str,
-) -> MeshResult:
+    insert_strategy = resolve_strategy_name(insert_strategy)
     config = config or MeshConfig()
     backend_impl = executor.get_backend(
         executor.resolve_backend_name(backend))
@@ -185,7 +150,8 @@ def _generate_mesh_impl(
     # 1. Boundary layers.
     # ------------------------------------------------------------------
     with timed("boundary_layer") as tm:
-        bl = generate_boundary_layer(pslg, config.bl)
+        bl = generate_boundary_layer(pslg, config.bl,
+                                     insert_strategy=insert_strategy)
     timings["boundary_layer"] = tm.elapsed
 
     # ------------------------------------------------------------------
@@ -236,11 +202,9 @@ def _generate_mesh_impl(
     # 4+5. Decouple the far field and refine everything (near-body +
     #    inviscid subdomains) through the executor layer: each work item
     #    is one serde-packed subdomain, each result one packed mesh,
-    #    ordered like the inputs.  Streamed dispatch (default) submits
-    #    the near-body subdomain before decoupling starts and every
-    #    decoupled subdomain as it is produced; barriered dispatch
-    #    (``REPRO_STREAM=0``) decouples fully, then maps.  Submission
-    #    order is identical, so the merge below cannot tell them apart.
+    #    ordered like the inputs.  The near-body subdomain is submitted
+    #    before decoupling starts and every decoupled subdomain as it is
+    #    produced.
     # ------------------------------------------------------------------
     def _cost(s: DecoupledSubdomain) -> float:
         return (s.est_triangles if s.est_triangles > 0.0
@@ -248,34 +212,21 @@ def _generate_mesh_impl(
 
     def _payload(s: DecoupledSubdomain) -> serde.Buffers:
         return _pack_refine_item(s, sizing, config.quality_bound,
-                                 config.max_steiner)
+                                 config.max_steiner, insert_strategy)
 
-    if _stream_enabled(stream):
-        # Note: under streaming, ``refinement`` wall time spans the
-        # whole overlapped region (it contains ``decoupling``).
-        with timed("refinement") as tm_refine:
-            session = backend_impl.stream_workitems(_refine_workitem,
-                                                    n_ranks=n_ranks)
-            session.submit(_payload(nearbody), cost=_cost(nearbody))
-            subdomains: List[DecoupledSubdomain] = []
-            with timed("decoupling") as tm_decouple:
-                for s in decouple_stream(quads, sizing, target_count=target):
-                    subdomains.append(s)
-                    session.submit(_payload(s), cost=_cost(s))
-            packed = session.results()
-            meshes = [serde.unpack_mesh(b) for b in packed]
-        work = [nearbody] + subdomains
-    else:
+    # Note: ``refinement`` wall time spans the whole overlapped region
+    # (it contains ``decoupling``).
+    with timed("refinement") as tm_refine:
+        session = backend_impl.stream_workitems(_refine_workitem,
+                                                n_ranks=n_ranks)
+        session.submit(_payload(nearbody), cost=_cost(nearbody))
+        subdomains: List[DecoupledSubdomain] = []
         with timed("decoupling") as tm_decouple:
-            subdomains = list(decouple_stream(quads, sizing,
-                                              target_count=target))
-        work = [nearbody] + subdomains
-        with timed("refinement") as tm_refine:
-            payloads = [_payload(s) for s in work]
-            costs = [_cost(s) for s in work]
-            packed = backend_impl.map_workitems(_refine_workitem, payloads,
-                                                costs=costs, n_ranks=n_ranks)
-            meshes = [serde.unpack_mesh(b) for b in packed]
+            for s in decouple_stream(quads, sizing, target_count=target):
+                subdomains.append(s)
+                session.submit(_payload(s), cost=_cost(s))
+        packed = session.results()
+        meshes = [serde.unpack_mesh(b) for b in packed]
     timings["decoupling"] = tm_decouple.elapsed
     timings["refinement"] = tm_refine.elapsed
 
@@ -290,7 +241,7 @@ def _generate_mesh_impl(
         "n_triangles": float(merged.n_triangles),
         "n_points": float(merged.n_points),
         "n_bl_triangles": float(bl.mesh.n_triangles),
-        "n_subdomains": float(len(work)),
+        "n_subdomains": float(len(meshes)),
         "h0": h0,
         "chord": chord,
         "insert_strategy": insert_strategy,
@@ -308,13 +259,14 @@ def _generate_mesh_impl(
 
 
 def _pack_refine_item(sub: DecoupledSubdomain, sizing,
-                      quality_bound: float,
-                      max_steiner: int) -> serde.Buffers:
+                      quality_bound: float, max_steiner: int,
+                      insert_strategy: str) -> serde.Buffers:
     """One refinement work item as a flat buffer dict (process-safe)."""
     payload = serde.nest("sub.", serde.pack_subdomain(sub))
     payload.update(serde.nest("sizing.", serde.pack_sizing(sizing)))
     payload["params"] = np.asarray([quality_bound, float(max_steiner)],
                                    dtype=np.float64)
+    payload["insert_strategy"] = serde._text(insert_strategy)
     return payload
 
 
@@ -328,8 +280,10 @@ def _refine_workitem(payload: serde.Buffers) -> serde.Buffers:
     sub = serde.unpack_subdomain(serde.unnest("sub.", payload))
     sizing = serde.unpack_sizing(serde.unnest("sizing.", payload))
     quality_bound, max_steiner = (float(x) for x in payload["params"])
-    mesh = refine_subdomain(sub, sizing, quality_bound=quality_bound,
-                            max_steiner=int(max_steiner))
+    mesh = refine_subdomain(
+        sub, sizing, quality_bound=quality_bound,
+        max_steiner=int(max_steiner),
+        insert_strategy=serde._untext(payload["insert_strategy"]))
     return serde.pack_mesh(mesh)
 
 
@@ -342,10 +296,10 @@ def pack_mesh_request(pslg: PSLG,
 
     The dict carries *everything* that determines the output mesh —
     PSLG geometry plus the full (BL-nested) :class:`MeshConfig` — and
-    nothing that does not (backend, rank count and streaming mode are
-    transport knobs; backend parity guarantees they cannot change the
-    result).  Its :func:`repro.runtime.serde.canonical_hash` is therefore
-    a sound content address for the service's mesh cache.
+    nothing that does not (backend and rank count are transport knobs;
+    backend parity guarantees they cannot change the result).  Its
+    :func:`repro.runtime.serde.canonical_hash` is therefore a sound
+    content address for the service's mesh cache.
     """
     payload = serde.nest("pslg.", serde.pack_pslg(pslg))
     payload.update(serde.nest("config.",

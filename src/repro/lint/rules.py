@@ -448,11 +448,11 @@ class LocksetRule(Rule):
 
     Scope note: this rule (and the dynamic sanitizer that backs it)
     governs *in-process* shared state — the ``serial`` and ``threads``
-    executor backends.  The ``processes`` backend's cross-process state
-    (:class:`repro.runtime.executor.LoadBoard`) is synchronised by a
-    ``multiprocessing`` lock the AST heuristic does recognise, but the
-    sanitizer cannot observe other processes' accesses; that backend
-    refuses to run under the sanitizer rather than vacuously passing.
+    executor backends.  The ``processes`` backend's pool workers share
+    no mutable state with the parent (work and results cross as
+    messages), and the sanitizer cannot observe other processes'
+    accesses; that backend refuses to run under the sanitizer rather
+    than vacuously passing.
     """
 
     id = "R6"

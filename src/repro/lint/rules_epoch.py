@@ -90,8 +90,8 @@ class EpochFenceRule(Rule):
       attribute, every ``wire_to_buffers``/``buffers_from_shm`` call
       must be *dominated* (CFG dominators, so it holds on every path)
       by a statement comparing something named ``*epoch*``.  Classes
-      without ``_epoch`` (the legacy fork-per-call path) are exempt —
-      they have no concurrent abort to race with.
+      without ``_epoch`` are exempt — they have no concurrent abort to
+      race with.
     * **Ordering** — a function mentioning both members of a protocol
       pair (``warm_pool`` before ``start_server``/``start_unix_server``;
       ``request_abort``/``abort`` before ``shutdown_pool``) must mention

@@ -17,17 +17,12 @@ the seam that decides *what a worker is*:
     not the hardware.
 
 ``processes``
-    True ``multiprocessing`` workers.  Two dispatch modes:
-
-    * **warm pool** (default): a :class:`WorkerPool` of persistent
-      workers forked once and reused across ``map_workitems`` calls;
-      demand-driven largest-first dispatch with at most one in-flight
-      item per worker, so a crashed worker maps to exactly one
-      requeueable item (respawn + requeue, bounded attempts); idle
-      workers are reaped after a TTL.  Disable with ``REPRO_POOL=0``.
-    * **fork-per-call** (legacy): largest-first static distribution
-      (LPT) plus steal-on-idle through a shared :class:`LoadBoard`,
-      workers forked and torn down every call.
+    True ``multiprocessing`` workers: a :class:`WorkerPool` of
+    persistent workers forked once and reused across dispatches;
+    demand-driven largest-first dispatch with at most one in-flight
+    item per worker, so a crashed worker maps to exactly one
+    requeueable item (respawn + requeue, bounded attempts); idle
+    workers are reaped after a TTL.
 
     Payloads and results cross the process boundary only as flat numpy
     buffer dicts (:mod:`repro.runtime.serde`), never as pickled Python
@@ -72,7 +67,6 @@ __all__ = [
     "Backend",
     "StreamSession",
     "ExecutorError",
-    "LoadBoard",
     "SerialBackend",
     "ThreadsBackend",
     "ProcessesBackend",
@@ -88,12 +82,6 @@ __all__ = [
 #: environment override consulted when a caller passes ``backend=None``
 #: (used by CI to drive the whole test pyramid through one backend).
 BACKEND_ENV = "REPRO_BACKEND"
-
-#: ``REPRO_POOL=0`` disables the persistent worker pool (fork-per-call).
-POOL_ENV = "REPRO_POOL"
-
-#: idle-worker time-to-live override, seconds (``REPRO_POOL_TTL``).
-POOL_TTL_ENV = "REPRO_POOL_TTL"
 
 #: default seconds an idle pool worker survives before being reaped.
 DEFAULT_POOL_TTL = 300.0
@@ -228,21 +216,17 @@ def _check_buffer_payload(index: int, payload: Any) -> None:
         )
 
 
-def _check_buffer_payloads(payloads: Sequence[Any]) -> None:
-    for i, p in enumerate(payloads):
-        _check_buffer_payload(i, p)
-
-
 # ----------------------------------------------------------------------
 # Buffered streaming adapter (barrier backends)
 # ----------------------------------------------------------------------
 class _BufferedStream:
     """Collect-then-run :class:`StreamSession` for barrier backends.
 
-    ``serial``/``threads`` (and the legacy fork-per-call processes mode)
-    have no pool to feed incrementally, so streamed submission simply
-    accumulates and ``results`` runs one ``map_workitems`` — trivially
-    byte-identical to the barriered path.
+    ``serial``/``threads`` have no pool to feed incrementally, so
+    streamed submission simply accumulates and ``results`` runs one
+    ``map_workitems``.  On ``serial`` this *is* decouple-fully-then-map:
+    the barriered reference every parallel backend is byte-compared
+    against.
     """
 
     def __init__(self, backend: "Backend", fn: Callable,
@@ -353,147 +337,8 @@ class ThreadsBackend:
 
 
 # ----------------------------------------------------------------------
-# processes: legacy fork-per-call scheduling (LoadBoard + LPT)
+# processes: persistent worker pool
 # ----------------------------------------------------------------------
-class LoadBoard:
-    """Shared claim board: largest-first assignment + steal-on-idle.
-
-    One shared int array marks each item's claiming worker (-1 =
-    unclaimed); one shared float array publishes every worker's
-    remaining assigned load (the paper's RMA load-estimate window,
-    realised in shared memory).  A worker claims its *own* items largest
-    first; when its assignment drains it picks the most-loaded victim
-    and claims that victim's largest unclaimed item.  All transitions
-    happen under one shared lock, so an item is processed exactly once
-    no matter how claims and steals interleave.
-    """
-
-    def __init__(self, ctx, costs: Sequence[float],
-                 assignment: Sequence[Sequence[int]]) -> None:
-        self._costs = [float(c) for c in costs]
-        # Per-worker items, largest cost first.
-        self._assignment = [
-            sorted(items, key=lambda i: (-self._costs[i], i))
-            for items in assignment
-        ]
-        self._owner_of = {}
-        for w, items in enumerate(self._assignment):
-            for i in items:
-                self._owner_of[i] = w
-        self._claims = ctx.Array("i", [-1] * max(len(costs), 1), lock=False)
-        self._loads = ctx.Array("d", [
-            sum(self._costs[i] for i in items) for items in self._assignment
-        ] or [0.0], lock=False)
-        self._lock = ctx.Lock()
-
-    def _take(self, item: int, worker: int) -> None:
-        self._claims[item] = worker
-        owner = self._owner_of[item]
-        # Clamp at zero: claim order differs from the summation order
-        # that built the load, so plain float subtraction can leave a
-        # -1e-16 residue on the last item; remaining load is a
-        # non-negative quantity by definition.
-        self._loads[owner] = max(self._loads[owner] - self._costs[item], 0.0)
-
-    def claim(self, worker: int) -> Optional[tuple]:
-        """Claim the next item for ``worker``: ``(item, stolen)`` or None.
-
-        Own assignment first (largest-first); then steal the largest
-        unclaimed item of the worker with the most remaining load.
-        """
-        with self._lock:
-            for i in self._assignment[worker]:
-                if self._claims[i] < 0:
-                    self._take(i, worker)
-                    return (i, False)
-            victim = -1
-            victim_load = 0.0
-            for w in range(len(self._assignment)):
-                if w == worker:
-                    continue
-                if self._loads[w] > victim_load:
-                    victim, victim_load = w, self._loads[w]
-            if victim >= 0:
-                for i in self._assignment[victim]:
-                    if self._claims[i] < 0:
-                        self._take(i, worker)
-                        return (i, True)
-            # Fallback sweep: loads can only over-estimate remaining
-            # work, so an unclaimed item anywhere is still claimable.
-            for i in range(len(self._claims)):
-                if self._claims[i] < 0:
-                    self._take(i, worker)
-                    return (i, self._owner_of[i] != worker)
-            return None
-
-    def remaining_loads(self) -> List[float]:
-        with self._lock:
-            return [float(x) for x in self._loads]
-
-
-def lpt_assignment(costs: Sequence[float], n_workers: int) -> List[List[int]]:
-    """Largest-processing-time-first static distribution.
-
-    Items sorted by descending cost, each placed on the least-loaded
-    worker — the classic 4/3-approximation, matching the paper's
-    "subdomain estimated to need the most time is meshed first".
-    """
-    order = sorted(range(len(costs)), key=lambda i: (-float(costs[i]), i))
-    loads = [0.0] * n_workers
-    out: List[List[int]] = [[] for _ in range(n_workers)]
-    for i in order:
-        w = min(range(n_workers), key=lambda r: (loads[r], r))
-        out[w].append(i)
-        loads[w] += float(costs[i])
-    return out
-
-
-def _process_worker(rank: int, fn, payloads, board: LoadBoard,
-                    result_q, profile: bool) -> None:
-    """Fork-per-call worker main loop: claim, process, ship buffers back.
-
-    Results at or above :data:`repro.runtime.serde.SHM_MIN_BYTES` go
-    through a ``multiprocessing.shared_memory`` segment (one C-speed
-    copy, no pickling of the arrays); only the segment name and layout
-    cross the queue.  Small results ship inline — the pickle is cheaper
-    than a segment round trip.
-    """
-    try:
-        sink = counters_mod.Counters() if profile else None
-        processed = 0
-        steals = 0
-        with counters_mod.use_counters(sink) if profile else _null_cm():
-            while True:
-                got = board.claim(rank)
-                if got is None:
-                    break
-                idx, stolen = got
-                with phase("executor.processes.item"):
-                    result = fn(payloads[idx])
-                if not is_buffers(result):
-                    raise ExecutorError(
-                        f"work function {fn.__qualname__} returned "
-                        f"{type(result).__name__} for item {idx}; process "
-                        "workers must return flat serde buffer dicts"
-                    )
-                if serde.buffers_nbytes(result) >= serde.SHM_MIN_BYTES:
-                    try:
-                        name, meta = serde.buffers_to_shm(result)
-                        result_q.put(("shm", idx, name, meta))
-                    except OSError:
-                        # No usable /dev/shm (tiny containers): fall
-                        # back to the inline path rather than fail.
-                        result_q.put(("ok", idx, result))
-                else:
-                    result_q.put(("ok", idx, result))
-                processed += 1
-                steals += int(stolen)
-        snapshot = sink.snapshot() if sink is not None else None
-        result_q.put(("done", rank, processed, steals, snapshot))
-    except BaseException:  # noqa: BLE001 - shipped to the parent
-        result_q.put(("err", rank, traceback.format_exc()))
-
-
 class _null_cm:
     def __enter__(self):
         return None
@@ -502,9 +347,6 @@ class _null_cm:
         return False
 
 
-# ----------------------------------------------------------------------
-# processes: persistent worker pool
-# ----------------------------------------------------------------------
 def _resolve_portable_fn(module: str, qualname: str) -> Callable:
     """Re-import a module-level function in a pool worker.
 
@@ -776,6 +618,8 @@ class PoolStream:
 
     def __init__(self, pool: WorkerPool, fn: Callable, n_ranks: int,
                  sink, idle_timeout: float) -> None:
+        _check_portable_fn(fn)
+        self._n_ranks = _check_ranks(n_ranks)
         if pool.closed:
             raise ExecutorError("worker pool is shut down")
         if pool._call is not None:
@@ -783,7 +627,6 @@ class PoolStream:
                 "worker pool already has an open streaming session — "
                 "collect results() before starting another dispatch"
             )
-        _check_portable_fn(fn)
         pool._epoch += 1
         pool._call = self
         pool.stats["calls"] += 1
@@ -793,7 +636,6 @@ class PoolStream:
         self._epoch = pool._epoch
         self._fn_mod = fn.__module__
         self._fn_qual = fn.__qualname__
-        self._n_ranks = _check_ranks(n_ranks)
         self._sink = sink
         self._idle_timeout = float(idle_timeout)
         self._tasks: List[_PoolTask] = []
@@ -854,8 +696,8 @@ class PoolStream:
         self._close()
         if self._sink is not None:
             # The pool's demand-driven dispatch has no distinct steal
-            # transition; keep the key so reports stay comparable
-            # across scheduling modes.
+            # transition; keep the key, the profile report and the perf
+            # ledger read it.
             self._sink.incr("executor.steals", 0)
         return list(self._out)
 
@@ -1054,12 +896,11 @@ class PoolStream:
 class ProcessesBackend:
     """GIL-free workers over ``multiprocessing`` (fork when available).
 
-    Default dispatch is the persistent :class:`WorkerPool` (see the
-    module docstring); ``REPRO_POOL=0`` or ``persistent=False`` selects
-    the legacy fork-per-call LoadBoard path.  Buffer-dict payloads and
-    results only; large dicts travel via refcounted shared-memory
-    segments in both directions; per-item counter snapshots merge into
-    the parent's ambient profiling sink.
+    Every dispatch goes through the persistent :class:`WorkerPool`
+    (see the module docstring).  Buffer-dict payloads and results only;
+    large dicts travel via refcounted shared-memory segments in both
+    directions; per-item counter snapshots merge into the parent's
+    ambient profiling sink.
     """
 
     name = "processes"
@@ -1070,10 +911,8 @@ class ProcessesBackend:
     idle_timeout = 600.0
 
     def __init__(self, start_method: Optional[str] = None,
-                 persistent: Optional[bool] = None,
-                 ttl: Optional[float] = None) -> None:
+                 ttl: float = DEFAULT_POOL_TTL) -> None:
         self._start_method = start_method
-        self._persistent = persistent
         self._ttl = ttl
         self._pool: Optional[WorkerPool] = None
         self._exclude_fds: Tuple[int, ...] = ()
@@ -1089,32 +928,12 @@ class ProcessesBackend:
         return mp.get_context("fork" if "fork" in methods else "spawn")
 
     # -- pool plumbing -------------------------------------------------
-    @property
-    def pool_enabled(self) -> bool:
-        """Whether calls go through the persistent pool."""
-        if self._persistent is not None:
-            return bool(self._persistent)
-        return os.environ.get(POOL_ENV, "1") != "0"
-
-    def pool_ttl(self) -> float:
-        if self._ttl is not None:
-            return float(self._ttl)
-        raw = os.environ.get(POOL_TTL_ENV)
-        if raw:
-            try:
-                return float(raw)
-            except ValueError:
-                pass
-        return DEFAULT_POOL_TTL
-
     def _get_pool(self) -> WorkerPool:
         if self._pool is not None and self._pool.closed:
             self._pool = None
         if self._pool is None:
-            self._pool = WorkerPool(self._context(), ttl=self.pool_ttl())
+            self._pool = WorkerPool(self._context(), ttl=self._ttl)
             _POOLS.add(self._pool)
-        else:
-            self._pool.ttl = self.pool_ttl()
         self._pool.exclude_fds = self._exclude_fds
         return self._pool
 
@@ -1126,10 +945,7 @@ class ProcessesBackend:
         so a client connection fd duplicated into a worker keeps the
         peer from ever seeing EOF until that worker exits.  Warming
         first also moves the fork cost out of the first request.
-        No-op (returns 0) when the warm pool is disabled.
         """
-        if not self.pool_enabled:
-            return 0
         pool = self._get_pool()
         while pool.n_workers() < n_ranks:
             pool._spawn()
@@ -1178,107 +994,18 @@ class ProcessesBackend:
 
     # -- dispatch ------------------------------------------------------
     def map_workitems(self, fn, payloads, *, costs=None, n_ranks=1):
-        self._check_sanitizer()
-        n_ranks = _check_ranks(n_ranks)
-        _check_portable_fn(fn)
-        _check_buffer_payloads(payloads)
-        if not payloads:
-            return []
         if costs is None:
             costs = [1.0] * len(payloads)
-        if self.pool_enabled:
-            sink = counters_mod.current()
-            with phase(f"executor.{self.name}"):
-                stream = PoolStream(self._get_pool(), fn,
-                                    min(n_ranks, len(payloads)), sink,
-                                    self.idle_timeout)
-                for p, c in zip(payloads, costs):
-                    stream.submit(p, cost=c, eager=False)
-                return stream.results()
-        return self._map_forked(fn, payloads, costs, n_ranks)
+        with phase(f"executor.{self.name}"):
+            stream = self.stream_workitems(fn, n_ranks=n_ranks)
+            for p, c in zip(payloads, costs):
+                stream.submit(p, cost=c, eager=False)
+            return stream.results()
 
     def stream_workitems(self, fn, *, n_ranks=1):
         self._check_sanitizer()
-        n_ranks = _check_ranks(n_ranks)
-        _check_portable_fn(fn)
-        if not self.pool_enabled:
-            return _BufferedStream(self, fn, n_ranks)
         return PoolStream(self._get_pool(), fn, n_ranks,
                           counters_mod.current(), self.idle_timeout)
-
-    # -- legacy fork-per-call path -------------------------------------
-    def _map_forked(self, fn, payloads, costs, n_ranks):
-        n_workers = min(n_ranks, len(payloads))
-        ctx = self._context()
-        board = LoadBoard(ctx, costs, lpt_assignment(costs, n_workers))
-        result_q = ctx.Queue()
-        sink = counters_mod.current()
-        profile = sink is not None
-        procs = [
-            ctx.Process(target=_process_worker,
-                        args=(rank, fn, list(payloads), board, result_q,
-                              profile),
-                        daemon=True)
-            for rank in range(n_workers)
-        ]
-        out: List[Any] = [None] * len(payloads)
-        seen = [False] * len(payloads)
-        done = [False] * n_workers
-        total_steals = 0
-        with phase(f"executor.{self.name}"):
-            for p in procs:
-                p.start()
-            try:
-                idle = 0.0
-                while not (all(seen) and all(done)):
-                    try:
-                        msg = result_q.get(timeout=0.5)
-                    except queue_mod.Empty:
-                        idle += 0.5
-                        dead = [r for r, p in enumerate(procs)
-                                if not done[r] and not p.is_alive()]
-                        if dead:
-                            raise ExecutorError(
-                                f"worker process(es) {dead} died without "
-                                "reporting (killed? out of memory?)"
-                            )
-                        if idle > self.idle_timeout:
-                            raise ExecutorError(
-                                "processes backend made no progress for "
-                                f"{self.idle_timeout:.0f}s — aborting"
-                            )
-                        continue
-                    idle = 0.0
-                    if msg[0] == "ok":
-                        _, idx, result = msg
-                        out[idx] = result
-                        seen[idx] = True
-                    elif msg[0] == "shm":
-                        _, idx, name, meta = msg
-                        out[idx] = serde.buffers_from_shm(name, meta)
-                        seen[idx] = True
-                    elif msg[0] == "done":
-                        _, rank, processed, steals, snapshot = msg
-                        done[rank] = True
-                        total_steals += steals
-                        if snapshot is not None and sink is not None:
-                            sink.merge_snapshot(snapshot)
-                            sink.incr(f"executor.items.rank{rank}", processed)
-                    else:
-                        _, rank, tb = msg
-                        raise ExecutorError(
-                            f"worker {rank} failed:\n{tb}"
-                        )
-            finally:
-                for p in procs:
-                    if p.is_alive():
-                        p.terminate()
-                for p in procs:
-                    p.join(timeout=10.0)
-                result_q.close()
-        if sink is not None:
-            sink.incr("executor.steals", total_steals)
-        return out
 
 
 # ----------------------------------------------------------------------

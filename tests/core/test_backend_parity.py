@@ -8,6 +8,8 @@ that merge order cannot mask or fake a difference.
 """
 
 import contextlib
+import inspect
+import os
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from repro.core.pipeline import MeshConfig, generate_mesh
 from repro.geometry.airfoils import naca0012
 from repro.geometry.pslg import PSLG
 from repro.lint import tsan
-from repro.runtime import serde
+from repro.runtime import executor, serde
 
 PARALLEL_BACKENDS = ["threads", "processes"]
 
@@ -124,10 +126,11 @@ class TestBoundaryLayerParity:
 
 class TestStreamingParity:
     """Streamed dispatch is an execution-overlap optimisation, not a
-    different algorithm: ``decouple_stream`` yields subdomains in
-    exactly the order ``decouple`` returns them and submission order
-    equals the barriered payload order, so the merged mesh must be
-    *byte*-identical — raw array bytes, not just canonical form."""
+    different algorithm.  ``serial`` buffers the streamed submissions
+    and maps them after decoupling finished — the barriered reference —
+    and submission order is the same on every backend, so the merged
+    mesh must be *byte*-identical — raw array bytes, not just canonical
+    form."""
 
     @classmethod
     def setup_class(cls):
@@ -139,7 +142,7 @@ class TestStreamingParity:
             target_subdomains=8,
         )
         cls.barriered = generate_mesh(cls.pslg, cls.config,
-                                      backend="serial", stream=False)
+                                      backend="serial")
 
     def assert_bytes_identical(self, mesh):
         ref = self.barriered.mesh
@@ -147,39 +150,57 @@ class TestStreamingParity:
         assert mesh.triangles.tobytes() == ref.triangles.tobytes()
         assert mesh.segments.tobytes() == ref.segments.tobytes()
 
-    @pytest.mark.parametrize("name", ["serial"] + PARALLEL_BACKENDS)
+    @pytest.mark.parametrize("name", PARALLEL_BACKENDS)
     def test_streamed_equals_barriered(self, name):
         with _maybe_suspend(name):
             streamed = generate_mesh(self.pslg, self.config, backend=name,
-                                     n_ranks=3, stream=True)
+                                     n_ranks=3)
         self.assert_bytes_identical(streamed.mesh)
         # The streamed run discovered the same subdomain sequence.
         assert len(streamed.subdomains) == len(self.barriered.subdomains)
         for a, b in zip(streamed.subdomains, self.barriered.subdomains):
             assert np.array_equal(a.ring, b.ring)
 
-    @pytest.mark.parametrize("name", PARALLEL_BACKENDS)
-    def test_barriered_parallel_equals_barriered_serial(self, name):
-        with _maybe_suspend(name):
-            result = generate_mesh(self.pslg, self.config, backend=name,
-                                   n_ranks=3, stream=False)
-        self.assert_bytes_identical(result.mesh)
-
-    def test_env_knob_matches_explicit_arg(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STREAM", "0")
-        via_env = generate_mesh(self.pslg, self.config, backend="serial")
-        self.assert_bytes_identical(via_env.mesh)
-        monkeypatch.setenv("REPRO_STREAM", "1")
-        via_env = generate_mesh(self.pslg, self.config, backend="serial")
-        self.assert_bytes_identical(via_env.mesh)
-
     def test_streamed_threads_under_sanitizer(self):
         """REPRO_SANITIZE=1 threads: the race-instrumented runtime sees
         the streamed dispatch path and still produces the same bytes."""
         with tsan.sanitize() as det:
             streamed = generate_mesh(self.pslg, self.config,
-                                     backend="threads", n_ranks=3,
-                                     stream=True)
+                                     backend="threads", n_ranks=3)
             races = det.races
         assert races == []
         self.assert_bytes_identical(streamed.mesh)
+
+
+class TestInsertStrategyTransport:
+    """An explicit ``insert_strategy`` is data carried by the call — an
+    argument to the BL triangulation and a field of every refinement
+    work item — so it reaches pool workers that were forked *before*
+    the call, and the process environment is left alone."""
+
+    @staticmethod
+    def digest(mesh):
+        """Hash of the raw buffers: no canonical reordering first."""
+        return serde.canonical_hash(serde.pack_mesh(mesh))
+
+    def test_explicit_strategy_reaches_warm_pool(self, monkeypatch):
+        pslg = PSLG.from_loops([naca0012(61)])
+        config = MeshConfig(farfield_chords=10.0, target_subdomains=8)
+        # Workers forked below must not find the strategy in their
+        # environment: it can only reach them through the work item.
+        monkeypatch.delenv("REPRO_INSERT", raising=False)
+        serial = {
+            name: self.digest(generate_mesh(
+                pslg, config, backend="serial", insert_strategy=name).mesh)
+            for name in ("scalar", "batch")
+        }
+        assert serial["scalar"] != serial["batch"]
+        backend = executor.get_backend("processes")
+        with _maybe_suspend("processes"):
+            backend.shutdown_pool()
+            assert backend.warm_pool(2) == 2
+            warm = generate_mesh(pslg, config, backend="processes",
+                                 n_ranks=2, insert_strategy="batch")
+        assert self.digest(warm.mesh) == serial["batch"]
+        assert "REPRO_INSERT" not in os.environ
+        assert "os.environ" not in inspect.getsource(generate_mesh)

@@ -263,22 +263,21 @@ class TestCountersAndEnv:
         assert tri.stat_batch_points > 0
 
     def test_generate_mesh_exports_strategy(self, monkeypatch):
+        """The resolved name is handed on as an argument; the process
+        environment is not the transport."""
         monkeypatch.delenv(INSERT_ENV, raising=False)
         seen = {}
 
         from repro.core import pipeline
+        from repro.geometry.pslg import PSLG
 
-        orig = pipeline._generate_mesh_impl
-
-        def spy(pslg, config, backend, n_ranks, stream, insert_strategy):
+        def spy(pslg, config, *, insert_strategy=None):
             seen["env"] = os.environ.get(INSERT_ENV)
             seen["strategy"] = insert_strategy
             raise RuntimeError("stop here")
 
-        monkeypatch.setattr(pipeline, "_generate_mesh_impl", spy)
+        monkeypatch.setattr(pipeline, "generate_boundary_layer", spy)
         with pytest.raises(RuntimeError, match="stop here"):
-            pipeline.generate_mesh(None, insert_strategy="vectorized")
-        assert seen == {"env": "batch", "strategy": "batch"}
-        # ... and the environment is restored afterwards.
-        assert INSERT_ENV not in os.environ
-        monkeypatch.setattr(pipeline, "_generate_mesh_impl", orig)
+            pipeline.generate_mesh(PSLG.from_loops([naca4("0012", 21)]),
+                                   insert_strategy="vectorized")
+        assert seen == {"env": None, "strategy": "batch"}

@@ -1,4 +1,4 @@
-"""The pluggable executor layer: registry, backends, load board.
+"""The pluggable executor layer: registry, backends, pool sessions.
 
 Work functions used with the ``processes`` backend live at module scope
 — the backend rejects closures by contract (they cannot cross the
@@ -6,7 +6,6 @@ process boundary).
 """
 
 import contextlib
-import multiprocessing as mp
 
 import numpy as np
 import pytest
@@ -14,19 +13,9 @@ import pytest
 from repro.lint import tsan
 from repro.runtime import counters as counters_mod
 from repro.runtime import executor
-from repro.runtime.executor import (
-    ExecutorError,
-    LoadBoard,
-    ProcessesBackend,
-    lpt_assignment,
-)
+from repro.runtime.executor import ExecutorError, ProcessesBackend
 
 ALL_BACKENDS = ["serial", "local", "threads", "processes"]
-
-
-def _ctx():
-    methods = mp.get_all_start_methods()
-    return mp.get_context("fork" if "fork" in methods else "spawn")
 
 
 def _maybe_suspend(name):
@@ -207,7 +196,9 @@ class TestProcessesContracts:
                    for name in sink.phases)
 
     def test_spawn_context_also_works(self):
-        # Forces the pickled-LoadBoard path even where fork is default.
+        # The pool under ``spawn``: workers start from a fresh
+        # interpreter and resolve the work function by import path, so
+        # nothing in the dispatch protocol depends on fork inheritance.
         backend = ProcessesBackend(start_method="spawn")
         payloads = [{"x": np.asarray([float(i)])} for i in range(4)]
         with tsan.suspend():
@@ -215,60 +206,22 @@ class TestProcessesContracts:
         for i, r in enumerate(results):
             assert np.array_equal(r["x"], np.asarray([2.0 * i]))
 
-
-# ----------------------------------------------------------------------
-# Scheduling: LPT assignment + LoadBoard claims/steals
-# ----------------------------------------------------------------------
-class TestLptAssignment:
-    def test_balances_loads(self):
-        costs = [5.0, 4.0, 3.0, 3.0, 2.0, 1.0]
-        out = lpt_assignment(costs, 2)
-        loads = sorted(sum(costs[i] for i in items) for items in out)
-        assert loads == [9.0, 9.0]
-        assert sorted(i for items in out for i in items) == list(range(6))
-
-    def test_largest_first(self):
-        out = lpt_assignment([1.0, 100.0, 10.0], 3)
-        # The heaviest item lands alone on the first-picked worker.
-        assert [1] in out
-
-    def test_more_workers_than_items(self):
-        out = lpt_assignment([2.0], 4)
-        assert sum(len(items) for items in out) == 1
-
-
-class TestLoadBoard:
-    def test_own_items_largest_first(self):
-        board = LoadBoard(_ctx(), [1.0, 5.0, 3.0], [[0, 1, 2]])
-        claimed = [board.claim(0) for _ in range(4)]
-        assert claimed == [(1, False), (2, False), (0, False), None]
-
-    def test_steals_from_most_loaded_victim(self):
-        costs = [4.0, 1.0, 1.0, 6.0, 6.0]
-        board = LoadBoard(_ctx(), costs, [[0], [1, 2], [3, 4]])
-        assert board.claim(0) == (0, False)
-        # Worker 0 drained its own assignment; worker 2 holds the most
-        # remaining load, so the steal takes its largest item.
-        assert board.claim(0) == (3, True)
-        assert board.claim(1) == (1, False)
-        assert board.claim(2) == (4, False)
-        assert board.claim(2) == (2, True)
-        assert board.claim(0) is None
-        assert board.remaining_loads() == [0.0, 0.0, 0.0]
-
-    def test_each_item_claimed_exactly_once(self):
-        rng = np.random.default_rng(11)
-        costs = [float(c) for c in rng.uniform(1.0, 9.0, size=20)]
-        board = LoadBoard(_ctx(), costs, lpt_assignment(costs, 3))
-        claimed = []
-        # Interleave claims across workers until the board drains.
-        workers = [0, 1, 2]
-        k = 0
-        while True:
-            got = board.claim(workers[k % 3])
-            k += 1
-            if got is None and len(claimed) == 20:
-                break
-            if got is not None:
-                claimed.append(got[0])
-        assert sorted(claimed) == list(range(20))
+    def test_eager_stream_matches_map(self):
+        """A session fed item by item with ``eager=True`` (the pipeline's
+        submission mode) returns exactly what ``map_workitems`` (the
+        same session driven with ``eager=False``) returns for the same
+        payloads and costs, in payload order."""
+        backend = executor.get_backend("processes")
+        payloads = [{"x": np.full(3, float(i))} for i in range(7)]
+        costs = [float(1 + (3 * i) % 7) for i in range(7)]
+        with tsan.suspend():
+            mapped = backend.map_workitems(_double, payloads, costs=costs,
+                                           n_ranks=2)
+            session = backend.stream_workitems(_double, n_ranks=2)
+            for i, (p, c) in enumerate(zip(payloads, costs)):
+                assert session.submit(p, cost=c, eager=True) == i
+            streamed = session.results()
+        assert len(streamed) == len(mapped) == 7
+        for a, b in zip(streamed, mapped):
+            assert a.keys() == b.keys()
+            assert a["x"].tobytes() == b["x"].tobytes()

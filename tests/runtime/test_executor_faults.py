@@ -87,7 +87,7 @@ class TestWorkerCrash:
              "marker": _encode_path(marker)}
             for i in range(6)
         ]
-        backend = ProcessesBackend(persistent=True)
+        backend = ProcessesBackend()
         try:
             with _suspended():
                 results = backend.map_workitems(_kill_once_then_double,
@@ -108,7 +108,7 @@ class TestWorkerCrash:
     def test_crash_during_streaming_session(self, tmp_path):
         """Same contract through the streaming interface."""
         marker = str(tmp_path / "killed-once-stream")
-        backend = ProcessesBackend(persistent=True)
+        backend = ProcessesBackend()
         try:
             with _suspended():
                 session = backend.stream_workitems(_kill_once_then_double,
@@ -127,7 +127,7 @@ class TestWorkerCrash:
     def test_poison_item_gives_up_after_bounded_attempts(self):
         """An item that kills every worker is abandoned with an error
         naming the item, not retried forever."""
-        backend = ProcessesBackend(persistent=True)
+        backend = ProcessesBackend()
         try:
             with _suspended(), pytest.raises(
                     ExecutorError,
@@ -151,7 +151,7 @@ class TestItemError:
     def test_error_names_payload_index_and_pool_survives(self):
         payloads = [{"flag": np.asarray([0.0])} for _ in range(5)]
         payloads[3] = {"flag": np.asarray([1.0])}
-        backend = ProcessesBackend(persistent=True)
+        backend = ProcessesBackend()
         try:
             with _suspended(), pytest.raises(
                     ExecutorError,
@@ -168,7 +168,7 @@ class TestItemError:
             backend.shutdown_pool()
 
     def test_traceback_is_carried_in_the_error(self):
-        backend = ProcessesBackend(persistent=True)
+        backend = ProcessesBackend()
         try:
             with _suspended(), pytest.raises(
                     ExecutorError, match="deliberate item failure"):
@@ -184,7 +184,7 @@ class TestItemError:
 # ----------------------------------------------------------------------
 class TestPoolLifecycle:
     def test_workers_are_reused_across_calls(self):
-        backend = ProcessesBackend(persistent=True)
+        backend = ProcessesBackend()
         try:
             with _suspended():
                 backend.map_workitems(_double, [{"x": np.ones(2)}] * 4,
@@ -198,7 +198,7 @@ class TestPoolLifecycle:
             backend.shutdown_pool()
 
     def test_idle_workers_reaped_after_ttl(self):
-        backend = ProcessesBackend(persistent=True, ttl=0.0)
+        backend = ProcessesBackend(ttl=0.0)
         try:
             with _suspended():
                 backend.map_workitems(_double, [{"x": np.ones(2)}] * 2,
@@ -214,7 +214,7 @@ class TestPoolLifecycle:
             backend.shutdown_pool()
 
     def test_shutdown_is_idempotent_and_terminal(self):
-        backend = ProcessesBackend(persistent=True)
+        backend = ProcessesBackend()
         with _suspended():
             backend.map_workitems(_double, [{"x": np.ones(2)}], n_ranks=1)
         pool = backend._pool

@@ -1,22 +1,11 @@
 """Tests for the work queue and distributed work stealing."""
 
-import multiprocessing as mp
-import threading
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.runtime.comm import run_spmd
-from repro.runtime.executor import LoadBoard, lpt_assignment
 from repro.runtime.loadbalance import DistributedWorker, WorkItem, WorkQueue
 from repro.runtime.rma import Window
-
-
-def _ctx():
-    methods = mp.get_all_start_methods()
-    return mp.get_context("fork" if "fork" in methods else "spawn")
 
 
 class TestWorkQueue:
@@ -137,81 +126,3 @@ class TestDistributedWorker:
 
         run_workers(1, items, process)
         assert order == [9, 7, 5, 3, 1]
-
-
-class TestLoadBoardProperties:
-    """Property-based stress of the shared claim board.
-
-    Hypothesis drives the *schedule*: which worker claims next is drawn
-    per step, so own-queue drains, steals, and the fallback sweep
-    interleave in every order the scheduler could produce.  Whatever the
-    order: each item is claimed exactly once and the published remaining
-    loads never go negative (they are clamped subtractions of a
-    non-negative quantity).
-    """
-
-    @given(
-        costs=st.lists(
-            st.floats(min_value=0.0, max_value=100.0,
-                      allow_nan=False, allow_infinity=False),
-            min_size=1, max_size=24),
-        n_workers=st.integers(min_value=1, max_value=6),
-        data=st.data(),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_randomized_schedule_claims_each_item_once(self, costs,
-                                                       n_workers, data):
-        board = LoadBoard(_ctx(), costs, lpt_assignment(costs, n_workers))
-        claimed = []
-        stolen_count = 0
-        active = set(range(n_workers))
-        while active:
-            w = data.draw(st.sampled_from(sorted(active)), label="worker")
-            got = board.claim(w)
-            loads = board.remaining_loads()
-            assert all(x >= 0.0 for x in loads), \
-                f"negative remaining load {loads}"
-            if got is None:
-                active.discard(w)
-            else:
-                item, was_steal = got
-                claimed.append(item)
-                stolen_count += bool(was_steal)
-        assert sorted(claimed) == list(range(len(costs)))
-        # Fully drained: only clamp/rounding residue may remain.
-        tol = 1e-9 * max(1.0, sum(costs))
-        assert all(x <= tol for x in board.remaining_loads())
-
-    @given(
-        costs=st.lists(
-            st.floats(min_value=0.01, max_value=10.0,
-                      allow_nan=False, allow_infinity=False),
-            min_size=4, max_size=32),
-        n_workers=st.integers(min_value=2, max_value=4),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_concurrent_claimers_never_double_claim(self, costs, n_workers):
-        """Real threads race on the board: the shared lock must make the
-        exactly-once guarantee hold under genuine interleaving too."""
-        board = LoadBoard(_ctx(), costs, lpt_assignment(costs, n_workers))
-        per_worker = [[] for _ in range(n_workers)]
-        violations = []
-
-        def run(w):
-            while True:
-                got = board.claim(w)
-                if any(x < 0.0 for x in board.remaining_loads()):
-                    violations.append(board.remaining_loads())
-                if got is None:
-                    return
-                per_worker[w].append(got[0])
-
-        threads = [threading.Thread(target=run, args=(w,))
-                   for w in range(n_workers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not violations
-        all_claimed = sorted(i for items in per_worker for i in items)
-        assert all_claimed == list(range(len(costs)))

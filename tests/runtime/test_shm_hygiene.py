@@ -70,7 +70,7 @@ def _kill_once_then_double(payload):
 class TestShmHygiene:
     def test_clean_batch_leaves_no_segments(self, shm_everything):
         before = _segments()
-        backend = ProcessesBackend(persistent=True)
+        backend = ProcessesBackend()
         try:
             with _suspended():
                 out = backend.map_workitems(
@@ -86,7 +86,7 @@ class TestShmHygiene:
 
     def test_streamed_session_leaves_no_segments(self, shm_everything):
         before = _segments()
-        backend = ProcessesBackend(persistent=True)
+        backend = ProcessesBackend()
         try:
             with _suspended():
                 session = backend.stream_workitems(_double, n_ranks=2)
@@ -111,7 +111,7 @@ class TestShmHygiene:
                                      dtype=np.uint8).copy()}
             for i in range(6)
         ]
-        backend = ProcessesBackend(persistent=True)
+        backend = ProcessesBackend()
         try:
             with _suspended():
                 out = backend.map_workitems(_kill_once_then_double,
@@ -129,7 +129,7 @@ class TestShmHygiene:
         before = _segments()
         payloads = [{"flag": np.asarray([0.0] * 32)} for _ in range(6)]
         payloads[2] = {"flag": np.asarray([1.0] * 32)}
-        backend = ProcessesBackend(persistent=True)
+        backend = ProcessesBackend()
         try:
             with _suspended(), pytest.raises(ExecutorError,
                                              match="work item 2"):
@@ -137,15 +137,4 @@ class TestShmHygiene:
             assert _segments() <= before
         finally:
             backend.shutdown_pool()
-        assert _segments() <= before
-
-    def test_fork_per_call_path_leaks_nothing(self, shm_everything):
-        """The legacy fork-per-call transport has the same contract."""
-        before = _segments()
-        backend = ProcessesBackend(persistent=False)
-        with _suspended():
-            out = backend.map_workitems(
-                _double, [{"x": np.full(64, float(i))} for i in range(6)],
-                n_ranks=2)
-        assert len(out) == 6
         assert _segments() <= before
