@@ -1,22 +1,24 @@
 """Cavity-operation engine for the incremental Delaunay kernel.
 
-This module owns the Bowyer–Watson *cavity operations* — point location
-(walking with inlined orientation filters), conflict search (circumdisk
-BFS), cavity carving and star-fan retriangulation — as free functions
-over a :class:`~repro.delaunay.kernel.Triangulation` and its SoA
-:class:`~repro.delaunay.arrays.MeshArrays` storage.  The kernel class
-keeps the bookkeeping (slots, adjacency, constraints, stats) and
-delegates every insertion-path operation here; :mod:`constrained` and
-:mod:`refine` call the shared helpers directly instead of carrying
-private copies.
+This module owns the Bowyer–Watson *algorithms*, one of each kind, as
+free functions over a :class:`~repro.delaunay.kernel.Triangulation`
+(which owns only state) and its SoA
+:class:`~repro.delaunay.arrays.MeshArrays` storage: :func:`walk` (point
+location), :func:`carve` (the conflict region) and
+:func:`retriangulate` (the star fan that replaces it).  Their filters
+are inlined and escalate inconclusive signs to the exact predicates;
+the exact, unfiltered statement of what a cavity is lives with the
+tests (``tests/delaunay/oracle.py``), which compare :func:`carve`
+against it cavity for cavity.
 
 On top of the operations sits an **insertion-strategy registry**
 (mirroring the executor backend registry in
 :mod:`repro.runtime.executor`): a strategy turns a bulk point set plus
 an insertion order into kernel vertices.
 
-* ``scalar`` — today's one-point-at-a-time fused fast path
-  (:func:`insert_point_fast`), behaviour-preserving and the default.
+* ``scalar`` — one point at a time through :func:`insert_point`
+  (:func:`walk` → duplicate check → :func:`carve` →
+  :func:`retriangulate`); the default.
 * ``batch`` — independent-set insertion: BRIO rounds are binned through
   the kernel's :class:`~repro.spatial.grid.BucketGrid` snapshot (one
   candidate per bucket per sub-batch, the CPAFT consistent-partitioning
@@ -78,14 +80,12 @@ __all__ = [
     "resolve_strategy_name",
     "brio_order",
     "find_directed_edge",
-    "walk_start",
-    "locate_fast",
-    "locate_ref",
+    "walk",
     "locate_fallback",
-    "carve_cavity_fast",
-    "carve_cavity_ref",
+    "carve",
     "expand_level_batch",
-    "insert_point_fast",
+    "insert_point",
+    "star_vertex",
     "retriangulate",
     "prune_cavity_visibility",
 ]
@@ -193,400 +193,24 @@ def brio_order(points: np.ndarray, seed: int = 0xC0FFEE) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Point location
 # ----------------------------------------------------------------------
-def walk_start(tri, px: float, py: float, hint: int) -> int:
-    """Pick a live, real starting triangle for a walk toward ``(px, py)``."""
-    arr = tri._arr
-    tvm = arr.tv
-    t = (hint if 0 <= hint < arr.n_tris and tvm[3 * hint] != DEAD
-         else -1)
-    if t < 0:
-        if tri._grid is not None and tri._walk_ema > _GRID_EMA_USE:
-            t = tri._grid_start(px, py)
-        if t < 0:
-            t = tri._last_tri
-        if t < 0 or tvm[3 * t] == DEAD:
-            t = next(iter(tri.live_triangles()))
-    if tri.is_ghost(t):
-        # step into the real triangle across the hull edge
-        u, v = tri.ghost_edge(t)
-        k = tri._edge_index(t, u, v)
-        nb = arr.tn[3 * t + k]
-        t = nb if nb >= 0 else t
-    return t
+def walk(tri, px: float, py: float, hint: int) -> Tuple[int, bool]:
+    """Walk to a live triangle whose closed region contains ``(px, py)``.
 
+    Starts at ``hint`` when that names a live slot, else at the vertex
+    grid's nearest vertex (while walks are running long), else at the
+    last touched triangle.  Outside the hull the result is the ghost
+    whose closed half-plane holds the point.  A walk that exhausts its
+    step cap (adversarial degeneracies only) ends in
+    :func:`locate_fallback`.
 
-def locate_ref(tri, p: Tuple[float, float], hint: int) -> int:
-    """Scalar-predicate walk (the reference / seed hot path)."""
-    t = walk_start(tri, p[0], p[1], hint)
-    max_steps = 4 * (tri.n_live_triangles + 8)
-    steps = 0
-    prev = -1
-    while steps < max_steps:
-        steps += 1
-        if tri.is_ghost(t):
-            # Walked off the hull; check this ghost's half-plane.
-            u, v = tri.ghost_edge(t)
-            if orient2d(tri.pts[u], tri.pts[v], p) >= 0:
-                tri._last_tri = t
-                tri._note_walk(steps)
-                return t
-            # p visible from a different hull edge: walk along the hull.
-            # Move to the next ghost sharing vertex v or u.
-            tv = tri.tri_v[t]
-            g = tv.index(GHOST)
-            nxt = tri.tri_n[t][g - 2]  # neighbour across (v, G)
-            if nxt == prev:
-                nxt = tri.tri_n[t][g - 1]
-            prev, t = t, nxt
-            continue
-        moved = False
-        # Cheap pseudo-random starting edge (an LCG step) breaks the
-        # degenerate walk cycles a fixed order could orbit, without the
-        # cost of a real shuffle on every step.
-        tri._lcg = (tri._lcg * 1103515245 + 12345) & 0x7FFFFFFF
-        k0 = tri._lcg % 3
-        for dk in range(3):
-            k = (k0 + dk) % 3
-            u, v = tri._edge(t, k)
-            if tri.tri_n[t][k] == prev:
-                continue
-            if orient2d(tri.pts[u], tri.pts[v], p) < 0:
-                prev, t = t, tri.tri_n[t][k]
-                moved = True
-                break
-        if not moved:
-            tri._last_tri = t
-            tri._note_walk(steps)
-            return t
-    tri._note_walk(steps)
-    return locate_fallback(tri, p)
-
-
-def locate_fast(tri, p: Tuple[float, float], hint: int) -> int:
-    """Walk with the orientation filter inlined (exact escalation)."""
-    px, py = p
-    t = walk_start(tri, px, py, hint)
+    Returns ``(t, certified)``; ``certified`` means the point is
+    *strictly* inside ``t`` (strictly inside a ghost's half-plane),
+    which already puts it in ``t``'s open circumdisk.
+    """
     arr = tri._arr
     tvm = arr.tv
     tnm = arr.tn
     pxm = arr.px
-    max_steps = 4 * (tri.n_live_triangles + 8)
-    steps = 0
-    prev = -1
-    lcg = tri._lcg
-    n_fast = 0
-    result = -1
-    while steps < max_steps:
-        steps += 1
-        i3 = 3 * t
-        a0 = tvm[i3]
-        a1 = tvm[i3 + 1]
-        a2 = tvm[i3 + 2]
-        if a0 < 0 or a1 < 0 or a2 < 0:
-            # Ghost triangle: is p in (or on) its half-plane?
-            g = 0 if a0 < 0 else (1 if a1 < 0 else 2)
-            u = tvm[i3 + _NXT[g]]
-            v = tvm[i3 + _PRV[g]]
-            j = 2 * u
-            ux = pxm[j]
-            uy = pxm[j + 1]
-            j = 2 * v
-            vx = pxm[j]
-            vy = pxm[j + 1]
-            detleft = (ux - px) * (vy - py)
-            detright = (uy - py) * (vx - px)
-            det = detleft - detright
-            detsum = abs(detleft) + abs(detright)
-            if detsum > _CCW_GUARD and (
-                    det > _CCW_ERR * detsum or -det > _CCW_ERR * detsum):  # lint: disable=R1 -- inlined orient2d filter; inconclusive signs escalate below
-                n_fast += 1
-                inside = det > 0.0  # lint: disable=R1 -- sign certified by the filter on the line above
-            else:
-                tri.stat_orient_exact += 1
-                inside = orient2d((ux, uy), (vx, vy), p) >= 0
-            if inside:
-                result = t
-                break
-            nxt = tnm[i3 + _NXT[g]]  # neighbour across (v, G)
-            if nxt == prev:
-                nxt = tnm[i3 + _PRV[g]]
-            prev, t = t, nxt
-            continue
-        moved = False
-        lcg = (lcg * 1103515245 + 12345) & 0x7FFFFFFF
-        k0 = lcg % 3
-        for dk in range(3):
-            k = k0 + dk
-            if k > 2:
-                k -= 3
-            nb = tnm[i3 + k]
-            if nb == prev:
-                continue
-            u = tvm[i3 + _NXT[k]]
-            v = tvm[i3 + _PRV[k]]
-            j = 2 * u
-            ux = pxm[j]
-            uy = pxm[j + 1]
-            j = 2 * v
-            vx = pxm[j]
-            vy = pxm[j + 1]
-            detleft = (ux - px) * (vy - py)
-            detright = (uy - py) * (vx - px)
-            det = detleft - detright
-            detsum = abs(detleft) + abs(detright)
-            if detsum > _CCW_GUARD:
-                errbound = _CCW_ERR * detsum
-                if det > errbound:  # lint: disable=R1 -- inlined orient2d filter; shares ORIENT_ERR_BOUND, exact fallback below
-                    n_fast += 1
-                    continue          # p weakly left: not through here
-                if -det > errbound:
-                    n_fast += 1
-                    prev, t = t, nb   # certified right of u->v: cross
-                    moved = True
-                    break
-            tri.stat_orient_exact += 1
-            if orient2d((ux, uy), (vx, vy), p) < 0:
-                prev, t = t, nb
-                moved = True
-                break
-        if not moved:
-            result = t
-            break
-    tri._lcg = lcg
-    tri.stat_orient_fast += n_fast
-    tri._note_walk(steps)
-    if result >= 0:
-        tri._last_tri = result
-        return result
-    return locate_fallback(tri, p)
-
-
-def locate_fallback(tri, p: Tuple[float, float]) -> int:
-    """Exhaustive exact containment scan (adversarial degeneracies)."""
-    tri.stat_brute_locates += 1
-    for t in tri.live_triangles():
-        if tri.is_ghost(t):
-            continue
-        tv = tri.tri_v[t]
-        if all(
-            orient2d(tri.pts[tv[k - 2]], tri.pts[tv[k - 1]], p) >= 0
-            for k in range(3)
-        ):
-            tri._last_tri = t
-            return t
-    for t in tri.live_triangles():
-        if tri.is_ghost(t) and tri._in_disk(t, p):
-            tri._last_tri = t
-            return t
-    raise TriangulationError(f"point {p} could not be located")
-
-
-def find_directed_edge(tri, u: int, v: int) -> Optional[Tuple[int, int]]:
-    """Locate ``(triangle, edge-index)`` holding the directed edge
-    ``(u, v)``, or ``None`` when the edge is not present.
-
-    Shared by segment recovery (:mod:`repro.delaunay.constrained`) and
-    refinement — previously each carried a private copy of this scan.
-    """
-    for t in tri.triangles_around_vertex(u):
-        tv = tri.tri_v[t]
-        for k in range(3):
-            if tv[(k + 1) % 3] == u and tv[(k + 2) % 3] == v:
-                return t, k
-    return None
-
-
-# ----------------------------------------------------------------------
-# Cavity carving
-# ----------------------------------------------------------------------
-def carve_cavity_ref(tri, p: Tuple[float, float], t0: int
-                     ) -> Tuple[Set[int], bool]:
-    """Circumdisk BFS with scalar robust predicates (reference)."""
-    cavity: Set[int] = {t0}
-    stack = [t0]
-    blocked = False
-    constraints = tri.constraints
-    while stack:
-        t = stack.pop()
-        for k in range(3):
-            nb = tri.tri_n[t][k]
-            if nb < 0 or nb in cavity:
-                continue
-            u, v = tri._edge(t, k)
-            if u != GHOST and v != GHOST:
-                key = (u, v) if u < v else (v, u)
-                if key in constraints:
-                    blocked = True
-                    continue
-            if tri._in_disk(nb, p):
-                cavity.add(nb)
-                stack.append(nb)
-    return cavity, blocked
-
-
-def carve_cavity_fast(tri, p: Tuple[float, float], t0: int
-                      ) -> Tuple[Set[int], bool]:
-    """Level-order circumdisk search with inlined filtered predicates.
-
-    Small frontiers use the scalar filter inline; frontiers of
-    :data:`_BATCH_MIN` or more candidates go through one vectorised
-    :func:`incircle_batch` call (refinement cavities on graded
-    meshes).  Membership decisions are identical to the reference:
-    the cavity is the constraint-respecting connected component of
-    triangles whose open circumdisk contains ``p``, independent of
-    traversal order.
-    """
-    tri_v = tri.tri_v
-    tri_n = tri.tri_n
-    pts = tri.pts
-    constraints = tri.constraints
-    px, py = p
-    cavity: Set[int] = {t0}
-    frontier = [t0]
-    blocked = False
-    n_icc_fast = 0
-    while frontier:
-        cand: List[int] = []
-        for t in frontier:
-            tv = tri_v[t]
-            tn = tri_n[t]
-            for k in range(3):
-                nb = tn[k]
-                if nb < 0 or nb in cavity:
-                    continue
-                if constraints:
-                    u = tv[k - 2]
-                    v = tv[k - 1]
-                    if u >= 0 and v >= 0:
-                        key = (u, v) if u < v else (v, u)
-                        if key in constraints:
-                            blocked = True
-                            continue
-                cand.append(nb)
-        if not cand:
-            break
-        if len(cand) >= _BATCH_MIN:
-            frontier = expand_level_batch(tri, cand, cavity, px, py)
-            continue
-        frontier = []
-        for nb in cand:
-            if nb in cavity:
-                continue  # added via a sibling this level
-            tv = tri_v[nb]
-            a = tv[0]
-            b = tv[1]
-            c = tv[2]
-            if a < 0 or b < 0 or c < 0:
-                if tri._in_disk_fast(nb, px, py):
-                    cavity.add(nb)
-                    frontier.append(nb)
-                continue
-            # Inlined incircle filter (matches the scalar predicate's
-            # first stage); only inconclusive signs leave this loop.
-            ax, ay = pts[a]
-            bx, by = pts[b]
-            cx, cy = pts[c]
-            adx = ax - px
-            ady = ay - py
-            bdx = bx - px
-            bdy = by - py
-            cdx = cx - px
-            cdy = cy - py
-            bdxcdy = bdx * cdy
-            cdxbdy = cdx * bdy
-            cdxady = cdx * ady
-            adxcdy = adx * cdy
-            adxbdy = adx * bdy
-            bdxady = bdx * ady
-            alift = adx * adx + ady * ady
-            blift = bdx * bdx + bdy * bdy
-            clift = cdx * cdx + cdy * cdy
-            det = (alift * (bdxcdy - cdxbdy) + blift * (cdxady - adxcdy)
-                   + clift * (adxbdy - bdxady))
-            permanent = ((abs(bdxcdy) + abs(cdxbdy)) * alift
-                         + (abs(cdxady) + abs(adxcdy)) * blift
-                         + (abs(adxbdy) + abs(bdxady)) * clift)
-            if permanent > _ICC_GUARD:
-                errbound = _ICC_ERR * permanent
-                if det > errbound:
-                    n_icc_fast += 1
-                    cavity.add(nb)
-                    frontier.append(nb)
-                    continue
-                if -det > errbound:
-                    n_icc_fast += 1
-                    continue
-            tri.stat_incircle_exact += 1
-            if incircle(pts[a], pts[b], pts[c], (px, py)) > 0:
-                cavity.add(nb)
-                frontier.append(nb)
-    tri.stat_incircle_fast += n_icc_fast
-    return cavity, blocked
-
-
-def expand_level_batch(tri, cand: List[int], cavity: Set[int],
-                       px: float, py: float) -> List[int]:
-    """Batched in-disk test of one BFS level; returns accepted tris.
-
-    Vectorised over the SoA buffers: one fancy-indexed gather pulls
-    the candidate vertex rows and their coordinates straight out of
-    ``MeshArrays`` (no per-triangle Python coordinate staging), then
-    a single :func:`incircle_batch` call decides the level.  Ghost
-    candidates keep the scalar half-plane test.
-    """
-    arr = tri._arr
-    idx = np.asarray(cand, dtype=np.int64)
-    rows = arr.tri_v[idx]                       # (m, 3) gather
-    ghost = rows.min(axis=1) < 0
-    nxt: List[int] = []
-    if ghost.any():
-        for nb in idx[ghost].tolist():
-            if nb not in cavity and tri._in_disk_fast(nb, px, py):
-                cavity.add(nb)
-                nxt.append(nb)
-    real = ~ghost
-    m = int(real.sum())
-    if m:
-        reals = idx[real].tolist()
-        abc = arr.pts[rows[real]]               # (m, 3, 2) gather
-        before = batch_exact_counts()["incircle"]
-        signs = incircle_batch(abc[:, 0], abc[:, 1], abc[:, 2],
-                               np.array((px, py)))
-        n_exact = batch_exact_counts()["incircle"] - before
-        tri.stat_batch_calls += 1
-        tri.stat_batch_entries += m
-        tri.stat_incircle_exact += n_exact
-        tri.stat_incircle_fast += m - n_exact
-        for nb, s in zip(reals, signs.tolist()):
-            if s > 0 and nb not in cavity:
-                cavity.add(nb)
-                nxt.append(nb)
-    return nxt
-
-
-# ----------------------------------------------------------------------
-# Scalar fused insertion (walk + dup check + carve + retriangulate)
-# ----------------------------------------------------------------------
-def insert_point_fast(tri, px: float, py: float, hint: int) -> int:
-    """Fused fast-path insertion: walk, duplicate check, cavity carve
-    and retriangulation in one frame with every predicate's filter
-    stage inlined.
-
-    Decision-for-decision equivalent to ``locate`` + ``find_vertex_at``
-    + ``_insert_into_cavity`` — certified filter signs are exact signs,
-    and inconclusive ones escalate to the exact predicates.  Returns
-    the new vertex id, or ``-2 - v`` when the point duplicates existing
-    vertex ``v``.
-    """
-    arr = tri._arr
-    # Reserve-before-alias: the single appended point must not force
-    # a reallocation while the flat views below are live (triangle
-    # growth is reserved inside retriangulate, which re-aliases).
-    arr.reserve_points(1)
-    tvm = arr.tv
-    tnm = arr.tn
-    pxm = arr.px
-    # ---- walking point location (inlined orientation filter) ----
     t = (hint if 0 <= hint < arr.n_tris and tvm[3 * hint] != DEAD
          else -1)
     if t < 0:
@@ -606,19 +230,16 @@ def insert_point_fast(tri, px: float, py: float, hint: int) -> int:
     max_steps = 4 * (tri.n_live_triangles + 8)
     steps = 0
     prev = -1
-    # One pseudo-random starting-edge draw per insertion, rotated each
-    # step — enough stochasticity to break degenerate walk cycles
-    # (and the exhaustive fallback guards the rest), without an LCG
-    # step per triangle.
+    # One pseudo-random starting-edge draw per walk, rotated each step
+    # — enough stochasticity to break degenerate walk cycles (and the
+    # exhaustive fallback guards the rest), without an LCG step per
+    # triangle.
     lcg = (tri._lcg * 1103515245 + 12345) & 0x7FFFFFFF
     tri._lcg = lcg
     k0 = lcg % 3
     n_ofast = 0
     n_oexact = 0
     t0 = -1
-    # certified == p is *strictly* inside t0 (strictly inside a ghost
-    # half-plane), which already implies cavity membership — the
-    # circumdisk pre-check can be skipped.
     certified = False
     while steps < max_steps:
         steps += 1
@@ -722,40 +343,65 @@ def insert_point_fast(tri, px: float, py: float, hint: int) -> int:
     tri.stat_orient_exact += n_oexact
     tri._note_walk(steps)
     if t0 < 0:
-        t0 = locate_fallback(tri, (px, py))
-        certified = False
-    # ---- duplicate check (vertices of the containing triangle) ----
-    i3 = 3 * t0
-    for vtx in (tvm[i3], tvm[i3 + 1], tvm[i3 + 2]):
-        if vtx >= 0:
-            j = 2 * vtx
-            if pxm[j] == px and pxm[j + 1] == py:
-                tri._last_tri = t0
-                tri.last_created = []
-                tri.last_removed = []
-                return -2 - vtx
-    # ---- new vertex (capacity reserved at entry) ----
-    vid = arr.n_pts
-    j = 2 * vid
-    pxm[j] = px
-    pxm[j + 1] = py
-    arr.vt[vid] = -1
-    arr.n_pts = vid + 1
-    tri.stat_inserts += 1
-    if not certified and not tri._in_disk_fast(t0, px, py):
-        # p on the boundary of t0: some adjacent circumdisk holds it.
-        found = -1
-        for k in (0, 1, 2):
-            nb = tnm[3 * t0 + k]
-            if nb >= 0 and tri._in_disk_fast(nb, px, py):
-                found = nb
-                break
-        if found < 0:
-            raise TriangulationError(
-                f"insertion point {(px, py)} in no circumdisk (duplicate?)"
-            )
-        t0 = found
-    # ---- cavity carve (level BFS, inlined incircle filter) ----
+        return locate_fallback(tri, px, py), False
+    tri._last_tri = t0
+    return t0, certified
+
+
+def locate_fallback(tri, px: float, py: float) -> int:
+    """Exhaustive exact containment scan (adversarial degeneracies)."""
+    tri.stat_brute_locates += 1
+    p = (px, py)
+    for t in tri.live_triangles():
+        if tri.is_ghost(t):
+            continue
+        tv = tri.tri_v[t]
+        if all(
+            orient2d(tri.pts[tv[k - 2]], tri.pts[tv[k - 1]], p) >= 0
+            for k in range(3)
+        ):
+            tri._last_tri = t
+            return t
+    for t in tri.live_triangles():
+        if tri.is_ghost(t) and tri._in_disk(t, px, py):
+            tri._last_tri = t
+            return t
+    raise TriangulationError(f"point {p} could not be located")
+
+
+def find_directed_edge(tri, u: int, v: int) -> Optional[Tuple[int, int]]:
+    """Locate ``(triangle, edge-index)`` holding the directed edge
+    ``(u, v)``, or ``None`` when the edge is not present.
+
+    Shared by segment recovery (:mod:`repro.delaunay.constrained`) and
+    refinement.
+    """
+    for t in tri.triangles_around_vertex(u):
+        tv = tri.tri_v[t]
+        for k in range(3):
+            if tv[(k + 1) % 3] == u and tv[(k + 2) % 3] == v:
+                return t, k
+    return None
+
+
+# ----------------------------------------------------------------------
+# Cavity carving
+# ----------------------------------------------------------------------
+def carve(tri, px: float, py: float, t0: int) -> Tuple[Set[int], bool]:
+    """Bowyer–Watson conflict region of ``(px, py)`` grown from ``t0``.
+
+    The cavity is the connected component, reached from ``t0`` without
+    crossing a constrained edge, of triangles whose open circumdisk
+    contains the point (``t0`` itself must be one).  Level-order search;
+    frontiers of :data:`_BATCH_MIN` or more candidates take one
+    :func:`expand_level_batch` call (refinement cavities on graded
+    meshes).  Returns ``(cavity, blocked)``; ``blocked`` says a
+    constrained edge clipped the search.
+    """
+    arr = tri._arr
+    tvm = arr.tv
+    tnm = arr.tn
+    pxm = arr.px
     constraints = tri.constraints
     cavity: Set[int] = {t0}
     # seen = cavity plus rejected candidates, so a rejected triangle
@@ -825,7 +471,7 @@ def insert_point_fast(tri, px: float, py: float, hint: int) -> int:
             b = tvm[j3 + 1]
             c = tvm[j3 + 2]
             if a < 0 or b < 0 or c < 0:
-                if tri._in_disk_fast(nb, px, py):
+                if tri._in_disk(nb, px, py):
                     cavity.add(nb)
                     frontier.append(nb)
                 continue
@@ -887,8 +533,94 @@ def insert_point_fast(tri, px: float, py: float, hint: int) -> int:
                 frontier.append(nb)
     tri.stat_incircle_fast += n_ifast
     tri.stat_incircle_exact += n_iexact
-    retriangulate(tri, vid, cavity, t0, blocked)
+    return cavity, blocked
+
+
+def expand_level_batch(tri, cand: List[int], cavity: Set[int],
+                       px: float, py: float) -> List[int]:
+    """Batched in-disk test of one BFS level; returns accepted tris.
+
+    Vectorised over the SoA buffers: one fancy-indexed gather pulls
+    the candidate vertex rows and their coordinates straight out of
+    ``MeshArrays`` (no per-triangle Python coordinate staging), then
+    a single :func:`incircle_batch` call decides the level.  Ghost
+    candidates keep the scalar half-plane test.
+    """
+    arr = tri._arr
+    idx = np.asarray(cand, dtype=np.int64)
+    rows = arr.tri_v[idx]                       # (m, 3) gather
+    ghost = rows.min(axis=1) < 0
+    nxt: List[int] = []
+    if ghost.any():
+        for nb in idx[ghost].tolist():
+            if nb not in cavity and tri._in_disk(nb, px, py):
+                cavity.add(nb)
+                nxt.append(nb)
+    real = ~ghost
+    m = int(real.sum())
+    if m:
+        reals = idx[real].tolist()
+        abc = arr.pts[rows[real]]               # (m, 3, 2) gather
+        before = batch_exact_counts()["incircle"]
+        signs = incircle_batch(abc[:, 0], abc[:, 1], abc[:, 2],
+                               np.array((px, py)))
+        n_exact = batch_exact_counts()["incircle"] - before
+        tri.stat_batch_calls += 1
+        tri.stat_batch_entries += m
+        tri.stat_incircle_exact += n_exact
+        tri.stat_incircle_fast += m - n_exact
+        for nb, s in zip(reals, signs.tolist()):
+            if s > 0 and nb not in cavity:
+                cavity.add(nb)
+                nxt.append(nb)
+    return nxt
+
+
+# ----------------------------------------------------------------------
+# Scalar insertion: walk -> duplicate check -> carve -> retriangulate
+# ----------------------------------------------------------------------
+def insert_point(tri, px: float, py: float, hint: int) -> int:
+    """Insert ``(px, py)`` into a triangulation that already has a
+    triangle.  Returns the new vertex id, or ``-2 - v`` when the point
+    duplicates existing vertex ``v`` (the mesh is then untouched).
+    """
+    t0, certified = walk(tri, px, py, hint)
+    arr = tri._arr
+    tvm = arr.tv
+    pxm = arr.px
+    # A duplicate can only be a vertex of the containing triangle.
+    i3 = 3 * t0
+    for vtx in (tvm[i3], tvm[i3 + 1], tvm[i3 + 2]):
+        if vtx >= 0:
+            j = 2 * vtx
+            if pxm[j] == px and pxm[j + 1] == py:
+                tri.last_created = []
+                tri.last_removed = []
+                return -2 - vtx
+    vid = arr.new_point(px, py)  # may reallocate: pxm is stale from here
+    tri.stat_inserts += 1
+    star_vertex(tri, vid, px, py, t0, certified)
     return vid
+
+
+def star_vertex(tri, vid: int, px: float, py: float, t0: int,
+                certified: bool) -> None:
+    """Connect stored vertex ``vid`` at ``(px, py)``, located in ``t0``
+    by :func:`walk`: carve its cavity and re-fan it around ``vid``."""
+    if not certified and not tri._in_disk(t0, px, py):
+        # p on the boundary of t0: some adjacent circumdisk holds it.
+        tnm = tri._arr.tn
+        for k in (0, 1, 2):
+            nb = tnm[3 * t0 + k]
+            if nb >= 0 and tri._in_disk(nb, px, py):
+                t0 = nb
+                break
+        else:
+            raise TriangulationError(
+                f"insertion point {(px, py)} in no circumdisk (duplicate?)"
+            )
+    cavity, blocked = carve(tri, px, py, t0)
+    retriangulate(tri, vid, cavity, t0, blocked)
 
 
 # ----------------------------------------------------------------------
@@ -896,8 +628,7 @@ def insert_point_fast(tri, px: float, py: float, hint: int) -> int:
 # ----------------------------------------------------------------------
 def retriangulate(tri, vid: int, cavity: Set[int], t0: int,
                   blocked: bool) -> None:
-    """Replace ``cavity`` by the star fan of ``vid`` (shared tail of
-    the fast and reference insertion paths)."""
+    """Replace ``cavity`` by the star fan of ``vid``."""
     arr = tri._arr
     n_cavity = len(cavity)
     # Reserve-before-alias: a connected cavity of n triangles has at
@@ -1305,24 +1036,16 @@ def resolve_strategy_name(name: Optional[str] = None, *,
 # Scalar strategy (behaviour-preserving default)
 # ----------------------------------------------------------------------
 class ScalarInsertion(InsertionStrategy):
-    """One-point-at-a-time insertion through the fused fast path.
-
-    Exactly the historical bulk loop of ``triangulate``: per-point
-    wrapper insertions until the first real triangle exists, then the
-    fused :func:`insert_point_fast` (or the wrapper throughout for
-    ``fast_predicates=False`` kernels).
-    """
+    """One-point-at-a-time insertion through :func:`insert_point`."""
 
     name = "scalar"
-    description = "sequential fused-walk insertion (default)"
+    description = "sequential walk-and-carve insertion (default)"
 
     def insert_points(self, tri, points: np.ndarray,
                       order: Sequence[int]) -> Dict[int, int]:
         coords = (points.tolist() if isinstance(points, np.ndarray)
                   else [list(q) for q in points])
         inserted: Dict[int, int] = {}
-        insert = tri.insert_point
-        fast = tri._fast
         # The bulk loop allocates ~a dozen small objects per insertion
         # and keeps them all reachable; generational GC scans buy
         # nothing here, so pause collection for the loop.
@@ -1330,26 +1053,22 @@ class ScalarInsertion(InsertionStrategy):
         gc.disable()
         try:
             it = iter(order)
+            # Until the first triangle exists the kernel's wrapper
+            # buffers collinear prefixes.
             for i in it:
                 i = int(i)
                 x, y = coords[i]
-                inserted[i] = insert(x, y)
-                if fast and tri.n_live_triangles:
+                inserted[i] = tri.insert_point(x, y)
+                if tri.n_live_triangles:
                     break
-            if fast:
-                for i in it:
-                    i = int(i)
-                    x, y = coords[i]
-                    # Bulk path: coordinates validated by the caller, so
-                    # skip the per-point wrapper (duplicates map to the
-                    # existing vertex).
-                    r = insert_point_fast(tri, x, y, -1)
-                    inserted[i] = r if r >= 0 else -2 - r
-            else:
-                for i in it:
-                    i = int(i)
-                    x, y = coords[i]
-                    inserted[i] = insert(x, y)
+            for i in it:
+                i = int(i)
+                x, y = coords[i]
+                # Coordinates were validated by the caller, so skip the
+                # per-point wrapper (duplicates map to the existing
+                # vertex).
+                r = insert_point(tri, x, y, -1)
+                inserted[i] = r if r >= 0 else -2 - r
         finally:
             if gc_was_enabled:
                 gc.enable()
@@ -1360,17 +1079,15 @@ class ScalarInsertion(InsertionStrategy):
 # Batch strategy (independent-set insertion)
 # ----------------------------------------------------------------------
 def _scalar_insert_one(tri, x: float, y: float, hint: int = -1) -> int:
-    """Scalar fallback insert used by the batch path; returns the
-    kernel vertex id (duplicates map to the existing vertex).
+    """:func:`insert_point` with duplicates mapped to the existing
+    vertex; returns the kernel vertex id.
 
     ``hint`` is a walk-start triangle (the batch walk's last position
-    for this point) — it spares the fallback the grid ring-scan that a
-    cold start pays, and :func:`insert_point_fast` revalidates it, so a
-    hint killed by an interleaved commit is merely ignored."""
-    if tri._fast and tri.n_live_triangles:
-        r = insert_point_fast(tri, x, y, hint)
-        return r if r >= 0 else -2 - r
-    return tri.insert_point(x, y)
+    for this point) — it spares the insert the grid ring-scan that a
+    cold start pays, and :func:`walk` revalidates it, so a hint killed
+    by an interleaved commit is merely ignored."""
+    r = insert_point(tri, x, y, hint)
+    return r if r >= 0 else -2 - r
 
 
 def walk_batch(tri, seeds: np.ndarray, qxy: np.ndarray
@@ -1554,7 +1271,7 @@ def carve_batch(tri, t0s: Sequence[int], qxy: np.ndarray
         ghost = rows.min(axis=1) < 0
         keep = np.zeros(keys.size, dtype=bool)
         if ghost.any():
-            in_disk = tri._in_disk_fast
+            in_disk = tri._in_disk
             for ii in np.flatnonzero(ghost).tolist():
                 qx, qy = q_list[rec[ii]]
                 if in_disk(int(tids[ii]), qx, qy):
@@ -1596,7 +1313,7 @@ def carve_batch(tri, t0s: Sequence[int], qxy: np.ndarray
         cavities[r] = at_l[s:e]
         nbrs[r] = nb_l[3 * s:3 * e]
     if stragglers is not None:
-        in_disk = tri._in_disk_fast
+        in_disk = tri._in_disk
         s_rec, s_tri = stragglers
         touched = sorted(set(s_rec))
         # Rebuild each straggler's "seen" set from its key range (the

@@ -10,15 +10,16 @@ decoupled inviscid subdomains.  Design:
   ``u -> v`` (plus the open edge itself).  Ghosts make insertion outside
   the current hull a completely uniform cavity operation — no giant
   super-triangle, no magic coordinates, exact arithmetic everywhere.
+* **State here, algorithms in** :mod:`repro.delaunay.cavity`.
+  :class:`Triangulation` owns slots, adjacency, the constraint set, the
+  walk grid, the counters, edge flips and export; the one walk, one
+  carve and one retriangulate that mutate it are free functions there.
 * **Robust predicates, filter inlined.**  All sign decisions are exact.
-  The hot paths (point-location walk, cavity membership) evaluate the
-  floating-point *filter* stage of :mod:`repro.geometry.predicates`
-  inline and escalate only inconclusive signs to the exact rational
-  path; large cavity frontiers route through the vectorised
-  :func:`~repro.geometry.predicates.incircle_batch`.  A
-  ``fast_predicates=False`` kernel keeps every test on the scalar robust
-  functions — the reference used by differential tests and as the
-  benchmark baseline.
+  The walk, the carve and the single in-disk test
+  (:meth:`Triangulation._in_disk`) evaluate the floating-point *filter*
+  stage of :mod:`repro.geometry.predicates` inline and escalate only
+  inconclusive signs to the exact rational path; large cavity frontiers
+  route through :func:`~repro.geometry.predicates.incircle_batch`.
 * **BRIO insertion + walking point location** seeded from the most
   recent triangle (or a caller-provided hint).  When the kernel observes
   persistently long walks (cold, non-local insertion orders) it builds a
@@ -43,7 +44,7 @@ Storage is the structure-of-arrays core
 ``int32`` NumPy buffers with amortized-doubling growth).  The scalar hot
 paths index the buffers through cached flat :class:`memoryview` casts
 (faster than list-of-lists on CPython and zero-copy into the arrays);
-batch paths (``_expand_level_batch``, grid builds) fancy-index the same
+batch paths (``expand_level_batch``, grid builds) fancy-index the same
 arrays at C speed; :meth:`to_mesh` is a vectorised compaction whose
 point block can be a zero-copy view.  ``pts`` / ``tri_v`` / ``tri_n`` /
 ``vertex_tri`` remain available as read-compatible sequence views for
@@ -59,9 +60,9 @@ import numpy as np
 
 from .arrays import DEAD, MeshArrays
 
-# The cavity module owns the shared geometric constants and every
-# insertion-path operation; the kernel class keeps the bookkeeping
-# (slots, adjacency, constraints, stats) and delegates to it.
+# The cavity module owns the shared geometric constants and the
+# algorithms (walk, carve, retriangulate); Triangulation owns the state
+# they run on.
 from .cavity import (
     GHOST,
     TriangulationError,
@@ -74,18 +75,11 @@ from .cavity import (
     _NXT,
     _PRV,
     brio_order,
-    carve_cavity_fast,
-    carve_cavity_ref,
-    expand_level_batch,
     get_strategy,
-    insert_point_fast,
-    locate_fallback,
-    locate_fast,
-    locate_ref,
-    prune_cavity_visibility,
+    insert_point as cavity_insert_point,
     resolve_strategy_name,
-    retriangulate,
-    walk_start,
+    star_vertex,
+    walk,
 )
 from ..geometry.predicates import incircle, orient2d
 from .mesh import TriMesh
@@ -233,15 +227,9 @@ class Triangulation:
         Seeds every source of randomness in the kernel (walk
         tie-breaking).  Identical inputs + identical seed give
         byte-identical triangulations.
-    fast_predicates:
-        ``True`` (default) uses the inlined filtered predicates with
-        exact escalation; ``False`` routes every test through the scalar
-        robust predicate functions (the pre-overhaul hot path, kept as a
-        reference for differential testing and benchmarking).
     """
 
-    def __init__(self, *, seed: int = 0x5EED,
-                 fast_predicates: bool = True) -> None:
+    def __init__(self, *, seed: int = 0x5EED) -> None:
         #: SoA storage: coordinates, triangle vertices/neighbours, free
         #: list and per-vertex incident triangle all live here.
         self._arr = MeshArrays()
@@ -255,12 +243,11 @@ class Triangulation:
         self._free = self._arr.free
         self.constraints: Set[Tuple[int, int]] = set()
         self._last_tri: int = -1                     # walk hint
-        # Seeded, instance-owned generator (never the stdlib/global RNG —
-        # lint rule R3): concurrent kernels on the SPMD threads backend
-        # must not share hidden RNG state.
-        self._rng = np.random.default_rng(seed)
-        self._lcg = int(self._rng.integers(1, 1 << 31))
-        self._fast = bool(fast_predicates)
+        # Instance-owned LCG word for walk tie-breaking, drawn once from
+        # a seeded generator (never the stdlib/global RNG — lint rule
+        # R3): concurrent kernels on the SPMD threads backend must not
+        # share hidden RNG state.
+        self._lcg = int(np.random.default_rng(seed).integers(1, 1 << 31))
         self.n_live_triangles = 0                    # includes ghosts
         # Triangles created/removed by the most recent insert_point call —
         # lets refinement track per-triangle labels in O(cavity) instead of
@@ -464,35 +451,13 @@ class Triangulation:
     # ------------------------------------------------------------------
     # Predicates (real / ghost uniform)
     # ------------------------------------------------------------------
-    def _in_disk(self, t: int, p: Tuple[float, float]) -> bool:
-        """True if ``p`` lies in triangle ``t``'s (possibly ghost) open
-        circumdisk — the Bowyer–Watson cavity membership test.  Scalar
-        robust path (the reference; hot paths use :meth:`_in_disk_fast`).
-        """
-        tv = self.tri_v[t]
-        if GHOST not in tv:
-            return incircle(self.pts[tv[0]], self.pts[tv[1]], self.pts[tv[2]], p) > 0
-        u, v = self.ghost_edge(t)
-        pu, pv = self.pts[u], self.pts[v]
-        # Ghost [u, v, G]: outside-hull half-plane strictly left of u->v,
-        # plus the open edge uv.
-        o = orient2d(pu, pv, p)
-        if o > 0:
-            return True
-        if o == 0:
-            return (
-                min(pu[0], pv[0]) <= p[0] <= max(pu[0], pv[0])
-                and min(pu[1], pv[1]) <= p[1] <= max(pu[1], pv[1])
-                and p != pu and p != pv
-            )
-        return False
+    def _in_disk(self, t: int, px: float, py: float) -> bool:
+        """True if ``(px, py)`` lies in triangle ``t``'s (possibly ghost)
+        open circumdisk — the Bowyer–Watson cavity membership test.
 
-    def _in_disk_fast(self, t: int, px: float, py: float) -> bool:
-        """:meth:`_in_disk` with the filter stage inlined.
-
-        Certified filter signs return immediately (counted as fast);
-        inconclusive ones escalate to the exact scalar predicates
-        (counted as exact).  Decisions are identical to :meth:`_in_disk`.
+        The filter stage is inlined: certified signs return immediately
+        (counted as fast); inconclusive ones escalate to the exact
+        predicates (counted as exact).
         """
         tvm = self._arr.tv
         pxm = self._arr.px
@@ -532,7 +497,7 @@ class Triangulation:
                          + (abs(adxbdy) + abs(bdxady)) * clift)
             if permanent > _ICC_GUARD:
                 errbound = _ICC_ERR * permanent
-                if det > errbound:
+                if det > errbound:  # lint: disable=R1 -- inlined incircle Shewchuk filter; exact escalation below
                     self.stat_incircle_fast += 1
                     return True
                 if -det > errbound:
@@ -540,7 +505,8 @@ class Triangulation:
                     return False
             self.stat_incircle_exact += 1
             return incircle((ax, ay), (bx, by), (cx, cy), (px, py)) > 0
-        # Ghost triangle: half-plane left of the hull edge plus the open edge.
+        # Ghost [u, v, G]: outside-hull half-plane strictly left of u->v,
+        # plus the open edge uv.
         u, v = self.ghost_edge(t)
         j = 2 * u
         ux = pxm[j]
@@ -556,7 +522,7 @@ class Triangulation:
         detsum = abs(detleft) + abs(detright)
         if detsum > _CCW_GUARD:
             errbound = _CCW_ERR * detsum
-            if det > errbound:
+            if det > errbound:  # lint: disable=R1 -- inlined orient2d filter; shares ORIENT_ERR_BOUND, exact fallback below
                 self.stat_orient_fast += 1
                 return True
             if -det > errbound:
@@ -574,11 +540,6 @@ class Triangulation:
             and (px, py) != pu and (px, py) != pv
         )
 
-    def _in_disk_any(self, t: int, p: Tuple[float, float]) -> bool:
-        if self._fast:
-            return self._in_disk_fast(t, p[0], p[1])
-        return self._in_disk(t, p)
-
     # ------------------------------------------------------------------
     # Point location
     # ------------------------------------------------------------------
@@ -586,32 +547,12 @@ class Triangulation:
         """Return a triangle whose closed region contains ``p``.
 
         For ``p`` outside the hull this is a ghost triangle whose
-        half-plane contains it.  Uses a straight walk with pseudo-random
-        edge tie-breaking, seeded from ``hint``, the last touched
-        triangle, or (when walks have been running long) the vertex
-        grid; falls back to exhaustive scan after a step cap (can only
-        trigger on adversarial degeneracies).
+        half-plane contains it.  The same :func:`~repro.delaunay.cavity.
+        walk` insertion uses, started from ``hint``.
         """
         if self.n_live_triangles == 0:
             raise TriangulationError("empty triangulation")
-        if self._fast:
-            return self._locate_fast(p, hint)
-        return self._locate_ref(p, hint)
-
-    def _walk_start(self, px: float, py: float, hint: int) -> int:
-        return walk_start(self, px, py, hint)
-
-    def _locate_ref(self, p: Tuple[float, float], hint: int) -> int:
-        """Scalar-predicate walk (the reference / seed hot path)."""
-        return locate_ref(self, p, hint)
-
-    def _locate_fast(self, p: Tuple[float, float], hint: int) -> int:
-        """Walk with the orientation filter inlined (exact escalation)."""
-        return locate_fast(self, p, hint)
-
-    def _locate_fallback(self, p: Tuple[float, float]) -> int:
-        """Exhaustive exact containment scan (adversarial degeneracies)."""
-        return locate_fallback(self, p)
+        return walk(self, p[0], p[1], hint)[0]
 
     def find_vertex_at(self, p: Tuple[float, float], t: int) -> Optional[int]:
         """Vertex of triangle ``t`` exactly coincident with ``p``, if any."""
@@ -642,34 +583,12 @@ class Triangulation:
         if self.n_live_triangles == 0:
             return self._bootstrap_insert(p, on_duplicate)
 
-        if self._fast:
-            r = self._insert_fast(p[0], p[1], hint)
-            if r >= 0:
-                return r
-            dup = -2 - r
-            if on_duplicate == "raise":
-                raise TriangulationError(f"duplicate point {p}")
-            return dup
-
-        t0 = self.locate(p, hint)
-        dup = self.find_vertex_at(p, t0)
-        if dup is not None:
-            if on_duplicate == "raise":
-                raise TriangulationError(f"duplicate point {p}")
-            return dup
-
-        vid = self._arr.new_point(p[0], p[1])
-        self.stat_inserts += 1
-        self._insert_into_cavity(vid, t0)
-        return vid
-
-    def _insert_fast(self, px: float, py: float, hint: int) -> int:
-        """Fused fast-path insertion (walk + duplicate check + carve +
-        retriangulate in one frame); see :func:`repro.delaunay.cavity.
-        insert_point_fast`.  Returns the new vertex id, or ``-2 - v``
-        when the point duplicates existing vertex ``v``.
-        """
-        return insert_point_fast(self, px, py, hint)
+        r = cavity_insert_point(self, p[0], p[1], hint)
+        if r >= 0:
+            return r
+        if on_duplicate == "raise":
+            raise TriangulationError(f"duplicate point {p}")
+        return -2 - r
 
     def _bootstrap_insert(self, p: Tuple[float, float], on_duplicate: str) -> int:
         """Handle insertions before the first real triangle exists."""
@@ -698,8 +617,9 @@ class Triangulation:
                     used = {a, b, c}
                     for v in range(n):
                         if v not in used:
-                            t0 = self.locate(self.pts[v])
-                            self._insert_into_cavity(v, t0)
+                            x, y = self.pts[v]
+                            t0, certified = walk(self, x, y, -1)
+                            star_vertex(self, v, x, y, t0, certified)
                     return c
         return c  # all points still collinear
 
@@ -728,62 +648,8 @@ class Triangulation:
         self.last_removed = []
 
     # ------------------------------------------------------------------
-    # Cavity carving
+    # Constrained-cavity repair
     # ------------------------------------------------------------------
-    def _carve_cavity_ref(self, p: Tuple[float, float], t0: int
-                          ) -> Tuple[Set[int], bool]:
-        """Circumdisk BFS with scalar robust predicates (reference)."""
-        return carve_cavity_ref(self, p, t0)
-
-    def _carve_cavity_fast(self, p: Tuple[float, float], t0: int
-                           ) -> Tuple[Set[int], bool]:
-        """Level-order circumdisk search with inlined filtered
-        predicates; see :func:`repro.delaunay.cavity.carve_cavity_fast`.
-        """
-        return carve_cavity_fast(self, p, t0)
-
-    def _expand_level_batch(self, cand: List[int], cavity: Set[int],
-                            px: float, py: float) -> List[int]:
-        """Batched in-disk test of one BFS level; returns accepted tris."""
-        return expand_level_batch(self, cand, cavity, px, py)
-
-    def _insert_into_cavity(self, vid: int, t0: int) -> None:
-        """Bowyer–Watson: carve the cavity of circumdisks containing the new
-        point and re-fan from it.  Never crosses constrained edges."""
-        p = self.pts[vid]
-        if not self._in_disk_any(t0, p):
-            # locate returned a triangle whose closed region holds p but p
-            # is on its boundary; at least one adjacent triangle's open
-            # disk must contain p. Search neighbours.
-            found = None
-            for k in range(3):
-                nb = self.tri_n[t0][k]
-                if nb >= 0 and self._in_disk_any(nb, p):
-                    found = nb
-                    break
-            if found is None:
-                raise TriangulationError(
-                    f"insertion point {p} in no circumdisk (duplicate?)"
-                )
-            t0 = found
-
-        if self._fast:
-            cavity, blocked = self._carve_cavity_fast(p, t0)
-        else:
-            cavity, blocked = self._carve_cavity_ref(p, t0)
-        self._retriangulate(vid, cavity, t0, blocked)
-
-    def _retriangulate(self, vid: int, cavity: Set[int], t0: int,
-                       blocked: bool) -> None:
-        """Replace ``cavity`` by the star fan of ``vid`` (shared tail of
-        the fast and reference insertion paths)."""
-        retriangulate(self, vid, cavity, t0, blocked)
-
-    def _prune_cavity_visibility(self, cavity: Set[int], t0: int,
-                                 p: Tuple[float, float]) -> Set[int]:
-        """Drop cavity triangles whose centroid ``p`` cannot see."""
-        return prune_cavity_visibility(self, cavity, t0, p)
-
     def _legalize_vertex(self, vid: int, *, max_ops: int = 100_000) -> None:
         """Lawson legalisation of the edges opposite ``vid`` in its star.
 
@@ -1051,7 +917,6 @@ class Triangulation:
 
 def triangulate(points: np.ndarray, *, assume_sorted: bool = False,
                 seed: int = 0xC0FFEE,
-                fast_predicates: bool = True,
                 strategy: Optional[str] = None) -> Triangulation:
     """Delaunay-triangulate a point set incrementally.
 
@@ -1072,24 +937,17 @@ def triangulate(points: np.ndarray, *, assume_sorted: bool = False,
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError("points must be (n, 2)")
     tri, _ = _triangulate_with_map(points, assume_sorted=assume_sorted,
-                                   seed=seed, fast_predicates=fast_predicates,
-                                   strategy=strategy)
+                                   seed=seed, strategy=strategy)
     return tri
-
-
-#: Historical name for the shared BRIO ordering (now owned by
-#: :mod:`repro.delaunay.cavity`); kept for importers.
-_brio_order = brio_order
 
 
 def _triangulate_with_map(points: np.ndarray, *, assume_sorted: bool,
                           seed: int = 0xC0FFEE,
-                          fast_predicates: bool = True,
                           strategy: Optional[str] = None,
                           ) -> Tuple[Triangulation, Dict[int, int]]:
     if len(points) and not np.isfinite(points).all():
         raise ValueError("non-finite coordinates")
-    tri = Triangulation(seed=seed, fast_predicates=fast_predicates)
+    tri = Triangulation(seed=seed)
     # Bulk pre-reserve: one allocation instead of log2(n) doublings.
     tri._arr.reserve_points(len(points))
     if assume_sorted:

@@ -626,7 +626,7 @@ class Refiner:
                     continue
                 if nb < 0 or nb in cavity:
                     continue
-                if tri._in_disk(nb, cc):
+                if tri._in_disk(nb, cc[0], cc[1]):
                     cavity.add(nb)
                     stack.append(nb)
         return out

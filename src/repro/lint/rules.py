@@ -115,7 +115,9 @@ class DetSignRule(Rule):
     Heuristic: flag a comparison whose operand is (or is a local name
     assigned from) a subtraction of two products where either product
     multiplies differences — the canonical 2x2 determinant-of-differences
-    shape.  Magnitude uses (areas, error bounds) that never feed a
+    shape (orientation) — or a sum of three such products, the lifted
+    ``alift*(..-..) + blift*(..-..) + clift*(..-..)`` cofactor expansion
+    (incircle).  Magnitude uses (areas, error bounds) that never feed a
     comparison are not flagged.
 
     Fix: call :func:`repro.geometry.predicates.orient2d` / ``incircle``
@@ -156,10 +158,19 @@ class DetSignRule(Rule):
     @classmethod
     def _is_det_expr(cls, expr: ast.expr, env: Dict[str, ast.expr]) -> bool:
         expr = cls._resolve(expr, env)
-        if not (isinstance(expr, ast.BinOp) and isinstance(expr.op, ast.Sub)):
+        if not isinstance(expr, ast.BinOp):
             return False
-        return (cls._is_det_product(expr.left, env)
-                and cls._is_det_product(expr.right, env))
+        if isinstance(expr.op, ast.Sub):        # 2x2: product - product
+            terms = [expr.left, expr.right]
+        elif isinstance(expr.op, ast.Add):      # lifted: (p + p) + p
+            head = cls._resolve(expr.left, env)
+            if not (isinstance(head, ast.BinOp)
+                    and isinstance(head.op, ast.Add)):
+                return False
+            terms = [head.left, head.right, expr.right]
+        else:
+            return False
+        return all(cls._is_det_product(term, env) for term in terms)
 
     def check(self, ctx: FileContext) -> List[Finding]:
         findings: List[Finding] = []

@@ -1,6 +1,6 @@
-"""Invariant harness for the overhauled Delaunay kernel.
+"""Invariant harness for the Delaunay kernel.
 
-Every optimisation in the fused fast path (inlined filtered predicates,
+Every optimisation in the insertion path (inlined filtered predicates,
 certified walks, batched cavity expansion, grid-seeded location) must be
 *behaviour-preserving*.  This module checks the mathematical invariants
 with exact arithmetic:
@@ -17,7 +17,8 @@ with exact arithmetic:
 
 The same harness runs over uniform-random clouds, degenerate (cocircular
 / collinear-heavy) inputs, and the fuzz PSLG corpus; a differential test
-pins the fast path to the scalar reference path triangle-for-triangle.
+pins ``cavity.carve`` to the exact oracle (:mod:`.oracle`) cavity for
+cavity, at every insertion.
 """
 
 import math
@@ -26,11 +27,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from repro.delaunay.cavity import carve
 from repro.delaunay.constrained import insert_segment, triangulate_pslg
 from repro.delaunay.kernel import Triangulation, triangulate
 from repro.delaunay.refine import Refiner
 from repro.geometry.predicates import incircle, orient2d
 
+from . import oracle
 from .test_fuzz_pslg import star_polygon
 
 
@@ -107,20 +110,30 @@ def assert_invariants(tri: Triangulation, *, exhaustive: bool = False
         assert_globally_delaunay(tri)
 
 
-def canonical_triangles(tri: Triangulation):
-    """Rotation-normalised real triangle set, keyed by *coordinates*.
-
-    Kernel vertex ids are an insertion-schedule artifact — the batch
-    insertion strategy numbers points in acceptance order, not BRIO
-    order — so cross-kernel comparisons must canonicalise through the
-    geometry (unique for the duplicate-free clouds used here)."""
-    coords = tri._arr.pts
-    out = set()
-    for t in real_triangles(tri):
-        keys = sorted((float(coords[v, 0]), float(coords[v, 1]))
-                      for v in tri.tri_v[t])
-        out.add(tuple(keys))
-    return out
+def insert_checking_cavities(tri: Triangulation, points) -> int:
+    """Insert ``points`` one at a time; before each insertion the
+    production carve must equal the oracle's cavity, and set ``blocked``
+    whenever a constraint truly clipped it.  Returns how many cavities
+    were clipped."""
+    n_clipped = 0
+    for x, y in points:
+        p = (float(x), float(y))
+        if tri.n_live_triangles == 0:
+            tri.insert_point(*p)
+            continue
+        t = tri.locate(p)
+        if tri.find_vertex_at(p, t) is not None:
+            continue
+        t0 = oracle.seed(tri, t, p)
+        want, clipped = oracle.carve(tri, p, t0)
+        got, blocked = carve(tri, p[0], p[1], t0)
+        assert got == want, f"cavity of {p} differs from the oracle's"
+        assert blocked or not clipped, f"clipped cavity of {p} not flagged"
+        n_clipped += clipped
+        tri.insert_point(*p, hint=t)
+        if not tri.constraints:
+            assert set(tri.last_removed) == want
+    return n_clipped
 
 
 # ----------------------------------------------------------------------
@@ -139,12 +152,12 @@ class TestRandomClouds:
 
     @pytest.mark.parametrize("seed", [5, 6, 7])
     def test_fast_matches_reference(self, seed):
-        """Differential: fast-path triangulation == scalar-reference
-        triangulation as a set of triangles (same kernel vertex ids)."""
+        """Differential: the filtered, batched carve == the exact
+        oracle's cavity at every insertion."""
         pts = np.random.default_rng(seed).random((250, 2))
-        fast = triangulate(pts, fast_predicates=True)
-        ref = triangulate(pts, fast_predicates=False)
-        assert canonical_triangles(fast) == canonical_triangles(ref)
+        tri = Triangulation()
+        insert_checking_cavities(tri, pts)
+        assert_invariants(tri)
 
     def test_clustered_and_duplicate_points(self):
         rng = np.random.default_rng(8)
@@ -179,6 +192,22 @@ class TestDegenerateInputs:
         pts = np.column_stack([xs.ravel(), ys.ravel()])
         assert_invariants(triangulate(pts), exhaustive=True)
 
+    @pytest.mark.parametrize("case", ["lattice", "ring"])
+    def test_degenerate_cavities_match_oracle(self, case):
+        """Exact incircle ties: 9x9 lattice (every cell cocircular) and
+        the 40-point ring + centre (one cavity covering the disk, decided
+        by the batched expansion)."""
+        if case == "lattice":
+            xs, ys = np.meshgrid(np.arange(9.0), np.arange(9.0))
+            pts = np.column_stack([xs.ravel(), ys.ravel()])
+        else:
+            ang = 2 * math.pi * np.arange(40) / 40
+            pts = np.vstack([np.column_stack([np.cos(ang), np.sin(ang)]),
+                             [[0.0, 0.0]]])
+        tri = Triangulation()
+        insert_checking_cavities(tri, pts)
+        assert_invariants(tri, exhaustive=True)
+
     def test_collinear_prefix_then_cloud(self):
         pts = np.array([[float(i), 0.0] for i in range(12)]
                        + [[0.3, 1.0], [5.5, -2.0], [7.1, 0.7]])
@@ -208,6 +237,18 @@ class TestConstrainedInvariants:
         refiner = Refiner(tri, area_fn=lambda x, y: (span / 6) ** 2,
                           min_edge_floor=span * 1e-3)
         refiner.refine()
+        assert_invariants(tri)
+
+    def test_clipped_cavities_match_oracle(self):
+        """A spiky constrained star: cavities stop at locked edges, and
+        every truly clipped one is flagged for legalisation."""
+        ang = 2 * math.pi * np.arange(14) / 14
+        radii = np.where(np.arange(14) % 2 == 0, 10.0, 3.0)
+        poly = np.column_stack([radii * np.cos(ang), radii * np.sin(ang)])
+        segs = np.array([(i, (i + 1) % 14) for i in range(14)])
+        tri = triangulate_pslg(poly, segs)
+        cloud = np.random.default_rng(9).uniform(-9.0, 9.0, size=(120, 2))
+        assert insert_checking_cavities(tri, cloud) > 0
         assert_invariants(tri)
 
     def test_locked_edges_survive_nearby_insertions(self):

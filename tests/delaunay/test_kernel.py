@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.delaunay.cavity import walk
 from repro.delaunay.kernel import GHOST, Triangulation, TriangulationError, triangulate
+from repro.geometry.predicates import orient2d
 from repro.geometry.primitives import polygon_area
 
 
@@ -192,6 +194,83 @@ class TestLocate:
     def test_locate_empty_raises(self):
         with pytest.raises(TriangulationError):
             Triangulation().locate((0, 0))
+
+
+def lattice(n=6):
+    """n x n integer lattice, inserted row by row; vertex 0 is (0, 0)."""
+    tri = Triangulation()
+    for y in range(n):
+        for x in range(n):
+            tri.insert_point(float(x), float(y))
+    return tri
+
+
+def edge_signs(tri, t, p):
+    """Exact orientation of ``p`` against each real directed edge of
+    live triangle ``t`` (one sign for a ghost: its hull edge)."""
+    tv = tri.tri_v[t]
+    assert tv is not None, f"triangle {t} is dead"
+    if tri.is_ghost(t):
+        u, v = tri.ghost_edge(t)
+        return [orient2d(tri.pts[u], tri.pts[v], p)]
+    return [orient2d(tri.pts[tv[k - 2]], tri.pts[tv[k - 1]], p)
+            for k in range(3)]
+
+
+QUERIES = {
+    "interior": (2.3, 3.1),
+    "on_edge": (2.5, 3.0),
+    "on_vertex": (2.0, 3.0),
+    "outside": (9.0, 2.5),
+    "outside_collinear": (7.0, 0.0),
+}
+
+
+class TestWalkContract:
+    """``walk`` is the one point location: what every caller relies on."""
+
+    @pytest.mark.parametrize("hint", ["none", "dead", "out_of_range", "far"])
+    @pytest.mark.parametrize("query", sorted(QUERIES))
+    def test_closed_region_contains_point(self, query, hint):
+        tri = lattice()
+        p = QUERIES[query]
+        h = {"none": -1, "dead": tri.last_removed[0], "out_of_range": 10**6,
+             "far": tri.vertex_tri[0]}[hint]
+        if hint == "dead":
+            assert tri.tri_v[h] is None
+        t, certified = walk(tri, p[0], p[1], h)
+        signs = edge_signs(tri, t, p)
+        assert min(signs) >= 0
+        if certified:
+            assert min(signs) > 0
+        assert tri.is_ghost(t) == query.startswith("outside")
+        assert min(edge_signs(tri, tri.locate(p, hint=h), p)) >= 0
+
+    def test_strict_interior_is_certified(self):
+        tri = lattice()
+        assert walk(tri, 2.3, 3.1, -1)[1]
+        assert walk(tri, 9.0, 2.5, -1)[1]
+        assert not walk(tri, 2.5, 3.0, -1)[1]
+
+    @pytest.mark.parametrize("query", ["interior", "on_edge", "outside"])
+    def test_insert_with_located_hint_starts_cavity_there(self, query):
+        tri = lattice()
+        p = QUERIES[query]
+        t = tri.locate(p)
+        tri.insert_point(*p, hint=t)
+        assert t in tri.last_removed
+        tri.check_integrity()
+
+    def test_step_cap_exhaustion_takes_fallback(self, monkeypatch):
+        tri = lattice()
+        p = (4.5, 4.4)
+        start = tri.vertex_tri[0]
+        # The cap is 4 * (n_live_triangles + 8) steps: shrink it to 4,
+        # fewer than the walk across the lattice needs.
+        monkeypatch.setattr(tri, "n_live_triangles", -7)
+        t = tri.locate(p, hint=start)
+        assert tri.stat_brute_locates == 1
+        assert min(edge_signs(tri, t, p)) >= 0
 
 
 class TestFlip:

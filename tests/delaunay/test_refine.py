@@ -163,3 +163,40 @@ class TestAirfoilRefinement:
         lens = mesh.edge_lengths().min(axis=1)
         unguarded = lens > 2e-3
         assert ratios[unguarded].max() <= RUPPERT_BOUND + 1e-6
+
+
+class TestPredicateAccounting:
+    def test_encroachment_sweep_decisions_are_counted(self):
+        """Every in-disk decision of the pre-insertion cavity sweep
+        shows up in the kernel's predicate counters (they feed
+        ``exact_escalation_rate``)."""
+        from repro.delaunay.constrained import triangulate_pslg
+        from repro.delaunay.refine import Refiner
+
+        tri = triangulate_pslg(*square_pslg())
+        refiner = Refiner(tri, area_fn=lambda x, y: 0.01)
+        in_disk = tri._in_disk
+        sweep = refiner._encroached_segments_near
+        seen = {"decisions": 0, "counted": 0}
+
+        def predicate_tests():
+            return (tri.stat_incircle_fast + tri.stat_incircle_exact
+                    + tri.stat_orient_fast + tri.stat_orient_exact)
+
+        def counting_in_disk(t, px, py):
+            seen["decisions"] += 1
+            return in_disk(t, px, py)
+
+        def measured_sweep(dest, cc):
+            tri._in_disk = counting_in_disk
+            before = predicate_tests()
+            try:
+                return sweep(dest, cc)
+            finally:
+                seen["counted"] += predicate_tests() - before
+                del tri._in_disk
+
+        refiner._encroached_segments_near = measured_sweep
+        refiner.refine()
+        assert seen["decisions"] > 0
+        assert seen["counted"] >= seen["decisions"]

@@ -61,6 +61,32 @@ class TestR1DetSign:
         assert "R1" not in rules_hit(findings)
 
 
+    LIFTED = """
+        def in_circle(adx, ady, bdx, bdy, cdx, cdy):
+            alift = adx * adx + ady * ady
+            blift = bdx * bdx + bdy * bdy
+            clift = cdx * cdx + cdy * cdy
+            det = (alift * (bdx * cdy - cdx * bdy)
+                   + blift * (cdx * ady - adx * cdy)
+                   + clift * (adx * bdy - bdx * ady))
+            return det > 0.0
+    """
+
+    def test_lifted_incircle_determinant_flagged(self, tmp_path):
+        findings = lint_snippet(tmp_path, "repro/delaunay/bad.py",
+                                self.LIFTED)
+        assert "R1" in rules_hit(findings)
+
+    def test_sum_of_plain_products_not_flagged(self, tmp_path):
+        ok = """
+            def heavy(w0, w1, w2, a, b, c, limit):
+                total = w0 * a + w1 * b + w2 * c
+                return total > limit
+        """
+        findings = lint_snippet(tmp_path, "repro/delaunay/ok.py", ok)
+        assert "R1" not in rules_hit(findings)
+
+
 class TestR2FloatEq:
     def test_float_literal_equality_flagged(self, tmp_path):
         bad = """
