@@ -174,11 +174,8 @@ def metric_edge_lengths(mesh: TriMesh, metric_field) -> np.ndarray:
     field's values interpolated onto the mesh vertices — an adapted mesh
     is a *unit mesh* when these all fall in ``[1/sqrt(2), sqrt(2)]``.
     """
-    t = mesh.triangles
-    edges = np.unique(np.sort(np.concatenate(
-        [t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1), axis=0)
     field = metric_field.interpolate_field(mesh.points)
-    return field.edge_lengths(edges)
+    return field.edge_lengths(mesh.edges())
 
 
 def metric_conformity(mesh: TriMesh, metric_field,

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -90,14 +89,8 @@ def _add_backend_argument(p: argparse.ArgumentParser) -> None:
     p.add_argument("--backend", choices=executor.available_backends(),
                    default=None,
                    help="refinement executor (default: $REPRO_BACKEND or "
-                   "local); 'threads' models the paper's MPI ranks but is "
+                   "serial); 'threads' models the paper's MPI ranks but is "
                    "GIL-bound, 'processes' runs GIL-free workers")
-    p.add_argument("--insert-strategy",
-                   choices=insertion.available_strategies(), default=None,
-                   help="Delaunay cavity-engine insertion strategy "
-                   "(default: $REPRO_INSERT or scalar); 'batch' bins "
-                   "BRIO rounds and inserts independent cavity sets "
-                   "through vectorised predicates")
 
 
 def _add_address_arguments(p: argparse.ArgumentParser) -> None:
@@ -120,9 +113,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_geometry_arguments(p, required=True)
     _add_mesh_arguments(p)
     _add_backend_argument(p)
+    p.add_argument("--insert-strategy",
+                   choices=insertion.available_strategies(), default=None,
+                   help="Delaunay cavity-engine insertion strategy "
+                   "(default: scalar); 'batch' bins BRIO rounds and "
+                   "inserts independent cavity sets through vectorised "
+                   "predicates")
     p.add_argument("--ranks", type=int, default=None,
                    help="worker count for the parallel backends "
-                   "(default 4); rejected with --backend local/serial")
+                   "(default 4); rejected with --backend serial")
     adapt = p.add_argument_group(
         "metric adaptation",
         "solution-driven anisotropic adaptation of the inviscid mesh "
@@ -281,7 +280,7 @@ def _write_mesh_outputs(args: argparse.Namespace, mesh) -> list:
 
 
 def _run_adaptation(pslg: PSLG, mesh, args: argparse.Namespace,
-                    backend_impl) -> tuple:
+                    backend: str) -> tuple:
     """Metric-adaptation cycles on the final mesh -> (mesh, summary).
 
     Sensor: the potential-flow streamfunction.  Each cycle solves the
@@ -292,9 +291,8 @@ def _run_adaptation(pslg: PSLG, mesh, args: argparse.Namespace,
     from splitting, so the geometry never degrades.
     """
     from .core.bl_pipeline import interior_seed
-    from .core.pipeline import (adapt_workitem, pack_adapt_item,
-                                unpack_adapt_result)
     from .metric import MetricField
+    from .solver.adapt import adapt_step
     from .solver.flow import solve_potential_flow
 
     body_loops = [pslg.loop_points(lp) for lp in pslg.body_loops]
@@ -308,15 +306,11 @@ def _run_adaptation(pslg: PSLG, mesh, args: argparse.Namespace,
         metric = MetricField.from_hessian(mesh, flow.psi,
                                           eps=args.adapt_eps,
                                           h_min=h_min, h_max=h_max)
-        edges = np.unique(np.sort(np.concatenate([
-            mesh.triangles[:, [0, 1]], mesh.triangles[:, [1, 2]],
-            mesh.triangles[:, [2, 0]]]), axis=1), axis=0)
-        metric = metric.limit_gradation(edges, grading=args.grading)
-        payload = pack_adapt_item(mesh, metric, holes=holes,
+        metric = metric.limit_gradation(mesh.edges(), grading=args.grading)
+        mesh, report = adapt_step(mesh, metric, holes=holes,
                                   max_passes=args.adapt_passes,
-                                  protect_segments=True)
-        (out,) = backend_impl.map_workitems(adapt_workitem, [payload])
-        mesh, report = unpack_adapt_result(out)
+                                  smooth_iterations=1,
+                                  protect_segments=True, backend=backend)
         cycles.append(report.to_dict())
     summary = {
         "cycles": len(cycles),
@@ -345,19 +339,17 @@ def _serve_main(argv) -> int:
 
     parser = build_serve_parser()
     args = parser.parse_args(argv)
-    backend = executor.resolve_backend_name(args.backend)
-    if args.ranks is not None and not executor.get_backend(backend).parallel:
+    try:
+        backend = executor.get_backend(args.backend)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if args.ranks is not None and not backend.parallel:
         parser.error(
             f"--ranks only applies to parallel backends; --backend "
-            f"{backend} runs in-process")
-    if args.insert_strategy is not None:
-        # Exported before the pool forks so every worker triangulates
-        # with the requested strategy.
-        os.environ[insertion.INSERT_ENV] = insertion.canonical_strategy_name(
-            args.insert_strategy)
+            f"{backend.name} runs in-process")
     service = MeshService(
         _service_address(args),
-        backend=backend,
+        backend=backend.name,
         n_ranks=args.ranks if args.ranks is not None else 4,
         batch_window=args.batch_window,
         max_batch=args.max_batch,
@@ -450,11 +442,11 @@ def main(argv=None) -> int:
         return _submit_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
-    backend = executor.resolve_backend_name(args.backend)
     try:
-        backend_impl = executor.get_backend(backend)
+        backend_impl = executor.get_backend(args.backend)
     except ValueError as exc:
         parser.error(str(exc))
+    backend = backend_impl.name
     if args.ranks is not None and not backend_impl.parallel:
         parser.error(
             f"--ranks only applies to parallel backends; --backend "
@@ -466,13 +458,11 @@ def main(argv=None) -> int:
             f"--sanitize instruments shared-memory backends only; "
             f"--backend {backend} shares no mutable state to instrument "
             "(use --backend threads to race-check the runtime)")
-    canonical = executor.canonical_backend_name(backend)
     n_ranks = args.ranks if args.ranks is not None else 4
-    insert_strategy = insertion.resolve_strategy_name(args.insert_strategy)
+    insert_strategy = insertion.get_strategy(args.insert_strategy).name
     pslg = _load_geometry(args)
     config = _config_from_args(args)
     if args.sanitize and not tsan.enabled():
-        os.environ["REPRO_SANITIZE"] = "1"  # inherited by any subprocesses
         tsan.enable()
     with timed("total") as tm:
         if args.profile:
@@ -496,7 +486,7 @@ def main(argv=None) -> int:
     if args.adapt:
         with timed("adapt") as tma:
             final_mesh, adapt_summary = _run_adaptation(
-                pslg, final_mesh, args, backend_impl)
+                pslg, final_mesh, args, backend)
         adapt_summary["elapsed_s"] = round(tma.elapsed, 3)
 
     written = _write_mesh_outputs(args, final_mesh)
@@ -509,7 +499,7 @@ def main(argv=None) -> int:
         print(mesh_report(final_mesh, surface=surface))
 
     summary = {
-        "backend": canonical,
+        "backend": backend,
         "insert_strategy": insert_strategy,
         "n_ranks": n_ranks,
         "elapsed_s": round(elapsed, 3),

@@ -232,7 +232,7 @@ def generate_boundary_layer(
     """Run the full anisotropic boundary-layer stage on all body loops.
 
     ``insert_strategy`` names the cavity-engine insertion strategy of
-    the BL triangulation (``None``: ``REPRO_INSERT``, then ``scalar``).
+    the BL triangulation (``None``: ``scalar``).
     """
     config = config or BoundaryLayerConfig()
     growth = config.growth_function()

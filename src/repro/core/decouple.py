@@ -390,8 +390,7 @@ def refine_subdomain(
     refinement terminates without touching them, keeping neighbouring
     subdomain meshes conforming with zero communication.
     ``insert_strategy`` names the cavity-engine insertion strategy of
-    the initial triangulation (``None``: ``REPRO_INSERT``, then
-    ``scalar``).
+    the initial triangulation (``None``: ``scalar``).
     """
     parts = [sub.ring] + sub.hole_rings
     pts: List[Tuple[float, float]] = []

@@ -148,13 +148,13 @@ def parallel_bl_points(
     chunk order — identical for every backend and rank count.  ``stats``
     reports the gathered byte volume — the quantity the paper's
     coordinates-only optimisation minimises.  ``backend`` accepts any
-    executor registry name; ``None`` falls back to ``REPRO_BACKEND``,
-    then ``threads`` (the SPMD path with explicit communicator gather).
+    executor backend name; ``None`` falls back to ``REPRO_BACKEND``,
+    then ``serial``.  ``threads`` is the SPMD path with explicit
+    communicator gather.
     """
     config = config or BoundaryLayerConfig()
-    backend_name = executor.canonical_backend_name(
-        executor.resolve_backend_name(backend, default="threads"))
-    if backend_name == "threads":
+    backend_impl = executor.get_backend(backend)
+    if backend_impl.name == "threads":
         return _parallel_bl_points_spmd(pslg, config, n_ranks)
 
     payload_base = serde.nest("pslg.", serde.pack_pslg(pslg))
@@ -164,7 +164,7 @@ def parallel_bl_points(
          "chunk": np.asarray([rank, n_ranks], dtype=np.int32)}
         for rank in range(n_ranks)
     ]
-    results = executor.get_backend(backend_name).map_workitems(
+    results = backend_impl.map_workitems(
         _bl_chunk_workitem, payloads, n_ranks=n_ranks)
     chunks = [r["coords"] for r in results]
     coords = np.vstack([c for c in chunks if len(c)])

@@ -10,7 +10,7 @@ Composes every stage of the paper's Section II in order:
    quadrants and their '+'-split descendants;
 4. independent Ruppert refinement of every decoupled subdomain,
    dispatched through the pluggable executor layer
-   (:mod:`repro.runtime.executor`): sequential (``backend="local"``),
+   (:mod:`repro.runtime.executor`): sequential (``backend="serial"``),
    the SPMD threads runtime with RMA-window work stealing
    (``backend="threads"``), or GIL-free multiprocessing workers
    (``backend="processes"``);
@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..delaunay.cavity import resolve_strategy_name
+from ..delaunay.cavity import get_strategy
 from ..delaunay.mesh import TriMesh, merge_meshes
 from ..delaunay.refine import RUPPERT_BOUND
 from ..geometry.aabb import AABB
@@ -119,7 +119,7 @@ def generate_mesh(
 
     ``backend`` selects the refinement executor (any name from
     :func:`repro.runtime.executor.available_backends`); ``None`` falls
-    back to the ``REPRO_BACKEND`` environment variable, then ``local``.
+    back to the ``REPRO_BACKEND`` environment variable, then ``serial``.
     Every backend produces the identical mesh — the subdomains are
     decoupled, so execution order cannot change the result.
 
@@ -133,16 +133,15 @@ def generate_mesh(
 
     ``insert_strategy`` picks the Delaunay cavity-engine insertion
     strategy (any name from
-    :func:`repro.delaunay.available_strategies`); ``None`` falls back
-    to ``REPRO_INSERT``, then ``scalar``.  It is resolved once here and
-    travels as data: an argument to the BL triangulation and a field of
-    every refinement work item, so workers forked earlier (a warm pool)
-    triangulate with the same strategy as the parent.
+    :func:`repro.delaunay.available_strategies`); ``None`` is
+    ``scalar``.  It is resolved once here and travels as data: an
+    argument to the BL triangulation and a field of every refinement
+    work item, so workers forked earlier (a warm pool) triangulate with
+    the same strategy as the parent.
     """
-    insert_strategy = resolve_strategy_name(insert_strategy)
+    insert_strategy = get_strategy(insert_strategy).name
     config = config or MeshConfig()
-    backend_impl = executor.get_backend(
-        executor.resolve_backend_name(backend))
+    backend_impl = executor.get_backend(backend)
     timings: Dict[str, float] = {}
     chord = pslg.chord_length()
 

@@ -5,12 +5,9 @@ Triangle (see DESIGN.md, substitutions table).
 """
 
 from .cavity import (
-    INSERT_ENV,
     InsertionStrategy,
     available_strategies,
     get_strategy,
-    register_strategy,
-    resolve_strategy_name,
 )
 from .constrained import constrained_delaunay, insert_segment, triangulate_pslg, carve
 from .dnc import insertion_order, triangulate_ordered
@@ -42,7 +39,6 @@ from .smooth import (
 
 __all__ = [
     "GHOST",
-    "INSERT_ENV",
     "AdaptReport",
     "AreaCriterion",
     "InsertionStrategy",
@@ -61,8 +57,6 @@ __all__ = [
     "get_strategy",
     "laplacian_smooth",
     "metric_smooth",
-    "register_strategy",
-    "resolve_strategy_name",
     "validate_mesh",
     "carve",
     "constrained_delaunay",

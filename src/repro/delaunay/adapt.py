@@ -136,23 +136,10 @@ class MeshAdaptor(Refiner):
     def _metric_lengths(self, edges: Sequence[Tuple[int, int]],
                         tensors: np.ndarray) -> np.ndarray:
         """Metric edge lengths (Alauzet linear-metric quadrature)."""
-        if not len(edges):
-            return np.empty(0)
-        e = np.asarray(edges, dtype=np.int64)
-        pts = np.asarray(self.tri.pts, dtype=np.float64)
         from ..metric import tensor as _mt
 
-        vec = pts[e[:, 1]] - pts[e[:, 0]]
-        l0 = np.sqrt(np.maximum(_mt.quad_form(tensors[e[:, 0]], vec), 0.0))
-        l1 = np.sqrt(np.maximum(_mt.quad_form(tensors[e[:, 1]], vec), 0.0))
-        lo = np.minimum(l0, l1)
-        hi = np.maximum(l0, l1)
-        out = 0.5 * (l0 + l1)
-        graded = hi > lo * (1.0 + 1e-8)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = hi[graded] / np.maximum(lo[graded], 1e-300)
-            out[graded] = lo[graded] * (r - 1.0) / np.log(r)
-        return out
+        pts = np.asarray(self.tri.pts, dtype=np.float64)
+        return _mt.edge_lengths(tensors, pts, edges)
 
     def conformity(self) -> float:
         """Fraction of interior edges with metric length in the band."""

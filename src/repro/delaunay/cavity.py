@@ -11,10 +11,9 @@ the exact, unfiltered statement of what a cavity is lives with the
 tests (``tests/delaunay/oracle.py``), which compare :func:`carve`
 against it cavity for cavity.
 
-On top of the operations sits an **insertion-strategy registry**
-(mirroring the executor backend registry in
-:mod:`repro.runtime.executor`): a strategy turns a bulk point set plus
-an insertion order into kernel vertices.
+On top of the operations sit two **insertion strategies**, looked up
+by name with :func:`get_strategy`: a strategy turns a bulk point set
+plus an insertion order into kernel vertices.
 
 * ``scalar`` — one point at a time through :func:`insert_point`
   (:func:`walk` → duplicate check → :func:`carve` →
@@ -39,15 +38,15 @@ an insertion order into kernel vertices.
   exceed the step cap — the batch path never *decides* a degeneracy,
   it defers it.
 
-Strategy selection: explicit argument > ``REPRO_INSERT`` environment
-variable > ``scalar``.
+Strategy selection: an explicit name, else :data:`DEFAULT_STRATEGY`.
+The environment is never consulted, so the triangulation is a function
+of the arguments alone.
 """
 
 from __future__ import annotations
 
 import gc
 import math
-import os
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -69,15 +68,12 @@ from ..runtime.counters import current as counters_current
 __all__ = [
     "GHOST",
     "TriangulationError",
-    "INSERT_ENV",
+    "DEFAULT_STRATEGY",
     "InsertionStrategy",
     "ScalarInsertion",
     "BatchInsertion",
-    "register_strategy",
     "get_strategy",
     "available_strategies",
-    "canonical_strategy_name",
-    "resolve_strategy_name",
     "brio_order",
     "find_directed_edge",
     "walk",
@@ -126,8 +122,8 @@ _GRID_EMA_USE = 6.0
 #: Minimum vertex count before a grid is worth building.
 _GRID_MIN_POINTS = 128
 
-#: Environment variable selecting the bulk insertion strategy.
-INSERT_ENV = "REPRO_INSERT"
+#: The strategy :func:`get_strategy` returns for ``None``.
+DEFAULT_STRATEGY = "scalar"
 
 #: Scalar insertions before the batch strategy starts batching: the
 #: initial structure must exist and the grid partition must be coarser
@@ -968,7 +964,7 @@ _PRV_ARR = np.array([2, 0, 1], dtype=np.int64)
 
 
 # ----------------------------------------------------------------------
-# Insertion-strategy registry (mirrors runtime/executor.py backends)
+# Insertion strategies
 # ----------------------------------------------------------------------
 class InsertionStrategy:
     """A bulk point-insertion policy over a :class:`Triangulation`.
@@ -985,51 +981,6 @@ class InsertionStrategy:
     def insert_points(self, tri, points: np.ndarray,
                       order: Sequence[int]) -> Dict[int, int]:
         raise NotImplementedError
-
-
-_REGISTRY: Dict[str, InsertionStrategy] = {}
-_ALIASES: Dict[str, str] = {}
-
-
-def register_strategy(strategy: InsertionStrategy,
-                      aliases: Sequence[str] = ()) -> InsertionStrategy:
-    """Register a strategy instance under its name (plus aliases)."""
-    _REGISTRY[strategy.name] = strategy
-    for alias in aliases:
-        _ALIASES[alias] = strategy.name
-    return strategy
-
-
-def canonical_strategy_name(name: str) -> str:
-    """Resolve aliases (``vectorized`` -> ``batch``); raise on unknown."""
-    resolved = _ALIASES.get(name, name)
-    if resolved not in _REGISTRY:
-        raise ValueError(
-            f"unknown insertion strategy: {name} (available: "
-            f"{', '.join(available_strategies())})"
-        )
-    return resolved
-
-
-def get_strategy(name: str) -> InsertionStrategy:
-    """Look up a strategy by registry name or alias."""
-    return _REGISTRY[canonical_strategy_name(name)]
-
-
-def available_strategies() -> List[str]:
-    """Every accepted ``--insert-strategy`` value (names + aliases)."""
-    return sorted(set(_REGISTRY) | set(_ALIASES))
-
-
-def resolve_strategy_name(name: Optional[str] = None, *,
-                          default: str = "scalar") -> str:
-    """Pick the strategy: explicit arg > ``REPRO_INSERT`` > default."""
-    if name is not None:
-        return canonical_strategy_name(name)
-    env = os.environ.get(INSERT_ENV)
-    if env:
-        return canonical_strategy_name(env)
-    return default
 
 
 # ----------------------------------------------------------------------
@@ -1676,5 +1627,28 @@ class BatchInsertion(InsertionStrategy):
         return seeds
 
 
-register_strategy(ScalarInsertion(), aliases=("serial", "default"))
-register_strategy(BatchInsertion(), aliases=("vectorized",))
+# ----------------------------------------------------------------------
+# Strategies by name
+# ----------------------------------------------------------------------
+_STRATEGIES: Dict[str, InsertionStrategy] = {
+    s.name: s for s in (ScalarInsertion(), BatchInsertion())
+}
+
+
+def get_strategy(name: Optional[str] = None) -> InsertionStrategy:
+    """The strategy called ``name``; ``None`` means
+    :data:`DEFAULT_STRATEGY` (read at call time)."""
+    if name is None:
+        name = DEFAULT_STRATEGY
+    try:
+        return _STRATEGIES[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown insertion strategy: {name} (available: "
+            f"{', '.join(available_strategies())})"
+        ) from None
+
+
+def available_strategies() -> List[str]:
+    """Every accepted ``--insert-strategy`` value."""
+    return sorted(_STRATEGIES)

@@ -23,12 +23,7 @@ import numpy as np
 
 from ..geometry.predicates import incircle, orient2d
 from ..runtime.counters import current as counters_current
-from .cavity import (
-    brio_order,
-    find_directed_edge,
-    get_strategy,
-    resolve_strategy_name,
-)
+from .cavity import brio_order, find_directed_edge, get_strategy
 from .kernel import GHOST, Triangulation, TriangulationError
 from .mesh import TriMesh
 
@@ -275,8 +270,8 @@ def triangulate_pslg(points: np.ndarray, segments: np.ndarray,
                      strategy: Optional[str] = None) -> Triangulation:
     """Insert all PSLG points, then recover and lock every segment.
 
-    Point insertion goes through the cavity-engine strategy registry
-    (``strategy`` / ``REPRO_INSERT``); segment recovery is always
+    Point insertion goes through the cavity-engine strategy
+    ``strategy`` (``None``: ``scalar``); segment recovery is always
     sequential.  No constraints exist during the bulk phase, so the
     batched strategy is safe here.
     """
@@ -287,8 +282,7 @@ def triangulate_pslg(points: np.ndarray, segments: np.ndarray,
         order = np.arange(len(points))
     else:
         order = brio_order(points, seed=0xFACADE)
-    name = resolve_strategy_name(strategy)
-    kernel_id: Dict[int, int] = get_strategy(name).insert_points(
+    kernel_id: Dict[int, int] = get_strategy(strategy).insert_points(
         tri, points, order)
     for u, v in segments:
         ku, kv = kernel_id[int(u)], kernel_id[int(v)]

@@ -77,7 +77,6 @@ from .cavity import (
     brio_order,
     get_strategy,
     insert_point as cavity_insert_point,
-    resolve_strategy_name,
     star_vertex,
     walk,
 )
@@ -368,36 +367,6 @@ class Triangulation:
             if arr.tv[3 * t] != DEAD:
                 yield t
             t += 1
-
-    # ------------------------------------------------------------------
-    # Observability
-    # ------------------------------------------------------------------
-    def kernel_stats(self) -> Dict[str, float]:
-        """Snapshot of the kernel's counters (histograms as raw buckets)."""
-        total = self.stat_orient_fast + self.stat_orient_exact \
-            + self.stat_incircle_fast + self.stat_incircle_exact
-        exact = self.stat_orient_exact + self.stat_incircle_exact
-        return {
-            "inserts": self.stat_inserts,
-            "locates": self.stat_locates,
-            "walk_steps": self.stat_walk_steps,
-            "brute_locates": self.stat_brute_locates,
-            "grid_seeds": self.stat_grid_seeds,
-            "cavity_triangles": self.stat_cavity_tris,
-            "flips": self.stat_flips,
-            "orient_fast": self.stat_orient_fast,
-            "orient_exact": self.stat_orient_exact,
-            "incircle_fast": self.stat_incircle_fast,
-            "incircle_exact": self.stat_incircle_exact,
-            "batch_calls": self.stat_batch_calls,
-            "batch_entries": self.stat_batch_entries,
-            "batch_points": self.stat_batch_points,
-            "conflict_retries": self.stat_conflict_retries,
-            "finalize_ns": self.stat_finalize_ns,
-            "exact_escalation_rate": (exact / total) if total else 0.0,
-            "walk_hist": list(self.stat_walk_hist),
-            "cavity_hist": list(self.stat_cavity_hist),
-        }
 
     def _note_walk(self, steps: int) -> None:
         self.stat_locates += 1
@@ -927,11 +896,11 @@ def triangulate(points: np.ndarray, *, assume_sorted: bool = False,
     from ``seed`` for expected-case robustness.  Identical inputs and
     seed produce byte-identical triangulations.
 
-    ``strategy`` picks the bulk insertion strategy from the
-    :mod:`repro.delaunay.cavity` registry (``scalar`` or ``batch``);
-    ``None`` defers to the ``REPRO_INSERT`` environment variable and
-    then the scalar default.  Every strategy produces a Delaunay
-    triangulation of the same point set; vertex numbering may differ.
+    ``strategy`` names the bulk insertion strategy
+    (:func:`repro.delaunay.cavity.get_strategy`: ``scalar`` or
+    ``batch``); ``None`` is the scalar default.  Every strategy
+    produces a Delaunay triangulation of the same point set; vertex
+    numbering may differ.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 2:
@@ -954,8 +923,7 @@ def _triangulate_with_map(points: np.ndarray, *, assume_sorted: bool,
         order = range(len(points))
     else:
         order = brio_order(points, seed=seed).tolist()
-    name = resolve_strategy_name(strategy)
-    inserted = get_strategy(name).insert_points(tri, points, order)
+    inserted = get_strategy(strategy).insert_points(tri, points, order)
     return tri, inserted
 
 

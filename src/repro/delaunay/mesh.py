@@ -273,11 +273,6 @@ class TriMesh:
                         bad += 1
         return bad
 
-    def is_delaunay(self, *, tol: float = 0.0,
-                    respect_segments: bool = True) -> bool:
-        return self.delaunay_violations(
-            tol=tol, respect_segments=respect_segments) == 0
-
     # ------------------------------------------------------------------
     # Canonical form
     # ------------------------------------------------------------------

@@ -208,10 +208,6 @@ def blunt_trailing_edge(coords: np.ndarray, x_cut: float = 0.98) -> np.ndarray:
     upper = coords[:le_idx + 1][keep[:le_idx + 1]]
     lower = coords[le_idx + 1:][keep[le_idx + 1:]]
 
-    def _base_point(surface: np.ndarray, last_inside: np.ndarray) -> np.ndarray:
-        """Interpolate the surface crossing of x = x_cut."""
-        return last_inside
-
     # Interpolate exact base corners on each surface at x == x_cut.
     def _corner(p_in: np.ndarray, p_out: np.ndarray) -> np.ndarray:
         tpar = (x_cut - p_in[0]) / (p_out[0] - p_in[0])

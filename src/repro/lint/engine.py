@@ -146,19 +146,6 @@ class FileContext:
         """Exact module-file match, e.g. ``"repro/geometry/predicates.py"``."""
         return any(self.posix.endswith(f"/{m}") for m in module_files)
 
-    def enclosing_function(self, node: ast.AST) -> Optional[ast.AST]:
-        cur = self.parents.get(node)
-        while cur is not None:
-            if isinstance(cur, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                return cur
-            cur = self.parents.get(cur)
-        return None
-
-    def line_text(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1]
-        return ""
-
 
 def parse_pragmas(source: str) -> Dict[int, Pragma]:
     """Extract pragmas from *comment tokens* (never from string literals)."""

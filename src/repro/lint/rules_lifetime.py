@@ -22,7 +22,7 @@ value to someone.
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from .engine import FileContext, Finding
 from .rules import Rule, _dotted, _scopes
@@ -127,14 +127,6 @@ class ShmLifetimeRule(Rule):
         return not ctx.is_module("repro/runtime/serde.py")
 
     # ------------------------------------------------------------------
-    def _acquire_in(self, stmt: ast.stmt) -> Optional[Tuple[ast.Call, str]]:
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Call):
-                last = _last_component(node)
-                if last in ACQUIRE_FUNCS:
-                    return node, last
-        return None
-
     def check(self, ctx: FileContext) -> List[Finding]:
         findings: List[Finding] = []
         for scope in _scopes(ctx):

@@ -26,7 +26,6 @@ toolkit (Alauzet/Loseille; Tsolakis & Chrisochoides, arXiv:2404.18030):
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -73,11 +72,6 @@ class MetricField:
         if h <= 0:
             raise ValueError("h must be positive")
         return cls(points, tensor.identity(len(points), 1.0 / (h * h)))
-
-    @classmethod
-    def from_full(cls, points: np.ndarray, full: np.ndarray) -> "MetricField":
-        """Build from ``(n, 2, 2)`` symmetric matrices."""
-        return cls(points, tensor.as_compact(full))
 
     @classmethod
     def from_sizes(cls, points: np.ndarray, h: np.ndarray) -> "MetricField":
@@ -176,27 +170,9 @@ class MetricField:
         return np.sqrt(lam1 / np.maximum(lam2, 1e-300))
 
     def edge_lengths(self, edges: np.ndarray) -> np.ndarray:
-        """Metric length of vertex-index edges (exact linear quadrature).
-
-        With endpoint lengths ``l0 = |e|_{M_u}`` and ``l1 = |e|_{M_v}``
-        the length under linearly interpolated metric is
-        ``l0 (r - 1) / ln(r)`` with ``r = l1 / l0`` (Alauzet), which the
-        near-isotropic limit replaces by the mean.
-        """
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        e = self.points[edges[:, 1]] - self.points[edges[:, 0]]
-        l0 = np.sqrt(np.maximum(
-            tensor.quad_form(self.tensors[edges[:, 0]], e), 0.0))
-        l1 = np.sqrt(np.maximum(
-            tensor.quad_form(self.tensors[edges[:, 1]], e), 0.0))
-        lo = np.minimum(l0, l1)
-        hi = np.maximum(l0, l1)
-        out = 0.5 * (l0 + l1)
-        graded = hi > lo * (1.0 + 1e-8)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = hi[graded] / np.maximum(lo[graded], 1e-300)
-            out[graded] = lo[graded] * (r - 1.0) / np.log(r)
-        return out
+        """Metric length of vertex-index edges
+        (:func:`repro.metric.tensor.edge_lengths`)."""
+        return tensor.edge_lengths(self.tensors, self.points, edges)
 
     def interpolate(self, query: np.ndarray, *, k: int = 3) -> np.ndarray:
         """Log-Euclidean interpolation of the field at ``query`` points.
@@ -256,16 +232,6 @@ class MetricField:
         return MetricField(self.points,
                            tensor.intersect(self.tensors, other.tensors))
 
-    def bound_sizes(self, h_min: float, h_max: float) -> "MetricField":
-        """Clamp both principal spacings into ``[h_min, h_max]``."""
-        if h_min <= 0 or h_max < h_min:
-            raise ValueError("need 0 < h_min <= h_max")
-        lam1, lam2, v1 = tensor.eig(self.tensors)
-        lo = 1.0 / (h_max * h_max)
-        hi = 1.0 / (h_min * h_min)
-        return MetricField(self.points, tensor.from_eigs(
-            np.clip(lam1, lo, hi), np.clip(lam2, lo, hi), v1))
-
     def limit_gradation(self, edges: np.ndarray, *, grading: float = 0.3
                         ) -> "MetricField":
         """Bound size growth along the given edge graph.
@@ -291,11 +257,3 @@ class MetricField:
         factor = (s / np.maximum(s_lim, 1e-300)) ** 2
         return MetricField(self.points,
                            tensor.scale(self.tensors, np.maximum(factor, 1.0)))
-
-    # ------------------------------------------------------------------
-    # Quality
-    # ------------------------------------------------------------------
-    def mean_size(self) -> float:
-        """Average prescribed spacing ``(h_small * h_large)^{1/2}``."""
-        hs, hl = self.sizes()
-        return float(np.sqrt(hs * hl).mean()) if len(hs) else math.nan

@@ -36,6 +36,7 @@ __all__ = [
     "eig",
     "from_eigs",
     "quad_form",
+    "edge_lengths",
     "det",
     "log",
     "exp",
@@ -124,6 +125,29 @@ def quad_form(m: np.ndarray, e: np.ndarray) -> np.ndarray:
     e = np.asarray(e, dtype=np.float64).reshape(-1, 2)
     ex, ey = e[:, 0], e[:, 1]
     return m[:, 0] * ex * ex + 2.0 * m[:, 1] * ex * ey + m[:, 2] * ey * ey
+
+
+def edge_lengths(m: np.ndarray, points: np.ndarray,
+                 edges: np.ndarray) -> np.ndarray:
+    """Metric length of vertex-index ``edges`` under per-vertex tensors.
+
+    With endpoint lengths ``l0 = |e|_{M_u}`` and ``l1 = |e|_{M_v}``
+    the length under linearly interpolated metric is
+    ``l0 (r - 1) / ln(r)`` with ``r = l1 / l0`` (Alauzet), which the
+    near-isotropic limit replaces by the mean.
+    """
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    e = points[edges[:, 1]] - points[edges[:, 0]]
+    l0 = np.sqrt(np.maximum(quad_form(m[edges[:, 0]], e), 0.0))
+    l1 = np.sqrt(np.maximum(quad_form(m[edges[:, 1]], e), 0.0))
+    lo = np.minimum(l0, l1)
+    hi = np.maximum(l0, l1)
+    out = 0.5 * (l0 + l1)
+    graded = hi > lo * (1.0 + 1e-8)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = hi[graded] / np.maximum(lo[graded], 1e-300)
+        out[graded] = lo[graded] * (r - 1.0) / np.log(r)
+    return out
 
 
 def det(m: np.ndarray) -> np.ndarray:

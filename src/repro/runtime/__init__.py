@@ -9,10 +9,7 @@ from .executor import (
     Backend,
     ExecutorError,
     available_backends,
-    canonical_backend_name,
     get_backend,
-    register_backend,
-    resolve_backend_name,
 )
 from .loadbalance import DistributedWorker, WorkItem, WorkQueue
 from .rma import Window
@@ -59,12 +56,9 @@ __all__ = [
     "WorkItem",
     "WorkQueue",
     "available_backends",
-    "canonical_backend_name",
     "current",
     "get_backend",
     "phase",
-    "register_backend",
-    "resolve_backend_name",
     "run_spmd",
     "simulate",
     "strong_scaling",

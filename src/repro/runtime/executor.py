@@ -4,7 +4,7 @@ The paper's headline claim is wall-clock speedup from data decomposition
 — independent subdomains refined by independent workers.  This module is
 the seam that decides *what a worker is*:
 
-``serial``  (alias ``local``)
+``serial``
     Run every item in the calling thread.  The reference backend: zero
     scheduling, zero transport, bit-exact baseline.
 
@@ -37,8 +37,8 @@ Every backend implements the :class:`Backend` protocol —
 order) and ``stream_workitems(fn, n_ranks) -> session`` (submit items
 one at a time as a producer discovers them; the warm pool starts
 refining the first subdomain while decomposition is still splitting the
-rest) — and registers itself in a name registry the CLI derives its
-``--backend`` choices from.
+rest) — and is looked up by name with :func:`get_backend`; the CLI
+derives its ``--backend`` choices from :func:`available_backends`.
 
 The runtime race sanitizer (:mod:`repro.lint.tsan`) instruments *shared
 memory*; process workers share nothing mutable, so there is nothing for
@@ -72,11 +72,8 @@ __all__ = [
     "ProcessesBackend",
     "WorkerPool",
     "PoolStream",
-    "register_backend",
     "get_backend",
     "available_backends",
-    "canonical_backend_name",
-    "resolve_backend_name",
 ]
 
 #: environment override consulted when a caller passes ``backend=None``
@@ -116,7 +113,7 @@ class Backend(Protocol):
     that discover work incrementally.
     """
 
-    #: registry name (canonical).
+    #: the name :func:`get_backend` finds it under.
     name: str
     #: whether ``n_ranks`` changes anything.
     parallel: bool
@@ -138,51 +135,6 @@ class Backend(Protocol):
         *,
         n_ranks: int = 1,
     ) -> StreamSession: ...
-
-
-# ----------------------------------------------------------------------
-# Registry
-# ----------------------------------------------------------------------
-_REGISTRY: Dict[str, "Backend"] = {}
-_ALIASES: Dict[str, str] = {}
-
-
-def register_backend(backend: "Backend",
-                     aliases: Sequence[str] = ()) -> "Backend":
-    """Register a backend instance under its name (plus aliases)."""
-    _REGISTRY[backend.name] = backend
-    for alias in aliases:
-        _ALIASES[alias] = backend.name
-    return backend
-
-
-def canonical_backend_name(name: str) -> str:
-    """Resolve aliases (``local`` -> ``serial``); raise on unknown."""
-    resolved = _ALIASES.get(name, name)
-    if resolved not in _REGISTRY:
-        raise ValueError(
-            f"unknown backend: {name} (available: "
-            f"{', '.join(available_backends())})"
-        )
-    return resolved
-
-
-def get_backend(name: str) -> "Backend":
-    """Look up a backend by registry name or alias."""
-    return _REGISTRY[canonical_backend_name(name)]
-
-
-def available_backends() -> List[str]:
-    """Every accepted ``--backend`` value (canonical names + aliases)."""
-    return sorted(set(_REGISTRY) | set(_ALIASES))
-
-
-def resolve_backend_name(name: Optional[str], *,
-                         default: str = "local") -> str:
-    """Pick the backend name: explicit arg > ``REPRO_BACKEND`` > default."""
-    if name is not None:
-        return name
-    return os.environ.get(BACKEND_ENV) or default
 
 
 # ----------------------------------------------------------------------
@@ -1009,8 +961,27 @@ class ProcessesBackend:
 
 
 # ----------------------------------------------------------------------
-# Default registry population
+# Backends by name
 # ----------------------------------------------------------------------
-register_backend(SerialBackend(), aliases=("local",))
-register_backend(ThreadsBackend())
-register_backend(ProcessesBackend())
+_BACKENDS: Dict[str, Backend] = {
+    b.name: b for b in (SerialBackend(), ThreadsBackend(), ProcessesBackend())
+}
+
+
+def get_backend(name: Optional[str] = None) -> Backend:
+    """The backend called ``name``; ``None`` means ``REPRO_BACKEND``,
+    then ``serial``.  This is the only read of the variable."""
+    if name is None:
+        name = os.environ.get(BACKEND_ENV) or "serial"
+    try:
+        return _BACKENDS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown backend: {name} (available: "
+            f"{', '.join(available_backends())})"
+        ) from None
+
+
+def available_backends() -> List[str]:
+    """Every accepted ``--backend`` value."""
+    return sorted(_BACKENDS)

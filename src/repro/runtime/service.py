@@ -259,10 +259,10 @@ class MeshService:
 
     ``address`` is anything :func:`parse_address` accepts; TCP port 0
     binds an ephemeral port (read the bound endpoint from
-    :attr:`endpoint` after :meth:`start`).  ``backend`` is a registry
-    name (``None`` = ``REPRO_BACKEND`` / ``local``); the processes
+    :attr:`endpoint` after :meth:`start`).  ``backend`` is a backend
+    name (``None`` = ``REPRO_BACKEND`` / ``serial``); the processes
     backend gets a service-owned instance so the pool's lifetime is the
-    daemon's, not the registry singleton's.
+    daemon's, not the shared instance's.
 
     ``work_fn``/``cost_fn`` default to the whole-request pipeline work
     item (:func:`repro.core.pipeline.mesh_workitem`); tests substitute
@@ -282,15 +282,12 @@ class MeshService:
         cost_fn: Optional[Callable] = None,
     ) -> None:
         self.address = parse_address(address)
-        canonical = executor.canonical_backend_name(
-            executor.resolve_backend_name(backend))
-        self.backend_name = canonical
-        if canonical == "processes":
+        self._backend: executor.Backend = executor.get_backend(backend)
+        self.backend_name = self._backend.name
+        if self.backend_name == "processes":
             # Service-owned pool: shutdown() must be able to stop the
-            # workers without tearing down the shared registry instance.
-            self._backend: executor.Backend = executor.ProcessesBackend()
-        else:
-            self._backend = executor.get_backend(canonical)
+            # workers without tearing down the shared instance.
+            self._backend = executor.ProcessesBackend()
         self.n_ranks = int(n_ranks)
         self.batch_window = float(batch_window)
         self.max_batch = max(int(max_batch), 1)

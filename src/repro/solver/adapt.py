@@ -43,6 +43,7 @@ __all__ = [
     "AdaptLoopResult",
     "solve_on_mesh",
     "l2_error",
+    "adapt_step",
     "adapt_loop",
 ]
 
@@ -120,12 +121,6 @@ def l2_error(mesh: TriMesh, u: np.ndarray,
     return float(math.sqrt(max(e @ (M @ e), 0.0)))
 
 
-def _mesh_edges(mesh: TriMesh) -> np.ndarray:
-    t = mesh.triangles
-    e = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-    return np.unique(np.sort(e, axis=1), axis=0)
-
-
 # ----------------------------------------------------------------------
 # The loop
 # ----------------------------------------------------------------------
@@ -176,11 +171,11 @@ class AdaptLoopResult:
         }
 
 
-def _adapt_step(mesh: TriMesh, metric: MetricField, *,
-                holes: Sequence[Tuple[float, float]],
-                max_passes: int, smooth_iterations: int,
-                protect_segments: bool,
-                backend: Optional[str]) -> Tuple[TriMesh, AdaptReport]:
+def adapt_step(mesh: TriMesh, metric: MetricField, *,
+               holes: Sequence[Tuple[float, float]],
+               max_passes: int, smooth_iterations: int,
+               protect_segments: bool,
+               backend: Optional[str]) -> Tuple[TriMesh, AdaptReport]:
     """Run one adapt step locally or through the runtime executor."""
     if backend is None:
         return adapt_mesh(
@@ -191,7 +186,7 @@ def _adapt_step(mesh: TriMesh, metric: MetricField, *,
     from ..core import pipeline
     from ..runtime import executor
 
-    impl = executor.get_backend(executor.resolve_backend_name(backend))
+    impl = executor.get_backend(backend)
     payload = pipeline.pack_adapt_item(
         mesh, metric, holes=holes, max_passes=max_passes,
         smooth_iterations=smooth_iterations,
@@ -247,8 +242,8 @@ def adapt_loop(
     for cycle in range(1, cycles + 1):
         metric = MetricField.from_hessian(
             mesh, u, eps=eps, h_min=h_min, h_max=h_max)
-        metric = metric.limit_gradation(_mesh_edges(mesh), grading=grading)
-        mesh, report = _adapt_step(
+        metric = metric.limit_gradation(mesh.edges(), grading=grading)
+        mesh, report = adapt_step(
             mesh, metric, holes=holes, max_passes=max_passes,
             smooth_iterations=smooth_iterations,
             protect_segments=protect_segments, backend=backend,

@@ -90,10 +90,6 @@ class BLModelResult:
     l2_error: float
     n_dof: int
 
-    @property
-    def error_per_sqrt_dof(self) -> float:
-        return self.l2_error * math.sqrt(self.n_dof)
-
 
 def solve_bl_model(mesh: TriMesh, eps: float) -> BLModelResult:
     """Solve -eps Lap(u) + u = 0 with the exact Dirichlet data; return the

@@ -29,10 +29,6 @@ class SolveResult:
     converged: bool
     iterations: int
 
-    @property
-    def final_residual(self) -> float:
-        return self.residuals[-1] if self.residuals else np.inf
-
 
 def _rel(r: np.ndarray, b_norm: float) -> float:
     return float(np.linalg.norm(r) / b_norm)

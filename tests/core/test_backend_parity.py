@@ -8,8 +8,6 @@ that merge order cannot mask or fake a difference.
 """
 
 import contextlib
-import inspect
-import os
 
 import numpy as np
 import pytest
@@ -176,19 +174,17 @@ class TestInsertStrategyTransport:
     """An explicit ``insert_strategy`` is data carried by the call — an
     argument to the BL triangulation and a field of every refinement
     work item — so it reaches pool workers that were forked *before*
-    the call, and the process environment is left alone."""
+    the call (``tests/test_env_knobs.py`` pins that nothing under
+    ``src/repro`` writes the process environment)."""
 
     @staticmethod
     def digest(mesh):
         """Hash of the raw buffers: no canonical reordering first."""
         return serde.canonical_hash(serde.pack_mesh(mesh))
 
-    def test_explicit_strategy_reaches_warm_pool(self, monkeypatch):
+    def test_explicit_strategy_reaches_warm_pool(self):
         pslg = PSLG.from_loops([naca0012(61)])
         config = MeshConfig(farfield_chords=10.0, target_subdomains=8)
-        # Workers forked below must not find the strategy in their
-        # environment: it can only reach them through the work item.
-        monkeypatch.delenv("REPRO_INSERT", raising=False)
         serial = {
             name: self.digest(generate_mesh(
                 pslg, config, backend="serial", insert_strategy=name).mesh)
@@ -202,5 +198,3 @@ class TestInsertStrategyTransport:
             warm = generate_mesh(pslg, config, backend="processes",
                                  n_ranks=2, insert_strategy="batch")
         assert self.digest(warm.mesh) == serial["batch"]
-        assert "REPRO_INSERT" not in os.environ
-        assert "os.environ" not in inspect.getsource(generate_mesh)

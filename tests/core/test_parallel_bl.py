@@ -36,7 +36,8 @@ class TestParallelBLPoints:
         gather is lossless)."""
         pslg = PSLG.from_loops([naca0012(61)])
         seq = generate_boundary_layer(pslg, CFG)
-        par_coords, stats = parallel_bl_points(pslg, CFG, n_ranks=4)
+        par_coords, stats = parallel_bl_points(pslg, CFG, n_ranks=4,
+                                               backend="threads")
 
         seq_set = {tuple(np.round(p, 12)) for p in seq.points}
         par_set = {tuple(np.round(p, 12)) for p in par_coords}
@@ -55,7 +56,8 @@ class TestParallelBLPoints:
         16 bytes per point (two float64 coordinates), not a serialised
         object graph."""
         pslg = PSLG.from_loops([naca0012(61)])
-        coords, stats = parallel_bl_points(pslg, CFG, n_ranks=4)
+        coords, stats = parallel_bl_points(pslg, CFG, n_ranks=4,
+                                           backend="threads")
         assert stats["n_points"] > 200
         # Coordinates-only: 16 B/point plus tiny pickle overheads.
         assert stats["bytes_per_point"] < 24.0
@@ -86,8 +88,9 @@ class TestMultiElementParallelBL:
         # compare the parallel per-chunk ray/insertion stage against a
         # 1-rank run of the same SPMD code (resolution runs on the root
         # afterwards in both settings).
-        solo, _ = parallel_bl_points(pslg, cfg, n_ranks=1)
-        multi, stats = parallel_bl_points(pslg, cfg, n_ranks=5)
+        solo, _ = parallel_bl_points(pslg, cfg, n_ranks=1, backend="threads")
+        multi, stats = parallel_bl_points(pslg, cfg, n_ranks=5,
+                                          backend="threads")
         a = {tuple(np.round(p, 12)) for p in solo}
         b = {tuple(np.round(p, 12)) for p in multi}
         assert a == b

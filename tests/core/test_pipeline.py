@@ -80,7 +80,7 @@ class TestThreadsBackend:
     def test_matches_local(self):
         pslg = PSLG.from_loops([naca0012(41)])
         cfg = small_config(farfield_chords=10.0, target_subdomains=8)
-        local = generate_mesh(pslg, cfg, backend="local")
+        local = generate_mesh(pslg, cfg, backend="serial")
         threaded = generate_mesh(pslg, cfg, backend="threads", n_ranks=3)
         # Same subdomain set refined independently: identical meshes.
         assert threaded.mesh.n_triangles == local.mesh.n_triangles

@@ -13,23 +13,13 @@ the *result* to the scalar path (exact Delaunay, canonical-hash
 parity).
 """
 
-import os
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.delaunay import available_strategies, get_strategy
-from repro.delaunay.cavity import (
-    INSERT_ENV,
-    BatchInsertion,
-    InsertionStrategy,
-    ScalarInsertion,
-    brio_order,
-    canonical_strategy_name,
-    resolve_strategy_name,
-)
+from repro.delaunay.cavity import BatchInsertion, ScalarInsertion, brio_order
 from repro.delaunay.kernel import Triangulation, delaunay_mesh, triangulate
 from repro.geometry.airfoils import naca4
 from repro.geometry.predicates import incircle
@@ -38,7 +28,7 @@ from repro.runtime.counters import use_counters
 
 
 # ----------------------------------------------------------------------
-# Registry / resolution
+# Lookup by name
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_builtin_strategies_registered(self):
@@ -47,41 +37,10 @@ class TestRegistry:
         assert isinstance(get_strategy("scalar"), ScalarInsertion)
         assert isinstance(get_strategy("batch"), BatchInsertion)
 
-    def test_aliases_resolve_to_canonical(self):
-        assert canonical_strategy_name("serial") == "scalar"
-        assert canonical_strategy_name("default") == "scalar"
-        assert canonical_strategy_name("vectorized") == "batch"
-
     def test_unknown_name_lists_available(self):
-        with pytest.raises(ValueError, match="scalar"):
-            canonical_strategy_name("bogus")
-
-    def test_resolution_order_explicit_env_default(self, monkeypatch):
-        monkeypatch.delenv(INSERT_ENV, raising=False)
-        assert resolve_strategy_name(None) == "scalar"
-        monkeypatch.setenv(INSERT_ENV, "vectorized")
-        assert resolve_strategy_name(None) == "batch"
-        # Explicit argument beats the environment.
-        assert resolve_strategy_name("scalar") == "scalar"
-
-    def test_env_typo_raises(self, monkeypatch):
-        monkeypatch.setenv(INSERT_ENV, "btach")
-        with pytest.raises(ValueError):
-            resolve_strategy_name(None)
-
-    def test_custom_strategy_registration(self):
-        from repro.delaunay.cavity import _ALIASES, _REGISTRY, register_strategy
-
-        class Probe(InsertionStrategy):
-            name = "probe-test"
-
-        register_strategy(Probe(), aliases=("probe-alias",))
-        try:
-            assert canonical_strategy_name("probe-alias") == "probe-test"
-            assert "probe-test" in available_strategies()
-        finally:
-            _REGISTRY.pop("probe-test", None)
-            _ALIASES.pop("probe-alias", None)
+        for name in ("bogus", "vectorized", "serial", "default"):
+            with pytest.raises(ValueError, match="batch, scalar"):
+                get_strategy(name)
 
 
 # ----------------------------------------------------------------------
@@ -255,29 +214,20 @@ class TestCountersAndEnv:
         tri = triangulate(pts, strategy="scalar")
         assert tri.stat_batch_points == 0
 
-    def test_env_selects_batch_for_triangulate(self, monkeypatch):
-        monkeypatch.setenv(INSERT_ENV, "batch")
-        rng = np.random.default_rng(13)
-        pts = rng.uniform(0, 1, size=(400, 2))
-        tri = triangulate(pts)
-        assert tri.stat_batch_points > 0
-
     def test_generate_mesh_exports_strategy(self, monkeypatch):
         """The resolved name is handed on as an argument; the process
         environment is not the transport."""
-        monkeypatch.delenv(INSERT_ENV, raising=False)
         seen = {}
 
         from repro.core import pipeline
         from repro.geometry.pslg import PSLG
 
         def spy(pslg, config, *, insert_strategy=None):
-            seen["env"] = os.environ.get(INSERT_ENV)
             seen["strategy"] = insert_strategy
             raise RuntimeError("stop here")
 
         monkeypatch.setattr(pipeline, "generate_boundary_layer", spy)
         with pytest.raises(RuntimeError, match="stop here"):
             pipeline.generate_mesh(PSLG.from_loops([naca4("0012", 21)]),
-                                   insert_strategy="vectorized")
-        assert seen == {"env": None, "strategy": "batch"}
+                                   insert_strategy="batch")
+        assert seen == {"strategy": "batch"}

@@ -15,7 +15,7 @@ from repro.runtime import counters as counters_mod
 from repro.runtime import executor
 from repro.runtime.executor import ExecutorError, ProcessesBackend
 
-ALL_BACKENDS = ["serial", "local", "threads", "processes"]
+ALL_BACKENDS = ["serial", "threads", "processes"]
 
 
 def _maybe_suspend(name):
@@ -51,7 +51,7 @@ def _count_events(payload):
 
 
 # ----------------------------------------------------------------------
-# Registry
+# Lookup by name
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_available_includes_all(self):
@@ -60,25 +60,23 @@ class TestRegistry:
         for n in ALL_BACKENDS:
             assert n in names
 
-    def test_local_is_alias_for_serial(self):
-        assert executor.canonical_backend_name("local") == "serial"
-        assert executor.get_backend("local") is executor.get_backend("serial")
-
     def test_unknown_raises(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            executor.canonical_backend_name("mpi")
-        with pytest.raises(ValueError, match="unknown backend"):
-            executor.get_backend("cuda")
+        for name in ("cuda", "local"):
+            with pytest.raises(
+                    ValueError,
+                    match="unknown backend.*processes, serial, threads"):
+                executor.get_backend(name)
 
     def test_resolve_precedence(self, monkeypatch):
         monkeypatch.delenv(executor.BACKEND_ENV, raising=False)
-        assert executor.resolve_backend_name(None) == "local"
-        assert executor.resolve_backend_name(None,
-                                             default="threads") == "threads"
+        assert executor.get_backend().name == "serial"
         monkeypatch.setenv(executor.BACKEND_ENV, "processes")
-        assert executor.resolve_backend_name(None) == "processes"
+        assert executor.get_backend(None).name == "processes"
         # Explicit argument beats the environment.
-        assert executor.resolve_backend_name("serial") == "serial"
+        assert executor.get_backend("serial").name == "serial"
+        monkeypatch.setenv(executor.BACKEND_ENV, "mpi")
+        with pytest.raises(ValueError, match="unknown backend: mpi"):
+            executor.get_backend()
 
     def test_flags(self):
         assert not executor.get_backend("serial").parallel

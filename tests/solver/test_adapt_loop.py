@@ -72,6 +72,20 @@ class TestAdaptLoop:
         first = loop_result.history[0].error
         assert loop_result.error < first / 10.0
 
+    def test_half_the_dof_of_uniform_refinement_at_equal_error(
+            self, loop_result):
+        """What the metric stack is for: uniform refinement needs at
+        least twice the DOF to reach the adapted mesh's L2 error."""
+        prob = ShearLayerProblem()
+        for area in (0.005, 0.00125, 0.0003125, 7.8125e-05):
+            mesh = square_mesh(area)
+            err = l2_error(mesh, solve_on_mesh(mesh, prob), prob)
+            if err <= loop_result.error:
+                break
+        # Past the ladder's end the uniform mesh is still short of the
+        # target, which only widens the gap.
+        assert 2 * loop_result.dof <= mesh.n_points
+
     def test_history_records_every_cycle(self, loop_result):
         assert loop_result.history[0].cycle == 0
         assert loop_result.history[0].report is None

@@ -17,19 +17,23 @@ class TestBackendFlags:
         action = next(a for a in parser._actions if a.dest == "backend")
         assert list(action.choices) == executor.available_backends()
 
-    def test_ranks_with_local_fails_fast(self, capsys, tmp_path):
+    def test_ranks_with_serial_alias_fails_fast(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
-            main(["--naca", "0012", "--backend", "local", "--ranks", "4",
+            main(["--naca", "0012", "--backend", "serial", "--ranks", "2",
                   "-o", str(tmp_path / "m")])
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "--ranks only applies to parallel backends" in err
         assert "processes" in err and "threads" in err
 
-    def test_ranks_with_serial_alias_fails_fast(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["--naca", "0012", "--backend", "serial", "--ranks", "2",
+    def test_removed_local_alias_lists_accepted_names(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["--naca", "0012", "--backend", "local",
                   "-o", str(tmp_path / "m")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'local'" in err
+        assert all(n in err for n in executor.available_backends())
 
     def test_sanitize_with_processes_fails_fast(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -47,16 +51,16 @@ class TestBackendFlags:
 
     def test_env_backend_reported_in_summary(self, monkeypatch, capsys,
                                              tmp_path):
-        """REPRO_BACKEND drives the run; summary reports the canonical
+        """REPRO_BACKEND drives the run; summary reports the backend
         name and rank count."""
-        monkeypatch.setenv(executor.BACKEND_ENV, "local")
+        monkeypatch.setenv(executor.BACKEND_ENV, "threads")
         rc = main(["--naca", "0012", "--surface-points", "31",
                    "--max-layers", "6", "--farfield-chords", "5",
                    "--subdomains", "4", "--stats-json",
                    "-o", str(tmp_path / "m")])
         assert rc == 0
         summary = json.loads(capsys.readouterr().out)
-        assert summary["backend"] == "serial"
+        assert summary["backend"] == "threads"
         assert summary["n_ranks"] == 4
         assert summary["n_triangles"] > 0
 
@@ -94,6 +98,16 @@ class TestServiceParsers:
         parser = build_serve_parser()
         action = next(a for a in parser._actions if a.dest == "backend")
         assert list(action.choices) == executor.available_backends()
+
+    def test_serve_has_no_insert_strategy_flag(self, capsys, tmp_path):
+        """A daemon's meshes depend on the request alone."""
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--socket", str(tmp_path / "s.sock"),
+                  "--insert-strategy", "batch"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --insert-strategy batch" in err
+        assert "--backend" in err
 
     def test_serve_requires_an_address(self, capsys):
         with pytest.raises(SystemExit) as exc:

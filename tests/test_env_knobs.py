@@ -1,18 +1,83 @@
-"""The environment-variable surface is a reviewed, documented set."""
+"""The environment-variable surface is a reviewed, documented set, and
+no mesh depends on it: a packed request determines its bytes."""
 
+import ast
 import re
 from pathlib import Path
 
+import numpy as np
+
+from repro.core.pipeline import mesh_workitem, pack_mesh_request
+from repro.delaunay import cavity
+from repro.delaunay.kernel import triangulate
+from repro.runtime import serde
+
+from tests.domains import cove_domain
+
 ROOT = Path(__file__).resolve().parents[1]
-KNOBS = {"REPRO_BACKEND", "REPRO_INSERT", "REPRO_SANITIZE"}
+SRC = ROOT / "src" / "repro"
+KNOBS = {"REPRO_BACKEND", "REPRO_SANITIZE"}
+#: the only modules that may read the environment, one variable each.
+READERS = {"runtime/executor.py", "lint/tsan.py"}
+MUTATORS = {"setdefault", "update", "pop", "popitem", "clear"}
 
 
-def test_env_knobs_are_exactly_the_documented_three():
+def test_env_knobs_are_exactly_the_documented_set():
     found = set()
-    for path in (ROOT / "src" / "repro").rglob("*.py"):
+    for path in SRC.rglob("*.py"):
         found |= set(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
     assert found == KNOBS
     readme = (ROOT / "README.md").read_text()
     section = readme[readme.index("## Configuration"):]
     section = section[:section.index("\n#", 1)]
     assert all(knob in section for knob in KNOBS)
+
+
+def _is_environ(node):
+    return ((isinstance(node, ast.Attribute) and node.attr == "environ")
+            or (isinstance(node, ast.Name) and node.id == "environ"))
+
+
+def test_src_never_writes_the_environment_and_reads_it_in_two_modules():
+    writes, readers = [], set()
+    for path in SRC.rglob("*.py"):
+        rel = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{rel}:{getattr(node, 'lineno', 0)}"
+            if _is_environ(node):
+                readers.add(rel)
+            if (isinstance(node, ast.Subscript) and _is_environ(node.value)
+                    and not isinstance(node.ctx, ast.Load)):
+                writes.append(where)
+            if isinstance(node, ast.Attribute):
+                if node.attr in ("putenv", "unsetenv"):
+                    writes.append(where)
+                if node.attr in MUTATORS and _is_environ(node.value):
+                    writes.append(where)
+                if node.attr == "getenv":
+                    readers.add(rel)
+    assert writes == []
+    assert readers == READERS
+
+
+def test_ambient_insert_variable_cannot_change_a_request(monkeypatch):
+    """The removed ``REPRO_INSERT`` (or anything else in the
+    environment) is not an input of the mesher."""
+    pslg, config = cove_domain()
+    request = pack_mesh_request(pslg, config)
+    pts = np.random.default_rng(13).uniform(0, 1, size=(400, 2))
+
+    monkeypatch.delenv("REPRO_INSERT", raising=False)
+    unset = serde.buffers_to_bytes(mesh_workitem(request))
+    monkeypatch.setenv("REPRO_INSERT", "batch")
+    assert serde.buffers_to_bytes(mesh_workitem(request)) == unset
+
+    ambient = triangulate(pts)._arr
+    explicit = triangulate(pts, strategy=cavity.DEFAULT_STRATEGY)._arr
+    assert (ambient.n_pts, ambient.n_tris) == (explicit.n_pts,
+                                               explicit.n_tris)
+    assert np.array_equal(ambient.pts[:ambient.n_pts],
+                          explicit.pts[:explicit.n_pts])
+    for name in ("tri_v", "tri_n"):
+        assert np.array_equal(getattr(ambient, name)[:ambient.n_tris],
+                              getattr(explicit, name)[:explicit.n_tris])
