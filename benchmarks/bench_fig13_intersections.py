@@ -5,7 +5,8 @@ trailing-edge fan, (c) self-intersection at a concave corner, (d)
 multi-element intersection between neighbouring boundary layers, (e)
 blunt-trailing-edge fans.  We run the three-element configuration and
 verify (1) the resolution machinery fires, (2) no crossing segments
-survive, and (3) the hierarchical AABB+ADT pruning beats brute force.
+survive, and (3) the hierarchical pruning (extent-box sweep + batched
+exact tests) beats brute force.
 """
 
 import time
@@ -75,7 +76,7 @@ def test_fig13_no_crossings_survive(benchmark, highlift_bl):
 
 
 def test_fig13_hierarchical_pruning_beats_bruteforce(benchmark):
-    """The AABB + ADT hierarchy (Section II.B) vs all-pairs checks."""
+    """The bulk pruning hierarchy (Section II.B) vs all-pairs checks."""
     from repro.core.intersections import resolve_self_intersections
     from repro.core.rays import Ray
 
@@ -113,7 +114,7 @@ def test_fig13_hierarchical_pruning_beats_bruteforce(benchmark):
         "Fig. 13 / Section II.B — pruning hierarchy vs brute force "
         f"({n} rays)",
         ["method", "time"],
-        [["AABB + ADT + exact", f"{t_hier:.3f}s"],
+        [["extent-box sweep + batched exact", f"{t_hier:.3f}s"],
          ["all-pairs exact", f"{t_brute:.3f}s"],
          ["speedup", f"{t_brute / max(t_hier, 1e-9):.1f}x"]],
     )

@@ -20,21 +20,18 @@ import numpy as np
 
 from ..delaunay.constrained import carve, triangulate_pslg
 from ..delaunay.mesh import TriMesh
-from ..geometry.aabb import segment_extent_box
-from ..geometry.predicates import orient2d
-from ..geometry.primitives import segments_intersect
 from ..geometry.pslg import PSLG
 from ..runtime.counters import phase
 from ..sizing.functions import SizingFunction
 from ..sizing.growth import GeometricGrowth, GrowthFunction
-from ..spatial.adt import ADT
 from .insertion import insert_points
 from .intersections import (
+    crossing_pairs,
     resolve_multi_element_intersections,
     resolve_self_intersections,
 )
 from .normals import loop_surface_vertices
-from .rays import Ray, refine_rays
+from .rays import Ray, dedupe_ring, refine_rays
 
 __all__ = ["BoundaryLayerConfig", "BoundaryLayerResult", "generate_boundary_layer",
            "interior_seed"]
@@ -116,17 +113,6 @@ def _point_in_polygon(x: float, y: float, poly: np.ndarray) -> bool:
     return bool(hits.sum() & 1)
 
 
-def _dedupe_ring(points: List[tuple]) -> List[tuple]:
-    """Drop consecutive duplicates (including the wrap-around pair)."""
-    out: List[tuple] = []
-    for p in points:
-        if not out or p != out[-1]:
-            out.append(p)
-    if len(out) > 1 and out[0] == out[-1]:
-        out.pop()
-    return out
-
-
 def _border_rings(element_rays: Sequence[Sequence[Ray]]
                   ) -> List[List[Tuple[tuple, int]]]:
     """Per element: deduped ring of (tip point, ray index)."""
@@ -143,82 +129,71 @@ def _border_rings(element_rays: Sequence[Sequence[Ray]]
     return rings
 
 
+def _crossing_border_rays(element_rays: Sequence[Sequence[Ray]]
+                          ) -> List[Tuple[int, int]]:
+    """(element, ray index) of every ray bounding a crossing border segment.
+
+    The outer-border segments of all elements are tested against each
+    other and against the surfaces — immovable obstacles: a border must
+    not cross any element's body either — in one bulk pass; only proper
+    crossings count.  Sorted, so the shrink order is deterministic.
+    """
+    segs: List[Tuple[tuple, tuple]] = []
+    owners: List[Tuple[int, int, int]] = []  # (element, ray_i, ray_j)
+    for el, ring in enumerate(_border_rings(element_rays)):
+        m = len(ring)
+        if m < 2:
+            continue
+        for i in range(m):
+            (p0, r0), (p1, r1) = ring[i], ring[(i + 1) % m]
+            segs.append((p0, p1))
+            owners.append((el, r0, r1))
+    n_border = len(segs)
+    for rays in element_rays:
+        ring_pts = dedupe_ring([r.origin for r in rays])
+        m = len(ring_pts)
+        segs.extend((ring_pts[i], ring_pts[(i + 1) % m]) for i in range(m))
+    if not segs:
+        return []
+    i, j = crossing_pairs(np.asarray(segs, dtype=np.float64),
+                          proper_only=True)
+    guilty = np.union1d(i, j)
+    return sorted({(owners[g][0], r) for g in guilty[guilty < n_border]
+                   for r in owners[g][1:]})
+
+
 def _simplify_borders(element_rays: Sequence[List[Ray]], *,
                       max_passes: int = 40) -> int:
     """Shrink rays until no two outer-border segments properly cross.
 
     Truncation can leave tip borders that still cross (their own element's
-    or another's).  Each pass finds crossings with an ADT over all border
-    segments and pops the last layer point of every ray bounding a
-    crossing segment.  Returns the number of layer points removed.
+    or another's).  Each pass pops the last layer point of every ray
+    bounding a crossing segment.  Returns the number of layer points
+    removed; raises if crossings remain after ``max_passes`` passes or
+    when no guilty ray has a layer left to give.
     """
     removed = 0
     for _ in range(max_passes):
-        rings = _border_rings(element_rays)
-        segs: List[Tuple[tuple, tuple]] = []
-        owners: List[Tuple[int, int, int]] = []  # (element, ray_i, ray_j)
-        for el, ring in enumerate(rings):
-            m = len(ring)
-            if m < 2:
-                continue
-            for i in range(m):
-                (p0, r0), (p1, r1) = ring[i], ring[(i + 1) % m]
-                segs.append((p0, p1))
-                owners.append((el, r0, r1))
-        # Surface segments participate as immovable obstacles: a border
-        # segment must not cross any element's body either.
-        for el, rays in enumerate(element_rays):
-            ring_pts = _dedupe_ring([r.origin for r in rays])
-            m = len(ring_pts)
-            for i in range(m):
-                segs.append((ring_pts[i], ring_pts[(i + 1) % m]))
-                owners.append((el, -1, -1))
-        if not segs:
-            return removed
-        boxes = [segment_extent_box(a, b) for a, b in segs]
-        bounds = boxes[0]
-        for b in boxes[1:]:
-            bounds = bounds.union(b)
-        tree = ADT(bounds.expanded(1e-12 + 1e-9 * max(bounds.width,
-                                                      bounds.height)))
-        tree.build(boxes)
-        guilty: set = set()
-        for i, (a1, b1) in enumerate(segs):
-            for j in tree.query(boxes[i]):
-                if j <= i:
-                    continue
-                a2, b2 = segs[j]
-                if segments_intersect(a1, b1, a2, b2, proper_only=True):
-                    guilty.add(i)
-                    guilty.add(j)
+        guilty = _crossing_border_rays(element_rays)
         if not guilty:
             return removed
-        shrunk = set()
         progress = False
-        # Deterministic shrink order (lint R4): the set's hash order would
-        # let PYTHONHASHSEED pick which ray loses a layer first.
-        for g in sorted(guilty):
-            el, r0, r1 = owners[g]
-            if r0 < 0:
-                continue  # surface segments are immovable
-            for ridx in (r0, r1):
-                key = (el, ridx)
-                if key in shrunk:
-                    continue
-                ray = element_rays[el][ridx]
-                if ray.heights:
-                    ray.heights.pop()
-                    ray.max_height = (ray.heights[-1] if ray.heights else 0.0)
-                    removed += 1
-                    progress = True
-                    shrunk.add(key)
+        for el, ridx in guilty:
+            ray = element_rays[el][ridx]
+            if ray.heights:
+                ray.heights.pop()
+                ray.max_height = (ray.heights[-1] if ray.heights else 0.0)
+                removed += 1
+                progress = True
         if not progress:
             break
-    # One final check: if crossings persist, the geometry is unusable.
-    rings = _border_rings(element_rays)
+    else:
+        guilty = _crossing_border_rays(element_rays)
+        if not guilty:
+            return removed
     raise RuntimeError(
         "could not untangle boundary-layer borders after shrinking; "
-        f"rings sizes={[len(r) for r in rings]}"
+        f"crossing border rays (element, ray index): {guilty}"
     )
 
 
@@ -300,8 +275,8 @@ def generate_boundary_layer(
     holes: List[Tuple[float, float]] = []
 
     for el, rays in enumerate(element_rays):
-        surf_ring = _dedupe_ring([r.origin for r in rays])
-        outer_ring = _dedupe_ring([r.tip() for r in rays])
+        surf_ring = dedupe_ring([r.origin for r in rays])
+        outer_ring = dedupe_ring([r.tip() for r in rays])
         surface_loops.append(np.asarray(surf_ring, dtype=np.float64))
         outer_borders.append(np.asarray(outer_ring, dtype=np.float64))
         for ring in (surf_ring, outer_ring):

@@ -26,7 +26,8 @@ import numpy as np
 from ..geometry.primitives import distance, normalize, slerp_unit
 from .normals import SurfaceVertex, VertexKind
 
-__all__ = ["Ray", "build_rays", "refine_rays", "angle_between_rays"]
+__all__ = ["Ray", "build_rays", "refine_rays", "angle_between_rays",
+           "dedupe_ring"]
 
 
 @dataclass
@@ -56,6 +57,22 @@ class Ray:
     def tip(self) -> tuple:
         """Endpoint of the ray at its last inserted height (or origin)."""
         return self.point_at(self.heights[-1]) if self.heights else self.origin
+
+
+def dedupe_ring(points: List[tuple]) -> List[tuple]:
+    """Drop consecutive duplicates (including the wrap-around pair).
+
+    The rays of one element are in surface order, so their origins (or
+    tips) form a closed ring in which fan members repeat a point; the
+    deduped ring's consecutive pairs are its non-degenerate segments.
+    """
+    out: List[tuple] = []
+    for p in points:
+        if not out or p != out[-1]:
+            out.append(p)
+    if len(out) > 1 and out[0] == out[-1]:
+        out.pop()
+    return out
 
 
 def angle_between_rays(r1: Ray, r2: Ray) -> float:

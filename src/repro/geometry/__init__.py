@@ -1,4 +1,4 @@
-"""Geometric substrate: predicates, primitives, boxes, clipping, PSLG, airfoils."""
+"""Geometric substrate: predicates, primitives, boxes, PSLG, airfoils."""
 
 from .aabb import AABB, boxes_from_segments, segment_extent_box
 from .airfoils import (
@@ -7,7 +7,6 @@ from .airfoils import (
     naca0012,
     three_element_airfoil,
 )
-from .clipping import clip_segment, segment_intersects_box
 from .predicates import incircle, orient2d
 from .primitives import (
     angle_between,
@@ -33,7 +32,6 @@ __all__ = [
     "boxes_from_segments",
     "circumcenter",
     "circumradius",
-    "clip_segment",
     "distance",
     "farfield_box",
     "incircle",
@@ -47,7 +45,6 @@ __all__ = [
     "resample_uniform",
     "segment_extent_box",
     "segment_intersection_point",
-    "segment_intersects_box",
     "segments_intersect",
     "signed_turn_angle",
     "three_element_airfoil",

@@ -1,20 +1,22 @@
-"""Axis-aligned bounding boxes and segment extent boxes.
+"""Axis-aligned bounding boxes, segment extent boxes and their broad phase.
 
 The boundary-layer intersection machinery (paper Section II.B) prunes
 candidate rays hierarchically: first against the AABB of a whole airfoil
-element's boundary layer, then through the alternating digital tree over
-the 4D projections of per-segment extent boxes.  This module provides the
-box type shared by those stages.
+element's boundary layer, then by the overlap of per-segment extent
+boxes, and only then with exact segment tests.  This module provides the
+box type and the one bulk overlap search (:func:`overlapping_pairs`)
+those stages share.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["AABB", "segment_extent_box", "boxes_from_segments"]
+__all__ = ["AABB", "segment_extent_box", "boxes_from_segments",
+           "overlapping_pairs"]
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,7 @@ def boxes_from_segments(segments: np.ndarray) -> np.ndarray:
     """Vectorised extent boxes for an ``(n, 2, 2)`` array of segments.
 
     Returns an ``(n, 4)`` array of ``(xmin, ymin, xmax, ymax)`` rows — the
-    4D points fed to the alternating digital tree in bulk.
+    input of :func:`overlapping_pairs`.
     """
     segments = np.asarray(segments, dtype=np.float64)
     if segments.ndim != 3 or segments.shape[1:] != (2, 2):
@@ -118,3 +120,65 @@ def boxes_from_segments(segments: np.ndarray) -> np.ndarray:
     lo = segments.min(axis=1)
     hi = segments.max(axis=1)
     return np.concatenate([lo, hi], axis=1)
+
+
+#: Pairs expanded per sweep block: bounds the scratch arrays of
+#: :func:`overlapping_pairs` whatever the input (8 index/mask arrays of
+#: this length, ~50 MB).
+_SWEEP_BLOCK = 1 << 20
+
+
+def overlapping_pairs(
+    boxes: np.ndarray, others: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Index pairs of extent boxes with closed overlap (the broad phase).
+
+    ``boxes`` and ``others`` are ``(n, 4)`` / ``(m, 4)`` arrays of
+    ``(xmin, ymin, xmax, ymax)`` rows.  With ``others`` omitted the result
+    is every unordered pair of ``boxes``, once, as ``(i, j)`` with
+    ``i < j``; otherwise ``i`` indexes ``boxes`` and ``j`` indexes
+    ``others``.  Overlap is closed — boxes sharing only an edge or a
+    corner count — because the search is a conservative prune: a false
+    positive costs one exact test, a false negative loses a crossing.
+
+    Sort-and-sweep on the x-extent: with the boxes sorted by ``xmin``,
+    the partners of one box are the contiguous run of later boxes whose
+    ``xmin`` does not exceed its ``xmax`` (one ``searchsorted``); the
+    runs are expanded block by block and filtered on the y-extent.  Time
+    is O(n log n + x-overlapping pairs), memory O(n + result + block) —
+    no n x m matrix is ever formed.
+    """
+    boxes = np.asarray(boxes, dtype=np.float64)
+    n = len(boxes)
+    if others is not None:
+        # One sweep over the union; only pairs straddling the sets are kept.
+        boxes = np.concatenate([boxes, np.asarray(others, dtype=np.float64)])
+    order = np.argsort(boxes[:, 0], kind="stable")
+    xmin, ymin, xmax, ymax = boxes[order].T
+    first = np.arange(1, len(order) + 1)        # first later box per row
+    count = np.searchsorted(xmin, xmax, side="right") - first
+    ends = np.cumsum(count)
+    found_i, found_j = [], []
+    lo = 0
+    while lo < len(order):
+        done = int(ends[lo - 1]) if lo else 0
+        # Whole rows up to _SWEEP_BLOCK pairs, but always at least one
+        # (a single row expands to fewer than len(order) pairs).
+        hi = max(lo + 1, int(np.searchsorted(ends, done + _SWEEP_BLOCK,
+                                             side="right")))
+        c = count[lo:hi]
+        row = np.repeat(np.arange(lo, hi), c)
+        col = (np.arange(int(ends[hi - 1]) - done)
+               + np.repeat(first[lo:hi] - (ends[lo:hi] - c - done), c))
+        keep = (ymin[row] <= ymax[col]) & (ymin[col] <= ymax[row])
+        a, b = order[row[keep]], order[col[keep]]
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        if others is not None:
+            straddles = (i < n) & (j >= n)
+            i, j = i[straddles], j[straddles] - n
+        found_i.append(i)
+        found_j.append(j)
+        lo = hi
+    if not found_i:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    return np.concatenate(found_i), np.concatenate(found_j)

@@ -12,7 +12,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .predicates import ORIENT_COLLINEAR, exact_eq, orient2d
+from .predicates import ORIENT_COLLINEAR, exact_eq, orient2d, orient2d_batch
 
 __all__ = [
     "Point",
@@ -24,6 +24,7 @@ __all__ = [
     "angle_between",
     "signed_turn_angle",
     "segments_intersect",
+    "segments_intersect_batch",
     "segment_intersection_point",
     "segment_point_distance",
     "point_on_segment",
@@ -142,6 +143,35 @@ def segments_intersect(p1, p2, q1, q2, *, proper_only: bool = False) -> bool:
     # General (non-collinear) crossing with an endpoint on the other segment
     # is covered above; remaining case is a strict crossing.
     return d1 != d2 and d3 != d4
+
+
+def segments_intersect_batch(p1: np.ndarray, p2: np.ndarray, q1: np.ndarray,
+                             q2: np.ndarray, *, proper_only: bool = False
+                             ) -> np.ndarray:
+    """Vectorised :func:`segments_intersect` over ``(n, 2)`` endpoint arrays.
+
+    Pair ``k`` is ``p1[k]p2[k]`` against ``q1[k]q2[k]``.  The four
+    orientation signs come from :func:`orient2d_batch` (exact by per-entry
+    escalation) and are combined by the scalar function's rules, so every
+    decision — proper crossing, endpoint touch, collinear overlap — equals
+    the scalar one.
+    """
+    d1 = orient2d_batch(q1, q2, p1)
+    d2 = orient2d_batch(q1, q2, p2)
+    d3 = orient2d_batch(p1, p2, q1)
+    d4 = orient2d_batch(p1, p2, q2)
+    straddle = (d1 != d2) & (d3 != d4)
+    if proper_only:
+        return straddle & (d1 != 0) & (d2 != 0) & (d3 != 0) & (d4 != 0)
+
+    def on_segment(d, p, a, b):
+        # point_on_segment for a point already known collinear (d == 0).
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        return (d == 0) & np.all((lo <= p) & (p <= hi), axis=1)
+
+    return (straddle
+            | on_segment(d1, p1, q1, q2) | on_segment(d2, p2, q1, q2)
+            | on_segment(d3, q1, p1, p2) | on_segment(d4, q2, p1, p2))
 
 
 def segment_intersection_point(p1, p2, q1, q2) -> Optional[Tuple[float, float]]:

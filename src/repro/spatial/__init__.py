@@ -1,6 +1,5 @@
-"""Spatial search substrate: alternating digital tree and bucket grid."""
+"""Spatial search substrate: the bucket grid."""
 
-from .adt import ADT
 from .grid import BucketGrid
 
-__all__ = ["ADT", "BucketGrid"]
+__all__ = ["BucketGrid"]

@@ -7,12 +7,13 @@ import pytest
 
 from repro.core.bl_pipeline import (
     BoundaryLayerConfig,
+    _simplify_borders,
     generate_boundary_layer,
     interior_seed,
 )
 from repro.core.insertion import bl_point_cloud, insert_points
 from repro.core.normals import loop_surface_vertices
-from repro.core.rays import refine_rays
+from repro.core.rays import Ray, refine_rays
 from repro.geometry.airfoils import naca0012, three_element_airfoil
 from repro.geometry.pslg import PSLG
 from repro.sizing.growth import GeometricGrowth
@@ -170,6 +171,52 @@ class TestMultiElementBL:
                     for loop_pts in loops:
                         assert not _point_in_polygon(q[0], q[1], loop_pts), (
                             q, r.origin)
+
+
+class TestSimplifyBorders:
+    """Two square bodies whose outermost layers interpenetrate."""
+
+    @staticmethod
+    def _squares(offsets):
+        # Corner rays pointing diagonally out; layer k puts the border
+        # ``offsets[k]`` outside the body on every side.  The second body
+        # sits 0.3 to the right, nudged up so borders cross, not overlap.
+        elements = []
+        for el, (x0, y0) in enumerate([(0.0, 0.0), (1.3, 0.05)]):
+            rays = []
+            for cx, cy, dx, dy in [(0, 0, -1, -1), (1, 0, 1, -1),
+                                   (1, 1, 1, 1), (0, 1, -1, 1)]:
+                r = Ray(origin=(x0 + cx, y0 + cy),
+                        direction=(dx / math.sqrt(2), dy / math.sqrt(2)),
+                        element=el)
+                r.heights = [o * math.sqrt(2) for o in offsets]
+                r.max_height = r.heights[-1]
+                rays.append(r)
+            elements.append(rays)
+        return elements
+
+    def test_untangled_by_the_last_pass_is_clean(self):
+        # Third layers (0.3 out) cross; second layers (0.1) clear the gap.
+        elements = self._squares([0.05, 0.1, 0.3])
+        removed = _simplify_borders(elements, max_passes=1)
+        assert removed == 6  # three rays of each body bound a crossing
+        assert _simplify_borders(elements) == 0
+
+    def test_still_tangled_names_the_rays(self):
+        # Second layers (0.25 out) still cross after the only pass.
+        elements = self._squares([0.05, 0.25, 0.3])
+        with pytest.raises(RuntimeError, match="element, ray index") as err:
+            _simplify_borders(elements, max_passes=1)
+        assert "(0, 1)" in str(err.value) and "(1, 0)" in str(err.value)
+
+    def test_no_layer_left_to_give_raises(self):
+        elements = self._squares([0.3])
+        for rays in elements:
+            for r in rays:
+                r.heights = []  # borders are the (disjoint) bodies...
+        elements[1][0].origin = (0.5, 0.5)  # ...until one pierces the other
+        with pytest.raises(RuntimeError, match="could not untangle"):
+            _simplify_borders(elements)
 
 
 class TestStructuredMode:

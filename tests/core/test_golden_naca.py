@@ -6,6 +6,12 @@ few percent of it on the macro statistics — a drift gate for kernel,
 refinement, or decoupling changes that accidentally alter the mesh (the
 kernel itself is allowed to change insertion internals, so counts are
 compared within tolerance, not bit-for-bit).
+
+``TestPinnedHashes`` is the strict half: the canonical hashes of the
+quickstart mesh and of the two seed-0 perf-ledger meshes
+(``benchmarks/ledger/workloads.py``: ``naca_farfield``, ``highlift_bl``).
+A change that means to keep the bytes must keep these; a change that
+means to move them updates the pin and says why in CHANGES.md.
 """
 
 from pathlib import Path
@@ -14,7 +20,9 @@ import numpy as np
 import pytest
 
 from repro import BoundaryLayerConfig, MeshConfig, PSLG, generate_mesh, naca0012
+from repro.geometry.airfoils import three_element_airfoil
 from repro.io.meshio import read_mesh_npz
+from repro.runtime import serde
 
 GOLDEN = Path(__file__).resolve().parents[2] / "examples/output/naca0012.npz"
 
@@ -58,3 +66,40 @@ class TestGoldenNaca0012:
         got = float(np.abs(quickstart_mesh.areas()).sum())
         want = float(np.abs(golden_mesh.areas()).sum())
         assert got == pytest.approx(want, rel=1e-6)
+
+
+def mesh_hash(mesh) -> str:
+    return serde.canonical_hash(serde.pack_mesh(mesh))
+
+
+class TestPinnedHashes:
+    def test_quickstart(self, quickstart_mesh):
+        assert mesh_hash(quickstart_mesh) == (
+            "748ad3f7136abbe8235f6ed58ac2951cdb039647993988afe88f21118b37cb38")
+
+    def test_ledger_naca_farfield_seed0(self):
+        pslg = PSLG.from_loops([naca0012(81)])
+        config = MeshConfig(
+            bl=BoundaryLayerConfig(first_spacing=1e-3, growth_ratio=1.3,
+                                   max_layers=25),
+            farfield_chords=30.0, grading=0.15, h_max_chords=1.2,
+            nearbody_margin_chords=0.25, target_subdomains=32)
+        result = generate_mesh(pslg, config, backend="serial")
+        assert result.bl.stats["n_points"] == 1706
+        assert mesh_hash(result.mesh) == (
+            "e7ccbc253dc732f3ee61394e6d35e50a0bf979e5132907655664a251195b1b2f")
+
+    def test_ledger_highlift_bl_seed0(self):
+        pslg = three_element_airfoil(n_points=71, flap_deflection=-30.0)
+        config = MeshConfig(
+            bl=BoundaryLayerConfig(first_spacing=1e-3, max_layers=60),
+            grading=0.35)
+        result = generate_mesh(pslg, config, backend="serial")
+        stats = result.bl.stats
+        assert stats["n_points"] == 2726
+        # (ray, pass) pairs whose height decreased / rays cut by a
+        # neighbouring element.
+        assert stats["n_self_truncations"] == 125
+        assert stats["n_multi_truncations"] == 377
+        assert mesh_hash(result.mesh) == (
+            "01c1a8f80297cfb943bc33f94c8198c9f5ad32794f287aef20c6539790c89120")

@@ -1,22 +1,21 @@
-"""Tests for AABB boxes and Cohen-Sutherland clipping."""
+"""Tests for AABB boxes and the extent-box broad phase."""
+
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry.aabb import AABB, boxes_from_segments, segment_extent_box
-from repro.geometry.clipping import (
-    BOTTOM,
-    INSIDE,
-    LEFT,
-    RIGHT,
-    TOP,
-    clip_segment,
-    outcode,
-    segment_intersects_box,
-    segments_intersect_box_batch,
+from repro.geometry import aabb
+from repro.geometry.aabb import (
+    AABB,
+    boxes_from_segments,
+    overlapping_pairs,
+    segment_extent_box,
 )
+from tests.spatial.adt import ADT
 
 coord = st.floats(min_value=-100, max_value=100, allow_nan=False)
 point = st.tuples(coord, coord)
@@ -73,108 +72,67 @@ class TestAABB:
             boxes_from_segments(np.zeros((3, 2)))
 
 
-class TestOutcode:
-    def test_regions(self):
-        assert outcode((0.5, 0.5), UNIT) == INSIDE
-        assert outcode((-1, 0.5), UNIT) == LEFT
-        assert outcode((2, 0.5), UNIT) == RIGHT
-        assert outcode((0.5, -1), UNIT) == BOTTOM
-        assert outcode((0.5, 2), UNIT) == TOP
-        assert outcode((-1, -1), UNIT) == LEFT | BOTTOM
-        assert outcode((2, 2), UNIT) == RIGHT | TOP
+# Small integer coordinates make touching, identical and zero-length
+# segments common instead of measure-zero.
+grid_point = st.tuples(st.integers(0, 6), st.integers(0, 6))
+segment = st.tuples(grid_point, grid_point) | st.tuples(point, point)
 
 
-class TestSegmentIntersectsBox:
-    def test_fully_inside(self):
-        assert segment_intersects_box((0.2, 0.2), (0.8, 0.8), UNIT)
-
-    def test_crossing(self):
-        assert segment_intersects_box((-1, 0.5), (2, 0.5), UNIT)
-
-    def test_diagonal_corner_cut(self):
-        assert segment_intersects_box((-0.5, 0.5), (0.5, -0.5), UNIT)
-
-    def test_miss_same_side(self):
-        assert not segment_intersects_box((-1, -1), (-1, 2), UNIT)
-
-    def test_miss_diagonal(self):
-        # Both endpoints outside in different regions, but misses the box.
-        assert not segment_intersects_box((-1, 0.5), (0.5, 2.5), UNIT)
-
-    def test_touch_edge(self):
-        assert segment_intersects_box((0, -1), (0, 2), UNIT)
-
-    @given(a=point, b=point)
-    @settings(max_examples=300)
-    def test_matches_bruteforce(self, a, b):
-        from repro.geometry.primitives import segments_intersect
-
-        box = AABB(-10, -10, 10, 10)
-        got = segment_intersects_box(a, b, box)
-        inside = box.contains_point(a) or box.contains_point(b)
-        edges = [
-            ((box.xmin, box.ymin), (box.xmax, box.ymin)),
-            ((box.xmax, box.ymin), (box.xmax, box.ymax)),
-            ((box.xmax, box.ymax), (box.xmin, box.ymax)),
-            ((box.xmin, box.ymax), (box.xmin, box.ymin)),
-        ]
-        expect = inside or any(segments_intersect(a, b, e0, e1) for e0, e1 in edges)
-        assert got == expect
+def adt_pairs(boxes, queries):
+    """{(query, stored)}: closed overlap as the ADT oracle reports it."""
+    tree = ADT(AABB(-100, -100, 100, 100)).build([AABB(*b) for b in boxes])
+    return {(i, j) for i, q in enumerate(queries)
+            for j in tree.query(AABB(*q))}
 
 
-class TestClipSegment:
-    def test_clip_crossing(self):
-        seg = clip_segment((-1, 0.5), (2, 0.5), UNIT)
-        assert seg is not None
-        (x0, y0), (x1, y1) = seg
-        assert sorted([x0, x1]) == pytest.approx([0, 1])
-        assert y0 == pytest.approx(0.5) and y1 == pytest.approx(0.5)
+class TestOverlappingPairs:
+    @given(segs=st.lists(segment, min_size=1, max_size=40),
+           block=st.sampled_from([1, 5, 1 << 20]))
+    @settings(max_examples=150, deadline=None)
+    def test_self_pairs_match_adt_query(self, segs, block):
+        boxes = boxes_from_segments(np.array(segs, dtype=float))
+        with mock.patch.object(aabb, "_SWEEP_BLOCK", block):
+            i, j = overlapping_pairs(boxes)
+        got = list(zip(i.tolist(), j.tolist()))
+        assert len(got) == len(set(got))  # each pair once
+        assert set(got) == {(a, b) for a, b in adt_pairs(boxes, boxes)
+                            if a < b}
 
-    def test_clip_miss(self):
-        assert clip_segment((-1, -1), (-1, 2), UNIT) is None
+    @given(segs=st.lists(segment, min_size=1, max_size=30),
+           others=st.lists(segment, min_size=1, max_size=30))
+    @settings(max_examples=150, deadline=None)
+    def test_two_sets_match_adt_query(self, segs, others):
+        boxes = boxes_from_segments(np.array(segs, dtype=float))
+        stored = boxes_from_segments(np.array(others, dtype=float))
+        i, j = overlapping_pairs(boxes, stored)
+        got = list(zip(i.tolist(), j.tolist()))
+        assert len(got) == len(set(got))
+        assert set(got) == adt_pairs(stored, boxes)
 
-    def test_clip_inside_unchanged(self):
-        seg = clip_segment((0.2, 0.2), (0.8, 0.8), UNIT)
-        assert seg == ((0.2, 0.2), (0.8, 0.8))
+    def test_empty(self):
+        i, j = overlapping_pairs(np.empty((0, 4)))
+        assert len(i) == len(j) == 0
+        i, j = overlapping_pairs(np.empty((0, 4)), np.array([[0., 0, 1, 1]]))
+        assert len(i) == len(j) == 0
 
-    def test_subnormal_corner_graze(self):
-        # Regression: a segment grazing the (0, 0) corner by a subnormal
-        # margin used to underflow the product-first interpolation in
-        # clip_segment, returning a degenerate "clip" that
-        # segment_intersects_box (correctly) rejects.
-        a = (-2.3139926960687743e-280, 0.0)
-        b = (0.0, -2.3139926960687743e-280)
-        assert not segment_intersects_box(a, b, UNIT)
-        assert clip_segment(a, b, UNIT) is None
-
-    def test_corner_graze_clip_order_consistency(self):
-        # Regression: this segment misses the (0, 1) corner by ~2.6e-202.
-        # Clipping the LEFT endpoint first rounds it onto the corner
-        # (1.0 + 2.6e-202 -> 1.0, "hit"); clipping the TOP endpoint first
-        # keeps both endpoints LEFT ("miss").  clip_segment and
-        # segment_intersects_box must pick the endpoint to clip with the
-        # same rule, or they disagree on exactly these grazers.
-        a = (-2.6050635923917887e-202, 1.0)
-        b = (1.0, 2.0)
-        assert not segment_intersects_box(a, b, UNIT)
-        assert clip_segment(a, b, UNIT) is None
-
-    @given(a=point, b=point)
-    @settings(max_examples=200)
-    def test_clip_consistent_with_test(self, a, b):
-        got = clip_segment(a, b, UNIT)
-        assert (got is not None) == segment_intersects_box(a, b, UNIT)
-        if got is not None:
-            for p in got:
-                assert UNIT.expanded(1e-9).contains_point(p)
-
-
-class TestBatchPrefilter:
-    @given(st.lists(st.tuples(point, point), min_size=1, max_size=40))
-    @settings(max_examples=100)
-    def test_matches_scalar(self, segs):
-        box = AABB(-10, -10, 10, 10)
-        arr = np.array([[list(a), list(b)] for a, b in segs], dtype=float)
-        mask = segments_intersect_box_batch(arr, box)
-        for i, (a, b) in enumerate(segs):
-            assert mask[i] == segment_intersects_box(a, b, box), (a, b)
+    def test_20k_segments_bounded_memory(self):
+        # An all-pairs matrix of 20k boxes is 4e8 entries (400 MB as
+        # bools); the sweep must stay near the size of its output.
+        rng = np.random.default_rng(0)
+        n = 20_000
+        a = rng.uniform(0, 100, size=(n, 2))
+        b = a + rng.uniform(-0.5, 0.5, size=(n, 2))
+        boxes = boxes_from_segments(np.stack([a, b], axis=1))
+        tracemalloc.start()
+        i, j = overlapping_pairs(boxes)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak < 64e6
+        # Spot-check against the definition on a slice of the boxes.
+        k = np.flatnonzero(i < 50)
+        for q in range(50):
+            lo, hi = boxes[q, :2], boxes[q, 2:]
+            overlap = (np.all(boxes[:, :2] <= hi, axis=1)
+                       & np.all(boxes[:, 2:] >= lo, axis=1))
+            overlap[:q + 1] = False
+            assert set(j[k][i[k] == q]) == set(np.flatnonzero(overlap))

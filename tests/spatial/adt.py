@@ -1,5 +1,11 @@
 """Alternating Digital Tree (ADT) for geometric intersection searching.
 
+Test oracle: the boundary-layer stage finds candidate pairs with the bulk
+sweep :func:`repro.geometry.aabb.overlapping_pairs`; this per-query tree
+(the paper's own structure) is what that sweep, and through
+``tests/core/oracle_intersections.py`` the whole bulk resolution, is
+compared against.
+
 Implements the data structure of Bonet & Peraire, "An Alternating Digital
 Tree (ADT) Algorithm for 3D Geometric Searching and Intersection Problems"
 (1991), in the two-dimensional specialisation the paper uses (Section II.B):
@@ -30,7 +36,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..geometry.aabb import AABB
+from repro.geometry.aabb import AABB
 
 __all__ = ["ADT"]
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.aabb import AABB, segment_extent_box
-from repro.spatial.adt import ADT
+from .adt import ADT
 
 coord = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
 
