@@ -1,0 +1,100 @@
+"""Which of ``src/repro`` do the four ledger workloads actually run?
+
+Runs each workload's seed-0 primary op once in this process (inputs from
+``benchmarks/ledger/workloads.py``, imported read-only) under
+``sys.setprofile`` and prints (1) every function of ``src/repro`` that no
+workload called, by module (deletion *candidates*: one may still be a
+test reference or safety code) and (2) each workload's merged
+``KernelCounters``.  The ``service_mix`` daemon is out of the profiler's
+sight, so its in-process op is ``check_direct`` of a served request.
+Usage: ``python3 benchmarks/traffic_map.py [--smoke] [--workload NAME]``
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path[:0] = [str(SRC), str(Path(__file__).resolve().parent / "ledger")]
+
+import workloads  # noqa: E402  (benchmarks/ledger/workloads.py)
+from repro.runtime import counters  # noqa: E402
+
+
+def defined_functions():
+    """``{(file, line): (module, qualname)}`` per def of ``src/repro``
+    (a decorated def's code object starts at its first decorator)."""
+    out = {}
+
+    def visit(node, path, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = (module, prefix + child.name)
+                out.update({(str(path), at.lineno): name
+                            for at in [child, *child.decorator_list]})
+            elif not isinstance(child, ast.ClassDef):
+                continue
+            visit(child, path, module, prefix + child.name + ".")
+
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        module = ".".join(path.relative_to(SRC).with_suffix("").parts)
+        visit(ast.parse(path.read_text()), path, module, "")
+    return out
+
+
+def run_op(name: str, smoke: bool) -> counters.Counters:
+    """One primary op of workload ``name`` under a counters sink."""
+    wl = workloads.WORKLOADS[name](0, smoke, 1)
+    with counters.use_counters() as sink:
+        wl.setup(warm_up=False)
+        try:
+            wl.op()
+            if name == "service_mix":
+                for key in wl.sample_keys(1):
+                    wl.check_direct(key)
+            attempted, failed, notes = wl.check()
+        finally:
+            wl.teardown()
+    if failed:
+        raise SystemExit(f"{name}: {failed}/{attempted} ops failed: {notes}")
+    return sink
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--smoke", action="store_true", help="small inputs")
+    ap.add_argument("--workload", action="append",
+                    choices=sorted(workloads.WORKLOADS))
+    args = ap.parse_args(argv)
+    called = set()
+
+    def profiler(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            called.add((code.co_filename, code.co_firstlineno))
+
+    sys.setprofile(profiler)    # this thread: no op here starts another
+    try:
+        sinks = {name: run_op(name, args.smoke)
+                 for name in args.workload or sorted(workloads.WORKLOADS)}
+    finally:
+        sys.setprofile(None)
+
+    functions = defined_functions()
+    every = set(functions.values())
+    dead = sorted(every - {functions[k] for k in called if k in functions})
+    print(f"== never called: {len(dead)} of {len(every)} functions of "
+          f"src/repro ({', '.join(sinks)})")
+    for module in sorted({m for m, _ in dead}):
+        print(f"{module}: " + ", ".join(q for m, q in dead if m == module))
+    for name, sink in sinks.items():
+        print(f"== kernel counters: {name}")
+        for key, value in sink.kernel.as_dict().items():
+            print(f"  {key:<22} {value:.6g}")
+
+
+if __name__ == "__main__":
+    main()

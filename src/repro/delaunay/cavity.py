@@ -19,11 +19,12 @@ plus an insertion order into kernel vertices.
   (:func:`walk` → duplicate check → :func:`carve` →
   :func:`retriangulate`); the default.
 * ``batch`` — independent-set insertion: BRIO rounds are binned through
-  the kernel's :class:`~repro.spatial.grid.BucketGrid` snapshot (one
-  candidate per bucket per sub-batch, the CPAFT consistent-partitioning
-  trick), every candidate walks to its containing triangle with one
-  vectorised :func:`~repro.geometry.predicates.orient2d_batch3` call
-  per step, cavities are carved level-by-level with
+  the planner's own :class:`~repro.spatial.grid.BucketGrid` snapshot of
+  the vertices (:func:`_partition_grid`; one candidate per bucket per
+  sub-batch, the CPAFT consistent-partitioning trick), every candidate
+  walks to its containing triangle with one vectorised
+  :func:`~repro.geometry.predicates.orient2d_batch3` call per step,
+  cavities are carved level-by-level with
   :func:`~repro.geometry.predicates.incircle_batch`, and a greedy scan
   keeps only candidates whose cavity closed edge-neighbourhoods are
   pairwise non-overlapping (Spielman, Teng & Üngör: conflict-free
@@ -52,6 +53,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .arrays import DEAD
+from ..geometry.aabb import AABB
 from ..geometry.predicates import (
     INCIRCLE_ERR_BOUND,
     INCIRCLE_UNDERFLOW_GUARD,
@@ -64,6 +66,7 @@ from ..geometry.predicates import (
     orient2d_batch3,
 )
 from ..runtime.counters import current as counters_current
+from ..spatial.grid import BucketGrid
 
 __all__ = [
     "GHOST",
@@ -79,7 +82,6 @@ __all__ = [
     "walk",
     "locate_fallback",
     "carve",
-    "expand_level_batch",
     "insert_point",
     "star_vertex",
     "retriangulate",
@@ -103,9 +105,6 @@ _ICC_ERR = INCIRCLE_ERR_BOUND
 _CCW_GUARD = ORIENT_UNDERFLOW_GUARD
 _ICC_GUARD = INCIRCLE_UNDERFLOW_GUARD
 
-#: Frontier size at which cavity expansion switches from the inlined
-#: scalar filter to one vectorised ``incircle_batch`` call per level.
-_BATCH_MIN = 12
 #: Cheap first-stage incircle certificate: with ``S = alift+blift+clift``
 #: the Shewchuk permanent obeys ``permanent <= S*S/3`` (AM-GM on the six
 #: products), so ``|det| > _ICC_CHEAP * S * S`` certifies the sign with
@@ -113,14 +112,6 @@ _BATCH_MIN = 12
 _ICC_CHEAP = INCIRCLE_ERR_BOUND / 3.0
 #: ``S*S`` must stay clear of underflow for the cheap bound to be sound.
 _ICC_S_GUARD = 1e-125
-#: Walk-length EMA above which the vertex grid is built (cold insertion
-#: orders; BRIO-local insertion stays well below this).
-_GRID_EMA_THRESHOLD = 16.0
-#: Once built, the grid seeds walks only while the EMA stays above this
-#: (hysteresis: when locality returns, ``_last_tri`` is cheaper).
-_GRID_EMA_USE = 6.0
-#: Minimum vertex count before a grid is worth building.
-_GRID_MIN_POINTS = 128
 
 #: The strategy :func:`get_strategy` returns for ``None``.
 DEFAULT_STRATEGY = "scalar"
@@ -143,7 +134,7 @@ _MAX_RETRIES = 8
 #: Window cap: one batch window never stages more points than this.
 _WINDOW_CAP = 8192
 #: Independence partition coarsening: one candidate per _COARSEN x
-#: _COARSEN block of grid buckets.  The locator grid averages ~2-4
+#: _COARSEN block of grid buckets.  The partition grid averages ~2-4
 #: points per bucket, so adjacent-bucket candidates' cavities touch and
 #: conflict; a 2x2 block balances the acceptance rate against sub-batch
 #: size (coarser blocks shrink the batches until per-level numpy
@@ -192,11 +183,12 @@ def brio_order(points: np.ndarray, seed: int = 0xC0FFEE) -> np.ndarray:
 def walk(tri, px: float, py: float, hint: int) -> Tuple[int, bool]:
     """Walk to a live triangle whose closed region contains ``(px, py)``.
 
-    Starts at ``hint`` when that names a live slot, else at the vertex
-    grid's nearest vertex (while walks are running long), else at the
-    last touched triangle.  Outside the hull the result is the ghost
-    whose closed half-plane holds the point.  A walk that exhausts its
-    step cap (adversarial degeneracies only) ends in
+    Starts at ``hint`` when that names a live slot, else at the last
+    touched triangle — no index: BRIO-ordered and hinted traffic lands
+    within a few steps of one of the two (DESIGN.md, "Why the scalar
+    kernel has no walk index").  Outside the hull the result is the
+    ghost whose closed half-plane holds the point.  A walk that exhausts
+    its step cap (adversarial degeneracies only) ends in
     :func:`locate_fallback`.
 
     Returns ``(t, certified)``; ``certified`` means the point is
@@ -210,10 +202,7 @@ def walk(tri, px: float, py: float, hint: int) -> Tuple[int, bool]:
     t = (hint if 0 <= hint < arr.n_tris and tvm[3 * hint] != DEAD
          else -1)
     if t < 0:
-        if tri._grid is not None and tri._walk_ema > _GRID_EMA_USE:
-            t = tri._grid_start(px, py)
-        if t < 0:
-            t = tri._last_tri
+        t = tri._last_tri
         if t < 0 or tvm[3 * t] == DEAD:
             t = next(iter(tri.live_triangles()))
     i3 = 3 * t
@@ -337,7 +326,9 @@ def walk(tri, px: float, py: float, hint: int) -> Tuple[int, bool]:
             break
     tri.stat_orient_fast += n_ofast
     tri.stat_orient_exact += n_oexact
-    tri._note_walk(steps)
+    tri.stat_locates += 1
+    tri.stat_walk_steps += steps
+    tri.stat_walk_hist[steps if steps < 31 else 31] += 1
     if t0 < 0:
         return locate_fallback(tri, px, py), False
     tri._last_tri = t0
@@ -383,16 +374,16 @@ def find_directed_edge(tri, u: int, v: int) -> Optional[Tuple[int, int]]:
 # ----------------------------------------------------------------------
 # Cavity carving
 # ----------------------------------------------------------------------
-def carve(tri, px: float, py: float, t0: int) -> Tuple[Set[int], bool]:
+def carve(tri, px: float, py: float, t0: int) -> Set[int]:
     """Bowyer–Watson conflict region of ``(px, py)`` grown from ``t0``.
 
     The cavity is the connected component, reached from ``t0`` without
     crossing a constrained edge, of triangles whose open circumdisk
-    contains the point (``t0`` itself must be one).  Level-order search;
-    frontiers of :data:`_BATCH_MIN` or more candidates take one
-    :func:`expand_level_batch` call (refinement cavities on graded
-    meshes).  Returns ``(cavity, blocked)``; ``blocked`` says a
-    constrained edge clipped the search.
+    contains the point (``t0`` itself must be one).  Level-order search,
+    one scalar filtered test per candidate: cavities are O(1) triangles
+    (mean 4.0–4.2 on every mesh workload), so there is nothing to batch.
+    The order candidates are staged in fixes the set's iteration order,
+    hence the fan's slot numbering and the pinned mesh bytes.
     """
     arr = tri._arr
     tvm = arr.tv
@@ -404,7 +395,6 @@ def carve(tri, px: float, py: float, t0: int) -> Tuple[Set[int], bool]:
     # bordering two cavity triangles is tested once, not twice.
     seen: Set[int] = {t0}
     frontier = [t0]
-    blocked = False
     n_ifast = 0
     n_iexact = 0
     while frontier:
@@ -416,28 +406,22 @@ def carve(tri, px: float, py: float, t0: int) -> Tuple[Set[int], bool]:
                 if nb >= 0 and nb not in seen:
                     u = tvm[i3 + 1]
                     v = tvm[i3 + 2]
-                    if (u >= 0 and v >= 0
-                            and ((u, v) if u < v else (v, u)) in constraints):
-                        blocked = True
-                    else:
+                    if not (u >= 0 and v >= 0 and
+                            ((u, v) if u < v else (v, u)) in constraints):
                         cand.append(nb)
                 nb = tnm[i3 + 1]
                 if nb >= 0 and nb not in seen:
                     u = tvm[i3 + 2]
                     v = tvm[i3]
-                    if (u >= 0 and v >= 0
-                            and ((u, v) if u < v else (v, u)) in constraints):
-                        blocked = True
-                    else:
+                    if not (u >= 0 and v >= 0 and
+                            ((u, v) if u < v else (v, u)) in constraints):
                         cand.append(nb)
                 nb = tnm[i3 + 2]
                 if nb >= 0 and nb not in seen:
                     u = tvm[i3]
                     v = tvm[i3 + 1]
-                    if (u >= 0 and v >= 0
-                            and ((u, v) if u < v else (v, u)) in constraints):
-                        blocked = True
-                    else:
+                    if not (u >= 0 and v >= 0 and
+                            ((u, v) if u < v else (v, u)) in constraints):
                         cand.append(nb)
         else:
             for t in frontier:
@@ -451,12 +435,6 @@ def carve(tri, px: float, py: float, t0: int) -> Tuple[Set[int], bool]:
                 nb = tnm[i3 + 2]
                 if nb >= 0 and nb not in seen:
                     cand.append(nb)
-        if not cand:
-            break
-        if len(cand) >= _BATCH_MIN:
-            frontier = expand_level_batch(tri, cand, cavity, px, py)
-            seen.update(cand)
-            continue
         frontier = []
         for nb in cand:
             if nb in seen:
@@ -529,47 +507,7 @@ def carve(tri, px: float, py: float, t0: int) -> Tuple[Set[int], bool]:
                 frontier.append(nb)
     tri.stat_incircle_fast += n_ifast
     tri.stat_incircle_exact += n_iexact
-    return cavity, blocked
-
-
-def expand_level_batch(tri, cand: List[int], cavity: Set[int],
-                       px: float, py: float) -> List[int]:
-    """Batched in-disk test of one BFS level; returns accepted tris.
-
-    Vectorised over the SoA buffers: one fancy-indexed gather pulls
-    the candidate vertex rows and their coordinates straight out of
-    ``MeshArrays`` (no per-triangle Python coordinate staging), then
-    a single :func:`incircle_batch` call decides the level.  Ghost
-    candidates keep the scalar half-plane test.
-    """
-    arr = tri._arr
-    idx = np.asarray(cand, dtype=np.int64)
-    rows = arr.tri_v[idx]                       # (m, 3) gather
-    ghost = rows.min(axis=1) < 0
-    nxt: List[int] = []
-    if ghost.any():
-        for nb in idx[ghost].tolist():
-            if nb not in cavity and tri._in_disk(nb, px, py):
-                cavity.add(nb)
-                nxt.append(nb)
-    real = ~ghost
-    m = int(real.sum())
-    if m:
-        reals = idx[real].tolist()
-        abc = arr.pts[rows[real]]               # (m, 3, 2) gather
-        before = batch_exact_counts()["incircle"]
-        signs = incircle_batch(abc[:, 0], abc[:, 1], abc[:, 2],
-                               np.array((px, py)))
-        n_exact = batch_exact_counts()["incircle"] - before
-        tri.stat_batch_calls += 1
-        tri.stat_batch_entries += m
-        tri.stat_incircle_exact += n_exact
-        tri.stat_incircle_fast += m - n_exact
-        for nb, s in zip(reals, signs.tolist()):
-            if s > 0 and nb not in cavity:
-                cavity.add(nb)
-                nxt.append(nb)
-    return nxt
+    return cavity
 
 
 # ----------------------------------------------------------------------
@@ -615,16 +553,23 @@ def star_vertex(tri, vid: int, px: float, py: float, t0: int,
             raise TriangulationError(
                 f"insertion point {(px, py)} in no circumdisk (duplicate?)"
             )
-    cavity, blocked = carve(tri, px, py, t0)
-    retriangulate(tri, vid, cavity, t0, blocked)
+    retriangulate(tri, vid, carve(tri, px, py, t0), t0)
 
 
 # ----------------------------------------------------------------------
 # Retriangulation
 # ----------------------------------------------------------------------
-def retriangulate(tri, vid: int, cavity: Set[int], t0: int,
-                  blocked: bool) -> None:
-    """Replace ``cavity`` by the star fan of ``vid``."""
+def retriangulate(tri, vid: int, cavity: Set[int], t0: int) -> None:
+    """Replace ``cavity`` by the star fan of ``vid``.
+
+    The fan of a :func:`carve` cavity is constrained Delaunay as it
+    stands, clipped by constraints or not: each boundary edge is a
+    segment, a hull edge, or shared with a triangle that failed the
+    in-disk test — and the incircle determinant is symmetric in the two
+    apexes, so that edge is locally Delaunay.  No repair pass follows;
+    only a cavity that wrapped round a segment's end and was pruned
+    back (``stat_prunes``) is legalised.
+    """
     arr = tri._arr
     n_cavity = len(cavity)
     # Reserve-before-alias: a connected cavity of n triangles has at
@@ -644,9 +589,9 @@ def retriangulate(tri, vid: int, cavity: Set[int], t0: int,
     # such triangles would delete the constraint during
     # retriangulation.  Detect the configuration and prune cavity
     # triangles whose centroid is not visible from p.
+    wrapped_edge = False
     if tri.constraints:
         p = tri.pts[vid]
-        wrapped_edge = False
         for t in cavity:
             i3 = 3 * t
             for k in range(3):
@@ -664,8 +609,8 @@ def retriangulate(tri, vid: int, cavity: Set[int], t0: int,
             if wrapped_edge:
                 break
         if wrapped_edge:
+            tri.stat_prunes += 1
             cavity = prune_cavity_visibility(tri, cavity, t0, p)
-            blocked = True
             n_cavity = len(cavity)
 
     # Walk the cavity boundary in ring order, creating the fan as we
@@ -763,9 +708,9 @@ def retriangulate(tri, vid: int, cavity: Set[int], t0: int,
         if tvm[i3] >= 0 and tvm[i3 + 1] >= 0 and tvm[i3 + 2] >= 0:
             vtm[vid] = t
             break
-    if blocked:
-        # A constraint clipped the cavity: the star fan is not
-        # automatically locally Delaunay, so legalise around the new
+    if wrapped_edge:
+        # The pruned cavity is no longer the whole conflict region, so
+        # its fan need not be locally Delaunay: legalise around the new
         # vertex (Lawson flips, never crossing constraints).  Flips
         # reuse the two triangle slots, so last_created stays valid.
         tri._legalize_vertex(vid)
@@ -1034,9 +979,10 @@ def _scalar_insert_one(tri, x: float, y: float, hint: int = -1) -> int:
     vertex; returns the kernel vertex id.
 
     ``hint`` is a walk-start triangle (the batch walk's last position
-    for this point) — it spares the insert the grid ring-scan that a
-    cold start pays, and :func:`walk` revalidates it, so a hint killed
-    by an interleaved commit is merely ignored."""
+    for this point) — it spares the insert the walk from the last
+    touched triangle that a cold start pays, and :func:`walk`
+    revalidates it, so a hint killed by an interleaved commit is merely
+    ignored."""
     r = insert_point(tri, x, y, hint)
     return r if r >= 0 else -2 - r
 
@@ -1330,6 +1276,29 @@ def _near_hint(arr, h: int, qx: float, qy: float, r2: float) -> int:
     return -1
 
 
+def _partition_grid(tri) -> BucketGrid:
+    """The batch planner's bucket partition of ``tri``'s vertices.
+
+    A snapshot, cached on the triangulation being inserted into:
+    inserts do not feed it (that would tax every insertion), so it is
+    rebuilt when the point count outgrows the size it was laid out for
+    — a stale head vertex is still a nearby walk seed, just a few steps
+    further out."""
+    n = tri._arr.n_pts
+    cached = tri._batch_grid
+    if cached is not None and n <= cached[1]:
+        return cached[0]
+    pts = tri._arr.pts[:n]
+    # Laid out for twice the snapshot (floor 256: the scalar bootstrap
+    # hands over at ~120 vertices), so it serves until the count doubles.
+    cap = max(2 * n, 256)
+    grid = BucketGrid(AABB.of_points(pts), target_per_bucket=4.0,
+                      expected_points=cap)
+    grid.insert_many(pts)
+    tri._batch_grid = (grid, cap)
+    return grid
+
+
 class BatchInsertion(InsertionStrategy):
     """Independent-set batched insertion (see the module docstring).
 
@@ -1403,11 +1372,7 @@ class BatchInsertion(InsertionStrategy):
     def _process_window(self, tri, idxs: List[int], pts_arr: np.ndarray,
                         inserted: Dict[int, int]) -> None:
         arr = tri._arr
-        # Grid snapshot policy matches _note_walk's rebuild rule: build
-        # once, rebuild when the point count outgrows the snapshot.
-        if tri._grid is None or arr.n_pts > tri._grid_cap:
-            tri._build_grid()
-        grid = tri._grid
+        grid = _partition_grid(tri)
         w_xy = pts_arr[np.asarray(idxs, dtype=np.int64)]
         ids = grid.cell_ids(w_xy)
         if _COARSEN > 1:
@@ -1423,7 +1388,7 @@ class BatchInsertion(InsertionStrategy):
         tries = np.zeros(n_w, dtype=np.int64)
         # Last known walk position per window record (filled in by
         # _insert_batch): retries re-seed from it and scalar fallbacks
-        # start warm instead of paying a grid ring scan.  Hints only
+        # start warm instead of at the last touched triangle.  Hints only
         # count when still within a few grid cells of their point
         # (_near_hint) — recycled slots otherwise send walks across
         # the whole domain.
@@ -1439,7 +1404,7 @@ class BatchInsertion(InsertionStrategy):
             sel[np.unique(ids[pending], return_index=True)[1]] = True
             batch = pending[sel].tolist()
             later = pending[~sel]
-            conflicted = self._insert_batch(tri, idxs, w_xy, batch,
+            conflicted = self._insert_batch(tri, grid, idxs, w_xy, batch,
                                             inserted, hints, r2)
             if conflicted:
                 cf = np.asarray(conflicted, dtype=np.int64)
@@ -1456,9 +1421,10 @@ class BatchInsertion(InsertionStrategy):
                 pending = later
 
     # -- one conflict-screened sub-batch ------------------------------
-    def _insert_batch(self, tri, idxs: List[int], w_xy: np.ndarray,
-                      batch: List[int], inserted: Dict[int, int],
-                      hints: np.ndarray, r2: float) -> List[int]:
+    def _insert_batch(self, tri, grid: BucketGrid, idxs: List[int],
+                      w_xy: np.ndarray, batch: List[int],
+                      inserted: Dict[int, int], hints: np.ndarray,
+                      r2: float) -> List[int]:
         """Walk + carve + select + commit one sub-batch (one candidate
         per grid bucket).  Returns the window positions whose cavities
         conflicted (the caller retries them); ``hints`` is updated with
@@ -1473,7 +1439,7 @@ class BatchInsertion(InsertionStrategy):
             return []
         batch_np = np.asarray(batch, dtype=np.int64)
         qxy = w_xy[batch_np]
-        seeds = self._seed_triangles(tri, qxy, hints[batch_np], r2)
+        seeds = self._seed_triangles(tri, grid, qxy, hints[batch_np], r2)
         t0s, located = walk_batch(tri, seeds, qxy)
         hints[batch_np] = t0s
         loc_pos = np.flatnonzero(located).tolist()
@@ -1530,7 +1496,7 @@ class BatchInsertion(InsertionStrategy):
             if not retriangulate_batch(tri, vids,
                                        [cav for _, cav, _ in accepted]):
                 for (k, cav, _), vid in zip(accepted, vid_list):
-                    retriangulate(tri, vid, set(cav), int(t0s[k]), False)
+                    retriangulate(tri, vid, set(cav), int(t0s[k]))
             for (k, _, _), vid in zip(accepted, vid_list):
                 inserted[idxs[batch[k]]] = vid
             tri.stat_batch_points += len(accepted)
@@ -1554,8 +1520,8 @@ class BatchInsertion(InsertionStrategy):
         return conflicted
 
     @staticmethod
-    def _seed_triangles(tri, qxy: np.ndarray, hints: Sequence[int],
-                        r2: float) -> np.ndarray:
+    def _seed_triangles(tri, grid: BucketGrid, qxy: np.ndarray,
+                        hints: Sequence[int], r2: float) -> np.ndarray:
         """Per-record walk-start triangles: a nearby live walk hint
         from an earlier round wins (retried candidates restart next to
         their previous cavity), else the grid snapshot.  One vectorised
@@ -1564,7 +1530,6 @@ class BatchInsertion(InsertionStrategy):
         are all array expressions (:func:`_near_hint` is the scalar
         reference semantics)."""
         arr = tri._arr
-        grid = tri._grid
         tv_rows = arr.tri_v
         tn_rows = arr.tri_n
         vt_arr = arr.vertex_tri

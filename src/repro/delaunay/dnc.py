@@ -11,10 +11,12 @@ two Triangle-specific optimisations (Section III):
 Our kernel is incremental rather than D&C, so the corresponding knobs are
 the **insertion order**: x-sorted insertion (``order="sorted"``, walks are
 O(1) because each point lands beside its predecessor — the analogue of
-reusing the maintained sort), Hilbert-flavoured block shuffling
-(``order="brio"``, robust for arbitrary inputs), or plain random.  This
-module provides those policies plus the benchmark hooks the ablation study
-uses (DESIGN.md: "Sorted-input reuse for the triangulator").
+reusing the maintained sort), the kernel's own biased randomised order
+(``order="brio"``, robust for arbitrary inputs), or plain random — the
+cold arm: the kernel keeps no walk index, so every hint-less insert walks
+O(sqrt(n)) triangles from its predecessor's.  This module provides those
+policies plus the benchmark hooks the ablation study uses (DESIGN.md:
+"Sorted-input reuse for the triangulator").
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Dict, Iterable, Literal, Optional
 
 import numpy as np
 
+from .cavity import brio_order
 from .kernel import Triangulation
 from .mesh import TriMesh
 
@@ -39,8 +42,9 @@ def insertion_order(points: np.ndarray, policy: OrderPolicy = "brio",
       maintained x-sorted arrays ("we removed the sorting step from
       Triangle").
     - ``"random"``: uniform shuffle.
-    - ``"brio"``: biased randomised insertion order — random within
-      geometrically growing rounds, each round spatially sorted; keeps
+    - ``"brio"``: biased randomised insertion order, the kernel's own
+      (:func:`repro.delaunay.cavity.brio_order`) — random within
+      geometrically growing rounds, each round in snake order; keeps
       walks short *and* cavity sizes bounded in expectation.
     - ``"given"``: identity.
     """
@@ -49,23 +53,10 @@ def insertion_order(points: np.ndarray, policy: OrderPolicy = "brio",
         return np.arange(n)
     if policy == "sorted":
         return np.lexsort((points[:, 1], points[:, 0]))
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
     if policy == "random":
-        return perm
+        return np.random.default_rng(seed).permutation(n)
     if policy == "brio":
-        # Rounds of size 8, 16, 32, ... over the shuffled sequence, each
-        # round sorted along a snake of x to localise successive inserts.
-        order = []
-        start = 0
-        size = 8
-        while start < n:
-            block = perm[start:start + size]
-            block = block[np.argsort(points[block, 0])]
-            order.append(block)
-            start += size
-            size *= 2
-        return np.concatenate(order) if order else np.arange(0)
+        return brio_order(points, seed=seed)
     raise ValueError(f"unknown insertion-order policy: {policy}")
 
 

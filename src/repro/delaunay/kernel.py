@@ -11,22 +11,23 @@ decoupled inviscid subdomains.  Design:
   the current hull a completely uniform cavity operation — no giant
   super-triangle, no magic coordinates, exact arithmetic everywhere.
 * **State here, algorithms in** :mod:`repro.delaunay.cavity`.
-  :class:`Triangulation` owns slots, adjacency, the constraint set, the
-  walk grid, the counters, edge flips and export; the one walk, one
-  carve and one retriangulate that mutate it are free functions there.
+  :class:`Triangulation` owns slots, adjacency, the constraint set,
+  the counters, edge flips and export; the one walk, one carve and one
+  retriangulate that mutate it are free functions there.
 * **Robust predicates, filter inlined.**  All sign decisions are exact.
   The walk, the carve and the single in-disk test
   (:meth:`Triangulation._in_disk`) evaluate the floating-point *filter*
   stage of :mod:`repro.geometry.predicates` inline and escalate only
-  inconclusive signs to the exact rational path; large cavity frontiers
-  route through :func:`~repro.geometry.predicates.incircle_batch`.
-* **BRIO insertion + walking point location** seeded from the most
-  recent triangle (or a caller-provided hint).  When the kernel observes
-  persistently long walks (cold, non-local insertion orders) it builds a
-  :class:`~repro.spatial.grid.BucketGrid` over its vertices and seeds
-  subsequent walks from the nearest known vertex, restoring expected-O(1)
-  location.  A step cap with a brute-force fallback guards adversarial
-  inputs.
+  inconclusive signs to the exact rational path.
+* **BRIO insertion + walking point location** seeded from a
+  caller-provided hint or the most recently touched triangle, and from
+  nothing else: the kernel keeps no spatial index, because the traffic
+  it serves (BRIO or sorted bulk insertion, hinted refinement and
+  adaptation) lands within a few steps of one of the two.  A caller
+  streaming points in arbitrary order without a hint pays an
+  O(sqrt(n)) walk per point — use :func:`triangulate`, a sorted order
+  or a hint instead.  A step cap with a brute-force fallback guards
+  adversarial inputs.
 * **Constrained edges.**  A set of locked undirected edges that cavity
   searches refuse to cross; segment *recovery* (making an arbitrary edge
   appear) lives in :mod:`repro.delaunay.constrained`.
@@ -35,7 +36,7 @@ decoupled inviscid subdomains.  Design:
   module-level drivers, so identical inputs yield byte-identical meshes.
 * **Observability.**  The kernel accumulates plain-integer ``stat_*``
   counters (walk-step and cavity-size histograms, exact-predicate
-  escalations, grid seeds, flips) that
+  escalations, visibility prunes, flips) that
   :class:`repro.runtime.counters.KernelCounters` absorbs; the overhead
   is a handful of integer adds per insertion.
 
@@ -44,9 +45,9 @@ Storage is the structure-of-arrays core
 ``int32`` NumPy buffers with amortized-doubling growth).  The scalar hot
 paths index the buffers through cached flat :class:`memoryview` casts
 (faster than list-of-lists on CPython and zero-copy into the arrays);
-batch paths (``expand_level_batch``, grid builds) fancy-index the same
-arrays at C speed; :meth:`to_mesh` is a vectorised compaction whose
-point block can be a zero-copy view.  ``pts`` / ``tri_v`` / ``tri_n`` /
+the ``batch`` strategy's vectorised walk, carve and commit fancy-index
+the same arrays at C speed; :meth:`to_mesh` is a vectorised compaction
+whose point block can be a zero-copy view.  ``pts`` / ``tri_v`` / ``tri_n`` /
 ``vertex_tri`` remain available as read-compatible sequence views for
 consumers and tests.
 """
@@ -68,8 +69,6 @@ from .cavity import (
     TriangulationError,
     _CCW_ERR,
     _CCW_GUARD,
-    _GRID_EMA_THRESHOLD,
-    _GRID_MIN_POINTS,
     _ICC_ERR,
     _ICC_GUARD,
     _NXT,
@@ -253,16 +252,16 @@ class Triangulation:
         # O(n) snapshots.
         self.last_created: List[int] = []
         self.last_removed: List[int] = []
-        # Walk-acceleration grid: built lazily when walks run long.
-        self._grid = None
-        self._grid_cap = 0
-        self._walk_ema = 0.0
+        # The batch strategy's vertex partition, ``(grid, capacity)``:
+        # built and cached by cavity._partition_grid, unused otherwise.
+        self._batch_grid = None
         # Observability counters (absorbed by repro.runtime.counters).
         self.stat_inserts = 0
         self.stat_locates = 0
         self.stat_walk_steps = 0
         self.stat_brute_locates = 0
         self.stat_grid_seeds = 0
+        self.stat_prunes = 0
         self.stat_cavity_tris = 0
         self.stat_flips = 0
         self.stat_orient_fast = 0
@@ -367,55 +366,6 @@ class Triangulation:
             if arr.tv[3 * t] != DEAD:
                 yield t
             t += 1
-
-    def _note_walk(self, steps: int) -> None:
-        self.stat_locates += 1
-        self.stat_walk_steps += steps
-        self.stat_walk_hist[steps if steps < 31 else 31] += 1
-        ema = self._walk_ema + 0.125 * (steps - self._walk_ema)
-        self._walk_ema = ema
-        n_pts = self._arr.n_pts
-        if ema > _GRID_EMA_THRESHOLD and n_pts >= _GRID_MIN_POINTS:
-            if self._grid is None or n_pts > self._grid_cap:
-                self._build_grid()
-
-    # ------------------------------------------------------------------
-    # Walk-acceleration grid
-    # ------------------------------------------------------------------
-    def _build_grid(self) -> None:
-        from ..geometry.aabb import AABB
-        from ..spatial.grid import BucketGrid
-
-        n = self._arr.n_pts
-        if n == 0:
-            return
-        # Vectorised over the SoA point block: bounds and bulk insert
-        # read the float64 buffer directly, no per-point staging.
-        pts = self._arr.pts[:n]
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-        bounds = AABB(float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
-        # The grid is a snapshot: inserts do not feed it (that would tax
-        # every insertion), so when the point count doubles it is rebuilt
-        # — a stale nearest vertex is still a nearby walk seed, just a
-        # few steps further out.
-        self._grid_cap = max(2 * n, 2 * _GRID_MIN_POINTS)
-        grid = BucketGrid(bounds, target_per_bucket=4.0,
-                          expected_points=self._grid_cap)
-        grid.insert_many(pts)
-        self._grid = grid
-
-    def _grid_start(self, px: float, py: float) -> int:
-        """Walk-start triangle from the vertex grid, or -1."""
-        near = self._grid.nearest(px, py)
-        if near is None:
-            return -1
-        arr = self._arr
-        t = arr.vt[near]
-        if t >= 0 and arr.tv[3 * t] != DEAD:
-            self.stat_grid_seeds += 1
-            return t
-        return -1
 
     # ------------------------------------------------------------------
     # Predicates (real / ghost uniform)

@@ -136,7 +136,7 @@ class KernelCounters:
 
     __slots__ = (
         "inserts", "locates", "walk_steps", "brute_locates", "grid_seeds",
-        "cavity_triangles", "flips",
+        "visibility_prunes", "cavity_triangles", "flips",
         "orient_fast", "orient_exact", "incircle_fast", "incircle_exact",
         "batch_calls", "batch_entries", "batch_points", "conflict_retries",
         "finalize_ns",
@@ -149,6 +149,7 @@ class KernelCounters:
         self.walk_steps = 0
         self.brute_locates = 0
         self.grid_seeds = 0
+        self.visibility_prunes = 0
         self.cavity_triangles = 0
         self.flips = 0
         self.orient_fast = 0
@@ -170,6 +171,7 @@ class KernelCounters:
         self.walk_steps += tri.stat_walk_steps
         self.brute_locates += tri.stat_brute_locates
         self.grid_seeds += tri.stat_grid_seeds
+        self.visibility_prunes += tri.stat_prunes
         self.cavity_triangles += tri.stat_cavity_tris
         self.flips += tri.stat_flips
         self.orient_fast += tri.stat_orient_fast
@@ -248,6 +250,7 @@ class KernelCounters:
             "walk_steps_p95": self.walk_hist.percentile(95.0),
             "brute_locates": self.brute_locates,
             "grid_seeds": self.grid_seeds,
+            "visibility_prunes": self.visibility_prunes,
             "cavity_triangles": self.cavity_triangles,
             "cavity_size_mean": self.cavity_hist.mean(),
             "cavity_size_p95": self.cavity_hist.percentile(95.0),
@@ -271,6 +274,8 @@ class KernelCounters:
             f"  cavity size        {self.cavity_hist.summary()}",
             f"  grid-seeded walks  {self.grid_seeds}"
             f"   brute-force locates {self.brute_locates}",
+            f"  visibility prunes  {self.visibility_prunes}"
+            f"  (wrapped cavities cut back and legalised)",
             f"  orient tests       {self.orient_tests}"
             f"  (exact {self.orient_exact})",
             f"  incircle tests     {self.incircle_tests}"

@@ -646,11 +646,6 @@ class PoolStream:
         while self._done < len(self._tasks):
             self._pump(block=True)
         self._close()
-        if self._sink is not None:
-            # The pool's demand-driven dispatch has no distinct steal
-            # transition; keep the key, the profile report and the perf
-            # ledger read it.
-            self._sink.incr("executor.steals", 0)
         return list(self._out)
 
     # -- internals -----------------------------------------------------

@@ -221,7 +221,9 @@ def adapt_loop(
     with slope ``grading``, and adapt the mesh to the limited metric.
     The loop stops early once the relative error improvement of a cycle
     drops below ``flatten_rtol`` (the error-vs-DOF curve has flattened:
-    the mesh is resolution-limited by ``eps``, not by adaptation).
+    the mesh is resolution-limited by ``eps``, not by adaptation);
+    ``converged`` reports that, and stays ``False`` when the loop
+    stopped because the last cycle made the error *worse*.
 
     ``backend`` (``None`` = in-process) dispatches the adapt step
     through the runtime executor — useful to co-schedule many loops, and
@@ -256,7 +258,7 @@ def adapt_loop(
             conformity=report.conformity_after, report=report,
         ))
         if prev > 0 and (prev - err) < flatten_rtol * prev:
-            converged = True
+            converged = err <= prev  # a rise also stops, unconverged
             break
 
     return AdaptLoopResult(mesh=mesh, solution=u, metric=metric,

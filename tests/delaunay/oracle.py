@@ -39,9 +39,8 @@ def carve(tri, p, t0):
     """``(cavity, clipped)``: the connected component of in-disk
     triangles reached from ``t0`` without crossing a constrained edge,
     and whether a constrained edge kept out a triangle whose disk holds
-    ``p`` — the case in which the star fan is not Delaunay by itself, so
-    production's ``blocked`` must be set (it may also be set when a
-    constrained edge merely touches the cavity)."""
+    ``p`` — the cavity was truly clipped, and its star fan must be
+    constrained Delaunay all the same (production repairs nothing)."""
     cavity = {t0}
     stack = [t0]
     barred = set()

@@ -1,7 +1,8 @@
 """Invariant harness for the Delaunay kernel.
 
 Every optimisation in the insertion path (inlined filtered predicates,
-certified walks, batched cavity expansion, grid-seeded location) must be
+certified walks, index-free location from the last touched triangle, no
+legalisation pass behind a constraint-clipped cavity) must be
 *behaviour-preserving*.  This module checks the mathematical invariants
 with exact arithmetic:
 
@@ -16,9 +17,11 @@ with exact arithmetic:
 * **Structural integrity** — the kernel's own adjacency audit.
 
 The same harness runs over uniform-random clouds, degenerate (cocircular
-/ collinear-heavy) inputs, and the fuzz PSLG corpus; a differential test
-pins ``cavity.carve`` to the exact oracle (:mod:`.oracle`) cavity for
-cavity, at every insertion.
+/ collinear-heavy) inputs, the fuzz PSLG corpus and dangling-needle
+PSLGs; a differential test pins ``cavity.carve`` to the exact oracle
+(:mod:`.oracle`) cavity for cavity, at every insertion, and constrained
+triangulations are re-checked after *every* insertion, because nothing
+repairs a fan afterwards.
 """
 
 import math
@@ -26,6 +29,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.delaunay.cavity import carve
 from repro.delaunay.constrained import insert_segment, triangulate_pslg
@@ -112,9 +116,10 @@ def assert_invariants(tri: Triangulation, *, exhaustive: bool = False
 
 def insert_checking_cavities(tri: Triangulation, points) -> int:
     """Insert ``points`` one at a time; before each insertion the
-    production carve must equal the oracle's cavity, and set ``blocked``
-    whenever a constraint truly clipped it.  Returns how many cavities
-    were clipped."""
+    production carve must equal the oracle's cavity, and after each
+    insertion into a constrained triangulation every invariant must hold
+    as it stands (the star fan of a clipped cavity gets no legalisation
+    pass).  Returns how many cavities a constraint truly clipped."""
     n_clipped = 0
     for x, y in points:
         p = (float(x), float(y))
@@ -126,14 +131,97 @@ def insert_checking_cavities(tri: Triangulation, points) -> int:
             continue
         t0 = oracle.seed(tri, t, p)
         want, clipped = oracle.carve(tri, p, t0)
-        got, blocked = carve(tri, p[0], p[1], t0)
+        got = carve(tri, p[0], p[1], t0)
         assert got == want, f"cavity of {p} differs from the oracle's"
-        assert blocked or not clipped, f"clipped cavity of {p} not flagged"
         n_clipped += clipped
         tri.insert_point(*p, hint=t)
-        if not tri.constraints:
+        if tri.constraints:
+            assert_invariants(tri)
+        else:
             assert set(tri.last_removed) == want
     return n_clipped
+
+
+def needle_case(seed: int, n_probes: int = 12):
+    """``(points, segments, probes)``: a small cloud with one to three
+    *dangling* constrained needles, and insertion points crowded around
+    their ends.
+
+    A cavity can only reach both sides of a constrained edge by going
+    round one of its ends, which a closed boundary never allows, so this
+    is the corpus aimed at ``retriangulate``'s wrapped-edge branch
+    (``prune_cavity_visibility`` + legalisation).  Clouds: uniform,
+    log-graded (radius 1e-3..1), a far ring with nothing near the
+    needles, a flat strip, a (jittered) lattice.  Needles: length
+    1e-3..0.8 in disjoint vertical bands, any direction; one in four
+    runs out to a hull vertex, one in five ends in a small closed
+    triangle.  Probes: beyond an end and slightly off axis, alongside an
+    end, behind the tail (offsets log-uniform 1e-6..1 needle lengths),
+    or normally distributed around the tip.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 60))
+    kind = int(rng.integers(5))
+    if kind == 0:
+        cloud = rng.uniform(-1, 1, size=(n, 2))
+    elif kind in (1, 2):
+        r = (10 ** rng.uniform(-3, 0, n) if kind == 1
+             else rng.uniform(0.8, 1.0, n))
+        a = rng.uniform(0, 2 * math.pi, n)
+        cloud = np.column_stack([r * np.cos(a), r * np.sin(a)])
+    elif kind == 3:
+        cloud = np.column_stack([rng.uniform(-1, 1, n),
+                                 rng.uniform(-0.02, 0.02, n)])
+    else:
+        k = int(rng.integers(3, 8))
+        xs, ys = np.meshgrid(np.linspace(-1, 1, k), np.linspace(-1, 1, k))
+        cloud = np.column_stack([xs.ravel(), ys.ravel()])
+        cloud = cloud + rng.uniform(-1e-3, 1e-3, cloud.shape) * rng.integers(2)
+    pts = cloud.tolist()
+    segs, needles = [], []
+    n_needles = int(rng.integers(1, 4))
+    for j in range(n_needles):
+        half = 0.8 / n_needles                 # band half-width
+        x0 = -0.9 + 1.8 * (j + 0.5) / n_needles
+        length = 10 ** rng.uniform(-3, math.log10(half))
+        th = rng.uniform(0, 2 * math.pi)
+        a = np.array([x0 + rng.uniform(-0.1, 0.1) * half,
+                      rng.uniform(-0.5, 0.5)])
+        d = np.array([math.cos(th), math.sin(th)])
+        b = a + length * d
+        if rng.random() < 0.25:                # tip becomes a hull vertex
+            b = a + 3 * d
+            if abs(b[0] - x0) > half:
+                b = a + np.array([0.0, 3.0 if d[1] >= 0 else -3.0])
+        ia, ib = len(pts), len(pts) + 1
+        pts += [a.tolist(), b.tolist()]
+        segs.append((ia, ib))
+        needles.append((a, b))
+        if rng.random() < 0.2:                 # closed island at the tip
+            d = (b - a) / np.linalg.norm(b - a)
+            side = length * rng.uniform(0.05, 0.5)
+            nrm = np.array([-d[1], d[0]])
+            pts += [(b + side * d + 0.5 * side * nrm).tolist(),
+                    (b + side * d - 0.5 * side * nrm).tolist()]
+            segs += [(ib, ib + 1), (ib + 1, ib + 2), (ib + 2, ib)]
+    probes = []
+    for _ in range(n_probes):
+        a, b = needles[int(rng.integers(len(needles)))]
+        length = float(np.linalg.norm(b - a))
+        d = (b - a) / length
+        nrm = np.array([-d[1], d[0]])
+        off = 10 ** rng.uniform(-6, 0) * length * rng.choice([-1.0, 1.0])
+        mode = int(rng.integers(4))
+        if mode == 0:
+            q = b + 10 ** rng.uniform(-6, 0.3) * length * d + off * nrm
+        elif mode == 1:
+            q = b - 10 ** rng.uniform(-6, 0) * length * d + off * nrm
+        elif mode == 2:
+            q = a - 10 ** rng.uniform(-6, 0) * length * d + off * nrm
+        else:
+            q = b + rng.normal(0, length, 2)
+        probes.append((float(q[0]), float(q[1])))
+    return np.array(pts), np.array(segs), probes
 
 
 # ----------------------------------------------------------------------
@@ -152,8 +240,8 @@ class TestRandomClouds:
 
     @pytest.mark.parametrize("seed", [5, 6, 7])
     def test_fast_matches_reference(self, seed):
-        """Differential: the filtered, batched carve == the exact
-        oracle's cavity at every insertion."""
+        """Differential: the filtered carve == the exact oracle's
+        cavity at every insertion."""
         pts = np.random.default_rng(seed).random((250, 2))
         tri = Triangulation()
         insert_checking_cavities(tri, pts)
@@ -166,6 +254,19 @@ class TestRandomClouds:
         tri = triangulate(pts)
         assert_invariants(tri, exhaustive=True)
 
+    def test_cold_stream_without_hint_or_order(self):
+        """The worst traffic the index-free walk can get: uniformly
+        random points, arbitrary order, no hint — every walk starts at
+        the previous insertion's fan and crosses O(sqrt(n)) triangles.
+        It must still terminate inside the step cap and be exact."""
+        tri = Triangulation()
+        for x, y in np.random.default_rng(16).random((5000, 2)):
+            tri.insert_point(x, y)
+        assert tri.stat_inserts == 5000
+        assert tri.stat_brute_locates == 0
+        assert tri.stat_grid_seeds == 0
+        assert_invariants(tri)
+
 
 # ----------------------------------------------------------------------
 # Degenerate inputs: exact-predicate escalation paths
@@ -173,8 +274,8 @@ class TestRandomClouds:
 class TestDegenerateInputs:
     def test_cocircular_ring_with_center(self):
         """All ring points cocircular: inserting the centre carves a
-        cavity covering the whole disk, exercising the batched cavity
-        expansion and the exact incircle ties."""
+        cavity covering the whole disk — frontier levels far wider than
+        any mesh workload's — exercising the exact incircle ties."""
         n = 40
         ang = 2 * math.pi * np.arange(n) / n
         ring = np.column_stack([np.cos(ang), np.sin(ang)])
@@ -183,7 +284,6 @@ class TestDegenerateInputs:
         for x, y in pts[:-1]:
             tri.insert_point(x, y)
         tri.insert_point(0.0, 0.0)
-        assert tri.stat_batch_entries > 0, "batched expansion never used"
         assert_invariants(tri, exhaustive=True)
 
     def test_grid_points(self):
@@ -195,8 +295,7 @@ class TestDegenerateInputs:
     @pytest.mark.parametrize("case", ["lattice", "ring"])
     def test_degenerate_cavities_match_oracle(self, case):
         """Exact incircle ties: 9x9 lattice (every cell cocircular) and
-        the 40-point ring + centre (one cavity covering the disk, decided
-        by the batched expansion)."""
+        the 40-point ring + centre (one cavity covering the disk)."""
         if case == "lattice":
             xs, ys = np.meshgrid(np.arange(9.0), np.arange(9.0))
             pts = np.column_stack([xs.ravel(), ys.ravel()])
@@ -241,7 +340,7 @@ class TestConstrainedInvariants:
 
     def test_clipped_cavities_match_oracle(self):
         """A spiky constrained star: cavities stop at locked edges, and
-        every truly clipped one is flagged for legalisation."""
+        the fan of every clipped one is constrained Delaunay as built."""
         ang = 2 * math.pi * np.arange(14) / 14
         radii = np.where(np.arange(14) % 2 == 0, 10.0, 3.0)
         poly = np.column_stack([radii * np.cos(ang), radii * np.sin(ang)])
@@ -250,6 +349,37 @@ class TestConstrainedInvariants:
         cloud = np.random.default_rng(9).uniform(-9.0, 9.0, size=(120, 2))
         assert insert_checking_cavities(tri, cloud) > 0
         assert_invariants(tri)
+
+    @given(poly=star_polygon(), seed=st.integers(0, 999))
+    @settings(max_examples=25, deadline=None)
+    def test_every_insertion_into_a_fuzz_pslg_leaves_a_cdt(self, poly, seed):
+        """No legalisation pass: the star fan of each cavity, clipped or
+        not, must already be constrained Delaunay — checked by the exact
+        harness after every insertion, inside and outside the polygon."""
+        n = len(poly)
+        segs = np.array([(i, (i + 1) % n) for i in range(n)])
+        tri = triangulate_pslg(poly, segs)
+        flips = tri.stat_flips          # segment recovery's
+        cloud = np.random.default_rng(seed).uniform(-10.0, 10.0, (30, 2))
+        insert_checking_cavities(tri, cloud)
+        assert tri.stat_flips == flips or tri.stat_prunes > 0
+
+    @given(seed=st.integers(0, 10**6))
+    @settings(max_examples=50, deadline=None)
+    def test_dangling_needles_never_wrap_a_cavity(self, seed):
+        """The corpus aimed at the wrapped-edge branch.  It is not known
+        to be reachable (DESIGN.md, "Cavity engine": 2.4e5 insertions of
+        this generator never entered it, and a cavity grown by ``carve``
+        is star-shaped about its point); if an example ever does enter
+        it, pin that example here as a regression case — the invariants
+        below are then checked behind ``prune_cavity_visibility`` and
+        the legalisation that follows it."""
+        pts, segs, probes = needle_case(seed)
+        tri = triangulate_pslg(pts, segs)
+        flips = tri.stat_flips
+        insert_checking_cavities(tri, probes)
+        assert tri.stat_prunes == 0, f"needle_case({seed}) wraps a cavity"
+        assert tri.stat_flips == flips, "an unpruned insertion flipped"
 
     def test_locked_edges_survive_nearby_insertions(self):
         square = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [0.0, 4.0],

@@ -189,7 +189,6 @@ class TestProcessesContracts:
         per_rank = [n for name, n in sorted(sink.events.items())
                     if name.startswith("executor.items.rank")]
         assert sum(per_rank) == 6
-        assert "executor.steals" in sink.events
         assert any(name == "executor.processes.item"
                    for name in sink.phases)
 

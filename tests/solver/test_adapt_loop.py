@@ -110,6 +110,31 @@ class TestAdaptLoop:
         with pytest.raises(ValueError):
             adapt_loop(square_mesh(), cycles=0)
 
+    @pytest.mark.parametrize("errors,converged", [
+        ([1.0, 0.5, 0.495], True),     # improvement fell below 2 %
+        ([1.0, 0.5, 0.5], True),       # exactly flat
+        ([1.0, 0.5, 0.6], False),      # the error rose: stop, unconverged
+        ([1.0, 0.5, 0.25], False),     # still improving at the cycle cap
+    ])
+    def test_converged_only_on_a_non_negative_flattening(
+            self, monkeypatch, errors, converged):
+        """Scripted error sequence, adapt step stubbed out: every case
+        runs two cycles and returns the last mesh; only ``converged``
+        tells a flattened curve from a cycle that made things worse."""
+        from repro.delaunay.adapt import AdaptReport
+        from repro.solver import adapt as loop_mod
+
+        script = iter(errors)
+        monkeypatch.setattr(loop_mod, "l2_error",
+                            lambda mesh, u, problem: next(script))
+        monkeypatch.setattr(loop_mod, "adapt_step",
+                            lambda mesh, metric, **kw: (mesh, AdaptReport()))
+        mesh = square_mesh(0.05)
+        result = adapt_loop(mesh, cycles=2)
+        assert [c.error for c in result.history] == errors
+        assert result.converged is converged
+        assert result.mesh is mesh
+
 
 class TestExecutorDispatch:
     def test_serial_backend_matches_inprocess(self):
