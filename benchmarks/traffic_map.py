@@ -5,8 +5,10 @@ Runs each workload's seed-0 primary op once in this process (inputs from
 ``sys.setprofile`` and prints (1) every function of ``src/repro`` that no
 workload called, by module (deletion *candidates*: one may still be a
 test reference or safety code) and (2) each workload's merged
-``KernelCounters``.  The ``service_mix`` daemon is out of the profiler's
-sight, so its in-process op is ``check_direct`` of a served request.
+``KernelCounters`` plus three ratios of them (``locates_per_insert``,
+``incircle_per_cavity_triangle``, ``orient_per_walk_step``).  The
+``service_mix`` daemon is out of the profiler's sight, so its in-process
+op is ``check_direct`` of a served request.
 Usage: ``python3 benchmarks/traffic_map.py [--smoke] [--workload NAME]``
 """
 
@@ -92,8 +94,19 @@ def main(argv=None) -> None:
         print(f"{module}: " + ", ".join(q for m, q in dead if m == module))
     for name, sink in sinks.items():
         print(f"== kernel counters: {name}")
-        for key, value in sink.kernel.as_dict().items():
-            print(f"  {key:<22} {value:.6g}")
+        kernel = sink.kernel
+        rows = list(kernel.as_dict().items())
+        # One number per kind of duplicated traversal: a second walk, a
+        # second flood of the conflict region, a walk that re-tests edges.
+        for key, count, per in (
+                ("locates_per_insert", kernel.locates, kernel.inserts),
+                ("incircle_per_cavity_triangle", kernel.incircle_tests,
+                 kernel.cavity_triangles),
+                ("orient_per_walk_step", kernel.orient_tests,
+                 kernel.walk_steps)):
+            rows.append((key, count / per if per else 0.0))
+        for key, value in rows:
+            print(f"  {key:<28} {value:.6g}")
 
 
 if __name__ == "__main__":

@@ -193,10 +193,9 @@ class MeshAdaptor(Refiner):
             return True
         if tri.is_ghost(loc):
             return False
-        if tri.find_vertex_at((mx, my), loc) is not None:
-            return False
         try:
-            self._insert_tracked(mx, my, interior_hint=loc)
+            if self._insert_tracked(mx, my, interior_hint=loc) < 0:
+                return False  # the midpoint is an existing vertex
         except TriangulationError:
             return False
         self.report.splits += 1

@@ -3,13 +3,25 @@
 This module owns the Bowyer–Watson *algorithms*, one of each kind, as
 free functions over a :class:`~repro.delaunay.kernel.Triangulation`
 (which owns only state) and its SoA
-:class:`~repro.delaunay.arrays.MeshArrays` storage: :func:`walk` (point
-location), :func:`carve` (the conflict region) and
-:func:`retriangulate` (the star fan that replaces it).  Their filters
-are inlined and escalate inconclusive signs to the exact predicates;
-the exact, unfiltered statement of what a cavity is lives with the
-tests (``tests/delaunay/oracle.py``), which compare :func:`carve`
-against it cavity for cavity.
+:class:`~repro.delaunay.arrays.MeshArrays` storage.  An insertion is
+three public steps:
+
+* **locate** — :func:`walk` finds the triangle holding the point;
+* **conflict region** — :func:`carve` returns the cavity and its seed
+  (the one statement of where a cavity starts) and changes nothing, so
+  a caller can inspect the region before deciding;
+* **commit** — :func:`retriangulate` replaces the region by the star
+  fan of a freshly stored vertex.
+
+:func:`insert_point` is their composition and nothing else; a caller
+with a question about the region — the refiner's "does this point
+encroach a segment?" — calls the steps itself and commits or drops the
+same set.  The filters are inlined and escalate inconclusive signs to
+the exact predicates; the exact, unfiltered statement of what a cavity
+is lives with the tests (``tests/delaunay/oracle.py``), which compare
+:func:`carve` against it cavity for cavity.  :func:`legalize_edges` is
+the one Lawson flip loop (segment recovery, and the guard behind a
+pruned cavity).
 
 On top of the operations sit two **insertion strategies**, looked up
 by name with :func:`get_strategy`: a strategy turns a bulk point set
@@ -48,6 +60,7 @@ from __future__ import annotations
 
 import gc
 import math
+from collections import deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -83,9 +96,9 @@ __all__ = [
     "locate_fallback",
     "carve",
     "insert_point",
-    "star_vertex",
     "retriangulate",
     "prune_cavity_visibility",
+    "legalize_edges",
 ]
 
 #: Symbolic hull vertex: ghost triangle ``[u, v, GHOST]`` is the open
@@ -374,21 +387,39 @@ def find_directed_edge(tri, u: int, v: int) -> Optional[Tuple[int, int]]:
 # ----------------------------------------------------------------------
 # Cavity carving
 # ----------------------------------------------------------------------
-def carve(tri, px: float, py: float, t0: int) -> Set[int]:
-    """Bowyer–Watson conflict region of ``(px, py)`` grown from ``t0``.
+def carve(tri, px: float, py: float, t0: int, certified: bool = False
+          ) -> Tuple[Set[int], int]:
+    """Bowyer–Watson conflict region of ``(px, py)``, located in ``t0``
+    by :func:`walk`.  Returns ``(cavity, seed)`` and touches nothing: the
+    caller may inspect the region and then commit it
+    (:func:`retriangulate`) or drop it.
 
-    The cavity is the connected component, reached from ``t0`` without
-    crossing a constrained edge, of triangles whose open circumdisk
-    contains the point (``t0`` itself must be one).  Level-order search,
-    one scalar filtered test per candidate: cavities are O(1) triangles
-    (mean 4.0–4.2 on every mesh workload), so there is nothing to batch.
-    The order candidates are staged in fixes the set's iteration order,
-    hence the fan's slot numbering and the pinned mesh bytes.
+    Where a cavity starts: at ``t0`` when the point lies in its open
+    circumdisk (``certified`` — strictly inside ``t0`` — already says
+    so), else the point is on the boundary of ``t0`` and ``seed`` is the
+    first edge-neighbour whose disk holds it.  The cavity is the
+    connected component, reached from ``seed`` without crossing a
+    constrained edge, of triangles whose open circumdisk contains the
+    point.  Level-order search, one scalar filtered test per candidate:
+    cavities are O(1) triangles (mean 4.0–4.2 on every mesh workload),
+    so there is nothing to batch.  The order candidates are staged in
+    fixes the set's iteration order, hence the fan's slot numbering and
+    the pinned mesh bytes.
     """
     arr = tri._arr
     tvm = arr.tv
     tnm = arr.tn
     pxm = arr.px
+    if not certified and not tri._in_disk(t0, px, py):
+        for k in (0, 1, 2):
+            nb = tnm[3 * t0 + k]
+            if nb >= 0 and tri._in_disk(nb, px, py):
+                t0 = nb
+                break
+        else:
+            raise TriangulationError(
+                f"insertion point {(px, py)} in no circumdisk (duplicate?)"
+            )
     constraints = tri.constraints
     cavity: Set[int] = {t0}
     # seen = cavity plus rejected candidates, so a rejected triangle
@@ -507,7 +538,7 @@ def carve(tri, px: float, py: float, t0: int) -> Set[int]:
                 frontier.append(nb)
     tri.stat_incircle_fast += n_ifast
     tri.stat_incircle_exact += n_iexact
-    return cavity
+    return cavity, t0
 
 
 # ----------------------------------------------------------------------
@@ -515,8 +546,9 @@ def carve(tri, px: float, py: float, t0: int) -> Set[int]:
 # ----------------------------------------------------------------------
 def insert_point(tri, px: float, py: float, hint: int) -> int:
     """Insert ``(px, py)`` into a triangulation that already has a
-    triangle.  Returns the new vertex id, or ``-2 - v`` when the point
-    duplicates existing vertex ``v`` (the mesh is then untouched).
+    triangle: the composition of the three steps, and nothing else.
+    Returns the new vertex id, or ``-2 - v`` when the point duplicates
+    existing vertex ``v`` (the mesh is then untouched).
     """
     t0, certified = walk(tri, px, py, hint)
     arr = tri._arr
@@ -531,29 +563,11 @@ def insert_point(tri, px: float, py: float, hint: int) -> int:
                 tri.last_created = []
                 tri.last_removed = []
                 return -2 - vtx
-    vid = arr.new_point(px, py)  # may reallocate: pxm is stale from here
+    cavity, seed = carve(tri, px, py, t0, certified)
+    vid = arr.new_point(px, py)
     tri.stat_inserts += 1
-    star_vertex(tri, vid, px, py, t0, certified)
+    retriangulate(tri, vid, cavity, seed)
     return vid
-
-
-def star_vertex(tri, vid: int, px: float, py: float, t0: int,
-                certified: bool) -> None:
-    """Connect stored vertex ``vid`` at ``(px, py)``, located in ``t0``
-    by :func:`walk`: carve its cavity and re-fan it around ``vid``."""
-    if not certified and not tri._in_disk(t0, px, py):
-        # p on the boundary of t0: some adjacent circumdisk holds it.
-        tnm = tri._arr.tn
-        for k in (0, 1, 2):
-            nb = tnm[3 * t0 + k]
-            if nb >= 0 and tri._in_disk(nb, px, py):
-                t0 = nb
-                break
-        else:
-            raise TriangulationError(
-                f"insertion point {(px, py)} in no circumdisk (duplicate?)"
-            )
-    retriangulate(tri, vid, carve(tri, px, py, t0), t0)
 
 
 # ----------------------------------------------------------------------
@@ -568,7 +582,7 @@ def retriangulate(tri, vid: int, cavity: Set[int], t0: int) -> None:
     in-disk test — and the incircle determinant is symmetric in the two
     apexes, so that edge is locally Delaunay.  No repair pass follows;
     only a cavity that wrapped round a segment's end and was pruned
-    back (``stat_prunes``) is legalised.
+    back (``stat_visibility_prunes``) is legalised.
     """
     arr = tri._arr
     n_cavity = len(cavity)
@@ -580,7 +594,7 @@ def retriangulate(tri, vid: int, cavity: Set[int], t0: int) -> None:
     tvm = arr.tv
     tnm = arr.tn
     vtm = arr.vt
-    tri.stat_cavity_tris += n_cavity
+    tri.stat_cavity_triangles += n_cavity
     tri.stat_cavity_hist[n_cavity if n_cavity < 31 else 31] += 1
 
     # Constrained-Delaunay visibility pruning: with spiky constrained
@@ -609,7 +623,7 @@ def retriangulate(tri, vid: int, cavity: Set[int], t0: int) -> None:
             if wrapped_edge:
                 break
         if wrapped_edge:
-            tri.stat_prunes += 1
+            tri.stat_visibility_prunes += 1
             cavity = prune_cavity_visibility(tri, cavity, t0, p)
             n_cavity = len(cavity)
 
@@ -710,10 +724,12 @@ def retriangulate(tri, vid: int, cavity: Set[int], t0: int) -> None:
             break
     if wrapped_edge:
         # The pruned cavity is no longer the whole conflict region, so
-        # its fan need not be locally Delaunay: legalise around the new
-        # vertex (Lawson flips, never crossing constraints).  Flips
-        # reuse the two triangle slots, so last_created stays valid.
-        tri._legalize_vertex(vid)
+        # its fan need not be locally Delaunay: legalise from the edges
+        # opposite the new vertex (Lawson flips, never crossing
+        # constraints).  Flips reuse the two triangle slots, so
+        # last_created stays valid.
+        legalize_edges(tri, [(tvm[3 * t], tvm[3 * t + 1]) for t in new_tris
+                             if tvm[3 * t] >= 0 and tvm[3 * t + 1] >= 0])
 
 
 def prune_cavity_visibility(tri, cavity: Set[int], t0: int,
@@ -776,6 +792,41 @@ def prune_cavity_visibility(tri, cavity: Set[int], t0: int,
     return comp
 
 
+def legalize_edges(tri, edges: Sequence[Tuple[int, int]],
+                   *, max_ops: int = 1_000_000) -> None:
+    """Lawson legalisation: flip non-constrained, non-locally-Delaunay
+    edges, re-queueing the four edges of every flipped quad.  The one
+    flip loop: segment recovery runs it over the edges its flips
+    created, :func:`retriangulate` over the fan of a pruned cavity."""
+    queue: deque = deque(edges)
+    ops = 0
+    while queue:
+        ops += 1
+        if ops > max_ops:
+            raise TriangulationError("legalisation did not terminate")
+        u, v = queue.popleft()
+        key = (u, v) if u < v else (v, u)
+        if key in tri.constraints:
+            continue
+        loc = find_directed_edge(tri, u, v)
+        if loc is None:
+            continue
+        t1, k1 = loc
+        t2 = tri.tri_n[t1][k1]
+        if t2 < 0 or tri.is_ghost(t1) or tri.is_ghost(t2):
+            continue
+        k2 = tri._edge_index(t2, v, u)
+        apex1 = tri.tri_v[t1][k1]
+        apex2 = tri.tri_v[t2][k2]
+        tv = tri.tri_v[t1]
+        if incircle(tri.pts[tv[0]], tri.pts[tv[1]], tri.pts[tv[2]],
+                    tri.pts[apex2]) > 0:
+            if tri.edge_is_flippable(t1, k1):
+                tri.flip(t1, k1)
+                for e in ((apex1, u), (u, apex2), (apex2, v), (v, apex1)):
+                    queue.append(e)
+
+
 def retriangulate_batch(tri, vids: np.ndarray,
                         cavities: List[List[int]]) -> bool:
     """Commit every accepted fan of a sub-batch in one vectorised pass.
@@ -801,7 +852,7 @@ def retriangulate_batch(tri, vids: np.ndarray,
                         dtype=np.int64, count=n_cav)
     rec_of = np.repeat(np.arange(n_rec, dtype=np.int64), sizes)
 
-    tri.stat_cavity_tris += n_cav
+    tri.stat_cavity_triangles += n_cav
     hist = np.bincount(np.minimum(sizes, 31), minlength=32)
     ch = tri.stat_cavity_hist
     for b in np.flatnonzero(hist).tolist():

@@ -21,9 +21,14 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..geometry.predicates import incircle, orient2d
+from ..geometry.predicates import orient2d
 from ..runtime.counters import current as counters_current
-from .cavity import brio_order, find_directed_edge, get_strategy
+from .cavity import (
+    brio_order,
+    find_directed_edge,
+    get_strategy,
+    legalize_edges,
+)
 from .kernel import GHOST, Triangulation, TriangulationError
 from .mesh import TriMesh
 
@@ -228,41 +233,9 @@ def _recover_by_flips(tri: Triangulation, a: int, b: int,
         raise TriangulationError(f"flip recovery failed to create {a}->{b}")
     tri.mark_constraint(a, b)
     if legalize:
-        _legalize_edges(tri, touched)
+        legalize_edges(tri, touched)
     tri.unmark_constraint(a, b)  # caller marks; keep function composable
     return None
-
-
-def _legalize_edges(tri: Triangulation, edges: Sequence[Tuple[int, int]],
-                    *, max_ops: int = 1_000_000) -> None:
-    """Lawson legalisation: flip non-constrained, non-locally-Delaunay edges."""
-    queue: deque = deque(edges)
-    ops = 0
-    while queue:
-        ops += 1
-        if ops > max_ops:
-            raise TriangulationError("legalisation did not terminate")
-        u, v = queue.popleft()
-        key = (u, v) if u < v else (v, u)
-        if key in tri.constraints:
-            continue
-        loc = find_directed_edge(tri, u, v)
-        if loc is None:
-            continue
-        t1, k1 = loc
-        t2 = tri.tri_n[t1][k1]
-        if t2 < 0 or tri.is_ghost(t1) or tri.is_ghost(t2):
-            continue
-        k2 = tri._edge_index(t2, v, u)
-        apex1 = tri.tri_v[t1][k1]
-        apex2 = tri.tri_v[t2][k2]
-        tv = tri.tri_v[t1]
-        if incircle(tri.pts[tv[0]], tri.pts[tv[1]], tri.pts[tv[2]],
-                    tri.pts[apex2]) > 0:
-            if tri.edge_is_flippable(t1, k1):
-                tri.flip(t1, k1)
-                for e in ((apex1, u), (u, apex2), (apex2, v), (v, apex1)):
-                    queue.append(e)
 
 
 def triangulate_pslg(points: np.ndarray, segments: np.ndarray,

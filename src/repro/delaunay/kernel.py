@@ -12,8 +12,9 @@ decoupled inviscid subdomains.  Design:
   super-triangle, no magic coordinates, exact arithmetic everywhere.
 * **State here, algorithms in** :mod:`repro.delaunay.cavity`.
   :class:`Triangulation` owns slots, adjacency, the constraint set,
-  the counters, edge flips and export; the one walk, one carve and one
-  retriangulate that mutate it are free functions there.
+  the counters, edge flips and export; the three steps of an insertion
+  (one ``walk``, one ``carve``, one ``retriangulate``) and the one
+  Lawson legaliser that mutate it are free functions there.
 * **Robust predicates, filter inlined.**  All sign decisions are exact.
   The walk, the carve and the single in-disk test
   (:meth:`Triangulation._in_disk`) evaluate the floating-point *filter*
@@ -36,9 +37,9 @@ decoupled inviscid subdomains.  Design:
   module-level drivers, so identical inputs yield byte-identical meshes.
 * **Observability.**  The kernel accumulates plain-integer ``stat_*``
   counters (walk-step and cavity-size histograms, exact-predicate
-  escalations, visibility prunes, flips) that
-  :class:`repro.runtime.counters.KernelCounters` absorbs; the overhead
-  is a handful of integer adds per insertion.
+  escalations, visibility prunes, flips), one per name of the schema
+  in :mod:`repro.runtime.counters`, whose ``KernelCounters`` absorbs
+  them; the overhead is a handful of integer adds per insertion.
 
 Storage is the structure-of-arrays core
 :class:`repro.delaunay.arrays.MeshArrays` (preallocated ``float64`` /
@@ -74,14 +75,15 @@ from .cavity import (
     _NXT,
     _PRV,
     brio_order,
+    carve,
     get_strategy,
     insert_point as cavity_insert_point,
-    star_vertex,
+    retriangulate,
     walk,
 )
 from ..geometry.predicates import incircle, orient2d
 from .mesh import TriMesh
-from ..runtime.counters import monotonic_ns
+from ..runtime.counters import monotonic_ns, reset_kernel_stats
 
 __all__ = [
     "GHOST",
@@ -255,26 +257,9 @@ class Triangulation:
         # The batch strategy's vertex partition, ``(grid, capacity)``:
         # built and cached by cavity._partition_grid, unused otherwise.
         self._batch_grid = None
-        # Observability counters (absorbed by repro.runtime.counters).
-        self.stat_inserts = 0
-        self.stat_locates = 0
-        self.stat_walk_steps = 0
-        self.stat_brute_locates = 0
-        self.stat_grid_seeds = 0
-        self.stat_prunes = 0
-        self.stat_cavity_tris = 0
-        self.stat_flips = 0
-        self.stat_orient_fast = 0
-        self.stat_orient_exact = 0
-        self.stat_incircle_fast = 0
-        self.stat_incircle_exact = 0
-        self.stat_batch_calls = 0
-        self.stat_batch_entries = 0
-        self.stat_batch_points = 0
-        self.stat_conflict_retries = 0
-        self.stat_walk_hist = [0] * 32
-        self.stat_cavity_hist = [0] * 32
-        self.stat_finalize_ns = 0
+        # Observability counters: the ``stat_*`` attributes of the
+        # schema in repro.runtime.counters, which absorbs them.
+        reset_kernel_stats(self)
 
     # ------------------------------------------------------------------
     # Low-level triangle bookkeeping
@@ -537,8 +522,8 @@ class Triangulation:
                     for v in range(n):
                         if v not in used:
                             x, y = self.pts[v]
-                            t0, certified = walk(self, x, y, -1)
-                            star_vertex(self, v, x, y, t0, certified)
+                            retriangulate(self, v, *carve(
+                                self, x, y, *walk(self, x, y, -1)))
                     return c
         return c  # all points still collinear
 
@@ -565,62 +550,6 @@ class Triangulation:
         self._last_tri = t
         self.last_created = [t, g0, g1, g2]
         self.last_removed = []
-
-    # ------------------------------------------------------------------
-    # Constrained-cavity repair
-    # ------------------------------------------------------------------
-    def _legalize_vertex(self, vid: int, *, max_ops: int = 100_000) -> None:
-        """Lawson legalisation of the edges opposite ``vid`` in its star.
-
-        Flips every non-constrained, non-locally-Delaunay edge opposite
-        ``vid``; each flip exposes two new opposite edges which are
-        re-queued (the classic incremental-Delaunay recursion).
-        """
-        from collections import deque
-
-        queue: deque = deque()
-        for t in self.triangles_around_vertex(vid):
-            tv = self.tri_v[t]
-            if tv is None or GHOST in tv:
-                continue
-            i = tv.index(vid)
-            queue.append((tv[i - 2], tv[i - 1]))
-        ops = 0
-        while queue:
-            ops += 1
-            if ops > max_ops:
-                raise TriangulationError("vertex legalisation diverged")
-            u, v = queue.popleft()
-            if u == GHOST or v == GHOST:
-                continue
-            key = (u, v) if u < v else (v, u)
-            if key in self.constraints:
-                continue
-            # Find the triangle (vid, u, v) if it still exists.
-            t1 = None
-            for t in self.triangles_around_vertex(vid):
-                tv = self.tri_v[t]
-                if tv is not None and u in tv and v in tv and vid in tv:
-                    t1 = t
-                    break
-            if t1 is None:
-                continue
-            k1 = self.tri_v[t1].index(vid)
-            t2 = self.tri_n[t1][k1]
-            if t2 < 0 or self.is_ghost(t2):
-                continue
-            uu, vv = self._edge(t1, k1)
-            k2 = self._edge_index(t2, vv, uu)
-            w = self.tri_v[t2][k2]
-            if w == GHOST:
-                continue
-            tv1 = self.tri_v[t1]
-            if incircle(self.pts[tv1[0]], self.pts[tv1[1]],
-                        self.pts[tv1[2]], self.pts[w]) > 0:
-                if self.edge_is_flippable(t1, k1):
-                    self.flip(t1, k1)
-                    queue.append((uu, w))
-                    queue.append((w, vv))
 
     # ------------------------------------------------------------------
     # Edge flipping (used by constraint recovery and legalisation)

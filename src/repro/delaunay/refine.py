@@ -13,8 +13,14 @@ subdomain, insert Steiner points until
 Processing order follows Ruppert: encroached segments split at their
 midpoint first; then bad triangles get their circumcenter, unless the
 circumcenter would encroach a segment, in which case the segment splits
-instead.  Interior/exterior classification is maintained incrementally: a
-cavity never crosses a constrained edge, so every retriangulated cavity
+instead.  A circumcenter costs the kernel's three steps
+(:mod:`repro.delaunay.cavity`), each asked for once: one straight walk
+locates it (or meets the segment that hides it), one ``carve`` yields
+its conflict region — whose constrained boundary edges are the only
+segments it can encroach, so that question is read off the region — and
+``retriangulate`` commits the same region, whose star is the new work.
+Interior/exterior classification is maintained incrementally: a cavity
+never crosses a constrained edge, so every retriangulated cavity
 inherits a uniform region label.
 """
 
@@ -26,11 +32,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..geometry.predicates import exact_eq
-from ..geometry.primitives import circumcenter, distance, distance_sq
+from ..geometry.predicates import exact_eq, orient2d
+from ..geometry.primitives import circumcenter, distance, segments_intersect
 from ..runtime.counters import current as counters_current
-from .cavity import find_directed_edge
-from .constrained import carve, triangulate_pslg
+from .cavity import carve, find_directed_edge, insert_point, retriangulate, walk
+from .constrained import carve as carve_regions, triangulate_pslg
 from .kernel import GHOST, Triangulation, TriangulationError
 from .mesh import TriMesh
 
@@ -50,7 +56,8 @@ RUPPERT_BOUND = math.sqrt(2.0)
 
 
 class RefinementError(RuntimeError):
-    """Refinement failed to terminate within its insertion budget."""
+    """Refinement cannot go on: the insertion budget is spent, the rescan
+    does not converge, or a segment split found the region labels broken."""
 
 
 AreaFn = Callable[[float, float], float]
@@ -209,7 +216,7 @@ class Refiner:
         # fixed-point loop terminates.
         self._unfixable: set = set()
         # interior[t]: True for triangles in the meshed region.
-        mask = carve(tri, holes)
+        mask = carve_regions(tri, holes)
         self._interior: Dict[int, bool] = {
             t: bool(mask[t]) for t in tri.live_triangles()
         }
@@ -221,21 +228,18 @@ class Refiner:
     def _is_interior(self, t: int) -> bool:
         return self._interior.get(t, False)
 
-    def _insert_tracked(self, x: float, y: float, *, interior_hint: int
-                        ) -> int:
-        """Insert a point and propagate the region label of its cavity.
-
-        ``interior_hint`` is a triangle known to contain the point (the
-        label source).  Cavities cannot cross constraints, so the label is
-        uniform over the cavity and inherited by every new triangle.
+    def _track_cavity(self, label: bool) -> None:
+        """Carry region label ``label`` over the cavity the kernel just
+        committed (``last_removed`` -> ``last_created``) and charge the
+        Steiner budget.  Cavities cannot cross constraints, so the label
+        is uniform over the cavity and inherited by every new triangle.
         """
-        label = self._is_interior(interior_hint)
-        vid = self.tri.insert_point(x, y, hint=interior_hint)
-        for t in self.tri.last_removed:
+        tri = self.tri
+        for t in tri.last_removed:
             self._interior.pop(t, None)
             self._unfixable.discard(t)
-        for t in self.tri.last_created:
-            self._interior[t] = label and not self.tri.is_ghost(t)
+        for t in tri.last_created:
+            self._interior[t] = label and not tri.is_ghost(t)
             self._unfixable.discard(t)
         self.steiner_count += 1
         if self.steiner_count > self.max_steiner:
@@ -243,6 +247,21 @@ class Refiner:
                 f"exceeded Steiner budget ({self.max_steiner}); "
                 "sizing function or input geometry is inconsistent"
             )
+
+    def _insert_tracked(self, x: float, y: float, *, interior_hint: int
+                        ) -> int:
+        """Insert a point nobody needs to inspect the cavity of, through
+        the kernel's own composition of the three steps.
+
+        ``interior_hint`` is a triangle known to contain the point (the
+        walk start and the label source).  Returns the vertex id, or
+        :func:`~repro.delaunay.cavity.insert_point`'s negative code when
+        the point duplicates an existing vertex (nothing changed).
+        """
+        label = self._is_interior(interior_hint)
+        vid = insert_point(self.tri, x, y, interior_hint)
+        if vid >= 0:
+            self._track_cavity(label)
         return vid
 
     def _insert_on_segment(self, u: int, v: int, x: float, y: float) -> int:
@@ -256,75 +275,60 @@ class Refiner:
         crossing a constrained edge (a geometric side-of-line test would
         misclassify cavity triangles beyond the segment's endpoints).
         """
-        from ..geometry.predicates import orient2d
-
         tri = self.tri
-        loc = self._find_any_edge_triangle(u, v)
-        if loc is None:
+        sides = list(self._edge_sides(u, v))
+        if not sides:
             raise TriangulationError(f"segment ({u},{v}) is not an edge")
+        loc = next((t for t, w in sides if w != GHOST), sides[0][0])
+        pu, pv = tri.pts[u], tri.pts[v]
         # Side labels of the segment before the split (valid within the
         # segment's slab): used to seed the connectivity propagation for
         # triangles adjacent to the new subsegments — necessary when the
         # cavity swallows every pre-existing triangle of a region.
         label_side = {}
-        for t in tri.triangles_around_vertex(u):
-            tv = tri.tri_v[t]
-            if tv is None or v not in tv or tri.is_ghost(t):
-                continue
-            w = next(w for w in tv if w not in (u, v))
-            if w == GHOST:
-                continue
-            side = orient2d(tri.pts[u], tri.pts[v], tri.pts[w])
-            if side != 0:
-                label_side[side] = self._is_interior(t)
-        pu, pv = tri.pts[u], tri.pts[v]
+        for t, w in sides:
+            if w != GHOST and t in self._interior:
+                side = orient2d(pu, pv, tri.pts[w])
+                if side != 0:
+                    label_side[side] = self._interior[t]
 
         tri.unmark_constraint(u, v)
         vid = self._insert_tracked(x, y, interior_hint=loc)
+        if vid < 0:
+            tri.mark_constraint(u, v)
+            raise RefinementError(
+                f"segment ({u},{v}) cannot be split at {(x, y)}: the "
+                f"point is existing vertex {-2 - vid}")
         tri.mark_constraint(u, vid)
         tri.mark_constraint(vid, v)
 
-        created = [t for t in tri.last_created if tri.tri_v[t] is not None]
+        created = tri.last_created
         created_set = set(created)
-        for t in created:
-            if tri.is_ghost(t):
-                self._interior[t] = False
         pending = []
-        seeded: dict = {}
+        resolved: dict = {}
         for t in created:
             if tri.is_ghost(t):
-                continue
+                continue  # labelled exterior by _track_cavity
             tv = tri.tri_v[t]
-            # Adjacent to a new subsegment: side-of-line is valid here.
+            # Adjacent to a new subsegment: side-of-line is valid here
+            # (no w: the sliver (u, v, vid) of a midpoint rounded off
+            # the segment).
             if (u in tv or v in tv) and vid in tv:
                 w = next((w for w in tv if w not in (u, v, vid)), None)
-                if w is not None:
-                    side = orient2d(pu, pv, tri.pts[w])
-                    if side != 0 and side in label_side:
-                        seeded[t] = label_side[side]
-                        self._interior[t] = label_side[side]
-                        continue
+                side = 0 if w is None else orient2d(pu, pv, tri.pts[w])
+                if side in label_side:
+                    resolved[t] = self._interior[t] = label_side[side]
+                    continue
             pending.append(t)
-        resolved: dict = dict(seeded)
-        guard = 0
         while pending:
-            guard += 1
-            if guard > 4 * len(created) + 16:
-                # Should be unreachable: the cavity boundary always
-                # touches labelled pre-existing triangles or ghosts.
-                for t in pending:
-                    self._interior[t] = False
-                break
-            progress = False
             rest = []
             for t in pending:
                 label = None
                 for k in range(3):
-                    e_u, e_v = tri._edge(t, k)
-                    if e_u != GHOST and e_v != GHOST:
-                        key = (e_u, e_v) if e_u < e_v else (e_v, e_u)
-                        if key in tri.constraints:
-                            continue  # labels do not cross constraints
+                    e_u, e_v = tri._edge(t, k)  # real: t is no ghost
+                    key = (e_u, e_v) if e_u < e_v else (e_v, e_u)
+                    if key in tri.constraints:
+                        continue  # labels do not cross constraints
                     nb = tri.tri_n[t][k]
                     if nb < 0:
                         continue
@@ -340,44 +344,47 @@ class Refiner:
                 if label is None:
                     rest.append(t)
                 else:
-                    resolved[t] = label
-                    self._interior[t] = label
-                    progress = True
+                    resolved[t] = self._interior[t] = label
+            if len(rest) == len(pending):
+                # The cavity boundary always touches labelled
+                # pre-existing triangles or ghosts; if it does not, the
+                # region bookkeeping is broken and guessing a label
+                # would silently drop (or leak) triangles in to_mesh().
+                raise RefinementError(
+                    f"split of segment ({u},{v}) at {(x, y)}: "
+                    f"{len(rest)} new triangles reach no labelled region")
             pending = rest
-            if not progress and pending:
-                continue  # another pass: resolved set has grown
         return vid
 
-    def _find_any_edge_triangle(self, u: int, v: int) -> Optional[int]:
-        """Any live triangle holding edge {u, v}, preferring a real one.
-
-        The two directed-edge probes cover both sides of the edge; only
-        a hull edge can make one side ghost.
-        """
+    def _edge_sides(self, u: int, v: int):
+        """``(triangle, apex)`` left of ``u -> v``, then left of
+        ``v -> u`` (lazily: one directed-edge probe each).  A side is
+        missing only when the edge is; a hull edge has a ghost side,
+        whose apex is ``GHOST``."""
         tri = self.tri
-        ghost: Optional[int] = None
         for a, b in ((u, v), (v, u)):
             loc = find_directed_edge(tri, a, b)
             if loc is not None:
-                if not tri.is_ghost(loc[0]):
-                    return loc[0]
-                if ghost is None:
-                    ghost = loc[0]
+                yield loc[0], tri.tri_v[loc[0]][loc[1]]
+
+    def _find_any_edge_triangle(self, u: int, v: int) -> Optional[int]:
+        """Any live triangle holding edge {u, v}, preferring a real one."""
+        ghost: Optional[int] = None
+        for t, apex in self._edge_sides(u, v):
+            if apex != GHOST:
+                return t
+            if ghost is None:
+                ghost = t
         return ghost
 
     # ------------------------------------------------------------------
     # Encroachment
     # ------------------------------------------------------------------
-    def _encroached_by(self, u: int, v: int, w: int) -> bool:
-        """Vertex ``w`` strictly inside the diametral circle of (u, v)?"""
-        pu, pv, pw = self.tri.pts[u], self.tri.pts[v], self.tri.pts[w]
-        # Angle at w subtending uv > 90 deg  <=>  (u-w).(v-w) < 0.
-        return ((pu[0] - pw[0]) * (pv[0] - pw[0])
-                + (pu[1] - pw[1]) * (pv[1] - pw[1])) < 0.0
-
     def _encroached_by_point(self, u: int, v: int, p: Tuple[float, float]
                              ) -> bool:
+        """``p`` strictly inside the diametral circle of (u, v)?"""
         pu, pv = self.tri.pts[u], self.tri.pts[v]
+        # Angle at p subtending uv > 90 deg  <=>  (u-p).(v-p) < 0.
         return ((pu[0] - p[0]) * (pv[0] - p[0])
                 + (pu[1] - p[1]) * (pv[1] - p[1])) < 0.0
 
@@ -386,18 +393,10 @@ class Refiner:
         sufficient in a CDT: any encroaching vertex implies the apexes
         encroach too (they are inside the diametral circle or the segment
         would not be Delaunay-adjacent to them)."""
-        loc = self._find_any_edge_triangle(u, v)
-        if loc is None:
-            return False
-        tri = self.tri
-        for t in tri.triangles_around_vertex(u):
-            tv = tri.tri_v[t]
-            if v not in tv or tri.is_ghost(t):
-                continue
-            w = next(w for w in tv if w not in (u, v))
-            if w != GHOST and self._encroached_by(u, v, w):
-                return True
-        return False
+        pts = self.tri.pts
+        return any(
+            w != GHOST and self._encroached_by_point(u, v, pts[w])
+            for _, w in self._edge_sides(u, v))
 
     # ------------------------------------------------------------------
     # Quality / size tests
@@ -462,10 +461,8 @@ class Refiner:
                 t = work.popleft()
                 if self.tri.tri_v[t] is None:
                     continue
-                reason = self._triangle_bad(t)
-                if reason is None:
-                    continue
-                self._process_bad_triangle(t, work)
+                if self._triangle_bad(t) is not None:
+                    self._process_bad_triangle(t, work)
             # Re-scan to catch triangles invalidated out of the worklist.
             fresh = [t for t in self.tri.live_triangles()
                      if t not in self._unfixable and self._triangle_bad(t)]
@@ -490,53 +487,51 @@ class Refiner:
 
     def _process_bad_triangle(self, t: int, work: deque) -> None:
         tri = self.tri
-        tv = tri.tri_v[t]
-        pa, pb, pc = (tri.pts[tv[0]], tri.pts[tv[1]], tri.pts[tv[2]])
         try:
-            cc = circumcenter(pa, pb, pc)
+            cc = circumcenter(*(tri.pts[w] for w in tri.tri_v[t]))
         except ValueError:
-            self._unfixable.add(t)
-            return
-        if not (np.isfinite(cc[0]) and np.isfinite(cc[1])):
+            cc = (math.nan, math.nan)
+        if not (math.isfinite(cc[0]) and math.isfinite(cc[1])):
             self._unfixable.add(t)
             return
 
-        # Walk from the triangle toward the circumcenter; a constrained
-        # edge crossed on the way means cc is invisible -> split it.
-        blocker = self._visibility_blocker(t, cc)
+        # Locate: a constrained edge between the triangle and its
+        # circumcenter means cc is invisible -> split that edge instead.
+        blocker, dest, certified = self._locate_visible(t, cc)
         if blocker is not None:
-            u, v = blocker
-            if self._split_allowed(u, v):
-                mid = self._split_segment(u, v)
-                self._requeue_around_vertex(mid, work)
-            else:
-                self._unfixable.add(t)
+            self._split_segments([blocker], t, work)
             return
-
-        dest = tri.locate(cc, hint=t)
-        if tri.is_ghost(dest) or not self._is_interior(dest):
+        if (tri.is_ghost(dest) or not self._is_interior(dest)
+                or tri.find_vertex_at(cc, dest) is not None):
             # Outside the region without crossing a constraint (numeric
-            # corner) — nothing safe to insert.
+            # corner) or on top of an existing vertex — nothing safe to
+            # insert.
             self._unfixable.add(t)
             return
-        # Reject when cc would encroach a constrained cavity edge.
-        encroached = self._encroached_segments_near(dest, cc)
+        # Conflict region, carved once and inspected before it is
+        # committed: cc must not encroach a segment of its boundary.
+        cavity, seed = carve(tri, cc[0], cc[1], dest, certified)
+        encroached = self._encroached_boundary(cavity, seed, cc)
         if encroached:
-            did_split = False
-            for u, v in encroached:
-                if self._split_allowed(u, v):
-                    mid = self._split_segment(u, v)
-                    self._requeue_around_vertex(mid, work)
-                    did_split = True
-            if not did_split:
-                self._unfixable.add(t)
+            self._split_segments(encroached, t, work)
             return
-        dup = tri.find_vertex_at(cc, dest)
-        if dup is not None:
+        # Commit the same set.
+        vid = tri._arr.new_point(cc[0], cc[1])
+        tri.stat_inserts += 1
+        retriangulate(tri, vid, cavity, seed)
+        self._track_cavity(True)
+        self._requeue_created(work)
+
+    def _split_segments(self, segments: Sequence[Tuple[int, int]], t: int,
+                        work: deque) -> None:
+        """Split, in the given order, every segment that may be split;
+        bad triangle ``t`` is unfixable when none may."""
+        allowed = [uv for uv in segments if self._split_allowed(*uv)]
+        for u, v in allowed:
+            self._split_segment(u, v)
+            self._requeue_created(work)
+        if not allowed:
             self._unfixable.add(t)
-            return  # circumcenter collides with an existing vertex
-        vid = self._insert_tracked(cc[0], cc[1], interior_hint=dest)
-        self._requeue_around_vertex(vid, work)
 
     def _split_allowed(self, u: int, v: int) -> bool:
         if self.lock_segments:
@@ -546,89 +541,91 @@ class Refiner:
             return True
         return distance(self.tri.pts[u], self.tri.pts[v]) > 2.0 * self.min_edge_floor
 
-    def _requeue_around_vertex(self, vid: int, work: deque) -> None:
-        for t in self.tri.triangles_around_vertex(vid):
-            if not self.tri.is_ghost(t):
-                work.append(t)
-
-    def _visibility_blocker(self, t: int, cc: Tuple[float, float]
-                            ) -> Optional[Tuple[int, int]]:
-        """First constrained edge crossed walking from ``t``'s centroid to
-        ``cc``, or ``None`` when the circumcenter is visible."""
-        from ..geometry.predicates import orient2d
-        from ..geometry.primitives import segments_intersect
-
+    def _requeue_created(self, work: deque) -> None:
+        """The star the kernel just built is the only new work."""
         tri = self.tri
-        tv = tri.tri_v[t]
-        pa, pb, pc = (tri.pts[tv[0]], tri.pts[tv[1]], tri.pts[tv[2]])
+        work.extend(t for t in tri.last_created if not tri.is_ghost(t))
+
+    def _locate_visible(self, t: int, cc: Tuple[float, float]
+                        ) -> Tuple[Optional[Tuple[int, int]], int, bool]:
+        """Walk straight from ``t``'s centroid to ``cc``.
+
+        Returns ``(blocker, dest, certified)``: the first constrained
+        edge on the way (``cc`` is not visible; ``dest`` means nothing),
+        else ``None`` and the triangle holding ``cc`` — the one the walk
+        ended in when ``cc`` is strictly inside it (``certified``);
+        when ``cc`` is on an edge or a numeric corner stopped the walk,
+        the kernel's :func:`~repro.delaunay.cavity.walk` from ``t``
+        picks among the candidates.
+        """
+        tri = self.tri
+        pts = tri.pts
+        pa, pb, pc = (pts[w] for w in tri.tri_v[t])
         start = ((pa[0] + pb[0] + pc[0]) / 3.0, (pa[1] + pb[1] + pc[1]) / 3.0)
         cur = t
-        guard = 0
         visited = {t}
-        while True:
-            guard += 1
-            if guard > 4 * (tri.n_live_triangles + 8):
-                return None
+        steps = 0
+        max_steps = 4 * (tri.n_live_triangles + 8)
+        blocker = None
+        strictly_inside = False
+        while blocker is None and steps < max_steps:
+            steps += 1
             tv = tri.tri_v[cur]
             if tv is None or GHOST in tv:
-                return None
-            # Does cc lie in cur?
-            inside = all(
-                orient2d(tri.pts[tv[(k + 1) % 3]],
-                         tri.pts[tv[(k + 2) % 3]], cc) >= 0
-                for k in range(3)
-            )
-            if inside:
-                return None
-            moved = False
+                break
+            edges = [(tv[1], tv[2]), (tv[2], tv[0]), (tv[0], tv[1])]
+            signs = [orient2d(pts[u], pts[v], cc) for u, v in edges]
+            if min(signs) >= 0:
+                strictly_inside = 0 not in signs
+                break
             for k in range(3):
-                u, v = tri._edge(cur, k)
-                if u == GHOST or v == GHOST:
-                    continue
-                pu, pv = tri.pts[u], tri.pts[v]
-                if orient2d(pu, pv, cc) < 0 and segments_intersect(
-                    start, cc, pu, pv
-                ):
-                    key = (u, v) if u < v else (v, u)
-                    if key in tri.constraints:
-                        return (u, v)
+                u, v = edges[k]
+                if signs[k] < 0 and segments_intersect(
+                        start, cc, pts[u], pts[v]):
+                    if ((u, v) if u < v else (v, u)) in tri.constraints:
+                        blocker = (u, v)
+                        break
                     nxt = tri.tri_n[cur][k]
-                    if nxt < 0 or nxt in visited:
-                        continue
-                    visited.add(nxt)
-                    cur = nxt
-                    moved = True
-                    break
-            if not moved:
-                return None
+                    if nxt >= 0 and nxt not in visited:
+                        visited.add(nxt)
+                        cur = nxt
+                        break
+            else:
+                break  # no way on: a numeric corner
+        tri.stat_locates += 1
+        tri.stat_walk_steps += steps
+        tri.stat_walk_hist[min(steps, 31)] += 1
+        if blocker is not None or strictly_inside:
+            return blocker, cur, strictly_inside
+        return (None, *walk(tri, cc[0], cc[1], t))
 
-    def _encroached_segments_near(self, dest: int, cc: Tuple[float, float]
-                                  ) -> List[Tuple[int, int]]:
-        """Constrained edges of the would-be cavity that ``cc`` encroaches."""
+    def _encroached_boundary(self, cavity: Set[int], seed: int,
+                             cc: Tuple[float, float]
+                             ) -> List[Tuple[int, int]]:
+        """Constrained boundary edges of ``cavity`` that ``cc`` encroaches.
+
+        Membership-only traversal (no predicate is evaluated): depth
+        first from ``seed``, because the order the segments are listed
+        in is the order they are split in, and the vertex numbering of
+        un-locked refinement follows from it.
+        """
         tri = self.tri
+        constraints = tri.constraints
         out: List[Tuple[int, int]] = []
-        # Breadth-limited sweep over the cavity that cc's insertion would
-        # carve (constraint-respecting), checking its constrained border.
-        cavity = {dest}
-        stack = [dest]
+        seen = {seed}
+        stack = [seed]
         while stack:
             t = stack.pop()
+            tn = tri.tri_n[t]
             for k in range(3):
-                nb = tri.tri_n[t][k]
                 u, v = tri._edge(t, k)
-                is_constr = False
-                if u != GHOST and v != GHOST:
-                    key = (u, v) if u < v else (v, u)
-                    is_constr = key in tri.constraints
-                if is_constr:
+                if (u != GHOST and v != GHOST
+                        and ((u, v) if u < v else (v, u)) in constraints):
                     if self._encroached_by_point(u, v, cc):
                         out.append((u, v))
-                    continue
-                if nb < 0 or nb in cavity:
-                    continue
-                if tri._in_disk(nb, cc[0], cc[1]):
-                    cavity.add(nb)
-                    stack.append(nb)
+                elif tn[k] in cavity and tn[k] not in seen:
+                    seen.add(tn[k])
+                    stack.append(tn[k])
         return out
 
     # ------------------------------------------------------------------

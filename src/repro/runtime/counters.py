@@ -126,6 +126,35 @@ class Histogram:
         )
 
 
+#: The kernel-counter schema, written once: every name is an integer
+#: slot of :class:`KernelCounters`, the ``stat_<name>`` attribute a
+#: :class:`~repro.delaunay.kernel.Triangulation` counts into, and a key
+#: of ``to_plain()``; ``as_dict()`` lists them in this order (a
+#: ``*_fast`` slot as its ``*_tests`` total).
+KERNEL_FIELDS = (
+    "inserts", "locates", "walk_steps", "brute_locates", "grid_seeds",
+    "visibility_prunes", "cavity_triangles", "flips",
+    "orient_fast", "orient_exact", "incircle_fast", "incircle_exact",
+    "batch_calls", "batch_entries", "batch_points", "conflict_retries",
+    "finalize_ns",
+)
+#: ``(histogram slot, count field, total field, as_dict label)``: the
+#: kernel keeps the raw 32-bucket list under ``stat_<slot>``, and
+#: ``as_dict()`` puts ``<label>_mean`` / ``<label>_p95`` behind the total.
+KERNEL_HISTS = (
+    ("walk_hist", "locates", "walk_steps", "walk_steps"),
+    ("cavity_hist", "inserts", "cavity_triangles", "cavity_size"),
+)
+
+
+def reset_kernel_stats(tri) -> None:
+    """Zero every ``stat_*`` counter of the schema on ``tri``."""
+    for name in KERNEL_FIELDS:
+        setattr(tri, "stat_" + name, 0)
+    for hist, _, _, _ in KERNEL_HISTS:
+        setattr(tri, "stat_" + hist, [0] * 32)
+
+
 class KernelCounters:
     """Aggregated :class:`Triangulation` statistics.
 
@@ -134,66 +163,29 @@ class KernelCounters:
     (each subdomain refinement contributes its own triangulation).
     """
 
-    __slots__ = (
-        "inserts", "locates", "walk_steps", "brute_locates", "grid_seeds",
-        "visibility_prunes", "cavity_triangles", "flips",
-        "orient_fast", "orient_exact", "incircle_fast", "incircle_exact",
-        "batch_calls", "batch_entries", "batch_points", "conflict_retries",
-        "finalize_ns",
-        "walk_hist", "cavity_hist",
-    )
+    __slots__ = KERNEL_FIELDS + tuple(h[0] for h in KERNEL_HISTS)
 
     def __init__(self) -> None:
-        self.inserts = 0
-        self.locates = 0
-        self.walk_steps = 0
-        self.brute_locates = 0
-        self.grid_seeds = 0
-        self.visibility_prunes = 0
-        self.cavity_triangles = 0
-        self.flips = 0
-        self.orient_fast = 0
-        self.orient_exact = 0
-        self.incircle_fast = 0
-        self.incircle_exact = 0
-        self.batch_calls = 0
-        self.batch_entries = 0
-        self.batch_points = 0
-        self.conflict_retries = 0
-        self.finalize_ns = 0
-        self.walk_hist = Histogram(32)
-        self.cavity_hist = Histogram(32)
+        for name in KERNEL_FIELDS:
+            setattr(self, name, 0)
+        for hist, _, _, _ in KERNEL_HISTS:
+            setattr(self, hist, Histogram(32))
 
     def absorb(self, tri) -> None:
         """Accumulate the counters of a finished ``Triangulation``."""
-        self.inserts += tri.stat_inserts
-        self.locates += tri.stat_locates
-        self.walk_steps += tri.stat_walk_steps
-        self.brute_locates += tri.stat_brute_locates
-        self.grid_seeds += tri.stat_grid_seeds
-        self.visibility_prunes += tri.stat_prunes
-        self.cavity_triangles += tri.stat_cavity_tris
-        self.flips += tri.stat_flips
-        self.orient_fast += tri.stat_orient_fast
-        self.orient_exact += tri.stat_orient_exact
-        self.incircle_fast += tri.stat_incircle_fast
-        self.incircle_exact += tri.stat_incircle_exact
-        self.batch_calls += tri.stat_batch_calls
-        self.batch_entries += tri.stat_batch_entries
-        self.batch_points += tri.stat_batch_points
-        self.conflict_retries += tri.stat_conflict_retries
-        self.finalize_ns += tri.stat_finalize_ns
-        self.walk_hist.merge_counts(
-            tri.stat_walk_hist, tri.stat_locates, tri.stat_walk_steps)
-        self.cavity_hist.merge_counts(
-            tri.stat_cavity_hist, tri.stat_inserts, tri.stat_cavity_tris)
+        for name in KERNEL_FIELDS:
+            setattr(self, name,
+                    getattr(self, name) + getattr(tri, "stat_" + name))
+        for hist, count, total, _ in KERNEL_HISTS:
+            getattr(self, hist).merge_counts(
+                getattr(tri, "stat_" + hist),
+                getattr(tri, "stat_" + count), getattr(tri, "stat_" + total))
 
     def merge(self, other: "KernelCounters") -> None:
-        for name in self.__slots__:
-            if name in ("walk_hist", "cavity_hist"):
-                getattr(self, name).merge(getattr(other, name))
-            else:
-                setattr(self, name, getattr(self, name) + getattr(other, name))
+        for name in KERNEL_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        for hist, _, _, _ in KERNEL_HISTS:
+            getattr(self, hist).merge(getattr(other, hist))
 
     # ------------------------------------------------------------------
     # Cross-process transport (plain ints/lists only — compactly
@@ -201,27 +193,24 @@ class KernelCounters:
     # ------------------------------------------------------------------
     def to_plain(self) -> Dict[str, object]:
         """Plain-data form for shipping across a process boundary."""
-        out: Dict[str, object] = {}
-        for name in self.__slots__:
-            if name in ("walk_hist", "cavity_hist"):
-                h = getattr(self, name)
-                out[name] = {"buckets": list(h.buckets), "count": h.count,
-                             "total": h.total}
-            else:
-                out[name] = getattr(self, name)
+        out: Dict[str, object] = {
+            name: getattr(self, name) for name in KERNEL_FIELDS}
+        for hist, _, _, _ in KERNEL_HISTS:
+            h = getattr(self, hist)
+            out[hist] = {"buckets": list(h.buckets), "count": h.count,
+                         "total": h.total}
         return out
 
     def merge_plain(self, data: Dict[str, object]) -> None:
         """Merge a :meth:`to_plain` snapshot (e.g. from a worker process)."""
-        for name in self.__slots__:
-            if name not in data:
-                continue
-            if name in ("walk_hist", "cavity_hist"):
-                h = data[name]
-                getattr(self, name).merge_counts(
-                    list(h["buckets"]), int(h["count"]), int(h["total"]))
-            else:
+        for name in KERNEL_FIELDS:
+            if name in data:
                 setattr(self, name, getattr(self, name) + int(data[name]))
+        for hist, _, _, _ in KERNEL_HISTS:
+            if hist in data:
+                h = data[hist]
+                getattr(self, hist).merge_counts(
+                    list(h["buckets"]), int(h["count"]), int(h["total"]))
 
     # ------------------------------------------------------------------
     @property
@@ -242,30 +231,17 @@ class KernelCounters:
         return (self.orient_exact + self.incircle_exact) / total
 
     def as_dict(self) -> Dict[str, float]:
-        return {
-            "inserts": self.inserts,
-            "locates": self.locates,
-            "walk_steps": self.walk_steps,
-            "walk_steps_mean": self.walk_hist.mean(),
-            "walk_steps_p95": self.walk_hist.percentile(95.0),
-            "brute_locates": self.brute_locates,
-            "grid_seeds": self.grid_seeds,
-            "visibility_prunes": self.visibility_prunes,
-            "cavity_triangles": self.cavity_triangles,
-            "cavity_size_mean": self.cavity_hist.mean(),
-            "cavity_size_p95": self.cavity_hist.percentile(95.0),
-            "flips": self.flips,
-            "orient_tests": self.orient_tests,
-            "orient_exact": self.orient_exact,
-            "incircle_tests": self.incircle_tests,
-            "incircle_exact": self.incircle_exact,
-            "batch_calls": self.batch_calls,
-            "batch_entries": self.batch_entries,
-            "batch_points": self.batch_points,
-            "conflict_retries": self.conflict_retries,
-            "finalize_ns": self.finalize_ns,
-            "exact_escalation_rate": self.exact_escalation_rate,
-        }
+        out: Dict[str, float] = {}
+        for name in KERNEL_FIELDS:
+            if name.endswith("_fast"):
+                name = name[:-len("_fast")] + "_tests"
+            out[name] = getattr(self, name)
+            for hist, _, total, label in KERNEL_HISTS:
+                if total == name:
+                    out[label + "_mean"] = getattr(self, hist).mean()
+                    out[label + "_p95"] = getattr(self, hist).percentile(95.0)
+        out["exact_escalation_rate"] = self.exact_escalation_rate
+        return out
 
     def report(self) -> str:
         lines = [

@@ -23,6 +23,7 @@ from repro import BoundaryLayerConfig, MeshConfig, PSLG, generate_mesh, naca0012
 from repro.geometry.airfoils import three_element_airfoil
 from repro.io.meshio import read_mesh_npz
 from repro.runtime import serde
+from repro.runtime.counters import use_counters
 
 GOLDEN = Path(__file__).resolve().parents[2] / "examples/output/naca0012.npz"
 
@@ -33,8 +34,9 @@ def golden_mesh():
 
 
 @pytest.fixture(scope="module")
-def quickstart_mesh():
-    # Mirrors examples/quickstart.py exactly.
+def quickstart_run():
+    """``(mesh, counters sink)`` of examples/quickstart.py, mirrored
+    exactly (the sink only listens)."""
     pslg = PSLG.from_loops([naca0012(n_points=101)], names=["naca0012"])
     config = MeshConfig(
         bl=BoundaryLayerConfig(first_spacing=1e-3, growth_ratio=1.3,
@@ -42,7 +44,14 @@ def quickstart_mesh():
         farfield_chords=40.0,
         target_subdomains=16,
     )
-    return generate_mesh(pslg, config).mesh
+    with use_counters() as sink:
+        mesh = generate_mesh(pslg, config).mesh
+    return mesh, sink
+
+
+@pytest.fixture(scope="module")
+def quickstart_mesh(quickstart_run):
+    return quickstart_run[0]
 
 
 class TestGoldenNaca0012:
@@ -66,6 +75,21 @@ class TestGoldenNaca0012:
         got = float(np.abs(quickstart_mesh.areas()).sum())
         want = float(np.abs(golden_mesh.areas()).sum())
         assert got == pytest.approx(want, rel=1e-6)
+
+
+class TestKernelTraffic:
+    def test_one_locate_and_one_conflict_region_per_insert(self,
+                                                           quickstart_run):
+        """Duplicated kernel work is a failure, not a profile reading:
+        a Steiner point is located once and its conflict region carved
+        once.  The slack is attempts that end without an insertion,
+        circumcenters that land on an edge, segment recovery's own
+        locates, and the candidates a carve must reject (the parent of
+        this test walked 1.7x and tested 3.2-3.4x)."""
+        kernel = quickstart_run[1].kernel
+        assert kernel.inserts > 1000
+        assert kernel.locates <= 1.2 * kernel.inserts
+        assert kernel.incircle_tests <= 2.2 * kernel.cavity_triangles
 
 
 def mesh_hash(mesh) -> str:

@@ -18,12 +18,15 @@ with exact arithmetic:
 
 The same harness runs over uniform-random clouds, degenerate (cocircular
 / collinear-heavy) inputs, the fuzz PSLG corpus and dangling-needle
-PSLGs; a differential test pins ``cavity.carve`` to the exact oracle
-(:mod:`.oracle`) cavity for cavity, at every insertion, and constrained
-triangulations are re-checked after *every* insertion, because nothing
-repairs a fan afterwards.
+PSLGs; a differential test pins ``cavity.carve`` (seed rule included)
+to the exact oracle (:mod:`.oracle`) cavity for cavity, at every
+insertion — the refiner, which calls the kernel's three steps itself, is
+held to the same oracle at the commit step (:func:`checking_commits`) —
+and constrained triangulations are re-checked after *every* insertion,
+because nothing repairs a fan afterwards.
 """
 
+import contextlib
 import math
 
 import numpy as np
@@ -31,11 +34,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.delaunay.cavity import carve
+from repro.core.decouple import DecoupledSubdomain, refine_subdomain
+from repro.delaunay import cavity as cavity_module
+from repro.delaunay import refine as refine_module
+from repro.delaunay.cavity import carve, retriangulate
 from repro.delaunay.constrained import insert_segment, triangulate_pslg
 from repro.delaunay.kernel import Triangulation, triangulate
 from repro.delaunay.refine import Refiner
 from repro.geometry.predicates import incircle, orient2d
+from repro.sizing.functions import UniformSizing
 
 from . import oracle
 from .test_fuzz_pslg import star_polygon
@@ -131,8 +138,8 @@ def insert_checking_cavities(tri: Triangulation, points) -> int:
             continue
         t0 = oracle.seed(tri, t, p)
         want, clipped = oracle.carve(tri, p, t0)
-        got = carve(tri, p[0], p[1], t0)
-        assert got == want, f"cavity of {p} differs from the oracle's"
+        got = carve(tri, p[0], p[1], t)
+        assert got == (want, t0), f"cavity of {p} differs from the oracle's"
         n_clipped += clipped
         tri.insert_point(*p, hint=t)
         if tri.constraints:
@@ -140,6 +147,29 @@ def insert_checking_cavities(tri: Triangulation, points) -> int:
         else:
             assert set(tri.last_removed) == want
     return n_clipped
+
+
+@contextlib.contextmanager
+def checking_commits():
+    """Hook the commit step: while the block runs, every cavity handed
+    to ``retriangulate`` — by ``insert_point`` or by the refiner, which
+    composes the three steps itself and so never passes through
+    :func:`insert_checking_cavities` — must equal the oracle's cavity
+    from the same seed.  Yields the list of committed cavity sizes."""
+    commit = cavity_module.retriangulate
+    sizes = []
+
+    def checked(tri, vid, cavity, t0):
+        want, _ = oracle.carve(tri, tri.pts[vid], t0)
+        assert cavity == want, f"cavity of vertex {vid} differs from the oracle's"
+        sizes.append(len(cavity))
+        commit(tri, vid, cavity, t0)
+
+    cavity_module.retriangulate = refine_module.retriangulate = checked
+    try:
+        yield sizes
+    finally:
+        cavity_module.retriangulate = refine_module.retriangulate = commit
 
 
 def needle_case(seed: int, n_probes: int = 12):
@@ -335,8 +365,27 @@ class TestConstrainedInvariants:
         span = float(np.ptp(poly, axis=0).max())
         refiner = Refiner(tri, area_fn=lambda x, y: (span / 6) ** 2,
                           min_edge_floor=span * 1e-3)
-        refiner.refine()
+        with checking_commits() as sizes:
+            refiner.refine()
+        assert len(sizes) == refiner.steiner_count
         assert_invariants(tri)
+
+    def test_locked_border_subdomain_commits_match_oracle(self):
+        """The pipeline's refinement traffic: a decoupled subdomain with
+        a pre-sized border that is never split, so every Steiner point
+        is a circumcenter the refiner locates, carves and commits."""
+        side = np.linspace(0.0, 1.0, 9)[:-1]
+        ring = np.concatenate([
+            np.column_stack([side, np.zeros(8)]),
+            np.column_stack([np.ones(8), side]),
+            np.column_stack([1.0 - side, np.ones(8)]),
+            np.column_stack([np.zeros(8), 1.0 - side])])
+        with checking_commits() as sizes:
+            mesh = refine_subdomain(DecoupledSubdomain(ring=ring),
+                                    UniformSizing(0.004))
+        n_steiner = mesh.n_points - len(ring)
+        assert len(sizes) >= n_steiner > 50
+        assert len(mesh.segments) == len(ring)
 
     def test_clipped_cavities_match_oracle(self):
         """A spiky constrained star: cavities stop at locked edges, and
@@ -362,7 +411,7 @@ class TestConstrainedInvariants:
         flips = tri.stat_flips          # segment recovery's
         cloud = np.random.default_rng(seed).uniform(-10.0, 10.0, (30, 2))
         insert_checking_cavities(tri, cloud)
-        assert tri.stat_flips == flips or tri.stat_prunes > 0
+        assert tri.stat_flips == flips or tri.stat_visibility_prunes > 0
 
     @given(seed=st.integers(0, 10**6))
     @settings(max_examples=50, deadline=None)
@@ -378,8 +427,31 @@ class TestConstrainedInvariants:
         tri = triangulate_pslg(pts, segs)
         flips = tri.stat_flips
         insert_checking_cavities(tri, probes)
-        assert tri.stat_prunes == 0, f"needle_case({seed}) wraps a cavity"
+        assert tri.stat_visibility_prunes == 0, f"needle_case({seed}) wraps a cavity"
         assert tri.stat_flips == flips, "an unpruned insertion flipped"
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_forced_wrapped_cavity_is_pruned_and_legalised(self, seed):
+        """``carve`` never hands ``retriangulate`` a cavity holding both
+        sides of a segment (the needle corpus above), so the guard is
+        driven by hand: commit the *unconstrained* conflict region of a
+        point beside a dangling needle.  The guard must cut it back to
+        what the point sees and legalise the fan — through the same
+        ``legalize_edges`` segment recovery uses — into a CDT."""
+        rng = np.random.default_rng(seed)
+        pts = np.vstack([rng.uniform(-1, 1, (40, 2)),
+                         [(-0.3, 0.0), (0.3, 0.05)]])
+        tri = triangulate_pslg(pts, np.array([(40, 41)]))
+        (needle,) = tri.constraints
+        p = (float(rng.uniform(-0.2, 0.2)), float(rng.uniform(0.03, 0.08)))
+        tri.constraints = set()
+        cavity, seed_t = carve(tri, *p, tri.locate(p))
+        tri.constraints = {needle}
+        assert sum(needle[0] in tri.tri_v[t] and needle[1] in tri.tri_v[t]
+                   for t in cavity) == 2, "the region misses the needle"
+        retriangulate(tri, tri._arr.new_point(*p), cavity, seed_t)
+        assert tri.stat_visibility_prunes == 1
+        assert_invariants(tri)
 
     def test_locked_edges_survive_nearby_insertions(self):
         square = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [0.0, 4.0],

@@ -165,38 +165,49 @@ class TestAirfoilRefinement:
         assert ratios[unguarded].max() <= RUPPERT_BOUND + 1e-6
 
 
-class TestPredicateAccounting:
-    def test_encroachment_sweep_decisions_are_counted(self):
-        """Every in-disk decision of the pre-insertion cavity sweep
-        shows up in the kernel's predicate counters (they feed
-        ``exact_escalation_rate``)."""
+class TestSegmentSplits:
+    def test_two_segments_encroached_at_once_split_in_cavity_order(self):
+        """The circumcenter of the corner triangle of this square
+        encroaches the bottom side and the lower half of the left side
+        at once.  They are read off one carved cavity, depth first from
+        the triangle holding the circumcenter, and split in that order;
+        the vertex numbering (ids recorded at commit 6db284c, where a
+        second in-disk flood produced the order) follows from it."""
+        from repro.delaunay.constrained import triangulate_pslg
+        from repro.delaunay.refine import Refiner
+
+        pts, segs = square_pslg()
+        tri = triangulate_pslg(np.vstack([pts, [(0.21, 0.58)]]), segs)
+        refiner = Refiner(tri)
+        batches = []
+        split_segments = refiner._split_segments
+
+        def recording(segments, t, work):
+            batches.append([tuple(tri.pts[w] for w in uv) for uv in segments])
+            split_segments(segments, t, work)
+
+        refiner._split_segments = recording
+        refiner.refine()
+        assert batches == [[((0.0, 0.0), (1.0, 0.0)),
+                            ((0.0, 0.5), (0.0, 0.0))]]
+        assert list(tri.pts)[5:] == [(0.0, 0.5), (0.5, 0.0), (0.0, 0.25)]
+
+    def test_unlabelled_split_is_a_typed_error_not_a_silent_hole(self):
+        """New triangles that reach no labelled region mean the region
+        bookkeeping is broken; labelling them exterior would drop live
+        triangles from ``to_mesh()`` without a word."""
         from repro.delaunay.constrained import triangulate_pslg
         from repro.delaunay.refine import Refiner
 
         tri = triangulate_pslg(*square_pslg())
-        refiner = Refiner(tri, area_fn=lambda x, y: 0.01)
-        in_disk = tri._in_disk
-        sweep = refiner._encroached_segments_near
-        seen = {"decisions": 0, "counted": 0}
-
-        def predicate_tests():
-            return (tri.stat_incircle_fast + tri.stat_incircle_exact
-                    + tri.stat_orient_fast + tri.stat_orient_exact)
-
-        def counting_in_disk(t, px, py):
-            seen["decisions"] += 1
-            return in_disk(t, px, py)
-
-        def measured_sweep(dest, cc):
-            tri._in_disk = counting_in_disk
-            before = predicate_tests()
-            try:
-                return sweep(dest, cc)
-            finally:
-                seen["counted"] += predicate_tests() - before
-                del tri._in_disk
-
-        refiner._encroached_segments_near = measured_sweep
-        refiner.refine()
-        assert seen["decisions"] > 0
-        assert seen["counted"] >= seen["decisions"]
+        refiner = Refiner(tri, quality_bound=None)
+        u, v = sorted(tri.constraints)[0]
+        refiner._interior.clear()
+        with pytest.raises(RefinementError) as err:
+            refiner._split_segment(u, v)
+        pu, pv = tri.pts[u], tri.pts[v]
+        mid = (0.5 * (pu[0] + pv[0]), 0.5 * (pu[1] + pv[1]))
+        assert f"({u},{v})" in str(err.value)
+        assert str(mid) in str(err.value)
+        n_new = sum(not tri.is_ghost(t) for t in tri.last_created)
+        assert f"{n_new} new triangles" in str(err.value)

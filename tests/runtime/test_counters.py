@@ -58,13 +58,13 @@ class TestKernelCounters:
         assert b.walk_hist.count == 2 * a.walk_hist.count
 
     def test_visibility_prunes_travel_every_route(self):
-        """``stat_prunes`` (how often an insert left the fast path for
+        """``stat_visibility_prunes`` (how often an insert left the fast path for
         the wrapped-cavity branch) reaches the profile as
         ``kernel.visibility_prunes``: absorbed, shipped across a process
         boundary as plain data, merged, listed and rendered."""
         tri = triangulate(np.random.default_rng(4).random((20, 2)))
-        assert tri.stat_prunes == 0
-        tri.stat_prunes = 3
+        assert tri.stat_visibility_prunes == 0
+        tri.stat_visibility_prunes = 3
         worker, parent = KernelCounters(), KernelCounters()
         worker.absorb(tri)
         parent.merge_plain(worker.to_plain())
