@@ -6,7 +6,9 @@ Runs each workload's seed-0 primary op once in this process (inputs from
 workload called, by module (deletion *candidates*: one may still be a
 test reference or safety code) and (2) each workload's merged
 ``KernelCounters`` plus three ratios of them (``locates_per_insert``,
-``incircle_per_cavity_triangle``, ``orient_per_walk_step``).  The
+``incircle_per_cavity_triangle``, ``orient_per_walk_step``), then the
+sink's ``adapt_*`` events with ``adapt_flips_per_evaluation`` (the useful
+share of the flip pass's scoring; only ``adapt_shear`` adapts).  The
 ``service_mix`` daemon is out of the profiler's sight, so its in-process
 op is ``check_direct`` of a served request.
 Usage: ``python3 benchmarks/traffic_map.py [--smoke] [--workload NAME]``
@@ -105,6 +107,12 @@ def main(argv=None) -> None:
                 ("orient_per_walk_step", kernel.orient_tests,
                  kernel.walk_steps)):
             rows.append((key, count / per if per else 0.0))
+        events = sink.events
+        rows += sorted((k, n) for k, n in events.items()
+                       if k.startswith("adapt_"))
+        if events.get("adapt_flip_evaluations"):
+            rows.append(("adapt_flips_per_evaluation", events["adapt_flips"]
+                         / events["adapt_flip_evaluations"]))
         for key, value in rows:
             print(f"  {key:<28} {value:.6g}")
 

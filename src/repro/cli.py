@@ -322,6 +322,8 @@ def _run_adaptation(pslg: PSLG, mesh, args: argparse.Namespace,
         "collapses": sum(c["collapses"] for c in cycles),
         "flips": sum(c["flips"] for c in cycles),
         "smooth_moves": sum(c["smooth_moves"] for c in cycles),
+        "flip_evaluations": sum(c["flip_evaluations"] for c in cycles),
+        "flip_sweeps": sum(c["flip_sweeps"] for c in cycles),
         "conformity": (cycles[-1]["conformity_after"] if cycles
                        else float("nan")),
     }

@@ -394,7 +394,8 @@ def adapt_workitem(payload: serde.Buffers) -> serde.Buffers:
     out = serde.nest("mesh.", serde.pack_mesh(new_mesh))
     out["report.counters"] = np.asarray(
         [report.passes, report.splits, report.collapses, report.flips,
-         report.smooth_moves], dtype=np.int32)
+         report.smooth_moves, report.flip_evaluations, report.flip_sweeps],
+        dtype=np.int32)
     out["report.conformity"] = np.asarray(
         [report.conformity_before, report.conformity_after],
         dtype=np.float64)
@@ -413,6 +414,7 @@ def unpack_adapt_result(out: serde.Buffers):
     report = AdaptReport(
         passes=int(c[0]), splits=int(c[1]), collapses=int(c[2]),
         flips=int(c[3]), smooth_moves=int(c[4]),
+        flip_evaluations=int(c[5]), flip_sweeps=int(c[6]),
         conformity_before=float(conf[0]), conformity_after=float(conf[1]),
         conformity_trace=[float(x) for x in out["report.trace"]],
     )

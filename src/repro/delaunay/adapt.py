@@ -13,7 +13,9 @@ length inside ``[1/sqrt(2), sqrt(2)]``:
   and retriangulating its star polygon (ear clipping with exact
   orientation guards);
 * **flip** edges when the worst metric quality of the two adjacent
-  triangles improves (anisotropic Lawson sweep);
+  triangles improves (anisotropic Lawson sweeps over a dirty-edge
+  worklist: an edge is scored again only after one of its two
+  triangles changed);
 * **smooth** free vertices toward the metric-weighted centroid of their
   neighbours, with step-halving validity guards.
 
@@ -29,22 +31,70 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..geometry.predicates import orient2d
+from ..metric import tensor as _mt
 from ..runtime.counters import current as counters_current
+from .arrays import DEAD
 from .constrained import triangulate_pslg
 from .kernel import GHOST, TriangulationError
 from .mesh import TriMesh
 from .refine import Refiner
 
-__all__ = ["AdaptReport", "MeshAdaptor", "adapt_mesh", "LOW_BAND", "HIGH_BAND"]
+__all__ = ["AdaptReport", "MeshAdaptor", "adapt_mesh", "LOW_BAND", "HIGH_BAND",
+           "FLIP_MAX_SWEEPS", "FLIP_TOL"]
 
 #: Unit-mesh acceptance band for metric edge lengths.
 LOW_BAND = 1.0 / math.sqrt(2.0)
 HIGH_BAND = math.sqrt(2.0)
+#: Lawson sweeps one flip pass may run, and the quality gain a flip
+#: must exceed (keeps equal-quality diagonals from flipping for ever).
+FLIP_MAX_SWEEPS = 10
+FLIP_TOL = 1e-12
+
+_QUALITY_SCALE = 4.0 * math.sqrt(3.0)
+
+
+def _metric_quality(px, tensors, a: int, b: int, c: int) -> float:
+    """Metric shape quality in [0, 1] of triangle ``(a, b, c)``;
+    1 = metric-equilateral.
+
+    ``px`` is the flat coordinate buffer (``x`` of vertex ``i`` at
+    ``2 * i``) and ``tensors`` a list of compact ``[m11, m12, m22]``
+    rows: plain floats only, nothing allocated.  The expression order is
+    that of the array formulation this replaced (mean tensor
+    ``(ta + tb + tc) / 3``, :func:`repro.metric.tensor.quad_form` per
+    edge, edges summed left to right), so the result is bit-equal to it
+    and depends on the rotation ``(a, b, c)`` is given in.
+    """
+    i, j, k = 2 * a, 2 * b, 2 * c
+    ax, ay = px[i], px[i + 1]
+    bx, by = px[j], px[j + 1]
+    cx, cy = px[k], px[k + 1]
+    area = 0.5 * ((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
+    if area <= 0.0:
+        return 0.0
+    ta, tb, tc = tensors[a], tensors[b], tensors[c]
+    m0 = (ta[0] + tb[0] + tc[0]) / 3.0
+    m1 = (ta[1] + tb[1] + tc[1]) / 3.0
+    m2 = (ta[2] + tb[2] + tc[2]) / 3.0
+    det_m = m0 * m2 - m1 * m1
+    if det_m <= 0.0:
+        return 0.0
+    ex, ey = bx - ax, by - ay
+    l0 = m0 * ex * ex + 2.0 * m1 * ex * ey + m2 * ey * ey
+    ex, ey = cx - bx, cy - by
+    l1 = m0 * ex * ex + 2.0 * m1 * ex * ey + m2 * ey * ey
+    ex, ey = ax - cx, ay - cy
+    l2 = m0 * ex * ex + 2.0 * m1 * ex * ey + m2 * ey * ey
+    denom = (l0 + l1) + l2
+    if denom <= 0.0:
+        return 0.0
+    return _QUALITY_SCALE * (area * math.sqrt(det_m)) / denom
 
 
 @dataclass
@@ -56,6 +106,11 @@ class AdaptReport:
     collapses: int = 0
     flips: int = 0
     smooth_moves: int = 0
+    #: Edges the flip passes scored (four quality values each) and the
+    #: Lawson sweeps they ran; ``flips / flip_evaluations`` is the
+    #: useful share of the scoring work.
+    flip_evaluations: int = 0
+    flip_sweeps: int = 0
     conformity_before: float = 0.0
     conformity_after: float = 0.0
     #: In-band edge fraction after each pass (monitoring/stats).
@@ -68,6 +123,8 @@ class AdaptReport:
             "collapses": self.collapses,
             "flips": self.flips,
             "smooth_moves": self.smooth_moves,
+            "flip_evaluations": self.flip_evaluations,
+            "flip_sweeps": self.flip_sweeps,
             "conformity_before": self.conformity_before,
             "conformity_after": self.conformity_after,
             "conformity_trace": list(self.conformity_trace),
@@ -111,40 +168,78 @@ class MeshAdaptor(Refiner):
         # verbatim.
         self.protect_segments = bool(protect_segments)
         self.report = AdaptReport()
+        #: Flip passes the sweep cap ended while edges were still flipping.
+        self.flip_sweep_caps = 0
+        # Edit clocks: ``_topology_edits`` moves with every committed
+        # split, collapse and flip, ``_point_edits`` whenever a vertex
+        # is added or moved.  A snapshot is kept with the clock value it
+        # was taken at and reused while that clock stands still.
+        self._topology_edits = 0
+        self._point_edits = 0
+        self._tensors_at: Tuple[int, Optional[np.ndarray]] = (-1, None)
+        self._edges_at: Tuple[int, Optional[tuple]] = (-1, None)
 
     # ------------------------------------------------------------------
     # Snapshots
     # ------------------------------------------------------------------
     def _vertex_tensors(self) -> np.ndarray:
-        """Metric tensors interpolated at every kernel vertex."""
-        pts = np.asarray(self.tri.pts, dtype=np.float64)
-        return self.field.interpolate(pts)
+        """Metric tensors interpolated at every kernel vertex: one
+        interpolation per state of the point set."""
+        clock, tensors = self._tensors_at
+        if clock != self._point_edits:
+            tensors = self.field.interpolate(
+                np.asarray(self.tri.pts, dtype=np.float64))
+            self._tensors_at = (self._point_edits, tensors)
+        return tensors
+
+    def _edge_table(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(uv, slot)`` of the interior edges, from the flat arrays:
+        one scan per state of the connectivity.
+
+        ``uv`` holds the ``(u, v)``, ``u < v`` rows of every edge with an
+        interior (non-hole, non-ghost) triangle on either side, sorted
+        like tuples; ``slot[i] = 3 * t + k`` is where the triangle left
+        of ``u -> v`` stores that edge (``t`` may be a ghost: a hull
+        edge).  Every edge is stored once in each direction, so the
+        ``u < v`` occurrences are the unique edges.
+        """
+        clock, table = self._edges_at
+        if clock == self._topology_edits:
+            return table
+        arr = self.tri._arr
+        n_t = arr.n_tris
+        tv = arr.tri_v[:n_t]
+        # One spare False row: an unlinked neighbour (-1) reads it.
+        inside = np.zeros(n_t + 1, dtype=bool)
+        inside[[t for t, lab in self._interior.items() if lab]] = True
+        inside[:n_t] &= tv.min(axis=1) >= 0  # neither dead nor ghost
+        # Directed edge k of a row is (row[k + 1], row[k + 2]); a dead
+        # row keeps stale vertices and neighbours, hence the live test.
+        src = tv[:, (1, 2, 0)]
+        dst = tv[:, (2, 0, 1)]
+        keep = ((tv[:, :1] != DEAD) & (src >= 0) & (src < dst)
+                & (inside[:n_t, None] | inside[arr.tri_n[:n_t]]))
+        slot = np.flatnonzero(keep.ravel())
+        uv = np.column_stack([src.ravel()[slot], dst.ravel()[slot]]
+                             ).astype(np.int64)
+        order = np.argsort(uv[:, 0] * arr.n_pts + uv[:, 1])
+        table = (uv[order], slot[order])
+        self._edges_at = (self._topology_edits, table)
+        return table
 
     def _interior_edges(self) -> List[Tuple[int, int]]:
         """Sorted unique edges of interior (non-hole, non-ghost) triangles."""
-        tri = self.tri
-        edges = set()
-        for t in tri.live_triangles():
-            tv = tri.tri_v[t]
-            if tv is None or GHOST in tv or not self._is_interior(t):
-                continue
-            for k in range(3):
-                u, v = tv[k], tv[(k + 1) % 3]
-                edges.add((u, v) if u < v else (v, u))
-        return sorted(edges)
+        return list(map(tuple, self._edge_table()[0].tolist()))
 
-    def _metric_lengths(self, edges: Sequence[Tuple[int, int]],
-                        tensors: np.ndarray) -> np.ndarray:
+    def _metric_lengths(self, edges, tensors: np.ndarray) -> np.ndarray:
         """Metric edge lengths (Alauzet linear-metric quadrature)."""
-        from ..metric import tensor as _mt
-
         pts = np.asarray(self.tri.pts, dtype=np.float64)
         return _mt.edge_lengths(tensors, pts, edges)
 
     def conformity(self) -> float:
         """Fraction of interior edges with metric length in the band."""
-        edges = self._interior_edges()
-        if not edges:
+        edges = self._edge_table()[0]
+        if not len(edges):
             return 1.0
         lengths = self._metric_lengths(edges, self._vertex_tensors())
         inband = (lengths >= LOW_BAND) & (lengths <= HIGH_BAND)
@@ -154,16 +249,11 @@ class MeshAdaptor(Refiner):
         """Vertices that collapse/smooth must not move or remove:
         constraint endpoints and hull vertices."""
         tri = self.tri
-        protected = set()
-        for u, v in tri.constraints:
-            protected.add(u)
-            protected.add(v)
-        for t in tri.live_triangles():
-            tv = tri.tri_v[t]
-            if tv is not None and GHOST in tv:
-                for w in tv:
-                    if w != GHOST:
-                        protected.add(w)
+        tv = tri._arr.tri_v[:tri._arr.n_tris]
+        ghosts = tv[tv.min(axis=1) == GHOST]  # dead rows read DEAD < GHOST
+        protected = set(ghosts[ghosts != GHOST].tolist())
+        for uv in tri.constraints:
+            protected.update(uv)
         return protected
 
     # ------------------------------------------------------------------
@@ -189,16 +279,17 @@ class MeshAdaptor(Refiner):
                 self.locked_skips += 1
                 return False
             self._insert_on_segment(u, v, mx, my)
-            self.report.splits += 1
-            return True
-        if tri.is_ghost(loc):
-            return False
-        try:
-            if self._insert_tracked(mx, my, interior_hint=loc) < 0:
-                return False  # the midpoint is an existing vertex
-        except TriangulationError:
-            return False
+        else:
+            if tri.is_ghost(loc):
+                return False
+            try:
+                if self._insert_tracked(mx, my, interior_hint=loc) < 0:
+                    return False  # the midpoint is an existing vertex
+            except TriangulationError:
+                return False
         self.report.splits += 1
+        self._topology_edits += 1
+        self._point_edits += 1
         return True
 
     def collapse_edge(self, u: int, v: int,
@@ -322,6 +413,7 @@ class MeshAdaptor(Refiner):
             if nb >= 0:
                 tn[3 * nb + tri._edge_index(nb, ev, eu)] = t
         tri.vertex_tri[v] = -1
+        self._topology_edits += 1
         return True
 
     def flip_edge(self, u: int, v: int) -> bool:
@@ -338,18 +430,27 @@ class MeshAdaptor(Refiner):
         k1 = next((k for k in range(3) if tv[k] not in (u, v)), None)
         if k1 is None:
             return False
-        t2 = tri.tri_n[t1][k1]
+        return self._flip_opposite(t1, k1)
+
+    def _flip_opposite(self, t1: int, k1: int) -> bool:
+        """Flip the edge opposite vertex ``k1`` of real triangle ``t1``
+        when the other side is real, in the same region, and the quad
+        strictly convex.  ``t1`` decides which slot gets which of the
+        new triangles (:meth:`Triangulation.flip`)."""
+        tri = self.tri
+        t2 = tri._arr.tn[3 * t1 + k1]
         if t2 < 0 or tri.is_ghost(t2):
             return False
-        if self._is_interior(t1) != self._is_interior(t2):
+        label = self._is_interior(t1)
+        if label != self._is_interior(t2):
             return False
         if not tri.edge_is_flippable(t1, k1):
             return False
-        label = self._is_interior(t1)
         n1, n2 = tri.flip(t1, k1)
         self._interior[n1] = label
         self._interior[n2] = label
         self.report.flips += 1
+        self._topology_edits += 1
         return True
 
     # ------------------------------------------------------------------
@@ -357,11 +458,12 @@ class MeshAdaptor(Refiner):
     # ------------------------------------------------------------------
     def split_pass(self) -> int:
         """Split every edge with metric length above ``l_max``."""
-        edges = self._interior_edges()
-        if not edges:
+        edges = self._edge_table()[0]
+        if not len(edges):
             return 0
         lengths = self._metric_lengths(edges, self._vertex_tensors())
         order = np.argsort(-lengths, kind="stable")
+        edges = edges.tolist()
         done = 0
         for j in order:
             if lengths[j] <= self.l_max:
@@ -373,11 +475,12 @@ class MeshAdaptor(Refiner):
 
     def collapse_pass(self) -> int:
         """Collapse edges with metric length below ``l_min``."""
-        edges = self._interior_edges()
-        if not edges:
+        edges = self._edge_table()[0]
+        if not len(edges):
             return 0
         lengths = self._metric_lengths(edges, self._vertex_tensors())
         order = np.argsort(lengths, kind="stable")
+        edges = edges.tolist()
         protected = self._protected_vertices()
         removed: set = set()
         done = 0
@@ -398,77 +501,104 @@ class MeshAdaptor(Refiner):
                         removed.add(w)
         return done
 
-    def _metric_quality(self, a: int, b: int, c: int,
-                        tensors: np.ndarray) -> float:
-        """Metric shape quality in [0, 1]; 1 = metric-equilateral."""
-        from ..metric import tensor as _mt
-
-        pts = self.tri.pts
-        pa, pb, pc = pts[a], pts[b], pts[c]
-        area = 0.5 * ((pb[0] - pa[0]) * (pc[1] - pa[1])
-                      - (pb[1] - pa[1]) * (pc[0] - pa[0]))
-        if area <= 0.0:
-            return 0.0
-        m = (tensors[a] + tensors[b] + tensors[c]) / 3.0
-        det_m = m[0] * m[2] - m[1] * m[1]
-        if det_m <= 0.0:
-            return 0.0
-        vecs = np.array([
-            [pb[0] - pa[0], pb[1] - pa[1]],
-            [pc[0] - pb[0], pc[1] - pb[1]],
-            [pa[0] - pc[0], pa[1] - pc[1]],
-        ])
-        l_sq = _mt.quad_form(np.repeat(m[None, :], 3, axis=0), vecs)
-        denom = float(l_sq.sum())
-        if denom <= 0.0:
-            return 0.0
-        area_m = area * math.sqrt(det_m)
-        return 4.0 * math.sqrt(3.0) * area_m / denom
-
-    def flip_pass(self, *, max_sweeps: int = 10, tol: float = 1e-12) -> int:
+    def flip_pass(self) -> int:
         """Anisotropic Lawson sweeps: flip while the worst metric quality
-        of an edge's two triangles improves."""
+        of an edge's two triangles improves.
+
+        A sweep visits edges in sorted ``(u, v)`` order and only edges
+        that existed when it began; up to :data:`FLIP_MAX_SWEEPS` sweeps
+        run, the last one flipping nothing unless the cap cut it short.
+        Whether an edge flips is a function of its two triangles alone
+        (their slots and stored rotation, region labels, four points,
+        four tensors), and a flip rewrites exactly two triangles, so
+        after the first sweep only the five edges of a flipped pair can
+        decide differently: the sweep is a worklist of those *dirty*
+        edges.  An outer edge of the new pair rejoins the running sweep
+        when that sweep still has it ahead (it sorts after the edge just
+        flipped and was not born in this sweep); otherwise, and always
+        for the new diagonal, it waits for the next sweep.  That visits
+        every edge whose answer can have changed at the very place a
+        full sweep over all edges would, and no other.
+        """
         tri = self.tri
+        arr = tri._arr
+        tv, tn, px = arr.tv, arr.tn, arr.px  # flips allocate nothing
+        n = arr.n_pts
+        rep = self.report
+        tensors = self._vertex_tensors().tolist()
+        locked = {u * n + v for u, v in tri.constraints}
+        uv, slot = self._edge_table()
+        work = (uv[:, 0] * n + uv[:, 1]).tolist()  # packed keys sort alike
+        # slot_of[key] = 3 * t + k of the edge in the triangle left of
+        # u -> v (u < v): the side decides which slot a flip writes
+        # which new triangle to, hence the output's triangle rows.
+        slot_of = dict(zip(work, slot.tolist()))
         total = 0
-        for _ in range(max_sweeps):
-            tensors = self._vertex_tensors()
+        for _ in range(FLIP_MAX_SWEEPS):
+            rep.flip_sweeps += 1
+            heap = work  # sorted, so already a heap
+            queued = set(heap)
+            born: set = set()
+            later: set = set()
             flipped = 0
-            for u, v in self._interior_edges():
-                key = (u, v) if u < v else (v, u)
-                if key in tri.constraints:
+            while heap:
+                key = heappop(heap)
+                if key in locked:
                     continue
-                t1 = self._find_any_edge_triangle(u, v)
-                if t1 is None or tri.is_ghost(t1):
+                t1, k1 = divmod(slot_of[key], 3)
+                i1 = 3 * t1
+                t2 = tn[i1 + k1]
+                a = tv[i1 + k1]
+                if a == GHOST or t2 < 0:
                     continue
-                tv = tri.tri_v[t1]
-                k1 = next((k for k in range(3) if tv[k] not in (u, v)), None)
-                if k1 is None:
+                u, v = divmod(key, n)
+                i2 = 3 * t2
+                b = tv[i2 + tri._edge_index(t2, v, u)]
+                if b == GHOST:
                     continue
-                a = tv[k1]
-                t2 = tri.tri_n[t1][k1]
-                if t2 < 0 or tri.is_ghost(t2):
+                rep.flip_evaluations += 1
+                q_now = min(
+                    _metric_quality(px, tensors,
+                                    tv[i1], tv[i1 + 1], tv[i1 + 2]),
+                    _metric_quality(px, tensors,
+                                    tv[i2], tv[i2 + 1], tv[i2 + 2]))
+                q_new = min(_metric_quality(px, tensors, a, u, b),
+                            _metric_quality(px, tensors, b, v, a))
+                if not (q_new > q_now + FLIP_TOL
+                        and self._flip_opposite(t1, k1)):
                     continue
-                tv2 = tri.tri_v[t2]
-                b = next((w for w in tv2 if w not in (u, v)), None)
-                if b is None or b == GHOST:
-                    continue
-                q_now = min(self._metric_quality(*tv, tensors),
-                            self._metric_quality(*tv2, tensors))
-                q_new = min(self._metric_quality(a, u, b, tensors),
-                            self._metric_quality(b, v, a, tensors))
-                if q_new > q_now + tol and self.flip_edge(u, v):
-                    flipped += 1
+                flipped += 1
+                # Now t1 = [a, u, b] and t2 = [b, v, a]: edge 1 of each
+                # is the new diagonal, edges 0 and 2 the outer four.
+                diagonal = a * n + b if a < b else b * n + a
+                slot_of[diagonal] = i2 + 1 if a < b else i1 + 1
+                born.add(diagonal)
+                later.add(diagonal)
+                for s, x, y in ((i1, u, b), (i1 + 2, a, u),
+                                (i2, v, a), (i2 + 2, b, v)):
+                    if x > y:  # left of y -> x is the outside neighbour
+                        nb = tn[s]
+                        s = 3 * nb + tri._edge_index(nb, y, x)
+                        x, y = y, x
+                    dirty = x * n + y
+                    slot_of[dirty] = s
+                    if dirty < key or dirty in born:
+                        later.add(dirty)
+                    elif dirty not in queued:
+                        queued.add(dirty)
+                        heappush(heap, dirty)
             total += flipped
-            if flipped == 0:
+            if not flipped:
                 break
+            work = sorted(later)
+        else:
+            self.flip_sweep_caps += 1
         return total
 
     def smooth_pass(self, *, relaxation: float = 0.5) -> int:
         """Move free vertices toward the metric-weighted neighbour
         centroid; each move is validated (no inverted incident triangle)
         with step halving before acceptance."""
-        from ..metric import tensor as _mt
-
         tri = self.tri
         tensors = self._vertex_tensors()
         protected = self._protected_vertices()
@@ -530,6 +660,7 @@ class MeshAdaptor(Refiner):
                 px[2 * v] = old[0]
                 px[2 * v + 1] = old[1]
         self.report.smooth_moves += moves
+        self._point_edits += moves
         return moves
 
     # ------------------------------------------------------------------
@@ -566,6 +697,10 @@ class MeshAdaptor(Refiner):
             sink.incr("adapt_collapses", rep.collapses)
             sink.incr("adapt_flips", rep.flips)
             sink.incr("adapt_smooth_moves", rep.smooth_moves)
+            sink.incr("adapt_flip_evaluations", rep.flip_evaluations)
+            sink.incr("adapt_flip_sweeps", rep.flip_sweeps)
+            if self.flip_sweep_caps:
+                sink.incr("adapt_flip_sweep_cap", self.flip_sweep_caps)
         return rep
 
 

@@ -60,6 +60,9 @@ class TestAdaptWorkitem:
         assert (serde.canonical_hash(serde.pack_mesh(got_mesh))
                 == serde.canonical_hash(serde.pack_mesh(want_mesh)))
         assert got_report.to_dict() == want_report.to_dict()
+        # passes, the four operation counts, flip evaluations and sweeps
+        assert out["report.counters"].shape == (7,)
+        assert got_report.flip_evaluations >= got_report.flips > 0
 
     def test_knobs_travel(self, case):
         mesh, field = case
@@ -78,9 +81,10 @@ class TestAdaptWorkitem:
         n_ranks = 2 if impl.parallel else 1
         (out,) = impl.map_workitems(pipeline.adapt_workitem, [payload],
                                     n_ranks=n_ranks)
-        got, _ = pipeline.unpack_adapt_result(out)
+        got, got_report = pipeline.unpack_adapt_result(out)
         ref_out = pipeline.adapt_workitem(
             pipeline.pack_adapt_item(mesh, field, max_passes=2))
-        ref, _ = pipeline.unpack_adapt_result(ref_out)
+        ref, ref_report = pipeline.unpack_adapt_result(ref_out)
         assert (serde.canonical_hash(serde.pack_mesh(got))
                 == serde.canonical_hash(serde.pack_mesh(ref)))
+        assert got_report.to_dict() == ref_report.to_dict()

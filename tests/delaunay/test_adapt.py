@@ -13,6 +13,10 @@ Three layers of guarantees:
   refactor of the refinement sizing contract keeps the default area
   path *bit-identical* — pinned canonical hashes from the pre-refactor
   code must reproduce exactly.
+* **Adapted-mesh pins**: whole ``adapt_loop`` / ``adapt_mesh`` outputs
+  (hash, DOF, error, operation counts, conformity traces) recorded
+  before the flip pass became a dirty-edge worklist; the differential
+  against the full-sweep oracle is ``test_adapt_flip.py``.
 """
 
 import numpy as np
@@ -25,6 +29,7 @@ from repro.delaunay import (
     MeshAdaptor,
     MetricCriterion,
     adapt_mesh,
+    cavity,
     refine_pslg,
 )
 from repro.delaunay.adapt import HIGH_BAND, LOW_BAND
@@ -33,6 +38,7 @@ from repro.delaunay.kernel import GHOST
 from repro.geometry.predicates import orient2d
 from repro.metric import MetricField
 from repro.runtime import serde
+from repro.solver.adapt import ShearLayerProblem, adapt_loop
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 SQUARE_SEGS = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
@@ -253,6 +259,80 @@ class TestByteIdentity:
         b = refine_pslg(UNIT_SQUARE.copy(), SQUARE_SEGS.copy(),
                         criterion=AreaCriterion(fn))
         assert mesh_hash(a) == mesh_hash(b)
+
+
+# ----------------------------------------------------------------------
+# Adapted meshes, pinned at commit c676863 (full-sweep flip pass)
+# ----------------------------------------------------------------------
+def holed_square_mesh():
+    pts = np.vstack([UNIT_SQUARE,
+                     [[0.4, 0.4], [0.6, 0.4], [0.6, 0.6], [0.4, 0.6]]])
+    segs = np.vstack([SQUARE_SEGS, [[4, 5], [5, 6], [6, 7], [7, 4]]])
+    return refine_pslg(pts, segs, max_area=0.02, holes=[(0.5, 0.5)])
+
+
+def rotated_metric(points, theta, h_across, h_along):
+    """Constant analytic metric: spacing ``h_across`` along the
+    direction at angle ``theta``, ``h_along`` normal to it."""
+    c, s = np.cos(theta), np.sin(theta)
+    l1, l2 = 1.0 / (h_across * h_across), 1.0 / (h_along * h_along)
+    tensors = np.empty((len(points), 3))
+    tensors[:, 0] = l1 * c * c + l2 * s * s
+    tensors[:, 1] = (l1 - l2) * c * s
+    tensors[:, 2] = l1 * s * s + l2 * c * c
+    return MetricField(points, tensors)
+
+
+class TestAdaptedMeshPins:
+    @pytest.mark.skipif(
+        cavity.DEFAULT_STRATEGY != "scalar",
+        reason="cycle 2 re-triangulates 456 vertices: past its 120-point "
+               "scalar bootstrap `batch` numbers the start triangulation "
+               "differently, and every later operation follows from it")
+    def test_shear_layer_loop(self):
+        """The perf ledger's seed-0 ``adapt_shear`` op."""
+        result = adapt_loop(square_mesh(),
+                            problem=ShearLayerProblem(0.05, 0.1),
+                            cycles=2, eps=4e-2, h_min=1e-3, h_max=0.3)
+        assert mesh_hash(result.mesh) == (
+            "84c17f882cf7277b97a4430dfe130252062ca705e6a7e4b9aa3bc1b6551ca46a")
+        assert (result.mesh.n_points, result.mesh.n_triangles) == (353, 618)
+        assert [c.dof for c in result.history] == [42, 456, 353]
+        assert result.error == 0.017987992463276273
+        first, second = (c.report for c in result.history[1:])
+        assert (first.splits, first.collapses, first.flips,
+                first.smooth_moves) == (507, 93, 298, 767)
+        assert (second.splits, second.collapses, second.flips,
+                second.smooth_moves) == (399, 502, 697, 757)
+        assert first.conformity_trace == [
+            0.14594594594594595, 0.7407407407407407, 0.9545804464973057]
+        assert second.conformity_trace == [
+            0.67018779342723, 0.8170212765957446, 0.856701030927835]
+        # The frozen ledger reads delaunay.adapt.ops from these fields.
+        assert sum(r.splits + r.collapses + r.flips + r.smooth_moves
+                   for r in (first, second)) == 4020
+
+    # 53 vertices: inside `batch`'s scalar bootstrap, so these two hold
+    # under either session strategy.
+    @pytest.mark.parametrize("protect, digest, size, ops, conformity", [
+        (False,
+         "f8c946f430bda42ac0f0c815a1b2fb4831482228c3aba08588354cc0b8980f8e",
+         (200, 288), (209, 62, 493, 235), 0.9569672131147541),
+        (True,
+         "156cfaec9c5690e986ceba3a16d34f918e6a4e8ffa05195138d7d9af5211d1d6",
+         (159, 290), (201, 95, 457, 320), 0.6636971046770601),
+    ])
+    def test_holed_square_rotated_metric(self, protect, digest, size, ops,
+                                         conformity):
+        mesh = holed_square_mesh()
+        field = rotated_metric(mesh.points, 0.6, 0.03, 0.25)
+        adapted, report = adapt_mesh(mesh, field, holes=[(0.5, 0.5)],
+                                     max_passes=3, protect_segments=protect)
+        assert mesh_hash(adapted) == digest
+        assert (adapted.n_points, adapted.n_triangles) == size
+        assert (report.splits, report.collapses, report.flips,
+                report.smooth_moves) == ops
+        assert report.conformity_after == conformity
 
 
 class TestMetricCriterion:

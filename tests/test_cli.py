@@ -91,6 +91,10 @@ class TestAdaptFlags:
         assert 0.0 <= adapt["conformity"] <= 1.0
         report = adapt["reports"][0]
         assert report["conformity_after"] >= report["conformity_before"]
+        # Scoring work of the flip passes: summed like the other counts.
+        assert adapt["flip_evaluations"] == report["flip_evaluations"]
+        assert adapt["flip_evaluations"] >= adapt["flips"]
+        assert adapt["flip_sweeps"] == report["flip_sweeps"] >= 1
 
 
 class TestServiceParsers:
