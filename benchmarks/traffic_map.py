@@ -6,9 +6,11 @@ Runs each workload's seed-0 primary op once in this process (inputs from
 workload called, by module (deletion *candidates*: one may still be a
 test reference or safety code) and (2) each workload's merged
 ``KernelCounters`` plus three ratios of them (``locates_per_insert``,
-``incircle_per_cavity_triangle``, ``orient_per_walk_step``), then the
-sink's ``adapt_*`` events with ``adapt_flips_per_evaluation`` (the useful
-share of the flip pass's scoring; only ``adapt_shear`` adapts).  The
+``incircle_per_cavity_triangle``, ``orient_per_walk_step``), the
+refiner's ``triangle_tests`` with ``triangle_tests_per_steiner`` (its
+quality/size tests per point it inserted), then the sink's ``adapt_*``
+events with ``adapt_flips_per_evaluation`` (the useful share of the flip
+pass's scoring; only ``adapt_shear`` adapts).  The
 ``service_mix`` daemon is out of the profiler's sight, so its in-process
 op is ``check_direct`` of a served request.
 Usage: ``python3 benchmarks/traffic_map.py [--smoke] [--workload NAME]``
@@ -108,6 +110,11 @@ def main(argv=None) -> None:
                  kernel.walk_steps)):
             rows.append((key, count / per if per else 0.0))
         events = sink.events
+        if events.get("steiner_points"):
+            rows += [(k, events[k])
+                     for k in ("steiner_points", "triangle_tests")]
+            rows.append(("triangle_tests_per_steiner",
+                         events["triangle_tests"] / events["steiner_points"]))
         rows += sorted((k, n) for k, n in events.items()
                        if k.startswith("adapt_"))
         if events.get("adapt_flip_evaluations"):

@@ -22,6 +22,7 @@ requests without paying startup/fork per mesh::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -36,7 +37,7 @@ from .geometry.pslg import PSLG
 from .io.meshio import read_poly, write_mesh_ascii, write_mesh_npz
 from .lint import RULESET_VERSION, rule_ids, tsan
 from .runtime import executor
-from .runtime.counters import timed
+from .runtime.counters import timed, use_counters
 
 __all__ = ["main", "build_parser"]
 
@@ -466,30 +467,24 @@ def main(argv=None) -> int:
     config = _config_from_args(args)
     if args.sanitize and not tsan.enabled():
         tsan.enable()
-    with timed("total") as tm:
-        if args.profile:
-            from .runtime.counters import use_counters
-
-            # Worker counter snapshots (including from the processes
-            # backend's separate address spaces) merge into this sink.
-            with use_counters() as profile_sink:
-                result = generate_mesh(pslg, config, backend=backend,
-                                       n_ranks=n_ranks,
-                                       insert_strategy=insert_strategy)
-        else:
-            profile_sink = None
+    # Worker counter snapshots (including from the processes backend's
+    # separate address spaces) merge into this sink; it stays installed
+    # over the adaptation stage.
+    with (use_counters() if args.profile
+          else contextlib.nullcontext()) as profile_sink:
+        with timed("total") as tm:
             result = generate_mesh(pslg, config, backend=backend,
                                    n_ranks=n_ranks,
                                    insert_strategy=insert_strategy)
-    elapsed = tm.elapsed
+        elapsed = tm.elapsed
 
-    adapt_summary = None
-    final_mesh = result.mesh
-    if args.adapt:
-        with timed("adapt") as tma:
-            final_mesh, adapt_summary = _run_adaptation(
-                pslg, final_mesh, args, backend)
-        adapt_summary["elapsed_s"] = round(tma.elapsed, 3)
+        adapt_summary = None
+        final_mesh = result.mesh
+        if args.adapt:
+            with timed("adapt") as tma:
+                final_mesh, adapt_summary = _run_adaptation(
+                    pslg, final_mesh, args, backend)
+            adapt_summary["elapsed_s"] = round(tma.elapsed, 3)
 
     written = _write_mesh_outputs(args, final_mesh)
     if args.report:

@@ -33,7 +33,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..delaunay.mesh import TriMesh
-from ..delaunay.refine import RUPPERT_BOUND, Refiner
+from ..delaunay.refine import RUPPERT_BOUND, AreaCriterion, Refiner
 from ..delaunay.constrained import triangulate_pslg
 from ..geometry.aabb import AABB
 from ..geometry.predicates import exact_eq
@@ -50,6 +50,17 @@ __all__ = [
     "refine_subdomain",
     "estimate_triangles",
 ]
+
+#: Border step ``D`` in units of the decoupling edge length ``k`` at the
+#: current vertex (Eq. 1 admits ``D in [2k/sqrt(3), 2k)``).
+STEP_FACTOR = 1.8
+assert 2.0 / math.sqrt(3.0) <= STEP_FACTOR < 2.0
+#: A ring with fewer vertices is too coarse for a '+' split.
+MIN_RING = 8
+#: Sizing samples (and the generator seed that places them) behind one
+#: triangle-count estimate.
+ESTIMATE_SAMPLES = 64
+ESTIMATE_SEED = 0
 
 
 @dataclass
@@ -82,22 +93,17 @@ def march_path(
     p0: Tuple[float, float],
     p1: Tuple[float, float],
     sizing: SizingFunction,
-    *,
-    step_factor: float = 1.8,
 ) -> np.ndarray:
     """Graded vertex march from ``p0`` to ``p1`` (both included).
 
     Implements Section II.E: starting at ``v_current`` with
     ``k_current = k(A(v_current))``, the next vertex is placed
-    ``D = step_factor * k_current`` ahead (``step_factor`` must lie in
-    [2/sqrt(3), 2)) and pulled closer while ``D >= 2 k_next``; interior
-    vertices are finally rescaled along the segment so the last step ends
-    exactly on ``p1`` without compressing any gap below ``2k/sqrt(3)``
-    locally (the rescale factor is bounded by one step over the total).
+    ``D = STEP_FACTOR * k_current`` ahead and pulled closer while
+    ``D >= 2 k_next``; interior vertices are finally rescaled along the
+    segment so the last step ends exactly on ``p1`` without compressing
+    any gap below ``2k/sqrt(3)`` locally (the rescale factor is bounded
+    by one step over the total).
     """
-    lo = 2.0 / math.sqrt(3.0)
-    if not lo <= step_factor < 2.0:
-        raise ValueError(f"step_factor must be in [2/sqrt(3), 2), got {step_factor}")
     p0 = (float(p0[0]), float(p0[1]))
     p1 = (float(p1[0]), float(p1[1]))
     dx, dy = p1[0] - p0[0], p1[1] - p0[1]
@@ -111,7 +117,7 @@ def march_path(
     while True:
         x, y = p0[0] + ux * ts[-1], p0[1] + uy * ts[-1]
         k_cur = decoupling_edge_length(sizing.area_at(x, y))
-        d = step_factor * k_cur
+        d = STEP_FACTOR * k_cur
         # Enforce D < 2 k_next by stepping back toward the current vertex
         # until the next vertex's k admits the spacing.
         for _ in range(64):
@@ -145,7 +151,7 @@ def march_path(
         k_bw = decoupling_edge_length(sizing.area_at(xb, yb))
         if gap < 2.0 * min(k_fw, k_bw):
             break
-        d_b = step_factor * k_bw
+        d_b = STEP_FACTOR * k_bw
         for _ in range(64):
             px, py = xb - ux * d_b, yb - uy * d_b
             k_prev = decoupling_edge_length(sizing.area_at(px, py))
@@ -183,8 +189,6 @@ def initial_quadrants(
     inner_box: AABB,
     outer_box: AABB,
     sizing: SizingFunction,
-    *,
-    step_factor: float = 1.8,
 ) -> List[DecoupledSubdomain]:
     """The four initial decoupled quadrants around the near-body box.
 
@@ -204,12 +208,9 @@ def initial_quadrants(
         (outer_box.xmin, outer_box.ymin), (outer_box.xmax, outer_box.ymin),
         (outer_box.xmax, outer_box.ymax), (outer_box.xmin, outer_box.ymax),
     ]
-    diag = [march_path(I[c], O[c], sizing, step_factor=step_factor)
-            for c in range(4)]
-    outer = [march_path(O[c], O[(c + 1) % 4], sizing, step_factor=step_factor)
-             for c in range(4)]
-    inner = [march_path(I[c], I[(c + 1) % 4], sizing, step_factor=step_factor)
-             for c in range(4)]
+    diag = [march_path(I[c], O[c], sizing) for c in range(4)]
+    outer = [march_path(O[c], O[(c + 1) % 4], sizing) for c in range(4)]
+    inner = [march_path(I[c], I[(c + 1) % 4], sizing) for c in range(4)]
 
     quads: List[DecoupledSubdomain] = []
     for c in range(4):
@@ -224,8 +225,8 @@ def initial_quadrants(
     return quads
 
 
-def estimate_triangles(sub: DecoupledSubdomain, sizing: SizingFunction,
-                       *, n_samples: int = 64, seed: int = 0) -> float:
+def estimate_triangles(sub: DecoupledSubdomain, sizing: SizingFunction
+                       ) -> float:
     """Estimated triangle count: subdomain area over mean element area.
 
     Element area is taken as half the sizing bound (Ruppert refinement
@@ -237,10 +238,10 @@ def estimate_triangles(sub: DecoupledSubdomain, sizing: SizingFunction,
 
     area = abs(sub.area())
     box = AABB.of_points(sub.ring)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(ESTIMATE_SEED)
     vals: List[float] = []
     tries = 0
-    while len(vals) < n_samples and tries < 50 * n_samples:
+    while len(vals) < ESTIMATE_SAMPLES and tries < 50 * ESTIMATE_SAMPLES:
         tries += 1
         x = rng.uniform(box.xmin, box.xmax)
         y = rng.uniform(box.ymin, box.ymax)
@@ -257,8 +258,8 @@ def _arc_positions(ring: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(d)])
 
 
-def plus_split(sub: DecoupledSubdomain, sizing: SizingFunction,
-               *, step_factor: float = 1.8) -> List[DecoupledSubdomain]:
+def plus_split(sub: DecoupledSubdomain, sizing: SizingFunction
+               ) -> List[DecoupledSubdomain]:
     """Split a subdomain into four with a '+'-shaped interior path.
 
     A new point is created at the subdomain centre and four graded paths
@@ -268,7 +269,7 @@ def plus_split(sub: DecoupledSubdomain, sizing: SizingFunction,
     """
     ring = sub.ring
     n = len(ring)
-    if n < 8:
+    if n < MIN_RING:
         raise ValueError("ring too coarse to split")
     arc = _arc_positions(ring)
     total = arc[-1]
@@ -284,8 +285,7 @@ def plus_split(sub: DecoupledSubdomain, sizing: SizingFunction,
     if len(anchors) < 4:
         raise ValueError("could not pick 4 distinct anchors")
 
-    paths = [march_path((center[0], center[1]), tuple(ring[a]), sizing,
-                        step_factor=step_factor)
+    paths = [march_path((center[0], center[1]), tuple(ring[a]), sizing)
              for a in anchors]
     children: List[DecoupledSubdomain] = []
     for q in range(4):
@@ -309,8 +309,6 @@ def decouple_stream(
     sizing: SizingFunction,
     *,
     target_count: int,
-    min_ring: int = 8,
-    step_factor: float = 1.8,
 ):
     """Generator form of :func:`decouple` for streamed dispatch.
 
@@ -337,12 +335,12 @@ def decouple_stream(
     n_done = 0
     while heap and len(heap) + n_done < target_count:
         _, _, sub = heapq.heappop(heap)
-        if len(sub.ring) < min_ring or sub.hole_rings:
+        if len(sub.ring) < MIN_RING or sub.hole_rings:
             n_done += 1
             yield sub
             continue
         try:
-            kids = plus_split(sub, sizing, step_factor=step_factor)
+            kids = plus_split(sub, sizing)
         except ValueError:
             n_done += 1
             yield sub
@@ -360,8 +358,6 @@ def decouple(
     sizing: SizingFunction,
     *,
     target_count: int,
-    min_ring: int = 8,
-    step_factor: float = 1.8,
 ) -> List[DecoupledSubdomain]:
     """Recursively '+'-split until ``target_count`` subdomains exist.
 
@@ -371,9 +367,7 @@ def decouple(
     to split are left alone.
     """
     return list(decouple_stream(subdomains, sizing,
-                                target_count=target_count,
-                                min_ring=min_ring,
-                                step_factor=step_factor))
+                                target_count=target_count))
 
 
 def refine_subdomain(
@@ -406,7 +400,7 @@ def refine_subdomain(
         tri,
         holes=sub.holes,
         quality_bound=quality_bound,
-        area_fn=lambda x, y: sizing.area_at(x, y),
+        criterion=AreaCriterion(sizing.area_at),
         lock_segments=True,
         max_steiner=max_steiner,
     )

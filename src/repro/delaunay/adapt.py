@@ -55,6 +55,9 @@ HIGH_BAND = math.sqrt(2.0)
 #: must exceed (keeps equal-quality diagonals from flipping for ever).
 FLIP_MAX_SWEEPS = 10
 FLIP_TOL = 1e-12
+#: Fraction of the way to the metric-weighted neighbour centroid a
+#: smoothing move first tries (halved up to twice when it would invert).
+SMOOTH_RELAXATION = 0.5
 
 _QUALITY_SCALE = 4.0 * math.sqrt(3.0)
 
@@ -148,15 +151,8 @@ class MeshAdaptor(Refiner):
         l_min: float = LOW_BAND,
         l_max: float = HIGH_BAND,
         protect_segments: bool = False,
-        max_steiner: int = 2_000_000,
     ) -> None:
-        super().__init__(
-            tri,
-            holes=holes,
-            quality_bound=None,
-            area_fn=None,
-            max_steiner=max_steiner,
-        )
+        super().__init__(tri, holes=holes, quality_bound=None)
         if not (0.0 < l_min < l_max):
             raise ValueError("need 0 < l_min < l_max")
         self.field = metric_field
@@ -394,7 +390,6 @@ class MeshAdaptor(Refiner):
         for t in star:
             tri._kill_triangle(t)
             self._interior.pop(t, None)
-            self._unfixable.discard(t)
         created = [tri._new_triangle(*tv) for tv in new_tris]
         for t in created:
             self._interior[t] = bool(label)
@@ -595,7 +590,7 @@ class MeshAdaptor(Refiner):
             self.flip_sweep_caps += 1
         return total
 
-    def smooth_pass(self, *, relaxation: float = 0.5) -> int:
+    def smooth_pass(self) -> int:
         """Move free vertices toward the metric-weighted neighbour
         centroid; each move is validated (no inverted incident triangle)
         with step halving before acceptance."""
@@ -635,7 +630,7 @@ class MeshAdaptor(Refiner):
             if wsum <= 0.0:
                 continue
             target = (w_len[:, None] * npts).sum(axis=0) / wsum
-            step = relaxation
+            step = SMOOTH_RELAXATION
             old = (pv[0], pv[1])
             accepted = False
             for _ in range(3):
@@ -714,7 +709,6 @@ def adapt_mesh(
     max_passes: int = 3,
     smooth_iterations: int = 1,
     protect_segments: bool = False,
-    max_steiner: int = 2_000_000,
 ) -> Tuple[TriMesh, AdaptReport]:
     """Adapt ``mesh`` to ``metric_field``; returns (new mesh, report).
 
@@ -733,7 +727,6 @@ def adapt_mesh(
         l_min=l_min,
         l_max=l_max,
         protect_segments=protect_segments,
-        max_steiner=max_steiner,
     )
     adaptor.adapt(max_passes=max_passes, smooth_iterations=smooth_iterations)
     return adaptor.to_mesh(), adaptor.report

@@ -792,8 +792,7 @@ def prune_cavity_visibility(tri, cavity: Set[int], t0: int,
     return comp
 
 
-def legalize_edges(tri, edges: Sequence[Tuple[int, int]],
-                   *, max_ops: int = 1_000_000) -> None:
+def legalize_edges(tri, edges: Sequence[Tuple[int, int]]) -> None:
     """Lawson legalisation: flip non-constrained, non-locally-Delaunay
     edges, re-queueing the four edges of every flipped quad.  The one
     flip loop: segment recovery runs it over the edges its flips
@@ -802,7 +801,7 @@ def legalize_edges(tri, edges: Sequence[Tuple[int, int]],
     ops = 0
     while queue:
         ops += 1
-        if ops > max_ops:
+        if ops > 1_000_000:
             raise TriangulationError("legalisation did not terminate")
         u, v = queue.popleft()
         key = (u, v) if u < v else (v, u)

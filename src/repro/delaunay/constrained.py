@@ -92,8 +92,8 @@ def _edge_crosses(tri: Triangulation, p: int, q: int, a: int, b: int) -> bool:
     return o1 * o2 < 0 and o3 * o4 < 0
 
 
-def insert_segment(tri: Triangulation, a: int, b: int,
-                   *, legalize: bool = True) -> List[Tuple[int, int]]:
+def insert_segment(tri: Triangulation, a: int, b: int
+                   ) -> List[Tuple[int, int]]:
     """Force segment ``(a, b)`` to appear, splitting at collinear vertices.
 
     Returns the list of constrained sub-segments actually created (just
@@ -119,8 +119,7 @@ def insert_segment(tri: Triangulation, a: int, b: int,
             work.append((u, w))
             work.append((w, v))
             continue
-        split_vertex = _recover_by_flips(tri, u, v, first_edge=payload,
-                                         legalize=legalize)
+        split_vertex = _recover_by_flips(tri, u, v, first_edge=payload)
         if split_vertex is not None:
             work.append((u, split_vertex))
             work.append((split_vertex, v))
@@ -136,8 +135,7 @@ def insert_segment(tri: Triangulation, a: int, b: int,
 
 
 def _recover_by_flips(tri: Triangulation, a: int, b: int,
-                      first_edge: Tuple[int, int], *,
-                      legalize: bool) -> Optional[int]:
+                      first_edge: Tuple[int, int]) -> Optional[int]:
     """Flip crossing edges until ``(a, b)`` exists.
 
     Returns ``None`` on success, or a vertex id that turned out to lie on
@@ -232,8 +230,7 @@ def _recover_by_flips(tri: Triangulation, a: int, b: int,
     if not tri.has_edge(a, b):
         raise TriangulationError(f"flip recovery failed to create {a}->{b}")
     tri.mark_constraint(a, b)
-    if legalize:
-        legalize_edges(tri, touched)
+    legalize_edges(tri, touched)
     tri.unmark_constraint(a, b)  # caller marks; keep function composable
     return None
 

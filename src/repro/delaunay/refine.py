@@ -8,7 +8,8 @@ subdomain, insert Steiner points until
   its diametral circle), and
 * every interior triangle satisfies the circumradius-to-shortest-edge
   bound ``B`` (default sqrt(2), Ruppert's guaranteed-termination bound,
-  minimum angle ~20.7 degrees) and the area bound ``area_fn(centroid)``.
+  minimum angle ~20.7 degrees) and the size bound of the
+  :class:`SizingCriterion` (``-a``: :class:`AreaCriterion`).
 
 Processing order follows Ruppert: encroached segments split at their
 midpoint first; then bad triangles get their circumcenter, unless the
@@ -19,6 +20,12 @@ locates it (or meets the segment that hides it), one ``carve`` yields
 its conflict region — whose constrained boundary edges are the only
 segments it can encroach, so that question is read off the region — and
 ``retriangulate`` commits the same region, whose star is the new work.
+That is all of the work there is: the worklist starts as one scan of the
+mesh and afterwards holds only the triangles an insertion created, plus
+the one kind of bad triangle no insertion replaces — the one that
+outlived the split of the segments its circumcenter encroached
+(Ruppert leaves it "still in the queue"), which goes back in when the
+queue drains.  The mesh is never scanned again.
 Interior/exterior classification is maintained incrementally: a cavity
 never crosses a constrained edge, so every retriangulated cavity
 inherits a uniform region label.
@@ -56,8 +63,8 @@ RUPPERT_BOUND = math.sqrt(2.0)
 
 
 class RefinementError(RuntimeError):
-    """Refinement cannot go on: the insertion budget is spent, the rescan
-    does not converge, or a segment split found the region labels broken."""
+    """Refinement cannot go on: the insertion budget is spent, or a
+    segment split found the region labels broken or its point taken."""
 
 
 AreaFn = Callable[[float, float], float]
@@ -102,24 +109,21 @@ class MetricCriterion(SizingCriterion):
     A triangle is oversized when either
 
     * its longest edge measured in the metric exceeds ``max_edge``
-      (default ``sqrt(2)``, the upper end of the unit-mesh band), or
+      (``sqrt(2)``, the upper end of the unit-mesh band), or
     * its circumradius in the metric of the centroid exceeds
-      ``max_circumradius`` (default ``1.0``; a metric-unit equilateral
-      triangle has circumradius ``1/sqrt(3)``, so 1.0 only fires on
-      clearly oversized or badly shaped elements).
+      ``max_circumradius`` (a metric-unit equilateral triangle has
+      circumradius ``1/sqrt(3)``, so 1.0 only fires on clearly oversized
+      or badly shaped elements).
 
     The circumradius test maps the corners through ``M^{1/2}`` frozen at
     the centroid and measures the Euclidean circumradius there.
     """
 
-    def __init__(self, field, *, max_edge: float = RUPPERT_BOUND,
-                 max_circumradius: float = 1.0, k: int = 3) -> None:
-        if max_edge <= 0 or max_circumradius <= 0:
-            raise ValueError("metric criterion bounds must be positive")
+    max_edge = RUPPERT_BOUND
+    max_circumradius = 1.0
+
+    def __init__(self, field) -> None:
         self.field = field
-        self.max_edge = float(max_edge)
-        self.max_circumradius = float(max_circumradius)
-        self.k = int(k)
 
     def oversized(self, pa: Point, pb: Point, pc: Point, area: float
                   ) -> bool:
@@ -127,7 +131,7 @@ class MetricCriterion(SizingCriterion):
         cy = (pa[1] + pb[1] + pc[1]) / 3.0
         corners = np.array([pa, pb, pc], dtype=np.float64)
         query = np.vstack([corners, [[cx, cy]]])
-        tensors = self.field.interpolate(query, k=self.k)
+        tensors = self.field.interpolate(query)
         # Metric edge lengths: average of endpoint quadratic forms.
         from ..metric import tensor as _mt
 
@@ -166,13 +170,10 @@ class Refiner:
     quality_bound:
         Circumradius-to-shortest-edge bound B; ``None`` disables quality
         refinement (area-only).
-    area_fn:
-        Maximum triangle area at a location, or ``None`` for no area bound.
-        Shorthand for ``criterion=AreaCriterion(area_fn)``.
     criterion:
-        A :class:`SizingCriterion` deciding the size test directly (e.g.
-        :class:`MetricCriterion` for anisotropic sizing).  Mutually
-        exclusive with ``area_fn``.
+        The :class:`SizingCriterion` deciding the size test
+        (:class:`AreaCriterion` for an area bound, :class:`MetricCriterion`
+        for anisotropic sizing), or ``None`` for no size bound.
     min_edge_floor:
         Safety floor: skinny triangles whose shortest edge is already below
         this length are not split further.  This is the pragmatic guard
@@ -189,32 +190,29 @@ class Refiner:
         *,
         holes: Sequence[Tuple[float, float]] = (),
         quality_bound: Optional[float] = RUPPERT_BOUND,
-        area_fn: Optional[AreaFn] = None,
         criterion: Optional[SizingCriterion] = None,
         min_edge_floor: float = 0.0,
         max_steiner: int = 2_000_000,
         lock_segments: bool = False,
     ) -> None:
-        if area_fn is not None and criterion is not None:
-            raise ValueError("pass either area_fn or criterion, not both")
         self.tri = tri
         self.quality_bound = quality_bound
-        self.area_fn = area_fn
-        self.criterion = (AreaCriterion(area_fn) if area_fn is not None
-                          else criterion)
+        self.criterion = criterion
         self.min_edge_floor = float(min_edge_floor)
         self.max_steiner = int(max_steiner)
         self.steiner_count = 0
+        #: Calls of the quality/size test (the refiner's own unit of work).
+        self.triangle_tests = 0
         # When True, constrained segments are never split: the decoupling
         # contract (Section II.E) — the graded borders were pre-sized so
         # refinement never *needs* to split them; any skipped split is
         # counted for diagnostics.
         self.lock_segments = bool(lock_segments)
         self.locked_skips = 0
-        # Triangles that could not be improved (their fix was denied by
-        # lock_segments / min_edge_floor): excluded from rescans so the
-        # fixed-point loop terminates.
-        self._unfixable: set = set()
+        # Bad triangles that outlived a split made on their behalf,
+        # slot -> vertex triple (a cavity slot is recycled at once, so
+        # the triple is the identity): the worklist's only re-entries.
+        self._survivors: Dict[int, List[int]] = {}
         # interior[t]: True for triangles in the meshed region.
         mask = carve_regions(tri, holes)
         self._interior: Dict[int, bool] = {
@@ -237,10 +235,8 @@ class Refiner:
         tri = self.tri
         for t in tri.last_removed:
             self._interior.pop(t, None)
-            self._unfixable.discard(t)
         for t in tri.last_created:
             self._interior[t] = label and not tri.is_ghost(t)
-            self._unfixable.discard(t)
         self.steiner_count += 1
         if self.steiner_count > self.max_steiner:
             raise RefinementError(
@@ -401,12 +397,13 @@ class Refiner:
     # ------------------------------------------------------------------
     # Quality / size tests
     # ------------------------------------------------------------------
-    def _triangle_bad(self, t: int) -> Optional[str]:
-        """Return "quality"/"size" when triangle ``t`` needs refinement."""
+    def _triangle_bad(self, t: int) -> bool:
+        """Does live interior triangle ``t`` fail the size or shape test?"""
+        self.triangle_tests += 1
         tri = self.tri
         tv = tri.tri_v[t]
         if tv is None or GHOST in tv or not self._is_interior(t):
-            return None
+            return False
         pa, pb, pc = (tri.pts[tv[0]], tri.pts[tv[1]], tri.pts[tv[2]])
         la = distance(pb, pc)
         lb = distance(pa, pc)
@@ -417,17 +414,17 @@ class Refiner:
             - (pb[1] - pa[1]) * (pc[0] - pa[0])
         )
         if exact_eq(area, 0.0):
-            return None  # exactly degenerate slivers cannot be improved
+            return False  # exactly degenerate slivers cannot be improved
         if self.criterion is not None:
             if self.criterion.oversized(pa, pb, pc, area):
-                return "size"
+                return True
         if self.quality_bound is not None:
             r = la * lb * lc / (4.0 * area)
             if r / lmin > self.quality_bound:
                 if self.min_edge_floor and lmin <= self.min_edge_floor:
-                    return None  # small-angle guard
-                return "quality"
-        return None
+                    return False  # small-angle guard
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # Main loop
@@ -450,33 +447,33 @@ class Refiner:
                 seg_queue.append((u, mid))
                 seg_queue.append((mid, v))
 
-        # Phase 1: process bad triangles; re-scan until a fixed point.
-        # A worklist of triangle ids; stale ids are skipped cheaply.
+        # Phase 1: one worklist of triangle slots — the bad triangles of
+        # one scan, then whatever an insertion creates.  A slot is tested
+        # again when it is popped (its triangle may be gone or replaced).
+        # Survivors re-enter when the queue has drained, in slot order
+        # (sooner, or in another order, is as correct but numbers the
+        # Steiner points differently).  Each re-entry follows a split,
+        # and splits are bounded by max_steiner / min_edge_floor, so the
+        # loop ends.
+        tri_v = self.tri.tri_v
         work: deque = deque(
             t for t in self.tri.live_triangles() if self._triangle_bad(t)
         )
-        idle_rescans = 0
-        while True:
-            while work:
-                t = work.popleft()
-                if self.tri.tri_v[t] is None:
-                    continue
-                if self._triangle_bad(t) is not None:
-                    self._process_bad_triangle(t, work)
-            # Re-scan to catch triangles invalidated out of the worklist.
-            fresh = [t for t in self.tri.live_triangles()
-                     if t not in self._unfixable and self._triangle_bad(t)]
-            if not fresh:
-                break
-            idle_rescans += 1
-            if idle_rescans > 10_000:
-                raise RefinementError("refinement rescan did not converge")
-            work.extend(fresh)
+        while work:
+            t = work.popleft()
+            if tri_v[t] is not None and self._triangle_bad(t):
+                self._process_bad_triangle(t, work)
+            if not work and self._survivors:
+                work.extend(sorted(
+                    t for t, corners in self._survivors.items()
+                    if tri_v[t] == corners))
+                self._survivors.clear()
 
         sink = counters_current()
         if sink is not None:
             sink.absorb_kernel(self.tri)
             sink.incr("steiner_points", self.steiner_count)
+            sink.incr("triangle_tests", self.triangle_tests)
             if self.locked_skips:
                 sink.incr("locked_segment_skips", self.locked_skips)
 
@@ -492,7 +489,6 @@ class Refiner:
         except ValueError:
             cc = (math.nan, math.nan)
         if not (math.isfinite(cc[0]) and math.isfinite(cc[1])):
-            self._unfixable.add(t)
             return
 
         # Locate: a constrained edge between the triangle and its
@@ -506,7 +502,6 @@ class Refiner:
             # Outside the region without crossing a constraint (numeric
             # corner) or on top of an existing vertex — nothing safe to
             # insert.
-            self._unfixable.add(t)
             return
         # Conflict region, carved once and inspected before it is
         # committed: cc must not encroach a segment of its boundary.
@@ -524,14 +519,18 @@ class Refiner:
 
     def _split_segments(self, segments: Sequence[Tuple[int, int]], t: int,
                         work: deque) -> None:
-        """Split, in the given order, every segment that may be split;
-        bad triangle ``t`` is unfixable when none may."""
+        """Split, in the given order, every segment that may be split.
+        Bad triangle ``t`` is done with when none may (its fix is
+        denied); when it outlives the splits it is a survivor."""
         allowed = [uv for uv in segments if self._split_allowed(*uv)]
+        if not allowed:
+            return
+        corners = self.tri.tri_v[t]
         for u, v in allowed:
             self._split_segment(u, v)
             self._requeue_created(work)
-        if not allowed:
-            self._unfixable.add(t)
+        if self.tri.tri_v[t] == corners:
+            self._survivors[t] = corners
 
     def _split_allowed(self, u: int, v: int) -> bool:
         if self.lock_segments:
@@ -668,22 +667,18 @@ def refine_pslg(
     if criterion is not None and (max_area is not None or area_fn is not None):
         raise ValueError("pass either criterion or area bounds, not both")
 
-    bound_fn: Optional[AreaFn]
-    if area_fn is None and max_area is None:
-        bound_fn = None
-    elif area_fn is None:
-        bound_fn = lambda x, y: max_area  # noqa: E731
-    elif max_area is None:
-        bound_fn = area_fn
-    else:
-        bound_fn = lambda x, y: min(max_area, area_fn(x, y))  # noqa: E731
+    if max_area is not None and area_fn is not None:
+        criterion = AreaCriterion(lambda x, y: min(max_area, area_fn(x, y)))
+    elif max_area is not None:
+        criterion = AreaCriterion(lambda x, y: max_area)
+    elif area_fn is not None:
+        criterion = AreaCriterion(area_fn)
 
     tri = triangulate_pslg(points, segments, assume_sorted=assume_sorted)
     refiner = Refiner(
         tri,
         holes=holes,
         quality_bound=quality_bound,
-        area_fn=bound_fn,
         criterion=criterion,
         min_edge_floor=min_edge_floor,
         max_steiner=max_steiner,

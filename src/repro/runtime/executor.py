@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import atexit
 import bisect
+import contextlib
 import os
 import queue as queue_mod
 import traceback
@@ -291,14 +292,6 @@ class ThreadsBackend:
 # ----------------------------------------------------------------------
 # processes: persistent worker pool
 # ----------------------------------------------------------------------
-class _null_cm:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
 def _resolve_portable_fn(module: str, qualname: str) -> Callable:
     """Re-import a module-level function in a pool worker.
 
@@ -358,7 +351,8 @@ def _pool_worker_main(rank: int, inbox, result_q,
                 fn = fn_cache[key] = _resolve_portable_fn(fn_mod, fn_qual)
             payload = serde.wire_to_buffers(wire)
             sink = counters_mod.Counters() if profile else None
-            with counters_mod.use_counters(sink) if profile else _null_cm():
+            with (counters_mod.use_counters(sink) if profile
+                  else contextlib.nullcontext()):
                 with phase("executor.processes.item"):
                     result = fn(payload)
                 if not is_buffers(result):

@@ -65,8 +65,6 @@ class TestMarchPath:
         s = UniformSizing(1.0)
         with pytest.raises(ValueError):
             march_path((0, 0), (0, 0), s)
-        with pytest.raises(ValueError):
-            march_path((0, 0), (1, 0), s, step_factor=2.5)
 
 
 class TestInitialQuadrants:

@@ -91,6 +91,16 @@ class TestKernelTraffic:
         assert kernel.locates <= 1.2 * kernel.inserts
         assert kernel.incircle_tests <= 2.2 * kernel.cavity_triangles
 
+    def test_triangles_are_tested_when_queued_not_per_scan(self,
+                                                           quickstart_run):
+        """The refiner's worklist is one scan plus what insertions
+        create (8.54 quality/size tests per Steiner point here, each
+        slot tested again at every stale queue position); ending every
+        subdomain with one more scan of its mesh read 11.90."""
+        events = quickstart_run[1].events
+        assert events["steiner_points"] > 1000
+        assert events["triangle_tests"] <= 9.5 * events["steiner_points"]
+
 
 def mesh_hash(mesh) -> str:
     return serde.canonical_hash(serde.pack_mesh(mesh))

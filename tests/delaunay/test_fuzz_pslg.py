@@ -13,9 +13,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.delaunay.constrained import constrained_delaunay
-from repro.delaunay.refine import RUPPERT_BOUND, refine_pslg
+from repro.delaunay.refine import RUPPERT_BOUND, Refiner
 from repro.delaunay.smooth import validate_mesh
 from repro.geometry.primitives import polygon_area
+
+from .fuzz_refine_digest import outcome, refined
+from .oracle_refine import RescanRefiner, assert_refinement_complete
 
 
 @st.composite
@@ -94,8 +97,9 @@ class TestCDTFuzz:
         per = np.linalg.norm(np.diff(np.vstack([poly, poly[:1]]), axis=0),
                              axis=1)
         floor = float(per.min()) / 16.0
-        mesh = refine_pslg(poly, segs, quality_bound=RUPPERT_BOUND,
-                           min_edge_floor=floor, max_steiner=100_000)
+        refiner = refined(Refiner, poly, segs, min_edge_floor=floor,
+                          max_steiner=100_000)
+        mesh = refiner.to_mesh()
         rep = validate_mesh(mesh, check_delaunay=False)
         assert rep.conforming
         assert rep.inverted_triangles == 0
@@ -109,6 +113,37 @@ class TestCDTFuzz:
         if unguarded.any():
             ok = (ratios[unguarded] <= RUPPERT_BOUND + 1e-9).mean()
             assert ok >= 0.6
+        assert_refinement_complete(refiner)
+
+    @given(poly=star_polygon(min_v=5, max_v=12),
+           max_area=st.floats(min_value=0.3, max_value=5.0),
+           guarded=st.booleans(), holed=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_refined_star_matches_rescan_oracle(self, poly, max_area,
+                                                guarded, holed):
+        """Un-locked, area-bounded refinement, where the order bad
+        triangles are revisited in decides the bytes: the worklist
+        driver builds the mesh of the whole-mesh-rescan driver it
+        replaced (or stops on the same typed error — without the floor
+        a sharp corner can exhaust the budget), and leaves nothing it
+        was allowed to fix."""
+        n = len(poly)
+        pts, holes = poly, ()
+        segs = [(i, (i + 1) % n) for i in range(n)]
+        if holed:  # the scaled copy of test_star_with_hole
+            pts = np.vstack([poly, poly * 0.35])
+            segs += [(n + i, n + (i + 1) % n) for i in range(n)]
+            holes = ((0.0, 0.0),)
+        per = np.linalg.norm(np.diff(np.vstack([poly, poly[:1]]), axis=0),
+                             axis=1)
+        options = dict(
+            holes=holes, max_area=max_area, max_steiner=3000,
+            min_edge_floor=float(per.min()) / 16.0 if guarded else 0.0)
+        got, refiner = outcome(Refiner, pts, np.array(segs), **options)
+        want, _ = outcome(RescanRefiner, pts, np.array(segs), **options)
+        assert got == want
+        if refiner is not None:
+            assert_refinement_complete(refiner)
 
     @given(poly=star_polygon(min_v=5, max_v=10))
     @settings(max_examples=25, deadline=None)

@@ -15,6 +15,10 @@ with exact arithmetic:
 * **Locked-edge preservation** — every constrained segment is an edge of
   the final triangulation.
 * **Structural integrity** — the kernel's own adjacency audit.
+* **Refinement completeness** — once ``refine()`` returns, every live
+  interior triangle is good or its fix is denied
+  (:func:`.oracle_refine.assert_refinement_complete`: the whole-mesh
+  scan the driver itself never makes).
 
 The same harness runs over uniform-random clouds, degenerate (cocircular
 / collinear-heavy) inputs, the fuzz PSLG corpus and dangling-needle
@@ -40,11 +44,12 @@ from repro.delaunay import refine as refine_module
 from repro.delaunay.cavity import carve, retriangulate
 from repro.delaunay.constrained import insert_segment, triangulate_pslg
 from repro.delaunay.kernel import Triangulation, triangulate
-from repro.delaunay.refine import Refiner
+from repro.delaunay.refine import AreaCriterion, Refiner
 from repro.geometry.predicates import incircle, orient2d
 from repro.sizing.functions import UniformSizing
 
 from . import oracle
+from .oracle_refine import assert_refinement_complete
 from .test_fuzz_pslg import star_polygon
 
 
@@ -155,9 +160,14 @@ def checking_commits():
     to ``retriangulate`` — by ``insert_point`` or by the refiner, which
     composes the three steps itself and so never passes through
     :func:`insert_checking_cavities` — must equal the oracle's cavity
-    from the same seed.  Yields the list of committed cavity sizes."""
+    from the same seed.  The refiner's own commit is the circumcenter of
+    the bad triangle in hand, which must die in that cavity: the
+    worklist never comes back to it.  Yields the list of committed
+    cavity sizes."""
     commit = cavity_module.retriangulate
+    process = Refiner._process_bad_triangle
     sizes = []
+    in_hand = []
 
     def checked(tri, vid, cavity, t0):
         want, _ = oracle.carve(tri, tri.pts[vid], t0)
@@ -165,11 +175,26 @@ def checking_commits():
         sizes.append(len(cavity))
         commit(tri, vid, cavity, t0)
 
-    cavity_module.retriangulate = refine_module.retriangulate = checked
+    def checked_circumcenter(tri, vid, cavity, t0):
+        assert in_hand[-1] in cavity, (
+            f"bad triangle {in_hand[-1]} outlives its circumcenter {vid}")
+        checked(tri, vid, cavity, t0)
+
+    def processing(refiner, t, work):
+        in_hand.append(t)
+        try:
+            process(refiner, t, work)
+        finally:
+            in_hand.pop()
+
+    cavity_module.retriangulate = checked
+    refine_module.retriangulate = checked_circumcenter
+    Refiner._process_bad_triangle = processing
     try:
         yield sizes
     finally:
         cavity_module.retriangulate = refine_module.retriangulate = commit
+        Refiner._process_bad_triangle = process
 
 
 def needle_case(seed: int, n_probes: int = 12):
@@ -363,17 +388,27 @@ class TestConstrainedInvariants:
         segs = np.array([(i, (i + 1) % n) for i in range(n)])
         tri = triangulate_pslg(poly, segs)
         span = float(np.ptp(poly, axis=0).max())
-        refiner = Refiner(tri, area_fn=lambda x, y: (span / 6) ** 2,
-                          min_edge_floor=span * 1e-3)
+        refiner = Refiner(
+            tri, criterion=AreaCriterion(lambda x, y: (span / 6) ** 2),
+            min_edge_floor=span * 1e-3)
         with checking_commits() as sizes:
             refiner.refine()
         assert len(sizes) == refiner.steiner_count
         assert_invariants(tri)
+        assert_refinement_complete(refiner)
 
-    def test_locked_border_subdomain_commits_match_oracle(self):
+    def test_locked_border_subdomain_commits_match_oracle(self, monkeypatch):
         """The pipeline's refinement traffic: a decoupled subdomain with
         a pre-sized border that is never split, so every Steiner point
         is a circumcenter the refiner locates, carves and commits."""
+        refiners = []
+        refine = Refiner.refine
+
+        def capturing(refiner):
+            refiners.append(refiner)
+            refine(refiner)
+
+        monkeypatch.setattr(Refiner, "refine", capturing)
         side = np.linspace(0.0, 1.0, 9)[:-1]
         ring = np.concatenate([
             np.column_stack([side, np.zeros(8)]),
@@ -386,6 +421,8 @@ class TestConstrainedInvariants:
         n_steiner = mesh.n_points - len(ring)
         assert len(sizes) >= n_steiner > 50
         assert len(mesh.segments) == len(ring)
+        (refiner,) = refiners
+        assert_refinement_complete(refiner)
 
     def test_clipped_cavities_match_oracle(self):
         """A spiky constrained star: cavities stop at locked edges, and

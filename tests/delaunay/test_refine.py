@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from repro.delaunay.mesh import TriMesh
-from repro.delaunay.refine import RUPPERT_BOUND, RefinementError, refine_pslg
+from repro.delaunay.refine import (
+    RUPPERT_BOUND, RefinementError, Refiner, refine_pslg)
+
+from .fuzz_refine_digest import case_outcome
+from .oracle_refine import RescanRefiner, assert_refinement_complete
 
 
 def square_pslg(side=1.0):
@@ -211,3 +215,30 @@ class TestSegmentSplits:
         assert str(mid) in str(err.value)
         n_new = sum(not tri.is_ghost(t) for t in tri.last_created)
         assert f"{n_new} new triangles" in str(err.value)
+
+
+#: Meshes of two ``fuzz_refine_digest.star_case`` seeds, recorded at
+#: commit e3ad0f4, whose driver ended every drain of the queue with a
+#: scan of the whole mesh (it lives on as ``RescanRefiner``).  In both,
+#: that scan found work.  629: two survivors at one drain, recorded
+#: against slot order, so the order they re-enter in shows; 1469: one
+#: triangle outlives seven splits in a row, one drain apart each.
+SURVIVOR_PINS = {
+    629: "2b48bb4dc4215b95a7e9c0845a04b781cd48dd3dcef25940b754c9b35e862e33",
+    1469: "983b73e09d3e29822bfecd79b7a608cec20b372bf9ac87019224f4668650f9d4",
+}
+
+
+class TestSurvivors:
+    @pytest.mark.parametrize("seed", sorted(SURVIVOR_PINS))
+    def test_triangle_that_outlives_its_segment_splits_is_requeued(self,
+                                                                   seed):
+        """A bad triangle whose circumcenter encroached segments can
+        outlive their split; no insertion re-creates it, so the worklist
+        takes it back when the queue has drained — the set and the order
+        the whole-mesh scan found, hence the same bytes."""
+        want, oracle = case_outcome(RescanRefiner, seed)
+        assert oracle.rescan_found >= 2
+        got, refiner = case_outcome(Refiner, seed)
+        assert got == want == SURVIVOR_PINS[seed]
+        assert_refinement_complete(refiner)

@@ -24,6 +24,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.lint import tsan
 from repro.runtime import serde
 from repro.runtime.client import ServiceClient
 from repro.runtime.counters import monotonic
@@ -147,6 +148,9 @@ def _wait_for_clean_fds(pid, inode, timeout=5.0):
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                     reason="needs /proc fd introspection")
+# A `processes` service fails fast under an ambient REPRO_SANITIZE=1 by
+# design: the detector is off for the lifetime of this one.
+@tsan.suspend()
 def test_respawned_worker_does_not_inherit_listening_socket(tmp_path):
     """A worker forked after bind must not hold the listening fd.
 

@@ -76,15 +76,17 @@ class TestAdaptFlags:
 
     def test_adapt_run_reports_counters(self, capsys, tmp_path):
         """One tiny adaptation cycle end to end: --stats-json carries
-        the operation counters and the conformity trace."""
+        the operation counters and the conformity trace, and the
+        --profile sink is still listening when the stage runs."""
         rc = main(["--naca", "0012", "--surface-points", "31",
                    "--max-layers", "6", "--farfield-chords", "5",
                    "--subdomains", "4", "--adapt", "--adapt-cycles", "1",
                    "--adapt-eps", "0.1", "--adapt-hmin", "0.01",
                    "--adapt-hmax", "2.0", "--adapt-passes", "2",
-                   "--stats-json", "-o", str(tmp_path / "m")])
+                   "--profile", "--stats-json", "-o", str(tmp_path / "m")])
         assert rc == 0
-        summary = json.loads(capsys.readouterr().out)
+        out = capsys.readouterr().out
+        summary = json.loads(out[out.index("{"):])  # after the report
         adapt = summary["adapt"]
         assert adapt["cycles"] == 1
         assert adapt["splits"] + adapt["collapses"] + adapt["flips"] > 0
@@ -95,6 +97,9 @@ class TestAdaptFlags:
         assert adapt["flip_evaluations"] == report["flip_evaluations"]
         assert adapt["flip_evaluations"] >= adapt["flips"]
         assert adapt["flip_sweeps"] == report["flip_sweeps"] >= 1
+        events = summary["profile"]["events"]
+        assert events["adapt_flips"] == adapt["flips"]
+        assert events["adapt_flip_evaluations"] == adapt["flip_evaluations"]
 
 
 class TestServiceParsers:
