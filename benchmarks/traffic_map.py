@@ -8,7 +8,10 @@ test reference or safety code) and (2) each workload's merged
 ``KernelCounters`` plus three ratios of them (``locates_per_insert``,
 ``incircle_per_cavity_triangle``, ``orient_per_walk_step``), the
 refiner's ``triangle_tests`` with ``triangle_tests_per_steiner`` (its
-quality/size tests per point it inserted), then the sink's ``adapt_*``
+quality/size tests per point it inserted) and what the size tests cost
+(``sizing_evals``; ``size_verdicts_clear`` decided by the sizing's
+Lipschitz bound, ``size_verdicts_band`` by the centroid's exact value),
+then the sink's ``adapt_*``
 events with ``adapt_flips_per_evaluation`` (the useful share of the flip
 pass's scoring; only ``adapt_shear`` adapts).  The
 ``service_mix`` daemon is out of the profiler's sight, so its in-process
@@ -111,8 +114,10 @@ def main(argv=None) -> None:
             rows.append((key, count / per if per else 0.0))
         events = sink.events
         if events.get("steiner_points"):
-            rows += [(k, events[k])
-                     for k in ("steiner_points", "triangle_tests")]
+            rows += [(k, events.get(k, 0))
+                     for k in ("steiner_points", "triangle_tests",
+                               "sizing_evals", "size_verdicts_clear",
+                               "size_verdicts_band")]
             rows.append(("triangle_tests_per_steiner",
                          events["triangle_tests"] / events["steiner_points"]))
         rows += sorted((k, n) for k, n in events.items()

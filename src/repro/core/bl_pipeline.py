@@ -99,18 +99,17 @@ def interior_seed(loop_pts: np.ndarray) -> Tuple[float, float]:
     raise ValueError("could not find an interior seed (degenerate loop?)")
 
 
-def _point_in_polygon(x: float, y: float, poly: np.ndarray) -> bool:
-    """Even-odd ray casting (horizontal ray to +inf), vectorised."""
+def _point_in_polygon(x, y, poly: np.ndarray):
+    """Even-odd ray casting (horizontal ray to +inf), vectorised over
+    the edges — and over points when ``x`` and ``y`` are ``(k, 1)``
+    columns (one answer per row)."""
     poly = np.asarray(poly, dtype=np.float64)
     xi, yi = poly[:, 0], poly[:, 1]
     xj, yj = np.roll(xi, 1), np.roll(yi, 1)
     straddle = (yi > y) != (yj > y)
-    if not straddle.any():
-        return False
     with np.errstate(divide="ignore", invalid="ignore"):
         x_cross = xi + (y - yi) / (yj - yi) * (xj - xi)
-    hits = straddle & (x < x_cross)
-    return bool(hits.sum() & 1)
+    return (straddle & (x < x_cross)).sum(axis=-1) % 2 == 1
 
 
 def _border_rings(element_rays: Sequence[Sequence[Ray]]

@@ -38,7 +38,11 @@ from ..delaunay.constrained import triangulate_pslg
 from ..geometry.aabb import AABB
 from ..geometry.predicates import exact_eq
 from ..geometry.primitives import polygon_area
-from ..sizing.functions import SizingFunction, decoupling_edge_length
+from ..sizing.functions import (
+    SizingFunction,
+    areas_at,
+    decoupling_edge_length,
+)
 
 __all__ = [
     "DecoupledSubdomain",
@@ -239,17 +243,19 @@ def estimate_triangles(sub: DecoupledSubdomain, sizing: SizingFunction
     area = abs(sub.area())
     box = AABB.of_points(sub.ring)
     rng = np.random.default_rng(ESTIMATE_SEED)
-    vals: List[float] = []
-    tries = 0
-    while len(vals) < ESTIMATE_SAMPLES and tries < 50 * ESTIMATE_SAMPLES:
-        tries += 1
-        x = rng.uniform(box.xmin, box.xmax)
-        y = rng.uniform(box.ymin, box.ymax)
-        if _point_in_polygon(x, y, sub.ring):
-            vals.append(sizing.area_at(x, y))
-    if not vals:
-        vals = [sizing.area_at(*sub.centroid())]
-    mean_elem = 0.5 * float(np.mean(vals))
+    # Rejection sampling, a block of tries at a time: the first
+    # ESTIMATE_SAMPLES points of the x, y, x, y, ... stream that fall
+    # inside the ring, out of at most 50 tries per sample wanted.
+    inside = np.empty((0, 2))
+    for _ in range(50):
+        xy = rng.uniform((box.xmin, box.ymin), (box.xmax, box.ymax),
+                         size=(ESTIMATE_SAMPLES, 2))
+        inside = np.vstack(
+            [inside, xy[_point_in_polygon(xy[:, :1], xy[:, 1:], sub.ring)]])
+        if len(inside) >= ESTIMATE_SAMPLES:
+            break
+    samples = inside[:ESTIMATE_SAMPLES] if len(inside) else [sub.centroid()]
+    mean_elem = 0.5 * float(np.mean(areas_at(sizing, samples)))
     return area / mean_elem
 
 

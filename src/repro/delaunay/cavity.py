@@ -281,6 +281,7 @@ def walk(tri, px: float, py: float, hint: int) -> Tuple[int, bool]:
                 certified = True
                 break
             if o == 0:
+                tri.stat_orient_zero += 1
                 t0 = t
                 break
             nxt = tnm[i3 + _NXT[g]]
@@ -332,6 +333,7 @@ def walk(tri, px: float, py: float, hint: int) -> Tuple[int, bool]:
                 moved = True
                 break
             if o == 0:
+                tri.stat_orient_zero += 1
                 strict = False
         if not moved:
             t0 = t
@@ -532,8 +534,10 @@ def carve(tri, px: float, py: float, t0: int, certified: bool = False
                     n_ifast += 1
                     continue
             n_iexact += 1
-            if incircle((pax, pay), (pbx, pby), (pcx, pcy),
-                        (px, py)) > 0:
+            side = incircle((pax, pay), (pbx, pby), (pcx, pcy), (px, py))
+            if side == 0:
+                tri.stat_incircle_zero += 1
+            if side > 0:
                 cavity.add(nb)
                 frontier.append(nb)
     tri.stat_incircle_fast += n_ifast

@@ -19,7 +19,7 @@ decoupled inviscid subdomains.  Design:
   The walk, the carve and the single in-disk test
   (:meth:`Triangulation._in_disk`) evaluate the floating-point *filter*
   stage of :mod:`repro.geometry.predicates` inline and escalate only
-  inconclusive signs to the exact rational path.
+  inconclusive signs to the exact integer path.
 * **BRIO insertion + walking point location** seeded from a
   caller-provided hint or the most recently touched triangle, and from
   nothing else: the kernel keeps no spatial index, because the traffic
@@ -408,7 +408,10 @@ class Triangulation:
                     self.stat_incircle_fast += 1
                     return False
             self.stat_incircle_exact += 1
-            return incircle((ax, ay), (bx, by), (cx, cy), (px, py)) > 0
+            side = incircle((ax, ay), (bx, by), (cx, cy), (px, py))
+            if side == 0:
+                self.stat_incircle_zero += 1
+            return side > 0
         # Ghost [u, v, G]: outside-hull half-plane strictly left of u->v,
         # plus the open edge uv.
         u, v = self.ghost_edge(t)
@@ -438,6 +441,7 @@ class Triangulation:
             return True
         if o < 0:
             return False
+        self.stat_orient_zero += 1
         return (
             min(ux, vx) <= px <= max(ux, vx)
             and min(uy, vy) <= py <= max(uy, vy)

@@ -69,6 +69,9 @@ class RefinementError(RuntimeError):
 
 AreaFn = Callable[[float, float], float]
 
+#: The sizing functions' ``area = _UNIT_AREA * h**2`` (equilateral).
+_UNIT_AREA = math.sqrt(3.0) / 4.0
+
 Point = Tuple[float, float]
 
 
@@ -91,15 +94,56 @@ class AreaCriterion(SizingCriterion):
     """Scalar area bound ``area_fn(centroid)`` — the classic Triangle
     ``-a`` semantics.  The arithmetic (centroid then compare) is kept
     bit-identical to the pre-criterion refiner so meshes hash the same.
+
+    When ``area_fn`` is the ``area_at`` of a sizing that declares its
+    edge length Lipschitz (``lipschitz``, see
+    :class:`repro.sizing.GradedDistanceSizing`), a filter stands in
+    front of that test, like the predicates': the edge length at a
+    corner, evaluated once per vertex, bounds the one at the centroid,
+    and an area outside the bounds has its verdict.  Inside them the
+    test above runs, so every verdict is the unfiltered one.
     """
 
     def __init__(self, area_fn: AreaFn) -> None:
         self.area_fn = area_fn
+        self._sizing = getattr(area_fn, "__self__", None)
+        self._lipschitz = getattr(self._sizing, "lipschitz", None)
+        self._edge_at: Dict[Point, float] = {}
+        #: ``area_fn`` calls; verdicts the bounds decided / left open.
+        self.evals = self.clear = self.band = 0
+
+    def prime(self, points: Sequence[Point]) -> None:
+        """Edge lengths at a mesh's first vertices, in one array call."""
+        many = getattr(self._sizing, "area_at_many", None)
+        if self._lipschitz is not None and many is not None:
+            self.evals += len(points)
+            self._edge_at.update(zip(
+                points, np.sqrt(many(points) / _UNIT_AREA).tolist()))
 
     def oversized(self, pa: Point, pb: Point, pc: Point, area: float
                   ) -> bool:
         cx = (pa[0] + pb[0] + pc[0]) / 3.0
         cy = (pa[1] + pb[1] + pc[1]) / 3.0
+        if self._lipschitz is not None:
+            grow, slack = self._lipschitz
+            for p in (pa, pb, pc):
+                h = self._edge_at.get(p)
+                if h is None:
+                    self.evals += 1
+                    h = self._edge_at[p] = math.sqrt(
+                        self.area_fn(p[0], p[1]) / _UNIT_AREA)
+                reach = grow * math.hypot(cx - p[0], cy - p[1]) + slack
+                # 1e-9 of the operands, a million roundings of anything
+                # here or in area_fn: the bounds hold for its floats.
+                reach += 1e-9 * (h + reach)
+                hi = h + reach
+                lo = h - reach
+                big = area > _UNIT_AREA * hi * hi
+                if big or (lo > 0.0 and area < _UNIT_AREA * lo * lo):
+                    self.clear += 1
+                    return big
+            self.band += 1
+        self.evals += 1
         return area > self.area_fn(cx, cy)
 
 
@@ -456,13 +500,25 @@ class Refiner:
         # and splits are bounded by max_steiner / min_edge_floor, so the
         # loop ends.
         tri_v = self.tri.tri_v
+        if isinstance(self.criterion, AreaCriterion):
+            self.criterion.prime(list(self.tri.pts))
         work: deque = deque(
             t for t in self.tri.live_triangles() if self._triangle_bad(t)
         )
+        # What the test said of a popped slot's occupant, slot ->
+        # (vertex triple, verdict): a slot is queued once per triangle
+        # ever created in it, and the occupant meets every later entry.
+        verdicts: Dict[int, Tuple[List[int], bool]] = {}
         while work:
             t = work.popleft()
-            if tri_v[t] is not None and self._triangle_bad(t):
-                self._process_bad_triangle(t, work)
+            corners = tri_v[t]
+            if corners is not None:
+                tested, bad = verdicts.get(t, (None, False))
+                if tested != corners:
+                    bad = self._triangle_bad(t)
+                    verdicts[t] = (corners, bad)
+                if bad:
+                    self._process_bad_triangle(t, work)
             if not work and self._survivors:
                 work.extend(sorted(
                     t for t, corners in self._survivors.items()
@@ -474,6 +530,10 @@ class Refiner:
             sink.absorb_kernel(self.tri)
             sink.incr("steiner_points", self.steiner_count)
             sink.incr("triangle_tests", self.triangle_tests)
+            if isinstance(self.criterion, AreaCriterion):
+                sink.incr("sizing_evals", self.criterion.evals)
+                sink.incr("size_verdicts_clear", self.criterion.clear)
+                sink.incr("size_verdicts_band", self.criterion.band)
             if self.locked_skips:
                 sink.incr("locked_segment_skips", self.locked_skips)
 

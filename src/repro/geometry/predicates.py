@@ -12,8 +12,9 @@ We use the standard two-stage scheme popularised by Shewchuk:
 1. a fast floating-point evaluation with a forward error bound (the
    *filter*); when the magnitude of the float result exceeds the bound, its
    sign is provably correct and we return it;
-2. otherwise an exact evaluation using :class:`fractions.Fraction`
-   (arbitrary-precision rationals; Python floats convert exactly).
+2. otherwise an exact evaluation in Python integers: floats are dyadic
+   rationals, so the coordinates go on one power-of-two scale and the
+   determinant's sign is an integer computation (no ``Fraction``, no gcd).
 
 The exact stage is slow but is only reached for (near-)degenerate inputs,
 which are rare in practice, so the amortised cost is close to the plain
@@ -23,8 +24,6 @@ loops of the triangulation kernel.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -75,7 +74,7 @@ ORIENT_UNDERFLOW_GUARD = _ORIENT_UNDERFLOW_GUARD
 INCIRCLE_UNDERFLOW_GUARD = _ICC_UNDERFLOW_GUARD
 
 # Escalation tallies for the batch predicates: entries whose filter stage
-# was inconclusive and fell through to exact rational arithmetic.  Callers
+# was inconclusive and fell through to exact integer arithmetic.  Callers
 # snapshot around a batch call to attribute escalations (the counters
 # layer reports the rate); plain ints, so the cost is one addition per
 # batch call.
@@ -100,17 +99,21 @@ def exact_eq(a, b):
     return a == b
 
 
+def _on_common_scale(*coords):
+    """The floats as integers over one shared denominator: a finite
+    float is ``n / 2**k`` exactly, so scaling each numerator up to the
+    largest denominator needs no gcd, and a determinant of coordinate
+    differences keeps its sign under the common factor."""
+    ratios = [c.as_integer_ratio() for c in coords]
+    dmax = max(d for _, d in ratios)
+    return [n * (dmax // d) for n, d in ratios]
+
+
 def _orient2d_exact(ax, ay, bx, by, cx, cy) -> int:
-    """Exact sign of the 2x2 orientation determinant via rationals."""
-    ax, ay = Fraction(ax), Fraction(ay)
-    bx, by = Fraction(bx), Fraction(by)
-    cx, cy = Fraction(cx), Fraction(cy)
+    """Exact sign of the 2x2 orientation determinant, in integers."""
+    ax, ay, bx, by, cx, cy = _on_common_scale(ax, ay, bx, by, cx, cy)
     det = (ax - cx) * (by - cy) - (ay - cy) * (bx - cx)
-    if det > 0:
-        return ORIENT_CCW
-    if det < 0:
-        return ORIENT_CW
-    return ORIENT_COLLINEAR
+    return (det > 0) - (det < 0)  # ORIENT_CCW / ORIENT_CW / ORIENT_COLLINEAR
 
 
 def orient2d(a, b, c) -> int:
@@ -165,7 +168,7 @@ def orient2d_batch(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Vectorised :func:`orient2d` over arrays of shape ``(n, 2)``.
 
     Entries whose floating-point filter is inconclusive are escalated to the
-    exact rational path individually, so the returned sign array is exact.
+    exact integer path individually, so the returned sign array is exact.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -216,11 +219,9 @@ def orient2d_batch3(u: np.ndarray, v: np.ndarray, p: np.ndarray
 
 
 def _incircle_exact(ax, ay, bx, by, cx, cy, dx, dy) -> int:
-    """Exact sign of the 4x4 incircle determinant via rationals."""
-    ax, ay = Fraction(ax), Fraction(ay)
-    bx, by = Fraction(bx), Fraction(by)
-    cx, cy = Fraction(cx), Fraction(cy)
-    dx, dy = Fraction(dx), Fraction(dy)
+    """Exact sign of the 4x4 incircle determinant, in integers."""
+    ax, ay, bx, by, cx, cy, dx, dy = _on_common_scale(
+        ax, ay, bx, by, cx, cy, dx, dy)
 
     adx, ady = ax - dx, ay - dy
     bdx, bdy = bx - dx, by - dy
@@ -235,11 +236,7 @@ def _incircle_exact(ax, ay, bx, by, cx, cy, dx, dy) -> int:
         + blift * (cdx * ady - adx * cdy)
         + clift * (adx * bdy - bdx * ady)
     )
-    if det > 0:
-        return 1
-    if det < 0:
-        return -1
-    return 0
+    return (det > 0) - (det < 0)
 
 
 def incircle(a, b, c, d) -> int:

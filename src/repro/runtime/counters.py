@@ -130,11 +130,14 @@ class Histogram:
 #: slot of :class:`KernelCounters`, the ``stat_<name>`` attribute a
 #: :class:`~repro.delaunay.kernel.Triangulation` counts into, and a key
 #: of ``to_plain()``; ``as_dict()`` lists them in this order (a
-#: ``*_fast`` slot as its ``*_tests`` total).
+#: ``*_fast`` slot as its ``*_tests`` total).  ``*_zero`` counts the
+#: escalations the exact stage answered 0: true zeros, which no filter
+#: can certify, as opposed to filter misses.
 KERNEL_FIELDS = (
     "inserts", "locates", "walk_steps", "brute_locates", "grid_seeds",
     "visibility_prunes", "cavity_triangles", "flips",
     "orient_fast", "orient_exact", "incircle_fast", "incircle_exact",
+    "orient_zero", "incircle_zero",
     "batch_calls", "batch_entries", "batch_points", "conflict_retries",
     "finalize_ns",
 )
@@ -224,7 +227,7 @@ class KernelCounters:
     @property
     def exact_escalation_rate(self) -> float:
         """Fraction of filtered predicate tests escalated to exact
-        rational arithmetic (the metric the filter design targets)."""
+        integer arithmetic (the metric the filter design targets)."""
         total = self.orient_tests + self.incircle_tests
         if not total:
             return 0.0
@@ -262,7 +265,9 @@ class KernelCounters:
             f"  (conflict retries {self.conflict_retries})",
             f"  flips              {self.flips}",
             f"  finalize time      {self.finalize_ns / 1e6:.2f} ms",
-            f"  exact escalation   {self.exact_escalation_rate:.4%}",
+            f"  exact escalation   {self.exact_escalation_rate:.4%}"
+            f"  (true zeros {self.orient_zero + self.incircle_zero} of "
+            f"{self.orient_exact + self.incircle_exact})",
         ]
         return "\n".join(lines)
 

@@ -28,6 +28,7 @@ __all__ = [
     "GradedDistanceSizing",
     "RadialSizing",
     "CallableSizing",
+    "areas_at",
     "decoupling_edge_length",
 ]
 
@@ -36,6 +37,15 @@ class SizingFunction(Protocol):
     """Protocol: ``area_at(x, y)`` returns the max triangle area there."""
 
     def area_at(self, x: float, y: float) -> float: ...
+
+
+def areas_at(sizing: SizingFunction, xy: np.ndarray) -> Sequence[float]:
+    """``sizing.area_at`` of every row of ``xy``, in one array call when
+    the sizing has one (``area_at_many``: the same floats)."""
+    many = getattr(sizing, "area_at_many", None)
+    if many is not None:
+        return many(xy)
+    return [sizing.area_at(x, y) for x, y in np.asarray(xy).tolist()]
 
 
 def decoupling_edge_length(area: float) -> float:
@@ -59,6 +69,8 @@ class UniformSizing:
         if area <= 0:
             raise ValueError("area must be positive")
         self.area = float(area)
+
+    lipschitz = (0.0, 0.0)  #: see :attr:`GradedDistanceSizing.lipschitz`
 
     def area_at(self, x: float, y: float) -> float:
         return self.area
@@ -106,27 +118,38 @@ class GradedDistanceSizing:
         # the exact covering radius ("pad") of the decimation — the largest
         # distance from any surface point to its nearest coarse sample.
         step = max(1, len(pts) // 256)
-        self._coarse = pts[::step]
+        coarse = pts[::step]
         if step == 1:
             self._coarse_pad = 0.0
         else:
             worst = 0.0
             for lo in range(0, len(pts), 4096):  # chunked: bounded memory
                 chunk = pts[lo:lo + 4096]
-                d2 = ((chunk[:, None, :] - self._coarse[None, :, :]) ** 2
+                d2 = ((chunk[:, None, :] - coarse[None, :, :]) ** 2
                       ).sum(axis=2)
                 worst = max(worst, float(d2.min(axis=1).max()))
             self._coarse_pad = math.sqrt(worst)
+        # Both clouds as contiguous x / y columns, for the queries' hypot.
+        self._px, self._py = np.ascontiguousarray(pts.T)
+        self._cx, self._cy = np.ascontiguousarray(coarse.T)
+
+    @property
+    def lipschitz(self) -> Tuple[float, float]:
+        """``(L, slack)`` with ``|h(p) - h(q)| <= L * |p - q| + slack``
+        for the edge length ``h = sqrt(area_at / (sqrt(3)/4))``: distance
+        to a point cloud is 1-Lipschitz, and the far branch of
+        :meth:`distance_to_surface` is within ``pad / 2`` of the true
+        distance (it jumps where it takes over), hence the slack."""
+        return self.grading, self.grading * self._coarse_pad
 
     def distance_to_surface(self, x: float, y: float) -> float:
-        dc = float(np.min(np.hypot(self._coarse[:, 0] - x,
-                                   self._coarse[:, 1] - y)))
+        dc = float(np.hypot(self._cx - x, self._cy - y).min())
         if dc > 20.0 * self._coarse_pad:
             # Far away: exact distance lies in [dc - pad, dc]; return the
             # midpoint (relative error < 3% out here, where the sizing
             # gradient is shallow anyway).
             return max(dc - 0.5 * self._coarse_pad, 0.0)
-        return float(np.min(np.hypot(self._pts[:, 0] - x, self._pts[:, 1] - y)))
+        return float(np.hypot(self._px - x, self._py - y).min())
 
     def edge_length_at(self, x: float, y: float) -> float:
         d = self.distance_to_surface(x, y)
@@ -134,6 +157,23 @@ class GradedDistanceSizing:
 
     def area_at(self, x: float, y: float) -> float:
         h = self.edge_length_at(x, y)
+        return math.sqrt(3.0) / 4.0 * h * h
+
+    def area_at_many(self, xy: np.ndarray) -> np.ndarray:
+        """:meth:`area_at` of every row of ``xy`` in one pass over the
+        cloud — the scalar arithmetic term for term, so the same floats."""
+        xy = np.asarray(xy, np.float64).reshape(-1, 2)
+        rows = max(1, 2 ** 16 // len(self._px))  # chunked: bounded memory
+        if len(xy) > rows:
+            return np.concatenate([self.area_at_many(xy[lo:lo + rows])
+                                   for lo in range(0, len(xy), rows)])
+        x, y = xy[:, :1], xy[:, 1:]
+        d = np.hypot(self._cx - x, self._cy - y).min(axis=1)
+        far = d > 20.0 * self._coarse_pad
+        d[far] = np.maximum(d[far] - 0.5 * self._coarse_pad, 0.0)
+        d[~far] = np.hypot(self._px - x[~far], self._py - y[~far]
+                           ).min(axis=1)
+        h = np.minimum(self.h0 + self.grading * d, self.h_max)
         return math.sqrt(3.0) / 4.0 * h * h
 
     def __call__(self, x: float, y: float) -> float:
@@ -155,6 +195,11 @@ class RadialSizing:
         self.h0 = float(h0)
         self.grading = float(grading)
         self.h_max = float(h_max)
+
+    @property
+    def lipschitz(self) -> Tuple[float, float]:
+        """See :attr:`GradedDistanceSizing.lipschitz`."""
+        return self.grading, 0.0
 
     def edge_length_at(self, x: float, y: float) -> float:
         d = math.hypot(x - self.center[0], y - self.center[1])

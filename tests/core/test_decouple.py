@@ -18,10 +18,14 @@ from repro.core.decouple import (
 from repro.delaunay.mesh import merge_meshes
 from repro.geometry.aabb import AABB
 from repro.sizing.functions import (
+    CallableSizing,
+    GradedDistanceSizing,
     RadialSizing,
     UniformSizing,
     decoupling_edge_length,
 )
+
+from . import oracle_estimate
 
 
 class TestMarchPath:
@@ -180,6 +184,26 @@ class TestDecouple:
             ring=np.array([(0, 0), (2, 0), (2, 2), (0, 2)], dtype=float))
         es, eb = estimate_triangles(small, s), estimate_triangles(big, s)
         assert eb == pytest.approx(4 * es, rel=0.15)
+
+    @pytest.mark.parametrize("sizing", [
+        UniformSizing(0.01),
+        RadialSizing((0.3, 0.2), h0=0.05, grading=0.3),
+        CallableSizing(lambda x, y: 0.01 + 0.002 * abs(x)),
+        GradedDistanceSizing(np.array([(0.5, 0.5), (0.6, 0.5)]), h0=0.05),
+    ], ids=lambda s: type(s).__name__)
+    def test_estimate_is_the_scalar_oracles(self, sizing):
+        """With or without ``area_at_many``; a thin diagonal strip takes
+        several blocks of tries to collect its samples, and a ring that
+        holds no sample at all falls back to its centroid."""
+        rings = [
+            [(0, 0), (1, 0), (1, 1), (0, 1)],
+            [(0, 0), (0.02, 0), (3, 2.98), (3, 3), (2.98, 3), (0, 0.02)],
+            [(0, 0), (1, 1), (2, 2), (1, 1.0000001)],
+        ]
+        for ring in rings:
+            sub = DecoupledSubdomain(ring=np.array(ring, dtype=float))
+            assert (estimate_triangles(sub, sizing)
+                    == oracle_estimate.estimate_triangles(sub, sizing))
 
     def test_stream_yields_exact_decouple_order(self):
         """Parity-critical: the generator must produce the same

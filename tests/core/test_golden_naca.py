@@ -20,10 +20,13 @@ import numpy as np
 import pytest
 
 from repro import BoundaryLayerConfig, MeshConfig, PSLG, generate_mesh, naca0012
+from repro.core import decouple, pipeline
 from repro.geometry.airfoils import three_element_airfoil
 from repro.io.meshio import read_mesh_npz
 from repro.runtime import serde
 from repro.runtime.counters import use_counters
+
+from . import oracle_estimate
 
 GOLDEN = Path(__file__).resolve().parents[2] / "examples/output/naca0012.npz"
 
@@ -33,10 +36,30 @@ def golden_mesh():
     return read_mesh_npz(GOLDEN)
 
 
+def run_with_checked_estimates(pslg, config, **kwargs):
+    """``(result, counters sink, estimates)`` of a ``generate_mesh``.  The sink only listens, and so does the third:
+    every ``estimate_triangles`` call made on the way (they order the
+    decoupling heap and the dispatch) as ``(value, the scalar oracle's
+    value)``."""
+    estimates = []
+
+    def listening(sub, sizing, real=decouple.estimate_triangles):
+        value = real(sub, sizing)
+        estimates.append(
+            (value, oracle_estimate.estimate_triangles(sub, sizing)))
+        return value
+
+    with pytest.MonkeyPatch.context() as patch, use_counters() as sink:
+        patch.setattr(decouple, "estimate_triangles", listening)
+        patch.setattr(pipeline, "estimate_triangles", listening)
+        result = generate_mesh(pslg, config, **kwargs)
+    return result, sink, estimates
+
+
 @pytest.fixture(scope="module")
 def quickstart_run():
-    """``(mesh, counters sink)`` of examples/quickstart.py, mirrored
-    exactly (the sink only listens)."""
+    """``(mesh, counters sink, estimates)`` of examples/quickstart.py,
+    mirrored exactly."""
     pslg = PSLG.from_loops([naca0012(n_points=101)], names=["naca0012"])
     config = MeshConfig(
         bl=BoundaryLayerConfig(first_spacing=1e-3, growth_ratio=1.3,
@@ -44,9 +67,30 @@ def quickstart_run():
         farfield_chords=40.0,
         target_subdomains=16,
     )
-    with use_counters() as sink:
-        mesh = generate_mesh(pslg, config).mesh
-    return mesh, sink
+    result, sink, estimates = run_with_checked_estimates(pslg, config)
+    return result.mesh, sink, estimates
+
+
+@pytest.fixture(scope="module")
+def naca_farfield_run():
+    """The perf ledger's seed-0 ``naca_farfield`` op."""
+    pslg = PSLG.from_loops([naca0012(81)])
+    config = MeshConfig(
+        bl=BoundaryLayerConfig(first_spacing=1e-3, growth_ratio=1.3,
+                               max_layers=25),
+        farfield_chords=30.0, grading=0.15, h_max_chords=1.2,
+        nearbody_margin_chords=0.25, target_subdomains=32)
+    return run_with_checked_estimates(pslg, config, backend="serial")
+
+
+@pytest.fixture(scope="module")
+def highlift_bl_run():
+    """The perf ledger's seed-0 ``highlift_bl`` op."""
+    pslg = three_element_airfoil(n_points=71, flap_deflection=-30.0)
+    config = MeshConfig(
+        bl=BoundaryLayerConfig(first_spacing=1e-3, max_layers=60),
+        grading=0.35)
+    return run_with_checked_estimates(pslg, config, backend="serial")
 
 
 @pytest.fixture(scope="module")
@@ -94,12 +138,39 @@ class TestKernelTraffic:
     def test_triangles_are_tested_when_queued_not_per_scan(self,
                                                            quickstart_run):
         """The refiner's worklist is one scan plus what insertions
-        create (8.54 quality/size tests per Steiner point here, each
-        slot tested again at every stale queue position); ending every
-        subdomain with one more scan of its mesh read 11.90."""
+        create, and a popped slot whose occupant was already tested
+        reuses the verdict (5.41 quality/size tests per Steiner point
+        here; without the verdict memo every stale queue position tests
+        again, 8.54; ending every subdomain with one more scan of its
+        mesh read 11.90)."""
         events = quickstart_run[1].events
         assert events["steiner_points"] > 1000
-        assert events["triangle_tests"] <= 9.5 * events["steiner_points"]
+        assert events["triangle_tests"] <= 5.95 * events["steiner_points"]
+
+    def test_size_verdicts_come_from_a_bound(self, quickstart_run):
+        """The sizing function is evaluated once per vertex and once per
+        verdict its Lipschitz bound leaves open (0.54 evaluations per
+        size test here), not once per test."""
+        events = quickstart_run[1].events
+        size_tests = (events["size_verdicts_clear"]
+                      + events["size_verdicts_band"])
+        assert events["size_verdicts_clear"] > 3 * events["size_verdicts_band"]
+        assert events["sizing_evals"] <= 0.6 * size_tests
+
+
+class TestEstimatesMatchScalarOracle:
+    """``estimate_triangles`` is one array pass; the scalar loop it
+    replaced (``oracle_estimate.py``) must give the same float for every
+    work item, or the heap order, the dispatch order and the meshes
+    move."""
+
+    @pytest.mark.parametrize("run, calls", [
+        ("quickstart_run", 20), ("naca_farfield_run", 40),
+        ("highlift_bl_run", 20)])
+    def test_every_work_item(self, run, calls, request):
+        estimates = request.getfixturevalue(run)[2]
+        assert len(estimates) >= calls
+        assert all(got == want for got, want in estimates)
 
 
 def mesh_hash(mesh) -> str:
@@ -111,24 +182,14 @@ class TestPinnedHashes:
         assert mesh_hash(quickstart_mesh) == (
             "748ad3f7136abbe8235f6ed58ac2951cdb039647993988afe88f21118b37cb38")
 
-    def test_ledger_naca_farfield_seed0(self):
-        pslg = PSLG.from_loops([naca0012(81)])
-        config = MeshConfig(
-            bl=BoundaryLayerConfig(first_spacing=1e-3, growth_ratio=1.3,
-                                   max_layers=25),
-            farfield_chords=30.0, grading=0.15, h_max_chords=1.2,
-            nearbody_margin_chords=0.25, target_subdomains=32)
-        result = generate_mesh(pslg, config, backend="serial")
+    def test_ledger_naca_farfield_seed0(self, naca_farfield_run):
+        result = naca_farfield_run[0]
         assert result.bl.stats["n_points"] == 1706
         assert mesh_hash(result.mesh) == (
             "e7ccbc253dc732f3ee61394e6d35e50a0bf979e5132907655664a251195b1b2f")
 
-    def test_ledger_highlift_bl_seed0(self):
-        pslg = three_element_airfoil(n_points=71, flap_deflection=-30.0)
-        config = MeshConfig(
-            bl=BoundaryLayerConfig(first_spacing=1e-3, max_layers=60),
-            grading=0.35)
-        result = generate_mesh(pslg, config, backend="serial")
+    def test_ledger_highlift_bl_seed0(self, highlift_bl_run):
+        result = highlift_bl_run[0]
         stats = result.bl.stats
         assert stats["n_points"] == 2726
         # (ray, pass) pairs whose height decreased / rays cut by a

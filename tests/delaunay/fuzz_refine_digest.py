@@ -1,13 +1,16 @@
 """Differential fuzz of the refinement worklist on hostile un-locked input.
 
-``python tests/delaunay/fuzz_refine_digest.py [--cases N] [--start S]``
-refines ``N`` seeded star polygons twice — :class:`Refiner` and the
+``python tests/delaunay/fuzz_refine_digest.py [--cases N] [--start S]
+[--expect DIGEST]`` refines ``N`` seeded star polygons twice — :class:`Refiner` and the
 rescan oracle (:mod:`oracle_refine`) — and prints one digest per driver
 over every mesh hash (an invalid input contributes the name of its typed
 error).  The two digests must be equal, and equal to the same command's
 output at any other commit that claims not to move a refined mesh; the
 count of cases whose oracle rescan found work says how much of the run
 exercised the survivor re-queue at all (about one valid case in 14).
+With ``--expect`` the command is the check itself: it exits 1 when
+either driver's digest is not the given one (CI runs ``--cases 1500
+--expect e4ac8beba723``).
 
 Un-locked refinement with ``min_edge_floor`` is where the order bad
 triangles are revisited in shows: ``generate_mesh`` locks every segment,
@@ -107,6 +110,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--cases", type=int, default=1500)
     ap.add_argument("--start", type=int, default=0)
+    ap.add_argument("--expect", metavar="DIGEST",
+                    help="exit 1 unless both digests equal this one")
     args = ap.parse_args(argv)
     digests = {"refiner": hashlib.sha256(), "oracle": hashlib.sha256()}
     n_cases = n_invalid = n_rescan = n_differ = 0
@@ -132,9 +137,13 @@ def main(argv=None) -> int:
     print(f"cases {n_cases} (seeds {args.start}..{seed - 1}), invalid "
           f"{n_invalid}, oracle rescan found work in {n_rescan}, "
           f"differing {n_differ}")
+    moved = 0
     for name, digest in digests.items():
         print(f"digest {name:<8} {digest.hexdigest()[:12]}")
-    return 1 if n_differ else 0
+        moved += args.expect not in (None, digest.hexdigest()[:12])
+    if moved:
+        print(f"expected {args.expect}: a refined mesh moved")
+    return 1 if n_differ or moved else 0
 
 
 if __name__ == "__main__":

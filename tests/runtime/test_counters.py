@@ -73,6 +73,39 @@ class TestKernelCounters:
         assert parent.as_dict()["visibility_prunes"] == 6
         assert "visibility prunes  6" in parent.report()
 
+    def test_true_zeros_are_counted_apart_from_filter_misses(self):
+        """A lattice is all collinear and cocircular configurations: the
+        exact stage answers 0 for most escalations (no filter can
+        certify a zero); random points escalate rarely and to a sign.
+        ``exact_escalation_rate`` keeps its definition, and a snapshot
+        from before the split (no ``*_zero`` keys) still merges."""
+        gx, gy = np.meshgrid(np.arange(8.0), np.arange(8.0))
+        lattice = triangulate(np.column_stack([gx.ravel(), gy.ravel()]))
+        kc = KernelCounters()
+        kc.absorb(lattice)
+        zeros = kc.orient_zero + kc.incircle_zero
+        assert kc.incircle_zero > 0
+        assert 0 < zeros <= kc.orient_exact + kc.incircle_exact
+        assert kc.orient_zero <= kc.orient_exact
+        assert kc.incircle_zero <= kc.incircle_exact
+        assert kc.exact_escalation_rate == (
+            (kc.orient_exact + kc.incircle_exact)
+            / (kc.orient_tests + kc.incircle_tests))
+        assert kc.as_dict()["incircle_zero"] == kc.incircle_zero
+        assert f"(true zeros {zeros} of " in kc.report()
+
+        cloud = KernelCounters()
+        cloud.absorb(triangulate(np.random.default_rng(2).random((300, 2))))
+        assert cloud.orient_zero == cloud.incircle_zero == 0
+
+        old = kc.to_plain()
+        del old["orient_zero"], old["incircle_zero"]
+        merged = KernelCounters()
+        merged.merge_plain(old)
+        merged.merge_plain(kc.to_plain())
+        assert merged.incircle_exact == 2 * kc.incircle_exact
+        assert merged.incircle_zero == kc.incircle_zero
+
 
 class TestAmbientSink:
     def test_off_by_default(self):

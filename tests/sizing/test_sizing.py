@@ -12,6 +12,7 @@ from repro.sizing.functions import (
     GradedDistanceSizing,
     RadialSizing,
     UniformSizing,
+    areas_at,
     decoupling_edge_length,
 )
 
@@ -99,6 +100,28 @@ class TestGradedDistance:
                                       self.circle[:, 1] - y)))
         got = self.s.distance_to_surface(x, y)
         assert got == pytest.approx(exact, rel=0.05, abs=0.05)
+
+    @pytest.mark.parametrize("n_surface", [168, 700, 3000])
+    @pytest.mark.parametrize("k", [1, 3, 6, 12, 400])
+    def test_area_at_many_is_the_scalar_float(self, n_surface, k):
+        """One pass over the cloud for k queries returns ``area_at``'s
+        floats bit for bit — with a decimated cloud too (700 and 3000
+        points: ``_coarse_pad > 0``), near branch, far branch and on the
+        surface itself."""
+        theta = np.linspace(0, 2 * np.pi, n_surface, endpoint=False)
+        cloud = np.column_stack([np.cos(theta), 0.2 * np.sin(theta)])
+        s = GradedDistanceSizing(cloud, h0=0.01, grading=0.15, h_max=1.2)
+        rng = np.random.default_rng(k)
+        xy = np.vstack([rng.uniform(-30, 30, (k, 2)),
+                        rng.uniform(-1.2, 1.2, (k, 2)), cloud[:2]])[:k + 2]
+        assert (s.area_at_many(xy).tolist()
+                == [s.area_at(x, y) for x, y in xy.tolist()])
+        assert areas_at(s, xy).tolist() == s.area_at_many(xy).tolist()
+
+    def test_areas_at_without_an_array_form(self):
+        s = RadialSizing((0, 0), h0=0.1, grading=0.5)
+        xy = np.array([(0.0, 0.0), (2.0, 0.0), (-1.0, 3.0)])
+        assert areas_at(s, xy) == [s.area_at(x, y) for x, y in xy.tolist()]
 
 
 class TestRadial:
