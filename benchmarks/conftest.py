@@ -75,7 +75,8 @@ def measured_tasks(naca_mesh_result) -> List[SimTask]:
         refine_subdomain(sub, sizing)
         base.append(SimTask(cost=time.perf_counter() - t0,
                             size_bytes=16.0 * len(sub.ring)))
-    bl_cost = result.timings["boundary_layer"]
+    bl_cost = (result.timings["boundary_layer"]
+               + result.timings["bl_triangulate"])
     for _ in range(max(8, len(base) // 4)):
         base.append(SimTask(cost=bl_cost / max(8, len(base) // 4),
                             size_bytes=64e3))

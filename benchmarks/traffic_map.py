@@ -11,7 +11,10 @@ refiner's ``triangle_tests`` with ``triangle_tests_per_steiner`` (its
 quality/size tests per point it inserted) and what the size tests cost
 (``sizing_evals``; ``size_verdicts_clear`` decided by the sizing's
 Lipschitz bound, ``size_verdicts_band`` by the centroid's exact value),
-then the sink's ``adapt_*``
+then the boundary-layer triangulation work item (``bl_item_s``,
+``bl_item_kb``: its wall and bytes where it ran) beside the executor's
+per-rank item counts when a pool ran the op (``executor.items.rank*``,
+``executor.bl_item.rank*``), then the sink's ``adapt_*``
 events with ``adapt_flips_per_evaluation`` (the useful share of the flip
 pass's scoring; only ``adapt_shear`` adapts).  The
 ``service_mix`` daemon is out of the profiler's sight, so its in-process
@@ -120,8 +123,14 @@ def main(argv=None) -> None:
                                "size_verdicts_band")]
             rows.append(("triangle_tests_per_steiner",
                          events["triangle_tests"] / events["steiner_points"]))
+        if sink.samples.get("executor.bl_item_seconds"):
+            rows += [("bl_item_s",
+                      sum(sink.samples["executor.bl_item_seconds"])),
+                     ("bl_item_kb",
+                      sum(sink.samples["executor.bl_item_bytes"]) / 1e3)]
         rows += sorted((k, n) for k, n in events.items()
-                       if k.startswith("adapt_"))
+                       if k.startswith(("executor.items.rank",
+                                        "executor.bl_item.rank", "adapt_")))
         if events.get("adapt_flip_evaluations"):
             rows.append(("adapt_flips_per_evaluation", events["adapt_flips"]
                          / events["adapt_flip_evaluations"]))

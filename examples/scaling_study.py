@@ -45,7 +45,8 @@ def measure_subdomain_costs() -> tuple[list[SimTask], float]:
         # Payload: border vertices only (inviscid subdomains ship borders).
         tasks.append(SimTask(cost=dt, size_bytes=16.0 * len(sub.ring)))
     # The BL subdomains: model as tasks proportional to their points.
-    bl_cost = result.timings["boundary_layer"]
+    bl_cost = (result.timings["boundary_layer"]
+               + result.timings["bl_triangulate"])
     n_bl_tasks = max(8, len(tasks) // 4)
     for _ in range(n_bl_tasks):
         tasks.append(SimTask(cost=bl_cost / n_bl_tasks, size_bytes=64e3))

@@ -35,7 +35,8 @@ from .delaunay import cavity as insertion
 from .geometry.airfoils import naca4, three_element_airfoil
 from .geometry.pslg import PSLG
 from .io.meshio import read_poly, write_mesh_ascii, write_mesh_npz
-from .lint import RULESET_VERSION, rule_ids, tsan
+from . import lint
+from .lint import tsan
 from .runtime import executor
 from .runtime.counters import timed, use_counters
 
@@ -509,7 +510,8 @@ def main(argv=None) -> int:
         "outputs": written,
         "timings": {k: round(v, 3) for k, v in result.timings.items()},
         "sanitizer": tsan.status(),
-        "lint": {"ruleset": RULESET_VERSION, "rules": list(rule_ids())},
+        "lint": {"ruleset": lint.RULESET_VERSION,
+                 "rules": list(lint.rule_ids())},
     }
     if adapt_summary is not None:
         summary["adapt"] = adapt_summary

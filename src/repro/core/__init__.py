@@ -5,6 +5,8 @@ from .bl_pipeline import (
     BoundaryLayerResult,
     generate_boundary_layer,
     interior_seed,
+    prepare_boundary_layer,
+    triangulate_boundary_layer,
 )
 from .normals import SurfaceVertex, VertexKind, loop_surface_vertices
 from .rays import Ray, build_rays, refine_rays
@@ -19,5 +21,7 @@ __all__ = [
     "generate_boundary_layer",
     "interior_seed",
     "loop_surface_vertices",
+    "prepare_boundary_layer",
     "refine_rays",
+    "triangulate_boundary_layer",
 ]

@@ -5,9 +5,16 @@ intersection resolution (self, then multi-element) -> growth-function
 point insertion with isotropy termination -> tip-border simplification ->
 constrained Delaunay triangulation of the boundary-layer annulus.
 
-The output bundles everything downstream stages need: the per-element ray
-sets (the parallel decomposition partitions their points), the outer
-borders (the inviscid region's inner boundaries), and the BL mesh itself.
+The stage has two halves.  :func:`prepare_boundary_layer` runs everything
+up to the assembled PSLG of the annuli and already yields what sizing, the
+near-body ring, decoupling and every refinement item read: the outer
+borders (the inviscid region's inner boundaries) and the per-element ray
+sets (the parallel decomposition partitions their points).
+:func:`triangulate_boundary_layer` is the constrained Delaunay
+triangulation of that PSLG: plain arrays in, the BL mesh out, first read
+by the final merge — so :func:`repro.core.pipeline.generate_mesh` runs it
+as a work item beside refinement.  :func:`generate_boundary_layer` is
+their composition.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..delaunay.constrained import carve, triangulate_pslg
+from ..delaunay.constrained import constrained_delaunay
 from ..delaunay.mesh import TriMesh
 from ..geometry.pslg import PSLG
 from ..runtime.counters import phase
@@ -33,8 +40,9 @@ from .intersections import (
 from .normals import loop_surface_vertices
 from .rays import Ray, dedupe_ring, refine_rays
 
-__all__ = ["BoundaryLayerConfig", "BoundaryLayerResult", "generate_boundary_layer",
-           "interior_seed"]
+__all__ = ["BoundaryLayerConfig", "BoundaryLayerResult",
+           "prepare_boundary_layer", "triangulate_boundary_layer",
+           "generate_boundary_layer", "interior_seed"]
 
 
 @dataclass
@@ -66,10 +74,21 @@ class BoundaryLayerConfig:
 class BoundaryLayerResult:
     element_rays: List[List[Ray]]
     points: np.ndarray
-    mesh: TriMesh
+    #: ``None`` between the two halves of the stage: prepared, the
+    #: Delaunay triangulation of the cloud still pending.
+    mesh: Optional[TriMesh]
     outer_borders: List[np.ndarray]          # per element, closed (m, 2)
     surface_loops: List[np.ndarray]          # per element, closed (m, 2)
+    #: the annuli's PSLG over ``points``: constrained edges (k, 2) int64
+    #: and one seed (x, y) inside each body, the triangulation's input.
+    segments: np.ndarray
+    holes: np.ndarray
     stats: Dict[str, float] = field(default_factory=dict)
+
+    def attach_mesh(self, mesh: TriMesh) -> None:
+        """Complete a prepared result with its triangulation."""
+        self.mesh = mesh
+        self.stats["n_triangles"] = float(mesh.n_triangles)
 
 
 def interior_seed(loop_pts: np.ndarray) -> Tuple[float, float]:
@@ -196,19 +215,25 @@ def _simplify_borders(element_rays: Sequence[List[Ray]], *,
     )
 
 
-def generate_boundary_layer(
+def prepare_boundary_layer(
     pslg: PSLG,
     config: Optional[BoundaryLayerConfig] = None,
     *,
     sizing: Optional[SizingFunction] = None,
-    insert_strategy: Optional[str] = None,
 ) -> BoundaryLayerResult:
-    """Run the full anisotropic boundary-layer stage on all body loops.
+    """The boundary-layer stage up to the assembled PSLG of the annuli.
 
-    ``insert_strategy`` names the cavity-engine insertion strategy of
-    the BL triangulation (``None``: ``scalar``).
+    Rays, intersection resolution, layer points and border untangling.
+    In the default ``"delaunay"`` mode the result's ``mesh`` is ``None``
+    and ``points`` / ``segments`` / ``holes`` are the input of
+    :func:`triangulate_boundary_layer`; everything else, the outer
+    borders above all, is final.  The ``"structured"`` mode stitches its
+    mesh from the rays here: it needs them and costs milliseconds.
     """
     config = config or BoundaryLayerConfig()
+    if config.triangulation not in ("delaunay", "structured"):
+        raise ValueError(
+            f"unknown BL triangulation mode: {config.triangulation!r}")
     growth = config.growth_function()
     default_height = min(growth.height(config.max_layers), config.max_height)
 
@@ -255,7 +280,7 @@ def generate_boundary_layer(
         n_shrunk = _simplify_borders(element_rays)
 
     # ------------------------------------------------------------------
-    # Assemble the PSLG of the boundary-layer annuli and triangulate.
+    # Assemble the PSLG of the boundary-layer annuli.
     # ------------------------------------------------------------------
     coord_id: Dict[tuple, int] = {}
     pts: List[tuple] = []
@@ -291,35 +316,63 @@ def generate_boundary_layer(
             for h in r.heights:
                 vid(r.point_at(h))
 
-    with phase("bl.triangulate"):
-        if config.triangulation == "structured":
-            from .structured_bl import triangulate_structured
-
-            mesh, struct_stats = triangulate_structured(element_rays)
-        elif config.triangulation == "delaunay":
-            tri = triangulate_pslg(
-                np.asarray(pts, dtype=np.float64),
-                np.asarray(segments, dtype=np.int64),
-                strategy=insert_strategy,
-            )
-            mask = carve(tri, holes)
-            mesh = tri.to_mesh(keep_mask=mask)
-        else:
-            raise ValueError(
-                f"unknown BL triangulation mode: {config.triangulation!r}")
-
-    return BoundaryLayerResult(
+    bl = BoundaryLayerResult(
         element_rays=element_rays,
         points=np.asarray(pts, dtype=np.float64),
-        mesh=mesh,
+        mesh=None,
         outer_borders=outer_borders,
         surface_loops=surface_loops,
+        segments=np.asarray(segments, dtype=np.int64).reshape(-1, 2),
+        holes=np.asarray(holes, dtype=np.float64).reshape(-1, 2),
         stats={
             "n_rays": float(sum(len(r) for r in element_rays)),
             "n_points": float(len(pts)),
             "n_self_truncations": float(n_self),
             "n_multi_truncations": float(n_multi),
             "n_border_shrinks": float(n_shrunk),
-            "n_triangles": float(mesh.n_triangles),
         },
     )
+    if config.triangulation == "structured":
+        from .structured_bl import triangulate_structured
+
+        with phase("bl.triangulate"):
+            bl.attach_mesh(triangulate_structured(element_rays)[0])
+    return bl
+
+
+def triangulate_boundary_layer(points: np.ndarray, segments: np.ndarray,
+                               holes: np.ndarray, *,
+                               insert_strategy: Optional[str] = None
+                               ) -> TriMesh:
+    """Constrained Delaunay triangulation of the boundary-layer annuli.
+
+    The three arrays are the ones :func:`prepare_boundary_layer` left on
+    its result; ``insert_strategy`` names the cavity-engine insertion
+    strategy (``None``: ``scalar``).  A function of its arguments only,
+    so it runs wherever they are shipped.
+    """
+    with phase("bl.triangulate"):
+        return constrained_delaunay(points, segments, holes,
+                                    strategy=insert_strategy)
+
+
+def generate_boundary_layer(
+    pslg: PSLG,
+    config: Optional[BoundaryLayerConfig] = None,
+    *,
+    sizing: Optional[SizingFunction] = None,
+    insert_strategy: Optional[str] = None,
+) -> BoundaryLayerResult:
+    """Run the full anisotropic boundary-layer stage on all body loops:
+    :func:`prepare_boundary_layer`, then
+    :func:`triangulate_boundary_layer` on what it assembled.
+
+    ``insert_strategy`` names the cavity-engine insertion strategy of
+    the BL triangulation (``None``: ``scalar``).
+    """
+    bl = prepare_boundary_layer(pslg, config, sizing=sizing)
+    if bl.mesh is None:
+        bl.attach_mesh(triangulate_boundary_layer(
+            bl.points, bl.segments, bl.holes,
+            insert_strategy=insert_strategy))
+    return bl

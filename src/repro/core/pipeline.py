@@ -1,19 +1,20 @@
 """The push-button mesher: geometry in, hybrid anisotropic mesh out.
 
-Composes every stage of the paper's Section II in order:
+Composes every stage of the paper's Section II:
 
-1. anisotropic boundary layers (extrusion rays, fans, intersection
-   resolution, growth-function insertion, BL triangulation);
+1. anisotropic boundary layers up to their outer borders (extrusion
+   rays, fans, intersection resolution, growth-function insertion);
 2. a graded near-body subdomain between the BL outer borders and the
    near-body box;
 3. graded Delaunay decoupling of the inviscid far field into the four
    quadrants and their '+'-split descendants;
-4. independent Ruppert refinement of every decoupled subdomain,
-   dispatched through the pluggable executor layer
-   (:mod:`repro.runtime.executor`): sequential (``backend="serial"``),
-   the SPMD threads runtime with RMA-window work stealing
-   (``backend="threads"``), or GIL-free multiprocessing workers
-   (``backend="processes"``);
+4. the work items, independent of each other and dispatched through the
+   pluggable executor layer (:mod:`repro.runtime.executor`): the
+   Delaunay triangulation of the boundary-layer cloud first, then
+   Ruppert refinement of the near-body and of every decoupled
+   subdomain — sequential (``backend="serial"``), the SPMD threads
+   runtime with RMA-window work stealing (``backend="threads"``), or
+   GIL-free multiprocessing workers (``backend="processes"``);
 5. merge into one conforming mesh.
 
 "The user only needs to provide the input configuration and wait for the
@@ -35,13 +36,14 @@ from ..geometry.aabb import AABB
 from ..geometry.pslg import PSLG
 from ..runtime import executor
 from ..runtime import serde
-from ..runtime.counters import timed
+from ..runtime.counters import current, timed
 from ..sizing.functions import GradedDistanceSizing
 from .bl_pipeline import (
     BoundaryLayerConfig,
     BoundaryLayerResult,
-    generate_boundary_layer,
     interior_seed,
+    prepare_boundary_layer,
+    triangulate_boundary_layer,
 )
 from .decouple import (
     DecoupledSubdomain,
@@ -96,6 +98,12 @@ class MeshResult:
     nearbody_mesh: TriMesh
     inviscid_meshes: List[TriMesh]
     subdomains: List[DecoupledSubdomain]
+    #: wall seconds per stage.  ``boundary_layer`` is the parent's
+    #: :func:`prepare_boundary_layer`; ``bl_triangulate`` the BL
+    #: triangulation work item's wall where it ran (0.0 when the
+    #: structured mode stitched the mesh during prepare);
+    #: ``refinement`` spans the dispatch of every work item and
+    #: contains ``decoupling``.
     timings: Dict[str, float]
     #: numeric run statistics plus the resolved ``insert_strategy`` name.
     stats: Dict[str, object]
@@ -123,21 +131,25 @@ def generate_mesh(
     Every backend produces the identical mesh — the subdomains are
     decoupled, so execution order cannot change the result.
 
-    Work is fed to the executor as it is discovered: the near-body
-    subdomain is submitted before decoupling starts and each decoupled
-    subdomain the moment it is final, so pool workers refine while the
-    parent is still splitting — the paper's overlap of decomposition
-    with refinement.  ``serial`` buffers the submissions and maps them
-    after decoupling finished; submission order is the same, so it is
-    the barriered reference the parallel backends are byte-compared to.
+    Work is fed to the executor as it is discovered.  Everything
+    downstream of the boundary layer reads only its outer borders, so
+    the triangulation of the BL cloud is submitted first, as work item
+    0, the moment the borders exist; then the near-body subdomain,
+    before decoupling starts, and each decoupled subdomain the moment
+    it is final.  Pool workers triangulate and refine while the parent
+    is still splitting — the paper's overlap of boundary-layer work and
+    decomposition with refinement — and the BL mesh is first read by
+    the merge.  ``serial`` buffers the submissions and maps them after
+    decoupling finished; submission order is the same, so it is the
+    barriered reference the parallel backends are byte-compared to.
 
     ``insert_strategy`` picks the Delaunay cavity-engine insertion
     strategy (any name from
     :func:`repro.delaunay.available_strategies`); ``None`` is
     ``scalar``.  It is resolved once here and travels as data: an
-    argument to the BL triangulation and a field of every refinement
-    work item, so workers forked earlier (a warm pool) triangulate with
-    the same strategy as the parent.
+    a field of the BL triangulation item and of every refinement item,
+    so workers forked earlier (a warm pool) triangulate with the same
+    strategy as the parent.
     """
     insert_strategy = get_strategy(insert_strategy).name
     config = config or MeshConfig()
@@ -146,12 +158,12 @@ def generate_mesh(
     chord = pslg.chord_length()
 
     # ------------------------------------------------------------------
-    # 1. Boundary layers.
+    # 1. Boundary layers, up to their outer borders.
     # ------------------------------------------------------------------
     with timed("boundary_layer") as tm:
-        bl = generate_boundary_layer(pslg, config.bl,
-                                     insert_strategy=insert_strategy)
+        bl = prepare_boundary_layer(pslg, config.bl)
     timings["boundary_layer"] = tm.elapsed
+    timings["bl_triangulate"] = 0.0
 
     # ------------------------------------------------------------------
     # 2. Sizing function from the BL outer borders.
@@ -198,12 +210,12 @@ def generate_mesh(
     target = max(config.target_subdomains - 1, 4)
 
     # ------------------------------------------------------------------
-    # 4+5. Decouple the far field and refine everything (near-body +
-    #    inviscid subdomains) through the executor layer: each work item
-    #    is one serde-packed subdomain, each result one packed mesh,
-    #    ordered like the inputs.  The near-body subdomain is submitted
-    #    before decoupling starts and every decoupled subdomain as it is
-    #    produced.
+    # 4+5. Triangulate the BL cloud, decouple the far field and refine
+    #    everything (near-body + inviscid subdomains) through the
+    #    executor layer: each work item is serde-packed, each result one
+    #    packed mesh, ordered like the inputs.  The BL item goes first,
+    #    the near-body subdomain before decoupling starts and every
+    #    decoupled subdomain as it is produced.
     # ------------------------------------------------------------------
     def _cost(s: DecoupledSubdomain) -> float:
         return (s.est_triangles if s.est_triangles > 0.0
@@ -216,8 +228,15 @@ def generate_mesh(
     # Note: ``refinement`` wall time spans the whole overlapped region
     # (it contains ``decoupling``).
     with timed("refinement") as tm_refine:
-        session = backend_impl.stream_workitems(_refine_workitem,
-                                                n_ranks=n_ranks)
+        session = backend_impl.stream_workitems(_workitem, n_ranks=n_ranks)
+        bl_pending = bl.mesh is None
+        if bl_pending:
+            # A triangulation of n points has about 2n triangles: the
+            # unit the refinement items' estimates are in.
+            session.submit(
+                serde.nest("bl.", serde.pack_bl_item(
+                    bl.points, bl.segments, bl.holes, insert_strategy)),
+                cost=2.0 * len(bl.points))
         session.submit(_payload(nearbody), cost=_cost(nearbody))
         subdomains: List[DecoupledSubdomain] = []
         with timed("decoupling") as tm_decouple:
@@ -225,6 +244,10 @@ def generate_mesh(
                 subdomains.append(s)
                 session.submit(_payload(s), cost=_cost(s))
         packed = session.results()
+        if bl_pending:
+            bl_packed = packed.pop(0)
+            bl.attach_mesh(serde.unpack_mesh(bl_packed))
+            timings["bl_triangulate"] = float(bl_packed["seconds"][0])
         meshes = [serde.unpack_mesh(b) for b in packed]
     timings["decoupling"] = tm_decouple.elapsed
     timings["refinement"] = tm_refine.elapsed
@@ -269,13 +292,52 @@ def _pack_refine_item(sub: DecoupledSubdomain, sizing,
     return payload
 
 
-def _refine_workitem(payload: serde.Buffers) -> serde.Buffers:
-    """Executor work function: refine one packed subdomain.
+def _workitem(payload: serde.Buffers) -> serde.Buffers:
+    """Executor work function of one ``generate_mesh`` dispatch.
 
-    Module-level by contract — the processes backend resolves it by
-    import path in worker processes; the serde round trip is exact, so
-    every backend produces bit-identical meshes.
+    An item's kind is the prefix its first object is nested under:
+    ``bl.`` the boundary-layer triangulation, ``sub.`` one subdomain to
+    refine.  Module-level by contract — the processes backend resolves
+    it by import path in worker processes; the serde round trip is
+    exact, so every backend produces bit-identical meshes.
     """
+    if "bl.points" in payload:
+        return _triangulate_bl_item(payload)
+    if "sub.coords" in payload:
+        return _refine_item(payload)
+    raise serde.SerdeError(
+        "unknown work item kind: payload holds neither a 'bl.' nor a "
+        f"'sub.' object (keys: {sorted(payload)})")
+
+
+def _triangulate_bl_item(payload: serde.Buffers) -> serde.Buffers:
+    """Triangulate the packed BL cloud -> packed mesh plus ``seconds``,
+    the wall it took here (the parent's ``timings["bl_triangulate"]``).
+
+    Under a profiling sink the item also leaves its wall and bytes as
+    the ``executor.bl_item_*`` samples and, in a pool worker, its rank
+    as an event; they reach the parent with the worker's snapshot.
+    """
+    with timed("bl_triangulate") as tm:
+        points, segments, holes, insert_strategy = serde.unpack_bl_item(
+            serde.unnest("bl.", payload))
+        mesh = triangulate_boundary_layer(points, segments, holes,
+                                          insert_strategy=insert_strategy)
+        result = serde.pack_mesh(mesh)
+    result["seconds"] = np.asarray([tm.elapsed], dtype=np.float64)
+    sink = current()
+    if sink is not None:
+        sink.observe("executor.bl_item_seconds", tm.elapsed)
+        sink.observe("executor.bl_item_bytes",
+                     serde.buffers_nbytes(payload)
+                     + serde.buffers_nbytes(result))
+        if sink.rank is not None:
+            sink.incr(f"executor.bl_item.rank{sink.rank}")
+    return result
+
+
+def _refine_item(payload: serde.Buffers) -> serde.Buffers:
+    """Refine one packed subdomain -> packed mesh."""
     sub = serde.unpack_subdomain(serde.unnest("sub.", payload))
     sizing = serde.unpack_sizing(serde.unnest("sizing.", payload))
     quality_bound, max_steiner = (float(x) for x in payload["params"])

@@ -56,20 +56,22 @@ instruments :class:`repro.runtime.rma.Window` and
 :class:`repro.runtime.comm.ThreadComm` when ``REPRO_SANITIZE=1``.
 """
 
-from .engine import (Finding, LintRunner, RULESET_VERSION, run_lint,
-                     DEFAULT_SEVERITY_MAP, load_baseline, write_baseline,
-                     apply_baseline)
-from .rules import ALL_RULES, rule_ids
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ALL_RULES",
-    "Finding",
-    "LintRunner",
-    "RULESET_VERSION",
-    "DEFAULT_SEVERITY_MAP",
-    "rule_ids",
-    "run_lint",
-    "load_baseline",
-    "write_baseline",
-    "apply_baseline",
-]
+#: re-exported name -> defining submodule, imported on first use: the
+#: runtime reads the sanitizer switch (``from ..lint import tsan``)
+#: without compiling the rule engine.
+_EXPORTS = {
+    "Finding": "engine",
+    "LintRunner": "engine",
+    "RULESET_VERSION": "engine",
+    "DEFAULT_SEVERITY_MAP": "engine",
+    "run_lint": "engine",
+    "load_baseline": "engine",
+    "write_baseline": "engine",
+    "apply_baseline": "engine",
+    "ALL_RULES": "rules",
+    "rule_ids": "rules",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = sorted(_EXPORTS)

@@ -22,6 +22,7 @@ __all__ = ["CounterPairRule", "PAIRED_SAMPLES"]
 PAIRED_SAMPLES: Tuple[Tuple[str, str], ...] = (
     ("serde.shm_nbytes", "serde.shm_seconds"),
     ("executor.item_seconds", "executor.item_bytes"),
+    ("executor.bl_item_seconds", "executor.bl_item_bytes"),
 )
 
 

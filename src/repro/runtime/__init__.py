@@ -2,65 +2,45 @@
 MPI subset, RMA window, work-stealing load balancer, buffer serde, the
 discrete-event cluster simulator, and the meshing service daemon."""
 
-from .client import MeshReply, ServiceClient
-from .comm import ANY_SOURCE, ANY_TAG, CommError, Message, ThreadComm, run_spmd
-from .counters import Counters, Histogram, KernelCounters, current, phase, use_counters
-from .executor import (
-    Backend,
-    ExecutorError,
-    available_backends,
-    get_backend,
-)
-from .loadbalance import DistributedWorker, WorkItem, WorkQueue
-from .rma import Window
-from .service import (
-    MeshCache,
-    MeshService,
-    ServiceError,
-    ServiceThread,
-    ServiceUnavailable,
-)
-from .simulator import (
-    NetworkModel,
-    SimConfig,
-    SimResult,
-    SimTask,
-    simulate,
-    strong_scaling,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "Backend",
-    "CommError",
-    "Counters",
-    "DistributedWorker",
-    "ExecutorError",
-    "Histogram",
-    "KernelCounters",
-    "MeshCache",
-    "MeshReply",
-    "MeshService",
-    "Message",
-    "NetworkModel",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceThread",
-    "ServiceUnavailable",
-    "SimConfig",
-    "SimResult",
-    "SimTask",
-    "ThreadComm",
-    "Window",
-    "WorkItem",
-    "WorkQueue",
-    "available_backends",
-    "current",
-    "get_backend",
-    "phase",
-    "run_spmd",
-    "simulate",
-    "strong_scaling",
-    "use_counters",
-]
+#: re-exported name -> defining submodule, imported on first use: the
+#: mesher reaches ``executor``/``serde``/``counters`` without loading
+#: the service daemon (``asyncio``), the SPMD runtime or the simulator.
+_EXPORTS = {
+    "MeshReply": "client",
+    "ServiceClient": "client",
+    "ANY_SOURCE": "comm",
+    "ANY_TAG": "comm",
+    "CommError": "comm",
+    "Message": "comm",
+    "ThreadComm": "comm",
+    "run_spmd": "comm",
+    "Counters": "counters",
+    "Histogram": "counters",
+    "KernelCounters": "counters",
+    "current": "counters",
+    "phase": "counters",
+    "use_counters": "counters",
+    "Backend": "executor",
+    "ExecutorError": "executor",
+    "available_backends": "executor",
+    "get_backend": "executor",
+    "DistributedWorker": "loadbalance",
+    "WorkItem": "loadbalance",
+    "WorkQueue": "loadbalance",
+    "Window": "rma",
+    "MeshCache": "service",
+    "MeshService": "service",
+    "ServiceError": "service",
+    "ServiceThread": "service",
+    "ServiceUnavailable": "service",
+    "NetworkModel": "simulator",
+    "SimConfig": "simulator",
+    "SimResult": "simulator",
+    "SimTask": "simulator",
+    "simulate": "simulator",
+    "strong_scaling": "simulator",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = sorted(_EXPORTS)

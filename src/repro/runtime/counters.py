@@ -275,8 +275,11 @@ class KernelCounters:
 class Counters:
     """Process-wide profiling sink: phases + kernel stats + named events."""
 
-    def __init__(self) -> None:
+    def __init__(self, rank: Optional[int] = None) -> None:
         self._lock = threading.Lock()
+        #: pool-worker rank whose work this sink profiles (a worker's
+        #: per-item sink); ``None`` for a sink of the calling process.
+        self.rank = rank
         self.phases: Dict[str, float] = {}
         self.phase_calls: Dict[str, int] = {}
         self.kernel = KernelCounters()
@@ -397,6 +400,13 @@ class Counters:
             width = max(len(k) for k in self.events)
             for name in sorted(self.events):
                 lines.append(f"  {name:<{width}}  {self.events[name]}")
+        if self.samples:
+            lines.append("samples:")
+            width = max(len(k) for k in self.samples)
+            for name in sorted(self.samples):
+                vals = self.samples[name]
+                lines.append(f"  {name:<{width}}  n {len(vals)}  total "
+                             f"{sum(vals):.6g}  max {max(vals):.6g}")
         return "\n".join(lines)
 
 

@@ -350,7 +350,7 @@ def _pool_worker_main(rank: int, inbox, result_q,
             if fn is None:
                 fn = fn_cache[key] = _resolve_portable_fn(fn_mod, fn_qual)
             payload = serde.wire_to_buffers(wire)
-            sink = counters_mod.Counters() if profile else None
+            sink = counters_mod.Counters(rank) if profile else None
             with (counters_mod.use_counters(sink) if profile
                   else contextlib.nullcontext()):
                 with phase("executor.processes.item"):

@@ -15,6 +15,9 @@ Supported objects:
 * :class:`~repro.core.decouple.DecoupledSubdomain` — ring + hole rings
   concatenated into one coordinate array with an offsets table;
 * :class:`~repro.delaunay.mesh.TriMesh` — points/triangles/segments;
+* the boundary-layer triangulation work item — the annuli's PSLG as
+  ``points`` (float64), ``segments`` (int64 vertex pairs), ``holes``
+  (float64 seeds) and the ``insert_strategy`` name as text;
 * :class:`~repro.geometry.pslg.PSLG` — points, loop index table, flags,
   and a uint8-encoded name blob;
 * sizing functions (``Uniform``/``Radial``/``GradedDistance``) — a kind
@@ -67,6 +70,8 @@ __all__ = [
     "discard_wire",
     "pack_mesh",
     "unpack_mesh",
+    "pack_bl_item",
+    "unpack_bl_item",
     "pack_metric",
     "unpack_metric",
     "pack_subdomain",
@@ -442,6 +447,34 @@ def unpack_mesh(buffers: Buffers):
         points=_f64(buffers["points"], 2),
         triangles=_i32(buffers["triangles"]).reshape(-1, 3),
         segments=_i32(buffers["segments"]).reshape(-1, 2),
+    )
+
+
+# ----------------------------------------------------------------------
+# Boundary-layer triangulation work item
+# ----------------------------------------------------------------------
+def pack_bl_item(points, segments, holes, insert_strategy: str) -> Buffers:
+    """Flatten the input of
+    :func:`repro.core.bl_pipeline.triangulate_boundary_layer`: the PSLG
+    of the boundary-layer annuli plus the insertion strategy's name."""
+    return {
+        "points": _f64(points, 2),
+        "segments": np.ascontiguousarray(
+            segments, dtype=np.int64).reshape(-1, 2),
+        "holes": _f64(holes, 2),
+        "insert_strategy": _text(insert_strategy),
+    }
+
+
+def unpack_bl_item(buffers: Buffers
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, str]:
+    """Inverse of :func:`pack_bl_item` ->
+    ``(points, segments, holes, insert_strategy)``."""
+    return (
+        _f64(buffers["points"], 2),
+        np.asarray(buffers["segments"], dtype=np.int64).reshape(-1, 2),
+        _f64(buffers["holes"], 2),
+        _untext(buffers["insert_strategy"]),
     )
 
 

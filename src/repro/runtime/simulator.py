@@ -344,8 +344,10 @@ def fit_network_model(nbytes: Sequence[float], seconds: Sequence[float],
     layer records one pair per shared-memory segment it publishes).  A
     degree-1 polyfit gives ``time = intercept + slope * bytes``, i.e.
     ``latency = intercept`` and ``bandwidth = 1 / slope``, clamped to sane
-    hardware ranges.  With fewer than two distinct sizes the line is
-    unconstrained and ``default`` (4X FDR Infiniband) is returned; a
+    hardware ranges.  With fewer than two distinct sizes, or sizes that
+    span less than a factor of two (two segments of 67 and 73 kB differ
+    by less than their timing noise), the line is unconstrained and
+    ``default`` (4X FDR Infiniband) is returned; a
     non-positive slope (noise-dominated measurements) keeps the default
     bandwidth and uses the mean measured time as latency.
     """
@@ -354,7 +356,7 @@ def fit_network_model(nbytes: Sequence[float], seconds: Sequence[float],
     y = np.asarray(seconds, dtype=np.float64)
     if x.size != y.size:
         raise ValueError("nbytes/seconds sample streams differ in length")
-    if x.size < 2 or np.unique(x).size < 2:
+    if x.size < 2 or np.unique(x).size < 2 or x.max() < 2.0 * x.min():
         return default
     # Theil-Sen estimate (median of pairwise slopes): the first segment
     # creation pays a page-fault warm-up penalty orders of magnitude
@@ -390,21 +392,28 @@ def calibrate_from_counters(sink, *, replicate_to: int = 12288,
     Everything the simulator needs is read off the sink:
 
     - **task costs/sizes** from the ``executor.item_seconds`` /
-      ``executor.item_bytes`` sample streams (one pair per refined
-      subdomain, measured inside the worker);
+      ``executor.item_bytes`` sample streams (one pair per work item,
+      measured inside the worker);
+    - **the boundary-layer triangulation item** from the
+      ``executor.bl_item_seconds`` / ``executor.bl_item_bytes`` pair it
+      records itself: a mesh has one however many subdomains it is cut
+      into, so it becomes one task, unreplicated, and the executor's
+      sample of the same item (equal bytes: both sides sum payload and
+      result) is left out of the replicated base;
     - **network model** fitted from the paired ``serde.shm_nbytes`` /
       ``serde.shm_seconds`` streams (shared-memory publish timings) via
       :func:`fit_network_model`, unless ``network`` overrides it;
     - **serial_setup** from the measured :data:`SETUP_PHASES` wall times
-      (the parent-rank work before refinement can go wide);
+      (the parent-rank work before refinement can go wide;
+      ``boundary_layer`` is the parent's prepare half only);
     - **per_task_overhead** defaults to 1e-4 s — the queue-pop/dispatch
       cost per item, matching the reference Fig. 11 configuration —
       unless a measured value is passed in.
 
-    The measured tasks are replicated with +/-20% multiplicative jitter
-    (seeded, deterministic) to ``replicate_to`` items, modelling the
-    paper's cluster-scale subdomain counts where refinement dominates the
-    unreplicated setup phases.  Raises ``ValueError`` when the sink holds
+    The measured subdomain tasks are replicated with +/-20%
+    multiplicative jitter (seeded, deterministic) to ``replicate_to``
+    items, modelling the paper's cluster-scale subdomain counts where
+    refinement dominates the unreplicated setup phases.  Raises ``ValueError`` when the sink holds
     no per-item cost samples (the run did not go through the executor).
     """
     costs = list(sink.samples.get("executor.item_seconds", []))
@@ -418,6 +427,14 @@ def calibrate_from_counters(sink, *, replicate_to: int = 12288,
                                                        - len(sizes))
     base = [SimTask(cost=float(c), size_bytes=float(b))
             for c, b in zip(costs, sizes)]
+    once = [SimTask(cost=float(c), size_bytes=float(b))
+            for c, b in zip(sink.samples.get("executor.bl_item_seconds", []),
+                            sink.samples.get("executor.bl_item_bytes", []))]
+    for task in once:
+        twin = next((t for t in base if t.size_bytes == task.size_bytes),
+                    None)
+        if twin is not None:
+            base.remove(twin)
 
     if network is None:
         network = fit_network_model(
@@ -427,8 +444,8 @@ def calibrate_from_counters(sink, *, replicate_to: int = 12288,
     overhead = 1.0e-4 if per_task_overhead is None else per_task_overhead
 
     rng = np.random.default_rng(seed)
-    factor = max(1, int(replicate_to) // len(base))
-    tasks = [
+    factor = max(1, int(replicate_to) // max(len(base), 1))
+    tasks = once + [
         SimTask(cost=float(t.cost * rng.uniform(0.8, 1.25)),
                 size_bytes=t.size_bytes)
         for _ in range(factor) for t in base

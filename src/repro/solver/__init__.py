@@ -1,53 +1,34 @@
 """Flow-solver substrate: P1 FEM, potential flow, iterative convergence."""
 
-from .adapt import (
-    AdaptCycle,
-    AdaptLoopResult,
-    ShearLayerProblem,
-    adapt_loop,
-    l2_error,
-    solve_on_mesh,
-)
-from .blmodel import (
-    BLModelResult,
-    exact_solution,
-    isotropic_mesh,
-    layered_mesh,
-    solve_bl_model,
-)
-from .convergence import SolveResult, bicgstab, jacobi, pcg
-from .fem import (
-    apply_dirichlet,
-    assemble_convection,
-    assemble_mass,
-    assemble_stiffness,
-    boundary_nodes,
-    gradients,
-)
-from .flow import FlowResult, solve_potential_flow
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AdaptCycle",
-    "AdaptLoopResult",
-    "BLModelResult",
-    "ShearLayerProblem",
-    "adapt_loop",
-    "l2_error",
-    "solve_on_mesh",
-    "FlowResult",
-    "SolveResult",
-    "apply_dirichlet",
-    "assemble_convection",
-    "assemble_mass",
-    "assemble_stiffness",
-    "bicgstab",
-    "boundary_nodes",
-    "gradients",
-    "exact_solution",
-    "isotropic_mesh",
-    "jacobi",
-    "layered_mesh",
-    "pcg",
-    "solve_bl_model",
-    "solve_potential_flow",
-]
+#: re-exported name -> defining submodule, imported on first use: only
+#: what is asked for loads, so ``repro.solver.adapt``'s problem classes
+#: do not cost ``scipy.sparse``.
+_EXPORTS = {
+    "AdaptCycle": "adapt",
+    "AdaptLoopResult": "adapt",
+    "ShearLayerProblem": "adapt",
+    "adapt_loop": "adapt",
+    "l2_error": "adapt",
+    "solve_on_mesh": "adapt",
+    "BLModelResult": "blmodel",
+    "exact_solution": "blmodel",
+    "isotropic_mesh": "blmodel",
+    "layered_mesh": "blmodel",
+    "solve_bl_model": "blmodel",
+    "SolveResult": "convergence",
+    "bicgstab": "convergence",
+    "jacobi": "convergence",
+    "pcg": "convergence",
+    "apply_dirichlet": "fem",
+    "assemble_convection": "fem",
+    "assemble_mass": "fem",
+    "assemble_stiffness": "fem",
+    "boundary_nodes": "fem",
+    "gradients": "fem",
+    "FlowResult": "flow",
+    "solve_potential_flow": "flow",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = sorted(_EXPORTS)

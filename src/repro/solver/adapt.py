@@ -34,8 +34,6 @@ import numpy as np
 from ..delaunay.adapt import HIGH_BAND, LOW_BAND, AdaptReport, adapt_mesh
 from ..delaunay.mesh import TriMesh
 from ..metric import MetricField
-from .convergence import pcg
-from .fem import apply_dirichlet, assemble_mass, assemble_stiffness
 
 __all__ = [
     "ShearLayerProblem",
@@ -100,12 +98,16 @@ def solve_on_mesh(mesh: TriMesh, problem: ShearLayerProblem,
     lumped-mass quadrature of the closed-form forcing, exact Dirichlet
     data on every boundary node, Jacobi-PCG solve.
     """
+    # The solver modules load scipy.sparse; importers that only need the
+    # problem classes or ``adapt_loop``'s signature do not pay for it.
+    from .convergence import pcg
+    from .fem import (apply_dirichlet, assemble_mass, assemble_stiffness,
+                      boundary_nodes)
+
     x, y = mesh.points[:, 0], mesh.points[:, 1]
     A = assemble_stiffness(mesh)
     M = assemble_mass(mesh, lumped=True)
     b = M @ problem.forcing(x, y)
-    from .fem import boundary_nodes
-
     nodes = boundary_nodes(mesh)
     A, b = apply_dirichlet(A, b, nodes, problem.exact(x[nodes], y[nodes]))
     res = pcg(A, b, tol=tol)
@@ -115,6 +117,8 @@ def solve_on_mesh(mesh: TriMesh, problem: ShearLayerProblem,
 def l2_error(mesh: TriMesh, u: np.ndarray,
              problem: ShearLayerProblem) -> float:
     """Lumped-mass L2 norm of ``u - u_exact`` over the mesh."""
+    from .fem import assemble_mass
+
     x, y = mesh.points[:, 0], mesh.points[:, 1]
     e = np.asarray(u, dtype=np.float64) - problem.exact(x, y)
     M = assemble_mass(mesh, lumped=True)

@@ -215,19 +215,21 @@ class TestCountersAndEnv:
         assert tri.stat_batch_points == 0
 
     def test_generate_mesh_exports_strategy(self, monkeypatch):
-        """The resolved name is handed on as an argument; the process
+        """The resolved name is handed on as data (a field of the BL
+        triangulation work item, unpacked into an argument); the process
         environment is not the transport."""
         seen = {}
 
         from repro.core import pipeline
         from repro.geometry.pslg import PSLG
 
-        def spy(pslg, config, *, insert_strategy=None):
+        def spy(points, segments, holes, *, insert_strategy=None):
             seen["strategy"] = insert_strategy
             raise RuntimeError("stop here")
 
-        monkeypatch.setattr(pipeline, "generate_boundary_layer", spy)
+        monkeypatch.setattr(pipeline, "triangulate_boundary_layer", spy)
         with pytest.raises(RuntimeError, match="stop here"):
             pipeline.generate_mesh(PSLG.from_loops([naca4("0012", 21)]),
+                                   backend="serial",
                                    insert_strategy="batch")
         assert seen == {"strategy": "batch"}

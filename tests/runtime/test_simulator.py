@@ -175,6 +175,16 @@ class TestFitNetworkModel:
         assert fit_network_model([100.0, 100.0], [1e-4, 2e-4],
                                  default=default) is default
 
+    def test_narrow_size_range_returns_default(self):
+        """The mesh ops publish a 67 kB BL payload and a 73 kB mesh: a
+        slope through two such points is their timing noise (it read
+        50 MB/s in one run and negative in the next)."""
+        default = NetworkModel(latency=3e-6, bandwidth=5e9)
+        assert fit_network_model([66936.0, 72560.0], [4.4e-4, 5.6e-4],
+                                 default=default) is default
+        assert fit_network_model([66936.0, 72560.0], [5.0e-4, 4.3e-4],
+                                 default=default) is default
+
     def test_negative_slope_keeps_default_bandwidth(self):
         """Noise-dominated data (bigger transfer measured faster) must
         not produce a negative bandwidth."""
@@ -249,6 +259,24 @@ class TestCalibrateFromCounters:
         for i, t in enumerate(tasks_a):
             ratio = t.cost / base[i % n]
             assert 0.8 <= ratio <= 1.25
+
+    def test_bl_item_is_one_unreplicated_task(self):
+        """One BL sample + n refine samples -> 1 + factor * n tasks: the
+        executor's own sample of the BL item (same bytes) leaves the
+        replicated base, the BL item joins the task list once."""
+        n = 12
+        sink = _measured_sink(n)
+        plain, _ = calibrate_from_counters(sink, replicate_to=1200)
+        sink.samples["executor.item_seconds"].insert(3, 0.95)
+        sink.samples["executor.item_bytes"].insert(3, 777_216.0)
+        sink.samples["executor.bl_item_seconds"] = [0.9]
+        sink.samples["executor.bl_item_bytes"] = [777_216.0]
+        tasks, _ = calibrate_from_counters(sink, replicate_to=1200)
+        assert len(tasks) == 1 + (1200 // n) * n
+        assert (tasks[0].cost, tasks[0].size_bytes) == (0.9, 777_216.0)
+        # The replicated part is what a run without a BL item gives.
+        assert [t.cost for t in tasks[1:]] == [t.cost for t in plain]
+        assert sum(t.size_bytes == 777_216.0 for t in tasks) == 1
 
     def test_explicit_network_and_overhead_override(self):
         net = NetworkModel(latency=9e-6, bandwidth=3e9)
