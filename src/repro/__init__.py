@@ -21,8 +21,8 @@ Package layout (see DESIGN.md for the full inventory):
 - :mod:`repro.sizing`   — sizing fields and BL growth functions;
 - :mod:`repro.core`     — the paper's algorithms: boundary layers,
   projection-based decomposition, graded decoupling, push-button pipeline;
-- :mod:`repro.runtime`  — in-process MPI subset, RMA window, work
-  stealing, discrete-event cluster simulator;
+- :mod:`repro.runtime`  — executor backends (serial, process pool),
+  buffer serde, service daemon, discrete-event cluster simulator;
 - :mod:`repro.solver`   — P1 FEM + potential flow (the FUN3D stand-in);
 - :mod:`repro.io`       — Triangle-format and NPZ mesh I/O.
 """

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..delaunay.mesh import TriMesh
-from ..delaunay.smooth import validate_mesh
+from ..delaunay.validate import validate_mesh
 from .metrics import alignment_to_surface, element_directions, histogram, size_profile
 
 __all__ = ["mesh_report"]

@@ -36,7 +36,6 @@ from .geometry.airfoils import naca4, three_element_airfoil
 from .geometry.pslg import PSLG
 from .io.meshio import read_poly, write_mesh_ascii, write_mesh_npz
 from . import lint
-from .lint import tsan
 from .runtime import executor
 from .runtime.counters import timed, use_counters
 
@@ -91,8 +90,8 @@ def _add_backend_argument(p: argparse.ArgumentParser) -> None:
     p.add_argument("--backend", choices=executor.available_backends(),
                    default=None,
                    help="refinement executor (default: $REPRO_BACKEND or "
-                   "serial); 'threads' models the paper's MPI ranks but is "
-                   "GIL-bound, 'processes' runs GIL-free workers")
+                   "serial); 'serial' is the in-process reference, "
+                   "'processes' the warm pool of worker processes")
 
 
 def _add_address_arguments(p: argparse.ArgumentParser) -> None:
@@ -157,10 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", action="store_true",
                    help="collect and print kernel/phase counters "
                    "(walk steps, cavity sizes, predicate escalations)")
-    p.add_argument("--sanitize", action="store_true",
-                   help="enable the runtime race sanitizer (equivalent to "
-                   "REPRO_SANITIZE=1): instrument the threads backend's "
-                   "RMA windows and communicator for data races")
     return p
 
 
@@ -457,17 +452,10 @@ def main(argv=None) -> int:
             f"{backend} runs in-process (drop --ranks or pick one of: "
             + ", ".join(sorted(n for n in executor.available_backends()
                                if executor.get_backend(n).parallel)) + ")")
-    if args.sanitize and not backend_impl.supports_sanitizer:
-        parser.error(
-            f"--sanitize instruments shared-memory backends only; "
-            f"--backend {backend} shares no mutable state to instrument "
-            "(use --backend threads to race-check the runtime)")
     n_ranks = args.ranks if args.ranks is not None else 4
     insert_strategy = insertion.get_strategy(args.insert_strategy).name
     pslg = _load_geometry(args)
     config = _config_from_args(args)
-    if args.sanitize and not tsan.enabled():
-        tsan.enable()
     # Worker counter snapshots (including from the processes backend's
     # separate address spaces) merge into this sink; it stays installed
     # over the adaptation stage.
@@ -509,7 +497,6 @@ def main(argv=None) -> int:
             float(np.degrees(final_mesh.min_angle())), 3),
         "outputs": written,
         "timings": {k: round(v, 3) for k, v in result.timings.items()},
-        "sanitizer": tsan.status(),
         "lint": {"ruleset": lint.RULESET_VERSION,
                  "rules": list(lint.rule_ids())},
     }

@@ -12,9 +12,8 @@ Composes every stage of the paper's Section II:
    pluggable executor layer (:mod:`repro.runtime.executor`): the
    Delaunay triangulation of the boundary-layer cloud first, then
    Ruppert refinement of the near-body and of every decoupled
-   subdomain — sequential (``backend="serial"``), the SPMD threads
-   runtime with RMA-window work stealing (``backend="threads"``), or
-   GIL-free multiprocessing workers (``backend="processes"``);
+   subdomain — sequential (``backend="serial"``) or on a warm pool of
+   worker processes (``backend="processes"``);
 5. merge into one conforming mesh.
 
 "The user only needs to provide the input configuration and wait for the
@@ -141,12 +140,12 @@ def generate_mesh(
     decomposition with refinement — and the BL mesh is first read by
     the merge.  ``serial`` buffers the submissions and maps them after
     decoupling finished; submission order is the same, so it is the
-    barriered reference the parallel backends are byte-compared to.
+    barriered reference the ``processes`` backend is byte-compared to.
 
     ``insert_strategy`` picks the Delaunay cavity-engine insertion
     strategy (any name from
     :func:`repro.delaunay.available_strategies`); ``None`` is
-    ``scalar``.  It is resolved once here and travels as data: an
+    ``scalar``.  It is resolved once here and travels as data:
     a field of the BL triangulation item and of every refinement item,
     so workers forked earlier (a warm pool) triangulate with the same
     strategy as the parent.

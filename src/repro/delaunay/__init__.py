@@ -30,12 +30,7 @@ from .refine import (
     SizingCriterion,
     refine_pslg,
 )
-from .smooth import (
-    ValidationReport,
-    laplacian_smooth,
-    metric_smooth,
-    validate_mesh,
-)
+from .validate import ValidationReport, validate_mesh
 
 __all__ = [
     "GHOST",
@@ -55,8 +50,6 @@ __all__ = [
     "adapt_mesh",
     "available_strategies",
     "get_strategy",
-    "laplacian_smooth",
-    "metric_smooth",
     "validate_mesh",
     "carve",
     "constrained_delaunay",

@@ -245,8 +245,8 @@ class Triangulation:
         self._last_tri: int = -1                     # walk hint
         # Instance-owned LCG word for walk tie-breaking, drawn once from
         # a seeded generator (never the stdlib/global RNG — lint rule
-        # R3): concurrent kernels on the SPMD threads backend must not
-        # share hidden RNG state.
+        # R3): two kernels alive in one process must not share hidden
+        # RNG state.
         self._lcg = int(np.random.default_rng(seed).integers(1, 1 << 31))
         self.n_live_triangles = 0                    # includes ghosts
         # Triangles created/removed by the most recent insert_point call —

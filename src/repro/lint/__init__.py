@@ -3,13 +3,14 @@
 The paper's correctness story rests on invariants the code can silently
 break: exact-arithmetic escalation for geometric predicates (Section
 II.B), deterministic subdomain interfaces after decoupling (Section
-II.E), and data-race-free RMA-window work stealing (Section II.F).  The
-dynamic invariant tests (``tests/delaunay/test_invariants.py``) check
-*outputs*; this package checks *sources*: statement-level AST rules
-(R1–R7) plus a function-scope **CFG + dataflow engine**
-(:mod:`repro.lint.cfg`, :mod:`repro.lint.dataflow`) for path-sensitive
-properties — resource lifetimes across exception edges, epoch-fence
-dominance — that no single statement can witness (R8–R12).
+II.E), and leak-free, epoch-fenced hand-off of work items between the
+pool's processes (Section II.F).  The dynamic invariant tests
+(``tests/delaunay/test_invariants.py``) check *outputs*; this package
+checks *sources*: statement-level AST rules (R1–R5, R7) plus a
+function-scope **CFG + dataflow engine** (:mod:`repro.lint.cfg`,
+:mod:`repro.lint.dataflow`) for path-sensitive properties — resource
+lifetimes across exception edges, epoch-fence dominance — that no
+single statement can witness (R8–R12).
 
 Usage::
 
@@ -41,7 +42,6 @@ for the full statements):
 ``R3``    stdlib ``random`` / unseeded ``np.random.*`` in algorithm code
 ``R4``    iteration over ``set``/``frozenset`` in ``core``/``runtime``
 ``R5``    wall-clock reads outside ``runtime.counters``
-``R6``    ``Window._data`` / comm exchange-box access outside the lock
 ``R7``    per-element Python loops over mesh buffers in finalize/serde
 ``R8``    shm/wire value leaked on some path (incl. exception edges)
 ``R9``    blocking calls inside ``async def`` bodies
@@ -49,18 +49,11 @@ for the full statements):
 ``R11``   un-fenced pool-result reads; warm→bind / abort→shutdown order
 ``R12``   unpaired counter samples (``shm_nbytes`` without ``shm_seconds``)
 ========  ==============================================================
-
-The static lockset rule ``R6`` is paired with a *runtime* sanitizer,
-:mod:`repro.lint.tsan` — a vector-clock + lockset race detector that
-instruments :class:`repro.runtime.rma.Window` and
-:class:`repro.runtime.comm.ThreadComm` when ``REPRO_SANITIZE=1``.
 """
 
 from .._lazy import lazy_exports
 
-#: re-exported name -> defining submodule, imported on first use: the
-#: runtime reads the sanitizer switch (``from ..lint import tsan``)
-#: without compiling the rule engine.
+#: re-exported name -> defining submodule, imported on first use.
 _EXPORTS = {
     "Finding": "engine",
     "LintRunner": "engine",

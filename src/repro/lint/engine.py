@@ -1,9 +1,12 @@
 """Lint driver: file walking, pragma accounting, finding suppression.
 
 The engine is rule-agnostic: it parses every ``.py`` file once, hands the
-tree (with parent back-links) to each rule, then reconciles the raw
-findings against the per-line pragma inventory.  Pragma hygiene is
-enforced here, not in the rules:
+tree to each rule, then reconciles the raw findings against the per-line
+pragma inventory.  It also holds what every rule module builds on — the
+:class:`Rule` base class and the scope/name AST helpers — so the
+``rules_*`` modules import nothing from :mod:`repro.lint.rules`, which
+only assembles ``ALL_RULES``.  Pragma hygiene is enforced here, not in
+the rules:
 
 * ``P0`` — a pragma with no justification, or naming an unknown rule;
 * ``P1`` — a pragma that suppressed nothing (stale excuse).
@@ -23,13 +26,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-__all__ = ["Finding", "FileContext", "LintRunner", "run_lint",
+__all__ = ["Finding", "FileContext", "Rule", "LintRunner", "run_lint",
            "RULESET_VERSION", "iter_python_files", "DEFAULT_SEVERITY_MAP",
            "load_baseline", "write_baseline", "apply_baseline"]
 
 #: Bumped whenever a rule is added or its detection heuristic changes, so
 #: machine consumers (CI, ``--stats-json``) can pin expectations.
-RULESET_VERSION = "2.0"
+RULESET_VERSION = "3.0"
 
 #: Per-tree rule-severity overrides: a finding whose path contains the
 #: key as a directory part gets the mapped severity for that rule —
@@ -46,7 +49,7 @@ DEFAULT_SEVERITY_MAP: Dict[str, Dict[str, str]] = {
     "examples": {"R5": "warn"},
 }
 
-# ``lint: disable=R1`` or ``lint: disable=R1,R6 -- why this is fine``
+# ``lint: disable=R1`` or ``lint: disable=R1,R4 -- why this is fine``
 # (only real COMMENT tokens are scanned, so docstring examples don't count).
 _PRAGMA_RE = re.compile(
     r"#\s*lint:\s*disable=([A-Za-z]\d+(?:\s*,\s*[A-Za-z]\d+)*)\s*(.*)$"
@@ -112,10 +115,6 @@ class FileContext:
         self.source = source
         self.lines = source.splitlines()
         self.tree = tree
-        self.parents: Dict[ast.AST, ast.AST] = {}
-        for node in ast.walk(tree):
-            for child in ast.iter_child_nodes(node):
-                self.parents[child] = node
         self._cfg_cache: Dict[int, object] = {}
 
     def cfg_of(self, scope: ast.AST):
@@ -180,6 +179,85 @@ def iter_python_files(paths: Iterable[str]) -> List[Path]:
         elif p.suffix == ".py":
             out.append(p)
     return out
+
+
+# ----------------------------------------------------------------------
+# What every rule module builds on
+# ----------------------------------------------------------------------
+class Rule:
+    """Base class: subclasses set ``id``/``title`` and implement checks."""
+
+    id: str = "R0"
+    title: str = ""
+    #: One-line statement of the paper invariant the rule guards.
+    invariant: str = ""
+
+    def applies(self, ctx: FileContext) -> bool:  # pragma: no cover - trivial
+        return True
+
+    def check(self, ctx: FileContext) -> List[Finding]:
+        raise NotImplementedError
+
+    def finding(self, ctx: FileContext, node: ast.AST,
+                message: str) -> Finding:
+        return Finding(self.id, ctx.posix, getattr(node, "lineno", 1),
+                       getattr(node, "col_offset", 0), message)
+
+
+def _scoped_walk(scope: ast.AST):
+    """Walk one scope's statements without descending into nested defs.
+
+    Nested functions/classes get their own pass from :func:`_scopes`;
+    skipping them here keeps findings single-counted and name resolution
+    honest about which scope a binding belongs to.
+    """
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def _local_assigns(scope: ast.AST) -> Dict[str, ast.expr]:
+    """Map simple ``name = <expr>`` assignments in one scope (last wins).
+
+    Handles plain and annotated assignments — enough to resolve the
+    ``det = a*b - c*d`` / ``guilty: set = set()`` staging the detectors
+    care about, without real dataflow analysis.
+    """
+    out: Dict[str, ast.expr] = {}
+    for node in _scoped_walk(scope):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            tgt = node.targets[0]
+            if isinstance(tgt, ast.Name):
+                out[tgt.id] = node.value
+        elif (isinstance(node, ast.AnnAssign) and node.value is not None
+                and isinstance(node.target, ast.Name)):
+            out[node.target.id] = node.value
+    return out
+
+
+def _scopes(ctx: FileContext) -> List[ast.AST]:
+    """Every analysis scope: the module plus each (nested) function."""
+    scopes: List[ast.AST] = [ctx.tree]
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            scopes.append(node)
+    return scopes
+
+
+def _dotted(node: ast.AST) -> str:
+    """Best-effort dotted-name rendering of an attribute chain."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return ".".join(reversed(parts))
 
 
 class LintRunner:

@@ -12,92 +12,19 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Sequence
 
-from .engine import FileContext, Finding
+from .engine import (FileContext, Finding, Rule, _local_assigns, _scoped_walk,
+                     _scopes)
+from .rules_async import AsyncBlockingRule
+from .rules_counters import CounterPairRule
+from .rules_epoch import EpochFenceRule
+from .rules_lifetime import ShmLifetimeRule
+from .rules_serde import SerdeContractRule
 
 __all__ = ["Rule", "ALL_RULES", "rule_ids",
            "DetSignRule", "FloatEqRule", "RngRule", "SetIterRule",
-           "WallClockRule", "LocksetRule", "BufferCopyRule",
+           "WallClockRule", "BufferCopyRule",
            "ShmLifetimeRule", "AsyncBlockingRule", "SerdeContractRule",
            "EpochFenceRule", "CounterPairRule"]
-
-
-class Rule:
-    """Base class: subclasses set ``id``/``title`` and implement checks."""
-
-    id: str = "R0"
-    title: str = ""
-    #: One-line statement of the paper invariant the rule guards.
-    invariant: str = ""
-
-    def applies(self, ctx: FileContext) -> bool:  # pragma: no cover - trivial
-        return True
-
-    def check(self, ctx: FileContext) -> List[Finding]:
-        raise NotImplementedError
-
-    def finding(self, ctx: FileContext, node: ast.AST,
-                message: str) -> Finding:
-        return Finding(self.id, ctx.posix, getattr(node, "lineno", 1),
-                       getattr(node, "col_offset", 0), message)
-
-
-# ----------------------------------------------------------------------
-# Shared small helpers
-# ----------------------------------------------------------------------
-def _scoped_walk(scope: ast.AST):
-    """Walk one scope's statements without descending into nested defs.
-
-    Nested functions/classes get their own pass from :func:`_scopes`;
-    skipping them here keeps findings single-counted and name resolution
-    honest about which scope a binding belongs to.
-    """
-    stack = list(ast.iter_child_nodes(scope))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            continue
-        yield node
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _local_assigns(scope: ast.AST) -> Dict[str, ast.expr]:
-    """Map simple ``name = <expr>`` assignments in one scope (last wins).
-
-    Handles plain and annotated assignments — enough to resolve the
-    ``det = a*b - c*d`` / ``guilty: set = set()`` staging the detectors
-    care about, without real dataflow analysis.
-    """
-    out: Dict[str, ast.expr] = {}
-    for node in _scoped_walk(scope):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            tgt = node.targets[0]
-            if isinstance(tgt, ast.Name):
-                out[tgt.id] = node.value
-        elif (isinstance(node, ast.AnnAssign) and node.value is not None
-                and isinstance(node.target, ast.Name)):
-            out[node.target.id] = node.value
-    return out
-
-
-def _scopes(ctx: FileContext) -> List[ast.AST]:
-    """Every analysis scope: the module plus each (nested) function."""
-    scopes: List[ast.AST] = [ctx.tree]
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            scopes.append(node)
-    return scopes
-
-
-def _dotted(node: ast.AST) -> str:
-    """Best-effort dotted-name rendering of an attribute chain."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-    return ".".join(reversed(parts))
 
 
 # ----------------------------------------------------------------------
@@ -437,84 +364,6 @@ class WallClockRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# R6 — lockset rule for shared runtime state
-# ----------------------------------------------------------------------
-class LocksetRule(Rule):
-    """R6: guarded shared state is touched only under its owning lock.
-
-    Invariant (paper Section II.F): the RMA window is passive-target —
-    every ``put``/``get``/``accumulate`` must be atomic with respect to
-    each other, which the in-process backend realises with one owning
-    lock around ``Window._data``.  The same goes for the collective
-    exchange boxes of :class:`~repro.runtime.comm.ThreadComm`.
-
-    Heuristic: any attribute access named ``_data``, ``bcast_box``,
-    ``gather_box`` or ``reduce_box`` that is not lexically inside a
-    ``with <...lock...>:`` block.  Constructor bodies (``__init__``) are
-    exempt — the object is not yet published to other threads.
-
-    Fix: take the lock; or, for deliberately unsynchronised access
-    (MPI-style local load/store), carry a pragma and run under
-    ``REPRO_SANITIZE=1`` so :mod:`repro.lint.tsan` checks it dynamically.
-
-    Scope note: this rule (and the dynamic sanitizer that backs it)
-    governs *in-process* shared state — the ``serial`` and ``threads``
-    executor backends.  The ``processes`` backend's pool workers share
-    no mutable state with the parent (work and results cross as
-    messages), and the sanitizer cannot observe other processes'
-    accesses; that backend refuses to run under the sanitizer rather
-    than vacuously passing.
-    """
-
-    id = "R6"
-    title = "guarded shared state accessed outside its owning lock"
-    invariant = "data-race-free RMA window and collective exchange"
-
-    _GUARDED = {"_data", "bcast_box", "gather_box", "reduce_box"}
-
-    def applies(self, ctx: FileContext) -> bool:  # pragma: no cover - trivial
-        return True
-
-    @staticmethod
-    def _with_holds_lock(node: ast.With) -> bool:
-        for item in node.items:
-            name = _dotted(item.context_expr)
-            if isinstance(item.context_expr, ast.Call):
-                name = _dotted(item.context_expr.func)
-            if "lock" in name.lower():
-                return True
-        return False
-
-    def _under_lock(self, ctx: FileContext, node: ast.AST) -> bool:
-        cur = ctx.parents.get(node)
-        while cur is not None:
-            if isinstance(cur, ast.With) and self._with_holds_lock(cur):
-                return True
-            if isinstance(cur, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if cur.name == "__init__":
-                    return True  # construction precedes publication
-                return False
-            cur = ctx.parents.get(cur)
-        return False
-
-    def check(self, ctx: FileContext) -> List[Finding]:
-        findings: List[Finding] = []
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Attribute):
-                continue
-            if node.attr not in self._GUARDED:
-                continue
-            if self._under_lock(ctx, node):
-                continue
-            findings.append(self.finding(
-                ctx, node,
-                f"access to guarded shared state '.{node.attr}' outside a "
-                "'with <lock>:' block — take the owning lock (see "
-                "runtime/rma.py), or justify and sanitize"))
-        return findings
-
-
-# ----------------------------------------------------------------------
 # R7 — Python-loop copies out of mesh buffers in finalize/serde code
 # ----------------------------------------------------------------------
 class BufferCopyRule(Rule):
@@ -532,15 +381,12 @@ class BufferCopyRule(Rule):
     buffer name (``pts``, ``tri_v``, ``tri_n``, ``vertex_tri``, ``px``,
     ``tv``, ``tn``, ``vt``, ``points``, ``triangles``, ``segments``),
     lexically inside a function named ``compact``/``to_mesh``/
-    ``to_trimesh``/``laplacian_smooth``/``metric_smooth``/``pack_*``/
-    ``unpack_*``/``buffers_*``/``batch_*``/``*_batch``.  The ``batch``
-    names cover the cavity engine's vectorised insertion paths
-    (``walk_batch``, ``carve_batch``, ...): those exist *because* they
-    replace per-element predicate loops, so a Python walk over the
-    buffers inside one is a regression by definition.  The smoothing
-    names guard the whole-mesh Jacobi smoothers the same way — they
-    were rewritten from per-vertex Gauss-Seidel loops and must not
-    regress.  Loops over other state (constraint lists, label dicts,
+    ``to_trimesh``/``pack_*``/``unpack_*``/``buffers_*``/``batch_*``/
+    ``*_batch``.  The ``batch`` names cover the cavity engine's
+    vectorised insertion paths (``walk_batch``, ``carve_batch``, ...):
+    those exist *because* they replace per-element predicate loops, so a
+    Python walk over the buffers inside one is a regression by
+    definition.  Loops over other state (constraint lists, label dicts,
     per-candidate cavity sets) are not flagged.
 
     Fix: vectorize — boolean masks, fancy indexing, ``remap[tris]`` —
@@ -553,8 +399,7 @@ class BufferCopyRule(Rule):
     title = "per-element Python loop over mesh buffers in finalize/serde"
     invariant = "zero-Python-loop mesh finalize and transport"
 
-    _FUNC_NAMES = {"compact", "to_mesh", "to_trimesh",
-                   "laplacian_smooth", "metric_smooth"}
+    _FUNC_NAMES = {"compact", "to_mesh", "to_trimesh"}
     _FUNC_PREFIXES = ("pack_", "unpack_", "buffers_", "batch_")
     _FUNC_SUFFIXES = ("_batch",)
     _BUFFERS = {"pts", "tri_v", "tri_n", "vertex_tri", "px", "tv", "tn",
@@ -602,23 +447,12 @@ class BufferCopyRule(Rule):
         return findings
 
 
-# The dataflow rules live in their own modules (they import ``Rule``
-# and the shared helpers from here, so the import must come after those
-# definitions — the modules see this module partially initialised, which
-# is fine for the names they need).
-from .rules_lifetime import ShmLifetimeRule  # noqa: E402
-from .rules_async import AsyncBlockingRule  # noqa: E402
-from .rules_serde import SerdeContractRule  # noqa: E402
-from .rules_epoch import EpochFenceRule  # noqa: E402
-from .rules_counters import CounterPairRule  # noqa: E402
-
 ALL_RULES: Sequence[Rule] = (
     DetSignRule(),
     FloatEqRule(),
     RngRule(),
     SetIterRule(),
     WallClockRule(),
-    LocksetRule(),
     BufferCopyRule(),
     ShmLifetimeRule(),
     AsyncBlockingRule(),

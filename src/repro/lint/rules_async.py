@@ -17,8 +17,7 @@ from __future__ import annotations
 import ast
 from typing import List, Set
 
-from .engine import FileContext, Finding
-from .rules import Rule, _dotted
+from .engine import FileContext, Finding, Rule, _dotted
 
 __all__ = ["AsyncBlockingRule"]
 

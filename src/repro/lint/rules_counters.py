@@ -13,8 +13,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Tuple
 
-from .engine import FileContext, Finding
-from .rules import Rule, _scopes
+from .engine import FileContext, Finding, Rule, _scopes
 
 __all__ = ["CounterPairRule", "PAIRED_SAMPLES"]
 

@@ -21,8 +21,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Set, Tuple
 
-from .engine import FileContext, Finding
-from .rules import Rule, _dotted, _scopes
+from .engine import FileContext, Finding, Rule, _dotted, _scopes
 from .rules_lifetime import _own_exprs
 
 __all__ = ["EpochFenceRule"]

@@ -24,8 +24,7 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional, Sequence, Set
 
-from .engine import FileContext, Finding
-from .rules import Rule, _dotted, _scopes
+from .engine import FileContext, Finding, Rule, _dotted, _scopes
 from . import dataflow
 
 __all__ = ["ShmLifetimeRule", "ACQUIRE_FUNCS", "RELEASE_FUNCS"]

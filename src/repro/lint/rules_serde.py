@@ -16,8 +16,7 @@ import ast
 import re
 from typing import List, Optional
 
-from .engine import FileContext, Finding
-from .rules import Rule, _dotted, _scopes
+from .engine import FileContext, Finding, Rule, _dotted, _scopes
 
 __all__ = ["SerdeContractRule"]
 

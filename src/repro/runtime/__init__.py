@@ -1,21 +1,16 @@
-"""Parallel runtime substrate: pluggable executor backends, in-process
-MPI subset, RMA window, work-stealing load balancer, buffer serde, the
-discrete-event cluster simulator, and the meshing service daemon."""
+"""Parallel runtime: the ``serial`` and ``processes`` executor backends,
+buffer serde, profiling counters, the discrete-event cluster simulator
+(the paper's §II.F work stealing, modelled), and the meshing service
+daemon."""
 
 from .._lazy import lazy_exports
 
 #: re-exported name -> defining submodule, imported on first use: the
 #: mesher reaches ``executor``/``serde``/``counters`` without loading
-#: the service daemon (``asyncio``), the SPMD runtime or the simulator.
+#: the service daemon (``asyncio``) or the simulator.
 _EXPORTS = {
     "MeshReply": "client",
     "ServiceClient": "client",
-    "ANY_SOURCE": "comm",
-    "ANY_TAG": "comm",
-    "CommError": "comm",
-    "Message": "comm",
-    "ThreadComm": "comm",
-    "run_spmd": "comm",
     "Counters": "counters",
     "Histogram": "counters",
     "KernelCounters": "counters",
@@ -26,10 +21,6 @@ _EXPORTS = {
     "ExecutorError": "executor",
     "available_backends": "executor",
     "get_backend": "executor",
-    "DistributedWorker": "loadbalance",
-    "WorkItem": "loadbalance",
-    "WorkQueue": "loadbalance",
-    "Window": "rma",
     "MeshCache": "service",
     "MeshService": "service",
     "ServiceError": "service",

@@ -17,8 +17,8 @@ paths report what they did:
 The layer is **opt-in and ambient**: :func:`use_counters` installs a
 :class:`Counters` sink for the current process; code paths call
 :func:`current` and skip reporting when it returns ``None``.  The ambient
-sink is shared across threads (absorption is lock-protected) so the SPMD
-threads backend aggregates into one report.
+sink is shared across threads (absorption is lock-protected): the
+service daemon's dispatch thread and its event loop report into one.
 
 Nothing here is imported by the kernel's hot loops — the kernel counts
 into its own attributes and this module only aggregates, so profiling

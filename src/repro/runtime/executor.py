@@ -8,14 +8,6 @@ the seam that decides *what a worker is*:
     Run every item in the calling thread.  The reference backend: zero
     scheduling, zero transport, bit-exact baseline.
 
-``threads``
-    The SPMD threads runtime (:func:`repro.runtime.comm.run_spmd` +
-    :class:`repro.runtime.loadbalance.DistributedWorker` + RMA
-    :class:`~repro.runtime.rma.Window`): models the paper's MPI ranks,
-    work stealing and termination detection faithfully — but the GIL
-    serializes pure-Python refinement, so it exercises the *algorithm*,
-    not the hardware.
-
 ``processes``
     True ``multiprocessing`` workers: a :class:`WorkerPool` of
     persistent workers forked once and reused across dispatches;
@@ -39,11 +31,6 @@ one at a time as a producer discovers them; the warm pool starts
 refining the first subdomain while decomposition is still splitting the
 rest) — and is looked up by name with :func:`get_backend`; the CLI
 derives its ``--backend`` choices from :func:`available_backends`.
-
-The runtime race sanitizer (:mod:`repro.lint.tsan`) instruments *shared
-memory*; process workers share nothing mutable, so there is nothing for
-it to instrument and ``processes`` + sanitizer fails fast with a clear
-error instead of silently reporting a clean-but-vacuous run.
 """
 
 from __future__ import annotations
@@ -58,7 +45,6 @@ import weakref
 from typing import (Any, Callable, Dict, List, Optional, Protocol, Sequence,
                     Tuple)
 
-from ..lint import tsan
 from . import counters as counters_mod
 from . import serde
 from .counters import monotonic, phase
@@ -69,7 +55,6 @@ __all__ = [
     "StreamSession",
     "ExecutorError",
     "SerialBackend",
-    "ThreadsBackend",
     "ProcessesBackend",
     "WorkerPool",
     "PoolStream",
@@ -109,7 +94,7 @@ class Backend(Protocol):
     ``map_workitems`` applies a module-level function to every payload
     and returns the results *in payload order* regardless of which
     worker processed what.  ``costs`` (optional, same length) drive
-    largest-first scheduling and stealing on the parallel backends.
+    largest-first scheduling on the parallel backend.
     ``stream_workitems`` opens a :class:`StreamSession` for producers
     that discover work incrementally.
     """
@@ -118,8 +103,6 @@ class Backend(Protocol):
     name: str
     #: whether ``n_ranks`` changes anything.
     parallel: bool
-    #: whether the runtime race sanitizer can instrument this backend.
-    supports_sanitizer: bool
 
     def map_workitems(
         self,
@@ -154,7 +137,7 @@ def _check_portable_fn(fn: Callable) -> None:
         raise ExecutorError(
             f"work function {qualname or fn!r} must be a module-level "
             "function for the processes backend (closures cannot cross "
-            "the process boundary); use serial/threads or lift it to "
+            "the process boundary); use the serial backend or lift it to "
             "module scope"
         )
 
@@ -170,25 +153,21 @@ def _check_buffer_payload(index: int, payload: Any) -> None:
 
 
 # ----------------------------------------------------------------------
-# Buffered streaming adapter (barrier backends)
+# serial
 # ----------------------------------------------------------------------
-class _BufferedStream:
-    """Collect-then-run :class:`StreamSession` for barrier backends.
+class _SerialStream:
+    """Collect-then-run :class:`StreamSession` of the serial backend.
 
-    ``serial``/``threads`` have no pool to feed incrementally, so
-    streamed submission simply accumulates and ``results`` runs one
-    ``map_workitems``.  On ``serial`` this *is* decouple-fully-then-map:
-    the barriered reference every parallel backend is byte-compared
-    against.
+    There is no pool to feed incrementally, so streamed submission
+    accumulates and ``results`` runs one ``map_workitems``: decouple
+    fully, then map — the barriered reference the ``processes`` backend
+    is byte-compared against.
     """
 
-    def __init__(self, backend: "Backend", fn: Callable,
-                 n_ranks: int) -> None:
+    def __init__(self, backend: "SerialBackend", fn: Callable) -> None:
         self._backend = backend
         self._fn = fn
-        self._n_ranks = n_ranks
         self._payloads: List[Any] = []
-        self._costs: List[float] = []
         self._closed = False
 
     def submit(self, payload: Any, *, cost: float = 1.0,
@@ -196,7 +175,6 @@ class _BufferedStream:
         if self._closed:
             raise ExecutorError("streaming session already closed")
         self._payloads.append(payload)
-        self._costs.append(float(cost))
         return len(self._payloads) - 1
 
     def results(self) -> List[Any]:
@@ -205,88 +183,22 @@ class _BufferedStream:
         self._closed = True
         if not self._payloads:
             return []
-        return self._backend.map_workitems(
-            self._fn, self._payloads, costs=self._costs,
-            n_ranks=self._n_ranks)
+        return self._backend.map_workitems(self._fn, self._payloads)
 
 
-# ----------------------------------------------------------------------
-# serial
-# ----------------------------------------------------------------------
 class SerialBackend:
     """Run every item in the calling thread, in submission order."""
 
     name = "serial"
     parallel = False
-    supports_sanitizer = True
 
     def map_workitems(self, fn, payloads, *, costs=None, n_ranks=1):
         with phase(f"executor.{self.name}"):
             return [fn(p) for p in payloads]
 
     def stream_workitems(self, fn, *, n_ranks=1):
-        return _BufferedStream(self, fn, _check_ranks(n_ranks))
-
-
-# ----------------------------------------------------------------------
-# threads
-# ----------------------------------------------------------------------
-class ThreadsBackend:
-    """SPMD threads runtime with RMA-window work stealing.
-
-    Faithful to the paper's runtime model (ranks, windows, stealing,
-    atomic termination counting) and fully instrumentable by the race
-    sanitizer — but GIL-bound for pure-Python work.
-    """
-
-    name = "threads"
-    parallel = True
-    supports_sanitizer = True
-
-    def map_workitems(self, fn, payloads, *, costs=None, n_ranks=1):
-        from .comm import run_spmd
-        from .loadbalance import DistributedWorker, WorkItem
-        from .rma import Window
-
-        n_ranks = _check_ranks(n_ranks)
-        if costs is None:
-            costs = [1.0] * len(payloads)
-        load_w = Window(n_ranks)
-        counter_w = Window(1)
-        counter_w.put(float(len(payloads)), 0)
-        items = [
-            WorkItem(cost=max(float(c), 1e-9), payload=(i, p))
-            for i, (p, c) in enumerate(zip(payloads, costs))
-        ]
-
-        def process(item: WorkItem):
-            idx, payload = item.payload
-            with phase(f"executor.{self.name}.item"):
-                return (idx, fn(payload)), []
-
-        def spmd(comm):
-            worker = DistributedWorker(comm, load_w, counter_w, process,
-                                       steal_threshold=1.0)
-            if comm.rank == 0:
-                worker.seed(items)
-            comm.barrier()
-            return worker.run()
-
-        with phase(f"executor.{self.name}"):
-            per_rank = run_spmd(n_ranks, spmd)
-        out: List[Any] = [None] * len(payloads)
-        seen = [False] * len(payloads)
-        for rank_results in per_rank:
-            for idx, result in rank_results:
-                out[idx] = result
-                seen[idx] = True
-        missing = [i for i, ok in enumerate(seen) if not ok]
-        if missing:
-            raise ExecutorError(f"work items {missing} were never processed")
-        return out
-
-    def stream_workitems(self, fn, *, n_ranks=1):
-        return _BufferedStream(self, fn, _check_ranks(n_ranks))
+        _check_ranks(n_ranks)
+        return _SerialStream(self, fn)
 
 
 # ----------------------------------------------------------------------
@@ -846,7 +758,6 @@ class ProcessesBackend:
 
     name = "processes"
     parallel = True
-    supports_sanitizer = False
 
     #: seconds without any worker progress before declaring a hang.
     idle_timeout = 600.0
@@ -924,15 +835,6 @@ class ProcessesBackend:
             return False
         return self._pool.abort_call(reason)
 
-    def _check_sanitizer(self) -> None:
-        if tsan.enabled():
-            raise ExecutorError(
-                "the runtime race sanitizer instruments shared-memory "
-                "backends only; the processes backend shares no mutable "
-                "state to instrument — run --sanitize with "
-                "--backend threads (or serial) instead"
-            )
-
     # -- dispatch ------------------------------------------------------
     def map_workitems(self, fn, payloads, *, costs=None, n_ranks=1):
         if costs is None:
@@ -944,7 +846,6 @@ class ProcessesBackend:
             return stream.results()
 
     def stream_workitems(self, fn, *, n_ranks=1):
-        self._check_sanitizer()
         return PoolStream(self._get_pool(), fn, n_ranks,
                           counters_mod.current(), self.idle_timeout)
 
@@ -953,7 +854,7 @@ class ProcessesBackend:
 # Backends by name
 # ----------------------------------------------------------------------
 _BACKENDS: Dict[str, Backend] = {
-    b.name: b for b in (SerialBackend(), ThreadsBackend(), ProcessesBackend())
+    b.name: b for b in (SerialBackend(), ProcessesBackend())
 }
 
 

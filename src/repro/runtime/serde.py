@@ -8,7 +8,7 @@ flat ``Dict[str, numpy.ndarray]`` of contiguous float64/int32/uint8
 arrays — instead of a pickled Python object graph.  The arrays carry raw
 coordinate/index bits, so a round trip is *exact*: unpacking reproduces
 bit-identical geometry, which is what makes the backend-parity guarantee
-(`serial` == `threads` == `processes` meshes) trivial to maintain.
+(`serial` == `processes` meshes) trivial to maintain.
 
 Supported objects:
 
@@ -608,8 +608,8 @@ def pack_sizing(sizing) -> Buffers:
     else:
         raise SerdeError(
             f"sizing function {type(sizing).__name__} is not serializable "
-            "(it wraps arbitrary Python callables); use the serial or "
-            "threads backend, or one of Uniform/Radial/GradedDistanceSizing"
+            "(it wraps arbitrary Python callables); use the serial "
+            "backend, or one of Uniform/Radial/GradedDistanceSizing"
         )
     return {
         "kind": np.asarray([kind], dtype=np.int32),
@@ -652,7 +652,7 @@ def pack_bl_config(config) -> Buffers:
     if config.growth is not None:
         raise SerdeError(
             "BoundaryLayerConfig with a custom growth-function override is "
-            "not serializable; use the serial or threads backend, or set "
+            "not serializable; use the serial backend, or set "
             "first_spacing/growth_ratio instead"
         )
     return {

@@ -73,7 +73,7 @@ class TestAdaptWorkitem:
                                    [0.6, 1.7, 1.0, 2.0, 1.0])
         np.testing.assert_allclose(payload["holes"], [[0.5, 0.5]])
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_backend_parity(self, case, backend):
         mesh, field = case
         payload = pipeline.pack_adapt_item(mesh, field, max_passes=2)

@@ -1,33 +1,22 @@
 """Backend parity: every executor backend produces the identical mesh.
 
 The subdomains are decoupled and the serde transport is bit-exact, so
-``serial``, ``threads`` and ``processes`` must agree to the last bit —
-not approximately.  Meshes are compared in canonical form (points sorted
+``serial`` and ``processes`` must agree to the last bit — not
+approximately.  Meshes are compared in canonical form (points sorted
 lexicographically, triangle indices remapped and rotation-normalised) so
 that merge order cannot mask or fake a difference.
 """
-
-import contextlib
 
 import numpy as np
 import pytest
 
 from repro.core.bl_pipeline import BoundaryLayerConfig
-from repro.core.parallel_bl import parallel_bl_points
 from repro.core.pipeline import MeshConfig, generate_mesh
 from repro.geometry.airfoils import naca0012
 from repro.geometry.pslg import PSLG
-from repro.lint import tsan
 from repro.runtime import executor, serde
 
-PARALLEL_BACKENDS = ["threads", "processes"]
-
-
-def _maybe_suspend(name):
-    """Processes runs fail fast under an ambient REPRO_SANITIZE=1."""
-    if name == "processes" and tsan.enabled():
-        return tsan.suspend()
-    return contextlib.nullcontext()
+PARALLEL_BACKENDS = ["processes"]
 
 
 def canonical(mesh):
@@ -99,29 +88,6 @@ class TestPipelineParity:
                        for ha, hb in zip(back.holes, sub.holes))
 
 
-class TestBoundaryLayerParity:
-    @classmethod
-    def setup_class(cls):
-        cls.pslg = PSLG.from_loops([naca0012(61)])
-        cls.config = BoundaryLayerConfig(first_spacing=1e-3,
-                                         growth_ratio=1.3, max_layers=15)
-        cls.ref_coords, cls.ref_stats = parallel_bl_points(
-            cls.pslg, cls.config, n_ranks=3, backend="threads")
-
-    @pytest.mark.parametrize("name", ["serial", "processes"])
-    def test_identical_points(self, name):
-        coords, stats = parallel_bl_points(self.pslg, self.config,
-                                           n_ranks=3, backend=name)
-        assert np.array_equal(coords, self.ref_coords)
-        # The coordinates-only wire volume is backend-independent too.
-        assert stats["gather_bytes"] == self.ref_stats["gather_bytes"]
-
-    def test_rank_count_invariant(self):
-        coords, _ = parallel_bl_points(self.pslg, self.config, n_ranks=5,
-                                       backend="processes")
-        assert np.array_equal(coords, self.ref_coords)
-
-
 class TestStreamingParity:
     """Streamed dispatch is an execution-overlap optimisation, not a
     different algorithm.  ``serial`` buffers the streamed submissions
@@ -150,24 +116,13 @@ class TestStreamingParity:
 
     @pytest.mark.parametrize("name", PARALLEL_BACKENDS)
     def test_streamed_equals_barriered(self, name):
-        with _maybe_suspend(name):
-            streamed = generate_mesh(self.pslg, self.config, backend=name,
-                                     n_ranks=3)
+        streamed = generate_mesh(self.pslg, self.config, backend=name,
+                                 n_ranks=3)
         self.assert_bytes_identical(streamed.mesh)
         # The streamed run discovered the same subdomain sequence.
         assert len(streamed.subdomains) == len(self.barriered.subdomains)
         for a, b in zip(streamed.subdomains, self.barriered.subdomains):
             assert np.array_equal(a.ring, b.ring)
-
-    def test_streamed_threads_under_sanitizer(self):
-        """REPRO_SANITIZE=1 threads: the race-instrumented runtime sees
-        the streamed dispatch path and still produces the same bytes."""
-        with tsan.sanitize() as det:
-            streamed = generate_mesh(self.pslg, self.config,
-                                     backend="threads", n_ranks=3)
-            races = det.races
-        assert races == []
-        self.assert_bytes_identical(streamed.mesh)
 
 
 class TestInsertStrategyTransport:
@@ -192,9 +147,8 @@ class TestInsertStrategyTransport:
         }
         assert serial["scalar"] != serial["batch"]
         backend = executor.get_backend("processes")
-        with _maybe_suspend("processes"):
-            backend.shutdown_pool()
-            assert backend.warm_pool(2) == 2
-            warm = generate_mesh(pslg, config, backend="processes",
-                                 n_ranks=2, insert_strategy="batch")
+        backend.shutdown_pool()
+        assert backend.warm_pool(2) == 2
+        warm = generate_mesh(pslg, config, backend="processes",
+                             n_ranks=2, insert_strategy="batch")
         assert self.digest(warm.mesh) == serial["batch"]

@@ -10,7 +10,6 @@ and the pool's fault contract when that worker dies or the dispatch is
 aborted with item 0 in flight.
 """
 
-import contextlib
 import os
 import signal
 import threading
@@ -29,20 +28,12 @@ from repro.core.bl_pipeline import (
 from repro.core.pipeline import MeshConfig, generate_mesh
 from repro.geometry.airfoils import naca0012, three_element_airfoil
 from repro.geometry.pslg import PSLG
-from repro.lint import tsan
 from repro.lint.engine import run_lint
 from repro.runtime import executor, serde
 from repro.runtime.counters import monotonic, use_counters
 from repro.runtime.executor import ExecutorError
 
-BACKENDS = ["serial", "threads", "processes"]
-
-
-def _suspended():
-    """Processes runs fail fast under an ambient REPRO_SANITIZE=1."""
-    if tsan.enabled():
-        return tsan.suspend()
-    return contextlib.nullcontext()
+BACKENDS = ["serial", "processes"]
 
 
 def mesh_hash(mesh) -> str:
@@ -85,19 +76,17 @@ class TestConsistency:
     def test_one_hash_for_every_rank_count_and_backend(self, build):
         pslg, config = build()
         hashes = {}
-        with _suspended():
-            for backend in BACKENDS:
-                for n_ranks in (1, 2, 3):
-                    result = generate_mesh(pslg, config, backend=backend,
-                                           n_ranks=n_ranks)
-                    hashes[backend, n_ranks] = mesh_hash(result.mesh)
+        for backend in BACKENDS:
+            for n_ranks in (1, 2, 3):
+                result = generate_mesh(pslg, config, backend=backend,
+                                       n_ranks=n_ranks)
+                hashes[backend, n_ranks] = mesh_hash(result.mesh)
         assert len(set(hashes.values())) == 1, hashes
 
     def test_quickstart_hash_is_the_pinned_one(self):
         pslg, config = quickstart()
-        with _suspended():
-            result = generate_mesh(pslg, config, backend="processes",
-                                   n_ranks=2)
+        result = generate_mesh(pslg, config, backend="processes",
+                               n_ranks=2)
         assert mesh_hash(result.mesh).startswith("748ad3f7136a")
 
 
@@ -218,11 +207,10 @@ class TestAttribution:
         serial_bl = (serial.timings["boundary_layer"]
                      + serial.timings["bl_triangulate"])
         backend = executor.get_backend("processes")
-        with _suspended():
-            backend.warm_pool(2)
-            with use_counters() as sink:
-                result = generate_mesh(pslg, config, backend="processes",
-                                       n_ranks=2)
+        backend.warm_pool(2)
+        with use_counters() as sink:
+            result = generate_mesh(pslg, config, backend="processes",
+                                   n_ranks=2)
         assert mesh_hash(result.mesh) == mesh_hash(serial.mesh)
         ranks = [name for name in sink.events
                  if name.startswith("executor.bl_item.rank")]
@@ -243,17 +231,15 @@ class TestAttribution:
 
     def test_every_backend_reports_both_timings(self):
         pslg, config = smoke_naca()
-        for backend in ("serial", "threads"):
-            with use_counters() as sink:
-                result = generate_mesh(pslg, config, backend=backend,
-                                       n_ranks=2)
-            assert result.timings["bl_triangulate"] > 0.0
-            assert sink.phases["bl_triangulate"] == pytest.approx(
-                result.timings["bl_triangulate"])
-            assert len(sink.samples["executor.bl_item_seconds"]) == 1
-            # No worker processes: no rank to report.
-            assert not [name for name in sink.events
-                        if name.startswith("executor.bl_item.rank")]
+        with use_counters() as sink:
+            result = generate_mesh(pslg, config, backend="serial")
+        assert result.timings["bl_triangulate"] > 0.0
+        assert sink.phases["bl_triangulate"] == pytest.approx(
+            result.timings["bl_triangulate"])
+        assert len(sink.samples["executor.bl_item_seconds"]) == 1
+        # No worker process: no rank to report.
+        assert not [name for name in sink.events
+                    if name.startswith("executor.bl_item.rank")]
 
 
 # ----------------------------------------------------------------------
@@ -278,10 +264,9 @@ def fresh_pool(monkeypatch):
         pytest.skip("patches reach pool workers through fork only")
     monkeypatch.setattr(serde, "SHM_MIN_BYTES", 0)
     backend = executor.get_backend("processes")
-    with _suspended():
-        backend.shutdown_pool()
-        yield backend
-        backend.shutdown_pool()
+    backend.shutdown_pool()
+    yield backend
+    backend.shutdown_pool()
 
 
 class TestFaultsOnItemZero:

@@ -14,7 +14,7 @@ import pytest
 from tests.domains import DOMAINS
 
 from repro.core.pipeline import generate_mesh
-from repro.delaunay.smooth import validate_mesh
+from repro.delaunay.validate import validate_mesh
 from repro.runtime import serde
 from repro.runtime.client import ServiceClient
 from repro.runtime.service import MeshService, ServiceThread

@@ -76,17 +76,17 @@ class TestNaca0012Pipeline:
         assert far.mean() > 10 * near.mean()
 
 
-class TestThreadsBackend:
+class TestBackendArgument:
     def test_matches_local(self):
         pslg = PSLG.from_loops([naca0012(41)])
         cfg = small_config(farfield_chords=10.0, target_subdomains=8)
         local = generate_mesh(pslg, cfg, backend="serial")
-        threaded = generate_mesh(pslg, cfg, backend="threads", n_ranks=3)
+        pooled = generate_mesh(pslg, cfg, backend="processes", n_ranks=3)
         # Same subdomain set refined independently: identical meshes.
-        assert threaded.mesh.n_triangles == local.mesh.n_triangles
-        assert threaded.mesh.is_conforming()
+        assert pooled.mesh.n_triangles == local.mesh.n_triangles
+        assert pooled.mesh.is_conforming()
         a = np.sort(np.abs(local.mesh.areas()))
-        b = np.sort(np.abs(threaded.mesh.areas()))
+        b = np.sort(np.abs(pooled.mesh.areas()))
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_unknown_backend(self):

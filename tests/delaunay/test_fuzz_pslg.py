@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.delaunay.constrained import constrained_delaunay
 from repro.delaunay.refine import RUPPERT_BOUND, Refiner
-from repro.delaunay.smooth import validate_mesh
+from repro.delaunay.validate import validate_mesh
 from repro.geometry.primitives import polygon_area
 
 from .fuzz_refine_digest import outcome, refined

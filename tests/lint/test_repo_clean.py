@@ -2,8 +2,8 @@
 
 If this fails, either new code violated an invariant (fix the code) or a
 rule grew a false positive (fix the rule, or pragma the line with a
-one-line justification).  R1–R12 all run here, so every dataflow rule
-is exercised against the full production tree on every test run.
+one-line justification).  R1–R5 and R7–R12 all run here, so every
+dataflow rule is exercised against the full production tree on every test run.
 """
 
 from pathlib import Path
@@ -17,7 +17,8 @@ REPO = Path(__file__).resolve().parents[2]
 
 
 def test_rule_catalog_is_r1_through_r12():
-    assert set(rule_ids()) == {f"R{i}" for i in range(1, 13)}
+    # There is no R6: ids are never reused.
+    assert set(rule_ids()) == {f"R{i}" for i in range(1, 13)} - {"R6"}
 
 
 def test_src_lints_clean():

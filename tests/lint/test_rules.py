@@ -191,38 +191,6 @@ class TestR5WallClock:
         assert "R5" not in rules_hit(findings)
 
 
-class TestR6Lockset:
-    def test_unlocked_guarded_access_flagged(self, tmp_path):
-        bad = """
-            class W:
-                def peek(self):
-                    return self._data[0]
-        """
-        findings = lint_snippet(tmp_path, "repro/runtime/bad.py", bad)
-        assert "R6" in rules_hit(findings)
-
-    def test_locked_access_allowed(self, tmp_path):
-        ok = """
-            class W:
-                def peek(self):
-                    with self._lock:
-                        return self._data[0]
-        """
-        findings = lint_snippet(tmp_path, "repro/runtime/ok.py", ok)
-        assert "R6" not in rules_hit(findings)
-
-    def test_init_exempt(self, tmp_path):
-        ok = """
-            import numpy as np
-
-            class W:
-                def __init__(self, n):
-                    self._data = np.zeros(n)
-        """
-        findings = lint_snippet(tmp_path, "repro/runtime/ok2.py", ok)
-        assert "R6" not in rules_hit(findings)
-
-
 class TestR7BufferCopy:
     def test_loop_over_buffer_in_to_mesh_flagged(self, tmp_path):
         bad = """
@@ -282,28 +250,6 @@ class TestR7BufferCopy:
                 return [p for p in tri.pts]
         """
         findings = lint_snippet(tmp_path, "repro/delaunay/cavity.py", bad)
-        assert "R7" in rules_hit(findings)
-
-    def test_smoothing_loop_over_points_flagged(self, tmp_path):
-        # The smoothers are contractually vectorised: a per-vertex
-        # Python loop over the point buffer inside laplacian_smooth
-        # (or metric_smooth) is a de-vectorisation regression.
-        bad = """
-            def laplacian_smooth(mesh):
-                out = []
-                for p in mesh.points:
-                    out.append((p[0], p[1]))
-                return out
-        """
-        findings = lint_snippet(tmp_path, "repro/delaunay/smooth.py", bad)
-        assert "R7" in rules_hit(findings)
-
-    def test_metric_smooth_comprehension_flagged(self, tmp_path):
-        bad = """
-            def metric_smooth(mesh, field):
-                return [tuple(p) for p in mesh.points]
-        """
-        findings = lint_snippet(tmp_path, "repro/delaunay/smooth.py", bad)
         assert "R7" in rules_hit(findings)
 
     def test_batch_loop_over_cavity_sets_allowed(self, tmp_path):

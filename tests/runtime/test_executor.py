@@ -5,25 +5,14 @@ Work functions used with the ``processes`` backend live at module scope
 process boundary).
 """
 
-import contextlib
-
 import numpy as np
 import pytest
 
-from repro.lint import tsan
 from repro.runtime import counters as counters_mod
 from repro.runtime import executor
 from repro.runtime.executor import ExecutorError, ProcessesBackend
 
-ALL_BACKENDS = ["serial", "threads", "processes"]
-
-
-def _maybe_suspend(name):
-    """Under an ambient REPRO_SANITIZE=1 session the processes backend
-    fails fast by design; suspend the detector for those cases only."""
-    if name == "processes" and tsan.enabled():
-        return tsan.suspend()
-    return contextlib.nullcontext()
+ALL_BACKENDS = ["serial", "processes"]
 
 
 # ----------------------------------------------------------------------
@@ -55,16 +44,13 @@ def _count_events(payload):
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_available_includes_all(self):
-        names = executor.available_backends()
-        assert names == sorted(names)
-        for n in ALL_BACKENDS:
-            assert n in names
+        assert executor.available_backends() == ["processes", "serial"]
 
     def test_unknown_raises(self):
-        for name in ("cuda", "local"):
+        for name in ("cuda", "local", "threads"):
             with pytest.raises(
                     ValueError,
-                    match="unknown backend.*processes, serial, threads"):
+                    match=r"unknown backend.*\(available: processes, serial\)"):
                 executor.get_backend(name)
 
     def test_resolve_precedence(self, monkeypatch):
@@ -80,10 +66,7 @@ class TestRegistry:
 
     def test_flags(self):
         assert not executor.get_backend("serial").parallel
-        assert executor.get_backend("threads").parallel
         assert executor.get_backend("processes").parallel
-        assert executor.get_backend("threads").supports_sanitizer
-        assert not executor.get_backend("processes").supports_sanitizer
 
 
 # ----------------------------------------------------------------------
@@ -95,9 +78,8 @@ class TestMapWorkitems:
         backend = executor.get_backend(name)
         payloads = [{"x": np.full(3, float(i))} for i in range(9)]
         costs = [float(9 - i) for i in range(9)]
-        with _maybe_suspend(name):
-            results = backend.map_workitems(_double, payloads, costs=costs,
-                                            n_ranks=3)
+        results = backend.map_workitems(_double, payloads, costs=costs,
+                                        n_ranks=3)
         assert len(results) == 9
         for i, r in enumerate(results):
             assert np.array_equal(r["x"], np.full(3, 2.0 * i))
@@ -106,28 +88,24 @@ class TestMapWorkitems:
     def test_no_costs_given(self, name):
         backend = executor.get_backend(name)
         payloads = [{"x": np.asarray([float(i)])} for i in range(5)]
-        with _maybe_suspend(name):
-            results = backend.map_workitems(_double, payloads, n_ranks=2)
+        results = backend.map_workitems(_double, payloads, n_ranks=2)
         for i, r in enumerate(results):
             assert np.array_equal(r["x"], np.asarray([2.0 * i]))
 
     def test_processes_empty(self):
-        with tsan.suspend():
-            assert executor.get_backend("processes").map_workitems(
-                _double, [], n_ranks=2) == []
+        assert executor.get_backend("processes").map_workitems(
+            _double, [], n_ranks=2) == []
 
-    @pytest.mark.parametrize("name", ["threads", "processes"])
+    @pytest.mark.parametrize("name", ["processes"])
     def test_bad_rank_count(self, name):
-        with _maybe_suspend(name):
-            with pytest.raises(ExecutorError, match="at least one rank"):
-                executor.get_backend(name).map_workitems(
-                    _double, [{"x": np.ones(1)}], n_ranks=0)
+        with pytest.raises(ExecutorError, match="at least one rank"):
+            executor.get_backend(name).map_workitems(
+                _double, [{"x": np.ones(1)}], n_ranks=0)
 
     def test_more_ranks_than_items(self):
         backend = executor.get_backend("processes")
         payloads = [{"x": np.asarray([1.0])}, {"x": np.asarray([2.0])}]
-        with tsan.suspend():
-            results = backend.map_workitems(_double, payloads, n_ranks=8)
+        results = backend.map_workitems(_double, payloads, n_ranks=8)
         assert np.array_equal(results[1]["x"], np.asarray([4.0]))
 
 
@@ -137,52 +115,29 @@ class TestMapWorkitems:
 class TestProcessesContracts:
     def test_closure_rejected(self):
         backend = executor.get_backend("processes")
-        with tsan.suspend():
-            with pytest.raises(ExecutorError, match="module-level"):
-                backend.map_workitems(lambda p: p, [{"x": np.ones(1)}])
+        with pytest.raises(ExecutorError, match="module-level"):
+            backend.map_workitems(lambda p: p, [{"x": np.ones(1)}])
 
     def test_non_buffer_payload_rejected(self):
         backend = executor.get_backend("processes")
-        with tsan.suspend():
-            with pytest.raises(ExecutorError, match="buffer dict"):
-                backend.map_workitems(_double, [{"x": [1.0, 2.0]}])
+        with pytest.raises(ExecutorError, match="buffer dict"):
+            backend.map_workitems(_double, [{"x": [1.0, 2.0]}])
 
     def test_non_buffer_result_rejected(self):
         backend = executor.get_backend("processes")
-        with tsan.suspend():
-            with pytest.raises(ExecutorError, match="buffer dict"):
-                backend.map_workitems(_not_buffers, [{"x": np.ones(1)}])
+        with pytest.raises(ExecutorError, match="buffer dict"):
+            backend.map_workitems(_not_buffers, [{"x": np.ones(1)}])
 
     def test_worker_exception_propagates(self):
         backend = executor.get_backend("processes")
         payloads = [{"flag": np.asarray([0.0])}, {"flag": np.asarray([1.0])}]
-        with tsan.suspend():
-            with pytest.raises(ExecutorError, match="boom in worker"):
-                backend.map_workitems(_maybe_boom, payloads, n_ranks=2)
-
-    def test_sanitizer_fails_fast(self):
-        backend = executor.get_backend("processes")
-        with tsan.sanitize():
-            with pytest.raises(ExecutorError, match="shared-memory"):
-                backend.map_workitems(_double, [{"x": np.ones(1)}])
-        # With the detector off again, the same call runs fine.
-        with tsan.suspend():
-            out = backend.map_workitems(_double, [{"x": np.ones(1)}])
-        assert np.array_equal(out[0]["x"], np.full(1, 2.0))
-
-    def test_sanitizer_allowed_on_threads_and_serial(self):
-        payloads = [{"x": np.asarray([float(i)])} for i in range(3)]
-        with tsan.sanitize() as det:
-            for name in ("serial", "threads"):
-                out = executor.get_backend(name).map_workitems(
-                    _double, payloads, n_ranks=2)
-                assert np.array_equal(out[2]["x"], np.asarray([4.0]))
-            assert det.status()["races_detected"] == 0
+        with pytest.raises(ExecutorError, match="boom in worker"):
+            backend.map_workitems(_maybe_boom, payloads, n_ranks=2)
 
     def test_counter_snapshots_merge_into_parent(self):
         backend = executor.get_backend("processes")
         payloads = [{"x": np.asarray([float(i)])} for i in range(6)]
-        with tsan.suspend(), counters_mod.use_counters() as sink:
+        with counters_mod.use_counters() as sink:
             backend.map_workitems(_count_events, payloads, n_ranks=2)
         # Worker-side events crossed the process boundary and merged.
         assert sink.events.get("test.items_seen", 0) == 6
@@ -198,8 +153,7 @@ class TestProcessesContracts:
         # nothing in the dispatch protocol depends on fork inheritance.
         backend = ProcessesBackend(start_method="spawn")
         payloads = [{"x": np.asarray([float(i)])} for i in range(4)]
-        with tsan.suspend():
-            results = backend.map_workitems(_double, payloads, n_ranks=2)
+        results = backend.map_workitems(_double, payloads, n_ranks=2)
         for i, r in enumerate(results):
             assert np.array_equal(r["x"], np.asarray([2.0 * i]))
 
@@ -211,13 +165,12 @@ class TestProcessesContracts:
         backend = executor.get_backend("processes")
         payloads = [{"x": np.full(3, float(i))} for i in range(7)]
         costs = [float(1 + (3 * i) % 7) for i in range(7)]
-        with tsan.suspend():
-            mapped = backend.map_workitems(_double, payloads, costs=costs,
-                                           n_ranks=2)
-            session = backend.stream_workitems(_double, n_ranks=2)
-            for i, (p, c) in enumerate(zip(payloads, costs)):
-                assert session.submit(p, cost=c, eager=True) == i
-            streamed = session.results()
+        mapped = backend.map_workitems(_double, payloads, costs=costs,
+                                       n_ranks=2)
+        session = backend.stream_workitems(_double, n_ranks=2)
+        for i, (p, c) in enumerate(zip(payloads, costs)):
+            assert session.submit(p, cost=c, eager=True) == i
+        streamed = session.results()
         assert len(streamed) == len(mapped) == 7
         for a, b in zip(streamed, mapped):
             assert a.keys() == b.keys()

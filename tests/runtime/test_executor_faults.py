@@ -13,22 +13,13 @@ crash switch is a marker file so the first execution attempt dies and
 every retry succeeds deterministically.
 """
 
-import contextlib
 import os
 import signal
 
 import numpy as np
 import pytest
 
-from repro.lint import tsan
 from repro.runtime.executor import ExecutorError, ProcessesBackend
-
-
-def _suspended():
-    """Processes-backend tests fail fast under an ambient sanitizer."""
-    if tsan.enabled():
-        return tsan.suspend()
-    return contextlib.nullcontext()
 
 
 def _decode_path(payload) -> str:
@@ -89,9 +80,8 @@ class TestWorkerCrash:
         ]
         backend = ProcessesBackend()
         try:
-            with _suspended():
-                results = backend.map_workitems(_kill_once_then_double,
-                                                payloads, n_ranks=3)
+            results = backend.map_workitems(_kill_once_then_double,
+                                            payloads, n_ranks=3)
             pool = backend._pool
             assert pool.stats["respawns"] >= 1
             assert os.path.exists(marker)
@@ -110,15 +100,14 @@ class TestWorkerCrash:
         marker = str(tmp_path / "killed-once-stream")
         backend = ProcessesBackend()
         try:
-            with _suspended():
-                session = backend.stream_workitems(_kill_once_then_double,
-                                                   n_ranks=2)
-                for i in range(5):
-                    session.submit({
-                        "x": np.full(3, float(i)),
-                        "kill": np.asarray([1.0 if i == 0 else 0.0]),
-                        "marker": _encode_path(marker)})
-                results = session.results()
+            session = backend.stream_workitems(_kill_once_then_double,
+                                               n_ranks=2)
+            for i in range(5):
+                session.submit({
+                    "x": np.full(3, float(i)),
+                    "kill": np.asarray([1.0 if i == 0 else 0.0]),
+                    "marker": _encode_path(marker)})
+            results = session.results()
         finally:
             backend.shutdown_pool()
         for i, res in enumerate(results):
@@ -129,16 +118,15 @@ class TestWorkerCrash:
         naming the item, not retried forever."""
         backend = ProcessesBackend()
         try:
-            with _suspended(), pytest.raises(
+            with pytest.raises(
                     ExecutorError,
                     match=r"work item 0 crashed its worker on all "
                           r"\d+ dispatch attempts"):
                 backend.map_workitems(_kill_always,
                                       [{"x": np.zeros(2)}], n_ranks=2)
             # The abort did not wedge the pool: it still does real work.
-            with _suspended():
-                out = backend.map_workitems(
-                    _double, [{"x": np.asarray([2.5])}], n_ranks=2)
+            out = backend.map_workitems(
+                _double, [{"x": np.asarray([2.5])}], n_ranks=2)
             assert out[0]["x"][0] == 5.0
         finally:
             backend.shutdown_pool()
@@ -153,16 +141,15 @@ class TestItemError:
         payloads[3] = {"flag": np.asarray([1.0])}
         backend = ProcessesBackend()
         try:
-            with _suspended(), pytest.raises(
+            with pytest.raises(
                     ExecutorError,
                     match=r"work item 3 failed in pool worker \d+"):
                 backend.map_workitems(_boom_on_flag, payloads, n_ranks=2)
             # No hang, no poisoned state: the very next batch succeeds
             # on the same pool (workers were not torn down).
-            with _suspended():
-                out = backend.map_workitems(
-                    _boom_on_flag,
-                    [{"flag": np.asarray([0.0])}] * 4, n_ranks=2)
+            out = backend.map_workitems(
+                _boom_on_flag,
+                [{"flag": np.asarray([0.0])}] * 4, n_ranks=2)
             assert all(o["flag"][0] == 0.0 for o in out)
         finally:
             backend.shutdown_pool()
@@ -170,7 +157,7 @@ class TestItemError:
     def test_traceback_is_carried_in_the_error(self):
         backend = ProcessesBackend()
         try:
-            with _suspended(), pytest.raises(
+            with pytest.raises(
                     ExecutorError, match="deliberate item failure"):
                 backend.map_workitems(_boom_on_flag,
                                       [{"flag": np.asarray([1.0])}],
@@ -186,45 +173,41 @@ class TestPoolLifecycle:
     def test_workers_are_reused_across_calls(self):
         backend = ProcessesBackend()
         try:
-            with _suspended():
-                backend.map_workitems(_double, [{"x": np.ones(2)}] * 4,
-                                      n_ranks=2)
-                forks_after_first = backend._pool.stats["forks"]
-                backend.map_workitems(_double, [{"x": np.ones(2)}] * 4,
-                                      n_ranks=2)
-                assert backend._pool.stats["forks"] == forks_after_first
-                assert backend._pool.stats["calls"] == 2
+            backend.map_workitems(_double, [{"x": np.ones(2)}] * 4,
+                                  n_ranks=2)
+            forks_after_first = backend._pool.stats["forks"]
+            backend.map_workitems(_double, [{"x": np.ones(2)}] * 4,
+                                  n_ranks=2)
+            assert backend._pool.stats["forks"] == forks_after_first
+            assert backend._pool.stats["calls"] == 2
         finally:
             backend.shutdown_pool()
 
     def test_idle_workers_reaped_after_ttl(self):
         backend = ProcessesBackend(ttl=0.0)
         try:
-            with _suspended():
-                backend.map_workitems(_double, [{"x": np.ones(2)}] * 2,
-                                      n_ranks=2)
-                pool = backend._pool
-                assert pool.n_workers() == 2
-                # TTL 0: the next call boundary reaps every idle worker
-                # before refilling on demand.
-                backend.map_workitems(_double, [{"x": np.ones(2)}],
-                                      n_ranks=1)
-                assert pool.stats["reaped"] >= 2
+            backend.map_workitems(_double, [{"x": np.ones(2)}] * 2,
+                                  n_ranks=2)
+            pool = backend._pool
+            assert pool.n_workers() == 2
+            # TTL 0: the next call boundary reaps every idle worker
+            # before refilling on demand.
+            backend.map_workitems(_double, [{"x": np.ones(2)}],
+                                  n_ranks=1)
+            assert pool.stats["reaped"] >= 2
         finally:
             backend.shutdown_pool()
 
     def test_shutdown_is_idempotent_and_terminal(self):
         backend = ProcessesBackend()
-        with _suspended():
-            backend.map_workitems(_double, [{"x": np.ones(2)}], n_ranks=1)
+        backend.map_workitems(_double, [{"x": np.ones(2)}], n_ranks=1)
         pool = backend._pool
         backend.shutdown_pool()
         assert pool.closed
         assert pool.n_workers() == 0
         backend.shutdown_pool()  # second call is a no-op
         # The backend recovers by building a fresh pool on demand.
-        with _suspended():
-            out = backend.map_workitems(_double, [{"x": np.ones(2)}],
-                                        n_ranks=1)
+        out = backend.map_workitems(_double, [{"x": np.ones(2)}],
+                                    n_ranks=1)
         assert out[0]["x"][0] == 2.0
         backend.shutdown_pool()

@@ -1,5 +1,5 @@
 """Buffer serde round trips must be exact — the backend-parity contract
-(`serial` == `threads` == `processes`) rests on bit-identical transport."""
+(`serial` == `processes`) rests on bit-identical transport."""
 
 import math
 

@@ -17,7 +17,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.lint import tsan
 from repro.runtime import serde
 from repro.runtime.client import ServiceClient, read_frame_blocking
 from repro.runtime.counters import monotonic
@@ -349,9 +348,6 @@ class TestServiceEndToEnd:
             thread.stop()
 
 
-# A `processes` service fails fast under an ambient REPRO_SANITIZE=1 by
-# design: the detector is off for the lifetime of this one.
-@tsan.suspend()
 def test_shutdown_aborts_inflight_batch_via_epoch_fence(tmp_path):
     """Service shutdown mid-batch must quiesce the pool through the
     epoch fence and return clean error frames to every pending client

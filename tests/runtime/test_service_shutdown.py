@@ -2,11 +2,11 @@
 
 Two concerns live here:
 
-* **threads backend** — it exposes none of the pool hooks
-  (``warm_pool``/``abort``/``shutdown_pool``), so service shutdown must
-  degrade gracefully through the ``getattr`` probes: the in-flight
-  batch runs out, every client still gets a definitive ok/err frame,
-  and stop time stays bounded.
+* **a backend without pool hooks** — ``serial`` exposes none of
+  ``warm_pool``/``abort``/``exclude_fds_from_workers``/``shutdown_pool``,
+  so service shutdown must degrade gracefully through the ``getattr``
+  probes: the in-flight batch runs out, every client still gets a
+  definitive ok/err frame, and stop time stays bounded.
 * **fd hygiene** — a pool worker respawned *after* the daemon has
   bound its listening socket forks with that fd open.  The pool's
   ``exclude_fds`` contract makes the worker close it at startup; the
@@ -24,7 +24,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.lint import tsan
 from repro.runtime import serde
 from repro.runtime.client import ServiceClient
 from repro.runtime.counters import monotonic
@@ -48,14 +47,14 @@ def _unit_cost(payload):
     return 1.0
 
 
-# -- threads backend ----------------------------------------------------
+# -- hook-less backend --------------------------------------------------
 
 
-def test_threads_shutdown_mid_batch_returns_frames_and_is_bounded(tmp_path):
-    """The threads backend has no abort hook: shutdown lets the
+def test_serial_shutdown_mid_batch_returns_frames_and_is_bounded(tmp_path):
+    """The serial backend has no abort hook: shutdown lets the
     in-flight batch finish, fails undispatched requests cleanly, and
     every client gets exactly one ok/err frame — no hung sockets."""
-    svc = MeshService(f"unix:{tmp_path}/svc.sock", backend="threads",
+    svc = MeshService(f"unix:{tmp_path}/svc.sock", backend="serial",
                       n_ranks=2, batch_window=0.05, max_batch=8,
                       work_fn=_slow_item, cost_fn=_unit_cost)
     thread = ServiceThread(svc)
@@ -93,15 +92,15 @@ def test_threads_shutdown_mid_batch_returns_frames_and_is_bounded(tmp_path):
         np.testing.assert_allclose(result["y"], np.full(16, tag) + 1.0)
     assert all("shutting down" in msg or "abort" in msg
                for msg in errors.values())
-    # Bounded by the batch running out (2 rounds x 0.5s), not by any
+    # Bounded by the batch running out (at most 4 items x 0.5s), not by any
     # timeout: a hang here means a probe path regressed.
     assert stop_elapsed < 10.0
 
 
-def test_threads_shutdown_idle_is_fast(tmp_path):
+def test_serial_shutdown_idle_is_fast(tmp_path):
     """With nothing in flight, the probe-and-fallback shutdown path
     must not sleep on any pool hook the backend does not have."""
-    svc = MeshService(f"unix:{tmp_path}/svc.sock", backend="threads",
+    svc = MeshService(f"unix:{tmp_path}/svc.sock", backend="serial",
                       n_ranks=2, work_fn=_echo_item, cost_fn=_unit_cost)
     thread = ServiceThread(svc)
     endpoint = thread.start()
@@ -148,9 +147,6 @@ def _wait_for_clean_fds(pid, inode, timeout=5.0):
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                     reason="needs /proc fd introspection")
-# A `processes` service fails fast under an ambient REPRO_SANITIZE=1 by
-# design: the detector is off for the lifetime of this one.
-@tsan.suspend()
 def test_respawned_worker_does_not_inherit_listening_socket(tmp_path):
     """A worker forked after bind must not hold the listening fd.
 

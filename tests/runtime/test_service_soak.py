@@ -13,7 +13,6 @@ workload of real mesh requests and assert:
   hygiene scanner, applied to the service lifecycle).
 """
 
-import contextlib
 import os
 import socket
 import threading
@@ -25,7 +24,6 @@ from tests.domains import small_bl
 from repro.core.pipeline import MeshConfig, generate_mesh, pack_mesh_request
 from repro.geometry.airfoils import naca4
 from repro.geometry.pslg import PSLG
-from repro.lint import tsan
 from repro.runtime import serde
 from repro.runtime.client import ServiceClient
 from repro.runtime.service import MeshService, ServiceThread, encode_frame
@@ -38,12 +36,6 @@ REQUESTS_PER_CLIENT = 6
 def _segments():
     """Names of live posix shared-memory segments (Python's psm_ pool)."""
     return {n for n in os.listdir(SHM_DIR) if n.startswith("psm_")}
-
-
-def _suspended():
-    if tsan.enabled():
-        return tsan.suspend()
-    return contextlib.nullcontext()
 
 
 @pytest.fixture
@@ -132,26 +124,25 @@ def test_soak_processes_backend_no_shm_leaks(tmp_path, shm_everything):
     before = _segments()
     workload = _workload()[:2]
     direct = _direct_bytes(workload)
-    with _suspended():
-        service = MeshService(f"unix:{tmp_path}/soak.sock",
-                              backend="processes", n_ranks=2,
-                              batch_window=0.05)
-        thread = ServiceThread(service)
-        endpoint = thread.start()
-        try:
-            # One client vanishes mid-request while the soak runs.
-            raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            raw.connect(str(tmp_path / "soak.sock"))
-            raw.sendall(encode_frame("mesh", serde.buffers_to_bytes(
-                pack_mesh_request(*workload[0]))))
-            raw.close()
-            failures = _soak(endpoint, workload, direct,
-                             n_clients=3, per_client=4)
-            assert not failures, failures
-            stats = service.stats()
-            assert stats["requests"] >= 12.0
-        finally:
-            thread.stop()
+    service = MeshService(f"unix:{tmp_path}/soak.sock",
+                          backend="processes", n_ranks=2,
+                          batch_window=0.05)
+    thread = ServiceThread(service)
+    endpoint = thread.start()
+    try:
+        # One client vanishes mid-request while the soak runs.
+        raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        raw.connect(str(tmp_path / "soak.sock"))
+        raw.sendall(encode_frame("mesh", serde.buffers_to_bytes(
+            pack_mesh_request(*workload[0]))))
+        raw.close()
+        failures = _soak(endpoint, workload, direct,
+                         n_clients=3, per_client=4)
+        assert not failures, failures
+        stats = service.stats()
+        assert stats["requests"] >= 12.0
+    finally:
+        thread.stop()
     # The daemon owned its pool: workers are gone after shutdown ...
     assert service._backend._pool is None
     # ... and every shm wire was attached+unlinked by exactly one side.

@@ -9,14 +9,12 @@ SIGKILLed worker (the requeue path re-publishes the payload), an item
 failure (the abort path discards undelivered wires), and pool shutdown.
 """
 
-import contextlib
 import os
 import signal
 
 import numpy as np
 import pytest
 
-from repro.lint import tsan
 from repro.runtime import serde
 from repro.runtime.executor import ExecutorError, ProcessesBackend
 
@@ -30,12 +28,6 @@ pytestmark = pytest.mark.skipif(
 def _segments():
     """Names of live posix shared-memory segments (Python's psm_ pool)."""
     return {n for n in os.listdir(SHM_DIR) if n.startswith("psm_")}
-
-
-def _suspended():
-    if tsan.enabled():
-        return tsan.suspend()
-    return contextlib.nullcontext()
 
 
 @pytest.fixture
@@ -72,10 +64,9 @@ class TestShmHygiene:
         before = _segments()
         backend = ProcessesBackend()
         try:
-            with _suspended():
-                out = backend.map_workitems(
-                    _double, [{"x": np.full(64, float(i))}
-                              for i in range(8)], n_ranks=3)
+            out = backend.map_workitems(
+                _double, [{"x": np.full(64, float(i))}
+                          for i in range(8)], n_ranks=3)
             assert len(out) == 8
             # Wires are consumed (attach+unlink) as they are delivered:
             # clean even before shutdown.
@@ -88,11 +79,10 @@ class TestShmHygiene:
         before = _segments()
         backend = ProcessesBackend()
         try:
-            with _suspended():
-                session = backend.stream_workitems(_double, n_ranks=2)
-                for i in range(6):
-                    session.submit({"x": np.full(32, float(i))})
-                session.results()
+            session = backend.stream_workitems(_double, n_ranks=2)
+            for i in range(6):
+                session.submit({"x": np.full(32, float(i))})
+            session.results()
             assert _segments() <= before
         finally:
             backend.shutdown_pool()
@@ -113,9 +103,8 @@ class TestShmHygiene:
         ]
         backend = ProcessesBackend()
         try:
-            with _suspended():
-                out = backend.map_workitems(_kill_once_then_double,
-                                            payloads, n_ranks=3)
+            out = backend.map_workitems(_kill_once_then_double,
+                                        payloads, n_ranks=3)
             assert backend._pool.stats["respawns"] >= 1
             assert len(out) == 6
             assert _segments() <= before
@@ -131,8 +120,7 @@ class TestShmHygiene:
         payloads[2] = {"flag": np.asarray([1.0] * 32)}
         backend = ProcessesBackend()
         try:
-            with _suspended(), pytest.raises(ExecutorError,
-                                             match="work item 2"):
+            with pytest.raises(ExecutorError, match="work item 2"):
                 backend.map_workitems(_boom_on_flag, payloads, n_ranks=2)
             assert _segments() <= before
         finally:

@@ -24,25 +24,17 @@ class TestBackendFlags:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "--ranks only applies to parallel backends" in err
-        assert "processes" in err and "threads" in err
+        assert "pick one of: processes" in err
 
     def test_removed_local_alias_lists_accepted_names(self, capsys, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["--naca", "0012", "--backend", "local",
-                  "-o", str(tmp_path / "m")])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "invalid choice: 'local'" in err
-        assert all(n in err for n in executor.available_backends())
-
-    def test_sanitize_with_processes_fails_fast(self, capsys, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["--naca", "0012", "--backend", "processes", "--sanitize",
-                  "-o", str(tmp_path / "m")])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "--sanitize instruments shared-memory backends only" in err
-        assert "--backend threads" in err
+        for name in ("local", "threads"):
+            with pytest.raises(SystemExit) as exc:
+                main(["--naca", "0012", "--backend", name,
+                      "-o", str(tmp_path / "m")])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"invalid choice: '{name}'" in err
+            assert all(n in err for n in executor.available_backends())
 
     def test_unknown_backend_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -53,14 +45,14 @@ class TestBackendFlags:
                                              tmp_path):
         """REPRO_BACKEND drives the run; summary reports the backend
         name and rank count."""
-        monkeypatch.setenv(executor.BACKEND_ENV, "threads")
+        monkeypatch.setenv(executor.BACKEND_ENV, "processes")
         rc = main(["--naca", "0012", "--surface-points", "31",
                    "--max-layers", "6", "--farfield-chords", "5",
                    "--subdomains", "4", "--stats-json",
                    "-o", str(tmp_path / "m")])
         assert rc == 0
         summary = json.loads(capsys.readouterr().out)
-        assert summary["backend"] == "threads"
+        assert summary["backend"] == "processes"
         assert summary["n_ranks"] == 4
         assert summary["n_triangles"] > 0
 
