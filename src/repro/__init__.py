@@ -18,7 +18,7 @@ Package layout (see DESIGN.md for the full inventory):
 - :mod:`repro.spatial`  — alternating digital tree, bucket grid;
 - :mod:`repro.delaunay` — the Triangle-substitute kernel: incremental
   Bowyer–Watson, constrained edges, Ruppert refinement;
-- :mod:`repro.sizing`   — sizing fields and BL growth functions;
+- :mod:`repro.sizing`   — sizing fields and the BL growth law;
 - :mod:`repro.core`     — the paper's algorithms: boundary layers,
   projection-based decomposition, graded decoupling, push-button pipeline;
 - :mod:`repro.runtime`  — executor backends (serial, process pool),

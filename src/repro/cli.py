@@ -72,10 +72,6 @@ def _add_mesh_arguments(p: argparse.ArgumentParser) -> None:
                    help="wall spacing of the first BL layer")
     p.add_argument("--growth-ratio", type=float, default=1.3,
                    help="geometric BL growth ratio")
-    p.add_argument("--bl-mode", choices=["delaunay", "structured"],
-                   default="delaunay",
-                   help="BL triangulation: constrained Delaunay (default) "
-                   "or pseudo-structured quad-strip stitching")
     p.add_argument("--resample", type=int, metavar="N", default=0,
                    help="curvature-adaptively resample each surface loop "
                    "to N points before meshing")
@@ -253,7 +249,6 @@ def _config_from_args(args: argparse.Namespace) -> MeshConfig:
             first_spacing=args.first_spacing,
             growth_ratio=args.growth_ratio,
             max_layers=args.max_layers,
-            triangulation=args.bl_mode,
         ),
         farfield_chords=args.farfield_chords,
         grading=args.grading,

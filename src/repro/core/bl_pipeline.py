@@ -29,8 +29,7 @@ from ..delaunay.constrained import constrained_delaunay
 from ..delaunay.mesh import TriMesh
 from ..geometry.pslg import PSLG
 from ..runtime.counters import phase
-from ..sizing.functions import SizingFunction
-from ..sizing.growth import GeometricGrowth, GrowthFunction
+from ..sizing.growth import GeometricGrowth
 from .insertion import insert_points
 from .intersections import (
     crossing_pairs,
@@ -58,15 +57,8 @@ class BoundaryLayerConfig:
     max_ray_angle_deg: float = 20.0
     isotropy_factor: float = 1.0
     truncation_factor: float = 0.5
-    growth: Optional[GrowthFunction] = None  # overrides first_spacing/ratio
-    #: "delaunay" (default: CDT of the BL cloud, the mode the parallel
-    #: decomposition operates on) or "structured" (direct quad-strip
-    #: stitching, see repro.core.structured_bl).
-    triangulation: str = "delaunay"
 
-    def growth_function(self) -> GrowthFunction:
-        if self.growth is not None:
-            return self.growth
+    def growth_function(self) -> GeometricGrowth:
         return GeometricGrowth(self.first_spacing, self.growth_ratio)
 
 
@@ -218,22 +210,15 @@ def _simplify_borders(element_rays: Sequence[List[Ray]], *,
 def prepare_boundary_layer(
     pslg: PSLG,
     config: Optional[BoundaryLayerConfig] = None,
-    *,
-    sizing: Optional[SizingFunction] = None,
 ) -> BoundaryLayerResult:
     """The boundary-layer stage up to the assembled PSLG of the annuli.
 
     Rays, intersection resolution, layer points and border untangling.
-    In the default ``"delaunay"`` mode the result's ``mesh`` is ``None``
-    and ``points`` / ``segments`` / ``holes`` are the input of
-    :func:`triangulate_boundary_layer`; everything else, the outer
-    borders above all, is final.  The ``"structured"`` mode stitches its
-    mesh from the rays here: it needs them and costs milliseconds.
+    The result's ``mesh`` is ``None`` and ``points`` / ``segments`` /
+    ``holes`` are the input of :func:`triangulate_boundary_layer`;
+    everything else, the outer borders above all, is final.
     """
     config = config or BoundaryLayerConfig()
-    if config.triangulation not in ("delaunay", "structured"):
-        raise ValueError(
-            f"unknown BL triangulation mode: {config.triangulation!r}")
     growth = config.growth_function()
     default_height = min(growth.height(config.max_layers), config.max_height)
 
@@ -272,7 +257,6 @@ def prepare_boundary_layer(
         for rays in element_rays:
             n_points += insert_points(
                 rays, growth,
-                sizing=sizing,
                 isotropy_factor=config.isotropy_factor,
                 max_layers=config.max_layers,
                 max_height=config.max_height,
@@ -316,7 +300,7 @@ def prepare_boundary_layer(
             for h in r.heights:
                 vid(r.point_at(h))
 
-    bl = BoundaryLayerResult(
+    return BoundaryLayerResult(
         element_rays=element_rays,
         points=np.asarray(pts, dtype=np.float64),
         mesh=None,
@@ -332,12 +316,6 @@ def prepare_boundary_layer(
             "n_border_shrinks": float(n_shrunk),
         },
     )
-    if config.triangulation == "structured":
-        from .structured_bl import triangulate_structured
-
-        with phase("bl.triangulate"):
-            bl.attach_mesh(triangulate_structured(element_rays)[0])
-    return bl
 
 
 def triangulate_boundary_layer(points: np.ndarray, segments: np.ndarray,
@@ -360,7 +338,6 @@ def generate_boundary_layer(
     pslg: PSLG,
     config: Optional[BoundaryLayerConfig] = None,
     *,
-    sizing: Optional[SizingFunction] = None,
     insert_strategy: Optional[str] = None,
 ) -> BoundaryLayerResult:
     """Run the full anisotropic boundary-layer stage on all body loops:
@@ -370,9 +347,7 @@ def generate_boundary_layer(
     ``insert_strategy`` names the cavity-engine insertion strategy of
     the BL triangulation (``None``: ``scalar``).
     """
-    bl = prepare_boundary_layer(pslg, config, sizing=sizing)
-    if bl.mesh is None:
-        bl.attach_mesh(triangulate_boundary_layer(
-            bl.points, bl.segments, bl.holes,
-            insert_strategy=insert_strategy))
+    bl = prepare_boundary_layer(pslg, config)
+    bl.attach_mesh(triangulate_boundary_layer(
+        bl.points, bl.segments, bl.holes, insert_strategy=insert_strategy))
     return bl

@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..sizing.functions import SizingFunction
-from ..sizing.growth import GrowthFunction
+from ..sizing.growth import GeometricGrowth
 from .rays import Ray
 
 __all__ = ["insert_points", "bl_point_cloud"]
@@ -32,7 +32,7 @@ __all__ = ["insert_points", "bl_point_cloud"]
 
 def insert_points(
     rays: Sequence[Ray],
-    growth: GrowthFunction,
+    growth: GeometricGrowth,
     *,
     sizing: Optional[SizingFunction] = None,
     isotropy_factor: float = 1.0,

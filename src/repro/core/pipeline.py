@@ -99,10 +99,8 @@ class MeshResult:
     subdomains: List[DecoupledSubdomain]
     #: wall seconds per stage.  ``boundary_layer`` is the parent's
     #: :func:`prepare_boundary_layer`; ``bl_triangulate`` the BL
-    #: triangulation work item's wall where it ran (0.0 when the
-    #: structured mode stitched the mesh during prepare);
-    #: ``refinement`` spans the dispatch of every work item and
-    #: contains ``decoupling``.
+    #: triangulation work item's wall where it ran; ``refinement`` spans
+    #: the dispatch of every work item and contains ``decoupling``.
     timings: Dict[str, float]
     #: numeric run statistics plus the resolved ``insert_strategy`` name.
     stats: Dict[str, object]
@@ -162,7 +160,6 @@ def generate_mesh(
     with timed("boundary_layer") as tm:
         bl = prepare_boundary_layer(pslg, config.bl)
     timings["boundary_layer"] = tm.elapsed
-    timings["bl_triangulate"] = 0.0
 
     # ------------------------------------------------------------------
     # 2. Sizing function from the BL outer borders.
@@ -228,25 +225,21 @@ def generate_mesh(
     # (it contains ``decoupling``).
     with timed("refinement") as tm_refine:
         session = backend_impl.stream_workitems(_workitem, n_ranks=n_ranks)
-        bl_pending = bl.mesh is None
-        if bl_pending:
-            # A triangulation of n points has about 2n triangles: the
-            # unit the refinement items' estimates are in.
-            session.submit(
-                serde.nest("bl.", serde.pack_bl_item(
-                    bl.points, bl.segments, bl.holes, insert_strategy)),
-                cost=2.0 * len(bl.points))
+        # A triangulation of n points has about 2n triangles: the unit
+        # the refinement items' estimates are in.
+        session.submit(
+            serde.nest("bl.", serde.pack_bl_item(
+                bl.points, bl.segments, bl.holes, insert_strategy)),
+            cost=2.0 * len(bl.points))
         session.submit(_payload(nearbody), cost=_cost(nearbody))
         subdomains: List[DecoupledSubdomain] = []
         with timed("decoupling") as tm_decouple:
             for s in decouple_stream(quads, sizing, target_count=target):
                 subdomains.append(s)
                 session.submit(_payload(s), cost=_cost(s))
-        packed = session.results()
-        if bl_pending:
-            bl_packed = packed.pop(0)
-            bl.attach_mesh(serde.unpack_mesh(bl_packed))
-            timings["bl_triangulate"] = float(bl_packed["seconds"][0])
+        bl_packed, *packed = session.results()
+        bl.attach_mesh(serde.unpack_mesh(bl_packed))
+        timings["bl_triangulate"] = float(bl_packed["seconds"][0])
         meshes = [serde.unpack_mesh(b) for b in packed]
     timings["decoupling"] = tm_decouple.elapsed
     timings["refinement"] = tm_refine.elapsed
@@ -374,13 +367,29 @@ def unpack_mesh_request(payload: serde.Buffers):
     return pslg, config
 
 
+#: The keys :func:`pack_mesh_request` writes, read off an empty request.
+_REQUEST_KEYS = frozenset(pack_mesh_request(PSLG(np.empty((0, 2)), [])))
+
+
 def request_cost(payload: serde.Buffers) -> float:
     """Largest-first scheduling weight for one packed mesh request.
 
     Surface point count times subdomain count tracks total refinement
     work well enough to keep a batch's big request off the critical
     path; exactness does not matter, monotonicity does.
+
+    A payload whose keys are not exactly the ones
+    :func:`pack_mesh_request` writes raises
+    :class:`~repro.runtime.serde.SerdeError` naming the missing and the
+    unexpected ones: the service asks for the cost before a request
+    joins a batch, so a malformed one fails alone.
     """
+    keys = set(payload)
+    if keys != _REQUEST_KEYS:
+        raise serde.SerdeError(
+            "not a packed mesh request: missing "
+            f"{sorted(_REQUEST_KEYS - keys)}, unexpected "
+            f"{sorted(keys - _REQUEST_KEYS)}")
     n_points = float(len(payload["pslg.points"]))
     params = payload["config.params"]
     target = float(params[list(serde._MESH_FIELDS).index(

@@ -24,10 +24,8 @@ from .mesh import TriMesh, merge_meshes
 from .refine import (
     RUPPERT_BOUND,
     AreaCriterion,
-    MetricCriterion,
     RefinementError,
     Refiner,
-    SizingCriterion,
     refine_pslg,
 )
 from .validate import ValidationReport, validate_mesh
@@ -38,11 +36,9 @@ __all__ = [
     "AreaCriterion",
     "InsertionStrategy",
     "MeshAdaptor",
-    "MetricCriterion",
     "RUPPERT_BOUND",
     "RefinementError",
     "Refiner",
-    "SizingCriterion",
     "TriMesh",
     "Triangulation",
     "TriangulationError",

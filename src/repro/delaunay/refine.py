@@ -8,8 +8,8 @@ subdomain, insert Steiner points until
   its diametral circle), and
 * every interior triangle satisfies the circumradius-to-shortest-edge
   bound ``B`` (default sqrt(2), Ruppert's guaranteed-termination bound,
-  minimum angle ~20.7 degrees) and the size bound of the
-  :class:`SizingCriterion` (``-a``: :class:`AreaCriterion`).
+  minimum angle ~20.7 degrees) and the area bound of the
+  :class:`AreaCriterion` (``-a``).
 
 Processing order follows Ruppert: encroached segments split at their
 midpoint first; then bad triangles get their circumcenter, unless the
@@ -52,9 +52,7 @@ __all__ = [
     "Refiner",
     "refine_pslg",
     "RUPPERT_BOUND",
-    "SizingCriterion",
     "AreaCriterion",
-    "MetricCriterion",
 ]
 
 #: Ruppert's circumradius-to-shortest-edge termination bound (paper Eq. 1
@@ -75,25 +73,13 @@ _UNIT_AREA = math.sqrt(3.0) / 4.0
 Point = Tuple[float, float]
 
 
-class SizingCriterion:
-    """Decides whether a triangle is too large for a sizing field.
-
-    The refiner consults exactly one criterion per triangle, handing it
-    the three corner coordinates and the (positive) Euclidean area it
-    already computed.  Implementations return ``True`` when the triangle
-    must be split for *size* reasons; the shape (circumradius-to-edge)
-    test stays in the refiner and is criterion-independent.
-    """
-
-    def oversized(self, pa: Point, pb: Point, pc: Point, area: float
-                  ) -> bool:
-        raise NotImplementedError
-
-
-class AreaCriterion(SizingCriterion):
+class AreaCriterion:
     """Scalar area bound ``area_fn(centroid)`` — the classic Triangle
-    ``-a`` semantics.  The arithmetic (centroid then compare) is kept
-    bit-identical to the pre-criterion refiner so meshes hash the same.
+    ``-a`` semantics: :meth:`oversized` says whether a triangle, given
+    its corners and the area the refiner computed, must split for size;
+    the shape test stays in the refiner.  The arithmetic (centroid then
+    compare) is kept bit-identical to the pre-criterion refiner so
+    meshes hash the same.
 
     When ``area_fn`` is the ``area_at`` of a sizing that declares its
     edge length Lipschitz (``lipschitz``, see
@@ -147,61 +133,6 @@ class AreaCriterion(SizingCriterion):
         return area > self.area_fn(cx, cy)
 
 
-class MetricCriterion(SizingCriterion):
-    """Anisotropic bound from a :class:`repro.metric.MetricField`.
-
-    A triangle is oversized when either
-
-    * its longest edge measured in the metric exceeds ``max_edge``
-      (``sqrt(2)``, the upper end of the unit-mesh band), or
-    * its circumradius in the metric of the centroid exceeds
-      ``max_circumradius`` (a metric-unit equilateral triangle has
-      circumradius ``1/sqrt(3)``, so 1.0 only fires on clearly oversized
-      or badly shaped elements).
-
-    The circumradius test maps the corners through ``M^{1/2}`` frozen at
-    the centroid and measures the Euclidean circumradius there.
-    """
-
-    max_edge = RUPPERT_BOUND
-    max_circumradius = 1.0
-
-    def __init__(self, field) -> None:
-        self.field = field
-
-    def oversized(self, pa: Point, pb: Point, pc: Point, area: float
-                  ) -> bool:
-        cx = (pa[0] + pb[0] + pc[0]) / 3.0
-        cy = (pa[1] + pb[1] + pc[1]) / 3.0
-        corners = np.array([pa, pb, pc], dtype=np.float64)
-        query = np.vstack([corners, [[cx, cy]]])
-        tensors = self.field.interpolate(query)
-        # Metric edge lengths: average of endpoint quadratic forms.
-        from ..metric import tensor as _mt
-
-        vecs = corners[[1, 2, 0]] - corners[[0, 1, 2]]
-        l_sq_a = _mt.quad_form(tensors[[0, 1, 2]], vecs)
-        l_sq_b = _mt.quad_form(tensors[[1, 2, 0]], vecs)
-        l_m = 0.5 * (np.sqrt(np.maximum(l_sq_a, 0.0))
-                     + np.sqrt(np.maximum(l_sq_b, 0.0)))
-        if float(l_m.max()) > self.max_edge:
-            return True
-        # Circumradius under the centroid metric.
-        root = _mt.sqrtm(tensors[3:4])
-        r11, r12, r22 = root[0, 0], root[0, 1], root[0, 2]
-        qa, qb, qc = (
-            (r11 * p[0] + r12 * p[1], r12 * p[0] + r22 * p[1])
-            for p in (pa, pb, pc)
-        )
-        try:
-            cc = circumcenter(qa, qb, qc)
-        except ValueError:
-            return False  # metric-degenerate: leave to the shape test
-        if not (math.isfinite(cc[0]) and math.isfinite(cc[1])):
-            return False
-        return distance(cc, qa) > self.max_circumradius
-
-
 class Refiner:
     """Delaunay refinement driver over a :class:`Triangulation`.
 
@@ -215,9 +146,8 @@ class Refiner:
         Circumradius-to-shortest-edge bound B; ``None`` disables quality
         refinement (area-only).
     criterion:
-        The :class:`SizingCriterion` deciding the size test
-        (:class:`AreaCriterion` for an area bound, :class:`MetricCriterion`
-        for anisotropic sizing), or ``None`` for no size bound.
+        The :class:`AreaCriterion` deciding the size test, or ``None``
+        for no size bound.
     min_edge_floor:
         Safety floor: skinny triangles whose shortest edge is already below
         this length are not split further.  This is the pragmatic guard
@@ -234,7 +164,7 @@ class Refiner:
         *,
         holes: Sequence[Tuple[float, float]] = (),
         quality_bound: Optional[float] = RUPPERT_BOUND,
-        criterion: Optional[SizingCriterion] = None,
+        criterion: Optional[AreaCriterion] = None,
         min_edge_floor: float = 0.0,
         max_steiner: int = 2_000_000,
         lock_segments: bool = False,
@@ -500,7 +430,7 @@ class Refiner:
         # and splits are bounded by max_steiner / min_edge_floor, so the
         # loop ends.
         tri_v = self.tri.tri_v
-        if isinstance(self.criterion, AreaCriterion):
+        if self.criterion is not None:
             self.criterion.prime(list(self.tri.pts))
         work: deque = deque(
             t for t in self.tri.live_triangles() if self._triangle_bad(t)
@@ -530,7 +460,7 @@ class Refiner:
             sink.absorb_kernel(self.tri)
             sink.incr("steiner_points", self.steiner_count)
             sink.incr("triangle_tests", self.triangle_tests)
-            if isinstance(self.criterion, AreaCriterion):
+            if self.criterion is not None:
                 sink.incr("sizing_evals", self.criterion.evals)
                 sink.incr("size_verdicts_clear", self.criterion.clear)
                 sink.incr("size_verdicts_band", self.criterion.band)
@@ -711,7 +641,6 @@ def refine_pslg(
     quality_bound: Optional[float] = RUPPERT_BOUND,
     max_area: Optional[float] = None,
     area_fn: Optional[AreaFn] = None,
-    criterion: Optional[SizingCriterion] = None,
     min_edge_floor: float = 0.0,
     max_steiner: int = 2_000_000,
     assume_sorted: bool = False,
@@ -719,14 +648,12 @@ def refine_pslg(
     """One-call PSLG -> refined quality mesh (the Triangle workflow).
 
     ``max_area`` is a uniform bound; ``area_fn`` a spatially varying one
-    (both may be given — the effective bound is the minimum).  A custom
-    ``criterion`` (e.g. :class:`MetricCriterion`) replaces both.
+    (both may be given — the effective bound is the minimum).
     """
     if max_area is not None and max_area <= 0:
         raise ValueError("max_area must be positive")
-    if criterion is not None and (max_area is not None or area_fn is not None):
-        raise ValueError("pass either criterion or area bounds, not both")
 
+    criterion = None
     if max_area is not None and area_fn is not None:
         criterion = AreaCriterion(lambda x, y: min(max_area, area_fn(x, y)))
     elif max_area is not None:

@@ -381,12 +381,11 @@ class BufferCopyRule(Rule):
     buffer name (``pts``, ``tri_v``, ``tri_n``, ``vertex_tri``, ``px``,
     ``tv``, ``tn``, ``vt``, ``points``, ``triangles``, ``segments``),
     lexically inside a function named ``compact``/``to_mesh``/
-    ``to_trimesh``/``pack_*``/``unpack_*``/``buffers_*``/``batch_*``/
-    ``*_batch``.  The ``batch`` names cover the cavity engine's
-    vectorised insertion paths (``walk_batch``, ``carve_batch``, ...):
-    those exist *because* they replace per-element predicate loops, so a
-    Python walk over the buffers inside one is a regression by
-    definition.  Loops over other state (constraint lists, label dicts,
+    ``pack_*``/``unpack_*``/``buffers_*``/``batch_*``/``*_batch``.  The
+    ``batch`` names cover the cavity engine's vectorised insertion paths
+    (``walk_batch``, ``carve_batch``, ...): those exist *because* they
+    replace per-element predicate loops, so a Python walk over the
+    buffers inside one is a regression by definition.  Loops over other state (constraint lists, label dicts,
     per-candidate cavity sets) are not flagged.
 
     Fix: vectorize — boolean masks, fancy indexing, ``remap[tris]`` —
@@ -399,7 +398,7 @@ class BufferCopyRule(Rule):
     title = "per-element Python loop over mesh buffers in finalize/serde"
     invariant = "zero-Python-loop mesh finalize and transport"
 
-    _FUNC_NAMES = {"compact", "to_mesh", "to_trimesh"}
+    _FUNC_NAMES = {"compact", "to_mesh"}
     _FUNC_PREFIXES = ("pack_", "unpack_", "buffers_", "batch_")
     _FUNC_SUFFIXES = ("_batch",)
     _BUFFERS = {"pts", "tri_v", "tri_n", "vertex_tri", "px", "tv", "tn",

@@ -24,9 +24,8 @@ Supported objects:
   code plus parameter/point arrays (``CallableSizing`` is *not*
   serializable — it wraps an arbitrary closure — and is rejected with a
   clear error pointing at the in-process backends);
-* :class:`~repro.core.bl_pipeline.BoundaryLayerConfig` — numeric fields
-  plus the triangulation-mode string (a custom ``growth`` override is
-  rejected for the same reason as ``CallableSizing``).
+* :class:`~repro.core.bl_pipeline.BoundaryLayerConfig` — its numeric
+  fields, every one of them.
 
 Composition: :func:`nest` prefixes a packed dict's keys so several
 objects share one payload; :func:`unnest` extracts them back.
@@ -648,17 +647,10 @@ _BL_FIELDS = (
 
 
 def pack_bl_config(config) -> Buffers:
-    """Flatten a :class:`BoundaryLayerConfig` (numeric fields + mode)."""
-    if config.growth is not None:
-        raise SerdeError(
-            "BoundaryLayerConfig with a custom growth-function override is "
-            "not serializable; use the serial backend, or set "
-            "first_spacing/growth_ratio instead"
-        )
+    """Flatten a :class:`BoundaryLayerConfig` (its numeric fields)."""
     return {
         "params": np.asarray([float(getattr(config, f)) for f in _BL_FIELDS],
                              dtype=np.float64),
-        "triangulation": _text(config.triangulation),
     }
 
 
@@ -667,8 +659,7 @@ def unpack_bl_config(buffers: Buffers):
 
     values = dict(zip(_BL_FIELDS, (float(x) for x in buffers["params"])))
     values["max_layers"] = int(values["max_layers"])
-    return BoundaryLayerConfig(triangulation=_untext(buffers["triangulation"]),
-                               **values)
+    return BoundaryLayerConfig(**values)
 
 
 # ----------------------------------------------------------------------

@@ -245,12 +245,13 @@ class MeshCache:
 class _Pending:
     """One cache-missed request waiting for a dispatch slot."""
 
-    __slots__ = ("key", "payload", "future")
+    __slots__ = ("key", "payload", "cost", "future")
 
-    def __init__(self, key: str, payload: serde.Buffers,
+    def __init__(self, key: str, payload: serde.Buffers, cost: float,
                  future: "asyncio.Future[bytes]") -> None:
         self.key = key
         self.payload = payload
+        self.cost = cost
         self.future = future
 
 
@@ -534,11 +535,20 @@ class MeshService:
                 await self._send(writer, "err",
                                  b"service is shutting down")
                 return
+            # Priced before it queues: a payload the cost function
+            # rejects fails here, alone, instead of with its batch.
+            try:
+                cost = self._cost_fn(payload)
+            except serde.SerdeError as exc:
+                sink.incr("service.errors")
+                await self._send(writer, "err",
+                                 f"bad request: {exc}".encode())
+                return
             future = asyncio.get_running_loop().create_future()
             self._inflight[key] = future
             future.add_done_callback(
                 lambda _fut, _key=key: self._inflight.pop(_key, None))
-            self._queue.put_nowait(_Pending(key, payload, future))
+            self._queue.put_nowait(_Pending(key, payload, cost, future))
         else:
             # Identical request already queued/dispatching: join it
             # instead of meshing twice (single-flight).
@@ -596,7 +606,7 @@ class MeshService:
         sink.incr("service.batches")
         sink.observe("service.batch_size", float(len(batch)))
         payloads = [item.payload for item in batch]
-        costs = [self._cost_fn(p) for p in payloads]
+        costs = [item.cost for item in batch]
 
         def run() -> List[serde.Buffers]:
             # The dispatch thread installs the service sink so executor

@@ -1,4 +1,4 @@
-"""Sizing functions (element area fields) and boundary-layer growth laws."""
+"""Sizing functions (element area fields) and the boundary-layer growth law."""
 
 from .functions import (
     CallableSizing,
@@ -8,24 +8,14 @@ from .functions import (
     UniformSizing,
     decoupling_edge_length,
 )
-from .growth import (
-    AdaptiveGrowth,
-    GeometricGrowth,
-    GrowthFunction,
-    PolynomialGrowth,
-    TanhGrowth,
-)
+from .growth import GeometricGrowth
 
 __all__ = [
-    "AdaptiveGrowth",
     "CallableSizing",
     "GeometricGrowth",
     "GradedDistanceSizing",
-    "GrowthFunction",
-    "PolynomialGrowth",
     "RadialSizing",
     "SizingFunction",
-    "TanhGrowth",
     "UniformSizing",
     "decoupling_edge_length",
 ]

@@ -1,12 +1,10 @@
-"""Boundary-layer growth functions (normal spacing along extrusion rays).
+"""Boundary-layer growth function (normal spacing along extrusion rays).
 
 Following Garimella & Shephard (paper ref. [1], Section II.A), a growth
 function prescribes the wall-normal distance of the k-th boundary-layer
-point along a ray.  Two classic families are provided — *geometric* and
-*polynomial* — plus an *adaptive* variant that blends a geometric start
-into a capped spacing, for complex geometries.
-
-All growth functions share the interface:
+point along a ray.  The mesher's law is the *geometric* one, set by the
+two numbers of :class:`~repro.core.bl_pipeline.BoundaryLayerConfig`
+(``first_spacing``, ``growth_ratio``):
 
 * ``height(k)``   — cumulative offset of the k-th layer (k = 1, 2, ...),
 * ``spacing(k)``  — thickness of layer k (``height(k) - height(k-1)``),
@@ -17,43 +15,10 @@ Layer indices start at 1; ``height(0) == 0`` (the wall).
 
 from __future__ import annotations
 
-import math
-from typing import Protocol
-
-__all__ = [
-    "GrowthFunction",
-    "GeometricGrowth",
-    "PolynomialGrowth",
-    "AdaptiveGrowth",
-    "TanhGrowth",
-]
+__all__ = ["GeometricGrowth"]
 
 
-class GrowthFunction(Protocol):
-    first_spacing: float
-
-    def height(self, k: int) -> float: ...
-
-    def spacing(self, k: int) -> float: ...
-
-
-class _Base:
-    first_spacing: float
-
-    def spacing(self, k: int) -> float:
-        if k < 1:
-            raise ValueError("layer index starts at 1")
-        return self.height(k) - self.height(k - 1)
-
-    def layers_to_height(self, target: float, max_layers: int = 10_000) -> int:
-        """Smallest k with ``height(k) >= target`` (capped)."""
-        for k in range(1, max_layers + 1):
-            if self.height(k) >= target:
-                return k
-        return max_layers
-
-
-class GeometricGrowth(_Base):
+class GeometricGrowth:
     """Geometric progression: spacing(k) = delta0 * ratio**(k-1).
 
     ``height(k) = delta0 * (ratio**k - 1) / (ratio - 1)`` for ratio != 1.
@@ -84,103 +49,3 @@ class GeometricGrowth(_Base):
         if k < 1:
             raise ValueError("layer index starts at 1")
         return self.first_spacing * self.ratio ** (k - 1)
-
-
-class PolynomialGrowth(_Base):
-    """Polynomial height: height(k) = delta0 * k**exponent.
-
-    ``exponent = 1`` is uniform spacing; ``exponent = 2`` quadratic
-    clustering at the wall.
-    """
-
-    def __init__(self, first_spacing: float, exponent: float = 2.0) -> None:
-        if first_spacing <= 0:
-            raise ValueError("first_spacing must be positive")
-        if exponent < 1.0:
-            raise ValueError("exponent < 1 makes spacing decrease unboundedly")
-        self.first_spacing = float(first_spacing)
-        self.exponent = float(exponent)
-
-    def height(self, k: int) -> float:
-        if k < 0:
-            raise ValueError("negative layer index")
-        return self.first_spacing * float(k) ** self.exponent
-
-
-class AdaptiveGrowth(_Base):
-    """Geometric growth with a spacing cap (Garimella-style adaptivity).
-
-    Grows geometrically until the layer thickness reaches ``max_spacing``,
-    then continues uniformly — keeping the outermost boundary-layer
-    elements from overshooting the local isotropic size, which smooths the
-    hand-off to the inviscid region (paper Fig. 5).
-    """
-
-    def __init__(self, first_spacing: float, ratio: float = 1.2,
-                 max_spacing: float = math.inf) -> None:
-        if first_spacing <= 0:
-            raise ValueError("first_spacing must be positive")
-        if ratio < 1.0:
-            raise ValueError("ratio must be >= 1")
-        if max_spacing < first_spacing:
-            raise ValueError("max_spacing below first_spacing")
-        self.first_spacing = float(first_spacing)
-        self.ratio = float(ratio)
-        self.max_spacing = float(max_spacing)
-        self._heights = [0.0]  # lazily extended cumulative sums
-
-    def spacing(self, k: int) -> float:
-        if k < 1:
-            raise ValueError("layer index starts at 1")
-        return min(self.first_spacing * self.ratio ** (k - 1), self.max_spacing)
-
-    def height(self, k: int) -> float:
-        if k < 0:
-            raise ValueError("negative layer index")
-        while len(self._heights) <= k:
-            j = len(self._heights)
-            self._heights.append(self._heights[-1] + self.spacing(j))
-        return self._heights[k]
-
-
-class TanhGrowth(_Base):
-    """Hyperbolic-tangent point clustering over a fixed total height.
-
-    The classic one-sided Vinokur/tanh stretching used by structured CFD
-    grid generators: ``n_layers`` points distributed over ``total_height``
-    with wall clustering controlled by ``beta`` > 1 (larger = stronger
-    clustering).  Unlike the open-ended geometric law, the BL height is
-    prescribed and the distribution interpolates between wall spacing and
-    outer spacing smoothly — useful when the user targets a known
-    physical boundary-layer thickness.
-    """
-
-    def __init__(self, total_height: float, n_layers: int,
-                 beta: float = 2.0) -> None:
-        if total_height <= 0:
-            raise ValueError("total_height must be positive")
-        if n_layers < 1:
-            raise ValueError("need at least one layer")
-        if beta <= 1.0:
-            raise ValueError("beta must exceed 1")
-        self.total_height = float(total_height)
-        self.n_layers = int(n_layers)
-        self.beta = float(beta)
-        self.first_spacing = self.height(1)
-
-    def height(self, k: int) -> float:
-        if k < 0:
-            raise ValueError("negative layer index")
-        if k == 0:
-            return 0.0
-        if k > self.n_layers:
-            # Continue uniformly with the outermost spacing beyond the
-            # prescribed height (callers cap with max_layers anyway).
-            last = (self.height(self.n_layers)
-                    - self.height(self.n_layers - 1)
-                    if self.n_layers > 1 else self.total_height)
-            return self.total_height + (k - self.n_layers) * last
-        b = self.beta
-        eta = k / self.n_layers
-        num = math.tanh(b * (eta - 1.0)) + math.tanh(b)
-        return self.total_height * num / math.tanh(b)

@@ -217,24 +217,3 @@ class TestSimplifyBorders:
         elements[1][0].origin = (0.5, 0.5)  # ...until one pierces the other
         with pytest.raises(RuntimeError, match="could not untangle"):
             _simplify_borders(elements)
-
-
-class TestStructuredMode:
-    def test_structured_pipeline_end_to_end(self):
-        from repro.core.pipeline import MeshConfig, generate_mesh
-
-        pslg = PSLG.from_loops([naca0012(41)])
-        cfg = MeshConfig(
-            bl=BoundaryLayerConfig(first_spacing=5e-3, growth_ratio=1.5,
-                                   max_layers=8, triangulation="structured"),
-            farfield_chords=8.0, target_subdomains=6,
-        )
-        res = generate_mesh(pslg, cfg)
-        assert res.mesh.is_conforming()
-        assert np.all(res.mesh.areas() > 0)
-
-    def test_unknown_mode_rejected(self):
-        pslg = PSLG.from_loops([naca0012(41)])
-        cfg = BoundaryLayerConfig(triangulation="voronoi")
-        with pytest.raises(ValueError):
-            generate_boundary_layer(pslg, cfg)

@@ -154,24 +154,6 @@ class TestPackedItem:
         assert calls == ["prepare", ("triangulate", "scalar")]
         assert bl.stats["n_triangles"] == bl.mesh.n_triangles > 0
 
-    def test_structured_mode_stays_inline(self):
-        """It needs the rays: stitched during prepare, no work item."""
-        config = BoundaryLayerConfig(first_spacing=1e-3, max_layers=10,
-                                     triangulation="structured")
-        bl = prepare_boundary_layer(self.pslg, config)
-        assert bl.mesh is not None
-        assert bl.stats["n_triangles"] == bl.mesh.n_triangles
-        result = generate_mesh(self.pslg, MeshConfig(bl=config,
-                                                     grading=0.35),
-                               backend="serial")
-        assert result.timings["bl_triangulate"] == 0.0
-        assert result.bl.mesh.n_triangles == bl.mesh.n_triangles
-
-    def test_unknown_mode_is_rejected_before_any_work(self):
-        config = BoundaryLayerConfig(triangulation="voronoi")
-        with pytest.raises(ValueError, match="unknown BL triangulation"):
-            prepare_boundary_layer(self.pslg, config)
-
 
 # ----------------------------------------------------------------------
 # (e) serde: item kinds and the buffer contract

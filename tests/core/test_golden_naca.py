@@ -1,11 +1,11 @@
 """Golden regression: the NACA 0012 quickstart mesh vs the stored output.
 
-``examples/output/naca0012.npz`` is the quickstart mesh checked in as a
-golden artefact.  Re-meshing the same configuration must stay within a
-few percent of it on the macro statistics — a drift gate for kernel,
-refinement, or decoupling changes that accidentally alter the mesh (the
-kernel itself is allowed to change insertion internals, so counts are
-compared within tolerance, not bit-for-bit).
+``golden_naca0012.npz`` (beside this file) is the quickstart mesh
+checked in as a golden artefact.  Re-meshing the same configuration
+must stay within a few percent of it on the macro statistics — a drift
+gate for kernel, refinement, or decoupling changes that accidentally
+alter the mesh (the kernel itself is allowed to change insertion
+internals, so counts are compared within tolerance, not bit-for-bit).
 
 ``TestPinnedHashes`` is the strict half: the canonical hashes of the
 quickstart mesh and of the two seed-0 perf-ledger meshes
@@ -28,7 +28,7 @@ from repro.runtime.counters import use_counters
 
 from . import oracle_estimate
 
-GOLDEN = Path(__file__).resolve().parents[2] / "examples/output/naca0012.npz"
+GOLDEN = Path(__file__).resolve().parent / "golden_naca0012.npz"
 
 
 @pytest.fixture(scope="module")

@@ -9,10 +9,10 @@ Three layers of guarantees:
   adjacency audit stays green.
 * **Adaptation effectiveness**: adapting toward a metric raises the
   fraction of in-band metric edge lengths.
-* **Differential byte-identity**: the :class:`SizingCriterion`
-  refactor of the refinement sizing contract keeps the default area
-  path *bit-identical* — pinned canonical hashes from the pre-refactor
-  code must reproduce exactly.
+* **Differential byte-identity**: the size-criterion refactor of the
+  refinement sizing contract keeps the area path *bit-identical* —
+  pinned canonical hashes from the pre-refactor code must reproduce
+  exactly.
 * **Adapted-mesh pins**: whole ``adapt_loop`` / ``adapt_mesh`` outputs
   (hash, DOF, error, operation counts, conformity traces) recorded
   before the flip pass became a dirty-edge worklist; the differential
@@ -25,9 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.delaunay import (
-    AreaCriterion,
     MeshAdaptor,
-    MetricCriterion,
     adapt_mesh,
     cavity,
     refine_pslg,
@@ -203,7 +201,7 @@ class TestAdaptationEffect:
 
 
 # ----------------------------------------------------------------------
-# Differential byte-identity of the SizingCriterion refactor
+# Differential byte-identity of the size-criterion refactor
 # ----------------------------------------------------------------------
 #: Canonical hashes pinned from the pre-refactor refinement code
 #: (commit 946022f): the AreaCriterion default path must reproduce
@@ -251,14 +249,6 @@ class TestByteIdentity:
                           [[4, 5], [5, 6], [6, 7], [7, 4]]])
         mesh = refine_pslg(pts, segs, max_area=0.02, holes=[(0.5, 0.5)])
         assert mesh_hash(mesh) == PINNED["holed_square"]
-
-    def test_explicit_area_criterion_matches_area_fn(self):
-        """AreaCriterion(fn) given as `criterion` == area_fn=fn."""
-        fn = lambda x, y: 0.005 + 0.02 * x
-        a = refine_pslg(UNIT_SQUARE.copy(), SQUARE_SEGS.copy(), area_fn=fn)
-        b = refine_pslg(UNIT_SQUARE.copy(), SQUARE_SEGS.copy(),
-                        criterion=AreaCriterion(fn))
-        assert mesh_hash(a) == mesh_hash(b)
 
 
 # ----------------------------------------------------------------------
@@ -333,22 +323,3 @@ class TestAdaptedMeshPins:
         assert (report.splits, report.collapses, report.flips,
                 report.smooth_moves) == ops
         assert report.conformity_after == conformity
-
-
-class TestMetricCriterion:
-    def test_refines_to_metric_band(self):
-        field = MetricField.uniform(UNIT_SQUARE, 0.15)
-        crit = MetricCriterion(field)
-        mesh = refine_pslg(UNIT_SQUARE.copy(), SQUARE_SEGS.copy(),
-                           criterion=crit)
-        t = mesh.triangles
-        edges = np.unique(np.sort(np.concatenate(
-            [t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1), axis=0)
-        lengths = field.interpolate_field(mesh.points).edge_lengths(edges)
-        assert np.all(lengths <= crit.max_edge * 1.3)
-
-    def test_criterion_and_area_mutually_exclusive(self):
-        field = MetricField.uniform(UNIT_SQUARE, 0.2)
-        with pytest.raises(ValueError):
-            refine_pslg(UNIT_SQUARE.copy(), SQUARE_SEGS.copy(),
-                        criterion=MetricCriterion(field), max_area=0.1)

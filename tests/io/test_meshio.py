@@ -254,7 +254,7 @@ class TestCLIExtensions:
             "--naca", "0012", "--surface-points", "61", "--resample", "51",
             "--first-spacing", "5e-3", "--growth-ratio", "1.5",
             "--max-layers", "6", "--farfield-chords", "6",
-            "--subdomains", "6", "--bl-mode", "structured",
+            "--subdomains", "6",
             "-o", str(tmp_path / "m"), "--format", "vtk", "--report",
         ])
         assert rc == 0

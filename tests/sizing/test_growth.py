@@ -1,12 +1,10 @@
-"""Tests for boundary-layer growth functions."""
-
-import math
+"""Tests for the boundary-layer growth law."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sizing.growth import AdaptiveGrowth, GeometricGrowth, PolynomialGrowth
+from repro.sizing.growth import GeometricGrowth
 
 
 class TestGeometric:
@@ -37,11 +35,6 @@ class TestGeometric:
         with pytest.raises(ValueError):
             GeometricGrowth(0.1).height(-1)
 
-    def test_layers_to_height(self):
-        g = GeometricGrowth(0.1, ratio=2.0)
-        assert g.layers_to_height(0.7) == 3
-        assert g.layers_to_height(0.71) == 4
-
     @given(
         d0=st.floats(min_value=1e-6, max_value=1.0),
         r=st.floats(min_value=1.0, max_value=2.0),
@@ -52,118 +45,3 @@ class TestGeometric:
         g = GeometricGrowth(d0, ratio=r)
         assert g.height(k + 1) > g.height(k)
         assert g.spacing(k + 1) >= g.spacing(k)
-
-
-class TestPolynomial:
-    def test_quadratic(self):
-        g = PolynomialGrowth(0.1, exponent=2.0)
-        assert g.height(3) == pytest.approx(0.9)
-        assert g.spacing(3) == pytest.approx(0.9 - 0.4)
-
-    def test_linear_is_uniform(self):
-        g = PolynomialGrowth(0.1, exponent=1.0)
-        for k in range(1, 10):
-            assert g.spacing(k) == pytest.approx(0.1)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PolynomialGrowth(0.1, exponent=0.5)
-
-
-class TestAdaptive:
-    def test_caps_spacing(self):
-        g = AdaptiveGrowth(0.1, ratio=2.0, max_spacing=0.5)
-        spacings = [g.spacing(k) for k in range(1, 10)]
-        assert spacings[0] == pytest.approx(0.1)
-        assert max(spacings) == pytest.approx(0.5)
-        # Once capped, spacing stays at the cap.
-        assert spacings[-1] == pytest.approx(0.5)
-
-    def test_height_is_cumulative_spacing(self):
-        g = AdaptiveGrowth(0.1, ratio=1.5, max_spacing=0.3)
-        total = 0.0
-        for k in range(1, 30):
-            total += g.spacing(k)
-            assert g.height(k) == pytest.approx(total)
-
-    def test_uncapped_matches_geometric(self):
-        a = AdaptiveGrowth(0.1, ratio=1.2)
-        geo = GeometricGrowth(0.1, ratio=1.2)
-        for k in range(0, 25):
-            assert a.height(k) == pytest.approx(geo.height(k))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AdaptiveGrowth(0.1, max_spacing=0.05)
-
-    def test_height_random_access(self):
-        g = AdaptiveGrowth(0.1, ratio=1.3, max_spacing=1.0)
-        h10 = g.height(10)
-        assert g.height(5) < h10  # lazy cache supports out-of-order access
-        assert g.height(10) == h10
-
-
-class TestTanh:
-    def test_endpoints(self):
-        from repro.sizing.growth import TanhGrowth
-
-        g = TanhGrowth(0.5, 25, beta=2.5)
-        assert g.height(0) == 0.0
-        assert g.height(25) == pytest.approx(0.5)
-
-    def test_wall_clustering(self):
-        from repro.sizing.growth import TanhGrowth
-
-        g = TanhGrowth(1.0, 30, beta=3.0)
-        # First spacing far below uniform; last spacing above uniform.
-        uniform = 1.0 / 30
-        assert g.spacing(1) < uniform / 3
-        assert g.spacing(30) > uniform
-
-    def test_spacings_monotone_increasing(self):
-        from repro.sizing.growth import TanhGrowth
-
-        g = TanhGrowth(0.2, 40, beta=2.0)
-        spacings = [g.spacing(k) for k in range(1, 41)]
-        assert all(b >= a for a, b in zip(spacings, spacings[1:]))
-
-    def test_stronger_beta_clusters_harder(self):
-        from repro.sizing.growth import TanhGrowth
-
-        weak = TanhGrowth(1.0, 20, beta=1.5)
-        strong = TanhGrowth(1.0, 20, beta=4.0)
-        assert strong.first_spacing < weak.first_spacing
-
-    def test_extension_beyond_n_layers_uniform(self):
-        from repro.sizing.growth import TanhGrowth
-
-        g = TanhGrowth(0.3, 10, beta=2.0)
-        last = g.height(10) - g.height(9)
-        assert g.height(12) == pytest.approx(0.3 + 2 * last)
-
-    def test_validation(self):
-        from repro.sizing.growth import TanhGrowth
-
-        with pytest.raises(ValueError):
-            TanhGrowth(0.0, 10)
-        with pytest.raises(ValueError):
-            TanhGrowth(1.0, 0)
-        with pytest.raises(ValueError):
-            TanhGrowth(1.0, 10, beta=1.0)
-
-    def test_usable_in_bl_pipeline(self):
-        from repro.core.bl_pipeline import (
-            BoundaryLayerConfig,
-            generate_boundary_layer,
-        )
-        from repro.geometry.airfoils import naca0012
-        from repro.geometry.pslg import PSLG
-        from repro.sizing.growth import TanhGrowth
-
-        pslg = PSLG.from_loops([naca0012(41)])
-        cfg = BoundaryLayerConfig(
-            growth=TanhGrowth(0.05, 12, beta=2.5), max_layers=12,
-        )
-        res = generate_boundary_layer(pslg, cfg)
-        assert res.mesh.n_triangles > 100
-        assert res.mesh.is_conforming()
