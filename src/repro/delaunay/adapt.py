@@ -183,8 +183,8 @@ class MeshAdaptor(Refiner):
         interpolation per state of the point set."""
         clock, tensors = self._tensors_at
         if clock != self._point_edits:
-            tensors = self.field.interpolate(
-                np.asarray(self.tri.pts, dtype=np.float64))
+            arr = self.tri._arr
+            tensors = self.field.interpolate(arr.pts[:arr.n_pts])
             self._tensors_at = (self._point_edits, tensors)
         return tensors
 
@@ -229,8 +229,8 @@ class MeshAdaptor(Refiner):
 
     def _metric_lengths(self, edges, tensors: np.ndarray) -> np.ndarray:
         """Metric edge lengths (Alauzet linear-metric quadrature)."""
-        pts = np.asarray(self.tri.pts, dtype=np.float64)
-        return _mt.edge_lengths(tensors, pts, edges)
+        arr = self.tri._arr
+        return _mt.edge_lengths(tensors, arr.pts[:arr.n_pts], edges)
 
     def conformity(self) -> float:
         """Fraction of interior edges with metric length in the band."""
@@ -267,7 +267,7 @@ class MeshAdaptor(Refiner):
         loc = self._find_any_edge_triangle(u, v)
         if loc is None:
             return False
-        pu, pv = tri.pts[u], tri.pts[v]
+        pu, pv = tri._arr.point(u), tri._arr.point(v)
         mx, my = 0.5 * (pu[0] + pv[0]), 0.5 * (pu[1] + pv[1])
         key = (u, v) if u < v else (v, u)
         if key in tri.constraints:
@@ -316,6 +316,7 @@ class MeshAdaptor(Refiner):
         a complete valid retriangulation exists.
         """
         tri = self.tri
+        arr = tri._arr
         star = tri.triangles_around_vertex(v)
         if len(star) < 3:
             return False
@@ -323,7 +324,7 @@ class MeshAdaptor(Refiner):
         ring_next: Dict[int, int] = {}
         outer: Dict[Tuple[int, int], int] = {}
         for t in star:
-            tv = tri.tri_v[t]
+            tv = arr.triangle(t)
             if tv is None or GHOST in tv:
                 return False
             lab = self._is_interior(t)
@@ -336,7 +337,7 @@ class MeshAdaptor(Refiner):
             if a in ring_next:
                 return False  # non-manifold star
             ring_next[a] = b
-            outer[(a, b)] = tri.tri_n[t][i]
+            outer[(a, b)] = arr.tn[3 * t + i]
         start = min(ring_next)
         ring = [start]
         while True:
@@ -349,7 +350,7 @@ class MeshAdaptor(Refiner):
         if len(ring) != len(star):
             return False
 
-        pts = tri.pts
+        point = arr.point
         poly = list(ring)
         new_tris: List[Tuple[int, int, int]] = []
         guard = 0
@@ -361,14 +362,14 @@ class MeshAdaptor(Refiner):
             clipped = False
             for i in range(n):
                 a, b, c = poly[i - 1], poly[i], poly[(i + 1) % n]
-                pa, pb, pc = pts[a], pts[b], pts[c]
+                pa, pb, pc = point(a), point(b), point(c)
                 if orient2d(pa, pb, pc) <= 0:
                     continue
                 ok = True
                 for w in poly:
                     if w in (a, b, c):
                         continue
-                    pw = pts[w]
+                    pw = point(w)
                     if (orient2d(pa, pb, pw) >= 0
                             and orient2d(pb, pc, pw) >= 0
                             and orient2d(pc, pa, pw) >= 0):
@@ -382,7 +383,7 @@ class MeshAdaptor(Refiner):
             if not clipped:
                 return False
         a, b, c = poly
-        if orient2d(pts[a], pts[b], pts[c]) <= 0:
+        if orient2d(point(a), point(b), point(c)) <= 0:
             return False
         new_tris.append((a, b, c))
 
@@ -397,7 +398,7 @@ class MeshAdaptor(Refiner):
         for t in created:
             for k in range(3):
                 emap[tri._edge(t, k)] = (t, k)
-        tn = tri._arr.tn
+        tn = arr.tn
         for (eu, ev), (t, k) in sorted(emap.items()):
             rev = emap.get((ev, eu))
             if rev is not None:
@@ -407,7 +408,7 @@ class MeshAdaptor(Refiner):
             tn[3 * t + k] = nb
             if nb >= 0:
                 tn[3 * nb + tri._edge_index(nb, ev, eu)] = t
-        tri.vertex_tri[v] = -1
+        arr.vt[v] = -1
         self._topology_edits += 1
         return True
 
@@ -421,7 +422,7 @@ class MeshAdaptor(Refiner):
         t1 = self._find_any_edge_triangle(u, v)
         if t1 is None or tri.is_ghost(t1):
             return False
-        tv = tri.tri_v[t1]
+        tv = tri._arr.triangle(t1)
         k1 = next((k for k in range(3) if tv[k] not in (u, v)), None)
         if k1 is None:
             return False
@@ -492,7 +493,7 @@ class MeshAdaptor(Refiner):
                 done += 1
                 # Whichever endpoint vanished no longer owns a triangle.
                 for w in (u, v):
-                    if self.tri.vertex_tri[w] < 0:
+                    if self.tri._arr.vt[w] < 0:
                         removed.add(w)
         return done
 
@@ -598,11 +599,10 @@ class MeshAdaptor(Refiner):
         tensors = self._vertex_tensors()
         protected = self._protected_vertices()
         arr = tri._arr
-        px = arr.px
+        px, vt = arr.px, arr.vt  # smoothing allocates nothing
         moves = 0
-        n_pts = len(tri.pts)
-        for v in range(n_pts):
-            if v in protected or tri.vertex_tri[v] < 0:
+        for v in range(arr.n_pts):
+            if v in protected or vt[v] < 0:
                 continue
             star = tri.triangles_around_vertex(v)
             if not star:
@@ -610,7 +610,7 @@ class MeshAdaptor(Refiner):
             ok = True
             neighbours: set = set()
             for t in star:
-                tv = tri.tri_v[t]
+                tv = arr.triangle(t)
                 if tv is None or GHOST in tv or not self._is_interior(t):
                     ok = False
                     break
@@ -620,8 +620,8 @@ class MeshAdaptor(Refiner):
             if not ok or len(neighbours) < 3:
                 continue
             nbr = sorted(neighbours)
-            pv = np.array(tri.pts[v])
-            npts = np.array([tri.pts[w] for w in nbr])
+            pv = np.array(arr.point(v))
+            npts = arr.pts[nbr]
             vecs = npts - pv[None, :]
             m_edge = 0.5 * (np.repeat(tensors[v][None, :], len(nbr), axis=0)
                             + tensors[nbr])
@@ -640,9 +640,9 @@ class MeshAdaptor(Refiner):
                 px[2 * v + 1] = ny
                 valid = True
                 for t in star:
-                    tv = tri.tri_v[t]
-                    if orient2d(tri.pts[tv[0]], tri.pts[tv[1]],
-                                tri.pts[tv[2]]) <= 0:
+                    tv = arr.triangle(t)
+                    if orient2d(arr.point(tv[0]), arr.point(tv[1]),
+                                arr.point(tv[2])) <= 0:
                         valid = False
                         break
                 if valid:

@@ -10,10 +10,15 @@ module is that representation.  One :class:`MeshArrays` instance owns
 * ``vertex_tri`` — ``int32   (cap_pts,)``     one incident triangle per vertex,
 * ``free``       — recycled triangle slots (plain list),
 
-all preallocated with amortized-doubling growth.  The same buffers back
+all preallocated with amortized-doubling growth.  It is the one read
+path of a triangulation, in two forms: hot paths index the cached flat
+:class:`memoryview` casts ``px[2*v]`` / ``tv[3*t+k]`` / ``tn[3*t+k]`` /
+``vt[v]`` (measurably faster than list-of-lists indexing on CPython),
+cold paths call :meth:`MeshArrays.point` / :meth:`MeshArrays.triangle`.
+The same buffers back
 
-* the kernel's scalar hot path (through cached flat :class:`memoryview`
-  casts — measurably faster than list-of-lists indexing on CPython),
+* the scalar hot paths of the kernel, the refiner, segment recovery and
+  the adaptor,
 * vectorised batch reads (``incircle_batch`` cavity levels, grid builds),
 * zero-copy finalize (:meth:`compact` fancy-indexes triangles at C speed
   and can return the point block as a *view*), and

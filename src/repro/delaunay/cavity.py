@@ -354,12 +354,13 @@ def locate_fallback(tri, px: float, py: float) -> int:
     """Exhaustive exact containment scan (adversarial degeneracies)."""
     tri.stat_brute_locates += 1
     p = (px, py)
+    arr = tri._arr
     for t in tri.live_triangles():
         if tri.is_ghost(t):
             continue
-        tv = tri.tri_v[t]
+        tv = arr.triangle(t)
         if all(
-            orient2d(tri.pts[tv[k - 2]], tri.pts[tv[k - 1]], p) >= 0
+            orient2d(arr.point(tv[k - 2]), arr.point(tv[k - 1]), p) >= 0
             for k in range(3)
         ):
             tri._last_tri = t
@@ -378,10 +379,11 @@ def find_directed_edge(tri, u: int, v: int) -> Optional[Tuple[int, int]]:
     Shared by segment recovery (:mod:`repro.delaunay.constrained`) and
     refinement.
     """
+    tv = tri._arr.tv
     for t in tri.triangles_around_vertex(u):
-        tv = tri.tri_v[t]
+        i = 3 * t
         for k in range(3):
-            if tv[(k + 1) % 3] == u and tv[(k + 2) % 3] == v:
+            if tv[i + _NXT[k]] == u and tv[i + _PRV[k]] == v:
                 return t, k
     return None
 
@@ -609,7 +611,7 @@ def retriangulate(tri, vid: int, cavity: Set[int], t0: int) -> None:
     # triangles whose centroid is not visible from p.
     wrapped_edge = False
     if tri.constraints:
-        p = tri.pts[vid]
+        p = arr.point(vid)
         for t in cavity:
             i3 = 3 * t
             for k in range(3):
@@ -747,9 +749,10 @@ def prune_cavity_visibility(tri, cavity: Set[int], t0: int,
     """
     from ..geometry.primitives import segments_intersect
 
+    arr = tri._arr
     constr: Set[Tuple[int, int]] = set()
     for t in cavity:
-        tv = tri.tri_v[t]
+        tv = arr.triangle(t)
         for k in range(3):
             u, v = tv[k - 2], tv[k - 1]
             if u == GHOST or v == GHOST:
@@ -761,17 +764,17 @@ def prune_cavity_visibility(tri, cavity: Set[int], t0: int,
         return cavity
 
     def visible(t: int) -> bool:
-        tv = tri.tri_v[t]
+        tv = arr.triangle(t)
         if GHOST in tv:
-            reals = [tri.pts[w] for w in tv if w != GHOST]
+            reals = [arr.point(w) for w in tv if w != GHOST]
             cx = sum(q[0] for q in reals) / len(reals)
             cy = sum(q[1] for q in reals) / len(reals)
         else:
-            cx = sum(tri.pts[w][0] for w in tv) / 3.0
-            cy = sum(tri.pts[w][1] for w in tv) / 3.0
+            cx = sum(arr.point(w)[0] for w in tv) / 3.0
+            cy = sum(arr.point(w)[1] for w in tv) / 3.0
         for (u, v) in constr:
-            if segments_intersect(p, (cx, cy), tri.pts[u],
-                                  tri.pts[v], proper_only=True):
+            if segments_intersect(p, (cx, cy), arr.point(u),
+                                  arr.point(v), proper_only=True):
                 return False
         return True
 
@@ -783,7 +786,7 @@ def prune_cavity_visibility(tri, cavity: Set[int], t0: int,
     while stack:
         t = stack.pop()
         for k in range(3):
-            nb = tri.tri_n[t][k]
+            nb = arr.tn[3 * t + k]
             if nb not in kept or nb in comp:
                 continue
             u, v = tri._edge(t, k)
@@ -801,6 +804,7 @@ def legalize_edges(tri, edges: Sequence[Tuple[int, int]]) -> None:
     edges, re-queueing the four edges of every flipped quad.  The one
     flip loop: segment recovery runs it over the edges its flips
     created, :func:`retriangulate` over the fan of a pruned cavity."""
+    arr = tri._arr
     queue: deque = deque(edges)
     ops = 0
     while queue:
@@ -815,15 +819,15 @@ def legalize_edges(tri, edges: Sequence[Tuple[int, int]]) -> None:
         if loc is None:
             continue
         t1, k1 = loc
-        t2 = tri.tri_n[t1][k1]
+        t2 = arr.tn[3 * t1 + k1]
         if t2 < 0 or tri.is_ghost(t1) or tri.is_ghost(t2):
             continue
         k2 = tri._edge_index(t2, v, u)
-        apex1 = tri.tri_v[t1][k1]
-        apex2 = tri.tri_v[t2][k2]
-        tv = tri.tri_v[t1]
-        if incircle(tri.pts[tv[0]], tri.pts[tv[1]], tri.pts[tv[2]],
-                    tri.pts[apex2]) > 0:
+        tv = arr.triangle(t1)
+        apex1 = tv[k1]
+        apex2 = arr.tv[3 * t2 + k2]
+        if incircle(arr.point(tv[0]), arr.point(tv[1]), arr.point(tv[2]),
+                    arr.point(apex2)) > 0:
             if tri.edge_is_flippable(t1, k1):
                 tri.flip(t1, k1)
                 for e in ((apex1, u), (u, apex2), (apex2, v), (v, apex1)):

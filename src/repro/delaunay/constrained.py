@@ -46,25 +46,26 @@ def _first_obstruction(tri: Triangulation, a: int, b: int):
     Returns ``("edge", (p, q))`` for a crossing edge or ``("vertex", w)``
     for a vertex lying exactly on the open segment.
     """
-    pa, pb = tri.pts[a], tri.pts[b]
+    arr = tri._arr
+    pa, pb = arr.point(a), arr.point(b)
     for t in tri.triangles_around_vertex(a):
-        tv = tri.tri_v[t]
+        tv = arr.triangle(t)
         if GHOST in tv:
             continue
         i = tv.index(a)
         p = tv[(i + 1) % 3]
         q = tv[(i + 2) % 3]
-        op = orient2d(pa, pb, tri.pts[p])
-        oq = orient2d(pa, pb, tri.pts[q])
+        op = orient2d(pa, pb, arr.point(p))
+        oq = orient2d(pa, pb, arr.point(q))
         # In the CCW triangle (a, p, q) the interior wedge at ``a`` runs
         # from direction a->p (clockwise boundary) to a->q (counter-
         # clockwise boundary): the ray a->b lies inside iff p is weakly
         # right of the line a->b and q weakly left.
         if op > 0 or oq < 0:
             continue
-        if op == 0 and _ahead(pa, pb, tri.pts[p]):
+        if op == 0 and _ahead(pa, pb, arr.point(p)):
             return ("vertex", p)
-        if oq == 0 and _ahead(pa, pb, tri.pts[q]):
+        if oq == 0 and _ahead(pa, pb, arr.point(q)):
             return ("vertex", q)
         if op < 0 and oq > 0:
             # The ray exits through the opposite edge (p, q).
@@ -83,8 +84,9 @@ def _edge_crosses(tri: Triangulation, p: int, q: int, a: int, b: int) -> bool:
     """Does edge (p, q) properly cross segment (a, b)?"""
     if p in (a, b) or q in (a, b):
         return False
-    pa, pb = tri.pts[a], tri.pts[b]
-    pp, pq = tri.pts[p], tri.pts[q]
+    point = tri._arr.point
+    pa, pb = point(a), point(b)
+    pp, pq = point(p), point(q)
     o1 = orient2d(pa, pb, pp)
     o2 = orient2d(pa, pb, pq)
     o3 = orient2d(pp, pq, pa)
@@ -163,8 +165,9 @@ def _recover_by_flips(tri: Triangulation, a: int, b: int,
     if loc is None:
         raise TriangulationError("crossing edge not found")
     t, k = loc
-    nb = tri.tri_n[t][k]
-    pa, pb = tri.pts[a], tri.pts[b]
+    arr = tri._arr
+    nb = arr.tn[3 * t + k]
+    pa, pb = arr.point(a), arr.point(b)
     march_guard = 0
     while True:
         march_guard += 1
@@ -173,16 +176,16 @@ def _recover_by_flips(tri: Triangulation, a: int, b: int,
         # nb is the triangle on the far side of (p, q): it owns the reversed
         # directed edge (q, p); its apex is the vertex opposite that edge.
         kk = tri._edge_index(nb, q, p)
-        r = tri.tri_v[nb][kk]
+        r = arr.tv[3 * nb + kk]
         if r == b:
             break
         if r == GHOST:
             raise TriangulationError(
                 f"segment {a}->{b} leaves the triangulation hull"
             )
-        o = orient2d(pa, pb, tri.pts[r])
+        o = orient2d(pa, pb, arr.point(r))
         if o == 0:
-            if _ahead(pa, pb, tri.pts[r]):
+            if _ahead(pa, pb, arr.point(r)):
                 return r  # vertex exactly on the segment
             raise TriangulationError("collinear vertex behind segment")
         # Choose the edge of nb separating from b: between (p, r) and (r, q),
@@ -199,7 +202,7 @@ def _recover_by_flips(tri: Triangulation, a: int, b: int,
         crossing.append(new_edge)
         # nb owns the directed new_edge; step across it to continue the march.
         k = tri._edge_index(nb, new_edge[0], new_edge[1])
-        nb = tri.tri_n[nb][k]
+        nb = arr.tn[3 * nb + k]
 
     # Flip queue until no edge crosses the segment.
     touched: List[Tuple[int, int]] = []
@@ -221,7 +224,7 @@ def _recover_by_flips(tri: Triangulation, a: int, b: int,
             t1, t2 = tri.flip(t, k)
             # flip() leaves t2 = [apex2, v, apex1]; the new shared edge is
             # (apex1, apex2).
-            new_e = (tri.tri_v[t2][2], tri.tri_v[t2][0])
+            new_e = (arr.tv[3 * t2 + 2], arr.tv[3 * t2])
             touched.append(new_e)
             if _edge_crosses(tri, new_e[0], new_e[1], a, b):
                 crossing.append(new_e)
@@ -270,6 +273,7 @@ def carve(tri: Triangulation, holes: Sequence[Tuple[float, float]] = ()
     :meth:`Triangulation.to_mesh` (which consumes it without copying).
     """
     n = tri._arr.n_tris
+    tn = tri._arr.tn  # locate() allocates nothing
     keep = np.zeros(n, dtype=bool)
     outside = np.zeros(n, dtype=bool)
     stack: List[int] = []
@@ -280,7 +284,7 @@ def carve(tri: Triangulation, holes: Sequence[Tuple[float, float]] = ()
     while stack:
         t = stack.pop()
         for k in range(3):
-            nb = tri.tri_n[t][k]
+            nb = tn[3 * t + k]
             if nb < 0 or outside[nb]:
                 continue
             u, v = tri._edge(t, k)
@@ -299,7 +303,7 @@ def carve(tri: Triangulation, holes: Sequence[Tuple[float, float]] = ()
         while stack:
             t = stack.pop()
             for k in range(3):
-                nb = tri.tri_n[t][k]
+                nb = tn[3 * t + k]
                 if nb < 0 or outside[nb]:
                     continue
                 u, v = tri._edge(t, k)

@@ -43,14 +43,14 @@ decoupled inviscid subdomains.  Design:
 
 Storage is the structure-of-arrays core
 :class:`repro.delaunay.arrays.MeshArrays` (preallocated ``float64`` /
-``int32`` NumPy buffers with amortized-doubling growth).  The scalar hot
-paths index the buffers through cached flat :class:`memoryview` casts
-(faster than list-of-lists on CPython and zero-copy into the arrays);
-the ``batch`` strategy's vectorised walk, carve and commit fancy-index
-the same arrays at C speed; :meth:`to_mesh` is a vectorised compaction
-whose point block can be a zero-copy view.  ``pts`` / ``tri_v`` / ``tri_n`` /
-``vertex_tri`` remain available as read-compatible sequence views for
-consumers and tests.
+``int32`` NumPy buffers with amortized-doubling growth), and it is the
+one read path, in two forms: hot paths index the cached flat
+:class:`memoryview` casts ``px[2*v]`` / ``tv[3*t+k]`` / ``tn[3*t+k]`` /
+``vt[v]`` (faster than list-of-lists on CPython and zero-copy into the
+arrays), cold paths call ``_arr.point(v)`` / ``_arr.triangle(t)``.  The
+``batch`` strategy's vectorised walk, carve and commit fancy-index the
+same arrays at C speed; :meth:`to_mesh` is a vectorised compaction whose
+point block can be a zero-copy view.
 """
 
 from __future__ import annotations
@@ -94,126 +94,6 @@ __all__ = [
 ]
 
 
-class _PointsView:
-    """Read-only sequence view of the SoA coordinates: ``pts[v] == (x, y)``.
-
-    Behaves like the historical list of tuples for reading, length,
-    iteration and equality; mutation goes through the kernel only.
-    """
-
-    __slots__ = ("_a",)
-
-    def __init__(self, arr: MeshArrays) -> None:
-        self._a = arr
-
-    def __len__(self) -> int:
-        return self._a.n_pts
-
-    def __getitem__(self, v: int) -> Tuple[float, float]:
-        a = self._a
-        n = a.n_pts
-        if v < 0:
-            v += n
-        if not 0 <= v < n:
-            raise IndexError(f"point index {v} out of range")
-        px = a.px
-        j = 2 * v
-        return (px[j], px[j + 1])
-
-    def __iter__(self):
-        px = self._a.px
-        for v in range(self._a.n_pts):
-            j = 2 * v
-            yield (px[j], px[j + 1])
-
-    def __eq__(self, other) -> bool:
-        try:
-            return list(self) == list(other)
-        except TypeError:
-            return NotImplemented
-
-    __hash__ = None
-
-    def __array__(self, dtype=None, copy=None):
-        out = self._a.pts[: self._a.n_pts]
-        if dtype is not None and np.dtype(dtype) != out.dtype:
-            return out.astype(dtype)
-        return np.array(out, copy=True) if copy else out
-
-    def __repr__(self) -> str:
-        return f"_PointsView(n={len(self)})"
-
-
-class _TriRowsView:
-    """Sequence view of a triangle attribute: ``view[t]`` is the 3-list
-    for a live slot or ``None`` for a dead one (the historical contract).
-    """
-
-    __slots__ = ("_a", "_which")
-
-    def __init__(self, arr: MeshArrays, which: str) -> None:
-        self._a = arr
-        self._which = which  # "v" or "n"
-
-    def __len__(self) -> int:
-        return self._a.n_tris
-
-    def __getitem__(self, t: int) -> Optional[List[int]]:
-        a = self._a
-        n = a.n_tris
-        if t < 0:
-            t += n
-        if not 0 <= t < n:
-            raise IndexError(f"triangle index {t} out of range")
-        i = 3 * t
-        if a.tv[i] == DEAD:
-            return None
-        m = a.tv if self._which == "v" else a.tn
-        return [m[i], m[i + 1], m[i + 2]]
-
-    def __iter__(self):
-        for t in range(self._a.n_tris):
-            yield self[t]
-
-    def __eq__(self, other) -> bool:
-        try:
-            return list(self) == list(other)
-        except TypeError:
-            return NotImplemented
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"_TriRowsView({self._which!r}, n={len(self)})"
-
-
-class _VertexTriView:
-    """Read/write int sequence view over ``vertex_tri``."""
-
-    __slots__ = ("_a",)
-
-    def __init__(self, arr: MeshArrays) -> None:
-        self._a = arr
-
-    def __len__(self) -> int:
-        return self._a.n_pts
-
-    def __getitem__(self, v: int) -> int:
-        if not 0 <= v < self._a.n_pts:
-            raise IndexError(f"vertex index {v} out of range")
-        return self._a.vt[v]
-
-    def __setitem__(self, v: int, t: int) -> None:
-        if not 0 <= v < self._a.n_pts:
-            raise IndexError(f"vertex index {v} out of range")
-        self._a.vt[v] = t
-
-    def __iter__(self):
-        vt = self._a.vt
-        for v in range(self._a.n_pts):
-            yield vt[v]
-
-
 class Triangulation:
     """Mutable 2D Delaunay triangulation under incremental insertion.
 
@@ -233,14 +113,6 @@ class Triangulation:
         #: SoA storage: coordinates, triangle vertices/neighbours, free
         #: list and per-vertex incident triangle all live here.
         self._arr = MeshArrays()
-        # Sequence-compatible views (read path of refine/constrained/dnc
-        # and the test harness); the kernel itself indexes the flat
-        # memoryviews in self._arr on hot paths.
-        self.pts = _PointsView(self._arr)
-        self.tri_v = _TriRowsView(self._arr, "v")
-        self.tri_n = _TriRowsView(self._arr, "n")
-        self.vertex_tri = _VertexTriView(self._arr)
-        self._free = self._arr.free
         self.constraints: Set[Tuple[int, int]] = set()
         self._last_tri: int = -1                     # walk hint
         # Instance-owned LCG word for walk tie-breaking, drawn once from
@@ -300,7 +172,7 @@ class Triangulation:
 
         Dead-triangle contract (enforced, see :mod:`repro.delaunay.arrays`):
         callers must not ask about recycled slots — check
-        ``MeshArrays.is_dead`` / ``tri_v[t] is None`` first.  Historically
+        ``MeshArrays.is_dead`` / ``triangle(t) is None`` first.  Historically
         this silently returned ``False`` for dead slots, masking stale-id
         bugs under free-list reuse.
         """
@@ -331,7 +203,7 @@ class Triangulation:
             if tv[i + _NXT[k]] == u and tv[i + _PRV[k]] == v:
                 return k
         raise TriangulationError(
-            f"edge ({u},{v}) not in triangle {t}={self.tri_v[t]}")
+            f"edge ({u},{v}) not in triangle {t}={self._arr.triangle(t)}")
 
     def ghost_edge(self, t: int) -> Tuple[int, int]:
         """The real directed hull edge ``(u, v)`` of ghost triangle ``t``."""
@@ -464,8 +336,9 @@ class Triangulation:
 
     def find_vertex_at(self, p: Tuple[float, float], t: int) -> Optional[int]:
         """Vertex of triangle ``t`` exactly coincident with ``p``, if any."""
-        for v in self.tri_v[t]:
-            if v != GHOST and self.pts[v] == (p[0], p[1]):
+        arr = self._arr
+        for v in arr.triangle(t):
+            if v != GHOST and arr.point(v) == (p[0], p[1]):
                 return v
         return None
 
@@ -500,23 +373,24 @@ class Triangulation:
 
     def _bootstrap_insert(self, p: Tuple[float, float], on_duplicate: str) -> int:
         """Handle insertions before the first real triangle exists."""
-        for i, q in enumerate(self.pts):
-            if q == p:
+        arr = self._arr
+        for i in range(arr.n_pts):
+            if arr.point(i) == p:
                 if on_duplicate == "raise":
                     raise TriangulationError(f"duplicate point {p}")
                 return i
-        self._arr.new_point(p[0], p[1])
+        arr.new_point(p[0], p[1])
         self.stat_inserts += 1
-        if len(self.pts) < 3:
-            return len(self.pts) - 1
+        n = arr.n_pts
+        if n < 3:
+            return n - 1
         # Try to find a non-collinear triple including the newest point.
-        n = len(self.pts)
         c = n - 1
         for a in range(n):
             for b in range(a + 1, n):
                 if b == c or a == c:
                     continue
-                o = orient2d(self.pts[a], self.pts[b], self.pts[c])
+                o = orient2d(arr.point(a), arr.point(b), arr.point(c))
                 if o != 0:
                     if o < 0:
                         a, b = b, a
@@ -525,7 +399,7 @@ class Triangulation:
                     used = {a, b, c}
                     for v in range(n):
                         if v not in used:
-                            x, y = self.pts[v]
+                            x, y = arr.point(v)
                             retriangulate(self, v, *carve(
                                 self, x, y, *walk(self, x, y, -1)))
                     return c
@@ -659,51 +533,39 @@ class Triangulation:
 
     def has_edge(self, u: int, v: int) -> bool:
         """True if (u, v) is currently an edge of the triangulation."""
-        t = self.vertex_tri[u]
-        if t < 0:
-            return False
-        for tt in self.triangles_around_vertex(u):
-            if v in self.tri_v[tt]:
-                return True
-        return False
+        arr = self._arr
+        return any(v in arr.triangle(t)
+                   for t in self.triangles_around_vertex(u))
 
     def triangles_around_vertex(self, v: int) -> List[int]:
-        """All live triangles (including ghosts) incident to vertex ``v``."""
-        t0 = self.vertex_tri[v]
-        if t0 < 0 or self.tri_v[t0] is None or v not in self.tri_v[t0]:
-            # Hint is stale; rebuild by scanning (rare).
-            t0 = -1
-            for t in self.live_triangles():
-                if v in self.tri_v[t]:
-                    t0 = t
-                    break
-            if t0 < 0:
-                return []
-            self.vertex_tri[v] = t0
+        """All live triangles (including ghosts) incident to vertex ``v``;
+        ``[]`` for a vertex without a triangle (hint ``-1``)."""
+        arr = self._arr
+        tv, tn = arr.tv, arr.tn
+        t0 = arr.vt[v]
+        if t0 < 0:
+            return []
+        row = arr.triangle(t0)
+        if row is None or v not in row:
+            raise TriangulationError(
+                f"vertex {v}: hint triangle {t0} is dead or lacks it")
         out = [t0]
-        # Rotate around v using adjacency: in triangle t with v at index i,
-        # the next triangle CCW is across edge (i+1)%3 (the edge following... )
-        # Walk both directions to cope with hull interruptions (ghosts close
-        # the ring so a full loop always exists).
+        # Rotate around v using adjacency, both directions to cope with
+        # hull interruptions (ghosts close the ring so a full loop always
+        # exists).  With v at index i of t, the edges at v are _NXT[i]
+        # and _PRV[i].
         seen = {t0}
-        cur = t0
-        while True:
-            i = self.tri_v[cur].index(v)
-            nxt = self.tri_n[cur][i - 2]
-            if nxt < 0 or nxt in seen:
-                break
-            seen.add(nxt)
-            out.append(nxt)
-            cur = nxt
-        cur = t0
-        while True:
-            i = self.tri_v[cur].index(v)
-            nxt = self.tri_n[cur][i - 1]
-            if nxt < 0 or nxt in seen:
-                break
-            seen.add(nxt)
-            out.append(nxt)
-            cur = nxt
+        for turn in (_NXT, _PRV):
+            cur = t0
+            while True:
+                i = 3 * cur
+                k = 0 if tv[i] == v else (1 if tv[i + 1] == v else 2)
+                nxt = tn[i + turn[k]]
+                if nxt < 0 or nxt in seen:
+                    break
+                seen.add(nxt)
+                out.append(nxt)
+                cur = nxt
         return out
 
     # ------------------------------------------------------------------
@@ -746,25 +608,45 @@ class Triangulation:
     # Structural self-check (tests, expensive)
     # ------------------------------------------------------------------
     def check_integrity(self) -> None:
-        """Assert adjacency symmetry and positive orientation everywhere."""
+        """Assert adjacency symmetry and positive orientation everywhere,
+        the live-triangle count, and that every vertex hint names a live
+        triangle holding its vertex."""
+        arr = self._arr
+        tn = arr.tn
         for t in self.live_triangles():
-            tv = self.tri_v[t]
+            tv = arr.triangle(t)
             if GHOST not in tv:
-                o = orient2d(self.pts[tv[0]], self.pts[tv[1]], self.pts[tv[2]])
+                o = orient2d(arr.point(tv[0]), arr.point(tv[1]),
+                             arr.point(tv[2]))
                 if o <= 0:
                     raise TriangulationError(f"triangle {t}={tv} not CCW ({o})")
             for k in range(3):
-                nb = self.tri_n[t][k]
+                nb = tn[3 * t + k]
                 if nb < 0:
                     if self.n_live_triangles > 1:
                         raise TriangulationError(f"triangle {t} edge {k} unlinked")
                     continue
-                if self.tri_v[nb] is None:
+                if arr.is_dead(nb):
                     raise TriangulationError(f"{t} links dead triangle {nb}")
                 u, v = self._edge(t, k)
                 kk = self._edge_index(nb, v, u)
-                if self.tri_n[nb][kk] != t:
+                if tn[3 * nb + kk] != t:
                     raise TriangulationError(f"asymmetric adjacency {t}<->{nb}")
+        rows = arr.tri_v[: arr.n_tris]
+        n_live = int(np.count_nonzero(rows[:, 0] != DEAD))
+        if n_live != self.n_live_triangles:
+            raise TriangulationError(
+                f"n_live_triangles is {self.n_live_triangles}, "
+                f"{n_live} rows are live")
+        hint = arr.vertex_tri[: arr.n_pts]
+        hinted = np.flatnonzero(hint >= 0)
+        held = arr.tri_v[hint[hinted]]  # rows past n_tris read DEAD
+        stale = (held[:, 0] == DEAD) | ~(held == hinted[:, None]).any(axis=1)
+        if stale.any():
+            v = int(hinted[np.argmax(stale)])
+            raise TriangulationError(
+                f"vertex {v} hints triangle {hint[v]}, which is dead or "
+                "lacks it")
 
 
 def triangulate(points: np.ndarray, *, assume_sorted: bool = False,
@@ -821,17 +703,12 @@ def delaunay_mesh(points: np.ndarray, *, assume_sorted: bool = False,
     points = np.asarray(points, dtype=np.float64)
     tri, inserted = _triangulate_with_map(points, assume_sorted=assume_sorted,
                                           seed=seed, strategy=strategy)
+    arr = tri._arr
     # kernel vertex id -> smallest input index that produced it
-    inv: Dict[int, int] = {}
-    for i, k in inserted.items():
-        if k not in inv or i < inv[k]:
-            inv[k] = i
-    tris = [
-        (inv[a], inv[b], inv[c])
-        for t in tri.live_triangles()
-        if not tri.is_ghost(t)
-        for (a, b, c) in (tri.tri_v[t],)
-    ]
-    tarr = (np.asarray(tris, dtype=np.int32)
-            if tris else np.empty((0, 3), dtype=np.int32))
+    inv = np.full(arr.n_pts, len(points), dtype=np.int64)
+    np.minimum.at(inv, np.fromiter(inserted.values(), np.int64, len(inserted)),
+                  np.fromiter(inserted.keys(), np.int64, len(inserted)))
+    rows = arr.tri_v[: arr.n_tris]
+    # Real rows in slot order: min excludes DEAD and GHOST at once.
+    tarr = inv[rows[rows.min(axis=1) >= 0]].astype(np.int32)
     return TriMesh(points, tarr)

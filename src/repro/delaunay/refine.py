@@ -186,7 +186,7 @@ class Refiner:
         # Bad triangles that outlived a split made on their behalf,
         # slot -> vertex triple (a cavity slot is recycled at once, so
         # the triple is the identity): the worklist's only re-entries.
-        self._survivors: Dict[int, List[int]] = {}
+        self._survivors: Dict[int, Tuple[int, int, int]] = {}
         # interior[t]: True for triangles in the meshed region.
         mask = carve_regions(tri, holes)
         self._interior: Dict[int, bool] = {
@@ -246,11 +246,12 @@ class Refiner:
         misclassify cavity triangles beyond the segment's endpoints).
         """
         tri = self.tri
+        arr = tri._arr
         sides = list(self._edge_sides(u, v))
         if not sides:
             raise TriangulationError(f"segment ({u},{v}) is not an edge")
         loc = next((t for t, w in sides if w != GHOST), sides[0][0])
-        pu, pv = tri.pts[u], tri.pts[v]
+        pu, pv = arr.point(u), arr.point(v)
         # Side labels of the segment before the split (valid within the
         # segment's slab): used to seed the connectivity propagation for
         # triangles adjacent to the new subsegments — necessary when the
@@ -258,7 +259,7 @@ class Refiner:
         label_side = {}
         for t, w in sides:
             if w != GHOST and t in self._interior:
-                side = orient2d(pu, pv, tri.pts[w])
+                side = orient2d(pu, pv, arr.point(w))
                 if side != 0:
                     label_side[side] = self._interior[t]
 
@@ -279,13 +280,13 @@ class Refiner:
         for t in created:
             if tri.is_ghost(t):
                 continue  # labelled exterior by _track_cavity
-            tv = tri.tri_v[t]
+            tv = arr.triangle(t)
             # Adjacent to a new subsegment: side-of-line is valid here
             # (no w: the sliver (u, v, vid) of a midpoint rounded off
             # the segment).
             if (u in tv or v in tv) and vid in tv:
                 w = next((w for w in tv if w not in (u, v, vid)), None)
-                side = 0 if w is None else orient2d(pu, pv, tri.pts[w])
+                side = 0 if w is None else orient2d(pu, pv, arr.point(w))
                 if side in label_side:
                     resolved[t] = self._interior[t] = label_side[side]
                     continue
@@ -299,7 +300,7 @@ class Refiner:
                     key = (e_u, e_v) if e_u < e_v else (e_v, e_u)
                     if key in tri.constraints:
                         continue  # labels do not cross constraints
-                    nb = tri.tri_n[t][k]
+                    nb = arr.tn[3 * t + k]
                     if nb < 0:
                         continue
                     if tri.is_ghost(nb):
@@ -335,7 +336,7 @@ class Refiner:
         for a, b in ((u, v), (v, u)):
             loc = find_directed_edge(tri, a, b)
             if loc is not None:
-                yield loc[0], tri.tri_v[loc[0]][loc[1]]
+                yield loc[0], tri._arr.tv[3 * loc[0] + loc[1]]
 
     def _find_any_edge_triangle(self, u: int, v: int) -> Optional[int]:
         """Any live triangle holding edge {u, v}, preferring a real one."""
@@ -353,19 +354,20 @@ class Refiner:
     def _encroached_by_point(self, u: int, v: int, p: Tuple[float, float]
                              ) -> bool:
         """``p`` strictly inside the diametral circle of (u, v)?"""
-        pu, pv = self.tri.pts[u], self.tri.pts[v]
+        px = self.tri._arr.px
+        i, j = 2 * u, 2 * v
         # Angle at p subtending uv > 90 deg  <=>  (u-p).(v-p) < 0.
-        return ((pu[0] - p[0]) * (pv[0] - p[0])
-                + (pu[1] - p[1]) * (pv[1] - p[1])) < 0.0
+        return ((px[i] - p[0]) * (px[j] - p[0])
+                + (px[i + 1] - p[1]) * (px[j + 1] - p[1])) < 0.0
 
     def _segment_encroached(self, u: int, v: int) -> bool:
         """Check the apex vertices of the (up to two) adjacent triangles —
         sufficient in a CDT: any encroaching vertex implies the apexes
         encroach too (they are inside the diametral circle or the segment
         would not be Delaunay-adjacent to them)."""
-        pts = self.tri.pts
+        point = self.tri._arr.point
         return any(
-            w != GHOST and self._encroached_by_point(u, v, pts[w])
+            w != GHOST and self._encroached_by_point(u, v, point(w))
             for _, w in self._edge_sides(u, v))
 
     # ------------------------------------------------------------------
@@ -374,11 +376,16 @@ class Refiner:
     def _triangle_bad(self, t: int) -> bool:
         """Does live interior triangle ``t`` fail the size or shape test?"""
         self.triangle_tests += 1
-        tri = self.tri
-        tv = tri.tri_v[t]
-        if tv is None or GHOST in tv or not self._is_interior(t):
+        arr = self.tri._arr
+        tv = arr.tv
+        a, b, c = tv[3 * t], tv[3 * t + 1], tv[3 * t + 2]
+        # A dead slot reads DEAD (< 0) at a, a ghost GHOST (< 0) anywhere.
+        if a < 0 or b < 0 or c < 0 or not self._is_interior(t):
             return False
-        pa, pb, pc = (tri.pts[tv[0]], tri.pts[tv[1]], tri.pts[tv[2]])
+        px = arr.px
+        pa = (px[2 * a], px[2 * a + 1])
+        pb = (px[2 * b], px[2 * b + 1])
+        pc = (px[2 * c], px[2 * c + 1])
         la = distance(pb, pc)
         lb = distance(pa, pc)
         lc = distance(pa, pb)
@@ -429,19 +436,19 @@ class Refiner:
         # Steiner points differently).  Each re-entry follows a split,
         # and splits are bounded by max_steiner / min_edge_floor, so the
         # loop ends.
-        tri_v = self.tri.tri_v
+        arr = self.tri._arr
         if self.criterion is not None:
-            self.criterion.prime(list(self.tri.pts))
+            self.criterion.prime([arr.point(v) for v in range(arr.n_pts)])
         work: deque = deque(
             t for t in self.tri.live_triangles() if self._triangle_bad(t)
         )
         # What the test said of a popped slot's occupant, slot ->
         # (vertex triple, verdict): a slot is queued once per triangle
         # ever created in it, and the occupant meets every later entry.
-        verdicts: Dict[int, Tuple[List[int], bool]] = {}
+        verdicts: Dict[int, Tuple[Tuple[int, int, int], bool]] = {}
         while work:
             t = work.popleft()
-            corners = tri_v[t]
+            corners = arr.triangle(t)
             if corners is not None:
                 tested, bad = verdicts.get(t, (None, False))
                 if tested != corners:
@@ -452,7 +459,7 @@ class Refiner:
             if not work and self._survivors:
                 work.extend(sorted(
                     t for t, corners in self._survivors.items()
-                    if tri_v[t] == corners))
+                    if arr.triangle(t) == corners))
                 self._survivors.clear()
 
         sink = counters_current()
@@ -468,14 +475,15 @@ class Refiner:
                 sink.incr("locked_segment_skips", self.locked_skips)
 
     def _split_segment(self, u: int, v: int) -> int:
-        pu, pv = self.tri.pts[u], self.tri.pts[v]
+        pu, pv = self.tri._arr.point(u), self.tri._arr.point(v)
         mx, my = 0.5 * (pu[0] + pv[0]), 0.5 * (pu[1] + pv[1])
         return self._insert_on_segment(u, v, mx, my)
 
     def _process_bad_triangle(self, t: int, work: deque) -> None:
         tri = self.tri
+        arr = tri._arr
         try:
-            cc = circumcenter(*(tri.pts[w] for w in tri.tri_v[t]))
+            cc = circumcenter(*(arr.point(w) for w in arr.triangle(t)))
         except ValueError:
             cc = (math.nan, math.nan)
         if not (math.isfinite(cc[0]) and math.isfinite(cc[1])):
@@ -501,7 +509,7 @@ class Refiner:
             self._split_segments(encroached, t, work)
             return
         # Commit the same set.
-        vid = tri._arr.new_point(cc[0], cc[1])
+        vid = arr.new_point(cc[0], cc[1])
         tri.stat_inserts += 1
         retriangulate(tri, vid, cavity, seed)
         self._track_cavity(True)
@@ -515,11 +523,12 @@ class Refiner:
         allowed = [uv for uv in segments if self._split_allowed(*uv)]
         if not allowed:
             return
-        corners = self.tri.tri_v[t]
+        arr = self.tri._arr
+        corners = arr.triangle(t)
         for u, v in allowed:
             self._split_segment(u, v)
             self._requeue_created(work)
-        if self.tri.tri_v[t] == corners:
+        if arr.triangle(t) == corners:
             self._survivors[t] = corners
 
     def _split_allowed(self, u: int, v: int) -> bool:
@@ -528,7 +537,8 @@ class Refiner:
             return False
         if not self.min_edge_floor:
             return True
-        return distance(self.tri.pts[u], self.tri.pts[v]) > 2.0 * self.min_edge_floor
+        point = self.tri._arr.point
+        return distance(point(u), point(v)) > 2.0 * self.min_edge_floor
 
     def _requeue_created(self, work: deque) -> None:
         """The star the kernel just built is the only new work."""
@@ -548,8 +558,9 @@ class Refiner:
         picks among the candidates.
         """
         tri = self.tri
-        pts = tri.pts
-        pa, pb, pc = (pts[w] for w in tri.tri_v[t])
+        arr = tri._arr
+        tv, tn, px = arr.tv, arr.tn, arr.px  # the walk inserts nothing
+        pa, pb, pc = (arr.point(w) for w in arr.triangle(t))
         start = ((pa[0] + pb[0] + pc[0]) / 3.0, (pa[1] + pb[1] + pc[1]) / 3.0)
         cur = t
         visited = {t}
@@ -559,22 +570,25 @@ class Refiner:
         strictly_inside = False
         while blocker is None and steps < max_steps:
             steps += 1
-            tv = tri.tri_v[cur]
-            if tv is None or GHOST in tv:
+            i = 3 * cur
+            a, b, c = tv[i], tv[i + 1], tv[i + 2]
+            if a < 0 or b < 0 or c < 0:  # dead or ghost
                 break
-            edges = [(tv[1], tv[2]), (tv[2], tv[0]), (tv[0], tv[1])]
-            signs = [orient2d(pts[u], pts[v], cc) for u, v in edges]
+            pa = (px[2 * a], px[2 * a + 1])
+            pb = (px[2 * b], px[2 * b + 1])
+            pc = (px[2 * c], px[2 * c + 1])
+            edges = ((b, c, pb, pc), (c, a, pc, pa), (a, b, pa, pb))
+            signs = [orient2d(pu, pv, cc) for _, _, pu, pv in edges]
             if min(signs) >= 0:
                 strictly_inside = 0 not in signs
                 break
             for k in range(3):
-                u, v = edges[k]
-                if signs[k] < 0 and segments_intersect(
-                        start, cc, pts[u], pts[v]):
+                u, v, pu, pv = edges[k]
+                if signs[k] < 0 and segments_intersect(start, cc, pu, pv):
                     if ((u, v) if u < v else (v, u)) in tri.constraints:
                         blocker = (u, v)
                         break
-                    nxt = tri.tri_n[cur][k]
+                    nxt = tn[i + k]
                     if nxt >= 0 and nxt not in visited:
                         visited.add(nxt)
                         cur = nxt
@@ -599,22 +613,24 @@ class Refiner:
         un-locked refinement follows from it.
         """
         tri = self.tri
+        tv, tn = tri._arr.tv, tri._arr.tn
         constraints = tri.constraints
         out: List[Tuple[int, int]] = []
         seen = {seed}
         stack = [seed]
         while stack:
-            t = stack.pop()
-            tn = tri.tri_n[t]
-            for k in range(3):
-                u, v = tri._edge(t, k)
+            i = 3 * stack.pop()
+            a, b, c = tv[i], tv[i + 1], tv[i + 2]
+            for k, (u, v) in enumerate(((b, c), (c, a), (a, b))):
                 if (u != GHOST and v != GHOST
                         and ((u, v) if u < v else (v, u)) in constraints):
                     if self._encroached_by_point(u, v, cc):
                         out.append((u, v))
-                elif tn[k] in cavity and tn[k] not in seen:
-                    seen.add(tn[k])
-                    stack.append(tn[k])
+                else:
+                    nb = tn[i + k]
+                    if nb in cavity and nb not in seen:
+                        seen.add(nb)
+                        stack.append(nb)
         return out
 
     # ------------------------------------------------------------------

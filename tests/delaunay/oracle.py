@@ -1,8 +1,8 @@
 """Exact reference for what a Bowyer–Watson cavity *is*.
 
 No filters, no batching, no flat buffers: every decision is one call to
-the exact ``incircle`` / ``orient2d`` on coordinates read through the
-kernel's public views.  The production ``cavity.carve`` must agree with
+the exact ``incircle`` / ``orient2d`` on coordinates read through
+``MeshArrays.point`` / ``triangle``.  The production ``cavity.carve`` must agree with
 this cavity for cavity.
 """
 
@@ -12,13 +12,15 @@ from repro.geometry.predicates import incircle, orient2d
 
 def in_disk(tri, t, p):
     """``p`` lies in triangle ``t``'s (possibly ghost) open circumdisk."""
-    tv = tri.tri_v[t]
+    arr = tri._arr
+    tv = arr.triangle(t)
     if GHOST not in tv:
-        return incircle(tri.pts[tv[0]], tri.pts[tv[1]], tri.pts[tv[2]], p) > 0
+        return incircle(arr.point(tv[0]), arr.point(tv[1]), arr.point(tv[2]),
+                        p) > 0
     # Ghost [u, v, G]: outside-hull half-plane strictly left of u->v,
     # plus the open edge uv.
     u, v = tri.ghost_edge(t)
-    pu, pv = tri.pts[u], tri.pts[v]
+    pu, pv = arr.point(u), arr.point(v)
     o = orient2d(pu, pv, p)
     if o != 0:
         return o > 0
@@ -32,7 +34,8 @@ def seed(tri, t, p):
     (``p`` on the boundary of ``t``)."""
     if in_disk(tri, t, p):
         return t
-    return next(nb for nb in tri.tri_n[t] if nb >= 0 and in_disk(tri, nb, p))
+    return next(nb for nb in tri._arr.tn[3 * t:3 * t + 3]
+                if nb >= 0 and in_disk(tri, nb, p))
 
 
 def carve(tri, p, t0):
@@ -46,9 +49,9 @@ def carve(tri, p, t0):
     barred = set()
     while stack:
         t = stack.pop()
-        tv = tri.tri_v[t]
+        tv = tri._arr.triangle(t)
         for k in range(3):
-            nb = tri.tri_n[t][k]
+            nb = tri._arr.tn[3 * t + k]
             if nb < 0 or nb in cavity:
                 continue
             u, v = tv[k - 2], tv[k - 1]

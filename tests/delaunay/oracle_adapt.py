@@ -29,8 +29,8 @@ from repro.metric import tensor as _mt
 
 def vertex_tensors(self):
     """Metric tensors interpolated at every kernel vertex."""
-    pts = np.asarray(self.tri.pts, dtype=np.float64)
-    return self.field.interpolate(pts)
+    arr = self.tri._arr
+    return self.field.interpolate(arr.pts[:arr.n_pts])
 
 
 def interior_edges(self):
@@ -38,7 +38,7 @@ def interior_edges(self):
     tri = self.tri
     edges = set()
     for t in tri.live_triangles():
-        tv = tri.tri_v[t]
+        tv = tri._arr.triangle(t)
         if tv is None or GHOST in tv or not self._is_interior(t):
             continue
         for k in range(3):
@@ -56,7 +56,7 @@ def protected_vertices(self):
         protected.add(u)
         protected.add(v)
     for t in tri.live_triangles():
-        tv = tri.tri_v[t]
+        tv = tri._arr.triangle(t)
         if tv is not None and GHOST in tv:
             for w in tv:
                 if w != GHOST:
@@ -66,8 +66,8 @@ def protected_vertices(self):
 
 def metric_quality(self, a, b, c, tensors):
     """Metric shape quality in [0, 1]; 1 = metric-equilateral."""
-    pts = self.tri.pts
-    pa, pb, pc = pts[a], pts[b], pts[c]
+    point = self.tri._arr.point
+    pa, pb, pc = point(a), point(b), point(c)
     area = 0.5 * ((pb[0] - pa[0]) * (pc[1] - pa[1])
                   - (pb[1] - pa[1]) * (pc[0] - pa[0]))
     if area <= 0.0:
@@ -105,15 +105,15 @@ def flip_pass(self, *, max_sweeps=10, tol=1e-12, log=None):
             t1 = self._find_any_edge_triangle(u, v)
             if t1 is None or tri.is_ghost(t1):
                 continue
-            tv = tri.tri_v[t1]
+            tv = tri._arr.triangle(t1)
             k1 = next((k for k in range(3) if tv[k] not in (u, v)), None)
             if k1 is None:
                 continue
             a = tv[k1]
-            t2 = tri.tri_n[t1][k1]
+            t2 = tri._arr.tn[3 * t1 + k1]
             if t2 < 0 or tri.is_ghost(t2):
                 continue
-            tv2 = tri.tri_v[t2]
+            tv2 = tri._arr.triangle(t2)
             b = next((w for w in tv2 if w not in (u, v)), None)
             if b is None or b == GHOST:
                 continue

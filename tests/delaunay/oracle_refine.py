@@ -84,7 +84,7 @@ class RescanRefiner(Refiner):
         while True:
             while work:
                 t = work.popleft()
-                if self.tri.tri_v[t] is None:
+                if self.tri._arr.triangle(t) is None:
                     continue
                 if self._triangle_bad(t):
                     self._process_bad_triangle(t, work)
@@ -109,7 +109,7 @@ class RescanRefiner(Refiner):
     def _process_bad_triangle(self, t: int, work: deque) -> None:
         tri = self.tri
         try:
-            cc = circumcenter(*(tri.pts[w] for w in tri.tri_v[t]))
+            cc = circumcenter(*(tri._arr.point(w) for w in tri._arr.triangle(t)))
         except ValueError:
             cc = (math.nan, math.nan)
         if not (math.isfinite(cc[0]) and math.isfinite(cc[1])):
@@ -163,7 +163,7 @@ def fix_denied(refiner: Refiner, t: int) -> bool:
     vertex."""
     tri = refiner.tri
     try:
-        cc = circumcenter(*(tri.pts[w] for w in tri.tri_v[t]))
+        cc = circumcenter(*(tri._arr.point(w) for w in tri._arr.triangle(t)))
     except ValueError:
         return True
     if not (math.isfinite(cc[0]) and math.isfinite(cc[1])):

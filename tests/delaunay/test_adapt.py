@@ -48,12 +48,13 @@ def square_mesh(max_area=0.02):
 
 
 def assert_no_inversion(tri):
+    point = tri._arr.point
     for t in tri.live_triangles():
-        tv = tri.tri_v[t]
+        tv = tri._arr.triangle(t)
         if tv is None or GHOST in tv:
             continue
         a, b, c = tv
-        assert orient2d(tri.pts[a], tri.pts[b], tri.pts[c]) > 0
+        assert orient2d(point(a), point(b), point(c)) > 0
 
 
 def assert_segments_survive(mesh, segments, original_points):
@@ -279,8 +280,17 @@ class TestAdaptedMeshPins:
         reason="cycle 2 re-triangulates 456 vertices: past its 120-point "
                "scalar bootstrap `batch` numbers the start triangulation "
                "differently, and every later operation follows from it")
-    def test_shear_layer_loop(self):
-        """The perf ledger's seed-0 ``adapt_shear`` op."""
+    def test_shear_layer_loop(self, monkeypatch):
+        """The perf ledger's seed-0 ``adapt_shear`` op; every cycle's
+        kernel passes ``check_integrity`` (live count, vertex hints)."""
+        adapt = MeshAdaptor.adapt
+
+        def checked(self, **kwargs):
+            report = adapt(self, **kwargs)
+            self.tri.check_integrity()
+            return report
+
+        monkeypatch.setattr(MeshAdaptor, "adapt", checked)
         result = adapt_loop(square_mesh(),
                             problem=ShearLayerProblem(0.05, 0.1),
                             cycles=2, eps=4e-2, h_min=1e-3, h_max=0.3)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.delaunay import MeshAdaptor, refine_pslg
 from repro.delaunay import adapt as adapt_module
 from repro.delaunay.adapt import FLIP_MAX_SWEEPS, FLIP_TOL
+from repro.delaunay.arrays import MeshArrays
 from repro.delaunay.constrained import triangulate_pslg
 from repro.delaunay.kernel import GHOST
 from repro.metric import MetricField
@@ -108,12 +109,15 @@ def still_improvable(adaptor):
         if adaptor._is_interior(t1) != adaptor._is_interior(t2):
             continue
         q_now = min(
-            oracle_adapt.metric_quality(adaptor, *tri.tri_v[t1], tensors),
-            oracle_adapt.metric_quality(adaptor, *tri.tri_v[t2], tensors))
+            oracle_adapt.metric_quality(adaptor, *tri._arr.triangle(t1),
+                                        tensors),
+            oracle_adapt.metric_quality(adaptor, *tri._arr.triangle(t2),
+                                        tensors))
         q_new = min(oracle_adapt.metric_quality(adaptor, a, u, b, tensors),
                     oracle_adapt.metric_quality(adaptor, b, v, a, tensors))
         if (q_new > q_now + FLIP_TOL
-                and tri.edge_is_flippable(t1, tri.tri_v[t1].index(a))):
+                and tri.edge_is_flippable(t1,
+                                          tri._arr.triangle(t1).index(a))):
             out.append((u, v))
     return out
 
@@ -153,7 +157,9 @@ class TestAgainstFullSweepOracle:
             oracle_adapt.flip_pass(old, log=want)
             assert got == want
             assert mesh_hash(new) == mesh_hash(old)
-            assert list(new.tri.vertex_tri) == list(old.tri.vertex_tri)
+            a, b = new.tri._arr, old.tri._arr
+            assert np.array_equal(a.vertex_tri[:a.n_pts],
+                                  b.vertex_tri[:b.n_pts])
 
             # Count gate: every edge once, then <= 5 edges per flip.
             evaluations = new.report.flip_evaluations - before[0]
@@ -202,7 +208,9 @@ class TestMetricQuality:
 
         stub = Stub()
         stub.tri = Stub()
-        stub.tri.pts = [tuple(p) for p in points]
+        stub.tri._arr = MeshArrays()
+        for x, y in points:
+            stub.tri._arr.new_point(x, y)
         got = adapt_module._metric_quality(
             [c for p in points for c in p], [list(t) for t in tensors],
             0, 1, 2)

@@ -96,11 +96,11 @@ class TestDeadSlotContract:
         with pytest.raises(TriangulationError, match="dead"):
             tri.is_ghost(live)
 
-    def test_tri_v_view_returns_none_for_dead(self):
+    def test_triangle_returns_none_for_dead(self):
         tri = triangulate(np.random.default_rng(3).random((20, 2)))
         live = [t for t in tri.live_triangles()][0]
         tri._arr.kill(live)
-        assert tri.tri_v[live] is None
+        assert tri._arr.triangle(live) is None
 
 
 class TestToMeshZeroCopy:
@@ -123,10 +123,10 @@ class TestToMeshZeroCopy:
         for t in tri.live_triangles():
             if tri.is_ghost(t) or not keep[t]:
                 continue
-            tris.append(tuple(tri.tri_v[t]))
+            tris.append(tri._arr.triangle(t))
         used = sorted({v for tr in tris for v in tr})
         remap = {v: i for i, v in enumerate(used)}
-        ref_pts = np.asarray([tri.pts[v] for v in used])
+        ref_pts = np.asarray([tri._arr.point(v) for v in used])
         ref_tris = np.asarray(
             [[remap[a], remap[b], remap[c]] for a, b, c in tris],
             dtype=np.int32)

@@ -61,9 +61,10 @@ def real_triangles(tri: Triangulation):
 
 
 def assert_positive_orientation(tri: Triangulation) -> None:
+    point = tri._arr.point
     for t in real_triangles(tri):
-        a, b, c = tri.tri_v[t]
-        assert orient2d(tri.pts[a], tri.pts[b], tri.pts[c]) > 0, (
+        a, b, c = tri._arr.triangle(t)
+        assert orient2d(point(a), point(b), point(c)) > 0, (
             f"triangle {t} not positively oriented"
         )
 
@@ -74,22 +75,22 @@ def assert_locally_delaunay(tri: Triangulation) -> None:
     By the Delaunay lemma this implies the global (constrained) Delaunay
     property; cocircular configurations (incircle == 0) are legal.
     """
-    pts = tri.pts
+    arr = tri._arr
+    point = arr.point
     constraints = tri.constraints
     for t in real_triangles(tri):
-        tv = tri.tri_v[t]
-        tn = tri.tri_n[t]
+        tv = arr.triangle(t)
         for k in range(3):
-            nb = tn[k]
+            nb = arr.tn[3 * t + k]
             if nb < t or tri.is_ghost(nb):
                 continue  # each internal edge once; hull edges skipped
             u, v = tv[k - 2], tv[k - 1]
             if ((u, v) if u < v else (v, u)) in constraints:
                 continue
-            nv = tri.tri_v[nb]
+            nv = arr.triangle(nb)
             apex = nv[0] + nv[1] + nv[2] - u - v
-            assert incircle(pts[tv[0]], pts[tv[1]], pts[tv[2]],
-                            pts[apex]) <= 0, (
+            assert incircle(point(tv[0]), point(tv[1]), point(tv[2]),
+                            point(apex)) <= 0, (
                 f"edge ({u},{v}) of triangle {t} not locally Delaunay"
             )
 
@@ -99,14 +100,15 @@ def assert_globally_delaunay(tri: Triangulation) -> None:
 
     O(n_vertices * n_triangles) exact tests — small inputs only.
     """
-    pts = tri.pts
+    arr = tri._arr
+    point = arr.point
     for t in real_triangles(tri):
-        a, b, c = tri.tri_v[t]
-        pa, pb, pc = pts[a], pts[b], pts[c]
-        for v in range(len(pts)):
+        a, b, c = arr.triangle(t)
+        pa, pb, pc = point(a), point(b), point(c)
+        for v in range(arr.n_pts):
             if v == a or v == b or v == c:
                 continue
-            assert incircle(pa, pb, pc, pts[v]) <= 0, (
+            assert incircle(pa, pb, pc, point(v)) <= 0, (
                 f"vertex {v} strictly inside circumcircle of triangle {t}"
             )
 
@@ -170,7 +172,7 @@ def checking_commits():
     in_hand = []
 
     def checked(tri, vid, cavity, t0):
-        want, _ = oracle.carve(tri, tri.pts[vid], t0)
+        want, _ = oracle.carve(tri, tri._arr.point(vid), t0)
         assert cavity == want, f"cavity of vertex {vid} differs from the oracle's"
         sizes.append(len(cavity))
         commit(tri, vid, cavity, t0)
@@ -484,7 +486,7 @@ class TestConstrainedInvariants:
         tri.constraints = set()
         cavity, seed_t = carve(tri, *p, tri.locate(p))
         tri.constraints = {needle}
-        assert sum(needle[0] in tri.tri_v[t] and needle[1] in tri.tri_v[t]
+        assert sum(set(needle) <= set(tri._arr.triangle(t))
                    for t in cavity) == 2, "the region misses the needle"
         retriangulate(tri, tri._arr.new_point(*p), cavity, seed_t)
         assert tri.stat_visibility_prunes == 1
@@ -519,10 +521,9 @@ class TestDeterminism:
 
     def test_seed_controls_insertion_order(self):
         pts = np.random.default_rng(14).random((200, 2))
-        a = triangulate(pts, seed=1)
-        b = triangulate(pts, seed=1)
-        assert [tuple(v) for v in a.tri_v if v] == \
-               [tuple(v) for v in b.tri_v if v]
+        a = triangulate(pts, seed=1)._arr
+        b = triangulate(pts, seed=1)._arr
+        assert np.array_equal(a.tri_v[:a.n_tris], b.tri_v[:b.n_tris])
 
     def test_insert_point_stream_deterministic(self):
         pts = np.random.default_rng(15).random((300, 2)).tolist()
@@ -533,6 +534,6 @@ class TestDeterminism:
                 tri.insert_point(x, y)
             return tri
 
-        t1, t2 = build(), build()
-        assert t1.pts == t2.pts
-        assert [v for v in t1.tri_v if v] == [v for v in t2.tri_v if v]
+        a, b = build()._arr, build()._arr
+        assert np.array_equal(a.pts[:a.n_pts], b.pts[:b.n_pts])
+        assert np.array_equal(a.tri_v[:a.n_tris], b.tri_v[:b.n_tris])

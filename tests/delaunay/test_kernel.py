@@ -145,6 +145,27 @@ class TestRandomSets:
         theirs = {tuple(sorted(t)) for t in sp.simplices.tolist()}
         assert ours == theirs
 
+    def test_delaunay_mesh_equals_per_triangle_export(self):
+        """The vectorised export against the per-triangle loop it
+        replaced: duplicates map to their first input index, rows come
+        in slot order."""
+        from repro.delaunay.kernel import _triangulate_with_map, delaunay_mesh
+
+        rng = np.random.default_rng(8)
+        base = rng.uniform(0, 1, size=(150, 2))
+        pts = np.vstack([base, base[rng.integers(0, 150, 40)]])
+        pts = pts[rng.permutation(len(pts))]
+        tri, inserted = _triangulate_with_map(pts, assume_sorted=False)
+        inv = {}
+        for i, k in inserted.items():
+            if k not in inv or i < inv[k]:
+                inv[k] = i
+        want = [[inv[v] for v in tri._arr.triangle(t)]
+                for t in tri.live_triangles() if not tri.is_ghost(t)]
+        mesh = delaunay_mesh(pts)
+        assert mesh.triangles.dtype == np.int32
+        assert mesh.triangles.tolist() == want
+
     def test_grid_cocircular(self):
         # Every 2x2 cell of a grid is cocircular: heavily degenerate.
         xs, ys = np.meshgrid(np.arange(8.0), np.arange(8.0))
@@ -208,12 +229,13 @@ def lattice(n=6):
 def edge_signs(tri, t, p):
     """Exact orientation of ``p`` against each real directed edge of
     live triangle ``t`` (one sign for a ghost: its hull edge)."""
-    tv = tri.tri_v[t]
+    arr = tri._arr
+    tv = arr.triangle(t)
     assert tv is not None, f"triangle {t} is dead"
     if tri.is_ghost(t):
         u, v = tri.ghost_edge(t)
-        return [orient2d(tri.pts[u], tri.pts[v], p)]
-    return [orient2d(tri.pts[tv[k - 2]], tri.pts[tv[k - 1]], p)
+        return [orient2d(arr.point(u), arr.point(v), p)]
+    return [orient2d(arr.point(tv[k - 2]), arr.point(tv[k - 1]), p)
             for k in range(3)]
 
 
@@ -235,9 +257,9 @@ class TestWalkContract:
         tri = lattice()
         p = QUERIES[query]
         h = {"none": -1, "dead": tri.last_removed[0], "out_of_range": 10**6,
-             "far": tri.vertex_tri[0]}[hint]
+             "far": tri._arr.vt[0]}[hint]
         if hint == "dead":
-            assert tri.tri_v[h] is None
+            assert tri._arr.triangle(h) is None
         t, certified = walk(tri, p[0], p[1], h)
         signs = edge_signs(tri, t, p)
         assert min(signs) >= 0
@@ -264,7 +286,7 @@ class TestWalkContract:
     def test_step_cap_exhaustion_takes_fallback(self, monkeypatch):
         tri = lattice()
         p = (4.5, 4.4)
-        start = tri.vertex_tri[0]
+        start = tri._arr.vt[0]
         # The cap is 4 * (n_live_triangles + 8) steps: shrink it to 4,
         # fewer than the walk across the lattice needs.
         monkeypatch.setattr(tri, "n_live_triangles", -7)
@@ -324,7 +346,7 @@ class TestVertexStar:
         real = [s for s in star if not t.is_ghost(s)]
         assert len(real) == 4
         for s in star:
-            assert vid in t.tri_v[s]
+            assert vid in t._arr.triangle(s)
 
     def test_star_of_hull_vertex_includes_ghosts(self):
         t = Triangulation()
@@ -332,6 +354,48 @@ class TestVertexStar:
             t.insert_point(*p)
         star = t.triangles_around_vertex(0)
         assert any(t.is_ghost(s) for s in star)
+
+    def test_vertex_without_triangle_has_empty_star(self):
+        t = Triangulation()
+        t.insert_point(0.0, 0.0)
+        assert t._arr.vt[0] == -1
+        assert t.triangles_around_vertex(0) == []
+        assert not t.has_edge(0, 1)
+
+    @pytest.mark.parametrize("stale", ["dead", "lacks_vertex"])
+    def test_stale_hint_raises_naming_vertex_and_triangle(self, stale):
+        t = lattice()
+        arr = t._arr
+        bad = (t.last_removed[0] if stale == "dead"
+               else next(s for s in t.live_triangles()
+                         if 0 not in arr.triangle(s)))
+        arr.vt[0] = bad
+        with pytest.raises(TriangulationError, match=f"vertex 0.*{bad}"):
+            t.triangles_around_vertex(0)
+
+
+class TestCheckIntegrity:
+    def test_live_count_mismatch(self):
+        t = lattice()
+        t.check_integrity()
+        t.n_live_triangles += 1
+        with pytest.raises(TriangulationError, match="n_live_triangles"):
+            t.check_integrity()
+
+    @pytest.mark.parametrize("stale", ["dead", "lacks_vertex"])
+    def test_stale_vertex_hint(self, stale):
+        t = lattice()
+        arr = t._arr
+        arr.vt[7] = (t.last_removed[0] if stale == "dead"
+                     else next(s for s in t.live_triangles()
+                               if 7 not in arr.triangle(s)))
+        with pytest.raises(TriangulationError, match="vertex 7 hints"):
+            t.check_integrity()
+
+    def test_holds_after_scalar_and_batch_bulk_insertion(self):
+        pts = np.random.default_rng(3).uniform(0.0, 1.0, size=(500, 2))
+        for strategy in ("scalar", "batch"):
+            triangulate(pts, strategy=strategy).check_integrity()
 
 
 @given(

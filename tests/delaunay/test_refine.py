@@ -187,14 +187,16 @@ class TestSegmentSplits:
         split_segments = refiner._split_segments
 
         def recording(segments, t, work):
-            batches.append([tuple(tri.pts[w] for w in uv) for uv in segments])
+            batches.append([tuple(tri._arr.point(w) for w in uv)
+                            for uv in segments])
             split_segments(segments, t, work)
 
         refiner._split_segments = recording
         refiner.refine()
         assert batches == [[((0.0, 0.0), (1.0, 0.0)),
                             ((0.0, 0.5), (0.0, 0.0))]]
-        assert list(tri.pts)[5:] == [(0.0, 0.5), (0.5, 0.0), (0.0, 0.25)]
+        assert tri._arr.pts[5:tri._arr.n_pts].tolist() == [
+            [0.0, 0.5], [0.5, 0.0], [0.0, 0.25]]
 
     def test_unlabelled_split_is_a_typed_error_not_a_silent_hole(self):
         """New triangles that reach no labelled region mean the region
@@ -209,7 +211,7 @@ class TestSegmentSplits:
         refiner._interior.clear()
         with pytest.raises(RefinementError) as err:
             refiner._split_segment(u, v)
-        pu, pv = tri.pts[u], tri.pts[v]
+        pu, pv = tri._arr.point(u), tri._arr.point(v)
         mid = (0.5 * (pu[0] + pv[0]), 0.5 * (pu[1] + pv[1]))
         assert f"({u},{v})" in str(err.value)
         assert str(mid) in str(err.value)
