@@ -4,9 +4,6 @@ from .metrics import (
     alignment_to_surface,
     element_directions,
     histogram,
-    metric_conformity,
-    metric_edge_lengths,
-    orthogonality_of_normals,
     size_profile,
 )
 from .report import mesh_report
@@ -16,8 +13,5 @@ __all__ = [
     "element_directions",
     "histogram",
     "mesh_report",
-    "metric_conformity",
-    "metric_edge_lengths",
-    "orthogonality_of_normals",
     "size_profile",
 ]

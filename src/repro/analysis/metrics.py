@@ -8,18 +8,20 @@ so the claim is measurable:
 * :func:`element_directions` — per-element stretch direction and ratio
   from the element's inertia (steiner) ellipse;
 * :func:`alignment_to_surface` — how well stretched elements align with
-  the nearest surface tangent (1 = perfectly aligned, 0 = orthogonal);
-* :func:`orthogonality_of_normals` — how orthogonal the short axis of
-  each stretched element is to the surface (the boundary-layer property);
+  the nearest surface tangent (1 = perfectly aligned, 0 = orthogonal):
+  equivalently how orthogonal each short axis is to the surface, the
+  boundary-layer stacking property;
 * :func:`size_profile` — element size vs. distance from the geometry
   (the gradation curve of paper Fig. 10);
 * :func:`histogram` — fixed-width text histogram used by the reports.
+
+Quality in a metric (the unit-mesh criterion) is the adaptor's own
+:meth:`repro.delaunay.adapt.MeshAdaptor.conformity`.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -28,11 +30,8 @@ from ..delaunay.mesh import TriMesh
 __all__ = [
     "element_directions",
     "alignment_to_surface",
-    "orthogonality_of_normals",
     "size_profile",
     "histogram",
-    "metric_edge_lengths",
-    "metric_conformity",
 ]
 
 
@@ -114,14 +113,6 @@ def alignment_to_surface(mesh: TriMesh, surface: np.ndarray,
     return np.clip(cosv, 0.0, 1.0)
 
 
-def orthogonality_of_normals(mesh: TriMesh, surface: np.ndarray,
-                             *, min_ratio: float = 4.0) -> np.ndarray:
-    """|sin| between stretched elements' long axis and the surface normal
-    — equivalently how orthogonal the SHORT axis is to the surface.
-    1 = the BL stacking property holds perfectly."""
-    return alignment_to_surface(mesh, surface, min_ratio=min_ratio)
-
-
 def size_profile(mesh: TriMesh, surface: np.ndarray,
                  bins: Sequence[float]) -> List[Dict[str, float]]:
     """Mean element area per distance band from the surface (Fig. 10)."""
@@ -161,38 +152,3 @@ def histogram(values: np.ndarray, *, bins: int = 10, width: int = 40,
         bar = "#" * int(round(width * c / peak))
         rows.append(f"  [{lo:10.4g}, {hi:10.4g})  {c:>7}  {bar}")
     return "\n".join(rows)
-
-
-# ----------------------------------------------------------------------
-# Quality in the metric (unit-mesh criterion)
-# ----------------------------------------------------------------------
-def metric_edge_lengths(mesh: TriMesh, metric_field) -> np.ndarray:
-    """Metric length of every unique mesh edge under ``metric_field``.
-
-    Lengths use the graded (Alauzet) formula of
-    :meth:`repro.metric.MetricField.edge_lengths`, evaluated at the
-    field's values interpolated onto the mesh vertices — an adapted mesh
-    is a *unit mesh* when these all fall in ``[1/sqrt(2), sqrt(2)]``.
-    """
-    field = metric_field.interpolate_field(mesh.points)
-    return field.edge_lengths(mesh.edges())
-
-
-def metric_conformity(mesh: TriMesh, metric_field,
-                      *, l_min: Optional[float] = None,
-                      l_max: Optional[float] = None) -> float:
-    """Fraction of mesh edges with metric length in the unit band.
-
-    The band defaults to the classical ``[1/sqrt(2), sqrt(2)]``
-    (:data:`repro.delaunay.adapt.LOW_BAND` /
-    :data:`~repro.delaunay.adapt.HIGH_BAND`); 1.0 means the mesh
-    perfectly discretises the metric.
-    """
-    from ..delaunay.adapt import HIGH_BAND, LOW_BAND
-
-    lo = LOW_BAND if l_min is None else float(l_min)
-    hi = HIGH_BAND if l_max is None else float(l_max)
-    lengths = metric_edge_lengths(mesh, metric_field)
-    if len(lengths) == 0:
-        return 1.0
-    return float(((lengths >= lo) & (lengths <= hi)).mean())

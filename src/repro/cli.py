@@ -322,8 +322,18 @@ def _run_adaptation(pslg: PSLG, mesh, args: argparse.Namespace,
     return mesh, summary
 
 
-def _service_address(args: argparse.Namespace) -> str:
-    return f"unix:{args.socket}" if args.socket else f"tcp:{args.tcp}"
+def _service_address(parser: argparse.ArgumentParser,
+                     args: argparse.Namespace) -> str:
+    """The endpoint of ``--socket``/``--tcp``; a malformed one is a
+    usage error."""
+    from .runtime.service import ServiceError, parse_address
+
+    spec = f"unix:{args.socket}" if args.socket else f"tcp:{args.tcp}"
+    try:
+        parse_address(spec)
+    except ServiceError as exc:
+        parser.error(str(exc))
+    return spec
 
 
 def _serve_main(argv) -> int:
@@ -342,7 +352,7 @@ def _serve_main(argv) -> int:
             f"--ranks only applies to parallel backends; --backend "
             f"{backend.name} runs in-process")
     service = MeshService(
-        _service_address(args),
+        _service_address(parser, args),
         backend=backend.name,
         n_ranks=args.ranks if args.ranks is not None else 4,
         batch_window=args.batch_window,
@@ -384,7 +394,8 @@ def _submit_main(argv) -> int:
                      "--server-stats or --shutdown")
     if has_geometry and args.output is None:
         parser.error("-o/--output is required when submitting a geometry")
-    client = ServiceClient(_service_address(args), timeout=args.timeout,
+    client = ServiceClient(_service_address(parser, args),
+                           timeout=args.timeout,
                            connect_retries=max(args.connect_retries, 0))
     summary = {}
     try:

@@ -9,7 +9,7 @@ from .bl_pipeline import (
     triangulate_boundary_layer,
 )
 from .normals import SurfaceVertex, VertexKind, loop_surface_vertices
-from .rays import Ray, build_rays, refine_rays
+from .rays import Ray, refine_rays
 
 __all__ = [
     "BoundaryLayerConfig",
@@ -17,7 +17,6 @@ __all__ = [
     "Ray",
     "SurfaceVertex",
     "VertexKind",
-    "build_rays",
     "generate_boundary_layer",
     "interior_seed",
     "loop_surface_vertices",

@@ -19,15 +19,13 @@ root", and in our runtime the gather sends plain float arrays.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import Optional, Sequence
 
 from ..sizing.functions import SizingFunction
 from ..sizing.growth import GeometricGrowth
 from .rays import Ray
 
-__all__ = ["insert_points", "bl_point_cloud"]
+__all__ = ["insert_points"]
 
 
 def insert_points(
@@ -71,27 +69,3 @@ def insert_points(
             ray.heights.append(h)
         total += len(ray.heights)
     return total
-
-
-def bl_point_cloud(rays: Sequence[Ray]) -> np.ndarray:
-    """All boundary-layer points (ray origins first, then layer points).
-
-    Origins of fan rays coincide; duplicates are removed while keeping
-    the first occurrence, so the surface polyline vertices stay in order
-    at the front of the array (the property the decomposition and the
-    root-gather rely on).
-    """
-    pts: List[tuple] = []
-    seen = set()
-    for ray in rays:
-        key = ray.origin
-        if key not in seen:
-            seen.add(key)
-            pts.append(ray.origin)
-    for ray in rays:
-        for h in ray.heights:
-            p = ray.point_at(h)
-            if p not in seen:
-                seen.add(p)
-                pts.append(p)
-    return np.asarray(pts, dtype=np.float64)

@@ -37,7 +37,7 @@ shared stop point would produce coincident vertices).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,7 +55,6 @@ __all__ = [
     "crossing_pairs",
     "resolve_self_intersections",
     "resolve_multi_element_intersections",
-    "outer_border_segments",
 ]
 
 
@@ -196,21 +195,6 @@ def resolve_self_intersections(
     for ray, h in zip(rays, heights.tolist()):
         ray.max_height = h
     return total
-
-
-def outer_border_segments(
-    rays: Sequence[Ray], default_height: float
-) -> List[Tuple[tuple, tuple]]:
-    """The boundary layer's enclosing outer border: tip-to-tip polyline.
-
-    The rays are in surface order around a closed loop, so consecutive
-    tips bound the outermost layer; the returned closed polyline is the
-    "enclosing border segments of the airfoil component's boundary layer"
-    used for multi-element checks.
-    """
-    tips = [r.point_at(min(r.max_height, default_height)) for r in rays]
-    n = len(tips)
-    return [(tips[i], tips[(i + 1) % n]) for i in range(n)]
 
 
 def resolve_multi_element_intersections(

@@ -19,15 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-import numpy as np
-
-from ..geometry.primitives import distance, normalize, slerp_unit
+from ..geometry.primitives import slerp_unit
 from .normals import SurfaceVertex, VertexKind
 
-__all__ = ["Ray", "build_rays", "refine_rays", "angle_between_rays",
-           "dedupe_ring"]
+__all__ = ["Ray", "refine_rays", "dedupe_ring"]
 
 
 @dataclass
@@ -73,28 +70,6 @@ def dedupe_ring(points: List[tuple]) -> List[tuple]:
     if len(out) > 1 and out[0] == out[-1]:
         out.pop()
     return out
-
-
-def angle_between_rays(r1: Ray, r2: Ray) -> float:
-    from ..geometry.primitives import angle_between
-
-    return angle_between(r1.direction, r2.direction)
-
-
-def build_rays(vertices: Sequence[SurfaceVertex], element: int = 0) -> List[Ray]:
-    """One ray per surface vertex along its outward normal."""
-    rays = []
-    for v in vertices:
-        rays.append(
-            Ray(
-                origin=v.position,
-                direction=v.normal,
-                element=element,
-                surface_index=v.index,
-                surface_spacing=0.5 * (v.edge_length_before + v.edge_length_after),
-            )
-        )
-    return rays
 
 
 def refine_rays(

@@ -11,7 +11,7 @@ from .cavity import (
 )
 from .constrained import constrained_delaunay, insert_segment, triangulate_pslg, carve
 from .dnc import insertion_order, triangulate_ordered
-from .hull import convex_hull, lower_hull, lower_hull_sorted, upper_hull
+from .hull import lower_hull_sorted
 from .kernel import (
     GHOST,
     Triangulation,
@@ -49,16 +49,13 @@ __all__ = [
     "validate_mesh",
     "carve",
     "constrained_delaunay",
-    "convex_hull",
     "delaunay_mesh",
     "insert_segment",
     "insertion_order",
-    "lower_hull",
     "lower_hull_sorted",
     "merge_meshes",
     "refine_pslg",
     "triangulate",
     "triangulate_ordered",
     "triangulate_pslg",
-    "upper_hull",
 ]

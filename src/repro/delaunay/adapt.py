@@ -223,10 +223,6 @@ class MeshAdaptor(Refiner):
         self._edges_at = (self._topology_edits, table)
         return table
 
-    def _interior_edges(self) -> List[Tuple[int, int]]:
-        """Sorted unique edges of interior (non-hole, non-ghost) triangles."""
-        return list(map(tuple, self._edge_table()[0].tolist()))
-
     def _metric_lengths(self, edges, tensors: np.ndarray) -> np.ndarray:
         """Metric edge lengths (Alauzet linear-metric quadrature)."""
         arr = self.tri._arr
@@ -411,22 +407,6 @@ class MeshAdaptor(Refiner):
         arr.vt[v] = -1
         self._topology_edits += 1
         return True
-
-    def flip_edge(self, u: int, v: int) -> bool:
-        """Flip edge (u, v) when legal (convex quad, unconstrained,
-        same region on both sides).  Returns ``True`` on success."""
-        tri = self.tri
-        key = (u, v) if u < v else (v, u)
-        if key in tri.constraints:
-            return False
-        t1 = self._find_any_edge_triangle(u, v)
-        if t1 is None or tri.is_ghost(t1):
-            return False
-        tv = tri._arr.triangle(t1)
-        k1 = next((k for k in range(3) if tv[k] not in (u, v)), None)
-        if k1 is None:
-            return False
-        return self._flip_opposite(t1, k1)
 
     def _flip_opposite(self, t1: int, k1: int) -> bool:
         """Flip the edge opposite vertex ``k1`` of real triangle ``t1``

@@ -151,16 +151,6 @@ class MeshArrays:
         self.n_pts = i + m
         return np.arange(i, i + m, dtype=np.int64)
 
-    def new_triangle_slot(self) -> int:
-        """Pop a recycled slot or append one (capacity must be reserved
-        by the caller when it holds view aliases)."""
-        if self.free:
-            return self.free.pop()
-        self.reserve_triangles(1)
-        t = self.n_tris
-        self.n_tris = t + 1
-        return t
-
     def kill(self, t: int) -> None:
         self.tv[3 * t] = DEAD
         self.free.append(t)

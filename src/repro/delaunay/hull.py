@@ -7,25 +7,20 @@ maintains x- and y-sorted vertex arrays), the hull is computed in
 **worst-case linear time**: one sweep, each point pushed once and popped at
 most once.
 
-``lower_hull``/``upper_hull``/``convex_hull`` operate on index arrays into
-a coordinate array so callers keep working with subdomain vertex ids.
-Right-hand-turn removal uses the robust orientation predicate.
+:func:`lower_hull_sorted` operates on an index array into a coordinate
+array so callers keep working with subdomain vertex ids.  Right-hand-turn
+removal uses the robust orientation predicate.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from ..geometry.predicates import orient2d
 
-__all__ = ["lower_hull", "upper_hull", "convex_hull", "lower_hull_sorted"]
-
-
-def _sorted_order(points: np.ndarray) -> np.ndarray:
-    """Lexicographic (x, then y) sort order of the rows of ``points``."""
-    return np.lexsort((points[:, 1], points[:, 0]))
+__all__ = ["lower_hull_sorted"]
 
 
 def lower_hull_sorted(points: np.ndarray, order: Sequence[int]) -> List[int]:
@@ -52,39 +47,3 @@ def lower_hull_sorted(points: np.ndarray, order: Sequence[int]) -> List[int]:
                 break
         hull.append(int(idx))
     return hull
-
-
-def lower_hull(points: np.ndarray) -> List[int]:
-    """Lower convex hull indices of an unsorted ``(n, 2)`` array."""
-    points = np.asarray(points, dtype=np.float64)
-    if len(points) == 0:
-        return []
-    return lower_hull_sorted(points, _sorted_order(points))
-
-
-def upper_hull(points: np.ndarray) -> List[int]:
-    """Upper convex hull indices of an unsorted ``(n, 2)`` array."""
-    points = np.asarray(points, dtype=np.float64)
-    if len(points) == 0:
-        return []
-    order = _sorted_order(points)[::-1]
-    # The upper hull is the lower hull of the reversed sweep.
-    return lower_hull_sorted(points, order)
-
-
-def convex_hull(points: np.ndarray) -> List[int]:
-    """Full convex hull in counter-clockwise order (no repeated endpoint).
-
-    Degenerate inputs: fewer than 3 distinct points, or all points
-    collinear, return the extreme points only (0, 1 or 2 indices).
-    """
-    points = np.asarray(points, dtype=np.float64)
-    n = len(points)
-    if n == 0:
-        return []
-    lo = lower_hull(points)
-    hi = upper_hull(points)
-    if len(lo) <= 1:
-        return lo
-    # Concatenate, dropping the duplicated extreme points.
-    return lo[:-1] + hi[:-1] if len(lo) + len(hi) > 2 else lo

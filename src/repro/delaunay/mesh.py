@@ -193,11 +193,6 @@ class TriMesh:
                     edge_map[key] = (ti, k)
         return nbr
 
-    def vertex_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n_points, dtype=np.int64)
-        np.add.at(deg, self.triangles.ravel(), 1)
-        return deg
-
     def is_conforming(self) -> bool:
         """Every internal edge shared by exactly 2 triangles, none by more."""
         t = self.triangles

@@ -15,8 +15,7 @@ from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["AABB", "segment_extent_box", "boxes_from_segments",
-           "overlapping_pairs"]
+__all__ = ["AABB", "boxes_from_segments", "overlapping_pairs"]
 
 
 @dataclass(frozen=True)
@@ -55,20 +54,10 @@ class AABB:
     def center(self) -> Tuple[float, float]:
         return (0.5 * (self.xmin + self.xmax), 0.5 * (self.ymin + self.ymax))
 
-    def contains_point(self, p) -> bool:
-        return self.xmin <= p[0] <= self.xmax and self.ymin <= p[1] <= self.ymax
-
     def contains_box(self, other: "AABB") -> bool:
         return (
             self.xmin <= other.xmin and other.xmax <= self.xmax
             and self.ymin <= other.ymin and other.ymax <= self.ymax
-        )
-
-    def overlaps(self, other: "AABB") -> bool:
-        """Closed-interval overlap test (boxes touching at an edge overlap)."""
-        return not (
-            other.xmin > self.xmax or other.xmax < self.xmin
-            or other.ymin > self.ymax or other.ymax < self.ymin
         )
 
     def expanded(self, margin: float) -> "AABB":
@@ -78,34 +67,11 @@ class AABB:
             self.xmax + margin, self.ymax + margin,
         )
 
-    def union(self, other: "AABB") -> "AABB":
-        return AABB(
-            min(self.xmin, other.xmin), min(self.ymin, other.ymin),
-            max(self.xmax, other.xmax), max(self.ymax, other.ymax),
-        )
-
-    def as_4d_point(self) -> Tuple[float, float, float, float]:
-        """Project this extent box to the 4D point ``(xmin, ymin, xmax, ymax)``.
-
-        This is the projection used by the alternating digital tree (paper
-        Section II.B, after Bonet & Peraire): a 2D box becomes a point in 4D,
-        and box-overlap queries become 4D axis-aligned range queries.
-        """
-        return (self.xmin, self.ymin, self.xmax, self.ymax)
-
     def corners(self) -> Iterator[Tuple[float, float]]:
         yield (self.xmin, self.ymin)
         yield (self.xmax, self.ymin)
         yield (self.xmax, self.ymax)
         yield (self.xmin, self.ymax)
-
-
-def segment_extent_box(a, b) -> AABB:
-    """Extent box of the segment ``ab``."""
-    return AABB(
-        min(a[0], b[0]), min(a[1], b[1]),
-        max(a[0], b[0]), max(a[1], b[1]),
-    )
 
 
 def boxes_from_segments(segments: np.ndarray) -> np.ndarray:

@@ -31,7 +31,6 @@ __all__ = [
     "blunt_trailing_edge",
     "circle",
     "cosine_spacing",
-    "farfield_box",
     "flat_plate",
     "joukowski",
     "naca4",
@@ -278,31 +277,6 @@ def three_element_airfoil(
         names=["slat", "main", "flap"],
         is_body=[True, True, True],
     )
-
-
-def farfield_box(
-    pslg: PSLG,
-    *,
-    chords: float = 40.0,
-    n_per_side: int = 8,
-) -> np.ndarray:
-    """Square far-field border ``chords`` chord lengths from the geometry.
-
-    Returns a CCW ``(4 * n_per_side, 2)`` coordinate loop centred on the
-    body bounding box.  The paper (Section II.E) uses 30-50 chords.
-    """
-    if chords <= 0:
-        raise ValueError("chords must be positive")
-    box = pslg.bbox(bodies_only=True)
-    c = pslg.chord_length()
-    cx, cy = box.center
-    half = chords * c
-    xs = np.linspace(-half, half, n_per_side + 1)[:-1]
-    bottom = np.column_stack([cx + xs, np.full(n_per_side, cy - half)])
-    right = np.column_stack([np.full(n_per_side, cx + half), cy + xs])
-    top = np.column_stack([cx - xs, np.full(n_per_side, cy + half)])
-    left = np.column_stack([np.full(n_per_side, cx - half), cy - xs])
-    return np.vstack([bottom, right, top, left])
 
 
 def circle(n_points: int = 64, *, radius: float = 0.5,

@@ -19,22 +19,15 @@ __all__ = [
     "distance",
     "distance_sq",
     "normalize",
-    "perp_left",
     "perp_right",
     "angle_between",
     "signed_turn_angle",
     "segments_intersect",
     "segments_intersect_batch",
     "segment_intersection_point",
-    "segment_point_distance",
     "point_on_segment",
     "polygon_area",
-    "polygon_is_ccw",
     "circumcenter",
-    "circumradius",
-    "triangle_area",
-    "triangle_angles",
-    "lerp_unit",
     "rotate",
     "slerp_unit",
 ]
@@ -64,11 +57,6 @@ def normalize(v) -> Tuple[float, float]:
     if exact_eq(n, 0.0):
         raise ValueError("cannot normalize zero-length vector")
     return (v[0] / n, v[1] / n)
-
-
-def perp_left(v) -> Tuple[float, float]:
-    """The vector ``v`` rotated 90 degrees counter-clockwise."""
-    return (-v[1], v[0])
 
 
 def perp_right(v) -> Tuple[float, float]:
@@ -197,36 +185,11 @@ def segment_intersection_point(p1, p2, q1, q2) -> Optional[Tuple[float, float]]:
     return (p1[0] + t * rx, p1[1] + t * ry)
 
 
-def segment_point_distance(p, a, b) -> float:
-    """Distance from point ``p`` to the closed segment ``ab``."""
-    abx, aby = b[0] - a[0], b[1] - a[1]
-    apx, apy = p[0] - a[0], p[1] - a[1]
-    denom = abx * abx + aby * aby
-    if exact_eq(denom, 0.0):
-        return distance(p, a)
-    t = (apx * abx + apy * aby) / denom
-    t = max(0.0, min(1.0, t))
-    cx, cy = a[0] + t * abx, a[1] + t * aby
-    return math.hypot(p[0] - cx, p[1] - cy)
-
-
 def polygon_area(pts) -> float:
     """Signed area of a simple polygon (positive when counter-clockwise)."""
     pts = np.asarray(pts, dtype=np.float64)
     x, y = pts[:, 0], pts[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
-def polygon_is_ccw(pts) -> bool:
-    """True if the simple polygon ``pts`` is counter-clockwise oriented."""
-    return polygon_area(pts) > 0.0
-
-
-def triangle_area(a, b, c) -> float:
-    """Signed area of triangle ``(a, b, c)`` (positive when CCW)."""
-    return 0.5 * (
-        (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    )
 
 
 def circumcenter(a, b, c) -> Tuple[float, float]:
@@ -247,23 +210,6 @@ def circumcenter(a, b, c) -> Tuple[float, float]:
     return (a[0] + ux, a[1] + uy)
 
 
-def circumradius(a, b, c) -> float:
-    """Circumradius of triangle ``(a, b, c)`` (inf for degenerate input)."""
-    try:
-        cc = circumcenter(a, b, c)
-    except ValueError:
-        return math.inf
-    return distance(cc, a)
-
-
-def triangle_angles(a, b, c) -> Tuple[float, float, float]:
-    """Interior angles (radians) at vertices ``a``, ``b``, ``c``."""
-    ang_a = angle_between((b[0] - a[0], b[1] - a[1]), (c[0] - a[0], c[1] - a[1]))
-    ang_b = angle_between((a[0] - b[0], a[1] - b[1]), (c[0] - b[0], c[1] - b[1]))
-    ang_c = math.pi - ang_a - ang_b
-    return (ang_a, ang_b, ang_c)
-
-
 def slerp_unit(u, v, t: float) -> Tuple[float, float]:
     """Spherical (constant-angular-rate) interpolation of unit vectors.
 
@@ -276,21 +222,3 @@ def slerp_unit(u, v, t: float) -> Tuple[float, float]:
     if exact_eq(theta, 0.0) and (u[0] * v[0] + u[1] * v[1]) < 0:
         theta = math.pi  # antipodal: atan2 gives +pi already, guard -0.0
     return rotate(u, t * theta)
-
-
-def lerp_unit(u, v, t: float) -> Tuple[float, float]:
-    """Linearly interpolate between unit vectors ``u`` and ``v``, renormalised.
-
-    This is the paper's linear interpolation of normals used for refining
-    rays in large-angle regions and for cusp fans (Section II.B).  For
-    ``t=0`` returns ``u``; for ``t=1`` returns ``v``.  Falls back to the
-    perpendicular when ``u`` and ``v`` are exactly opposite (the blend
-    vanishes), which matches the fan behaviour at a 180-degree cusp.
-    """
-    x = (1.0 - t) * u[0] + t * v[0]
-    y = (1.0 - t) * u[1] + t * v[1]
-    n = math.hypot(x, y)
-    if n < 1e-300:
-        # u == -v: any blend is ambiguous; rotate u toward v's side.
-        return perp_left(u) if (u[0] * v[1] - u[1] * v[0]) >= 0 else perp_right(u)
-    return (x / n, y / n)

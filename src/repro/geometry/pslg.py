@@ -153,9 +153,6 @@ class PSLG:
         nxt = np.roll(pts, -1, axis=0)
         return np.linalg.norm(nxt - pts, axis=1)
 
-    def min_edge_length(self) -> float:
-        return min(float(self.loop_edge_lengths(lp).min()) for lp in self.loops)
-
     # ------------------------------------------------------------------
     # Construction helpers
     # ------------------------------------------------------------------

@@ -5,11 +5,10 @@ paper reads "1,500 surface vertices" per configuration).  Raw coordinate
 sets from airfoil databases are often too coarse at the leading edge or
 unevenly spaced; this module redistributes the vertices of a closed loop:
 
-* :func:`resample_uniform` — equal arc-length spacing;
 * :func:`resample_curvature` — spacing inversely proportional to local
   curvature (clustering at leading edges and around coves) with bounds,
   the aerospace-standard distribution the cosine rule approximates for
-  clean NACA sections;
+  clean NACA sections; ``strength=0`` is equal arc-length spacing;
 * :func:`loop_curvature` — discrete curvature estimate per vertex.
 
 Resampling interpolates along the original polyline (no smoothing), so
@@ -26,7 +25,7 @@ import numpy as np
 
 from .primitives import signed_turn_angle
 
-__all__ = ["loop_curvature", "resample_uniform", "resample_curvature"]
+__all__ = ["loop_curvature", "resample_curvature"]
 
 
 def _closed(coords: np.ndarray) -> np.ndarray:
@@ -91,18 +90,6 @@ def _corner_indices(coords: np.ndarray, corner_angle: float) -> List[int]:
                                  (t_out[0], t_out[1]))) >= corner_angle:
             out.append(i)
     return out
-
-
-def resample_uniform(coords: np.ndarray, n_points: int,
-                     *, corner_angle: float = math.radians(40.0)
-                     ) -> np.ndarray:
-    """Resample a closed loop to ``n_points`` with equal arc spacing.
-
-    Corners (turn >= ``corner_angle``) are preserved exactly; the
-    budget is distributed over the inter-corner segments proportionally
-    to their lengths.
-    """
-    return _resample(_closed(coords), n_points, None, corner_angle)
 
 
 def resample_curvature(

@@ -6,12 +6,10 @@ from .meshio import (
     read_mesh_npz,
     read_node,
     read_poly,
-    read_vtk,
     write_ele,
     write_mesh_ascii,
     write_mesh_npz,
     write_node,
-    write_poly,
     write_vtk,
 )
 
@@ -21,11 +19,9 @@ __all__ = [
     "read_mesh_npz",
     "read_node",
     "read_poly",
-    "read_vtk",
     "write_ele",
     "write_mesh_ascii",
     "write_mesh_npz",
     "write_node",
-    "write_poly",
     "write_vtk",
 ]

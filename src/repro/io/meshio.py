@@ -9,8 +9,6 @@ interoperability, and NumPy ``.npz`` for speed.
 
 from __future__ import annotations
 
-import io
-import os
 from pathlib import Path
 from typing import Optional, Tuple, Union
 
@@ -28,10 +26,8 @@ __all__ = [
     "read_mesh_ascii",
     "write_mesh_npz",
     "read_mesh_npz",
-    "write_poly",
     "read_poly",
     "write_vtk",
-    "read_vtk",
 ]
 
 PathLike = Union[str, Path]
@@ -137,34 +133,6 @@ def read_mesh_npz(path: PathLike) -> TriMesh:
 # ----------------------------------------------------------------------
 # PSLG (.poly)
 # ----------------------------------------------------------------------
-def write_poly(path: PathLike, pslg: PSLG,
-               holes: Optional[np.ndarray] = None,
-               markers: Optional[np.ndarray] = None) -> None:
-    """Write a Triangle ``.poly`` file for the PSLG (with hole points).
-
-    ``markers`` optionally attaches one integer boundary marker per
-    segment (Triangle's boundary-marker column).
-    """
-    segs = pslg.all_segments()
-    holes = np.asarray(holes if holes is not None else np.empty((0, 2)))
-    if markers is not None:
-        markers = np.asarray(markers, dtype=np.int64)
-        if len(markers) != len(segs):
-            raise ValueError(
-                f"got {len(markers)} segment markers for {len(segs)} segments")
-    with open(path, "w") as f:
-        f.write(f"{pslg.n_points} 2 0 0\n")
-        for i, (x, y) in enumerate(pslg.points):
-            f.write(f"{i + 1} {float(x)!r} {float(y)!r}\n")
-        f.write(f"{len(segs)} {0 if markers is None else 1}\n")
-        for i, (u, v) in enumerate(segs):
-            tail = "" if markers is None else f" {markers[i]}"
-            f.write(f"{i + 1} {u + 1} {v + 1}{tail}\n")
-        f.write(f"{len(holes)}\n")
-        for i, (x, y) in enumerate(holes):
-            f.write(f"{i + 1} {float(x)!r} {float(y)!r}\n")
-
-
 def read_poly(path: PathLike, *, with_markers: bool = False):
     """Read a ``.poly`` file; loops are reconstructed from the segments.
 
@@ -275,106 +243,3 @@ def write_vtk(path: PathLike, mesh: TriMesh,
                 f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
                 f.writelines(f"{float(v)!r}\n" for v in values)
     return path
-
-
-def _vtk_tokens(f) -> list:
-    """All whitespace-separated tokens after the 2-line VTK preamble."""
-    magic = f.readline()
-    if not magic.startswith("# vtk DataFile"):
-        raise ValueError(f"not a legacy VTK file (bad magic {magic!r})")
-    f.readline()  # free-form title
-    return f.read().split()
-
-
-def read_vtk(path: PathLike) -> Tuple[TriMesh, dict, dict]:
-    """Read a legacy ASCII VTK triangle mesh written by :func:`write_vtk`.
-
-    Returns ``(mesh, cell_data, point_data)``; the data dicts map scalar
-    field names to float64 arrays (empty when the file carries none).
-    The z coordinate is dropped.  Raises ``ValueError`` on non-ASCII
-    files, non-triangle cells, or truncated sections.
-    """
-    with open(path) as f:
-        toks = _vtk_tokens(f)
-    it = iter(toks)
-
-    def need(what: str) -> str:
-        try:
-            return next(it)
-        except StopIteration:
-            raise ValueError(f"{path}: truncated VTK file (expected {what})")
-
-    def expect(token: str) -> None:
-        got = need(token)
-        if got.upper() != token:
-            raise ValueError(f"{path}: expected {token}, got {got!r}")
-
-    fmt = need("ASCII")
-    if fmt.upper() != "ASCII":
-        raise ValueError(f"{path}: only ASCII VTK supported, got {fmt!r}")
-    expect("DATASET")
-    kind = need("dataset type")
-    if kind.upper() != "UNSTRUCTURED_GRID":
-        raise ValueError(
-            f"{path}: only UNSTRUCTURED_GRID supported, got {kind!r}")
-
-    expect("POINTS")
-    n_pts = int(need("point count"))
-    need("point dtype")
-    pts = np.empty((n_pts, 2), dtype=np.float64)
-    for i in range(n_pts):
-        x, y = float(need("x")), float(need("y"))
-        need("z")  # planar meshes: z is dropped
-        pts[i] = (x, y)
-
-    expect("CELLS")
-    n_cells = int(need("cell count"))
-    need("cell list size")
-    tris = np.empty((n_cells, 3), dtype=np.int32)
-    for i in range(n_cells):
-        sz = int(need("cell size"))
-        if sz != 3:
-            raise ValueError(
-                f"{path}: cell {i} has {sz} vertices; only triangles "
-                "are supported")
-        tris[i] = (int(need("a")), int(need("b")), int(need("c")))
-
-    expect("CELL_TYPES")
-    if int(need("cell type count")) != n_cells:
-        raise ValueError(f"{path}: CELL_TYPES count mismatch")
-    for i in range(n_cells):
-        ct = int(need("cell type"))
-        if ct != 5:  # VTK_TRIANGLE
-            raise ValueError(
-                f"{path}: cell {i} has VTK type {ct}; only triangles (5) "
-                "are supported")
-
-    cell_data: dict = {}
-    point_data: dict = {}
-    target, count = None, 0
-    while True:
-        try:
-            tok = next(it)
-        except StopIteration:
-            break
-        up = tok.upper()
-        if up == "CELL_DATA":
-            target, count = cell_data, int(need("cell data count"))
-        elif up == "POINT_DATA":
-            target, count = point_data, int(need("point data count"))
-        elif up == "SCALARS":
-            if target is None:
-                raise ValueError(
-                    f"{path}: SCALARS before CELL_DATA/POINT_DATA")
-            name = need("field name")
-            need("field dtype")
-            tok2 = need("LOOKUP_TABLE")  # optional component count first
-            if tok2.upper() != "LOOKUP_TABLE":
-                expect("LOOKUP_TABLE")
-            need("table name")
-            target[name] = np.asarray(
-                [float(need(f"value of {name}")) for _ in range(count)])
-        else:
-            raise ValueError(f"{path}: unsupported VTK section {tok!r}")
-
-    return TriMesh(pts, tris), cell_data, point_data

@@ -59,7 +59,6 @@ _EXPORTS = {
     "LintRunner": "engine",
     "RULESET_VERSION": "engine",
     "DEFAULT_SEVERITY_MAP": "engine",
-    "run_lint": "engine",
     "load_baseline": "engine",
     "write_baseline": "engine",
     "apply_baseline": "engine",

@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-__all__ = ["Finding", "FileContext", "Rule", "LintRunner", "run_lint",
-           "RULESET_VERSION", "iter_python_files", "DEFAULT_SEVERITY_MAP",
-           "load_baseline", "write_baseline", "apply_baseline"]
+__all__ = ["Finding", "FileContext", "Rule", "LintRunner", "RULESET_VERSION",
+           "iter_python_files", "DEFAULT_SEVERITY_MAP", "load_baseline",
+           "write_baseline", "apply_baseline"]
 
 #: Bumped whenever a rule is added or its detection heuristic changes, so
 #: machine consumers (CI, ``--stats-json``) can pin expectations.
@@ -363,15 +363,6 @@ class LintRunner:
             findings.extend(self.run_file(f))
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
         return findings, len(files)
-
-
-def run_lint(paths: Iterable[str],
-             rules: Optional[Sequence] = None) -> Tuple[List[Finding], int]:
-    """Convenience entry point used by tests and the CLI."""
-    if rules is None:
-        from .rules import ALL_RULES
-        rules = ALL_RULES
-    return LintRunner(rules).run(paths)
 
 
 # ----------------------------------------------------------------------

@@ -2,10 +2,10 @@
 
 ``repro.metric`` is the shared sizing vocabulary of the adaptation loop:
 :mod:`tensor` holds the vectorised compact-storage SPD algebra
-(closed-form eigen-decomposition, log-Euclidean calculus, simultaneous-
-reduction intersection) and :mod:`field` the :class:`MetricField`
-abstraction (Hessian recovery from P1 solutions, interpolation, metric
-edge lengths, gradation limiting shared with :mod:`repro.sizing.limit`).
+(closed-form eigen-decomposition, log-Euclidean calculus) and :mod:`field`
+the :class:`MetricField` abstraction (Hessian recovery from P1 solutions,
+interpolation, metric edge lengths, gradation limiting shared with
+:mod:`repro.sizing.limit`).
 """
 
 from . import tensor

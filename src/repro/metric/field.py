@@ -17,11 +17,9 @@ toolkit (Alauzet/Loseille; Tsolakis & Chrisochoides, arXiv:2404.18030):
   ``lam <- clip(|lam| / eps, 1/h_max^2, 1/h_min^2)``;
 * log-Euclidean interpolation at arbitrary points (SPD by construction);
 * metric edge lengths with the exact linear-interpolation quadrature;
-* :meth:`MetricField.intersect` — pointwise simultaneous-reduction
-  intersection with a second field;
 * :meth:`MetricField.limit_gradation` — bounded size growth along mesh
-  edges, sharing :func:`repro.sizing.limit.limit_field` as its scalar
-  core so scalar and metric sizing obey one gradation guarantee.
+  edges, with :func:`repro.sizing.limit.limit_field` as its scalar
+  core: on isotropic tensors the two limiters agree exactly.
 """
 
 from __future__ import annotations
@@ -72,17 +70,6 @@ class MetricField:
         if h <= 0:
             raise ValueError("h must be positive")
         return cls(points, tensor.identity(len(points), 1.0 / (h * h)))
-
-    @classmethod
-    def from_sizes(cls, points: np.ndarray, h: np.ndarray) -> "MetricField":
-        """Isotropic field from a per-vertex edge-length array."""
-        h = np.asarray(h, dtype=np.float64).reshape(-1)
-        if np.any(h <= 0):
-            raise ValueError("sizes must be positive")
-        lam = 1.0 / (h * h)
-        out = np.zeros((len(h), 3))
-        out[:, 0] = out[:, 2] = lam
-        return cls(points, out)
 
     @classmethod
     def from_hessian(
@@ -164,11 +151,6 @@ class MetricField:
         lam1, lam2, _ = tensor.eig(self.tensors)
         return 1.0 / np.sqrt(lam1), 1.0 / np.sqrt(np.maximum(lam2, 1e-300))
 
-    def anisotropy(self) -> np.ndarray:
-        """Per-vertex stretch ratio ``sqrt(lam1 / lam2)`` (>= 1)."""
-        lam1, lam2, _ = tensor.eig(self.tensors)
-        return np.sqrt(lam1 / np.maximum(lam2, 1e-300))
-
     def edge_lengths(self, edges: np.ndarray) -> np.ndarray:
         """Metric length of vertex-index edges
         (:func:`repro.metric.tensor.edge_lengths`)."""
@@ -215,22 +197,6 @@ class MetricField:
             tree = cKDTree(self.points)
             object.__setattr__(self, "_tree", tree)
         return tree
-
-    def interpolate_field(self, query: np.ndarray, *, k: int = 3
-                          ) -> "MetricField":
-        """:meth:`interpolate` packaged as a new field at ``query``."""
-        return MetricField(np.asarray(query, dtype=np.float64).reshape(-1, 2),
-                           self.interpolate(query, k=k))
-
-    # ------------------------------------------------------------------
-    # Combination and limiting
-    # ------------------------------------------------------------------
-    def intersect(self, other: "MetricField") -> "MetricField":
-        """Pointwise metric intersection (fields on identical points)."""
-        if other.n_points != self.n_points:
-            raise ValueError("intersect requires fields on the same points")
-        return MetricField(self.points,
-                           tensor.intersect(self.tensors, other.tensors))
 
     def limit_gradation(self, edges: np.ndarray, *, grading: float = 0.3
                         ) -> "MetricField":

@@ -28,6 +28,7 @@ from .service import (
     MAX_FRAME_BYTES,
     FrameError,
     ServiceError,
+    decode_kind,
     encode_frame,
     parse_address,
 )
@@ -57,7 +58,7 @@ def read_frame_blocking(sock: socket.socket) -> Tuple[str, bytes]:
         raise FrameError(f"bad frame magic {magic!r} (want {FRAME_MAGIC!r})")
     if plen > MAX_FRAME_BYTES:
         raise FrameError(f"frame payload of {plen} bytes over cap")
-    kind = recv_exact(sock, klen).decode("ascii")
+    kind = decode_kind(recv_exact(sock, klen))
     payload = recv_exact(sock, plen) if plen else b""
     return kind, payload
 

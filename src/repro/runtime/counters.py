@@ -99,9 +99,6 @@ class Histogram:
         self.count += count
         self.total += total
 
-    def merge(self, other: "Histogram") -> None:
-        self.merge_counts(other.buckets, other.count, other.total)
-
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
@@ -183,12 +180,6 @@ class KernelCounters:
             getattr(self, hist).merge_counts(
                 getattr(tri, "stat_" + hist),
                 getattr(tri, "stat_" + count), getattr(tri, "stat_" + total))
-
-    def merge(self, other: "KernelCounters") -> None:
-        for name in KERNEL_FIELDS:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-        for hist, _, _, _ in KERNEL_HISTS:
-            getattr(self, hist).merge(getattr(other, hist))
 
     # ------------------------------------------------------------------
     # Cross-process transport (plain ints/lists only — compactly

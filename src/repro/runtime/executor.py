@@ -13,8 +13,7 @@ the seam that decides *what a worker is*:
     persistent workers forked once and reused across dispatches;
     demand-driven largest-first dispatch with at most one in-flight
     item per worker, so a crashed worker maps to exactly one
-    requeueable item (respawn + requeue, bounded attempts); idle
-    workers are reaped after a TTL.
+    requeueable item (respawn + requeue, bounded attempts).
 
     Payloads and results cross the process boundary only as flat numpy
     buffer dicts (:mod:`repro.runtime.serde`), never as pickled Python
@@ -65,9 +64,6 @@ __all__ = [
 #: environment override consulted when a caller passes ``backend=None``
 #: (used by CI to drive the whole test pyramid through one backend).
 BACKEND_ENV = "REPRO_BACKEND"
-
-#: default seconds an idle pool worker survives before being reaped.
-DEFAULT_POOL_TTL = 300.0
 
 
 class ExecutorError(RuntimeError):
@@ -306,7 +302,7 @@ class _PoolTask:
 
 
 class _PoolWorkerHandle:
-    __slots__ = ("rank", "proc", "conn", "task", "idle_since")
+    __slots__ = ("rank", "proc", "conn", "task")
 
     def __init__(self, rank, proc, conn) -> None:
         self.rank = rank
@@ -314,7 +310,6 @@ class _PoolWorkerHandle:
         self.conn = conn
         #: the in-flight :class:`_PoolTask`, or None when idle.
         self.task = None
-        self.idle_since = monotonic()
 
 
 class WorkerPool:
@@ -324,10 +319,8 @@ class WorkerPool:
 
     * **fork-once** — workers are spawned lazily, up to the rank count
       of the calls that need them, and survive between calls (the fork
-      + interpreter warm-up is paid once, not per ``map_workitems``);
-    * **TTL reap** — a worker idle longer than ``ttl`` seconds is
-      stopped at the next call boundary (big runs keep their fleet,
-      an abandoned pool shrinks to nothing);
+      + interpreter warm-up is paid once, not per ``map_workitems``)
+      and live until :meth:`shutdown`;
     * **respawn + requeue** — each worker holds at most one in-flight
       item, so a dead worker (killed, OOM) maps to exactly one item:
       the parent forks a replacement and requeues the item, up to
@@ -344,16 +337,15 @@ class WorkerPool:
     #: max dispatches of one item before the pool gives up on it.
     max_attempts = 3
 
-    def __init__(self, ctx, ttl: float = DEFAULT_POOL_TTL) -> None:
+    def __init__(self, ctx) -> None:
         self._ctx = ctx
-        self.ttl = float(ttl)
         self._result_q = ctx.Queue()
         self._workers: Dict[int, _PoolWorkerHandle] = {}
         self._next_rank = 0
         self._epoch = 0
         self._call: Optional["PoolStream"] = None
         self.closed = False
-        self.stats = {"forks": 0, "respawns": 0, "reaped": 0, "calls": 0}
+        self.stats = {"forks": 0, "respawns": 0, "calls": 0}
         #: parent fds every (re)spawned worker closes at startup —
         #: daemons register their listening sockets here so a worker
         #: forked mid-request never inherits them.
@@ -393,15 +385,6 @@ class WorkerPool:
             handle.proc.terminate()
             handle.proc.join(timeout=5.0)
         self._workers.pop(handle.rank, None)
-
-    def reap_idle(self) -> None:
-        """Retire workers idle longer than the TTL (call-boundary hook)."""
-        now = monotonic()
-        for rank in sorted(self._workers):
-            handle = self._workers[rank]
-            if handle.task is None and now - handle.idle_since > self.ttl:
-                self._retire(handle)
-                self.stats["reaped"] += 1
 
     # -- stale-result hygiene ------------------------------------------
     def _handle_stale(self, msg) -> None:
@@ -489,7 +472,6 @@ class PoolStream:
         pool._call = self
         pool.stats["calls"] += 1
         pool.drain_stale()
-        pool.reap_idle()
         self._pool = pool
         self._epoch = pool._epoch
         self._fn_mod = fn.__module__
@@ -609,7 +591,6 @@ class PoolStream:
             handle = pool._workers.get(msg[1])
             if handle is not None:
                 handle.task = None
-                handle.idle_since = monotonic()
 
     def _idle_worker(self) -> Optional[_PoolWorkerHandle]:
         """An idle live worker within this session's rank budget, or a
@@ -690,7 +671,6 @@ class PoolStream:
             task = self._tasks[idx]
             if handle is not None and handle.task is task:
                 handle.task = None
-                handle.idle_since = monotonic()
             if self._out[idx] is not None:
                 # The worker finished, queued the result, and *then*
                 # died; the death sweep already requeued the item and a
@@ -711,7 +691,6 @@ class PoolStream:
             _, _, _, idx, tb = msg
             if handle is not None and handle.task is self._tasks[idx]:
                 handle.task = None
-                handle.idle_since = monotonic()
             if self._out[idx] is not None:
                 return  # duplicate after requeue; result already good
             self._fail(ExecutorError(
@@ -762,10 +741,8 @@ class ProcessesBackend:
     #: seconds without any worker progress before declaring a hang.
     idle_timeout = 600.0
 
-    def __init__(self, start_method: Optional[str] = None,
-                 ttl: float = DEFAULT_POOL_TTL) -> None:
+    def __init__(self, start_method: Optional[str] = None) -> None:
         self._start_method = start_method
-        self._ttl = ttl
         self._pool: Optional[WorkerPool] = None
         self._exclude_fds: Tuple[int, ...] = ()
 
@@ -784,7 +761,7 @@ class ProcessesBackend:
         if self._pool is not None and self._pool.closed:
             self._pool = None
         if self._pool is None:
-            self._pool = WorkerPool(self._context(), ttl=self._ttl)
+            self._pool = WorkerPool(self._context())
             _POOLS.add(self._pool)
         self._pool.exclude_fds = self._exclude_fds
         return self._pool

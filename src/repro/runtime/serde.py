@@ -21,9 +21,9 @@ Supported objects:
 * :class:`~repro.geometry.pslg.PSLG` — points, loop index table, flags,
   and a uint8-encoded name blob;
 * sizing functions (``Uniform``/``Radial``/``GradedDistance``) — a kind
-  code plus parameter/point arrays (``CallableSizing`` is *not*
-  serializable — it wraps an arbitrary closure — and is rejected with a
-  clear error pointing at the in-process backends);
+  code plus parameter/point arrays (any other sizing object wraps
+  arbitrary Python and is rejected with a clear error pointing at the
+  in-process backend);
 * :class:`~repro.core.bl_pipeline.BoundaryLayerConfig` — its numeric
   fields, every one of them.
 
@@ -65,7 +65,6 @@ __all__ = [
     "Wire",
     "buffers_to_wire",
     "wire_to_buffers",
-    "wire_nbytes",
     "discard_wire",
     "pack_mesh",
     "unpack_mesh",
@@ -219,25 +218,14 @@ def bytes_to_buffers(data: bytes) -> Buffers:
 
 
 def canonical_hash(buffers: Buffers) -> str:
-    """SHA-256 content address of a buffer dict (canonical encoding).
+    """SHA-256 content address of a buffer dict: the digest of its
+    :func:`buffers_to_bytes` stream.
 
     Invariant under dict key order and under serde pack -> unpack round
     trips (those are bit-exact); different geometry/config bits give a
     different address.  This is the mesh cache key.
     """
-    h = hashlib.sha256()
-    h.update(_CANON_HEAD.pack(CANON_MAGIC, len(buffers)))
-    for key in sorted(buffers):
-        a = np.ascontiguousarray(buffers[key])
-        kb = key.encode("utf-8")
-        db = a.dtype.str.encode("ascii")
-        h.update(_CANON_ENTRY.pack(len(kb), len(db), a.ndim, a.nbytes))
-        h.update(kb)
-        h.update(db)
-        if a.ndim:
-            h.update(struct.pack(f"<{a.ndim}q", *a.shape))
-        h.update(a.tobytes())
-    return h.hexdigest()
+    return hashlib.sha256(buffers_to_bytes(buffers)).hexdigest()
 
 
 # ----------------------------------------------------------------------
@@ -391,16 +379,6 @@ def wire_to_buffers(wire: Wire) -> Buffers:
     if kind == "shm":
         return buffers_from_shm(wire[1], wire[2])
     raise SerdeError(f"unknown wire kind {kind!r}")
-
-
-def wire_nbytes(wire: Wire) -> int:
-    """Payload size of a wire envelope without consuming it."""
-    if wire[0] == "inline":
-        return buffers_nbytes(wire[1])
-    return int(sum(
-        int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
-        for _key, dtype, shape, _off in wire[2]
-    ))
 
 
 def discard_wire(wire: Wire) -> None:

@@ -67,6 +67,7 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "encode_frame",
     "read_frame",
+    "decode_kind",
     "parse_address",
     "percentile",
     "offload",
@@ -120,9 +121,18 @@ async def read_frame(reader: asyncio.StreamReader) -> Tuple[str, bytes]:
         raise FrameError(f"bad frame magic {magic!r} (want {FRAME_MAGIC!r})")
     if plen > MAX_FRAME_BYTES:
         raise FrameError(f"frame payload of {plen} bytes over cap")
-    kind = (await reader.readexactly(klen)).decode("ascii")
+    kind = decode_kind(await reader.readexactly(klen))
     payload = await reader.readexactly(plen) if plen else b""
     return kind, payload
+
+
+def decode_kind(raw: bytes) -> str:
+    """A frame's kind bytes as text; bytes that are not ascii make the
+    frame malformed (:class:`FrameError`), like a bad magic."""
+    try:
+        return raw.decode("ascii")
+    except UnicodeDecodeError:
+        raise FrameError(f"frame kind {raw!r} is not ascii") from None
 
 
 # ----------------------------------------------------------------------
@@ -158,15 +168,28 @@ def parse_address(spec: str) -> Tuple[str, Union[str, Tuple[str, int]]]:
         return ("unix", spec[5:])
     if spec.startswith("tcp:"):
         host, _, port = spec[4:].rpartition(":")
-        return ("tcp", (host or "127.0.0.1", int(port)))
+        return ("tcp", (host or "127.0.0.1", _port(spec, port)))
     if "/" in spec or os.sep in spec:
         return ("unix", spec)
     if ":" in spec:
         host, _, port = spec.rpartition(":")
-        return ("tcp", (host, int(port)))
+        return ("tcp", (host, _port(spec, port)))
     raise ServiceError(
         f"cannot parse service address {spec!r} — want unix:<path>, a "
         "socket path, or tcp:<host>:<port>")
+
+
+def _port(spec: str, text: str) -> int:
+    """The port of a TCP address spec: an integer in 0-65535."""
+    try:
+        port = int(text)
+    except ValueError:
+        port = -1
+    if not 0 <= port <= 65535:
+        raise ServiceError(
+            f"bad port {text!r} in service address {spec!r} — want an "
+            "integer in 0-65535")
+    return port
 
 
 def percentile(values: List[float], q: float) -> float:
@@ -185,9 +208,9 @@ class MeshCache:
     """LRU store of finalized meshes keyed by request content hash.
 
     Values are the meshes' canonical byte streams — exactly what goes
-    back on the wire, so a hit is served without touching serde again.
-    :meth:`get_buffers` re-views a stored blob as read-only zero-copy
-    arrays for in-process consumers (the benchmark, tests).
+    back on the wire, so a hit is served without touching serde again
+    (:func:`~repro.runtime.serde.bytes_to_buffers` re-views one as
+    read-only zero-copy arrays).
     """
 
     def __init__(self, max_entries: int = 256) -> None:
@@ -215,13 +238,6 @@ class MeshCache:
             self.hits += 1
             return blob
 
-    def get_buffers(self, key: str) -> Optional[serde.Buffers]:
-        """Zero-copy read-only views over the cached mesh, or None."""
-        blob = self.get(key)
-        if blob is None:
-            return None
-        return serde.bytes_to_buffers(blob)
-
     def put(self, key: str, blob: bytes) -> None:
         with self._lock:
             self._store[key] = blob
@@ -229,10 +245,6 @@ class MeshCache:
             while len(self._store) > self.max_entries:
                 self._store.popitem(last=False)
                 self.evictions += 1
-
-    def contains(self, key: str) -> bool:
-        with self._lock:
-            return key in self._store
 
     def nbytes(self) -> int:
         with self._lock:
@@ -471,6 +483,7 @@ class MeshService:
                 except (asyncio.IncompleteReadError, ConnectionError):
                     break  # client hung up between requests: normal
                 except FrameError as exc:
+                    self.counters.incr("service.errors")
                     await self._send(writer, "err", str(exc).encode())
                     break
                 if not await self._serve_one(kind, payload, writer):

@@ -1,7 +1,6 @@
 """Sizing functions (element area fields) and the boundary-layer growth law."""
 
 from .functions import (
-    CallableSizing,
     GradedDistanceSizing,
     RadialSizing,
     SizingFunction,
@@ -11,7 +10,6 @@ from .functions import (
 from .growth import GeometricGrowth
 
 __all__ = [
-    "CallableSizing",
     "GeometricGrowth",
     "GradedDistanceSizing",
     "RadialSizing",

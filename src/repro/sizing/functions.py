@@ -18,7 +18,7 @@ and area bound ``A`` will never need to split a border edge of length
 from __future__ import annotations
 
 import math
-from typing import Callable, Protocol, Sequence, Tuple
+from typing import Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "UniformSizing",
     "GradedDistanceSizing",
     "RadialSizing",
-    "CallableSizing",
     "areas_at",
     "decoupling_edge_length",
 ]
@@ -208,22 +207,6 @@ class RadialSizing:
     def area_at(self, x: float, y: float) -> float:
         h = self.edge_length_at(x, y)
         return math.sqrt(3.0) / 4.0 * h * h
-
-    def __call__(self, x: float, y: float) -> float:
-        return self.area_at(x, y)
-
-
-class CallableSizing:
-    """Adapt a plain ``f(x, y) -> area`` callable to the protocol."""
-
-    def __init__(self, fn: Callable[[float, float], float]) -> None:
-        self._fn = fn
-
-    def area_at(self, x: float, y: float) -> float:
-        a = float(self._fn(x, y))
-        if a <= 0:
-            raise ValueError(f"sizing function returned non-positive area {a}")
-        return a
 
     def __call__(self, x: float, y: float) -> float:
         return self.area_at(x, y)

@@ -1,11 +1,10 @@
-"""Gradient-limited sizing fields (Hamilton-Jacobi limiter).
+"""The Hamilton-Jacobi gradation limiter (scalar core of metric gradation).
 
-A sizing function handed to the mesher by a user (or recovered from a
-solution, see :mod:`repro.metric`) can vary arbitrarily fast — a spike of
-small target size next to a plateau of large size makes Ruppert
-refinement thrash and produces abrupt element-size jumps.  pymesh2D's
-``hfun_util``/``hjac_util`` pair solves this with a Hamilton-Jacobi
-limiter: replace the raw field ``h`` by the largest field ``h*`` with
+A sizing field recovered from a solution (see :mod:`repro.metric`) can
+vary arbitrarily fast — a spike of small target size next to a plateau
+of large size makes refinement thrash and produces abrupt element-size
+jumps.  pymesh2D's ``hfun_util``/``hjac_util`` pair solves this with a
+Hamilton-Jacobi limiter: replace the raw field ``h`` by the largest field ``h*`` with
 
     h*(x) <= h(y) + g * d(x, y)        for all x, y,
 
@@ -20,24 +19,17 @@ one pass, exact fixed point — no iteration-count tuning).  The same core
 is the *scalar specialization* of the metric gradation limiter
 (:meth:`repro.metric.MetricField.limit_gradation` limits the per-vertex
 minimum metric size through exactly this function before rescaling the
-tensors), so scalar and anisotropic sizing share one gradation
-guarantee.
-
-:class:`GradientLimitedSizing` wraps an arbitrary user sizing function:
-it samples the raw field on a background grid, limits it there, and
-answers queries by bilinear interpolation — guaranteeing graded spacing
-for *any* input, including discontinuous ones.
+tensors), so on isotropic tensors the two limiters agree exactly.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
-from typing import Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
-__all__ = ["limit_field", "limit_sizing_on_mesh", "GradientLimitedSizing"]
+__all__ = ["limit_field"]
 
 
 def limit_field(
@@ -115,99 +107,3 @@ def limit_field(
         missing = ~np.isfinite(out)
         out[missing] = values[missing]
     return out
-
-
-def limit_sizing_on_mesh(mesh, h: np.ndarray, slope: float) -> np.ndarray:
-    """Limit a per-vertex edge-length field over a mesh's edge graph."""
-    edges = mesh.edges()
-    pts = mesh.points
-    lengths = np.linalg.norm(pts[edges[:, 1]] - pts[edges[:, 0]], axis=1)
-    return limit_field(edges, lengths, h, slope)
-
-
-class GradientLimitedSizing:
-    """Graded sizing from an arbitrary (even discontinuous) user field.
-
-    The raw field — any ``f(x, y) -> area`` callable or an object with
-    ``area_at`` — is sampled on an ``nx x ny`` background grid over
-    ``bounds``, converted to edge lengths (``h = sqrt(4 A / sqrt(3))``,
-    the equilateral inverse of the area convention used across
-    :mod:`repro.sizing`), gradient-limited over the 8-connected grid
-    graph, and served back through bilinear interpolation.  Whatever the
-    input does, the output satisfies ``|grad h| <= slope`` along grid
-    edges — the property Ruppert refinement needs to terminate without
-    size thrash.
-    """
-
-    def __init__(self, fn, bounds: Tuple[float, float, float, float],
-                 *, slope: float = 0.3, nx: int = 64,
-                 ny: Optional[int] = None) -> None:
-        if nx < 2 or (ny is not None and ny < 2):
-            raise ValueError("grid must be at least 2x2")
-        if slope < 0:
-            raise ValueError("slope must be non-negative")
-        xmin, ymin, xmax, ymax = (float(b) for b in bounds)
-        if not (xmax > xmin and ymax > ymin):
-            raise ValueError("bounds must span a positive area")
-        ny = nx if ny is None else ny
-        self.bounds = (xmin, ymin, xmax, ymax)
-        self.slope = float(slope)
-        xs = np.linspace(xmin, xmax, nx)
-        ys = np.linspace(ymin, ymax, ny)
-        area_at = getattr(fn, "area_at", fn)
-        raw = np.empty((ny, nx))
-        for j, y in enumerate(ys):
-            for i, x in enumerate(xs):
-                a = float(area_at(x, y))
-                if a <= 0:
-                    raise ValueError(
-                        f"sizing function returned non-positive area {a}")
-                raw[j, i] = a
-        h = np.sqrt(4.0 * raw / math.sqrt(3.0))  # area -> edge length
-
-        # 8-connected grid graph (vectorised construction).
-        idx = np.arange(nx * ny).reshape(ny, nx)
-        pairs = []
-        lens = []
-        dx = (xmax - xmin) / (nx - 1)
-        dy = (ymax - ymin) / (ny - 1)
-        diag = math.hypot(dx, dy)
-        pairs.append(np.column_stack([idx[:, :-1].ravel(),
-                                      idx[:, 1:].ravel()]))
-        lens.append(np.full(ny * (nx - 1), dx))
-        pairs.append(np.column_stack([idx[:-1, :].ravel(),
-                                      idx[1:, :].ravel()]))
-        lens.append(np.full((ny - 1) * nx, dy))
-        pairs.append(np.column_stack([idx[:-1, :-1].ravel(),
-                                      idx[1:, 1:].ravel()]))
-        lens.append(np.full((ny - 1) * (nx - 1), diag))
-        pairs.append(np.column_stack([idx[:-1, 1:].ravel(),
-                                      idx[1:, :-1].ravel()]))
-        lens.append(np.full((ny - 1) * (nx - 1), diag))
-        limited = limit_field(np.vstack(pairs), np.concatenate(lens),
-                              h.ravel(), self.slope)
-        self._h = limited.reshape(ny, nx)
-        self._xs = xs
-        self._ys = ys
-
-    def edge_length_at(self, x: float, y: float) -> float:
-        xs, ys, h = self._xs, self._ys, self._h
-        i = int(np.clip(np.searchsorted(xs, x) - 1, 0, len(xs) - 2))
-        j = int(np.clip(np.searchsorted(ys, y) - 1, 0, len(ys) - 2))
-        tx = (x - xs[i]) / (xs[i + 1] - xs[i])
-        ty = (y - ys[j]) / (ys[j + 1] - ys[j])
-        tx = min(max(tx, 0.0), 1.0)
-        ty = min(max(ty, 0.0), 1.0)
-        return float(
-            h[j, i] * (1 - tx) * (1 - ty)
-            + h[j, i + 1] * tx * (1 - ty)
-            + h[j + 1, i] * (1 - tx) * ty
-            + h[j + 1, i + 1] * tx * ty
-        )
-
-    def area_at(self, x: float, y: float) -> float:
-        h = self.edge_length_at(x, y)
-        return math.sqrt(3.0) / 4.0 * h * h
-
-    def __call__(self, x: float, y: float) -> float:
-        return self.area_at(x, y)

@@ -18,11 +18,9 @@ _EXPORTS = {
     "layered_mesh": "blmodel",
     "solve_bl_model": "blmodel",
     "SolveResult": "convergence",
-    "bicgstab": "convergence",
     "jacobi": "convergence",
     "pcg": "convergence",
     "apply_dirichlet": "fem",
-    "assemble_convection": "fem",
     "assemble_mass": "fem",
     "assemble_stiffness": "fem",
     "boundary_nodes": "fem",

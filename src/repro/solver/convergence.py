@@ -5,9 +5,8 @@ solver iterations for the anisotropic vs. isotropic meshes of the same
 geometry, stopping at 1e-12.  The comparison we reproduce needs an
 iterative method whose per-iteration cost scales with mesh size and whose
 iteration count reflects the system: Jacobi-preconditioned conjugate
-gradients for the SPD diffusion systems, plus plain damped Jacobi and a
-BiCGSTAB wrapper for non-symmetric convection systems.  Every solver
-records the full relative-residual history.
+gradients for the SPD diffusion systems, plus plain damped Jacobi.
+Every solver records the full relative-residual history.
 """
 
 from __future__ import annotations
@@ -17,9 +16,8 @@ from typing import List, Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-__all__ = ["SolveResult", "jacobi", "pcg", "bicgstab"]
+__all__ = ["SolveResult", "jacobi", "pcg"]
 
 
 @dataclass
@@ -92,24 +90,3 @@ def pcg(A: sp.spmatrix, b: np.ndarray, *, tol: float = 1e-12,
         p = z + (rz_new / rz) * p
         rz = rz_new
     return SolveResult(x, hist, False, max_iter)
-
-
-def bicgstab(A: sp.spmatrix, b: np.ndarray, *, tol: float = 1e-12,
-             max_iter: int = 100_000) -> SolveResult:
-    """scipy BiCGSTAB wrapped to capture the residual history."""
-    A = A.tocsr()
-    b = np.asarray(b, dtype=np.float64)
-    b_norm = float(np.linalg.norm(b)) or 1.0
-    hist: List[float] = []
-
-    def cb(xk: np.ndarray) -> None:
-        hist.append(_rel(b - A @ xk, b_norm))
-
-    d = A.diagonal()
-    M = sp.diags(np.where(d != 0, 1.0 / d, 1.0)).tocsr()
-    x, info = spla.bicgstab(A, b, rtol=tol, atol=0.0, maxiter=max_iter,
-                            M=M, callback=cb)
-    converged = info == 0
-    if not hist:
-        hist = [_rel(b - A @ x, b_norm)]
-    return SolveResult(x, hist, converged, len(hist))

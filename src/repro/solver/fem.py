@@ -6,7 +6,6 @@ for the model problems the experiments need:
 
 * stiffness matrices for (an)isotropic diffusion,
 * lumped/consistent mass matrices,
-* Galerkin convection with optional streamline (SUPG-like) stabilisation,
 * Dirichlet boundary condition application,
 
 all assembled vectorised over the element arrays into scipy CSR matrices.
@@ -25,7 +24,6 @@ __all__ = [
     "gradients",
     "assemble_stiffness",
     "assemble_mass",
-    "assemble_convection",
     "apply_dirichlet",
     "boundary_nodes",
 ]
@@ -112,44 +110,6 @@ def assemble_mass(mesh: TriMesh, *, lumped: bool = False) -> sp.csr_matrix:
         return sp.diags(diag).tocsr()
     base = (np.ones((3, 3)) + np.eye(3)) / 12.0
     ke = base[None, :, :] * areas[:, None, None]
-    return _accumulate(mesh, ke)
-
-
-def assemble_convection(
-    mesh: TriMesh,
-    velocity: Union[Tuple[float, float], Callable[[float, float], Tuple[float, float]]],
-    *,
-    supg: bool = True,
-) -> sp.csr_matrix:
-    """Assemble the convection operator  C[i,j] = ∫ phi_i (v . grad phi_j).
-
-    With ``supg`` a streamline-diffusion term ``tau (v.grad phi_i)(v.grad
-    phi_j)`` is added per element (tau = h_stream / (2|v|)), which keeps
-    the discrete operator stable on convection-dominated boundary-layer
-    problems — the regime the paper's meshes target.
-    """
-    g, areas = gradients(mesh)
-    cents = mesh.centroids()
-    if callable(velocity):
-        V = np.asarray([velocity(x, y) for x, y in cents], dtype=np.float64)
-    else:
-        V = np.broadcast_to(np.asarray(velocity, dtype=np.float64),
-                            (mesh.n_triangles, 2))
-    vdotg = np.einsum("ta,tja->tj", V, g)          # (v . grad phi_j)
-    # Galerkin term: ∫ phi_i (v.grad phi_j) = (A/3) * vdotg_j for each i.
-    ke = np.repeat(vdotg[:, None, :], 3, axis=1) * (areas / 3.0)[:, None, None]
-    if supg:
-        speed = np.linalg.norm(V, axis=1)
-        # streamwise element length ~ 2A / height... use sqrt(area) proxy
-        # projected on the flow direction via the longest edge.
-        ls = mesh.edge_lengths()
-        h = ls.max(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            tau = np.where(speed > 0, h / (2.0 * speed), 0.0)
-        ke += (
-            np.einsum("ti,tj->tij", vdotg, vdotg)
-            * (tau * areas)[:, None, None]
-        )
     return _accumulate(mesh, ke)
 
 

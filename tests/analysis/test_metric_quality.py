@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.analysis import metric_conformity, metric_edge_lengths
 from repro.delaunay import adapt_mesh, refine_pslg
-from repro.delaunay.adapt import HIGH_BAND, LOW_BAND
-from repro.metric import MetricField
+from repro.delaunay.adapt import HIGH_BAND, LOW_BAND, MeshAdaptor
+from repro.delaunay.constrained import triangulate_pslg
+from repro.metric import MetricField, tensor
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 SQUARE_SEGS = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
@@ -21,7 +21,7 @@ def mesh():
 class TestMetricEdgeLengths:
     def test_counts_unique_edges(self, mesh):
         field = MetricField.uniform(mesh.points, 0.1)
-        lengths = metric_edge_lengths(mesh, field)
+        lengths = field.edge_lengths(mesh.edges())
         t = mesh.triangles
         n_edges = len(np.unique(np.sort(np.concatenate(
             [t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1), axis=0))
@@ -30,14 +30,11 @@ class TestMetricEdgeLengths:
 
     def test_matched_metric_gives_unit_lengths(self, mesh):
         """Metric h == actual edge length -> metric lengths near 1."""
-        t = mesh.triangles
-        edges = np.unique(np.sort(np.concatenate(
-            [t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1), axis=0)
+        edges = mesh.edges()
         ls = np.linalg.norm(mesh.points[edges[:, 1]]
                             - mesh.points[edges[:, 0]], axis=1)
-        h = np.full(mesh.n_points, np.median(ls))
-        field = MetricField.from_sizes(mesh.points, h)
-        lengths = metric_edge_lengths(mesh, field)
+        field = MetricField.uniform(mesh.points, np.median(ls))
+        lengths = field.edge_lengths(edges)
         assert np.median(lengths) == pytest.approx(1.0, rel=0.15)
 
 
@@ -48,19 +45,14 @@ class TestMetricConformity:
 
     def test_conformity_in_unit_interval(self, mesh):
         field = MetricField.uniform(mesh.points, 0.05)
-        c = metric_conformity(mesh, field)
-        assert 0.0 <= c <= 1.0
+        adaptor = MeshAdaptor(triangulate_pslg(mesh.points, mesh.segments),
+                              field)
+        assert 0.0 <= adaptor.conformity() <= 1.0
 
     def test_adaptation_raises_conformity(self, mesh):
         h = np.where(np.abs(mesh.points[:, 1] - 0.5) < 0.2, 0.05, 0.25)
-        field = MetricField.from_sizes(mesh.points, h)
-        before = metric_conformity(mesh, field)
-        adapted, _ = adapt_mesh(mesh, field, max_passes=3)
-        after = metric_conformity(adapted, field)
-        assert after > before
-        assert after > 0.75
-
-    def test_custom_band(self, mesh):
-        field = MetricField.uniform(mesh.points, 0.1)
-        wide = metric_conformity(mesh, field, l_min=1e-6, l_max=1e6)
-        assert wide == 1.0
+        field = MetricField(mesh.points,
+                            tensor.identity(len(h), 1.0 / (h * h)))
+        _, report = adapt_mesh(mesh, field, max_passes=3)
+        assert report.conformity_after > report.conformity_before
+        assert report.conformity_after > 0.75

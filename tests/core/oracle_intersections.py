@@ -16,17 +16,17 @@ here still contains the zero-length segments of fan origins.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
-from repro.core.intersections import outer_border_segments, ray_segment
+from repro.core.intersections import ray_segment
 from repro.core.rays import Ray
-from repro.geometry.aabb import AABB, segment_extent_box
+from repro.geometry.aabb import AABB
 from repro.geometry.primitives import (
     distance,
     segment_intersection_point,
     segments_intersect,
 )
-from tests.spatial.adt import ADT
+from tests.spatial.adt import ADT, enclosing, segment_extent_box
 
 INSIDE = 0b0000
 LEFT = 0b0001
@@ -91,15 +91,28 @@ def segment_intersects_box(a, b, box: AABB) -> bool:
 
 
 def _tree(boxes: Sequence[AABB], margin: float = 0.0):
-    bounds = boxes[0]
-    for b in boxes[1:]:
-        bounds = bounds.union(b)
+    bounds = enclosing(boxes)
     if margin:
         bounds = bounds.expanded(margin)
     tree = ADT(bounds.expanded(1e-12 + 1e-9 * max(bounds.width,
                                                   bounds.height)))
     tree.build(boxes)
     return tree, bounds
+
+
+def outer_border_segments(
+    rays: Sequence[Ray], default_height: float
+) -> List[Tuple[tuple, tuple]]:
+    """The boundary layer's enclosing outer border: tip-to-tip polyline.
+
+    The rays are in surface order around a closed loop, so consecutive
+    tips bound the outermost layer; the returned closed polyline is the
+    "enclosing border segments of the airfoil component's boundary layer"
+    used for multi-element checks.
+    """
+    tips = [r.point_at(min(r.max_height, default_height)) for r in rays]
+    n = len(tips)
+    return [(tips[i], tips[(i + 1) % n]) for i in range(n)]
 
 
 def _truncate(ray: Ray, hit_distance: float, factor: float) -> None:

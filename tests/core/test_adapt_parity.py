@@ -11,7 +11,7 @@ import pytest
 
 from repro.core import pipeline
 from repro.delaunay import refine_pslg
-from repro.metric import MetricField
+from repro.metric import MetricField, tensor
 from repro.runtime import executor, serde
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -23,7 +23,7 @@ def case():
     mesh = refine_pslg(UNIT_SQUARE.copy(), SQUARE_SEGS.copy(),
                        max_area=0.02)
     h = np.where(np.abs(mesh.points[:, 1] - 0.5) < 0.15, 0.04, 0.3)
-    field = MetricField.from_sizes(mesh.points, h)
+    field = MetricField(mesh.points, tensor.identity(len(h), 1.0 / (h * h)))
     return mesh, field
 
 

@@ -10,8 +10,9 @@ from repro.core.bl_pipeline import (
     _simplify_borders,
     generate_boundary_layer,
     interior_seed,
+    prepare_boundary_layer,
 )
-from repro.core.insertion import bl_point_cloud, insert_points
+from repro.core.insertion import insert_points
 from repro.core.normals import loop_surface_vertices
 from repro.core.rays import Ray, refine_rays
 from repro.geometry.airfoils import naca0012, three_element_airfoil
@@ -79,11 +80,14 @@ class TestInsertion:
                 assert h <= 0.01
 
     def test_point_cloud_dedupes_fan_origins(self):
-        rays = self._rays()
-        growth = GeometricGrowth(1e-3, 1.4)
-        insert_points(rays, growth, max_layers=10)
-        cloud = bl_point_cloud(rays)
+        p = PSLG.from_loops([naca0012(61)])
+        bl = prepare_boundary_layer(p, BoundaryLayerConfig(
+            first_spacing=1e-3, growth_ratio=1.4, max_layers=10))
+        cloud = bl.points
         assert len(np.unique(cloud, axis=0)) == len(cloud)
+        # Fan rays share their origin: fewer points than ray origins.
+        rays = bl.element_rays[0]
+        assert len({r.origin for r in rays}) < len(rays)
 
     def test_validation(self):
         rays = self._rays()

@@ -28,7 +28,7 @@ from repro.core.bl_pipeline import (
 from repro.core.pipeline import MeshConfig, generate_mesh
 from repro.geometry.airfoils import naca0012, three_element_airfoil
 from repro.geometry.pslg import PSLG
-from repro.lint.engine import run_lint
+from repro.lint.engine import LintRunner
 from repro.runtime import executor, serde
 from repro.runtime.counters import monotonic, use_counters
 from repro.runtime.executor import ExecutorError
@@ -171,7 +171,7 @@ class TestItemKinds:
         rule = SerdeContractRule()
         assert rule._in_scope("pack_bl_item")
         assert rule._in_scope("unpack_bl_item")
-        findings, n_files = run_lint([serde.__file__], rules=[rule])
+        findings, n_files = LintRunner([rule]).run([serde.__file__])
         assert n_files == 1 and findings == []
         packed = serde.pack_bl_item(np.zeros((3, 2)), [(0, 1)],
                                     [(0.1, 0.1)], "scalar")

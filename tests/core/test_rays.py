@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.normals import VertexKind, loop_surface_vertices
-from repro.core.rays import Ray, angle_between_rays, build_rays, refine_rays
+from repro.core.rays import Ray, refine_rays
 from repro.geometry.airfoils import naca0012
+from repro.geometry.primitives import angle_between
 from repro.geometry.pslg import PSLG
 
 
@@ -18,13 +19,16 @@ def surface(pts):
 
 class TestBuildRays:
     def test_one_ray_per_vertex(self):
+        """No neighbouring normals differ by more than the bound: one
+        plain ray per surface vertex."""
         _, sv = surface([(0, 0), (1, 0), (1, 1), (0, 1)])
-        rays = build_rays(sv)
+        rays = refine_rays(sv, max_ray_angle=math.radians(179))
         assert len(rays) == 4
         for r, v in zip(rays, sv):
             assert r.origin == v.position
             assert r.direction == v.normal
             assert r.surface_spacing == pytest.approx(1.0)
+            assert r.origin_kind == "vertex"
 
     def test_point_at(self):
         r = Ray(origin=(1.0, 2.0), direction=(0.0, 1.0))
@@ -116,7 +120,8 @@ class TestRefineRays:
         max_angle = math.radians(20)
         rays = refine_rays(sv, max_ray_angle=max_angle)
         for r1, r2 in zip(rays, rays[1:]):
-            assert angle_between_rays(r1, r2) <= max_angle + 1e-9
+            angle = angle_between(r1.direction, r2.direction)
+            assert angle <= max_angle + 1e-9
 
     def test_validation(self):
         _, sv = surface([(0, 0), (1, 0), (0, 1)])

@@ -12,7 +12,8 @@ list of edges each sweep flipped.
 
 ``vertex_tensors``, ``interior_edges`` and ``protected_vertices`` are
 the uncached snapshots of the same commit (one interpolation, one
-per-triangle Python scan per call), kept for the same reason.
+per-triangle Python scan per call), kept for the same reason, and
+``flip_edge`` the by-vertices flip the full sweep calls.
 
 ``tests/delaunay/test_adapt_flip.py`` requires the production pass to
 flip the same edges in the same order in the same sweeps, and the
@@ -62,6 +63,23 @@ def protected_vertices(self):
                 if w != GHOST:
                     protected.add(w)
     return protected
+
+
+def flip_edge(self, u, v):
+    """Flip edge (u, v) when legal (convex quad, unconstrained, same
+    region on both sides).  Returns ``True`` on success."""
+    tri = self.tri
+    key = (u, v) if u < v else (v, u)
+    if key in tri.constraints:
+        return False
+    t1 = self._find_any_edge_triangle(u, v)
+    if t1 is None or tri.is_ghost(t1):
+        return False
+    tv = tri._arr.triangle(t1)
+    k1 = next((k for k in range(3) if tv[k] not in (u, v)), None)
+    if k1 is None:
+        return False
+    return self._flip_opposite(t1, k1)
 
 
 def metric_quality(self, a, b, c, tensors):
@@ -121,7 +139,7 @@ def flip_pass(self, *, max_sweeps=10, tol=1e-12, log=None):
                         metric_quality(self, *tv2, tensors))
             q_new = min(metric_quality(self, a, u, b, tensors),
                         metric_quality(self, b, v, a, tensors))
-            if q_new > q_now + tol and self.flip_edge(u, v):
+            if q_new > q_now + tol and flip_edge(self, u, v):
                 flipped += 1
                 sweep.append((u, v))
         if log is not None:

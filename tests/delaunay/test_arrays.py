@@ -18,29 +18,29 @@ from repro.delaunay.kernel import (
 
 class TestMeshArrays:
     def test_growth_preserves_live_prefix(self):
-        a = MeshArrays(cap_pts=4, cap_tris=4)
+        tri = Triangulation()  # default capacity: 64 points, 128 slots
+        a = tri._arr
         for i in range(100):
             a.new_point(float(i), float(-i))
         assert a.n_pts == 100
         assert a.point(57) == (57.0, -57.0)
-        for _ in range(100):
-            t = a.new_triangle_slot()
-            j = 3 * t
-            a.tv[j] = 0
-            a.tv[j + 1] = 1
-            a.tv[j + 2] = 2
-        assert a.n_tris == 100
-        assert a.triangle(99) == (0, 1, 2)
+        for _ in range(200):
+            tri._new_triangle(0, 1, 2)
+        assert a.n_tris == 200
+        assert a.triangle(199) == (0, 1, 2)
+        assert a.triangle(3) == (0, 1, 2)
 
     def test_kill_recycles_and_is_dead(self):
-        a = MeshArrays()
-        t = a.new_triangle_slot()
-        a.tv[3 * t] = 5
+        tri = Triangulation()
+        a = tri._arr
+        for i in range(6):
+            a.new_point(float(i), float(i * i))
+        t = tri._new_triangle(5, 1, 2)
         assert not a.is_dead(t)
         a.kill(t)
         assert a.is_dead(t)
         assert a.triangle(t) is None
-        assert a.new_triangle_slot() == t  # recycled from the free list
+        assert tri._new_triangle(0, 1, 2) == t  # recycled from the free list
 
     def test_reserve_rebinds_views(self):
         a = MeshArrays(cap_pts=4)

@@ -1,12 +1,14 @@
-"""Tests for the monotone chain convex hull."""
+"""Tests for the monotone chain convex hull and its unsorted oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.delaunay.hull import convex_hull, lower_hull, lower_hull_sorted, upper_hull
+from repro.delaunay.hull import lower_hull_sorted
 from repro.geometry.predicates import orient2d
+
+from .oracle_hull import convex_hull, lower_hull, upper_hull
 
 coord = st.floats(min_value=-100, max_value=100, allow_nan=False)
 

@@ -12,7 +12,7 @@ from repro.geometry.primitives import polygon_area
 
 
 def hull_area(points):
-    from repro.delaunay.hull import convex_hull
+    from .oracle_hull import convex_hull
 
     h = convex_hull(points)
     if len(h) < 3:

@@ -107,10 +107,6 @@ class TestTopology:
         )
         assert not bad.is_conforming()
 
-    def test_vertex_degrees(self):
-        m = unit_square_two_tris()
-        np.testing.assert_array_equal(m.vertex_degrees(), [2, 1, 2, 1])
-
     def test_contains_segments(self):
         m = unit_square_two_tris()
         assert m.contains_segments(np.array([(0, 1), (2, 0)]))

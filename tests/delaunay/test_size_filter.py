@@ -23,11 +23,12 @@ from repro.core import decouple
 from repro.core.decouple import DecoupledSubdomain, march_path, ring_from_parts
 from repro.delaunay.refine import AreaCriterion
 from repro.sizing.functions import (
-    CallableSizing,
     GradedDistanceSizing,
     RadialSizing,
     UniformSizing,
 )
+
+from tests.domains import CallableSizing
 
 
 class CheckedCriterion(AreaCriterion):

@@ -17,6 +17,9 @@ the service path without dominating the suite:
 
 ``DOMAINS`` maps name -> builder; builders are pure (fresh arrays per
 call) so tests can mutate results freely.
+
+:class:`CallableSizing` is the sizing a user could hand in that is none
+of the library's own: an ``area_at`` and nothing else.
 """
 
 from __future__ import annotations
@@ -33,11 +36,20 @@ from repro.geometry.pslg import PSLG
 
 __all__ = [
     "DOMAINS",
+    "CallableSizing",
     "cove_domain",
     "multi_element_domain",
     "near_tangent_gap_domain",
     "small_bl",
 ]
+
+
+class CallableSizing:
+    """A plain ``f(x, y) -> area`` as a sizing: no ``area_at_many``, no
+    ``lipschitz`` bound, no serde layout."""
+
+    def __init__(self, fn) -> None:
+        self.area_at = fn
 
 
 def small_bl(max_layers: int = 6,

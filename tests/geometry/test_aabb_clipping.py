@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import aabb
-from repro.geometry.aabb import (
-    AABB,
-    boxes_from_segments,
-    overlapping_pairs,
+from repro.geometry.aabb import AABB, boxes_from_segments, overlapping_pairs
+from tests.spatial.adt import (
+    ADT,
+    as_4d_point,
+    enclosing,
+    overlaps,
     segment_extent_box,
 )
-from tests.spatial.adt import ADT
 
 coord = st.floats(min_value=-100, max_value=100, allow_nan=False)
 point = st.tuples(coord, coord)
@@ -37,28 +38,29 @@ class TestAABB:
             AABB.of_points([])
 
     def test_contains(self):
-        assert UNIT.contains_point((0.5, 0.5))
-        assert UNIT.contains_point((0, 0))  # closed box
-        assert not UNIT.contains_point((1.1, 0.5))
+        assert UNIT.contains_box(AABB(0.5, 0.5, 0.5, 0.5))
+        assert UNIT.contains_box(AABB(0, 0, 1, 1))  # closed box
+        assert not UNIT.contains_box(AABB(0.5, 0.5, 1.1, 0.5))
 
     def test_overlaps(self):
-        assert UNIT.overlaps(AABB(0.5, 0.5, 2, 2))
-        assert UNIT.overlaps(AABB(1, 0, 2, 1))  # edge touch
-        assert not UNIT.overlaps(AABB(1.01, 0, 2, 1))
+        assert overlaps(UNIT, AABB(0.5, 0.5, 2, 2))
+        assert overlaps(UNIT, AABB(1, 0, 2, 1))  # edge touch
+        assert not overlaps(UNIT, AABB(1.01, 0, 2, 1))
 
     def test_union_and_expand(self):
-        u = UNIT.union(AABB(2, 2, 3, 3))
+        u = enclosing([UNIT, AABB(2, 2, 3, 3)])
         assert (u.xmin, u.ymin, u.xmax, u.ymax) == (0, 0, 3, 3)
         e = UNIT.expanded(1)
         assert (e.xmin, e.ymin, e.xmax, e.ymax) == (-1, -1, 2, 2)
 
     def test_4d_point(self):
-        assert UNIT.as_4d_point() == (0, 0, 1, 1)
+        assert as_4d_point(UNIT) == (0, 0, 1, 1)
 
     @given(a=point, b=point)
     def test_segment_extent_contains_endpoints(self, a, b):
         box = segment_extent_box(a, b)
-        assert box.contains_point(a) and box.contains_point(b)
+        assert box.contains_box(AABB(*a, *a))
+        assert box.contains_box(AABB(*b, *b))
 
     def test_boxes_from_segments(self):
         segs = np.array([[[0, 0], [1, 2]], [[3, -1], [2, 4]]], dtype=float)

@@ -7,29 +7,39 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.delaunay.mesh import TriMesh
 from repro.geometry.primitives import (
     angle_between,
     circumcenter,
-    circumradius,
     distance,
-    lerp_unit,
     normalize,
-    perp_left,
     perp_right,
     point_on_segment,
     polygon_area,
-    polygon_is_ccw,
     rotate,
     segment_intersection_point,
-    segment_point_distance,
     segments_intersect,
     signed_turn_angle,
-    triangle_angles,
-    triangle_area,
+    slerp_unit,
 )
 
 coord = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 point = st.tuples(coord, coord)
+
+
+def triangle(a, b, c):
+    """The one-triangle mesh ``abc``: its per-triangle measures are the
+    scalar ones of the corners."""
+    return TriMesh(np.array([a, b, c], dtype=float), np.array([[0, 1, 2]]))
+
+
+def segment_distance(p, a, b):
+    """Distance from ``p`` to the closed segment ``ab``."""
+    p, a, b = (np.asarray(x, dtype=float) for x in (p, a, b))
+    ab = b - a
+    denom = ab @ ab
+    t = 0.0 if denom == 0.0 else min(max((p - a) @ ab / denom, 0.0), 1.0)
+    return float(np.hypot(*(p - a - t * ab)))
 
 
 class TestVectors:
@@ -41,8 +51,8 @@ class TestVectors:
             normalize((0, 0))
 
     def test_perp(self):
-        assert perp_left((1, 0)) == (0, 1)
         assert perp_right((1, 0)) == (0, -1)
+        assert perp_right((0, 1)) == (1, 0)
 
     def test_rotate_quarter(self):
         x, y = rotate((1, 0), math.pi / 2)
@@ -51,8 +61,8 @@ class TestVectors:
     @given(point)
     def test_perp_orthogonal(self, v):
         assume(v != (0.0, 0.0))
-        for p in (perp_left(v), perp_right(v)):
-            assert abs(v[0] * p[0] + v[1] * p[1]) < 1e-9 * (v[0]**2 + v[1]**2 + 1)
+        p = perp_right(v)
+        assert abs(v[0] * p[0] + v[1] * p[1]) < 1e-9 * (v[0]**2 + v[1]**2 + 1)
 
 
 class TestAngles:
@@ -119,35 +129,33 @@ class TestSegments:
         p = segment_intersection_point(a, b, c, d)
         if p is None:
             return
-        assert segment_point_distance(p, a, b) < 1e-6 * (
-            1 + max(abs(v) for v in (*a, *b, *c, *d))
-        )
-        assert segment_point_distance(p, c, d) < 1e-6 * (
-            1 + max(abs(v) for v in (*a, *b, *c, *d))
-        )
+        tol = 1e-6 * (1 + max(abs(v) for v in (*a, *b, *c, *d)))
+        assert segment_distance(p, a, b) < tol
+        assert segment_distance(p, c, d) < tol
+
+    def test_segment_point_distance(self):
+        """The oracle above: clamped to the ends, a point for a
+        zero-length segment."""
+        assert segment_distance((0, 1), (0, 0), (2, 0)) == pytest.approx(1)
+        assert segment_distance((-1, 0), (0, 0), (2, 0)) == pytest.approx(1)
+        assert segment_distance((3, 0), (0, 0), (2, 0)) == pytest.approx(1)
+        assert segment_distance((1, 0), (1, 1), (1, 1)) == pytest.approx(1)
 
     def test_point_on_segment(self):
         assert point_on_segment((1, 1), (0, 0), (2, 2))
         assert not point_on_segment((3, 3), (0, 0), (2, 2))
         assert not point_on_segment((1, 1.0001), (0, 0), (2, 2))
 
-    def test_segment_point_distance(self):
-        assert segment_point_distance((0, 1), (0, 0), (2, 0)) == pytest.approx(1)
-        assert segment_point_distance((-1, 0), (0, 0), (2, 0)) == pytest.approx(1)
-        assert segment_point_distance((3, 0), (0, 0), (2, 0)) == pytest.approx(1)
-        assert segment_point_distance((1, 0), (1, 1), (1, 1)) == pytest.approx(1)
-
 
 class TestPolygons:
     def test_unit_square_area(self):
         sq = [(0, 0), (1, 0), (1, 1), (0, 1)]
         assert polygon_area(sq) == pytest.approx(1.0)
-        assert polygon_is_ccw(sq)
         assert polygon_area(sq[::-1]) == pytest.approx(-1.0)
 
     def test_triangle_area_matches_polygon(self):
         a, b, c = (0, 0), (3, 0), (0, 4)
-        assert triangle_area(a, b, c) == pytest.approx(6.0)
+        assert triangle(a, b, c).areas()[0] == pytest.approx(6.0)
         assert polygon_area([a, b, c]) == pytest.approx(6.0)
 
 
@@ -155,17 +163,19 @@ class TestCircumcircle:
     def test_right_triangle(self):
         cc = circumcenter((0, 0), (2, 0), (0, 2))
         assert cc == pytest.approx((1, 1))
-        assert circumradius((0, 0), (2, 0), (0, 2)) == pytest.approx(math.sqrt(2))
+        r = triangle((0, 0), (2, 0), (0, 2)).circumradii()[0]
+        assert r == pytest.approx(distance(cc, (0, 0)))
+        assert r == pytest.approx(math.sqrt(2))
 
     def test_degenerate(self):
         with pytest.raises(ValueError):
             circumcenter((0, 0), (1, 1), (2, 2))
-        assert circumradius((0, 0), (1, 1), (2, 2)) == math.inf
+        assert triangle((0, 0), (1, 1), (2, 2)).circumradii()[0] == math.inf
 
     @given(a=point, b=point, c=point)
     @settings(max_examples=100)
     def test_equidistance(self, a, b, c):
-        assume(abs(triangle_area(a, b, c)) > 1e-3)
+        assume(abs(polygon_area([a, b, c])) > 1e-3)
         cc = circumcenter(a, b, c)
         r = distance(cc, a)
         scale = max(1.0, r)
@@ -176,32 +186,31 @@ class TestCircumcircle:
 class TestTriangleAngles:
     def test_equilateral(self):
         h = math.sqrt(3) / 2
-        angles = triangle_angles((0, 0), (1, 0), (0.5, h))
+        angles = triangle((0, 0), (1, 0), (0.5, h)).angles()[0]
         for ang in angles:
             assert ang == pytest.approx(math.pi / 3)
 
     @given(a=point, b=point, c=point)
     @settings(max_examples=100)
     def test_sum_to_pi(self, a, b, c):
-        assume(abs(triangle_area(a, b, c)) > 1e-3)
-        assert sum(triangle_angles(a, b, c)) == pytest.approx(math.pi)
+        assume(abs(polygon_area([a, b, c])) > 1e-3)
+        assert triangle(a, b, c).angles()[0].sum() == pytest.approx(math.pi)
 
 
-class TestLerpUnit:
+class TestSlerpUnit:
     def test_endpoints(self):
         u, v = (1.0, 0.0), (0.0, 1.0)
-        assert lerp_unit(u, v, 0.0) == pytest.approx(u)
-        assert lerp_unit(u, v, 1.0) == pytest.approx(v)
+        assert slerp_unit(u, v, 0.0) == pytest.approx(u)
+        assert slerp_unit(u, v, 1.0) == pytest.approx(v)
 
     def test_midpoint_unit_length(self):
-        w = lerp_unit((1.0, 0.0), (0.0, 1.0), 0.5)
+        w = slerp_unit((1.0, 0.0), (0.0, 1.0), 0.5)
         assert math.hypot(*w) == pytest.approx(1.0)
         assert w[0] == pytest.approx(w[1])
 
-    def test_opposite_vectors_fall_back_to_perp(self):
-        w = lerp_unit((1.0, 0.0), (-1.0, 0.0), 0.5)
-        assert math.hypot(*w) == pytest.approx(1.0)
-        assert abs(w[1]) == pytest.approx(1.0)
+    def test_opposite_vectors_sweep_ccw(self):
+        w = slerp_unit((1.0, 0.0), (-1.0, 0.0), 0.5)
+        assert w == pytest.approx((0.0, 1.0))
 
     @given(st.floats(min_value=0, max_value=1),
            st.floats(min_value=-3.1, max_value=3.1),
@@ -210,5 +219,5 @@ class TestLerpUnit:
     def test_always_unit(self, t, th1, th2):
         u = rotate((1.0, 0.0), th1)
         v = rotate((1.0, 0.0), th2)
-        w = lerp_unit(u, v, t)
+        w = slerp_unit(u, v, t)
         assert math.hypot(*w) == pytest.approx(1.0, abs=1e-9)

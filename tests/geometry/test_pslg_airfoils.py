@@ -9,13 +9,12 @@ from repro.geometry.airfoils import (
     add_cove,
     blunt_trailing_edge,
     cosine_spacing,
-    farfield_box,
     naca4,
     naca0012,
     three_element_airfoil,
     transform_coords,
 )
-from repro.geometry.primitives import polygon_area, polygon_is_ccw
+from repro.geometry.primitives import polygon_area
 from repro.geometry.pslg import PSLG, Loop
 
 
@@ -45,7 +44,7 @@ class TestPSLG:
     def test_cw_loop_reoriented(self):
         p = PSLG(SQUARE, [Loop([3, 2, 1, 0])])
         pts = p.loop_points(p.loops[0])
-        assert polygon_is_ccw(pts)
+        assert polygon_area(pts) > 0
 
     def test_out_of_range_index(self):
         with pytest.raises(ValueError):
@@ -70,7 +69,6 @@ class TestPSLG:
     def test_edge_lengths(self):
         p = PSLG(SQUARE, [Loop([0, 1, 2, 3])])
         np.testing.assert_allclose(p.loop_edge_lengths(p.loops[0]), 1.0)
-        assert p.min_edge_length() == pytest.approx(1.0)
 
     def test_from_loops_drops_closing_duplicate(self):
         closed = np.vstack([SQUARE, SQUARE[:1]])
@@ -113,8 +111,8 @@ class TestNACA4:
             assert (round(x, 9), round(-y, 9)) in ys
 
     def test_ccw(self):
-        assert polygon_is_ccw(naca0012(51))
-        assert polygon_is_ccw(naca4("4412", 51))
+        assert polygon_area(naca0012(51)) > 0
+        assert polygon_area(naca4("4412", 51)) > 0
 
     def test_thickness_max(self):
         c = naca0012(201)
@@ -199,7 +197,7 @@ class TestBluntTE:
 
     def test_still_ccw_simple(self):
         b = blunt_trailing_edge(naca0012(101), x_cut=0.9)
-        assert polygon_is_ccw(b)
+        assert polygon_area(b) > 0
 
     def test_cut_too_aggressive(self):
         with pytest.raises(ValueError):
@@ -237,21 +235,7 @@ class TestThreeElement:
     def test_ccw_loops(self):
         p = three_element_airfoil(n_points=41)
         for lp in p.loops:
-            assert polygon_is_ccw(p.loop_points(lp))
-
-
-class TestFarfield:
-    def test_box_size(self):
-        p = PSLG.from_loops([naca0012(51)])
-        ff = farfield_box(p, chords=40, n_per_side=8)
-        assert len(ff) == 32
-        assert ff[:, 0].max() - ff[:, 0].min() == pytest.approx(80.0, rel=0.01)
-        assert polygon_is_ccw(ff)
-
-    def test_bad_chords(self):
-        p = PSLG.from_loops([naca0012(51)])
-        with pytest.raises(ValueError):
-            farfield_box(p, chords=0)
+            assert polygon_area(p.loop_points(lp)) > 0
 
 
 class TestExtraGeometries:
@@ -269,7 +253,7 @@ class TestExtraGeometries:
         from repro.geometry.airfoils import flat_plate
 
         p = flat_plate(31, thickness=0.01)
-        assert polygon_is_ccw(p)
+        assert polygon_area(p) > 0
         # Four corners at the two vertical bases.
         corners = p[(np.abs(p[:, 0]) < 1e-12) | (np.abs(p[:, 0] - 1) < 1e-12)]
         assert len(corners) == 4
@@ -278,7 +262,7 @@ class TestExtraGeometries:
         from repro.geometry.airfoils import flat_plate
 
         p = flat_plate(31, thickness=0.01, blunt=False)
-        assert polygon_is_ccw(p)
+        assert polygon_area(p) > 0
         assert p[:, 0].min() < 0  # sharp nose extends past the plate
         with pytest.raises(ValueError):
             flat_plate(31, thickness=0.0)
@@ -289,7 +273,7 @@ class TestExtraGeometries:
         from repro.geometry.pslg import PSLG
 
         c = joukowski(201, thickness=0.1, camber=0.05)
-        assert polygon_is_ccw(c)
+        assert polygon_area(c) > 0
         assert c[:, 0].min() == pytest.approx(0.0)
         assert c[:, 0].max() == pytest.approx(1.0)
         # The conformal map produces a true cusp at the trailing edge.
@@ -310,7 +294,7 @@ class TestExtraGeometries:
         from repro.geometry.airfoils import naca5
 
         c = naca5("23012", 101)
-        assert polygon_is_ccw(c)
+        assert polygon_area(c) > 0
         thick = c[:, 1].max() - c[:, 1].min()
         assert thick == pytest.approx(0.12, abs=0.01)
         # Cambered: forward camber peak (the 230xx family).

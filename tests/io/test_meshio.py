@@ -14,8 +14,31 @@ from repro.io.meshio import (
     write_mesh_ascii,
     write_mesh_npz,
     write_node,
-    write_poly,
+    write_vtk,
 )
+
+
+def write_poly_text(path, pslg, holes=(), markers=None):
+    """A Triangle ``.poly`` file of ``pslg`` (1-based, optional one
+    boundary-marker column per segment): the input ``read_poly`` takes."""
+    segs = pslg.all_segments()
+    lines = [f"{pslg.n_points} 2 0 0"]
+    lines += [f"{i + 1} {x!r} {y!r}" for i, (x, y) in
+              enumerate(pslg.points.tolist())]
+    lines.append(f"{len(segs)} {0 if markers is None else 1}")
+    lines += [f"{i + 1} {u + 1} {v + 1}"
+              + ("" if markers is None else f" {markers[i]}")
+              for i, (u, v) in enumerate(segs.tolist())]
+    lines.append(f"{len(holes)}")
+    lines += [f"{i + 1} {x!r} {y!r}" for i, (x, y) in
+              enumerate(np.asarray(holes, dtype=float).tolist())]
+    path.write_text("\n".join(lines) + "\n")
+
+
+def vtk_section(lines, header, n):
+    """The ``n`` lines after the line ``header``, split into fields."""
+    i = lines.index(header)
+    return [line.split() for line in lines[i + 1:i + 1 + n]]
 
 
 @pytest.fixture
@@ -78,7 +101,7 @@ class TestPoly:
                                 naca0012(21) * 0.2 + np.array([3.0, 0.0])])
         holes = np.array([(0.5, 0.0), (3.1, 0.0)])
         p = tmp_path / "a.poly"
-        write_poly(p, pslg, holes)
+        write_poly_text(p, pslg, holes)
         got, got_holes = read_poly(p)
         assert got.n_points == pslg.n_points
         np.testing.assert_array_equal(np.sort(got.points, axis=0),
@@ -89,7 +112,7 @@ class TestPoly:
     def test_poly_no_holes(self, tmp_path):
         pslg = PSLG.from_loops([naca0012(21)])
         p = tmp_path / "b.poly"
-        write_poly(p, pslg)
+        write_poly_text(p, pslg)
         got, holes = read_poly(p)
         assert len(holes) == 0
         assert len(got.loops) == 1
@@ -99,7 +122,7 @@ class TestPoly:
         segs = pslg.all_segments()
         markers = np.arange(100, 100 + len(segs))
         p = tmp_path / "c.poly"
-        write_poly(p, pslg, markers=markers)
+        write_poly_text(p, pslg, markers=markers)
         got, _holes, got_markers = read_poly(p, with_markers=True)
         # Markers follow the reconstructed segment order: match per edge.
         want = {(int(u), int(v)): int(m)
@@ -107,15 +130,10 @@ class TestPoly:
         for (u, v), m in zip(got.all_segments(), got_markers):
             assert want[(int(u), int(v))] == int(m)
         # Marker-less files report markers=None but still parse.
-        write_poly(tmp_path / "d.poly", pslg)
+        write_poly_text(tmp_path / "d.poly", pslg)
         _, _, none_markers = read_poly(tmp_path / "d.poly",
                                        with_markers=True)
         assert none_markers is None
-
-    def test_poly_marker_length_mismatch(self, tmp_path):
-        pslg = PSLG.from_loops([naca0012(21)])
-        with pytest.raises(ValueError, match="markers"):
-            write_poly(tmp_path / "e.poly", pslg, markers=[1, 2, 3])
 
     def test_poly_malformed(self, tmp_path):
         p = tmp_path / "bad.poly"
@@ -159,8 +177,6 @@ class TestCLI:
 
 class TestVTK:
     def test_write_vtk_structure(self, tmp_path, mesh):
-        from repro.io.meshio import write_vtk
-
         p = write_vtk(tmp_path / "m.vtk", mesh,
                       cell_data={"area": mesh.areas()},
                       point_data={"x": mesh.points[:, 0]})
@@ -174,59 +190,44 @@ class TestVTK:
         assert text.count("\n5\n") + text.count("\n5\n") >= 1
 
     def test_write_vtk_bad_field_length(self, tmp_path, mesh):
-        from repro.io.meshio import write_vtk
-
         with pytest.raises(ValueError):
             write_vtk(tmp_path / "m.vtk", mesh,
                       cell_data={"bad": np.zeros(3)})
 
     def test_vtk_round_trip_with_data(self, tmp_path, mesh):
-        from repro.io.meshio import read_vtk, write_vtk
-
-        cp = np.linspace(-1.0, 1.0, mesh.n_points)
+        """Coordinates and fields are written with ``repr``: the text
+        gives every float back bit-exactly."""
+        n, m = mesh.n_points, mesh.n_triangles
+        cp = np.linspace(-1.0, 1.0, n)
         area = mesh.areas()
         p = write_vtk(tmp_path / "m.vtk", mesh,
                       cell_data={"area": area}, point_data={"cp": cp})
-        got, cell_data, point_data = read_vtk(p)
-        np.testing.assert_array_equal(got.points, mesh.points)
-        np.testing.assert_array_equal(got.triangles, mesh.triangles)
-        np.testing.assert_array_equal(cell_data["area"], area)
-        np.testing.assert_array_equal(point_data["cp"], cp)
+        lines = p.read_text().splitlines()
+        xyz = np.array(vtk_section(lines, f"POINTS {n} double", n),
+                       dtype=float)
+        np.testing.assert_array_equal(xyz[:, :2], mesh.points)
+        assert np.all(xyz[:, 2] == 0.0)
+        cells = np.array(vtk_section(lines, f"CELLS {m} {4 * m}", m),
+                         dtype=np.int64)
+        assert np.all(cells[:, 0] == 3)
+        np.testing.assert_array_equal(cells[:, 1:], mesh.triangles)
+        assert vtk_section(lines, f"CELL_TYPES {m}", m) == [["5"]] * m
+        for name, values in (("area", area), ("cp", cp)):
+            table = vtk_section(lines, f"SCALARS {name} double 1",
+                                len(values) + 1)
+            assert table[0] == ["LOOKUP_TABLE", "default"]
+            np.testing.assert_array_equal(
+                np.array(table[1:], dtype=float).ravel(), values)
 
     def test_vtk_round_trip_no_data(self, tmp_path, mesh):
-        from repro.io.meshio import read_vtk, write_vtk
-
+        m = mesh.n_triangles
         p = write_vtk(tmp_path / "m.vtk", mesh)
-        got, cell_data, point_data = read_vtk(p)
-        np.testing.assert_array_equal(got.triangles, mesh.triangles)
-        assert cell_data == {} and point_data == {}
-
-    def test_read_vtk_malformed(self, tmp_path):
-        from repro.io.meshio import read_vtk
-
-        p = tmp_path / "bad.vtk"
-        p.write_text("not a vtk file\n")
-        with pytest.raises(ValueError, match="magic"):
-            read_vtk(p)
-        p.write_text("# vtk DataFile Version 3.0\nt\nBINARY\n"
-                     "DATASET UNSTRUCTURED_GRID\n")
-        with pytest.raises(ValueError, match="ASCII"):
-            read_vtk(p)
-        p.write_text("# vtk DataFile Version 3.0\nt\nASCII\n"
-                     "DATASET POLYDATA\n")
-        with pytest.raises(ValueError, match="UNSTRUCTURED_GRID"):
-            read_vtk(p)
-        p.write_text("# vtk DataFile Version 3.0\nt\nASCII\n"
-                     "DATASET UNSTRUCTURED_GRID\nPOINTS 2 double\n"
-                     "0.0 0.0 0.0\n")
-        with pytest.raises(ValueError, match="truncated"):
-            read_vtk(p)
-        p.write_text("# vtk DataFile Version 3.0\nt\nASCII\n"
-                     "DATASET UNSTRUCTURED_GRID\nPOINTS 3 double\n"
-                     "0 0 0\n1 0 0\n0 1 0\n"
-                     "CELLS 1 5\n4 0 1 2 2\n")
-        with pytest.raises(ValueError, match="triangles"):
-            read_vtk(p)
+        lines = p.read_text().splitlines()
+        cells = np.array(vtk_section(lines, f"CELLS {m} {4 * m}", m),
+                         dtype=np.int64)
+        np.testing.assert_array_equal(cells[:, 1:], mesh.triangles)
+        # The grid is the whole file: it ends with the cell types.
+        assert lines[-(m + 1)] == f"CELL_TYPES {m}"
 
 
 class TestCLIExtensions:

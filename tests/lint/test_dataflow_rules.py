@@ -13,7 +13,6 @@ import subprocess
 import sys
 import textwrap
 
-from repro.lint import run_lint
 from repro.lint.engine import LintRunner
 from repro.lint.rules import ALL_RULES, rule_ids
 from repro.lint.sarif import format_sarif
@@ -23,7 +22,7 @@ def lint_snippet(tmp_path, relpath, source):
     f = tmp_path / relpath
     f.parent.mkdir(parents=True, exist_ok=True)
     f.write_text(textwrap.dedent(source))
-    findings, n_files = run_lint([str(f)])
+    findings, n_files = LintRunner(ALL_RULES).run([str(f)])
     assert n_files == 1
     return findings
 
@@ -414,14 +413,14 @@ class TestSeverityMap:
         f = tmp_path / "tests" / "helper_async.py"
         f.parent.mkdir(parents=True)
         f.write_text(textwrap.dedent(self.BAD_ASYNC))
-        findings, _ = run_lint([str(f)])
+        findings, _ = LintRunner(ALL_RULES).run([str(f)])
         assert "R9" not in rules_hit(findings)
 
     def test_same_code_fails_outside_tests_tree(self, tmp_path):
         f = tmp_path / "repro" / "runtime" / "helper_async.py"
         f.parent.mkdir(parents=True)
         f.write_text(textwrap.dedent(self.BAD_ASYNC))
-        findings, _ = run_lint([str(f)])
+        findings, _ = LintRunner(ALL_RULES).run([str(f)])
         assert "R9" in rules_hit(findings)
 
     def test_warn_severity_does_not_gate(self, tmp_path):

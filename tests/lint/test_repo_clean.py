@@ -10,10 +10,15 @@ from pathlib import Path
 
 import json
 
-from repro.lint import load_baseline, run_lint, rule_ids
+from repro.lint import ALL_RULES, LintRunner, load_baseline, rule_ids
 from repro.lint.__main__ import main as lint_main
 
 REPO = Path(__file__).resolve().parents[2]
+
+
+def lint(*trees):
+    """Every rule over the named top-level directories of the repo."""
+    return LintRunner(ALL_RULES).run([str(REPO / tree) for tree in trees])
 
 
 def test_rule_catalog_is_r1_through_r12():
@@ -22,19 +27,18 @@ def test_rule_catalog_is_r1_through_r12():
 
 
 def test_src_lints_clean():
-    findings, n_files = run_lint([str(REPO / "src")])
+    findings, n_files = lint("src")
     assert n_files > 50  # the scan actually covered the tree
     assert findings == [], "\n" + "\n".join(f.format_text() for f in findings)
 
 
 def test_tests_lint_clean():
-    findings, _ = run_lint([str(REPO / "tests")])
+    findings, _ = lint("tests")
     assert findings == [], "\n" + "\n".join(f.format_text() for f in findings)
 
 
 def test_examples_and_benchmarks_lint_clean():
-    findings, n_files = run_lint([str(REPO / "examples"),
-                                  str(REPO / "benchmarks")])
+    findings, n_files = lint("examples", "benchmarks")
     assert n_files > 5
     errors = [f for f in findings if f.severity == "error"]
     assert errors == [], "\n" + "\n".join(f.format_text() for f in errors)
@@ -48,9 +52,7 @@ def test_baseline_file_is_valid_and_current():
     """
     path = REPO / "lint-baseline.json"
     baseline = load_baseline(path)
-    findings, _ = run_lint([str(REPO / "src"), str(REPO / "tests"),
-                            str(REPO / "benchmarks"),
-                            str(REPO / "examples")])
+    findings, _ = lint("src", "tests", "benchmarks", "examples")
     # Compare on repo-relative paths, as CI records them.
     live = {(f.rule, str(Path(f.path).relative_to(REPO))
              if Path(f.path).is_absolute() else f.path,

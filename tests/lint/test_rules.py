@@ -8,8 +8,7 @@ scoping logic is exercised too.
 
 import textwrap
 
-from repro.lint import run_lint
-from repro.lint.engine import parse_pragmas
+from repro.lint.engine import LintRunner, parse_pragmas
 from repro.lint.rules import ALL_RULES, rule_ids
 
 
@@ -17,7 +16,7 @@ def lint_snippet(tmp_path, relpath, source):
     f = tmp_path / relpath
     f.parent.mkdir(parents=True, exist_ok=True)
     f.write_text(textwrap.dedent(source))
-    findings, n_files = run_lint([str(f)])
+    findings, n_files = LintRunner(ALL_RULES).run([str(f)])
     assert n_files == 1
     return findings
 

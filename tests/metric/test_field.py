@@ -16,6 +16,11 @@ UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 SQUARE_SEGS = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
 
 
+def isotropic(points, h):
+    """The field prescribing edge length ``h[i]`` at ``points[i]``."""
+    return MetricField(points, tensor.identity(len(h), 1.0 / (h * h)))
+
+
 @pytest.fixture(scope="module")
 def square_mesh():
     return refine_pslg(UNIT_SQUARE.copy(), SQUARE_SEGS.copy(),
@@ -32,9 +37,10 @@ class TestConstruction:
 
     def test_from_sizes_isotropic(self):
         pts = np.zeros((3, 2))
-        f = MetricField.from_sizes(pts, np.array([0.1, 0.2, 0.4]))
-        hs, _ = f.sizes()
+        f = isotropic(pts, np.array([0.1, 0.2, 0.4]))
+        hs, hl = f.sizes()
         np.testing.assert_allclose(hs, [0.1, 0.2, 0.4], rtol=1e-12)
+        np.testing.assert_allclose(hl, hs, rtol=1e-12)
 
     def test_rejects_non_spd(self):
         with pytest.raises(ValueError):
@@ -69,14 +75,14 @@ class TestInterpolation:
     def test_exact_at_samples(self):
         rng = np.random.default_rng(1)
         pts = rng.uniform(size=(40, 2))
-        f = MetricField.from_sizes(pts, rng.uniform(0.05, 0.5, 40))
+        f = isotropic(pts, rng.uniform(0.05, 0.5, 40))
         out = f.interpolate(pts)
         np.testing.assert_array_equal(out, f.tensors)
 
     def test_interpolated_tensors_spd(self):
         rng = np.random.default_rng(2)
         pts = rng.uniform(size=(50, 2))
-        f = MetricField.from_sizes(pts, rng.uniform(0.05, 0.5, 50))
+        f = isotropic(pts, rng.uniform(0.05, 0.5, 50))
         q = rng.uniform(-0.2, 1.2, size=(200, 2))
         out = f.interpolate(q)
         assert np.all(out[:, 0] > 0)
@@ -86,7 +92,7 @@ class TestInterpolation:
         """Log-Euclidean blend of isotropic h1, h2 at the midpoint is
         the geometric mean (up to IDW weighting symmetry)."""
         pts = np.array([[0.0, 0.0], [1.0, 0.0]])
-        f = MetricField.from_sizes(pts, np.array([0.1, 0.4]))
+        f = isotropic(pts, np.array([0.1, 0.4]))
         out = f.interpolate(np.array([[0.5, 0.0]]), k=2)
         h = 1.0 / np.sqrt(out[0, 0])
         assert h == pytest.approx(np.sqrt(0.1 * 0.4), rel=1e-6)
@@ -99,7 +105,7 @@ class TestEdgeLengthsAndGradation:
         # L = l_lo (r - 1) / ln r with l_lo = 1/0.2... check against
         # direct quadrature of 1/h(t) along the edge.
         pts = np.array([[0.0, 0.0], [1.0, 0.0]])
-        f = MetricField.from_sizes(pts, np.array([0.1, 0.2]))
+        f = isotropic(pts, np.array([0.1, 0.2]))
         L = f.edge_lengths(np.array([[0, 1]]))[0]
         l0, l1 = 10.0, 5.0  # metric lengths at the endpoints
         r = l1 / l0
@@ -111,7 +117,7 @@ class TestEdgeLengthsAndGradation:
             np.hypot(square_mesh.points[:, 0] - 0.5,
                      square_mesh.points[:, 1] - 0.5) < 0.1,
             0.01, 0.5)
-        f = MetricField.from_sizes(square_mesh.points, h)
+        f = isotropic(square_mesh.points, h)
         t = square_mesh.triangles
         edges = np.unique(np.sort(np.concatenate(
             [t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1), axis=0)
@@ -125,7 +131,7 @@ class TestEdgeLengthsAndGradation:
 
     def test_gradation_only_refines(self, square_mesh):
         h = np.where(square_mesh.points[:, 0] < 0.5, 0.01, 0.5)
-        f = MetricField.from_sizes(square_mesh.points, h)
+        f = isotropic(square_mesh.points, h)
         t = square_mesh.triangles
         edges = np.unique(np.sort(np.concatenate(
             [t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1), axis=0)
@@ -133,16 +139,3 @@ class TestEdgeLengthsAndGradation:
         hs_new, _ = g.sizes()
         hs_old, _ = f.sizes()
         assert np.all(hs_new <= hs_old + 1e-12)
-
-
-class TestIntersectField:
-    def test_pointwise_finer(self):
-        rng = np.random.default_rng(4)
-        pts = rng.uniform(size=(30, 2))
-        f1 = MetricField.from_sizes(pts, rng.uniform(0.05, 0.5, 30))
-        f2 = MetricField.from_sizes(pts, rng.uniform(0.05, 0.5, 30))
-        fi = f1.intersect(f2)
-        hs_i, _ = fi.sizes()
-        hs_1, _ = f1.sizes()
-        hs_2, _ = f2.sizes()
-        assert np.all(hs_i <= np.minimum(hs_1, hs_2) * (1 + 1e-6))

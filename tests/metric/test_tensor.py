@@ -1,4 +1,4 @@
-"""SPD tensor algebra: eigen-structure, log/exp calculus, intersection.
+"""SPD tensor algebra: eigen-structure, log/exp calculus, quadratic forms.
 
 The compact ``[m11, m12, m22]`` representation and the closed-form 2x2
 eigendecomposition are the foundation every metric consumer (refinement
@@ -69,15 +69,6 @@ class TestLogExp:
         np.testing.assert_allclose(tensor.log(tensor.identity(4)), 0.0,
                                    atol=1e-14)
 
-    def test_sqrtm_squares_back(self):
-        rng = np.random.default_rng(11)
-        m = random_spd(rng, 80)
-        r = tensor.sqrtm(m)
-        rf = tensor.as_full(r)
-        np.testing.assert_allclose(np.einsum("nij,njk->nik", rf, rf),
-                                   tensor.as_full(m), rtol=1e-8)
-
-
 class TestQuadForm:
     def test_matches_explicit(self):
         rng = np.random.default_rng(12)
@@ -87,45 +78,6 @@ class TestQuadForm:
         ref = np.einsum("ni,nij,nj->n", e, full, e)
         np.testing.assert_allclose(tensor.quad_form(m, e), ref,
                                    rtol=1e-12)
-
-
-class TestIntersect:
-    def test_result_finer_than_both(self):
-        """h(intersection) <= h(either input) along every direction."""
-        rng = np.random.default_rng(13)
-        m1 = random_spd(rng, 100)
-        m2 = random_spd(rng, 100)
-        mi = tensor.intersect(m1, m2)
-        theta = np.linspace(0.0, np.pi, 24, endpoint=False)
-        dirs = np.column_stack([np.cos(theta), np.sin(theta)])
-        for d in dirs:
-            e = np.broadcast_to(d, (100, 2))
-            qi = tensor.quad_form(mi, e)
-            q1 = tensor.quad_form(m1, e)
-            q2 = tensor.quad_form(m2, e)
-            assert np.all(qi >= np.maximum(q1, q2) * (1.0 - 1e-5))
-
-    def test_self_intersection_is_identity_map(self):
-        rng = np.random.default_rng(14)
-        m = random_spd(rng, 100)
-        np.testing.assert_allclose(tensor.intersect(m, m), m, rtol=1e-5)
-
-    def test_proportional_pair_picks_finer(self):
-        rng = np.random.default_rng(15)
-        m = random_spd(rng, 50)
-        np.testing.assert_allclose(tensor.intersect(m, 4.0 * m), 4.0 * m,
-                                   rtol=1e-5)
-        np.testing.assert_allclose(tensor.intersect(4.0 * m, m), 4.0 * m,
-                                   rtol=1e-5)
-
-    def test_commutes_in_spirit(self):
-        """intersect(a,b) and intersect(b,a) agree (same max envelope)."""
-        rng = np.random.default_rng(16)
-        m1 = random_spd(rng, 60)
-        m2 = random_spd(rng, 60)
-        a = tensor.intersect(m1, m2)
-        b = tensor.intersect(m2, m1)
-        np.testing.assert_allclose(tensor.det(a), tensor.det(b), rtol=1e-4)
 
 
 @given(

@@ -7,6 +7,9 @@ and different whenever any byte of any buffer differs (else distinct
 requests would alias to the same mesh).
 """
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
@@ -62,6 +65,29 @@ def test_hash_invariant_under_round_trip_and_key_order(buffers, rng):
     rng.shuffle(keys)
     shuffled = {key: buffers[key] for key in keys}
     assert serde.canonical_hash(shuffled) == reference
+
+
+def entry_by_entry_hash(buffers):
+    """The cache key spelled field by field from the documented layout:
+    head ``<4sI`` (magic, entry count), then per key in sorted order an
+    ``<HBBQ`` entry head, the key, the dtype string, the shape as
+    ``<q`` each and the raw bytes."""
+    h = hashlib.sha256(struct.pack("<4sI", b"RSB1", len(buffers)))
+    for key in sorted(buffers):
+        a = np.ascontiguousarray(buffers[key])
+        kb, db = key.encode("utf-8"), a.dtype.str.encode("ascii")
+        h.update(struct.pack("<HBBQ", len(kb), len(db), a.ndim, a.nbytes))
+        h.update(kb + db + struct.pack(f"<{a.ndim}q", *a.shape))
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@given(buffer_dicts())
+@settings(max_examples=60, deadline=None)
+def test_hash_is_the_digest_of_the_canonical_stream(buffers):
+    """One canonical encoding: the key is the SHA-256 of the stream
+    ``buffers_to_bytes`` writes, which is the documented layout."""
+    assert serde.canonical_hash(buffers) == entry_by_entry_hash(buffers)
 
 
 @given(buffer_dicts(), st.data())

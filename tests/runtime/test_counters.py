@@ -53,7 +53,7 @@ class TestKernelCounters:
         a, b = KernelCounters(), KernelCounters()
         a.absorb(tri)
         b.absorb(tri)
-        b.merge(a)
+        b.merge_plain(a.to_plain())
         assert b.inserts == 2 * a.inserts
         assert b.walk_hist.count == 2 * a.walk_hist.count
 
@@ -68,7 +68,7 @@ class TestKernelCounters:
         worker, parent = KernelCounters(), KernelCounters()
         worker.absorb(tri)
         parent.merge_plain(worker.to_plain())
-        parent.merge(worker)
+        parent.absorb(tri)
         assert parent.visibility_prunes == 6
         assert parent.as_dict()["visibility_prunes"] == 6
         assert "visibility prunes  6" in parent.report()

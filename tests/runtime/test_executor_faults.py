@@ -183,21 +183,6 @@ class TestPoolLifecycle:
         finally:
             backend.shutdown_pool()
 
-    def test_idle_workers_reaped_after_ttl(self):
-        backend = ProcessesBackend(ttl=0.0)
-        try:
-            backend.map_workitems(_double, [{"x": np.ones(2)}] * 2,
-                                  n_ranks=2)
-            pool = backend._pool
-            assert pool.n_workers() == 2
-            # TTL 0: the next call boundary reaps every idle worker
-            # before refilling on demand.
-            backend.map_workitems(_double, [{"x": np.ones(2)}],
-                                  n_ranks=1)
-            assert pool.stats["reaped"] >= 2
-        finally:
-            backend.shutdown_pool()
-
     def test_shutdown_is_idempotent_and_terminal(self):
         backend = ProcessesBackend()
         backend.map_workitems(_double, [{"x": np.ones(2)}], n_ranks=1)

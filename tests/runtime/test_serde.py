@@ -17,11 +17,12 @@ from repro.geometry.airfoils import naca0012, three_element_airfoil
 from repro.geometry.pslg import PSLG
 from repro.runtime import serde
 from repro.sizing.functions import (
-    CallableSizing,
     GradedDistanceSizing,
     RadialSizing,
     UniformSizing,
 )
+
+from tests.domains import CallableSizing
 
 
 def random_ring(rng, n):
@@ -200,15 +201,6 @@ class TestWireEnvelope:
         wire = serde.buffers_to_wire(self._buffers(50_000),
                                      min_bytes=1 << 30)
         assert wire[0] == "inline"
-
-    def test_wire_nbytes_both_kinds(self):
-        buffers = self._buffers(1000)
-        expected = serde.buffers_nbytes(buffers)
-        assert serde.wire_nbytes(serde.buffers_to_wire(
-            buffers, min_bytes=1 << 30)) == expected
-        shm_wire = serde.buffers_to_wire(buffers, min_bytes=1)
-        assert serde.wire_nbytes(shm_wire) == expected
-        serde.discard_wire(shm_wire)
 
     def test_discard_frees_segment_and_is_idempotent(self):
         import os

@@ -101,6 +101,21 @@ class TestFrameCodec:
         with pytest.raises(FrameError, match="over cap"):
             _decode_frames(head + b"mesh", 1)
 
+    def test_non_ascii_kind_is_a_frame_error(self):
+        wire = FRAME_HEAD.pack(FRAME_MAGIC, 2, 0) + b"\xff\xfe"
+        with pytest.raises(FrameError, match="not ascii"):
+            _decode_frames(wire, 1)
+
+    def test_blocking_reader_rejects_non_ascii_kind(self):
+        left, right = socket.socketpair()
+        try:
+            left.sendall(FRAME_HEAD.pack(FRAME_MAGIC, 2, 0) + b"\xff\xfe")
+            with pytest.raises(FrameError, match="not ascii"):
+                read_frame_blocking(right)
+        finally:
+            left.close()
+            right.close()
+
     def test_kind_validation(self):
         with pytest.raises(FrameError):
             encode_frame("")
@@ -127,6 +142,12 @@ class TestAddressing:
     def test_unparseable(self):
         with pytest.raises(ServiceError, match="cannot parse"):
             parse_address("nonsense")
+
+    @pytest.mark.parametrize("spec", ["tcp:localhost", "tcp:127.0.0.1:http",
+                                      "127.0.0.1:99999", "tcp:h:-1"])
+    def test_bad_port_names_the_spec(self, spec):
+        with pytest.raises(ServiceError, match=f"address '{spec}'"):
+            parse_address(spec)
 
 
 class TestPercentile:
@@ -164,7 +185,7 @@ class TestMeshCache:
         buffers = _buffers(3.0)
         blob = serde.buffers_to_bytes(buffers)
         cache.put("k", blob)
-        views = cache.get_buffers("k")
+        views = serde.bytes_to_buffers(cache.get("k"))
         assert set(views) == {"x", "tag"}
         np.testing.assert_array_equal(views["x"], buffers["x"])
         assert not views["x"].flags.writeable
@@ -287,6 +308,24 @@ class TestServiceEndToEnd:
                 assert b"bad request" in payload
             finally:
                 raw.close()
+        finally:
+            thread.stop()
+
+    def test_non_ascii_kind_err_frame_then_next_request(self, tmp_path):
+        svc, thread, endpoint = _start(tmp_path)
+        try:
+            raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            raw.connect(str(tmp_path / "svc.sock"))
+            try:
+                raw.sendall(FRAME_HEAD.pack(FRAME_MAGIC, 2, 0) + b"\xff\xfe")
+                kind, payload = read_frame_blocking(raw)
+                assert kind == "err"
+                assert b"not ascii" in payload
+            finally:
+                raw.close()
+            assert svc.stats()["errors"] == 1.0
+            with ServiceClient(endpoint) as client:
+                assert client.submit_packed(_buffers(1.0))[0] == "mesh-ok"
         finally:
             thread.stop()
 

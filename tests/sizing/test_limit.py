@@ -1,17 +1,16 @@
 """Hamilton-Jacobi gradient limiter: exactness, idempotence, sharing.
 
-``limit_field`` is the shared gradation core — the scalar sizing path
-uses it directly and :meth:`repro.metric.MetricField.limit_gradation`
-funnels its per-vertex minimum spacing through it — so its fixed-point
-properties are checked on explicit graphs where the answer is known in
-closed form.
+``limit_field`` is the gradation core —
+:meth:`repro.metric.MetricField.limit_gradation` funnels its per-vertex
+minimum spacing through it — so its fixed-point properties are checked
+on explicit graphs where the answer is known in closed form, and on a
+mesh's edge graph.
 """
 
 import numpy as np
 import pytest
 
-from repro.sizing.limit import (GradientLimitedSizing, limit_field,
-                                limit_sizing_on_mesh)
+from repro.sizing.limit import limit_field
 
 
 def path_graph(n, length=1.0):
@@ -93,26 +92,16 @@ class TestMeshAndWrapper:
         mesh = refine_pslg(pts, segs, max_area=0.02)
         h = np.full(mesh.n_points, 1.0)
         h[0] = 0.01
-        out = limit_sizing_on_mesh(mesh, h, 0.3)
         edges = mesh.edges()
         lengths = np.linalg.norm(
             mesh.points[edges[:, 1]] - mesh.points[edges[:, 0]], axis=1)
+        out = limit_field(edges, lengths, h, 0.3)
         dh = np.abs(out[edges[:, 1]] - out[edges[:, 0]])
         assert np.all(dh <= 0.3 * lengths + 1e-9)
 
-    def test_gradient_limited_sizing_grades_discontinuity(self):
-        fn = lambda x, y: 0.0004 if x < 0.5 else 0.04
-        sizing = GradientLimitedSizing(fn, (0.0, 0.0, 1.0, 1.0),
-                                       slope=0.2, nx=33)
-        # Directly right of the jump the limited h must still be close
-        # to the small-side h, not the raw large value.
-        h_small = sizing.edge_length_at(0.49, 0.5)
-        h_mid = sizing.edge_length_at(0.55, 0.5)
-        assert h_mid <= h_small + 0.2 * 0.08
-
     def test_metric_gradation_shares_scalar_core(self):
         """Scalar limiter == metric limiter on isotropic tensors."""
-        from repro.metric import MetricField
+        from repro.metric import MetricField, tensor
 
         rng = np.random.default_rng(3)
         n = 30
@@ -127,7 +116,7 @@ class TestMeshAndWrapper:
         edges, lengths = edges[keep], lengths[keep]
 
         scalar = limit_field(edges, lengths, h, 0.3)
-        f = MetricField.from_sizes(pts, h).limit_gradation(edges,
-                                                           grading=0.3)
+        f = MetricField(pts, tensor.identity(n, 1.0 / (h * h)))
+        f = f.limit_gradation(edges, grading=0.3)
         hs, _ = f.sizes()
         np.testing.assert_allclose(hs, scalar, rtol=1e-9)

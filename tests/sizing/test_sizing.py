@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sizing.functions import (
-    CallableSizing,
     GradedDistanceSizing,
     RadialSizing,
     UniformSizing,
@@ -130,14 +129,3 @@ class TestRadial:
         assert s.edge_length_at(0, 0) == pytest.approx(0.1)
         assert s.edge_length_at(2, 0) == pytest.approx(1.1)
         assert s.area_at(2, 0) > s.area_at(0, 0)
-
-
-class TestCallable:
-    def test_wraps(self):
-        s = CallableSizing(lambda x, y: 1.0 + x * x)
-        assert s.area_at(2, 0) == 5.0
-
-    def test_nonpositive_rejected(self):
-        s = CallableSizing(lambda x, y: -1.0)
-        with pytest.raises(ValueError):
-            s.area_at(0, 0)

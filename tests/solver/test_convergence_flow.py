@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.delaunay.refine import refine_pslg
-from repro.solver.convergence import bicgstab, jacobi, pcg
+from repro.solver.convergence import jacobi, pcg
 from repro.solver.fem import apply_dirichlet, assemble_stiffness, boundary_nodes
 from repro.solver.flow import solve_potential_flow
 
@@ -47,15 +47,6 @@ class TestIterativeSolvers:
         A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 1.0]]))
         with pytest.raises(ValueError):
             jacobi(A, np.ones(2))
-
-    def test_bicgstab_nonsymmetric(self):
-        rng = np.random.default_rng(0)
-        n = 60
-        A = sp.csr_matrix(np.eye(n) * 4 + rng.uniform(-0.5, 0.5, (n, n)))
-        b = rng.uniform(size=n)
-        res = bicgstab(A, b, tol=1e-10)
-        assert res.converged
-        np.testing.assert_allclose(A @ res.x, b, atol=1e-7)
 
     def test_history_tracks_budget(self):
         res = jacobi(self.A, self.b, tol=1e-30, max_iter=50)

@@ -9,7 +9,6 @@ import scipy.sparse.linalg as spla
 from repro.delaunay.refine import refine_pslg
 from repro.solver.fem import (
     apply_dirichlet,
-    assemble_convection,
     assemble_mass,
     assemble_stiffness,
     boundary_nodes,
@@ -89,29 +88,6 @@ class TestMass:
         x = MESH.points[:, 0]
         ones = np.ones(MESH.n_points)
         assert ones @ (M @ x) == pytest.approx(0.5, rel=1e-9)
-
-
-class TestConvection:
-    def test_skew_symmetric_core_on_linears(self):
-        # ∫ phi_i (v.grad u) for u = x, v = (1,0): equals ∫ phi_i,
-        # so the row sums against u=x give the domain area.
-        C = assemble_convection(MESH, (1.0, 0.0), supg=False)
-        u = MESH.points[:, 0].copy()
-        ones = np.ones(MESH.n_points)
-        assert ones @ (C @ u) == pytest.approx(1.0, rel=1e-9)
-
-    def test_supg_adds_streamline_diffusion(self):
-        C0 = assemble_convection(MESH, (1.0, 0.0), supg=False)
-        C1 = assemble_convection(MESH, (1.0, 0.0), supg=True)
-        u = MESH.points[:, 0].copy()
-        # The SUPG term adds u-dependent positive definiteness along v.
-        q0 = u @ (C0 @ u)
-        q1 = u @ (C1 @ u)
-        assert q1 > q0
-
-    def test_callable_velocity(self):
-        C = assemble_convection(MESH, lambda x, y: (y, -x), supg=False)
-        assert C.shape == (MESH.n_points, MESH.n_points)
 
 
 class TestDirichletAndSolve:

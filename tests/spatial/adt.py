@@ -38,9 +38,35 @@ import numpy as np
 
 from repro.geometry.aabb import AABB
 
-__all__ = ["ADT"]
+__all__ = ["ADT", "as_4d_point", "enclosing", "overlaps",
+           "segment_extent_box"]
 
 _DIM = 4
+
+
+def as_4d_point(box: AABB) -> Tuple[float, float, float, float]:
+    """Project an extent box to the 4D point ``(xmin, ymin, xmax, ymax)``:
+    box-overlap queries become 4D axis-aligned range queries."""
+    return (box.xmin, box.ymin, box.xmax, box.ymax)
+
+
+def segment_extent_box(a, b) -> AABB:
+    """Extent box of the segment ``ab``."""
+    return AABB(min(a[0], b[0]), min(a[1], b[1]),
+                max(a[0], b[0]), max(a[1], b[1]))
+
+
+def overlaps(a: AABB, b: AABB) -> bool:
+    """Closed-interval overlap (boxes touching at an edge overlap): the
+    brute-force definition the tree's queries answer."""
+    return not (b.xmin > a.xmax or b.xmax < a.xmin
+                or b.ymin > a.ymax or b.ymax < a.ymin)
+
+
+def enclosing(boxes: Sequence[AABB]) -> AABB:
+    """The smallest box containing every box of ``boxes``."""
+    return AABB(min(b.xmin for b in boxes), min(b.ymin for b in boxes),
+                max(b.xmax for b in boxes), max(b.ymax for b in boxes))
 
 
 class _Node:
@@ -94,7 +120,7 @@ class ADT:
     # ------------------------------------------------------------------
     def insert(self, box: AABB, payload: int) -> None:
         """Insert one extent box with an integer payload id."""
-        p = np.array(box.as_4d_point(), dtype=np.float64)
+        p = np.array(as_4d_point(box), dtype=np.float64)
         if np.any(p < self._lo) or np.any(p > self._hi):
             raise ValueError(f"box {box} outside ADT bounds {self.bounds}")
         node = _Node(p, payload)
@@ -141,10 +167,7 @@ class ADT:
         """Construct with bounds inferred from the boxes themselves."""
         if not boxes:
             raise ValueError("cannot infer bounds from zero boxes")
-        bounds = boxes[0]
-        for b in boxes[1:]:
-            bounds = bounds.union(b)
-        return cls(bounds).build(boxes)
+        return cls(enclosing(boxes)).build(boxes)
 
     # ------------------------------------------------------------------
     # Queries

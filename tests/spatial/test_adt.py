@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry.aabb import AABB, segment_extent_box
-from .adt import ADT
+from repro.geometry.aabb import AABB
+from .adt import ADT, overlaps, segment_extent_box
 
 coord = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
 
@@ -78,7 +78,7 @@ class TestAgainstBruteForce:
     def test_query_complete_and_sound(self, boxes, query):
         t = ADT(WORLD).build(boxes)
         got = sorted(t.query(query))
-        expect = sorted(i for i, b in enumerate(boxes) if b.overlaps(query))
+        expect = sorted(i for i, b in enumerate(boxes) if overlaps(b, query))
         assert got == expect
 
     @given(boxes=st.lists(box_strategy(), min_size=2, max_size=30))
@@ -90,7 +90,7 @@ class TestAgainstBruteForce:
             (i, j)
             for i in range(len(boxes))
             for j in range(i + 1, len(boxes))
-            if boxes[i].overlaps(boxes[j])
+            if overlaps(boxes[i], boxes[j])
         )
         assert got == expect
 
@@ -117,4 +117,4 @@ class TestLogDepth:
         hits = t.query(q)
         assert 17 in hits
         for i in hits:
-            assert boxes[i].overlaps(q)
+            assert overlaps(boxes[i], q)

@@ -124,6 +124,19 @@ class TestServiceParsers:
         err = capsys.readouterr().err
         assert "--ranks only applies to parallel backends" in err
 
+    @pytest.mark.parametrize("command, spec", [
+        (["serve", "--backend", "serial"], "localhost"),
+        (["serve", "--backend", "serial"], "127.0.0.1:99999"),
+        (["submit", "--ping"], "localhost"),
+        (["submit", "--ping"], "127.0.0.1:http"),
+    ])
+    def test_bad_tcp_address_is_a_usage_error(self, capsys, command, spec):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--tcp", spec])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"service address 'tcp:{spec}'" in err
+
     def test_submit_with_nothing_to_do_fails_fast(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["submit", "--socket", str(tmp_path / "s.sock")])

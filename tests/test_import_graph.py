@@ -7,7 +7,10 @@ any of ``repro.lint``.  Those checks run in a fresh interpreter: this
 one has long since imported everything.  The static half walks the
 ``import`` statements under ``src/repro``: every module of ``runtime/``
 and ``core/`` is on a path from an entry point, or is listed with the
-reason it is not.
+reason it is not.  It also walks the names ``src/repro``,
+``benchmarks/`` and ``examples/`` mention: every function, class and
+method of ``src/repro`` has a caller outside ``tests/``, or is listed
+with the reason it has none.
 """
 
 import ast
@@ -160,10 +163,120 @@ def test_every_runtime_and_core_module_is_reachable_from_an_entry_point():
     assert all(UNREACHED_FOR_A_REASON.values())
 
 
+# ----------------------------------------------------------------------
+# Static callers: no definition of src/repro is called by tests/ alone
+# ----------------------------------------------------------------------
+REPO = SRC.parent
+
+#: definitions nothing outside ``tests/`` calls, each with the reason it
+#: is still in the tree.  At most three; an entry that gained a caller
+#: (or whose definition is gone) fails the test.
+TEST_ONLY_FOR_A_REASON = {
+    "repro.delaunay.kernel.Triangulation.check_integrity":
+        "the kernel oracle behind 30+ tests; ROADMAP's 'one oracle' item "
+        "decides its future",
+    "repro.delaunay.mesh.TriMesh.canonical":
+        "batch-insertion parity only; it goes with batch insertion",
+    "repro.runtime.service.ServiceThread":
+        "the harness the tests use to run the daemon on a thread",
+}
+
+
+def definitions(path):
+    """``(qualified name, name, (path, first, last line))`` of every
+    ``def`` and ``class`` in ``path``: methods included, dunder methods
+    and functions nested in functions not."""
+    parts = path.relative_to(SRC).with_suffix("").parts
+    module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                name = child.name
+                if not (name.startswith("__") and name.endswith("__")):
+                    found.append((f"{module}.{prefix}{name}", name,
+                                  (path, child.lineno, child.end_lineno)))
+                if isinstance(child, ast.ClassDef):
+                    visit(child, f"{prefix}{name}.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(path.read_text()), "")
+    return found
+
+
+def name_uses(path):
+    """``(name, line)`` of every name ``path`` mentions: a bare name, an
+    attribute, an imported name, or a constant string handed to
+    ``getattr``/``hasattr``.  A package ``__init__``'s ``from``-imports
+    are re-exports, not uses (``__all__`` and ``_EXPORTS`` entries are
+    plain strings, so they never count)."""
+    reexports = path.name == "__init__.py"
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and not reexports):
+            for alias in node.names:
+                yield alias.name.rpartition(".")[2], node.lineno
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("getattr", "hasattr")
+              and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)):
+            yield node.args[1].value, node.lineno
+
+
+def uncalled_definitions():
+    """Qualified names of the definitions whose name appears neither in
+    ``benchmarks/`` or ``examples/`` nor in ``src/repro`` outside their
+    own body.  A use inside another uncalled definition calls nothing,
+    to a fixed point, so a chain of test-only helpers is named whole;
+    the entries of ``TEST_ONLY_FOR_A_REASON`` do count as callers."""
+    defs, uses = [], {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        defs += definitions(path)
+        for name, line in name_uses(path):
+            uses.setdefault(name, []).append((path, line))
+    outside = {name for top in ("benchmarks", "examples")
+               for path in (REPO / top).rglob("*.py")
+               for name, _ in name_uses(path)}
+
+    def within(site, span):
+        return site[0] == span[0] and span[1] <= site[1] <= span[2]
+
+    uncalled = {}
+    while True:
+        dead = [span for qual, span in uncalled.items()
+                if qual not in TEST_ONLY_FOR_A_REASON]
+        found = {
+            qual: span for qual, name, span in defs
+            if name not in outside and not any(
+                not within(site, span)
+                and not any(within(site, d) for d in dead)
+                for site in uses.get(name, ()))}
+        if found.keys() == uncalled.keys():
+            return set(found)
+        uncalled = found
+
+
+def test_every_definition_has_a_caller_outside_tests():
+    uncalled = uncalled_definitions()
+    extra = sorted(uncalled - set(TEST_ONLY_FOR_A_REASON))
+    assert not extra, "called by tests/ alone:\n" + "\n".join(extra)
+    stale = sorted(set(TEST_ONLY_FOR_A_REASON) - uncalled)
+    assert not stale, "called, or gone:\n" + "\n".join(stale)
+    assert len(TEST_ONLY_FOR_A_REASON) <= 3
+    assert all(TEST_ONLY_FOR_A_REASON.values())
+
+
 PACKAGES = {
-    "repro.solver": ("solve_potential_flow", "flow", 23),
+    "repro.solver": ("solve_potential_flow", "flow", 21),
     "repro.runtime": ("ServiceClient", "client", 23),
-    "repro.lint": ("rule_ids", "rules", 10),
+    "repro.lint": ("rule_ids", "rules", 9),
 }
 
 
