@@ -138,9 +138,9 @@ def size_profile(mesh: TriMesh, surface: np.ndarray,
     return out
 
 
-def histogram(values: np.ndarray, *, bins: int = 10, width: int = 40,
+def histogram(values: np.ndarray, *, bins: int = 10,
               label: str = "") -> str:
-    """Fixed-width text histogram."""
+    """Text histogram, the tallest bar 40 characters wide."""
     values = np.asarray(values, dtype=np.float64)
     values = values[np.isfinite(values)]
     if len(values) == 0:
@@ -149,6 +149,6 @@ def histogram(values: np.ndarray, *, bins: int = 10, width: int = 40,
     peak = counts.max() or 1
     rows = [f"{label} (n={len(values)})"] if label else []
     for c, lo, hi in zip(counts, edges[:-1], edges[1:]):
-        bar = "#" * int(round(width * c / peak))
+        bar = "#" * int(round(40 * c / peak))
         rows.append(f"  [{lo:10.4g}, {hi:10.4g})  {c:>7}  {bar}")
     return "\n".join(rows)

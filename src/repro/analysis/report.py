@@ -20,11 +20,13 @@ from .metrics import alignment_to_surface, element_directions, histogram, size_p
 __all__ = ["mesh_report"]
 
 
-def mesh_report(mesh: TriMesh, *, surface: Optional[np.ndarray] = None,
-                check_delaunay: bool = False) -> str:
-    """Human-readable report for a finished mesh."""
+def mesh_report(mesh: TriMesh, *, surface: Optional[np.ndarray] = None
+                ) -> str:
+    """Human-readable report for a finished mesh (validation without the
+    Delaunay check: a refined mesh is constrained Delaunay by
+    construction)."""
     parts = []
-    rep = validate_mesh(mesh, check_delaunay=check_delaunay)
+    rep = validate_mesh(mesh, check_delaunay=False)
     parts.append(rep.summary())
 
     q = mesh.quality_summary()

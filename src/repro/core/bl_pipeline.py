@@ -172,18 +172,17 @@ def _crossing_border_rays(element_rays: Sequence[Sequence[Ray]]
                    for r in owners[g][1:]})
 
 
-def _simplify_borders(element_rays: Sequence[List[Ray]], *,
-                      max_passes: int = 40) -> int:
+def _simplify_borders(element_rays: Sequence[List[Ray]]) -> int:
     """Shrink rays until no two outer-border segments properly cross.
 
     Truncation can leave tip borders that still cross (their own element's
     or another's).  Each pass pops the last layer point of every ray
     bounding a crossing segment.  Returns the number of layer points
-    removed; raises if crossings remain after ``max_passes`` passes or
+    removed; raises if crossings remain after 40 passes or
     when no guilty ray has a layer left to give.
     """
     removed = 0
-    for _ in range(max_passes):
+    for _ in range(40):
         guilty = _crossing_border_rays(element_rays)
         if not guilty:
             return removed
@@ -337,17 +336,12 @@ def triangulate_boundary_layer(points: np.ndarray, segments: np.ndarray,
 def generate_boundary_layer(
     pslg: PSLG,
     config: Optional[BoundaryLayerConfig] = None,
-    *,
-    insert_strategy: Optional[str] = None,
 ) -> BoundaryLayerResult:
     """Run the full anisotropic boundary-layer stage on all body loops:
     :func:`prepare_boundary_layer`, then
     :func:`triangulate_boundary_layer` on what it assembled.
-
-    ``insert_strategy`` names the cavity-engine insertion strategy of
-    the BL triangulation (``None``: ``scalar``).
     """
     bl = prepare_boundary_layer(pslg, config)
-    bl.attach_mesh(triangulate_boundary_layer(
-        bl.points, bl.segments, bl.holes, insert_strategy=insert_strategy))
+    bl.attach_mesh(triangulate_boundary_layer(bl.points, bl.segments,
+                                              bl.holes))
     return bl

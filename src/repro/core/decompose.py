@@ -16,7 +16,7 @@ Termination criteria (paper Section II.D):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -49,7 +49,6 @@ def decompose(
     *,
     leaf_size: int = 64,
     max_level: int = 32,
-    boundary: Optional[np.ndarray] = None,
     partition_mode: str = "path",
 ) -> DecompositionResult:
     """Decompose a point cloud into independently triangulable leaves.
@@ -63,7 +62,7 @@ def decompose(
     points = np.asarray(points, dtype=np.float64)
     if len(points) < 1:
         raise ValueError("empty point cloud")
-    root = Subdomain.from_points(points, boundary=boundary)
+    root = Subdomain.from_points(points)
     result = DecompositionResult(leaves=[])
     stack = [root]
     while stack:
@@ -134,7 +133,7 @@ def triangulate_leaves(result: DecompositionResult) -> List[TriMesh]:
                                np.empty((0, 3), dtype=np.int32)))
             continue
         segs = np.asarray(leaf.path_edges, dtype=np.int64).reshape(-1, 2)
-        tri = triangulate_pslg(leaf.coords, segs, assume_sorted=False)
+        tri = triangulate_pslg(leaf.coords, segs)
         mesh = tri.to_mesh()
         keep = leaf_region_mask(leaf, mesh)
         out.append(TriMesh(mesh.points, mesh.triangles[keep], mesh.segments))

@@ -156,7 +156,6 @@ def resolve_self_intersections(
     default_height: float,
     *,
     truncation_factor: float = 0.5,
-    max_passes: int = 8,
 ) -> int:
     """Clip mutually crossing rays of ONE element; returns #truncations.
 
@@ -166,10 +165,10 @@ def resolve_self_intersections(
     to ``truncation_factor`` of the distance to its nearest one; since
     segments only shrink, one pass suffices for correctness and the extra
     passes just converge the pairwise halving, so we iterate until
-    stable.  A truncation is one (ray, pass) whose allowed height
-    decreased (by more than a 1e-15 slack against its height at the start
-    of the pass) — a count that does not depend on the order crossings
-    are visited in.
+    stable, at most 8 passes.  A truncation is one (ray, pass) whose
+    allowed height decreased (by more than a 1e-15 slack against its
+    height at the start of the pass) — a count that does not depend on
+    the order crossings are visited in.
     """
     if not rays:
         return 0
@@ -177,7 +176,7 @@ def resolve_self_intersections(
         raise ValueError("truncation_factor must be in (0, 1]")
     origins, directions, heights = _gather(rays)
     total = 0
-    for _ in range(max_passes):
+    for _ in range(8):
         segs = _segments(origins, directions, heights, default_height)
         i, j = crossing_pairs(segs, proper_only=True)
         points = _crossing_points(segs[i, 0], segs[i, 1],
@@ -202,7 +201,6 @@ def resolve_multi_element_intersections(
     default_height: float,
     *,
     truncation_factor: float = 0.5,
-    margin: float = 0.0,
 ) -> int:
     """Clip rays of each element against every OTHER element's BL border.
 
@@ -213,8 +211,6 @@ def resolve_multi_element_intersections(
     touches count here: a ray grazing the other element's border corner
     must still stop.  Returns the number of rays truncated, summed over
     obstacle elements.
-
-    ``margin`` widens the element bounding box of the first prune.
     """
     if not 0 < truncation_factor <= 1.0:
         raise ValueError("truncation_factor must be in (0, 1]")
@@ -234,8 +230,8 @@ def resolve_multi_element_intersections(
         obstacles = np.concatenate([_ring_segments(segs[own, 1]),
                                     _ring_segments(surface)])
         # Stage 1: keep the rays whose extent box meets the element's AABB.
-        lo = obstacles.min(axis=(0, 1)) - margin
-        hi = obstacles.max(axis=(0, 1)) + margin
+        lo = obstacles.min(axis=(0, 1))
+        hi = obstacles.max(axis=(0, 1))
         boxes = boxes_from_segments(segs)
         near = np.flatnonzero(~own
                               & np.all(boxes[:, :2] <= hi, axis=1)

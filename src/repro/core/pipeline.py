@@ -416,12 +416,12 @@ def mesh_workitem(payload: serde.Buffers) -> serde.Buffers:
 # Metric adaptation work items
 # ----------------------------------------------------------------------
 def pack_adapt_item(mesh: TriMesh, metric_field, *,
-                    holes=(), l_min: Optional[float] = None,
-                    l_max: Optional[float] = None,
-                    max_passes: int = 3,
+                    holes=(), max_passes: int = 3,
                     smooth_iterations: int = 1,
                     protect_segments: bool = False) -> serde.Buffers:
-    """One metric-adaptation work item as a flat buffer dict."""
+    """One metric-adaptation work item as a flat buffer dict; its
+    length band is :data:`~repro.delaunay.adapt.LOW_BAND` ..
+    :data:`~repro.delaunay.adapt.HIGH_BAND`."""
     from ..delaunay.adapt import HIGH_BAND, LOW_BAND
 
     payload = serde.nest("mesh.", serde.pack_mesh(mesh))
@@ -430,9 +430,7 @@ def pack_adapt_item(mesh: TriMesh, metric_field, *,
                  if len(holes) else np.empty((0, 2), dtype=np.float64))
     payload["holes"] = holes_arr
     payload["params"] = np.asarray(
-        [LOW_BAND if l_min is None else float(l_min),
-         HIGH_BAND if l_max is None else float(l_max),
-         float(max_passes), float(smooth_iterations),
+        [LOW_BAND, HIGH_BAND, float(max_passes), float(smooth_iterations),
          1.0 if protect_segments else 0.0],
         dtype=np.float64)
     return payload

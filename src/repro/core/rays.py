@@ -77,7 +77,6 @@ def refine_rays(
     element: int = 0,
     *,
     max_ray_angle: float = math.radians(20.0),
-    closed: bool = True,
 ) -> List[Ray]:
     """Build the refined ray set for one closed surface loop.
 
@@ -92,8 +91,8 @@ def refine_rays(
     if not 0 < max_ray_angle < math.pi:
         raise ValueError("max_ray_angle must be in (0, pi)")
     n = len(vertices)
-    if n < (3 if closed else 2):
-        raise ValueError("need at least 3 surface vertices (2 for a chain)")
+    if n < 3:
+        raise ValueError("need at least 3 surface vertices")
     rays: List[Ray] = []
     for i, v in enumerate(vertices):
         # 1. The vertex's own ray — for cusps this is the central fan ray.
@@ -114,8 +113,6 @@ def refine_rays(
         # vertex is a cusp.
         rays.append(base)
 
-        if not closed and i == n - 1:
-            break  # open chain: no wrap-around pair
         w = vertices[(i + 1) % n]
         ang = _angle(v.normal, w.normal)
         if ang <= max_ray_angle:

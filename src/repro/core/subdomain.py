@@ -17,7 +17,7 @@ The implementation mirrors the paper's memory tricks:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ class Subdomain:
         Index arrays into ``coords`` sorted lexicographically by (x, y)
         and (y, x) respectively.
     boundary:
-        ``(n,)`` bool; True for vertices on a dividing path (or marked by
-        the caller as domain boundary).
+        ``(n,)`` bool; True for vertices on a dividing path.
     level:
         Recursion depth (root = 0).
     path_edges:
@@ -64,21 +63,17 @@ class Subdomain:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_points(cls, points: np.ndarray,
-                    gid: Optional[np.ndarray] = None,
-                    boundary: Optional[np.ndarray] = None) -> "Subdomain":
+    def from_points(cls, points: np.ndarray) -> "Subdomain":
+        """The root subdomain of a point cloud: global ids are the row
+        indices and no vertex is on a path yet."""
         points = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
         if points.ndim != 2 or points.shape[1] != 2:
             raise ValueError("points must be (n, 2)")
         n = len(points)
-        if gid is None:
-            gid = np.arange(n, dtype=np.int64)
-        if boundary is None:
-            boundary = np.zeros(n, dtype=bool)
         x_order = np.lexsort((points[:, 1], points[:, 0]))
         y_order = np.lexsort((points[:, 0], points[:, 1]))
-        return cls(points, np.asarray(gid, dtype=np.int64), x_order, y_order,
-                   np.asarray(boundary, dtype=bool))
+        return cls(points, np.arange(n, dtype=np.int64), x_order, y_order,
+                   np.zeros(n, dtype=bool))
 
     def __len__(self) -> int:
         return len(self.coords)

@@ -67,11 +67,11 @@ class MeshArrays:
     __slots__ = ("pts", "tri_v", "tri_n", "vertex_tri", "free",
                  "n_pts", "n_tris", "px", "tv", "tn", "vt")
 
-    def __init__(self, cap_pts: int = 64, cap_tris: int = 128) -> None:
-        self.pts = np.empty((max(cap_pts, 4), 2), dtype=np.float64)
-        self.tri_v = np.full((max(cap_tris, 4), 3), DEAD, dtype=np.int32)
-        self.tri_n = np.full((max(cap_tris, 4), 3), -1, dtype=np.int32)
-        self.vertex_tri = np.full(max(cap_pts, 4), -1, dtype=np.int32)
+    def __init__(self) -> None:
+        self.pts = np.empty((64, 2), dtype=np.float64)
+        self.tri_v = np.full((128, 3), DEAD, dtype=np.int32)
+        self.tri_n = np.full((128, 3), -1, dtype=np.int32)
+        self.vertex_tri = np.full(64, -1, dtype=np.int32)
         self.free: List[int] = []
         self.n_pts = 0
         self.n_tris = 0

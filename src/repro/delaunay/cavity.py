@@ -1358,22 +1358,11 @@ def _partition_grid(tri) -> BucketGrid:
 
 
 class BatchInsertion(InsertionStrategy):
-    """Independent-set batched insertion (see the module docstring).
-
-    ``trace``, when set to a list, records one entry per committed
-    sub-batch: ``[(input_index, sorted cavity ids, sorted closed
-    edge-neighbourhood ids), ...]`` for every accepted candidate,
-    captured *before* any of the batch's retriangulations ran — the
-    property tests assert pairwise cavity disjointness and
-    neighbourhood separation on exactly this planning data.
-    """
+    """Independent-set batched insertion (see the module docstring)."""
 
     name = "batch"
     description = ("BRIO-binned independent-set insertion with "
                    "vectorised predicate batches")
-
-    def __init__(self, *, trace: Optional[list] = None) -> None:
-        self.trace = trace
 
     # -- driver -------------------------------------------------------
     def insert_points(self, tri, points: np.ndarray,
@@ -1540,11 +1529,6 @@ class BatchInsertion(InsertionStrategy):
                     w = next(t for t in nbr if t in claimed)
                 loser_owner.append((batch[k], owner[w]))
                 conflicted.append(batch[k])
-        if self.trace is not None:
-            self.trace.append([
-                (idxs[batch[k]], sorted(set(cav)),
-                 sorted(set(cav) | set(nbr)))
-                for k, cav, nbr in accepted])
         if accepted:
             new_xy = qxy[np.asarray([k for k, _, _ in accepted],
                                     dtype=np.int64)]

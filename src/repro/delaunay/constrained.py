@@ -239,8 +239,7 @@ def _recover_by_flips(tri: Triangulation, a: int, b: int,
 
 
 def triangulate_pslg(points: np.ndarray, segments: np.ndarray,
-                     *, assume_sorted: bool = False,
-                     strategy: Optional[str] = None) -> Triangulation:
+                     *, strategy: Optional[str] = None) -> Triangulation:
     """Insert all PSLG points, then recover and lock every segment.
 
     Point insertion goes through the cavity-engine strategy
@@ -251,10 +250,7 @@ def triangulate_pslg(points: np.ndarray, segments: np.ndarray,
     points = np.asarray(points, dtype=np.float64)
     segments = np.asarray(segments, dtype=np.int64)
     tri = Triangulation()
-    if assume_sorted:
-        order = np.arange(len(points))
-    else:
-        order = brio_order(points, seed=0xFACADE)
+    order = brio_order(points, seed=0xFACADE)
     kernel_id: Dict[int, int] = get_strategy(strategy).insert_points(
         tri, points, order)
     for u, v in segments:
@@ -320,10 +316,8 @@ def carve(tri: Triangulation, holes: Sequence[Tuple[float, float]] = ()
 
 def constrained_delaunay(points: np.ndarray, segments: np.ndarray,
                          holes: Sequence[Tuple[float, float]] = (),
-                         *, assume_sorted: bool = False,
-                         strategy: Optional[str] = None) -> TriMesh:
+                         *, strategy: Optional[str] = None) -> TriMesh:
     """One-call CDT of a PSLG with exterior/hole carving."""
-    tri = triangulate_pslg(points, segments, assume_sorted=assume_sorted,
-                           strategy=strategy)
+    tri = triangulate_pslg(points, segments, strategy=strategy)
     mask = carve(tri, holes)
     return tri.to_mesh(keep_mask=mask)

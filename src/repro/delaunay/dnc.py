@@ -34,14 +34,16 @@ __all__ = ["insertion_order", "triangulate_ordered"]
 OrderPolicy = Literal["sorted", "random", "brio", "given"]
 
 
-def insertion_order(points: np.ndarray, policy: OrderPolicy = "brio",
-                    *, seed: int = 0) -> np.ndarray:
+def insertion_order(points: np.ndarray, policy: OrderPolicy = "brio"
+                    ) -> np.ndarray:
     """Compute an insertion order for ``points`` under ``policy``.
 
-    - ``"sorted"``: lexicographic (x, y) — mirrors the paper's reuse of the
-      maintained x-sorted arrays ("we removed the sorting step from
-      Triangle").
-    - ``"random"``: uniform shuffle.
+    - ``"sorted"``: lexicographic (x, y) — the paper's Triangle
+      optimisation (Section III): the decomposition already maintains
+      x-sorted vertices, so the sort is reused ("we removed the sorting
+      step from Triangle"), and inserting in that order keeps walks
+      short, each point landing next to its predecessor.
+    - ``"random"``: uniform shuffle (seed 0).
     - ``"brio"``: biased randomised insertion order, the kernel's own
       (:func:`repro.delaunay.cavity.brio_order`) — random within
       geometrically growing rounds, each round in snake order; keeps
@@ -54,20 +56,20 @@ def insertion_order(points: np.ndarray, policy: OrderPolicy = "brio",
     if policy == "sorted":
         return np.lexsort((points[:, 1], points[:, 0]))
     if policy == "random":
-        return np.random.default_rng(seed).permutation(n)
+        return np.random.default_rng(0).permutation(n)
     if policy == "brio":
-        return brio_order(points, seed=seed)
+        return brio_order(points, seed=0)
     raise ValueError(f"unknown insertion-order policy: {policy}")
 
 
-def triangulate_ordered(points: np.ndarray, policy: OrderPolicy = "brio",
-                        *, seed: int = 0) -> TriMesh:
+def triangulate_ordered(points: np.ndarray, policy: OrderPolicy = "brio"
+                        ) -> TriMesh:
     """Triangulate with an explicit insertion-order policy.
 
     Returns a :class:`TriMesh` whose vertex indices match ``points``.
     """
     points = np.asarray(points, dtype=np.float64)
-    order = insertion_order(points, policy, seed=seed)
+    order = insertion_order(points, policy)
     tri = Triangulation()
     kernel_id: Dict[int, int] = {}
     for i in order:

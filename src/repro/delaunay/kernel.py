@@ -323,16 +323,16 @@ class Triangulation:
     # ------------------------------------------------------------------
     # Point location
     # ------------------------------------------------------------------
-    def locate(self, p: Tuple[float, float], hint: int = -1) -> int:
+    def locate(self, p: Tuple[float, float]) -> int:
         """Return a triangle whose closed region contains ``p``.
 
         For ``p`` outside the hull this is a ghost triangle whose
         half-plane contains it.  The same :func:`~repro.delaunay.cavity.
-        walk` insertion uses, started from ``hint``.
+        walk` insertion uses, started from the last touched triangle.
         """
         if self.n_live_triangles == 0:
             raise TriangulationError("empty triangulation")
-        return walk(self, p[0], p[1], hint)[0]
+        return walk(self, p[0], p[1], -1)[0]
 
     def find_vertex_at(self, p: Tuple[float, float], t: int) -> Optional[int]:
         """Vertex of triangle ``t`` exactly coincident with ``p``, if any."""
@@ -345,15 +345,13 @@ class Triangulation:
     # ------------------------------------------------------------------
     # Insertion
     # ------------------------------------------------------------------
-    def insert_point(self, x: float, y: float, *, hint: int = -1,
-                     on_duplicate: str = "return") -> int:
-        """Insert vertex ``(x, y)``; returns its id.
-
-        ``on_duplicate``: ``"return"`` yields the existing vertex id,
-        ``"raise"`` raises :class:`TriangulationError`.
+    def insert_point(self, x: float, y: float) -> int:
+        """Insert vertex ``(x, y)``; returns its id, or the existing
+        vertex's id when ``(x, y)`` is already one.
 
         The first three non-collinear points bootstrap the initial
-        triangle + three ghosts; collinear prefixes are buffered.
+        triangle + three ghosts; collinear prefixes are buffered.  A
+        hinted insert is :func:`repro.delaunay.cavity.insert_point`.
         """
         p = (float(x), float(y))
         if not (math.isfinite(p[0]) and math.isfinite(p[1])):
@@ -362,22 +360,16 @@ class Triangulation:
         self.last_removed = []
 
         if self.n_live_triangles == 0:
-            return self._bootstrap_insert(p, on_duplicate)
+            return self._bootstrap_insert(p)
 
-        r = cavity_insert_point(self, p[0], p[1], hint)
-        if r >= 0:
-            return r
-        if on_duplicate == "raise":
-            raise TriangulationError(f"duplicate point {p}")
-        return -2 - r
+        r = cavity_insert_point(self, p[0], p[1], -1)
+        return r if r >= 0 else -2 - r
 
-    def _bootstrap_insert(self, p: Tuple[float, float], on_duplicate: str) -> int:
+    def _bootstrap_insert(self, p: Tuple[float, float]) -> int:
         """Handle insertions before the first real triangle exists."""
         arr = self._arr
         for i in range(arr.n_pts):
             if arr.point(i) == p:
-                if on_duplicate == "raise":
-                    raise TriangulationError(f"duplicate point {p}")
                 return i
         arr.new_point(p[0], p[1])
         self.stat_inserts += 1
@@ -649,17 +641,13 @@ class Triangulation:
                 "lacks it")
 
 
-def triangulate(points: np.ndarray, *, assume_sorted: bool = False,
-                seed: int = 0xC0FFEE,
+def triangulate(points: np.ndarray, *,
                 strategy: Optional[str] = None) -> Triangulation:
-    """Delaunay-triangulate a point set incrementally.
-
-    ``assume_sorted`` mirrors the paper's Triangle optimisation (Section
-    III): when the caller guarantees x-sorted input the kernel inserts in
-    the given order, which keeps walks short (each point lands next to its
-    predecessor).  Otherwise points are inserted in BRIO order derived
-    from ``seed`` for expected-case robustness.  Identical inputs and
-    seed produce byte-identical triangulations.
+    """Delaunay-triangulate a point set incrementally, in BRIO order
+    for expected-case robustness (x-sorted insertion, the paper's
+    Section III reuse of the maintained sort, is
+    :func:`repro.delaunay.dnc.triangulate_ordered`'s ``"sorted"``
+    policy).  Identical inputs produce byte-identical triangulations.
 
     ``strategy`` names the bulk insertion strategy
     (:func:`repro.delaunay.cavity.get_strategy`: ``scalar`` or
@@ -670,39 +658,31 @@ def triangulate(points: np.ndarray, *, assume_sorted: bool = False,
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError("points must be (n, 2)")
-    tri, _ = _triangulate_with_map(points, assume_sorted=assume_sorted,
-                                   seed=seed, strategy=strategy)
+    tri, _ = _triangulate_with_map(points, strategy)
     return tri
 
 
-def _triangulate_with_map(points: np.ndarray, *, assume_sorted: bool,
-                          seed: int = 0xC0FFEE,
-                          strategy: Optional[str] = None,
+def _triangulate_with_map(points: np.ndarray, strategy: Optional[str]
                           ) -> Tuple[Triangulation, Dict[int, int]]:
     if len(points) and not np.isfinite(points).all():
         raise ValueError("non-finite coordinates")
+    seed = 0xC0FFEE
     tri = Triangulation(seed=seed)
     # Bulk pre-reserve: one allocation instead of log2(n) doublings.
     tri._arr.reserve_points(len(points))
-    if assume_sorted:
-        order = range(len(points))
-    else:
-        order = brio_order(points, seed=seed).tolist()
+    order = brio_order(points, seed=seed).tolist()
     inserted = get_strategy(strategy).insert_points(tri, points, order)
     return tri, inserted
 
 
-def delaunay_mesh(points: np.ndarray, *, assume_sorted: bool = False,
-                  seed: int = 0xC0FFEE,
-                  strategy: Optional[str] = None) -> TriMesh:
+def delaunay_mesh(points: np.ndarray) -> TriMesh:
     """Delaunay triangulation as a :class:`TriMesh` indexed like ``points``.
 
     Duplicate input points map to the first occurrence, so triangle indices
     always refer to the caller's array.
     """
     points = np.asarray(points, dtype=np.float64)
-    tri, inserted = _triangulate_with_map(points, assume_sorted=assume_sorted,
-                                          seed=seed, strategy=strategy)
+    tri, inserted = _triangulate_with_map(points, None)
     arr = tri._arr
     # kernel vertex id -> smallest input index that produced it
     inv = np.full(arr.n_pts, len(points), dtype=np.int64)

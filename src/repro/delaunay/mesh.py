@@ -217,16 +217,14 @@ class TriMesh:
     # ------------------------------------------------------------------
     # Delaunay verification
     # ------------------------------------------------------------------
-    def delaunay_violations(self, *, tol: float = 0.0,
-                            respect_segments: bool = True) -> int:
-        """Count internal edges violating the local Delaunay criterion.
+    def delaunay_violations(self, *, respect_segments: bool = True) -> int:
+        """Count internal edges violating the local Delaunay criterion
+        (exact incircle).
 
         An edge is locally Delaunay when the opposite vertex of each
         adjacent triangle is not inside the other's circumcircle.  For a
         *constrained* Delaunay triangulation, constrained edges are exempt
-        (``respect_segments``).  ``tol`` (relative) absorbs floating error
-        for near-cocircular configurations when comparing against other
-        implementations.
+        (``respect_segments``).
         """
         from ..geometry.predicates import incircle
 
@@ -251,21 +249,8 @@ class TriMesh:
                 opp = [w for w in t[tj] if w != u and w != v]
                 if len(opp) != 1:
                     continue
-                d = p[opp[0]]
-                if exact_eq(tol, 0.0):
-                    if incircle(a, b, c, d) > 0:
-                        bad += 1
-                else:
-                    # Tolerant check via circumcircle distance.
-                    from ..geometry.primitives import circumcenter, distance
-
-                    try:
-                        cc = circumcenter(a, b, c)
-                    except ValueError:
-                        continue
-                    r = distance(cc, a)
-                    if distance(cc, d) < r * (1.0 - tol):
-                        bad += 1
+                if incircle(a, b, c, p[opp[0]]) > 0:
+                    bad += 1
         return bad
 
     # ------------------------------------------------------------------
@@ -395,8 +380,8 @@ def _canonical_ties(points: np.ndarray, tris: np.ndarray,
     return np.asarray(tlist, dtype=np.int64)
 
 
-def merge_meshes(meshes: List[TriMesh], *, tol: float = 1e-12) -> TriMesh:
-    """Merge subdomain meshes, welding vertices that coincide within ``tol``.
+def merge_meshes(meshes: List[TriMesh]) -> TriMesh:
+    """Merge subdomain meshes, welding vertices that coincide within 1e-12.
 
     Subdomains produced by the decomposition/decoupling share only border
     vertices, which are bit-identical by construction; welding uses a
@@ -405,7 +390,7 @@ def merge_meshes(meshes: List[TriMesh], *, tol: float = 1e-12) -> TriMesh:
     """
     if not meshes:
         raise ValueError("no meshes to merge")
-    inv = 1.0 / tol
+    inv = 1e12
 
     # Weld: quantised keys for every vertex of every mesh, welded to the
     # global id of their first appearance (np.round == round: both

@@ -654,14 +654,12 @@ def refine_pslg(
     segments: np.ndarray,
     *,
     holes: Sequence[Tuple[float, float]] = (),
-    quality_bound: Optional[float] = RUPPERT_BOUND,
     max_area: Optional[float] = None,
     area_fn: Optional[AreaFn] = None,
     min_edge_floor: float = 0.0,
-    max_steiner: int = 2_000_000,
-    assume_sorted: bool = False,
 ) -> TriMesh:
-    """One-call PSLG -> refined quality mesh (the Triangle workflow).
+    """One-call PSLG -> refined quality mesh (the Triangle workflow),
+    at Ruppert's bound :data:`RUPPERT_BOUND`.
 
     ``max_area`` is a uniform bound; ``area_fn`` a spatially varying one
     (both may be given — the effective bound is the minimum).
@@ -677,14 +675,8 @@ def refine_pslg(
     elif area_fn is not None:
         criterion = AreaCriterion(area_fn)
 
-    tri = triangulate_pslg(points, segments, assume_sorted=assume_sorted)
-    refiner = Refiner(
-        tri,
-        holes=holes,
-        quality_bound=quality_bound,
-        criterion=criterion,
-        min_edge_floor=min_edge_floor,
-        max_steiner=max_steiner,
-    )
+    tri = triangulate_pslg(points, segments)
+    refiner = Refiner(tri, holes=holes, criterion=criterion,
+                      min_edge_floor=min_edge_floor)
     refiner.refine()
     return refiner.to_mesh()

@@ -20,7 +20,7 @@ closing point.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -121,8 +121,9 @@ def naca4(code: str, n_points: int = 101, *, closed_te: bool = True) -> np.ndarr
     return _dedupe_consecutive(coords)
 
 
-def _dedupe_consecutive(coords: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Remove consecutive (and wrap-around) duplicate vertices."""
+def _dedupe_consecutive(coords: np.ndarray) -> np.ndarray:
+    """Remove consecutive (and wrap-around) vertices within 1e-12."""
+    tol = 1e-12
     keep = [0]
     for i in range(1, len(coords)):
         if np.linalg.norm(coords[i] - coords[keep[-1]]) > tol:
@@ -226,47 +227,41 @@ def blunt_trailing_edge(coords: np.ndarray, x_cut: float = 0.98) -> np.ndarray:
     return _dedupe_consecutive(out)
 
 
-def naca0012(n_points: int = 101, *, closed_te: bool = True) -> np.ndarray:
-    """The NACA 0012 of paper Fig. 2."""
-    return naca4("0012", n_points, closed_te=closed_te)
+def naca0012(n_points: int = 101) -> np.ndarray:
+    """The NACA 0012 of paper Fig. 2 (sharp trailing edge)."""
+    return naca4("0012", n_points)
 
 
 def three_element_airfoil(
     n_points: int = 101,
     *,
-    slat_deflection: float = -30.0,
     flap_deflection: float = -30.0,
-    with_coves: bool = True,
-    blunt_flap_te: bool = True,
 ) -> PSLG:
     """Synthetic three-element high-lift configuration (30p30n stand-in).
 
-    Leading-edge slat (25% chord, deflected ``slat_deflection`` degrees),
-    main element with cove, and a slotted trailing-edge flap (30% chord).
-    The default -30/-30 deflections mirror the 30p30n designation (30
-    degree slat, 30 degree flap).  Gaps/overlaps are chosen so neighbouring
-    boundary layers interact (multi-element intersections, Fig. 13d) while
-    the loops themselves stay disjoint.
+    Leading-edge slat (25% chord, deflected -30 degrees) and main element,
+    each with a cove, and a slotted trailing-edge flap (30% chord) with a
+    blunt trailing edge.  The default -30/-30 deflections mirror the
+    30p30n designation (30 degree slat, 30 degree flap).  Gaps/overlaps
+    are chosen so neighbouring boundary layers interact (multi-element
+    intersections, Fig. 13d) while the loops themselves stay disjoint.
     """
     # Main element: cambered section with a lower cove where the flap nests.
-    main = naca4("4412", n_points, closed_te=True)
-    if with_coves:
-        main = add_cove(main, x_start=0.72, x_end=0.98, depth=0.55)
+    main = naca4("4412", n_points)
+    main = add_cove(main, x_start=0.72, x_end=0.98, depth=0.55)
     main = transform_coords(main, scale=0.83, translate=(0.05, 0.0))
 
     # Slat: thin section ahead of and below the main leading edge.
-    slat = naca4("4410", max(2 * n_points // 3, 31), closed_te=True)
-    if with_coves:
-        slat = add_cove(slat, x_start=0.45, x_end=0.95, depth=0.65)
+    slat = naca4("4410", max(2 * n_points // 3, 31))
+    slat = add_cove(slat, x_start=0.45, x_end=0.95, depth=0.65)
     slat = transform_coords(
-        slat, scale=0.25, rotate_deg=slat_deflection, pivot=(0.0, 0.0),
+        slat, scale=0.25, rotate_deg=-30.0, pivot=(0.0, 0.0),
         translate=(-0.155, -0.028),
     )
 
     # Flap: deployed downward-aft of the main trailing edge with a slot gap.
-    flap = naca4("4408", max(2 * n_points // 3, 31), closed_te=not blunt_flap_te)
-    if blunt_flap_te:
-        flap = blunt_trailing_edge(flap, x_cut=0.97)
+    flap = naca4("4408", max(2 * n_points // 3, 31), closed_te=False)
+    flap = blunt_trailing_edge(flap, x_cut=0.97)
     flap = transform_coords(
         flap, scale=0.30, rotate_deg=flap_deflection, pivot=(0.0, 0.0),
         translate=(0.862, -0.0385),
@@ -279,54 +274,41 @@ def three_element_airfoil(
     )
 
 
-def circle(n_points: int = 64, *, radius: float = 0.5,
-           center: Tuple[float, float] = (0.5, 0.0)) -> np.ndarray:
-    """A circle (cylinder section) — the classic bluff-body test case."""
-    if n_points < 3 or radius <= 0:
-        raise ValueError("need >= 3 points and positive radius")
+def circle(n_points: int = 64) -> np.ndarray:
+    """A unit-diameter circle (cylinder section) centred at (0.5, 0) —
+    the classic bluff-body test case."""
+    if n_points < 3:
+        raise ValueError("need >= 3 points")
     th = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
-    return np.column_stack([center[0] + radius * np.cos(th),
-                            center[1] + radius * np.sin(th)])
+    return np.column_stack([0.5 + 0.5 * np.cos(th), 0.5 * np.sin(th)])
 
 
-def flat_plate(n_points: int = 51, *, thickness: float = 0.004,
-               blunt: bool = True) -> np.ndarray:
-    """A thin flat plate of unit chord (the canonical BL validation body).
-
-    ``blunt=True`` closes both ends with vertical bases (four slope
-    discontinuities); otherwise the ends are sharp wedges.
+def flat_plate(n_points: int = 51) -> np.ndarray:
+    """A flat plate of unit chord and thickness 0.004 (the canonical BL
+    validation body), both ends closed with vertical bases (four slope
+    discontinuities).
     """
-    if n_points < 3 or thickness <= 0:
+    if n_points < 3:
         raise ValueError("bad plate parameters")
-    t = thickness / 2.0
     xs = np.linspace(1.0, 0.0, n_points)
-    upper = np.column_stack([xs, np.full_like(xs, t)])
-    lower = np.column_stack([xs[::-1], np.full_like(xs, -t)])
-    if blunt:
-        coords = np.vstack([upper, lower])
-    else:
-        nose = np.array([(-0.01, 0.0)])
-        tail = np.array([(1.01, 0.0)])
-        coords = np.vstack([tail, upper, nose, lower])
-    return _dedupe_consecutive(coords)
+    upper = np.column_stack([xs, np.full_like(xs, 0.002)])
+    lower = np.column_stack([xs[::-1], np.full_like(xs, -0.002)])
+    return _dedupe_consecutive(np.vstack([upper, lower]))
 
 
-def joukowski(n_points: int = 101, *, thickness: float = 0.1,
-              camber: float = 0.03) -> np.ndarray:
+def joukowski(n_points: int = 101) -> np.ndarray:
     """Joukowski airfoil via the conformal map z = w + 1/w.
 
     The circle |w - w0| = r through w = +1 maps to an airfoil with a
     perfect cusp at the trailing edge — the sharpest TE any smooth
-    geometry produces, a stress test for the cusp-fan machinery.
-    ``thickness`` shifts the circle centre in -x (thickness parameter),
-    ``camber`` in +y.  The result is normalised to unit chord with the
-    leading edge at x = 0.
+    geometry produces, a stress test for the cusp-fan machinery.  The
+    circle centre is shifted 0.1 in -x (thickness) and 0.03 in +y
+    (camber).  The result is normalised to unit chord with the leading
+    edge at x = 0.
     """
     if n_points < 8:
         raise ValueError("need >= 8 points")
-    if thickness <= 0:
-        raise ValueError("thickness must be positive")
-    w0 = complex(-thickness, camber)
+    w0 = complex(-0.1, 0.03)
     r = abs(1.0 - w0)
     th = np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False)
     w = w0 + r * np.exp(1j * th)
@@ -340,13 +322,12 @@ def joukowski(n_points: int = 101, *, thickness: float = 0.1,
     return _dedupe_consecutive(coords)
 
 
-def naca5(code: str, n_points: int = 101, *, closed_te: bool = True
-          ) -> np.ndarray:
+def naca5(code: str, n_points: int = 101) -> np.ndarray:
     """NACA 5-digit sections (the 230xx family and relatives).
 
     The camber line follows the standard 5-digit formulation with
     tabulated (m, k1) for the common camber designations; thickness uses
-    the 4-digit distribution.
+    the 4-digit distribution with a sharp trailing edge.
     """
     if len(code) != 5 or not code.isdigit():
         raise ValueError(f"bad NACA 5-digit code: {code!r}")
@@ -367,7 +348,7 @@ def naca5(code: str, n_points: int = 101, *, closed_te: bool = True
     m, k1 = table[designation]
 
     x = cosine_spacing(n_points)
-    yt = _naca4_thickness(x, t, closed_te=closed_te)
+    yt = _naca4_thickness(x, t, closed_te=True)
     yc = np.where(
         x < m,
         (k1 / 6.0) * (x**3 - 3 * m * x**2 + m * m * (3 - m) * x),
@@ -385,7 +366,5 @@ def naca5(code: str, n_points: int = 101, *, closed_te: bool = True
     yl = yc - yt * np.cos(theta)
     upper = np.column_stack([xu[::-1], yu[::-1]])
     lower = np.column_stack([xl[1:], yl[1:]])
-    coords = np.vstack([upper, lower])
-    if closed_te:
-        coords = coords[:-1]
-    return _dedupe_consecutive(coords)
+    # Sharp trailing edge: drop the duplicated final lower-surface point.
+    return _dedupe_consecutive(np.vstack([upper, lower])[:-1])

@@ -113,13 +113,6 @@ class PSLG:
         """Coordinates of a loop's vertices in order, shape ``(m, 2)``."""
         return self.points[loop.indices]
 
-    def all_segments(self) -> np.ndarray:
-        """All loop edges as an ``(m, 2)`` array of vertex index pairs."""
-        segs: List[Tuple[int, int]] = []
-        for lp in self.loops:
-            segs.extend(lp.edges())
-        return np.asarray(segs, dtype=np.int64)
-
     def bbox(self, *, bodies_only: bool = False) -> AABB:
         if bodies_only:
             idx = np.concatenate([lp.indices for lp in self.body_loops])

@@ -13,19 +13,22 @@ unevenly spaced; this module redistributes the vertices of a closed loop:
 
 Resampling interpolates along the original polyline (no smoothing), so
 sharp features (cusps, blunt bases) are preserved exactly: vertices whose
-exterior turn exceeds ``corner_angle`` are pinned.
+exterior turn reaches 40 degrees (:data:`CORNER_ANGLE`) are pinned.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .primitives import signed_turn_angle
 
 __all__ = ["loop_curvature", "resample_curvature"]
+
+#: Exterior turn at which a vertex is a corner, pinned by the resampler.
+CORNER_ANGLE = math.radians(40.0)
 
 
 def _closed(coords: np.ndarray) -> np.ndarray:
@@ -78,7 +81,7 @@ def _interp_on_loop(coords: np.ndarray, arc: np.ndarray,
     return (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
 
 
-def _corner_indices(coords: np.ndarray, corner_angle: float) -> List[int]:
+def _corner_indices(coords: np.ndarray) -> List[int]:
     n = len(coords)
     out = []
     prev = np.roll(coords, 1, axis=0)
@@ -87,7 +90,7 @@ def _corner_indices(coords: np.ndarray, corner_angle: float) -> List[int]:
         t_in = coords[i] - prev[i]
         t_out = nxt[i] - coords[i]
         if abs(signed_turn_angle((t_in[0], t_in[1]),
-                                 (t_out[0], t_out[1]))) >= corner_angle:
+                                 (t_out[0], t_out[1]))) >= CORNER_ANGLE:
             out.append(i)
     return out
 
@@ -97,44 +100,39 @@ def resample_curvature(
     n_points: int,
     *,
     strength: float = 1.0,
-    corner_angle: float = math.radians(40.0),
-    max_ratio: float = 20.0,
 ) -> np.ndarray:
     """Curvature-adaptive resampling of a closed loop.
 
     Local spacing ~ 1 / (1 + strength * kappa_hat) where ``kappa_hat`` is
-    the curvature normalised by the loop's mean; ``max_ratio`` bounds the
-    coarsest-to-finest spacing ratio so flat regions are never starved.
+    the curvature normalised by the loop's mean; the coarsest-to-finest
+    spacing ratio is at most 20, so flat regions are never starved.
     """
     coords = _closed(coords)
     if strength < 0:
         raise ValueError("strength must be non-negative")
-    if max_ratio < 1:
-        raise ValueError("max_ratio must be >= 1")
     kappa = loop_curvature(coords)
     # Normalise by the median curvature of NON-corner vertices: a single
     # sharp trailing edge must not wash out the smooth-region contrast
     # (corners are pinned exactly by the resampler anyway).
     smooth = np.ones(len(coords), dtype=bool)
-    smooth[_corner_indices(coords, corner_angle)] = False
+    smooth[_corner_indices(coords)] = False
     ref = float(np.median(kappa[smooth])) if smooth.any() else float(
         np.median(kappa))
     ref = ref or 1.0
     density = 1.0 + strength * kappa / ref
     # Bound the finest-to-coarsest spacing contrast.
-    density = np.clip(density, 1.0, max_ratio)
-    return _resample(coords, n_points, density, corner_angle)
+    density = np.clip(density, 1.0, 20.0)
+    return _resample(coords, n_points, density)
 
 
 def _resample(coords: np.ndarray, n_points: int,
-              density: Optional[np.ndarray],
-              corner_angle: float) -> np.ndarray:
+              density: np.ndarray) -> np.ndarray:
     if n_points < 3:
         raise ValueError("need at least 3 output points")
     n = len(coords)
     arc = _arclength(coords)
     total = arc[-1]
-    corners = _corner_indices(coords, corner_angle)
+    corners = _corner_indices(coords)
     if not corners:
         corners = [0]  # anchor somewhere; the loop has no sharp feature
     if len(corners) >= n_points:
@@ -143,11 +141,8 @@ def _resample(coords: np.ndarray, n_points: int,
     # Cumulative density integral along the loop (piecewise constant per
     # edge; edge i spans arc[i]..arc[i+1] with density averaged from its
     # endpoints).
-    if density is None:
-        edge_w = np.diff(arc)
-    else:
-        d_edge = 0.5 * (density + np.roll(density, -1))
-        edge_w = np.diff(arc) * d_edge
+    d_edge = 0.5 * (density + np.roll(density, -1))
+    edge_w = np.diff(arc) * d_edge
     cum_w = np.concatenate([[0.0], np.cumsum(edge_w)])
 
     def weight_at(s: float) -> float:

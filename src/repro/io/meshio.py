@@ -10,7 +10,7 @@ interoperability, and NumPy ``.npz`` for speed.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -133,12 +133,10 @@ def read_mesh_npz(path: PathLike) -> TriMesh:
 # ----------------------------------------------------------------------
 # PSLG (.poly)
 # ----------------------------------------------------------------------
-def read_poly(path: PathLike, *, with_markers: bool = False):
+def read_poly(path: PathLike):
     """Read a ``.poly`` file; loops are reconstructed from the segments.
 
-    Returns ``(pslg, holes)`` — or ``(pslg, holes, markers)`` when
-    ``with_markers`` is true (``markers`` is ``None`` for files without a
-    boundary-marker column; order follows ``pslg.all_segments()``).
+    Returns ``(pslg, holes)``; a boundary-marker column is skipped.
     Segments must form disjoint closed loops (the format this package
     writes).
     """
@@ -159,17 +157,12 @@ def read_poly(path: PathLike, *, with_markers: bool = False):
         if not seg_header:
             raise ValueError(f"{path}: missing .poly segment header")
         m = int(seg_header[0])
-        has_markers = len(seg_header) > 1 and int(seg_header[1]) > 0
         nxt = {}
-        marker_of = {}
         for _ in range(m):
             parts = f.readline().split()
             if len(parts) < 3:
                 raise ValueError(f"{path}: truncated .poly segment section")
-            u, v = int(parts[1]) - 1, int(parts[2]) - 1
-            nxt[u] = v
-            if has_markers:
-                marker_of[(u, v)] = int(parts[3])
+            nxt[int(parts[1]) - 1] = int(parts[2]) - 1
         hole_header = f.readline().split()
         if not hole_header:
             raise ValueError(f"{path}: missing .poly hole header")
@@ -191,28 +184,14 @@ def read_poly(path: PathLike, *, with_markers: bool = False):
             loop.append(cur)
             cur = remaining.pop(cur)
         loops.append(Loop(np.asarray(loop)))
-    pslg = PSLG(pts, loops)
-    if not with_markers:
-        return pslg, holes
-    markers = None
-    if has_markers:
-        markers = np.asarray(
-            [marker_of[(int(u), int(v))] for u, v in pslg.all_segments()],
-            dtype=np.int64)
-    return pslg, holes, markers
+    return PSLG(pts, loops), holes
 
 
 # ----------------------------------------------------------------------
 # VTK legacy (visualisation interop)
 # ----------------------------------------------------------------------
-def write_vtk(path: PathLike, mesh: TriMesh,
-              cell_data: Optional[dict] = None,
-              point_data: Optional[dict] = None) -> Path:
-    """Write a legacy ASCII VTK file (UNSTRUCTURED_GRID of triangles).
-
-    ``cell_data``/``point_data`` map field names to 1D arrays (per
-    triangle / per vertex) — e.g. the Cp and Mach fields of Figs. 14-15.
-    """
+def write_vtk(path: PathLike, mesh: TriMesh) -> Path:
+    """Write a legacy ASCII VTK file (UNSTRUCTURED_GRID of triangles)."""
     path = Path(path)
     m = mesh.n_triangles
     with open(path, "w") as f:
@@ -226,20 +205,4 @@ def write_vtk(path: PathLike, mesh: TriMesh,
             f.write(f"3 {a} {b} {c}\n")
         f.write(f"CELL_TYPES {m}\n")
         f.write("5\n" * m)  # VTK_TRIANGLE
-        if cell_data:
-            f.write(f"CELL_DATA {m}\n")
-            for name, values in cell_data.items():
-                values = np.asarray(values, dtype=np.float64)
-                if len(values) != m:
-                    raise ValueError(f"cell field {name!r} has wrong length")
-                f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                f.writelines(f"{float(v)!r}\n" for v in values)
-        if point_data:
-            f.write(f"POINT_DATA {mesh.n_points}\n")
-            for name, values in point_data.items():
-                values = np.asarray(values, dtype=np.float64)
-                if len(values) != mesh.n_points:
-                    raise ValueError(f"point field {name!r} has wrong length")
-                f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                f.writelines(f"{float(v)!r}\n" for v in values)
     return path

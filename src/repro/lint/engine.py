@@ -267,27 +267,23 @@ class LintRunner:
     actually run): pragma *unknown-rule* checks (P0) go against the
     catalog, while *staleness* (P1) is only judged for rules that ran —
     otherwise ``--select R5`` would condemn every legitimate pragma
-    naming an unselected rule.  ``severity_map`` applies per-tree
-    overrides (see :data:`DEFAULT_SEVERITY_MAP`).
+    naming an unselected rule.  Findings take the per-tree overrides of
+    :data:`DEFAULT_SEVERITY_MAP`.
     """
 
     def __init__(self, rules: Sequence,
-                 catalog: Optional[Iterable[str]] = None,
-                 severity_map: Optional[Dict[str, Dict[str, str]]] = None,
-                 ) -> None:
+                 catalog: Optional[Iterable[str]] = None) -> None:
         self.rules = list(rules)
         self._selected_ids = {r.id for r in self.rules}
         base = set(catalog) if catalog is not None else set(self._selected_ids)
         self._catalog_ids = base | {"P0", "P1", "E9"}
-        self.severity_map = (DEFAULT_SEVERITY_MAP if severity_map is None
-                             else severity_map)
 
     # ------------------------------------------------------------------
     def _apply_severity(self, f: Finding) -> Optional[Finding]:
         if f.rule in ("P0", "P1", "E9"):
             return f
         parts = Path(f.path).parts
-        for tree, overrides in self.severity_map.items():
+        for tree, overrides in DEFAULT_SEVERITY_MAP.items():
             if tree in parts and f.rule in overrides:
                 level = overrides[f.rule]
                 if level == "off":

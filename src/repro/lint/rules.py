@@ -63,11 +63,12 @@ class DetSignRule(Rule):
 
     # -- detection -----------------------------------------------------
     @staticmethod
-    def _resolve(expr: ast.expr, env: Dict[str, ast.expr],
-                 depth: int = 3) -> ast.expr:
-        while depth > 0 and isinstance(expr, ast.Name) and expr.id in env:
+    def _resolve(expr: ast.expr, env: Dict[str, ast.expr]) -> ast.expr:
+        """Follow a name back through at most three local assignments."""
+        for _ in range(3):
+            if not (isinstance(expr, ast.Name) and expr.id in env):
+                break
             expr = env[expr.id]
-            depth -= 1
         return expr
 
     @classmethod

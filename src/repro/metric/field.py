@@ -156,16 +156,16 @@ class MetricField:
         (:func:`repro.metric.tensor.edge_lengths`)."""
         return tensor.edge_lengths(self.tensors, self.points, edges)
 
-    def interpolate(self, query: np.ndarray, *, k: int = 3) -> np.ndarray:
+    def interpolate(self, query: np.ndarray) -> np.ndarray:
         """Log-Euclidean interpolation of the field at ``query`` points.
 
-        Inverse-distance weighting over the ``k`` nearest samples,
+        Inverse-distance weighting over the 3 nearest samples,
         averaged in log space (Arsigny's log-Euclidean mean), so the
         result is SPD whatever the weights.  Exact sample hits return
         the sample tensor bit-for-bit.
         """
         query = np.asarray(query, dtype=np.float64).reshape(-1, 2)
-        k = min(max(int(k), 1), self.n_points)
+        k = min(3, self.n_points)
         d, idx = self._kdtree().query(query, k=k)
         if k == 1:
             d = d[:, None]

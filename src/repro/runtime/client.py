@@ -87,7 +87,10 @@ class ServiceClient:
     def _connect(self, retries: int, delay: float) -> None:
         kind, where = self.address
         last: Optional[Exception] = None
-        for _attempt in range(retries + 1):
+        for attempt in range(retries + 1):
+            if attempt:
+                time.sleep(delay)
+            sock: Optional[socket.socket] = None
             try:
                 if kind == "unix":
                     sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -101,7 +104,8 @@ class ServiceClient:
                 return
             except OSError as exc:
                 last = exc
-                time.sleep(delay)
+                if sock is not None:
+                    sock.close()
         raise ServiceError(f"cannot connect to {self.address}: {last}")
 
     # -- plumbing ------------------------------------------------------

@@ -216,7 +216,7 @@ def _resolve_portable_fn(module: str, qualname: str) -> Callable:
 
 
 def _pool_worker_main(rank: int, inbox, result_q,
-                      close_fds: Sequence[int] = ()) -> None:
+                      close_fds: Sequence[int]) -> None:
     """Persistent pool worker: serve tasks until told to stop.
 
     Protocol (pipe in, queue out)::
@@ -741,16 +741,13 @@ class ProcessesBackend:
     #: seconds without any worker progress before declaring a hang.
     idle_timeout = 600.0
 
-    def __init__(self, start_method: Optional[str] = None) -> None:
-        self._start_method = start_method
+    def __init__(self) -> None:
         self._pool: Optional[WorkerPool] = None
         self._exclude_fds: Tuple[int, ...] = ()
 
     def _context(self):
         import multiprocessing as mp
 
-        if self._start_method is not None:
-            return mp.get_context(self._start_method)
         # fork inherits payloads by address space (no serialization at
         # dispatch); fall back to spawn where fork does not exist.
         methods = mp.get_all_start_methods()

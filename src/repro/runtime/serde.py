@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -350,18 +350,15 @@ def buffers_from_shm(name: str, meta: ShmMeta) -> Buffers:
 Wire = Tuple
 
 
-def buffers_to_wire(buffers: Buffers, *,
-                    min_bytes: Optional[int] = None) -> Wire:
+def buffers_to_wire(buffers: Buffers) -> Wire:
     """Wrap a buffer dict for cross-process shipping.
 
-    Dicts at or above ``min_bytes`` (default :data:`SHM_MIN_BYTES`) go
-    through a shared-memory segment — only the name + layout tuple is
-    pickled; smaller dicts ship inline where the pickle is cheaper than
-    a segment round trip.  Falls back to inline when ``/dev/shm`` is
+    Dicts at or above :data:`SHM_MIN_BYTES` go through a shared-memory
+    segment — only the name + layout tuple is pickled; smaller dicts
+    ship inline where the pickle is cheaper than a segment round trip.  Falls back to inline when ``/dev/shm`` is
     unusable (tiny containers) rather than fail.
     """
-    threshold = SHM_MIN_BYTES if min_bytes is None else min_bytes
-    if buffers_nbytes(buffers) >= threshold:
+    if buffers_nbytes(buffers) >= SHM_MIN_BYTES:
         try:
             name, meta = buffers_to_shm(buffers)
             return ("shm", name, meta)

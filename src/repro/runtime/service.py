@@ -29,7 +29,9 @@ across operations — one long-running process owns a warm
   :func:`~repro.core.pipeline.mesh_workitem` per request,
   largest-first by :func:`~repro.core.pipeline.request_cost`), so the
   warm pool parallelizes *across* requests.  Identical in-window
-  requests are deduplicated through single-flight futures.
+  requests are deduplicated through single-flight futures.  A request
+  that fails while meshing fails alone: its window is re-dispatched one
+  request at a time.
 
 * **Shutdown discipline** — stopping the service while a batch is in
   flight aborts the dispatch through the worker pool's epoch fence
@@ -608,7 +610,11 @@ class MeshService:
                 return
 
     async def _dispatch(self, batch: List[_Pending]) -> None:
-        """One ``map_workitems`` window over the whole batch."""
+        """One ``map_workitems`` window over the whole batch.
+
+        When the window fails, each of its requests is dispatched again
+        on its own, so only the one that fails gets the error.
+        """
         sink = self.counters
         if self._stopping:
             for item in batch:
@@ -634,6 +640,11 @@ class MeshService:
         try:
             results = await offload(run)
         except BaseException as exc:  # noqa: BLE001 - forwarded to clients
+            if (len(batch) > 1 and isinstance(exc, Exception)
+                    and not self._stopping):
+                for item in batch:
+                    await self._dispatch([item])
+                return
             err = exc if isinstance(exc, (ServiceError,
                                           executor.ExecutorError)) \
                 else ServiceError(f"batch dispatch failed: {exc}")
@@ -670,15 +681,16 @@ class ServiceThread:
         self._ready = threading.Event()
         self._startup_error: Optional[BaseException] = None
 
-    def start(self, timeout: float = 30.0) -> str:
-        """Start the daemon; returns the connectable endpoint spec."""
+    def start(self) -> str:
+        """Start the daemon (within 30 s); returns the connectable
+        endpoint spec."""
         if self._thread is not None:
             raise ServiceError("service thread already started")
         self._thread = threading.Thread(target=self._run,
                                         name="repro-mesh-service",
                                         daemon=True)
         self._thread.start()
-        if not self._ready.wait(timeout):
+        if not self._ready.wait(30.0):
             raise ServiceError("service failed to start in time")
         if self._startup_error is not None:
             raise self._startup_error
@@ -701,15 +713,16 @@ class ServiceThread:
         finally:
             loop.close()
 
-    def stop(self, timeout: float = 60.0) -> None:
-        """Graceful shutdown; joins the loop thread (idempotent)."""
+    def stop(self) -> None:
+        """Graceful shutdown, waiting up to 60 s for the drain and again
+        for the join; joins the loop thread (idempotent)."""
         if self._thread is None or self._loop is None:
             return
         if self._thread.is_alive():
             fut = asyncio.run_coroutine_threadsafe(
                 self.service.shutdown(), self._loop)
-            fut.result(timeout=timeout)
-        self._thread.join(timeout=timeout)
+            fut.result(timeout=60.0)
+        self._thread.join(timeout=60.0)
         if self._thread.is_alive():
             raise ServiceError("service thread did not stop")
         self._thread = None

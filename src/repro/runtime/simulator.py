@@ -335,8 +335,7 @@ _MIN_BANDWIDTH = 1.0e6
 _MAX_BANDWIDTH = 1.0e12
 
 
-def fit_network_model(nbytes: Sequence[float], seconds: Sequence[float],
-                      *, default: Optional[NetworkModel] = None
+def fit_network_model(nbytes: Sequence[float], seconds: Sequence[float]
                       ) -> NetworkModel:
     """Least-squares alpha-beta fit of measured transfer (size, time) pairs.
 
@@ -346,12 +345,12 @@ def fit_network_model(nbytes: Sequence[float], seconds: Sequence[float],
     ``latency = intercept`` and ``bandwidth = 1 / slope``, clamped to sane
     hardware ranges.  With fewer than two distinct sizes, or sizes that
     span less than a factor of two (two segments of 67 and 73 kB differ
-    by less than their timing noise), the line is unconstrained and
-    ``default`` (4X FDR Infiniband) is returned; a
+    by less than their timing noise), the line is unconstrained and the
+    default :class:`NetworkModel` (4X FDR Infiniband) is returned; a
     non-positive slope (noise-dominated measurements) keeps the default
     bandwidth and uses the mean measured time as latency.
     """
-    default = default if default is not None else NetworkModel()
+    default = NetworkModel()
     x = np.asarray(nbytes, dtype=np.float64)
     y = np.asarray(seconds, dtype=np.float64)
     if x.size != y.size:
@@ -380,10 +379,7 @@ def fit_network_model(nbytes: Sequence[float], seconds: Sequence[float],
                         bandwidth=bandwidth)
 
 
-def calibrate_from_counters(sink, *, replicate_to: int = 12288,
-                            seed: int = 7,
-                            per_task_overhead: Optional[float] = None,
-                            network: Optional[NetworkModel] = None,
+def calibrate_from_counters(sink, *, replicate_to: int = 12288
                             ) -> Tuple[List[SimTask], SimConfig]:
     """Build a calibrated ``(tasks, SimConfig)`` from a measured run.
 
@@ -402,16 +398,15 @@ def calibrate_from_counters(sink, *, replicate_to: int = 12288,
       result) is left out of the replicated base;
     - **network model** fitted from the paired ``serde.shm_nbytes`` /
       ``serde.shm_seconds`` streams (shared-memory publish timings) via
-      :func:`fit_network_model`, unless ``network`` overrides it;
+      :func:`fit_network_model`;
     - **serial_setup** from the measured :data:`SETUP_PHASES` wall times
       (the parent-rank work before refinement can go wide;
       ``boundary_layer`` is the parent's prepare half only);
-    - **per_task_overhead** defaults to 1e-4 s — the queue-pop/dispatch
-      cost per item, matching the reference Fig. 11 configuration —
-      unless a measured value is passed in.
+    - **per_task_overhead** is 1e-4 s — the queue-pop/dispatch cost per
+      item, matching the reference Fig. 11 configuration.
 
     The measured subdomain tasks are replicated with +/-20%
-    multiplicative jitter (seeded, deterministic) to ``replicate_to``
+    multiplicative jitter (seed 7, deterministic) to ``replicate_to``
     items, modelling the paper's cluster-scale subdomain counts where
     refinement dominates the unreplicated setup phases.  Raises ``ValueError`` when the sink holds
     no per-item cost samples (the run did not go through the executor).
@@ -436,14 +431,12 @@ def calibrate_from_counters(sink, *, replicate_to: int = 12288,
         if twin is not None:
             base.remove(twin)
 
-    if network is None:
-        network = fit_network_model(
-            sink.samples.get("serde.shm_nbytes", []),
-            sink.samples.get("serde.shm_seconds", []))
+    network = fit_network_model(
+        sink.samples.get("serde.shm_nbytes", []),
+        sink.samples.get("serde.shm_seconds", []))
     serial_setup = float(sum(sink.phases.get(p, 0.0) for p in SETUP_PHASES))
-    overhead = 1.0e-4 if per_task_overhead is None else per_task_overhead
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     factor = max(1, int(replicate_to) // max(len(base), 1))
     tasks = once + [
         SimTask(cost=float(t.cost * rng.uniform(0.8, 1.25)),
@@ -451,5 +444,5 @@ def calibrate_from_counters(sink, *, replicate_to: int = 12288,
         for _ in range(factor) for t in base
     ]
     config = SimConfig(network=network, serial_setup=serial_setup,
-                       per_task_overhead=overhead)
+                       per_task_overhead=1.0e-4)
     return tasks, config

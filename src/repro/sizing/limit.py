@@ -25,7 +25,6 @@ tensors), so on isotropic tensors the two limiters agree exactly.
 from __future__ import annotations
 
 import heapq
-from typing import Optional
 
 import numpy as np
 
@@ -37,8 +36,6 @@ def limit_field(
     lengths: np.ndarray,
     values: np.ndarray,
     slope: float,
-    *,
-    active: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Largest field ``h* <= values`` with ``|grad h*| <= slope`` on a graph.
 
@@ -54,10 +51,6 @@ def limit_field(
         Maximum growth rate ``g`` of the limited field per unit length;
         ``0`` collapses the field to its global minimum on each
         connected component.
-    active:
-        Optional boolean mask of vertices whose values act as sources;
-        inactive vertices still receive limited values but their own
-        (possibly garbage) input is ignored.
 
     Returns the limited field (a fresh array; the input is not written).
     The relaxation is a plain Dijkstra over the graph metric, so the
@@ -75,10 +68,8 @@ def limit_field(
         raise ValueError("slope must be non-negative")
     n = len(values)
     out = values.copy()
-    if active is not None:
-        out = np.where(np.asarray(active, dtype=bool), out, np.inf)
     if n == 0 or len(edges) == 0:
-        return np.minimum(out, values) if active is None else out
+        return out
 
     # CSR adjacency (vectorised build): both directions of every edge.
     src = np.concatenate([edges[:, 0], edges[:, 1]])
@@ -102,8 +93,4 @@ def limit_field(
             if cand < out[u]:
                 out[u] = cand
                 heapq.heappush(heap, (cand, u))
-    if active is not None:
-        # Isolated inactive vertices: nothing to relax from; keep input.
-        missing = ~np.isfinite(out)
-        out[missing] = values[missing]
     return out

@@ -90,13 +90,12 @@ class ShearLayerProblem:
 # ----------------------------------------------------------------------
 # Solve / error
 # ----------------------------------------------------------------------
-def solve_on_mesh(mesh: TriMesh, problem: ShearLayerProblem,
-                  *, tol: float = 1e-10) -> np.ndarray:
+def solve_on_mesh(mesh: TriMesh, problem: ShearLayerProblem) -> np.ndarray:
     """P1 FEM solution of the model problem on ``mesh``.
 
     Stiffness from :func:`repro.solver.fem.assemble_stiffness`, load by
     lumped-mass quadrature of the closed-form forcing, exact Dirichlet
-    data on every boundary node, Jacobi-PCG solve.
+    data on every boundary node, Jacobi-PCG solve to 1e-10.
     """
     # The solver modules load scipy.sparse; importers that only need the
     # problem classes or ``adapt_loop``'s signature do not pay for it.
@@ -110,7 +109,7 @@ def solve_on_mesh(mesh: TriMesh, problem: ShearLayerProblem,
     b = M @ problem.forcing(x, y)
     nodes = boundary_nodes(mesh)
     A, b = apply_dirichlet(A, b, nodes, problem.exact(x[nodes], y[nodes]))
-    res = pcg(A, b, tol=tol)
+    res = pcg(A, b, tol=1e-10)
     return res.x
 
 

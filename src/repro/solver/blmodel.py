@@ -43,21 +43,18 @@ def exact_solution(pts: np.ndarray, eps: float) -> np.ndarray:
     return np.exp(-pts[:, 1] / math.sqrt(eps))
 
 
-def layered_mesh(eps: float, *, nx: int = 24, growth: float = 1.35,
-                 first: float = None) -> TriMesh:
+def layered_mesh(eps: float, *, nx: int = 24) -> TriMesh:
     """Anisotropic layered mesh of the unit square.
 
-    y-coordinates follow a geometric progression resolving the sqrt(eps)
-    layer (first spacing ~ sqrt(eps)/4 by default); x is uniform — the
+    y-coordinates follow a geometric progression of ratio 1.35 resolving
+    the sqrt(eps) layer (first spacing sqrt(eps)/4); x is uniform — the
     structure the BL extrusion produces.
     """
-    delta = math.sqrt(eps)
-    first = first if first is not None else delta / 4.0
     ys = [0.0]
-    h = first
+    h = math.sqrt(eps) / 4.0
     while ys[-1] < 1.0:
         ys.append(min(ys[-1] + h, 1.0))
-        h *= growth
+        h *= 1.35
     ys = np.asarray(ys)
     xs = np.linspace(0.0, 1.0, nx + 1)
     pts = np.array([(x, y) for y in ys for x in xs])

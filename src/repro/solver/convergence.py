@@ -12,7 +12,7 @@ Every solver records the full relative-residual history.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,39 +32,38 @@ def _rel(r: np.ndarray, b_norm: float) -> float:
     return float(np.linalg.norm(r) / b_norm)
 
 
-def jacobi(A: sp.spmatrix, b: np.ndarray, *, tol: float = 1e-12,
-           max_iter: int = 100_000, omega: float = 0.8,
-           x0: Optional[np.ndarray] = None) -> SolveResult:
-    """Damped Jacobi iteration with residual history."""
+def jacobi(A: sp.spmatrix, b: np.ndarray) -> SolveResult:
+    """Jacobi iteration damped by 0.8 from zero, with residual history,
+    to a relative residual of 1e-12 within 100 000 iterations."""
     A = A.tocsr()
     b = np.asarray(b, dtype=np.float64)
     d = A.diagonal()
     if np.any(d == 0.0):
         raise ValueError("zero diagonal entry: Jacobi undefined")
-    x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=np.float64)
+    x = np.zeros_like(b)
     b_norm = float(np.linalg.norm(b)) or 1.0
     hist: List[float] = []
-    for it in range(1, max_iter + 1):
+    for it in range(1, 100_001):
         r = b - A @ x
         rel = _rel(r, b_norm)
         hist.append(rel)
-        if rel <= tol:
+        if rel <= 1e-12:
             return SolveResult(x, hist, True, it - 1)
-        x = x + omega * (r / d)
-    return SolveResult(x, hist, False, max_iter)
+        x = x + 0.8 * (r / d)
+    return SolveResult(x, hist, False, 100_000)
 
 
 def pcg(A: sp.spmatrix, b: np.ndarray, *, tol: float = 1e-12,
-        max_iter: int = 100_000, x0: Optional[np.ndarray] = None
-        ) -> SolveResult:
-    """Jacobi-preconditioned conjugate gradients with residual history."""
+        max_iter: int = 100_000) -> SolveResult:
+    """Jacobi-preconditioned conjugate gradients from zero, with residual
+    history."""
     A = A.tocsr()
     b = np.asarray(b, dtype=np.float64)
     d = A.diagonal()
     if np.any(d <= 0.0):
         raise ValueError("non-positive diagonal: not SPD-preconditionable")
     minv = 1.0 / d
-    x = np.zeros_like(b) if x0 is None else np.asarray(x0, dtype=np.float64)
+    x = np.zeros_like(b)
     b_norm = float(np.linalg.norm(b)) or 1.0
     r = b - A @ x
     z = minv * r

@@ -13,7 +13,7 @@ all assembled vectorised over the element arrays into scipy CSR matrices.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -113,17 +113,9 @@ def assemble_mass(mesh: TriMesh, *, lumped: bool = False) -> sp.csr_matrix:
     return _accumulate(mesh, ke)
 
 
-def boundary_nodes(mesh: TriMesh,
-                   predicate: Optional[Callable[[float, float], bool]] = None
-                   ) -> np.ndarray:
-    """Vertex indices on the mesh boundary (optionally filtered)."""
-    be = mesh.boundary_edges()
-    nodes = np.unique(be.ravel())
-    if predicate is not None:
-        keep = [n for n in nodes
-                if predicate(mesh.points[n, 0], mesh.points[n, 1])]
-        nodes = np.asarray(keep, dtype=nodes.dtype)
-    return nodes
+def boundary_nodes(mesh: TriMesh) -> np.ndarray:
+    """Vertex indices on the mesh boundary, sorted."""
+    return np.unique(mesh.boundary_edges().ravel())
 
 
 def apply_dirichlet(

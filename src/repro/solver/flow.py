@@ -45,8 +45,9 @@ class FlowResult:
     mesh: Optional[TriMesh] = None
     body_loops: Tuple[np.ndarray, ...] = ()
 
-    def lift_coefficient(self, chord: float = 1.0) -> float:
-        """Cl from surface-pressure integration:  Cl = -(1/c) ∮ Cp n_y ds.
+    def lift_coefficient(self) -> float:
+        """Cl from surface-pressure integration over a unit chord:
+        Cl = -∮ Cp n_y ds.
 
         ``n`` is the outward normal of each (CCW) body loop; the element
         adjacent to each surface panel supplies its Cp.
@@ -76,7 +77,7 @@ class FlowResult:
                                   + (cents[:, 1] - mid[1]) ** 2))
                 # Pressure pushes on the surface along -n (fluid -> body).
                 force_y += -self.cp[e] * ny * ds
-        return force_y / chord
+        return force_y
 
     def stagnation_elements(self, frac: float = 0.02) -> np.ndarray:
         """Element ids whose speed is below ``frac`` of U∞."""
@@ -129,9 +130,9 @@ def solve_potential_flow(
     u_inf: float = 1.0,
     alpha_deg: float = 0.0,
     mach_inf: float = 0.0,
-    kutta: bool = True,
 ) -> FlowResult:
-    """Solve potential flow around the bodies in ``mesh``.
+    """Solve potential flow around the bodies in ``mesh``, with a Kutta
+    condition at each body's trailing edge.
 
     ``mesh`` is the fluid-region mesh (bodies are holes);
     ``body_loops`` their surface coordinate rings.
@@ -165,11 +166,10 @@ def solve_potential_flow(
     psi0 = solve_with([0.0] * len(body_sets), psi_far)
     # Influence solutions: psi = 1 on body j, 0 elsewhere, 0 at infinity.
     influences = []
-    if kutta:
-        zero_far = np.zeros(n)
-        for j in range(len(body_sets)):
-            vals = [1.0 if i == j else 0.0 for i in range(len(body_sets))]
-            influences.append(solve_with(vals, zero_far))
+    zero_far = np.zeros(n)
+    for j in range(len(body_sets)):
+        vals = [1.0 if i == j else 0.0 for i in range(len(body_sets))]
+        influences.append(solve_with(vals, zero_far))
 
     g, _areas = gradients(mesh)
 
@@ -178,7 +178,7 @@ def solve_potential_flow(
         # v = (d psi / dy, -d psi / dx)
         return np.column_stack([grad[:, 1], -grad[:, 0]])
 
-    if kutta and influences:
+    if influences:
         # Kutta condition per body: equal speed on the upper/lower elements
         # at the trailing edge -> linear system in the body constants.
         v0 = element_velocity(psi0)

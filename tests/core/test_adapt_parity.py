@@ -11,6 +11,7 @@ import pytest
 
 from repro.core import pipeline
 from repro.delaunay import refine_pslg
+from repro.delaunay.adapt import HIGH_BAND, LOW_BAND
 from repro.metric import MetricField, tensor
 from repro.runtime import executor, serde
 
@@ -67,10 +68,10 @@ class TestAdaptWorkitem:
     def test_knobs_travel(self, case):
         mesh, field = case
         payload = pipeline.pack_adapt_item(
-            mesh, field, holes=[(0.5, 0.5)], l_min=0.6, l_max=1.7,
+            mesh, field, holes=[(0.5, 0.5)],
             max_passes=1, smooth_iterations=2, protect_segments=True)
         np.testing.assert_allclose(payload["params"],
-                                   [0.6, 1.7, 1.0, 2.0, 1.0])
+                                   [LOW_BAND, HIGH_BAND, 1.0, 2.0, 1.0])
         np.testing.assert_allclose(payload["holes"], [[0.5, 0.5]])
 
     @pytest.mark.parametrize("backend", ["serial", "processes"])

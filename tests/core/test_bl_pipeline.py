@@ -200,17 +200,19 @@ class TestSimplifyBorders:
         return elements
 
     def test_untangled_by_the_last_pass_is_clean(self):
-        # Third layers (0.3 out) cross; second layers (0.1) clear the gap.
-        elements = self._squares([0.05, 0.1, 0.3])
-        removed = _simplify_borders(elements, max_passes=1)
-        assert removed == 6  # three rays of each body bound a crossing
+        # Forty crossing layers (0.3 out), one per pass of the 40 the
+        # untangling makes; second layers (0.1) clear the gap.
+        elements = self._squares([0.05, 0.1] + [0.3] * 40)
+        removed = _simplify_borders(elements)
+        assert removed == 6 * 40  # three rays of each body bound a crossing
         assert _simplify_borders(elements) == 0
 
     def test_still_tangled_names_the_rays(self):
-        # Second layers (0.25 out) still cross after the only pass.
-        elements = self._squares([0.05, 0.25, 0.3])
+        # 38 passes take the 0.3 layers, the last two two of the three
+        # 0.25 layers, and the third still crosses.
+        elements = self._squares([0.05] + [0.25] * 3 + [0.3] * 38)
         with pytest.raises(RuntimeError, match="element, ray index") as err:
-            _simplify_borders(elements, max_passes=1)
+            _simplify_borders(elements)
         assert "(0, 1)" in str(err.value) and "(1, 0)" in str(err.value)
 
     def test_no_layer_left_to_give_raises(self):

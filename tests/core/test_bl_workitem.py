@@ -143,15 +143,14 @@ class TestPackedItem:
             return real(*args, **kwargs)
 
         def triangulate(*args, real=triangulate_boundary_layer, **kwargs):
-            calls.append(("triangulate", kwargs["insert_strategy"]))
+            calls.append("triangulate")
             return real(*args, **kwargs)
 
         monkeypatch.setattr(bl_pipeline, "prepare_boundary_layer", prepare)
         monkeypatch.setattr(bl_pipeline, "triangulate_boundary_layer",
                             triangulate)
-        bl = generate_boundary_layer(self.pslg, self.config,
-                                     insert_strategy="scalar")
-        assert calls == ["prepare", ("triangulate", "scalar")]
+        bl = generate_boundary_layer(self.pslg, self.config)
+        assert calls == ["prepare", "triangulate"]
         assert bl.stats["n_triangles"] == bl.mesh.n_triangles > 0
 
 

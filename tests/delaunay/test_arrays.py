@@ -43,7 +43,7 @@ class TestMeshArrays:
         assert tri._new_triangle(0, 1, 2) == t  # recycled from the free list
 
     def test_reserve_rebinds_views(self):
-        a = MeshArrays(cap_pts=4)
+        a = MeshArrays()
         a.new_point(1.0, 2.0)
         old_px = a.px
         a.reserve_points(10_000)

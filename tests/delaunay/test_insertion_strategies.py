@@ -8,7 +8,7 @@ Clarkson–Shor history lemma a new fan triangle's circumdisk lies
 inside disk(destroyed triangle) ∪ disk(surviving edge-neighbour), so
 neighbourhood separation guarantees no accepted point's conflict set
 changes while the batch replays — the property test here asserts it
-on the strategy's own planning trace, and the differential tests pin
+on the cavities each sub-batch commits, and the differential tests pin
 the *result* to the scalar path (exact Delaunay, canonical-hash
 parity).
 """
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.delaunay import available_strategies, get_strategy
+from repro.delaunay import available_strategies, cavity, get_strategy
 from repro.delaunay.cavity import BatchInsertion, ScalarInsertion, brio_order
 from repro.delaunay.kernel import Triangulation, delaunay_mesh, triangulate
 from repro.geometry.airfoils import naca4
@@ -44,13 +44,28 @@ class TestRegistry:
 
 
 # ----------------------------------------------------------------------
-# Independence property on the planning trace
+# Independence property on the committed sub-batches
 # ----------------------------------------------------------------------
-def _batch_triangulate(pts, trace):
+def _batch_triangulate(pts):
+    """Batch-insert ``pts``; returns the kernel and, per committed
+    sub-batch, ``[(cavity, closed edge-neighbourhood), ...]`` read off
+    the kernel just before the sub-batch commits."""
+    trace = []
+    commit = cavity.retriangulate_batch
+
+    def spy(tri, vids, cavities):
+        tn = tri._arr.tn
+        trace.append([(set(cav), set(cav) | {tn[3 * t + k] for t in cav
+                                             for k in range(3)})
+                      for cav in cavities])
+        return commit(tri, vids, cavities)
+
     tri = Triangulation()
-    order = brio_order(pts, seed=0xC0FFEE)
-    BatchInsertion(trace=trace).insert_points(tri, pts, order)
-    return tri
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cavity, "retriangulate_batch", spy)
+        BatchInsertion().insert_points(tri, pts,
+                                       brio_order(pts, seed=0xC0FFEE))
+    return tri, trace
 
 
 class TestIndependenceProperty:
@@ -60,16 +75,13 @@ class TestIndependenceProperty:
     def test_accepted_sets_are_neighbourhood_separated(self, seed, n):
         rng = np.random.default_rng(seed)
         pts = rng.uniform(-3.0, 3.0, size=(n, 2))
-        trace = []
-        _batch_triangulate(pts, trace)
+        _, trace = _batch_triangulate(pts)
         committed = sum(len(sub) for sub in trace)
         assert committed > 0, "batch path never engaged"
         for sub in trace:
-            for i, (_, cav_i, nbhd_i) in enumerate(sub):
-                cav_i = set(cav_i)
-                nbhd_i = set(nbhd_i)
+            for i, (cav_i, nbhd_i) in enumerate(sub):
                 assert cav_i <= nbhd_i
-                for j, (_, cav_j, _) in enumerate(sub):
+                for j, (cav_j, _) in enumerate(sub):
                     if i == j:
                         continue
                     # Cavities pairwise disjoint AND no other accepted
@@ -88,14 +100,13 @@ class TestIndependenceProperty:
         pts = np.vstack([
             c + rng.normal(scale=1e-3, size=(30, 2)) for c in centers
         ])
-        trace = []
-        tri = _batch_triangulate(pts, trace)
+        tri, trace = _batch_triangulate(pts)
         tri.check_integrity()
         for sub in trace:
             claimed = set()
-            for _, cav, nbhd in sub:
+            for cav, nbhd in sub:
                 assert claimed.isdisjoint(nbhd)
-                claimed |= set(cav)
+                claimed |= cav
 
 
 # ----------------------------------------------------------------------
@@ -135,8 +146,8 @@ class TestDifferential:
     def test_batch_mesh_exactly_delaunay(self, cloud):
         rng = np.random.default_rng(hash(cloud) % (2**32))
         pts = CLOUDS[cloud](rng)
-        mesh_b = delaunay_mesh(pts, strategy="batch")
-        mesh_s = delaunay_mesh(pts, strategy="scalar")
+        mesh_b = triangulate(pts, strategy="batch").to_mesh()
+        mesh_s = triangulate(pts, strategy="scalar").to_mesh()
         _assert_exactly_delaunay(mesh_b)
         assert mesh_b.n_triangles == mesh_s.n_triangles
         assert mesh_b.n_points == mesh_s.n_points
@@ -146,7 +157,7 @@ class TestDifferential:
         rng = np.random.default_rng(hash(cloud) % (2**32))
         pts = CLOUDS[cloud](rng)
         h = [serde.canonical_hash(serde.pack_mesh(
-                delaunay_mesh(pts, strategy=s).canonical()))
+                triangulate(pts, strategy=s).to_mesh().canonical()))
              for s in ("scalar", "batch")]
         assert h[0] == h[1]
 
@@ -165,11 +176,11 @@ class TestDifferential:
             tri = triangulate(pts, strategy=strategy)
             # The kernel dedups: one vertex per distinct coordinate.
             assert tri._arr.n_pts == 300, strategy
-            # delaunay_mesh keeps the caller's indexing but triangles
-            # only ever reference the first occurrence of a duplicate.
-            mesh = delaunay_mesh(pts, strategy=strategy)
-            assert mesh.n_points == 350
-            assert int(mesh.triangles.max()) < 300
+        # delaunay_mesh keeps the caller's indexing but triangles only
+        # ever reference the first occurrence of a duplicate.
+        mesh = delaunay_mesh(pts)
+        assert mesh.n_points == 350
+        assert int(mesh.triangles.max()) < 300
 
 
 class TestNacaGoldenParity:
@@ -181,7 +192,7 @@ class TestNacaGoldenParity:
         rng = np.random.default_rng(0xC0FFEE)
         cloud = rng.uniform([-0.5, -0.6], [1.5, 0.6], size=(1500, 2))
         pts = np.vstack([surface, cloud])
-        meshes = {s: delaunay_mesh(pts, strategy=s)
+        meshes = {s: triangulate(pts, strategy=s).to_mesh()
                   for s in ("scalar", "batch")}
         _assert_exactly_delaunay(meshes["batch"])
         hashes = {s: serde.canonical_hash(serde.pack_mesh(m.canonical()))

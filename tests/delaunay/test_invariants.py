@@ -148,7 +148,7 @@ def insert_checking_cavities(tri: Triangulation, points) -> int:
         got = carve(tri, p[0], p[1], t)
         assert got == (want, t0), f"cavity of {p} differs from the oracle's"
         n_clipped += clipped
-        tri.insert_point(*p, hint=t)
+        cavity_module.insert_point(tri, *p, t)
         if tri.constraints:
             assert_invariants(tri)
         else:
@@ -521,9 +521,10 @@ class TestDeterminism:
 
     def test_seed_controls_insertion_order(self):
         pts = np.random.default_rng(14).random((200, 2))
-        a = triangulate(pts, seed=1)._arr
-        b = triangulate(pts, seed=1)._arr
-        assert np.array_equal(a.tri_v[:a.n_tris], b.tri_v[:b.n_tris])
+        order = cavity_module.brio_order(pts, seed=1)
+        assert np.array_equal(order, cavity_module.brio_order(pts, seed=1))
+        assert not np.array_equal(order,
+                                  cavity_module.brio_order(pts, seed=2))
 
     def test_insert_point_stream_deterministic(self):
         pts = np.random.default_rng(15).random((300, 2)).tolist()

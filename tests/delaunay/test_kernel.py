@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.delaunay.cavity import walk
+from repro.delaunay.cavity import insert_point, walk
 from repro.delaunay.kernel import GHOST, Triangulation, TriangulationError, triangulate
 from repro.geometry.predicates import orient2d
 from repro.geometry.primitives import polygon_area
@@ -60,8 +60,6 @@ class TestBootstrap:
         assert t.insert_point(0, 0) == a
         assert t.insert_point(1, 0) == b
         assert t.insert_point(0, 1) == c
-        with pytest.raises(TriangulationError):
-            t.insert_point(0, 0, on_duplicate="raise")
 
 
 class TestInsertion:
@@ -155,7 +153,7 @@ class TestRandomSets:
         base = rng.uniform(0, 1, size=(150, 2))
         pts = np.vstack([base, base[rng.integers(0, 150, 40)]])
         pts = pts[rng.permutation(len(pts))]
-        tri, inserted = _triangulate_with_map(pts, assume_sorted=False)
+        tri, inserted = _triangulate_with_map(pts, None)
         inv = {}
         for i, k in inserted.items():
             if k not in inv or i < inv[k]:
@@ -180,10 +178,11 @@ class TestRandomSets:
         assert mesh.n_triangles == 2 * 49  # Euler: 2*interior cells
 
     def test_sorted_insertion_mode(self):
+        from repro.delaunay.dnc import triangulate_ordered
+
         rng = np.random.default_rng(11)
         pts = rng.uniform(0, 1, size=(150, 2))
-        pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-        mesh = triangulate(pts, assume_sorted=True).to_mesh()
+        mesh = triangulate_ordered(pts, "sorted")
         assert mesh.delaunay_violations(respect_segments=False) == 0
         assert mesh.n_points == 150
 
@@ -266,7 +265,7 @@ class TestWalkContract:
         if certified:
             assert min(signs) > 0
         assert tri.is_ghost(t) == query.startswith("outside")
-        assert min(edge_signs(tri, tri.locate(p, hint=h), p)) >= 0
+        assert min(edge_signs(tri, tri.locate(p), p)) >= 0
 
     def test_strict_interior_is_certified(self):
         tri = lattice()
@@ -279,7 +278,7 @@ class TestWalkContract:
         tri = lattice()
         p = QUERIES[query]
         t = tri.locate(p)
-        tri.insert_point(*p, hint=t)
+        insert_point(tri, *p, t)
         assert t in tri.last_removed
         tri.check_integrity()
 
@@ -290,7 +289,7 @@ class TestWalkContract:
         # The cap is 4 * (n_live_triangles + 8) steps: shrink it to 4,
         # fewer than the walk across the lattice needs.
         monkeypatch.setattr(tri, "n_live_triangles", -7)
-        t = tri.locate(p, hint=start)
+        t = walk(tri, p[0], p[1], start)[0]
         assert tri.stat_brute_locates == 1
         assert min(edge_signs(tri, t, p)) >= 0
 

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from repro.delaunay.constrained import triangulate_pslg
 from repro.delaunay.mesh import TriMesh
 from repro.delaunay.refine import (
-    RUPPERT_BOUND, RefinementError, Refiner, refine_pslg)
+    RUPPERT_BOUND, AreaCriterion, RefinementError, Refiner, refine_pslg)
 
 from .fuzz_refine_digest import case_outcome
 from .oracle_refine import RescanRefiner, assert_refinement_complete
@@ -22,7 +23,7 @@ def square_pslg(side=1.0):
 class TestQualityRefinement:
     def test_square_quality(self):
         pts, segs = square_pslg()
-        mesh = refine_pslg(pts, segs, quality_bound=RUPPERT_BOUND)
+        mesh = refine_pslg(pts, segs)
         assert mesh.is_conforming()
         assert np.abs(mesh.areas()).sum() == pytest.approx(1.0)
         # All radius-edge ratios below the bound.
@@ -48,8 +49,9 @@ class TestQualityRefinement:
 
     def test_no_quality_no_change(self):
         pts, segs = square_pslg()
-        mesh = refine_pslg(pts, segs, quality_bound=None)
-        assert mesh.n_points == 4  # nothing to do
+        refiner = Refiner(triangulate_pslg(pts, segs), quality_bound=None)
+        refiner.refine()
+        assert refiner.to_mesh().n_points == 4  # nothing to do
 
 
 class TestAreaRefinement:
@@ -91,7 +93,9 @@ class TestAreaRefinement:
     def test_steiner_budget(self):
         pts, segs = square_pslg()
         with pytest.raises(RefinementError):
-            refine_pslg(pts, segs, max_area=1e-5, max_steiner=50)
+            Refiner(triangulate_pslg(pts, segs),
+                    criterion=AreaCriterion(lambda x, y: 1e-5),
+                    max_steiner=50).refine()
 
 
 class TestConstraintsPreserved:

@@ -108,7 +108,7 @@ class TestResampleCurvature:
 
     def test_max_ratio_bounds_starvation(self):
         af = naca0012(401)
-        out = resample_curvature(af, 81, strength=10.0, max_ratio=5.0)
+        out = resample_curvature(af, 81, strength=10.0)
         d = np.linalg.norm(np.diff(np.vstack([out, out[:1]]), axis=0),
                            axis=1)
         # No absurdly long edges despite the strong clustering.

@@ -18,10 +18,16 @@ from repro.io.meshio import (
 )
 
 
+def all_segments(pslg):
+    """Every loop edge of ``pslg`` as an ``(m, 2)`` index array."""
+    return np.asarray([e for lp in pslg.loops for e in lp.edges()],
+                      dtype=np.int64)
+
+
 def write_poly_text(path, pslg, holes=(), markers=None):
     """A Triangle ``.poly`` file of ``pslg`` (1-based, optional one
     boundary-marker column per segment): the input ``read_poly`` takes."""
-    segs = pslg.all_segments()
+    segs = all_segments(pslg)
     lines = [f"{pslg.n_points} 2 0 0"]
     lines += [f"{i + 1} {x!r} {y!r}" for i, (x, y) in
               enumerate(pslg.points.tolist())]
@@ -118,22 +124,19 @@ class TestPoly:
         assert len(got.loops) == 1
 
     def test_poly_markers_round_trip(self, tmp_path):
+        """A boundary-marker column is skipped: the PSLG reads back the
+        same as from the marker-less file."""
         pslg = PSLG.from_loops([naca0012(21)])
-        segs = pslg.all_segments()
-        markers = np.arange(100, 100 + len(segs))
+        segs = all_segments(pslg)
         p = tmp_path / "c.poly"
-        write_poly_text(p, pslg, markers=markers)
-        got, _holes, got_markers = read_poly(p, with_markers=True)
-        # Markers follow the reconstructed segment order: match per edge.
-        want = {(int(u), int(v)): int(m)
-                for (u, v), m in zip(segs, markers)}
-        for (u, v), m in zip(got.all_segments(), got_markers):
-            assert want[(int(u), int(v))] == int(m)
-        # Marker-less files report markers=None but still parse.
+        write_poly_text(p, pslg, markers=np.arange(100, 100 + len(segs)))
+        got, _holes = read_poly(p)
         write_poly_text(tmp_path / "d.poly", pslg)
-        _, _, none_markers = read_poly(tmp_path / "d.poly",
-                                       with_markers=True)
-        assert none_markers is None
+        plain, _holes = read_poly(tmp_path / "d.poly")
+        np.testing.assert_array_equal(got.points, plain.points)
+        np.testing.assert_array_equal(all_segments(got), all_segments(plain))
+        assert ({tuple(e) for e in all_segments(got).tolist()}
+                == {tuple(e) for e in segs.tolist()})
 
     def test_poly_malformed(self, tmp_path):
         p = tmp_path / "bad.poly"
@@ -177,31 +180,19 @@ class TestCLI:
 
 class TestVTK:
     def test_write_vtk_structure(self, tmp_path, mesh):
-        p = write_vtk(tmp_path / "m.vtk", mesh,
-                      cell_data={"area": mesh.areas()},
-                      point_data={"x": mesh.points[:, 0]})
+        p = write_vtk(tmp_path / "m.vtk", mesh)
         text = p.read_text()
         assert "DATASET UNSTRUCTURED_GRID" in text
         assert f"POINTS {mesh.n_points} double" in text
         assert f"CELLS {mesh.n_triangles} {4 * mesh.n_triangles}" in text
-        assert "SCALARS area double 1" in text
-        assert "SCALARS x double 1" in text
         # Every cell is a VTK_TRIANGLE.
         assert text.count("\n5\n") + text.count("\n5\n") >= 1
 
-    def test_write_vtk_bad_field_length(self, tmp_path, mesh):
-        with pytest.raises(ValueError):
-            write_vtk(tmp_path / "m.vtk", mesh,
-                      cell_data={"bad": np.zeros(3)})
-
-    def test_vtk_round_trip_with_data(self, tmp_path, mesh):
-        """Coordinates and fields are written with ``repr``: the text
-        gives every float back bit-exactly."""
+    def test_vtk_round_trip_no_data(self, tmp_path, mesh):
+        """Coordinates are written with ``repr``: the text gives every
+        float back bit-exactly."""
         n, m = mesh.n_points, mesh.n_triangles
-        cp = np.linspace(-1.0, 1.0, n)
-        area = mesh.areas()
-        p = write_vtk(tmp_path / "m.vtk", mesh,
-                      cell_data={"area": area}, point_data={"cp": cp})
+        p = write_vtk(tmp_path / "m.vtk", mesh)
         lines = p.read_text().splitlines()
         xyz = np.array(vtk_section(lines, f"POINTS {n} double", n),
                        dtype=float)
@@ -212,20 +203,6 @@ class TestVTK:
         assert np.all(cells[:, 0] == 3)
         np.testing.assert_array_equal(cells[:, 1:], mesh.triangles)
         assert vtk_section(lines, f"CELL_TYPES {m}", m) == [["5"]] * m
-        for name, values in (("area", area), ("cp", cp)):
-            table = vtk_section(lines, f"SCALARS {name} double 1",
-                                len(values) + 1)
-            assert table[0] == ["LOOKUP_TABLE", "default"]
-            np.testing.assert_array_equal(
-                np.array(table[1:], dtype=float).ravel(), values)
-
-    def test_vtk_round_trip_no_data(self, tmp_path, mesh):
-        m = mesh.n_triangles
-        p = write_vtk(tmp_path / "m.vtk", mesh)
-        lines = p.read_text().splitlines()
-        cells = np.array(vtk_section(lines, f"CELLS {m} {4 * m}", m),
-                         dtype=np.int64)
-        np.testing.assert_array_equal(cells[:, 1:], mesh.triangles)
         # The grid is the whole file: it ends with the cell types.
         assert lines[-(m + 1)] == f"CELL_TYPES {m}"
 

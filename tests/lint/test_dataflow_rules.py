@@ -424,13 +424,12 @@ class TestSeverityMap:
         assert "R9" in rules_hit(findings)
 
     def test_warn_severity_does_not_gate(self, tmp_path):
-        runner = LintRunner(ALL_RULES,
-                            severity_map={"pkg": {"R9": "warn"}})
-        f = tmp_path / "pkg" / "helper_async.py"
+        # examples/ demotes R5 (wall-clock reads) to a warning.
+        f = tmp_path / "examples" / "repro" / "helper_clock.py"
         f.parent.mkdir(parents=True)
-        f.write_text(textwrap.dedent(self.BAD_ASYNC))
-        findings = runner.run_file(f)
-        assert [x.severity for x in findings if x.rule == "R9"] == ["warn"]
+        f.write_text("import time\nT0 = time.perf_counter()\n")
+        findings = LintRunner(ALL_RULES).run_file(f)
+        assert [x.severity for x in findings if x.rule == "R5"] == ["warn"]
 
 
 class TestCLI:

@@ -93,7 +93,7 @@ class TestInterpolation:
         the geometric mean (up to IDW weighting symmetry)."""
         pts = np.array([[0.0, 0.0], [1.0, 0.0]])
         f = isotropic(pts, np.array([0.1, 0.4]))
-        out = f.interpolate(np.array([[0.5, 0.0]]), k=2)
+        out = f.interpolate(np.array([[0.5, 0.0]]))
         h = 1.0 / np.sqrt(out[0, 0])
         assert h == pytest.approx(np.sqrt(0.1 * 0.4), rel=1e-6)
 

@@ -147,11 +147,17 @@ class TestProcessesContracts:
         assert any(name == "executor.processes.item"
                    for name in sink.phases)
 
-    def test_spawn_context_also_works(self):
-        # The pool under ``spawn``: workers start from a fresh
-        # interpreter and resolve the work function by import path, so
-        # nothing in the dispatch protocol depends on fork inheritance.
-        backend = ProcessesBackend(start_method="spawn")
+    def test_spawn_context_also_works(self, monkeypatch):
+        # The pool under ``spawn`` (a platform without fork): workers
+        # start from a fresh interpreter and resolve the work function by
+        # import path, so nothing in the dispatch protocol depends on
+        # fork inheritance.
+        import multiprocessing
+
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        backend = ProcessesBackend()
+        assert backend._context().get_start_method() == "spawn"
         payloads = [{"x": np.asarray([float(i)])} for i in range(4)]
         results = backend.map_workitems(_double, payloads, n_ranks=2)
         for i, r in enumerate(results):

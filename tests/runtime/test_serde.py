@@ -194,12 +194,13 @@ class TestWireEnvelope:
         out = serde.wire_to_buffers(wire)
         assert np.array_equal(out["x"], buffers["x"])
 
-    def test_threshold_override(self):
-        wire = serde.buffers_to_wire(self._buffers(8), min_bytes=1)
+    def test_threshold_override(self, monkeypatch):
+        monkeypatch.setattr(serde, "SHM_MIN_BYTES", 1)
+        wire = serde.buffers_to_wire(self._buffers(8))
         assert wire[0] == "shm"
         serde.discard_wire(wire)
-        wire = serde.buffers_to_wire(self._buffers(50_000),
-                                     min_bytes=1 << 30)
+        monkeypatch.setattr(serde, "SHM_MIN_BYTES", 1 << 30)
+        wire = serde.buffers_to_wire(self._buffers(50_000))
         assert wire[0] == "inline"
 
     def test_discard_frees_segment_and_is_idempotent(self):
@@ -207,7 +208,7 @@ class TestWireEnvelope:
 
         if not os.path.isdir("/dev/shm"):
             pytest.skip("no /dev/shm on this platform")
-        wire = serde.buffers_to_wire(self._buffers(4096), min_bytes=1)
+        wire = serde.buffers_to_wire(self._buffers(50_000))
         name = wire[1].lstrip("/")
         assert os.path.exists(os.path.join("/dev/shm", name))
         serde.discard_wire(wire)

@@ -150,6 +150,29 @@ class TestAddressing:
             parse_address(spec)
 
 
+class TestClientConnect:
+    def test_failed_attempt_closes_its_socket_and_does_not_sleep(
+            self, tmp_path):
+        """One attempt at a missing socket path: the typed error comes
+        well inside ``retry_delay`` (no sleep after the last attempt),
+        and the attempt's socket is closed, not left to the collector."""
+        import gc
+        import warnings
+
+        gc.collect()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            t0 = monotonic()
+            with pytest.raises(ServiceError, match="cannot connect"):
+                ServiceClient(f"unix:{tmp_path}/missing.sock",
+                              connect_retries=0, retry_delay=2.0)
+            elapsed = monotonic() - t0
+            gc.collect()
+        assert elapsed < 0.5
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
+
+
 class TestPercentile:
     def test_empty(self):
         assert percentile([], 50.0) == 0.0

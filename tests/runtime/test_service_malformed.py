@@ -5,7 +5,9 @@ request joins the batching queue, and ``request_cost`` accepts exactly
 the keys ``pack_mesh_request`` writes.  So a payload with a key missing
 or one too many gets a typed ``err`` frame naming the keys, while the
 batcher, the requests batched beside it and every later client are
-served as if it had never arrived — on both backends.
+served as if it had never arrived — on both backends.  A request whose
+layout is valid but whose geometry fails in ``generate_mesh`` fails
+alone too: its batch is re-dispatched one request at a time.
 """
 
 import threading
@@ -25,10 +27,20 @@ from repro.runtime.service import MeshService, ServiceError, ServiceThread
 BACKENDS = pytest.mark.parametrize("backend", ["serial", "processes"])
 
 
+def _config():
+    return MeshConfig(bl=small_bl(max_layers=4), farfield_chords=5.0,
+                      target_subdomains=4)
+
+
 def _request():
-    pslg = PSLG.from_loops([naca4("0012", 21)], names=["naca0012"])
-    return pslg, MeshConfig(bl=small_bl(max_layers=4), farfield_chords=5.0,
-                            target_subdomains=4)
+    return PSLG.from_loops([naca4("0012", 21)], names=["naca0012"]), _config()
+
+
+def _flat_request():
+    """A body loop of three collinear points: a valid layout that
+    ``generate_mesh`` rejects (no interior seed)."""
+    flat = np.array([(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)])
+    return PSLG.from_loops([flat], names=["flat"]), _config()
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +61,27 @@ def _without(key):
     payload = pack_mesh_request(*_request())
     del payload[key]
     return payload
+
+
+def _submit_together(endpoint, sends):
+    """Each ``label -> send(client)`` on its own client thread at once;
+    the replies, or the :class:`ServiceError` each raised."""
+    replies = {}
+
+    def submit(label, send):
+        try:
+            with ServiceClient(endpoint, timeout=60.0) as client:
+                replies[label] = send(client)
+        except ServiceError as exc:
+            replies[label] = exc
+
+    clients = [threading.Thread(target=submit, args=item)
+               for item in sends.items()]
+    for t in clients:
+        t.start()
+    for t in clients:
+        t.join(timeout=60)
+    return replies
 
 
 @BACKENDS
@@ -73,27 +106,11 @@ def test_missing_points_then_a_valid_request(tmp_path, backend,
 @BACKENDS
 def test_bad_and_good_request_in_one_window(tmp_path, backend, direct_bytes):
     service, thread, endpoint = _start(tmp_path, backend, batch_window=0.5)
-    replies = {}
-
-    def submit(label, send):
-        try:
-            with ServiceClient(endpoint, timeout=60.0) as client:
-                replies[label] = send(client)
-        except ServiceError as exc:
-            replies[label] = exc
-
     try:
-        clients = [
-            threading.Thread(target=submit, args=(
-                "bad", lambda c: c.submit_packed(
-                    _without("config.bl.params")))),
-            threading.Thread(target=submit, args=(
-                "good", lambda c: c.submit(*_request()).raw)),
-        ]
-        for t in clients:
-            t.start()
-        for t in clients:
-            t.join(timeout=60)
+        replies = _submit_together(endpoint, {
+            "bad": lambda c: c.submit_packed(_without("config.bl.params")),
+            "good": lambda c: c.submit(*_request()).raw,
+        })
         assert isinstance(replies["bad"], ServiceError)
         assert "config.bl.params" in str(replies["bad"])
         assert replies["good"] == direct_bytes
@@ -101,6 +118,28 @@ def test_bad_and_good_request_in_one_window(tmp_path, backend, direct_bytes):
         stats = service.stats()
         assert (stats["batches"], stats["batch_size_max"]) == (1.0, 1.0)
         assert not service._batcher.done()
+    finally:
+        thread.stop()  # re-raises whatever killed the batcher
+
+
+@BACKENDS
+def test_request_that_fails_to_mesh_fails_alone(tmp_path, backend,
+                                                direct_bytes):
+    service, thread, endpoint = _start(tmp_path, backend, batch_window=0.5)
+    try:
+        replies = _submit_together(endpoint, {
+            "bad": lambda c: c.submit(*_flat_request()).raw,
+            "good": lambda c: c.submit(*_request()).raw,
+        })
+        assert isinstance(replies["bad"], ServiceError)
+        assert "interior seed" in str(replies["bad"])
+        assert replies["good"] == direct_bytes
+        # One window of two, then each alone.
+        stats = service.stats()
+        assert (stats["batches"], stats["batch_size_max"]) == (3.0, 2.0)
+        assert not service._batcher.done()
+        with ServiceClient(endpoint, timeout=60.0) as later:
+            assert later.submit(*_request()).raw == direct_bytes
     finally:
         thread.stop()  # re-raises whatever killed the batcher
 

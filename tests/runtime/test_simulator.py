@@ -168,22 +168,21 @@ class TestFitNetworkModel:
         assert net.bandwidth == pytest.approx(bw, rel=1e-6)
 
     def test_too_few_samples_returns_default(self):
-        default = NetworkModel(latency=3e-6, bandwidth=5e9)
-        assert fit_network_model([], [], default=default) is default
-        assert fit_network_model([100.0], [1e-4], default=default) is default
+        default = NetworkModel()
+        assert fit_network_model([], []) == default
+        assert fit_network_model([100.0], [1e-4]) == default
         # Two samples of the same size: the line is unconstrained.
-        assert fit_network_model([100.0, 100.0], [1e-4, 2e-4],
-                                 default=default) is default
+        assert fit_network_model([100.0, 100.0], [1e-4, 2e-4]) == default
 
     def test_narrow_size_range_returns_default(self):
         """The mesh ops publish a 67 kB BL payload and a 73 kB mesh: a
         slope through two such points is their timing noise (it read
         50 MB/s in one run and negative in the next)."""
-        default = NetworkModel(latency=3e-6, bandwidth=5e9)
-        assert fit_network_model([66936.0, 72560.0], [4.4e-4, 5.6e-4],
-                                 default=default) is default
-        assert fit_network_model([66936.0, 72560.0], [5.0e-4, 4.3e-4],
-                                 default=default) is default
+        default = NetworkModel()
+        assert fit_network_model([66936.0, 72560.0],
+                                 [4.4e-4, 5.6e-4]) == default
+        assert fit_network_model([66936.0, 72560.0],
+                                 [5.0e-4, 4.3e-4]) == default
 
     def test_negative_slope_keeps_default_bandwidth(self):
         """Noise-dominated data (bigger transfer measured faster) must
@@ -251,8 +250,8 @@ class TestCalibrateFromCounters:
 
     def test_jitter_is_bounded_and_deterministic(self):
         sink = _measured_sink()
-        tasks_a, _ = calibrate_from_counters(sink, seed=7)
-        tasks_b, _ = calibrate_from_counters(sink, seed=7)
+        tasks_a, _ = calibrate_from_counters(sink)
+        tasks_b, _ = calibrate_from_counters(sink)
         assert [t.cost for t in tasks_a] == [t.cost for t in tasks_b]
         base = sink.samples["executor.item_seconds"]
         n = len(base)
@@ -277,13 +276,6 @@ class TestCalibrateFromCounters:
         # The replicated part is what a run without a BL item gives.
         assert [t.cost for t in tasks[1:]] == [t.cost for t in plain]
         assert sum(t.size_bytes == 777_216.0 for t in tasks) == 1
-
-    def test_explicit_network_and_overhead_override(self):
-        net = NetworkModel(latency=9e-6, bandwidth=3e9)
-        _, config = calibrate_from_counters(_measured_sink(), network=net,
-                                            per_task_overhead=5e-4)
-        assert config.network is net
-        assert config.per_task_overhead == pytest.approx(5e-4)
 
     def test_no_executor_samples_raises(self):
         sink = _FakeSink(samples={}, phases={"boundary_layer": 1.0})

@@ -66,15 +66,6 @@ class TestLimitField:
         out = limit_field(edges, lengths, values, 0.0)
         np.testing.assert_allclose(out, 0.5)
 
-    def test_active_mask_ignores_inactive_sources(self):
-        edges, lengths = path_graph(4)
-        values = np.array([1e-9, 5.0, 5.0, 5.0])
-        active = np.array([False, True, True, True])
-        out = limit_field(edges, lengths, values, 0.5, active=active)
-        # The tiny first value is not a source; it only receives.
-        np.testing.assert_allclose(out[1:], 5.0)
-        assert out[0] == pytest.approx(5.5)
-
     def test_rejects_bad_input(self):
         edges, lengths = path_graph(3)
         with pytest.raises(ValueError):

@@ -38,8 +38,8 @@ class TestIterativeSolvers:
         assert res.iterations < self.mesh.n_points
 
     def test_jacobi_converges_slowly(self):
-        res_j = jacobi(self.A, self.b, tol=1e-8, max_iter=50_000)
-        res_c = pcg(self.A, self.b, tol=1e-8)
+        res_j = jacobi(self.A, self.b)
+        res_c = pcg(self.A, self.b)
         assert res_j.converged
         assert res_j.iterations > res_c.iterations
 
@@ -49,9 +49,12 @@ class TestIterativeSolvers:
             jacobi(A, np.ones(2))
 
     def test_history_tracks_budget(self):
-        res = jacobi(self.A, self.b, tol=1e-30, max_iter=50)
+        # An inconsistent system: the residual settles at 1 and the
+        # iteration spends its whole budget.
+        A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        res = jacobi(A, np.array([1.0, -1.0]))
         assert not res.converged
-        assert len(res.residuals) == 50
+        assert len(res.residuals) == res.iterations == 100_000
 
     def test_iterations_scale_with_mesh_size(self):
         """The Fig. 16 mechanism: a bigger system needs more iterations

@@ -124,7 +124,3 @@ class TestDirichletAndSolve:
             errors.append(math.sqrt(err @ (M @ err)))
         assert errors[1] < errors[0] / 2.5  # ~4x for h halving
 
-    def test_boundary_nodes_predicate(self):
-        left = boundary_nodes(MESH, lambda x, y: x == 0.0)
-        assert len(left) > 0
-        assert np.all(MESH.points[left, 0] == 0.0)

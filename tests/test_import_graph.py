@@ -10,7 +10,9 @@ and ``core/`` is on a path from an entry point, or is listed with the
 reason it is not.  It also walks the names ``src/repro``,
 ``benchmarks/`` and ``examples/`` mention: every function, class and
 method of ``src/repro`` has a caller outside ``tests/``, or is listed
-with the reason it has none.
+with the reason it has none.  And it walks their calls: every defaulted
+parameter of ``src/repro`` is passed by a call outside ``tests/``, or is
+listed with the reason it stays an option.
 """
 
 import ast
@@ -271,6 +273,208 @@ def test_every_definition_has_a_caller_outside_tests():
     assert not stale, "called, or gone:\n" + "\n".join(stale)
     assert len(TEST_ONLY_FOR_A_REASON) <= 3
     assert all(TEST_ONLY_FOR_A_REASON.values())
+
+
+# ----------------------------------------------------------------------
+# Static options: no defaulted parameter of src/repro is set by tests/ alone
+# ----------------------------------------------------------------------
+#: defaulted parameters no call outside ``tests/`` passes, each with the
+#: reason it is still an option.  At most four; an entry that gained a
+#: caller (or whose parameter is gone) fails the test.
+OPTIONS_FOR_A_REASON = {
+    "repro.runtime.service.MeshService.__init__(work_fn=)":
+        "the tests' fake mesher: a daemon that sleeps or fails on demand",
+    "repro.runtime.service.MeshService.__init__(cost_fn=)":
+        "the tests' fake cost model, paired with work_fn",
+    "repro.cli.main(argv=)":
+        "entry point: None reads sys.argv, tests hand it a list",
+    "repro.lint.__main__.main(argv=)":
+        "entry point: None reads sys.argv, tests hand it a list",
+}
+
+
+def option_definitions(path, root):
+    """``(qualified option, called name, parameter, index)`` of every
+    parameter with a default of every ``def`` in ``path``: methods and
+    ``__init__`` included, other dunders and functions nested in
+    functions not.  A call reaches the function through ``called name``
+    (an ``__init__`` through its class name); ``index`` is the
+    parameter's position (``None`` for keyword-only), counted after
+    ``self``/``cls`` for a method."""
+    parts = path.relative_to(root).with_suffix("").parts
+    module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+    found = []
+
+    def visit(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = child.name
+                if (name.startswith("__") and name.endswith("__")
+                        and name != "__init__"):
+                    continue
+                args = child.args
+                positional = args.posonlyargs + args.args
+                bound = in_class is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in child.decorator_list)
+                first = len(positional) - len(args.defaults)
+                indexed = [(arg, i - bound) for i, arg in
+                           enumerate(positional[first:], first)]
+                indexed += [(arg, None) for arg, default in
+                            zip(args.kwonlyargs, args.kw_defaults)
+                            if default is not None]
+                called = in_class if name == "__init__" else name
+                found.extend((f"{module}.{prefix}{name}({arg.arg}=)", called,
+                              arg.arg, index) for arg, index in indexed)
+            else:
+                visit(child, prefix, in_class)
+
+    visit(ast.parse(path.read_text()), "", None)
+    return found
+
+
+def passes(path):
+    """``(called name, keywords, positional count, splat)`` of every
+    call in ``path``.  ``called name`` is the bare name or attribute
+    called; ``super().__init__(...)`` calls the enclosing class's bases.
+    A ``*``/``**`` argument is a splat."""
+
+    def visit(node, bases):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, [b.id for b in child.bases
+                                         if isinstance(b, ast.Name)])
+                continue
+            yield from visit(child, bases)
+            if not isinstance(child, ast.Call):
+                continue
+            func = child.func
+            if isinstance(func, ast.Name):
+                names = [func.id]
+            elif (isinstance(func, ast.Attribute) and func.attr == "__init__"
+                  and isinstance(func.value, ast.Call)
+                  and isinstance(func.value.func, ast.Name)
+                  and func.value.func.id == "super"):
+                names = bases
+            elif isinstance(func, ast.Attribute):
+                names = [func.attr]
+            else:
+                continue
+            splat = (any(isinstance(a, ast.Starred) for a in child.args)
+                     or any(k.arg is None for k in child.keywords))
+            keywords = {k.arg for k in child.keywords if k.arg}
+            for name in names:
+                yield name, keywords, len(child.args), splat
+
+    yield from visit(ast.parse(path.read_text()), [])
+
+
+def unpassed_options(src, callers):
+    """Qualified names (``module.function(param=)``) of the defaulted
+    parameters of every module under ``src`` that no call under ``src``
+    or ``callers`` passes: by keyword, by position or through a splat,
+    to a function of the parameter's function's name (for ``__init__``,
+    the class name, or ``super().__init__`` in a subclass).  A recursive
+    call counts: recursion state is not an option."""
+    options, calls = [], {}
+    for path in sorted(src.rglob("*.py")):
+        options += option_definitions(path, src.parent)
+    for top in (src, *callers):
+        for path in sorted(top.rglob("*.py")):
+            for name, keywords, n_positional, splat in passes(path):
+                calls.setdefault(name, []).append(
+                    (keywords, n_positional, splat))
+    return {qual for qual, called, param, index in options
+            if not any(splat or param in keywords
+                       or (index is not None and index < n_positional)
+                       for keywords, n_positional, splat
+                       in calls.get(called, ()))}
+
+
+def check_options(unpassed, allowed):
+    extra = sorted(unpassed - set(allowed))
+    assert not extra, "set by tests/ alone, or by nobody:\n" + "\n".join(extra)
+    stale = sorted(set(allowed) - unpassed)
+    assert not stale, "passed, or gone:\n" + "\n".join(stale)
+    assert len(allowed) <= 4
+    assert all(allowed.values())
+
+
+def test_every_option_has_a_caller_outside_tests():
+    check_options(unpassed_options(SRC / "repro", [REPO / "benchmarks",
+                                                   REPO / "examples"]),
+                  OPTIONS_FOR_A_REASON)
+
+
+SYNTHETIC_MODULE = '''
+def unpassed(a, b=1):
+    return a
+
+def by_keyword(a, b=1):
+    return a
+
+def by_position(a, b=1):
+    return a
+
+def by_splat(a, *, b=1):
+    return a
+
+def by_star(a, b=1):
+    return a
+
+def recursive(a, depth=3):
+    return recursive(a, depth - 1) if depth else a
+
+class Base:
+    def __init__(self, size=0):
+        self.size = size
+
+class Child(Base):
+    def __init__(self):
+        super().__init__(4)
+'''
+
+SYNTHETIC_CALLER = '''
+from pkg.mod import (by_keyword, by_position, by_splat, by_star, recursive,
+                     unpassed)
+
+unpassed(1)
+by_keyword(1, b=2)
+by_position(1, 2)
+by_splat(1, **{"b": 2})
+by_star(*[1, 2])
+recursive(1)
+'''
+
+
+def test_option_walk_positive_control(tmp_path):
+    """The walk on a small tree: a keyword, a positional, a ``*`` and a
+    ``**`` splat, a recursive and a ``super().__init__`` pass each count,
+    so exactly
+    the one unpassed default is named; the allowlist check fails on a
+    stale entry and on a fifth one."""
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "mod.py").write_text(SYNTHETIC_MODULE)
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "use.py").write_text(SYNTHETIC_CALLER)
+    unpassed = unpassed_options(tmp_path / "src" / "pkg",
+                                [tmp_path / "scripts"])
+    assert unpassed == {"pkg.mod.unpassed(b=)"}
+
+    reason = {"pkg.mod.unpassed(b=)": "a reason"}
+    check_options(unpassed, reason)
+    with pytest.raises(AssertionError, match="set by tests/ alone"):
+        check_options(unpassed, {})
+    with pytest.raises(AssertionError, match="passed, or gone"):
+        check_options(unpassed, {**reason, "pkg.mod.by_keyword(b=)": "x"})
+    assert len(OPTIONS_FOR_A_REASON) <= 4
+    five = {f"pkg.mod.f{i}(b=)": "a reason" for i in range(5)}
+    with pytest.raises(AssertionError):
+        check_options(set(five), five)
+    check_options(set(five) - {"pkg.mod.f4(b=)"},
+                  {k: v for k, v in five.items() if k != "pkg.mod.f4(b=)"})
 
 
 PACKAGES = {
