@@ -10,8 +10,10 @@ test reference or safety code) and (2) each workload's merged
 refiner's ``triangle_tests`` with ``triangle_tests_per_steiner`` (its
 quality/size tests per point it inserted) and what the size tests cost
 (``sizing_evals``; ``size_verdicts_clear`` decided by the sizing's
-Lipschitz bound, ``size_verdicts_band`` by the centroid's exact value),
-then the boundary-layer triangulation work item (``bl_item_s``,
+Lipschitz bound, ``size_verdicts_band`` by the centroid's exact value)
+and its ways off the fast path (``locked_segment_skips``;
+``straight_walk_fallbacks``, circumcenters the kernel walk located;
+``blocked_circumcenters``, ones a segment hid), then the boundary-layer triangulation work item (``bl_item_s``,
 ``bl_item_kb``: its wall and bytes where it ran) beside the executor's
 per-rank item counts when a pool ran the op (``executor.items.rank*``,
 ``executor.bl_item.rank*``), then the sink's ``adapt_*``
@@ -120,7 +122,9 @@ def main(argv=None) -> None:
             rows += [(k, events.get(k, 0))
                      for k in ("steiner_points", "triangle_tests",
                                "sizing_evals", "size_verdicts_clear",
-                               "size_verdicts_band")]
+                               "size_verdicts_band", "locked_segment_skips",
+                               "straight_walk_fallbacks",
+                               "blocked_circumcenters")]
             rows.append(("triangle_tests_per_steiner",
                          events["triangle_tests"] / events["steiner_points"]))
         if sink.samples.get("executor.bl_item_seconds"):

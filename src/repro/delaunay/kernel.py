@@ -56,7 +56,7 @@ point block can be a zero-copy view.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -333,14 +333,6 @@ class Triangulation:
         if self.n_live_triangles == 0:
             raise TriangulationError("empty triangulation")
         return walk(self, p[0], p[1], -1)[0]
-
-    def find_vertex_at(self, p: Tuple[float, float], t: int) -> Optional[int]:
-        """Vertex of triangle ``t`` exactly coincident with ``p``, if any."""
-        arr = self._arr
-        for v in arr.triangle(t):
-            if v != GHOST and arr.point(v) == (p[0], p[1]):
-                return v
-        return None
 
     # ------------------------------------------------------------------
     # Insertion

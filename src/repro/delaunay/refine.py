@@ -28,7 +28,9 @@ outlived the split of the segments its circumcenter encroached
 queue drains.  The mesh is never scanned again.
 Interior/exterior classification is maintained incrementally: a cavity
 never crosses a constrained edge, so every retriangulated cavity
-inherits a uniform region label.
+inherits a uniform region label.  The hot path reads the kernel's flat
+arrays and builds no point tuples; its geometry keeps every float and
+every exact decision of the point-tuple primitives.
 """
 
 from __future__ import annotations
@@ -39,9 +41,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..geometry.predicates import exact_eq, orient2d
-from ..geometry.primitives import circumcenter, distance, segments_intersect
+from ..geometry.predicates import (
+    ORIENT_ERR_BOUND, ORIENT_UNDERFLOW_GUARD, exact_eq, orient2d)
+from ..geometry.primitives import segments_intersect
 from ..runtime.counters import current as counters_current
+from .arrays import DEAD
 from .cavity import carve, find_directed_edge, insert_point, retriangulate, walk
 from .constrained import carve as carve_regions, triangulate_pslg
 from .kernel import GHOST, Triangulation, TriangulationError
@@ -70,7 +74,51 @@ AreaFn = Callable[[float, float], float]
 #: The sizing functions' ``area = _UNIT_AREA * h**2`` (equilateral).
 _UNIT_AREA = math.sqrt(3.0) / 4.0
 
-Point = Tuple[float, float]
+
+def _orient(ax, ay, bx, by, cx, cy) -> int:
+    """:func:`orient2d` of three points given as coordinates: the float
+    filter decides when it can, ``orient2d`` itself when it cannot."""
+    detleft = (ax - cx) * (by - cy)
+    detright = (ay - cy) * (bx - cx)
+    det = detleft - detright
+    detsum = abs(detleft) + abs(detright)
+    if (detsum > ORIENT_UNDERFLOW_GUARD
+            and abs(det) > ORIENT_ERR_BOUND * detsum):
+        return 1 if det > 0.0 else -1  # lint: disable=R1 -- inlined orient2d filter; shares ORIENT_ERR_BOUND, exact fallback below
+    return orient2d((ax, ay), (bx, by), (cx, cy))
+
+
+def _crosses(sx, sy, x, y, ux, uy, vx, vy, d2: int) -> bool:
+    """``segments_intersect(s, p, u, v)`` for ``p = (x, y)``, given the
+    sign ``d2 = orient2d(u, v, p)`` the straight walk already has."""
+    d1 = _orient(ux, uy, vx, vy, sx, sy)
+    d3 = _orient(sx, sy, x, y, ux, uy)
+    d4 = _orient(sx, sy, x, y, vx, vy)
+    if d1 and d2 and d3 and d4:  # no endpoint on the other's line
+        return d1 != d2 and d3 != d4
+    return segments_intersect((sx, sy), (x, y), (ux, uy), (vx, vy))
+
+
+def _encroaches(px, u: int, v: int, x: float, y: float) -> bool:
+    """``(x, y)`` strictly inside the diametral circle of segment
+    ``(u, v)``?  Angle at p subtending uv > 90 deg <=> (u-p).(v-p) < 0."""
+    i, j = 2 * u, 2 * v
+    return (px[i] - x) * (px[j] - x) + (px[i + 1] - y) * (px[j + 1] - y) < 0.0
+
+
+def _circumcenter(ax, ay, bx, by, cx, cy) -> Optional[Tuple[float, float]]:
+    """Circumcenter of triangle ``abc``, relative to ``a`` (Shewchuk's
+    formulation), or ``None`` when it has no finite one."""
+    bax, bay = bx - ax, by - ay
+    cax, cay = cx - ax, cy - ay
+    d = 2.0 * (bax * cay - bay * cax)
+    if exact_eq(d, 0.0):
+        return None
+    b2 = bax * bax + bay * bay
+    c2 = cax * cax + cay * cay
+    x = ax + (cay * b2 - bay * c2) / d
+    y = ay + (bax * c2 - cax * b2) / d
+    return (x, y) if math.isfinite(x) and math.isfinite(y) else None
 
 
 class AreaCriterion:
@@ -87,38 +135,42 @@ class AreaCriterion:
     front of that test, like the predicates': the edge length at a
     corner, evaluated once per vertex, bounds the one at the centroid,
     and an area outside the bounds has its verdict.  Inside them the
-    test above runs, so every verdict is the unfiltered one.
+    test above runs, so every verdict is the unfiltered one.  The edge
+    lengths are kept by vertex id, so a criterion serves one
+    triangulation.
     """
 
     def __init__(self, area_fn: AreaFn) -> None:
         self.area_fn = area_fn
         self._sizing = getattr(area_fn, "__self__", None)
         self._lipschitz = getattr(self._sizing, "lipschitz", None)
-        self._edge_at: Dict[Point, float] = {}
+        self._edge_at: Dict[int, float] = {}
         #: ``area_fn`` calls; verdicts the bounds decided / left open.
         self.evals = self.clear = self.band = 0
 
-    def prime(self, points: Sequence[Point]) -> None:
-        """Edge lengths at a mesh's first vertices, in one array call."""
+    def prime(self, pts: np.ndarray) -> None:
+        """Edge lengths at vertices ``0 .. len(pts) - 1`` (their
+        coordinates, ``(n, 2)``), in one array call."""
         many = getattr(self._sizing, "area_at_many", None)
         if self._lipschitz is not None and many is not None:
-            self.evals += len(points)
-            self._edge_at.update(zip(
-                points, np.sqrt(many(points) / _UNIT_AREA).tolist()))
+            self.evals += len(pts)
+            self._edge_at.update(enumerate(
+                np.sqrt(many(pts) / _UNIT_AREA).tolist()))
 
-    def oversized(self, pa: Point, pb: Point, pc: Point, area: float
+    def oversized(self, a: int, b: int, c: int, ax: float, ay: float,
+                  bx: float, by: float, cx: float, cy: float, area: float
                   ) -> bool:
-        cx = (pa[0] + pb[0] + pc[0]) / 3.0
-        cy = (pa[1] + pb[1] + pc[1]) / 3.0
+        gx = (ax + bx + cx) / 3.0
+        gy = (ay + by + cy) / 3.0
         if self._lipschitz is not None:
             grow, slack = self._lipschitz
-            for p in (pa, pb, pc):
-                h = self._edge_at.get(p)
+            edge_at = self._edge_at
+            for v, x, y in ((a, ax, ay), (b, bx, by), (c, cx, cy)):
+                h = edge_at.get(v)
                 if h is None:
                     self.evals += 1
-                    h = self._edge_at[p] = math.sqrt(
-                        self.area_fn(p[0], p[1]) / _UNIT_AREA)
-                reach = grow * math.hypot(cx - p[0], cy - p[1]) + slack
+                    h = edge_at[v] = math.sqrt(self.area_fn(x, y) / _UNIT_AREA)
+                reach = grow * math.hypot(gx - x, gy - y) + slack
                 # 1e-9 of the operands, a million roundings of anything
                 # here or in area_fn: the bounds hold for its floats.
                 reach += 1e-9 * (h + reach)
@@ -130,7 +182,7 @@ class AreaCriterion:
                     return big
             self.band += 1
         self.evals += 1
-        return area > self.area_fn(cx, cy)
+        return area > self.area_fn(gx, gy)
 
 
 class Refiner:
@@ -183,6 +235,8 @@ class Refiner:
         # counted for diagnostics.
         self.lock_segments = bool(lock_segments)
         self.locked_skips = 0
+        # Straight walks handed to the kernel walk / blocked by a segment.
+        self.walk_fallbacks = self.blocked = 0
         # Bad triangles that outlived a split made on their behalf,
         # slot -> vertex triple (a cavity slot is recycled at once, so
         # the triple is the identity): the worklist's only re-entries.
@@ -192,7 +246,6 @@ class Refiner:
         self._interior: Dict[int, bool] = {
             t: bool(mask[t]) for t in tri.live_triangles()
         }
-        self._holes = tuple(holes)
 
     # ------------------------------------------------------------------
     # Region bookkeeping
@@ -207,10 +260,14 @@ class Refiner:
         is uniform over the cavity and inherited by every new triangle.
         """
         tri = self.tri
+        interior = self._interior
         for t in tri.last_removed:
-            self._interior.pop(t, None)
+            interior.pop(t, None)
+        tv = tri._arr.tv
         for t in tri.last_created:
-            self._interior[t] = label and not tri.is_ghost(t)
+            i = 3 * t
+            interior[t] = (label and tv[i] >= 0 and tv[i + 1] >= 0
+                           and tv[i + 2] >= 0)
         self.steiner_count += 1
         if self.steiner_count > self.max_steiner:
             raise RefinementError(
@@ -351,24 +408,15 @@ class Refiner:
     # ------------------------------------------------------------------
     # Encroachment
     # ------------------------------------------------------------------
-    def _encroached_by_point(self, u: int, v: int, p: Tuple[float, float]
-                             ) -> bool:
-        """``p`` strictly inside the diametral circle of (u, v)?"""
-        px = self.tri._arr.px
-        i, j = 2 * u, 2 * v
-        # Angle at p subtending uv > 90 deg  <=>  (u-p).(v-p) < 0.
-        return ((px[i] - p[0]) * (px[j] - p[0])
-                + (px[i + 1] - p[1]) * (px[j + 1] - p[1])) < 0.0
-
     def _segment_encroached(self, u: int, v: int) -> bool:
         """Check the apex vertices of the (up to two) adjacent triangles —
         sufficient in a CDT: any encroaching vertex implies the apexes
         encroach too (they are inside the diametral circle or the segment
         would not be Delaunay-adjacent to them)."""
-        point = self.tri._arr.point
-        return any(
-            w != GHOST and self._encroached_by_point(u, v, point(w))
-            for _, w in self._edge_sides(u, v))
+        px = self.tri._arr.px
+        return any(w != GHOST and _encroaches(px, u, v, px[2 * w],
+                                              px[2 * w + 1])
+                   for _, w in self._edge_sides(u, v))
 
     # ------------------------------------------------------------------
     # Quality / size tests
@@ -380,24 +428,27 @@ class Refiner:
         tv = arr.tv
         a, b, c = tv[3 * t], tv[3 * t + 1], tv[3 * t + 2]
         # A dead slot reads DEAD (< 0) at a, a ghost GHOST (< 0) anywhere.
-        if a < 0 or b < 0 or c < 0 or not self._is_interior(t):
+        if a < 0 or b < 0 or c < 0 or not self._interior.get(t, False):
             return False
         px = arr.px
-        pa = (px[2 * a], px[2 * a + 1])
-        pb = (px[2 * b], px[2 * b + 1])
-        pc = (px[2 * c], px[2 * c + 1])
-        la = distance(pb, pc)
-        lb = distance(pa, pc)
-        lc = distance(pa, pb)
+        ax, ay = px[2 * a], px[2 * a + 1]
+        bx, by = px[2 * b], px[2 * b + 1]
+        cx, cy = px[2 * c], px[2 * c + 1]
+        # Edge lengths as sqrt(dx*dx + dy*dy) of q - p, the area from the
+        # same differences: the floats of the point-tuple test.
+        dx, dy = cx - bx, cy - by
+        cax, cay = cx - ax, cy - ay
+        bax, bay = bx - ax, by - ay
+        la = math.sqrt(dx * dx + dy * dy)
+        lb = math.sqrt(cax * cax + cay * cay)
+        lc = math.sqrt(bax * bax + bay * bay)
         lmin = min(la, lb, lc)
-        area = 0.5 * abs(
-            (pb[0] - pa[0]) * (pc[1] - pa[1])
-            - (pb[1] - pa[1]) * (pc[0] - pa[0])
-        )
+        area = 0.5 * abs(bax * cay - bay * cax)
         if exact_eq(area, 0.0):
             return False  # exactly degenerate slivers cannot be improved
         if self.criterion is not None:
-            if self.criterion.oversized(pa, pb, pc, area):
+            if self.criterion.oversized(a, b, c, ax, ay, bx, by, cx, cy,
+                                        area):
                 return True
         if self.quality_bound is not None:
             r = la * lb * lc / (4.0 * area)
@@ -438,7 +489,7 @@ class Refiner:
         # loop ends.
         arr = self.tri._arr
         if self.criterion is not None:
-            self.criterion.prime([arr.point(v) for v in range(arr.n_pts)])
+            self.criterion.prime(arr.pts[:arr.n_pts])
         work: deque = deque(
             t for t in self.tri.live_triangles() if self._triangle_bad(t)
         )
@@ -448,8 +499,10 @@ class Refiner:
         verdicts: Dict[int, Tuple[Tuple[int, int, int], bool]] = {}
         while work:
             t = work.popleft()
-            corners = arr.triangle(t)
-            if corners is not None:
+            tv = arr.tv  # an insertion may have grown the arrays
+            i = 3 * t
+            if tv[i] != DEAD:
+                corners = (tv[i], tv[i + 1], tv[i + 2])
                 tested, bad = verdicts.get(t, (None, False))
                 if tested != corners:
                     bad = self._triangle_bad(t)
@@ -457,9 +510,11 @@ class Refiner:
                 if bad:
                     self._process_bad_triangle(t, work)
             if not work and self._survivors:
+                tv = arr.tv
+                # A dead slot reads DEAD, which no recorded triple holds.
                 work.extend(sorted(
                     t for t, corners in self._survivors.items()
-                    if arr.triangle(t) == corners))
+                    if (tv[3 * t], tv[3 * t + 1], tv[3 * t + 2]) == corners))
                 self._survivors.clear()
 
         sink = counters_current()
@@ -471,8 +526,11 @@ class Refiner:
                 sink.incr("sizing_evals", self.criterion.evals)
                 sink.incr("size_verdicts_clear", self.criterion.clear)
                 sink.incr("size_verdicts_band", self.criterion.band)
-            if self.locked_skips:
-                sink.incr("locked_segment_skips", self.locked_skips)
+            for name, n in (("locked_segment_skips", self.locked_skips),
+                            ("straight_walk_fallbacks", self.walk_fallbacks),
+                            ("blocked_circumcenters", self.blocked)):
+                if n:
+                    sink.incr(name, n)
 
     def _split_segment(self, u: int, v: int) -> int:
         pu, pv = self.tri._arr.point(u), self.tri._arr.point(v)
@@ -482,34 +540,39 @@ class Refiner:
     def _process_bad_triangle(self, t: int, work: deque) -> None:
         tri = self.tri
         arr = tri._arr
-        try:
-            cc = circumcenter(*(arr.point(w) for w in arr.triangle(t)))
-        except ValueError:
-            cc = (math.nan, math.nan)
-        if not (math.isfinite(cc[0]) and math.isfinite(cc[1])):
+        tv, px = arr.tv, arr.px  # nothing is inserted before the commit
+        i = 3 * t
+        ja, jb, jc = 2 * tv[i], 2 * tv[i + 1], 2 * tv[i + 2]
+        cc = _circumcenter(px[ja], px[ja + 1], px[jb], px[jb + 1], px[jc],
+                           px[jc + 1])
+        if cc is None:
             return
+        x, y = cc
 
         # Locate: a constrained edge between the triangle and its
         # circumcenter means cc is invisible -> split that edge instead.
-        blocker, dest, certified = self._locate_visible(t, cc)
+        blocker, dest, certified = self._locate_visible(t, x, y)
         if blocker is not None:
             self._split_segments([blocker], t, work)
             return
-        if (tri.is_ghost(dest) or not self._is_interior(dest)
-                or tri.find_vertex_at(cc, dest) is not None):
+        i = 3 * dest
+        a, b, c = tv[i], tv[i + 1], tv[i + 2]
+        if (a < 0 or b < 0 or c < 0 or not self._interior.get(dest, False)
+                or any(px[2 * w] == x and px[2 * w + 1] == y
+                       for w in (a, b, c))):
             # Outside the region without crossing a constraint (numeric
             # corner) or on top of an existing vertex — nothing safe to
             # insert.
             return
         # Conflict region, carved once and inspected before it is
         # committed: cc must not encroach a segment of its boundary.
-        cavity, seed = carve(tri, cc[0], cc[1], dest, certified)
-        encroached = self._encroached_boundary(cavity, seed, cc)
+        cavity, seed = carve(tri, x, y, dest, certified)
+        encroached = self._encroached_boundary(cavity, seed, x, y)
         if encroached:
             self._split_segments(encroached, t, work)
             return
         # Commit the same set.
-        vid = arr.new_point(cc[0], cc[1])
+        vid = arr.new_point(x, y)
         tri.stat_inserts += 1
         retriangulate(tri, vid, cavity, seed)
         self._track_cavity(True)
@@ -537,17 +600,21 @@ class Refiner:
             return False
         if not self.min_edge_floor:
             return True
-        point = self.tri._arr.point
-        return distance(point(u), point(v)) > 2.0 * self.min_edge_floor
+        px = self.tri._arr.px
+        dx, dy = px[2 * v] - px[2 * u], px[2 * v + 1] - px[2 * u + 1]
+        return math.sqrt(dx * dx + dy * dy) > 2.0 * self.min_edge_floor
 
     def _requeue_created(self, work: deque) -> None:
         """The star the kernel just built is the only new work."""
-        tri = self.tri
-        work.extend(t for t in tri.last_created if not tri.is_ghost(t))
+        tv = self.tri._arr.tv
+        for t in self.tri.last_created:
+            i = 3 * t
+            if tv[i] >= 0 and tv[i + 1] >= 0 and tv[i + 2] >= 0:
+                work.append(t)
 
-    def _locate_visible(self, t: int, cc: Tuple[float, float]
+    def _locate_visible(self, t: int, x: float, y: float
                         ) -> Tuple[Optional[Tuple[int, int]], int, bool]:
-        """Walk straight from ``t``'s centroid to ``cc``.
+        """Walk straight from ``t``'s centroid to ``cc = (x, y)``.
 
         Returns ``(blocker, dest, certified)``: the first constrained
         edge on the way (``cc`` is not visible; ``dest`` means nothing),
@@ -560,8 +627,10 @@ class Refiner:
         tri = self.tri
         arr = tri._arr
         tv, tn, px = arr.tv, arr.tn, arr.px  # the walk inserts nothing
-        pa, pb, pc = (arr.point(w) for w in arr.triangle(t))
-        start = ((pa[0] + pb[0] + pc[0]) / 3.0, (pa[1] + pb[1] + pc[1]) / 3.0)
+        i = 3 * t
+        ja, jb, jc = 2 * tv[i], 2 * tv[i + 1], 2 * tv[i + 2]
+        sx = (px[ja] + px[jb] + px[jc]) / 3.0
+        sy = (px[ja + 1] + px[jb + 1] + px[jc + 1]) / 3.0
         cur = t
         visited = {t}
         steps = 0
@@ -574,17 +643,17 @@ class Refiner:
             a, b, c = tv[i], tv[i + 1], tv[i + 2]
             if a < 0 or b < 0 or c < 0:  # dead or ghost
                 break
-            pa = (px[2 * a], px[2 * a + 1])
-            pb = (px[2 * b], px[2 * b + 1])
-            pc = (px[2 * c], px[2 * c + 1])
-            edges = ((b, c, pb, pc), (c, a, pc, pa), (a, b, pa, pb))
-            signs = [orient2d(pu, pv, cc) for _, _, pu, pv in edges]
+            ja, jb, jc = 2 * a, 2 * b, 2 * c
+            edges = ((b, c, jb, jc), (c, a, jc, ja), (a, b, ja, jb))
+            signs = [_orient(px[j], px[j + 1], px[m], px[m + 1], x, y)
+                     for _, _, j, m in edges]
             if min(signs) >= 0:
                 strictly_inside = 0 not in signs
                 break
             for k in range(3):
-                u, v, pu, pv = edges[k]
-                if signs[k] < 0 and segments_intersect(start, cc, pu, pv):
+                u, v, j, m = edges[k]
+                if signs[k] < 0 and _crosses(sx, sy, x, y, px[j], px[j + 1],
+                                             px[m], px[m + 1], signs[k]):
                     if ((u, v) if u < v else (v, u)) in tri.constraints:
                         blocker = (u, v)
                         break
@@ -598,14 +667,17 @@ class Refiner:
         tri.stat_locates += 1
         tri.stat_walk_steps += steps
         tri.stat_walk_hist[min(steps, 31)] += 1
+        if blocker is not None:
+            self.blocked += 1
         if blocker is not None or strictly_inside:
             return blocker, cur, strictly_inside
-        return (None, *walk(tri, cc[0], cc[1], t))
+        self.walk_fallbacks += 1
+        return (None, *walk(tri, x, y, t))
 
-    def _encroached_boundary(self, cavity: Set[int], seed: int,
-                             cc: Tuple[float, float]
-                             ) -> List[Tuple[int, int]]:
-        """Constrained boundary edges of ``cavity`` that ``cc`` encroaches.
+    def _encroached_boundary(self, cavity: Set[int], seed: int, x: float,
+                             y: float) -> List[Tuple[int, int]]:
+        """Constrained boundary edges of ``cavity`` that ``(x, y)``
+        encroaches.
 
         Membership-only traversal (no predicate is evaluated): depth
         first from ``seed``, because the order the segments are listed
@@ -613,7 +685,7 @@ class Refiner:
         un-locked refinement follows from it.
         """
         tri = self.tri
-        tv, tn = tri._arr.tv, tri._arr.tn
+        tv, tn, px = tri._arr.tv, tri._arr.tn, tri._arr.px
         constraints = tri.constraints
         out: List[Tuple[int, int]] = []
         seen = {seed}
@@ -621,10 +693,10 @@ class Refiner:
         while stack:
             i = 3 * stack.pop()
             a, b, c = tv[i], tv[i + 1], tv[i + 2]
-            for k, (u, v) in enumerate(((b, c), (c, a), (a, b))):
-                if (u != GHOST and v != GHOST
+            for k, u, v in ((0, b, c), (1, c, a), (2, a, b)):
+                if (u >= 0 and v >= 0
                         and ((u, v) if u < v else (v, u)) in constraints):
-                    if self._encroached_by_point(u, v, cc):
+                    if _encroaches(px, u, v, x, y):
                         out.append((u, v))
                 else:
                     nb = tn[i + k]
@@ -637,11 +709,9 @@ class Refiner:
     # Output
     # ------------------------------------------------------------------
     def to_mesh(self) -> TriMesh:
-        arr = self.tri._arr
-        mask = np.zeros(arr.n_tris, dtype=bool)
-        for t, lab in self._interior.items():
-            if lab and not arr.is_dead(t):
-                mask[t] = True
+        # Dead slots need no test: the compaction keeps live rows only.
+        mask = np.zeros(self.tri._arr.n_tris, dtype=bool)
+        mask[[t for t, lab in self._interior.items() if lab]] = True
         mesh = self.tri.to_mesh(keep_mask=mask)
         sink = counters_current()
         if sink is not None:

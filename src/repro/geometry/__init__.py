@@ -5,8 +5,6 @@ from .airfoils import naca4, naca0012, three_element_airfoil
 from .predicates import incircle, orient2d
 from .primitives import (
     angle_between,
-    circumcenter,
-    distance,
     normalize,
     polygon_area,
     segment_intersection_point,
@@ -22,8 +20,6 @@ __all__ = [
     "PSLG",
     "angle_between",
     "boxes_from_segments",
-    "circumcenter",
-    "distance",
     "incircle",
     "loop_curvature",
     "naca4",

@@ -16,8 +16,6 @@ from .predicates import ORIENT_COLLINEAR, exact_eq, orient2d, orient2d_batch
 
 __all__ = [
     "Point",
-    "distance",
-    "distance_sq",
     "normalize",
     "perp_right",
     "angle_between",
@@ -27,24 +25,11 @@ __all__ = [
     "segment_intersection_point",
     "point_on_segment",
     "polygon_area",
-    "circumcenter",
     "rotate",
     "slerp_unit",
 ]
 
 Point = Tuple[float, float]
-
-
-def distance_sq(a, b) -> float:
-    """Squared Euclidean distance between two points."""
-    dx = b[0] - a[0]
-    dy = b[1] - a[1]
-    return dx * dx + dy * dy
-
-
-def distance(a, b) -> float:
-    """Euclidean distance between two points."""
-    return math.sqrt(distance_sq(a, b))
 
 
 def normalize(v) -> Tuple[float, float]:
@@ -190,24 +175,6 @@ def polygon_area(pts) -> float:
     pts = np.asarray(pts, dtype=np.float64)
     x, y = pts[:, 0], pts[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
-def circumcenter(a, b, c) -> Tuple[float, float]:
-    """Circumcenter of triangle ``(a, b, c)``.
-
-    Computed relative to ``a`` for numerical stability (Shewchuk's
-    formulation).  Raises :class:`ValueError` for degenerate triangles.
-    """
-    bax, bay = b[0] - a[0], b[1] - a[1]
-    cax, cay = c[0] - a[0], c[1] - a[1]
-    d = 2.0 * (bax * cay - bay * cax)
-    if exact_eq(d, 0.0):
-        raise ValueError("degenerate triangle has no circumcenter")
-    b2 = bax * bax + bay * bay
-    c2 = cax * cax + cay * cay
-    ux = (cay * b2 - bay * c2) / d
-    uy = (bax * c2 - cax * b2) / d
-    return (a[0] + ux, a[1] + uy)
 
 
 def slerp_unit(u, v, t: float) -> Tuple[float, float]:

@@ -22,10 +22,10 @@ from repro.core.intersections import ray_segment
 from repro.core.rays import Ray
 from repro.geometry.aabb import AABB
 from repro.geometry.primitives import (
-    distance,
     segment_intersection_point,
     segments_intersect,
 )
+from tests.delaunay.oracle_refine import distance
 from tests.spatial.adt import ADT, enclosing, segment_extent_box
 
 INSIDE = 0b0000

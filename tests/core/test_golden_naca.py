@@ -24,7 +24,7 @@ from repro.core import decouple, pipeline
 from repro.geometry.airfoils import three_element_airfoil
 from repro.io.meshio import read_mesh_npz
 from repro.runtime import serde
-from repro.runtime.counters import use_counters
+from repro.runtime.counters import KERNEL_FIELDS, use_counters
 
 from . import oracle_estimate
 
@@ -156,6 +156,33 @@ class TestKernelTraffic:
                       + events["size_verdicts_band"])
         assert events["size_verdicts_clear"] > 3 * events["size_verdicts_band"]
         assert events["sizing_evals"] <= 0.6 * size_tests
+
+    def test_every_counter_is_pinned(self, quickstart_run):
+        """A change that means to keep every decision keeps every count:
+        each kernel counter (the wall-clock ``finalize_ns`` aside) and
+        the refiner's events, exactly.  A change that means to move them
+        updates the pins and says why in CHANGES.md."""
+        sink = quickstart_run[1]
+        assert {name: getattr(sink.kernel, name) for name in KERNEL_FIELDS
+                if name != "finalize_ns"} == {
+            "inserts": 2887, "locates": 2941, "walk_steps": 8702,
+            "brute_locates": 0, "grid_seeds": 0, "visibility_prunes": 0,
+            "cavity_triangles": 12105, "flips": 0,
+            "orient_fast": 9163, "orient_exact": 2178,
+            "incircle_fast": 20981, "incircle_exact": 990,
+            "orient_zero": 995, "incircle_zero": 95,
+            "batch_calls": 0, "batch_entries": 0, "batch_points": 0,
+            "conflict_retries": 0}
+        events = sink.events
+        assert {name: events.get(name, 0) for name in (
+            "steiner_points", "triangle_tests", "sizing_evals",
+            "size_verdicts_clear", "size_verdicts_band",
+            "locked_segment_skips", "straight_walk_fallbacks",
+            "blocked_circumcenters")} == {
+            "steiner_points": 1699, "triangle_tests": 9185,
+            "sizing_evals": 4311, "size_verdicts_clear": 6415,
+            "size_verdicts_band": 1584, "locked_segment_skips": 103,
+            "straight_walk_fallbacks": 1, "blocked_circumcenters": 8}
 
 
 class TestEstimatesMatchScalarOracle:

@@ -21,16 +21,57 @@ region bookkeeping) is production's: this is an oracle for the
 
 :func:`assert_refinement_complete` is the same scan as a postcondition:
 what no driver may leave behind, whatever order it worked in.
+
+:func:`circumcenter`, :func:`distance` and :func:`find_vertex_at` are the
+point-tuple geometry the refiner called before it read the kernel's flat
+arrays, verbatim (they were ``repro.geometry.primitives`` functions and a
+``Triangulation`` method): the references the refiner's coordinate forms
+are compared against (``test_refine_geometry.py``).
 """
 
 import math
 from collections import deque
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.delaunay.cavity import carve, retriangulate
+from repro.delaunay.kernel import GHOST
 from repro.delaunay.refine import RefinementError, Refiner
-from repro.geometry.primitives import circumcenter
+from repro.geometry.predicates import exact_eq
 from repro.runtime.counters import current as counters_current
+
+
+def distance(a, b) -> float:
+    """Euclidean distance between two points."""
+    dx = b[0] - a[0]
+    dy = b[1] - a[1]
+    return math.sqrt(dx * dx + dy * dy)
+
+
+def circumcenter(a, b, c) -> Tuple[float, float]:
+    """Circumcenter of triangle ``(a, b, c)``.
+
+    Computed relative to ``a`` for numerical stability (Shewchuk's
+    formulation).  Raises :class:`ValueError` for degenerate triangles.
+    """
+    bax, bay = b[0] - a[0], b[1] - a[1]
+    cax, cay = c[0] - a[0], c[1] - a[1]
+    d = 2.0 * (bax * cay - bay * cax)
+    if exact_eq(d, 0.0):
+        raise ValueError("degenerate triangle has no circumcenter")
+    b2 = bax * bax + bay * bay
+    c2 = cax * cax + cay * cay
+    ux = (cay * b2 - bay * c2) / d
+    uy = (bax * c2 - cax * b2) / d
+    return (a[0] + ux, a[1] + uy)
+
+
+def find_vertex_at(tri, p: Tuple[float, float], t: int) -> Optional[int]:
+    """Vertex of triangle ``t`` exactly coincident with ``p``, if any."""
+    arr = tri._arr
+    for v in arr.triangle(t):
+        if v != GHOST and arr.point(v) == (p[0], p[1]):
+            return v
+    return None
 
 
 class RescanRefiner(Refiner):
@@ -118,12 +159,12 @@ class RescanRefiner(Refiner):
 
         # Locate: a constrained edge between the triangle and its
         # circumcenter means cc is invisible -> split that edge instead.
-        blocker, dest, certified = self._locate_visible(t, cc)
+        blocker, dest, certified = self._locate_visible(t, *cc)
         if blocker is not None:
             self._split_segments([blocker], t, work)
             return
         if (tri.is_ghost(dest) or not self._is_interior(dest)
-                or tri.find_vertex_at(cc, dest) is not None):
+                or find_vertex_at(tri, cc, dest) is not None):
             # Outside the region without crossing a constraint (numeric
             # corner) or on top of an existing vertex — nothing safe to
             # insert.
@@ -132,7 +173,7 @@ class RescanRefiner(Refiner):
         # Conflict region, carved once and inspected before it is
         # committed: cc must not encroach a segment of its boundary.
         cavity, seed = carve(tri, cc[0], cc[1], dest, certified)
-        encroached = self._encroached_boundary(cavity, seed, cc)
+        encroached = self._encroached_boundary(cavity, seed, *cc)
         if encroached:
             self._split_segments(encroached, t, work)
             return
@@ -168,14 +209,14 @@ def fix_denied(refiner: Refiner, t: int) -> bool:
         return True
     if not (math.isfinite(cc[0]) and math.isfinite(cc[1])):
         return True
-    blocker, dest, certified = refiner._locate_visible(t, cc)
+    blocker, dest, certified = refiner._locate_visible(t, *cc)
     if blocker is not None:
         return not refiner._split_allowed(*blocker)
     if (tri.is_ghost(dest) or not refiner._is_interior(dest)
-            or tri.find_vertex_at(cc, dest) is not None):
+            or find_vertex_at(tri, cc, dest) is not None):
         return True
     encroached = refiner._encroached_boundary(
-        *carve(tri, cc[0], cc[1], dest, certified), cc)
+        *carve(tri, cc[0], cc[1], dest, certified), *cc)
     return bool(encroached) and not any(
         refiner._split_allowed(u, v) for u, v in encroached)
 

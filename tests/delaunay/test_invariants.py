@@ -49,7 +49,7 @@ from repro.geometry.predicates import incircle, orient2d
 from repro.sizing.functions import UniformSizing
 
 from . import oracle
-from .oracle_refine import assert_refinement_complete
+from .oracle_refine import assert_refinement_complete, find_vertex_at
 from .test_fuzz_pslg import star_polygon
 
 
@@ -141,7 +141,7 @@ def insert_checking_cavities(tri: Triangulation, points) -> int:
             tri.insert_point(*p)
             continue
         t = tri.locate(p)
-        if tri.find_vertex_at(p, t) is not None:
+        if find_vertex_at(tri, p, t) is not None:
             continue
         t0 = oracle.seed(tri, t, p)
         want, clipped = oracle.carve(tri, p, t0)

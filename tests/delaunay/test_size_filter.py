@@ -33,20 +33,39 @@ from tests.domains import CallableSizing
 
 class CheckedCriterion(AreaCriterion):
     """``AreaCriterion`` whose every verdict is compared with the
-    unfiltered one (the parent commit's whole ``oversized``)."""
+    unfiltered one (the whole ``oversized`` before the filter), and
+    whose priming is counted."""
 
     made = []
 
     def __init__(self, area_fn):
         super().__init__(area_fn)
+        self.primed = 0
         self.made.append(self)
 
-    def oversized(self, pa, pb, pc, area):
-        got = super().oversized(pa, pb, pc, area)
-        cx = (pa[0] + pb[0] + pc[0]) / 3.0
-        cy = (pa[1] + pb[1] + pc[1]) / 3.0
-        assert got == (area > self.area_fn(cx, cy)), (pa, pb, pc, area)
+    def prime(self, pts):
+        before = len(self._edge_at)
+        super().prime(pts)
+        self.primed += len(self._edge_at) - before
+        # Primed by id: vertex v holds the edge length at row v.
+        assert len(self._edge_at) in (before, len(pts))
+
+    def oversized(self, a, b, c, ax, ay, bx, by, cx, cy, area):
+        got = super().oversized(a, b, c, ax, ay, bx, by, cx, cy, area)
+        gx = (ax + bx + cx) / 3.0
+        gy = (ay + by + cy) / 3.0
+        assert got == (area > self.area_fn(gx, gy)), (a, b, c, area)
         return got
+
+
+def assert_one_evaluation_per_vertex_and_open_verdict(crit):
+    """The sizing runs once per primed vertex, once per other vertex a
+    size test reached (the refiner's Steiner points; every vertex when
+    the sizing has no ``area_at_many``), and once per verdict the bound
+    left open — never twice for one vertex."""
+    new_vertices = len(crit._edge_at) - crit.primed
+    assert new_vertices > 0
+    assert crit.evals == crit.primed + new_vertices + crit.band
 
 
 @pytest.fixture
@@ -117,12 +136,16 @@ class TestFilterNeverChangesAVerdict:
         # test.
         assert crit.clear > crit.band > 0
         assert crit.evals < 0.8 * (crit.clear + crit.band)
+        # The subdomain's vertices came in one array call.
+        assert crit.primed > 0
+        assert_one_evaluation_per_vertex_and_open_verdict(crit)
 
     def test_radial(self, checked):
         sizing = RadialSizing((0.2, -0.1), h0=0.05, grading=0.4, h_max=0.5)
         decouple.refine_subdomain(annulus(sizing), sizing)
         (crit,) = checked
         assert crit.clear > crit.band > 0
+        assert_one_evaluation_per_vertex_and_open_verdict(crit)
 
     def test_uniform_is_all_clear_or_rounding(self, checked):
         sizing = UniformSizing(0.004)
@@ -131,6 +154,7 @@ class TestFilterNeverChangesAVerdict:
         assert mesh.n_triangles > 300
         # L = 0: only an area within 1e-9 of the bound is left open.
         assert crit.clear > 0 and crit.band == 0
+        assert_one_evaluation_per_vertex_and_open_verdict(crit)
 
     def test_plain_callable_has_no_filter(self, checked):
         radial = RadialSizing((0.0, 0.0), h0=0.08, grading=0.3)

@@ -142,7 +142,7 @@ class TestIncircleBatch:
 
 def test_incircle_consistent_with_circumcircle_distance():
     rng = np.random.default_rng(42)
-    from repro.geometry.primitives import circumcenter, distance
+    from tests.delaunay.oracle_refine import circumcenter, distance
 
     for _ in range(200):
         pts = rng.uniform(-10, 10, size=(4, 2))

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from repro.delaunay.mesh import TriMesh
 from repro.geometry.primitives import (
     angle_between,
-    circumcenter,
-    distance,
     normalize,
     perp_right,
     point_on_segment,
@@ -22,6 +20,7 @@ from repro.geometry.primitives import (
     signed_turn_angle,
     slerp_unit,
 )
+from tests.delaunay.oracle_refine import circumcenter, distance
 
 coord = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 point = st.tuples(coord, coord)
