@@ -184,7 +184,7 @@ class MeshAdaptor(Refiner):
         clock, tensors = self._tensors_at
         if clock != self._point_edits:
             arr = self.tri._arr
-            tensors = self.field.interpolate(arr.pts[:arr.n_pts])
+            tensors = self.field.interpolate(arr.pts())
             self._tensors_at = (self._point_edits, tensors)
         return tensors
 
@@ -204,7 +204,7 @@ class MeshAdaptor(Refiner):
             return table
         arr = self.tri._arr
         n_t = arr.n_tris
-        tv = arr.tri_v[:n_t]
+        tv = arr.tri_v()
         # One spare False row: an unlinked neighbour (-1) reads it.
         inside = np.zeros(n_t + 1, dtype=bool)
         inside[[t for t, lab in self._interior.items() if lab]] = True
@@ -214,7 +214,7 @@ class MeshAdaptor(Refiner):
         src = tv[:, (1, 2, 0)]
         dst = tv[:, (2, 0, 1)]
         keep = ((tv[:, :1] != DEAD) & (src >= 0) & (src < dst)
-                & (inside[:n_t, None] | inside[arr.tri_n[:n_t]]))
+                & (inside[:n_t, None] | inside[arr.tri_n()]))
         slot = np.flatnonzero(keep.ravel())
         uv = np.column_stack([src.ravel()[slot], dst.ravel()[slot]]
                              ).astype(np.int64)
@@ -225,8 +225,7 @@ class MeshAdaptor(Refiner):
 
     def _metric_lengths(self, edges, tensors: np.ndarray) -> np.ndarray:
         """Metric edge lengths (Alauzet linear-metric quadrature)."""
-        arr = self.tri._arr
-        return _mt.edge_lengths(tensors, arr.pts[:arr.n_pts], edges)
+        return _mt.edge_lengths(tensors, self.tri._arr.pts(), edges)
 
     def conformity(self) -> float:
         """Fraction of interior edges with metric length in the band."""
@@ -241,7 +240,7 @@ class MeshAdaptor(Refiner):
         """Vertices that collapse/smooth must not move or remove:
         constraint endpoints and hull vertices."""
         tri = self.tri
-        tv = tri._arr.tri_v[:tri._arr.n_tris]
+        tv = tri._arr.tri_v()
         ghosts = tv[tv.min(axis=1) == GHOST]  # dead rows read DEAD < GHOST
         protected = set(ghosts[ghosts != GHOST].tolist())
         for uv in tri.constraints:
@@ -498,7 +497,7 @@ class MeshAdaptor(Refiner):
         """
         tri = self.tri
         arr = tri._arr
-        tv, tn, px = arr.tv, arr.tn, arr.px  # flips allocate nothing
+        tv, tn, px = arr.tv, arr.tn, arr.px
         n = arr.n_pts
         rep = self.report
         tensors = self._vertex_tensors().tolist()
@@ -579,7 +578,7 @@ class MeshAdaptor(Refiner):
         tensors = self._vertex_tensors()
         protected = self._protected_vertices()
         arr = tri._arr
-        px, vt = arr.px, arr.vt  # smoothing allocates nothing
+        px, vt = arr.px, arr.vt
         moves = 0
         for v in range(arr.n_pts):
             if v in protected or vt[v] < 0:
@@ -600,8 +599,9 @@ class MeshAdaptor(Refiner):
             if not ok or len(neighbours) < 3:
                 continue
             nbr = sorted(neighbours)
-            pv = np.array(arr.point(v))
-            npts = arr.pts[nbr]
+            old = arr.point(v)
+            pv = np.array(old)
+            npts = np.array([arr.point(w) for w in nbr])
             vecs = npts - pv[None, :]
             m_edge = 0.5 * (np.repeat(tensors[v][None, :], len(nbr), axis=0)
                             + tensors[nbr])
@@ -611,13 +611,11 @@ class MeshAdaptor(Refiner):
                 continue
             target = (w_len[:, None] * npts).sum(axis=0) / wsum
             step = SMOOTH_RELAXATION
-            old = (pv[0], pv[1])
             accepted = False
             for _ in range(3):
-                nx = old[0] + step * (target[0] - old[0])
-                ny = old[1] + step * (target[1] - old[1])
-                px[2 * v] = nx
-                px[2 * v + 1] = ny
+                # target is NumPy: store plain floats (see arrays.py).
+                px[2 * v] = float(old[0] + step * (target[0] - old[0]))
+                px[2 * v + 1] = float(old[1] + step * (target[1] - old[1]))
                 valid = True
                 for t in star:
                     tv = arr.triangle(t)

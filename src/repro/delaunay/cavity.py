@@ -592,11 +592,6 @@ def retriangulate(tri, vid: int, cavity: Set[int], t0: int) -> None:
     """
     arr = tri._arr
     n_cavity = len(cavity)
-    # Reserve-before-alias: a connected cavity of n triangles has at
-    # most n + 2 boundary edges (Euler), so at most n + 2 fan slots
-    # are appended; reserving them up front keeps the flat views
-    # below valid for the whole frame.
-    arr.reserve_triangles(n_cavity + 2)
     tvm = arr.tv
     tnm = arr.tn
     vtm = arr.vt
@@ -639,9 +634,8 @@ def retriangulate(tri, vid: int, cavity: Set[int], t0: int) -> None:
     # PREVIOUS one, so creating in ring order links the fan without
     # any vertex maps or second pass.  New slots come from the free
     # list (cavity slots are freed only afterwards, so ids never
-    # collide with live ones).
+    # collide with live ones), else are appended to the lists in place.
     free = arr.free
-    n_tris_local = arr.n_tris
     new_tris: List[int] = []
     # Any cavity edge whose neighbour survives starts the ring.
     t = k = -1
@@ -667,11 +661,7 @@ def retriangulate(tri, vid: int, cavity: Set[int], t0: int) -> None:
         u = tvm[i3 + _NXT[k]]
         v = tvm[i3 + _PRV[k]]
         nb = tnm[i3 + k]
-        if free:
-            nt = free.pop()
-        else:
-            nt = n_tris_local
-            n_tris_local += 1
+        nt = free.pop() if free else arr.new_triangle_slot()
         j3 = 3 * nt
         tvm[j3] = u
         tvm[j3 + 1] = v
@@ -710,7 +700,6 @@ def retriangulate(tri, vid: int, cavity: Set[int], t0: int) -> None:
         k = j
         if t == start_t and k == start_k:
             break
-    arr.n_tris = n_tris_local
     tnm[3 * prev_nt] = first_nt
     tnm[3 * first_nt + 1] = prev_nt
 
@@ -834,138 +823,6 @@ def legalize_edges(tri, edges: Sequence[Tuple[int, int]]) -> None:
                     queue.append(e)
 
 
-def retriangulate_batch(tri, vids: np.ndarray,
-                        cavities: List[List[int]]) -> bool:
-    """Commit every accepted fan of a sub-batch in one vectorised pass.
-
-    The batch planner guarantees the cavities' closed
-    edge-neighbourhoods are pairwise disjoint, so no two records share
-    a cavity triangle, a boundary edge, or an outer neighbour — every
-    gather/scatter below is conflict-free by construction and the
-    result is identical to replaying :func:`retriangulate` per record.
-
-    Returns ``False`` without touching the mesh when the vector path
-    does not apply (constraints present, a pinched cavity boundary, or
-    an open boundary cycle); the caller then falls back to the scalar
-    loop.
-    """
-    arr = tri._arr
-    if tri.constraints:
-        return False
-    n_rec = len(cavities)
-    sizes = np.array([len(c) for c in cavities], dtype=np.int64)
-    n_cav = int(sizes.sum())
-    cav_t = np.fromiter((t for c in cavities for t in c),
-                        dtype=np.int64, count=n_cav)
-    rec_of = np.repeat(np.arange(n_rec, dtype=np.int64), sizes)
-
-    tri.stat_cavity_triangles += n_cav
-    hist = np.bincount(np.minimum(sizes, 31), minlength=32)
-    ch = tri.stat_cavity_hist
-    for b in np.flatnonzero(hist).tolist():
-        ch[b] += int(hist[b])
-
-    # Reserve-before-alias: each record appends at most |cavity| + 2
-    # fan slots (Euler); recycled slots never need capacity.
-    arr.reserve_triangles(n_cav + 2 * n_rec)
-    TV = arr.tri_v
-    TN = arr.tri_n
-    VT = arr.vertex_tri
-
-    # Boundary edges.  Closed neighbourhoods are disjoint, so an edge
-    # leaves its record's cavity iff the neighbour is in NO cavity —
-    # one global membership table replaces per-record set probes.
-    nb = TN[cav_t].astype(np.int64)
-    vs = TV[cav_t].astype(np.int64)
-    in_cav = np.zeros(arr.n_tris, dtype=bool)
-    in_cav[cav_t] = True
-    bmask = (nb < 0) | ~in_cav[np.where(nb >= 0, nb, 0)]
-    bi, bk = np.nonzero(bmask)
-    b_rec = rec_of[bi]
-    b_out = nb[bi, bk]
-    b_u = vs[bi, _NXT_ARR[bk]]
-    b_v = vs[bi, _PRV_ARR[bk]]
-    n_fan = b_u.size
-
-    # Ring linking: fan (u, v, vid) neighbours the fan whose boundary
-    # edge starts at v.  A star-shaped cavity boundary is a simple
-    # cycle, so within a record each start vertex appears exactly once
-    # (GHOST included: a hull cavity passes through it once) — match
-    # edge starts against edge ends with one sorted lookup.
-    base = np.int64(arr.n_pts) + 1
-    ku = b_rec * base + b_u + 1
-    order = np.argsort(ku, kind="stable")
-    ks = ku[order]
-    if n_fan and bool((ks[1:] == ks[:-1]).any()):
-        return False  # pinched boundary: scalar fallback handles it
-    kv = b_rec * base + b_v + 1
-    pos = np.minimum(np.searchsorted(ks, kv), n_fan - 1)
-    if not np.array_equal(ks[pos], kv):
-        return False  # open cycle: malformed cavity, let scalar raise
-    nxt = order[pos]
-    prv = np.empty(n_fan, dtype=np.int64)
-    prv[nxt] = np.arange(n_fan, dtype=np.int64)
-
-    # Fan slots: recycle the free-list tail (as the scalar path pops),
-    # then append.  Cavity slots are still live here, so ids never
-    # collide with the fans being written.
-    free = arr.free
-    take = min(len(free), n_fan)
-    slots = np.empty(n_fan, dtype=np.int64)
-    if take:
-        slots[:take] = free[len(free) - take:]
-        del free[len(free) - take:]
-    if take < n_fan:
-        t0 = arr.n_tris
-        slots[take:] = np.arange(t0, t0 + n_fan - take, dtype=np.int64)
-        arr.n_tris = t0 + n_fan - take
-
-    fan_v = np.empty((n_fan, 3), dtype=np.int32)
-    fan_v[:, 0] = b_u
-    fan_v[:, 1] = b_v
-    fan_v[:, 2] = vids[b_rec]
-    TV[slots] = fan_v
-    fan_n = np.empty((n_fan, 3), dtype=np.int32)
-    fan_n[:, 0] = slots[nxt]
-    fan_n[:, 1] = slots[prv]
-    fan_n[:, 2] = b_out
-    TN[slots] = fan_n
-
-    # Outer back-pointers: the surviving neighbour's edge that pointed
-    # at the destroyed cavity triangle now points at the fan.  The
-    # column is the one whose directed edge ends at v; an outer
-    # triangle bordering one cavity along two edges lands on two
-    # distinct columns, so the scatter never collides.
-    om = b_out >= 0
-    m = b_out[om]
-    mv = TV[m]
-    v_o = b_v[om]
-    col = np.where(mv[:, 1] == v_o, 0, np.where(mv[:, 2] == v_o, 1, 2))
-    TN[m, col] = slots[om]
-
-    # Vertex→triangle hints: boundary vertices point at their fan; the
-    # new vertices prefer an all-real fan (walk seeds then never start
-    # on a ghost), falling back to any fan of their record.
-    um = b_u >= 0
-    VT[b_u[um]] = slots[um]
-    VT[vids[b_rec]] = slots
-    rm = um & (b_v >= 0)
-    VT[vids[b_rec[rm]]] = slots[rm]
-
-    TV[cav_t, 0] = DEAD
-    free.extend(cav_t.tolist())
-    tri.n_live_triangles += n_fan - n_cav
-    tri._last_tri = int(slots[-1])
-    last = n_rec - 1
-    tri.last_removed = cav_t[rec_of == last].tolist()
-    tri.last_created = slots[b_rec == last].tolist()
-    return True
-
-
-_NXT_ARR = np.array([1, 2, 0], dtype=np.int64)
-_PRV_ARR = np.array([2, 0, 1], dtype=np.int64)
-
-
 # ----------------------------------------------------------------------
 # Insertion strategies
 # ----------------------------------------------------------------------
@@ -1040,14 +897,28 @@ def _scalar_insert_one(tri, x: float, y: float, hint: int = -1) -> int:
     for this point) — it spares the insert the walk from the last
     touched triangle that a cold start pays, and :func:`walk`
     revalidates it, so a hint killed by an interleaved commit is merely
-    ignored."""
-    r = insert_point(tri, x, y, hint)
+    ignored.  The batch path hands NumPy scalars in: they are coerced
+    here, before anything reaches the kernel's lists."""
+    r = insert_point(tri, float(x), float(y), int(hint))
     return r if r >= 0 else -2 - r
 
 
-def walk_batch(tri, seeds: np.ndarray, qxy: np.ndarray
+#: ``(tri_v, tri_n, pts)`` snapshots of a triangulation's store.
+_Snapshot = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _plan_snapshot(tri) -> _Snapshot:
+    """``(tri_v, tri_n, pts)`` snapshots of ``tri``'s store: one set
+    serves a sub-batch's whole read-only plan (seed, walk, carve), which
+    commits nothing until it is done."""
+    arr = tri._arr
+    return arr.tri_v(), arr.tri_n(), arr.pts()
+
+
+def walk_batch(tri, snap: _Snapshot, seeds: np.ndarray, qxy: np.ndarray
                ) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorised visibility walk for a batch of query points.
+    """Vectorised visibility walk for a batch of query points over the
+    :func:`_plan_snapshot` ``snap``.
 
     One :func:`orient2d_batch3` call per step evaluates all three edge
     orientations of every still-walking record with exact escalation,
@@ -1066,7 +937,6 @@ def walk_batch(tri, seeds: np.ndarray, qxy: np.ndarray
     ones it is the record's last walk position — a warm start for the
     scalar fallback either way.
     """
-    arr = tri._arr
     m = len(seeds)
     t0_out = np.asarray(seeds, dtype=np.int64).copy()
     located = np.zeros(m, dtype=bool)
@@ -1081,9 +951,7 @@ def walk_batch(tri, seeds: np.ndarray, qxy: np.ndarray
     steps_total = 0
     n_steps = np.zeros(m, dtype=np.int64)
     col = np.arange(3, dtype=np.int64)
-    tv_rows = arr.tri_v
-    tn_rows = arr.tri_n
-    coords_all = arr.pts
+    tv_rows, tn_rows, coords_all = snap
     exact_before = batch_exact_counts()["orient2d"]
     entries = 0
     for _ in range(_WALK_STEP_CAP):
@@ -1157,9 +1025,10 @@ def walk_batch(tri, seeds: np.ndarray, qxy: np.ndarray
     return t0_out, located
 
 
-def carve_batch(tri, t0s: Sequence[int], qxy: np.ndarray
+def carve_batch(tri, snap: _Snapshot, t0s: Sequence[int], qxy: np.ndarray
                 ) -> Tuple[List[List[int]], List[List[int]]]:
-    """Carve the Bowyer–Watson cavities of a batch of located points.
+    """Carve the Bowyer–Watson cavities of a batch of located points
+    over the :func:`_plan_snapshot` ``snap``.
 
     Level-synchronous BFS over all records at once: each level gathers
     every record's unseen neighbour candidates, decides the real ones
@@ -1189,9 +1058,7 @@ def carve_batch(tri, t0s: Sequence[int], qxy: np.ndarray
     if n_rec == 0:
         return [], []
     arr = tri._arr
-    tn_rows = arr.tri_n
-    tv_rows = arr.tri_v
-    coords_all = arr.pts
+    tv_rows, tn_rows, coords_all = snap
     tn_flat = arr.tn
     n_cap = arr.n_tris            # slot-stable for the whole carve
     f_rec = np.arange(n_rec, dtype=np.int64)
@@ -1346,7 +1213,7 @@ def _partition_grid(tri) -> BucketGrid:
     cached = tri._batch_grid
     if cached is not None and n <= cached[1]:
         return cached[0]
-    pts = tri._arr.pts[:n]
+    pts = tri._arr.pts()
     # Laid out for twice the snapshot (floor 256: the scalar bootstrap
     # hands over at ~120 vertices), so it serves until the count doubles.
     cap = max(2 * n, 256)
@@ -1378,7 +1245,6 @@ class BatchInsertion(InsertionStrategy):
         if tri.constraints:
             return get_strategy("scalar").insert_points(tri, points, order)
         n = len(order_list)
-        tri._arr.reserve_points(n)
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
@@ -1486,12 +1352,15 @@ class BatchInsertion(InsertionStrategy):
             return []
         batch_np = np.asarray(batch, dtype=np.int64)
         qxy = w_xy[batch_np]
-        seeds = self._seed_triangles(tri, grid, qxy, hints[batch_np], r2)
-        t0s, located = walk_batch(tri, seeds, qxy)
+        snap = _plan_snapshot(tri)
+        seeds = self._seed_triangles(tri, snap, grid, qxy, hints[batch_np],
+                                     r2)
+        t0s, located = walk_batch(tri, snap, seeds, qxy)
         hints[batch_np] = t0s
         loc_pos = np.flatnonzero(located).tolist()
         cavities, nbrs = carve_batch(
-            tri, t0s[loc_pos], qxy[np.asarray(loc_pos, dtype=np.int64)])
+            tri, snap, t0s[loc_pos],
+            qxy[np.asarray(loc_pos, dtype=np.int64)])
         # Greedy independent-set selection in batch order: keep a
         # candidate only when its cavity's *closed edge-neighbourhood*
         # (cavity plus every triangle sharing an edge with it) misses
@@ -1530,17 +1399,18 @@ class BatchInsertion(InsertionStrategy):
                 loser_owner.append((batch[k], owner[w]))
                 conflicted.append(batch[k])
         if accepted:
-            new_xy = qxy[np.asarray([k for k, _, _ in accepted],
-                                    dtype=np.int64)]
-            vids = arr.bulk_new_points(new_xy)
-            vid_list = vids.tolist()
-            tri.stat_inserts += len(accepted)
-            if not retriangulate_batch(tri, vids,
-                                       [cav for _, cav, _ in accepted]):
-                for (k, cav, _), vid in zip(accepted, vid_list):
-                    retriangulate(tri, vid, set(cav), int(t0s[k]))
-            for (k, _, _), vid in zip(accepted, vid_list):
+            # Commit by replay: the neighbourhoods are disjoint, so each
+            # precomputed cavity is still exactly its point's conflict
+            # region when its turn comes.
+            q_list = qxy.tolist()
+            t0_list = t0s.tolist()
+            vid_list = []
+            for k, cav, _ in accepted:
+                vid = arr.new_point(*q_list[k])
+                retriangulate(tri, vid, set(cav), t0_list[k])
                 inserted[idxs[batch[k]]] = vid
+                vid_list.append(vid)
+            tri.stat_inserts += len(accepted)
             tri.stat_batch_points += len(accepted)
             # Losers restart from their winner's live star fan (set
             # after all commits: vt rows are final only then).
@@ -1562,8 +1432,9 @@ class BatchInsertion(InsertionStrategy):
         return conflicted
 
     @staticmethod
-    def _seed_triangles(tri, grid: BucketGrid, qxy: np.ndarray,
-                        hints: Sequence[int], r2: float) -> np.ndarray:
+    def _seed_triangles(tri, snap: _Snapshot, grid: BucketGrid,
+                        qxy: np.ndarray, hints: Sequence[int], r2: float
+                        ) -> np.ndarray:
         """Per-record walk-start triangles: a nearby live walk hint
         from an earlier round wins (retried candidates restart next to
         their previous cavity), else the grid snapshot.  One vectorised
@@ -1572,9 +1443,7 @@ class BatchInsertion(InsertionStrategy):
         are all array expressions (:func:`_near_hint` is the scalar
         reference semantics)."""
         arr = tri._arr
-        tv_rows = arr.tri_v
-        tn_rows = arr.tri_n
-        vt_arr = arr.vertex_tri
+        tv_rows, tn_rows, coords = snap
         fallback = tri._last_tri
         if fallback < 0 or arr.tv[3 * fallback] == DEAD:
             fallback = next(iter(tri.live_triangles()))
@@ -1588,7 +1457,7 @@ class BatchInsertion(InsertionStrategy):
         v1 = tv_rows[hc, 1].astype(np.int64)
         v = np.where(v0 >= 0, v0, v1)
         ok &= (v0 != DEAD) & (v >= 0)
-        d = arr.pts[np.where(ok, v, 0)] - qxy
+        d = coords[np.where(ok, v, 0)] - qxy
         ok &= (d * d).sum(axis=1) <= r2
         seeds = np.where(ok, h, np.int64(-1))
 
@@ -1617,7 +1486,7 @@ class BatchInsertion(InsertionStrategy):
                     cand = np.where(inb, cand, -1)
                     pm = np.where(pm < 0, cand, pm)
                 pay[miss] = pm
-            t = vt_arr[np.maximum(pay, 0)].astype(np.int64)
+            t = arr.vertex_tri()[np.maximum(pay, 0)].astype(np.int64)
             live = (pay >= 0) & (t >= 0) & (tv_rows[np.maximum(t, 0), 0]
                                             != DEAD)
             tri.stat_grid_seeds += int(live.sum())

@@ -269,7 +269,7 @@ def carve(tri: Triangulation, holes: Sequence[Tuple[float, float]] = ()
     :meth:`Triangulation.to_mesh` (which consumes it without copying).
     """
     n = tri._arr.n_tris
-    tn = tri._arr.tn  # locate() allocates nothing
+    tn = tri._arr.tn
     keep = np.zeros(n, dtype=bool)
     outside = np.zeros(n, dtype=bool)
     stack: List[int] = []

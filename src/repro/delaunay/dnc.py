@@ -81,7 +81,7 @@ def triangulate_ordered(points: np.ndarray, policy: OrderPolicy = "brio"
         if lut[k] < 0 or i < lut[k]:
             lut[k] = i
     # Live real rows in id order, remapped in one fancy-index pass.
-    tv = arr.tri_v[: arr.n_tris]
+    tv = arr.tri_v()
     rows = tv[tv.min(axis=1) >= 0]
     tarr = (lut[rows].astype(np.int32)
             if rows.size else np.empty((0, 3), dtype=np.int32))

@@ -41,16 +41,15 @@ decoupled inviscid subdomains.  Design:
   in :mod:`repro.runtime.counters`, whose ``KernelCounters`` absorbs
   them; the overhead is a handful of integer adds per insertion.
 
-Storage is the structure-of-arrays core
-:class:`repro.delaunay.arrays.MeshArrays` (preallocated ``float64`` /
-``int32`` NumPy buffers with amortized-doubling growth), and it is the
-one read path, in two forms: hot paths index the cached flat
-:class:`memoryview` casts ``px[2*v]`` / ``tv[3*t+k]`` / ``tn[3*t+k]`` /
-``vt[v]`` (faster than list-of-lists on CPython and zero-copy into the
-arrays), cold paths call ``_arr.point(v)`` / ``_arr.triangle(t)``.  The
-``batch`` strategy's vectorised walk, carve and commit fancy-index the
-same arrays at C speed; :meth:`to_mesh` is a vectorised compaction whose
-point block can be a zero-copy view.
+Storage is :class:`repro.delaunay.arrays.MeshArrays`: flat Python
+lists ``px[2*v]`` / ``tv[3*t+k]`` / ``tn[3*t+k]`` / ``vt[v]`` that hot
+paths index directly and that grow by appending in place, so an alias
+never goes stale; cold paths call ``_arr.point(v)`` /
+``_arr.triangle(t)``.  NumPy readers (the ``batch`` strategy's
+vectorised walk, carve and grid, :func:`delaunay_mesh`,
+:meth:`Triangulation.check_integrity`) take read-only snapshots from
+``MeshArrays``; :meth:`Triangulation.to_mesh` is a vectorised
+compaction of them.
 """
 
 from __future__ import annotations
@@ -138,12 +137,7 @@ class Triangulation:
     # ------------------------------------------------------------------
     def _new_triangle(self, a: int, b: int, c: int) -> int:
         arr = self._arr
-        if arr.free:
-            t = arr.free.pop()
-        else:
-            arr.reserve_triangles(1)
-            t = arr.n_tris
-            arr.n_tris = t + 1
+        t = arr.new_triangle_slot()
         tv = arr.tv
         tn = arr.tn
         i = 3 * t
@@ -565,7 +559,7 @@ class Triangulation:
 
         The compaction is fully vectorised (:meth:`MeshArrays.compact`,
         no per-triangle Python loops); when every kernel vertex survives
-        the point block is a read-only zero-copy view of kernel storage.
+        the point block is the read-only coordinate snapshot itself.
         """
         t_start = monotonic_ns()
         arr = self._arr
@@ -616,15 +610,17 @@ class Triangulation:
                 kk = self._edge_index(nb, v, u)
                 if tn[3 * nb + kk] != t:
                     raise TriangulationError(f"asymmetric adjacency {t}<->{nb}")
-        rows = arr.tri_v[: arr.n_tris]
+        rows = arr.tri_v()
         n_live = int(np.count_nonzero(rows[:, 0] != DEAD))
         if n_live != self.n_live_triangles:
             raise TriangulationError(
                 f"n_live_triangles is {self.n_live_triangles}, "
                 f"{n_live} rows are live")
-        hint = arr.vertex_tri[: arr.n_pts]
+        hint = arr.vertex_tri()
         hinted = np.flatnonzero(hint >= 0)
-        held = arr.tri_v[hint[hinted]]  # rows past n_tris read DEAD
+        # One DEAD row stands for every slot past n_tris.
+        rows = np.vstack((rows, np.full((1, 3), DEAD, dtype=rows.dtype)))
+        held = rows[np.minimum(hint[hinted], arr.n_tris)]
         stale = (held[:, 0] == DEAD) | ~(held == hinted[:, None]).any(axis=1)
         if stale.any():
             v = int(hinted[np.argmax(stale)])
@@ -660,8 +656,6 @@ def _triangulate_with_map(points: np.ndarray, strategy: Optional[str]
         raise ValueError("non-finite coordinates")
     seed = 0xC0FFEE
     tri = Triangulation(seed=seed)
-    # Bulk pre-reserve: one allocation instead of log2(n) doublings.
-    tri._arr.reserve_points(len(points))
     order = brio_order(points, seed=seed).tolist()
     inserted = get_strategy(strategy).insert_points(tri, points, order)
     return tri, inserted
@@ -680,7 +674,7 @@ def delaunay_mesh(points: np.ndarray) -> TriMesh:
     inv = np.full(arr.n_pts, len(points), dtype=np.int64)
     np.minimum.at(inv, np.fromiter(inserted.values(), np.int64, len(inserted)),
                   np.fromiter(inserted.keys(), np.int64, len(inserted)))
-    rows = arr.tri_v[: arr.n_tris]
+    rows = arr.tri_v()
     # Real rows in slot order: min excludes DEAD and GHOST at once.
     tarr = inv[rows[rows.min(axis=1) >= 0]].astype(np.int32)
     return TriMesh(points, tarr)

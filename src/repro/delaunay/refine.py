@@ -488,8 +488,9 @@ class Refiner:
         # and splits are bounded by max_steiner / min_edge_floor, so the
         # loop ends.
         arr = self.tri._arr
+        tv = arr.tv
         if self.criterion is not None:
-            self.criterion.prime(arr.pts[:arr.n_pts])
+            self.criterion.prime(arr.pts())
         work: deque = deque(
             t for t in self.tri.live_triangles() if self._triangle_bad(t)
         )
@@ -499,7 +500,6 @@ class Refiner:
         verdicts: Dict[int, Tuple[Tuple[int, int, int], bool]] = {}
         while work:
             t = work.popleft()
-            tv = arr.tv  # an insertion may have grown the arrays
             i = 3 * t
             if tv[i] != DEAD:
                 corners = (tv[i], tv[i + 1], tv[i + 2])
@@ -510,7 +510,6 @@ class Refiner:
                 if bad:
                     self._process_bad_triangle(t, work)
             if not work and self._survivors:
-                tv = arr.tv
                 # A dead slot reads DEAD, which no recorded triple holds.
                 work.extend(sorted(
                     t for t, corners in self._survivors.items()
@@ -540,7 +539,7 @@ class Refiner:
     def _process_bad_triangle(self, t: int, work: deque) -> None:
         tri = self.tri
         arr = tri._arr
-        tv, px = arr.tv, arr.px  # nothing is inserted before the commit
+        tv, px = arr.tv, arr.px
         i = 3 * t
         ja, jb, jc = 2 * tv[i], 2 * tv[i + 1], 2 * tv[i + 2]
         cc = _circumcenter(px[ja], px[ja + 1], px[jb], px[jb + 1], px[jc],
@@ -626,7 +625,7 @@ class Refiner:
         """
         tri = self.tri
         arr = tri._arr
-        tv, tn, px = arr.tv, arr.tn, arr.px  # the walk inserts nothing
+        tv, tn, px = arr.tv, arr.tn, arr.px
         i = 3 * t
         ja, jb, jc = 2 * tv[i], 2 * tv[i + 1], 2 * tv[i + 2]
         sx = (px[ja] + px[jb] + px[jc]) / 3.0

@@ -370,29 +370,36 @@ class WallClockRule(Rule):
 class BufferCopyRule(Rule):
     """R7: finalize/serde paths must not copy mesh buffers element-wise.
 
-    Invariant (array-backed mesh core): ``to_mesh``/``compact`` hand back
-    NumPy views or vectorized compactions of the SoA kernel storage, and
-    the serde layer transports those buffers whole.  A Python ``for``
-    loop (or comprehension) that walks ``pts``/``tri_v``/``points``/
+    Invariant (flat-list kernel store): the kernel's ``px``/``tv``/
+    ``tn``/``vt`` are Python lists, and NumPy begins at the boundary
+    with one C-speed conversion per buffer (the ``MeshArrays``
+    snapshots ``pts()``/``tri_v()``/...).  ``to_mesh``/``compact``
+    compact those snapshots with masks and fancy indexing, and the serde
+    layer transports the resulting arrays whole.  A Python ``for`` loop
+    or comprehension that walks ``pts``/``tri_v``/``points``/
     ``triangles``/... inside one of these functions reintroduces the
-    O(n)-interpreter-ops export the refactor removed — the 172M-triangle
-    runs of Section IV pay it as minutes, not microseconds.
+    O(n)-interpreter-ops export — the 172M-triangle runs of Section IV
+    pay it as minutes, not microseconds.  A list store invites one form
+    in particular: ``np.array([tv[i] for i in range(3 * n)])``, which
+    iterates a ``range`` and indexes the buffer in its element.
 
-    Heuristic: a loop or comprehension whose *iterable* mentions a mesh
-    buffer name (``pts``, ``tri_v``, ``tri_n``, ``vertex_tri``, ``px``,
-    ``tv``, ``tn``, ``vt``, ``points``, ``triangles``, ``segments``),
-    lexically inside a function named ``compact``/``to_mesh``/
-    ``pack_*``/``unpack_*``/``buffers_*``/``batch_*``/``*_batch``.  The
-    ``batch`` names cover the cavity engine's vectorised insertion paths
-    (``walk_batch``, ``carve_batch``, ...): those exist *because* they
-    replace per-element predicate loops, so a Python walk over the
-    buffers inside one is a regression by definition.  Loops over other state (constraint lists, label dicts,
-    per-candidate cavity sets) are not flagged.
+    Heuristic: lexically inside a function named ``compact``/
+    ``to_mesh``/``pack_*``/``unpack_*``/``buffers_*``/``batch_*``/
+    ``*_batch``, (a) a loop or comprehension whose *iterable* mentions
+    a mesh buffer name (``pts``, ``tri_v``, ``tri_n``, ``vertex_tri``,
+    ``px``, ``tv``, ``tn``, ``vt``, ``points``, ``triangles``,
+    ``segments``), or (b) a comprehension whose *element* subscripts
+    one.  The ``batch`` names cover the cavity engine's vectorised
+    insertion paths (``walk_batch``, ``carve_batch``, ...): those exist
+    *because* they replace per-element predicate loops, so a Python
+    walk over the buffers inside one is a regression by definition.
+    Loops over other state (constraint lists, label dicts, per-candidate
+    cavity sets) are not flagged.
 
-    Fix: vectorize — boolean masks, fancy indexing, ``remap[tris]`` —
-    or, when a per-element walk is genuinely required (e.g. constraint
-    filtering), hoist it out of the finalize/serde function or carry a
-    justified pragma.
+    Fix: vectorize — one snapshot, boolean masks, fancy indexing,
+    ``remap[tris]`` — or, when a per-element walk is genuinely required
+    (e.g. constraint filtering), hoist it out of the finalize/serde
+    function or carry a justified pragma.
     """
 
     id = "R7"
@@ -404,6 +411,7 @@ class BufferCopyRule(Rule):
     _FUNC_SUFFIXES = ("_batch",)
     _BUFFERS = {"pts", "tri_v", "tri_n", "vertex_tri", "px", "tv", "tn",
                 "vt", "points", "triangles", "segments"}
+    _COMPS = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
 
     def applies(self, ctx: FileContext) -> bool:
         return ctx.in_pkg("repro")
@@ -421,6 +429,15 @@ class BufferCopyRule(Rule):
                 return node.id
         return None
 
+    def _subscripts_buffer(self, elts: List[ast.expr]) -> Optional[str]:
+        for elt in elts:
+            for node in ast.walk(elt):
+                if isinstance(node, ast.Subscript):
+                    buf = self._mentions_buffer(node.value)
+                    if buf is not None:
+                        return buf
+        return None
+
     def check(self, ctx: FileContext) -> List[Finding]:
         findings: List[Finding] = []
         for scope in _scopes(ctx):
@@ -429,21 +446,33 @@ class BufferCopyRule(Rule):
                 continue
             for node in _scoped_walk(scope):
                 iters: List[ast.expr] = []
+                elts: List[ast.expr] = []
                 if isinstance(node, ast.For):
                     iters.append(node.iter)
-                elif isinstance(node, (ast.ListComp, ast.SetComp,
-                                       ast.GeneratorExp, ast.DictComp)):
+                elif isinstance(node, ast.DictComp):
                     iters.extend(gen.iter for gen in node.generators)
-                for it in iters:
-                    buf = self._mentions_buffer(it)
-                    if buf is not None:
-                        findings.append(self.finding(
-                            ctx, node,
-                            f"Python loop over mesh buffer '{buf}' in "
-                            f"'{scope.name}' — finalize/serde must stay "
-                            "vectorized (masks, fancy indexing); per-element "
-                            "walks undo the zero-copy export"))
-                        break
+                    elts = [node.key, node.value]
+                elif isinstance(node, self._COMPS):
+                    iters.extend(gen.iter for gen in node.generators)
+                    elts = [node.elt]
+                buf = next(filter(None, map(self._mentions_buffer, iters)),
+                           None)
+                if buf is not None:
+                    findings.append(self.finding(
+                        ctx, node,
+                        f"Python loop over mesh buffer '{buf}' in "
+                        f"'{scope.name}' — finalize/serde must stay "
+                        "vectorized (masks, fancy indexing); per-element "
+                        "walks undo the one-conversion export"))
+                    continue
+                buf = self._subscripts_buffer(elts)
+                if buf is not None:
+                    findings.append(self.finding(
+                        ctx, node,
+                        f"comprehension copies mesh buffer '{buf}' "
+                        f"element by element in '{scope.name}' — take "
+                        "one snapshot (MeshArrays.pts()/tri_v()/...) "
+                        "and index it vectorized"))
         return findings
 
 

@@ -30,8 +30,7 @@ from repro.metric import tensor as _mt
 
 def vertex_tensors(self):
     """Metric tensors interpolated at every kernel vertex."""
-    arr = self.tri._arr
-    return self.field.interpolate(arr.pts[:arr.n_pts])
+    return self.field.interpolate(self.tri._arr.pts())
 
 
 def interior_edges(self):

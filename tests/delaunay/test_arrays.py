@@ -1,24 +1,31 @@
-"""MeshArrays SoA storage: growth, dead-slot contract, zero-copy compact.
+"""MeshArrays flat-list storage: growth, dead-slot contract, snapshots.
 
-The acceptance bar for the array-backed mesh core: finalize and serde
-must not copy per triangle in Python, and the dense compaction must hand
-back *views* of kernel storage (asserted on ``.base`` identity).
+The storage contract: the kernel's state is four flat Python lists that
+grow in place (an alias held across any insertion sees every later
+write) and hold plain ``float`` / ``int`` only; NumPy readers get fresh,
+read-only snapshots bounded by the high-water marks; finalize hands
+serde C-contiguous ``float64`` / ``int32`` blocks it packs without a
+copy.
 """
 
 import numpy as np
 import pytest
 
-from repro.delaunay.arrays import DEAD, MeshArrays
+from repro import BoundaryLayerConfig, MeshConfig, PSLG, generate_mesh, naca0012
+from repro.delaunay import refine_pslg
+from repro.delaunay.arrays import MeshArrays
 from repro.delaunay.kernel import (
     Triangulation,
     TriangulationError,
     triangulate,
 )
+from repro.runtime import serde
+from repro.solver.adapt import ShearLayerProblem, adapt_loop
 
 
 class TestMeshArrays:
     def test_growth_preserves_live_prefix(self):
-        tri = Triangulation()  # default capacity: 64 points, 128 slots
+        tri = Triangulation()
         a = tri._arr
         for i in range(100):
             a.new_point(float(i), float(-i))
@@ -42,21 +49,46 @@ class TestMeshArrays:
         assert a.triangle(t) is None
         assert tri._new_triangle(0, 1, 2) == t  # recycled from the free list
 
-    def test_reserve_rebinds_views(self):
-        a = MeshArrays()
-        a.new_point(1.0, 2.0)
-        old_px = a.px
-        a.reserve_points(10_000)
-        assert a.px is not old_px
-        assert a.point(0) == (1.0, 2.0)
+    def test_alias_held_across_growth_sees_every_write(self):
+        tri = triangulate(np.random.default_rng(0).random((10, 2)))
+        arr = tri._arr
+        px, tv = arr.px, arr.tv
+        for x, y in np.random.default_rng(1).random((2000, 2)).tolist():
+            tri.insert_point(x, y)
+        assert arr.n_pts == 2010
+        assert px is arr.px and tv is arr.tv
+        assert len(px) == 2 * arr.n_pts and len(tv) == 3 * arr.n_tris
+        assert np.array_equal(np.reshape(px, (-1, 2)), arr.pts())
+        assert np.array_equal(np.reshape(tv, (-1, 3)), arr.tri_v())
 
-    def test_compact_dense_returns_view(self):
+    def test_snapshots_are_fresh_read_only_and_bounded(self):
+        tri = triangulate(np.random.default_rng(2).random((50, 2)))
+        arr = tri._arr
+        shapes = {"pts": ((arr.n_pts, 2), np.float64, arr.px),
+                  "tri_v": ((arr.n_tris, 3), np.int32, arr.tv),
+                  "tri_n": ((arr.n_tris, 3), np.int32, arr.tn),
+                  "vertex_tri": ((arr.n_pts,), np.int32, arr.vt)}
+        before = {name: getattr(arr, name)() for name in shapes}
+        for name, (shape, dtype, flat) in shapes.items():
+            snap = before[name]
+            assert snap.shape == shape and snap.dtype == dtype
+            assert snap.flags.c_contiguous and not snap.flags.writeable
+            assert snap.ravel().tolist() == flat
+            with pytest.raises(ValueError):
+                snap.ravel()[0] = 0
+            again = getattr(arr, name)()
+            assert again is not snap and not np.shares_memory(again, snap)
+        frozen = {name: snap.copy() for name, snap in before.items()}
+        tri.insert_point(0.5, 0.5)
+        for name, snap in before.items():
+            assert np.array_equal(snap, frozen[name]), name
+        assert len(arr.pts()) == len(before["pts"]) + 1
+
+    def test_compact_dense_returns_point_snapshot(self):
         tri = triangulate(np.random.default_rng(0).random((50, 2)))
         pts, tris, remap = tri._arr.compact()
         assert remap is None
-        # Zero-copy: the point block is a read-only view of the kernel
-        # buffer, not a copy.
-        assert pts.base is tri._arr.pts
+        assert np.array_equal(pts, tri._arr.pts())
         assert not pts.flags.writeable
         assert tris.min() >= 0
         assert tris.max() < len(pts)
@@ -65,7 +97,7 @@ class TestMeshArrays:
         tri = triangulate(np.random.default_rng(1).random((30, 2)))
         arr = tri._arr
         # Keep only the first live real triangle: most vertices drop out.
-        mask = arr.tri_v[: arr.n_tris].min(axis=1) >= 0
+        mask = arr.tri_v().min(axis=1) >= 0
         first = int(np.flatnonzero(mask)[0])
         keep = np.zeros(arr.n_tris, dtype=bool)
         keep[first] = True
@@ -75,7 +107,7 @@ class TestMeshArrays:
         assert sorted(tris[0].tolist()) == [0, 1, 2]
         kernel_ids = np.flatnonzero(remap >= 0)
         assert np.array_equal(
-            pts, arr.pts[kernel_ids][np.argsort(remap[kernel_ids])])
+            pts, arr.pts()[kernel_ids][np.argsort(remap[kernel_ids])])
 
     def test_compact_empty(self):
         a = MeshArrays()
@@ -83,6 +115,54 @@ class TestMeshArrays:
         assert pts.shape == (0, 2)
         assert tris.shape == (0, 3)
         assert np.all(remap == -1)
+
+
+def quickstart_config():
+    """examples/quickstart.py."""
+    pslg = PSLG.from_loops([naca0012(n_points=101)], names=["naca0012"])
+    config = MeshConfig(
+        bl=BoundaryLayerConfig(first_spacing=1e-3, growth_ratio=1.3,
+                               max_layers=40),
+        farfield_chords=40.0,
+        target_subdomains=16,
+    )
+    return pslg, config
+
+
+class TestPlainScalarsOnly:
+    def test_every_entry_is_a_python_float_or_int(self, monkeypatch):
+        """NumPy scalars reach the store from the adaptor's smoothing
+        (its target is an array), from ``insert_points`` rows and from
+        the batch planner's slot arrays; every write site coerces, so
+        a generate_mesh item, one adaptation cycle and a batch
+        triangulation leave nothing but ``float``/``int`` behind."""
+        kernels = []
+        export = Triangulation.to_mesh
+
+        def recording(self, **kwargs):
+            kernels.append(self)
+            return export(self, **kwargs)
+
+        monkeypatch.setattr(Triangulation, "to_mesh", recording)
+        generate_mesh(*quickstart_config(), backend="serial")
+        n_mesh = len(kernels)
+        square = refine_pslg(
+            np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+            np.array([[0, 1], [1, 2], [2, 3], [3, 0]]), max_area=0.02)
+        result = adapt_loop(square, problem=ShearLayerProblem(0.05, 0.1),
+                            cycles=1, eps=4e-2, h_min=1e-3, h_max=0.3)
+        assert result.history[-1].report.smooth_moves > 0
+        n_adapt = len(kernels) - n_mesh
+        kernels.append(triangulate(
+            np.random.default_rng(4).uniform(0, 1, size=(600, 2)),
+            strategy="batch"))
+        assert kernels[-1].stat_batch_points > 0
+        assert n_mesh > 10 and n_adapt > 0
+        for tri in kernels:
+            arr = tri._arr
+            assert {type(x) for x in arr.px} == {float}
+            for flat in (arr.tv, arr.tn, arr.vt, arr.free):
+                assert {type(x) for x in flat} <= {int}
 
 
 class TestDeadSlotContract:
@@ -104,13 +184,21 @@ class TestDeadSlotContract:
 
 
 class TestToMeshZeroCopy:
-    def test_dense_to_mesh_shares_kernel_buffer(self):
+    def test_to_mesh_packs_by_buffer_identity(self):
+        """Finalize is one C-speed conversion to contiguous float64 /
+        int32 blocks, so serde transports the mesh's own arrays (DESIGN:
+        "Serde is buffer identity, not copy"), dense or masked."""
         tri = triangulate(np.random.default_rng(4).random((200, 2)))
-        mesh = tri.to_mesh()
-        # Every inserted vertex is referenced -> dense path -> the mesh
-        # points are a view over the kernel's point buffer.
-        assert mesh.points.base is tri._arr.pts
-        assert not mesh.points.flags.writeable
+        keep = np.random.default_rng(7).random(tri._arr.n_tris) < 0.5
+        for mesh in (tri.to_mesh(), tri.to_mesh(keep_mask=keep)):
+            assert mesh.points.dtype == np.float64
+            assert mesh.triangles.dtype == np.int32
+            assert mesh.points.flags.c_contiguous
+            assert mesh.triangles.flags.c_contiguous
+            buffers = serde.pack_mesh(mesh)
+            assert buffers["points"] is mesh.points
+            tr = buffers["triangles"]
+            assert tr is mesh.triangles or tr.base is mesh.triangles
         assert tri.stat_finalize_ns > 0
 
     def test_masked_to_mesh_matches_bruteforce_export(self):

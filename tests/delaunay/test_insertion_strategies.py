@@ -13,6 +13,8 @@ the *result* to the scalar path (exact Delaunay, canonical-hash
 parity).
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,23 +51,35 @@ class TestRegistry:
 def _batch_triangulate(pts):
     """Batch-insert ``pts``; returns the kernel and, per committed
     sub-batch, ``[(cavity, closed edge-neighbourhood), ...]`` read off
-    the kernel just before the sub-batch commits."""
+    the kernel as the replay commits each cavity.  (Reading a later
+    cavity's neighbourhood after the earlier commits of its sub-batch
+    loses nothing: a commit rewrites only its own cavity and that
+    cavity's neighbours' back-pointers, i.e. its closed neighbourhood,
+    and the pairwise check below is symmetric.)"""
     trace = []
-    commit = cavity.retriangulate_batch
+    plan = BatchInsertion._insert_batch
+    commit = cavity.retriangulate
 
-    def spy(tri, vids, cavities):
-        tn = tri._arr.tn
-        trace.append([(set(cav), set(cav) | {tn[3 * t + k] for t in cav
-                                             for k in range(3)})
-                      for cav in cavities])
-        return commit(tri, vids, cavities)
+    def planning(self, *args):
+        trace.append([])
+        return plan(self, *args)
+
+    def replaying(tri, vid, cav, t0):
+        # The replay of _insert_batch only: its scalar fallbacks commit
+        # through insert_point.
+        if sys._getframe(1).f_code.co_name == "_insert_batch":
+            tn = tri._arr.tn
+            trace[-1].append((set(cav), set(cav) | {
+                tn[3 * t + k] for t in cav for k in range(3)}))
+        return commit(tri, vid, cav, t0)
 
     tri = Triangulation()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cavity, "retriangulate_batch", spy)
+        mp.setattr(BatchInsertion, "_insert_batch", planning)
+        mp.setattr(cavity, "retriangulate", replaying)
         BatchInsertion().insert_points(tri, pts,
                                        brio_order(pts, seed=0xC0FFEE))
-    return tri, trace
+    return tri, [sub for sub in trace if sub]
 
 
 class TestIndependenceProperty:

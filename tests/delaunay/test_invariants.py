@@ -536,5 +536,5 @@ class TestDeterminism:
             return tri
 
         a, b = build()._arr, build()._arr
-        assert np.array_equal(a.pts[:a.n_pts], b.pts[:b.n_pts])
-        assert np.array_equal(a.tri_v[:a.n_tris], b.tri_v[:b.n_tris])
+        assert np.array_equal(a.pts(), b.pts())
+        assert np.array_equal(a.tri_v(), b.tri_v())

@@ -199,7 +199,7 @@ class TestSegmentSplits:
         refiner.refine()
         assert batches == [[((0.0, 0.0), (1.0, 0.0)),
                             ((0.0, 0.5), (0.0, 0.0))]]
-        assert tri._arr.pts[5:tri._arr.n_pts].tolist() == [
+        assert tri._arr.pts()[5:].tolist() == [
             [0.0, 0.5], [0.5, 0.0], [0.0, 0.25]]
 
     def test_unlabelled_split_is_a_typed_error_not_a_silent_hole(self):

@@ -251,6 +251,38 @@ class TestR7BufferCopy:
         findings = lint_snippet(tmp_path, "repro/delaunay/cavity.py", bad)
         assert "R7" in rules_hit(findings)
 
+    def test_seeded_elementwise_copy_of_list_store_fires(self, tmp_path):
+        # Seeded regression the flat-list store invites: converting a
+        # kernel list by indexing it in a comprehension over range(...)
+        # instead of one snapshot conversion.
+        bad = """
+            import numpy as np
+
+            def compact(self):
+                tv = self.tv
+                n = self.n_tris
+                return np.array([tv[i] for i in range(3 * n)])
+        """
+        findings = lint_snippet(tmp_path, "repro/delaunay/arrays.py", bad)
+        assert "R7" in rules_hit(findings)
+
+    def test_elementwise_copy_in_dict_comprehension_fires(self, tmp_path):
+        bad = """
+            def pack_points(arr, n):
+                return {i: (arr.px[2 * i], arr.px[2 * i + 1])
+                        for i in range(n)}
+        """
+        findings = lint_snippet(tmp_path, "repro/runtime/bad.py", bad)
+        assert "R7" in rules_hit(findings)
+
+    def test_elementwise_non_buffer_subscript_allowed(self, tmp_path):
+        ok = """
+            def to_mesh(self, remap):
+                return [(remap[u], remap[v]) for u, v in self.constraints]
+        """
+        findings = lint_snippet(tmp_path, "repro/delaunay/ok.py", ok)
+        assert "R7" not in rules_hit(findings)
+
     def test_batch_loop_over_cavity_sets_allowed(self, tmp_path):
         # Per-candidate control flow over cavity *sets* (not buffers) is
         # the legitimate scalar part of the batch path.

@@ -76,8 +76,6 @@ def test_ambient_insert_variable_cannot_change_a_request(monkeypatch):
     explicit = triangulate(pts, strategy=cavity.DEFAULT_STRATEGY)._arr
     assert (ambient.n_pts, ambient.n_tris) == (explicit.n_pts,
                                                explicit.n_tris)
-    assert np.array_equal(ambient.pts[:ambient.n_pts],
-                          explicit.pts[:explicit.n_pts])
-    for name in ("tri_v", "tri_n"):
-        assert np.array_equal(getattr(ambient, name)[:ambient.n_tris],
-                              getattr(explicit, name)[:explicit.n_tris])
+    for name in ("pts", "tri_v", "tri_n"):
+        assert np.array_equal(getattr(ambient, name)(),
+                              getattr(explicit, name)())
