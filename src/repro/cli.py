@@ -35,7 +35,6 @@ from .delaunay import cavity as insertion
 from .geometry.airfoils import naca4, three_element_airfoil
 from .geometry.pslg import PSLG
 from .io.meshio import read_poly, write_mesh_ascii, write_mesh_npz
-from . import lint
 from .runtime import executor
 from .runtime.counters import timed, use_counters
 
@@ -84,10 +83,10 @@ def _add_mesh_arguments(p: argparse.ArgumentParser) -> None:
 
 def _add_backend_argument(p: argparse.ArgumentParser) -> None:
     p.add_argument("--backend", choices=executor.available_backends(),
-                   default=None,
-                   help="refinement executor (default: $REPRO_BACKEND or "
-                   "serial); 'serial' is the in-process reference, "
-                   "'processes' the warm pool of worker processes")
+                   default="serial",
+                   help="refinement executor (default: serial); 'serial' "
+                   "is the in-process reference, 'processes' the warm pool "
+                   "of worker processes")
 
 
 def _add_address_arguments(p: argparse.ArgumentParser) -> None:
@@ -343,17 +342,14 @@ def _serve_main(argv) -> int:
 
     parser = build_serve_parser()
     args = parser.parse_args(argv)
-    try:
-        backend = executor.get_backend(args.backend)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.ranks is not None and not backend.parallel:
+    parallel = executor.get_backend(args.backend).parallel
+    if args.ranks is not None and not parallel:
         parser.error(
             f"--ranks only applies to parallel backends; --backend "
-            f"{backend.name} runs in-process")
+            f"{args.backend} runs in-process")
     service = MeshService(
         _service_address(parser, args),
-        backend=backend.name,
+        backend=args.backend,
         n_ranks=args.ranks if args.ranks is not None else 4,
         batch_window=args.batch_window,
         max_batch=args.max_batch,
@@ -447,12 +443,8 @@ def main(argv=None) -> int:
         return _submit_main(argv[1:])
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        backend_impl = executor.get_backend(args.backend)
-    except ValueError as exc:
-        parser.error(str(exc))
-    backend = backend_impl.name
-    if args.ranks is not None and not backend_impl.parallel:
+    backend = args.backend
+    if args.ranks is not None and not executor.get_backend(backend).parallel:
         parser.error(
             f"--ranks only applies to parallel backends; --backend "
             f"{backend} runs in-process (drop --ranks or pick one of: "
@@ -503,8 +495,6 @@ def main(argv=None) -> int:
             float(np.degrees(final_mesh.min_angle())), 3),
         "outputs": written,
         "timings": {k: round(v, 3) for k, v in result.timings.items()},
-        "lint": {"ruleset": lint.RULESET_VERSION,
-                 "rules": list(lint.rule_ids())},
     }
     if adapt_summary is not None:
         summary["adapt"] = adapt_summary

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -116,17 +116,17 @@ def generate_mesh(
     pslg: PSLG,
     config: Optional[MeshConfig] = None,
     *,
-    backend: Optional[str] = None,
+    backend: str = "serial",
     n_ranks: int = 4,
     insert_strategy: Optional[str] = None,
 ) -> MeshResult:
     """Generate the full hybrid mesh for ``pslg`` (all body loops).
 
     ``backend`` selects the refinement executor (any name from
-    :func:`repro.runtime.executor.available_backends`); ``None`` falls
-    back to the ``REPRO_BACKEND`` environment variable, then ``serial``.
-    Every backend produces the identical mesh — the subdomains are
-    decoupled, so execution order cannot change the result.
+    :func:`repro.runtime.executor.available_backends`); nothing else,
+    the environment included, picks it.  Every backend produces the
+    identical mesh — the subdomains are decoupled, so execution order
+    cannot change the result.
 
     Work is fed to the executor as it is discovered.  Everything
     downstream of the boundary layer reads only its outer borders, so

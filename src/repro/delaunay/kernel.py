@@ -55,7 +55,7 @@ compaction of them.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 

@@ -19,7 +19,7 @@ ordering (for the warm/bind and abort/shutdown pairs).
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from .engine import FileContext, Finding, Rule, _dotted, _scopes
 from .rules_lifetime import _own_exprs
@@ -35,29 +35,20 @@ _ORDERINGS: Tuple[Tuple[Tuple[str, ...], Tuple[str, ...], str], ...] = (
     (("warm_pool",), ("start_server", "start_unix_server"),
      "warm the worker pool before binding the listening socket — "
      "workers forked after bind inherit the fd"),
-    (("request_abort", "abort_call", "abort"), ("shutdown_pool",),
+    (("request_abort", "abort"), ("shutdown_pool",),
      "abort in-flight work before shutting the pool down — "
      "otherwise shutdown blocks on results nobody will read"),
 )
 
 
 def _mention_lines(func: ast.AST, tokens: Tuple[str, ...]) -> Optional[int]:
-    """First line mentioning any token as a name, attribute, or string
-    constant (the getattr-protocol style writes ``getattr(b, "abort")``)."""
+    """First line mentioning any token as a name or an attribute."""
     best: Optional[int] = None
     for node in ast.walk(func):
-        hit = False
-        if isinstance(node, ast.Name) and node.id in tokens:
-            hit = True
-        elif isinstance(node, ast.Attribute) and node.attr in tokens:
-            hit = True
-        elif (isinstance(node, ast.Constant)
-                and isinstance(node.value, str) and node.value in tokens):
-            hit = True
-        if hit:
-            line = getattr(node, "lineno", None)
-            if line is not None and (best is None or line < best):
-                best = line
+        if ((isinstance(node, ast.Name) and node.id in tokens)
+                or (isinstance(node, ast.Attribute) and node.attr in tokens)):
+            if best is None or node.lineno < best:
+                best = node.lineno
     return best
 
 
@@ -94,9 +85,8 @@ class EpochFenceRule(Rule):
     * **Ordering** — a function mentioning both members of a protocol
       pair (``warm_pool`` before ``start_server``/``start_unix_server``;
       ``request_abort``/``abort`` before ``shutdown_pool``) must mention
-      them in that order.  Mentions include ``getattr(obj, "name")``
-      string constants, which is how the service speaks to optional
-      backend hooks.
+      them in that order.  A mention is a name or an attribute: the
+      service calls every backend's lifecycle methods directly.
 
     Fix: hoist the epoch comparison so it guards every route to the
     consumption (see ``PoolStream._handle``), or reorder the calls.

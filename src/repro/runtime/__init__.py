@@ -24,7 +24,6 @@ _EXPORTS = {
     "MeshCache": "service",
     "MeshService": "service",
     "ServiceError": "service",
-    "ServiceThread": "service",
     "ServiceUnavailable": "service",
     "NetworkModel": "simulator",
     "SimConfig": "simulator",

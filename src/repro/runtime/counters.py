@@ -30,9 +30,10 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
+    "SAMPLE_WINDOW",
     "Histogram",
     "KernelCounters",
     "Counters",
@@ -43,6 +44,12 @@ __all__ = [
     "monotonic",
     "monotonic_ns",
 ]
+
+#: values an :meth:`Counters.observe` stream keeps: its count, total and
+#: max stay exact, and the latest ``SAMPLE_WINDOW`` observations are kept
+#: for percentiles and calibration, so a resident daemon's telemetry does
+#: not grow with its uptime.
+SAMPLE_WINDOW = 4096
 
 
 def monotonic() -> float:
@@ -275,10 +282,13 @@ class Counters:
         self.phase_calls: Dict[str, int] = {}
         self.kernel = KernelCounters()
         self.events: Dict[str, int] = {}
-        #: raw per-observation sample streams (seconds, bytes, ...) —
-        #: the measurement source for simulator calibration
+        #: the latest ``SAMPLE_WINDOW`` values of each sample stream
+        #: (seconds, bytes, ...) — the measurement source for simulator
+        #: calibration
         #: (:func:`repro.runtime.simulator.calibrate_from_counters`).
         self.samples: Dict[str, List[float]] = {}
+        #: ``[count, total, max]`` of every value each stream observed.
+        self.sample_totals: Dict[str, List[float]] = {}
 
     # ------------------------------------------------------------------
     def note_phase(self, name: str, dt: float) -> None:
@@ -319,12 +329,33 @@ class Counters:
         """Append one raw observation to the ``name`` sample stream.
 
         Unlike :meth:`incr` (a running total) the individual values are
-        kept: the executor records per-item (seconds, bytes) pairs and
-        the serde layer records shm transfer timings, which the
-        simulator fits its network/cost models against.
+        kept, the latest ``SAMPLE_WINDOW`` of them: the executor records
+        per-item (seconds, bytes) pairs and the serde layer records shm
+        transfer timings, which the simulator fits its network/cost
+        models against.
         """
+        value = float(value)
         with self._lock:
-            self.samples.setdefault(name, []).append(float(value))
+            self._fold(name, [value], 1, value, value)
+
+    def _fold(self, name: str, values: List[float], count: int,
+              total: float, peak: float) -> None:
+        """Add observations to one stream; the caller holds the lock."""
+        window = self.samples.setdefault(name, [])
+        window.extend(values)
+        del window[:-SAMPLE_WINDOW]
+        agg = self.sample_totals.setdefault(name, [0, 0.0, peak])
+        agg[0] += count
+        agg[1] += total
+        agg[2] = max(agg[2], peak)
+
+    def stream(self, name: str) -> Tuple[int, float, float, List[float]]:
+        """``(count, total, max, latest values)`` of one sample stream."""
+        with self._lock:
+            agg = self.sample_totals.get(name)
+            if agg is None:
+                return 0, 0.0, 0.0, []
+            return int(agg[0]), agg[1], agg[2], list(self.samples[name])
 
     # ------------------------------------------------------------------
     # Cross-process aggregation: a worker process profiles into its own
@@ -342,6 +373,8 @@ class Counters:
                 "kernel": self.kernel.to_plain(),
                 "events": dict(self.events),
                 "samples": {k: list(v) for k, v in self.samples.items()},
+                "sample_totals": {k: list(v)
+                                  for k, v in self.sample_totals.items()},
             }
 
     def merge_snapshot(self, data: Dict[str, object]) -> None:
@@ -354,9 +387,11 @@ class Counters:
             self.kernel.merge_plain(data.get("kernel", {}))
             for name, n in data.get("events", {}).items():
                 self.events[name] = self.events.get(name, 0) + int(n)
+            totals = data.get("sample_totals", {})
             for name, values in data.get("samples", {}).items():
-                self.samples.setdefault(name, []).extend(
-                    float(v) for v in values)
+                count, total, peak = totals[name]
+                self._fold(name, [float(v) for v in values], int(count),
+                           float(total), float(peak))
 
     # ------------------------------------------------------------------
     def as_dict(self) -> Dict[str, object]:
@@ -364,14 +399,11 @@ class Counters:
             "phases_s": dict(self.phases),
             "kernel": self.kernel.as_dict(),
             "events": dict(self.events),
-            # Samples summarised (raw streams stay on ``self.samples``).
+            # Samples summarised, exactly (the latest values stay on
+            # ``self.samples``).
             "samples": {
-                name: {
-                    "n": len(vals),
-                    "total": sum(vals),
-                    "mean": sum(vals) / len(vals) if vals else 0.0,
-                }
-                for name, vals in self.samples.items()
+                name: {"n": int(n), "total": total, "mean": total / n}
+                for name, (n, total, _) in self.sample_totals.items()
             },
         }
 
@@ -391,13 +423,13 @@ class Counters:
             width = max(len(k) for k in self.events)
             for name in sorted(self.events):
                 lines.append(f"  {name:<{width}}  {self.events[name]}")
-        if self.samples:
+        if self.sample_totals:
             lines.append("samples:")
-            width = max(len(k) for k in self.samples)
-            for name in sorted(self.samples):
-                vals = self.samples[name]
-                lines.append(f"  {name:<{width}}  n {len(vals)}  total "
-                             f"{sum(vals):.6g}  max {max(vals):.6g}")
+            width = max(len(k) for k in self.sample_totals)
+            for name in sorted(self.sample_totals):
+                n, total, peak = self.sample_totals[name]
+                lines.append(f"  {name:<{width}}  n {int(n)}  total "
+                             f"{total:.6g}  max {peak:.6g}")
         return "\n".join(lines)
 
 

@@ -9,8 +9,8 @@ the seam that decides *what a worker is*:
     scheduling, zero transport, bit-exact baseline.
 
 ``processes``
-    True ``multiprocessing`` workers: a :class:`WorkerPool` of
-    persistent workers forked once and reused across dispatches;
+    True ``multiprocessing`` workers: :class:`ProcessesBackend` *is* the
+    pool — persistent workers forked once and reused across dispatches;
     demand-driven largest-first dispatch with at most one in-flight
     item per worker, so a crashed worker maps to exactly one
     requeueable item (respawn + requeue, bounded attempts).
@@ -25,11 +25,12 @@ the seam that decides *what a worker is*:
 
 Every backend implements the :class:`Backend` protocol —
 ``map_workitems(fn, payloads, costs, n_ranks) -> results`` (in payload
-order) and ``stream_workitems(fn, n_ranks) -> session`` (submit items
-one at a time as a producer discovers them; the warm pool starts
-refining the first subdomain while decomposition is still splitting the
-rest) — and is looked up by name with :func:`get_backend`; the CLI
-derives its ``--backend`` choices from :func:`available_backends`.
+order), ``stream_workitems(fn, n_ranks) -> session`` (submit items one
+at a time as a producer discovers them; the warm pool starts refining
+the first subdomain while decomposition is still splitting the rest)
+and the pool lifecycle (no-ops on ``serial``) — and is looked up by
+name with :func:`get_backend`; the CLI derives its ``--backend``
+choices from :func:`available_backends`.
 """
 
 from __future__ import annotations
@@ -55,15 +56,10 @@ __all__ = [
     "ExecutorError",
     "SerialBackend",
     "ProcessesBackend",
-    "WorkerPool",
     "PoolStream",
     "get_backend",
     "available_backends",
 ]
-
-#: environment override consulted when a caller passes ``backend=None``
-#: (used by CI to drive the whole test pyramid through one backend).
-BACKEND_ENV = "REPRO_BACKEND"
 
 
 class ExecutorError(RuntimeError):
@@ -92,7 +88,8 @@ class Backend(Protocol):
     worker processed what.  ``costs`` (optional, same length) drive
     largest-first scheduling on the parallel backend.
     ``stream_workitems`` opens a :class:`StreamSession` for producers
-    that discover work incrementally.
+    that discover work incrementally.  A long-running owner (the
+    meshing service) drives the four lifecycle calls.
     """
 
     #: the name :func:`get_backend` finds it under.
@@ -115,6 +112,14 @@ class Backend(Protocol):
         *,
         n_ranks: int = 1,
     ) -> StreamSession: ...
+
+    def warm_pool(self, n_ranks: int) -> int: ...
+
+    def exclude_fds_from_workers(self, fds: Sequence[int]) -> None: ...
+
+    def abort(self, reason: str) -> bool: ...
+
+    def shutdown_pool(self) -> None: ...
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +188,11 @@ class _SerialStream:
 
 
 class SerialBackend:
-    """Run every item in the calling thread, in submission order."""
+    """Run every item in the calling thread, in submission order.
+
+    No workers, so the lifecycle calls do nothing: an in-flight batch
+    cannot be interrupted, it runs out.
+    """
 
     name = "serial"
     parallel = False
@@ -195,6 +204,18 @@ class SerialBackend:
     def stream_workitems(self, fn, *, n_ranks=1):
         _check_ranks(n_ranks)
         return _SerialStream(self, fn)
+
+    def warm_pool(self, n_ranks: int) -> int:
+        return 0
+
+    def exclude_fds_from_workers(self, fds) -> None:
+        pass
+
+    def abort(self, reason: str) -> bool:
+        return False
+
+    def shutdown_pool(self) -> None:
+        pass
 
 
 # ----------------------------------------------------------------------
@@ -294,7 +315,7 @@ class _PoolTask:
         self.payload = payload
         self.cost = max(float(cost), 1e-9)
         #: dispatch attempts so far (== worker deaths survived + 1
-        #: while in flight); bounded by :attr:`WorkerPool.max_attempts`.
+        #: while in flight); bounded by ``ProcessesBackend.max_attempts``.
         self.attempts = 0
         #: the wire envelope of the *current* dispatch, kept so an
         #: undelivered shm payload can be freed if the worker dies.
@@ -312,50 +333,71 @@ class _PoolWorkerHandle:
         self.task = None
 
 
-class WorkerPool:
-    """Persistent process workers, forked once and reused across calls.
+class ProcessesBackend:
+    """GIL-free workers over ``multiprocessing`` (fork when available).
 
-    Lifecycle:
+    The backend is the pool: it owns the result queue, the worker
+    handles, the rank counter, the call epoch, the open session and the
+    ``stats``.  Lifecycle:
 
     * **fork-once** — workers are spawned lazily, up to the rank count
       of the calls that need them, and survive between calls (the fork
       + interpreter warm-up is paid once, not per ``map_workitems``)
-      and live until :meth:`shutdown`;
+      until :meth:`shutdown_pool`;
     * **respawn + requeue** — each worker holds at most one in-flight
       item, so a dead worker (killed, OOM) maps to exactly one item:
       the parent forks a replacement and requeues the item, up to
       :attr:`max_attempts` dispatches before giving up with an
       :class:`ExecutorError` naming the item;
-    * **epoch fencing** — every dispatch carries the pool's call epoch;
-      results from an aborted call are recognised as stale and their
-      shm segments freed instead of corrupting the next call.
+    * **epoch fencing** — every dispatch carries the backend's call
+      epoch; results from an aborted call are recognised as stale and
+      their shm segments freed instead of corrupting the next call.
 
-    One pool serves one open :class:`PoolStream` at a time (the
+    One backend serves one open :class:`PoolStream` at a time (the
     single-parent dispatch model needs no cross-call interleaving).
+    The result queue is created on first use, so importing this module
+    allocates nothing, and :meth:`shutdown_pool` closes it again.
     """
+
+    name = "processes"
+    parallel = True
 
     #: max dispatches of one item before the pool gives up on it.
     max_attempts = 3
+    #: seconds without any worker progress before declaring a hang.
+    idle_timeout = 600.0
 
-    def __init__(self, ctx) -> None:
-        self._ctx = ctx
-        self._result_q = ctx.Queue()
+    def __init__(self) -> None:
+        self._ctx = None
+        self._result_q = None
         self._workers: Dict[int, _PoolWorkerHandle] = {}
         self._next_rank = 0
         self._epoch = 0
         self._call: Optional["PoolStream"] = None
-        self.closed = False
         self.stats = {"forks": 0, "respawns": 0, "calls": 0}
         #: parent fds every (re)spawned worker closes at startup —
         #: daemons register their listening sockets here so a worker
         #: forked mid-request never inherits them.
         self.exclude_fds: Tuple[int, ...] = ()
+        _POOLS.add(self)
+
+    def _context(self):
+        import multiprocessing as mp
+
+        # fork inherits payloads by address space (no serialization at
+        # dispatch); fall back to spawn where fork does not exist.
+        methods = mp.get_all_start_methods()
+        return mp.get_context("fork" if "fork" in methods else "spawn")
 
     # -- worker lifecycle ----------------------------------------------
-    def n_workers(self) -> int:
-        return len(self._workers)
+    def _open_queue(self) -> None:
+        """Create the result queue if no live one exists."""
+        if self._result_q is None:
+            self._ctx = self._context()
+            self._result_q = self._ctx.Queue()
 
     def _spawn(self) -> _PoolWorkerHandle:
+        self._open_queue()
         recv, send = self._ctx.Pipe(duplex=False)
         rank = self._next_rank
         self._next_rank += 1
@@ -386,22 +428,33 @@ class WorkerPool:
             handle.proc.join(timeout=5.0)
         self._workers.pop(handle.rank, None)
 
-    # -- stale-result hygiene ------------------------------------------
-    def _handle_stale(self, msg) -> None:
-        """Free a result from an aborted epoch (shm wire, idle marking)."""
-        if msg[0] == "ok":
-            serde.discard_wire(msg[4])
+    def warm_pool(self, n_ranks: int) -> int:
+        """Pre-fork pool workers up to ``n_ranks``; returns the count.
 
-    def drain_stale(self) -> None:
-        """Discard results of aborted calls still sitting in the queue."""
-        while True:
-            try:
-                msg = self._result_q.get_nowait()
-            except (queue_mod.Empty, OSError, ValueError):
-                return
-            self._handle_stale(msg)
+        Long-running daemons call this *before* opening sockets or
+        files: workers forked later inherit every fd open at fork time,
+        so a client connection fd duplicated into a worker keeps the
+        peer from ever seeing EOF until that worker exits.  Warming
+        first also moves the fork cost out of the first request.
+        """
+        while len(self._workers) < n_ranks:
+            self._spawn()
+        return len(self._workers)
 
-    def abort_call(self, reason: str = "aborted") -> bool:
+    def exclude_fds_from_workers(self, fds) -> None:
+        """Register parent fds that workers must close at startup.
+
+        Warming before bind keeps the *initial* workers clean, but a
+        worker respawned after the daemon's listening socket exists
+        forks with that fd open.  Registering it here makes every
+        future (re)spawn close it immediately, so a stuck accept()
+        cannot be wedged open by a forgotten duplicate.  Pass an empty
+        list to deregister (e.g. right before the socket fd is closed
+        and its number becomes reusable).
+        """
+        self.exclude_fds = tuple(int(fd) for fd in fds)
+
+    def abort(self, reason: str) -> bool:
         """Request abort of the open streaming session, if any.
 
         Thread-safe entry point for an external controller (the meshing
@@ -416,28 +469,59 @@ class WorkerPool:
         call.request_abort(reason)
         return True
 
-    def shutdown(self) -> None:
-        """Stop every worker and close the pool (idempotent)."""
-        if self.closed:
+    def shutdown_pool(self) -> None:
+        """Stop every worker and close the result queue (idempotent);
+        the next dispatch forks afresh."""
+        if self._result_q is None:
             return
-        self.drain_stale()
-        for rank in sorted(list(self._workers)):
+        self._drain_stale()
+        for rank in sorted(self._workers):
             self._retire(self._workers[rank])
-        self.drain_stale()
-        self.closed = True
+        self._drain_stale()
         self._result_q.close()
         self._result_q.join_thread()
+        self._result_q = None
+        self._call = None
+
+    # -- stale-result hygiene ------------------------------------------
+    def _handle_stale(self, msg) -> None:
+        """Free a result from an aborted epoch (shm wire, idle marking)."""
+        if msg[0] == "ok":
+            serde.discard_wire(msg[4])
+
+    def _drain_stale(self) -> None:
+        """Discard results of aborted calls still sitting in the queue."""
+        while True:
+            try:
+                msg = self._result_q.get_nowait()
+            except (queue_mod.Empty, OSError, ValueError):
+                return
+            self._handle_stale(msg)
+
+    # -- dispatch ------------------------------------------------------
+    def map_workitems(self, fn, payloads, *, costs=None, n_ranks=1):
+        if costs is None:
+            costs = [1.0] * len(payloads)
+        with phase(f"executor.{self.name}"):
+            stream = self.stream_workitems(fn, n_ranks=n_ranks)
+            for p, c in zip(payloads, costs):
+                stream.submit(p, cost=c, eager=False)
+            return stream.results()
+
+    def stream_workitems(self, fn, *, n_ranks=1):
+        return PoolStream(self, fn, n_ranks, counters_mod.current())
 
 
-#: every live pool, for a best-effort clean stop at interpreter exit
-#: (daemon workers would die anyway; this lets them exit their loop).
-_POOLS: "weakref.WeakSet[WorkerPool]" = weakref.WeakSet()
+#: every backend that may own workers, for a best-effort clean stop at
+#: interpreter exit (daemon workers would die anyway; this lets them
+#: exit their loop).
+_POOLS: "weakref.WeakSet[ProcessesBackend]" = weakref.WeakSet()
 
 
 def _shutdown_all_pools() -> None:
-    for pool in list(_POOLS):
+    for backend in list(_POOLS):
         try:
-            pool.shutdown()
+            backend.shutdown_pool()
         except Exception:
             pass
 
@@ -446,7 +530,7 @@ atexit.register(_shutdown_all_pools)
 
 
 class PoolStream:
-    """One open dispatch session against a :class:`WorkerPool`.
+    """One open dispatch session against a :class:`ProcessesBackend`.
 
     Implements :class:`StreamSession`: the pipeline submits subdomains
     as ``decouple`` produces them and the pool starts refining
@@ -457,27 +541,25 @@ class PoolStream:
     frees up, which subsumes steal-on-idle without shared state.
     """
 
-    def __init__(self, pool: WorkerPool, fn: Callable, n_ranks: int,
-                 sink, idle_timeout: float) -> None:
+    def __init__(self, backend: ProcessesBackend, fn: Callable,
+                 n_ranks: int, sink) -> None:
         _check_portable_fn(fn)
         self._n_ranks = _check_ranks(n_ranks)
-        if pool.closed:
-            raise ExecutorError("worker pool is shut down")
-        if pool._call is not None:
+        if backend._call is not None:
             raise ExecutorError(
                 "worker pool already has an open streaming session — "
                 "collect results() before starting another dispatch"
             )
-        pool._epoch += 1
-        pool._call = self
-        pool.stats["calls"] += 1
-        pool.drain_stale()
-        self._pool = pool
-        self._epoch = pool._epoch
+        backend._open_queue()
+        backend._epoch += 1
+        backend._call = self
+        backend.stats["calls"] += 1
+        backend._drain_stale()
+        self._backend = backend
+        self._epoch = backend._epoch
         self._fn_mod = fn.__module__
         self._fn_qual = fn.__qualname__
         self._sink = sink
-        self._idle_timeout = float(idle_timeout)
         self._tasks: List[_PoolTask] = []
         #: undispatched tasks as (-cost, idx, task), kept sorted so
         #: index 0 is always the largest remaining item.
@@ -546,7 +628,8 @@ class PoolStream:
     def _close(self) -> None:
         if not self._closed:
             self._closed = True
-            self._pool._call = None
+            if self._backend._call is self:
+                self._backend._call = None
 
     def _fail_validation(self, idx: int, payload) -> None:
         try:
@@ -569,43 +652,43 @@ class PoolStream:
         period are terminated and dropped — their stale results, if
         any, are drained by the next call.
         """
-        pool = self._pool
+        backend = self._backend
         deadline = monotonic() + 30.0
-        while any(h.task is not None for h in pool._workers.values()):
+        while any(h.task is not None for h in backend._workers.values()):
             if monotonic() > deadline:
-                for rank in sorted(list(pool._workers)):
-                    handle = pool._workers[rank]
+                for rank in sorted(list(backend._workers)):
+                    handle = backend._workers[rank]
                     if handle.task is not None:
                         handle.proc.terminate()
-                        pool._retire(handle)
+                        backend._retire(handle)
                 break
             try:
-                msg = pool._result_q.get(timeout=0.5)
+                msg = backend._result_q.get(timeout=0.5)
             except queue_mod.Empty:
-                for rank in sorted(list(pool._workers)):
-                    handle = pool._workers.get(rank)
+                for rank in sorted(list(backend._workers)):
+                    handle = backend._workers.get(rank)
                     if handle is not None and not handle.proc.is_alive():
-                        pool._workers.pop(rank, None)
+                        backend._workers.pop(rank, None)
                 continue
-            pool._handle_stale(msg)
-            handle = pool._workers.get(msg[1])
+            backend._handle_stale(msg)
+            handle = backend._workers.get(msg[1])
             if handle is not None:
                 handle.task = None
 
     def _idle_worker(self) -> Optional[_PoolWorkerHandle]:
         """An idle live worker within this session's rank budget, or a
         fresh one when the pool is below budget, else None."""
-        pool = self._pool
-        for rank in sorted(list(pool._workers)):
-            handle = pool._workers[rank]
+        backend = self._backend
+        for rank in sorted(list(backend._workers)):
+            handle = backend._workers[rank]
             if handle.task is None and not handle.proc.is_alive():
-                pool._retire(handle)  # died while idle: just clean up
-        live = [pool._workers[r] for r in sorted(pool._workers)]
+                backend._retire(handle)  # died while idle: just clean up
+        live = [backend._workers[r] for r in sorted(backend._workers)]
         for handle in live[: self._n_ranks]:
             if handle.task is None:
                 return handle
         if len(live) < self._n_ranks:
-            return pool._spawn()
+            return backend._spawn()
         return None
 
     def _fill(self) -> None:
@@ -633,24 +716,25 @@ class PoolStream:
 
     def _pump(self, *, block: bool) -> bool:
         """Absorb one result message; True if one was handled."""
-        pool = self._pool
+        result_q = self._backend._result_q
         if block:
             idle = 0.0
+            timeout = self._backend.idle_timeout
             while True:
                 self._check_abort()
                 try:
-                    msg = pool._result_q.get(timeout=0.5)
+                    msg = result_q.get(timeout=0.5)
                     break
                 except queue_mod.Empty:
                     idle += 0.5
                     self._sweep_deaths()
-                    if idle > self._idle_timeout:
+                    if idle > timeout:
                         self._fail(ExecutorError(
                             "processes pool made no progress for "
-                            f"{self._idle_timeout:.0f}s — aborting"))
+                            f"{timeout:.0f}s — aborting"))
         else:
             try:
-                msg = pool._result_q.get_nowait()
+                msg = result_q.get_nowait()
             except queue_mod.Empty:
                 self._sweep_deaths()
                 return False
@@ -658,14 +742,14 @@ class PoolStream:
         return True
 
     def _handle(self, msg) -> None:
-        pool = self._pool
+        backend = self._backend
         kind = msg[0]
         rank = msg[1]
         epoch = msg[2]
         if epoch != self._epoch:
-            pool._handle_stale(msg)
+            backend._handle_stale(msg)
             return
-        handle = pool._workers.get(rank)
+        handle = backend._workers.get(rank)
         if kind == "ok":
             _, _, _, idx, wire, snapshot, elapsed, nbytes = msg
             task = self._tasks[idx]
@@ -699,129 +783,30 @@ class PoolStream:
 
     def _sweep_deaths(self) -> None:
         """Respawn dead workers; requeue their in-flight items."""
-        pool = self._pool
-        for rank in sorted(list(pool._workers)):
-            handle = pool._workers.get(rank)
+        backend = self._backend
+        for rank in sorted(list(backend._workers)):
+            handle = backend._workers.get(rank)
             if handle is None or handle.proc.is_alive():
                 continue
             task = handle.task
             exitcode = handle.proc.exitcode
-            pool._retire(handle)
+            backend._retire(handle)
             if task is None:
                 continue
-            pool.stats["respawns"] += 1
+            backend.stats["respawns"] += 1
             if self._sink is not None:
                 self._sink.incr("executor.respawns")
             # Free the payload envelope if the worker never attached it
             # (no-op when it was consumed before the crash).
             serde.discard_wire(task.wire)
             task.wire = None
-            if task.attempts >= pool.max_attempts:
+            if task.attempts >= backend.max_attempts:
                 self._fail(ExecutorError(
                     f"work item {task.idx} crashed its worker on all "
                     f"{task.attempts} dispatch attempts (last exit code "
                     f"{exitcode}) — giving up"))
             bisect.insort(self._pending, (-task.cost, task.idx, task))
         self._fill()
-
-
-class ProcessesBackend:
-    """GIL-free workers over ``multiprocessing`` (fork when available).
-
-    Every dispatch goes through the persistent :class:`WorkerPool`
-    (see the module docstring).  Buffer-dict payloads and results only;
-    large dicts travel via refcounted shared-memory segments in both
-    directions; per-item counter snapshots merge into the parent's
-    ambient profiling sink.
-    """
-
-    name = "processes"
-    parallel = True
-
-    #: seconds without any worker progress before declaring a hang.
-    idle_timeout = 600.0
-
-    def __init__(self) -> None:
-        self._pool: Optional[WorkerPool] = None
-        self._exclude_fds: Tuple[int, ...] = ()
-
-    def _context(self):
-        import multiprocessing as mp
-
-        # fork inherits payloads by address space (no serialization at
-        # dispatch); fall back to spawn where fork does not exist.
-        methods = mp.get_all_start_methods()
-        return mp.get_context("fork" if "fork" in methods else "spawn")
-
-    # -- pool plumbing -------------------------------------------------
-    def _get_pool(self) -> WorkerPool:
-        if self._pool is not None and self._pool.closed:
-            self._pool = None
-        if self._pool is None:
-            self._pool = WorkerPool(self._context())
-            _POOLS.add(self._pool)
-        self._pool.exclude_fds = self._exclude_fds
-        return self._pool
-
-    def warm_pool(self, n_ranks: int = 4) -> int:
-        """Pre-fork pool workers up to ``n_ranks``; returns the count.
-
-        Long-running daemons call this *before* opening sockets or
-        files: workers forked later inherit every fd open at fork time,
-        so a client connection fd duplicated into a worker keeps the
-        peer from ever seeing EOF until that worker exits.  Warming
-        first also moves the fork cost out of the first request.
-        """
-        pool = self._get_pool()
-        while pool.n_workers() < n_ranks:
-            pool._spawn()
-        return pool.n_workers()
-
-    def exclude_fds_from_workers(self, fds) -> None:
-        """Register parent fds that workers must close at startup.
-
-        Warming before bind keeps the *initial* workers clean, but a
-        worker respawned after the daemon's listening socket exists
-        forks with that fd open.  Registering it here makes every
-        future (re)spawn close it immediately, so a stuck accept()
-        cannot be wedged open by a forgotten duplicate.  Pass an empty
-        list to deregister (e.g. right before the socket fd is closed
-        and its number becomes reusable).
-        """
-        self._exclude_fds = tuple(int(fd) for fd in fds)
-        if self._pool is not None and not self._pool.closed:
-            self._pool.exclude_fds = self._exclude_fds
-
-    def shutdown_pool(self) -> None:
-        """Stop the persistent workers now (the next call re-forks)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def abort(self, reason: str = "aborted") -> bool:
-        """Abort the in-flight dispatch, if any (see ``WorkerPool.abort_call``).
-
-        Returns whether a dispatch was actually open.  Backends without
-        an interruptible dispatch simply lack this method; callers probe
-        with ``getattr`` and fall back to letting the batch finish.
-        """
-        if self._pool is None or self._pool.closed:
-            return False
-        return self._pool.abort_call(reason)
-
-    # -- dispatch ------------------------------------------------------
-    def map_workitems(self, fn, payloads, *, costs=None, n_ranks=1):
-        if costs is None:
-            costs = [1.0] * len(payloads)
-        with phase(f"executor.{self.name}"):
-            stream = self.stream_workitems(fn, n_ranks=n_ranks)
-            for p, c in zip(payloads, costs):
-                stream.submit(p, cost=c, eager=False)
-            return stream.results()
-
-    def stream_workitems(self, fn, *, n_ranks=1):
-        return PoolStream(self._get_pool(), fn, n_ranks,
-                          counters_mod.current(), self.idle_timeout)
 
 
 # ----------------------------------------------------------------------
@@ -832,11 +817,8 @@ _BACKENDS: Dict[str, Backend] = {
 }
 
 
-def get_backend(name: Optional[str] = None) -> Backend:
-    """The backend called ``name``; ``None`` means ``REPRO_BACKEND``,
-    then ``serial``.  This is the only read of the variable."""
-    if name is None:
-        name = os.environ.get(BACKEND_ENV) or "serial"
+def get_backend(name: str) -> Backend:
+    """The backend called ``name`` (one of :func:`available_backends`)."""
     try:
         return _BACKENDS[name]
     except KeyError:

@@ -6,7 +6,8 @@ setup and (for the processes backend) worker forks before the first
 triangle appears.  The service amortizes all of it the way the
 semi-speculative distributed adapters keep workers and state resident
 across operations — one long-running process owns a warm
-:class:`~repro.runtime.executor.WorkerPool` and serves many requests:
+:class:`~repro.runtime.executor.ProcessesBackend` (the worker pool) and
+serves many requests:
 
 * **Wire protocol** — length-prefixed frames over a Unix socket or
   localhost TCP.  A frame is ``magic | kind | payload`` where the
@@ -35,9 +36,12 @@ across operations — one long-running process owns a warm
 
 * **Shutdown discipline** — stopping the service while a batch is in
   flight aborts the dispatch through the worker pool's epoch fence
-  (:meth:`WorkerPool.abort_call`): in-flight results are quiesced and
-  discarded, and every pending client receives a clean ``err`` frame
-  instead of a hung socket.
+  (``Backend.abort``): in-flight results are quiesced and discarded,
+  and every pending client receives a clean ``err`` frame instead of a
+  hung socket.  The service drives the backend's lifecycle calls
+  (``warm_pool``, ``exclude_fds_from_workers``, ``abort``,
+  ``shutdown_pool``) directly; on ``serial`` they do nothing, and an
+  in-flight batch runs out.
 
 Counters: ``service.requests``, ``service.cache_hits``,
 ``service.batches``, ``service.batch_size`` / ``service.
@@ -75,7 +79,6 @@ __all__ = [
     "offload",
     "MeshCache",
     "MeshService",
-    "ServiceThread",
 ]
 
 
@@ -275,9 +278,8 @@ class MeshService:
     ``address`` is anything :func:`parse_address` accepts; TCP port 0
     binds an ephemeral port (read the bound endpoint from
     :attr:`endpoint` after :meth:`start`).  ``backend`` is a backend
-    name (``None`` = ``REPRO_BACKEND`` / ``serial``); the processes
-    backend gets a service-owned instance so the pool's lifetime is the
-    daemon's, not the shared instance's.
+    name; the processes backend gets a service-owned instance so the
+    pool's lifetime is the daemon's, not the shared instance's.
 
     ``work_fn``/``cost_fn`` default to the whole-request pipeline work
     item (:func:`repro.core.pipeline.mesh_workitem`); tests substitute
@@ -288,7 +290,7 @@ class MeshService:
         self,
         address: str,
         *,
-        backend: Optional[str] = None,
+        backend: str = "serial",
         n_ranks: int = 4,
         batch_window: float = 0.005,
         max_batch: int = 16,
@@ -337,9 +339,7 @@ class MeshService:
         # forked mid-traffic would inherit open connection fds, and a
         # duplicated fd keeps the peer from seeing EOF until the worker
         # exits (also moves the fork cost out of the first request).
-        warm = getattr(self._backend, "warm_pool", None)
-        if warm is not None:
-            await offload(warm, self.n_ranks)
+        await offload(self._backend.warm_pool, self.n_ranks)
         kind, where = self.address
         if kind == "unix":
             await offload(_remove_socket_file, where)
@@ -352,9 +352,8 @@ class MeshService:
         # Workers respawned from here on fork with the listening socket
         # open; register its fd so they close it at startup instead of
         # keeping a duplicate accept() endpoint alive.
-        exclude = getattr(self._backend, "exclude_fds_from_workers", None)
-        if exclude is not None and self._server is not None:
-            exclude([s.fileno() for s in self._server.sockets])
+        self._backend.exclude_fds_from_workers(
+            [s.fileno() for s in self._server.sockets])
         self._batcher = asyncio.get_running_loop().create_task(
             self._batch_loop())
         self._started = True
@@ -411,9 +410,7 @@ class MeshService:
                 item.future.set_exception(
                     ServiceUnavailable("service is shutting down"))
         # Abort the in-flight dispatch behind the pool's epoch fence.
-        abort = getattr(self._backend, "abort", None)
-        if abort is not None:
-            abort("service is shutting down")
+        self._backend.abort("service is shutting down")
         if self._batcher is not None:
             await self._batcher
         # Stop the pool BEFORE draining connections: a worker that was
@@ -422,12 +419,8 @@ class MeshService:
         # every duplicate is closed.
         # The listening fd is closed now and its number is about to be
         # reusable — deregister it before any future pool respawn.
-        exclude = getattr(self._backend, "exclude_fds_from_workers", None)
-        if exclude is not None:
-            exclude([])
-        shutdown_pool = getattr(self._backend, "shutdown_pool", None)
-        if shutdown_pool is not None:
-            await offload(shutdown_pool)
+        self._backend.exclude_fds_from_workers([])
+        await offload(self._backend.shutdown_pool)
         # Let connection handlers flush their final ok/err frames.
         live = [t for t in list(self._conns.values()) if not t.done()]
         if live:
@@ -440,11 +433,17 @@ class MeshService:
 
     # -- stats ---------------------------------------------------------
     def stats(self) -> Dict[str, float]:
-        """A plain scalar snapshot of the service counters."""
-        snap = self.counters.snapshot()
-        events = snap["events"]
-        lat = snap["samples"].get("service.latency_seconds", [])
-        sizes = snap["samples"].get("service.batch_size", [])
+        """A plain scalar snapshot of the service counters.
+
+        Counts, means and the batch-size max are exact over the uptime;
+        the latency percentiles are taken over the latest
+        :data:`~repro.runtime.counters.SAMPLE_WINDOW` requests.
+        """
+        events = self.counters.events
+        n_lat, lat_total, _, lat = self.counters.stream(
+            "service.latency_seconds")
+        n_batches, size_total, size_max, _ = self.counters.stream(
+            "service.batch_size")
         requests = float(events.get("service.requests", 0))
         hits = float(events.get("service.cache_hits", 0))
         return {
@@ -454,14 +453,14 @@ class MeshService:
             "hit_ratio": hits / requests if requests else 0.0,
             "dedup_joins": float(events.get("service.dedup_joins", 0)),
             "batches": float(events.get("service.batches", 0)),
-            "batch_size_mean": (sum(sizes) / len(sizes)) if sizes else 0.0,
-            "batch_size_max": max(sizes) if sizes else 0.0,
+            "batch_size_mean": size_total / n_batches if n_batches else 0.0,
+            "batch_size_max": size_max,
             "cache_entries": float(len(self.cache)),
             "cache_evictions": float(self.cache.evictions),
             "cache_nbytes": float(self.cache.nbytes()),
             "latency_p50_s": percentile(lat, 50.0),
             "latency_p99_s": percentile(lat, 99.0),
-            "latency_mean_s": (sum(lat) / len(lat)) if lat else 0.0,
+            "latency_mean_s": lat_total / n_lat if n_lat else 0.0,
             "disconnects": float(events.get("service.disconnects", 0)),
             "errors": float(events.get("service.errors", 0)),
         }
@@ -657,73 +656,3 @@ class MeshService:
             self.cache.put(item.key, blob)
             if not item.future.done():
                 item.future.set_result(blob)
-
-
-# ----------------------------------------------------------------------
-# Embedding helper: run the daemon on a private loop in a thread
-# ----------------------------------------------------------------------
-class ServiceThread:
-    """Own a :class:`MeshService` on a daemon thread's event loop.
-
-    The benchmark, the soak tests and any embedding application use
-    this to run the daemon next to synchronous client code:
-
-    >>> st = ServiceThread(MeshService("tcp:127.0.0.1:0"))
-    >>> endpoint = st.start()          # connectable spec
-    >>> ...                            # ServiceClient(endpoint) traffic
-    >>> st.stop()                      # graceful shutdown, thread joined
-    """
-
-    def __init__(self, service: MeshService) -> None:
-        self.service = service
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-
-    def start(self) -> str:
-        """Start the daemon (within 30 s); returns the connectable
-        endpoint spec."""
-        if self._thread is not None:
-            raise ServiceError("service thread already started")
-        self._thread = threading.Thread(target=self._run,
-                                        name="repro-mesh-service",
-                                        daemon=True)
-        self._thread.start()
-        if not self._ready.wait(30.0):
-            raise ServiceError("service failed to start in time")
-        if self._startup_error is not None:
-            raise self._startup_error
-        return self.service.endpoint
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_until_complete(self.service.start())
-        except BaseException as exc:  # noqa: BLE001 - surfaced in start()
-            self._startup_error = exc
-            self._ready.set()
-            loop.close()
-            return
-        self._loop = loop
-        self._ready.set()
-        try:
-            loop.run_until_complete(self.service.serve_forever())
-        finally:
-            loop.close()
-
-    def stop(self) -> None:
-        """Graceful shutdown, waiting up to 60 s for the drain and again
-        for the join; joins the loop thread (idempotent)."""
-        if self._thread is None or self._loop is None:
-            return
-        if self._thread.is_alive():
-            fut = asyncio.run_coroutine_threadsafe(
-                self.service.shutdown(), self._loop)
-            fut.result(timeout=60.0)
-        self._thread.join(timeout=60.0)
-        if self._thread.is_alive():
-            raise ServiceError("service thread did not stop")
-        self._thread = None
-        self._loop = None

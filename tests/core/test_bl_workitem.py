@@ -277,7 +277,7 @@ class TestFaultsOnItemZero:
             result = generate_mesh(self.pslg, self.config,
                                    backend="processes", n_ranks=2)
         assert os.path.exists(marker)
-        assert fresh_pool._pool.stats["respawns"] == 1
+        assert fresh_pool.stats["respawns"] == 1
         assert sink.events["executor.respawns"] == 1
         assert mesh_hash(result.mesh) == self.reference
         assert result.timings["bl_triangulate"] > 0.0
@@ -317,9 +317,9 @@ class TestFaultsOnItemZero:
             aborter.join(timeout=30.0)
         assert not aborter.is_alive()
         assert _segments() <= before
-        epoch = fresh_pool._pool._epoch
+        epoch = fresh_pool._epoch
         result = generate_mesh(self.pslg, self.config, backend="processes",
                                n_ranks=2)
-        assert fresh_pool._pool._epoch == epoch + 1
+        assert fresh_pool._epoch == epoch + 1
         assert mesh_hash(result.mesh) == self.reference
         assert _segments() <= before

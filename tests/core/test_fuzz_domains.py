@@ -17,7 +17,9 @@ from repro.core.pipeline import generate_mesh
 from repro.delaunay.validate import validate_mesh
 from repro.runtime import serde
 from repro.runtime.client import ServiceClient
-from repro.runtime.service import MeshService, ServiceThread
+from repro.runtime.service import MeshService
+
+from tests.runtime.service_thread import ServiceThread
 
 DOMAIN_NAMES = sorted(DOMAINS)
 

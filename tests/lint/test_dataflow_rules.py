@@ -316,12 +316,8 @@ class TestR11EpochFence:
     def test_shutdown_before_abort_flagged(self, tmp_path):
         bad = """
             async def shutdown(self):
-                stop = getattr(self._backend, "shutdown_pool", None)
-                if stop is not None:
-                    stop()
-                quiesce = getattr(self._backend, "request_abort", None)
-                if quiesce is not None:
-                    quiesce()
+                self._backend.shutdown_pool()
+                self._backend.abort("stopping")
         """
         findings = lint_snippet(tmp_path, "repro/runtime/bad_order.py", bad)
         hits = only(findings, "R11")
@@ -335,9 +331,7 @@ class TestR11EpochFence:
             async def start(self, path):
                 self._server = await asyncio.start_unix_server(
                     self._on_conn, path=path)
-                warm = getattr(self._backend, "warm_pool", None)
-                if warm is not None:
-                    warm(self.n_ranks)
+                self._backend.warm_pool(self.n_ranks)
         """
         findings = lint_snippet(tmp_path, "repro/runtime/bad_warm.py", bad)
         hits = only(findings, "R11")
@@ -349,19 +343,13 @@ class TestR11EpochFence:
             import asyncio
 
             async def start(self, path):
-                warm = getattr(self._backend, "warm_pool", None)
-                if warm is not None:
-                    warm(self.n_ranks)
+                self._backend.warm_pool(self.n_ranks)
                 self._server = await asyncio.start_unix_server(
                     self._on_conn, path=path)
 
             async def shutdown(self):
-                quiesce = getattr(self._backend, "request_abort", None)
-                if quiesce is not None:
-                    quiesce()
-                stop = getattr(self._backend, "shutdown_pool", None)
-                if stop is not None:
-                    stop()
+                self._backend.abort("stopping")
+                self._backend.shutdown_pool()
         """
         findings = lint_snippet(tmp_path, "repro/runtime/good_order.py", good)
         assert not only(findings, "R11")

@@ -54,15 +54,16 @@ class TestRegistry:
                 executor.get_backend(name)
 
     def test_resolve_precedence(self, monkeypatch):
-        monkeypatch.delenv(executor.BACKEND_ENV, raising=False)
-        assert executor.get_backend().name == "serial"
-        monkeypatch.setenv(executor.BACKEND_ENV, "processes")
-        assert executor.get_backend(None).name == "processes"
-        # Explicit argument beats the environment.
+        """The name passed is the only input: ``REPRO_BACKEND`` is read
+        by nothing, and there is no default to fall back to."""
+        monkeypatch.setenv("REPRO_BACKEND", "processes")
         assert executor.get_backend("serial").name == "serial"
-        monkeypatch.setenv(executor.BACKEND_ENV, "mpi")
-        with pytest.raises(ValueError, match="unknown backend: mpi"):
+        monkeypatch.setenv("REPRO_BACKEND", "mpi")
+        assert executor.get_backend("processes").name == "processes"
+        with pytest.raises(TypeError):
             executor.get_backend()
+        with pytest.raises(ValueError, match="unknown backend: None"):
+            executor.get_backend(None)
 
     def test_flags(self):
         assert not executor.get_backend("serial").parallel
@@ -181,3 +182,42 @@ class TestProcessesContracts:
         for a, b in zip(streamed, mapped):
             assert a.keys() == b.keys()
             assert a["x"].tobytes() == b["x"].tobytes()
+
+
+# ----------------------------------------------------------------------
+# The pool lifecycle, on both backends
+# ----------------------------------------------------------------------
+class TestLifecycle:
+    def test_serial_lifecycle_calls_do_nothing(self):
+        backend = executor.get_backend("serial")
+        assert backend.warm_pool(4) == 0
+        backend.exclude_fds_from_workers([0])
+        assert backend.abort("test") is False
+        backend.shutdown_pool()
+        out = backend.map_workitems(_double, [{"x": np.ones(2)}])
+        assert out[0]["x"][0] == 2.0
+
+    def test_construction_allocates_nothing(self):
+        backend = ProcessesBackend()
+        assert backend._result_q is None and not backend._workers
+        assert backend.abort("test") is False
+        backend.shutdown_pool()  # nothing to stop
+
+    def test_shutdown_leaves_the_backend_reusable(self):
+        """After ``shutdown_pool`` the same backend forks again on
+        demand, and its ``stats`` keep counting across the restart."""
+        backend = ProcessesBackend()
+        try:
+            assert backend.warm_pool(2) == 2
+            backend.map_workitems(_double, [{"x": np.ones(2)}] * 3,
+                                  n_ranks=2)
+            assert backend.stats == {"forks": 2, "respawns": 0, "calls": 1}
+            backend.shutdown_pool()
+            assert backend._result_q is None and not backend._workers
+            out = backend.map_workitems(_double, [{"x": np.ones(2)}] * 3,
+                                        n_ranks=2)
+            assert [o["x"][0] for o in out] == [2.0, 2.0, 2.0]
+            assert backend.stats == {"forks": 4, "respawns": 0, "calls": 2}
+            assert sorted(backend._workers) == [2, 3]  # ranks not reused
+        finally:
+            backend.shutdown_pool()

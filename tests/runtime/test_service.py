@@ -27,12 +27,13 @@ from repro.runtime.service import (
     MeshCache,
     MeshService,
     ServiceError,
-    ServiceThread,
     encode_frame,
     parse_address,
     percentile,
     read_frame,
 )
+
+from tests.runtime.service_thread import ServiceThread
 
 
 def _buffers(tag, n=16):

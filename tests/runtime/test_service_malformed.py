@@ -22,7 +22,9 @@ from repro.geometry.airfoils import naca4
 from repro.geometry.pslg import PSLG
 from repro.runtime import serde
 from repro.runtime.client import ServiceClient
-from repro.runtime.service import MeshService, ServiceError, ServiceThread
+from repro.runtime.service import MeshService, ServiceError
+
+from tests.runtime.service_thread import ServiceThread
 
 BACKENDS = pytest.mark.parametrize("backend", ["serial", "processes"])
 

@@ -2,11 +2,11 @@
 
 Two concerns live here:
 
-* **a backend without pool hooks** — ``serial`` exposes none of
-  ``warm_pool``/``abort``/``exclude_fds_from_workers``/``shutdown_pool``,
-  so service shutdown must degrade gracefully through the ``getattr``
-  probes: the in-flight batch runs out, every client still gets a
-  definitive ok/err frame, and stop time stays bounded.
+* **a backend without workers** — on ``serial``,
+  ``warm_pool``/``abort``/``exclude_fds_from_workers``/``shutdown_pool``
+  do nothing, so service shutdown cannot interrupt a batch: the
+  in-flight batch runs out, every client still gets a definitive
+  ok/err frame, and stop time stays bounded.
 * **fd hygiene** — a pool worker respawned *after* the daemon has
   bound its listening socket forks with that fd open.  The pool's
   ``exclude_fds`` contract makes the worker close it at startup; the
@@ -27,7 +27,9 @@ import pytest
 from repro.runtime import serde
 from repro.runtime.client import ServiceClient
 from repro.runtime.counters import monotonic
-from repro.runtime.service import MeshService, ServiceError, ServiceThread
+from repro.runtime.service import MeshService, ServiceError
+
+from tests.runtime.service_thread import ServiceThread
 
 
 def _buffers(tag, n=16):
@@ -47,11 +49,11 @@ def _unit_cost(payload):
     return 1.0
 
 
-# -- hook-less backend --------------------------------------------------
+# -- backend without workers --------------------------------------------
 
 
 def test_serial_shutdown_mid_batch_returns_frames_and_is_bounded(tmp_path):
-    """The serial backend has no abort hook: shutdown lets the
+    """The serial backend's abort does nothing: shutdown lets the
     in-flight batch finish, fails undispatched requests cleanly, and
     every client gets exactly one ok/err frame — no hung sockets."""
     svc = MeshService(f"unix:{tmp_path}/svc.sock", backend="serial",
@@ -93,13 +95,13 @@ def test_serial_shutdown_mid_batch_returns_frames_and_is_bounded(tmp_path):
     assert all("shutting down" in msg or "abort" in msg
                for msg in errors.values())
     # Bounded by the batch running out (at most 4 items x 0.5s), not by any
-    # timeout: a hang here means a probe path regressed.
+    # timeout: a hang here means a no-op lifecycle call regressed.
     assert stop_elapsed < 10.0
 
 
 def test_serial_shutdown_idle_is_fast(tmp_path):
-    """With nothing in flight, the probe-and-fallback shutdown path
-    must not sleep on any pool hook the backend does not have."""
+    """With nothing in flight, the shutdown path must not sleep on
+    any lifecycle call of a backend without workers."""
     svc = MeshService(f"unix:{tmp_path}/svc.sock", backend="serial",
                       n_ranks=2, work_fn=_echo_item, cost_fn=_unit_cost)
     thread = ServiceThread(svc)
@@ -165,13 +167,14 @@ def test_respawned_worker_does_not_inherit_listening_socket(tmp_path):
             client.submit_packed(_buffers(1.0))
         assert svc._server is not None and svc._server.sockets
         inode = os.fstat(svc._server.sockets[0].fileno()).st_ino
-        pool = svc._backend._pool
-        assert pool is not None and pool.n_workers() >= 2
+        pool = svc._backend
+        assert len(pool._workers) >= 2
         # Sanity: warm workers forked before bind never saw the fd.
         for handle in pool._workers.values():
             assert not _fds_linked_to_socket(handle.proc.pid, inode)
         # The daemon registered the listening fd with the backend.
-        assert pool.exclude_fds, "listening fd was not registered"
+        registered = pool.exclude_fds
+        assert registered, "listening fd was not registered"
         # Positive control: a worker forked after bind WITHOUT the
         # exclusion inherits the listening socket — the hazard is real
         # and the /proc scan detects it.
@@ -182,7 +185,7 @@ def test_respawned_worker_does_not_inherit_listening_socket(tmp_path):
             "control worker should inherit the listening fd"
         # Restore the contract and respawn: the replacement closes the
         # fd at startup.
-        pool.exclude_fds = tuple(svc._backend._exclude_fds)
+        pool.exclude_fds = registered
         clean = pool._spawn()
         assert _wait_for_clean_fds(clean.proc.pid, inode) == []
         # The service still works with the extra workers around.

@@ -9,14 +9,17 @@ workload of real mesh requests and assert:
   exactly once (``hits + dedup joins + distinct == requests``);
 * a client disconnecting mid-request doesn't poison the daemon;
 * with the processes backend and the shm threshold forced to zero, no
-  ``psm_*`` segments remain in ``/dev/shm`` after shutdown (the PR 6
-  hygiene scanner, applied to the service lifecycle).
+  ``psm_*`` segments remain in ``/dev/shm`` after shutdown (the shm
+  hygiene scanner, applied to the service lifecycle);
+* telemetry does not grow with uptime: past a stream's window the
+  daemon keeps its latest values only, and its counts stay exact.
 """
 
 import os
 import socket
 import threading
 
+import numpy as np
 import pytest
 
 from tests.domains import small_bl
@@ -24,9 +27,11 @@ from tests.domains import small_bl
 from repro.core.pipeline import MeshConfig, generate_mesh, pack_mesh_request
 from repro.geometry.airfoils import naca4
 from repro.geometry.pslg import PSLG
-from repro.runtime import serde
+from repro.runtime import counters, serde
 from repro.runtime.client import ServiceClient
-from repro.runtime.service import MeshService, ServiceThread, encode_frame
+from repro.runtime.service import MeshService, encode_frame
+
+from tests.runtime.service_thread import ServiceThread
 
 SHM_DIR = "/dev/shm"
 N_CLIENTS = 4
@@ -144,7 +149,8 @@ def test_soak_processes_backend_no_shm_leaks(tmp_path, shm_everything):
     finally:
         thread.stop()
     # The daemon owned its pool: workers are gone after shutdown ...
-    assert service._backend._pool is None
+    assert not service._backend._workers
+    assert service._backend._result_q is None
     # ... and every shm wire was attached+unlinked by exactly one side.
     assert _segments() <= before
 
@@ -182,3 +188,54 @@ def test_soak_survives_reconnect_churn(tmp_path):
         assert service.stats()["requests"] == 15.0
     finally:
         thread.stop()
+
+
+def _echo(payload):
+    return {"y": np.asarray(payload["x"]) * 2.0}
+
+
+def _unit_cost(payload):
+    return 1.0
+
+
+def test_telemetry_is_bounded_and_exact(tmp_path, monkeypatch):
+    """More requests than a sample stream's window: every stream keeps
+    at most ``SAMPLE_WINDOW`` values, while ``hit_ratio`` and
+    ``batch_size_mean`` stay exact over the whole uptime."""
+    monkeypatch.setattr(counters, "SAMPLE_WINDOW", 8)
+    service = MeshService(f"unix:{tmp_path}/bounded.sock", backend="serial",
+                          batch_window=0.05, work_fn=_echo,
+                          cost_fn=_unit_cost)
+    thread = ServiceThread(service)
+    endpoint = thread.start()
+
+    def request(tag):
+        with ServiceClient(endpoint) as client:
+            return client.submit_packed({"x": np.full(4, float(tag))})
+
+    try:
+        # A burst of concurrent misses (batched together or not), then
+        # sequential misses and hits on one connection.
+        burst = [threading.Thread(target=request, args=(i,))
+                 for i in range(4)]
+        for t in burst:
+            t.start()
+        for t in burst:
+            t.join(timeout=60)
+        with ServiceClient(endpoint) as client:
+            for i in range(4, 14):
+                client.submit_packed({"x": np.full(4, float(i))})
+            for i in range(30):
+                kind, _ = client.submit_packed({"x": np.full(4, float(i % 3))})
+                assert kind == "mesh-hit"
+        stats = service.stats()
+    finally:
+        thread.stop()
+    assert stats["requests"] == 44.0
+    assert stats["hit_ratio"] == 30 / 44
+    # Every distinct miss was dispatched once, in some batch.
+    assert stats["batch_size_mean"] == 14 / stats["batches"]
+    assert all(len(v) <= 8 for v in service.counters.samples.values())
+    n_lat, _, _, window = service.counters.stream("service.latency_seconds")
+    assert (n_lat, len(window)) == (44, 8)
+    assert stats["latency_p99_s"] >= stats["latency_p50_s"] > 0.0

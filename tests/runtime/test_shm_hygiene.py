@@ -105,7 +105,7 @@ class TestShmHygiene:
         try:
             out = backend.map_workitems(_kill_once_then_double,
                                         payloads, n_ranks=3)
-            assert backend._pool.stats["respawns"] >= 1
+            assert backend.stats["respawns"] >= 1
             assert len(out) == 6
             assert _segments() <= before
         finally:

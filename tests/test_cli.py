@@ -43,16 +43,17 @@ class TestBackendFlags:
 
     def test_env_backend_reported_in_summary(self, monkeypatch, capsys,
                                              tmp_path):
-        """REPRO_BACKEND drives the run; summary reports the backend
-        name and rank count."""
-        monkeypatch.setenv(executor.BACKEND_ENV, "processes")
+        """``REPRO_BACKEND``, once a process-wide default, is read by
+        nothing: the run is ``serial``, the ``--backend`` default, and
+        the summary reports that name and the rank count."""
+        monkeypatch.setenv("REPRO_BACKEND", "processes")
         rc = main(["--naca", "0012", "--surface-points", "31",
                    "--max-layers", "6", "--farfield-chords", "5",
                    "--subdomains", "4", "--stats-json",
                    "-o", str(tmp_path / "m")])
         assert rc == 0
         summary = json.loads(capsys.readouterr().out)
-        assert summary["backend"] == "processes"
+        assert summary["backend"] == "serial"
         assert summary["n_ranks"] == 4
         assert summary["n_triangles"] > 0
 

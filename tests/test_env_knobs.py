@@ -1,5 +1,5 @@
-"""The environment-variable surface is a reviewed, documented set, and
-no mesh depends on it: a packed request determines its bytes."""
+"""``src/repro`` reads no environment variable, and no mesh depends on
+the environment: a packed request determines its bytes."""
 
 import ast
 import re
@@ -16,9 +16,10 @@ from tests.domains import cove_domain
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
-KNOBS = {"REPRO_BACKEND"}
-#: the only module that may read the environment.
-READERS = {"runtime/executor.py"}
+#: ``REPRO_*`` names ``src/repro`` mentions.
+KNOBS = set()
+#: modules of ``src/repro`` that read the environment.
+READERS = set()
 MUTATORS = {"setdefault", "update", "pop", "popitem", "clear"}
 
 
@@ -26,11 +27,11 @@ def test_env_knobs_are_exactly_the_documented_set():
     found = set()
     for path in SRC.rglob("*.py"):
         found |= set(re.findall(r"REPRO_[A-Z_]+", path.read_text()))
-    assert found == KNOBS
+    assert found == KNOBS == set()
     readme = (ROOT / "README.md").read_text()
     section = readme[readme.index("## Configuration"):]
     section = section[:section.index("\n#", 1)]
-    assert all(knob in section for knob in KNOBS)
+    assert "reads no environment variable" in section
 
 
 def _is_environ(node):
@@ -38,7 +39,7 @@ def _is_environ(node):
             or (isinstance(node, ast.Name) and node.id == "environ"))
 
 
-def test_src_never_writes_the_environment_and_reads_it_in_one_module():
+def test_src_never_reads_or_writes_the_environment():
     writes, readers = [], set()
     for path in SRC.rglob("*.py"):
         rel = path.relative_to(SRC).as_posix()
@@ -57,7 +58,7 @@ def test_src_never_writes_the_environment_and_reads_it_in_one_module():
                 if node.attr == "getenv":
                     readers.add(rel)
     assert writes == []
-    assert readers == READERS
+    assert readers == READERS == set()
 
 
 def test_ambient_insert_variable_cannot_change_a_request(monkeypatch):

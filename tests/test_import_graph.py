@@ -75,6 +75,27 @@ def test_processes_mesher_loads_no_lint_module():
     assert unwanted_after_meshing("processes", 2) == []
 
 
+CLI_RUN = """
+import sys, tempfile
+from repro.cli import main
+
+with tempfile.TemporaryDirectory() as out:
+    assert main(["--naca", "0012", "--surface-points", "21",
+                 "--max-layers", "4", "--farfield-chords", "5",
+                 "--subdomains", "2", "-o", out + "/m"]) == 0
+print("lint modules:", sorted(n for n in sys.modules
+                              if n.startswith("repro.lint")))
+"""
+
+
+def test_cli_mesh_run_loads_no_lint_module():
+    """``repro-mesh`` meshes without importing the linter: its summary
+    carries no ruleset, and ``cli.py`` imports nothing of ``repro.lint``."""
+    done = fresh_python(CLI_RUN)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "lint modules: []"
+
+
 @pytest.mark.parametrize(
     "module", ["rules_async", "rules_counters", "rules_epoch",
                "rules_lifetime", "rules_serde"])
@@ -171,7 +192,7 @@ def test_every_runtime_and_core_module_is_reachable_from_an_entry_point():
 REPO = SRC.parent
 
 #: definitions nothing outside ``tests/`` calls, each with the reason it
-#: is still in the tree.  At most three; an entry that gained a caller
+#: is still in the tree.  At most two; an entry that gained a caller
 #: (or whose definition is gone) fails the test.
 TEST_ONLY_FOR_A_REASON = {
     "repro.delaunay.kernel.Triangulation.check_integrity":
@@ -179,8 +200,6 @@ TEST_ONLY_FOR_A_REASON = {
         "decides its future",
     "repro.delaunay.mesh.TriMesh.canonical":
         "batch-insertion parity only; it goes with batch insertion",
-    "repro.runtime.service.ServiceThread":
-        "the harness the tests use to run the daemon on a thread",
 }
 
 
@@ -271,7 +290,7 @@ def test_every_definition_has_a_caller_outside_tests():
     assert not extra, "called by tests/ alone:\n" + "\n".join(extra)
     stale = sorted(set(TEST_ONLY_FOR_A_REASON) - uncalled)
     assert not stale, "called, or gone:\n" + "\n".join(stale)
-    assert len(TEST_ONLY_FOR_A_REASON) <= 3
+    assert len(TEST_ONLY_FOR_A_REASON) <= 2
     assert all(TEST_ONLY_FOR_A_REASON.values())
 
 
@@ -479,7 +498,7 @@ def test_option_walk_positive_control(tmp_path):
 
 PACKAGES = {
     "repro.solver": ("solve_potential_flow", "flow", 21),
-    "repro.runtime": ("ServiceClient", "client", 23),
+    "repro.runtime": ("ServiceClient", "client", 22),
     "repro.lint": ("rule_ids", "rules", 9),
 }
 
