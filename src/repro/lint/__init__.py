@@ -17,9 +17,8 @@ Usage::
     python -m repro.lint src/ tests/             # human-readable
     python -m repro.lint src/ --format=json      # machine-readable
     python -m repro.lint src/ --format=sarif     # code-scanning upload
-    python -m repro.lint src/ --baseline lint-baseline.json
 
-Exit codes: 0 clean (or all findings baselined/warn), 1 error-severity
+Exit codes: 0 clean (or warn-severity findings only), 1 error-severity
 findings, 2 usage error / unreadable input / internal lint crash.
 
 Findings are suppressed per line with a justified pragma::
@@ -59,9 +58,6 @@ _EXPORTS = {
     "LintRunner": "engine",
     "RULESET_VERSION": "engine",
     "DEFAULT_SEVERITY_MAP": "engine",
-    "load_baseline": "engine",
-    "write_baseline": "engine",
-    "apply_baseline": "engine",
     "ALL_RULES": "rules",
     "rule_ids": "rules",
 }

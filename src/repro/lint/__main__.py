@@ -1,6 +1,6 @@
 """CLI: ``python -m repro.lint src/ tests/ [--format=sarif]``.
 
-Exit codes: 0 = clean (or all findings baselined / warn-severity),
+Exit codes: 0 = clean (or warn-severity findings only),
 1 = error-severity findings, 2 = usage error, internal lint crash, or
 unreadable/unparseable input (E9) — CI treats 1 as "fix your change"
 and 2 as "fix the linter".
@@ -10,11 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 from typing import List, Optional
 
-from .engine import (LintRunner, apply_baseline, format_json, load_baseline,
-                     write_baseline)
+from .engine import LintRunner, format_json
 from .rules import ALL_RULES, rule_ids
 
 
@@ -30,12 +28,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="text")
     p.add_argument("--select", metavar="RULES",
                    help="comma-separated rule ids to run (default: all)")
-    p.add_argument("--baseline", metavar="FILE",
-                   help="suppress findings recorded in this baseline file "
-                   "(exit 0 unless new error-severity findings appear)")
-    p.add_argument("--write-baseline", metavar="FILE",
-                   help="record current error-severity findings as the "
-                   "baseline and exit 0")
     p.add_argument("--list-rules", action="store_true",
                    help="print the rule set and exit")
     return p
@@ -69,17 +61,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     runner = LintRunner(rules, catalog=rule_ids())
     findings, n_files = runner.run(args.paths)
 
-    if args.write_baseline:
-        write_baseline(Path(args.write_baseline), findings)
-        print(f"baseline written: {args.write_baseline} "
-              f"({len(findings)} finding(s))")
-        return 0
-
-    suppressed = 0
-    if args.baseline:
-        findings, suppressed = apply_baseline(
-            findings, load_baseline(Path(args.baseline)))
-
     if args.format == "json":
         print(format_json(findings, n_files, rules))
     elif args.format == "sarif":
@@ -88,12 +69,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         for f in findings:
             print(f.format_text())
-        tail = f"{len(findings)} finding(s) in {n_files} file(s)"
-        if suppressed:
-            tail += f" ({suppressed} baselined)"
-        print(tail if findings else
-              f"clean: 0 findings in {n_files} file(s)"
-              + (f" ({suppressed} baselined)" if suppressed else ""))
+        print(f"{len(findings)} finding(s) in {n_files} file(s)" if findings
+              else f"clean: 0 findings in {n_files} file(s)")
 
     if any(f.rule == "E9" for f in findings):
         return 2

@@ -27,8 +27,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["Finding", "FileContext", "Rule", "LintRunner", "RULESET_VERSION",
-           "iter_python_files", "DEFAULT_SEVERITY_MAP", "load_baseline",
-           "write_baseline", "apply_baseline"]
+           "iter_python_files", "DEFAULT_SEVERITY_MAP"]
 
 #: Bumped whenever a rule is added or its detection heuristic changes, so
 #: machine consumers (CI, ``--stats-json``) can pin expectations.
@@ -86,9 +85,6 @@ class Finding:
             "message": self.message,
             "severity": self.severity,
         }
-
-    def baseline_key(self) -> Tuple[str, str, int, str]:
-        return (self.rule, self.path, self.line, self.message)
 
 
 @dataclass
@@ -359,47 +355,6 @@ class LintRunner:
             findings.extend(self.run_file(f))
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
         return findings, len(files)
-
-
-# ----------------------------------------------------------------------
-# Findings baseline (strict-on-new-code)
-# ----------------------------------------------------------------------
-def load_baseline(path: Path) -> set:
-    """Load a baseline file; returns the set of suppressed finding keys.
-
-    Format: ``{"ruleset": ..., "entries": [{rule,path,line,message}]}``.
-    A missing file is an empty baseline (strict everywhere).
-    """
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        return set()
-    return {(e["rule"], e["path"], int(e["line"]), e["message"])
-            for e in data.get("entries", [])}
-
-
-def write_baseline(path: Path, findings: Sequence[Finding]) -> None:
-    entries = [
-        {"rule": f.rule, "path": f.path, "line": f.line,
-         "message": f.message}
-        for f in findings if f.severity == "error"
-    ]
-    path.write_text(json.dumps(
-        {"ruleset": RULESET_VERSION, "entries": entries}, indent=2) + "\n",
-        encoding="utf-8")
-
-
-def apply_baseline(findings: Sequence[Finding],
-                   baseline: set) -> Tuple[List[Finding], int]:
-    """Split findings into (kept, n_suppressed) against a baseline."""
-    kept: List[Finding] = []
-    suppressed = 0
-    for f in findings:
-        if f.baseline_key() in baseline:
-            suppressed += 1
-        else:
-            kept.append(f)
-    return kept, suppressed
 
 
 def format_json(findings: Sequence[Finding], files_scanned: int,

@@ -26,7 +26,7 @@ backend produces bit-identical adapted meshes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -151,21 +151,25 @@ class AdaptCycle:
 
 @dataclass
 class AdaptLoopResult:
-    """Final mesh/solution plus the error-vs-DOF history."""
+    """Mesh/solution of the cycle with the lowest error plus the
+    error-vs-DOF history of every cycle run.  ``metric`` is the one that
+    cycle adapted to (``None`` for the initial mesh), ``best`` its index
+    in ``history``."""
 
     mesh: TriMesh
     solution: np.ndarray
     metric: Optional[MetricField]
-    history: List[AdaptCycle] = dataclass_field(default_factory=list)
-    converged: bool = False
+    history: List[AdaptCycle]
+    converged: bool
+    best: int
 
     @property
     def error(self) -> float:
-        return self.history[-1].error if self.history else math.nan
+        return self.history[self.best].error
 
     @property
     def dof(self) -> int:
-        return self.history[-1].dof if self.history else 0
+        return self.history[self.best].dof
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -226,7 +230,9 @@ def adapt_loop(
     drops below ``flatten_rtol`` (the error-vs-DOF curve has flattened:
     the mesh is resolution-limited by ``eps``, not by adaptation);
     ``converged`` reports that, and stays ``False`` when the loop
-    stopped because the last cycle made the error *worse*.
+    stopped because the last cycle made the error *worse*.  The mesh,
+    solution and metric returned are those of the cycle with the lowest
+    error (the latest of equals), not necessarily the last one.
 
     ``backend`` (``None`` = in-process) dispatches the adapt step
     through the runtime executor — useful to co-schedule many loops, and
@@ -243,6 +249,7 @@ def adapt_loop(
     err = l2_error(mesh, u, problem)
     history.append(AdaptCycle(cycle=0, dof=mesh.n_points, error=err,
                               conformity=math.nan))
+    best = (0, mesh, u, None)
 
     for cycle in range(1, cycles + 1):
         metric = MetricField.from_hessian(
@@ -260,9 +267,12 @@ def adapt_loop(
             cycle=cycle, dof=mesh.n_points, error=err,
             conformity=report.conformity_after, report=report,
         ))
+        if err <= history[best[0]].error:
+            best = (cycle, mesh, u, metric)
         if prev > 0 and (prev - err) < flatten_rtol * prev:
             converged = err <= prev  # a rise also stops, unconverged
             break
 
+    cycle, mesh, u, metric = best
     return AdaptLoopResult(mesh=mesh, solution=u, metric=metric,
-                           history=history, converged=converged)
+                           history=history, converged=converged, best=cycle)

@@ -33,20 +33,9 @@ from repro.runtime import executor, serde
 from repro.runtime.counters import monotonic, use_counters
 from repro.runtime.executor import ExecutorError
 
+from ..pins import mesh_hash, pin, quickstart
+
 BACKENDS = ["serial", "processes"]
-
-
-def mesh_hash(mesh) -> str:
-    return serde.canonical_hash(serde.pack_mesh(mesh))
-
-
-def quickstart():
-    """examples/quickstart.py."""
-    return (PSLG.from_loops([naca0012(n_points=101)], names=["naca0012"]),
-            MeshConfig(bl=BoundaryLayerConfig(first_spacing=1e-3,
-                                              growth_ratio=1.3,
-                                              max_layers=40),
-                       farfield_chords=40.0, target_subdomains=16))
 
 
 def smoke_naca():
@@ -87,7 +76,8 @@ class TestConsistency:
         pslg, config = quickstart()
         result = generate_mesh(pslg, config, backend="processes",
                                n_ranks=2)
-        assert mesh_hash(result.mesh).startswith("748ad3f7136a")
+        assert mesh_hash(result.mesh) == pin("generate_mesh", "quickstart",
+                                             "mesh", "hash")
 
 
 # ----------------------------------------------------------------------

@@ -1,39 +1,33 @@
-"""Golden regression: the NACA 0012 quickstart mesh vs the stored output.
+"""Golden regression: the NACA 0012 quickstart mesh and the ledger's
+seed-0 meshes against ``tests/pins.json``.
 
-``golden_naca0012.npz`` (beside this file) is the quickstart mesh
-checked in as a golden artefact.  Re-meshing the same configuration
-must stay within a few percent of it on the macro statistics — a drift
-gate for kernel, refinement, or decoupling changes that accidentally
-alter the mesh (the kernel itself is allowed to change insertion
-internals, so counts are compared within tolerance, not bit-for-bit).
+``TestGoldenNaca0012`` is the drift gate.  Its anchor is four numbers of
+the quickstart mesh as the seed commit built it (``golden_anchor``:
+points, triangles, minimum angle, total area); re-meshing the same
+configuration must stay within a few percent of them, because the
+kernel may change insertion internals without being wrong.  The re-pin
+script (``tests/pins.py``) never rewrites the anchor.
 
-``TestPinnedHashes`` is the strict half: the canonical hashes of the
-quickstart mesh and of the two seed-0 perf-ledger meshes
-(``benchmarks/ledger/workloads.py``: ``naca_farfield``, ``highlift_bl``).
-A change that means to keep the bytes must keep these; a change that
-means to move them updates the pin and says why in CHANGES.md.
+``TestPinnedHashes`` is the strict half: per case (the quickstart and
+the two seed-0 perf-ledger meshes of ``benchmarks/ledger/workloads.py``,
+``naca_farfield`` and ``highlift_bl``) the canonical hash, the size, the
+inviscid quality and the BL statistics, exactly;
+``test_every_counter_is_pinned`` does the same for every kernel counter
+and the refiner's events.  A change that means to keep the bytes keeps
+these; a change that means to move them runs ``python tests/pins.py``
+and pastes its table into CHANGES.md with the reason.
 """
-
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro import BoundaryLayerConfig, MeshConfig, PSLG, generate_mesh, naca0012
+from repro import generate_mesh
 from repro.core import decouple, pipeline
-from repro.geometry.airfoils import three_element_airfoil
-from repro.io.meshio import read_mesh_npz
-from repro.runtime import serde
-from repro.runtime.counters import KERNEL_FIELDS, use_counters
+from repro.runtime.counters import use_counters
 
+from .. import pins
+from ..pins import pin
 from . import oracle_estimate
-
-GOLDEN = Path(__file__).resolve().parent / "golden_naca0012.npz"
-
-
-@pytest.fixture(scope="module")
-def golden_mesh():
-    return read_mesh_npz(GOLDEN)
 
 
 def run_with_checked_estimates(pslg, config, **kwargs):
@@ -56,69 +50,54 @@ def run_with_checked_estimates(pslg, config, **kwargs):
     return result, sink, estimates
 
 
+def pinned_run(name):
+    return run_with_checked_estimates(*pins.GENERATE_MESH[name](),
+                                      backend="serial")
+
+
 @pytest.fixture(scope="module")
 def quickstart_run():
-    """``(mesh, counters sink, estimates)`` of examples/quickstart.py,
-    mirrored exactly."""
-    pslg = PSLG.from_loops([naca0012(n_points=101)], names=["naca0012"])
-    config = MeshConfig(
-        bl=BoundaryLayerConfig(first_spacing=1e-3, growth_ratio=1.3,
-                               max_layers=40),
-        farfield_chords=40.0,
-        target_subdomains=16,
-    )
-    result, sink, estimates = run_with_checked_estimates(pslg, config)
-    return result.mesh, sink, estimates
+    """``(result, counters sink, estimates)`` of examples/quickstart.py."""
+    return pinned_run("quickstart")
 
 
 @pytest.fixture(scope="module")
 def naca_farfield_run():
     """The perf ledger's seed-0 ``naca_farfield`` op."""
-    pslg = PSLG.from_loops([naca0012(81)])
-    config = MeshConfig(
-        bl=BoundaryLayerConfig(first_spacing=1e-3, growth_ratio=1.3,
-                               max_layers=25),
-        farfield_chords=30.0, grading=0.15, h_max_chords=1.2,
-        nearbody_margin_chords=0.25, target_subdomains=32)
-    return run_with_checked_estimates(pslg, config, backend="serial")
+    return pinned_run("naca_farfield")
 
 
 @pytest.fixture(scope="module")
 def highlift_bl_run():
     """The perf ledger's seed-0 ``highlift_bl`` op."""
-    pslg = three_element_airfoil(n_points=71, flap_deflection=-30.0)
-    config = MeshConfig(
-        bl=BoundaryLayerConfig(first_spacing=1e-3, max_layers=60),
-        grading=0.35)
-    return run_with_checked_estimates(pslg, config, backend="serial")
+    return pinned_run("highlift_bl")
 
 
 @pytest.fixture(scope="module")
 def quickstart_mesh(quickstart_run):
-    return quickstart_run[0]
+    return quickstart_run[0].mesh
 
 
 class TestGoldenNaca0012:
-    def test_counts_within_tolerance(self, golden_mesh, quickstart_mesh):
+    def test_counts_within_tolerance(self, quickstart_mesh):
         assert quickstart_mesh.n_points == pytest.approx(
-            golden_mesh.n_points, rel=0.05)
+            pin("golden_anchor", "n_points"), rel=0.05)
         assert quickstart_mesh.n_triangles == pytest.approx(
-            golden_mesh.n_triangles, rel=0.05)
+            pin("golden_anchor", "n_triangles"), rel=0.05)
 
-    def test_min_angle_within_tolerance(self, golden_mesh, quickstart_mesh):
+    def test_min_angle_within_tolerance(self, quickstart_mesh):
         got = float(np.degrees(quickstart_mesh.min_angle()))
-        want = float(np.degrees(golden_mesh.min_angle()))
         # The minimum angle is set by the BL slivers at the trailing-edge
         # cusp, which the BL generator controls deterministically.
-        assert got == pytest.approx(want, rel=0.02)
+        assert got == pytest.approx(pin("golden_anchor", "min_angle_deg"),
+                                    rel=0.02)
 
-    def test_structure_matches_golden(self, golden_mesh, quickstart_mesh):
+    def test_structure_matches_golden(self, quickstart_mesh):
         assert quickstart_mesh.is_conforming()
         # Total mesh area (the farfield box minus the airfoil) must agree
         # tightly — it is fixed by the geometry, not the triangulation.
         got = float(np.abs(quickstart_mesh.areas()).sum())
-        want = float(np.abs(golden_mesh.areas()).sum())
-        assert got == pytest.approx(want, rel=1e-6)
+        assert got == pytest.approx(pin("golden_anchor", "area"), rel=1e-6)
 
 
 class TestKernelTraffic:
@@ -157,32 +136,22 @@ class TestKernelTraffic:
         assert events["size_verdicts_clear"] > 3 * events["size_verdicts_band"]
         assert events["sizing_evals"] <= 0.6 * size_tests
 
-    def test_every_counter_is_pinned(self, quickstart_run):
+    def test_every_counter_is_pinned(self, quickstart_run, naca_farfield_run,
+                                     highlift_bl_run):
         """A change that means to keep every decision keeps every count:
         each kernel counter (the wall-clock ``finalize_ns`` aside) and
-        the refiner's events, exactly.  A change that means to move them
-        updates the pins and says why in CHANGES.md."""
-        sink = quickstart_run[1]
-        assert {name: getattr(sink.kernel, name) for name in KERNEL_FIELDS
-                if name != "finalize_ns"} == {
-            "inserts": 2887, "locates": 2941, "walk_steps": 8702,
-            "brute_locates": 0, "grid_seeds": 0, "visibility_prunes": 0,
-            "cavity_triangles": 12105, "flips": 0,
-            "orient_fast": 9163, "orient_exact": 2178,
-            "incircle_fast": 20981, "incircle_exact": 990,
-            "orient_zero": 995, "incircle_zero": 95,
-            "batch_calls": 0, "batch_entries": 0, "batch_points": 0,
-            "conflict_retries": 0}
-        events = sink.events
-        assert {name: events.get(name, 0) for name in (
-            "steiner_points", "triangle_tests", "sizing_evals",
-            "size_verdicts_clear", "size_verdicts_band",
-            "locked_segment_skips", "straight_walk_fallbacks",
-            "blocked_circumcenters")} == {
-            "steiner_points": 1699, "triangle_tests": 9185,
-            "sizing_evals": 4311, "size_verdicts_clear": 6415,
-            "size_verdicts_band": 1584, "locked_segment_skips": 103,
-            "straight_walk_fallbacks": 1, "blocked_circumcenters": 8}
+        the refiner's events, exactly, on each pinned case."""
+        for run, kernel, events in (
+                (quickstart_run, pin("generate_mesh", "quickstart", "kernel"),
+                 pin("generate_mesh", "quickstart", "events")),
+                (naca_farfield_run,
+                 pin("generate_mesh", "naca_farfield", "kernel"),
+                 pin("generate_mesh", "naca_farfield", "events")),
+                (highlift_bl_run,
+                 pin("generate_mesh", "highlift_bl", "kernel"),
+                 pin("generate_mesh", "highlift_bl", "events"))):
+            got = pins.generate_mesh_pins(*run[:2])
+            assert (got["kernel"], got["events"]) == (kernel, events)
 
 
 class TestEstimatesMatchScalarOracle:
@@ -200,28 +169,18 @@ class TestEstimatesMatchScalarOracle:
         assert all(got == want for got, want in estimates)
 
 
-def mesh_hash(mesh) -> str:
-    return serde.canonical_hash(serde.pack_mesh(mesh))
-
-
 class TestPinnedHashes:
-    def test_quickstart(self, quickstart_mesh):
-        assert mesh_hash(quickstart_mesh) == (
-            "748ad3f7136abbe8235f6ed58ac2951cdb039647993988afe88f21118b37cb38")
+    """Each case's ``mesh`` pins: hash, size, inviscid quality and BL
+    statistics (its counters are ``test_every_counter_is_pinned``)."""
+
+    def test_quickstart(self, quickstart_run):
+        assert pins.generate_mesh_pins(*quickstart_run[:2])["mesh"] == pin(
+            "generate_mesh", "quickstart", "mesh")
 
     def test_ledger_naca_farfield_seed0(self, naca_farfield_run):
-        result = naca_farfield_run[0]
-        assert result.bl.stats["n_points"] == 1706
-        assert mesh_hash(result.mesh) == (
-            "e7ccbc253dc732f3ee61394e6d35e50a0bf979e5132907655664a251195b1b2f")
+        assert pins.generate_mesh_pins(*naca_farfield_run[:2])["mesh"] == pin(
+            "generate_mesh", "naca_farfield", "mesh")
 
     def test_ledger_highlift_bl_seed0(self, highlift_bl_run):
-        result = highlift_bl_run[0]
-        stats = result.bl.stats
-        assert stats["n_points"] == 2726
-        # (ray, pass) pairs whose height decreased / rays cut by a
-        # neighbouring element.
-        assert stats["n_self_truncations"] == 125
-        assert stats["n_multi_truncations"] == 377
-        assert mesh_hash(result.mesh) == (
-            "01c1a8f80297cfb943bc33f94c8198c9f5ad32794f287aef20c6539790c89120")
+        assert pins.generate_mesh_pins(*highlift_bl_run[:2])["mesh"] == pin(
+            "generate_mesh", "highlift_bl", "mesh")

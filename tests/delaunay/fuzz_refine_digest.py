@@ -1,16 +1,14 @@
 """Differential fuzz of the refinement worklist on hostile un-locked input.
 
-``python tests/delaunay/fuzz_refine_digest.py [--cases N] [--start S]
-[--expect DIGEST]`` refines ``N`` seeded star polygons twice — :class:`Refiner` and the
+``python tests/delaunay/fuzz_refine_digest.py [--cases N] [--start S]``
+refines ``N`` seeded star polygons twice — :class:`Refiner` and the
 rescan oracle (:mod:`oracle_refine`) — and prints one digest per driver
 over every mesh hash (an invalid input contributes the name of its typed
-error).  The two digests must be equal, and equal to the same command's
-output at any other commit that claims not to move a refined mesh; the
-count of cases whose oracle rescan found work says how much of the run
-exercised the survivor re-queue at all (about one valid case in 14).
-With ``--expect`` the command is the check itself: it exits 1 when
-either driver's digest is not the given one (CI runs ``--cases 1500
---expect e4ac8beba723``).
+error).  It exits 1 when the two drivers differ on any case, or when the
+slice ``(S, N)`` is pinned in ``tests/pins.json`` and either digest is
+not the pinned one; the count of cases whose oracle rescan found work
+says how much of the run exercised the survivor re-queue at all (about
+one valid case in 14).
 
 Un-locked refinement with ``min_edge_floor`` is where the order bad
 triangles are revisited in shows: ``generate_mesh`` locks every segment,
@@ -36,7 +34,7 @@ from repro.delaunay.constrained import triangulate_pslg  # noqa: E402
 from repro.delaunay.kernel import TriangulationError  # noqa: E402
 from repro.delaunay.refine import (  # noqa: E402
     AreaCriterion, RefinementError, Refiner)
-from repro.runtime import serde  # noqa: E402
+from tests.pins import fuzz_slice_key, mesh_hash, pin  # noqa: E402
 
 FLOOR = 1e-3
 
@@ -83,10 +81,6 @@ def refined(cls, points, segments, *, max_area=None, **options) -> Refiner:
     return refiner
 
 
-def mesh_hash(refiner: Refiner) -> str:
-    return serde.canonical_hash(serde.pack_mesh(refiner.to_mesh()))
-
-
 def outcome(cls, points, segments, **options):
     """``(mesh hash, refiner)`` of :func:`refined`, or ``(name of the
     typed error, None)`` when the input is refused."""
@@ -94,7 +88,7 @@ def outcome(cls, points, segments, **options):
         refiner = refined(cls, points, segments, **options)
     except (TriangulationError, RefinementError) as exc:
         return type(exc).__name__, None
-    return mesh_hash(refiner), refiner
+    return mesh_hash(refiner.to_mesh()), refiner
 
 
 def case_outcome(cls, seed: int):
@@ -104,27 +98,42 @@ def case_outcome(cls, seed: int):
                    min_edge_floor=FLOOR)
 
 
+def slice_seeds(start: int, cases: int):
+    """The first ``cases`` seeds from ``start`` that draw a star."""
+    seeds = (seed for seed in itertools.count(start)
+             if star_case(seed) is not None)
+    return list(itertools.islice(seeds, cases))
+
+
+def digest(hashes) -> str:
+    """First 12 hex digits of the SHA-256 of ``hashes``, in order."""
+    sha = hashlib.sha256()
+    for h in hashes:
+        sha.update(h.encode())
+    return sha.hexdigest()[:12]
+
+
+def slice_digest(cls, start: int, cases: int) -> str:
+    """:func:`digest` of ``cls``'s outcomes on :func:`slice_seeds`."""
+    return digest(case_outcome(cls, seed)[0]
+                  for seed in slice_seeds(start, cases))
+
+
 def main(argv=None) -> int:
     from tests.delaunay.oracle_refine import RescanRefiner
 
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--cases", type=int, default=1500)
     ap.add_argument("--start", type=int, default=0)
-    ap.add_argument("--expect", metavar="DIGEST",
-                    help="exit 1 unless both digests equal this one")
     args = ap.parse_args(argv)
-    digests = {"refiner": hashlib.sha256(), "oracle": hashlib.sha256()}
-    n_cases = n_invalid = n_rescan = n_differ = 0
-    for seed in itertools.count(args.start):
-        if n_cases == args.cases:
-            break
-        if star_case(seed) is None:
-            continue
-        n_cases += 1
+    hashes = {"refiner": [], "oracle": []}
+    n_invalid = n_rescan = n_differ = 0
+    seeds = slice_seeds(args.start, args.cases)
+    for seed in seeds:
         got, _ = case_outcome(Refiner, seed)
         want, oracle = case_outcome(RescanRefiner, seed)
-        digests["refiner"].update(got.encode())
-        digests["oracle"].update(want.encode())
+        hashes["refiner"].append(got)
+        hashes["oracle"].append(want)
         n_invalid += oracle is None
         found = oracle is not None and oracle.rescan_found > 0
         n_rescan += found
@@ -134,15 +143,20 @@ def main(argv=None) -> int:
         elif found:
             print(f"seed {seed}: rescan found {oracle.rescan_found}, "
                   f"mesh {got[:12]}")
-    print(f"cases {n_cases} (seeds {args.start}..{seed - 1}), invalid "
+    print(f"cases {len(seeds)} (seeds {args.start}..{seeds[-1]}), invalid "
           f"{n_invalid}, oracle rescan found work in {n_rescan}, "
           f"differing {n_differ}")
+    pinned = pin("fuzz_refine_digest").get(
+        fuzz_slice_key(args.start, args.cases))
     moved = 0
-    for name, digest in digests.items():
-        print(f"digest {name:<8} {digest.hexdigest()[:12]}")
-        moved += args.expect not in (None, digest.hexdigest()[:12])
-    if moved:
-        print(f"expected {args.expect}: a refined mesh moved")
+    for name, driver_hashes in hashes.items():
+        value = digest(driver_hashes)
+        print(f"digest {name:<8} {value}")
+        moved += pinned not in (None, value)
+    if pinned is None:
+        print("slice not pinned in tests/pins.json")
+    elif moved:
+        print(f"pinned {pinned}: a refined mesh moved")
     return 1 if n_differ or moved else 0
 
 

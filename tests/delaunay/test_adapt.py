@@ -17,6 +17,9 @@ Three layers of guarantees:
   (hash, DOF, error, operation counts, conformity traces) recorded
   before the flip pass became a dirty-edge worklist; the differential
   against the full-sweep oracle is ``test_adapt_flip.py``.
+
+Every pinned value is in ``tests/pins.json``; ``tests/pins.py`` builds
+the cases.
 """
 
 import numpy as np
@@ -35,13 +38,10 @@ from repro.delaunay.constrained import triangulate_pslg
 from repro.delaunay.kernel import GHOST
 from repro.geometry.predicates import orient2d
 from repro.metric import MetricField, tensor
-from repro.runtime import serde
-from repro.solver.adapt import ShearLayerProblem, adapt_loop
 
+from .. import pins
+from ..pins import SQUARE_SEGS, UNIT_SQUARE, mesh_hash, pin
 from . import oracle_adapt
-
-UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-SQUARE_SEGS = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
 
 
 def square_mesh(max_area=0.02):
@@ -188,12 +188,7 @@ class TestAdaptationEffect:
         assert report.collapses > 0
 
     def test_holes_stay_empty(self):
-        pts = np.vstack([UNIT_SQUARE,
-                         [[0.4, 0.4], [0.6, 0.4], [0.6, 0.6], [0.4, 0.6]]])
-        segs = np.vstack([SQUARE_SEGS,
-                          [[4, 5], [5, 6], [6, 7], [7, 4]]])
-        mesh = refine_pslg(pts, segs, max_area=0.02,
-                           holes=[(0.5, 0.5)])
+        mesh = pins.holed_square()
         field = MetricField.uniform(mesh.points, 0.1)
         adapted, _ = adapt_mesh(mesh, field, holes=[(0.5, 0.5)],
                                 max_passes=2)
@@ -206,76 +201,31 @@ class TestAdaptationEffect:
 # ----------------------------------------------------------------------
 # Differential byte-identity of the size-criterion refactor
 # ----------------------------------------------------------------------
-#: Canonical hashes pinned from the pre-refactor refinement code
-#: (commit 946022f): the AreaCriterion default path must reproduce
-#: these outputs byte for byte.
-PINNED = {
-    "square_max_area": (
-        "7494fd968e968a061abf2531dc7981b4ca8342734c6ae26200bb767ff2767815"),
-    "lshape_area_fn": (
-        "6449ee1a2c65301e4a23ccf4ce2fc401b325d8f4545a1c2d8fab1dbaf07d7645"),
-    "thin_rect_quality": (
-        "f325e6c1a57f96a9a960633a66ca2eff0eedde421bc2ddda2d9499a4b5126659"),
-    "holed_square": (
-        "b361060858fad0e6d1bb610309071fd3b3ee266248ef0577a8cd7e7cba7e0312"),
-}
-
-
-def mesh_hash(mesh):
-    return serde.canonical_hash(serde.pack_mesh(mesh))
-
-
 class TestByteIdentity:
+    """Hashes pinned from the pre-refactor refinement code (commit
+    946022f): the AreaCriterion default path reproduces them byte for
+    byte."""
+
     def test_square_max_area(self):
-        mesh = refine_pslg(UNIT_SQUARE.copy(), SQUARE_SEGS.copy(),
-                           max_area=0.01)
-        assert mesh_hash(mesh) == PINNED["square_max_area"]
+        assert mesh_hash(pins.square_max_area()) == pin(
+            "refine_pslg", "square_max_area")
 
     def test_lshape_area_fn(self):
-        pts = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0],
-                        [1.0, 1.0], [1.0, 2.0], [0.0, 2.0]])
-        segs = np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 0]])
-        mesh = refine_pslg(
-            pts, segs, area_fn=lambda x, y: 0.002 + 0.05 * (x * x + y * y))
-        assert mesh_hash(mesh) == PINNED["lshape_area_fn"]
+        assert mesh_hash(pins.lshape_area_fn()) == pin(
+            "refine_pslg", "lshape_area_fn")
 
     def test_thin_rect_quality_only(self):
-        pts = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 1.0], [0.0, 1.0]])
-        segs = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
-        mesh = refine_pslg(pts, segs)
-        assert mesh_hash(mesh) == PINNED["thin_rect_quality"]
+        assert mesh_hash(pins.thin_rect_quality()) == pin(
+            "refine_pslg", "thin_rect_quality")
 
     def test_holed_square(self):
-        pts = np.vstack([UNIT_SQUARE,
-                         [[0.4, 0.4], [0.6, 0.4], [0.6, 0.6], [0.4, 0.6]]])
-        segs = np.vstack([SQUARE_SEGS,
-                          [[4, 5], [5, 6], [6, 7], [7, 4]]])
-        mesh = refine_pslg(pts, segs, max_area=0.02, holes=[(0.5, 0.5)])
-        assert mesh_hash(mesh) == PINNED["holed_square"]
+        assert mesh_hash(pins.holed_square()) == pin(
+            "refine_pslg", "holed_square")
 
 
 # ----------------------------------------------------------------------
 # Adapted meshes, pinned at commit c676863 (full-sweep flip pass)
 # ----------------------------------------------------------------------
-def holed_square_mesh():
-    pts = np.vstack([UNIT_SQUARE,
-                     [[0.4, 0.4], [0.6, 0.4], [0.6, 0.6], [0.4, 0.6]]])
-    segs = np.vstack([SQUARE_SEGS, [[4, 5], [5, 6], [6, 7], [7, 4]]])
-    return refine_pslg(pts, segs, max_area=0.02, holes=[(0.5, 0.5)])
-
-
-def rotated_metric(points, theta, h_across, h_along):
-    """Constant analytic metric: spacing ``h_across`` along the
-    direction at angle ``theta``, ``h_along`` normal to it."""
-    c, s = np.cos(theta), np.sin(theta)
-    l1, l2 = 1.0 / (h_across * h_across), 1.0 / (h_along * h_along)
-    tensors = np.empty((len(points), 3))
-    tensors[:, 0] = l1 * c * c + l2 * s * s
-    tensors[:, 1] = (l1 - l2) * c * s
-    tensors[:, 2] = l1 * s * s + l2 * c * c
-    return MetricField(points, tensors)
-
-
 class TestAdaptedMeshPins:
     @pytest.mark.skipif(
         cavity.DEFAULT_STRATEGY != "scalar",
@@ -283,7 +233,9 @@ class TestAdaptedMeshPins:
                "scalar bootstrap `batch` numbers the start triangulation "
                "differently, and every later operation follows from it")
     def test_shear_layer_loop(self, monkeypatch):
-        """The perf ledger's seed-0 ``adapt_shear`` op; every cycle's
+        """The perf ledger's seed-0 ``adapt_shear`` op (hash, size, DOF,
+        error, operation counts, conformity traces; the frozen ledger
+        reads ``delaunay.adapt.ops`` from the counts); every cycle's
         kernel passes ``check_integrity`` (live count, vertex hints)."""
         adapt = MeshAdaptor.adapt
 
@@ -293,45 +245,19 @@ class TestAdaptedMeshPins:
             return report
 
         monkeypatch.setattr(MeshAdaptor, "adapt", checked)
-        result = adapt_loop(square_mesh(),
-                            problem=ShearLayerProblem(0.05, 0.1),
-                            cycles=2, eps=4e-2, h_min=1e-3, h_max=0.3)
-        assert mesh_hash(result.mesh) == (
-            "84c17f882cf7277b97a4430dfe130252062ca705e6a7e4b9aa3bc1b6551ca46a")
-        assert (result.mesh.n_points, result.mesh.n_triangles) == (353, 618)
-        assert [c.dof for c in result.history] == [42, 456, 353]
-        assert result.error == 0.017987992463276273
-        first, second = (c.report for c in result.history[1:])
-        assert (first.splits, first.collapses, first.flips,
-                first.smooth_moves) == (507, 93, 298, 767)
-        assert (second.splits, second.collapses, second.flips,
-                second.smooth_moves) == (399, 502, 697, 757)
-        assert first.conformity_trace == [
-            0.14594594594594595, 0.7407407407407407, 0.9545804464973057]
-        assert second.conformity_trace == [
-            0.67018779342723, 0.8170212765957446, 0.856701030927835]
-        # The frozen ledger reads delaunay.adapt.ops from these fields.
-        assert sum(r.splits + r.collapses + r.flips + r.smooth_moves
-                   for r in (first, second)) == 4020
+        assert pins.adapt_shear_pins(pins.adapt_shear()) == pin(
+            "adapt_shear")
 
     # 53 vertices: inside `batch`'s scalar bootstrap, so these two hold
     # under either session strategy.
     @pytest.mark.parametrize("protect, digest, size, ops, conformity", [
-        (False,
-         "f8c946f430bda42ac0f0c815a1b2fb4831482228c3aba08588354cc0b8980f8e",
-         (200, 288), (209, 62, 493, 235), 0.9569672131147541),
-        (True,
-         "156cfaec9c5690e986ceba3a16d34f918e6a4e8ffa05195138d7d9af5211d1d6",
-         (159, 290), (201, 95, 457, 320), 0.6636971046770601),
-    ])
+        (protect, want["hash"], want["size"], want["ops"],
+         want["conformity_after"])
+        for protect, want in (
+            (False, pin("holed_square_adapt", "free")),
+            (True, pin("holed_square_adapt", "protected")))])
     def test_holed_square_rotated_metric(self, protect, digest, size, ops,
                                          conformity):
-        mesh = holed_square_mesh()
-        field = rotated_metric(mesh.points, 0.6, 0.03, 0.25)
-        adapted, report = adapt_mesh(mesh, field, holes=[(0.5, 0.5)],
-                                     max_passes=3, protect_segments=protect)
-        assert mesh_hash(adapted) == digest
-        assert (adapted.n_points, adapted.n_triangles) == size
-        assert (report.splits, report.collapses, report.flips,
-                report.smooth_moves) == ops
-        assert report.conformity_after == conformity
+        assert pins.holed_square_adapt(protect) == {
+            "hash": digest, "size": size, "ops": ops,
+            "conformity_after": conformity}

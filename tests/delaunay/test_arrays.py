@@ -11,7 +11,7 @@ copy.
 import numpy as np
 import pytest
 
-from repro import BoundaryLayerConfig, MeshConfig, PSLG, generate_mesh, naca0012
+from repro import generate_mesh
 from repro.delaunay import refine_pslg
 from repro.delaunay.arrays import MeshArrays
 from repro.delaunay.kernel import (
@@ -21,6 +21,8 @@ from repro.delaunay.kernel import (
 )
 from repro.runtime import serde
 from repro.solver.adapt import ShearLayerProblem, adapt_loop
+
+from ..pins import quickstart
 
 
 class TestMeshArrays:
@@ -117,18 +119,6 @@ class TestMeshArrays:
         assert np.all(remap == -1)
 
 
-def quickstart_config():
-    """examples/quickstart.py."""
-    pslg = PSLG.from_loops([naca0012(n_points=101)], names=["naca0012"])
-    config = MeshConfig(
-        bl=BoundaryLayerConfig(first_spacing=1e-3, growth_ratio=1.3,
-                               max_layers=40),
-        farfield_chords=40.0,
-        target_subdomains=16,
-    )
-    return pslg, config
-
-
 class TestPlainScalarsOnly:
     def test_every_entry_is_a_python_float_or_int(self, monkeypatch):
         """NumPy scalars reach the store from the adaptor's smoothing
@@ -144,7 +134,7 @@ class TestPlainScalarsOnly:
             return export(self, **kwargs)
 
         monkeypatch.setattr(Triangulation, "to_mesh", recording)
-        generate_mesh(*quickstart_config(), backend="serial")
+        generate_mesh(*quickstart(), backend="serial")
         n_mesh = len(kernels)
         square = refine_pslg(
             np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),

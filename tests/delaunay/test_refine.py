@@ -10,6 +10,7 @@ from repro.delaunay.mesh import TriMesh
 from repro.delaunay.refine import (
     RUPPERT_BOUND, AreaCriterion, RefinementError, Refiner, refine_pslg)
 
+from ..pins import SURVIVOR_SEEDS, pin
 from .fuzz_refine_digest import case_outcome
 from .oracle_refine import RescanRefiner, assert_refinement_complete
 
@@ -223,20 +224,15 @@ class TestSegmentSplits:
         assert f"{n_new} new triangles" in str(err.value)
 
 
-#: Meshes of two ``fuzz_refine_digest.star_case`` seeds, recorded at
-#: commit e3ad0f4, whose driver ended every drain of the queue with a
-#: scan of the whole mesh (it lives on as ``RescanRefiner``).  In both,
-#: that scan found work.  629: two survivors at one drain, recorded
-#: against slot order, so the order they re-enter in shows; 1469: one
-#: triangle outlives seven splits in a row, one drain apart each.
-SURVIVOR_PINS = {
-    629: "2b48bb4dc4215b95a7e9c0845a04b781cd48dd3dcef25940b754c9b35e862e33",
-    1469: "983b73e09d3e29822bfecd79b7a608cec20b372bf9ac87019224f4668650f9d4",
-}
-
-
 class TestSurvivors:
-    @pytest.mark.parametrize("seed", sorted(SURVIVOR_PINS))
+    """Meshes of two ``fuzz_refine_digest.star_case`` seeds, pinned at
+    commit e3ad0f4, whose driver ended every drain of the queue with a
+    scan of the whole mesh (it lives on as ``RescanRefiner``).  In both,
+    that scan found work.  629: two survivors at one drain, recorded
+    against slot order, so the order they re-enter in shows; 1469: one
+    triangle outlives seven splits in a row, one drain apart each."""
+
+    @pytest.mark.parametrize("seed", SURVIVOR_SEEDS)
     def test_triangle_that_outlives_its_segment_splits_is_requeued(self,
                                                                    seed):
         """A bad triangle whose circumcenter encroached segments can
@@ -246,5 +242,5 @@ class TestSurvivors:
         want, oracle = case_outcome(RescanRefiner, seed)
         assert oracle.rescan_found >= 2
         got, refiner = case_outcome(Refiner, seed)
-        assert got == want == SURVIVOR_PINS[seed]
+        assert got == want == pin("survivors")[str(seed)]
         assert_refinement_complete(refiner)

@@ -389,7 +389,7 @@ class TestR12CounterPairs:
 
 
 # ----------------------------------------------------------------------
-# Engine features: severity map, baseline, SARIF, exit codes, pragmas
+# Engine features: severity map, SARIF, exit codes, pragmas
 # ----------------------------------------------------------------------
 class TestSeverityMap:
     BAD_ASYNC = """
@@ -458,20 +458,6 @@ class TestCLI:
         locs = [(f["path"], f["line"], f["rule"])
                 for f in data["findings"]]
         assert locs == sorted(locs)
-
-    def test_baseline_roundtrip(self, tmp_path):
-        f = tmp_path / "repro" / "runtime" / "bad.py"
-        f.parent.mkdir(parents=True)
-        f.write_text(textwrap.dedent(TestSeverityMap.BAD_ASYNC))
-        base = tmp_path / "baseline.json"
-        wrote = self.run_cli(str(f), "--write-baseline", str(base))
-        assert wrote.returncode == 0
-        data = json.loads(base.read_text())
-        assert data["entries"], "baseline must record the finding"
-        # With the baseline applied the same tree is green.
-        again = self.run_cli(str(f), "--baseline", str(base))
-        assert again.returncode == 0
-        assert "baselined" in again.stdout
 
     def test_sarif_output_shape(self, tmp_path):
         f = tmp_path / "repro" / "runtime" / "bad.py"

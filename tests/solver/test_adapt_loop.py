@@ -119,8 +119,8 @@ class TestAdaptLoop:
     def test_converged_only_on_a_non_negative_flattening(
             self, monkeypatch, errors, converged):
         """Scripted error sequence, adapt step stubbed out: every case
-        runs two cycles and returns the last mesh; only ``converged``
-        tells a flattened curve from a cycle that made things worse."""
+        runs two cycles; only ``converged`` tells a flattened curve from
+        a cycle that made things worse."""
         from repro.delaunay.adapt import AdaptReport
         from repro.solver import adapt as loop_mod
 
@@ -134,6 +134,54 @@ class TestAdaptLoop:
         assert [c.error for c in result.history] == errors
         assert result.converged is converged
         assert result.mesh is mesh
+
+    @staticmethod
+    def scripted_loop(monkeypatch, errors):
+        """``(result, meshes, metrics)`` of a loop whose errors are
+        ``errors`` and whose adapt step hands back a fresh copy of its
+        mesh: ``meshes[i]`` is cycle ``i``'s, ``metrics[i - 1]`` the
+        metric it was adapted to."""
+        from repro.delaunay.adapt import AdaptReport
+        from repro.delaunay.mesh import TriMesh
+        from repro.solver import adapt as loop_mod
+
+        script = iter(errors)
+        meshes, metrics = [square_mesh(0.05)], []
+
+        def step(mesh, metric, **kw):
+            meshes.append(TriMesh(mesh.points.copy(), mesh.triangles.copy(),
+                                  mesh.segments.copy()))
+            metrics.append(metric)
+            return meshes[-1], AdaptReport()
+
+        monkeypatch.setattr(loop_mod, "l2_error",
+                            lambda mesh, u, problem: next(script))
+        monkeypatch.setattr(loop_mod, "adapt_step", step)
+        return adapt_loop(meshes[0], cycles=3), meshes, metrics
+
+    def test_a_cycle_that_raised_the_error_is_not_returned(self,
+                                                           monkeypatch):
+        result, meshes, metrics = self.scripted_loop(monkeypatch,
+                                                     [1.0, 0.5, 0.6])
+        assert isinstance(result, AdaptLoopResult)
+        assert [c.error for c in result.history] == [1.0, 0.5, 0.6]
+        assert result.converged is False
+        assert result.best == 1
+        assert result.mesh is meshes[1]
+        assert result.metric is metrics[0]
+        assert result.error == 0.5
+        assert result.dof == result.history[1].dof
+
+    def test_the_initial_mesh_when_no_cycle_improved(self, monkeypatch):
+        result, meshes, metrics = self.scripted_loop(monkeypatch,
+                                                     [1.0, 1.2])
+        assert [c.error for c in result.history] == [1.0, 1.2]
+        assert result.converged is False
+        assert result.best == 0
+        assert result.mesh is meshes[0]
+        assert result.metric is None
+        assert result.error == 1.0
+        assert result.dof == meshes[0].n_points
 
 
 class TestExecutorDispatch:

@@ -192,14 +192,12 @@ def test_every_runtime_and_core_module_is_reachable_from_an_entry_point():
 REPO = SRC.parent
 
 #: definitions nothing outside ``tests/`` calls, each with the reason it
-#: is still in the tree.  At most two; an entry that gained a caller
+#: is still in the tree.  At most one; an entry that gained a caller
 #: (or whose definition is gone) fails the test.
 TEST_ONLY_FOR_A_REASON = {
     "repro.delaunay.kernel.Triangulation.check_integrity":
         "the kernel oracle behind 30+ tests; ROADMAP's 'one oracle' item "
         "decides its future",
-    "repro.delaunay.mesh.TriMesh.canonical":
-        "batch-insertion parity only; it goes with batch insertion",
 }
 
 
@@ -290,7 +288,7 @@ def test_every_definition_has_a_caller_outside_tests():
     assert not extra, "called by tests/ alone:\n" + "\n".join(extra)
     stale = sorted(set(TEST_ONLY_FOR_A_REASON) - uncalled)
     assert not stale, "called, or gone:\n" + "\n".join(stale)
-    assert len(TEST_ONLY_FOR_A_REASON) <= 2
+    assert len(TEST_ONLY_FOR_A_REASON) <= 1
     assert all(TEST_ONLY_FOR_A_REASON.values())
 
 
@@ -499,7 +497,7 @@ def test_option_walk_positive_control(tmp_path):
 PACKAGES = {
     "repro.solver": ("solve_potential_flow", "flow", 21),
     "repro.runtime": ("ServiceClient", "client", 22),
-    "repro.lint": ("rule_ids", "rules", 9),
+    "repro.lint": ("rule_ids", "rules", 6),
 }
 
 
