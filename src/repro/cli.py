@@ -300,7 +300,6 @@ def _run_adaptation(pslg: PSLG, mesh, args: argparse.Namespace,
         metric = metric.limit_gradation(mesh.edges(), grading=args.grading)
         mesh, report = adapt_step(mesh, metric, holes=holes,
                                   max_passes=args.adapt_passes,
-                                  smooth_iterations=1,
                                   protect_segments=True, backend=backend)
         cycles.append(report.to_dict())
     summary = {
@@ -327,7 +326,8 @@ def _service_address(parser: argparse.ArgumentParser,
     usage error."""
     from .runtime.service import ServiceError, parse_address
 
-    spec = f"unix:{args.socket}" if args.socket else f"tcp:{args.tcp}"
+    spec = (f"unix:{args.socket}" if args.socket is not None
+            else f"tcp:{args.tcp}")
     try:
         parse_address(spec)
     except ServiceError as exc:

@@ -46,17 +46,24 @@ __all__ = ["BoundaryLayerConfig", "BoundaryLayerResult",
 
 @dataclass
 class BoundaryLayerConfig:
-    """User-facing boundary-layer parameters (the push-button inputs)."""
+    """User-facing boundary-layer parameters (the push-button inputs).
+
+    The fields are the inputs.  The class constants after them are
+    fixed: layers grow until isotropy or ``max_layers`` with no height
+    cap, and the convex turn that starts refining rays (resp. a full
+    fan, Fig. 4) is 40 (resp. 100) degrees.
+    """
 
     first_spacing: float = 1e-3
     growth_ratio: float = 1.3
     max_layers: int = 60
-    max_height: float = math.inf
-    large_angle_deg: float = 40.0
-    cusp_angle_deg: float = 100.0
     max_ray_angle_deg: float = 20.0
-    isotropy_factor: float = 1.0
     truncation_factor: float = 0.5
+
+    max_height = math.inf
+    large_angle_deg = 40.0
+    cusp_angle_deg = 100.0
+    isotropy_factor = 1.0
 
     def growth_function(self) -> GeometricGrowth:
         return GeometricGrowth(self.first_spacing, self.growth_ratio)

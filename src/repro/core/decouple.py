@@ -33,7 +33,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..delaunay.mesh import TriMesh
-from ..delaunay.refine import RUPPERT_BOUND, AreaCriterion, Refiner
+from ..delaunay.refine import (MAX_STEINER, RUPPERT_BOUND, AreaCriterion,
+                               Refiner)
 from ..delaunay.constrained import triangulate_pslg
 from ..geometry.aabb import AABB
 from ..geometry.predicates import exact_eq
@@ -381,7 +382,7 @@ def refine_subdomain(
     sizing: SizingFunction,
     *,
     quality_bound: float = RUPPERT_BOUND,
-    max_steiner: int = 2_000_000,
+    max_steiner: int = MAX_STEINER,
     insert_strategy: Optional[str] = None,
 ) -> TriMesh:
     """Independently Ruppert-refine one decoupled subdomain.

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..delaunay.cavity import get_strategy
 from ..delaunay.mesh import TriMesh, merge_meshes
-from ..delaunay.refine import RUPPERT_BOUND
+from ..delaunay.refine import MAX_STEINER, RUPPERT_BOUND
 from ..geometry.aabb import AABB
 from ..geometry.pslg import PSLG
 from ..runtime import executor
@@ -70,14 +70,18 @@ __all__ = [
 
 @dataclass
 class MeshConfig:
-    """Push-button inputs: geometry handling plus BL parameters."""
+    """Push-button inputs: geometry handling plus BL parameters.
+
+    The fields are the request.  The class constants after them are
+    the same for every request: the isotropic edge length ``h0`` at the
+    BL outer border is ``None``, always derived from the BL tip spacing
+    (smooth hand-off, Fig. 5), and every subdomain is refined to
+    Ruppert's bound within one Steiner budget.
+    """
 
     bl: BoundaryLayerConfig = field(default_factory=BoundaryLayerConfig)
     #: far-field extent in chord lengths (paper: 30-50).
     farfield_chords: float = 40.0
-    #: isotropic surface edge length at the BL outer border; ``None``
-    #: derives it from the BL tip spacing (smooth hand-off, Fig. 5).
-    h0: Optional[float] = None
     #: sizing gradation rate toward the far field.
     grading: float = 0.35
     #: cap on far-field edge length in chords; ``None`` = uncapped.
@@ -86,8 +90,10 @@ class MeshConfig:
     nearbody_margin_chords: float = 0.75
     #: number of decoupled inviscid subdomains to generate.
     target_subdomains: int = 16
-    quality_bound: float = RUPPERT_BOUND
-    max_steiner: int = 2_000_000
+
+    h0 = None
+    quality_bound = RUPPERT_BOUND
+    max_steiner = MAX_STEINER
 
 
 @dataclass
@@ -165,7 +171,7 @@ def generate_mesh(
     # 2. Sizing function from the BL outer borders.
     # ------------------------------------------------------------------
     borders = np.vstack(bl.outer_borders)
-    h0 = config.h0 or max(
+    h0 = max(
         float(np.median([_median_spacing(ob) for ob in bl.outer_borders])),
         1e-6,
     )
@@ -218,8 +224,7 @@ def generate_mesh(
                 else max(estimate_triangles(s, sizing), 1.0))
 
     def _payload(s: DecoupledSubdomain) -> serde.Buffers:
-        return _pack_refine_item(s, sizing, config.quality_bound,
-                                 config.max_steiner, insert_strategy)
+        return _pack_refine_item(s, sizing, insert_strategy)
 
     # Note: ``refinement`` wall time spans the whole overlapped region
     # (it contains ``decoupling``).
@@ -273,13 +278,10 @@ def generate_mesh(
 
 
 def _pack_refine_item(sub: DecoupledSubdomain, sizing,
-                      quality_bound: float, max_steiner: int,
                       insert_strategy: str) -> serde.Buffers:
     """One refinement work item as a flat buffer dict (process-safe)."""
     payload = serde.nest("sub.", serde.pack_subdomain(sub))
     payload.update(serde.nest("sizing.", serde.pack_sizing(sizing)))
-    payload["params"] = np.asarray([quality_bound, float(max_steiner)],
-                                   dtype=np.float64)
     payload["insert_strategy"] = serde._text(insert_strategy)
     return payload
 
@@ -332,10 +334,8 @@ def _refine_item(payload: serde.Buffers) -> serde.Buffers:
     """Refine one packed subdomain -> packed mesh."""
     sub = serde.unpack_subdomain(serde.unnest("sub.", payload))
     sizing = serde.unpack_sizing(serde.unnest("sizing.", payload))
-    quality_bound, max_steiner = (float(x) for x in payload["params"])
     mesh = refine_subdomain(
-        sub, sizing, quality_bound=quality_bound,
-        max_steiner=int(max_steiner),
+        sub, sizing,
         insert_strategy=serde._untext(payload["insert_strategy"]))
     return serde.pack_mesh(mesh)
 
@@ -348,9 +348,11 @@ def pack_mesh_request(pslg: PSLG,
     """Flatten one complete ``generate_mesh`` input into a buffer dict.
 
     The dict carries *everything* that determines the output mesh —
-    PSLG geometry plus the full (BL-nested) :class:`MeshConfig` — and
-    nothing that does not (backend and rank count are transport knobs;
-    backend parity guarantees they cannot change the result).  Its
+    PSLG geometry plus every field of the (BL-nested)
+    :class:`MeshConfig`; its class constants are the same for every
+    request — and nothing that does not (backend and rank count are
+    transport knobs; backend parity guarantees they cannot change the
+    result).  Its
     :func:`repro.runtime.serde.canonical_hash` is therefore a sound
     content address for the service's mesh cache.
     """
@@ -417,21 +419,19 @@ def mesh_workitem(payload: serde.Buffers) -> serde.Buffers:
 # ----------------------------------------------------------------------
 def pack_adapt_item(mesh: TriMesh, metric_field, *,
                     holes=(), max_passes: int = 3,
-                    smooth_iterations: int = 1,
                     protect_segments: bool = False) -> serde.Buffers:
-    """One metric-adaptation work item as a flat buffer dict; its
-    length band is :data:`~repro.delaunay.adapt.LOW_BAND` ..
-    :data:`~repro.delaunay.adapt.HIGH_BAND`."""
-    from ..delaunay.adapt import HIGH_BAND, LOW_BAND
-
+    """One metric-adaptation work item as a flat buffer dict.  The
+    length band (:data:`~repro.delaunay.adapt.LOW_BAND` ..
+    :data:`~repro.delaunay.adapt.HIGH_BAND`) and the one smoothing
+    sweep per pass are constants of the adaptor, so they do not
+    travel."""
     payload = serde.nest("mesh.", serde.pack_mesh(mesh))
     payload.update(serde.nest("metric.", serde.pack_metric(metric_field)))
     holes_arr = (np.asarray(holes, dtype=np.float64).reshape(-1, 2)
                  if len(holes) else np.empty((0, 2), dtype=np.float64))
     payload["holes"] = holes_arr
     payload["params"] = np.asarray(
-        [LOW_BAND, HIGH_BAND, float(max_passes), float(smooth_iterations),
-         1.0 if protect_segments else 0.0],
+        [float(max_passes), 1.0 if protect_segments else 0.0],
         dtype=np.float64)
     return payload
 
@@ -447,16 +447,12 @@ def adapt_workitem(payload: serde.Buffers) -> serde.Buffers:
 
     mesh = serde.unpack_mesh(serde.unnest("mesh.", payload))
     metric_field = serde.unpack_metric(serde.unnest("metric.", payload))
-    l_min, l_max, max_passes, smooth_iters, protect = (
-        float(x) for x in payload["params"])
+    max_passes, protect = (float(x) for x in payload["params"])
     holes = [tuple(h) for h in payload["holes"]]
     new_mesh, report = adapt_mesh(
         mesh, metric_field,
         holes=holes,
-        l_min=l_min,
-        l_max=l_max,
         max_passes=int(max_passes),
-        smooth_iterations=int(smooth_iters),
         protect_segments=bool(protect),
     )
     out = serde.nest("mesh.", serde.pack_mesh(new_mesh))

@@ -6,11 +6,12 @@ field (:class:`repro.metric.MetricField`), apply local operations until
 the mesh is (approximately) *unit* in the metric — every edge with metric
 length inside ``[1/sqrt(2), sqrt(2)]``:
 
-* **split** edges longer than ``l_max`` at their midpoint — constrained
-  segments split through the same region-safe path as Ruppert refinement,
-  interior edges through the kernel's cavity-engine point insertion;
-* **collapse** edges shorter than ``l_min`` by removing a free endpoint
-  and retriangulating its star polygon (ear clipping with exact
+* **split** edges longer than :data:`HIGH_BAND` at their midpoint —
+  constrained segments split through the same region-safe path as
+  Ruppert refinement, interior edges through the kernel's cavity-engine
+  point insertion;
+* **collapse** edges shorter than :data:`LOW_BAND` by removing a free
+  endpoint and retriangulating its star polygon (ear clipping with exact
   orientation guards);
 * **flip** edges when the worst metric quality of the two adjacent
   triangles improves (anisotropic Lawson sweeps over a dirty-edge
@@ -138,8 +139,9 @@ class MeshAdaptor(Refiner):
     """Local-operation adaptation driver over a constrained triangulation.
 
     Parameters mirror :class:`Refiner` (region bookkeeping is shared);
-    ``field`` prescribes the target metric, ``l_min``/``l_max`` the
-    collapse/split thresholds in metric length.
+    ``metric_field`` prescribes the target metric.  The collapse/split
+    thresholds in metric length are the unit band's ends,
+    :data:`LOW_BAND` and :data:`HIGH_BAND`.
     """
 
     def __init__(
@@ -148,16 +150,10 @@ class MeshAdaptor(Refiner):
         metric_field,
         *,
         holes: Sequence[Tuple[float, float]] = (),
-        l_min: float = LOW_BAND,
-        l_max: float = HIGH_BAND,
         protect_segments: bool = False,
     ) -> None:
         super().__init__(tri, holes=holes, quality_bound=None)
-        if not (0.0 < l_min < l_max):
-            raise ValueError("need 0 < l_min < l_max")
         self.field = metric_field
-        self.l_min = float(l_min)
-        self.l_max = float(l_max)
         # When True, constrained segments are never split: callers whose
         # downstream stages match boundary vertices by exact coordinates
         # (e.g. the potential-flow body classification) keep their rings
@@ -432,7 +428,7 @@ class MeshAdaptor(Refiner):
     # Passes
     # ------------------------------------------------------------------
     def split_pass(self) -> int:
-        """Split every edge with metric length above ``l_max``."""
+        """Split every edge with metric length above :data:`HIGH_BAND`."""
         edges = self._edge_table()[0]
         if not len(edges):
             return 0
@@ -441,7 +437,7 @@ class MeshAdaptor(Refiner):
         edges = edges.tolist()
         done = 0
         for j in order:
-            if lengths[j] <= self.l_max:
+            if lengths[j] <= HIGH_BAND:
                 break
             u, v = edges[j]
             if self.split_edge(u, v):
@@ -449,7 +445,7 @@ class MeshAdaptor(Refiner):
         return done
 
     def collapse_pass(self) -> int:
-        """Collapse edges with metric length below ``l_min``."""
+        """Collapse edges with metric length below :data:`LOW_BAND`."""
         edges = self._edge_table()[0]
         if not len(edges):
             return 0
@@ -460,7 +456,7 @@ class MeshAdaptor(Refiner):
         removed: set = set()
         done = 0
         for j in order:
-            if lengths[j] >= self.l_min:
+            if lengths[j] >= LOW_BAND:
                 break
             u, v = edges[j]
             if u in removed or v in removed:
@@ -682,8 +678,6 @@ def adapt_mesh(
     metric_field,
     *,
     holes: Sequence[Tuple[float, float]] = (),
-    l_min: float = LOW_BAND,
-    l_max: float = HIGH_BAND,
     max_passes: int = 3,
     smooth_iterations: int = 1,
     protect_segments: bool = False,
@@ -702,8 +696,6 @@ def adapt_mesh(
         tri,
         metric_field,
         holes=holes,
-        l_min=l_min,
-        l_max=l_max,
         protect_segments=protect_segments,
     )
     adaptor.adapt(max_passes=max_passes, smooth_iterations=smooth_iterations)

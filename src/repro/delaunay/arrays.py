@@ -36,8 +36,9 @@ A recycled slot is marked dead by writing :data:`DEAD` (= ``-2``) into
 ``tv[3*t]``; the remaining five ints are stale garbage.  ``-1`` is
 *not* usable as a death marker because :data:`~repro.delaunay.kernel.GHOST`
 (= ``-1``) legitimately occupies any ``tv`` column.  Callers must
-check :meth:`is_dead` (or use :meth:`triangle`, which returns ``None``)
-before interpreting a row; APIs that dereference a dead slot raise.
+check ``tv[3*t] == DEAD`` (or use :meth:`triangle`, which returns
+``None``) before interpreting a row; APIs that dereference a dead slot
+raise.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ class MeshArrays:
     """Flat-list storage for a mutable triangulation.
 
     ``n_pts`` / ``n_tris`` are the row counts of the lists.  Triangle
-    rows are live unless :meth:`is_dead`.
+    rows are live unless ``tv[3*t]`` is :data:`DEAD`.
     """
 
     __slots__ = ("px", "tv", "tn", "vt", "free", "n_pts", "n_tris")
@@ -105,10 +106,6 @@ class MeshArrays:
     def kill(self, t: int) -> None:
         self.tv[3 * t] = DEAD
         self.free.append(t)
-
-    def is_dead(self, t: int) -> bool:
-        """Dead-slot check — the one sanctioned way to test liveness."""
-        return self.tv[3 * t] == DEAD
 
     def point(self, v: int) -> Tuple[float, float]:
         j = 2 * v

@@ -46,10 +46,9 @@ lists ``px[2*v]`` / ``tv[3*t+k]`` / ``tn[3*t+k]`` / ``vt[v]`` that hot
 paths index directly and that grow by appending in place, so an alias
 never goes stale; cold paths call ``_arr.point(v)`` /
 ``_arr.triangle(t)``.  NumPy readers (the ``batch`` strategy's
-vectorised walk, carve and grid, :func:`delaunay_mesh`,
-:meth:`Triangulation.check_integrity`) take read-only snapshots from
-``MeshArrays``; :meth:`Triangulation.to_mesh` is a vectorised
-compaction of them.
+vectorised walk, carve and grid, :func:`delaunay_mesh`) take read-only
+snapshots from ``MeshArrays``; :meth:`Triangulation.to_mesh` is a
+vectorised compaction of them.
 """
 
 from __future__ import annotations
@@ -166,7 +165,7 @@ class Triangulation:
 
         Dead-triangle contract (enforced, see :mod:`repro.delaunay.arrays`):
         callers must not ask about recycled slots — check
-        ``MeshArrays.is_dead`` / ``triangle(t) is None`` first.  Historically
+        ``tv[3*t] == DEAD`` / ``triangle(t) is None`` first.  Historically
         this silently returned ``False`` for dead slots, masking stale-id
         bugs under free-list reuse.
         """
@@ -581,52 +580,6 @@ class Triangulation:
         mesh = TriMesh(pts, tarr, sarr)
         self.stat_finalize_ns += monotonic_ns() - t_start
         return mesh
-
-    # ------------------------------------------------------------------
-    # Structural self-check (tests, expensive)
-    # ------------------------------------------------------------------
-    def check_integrity(self) -> None:
-        """Assert adjacency symmetry and positive orientation everywhere,
-        the live-triangle count, and that every vertex hint names a live
-        triangle holding its vertex."""
-        arr = self._arr
-        tn = arr.tn
-        for t in self.live_triangles():
-            tv = arr.triangle(t)
-            if GHOST not in tv:
-                o = orient2d(arr.point(tv[0]), arr.point(tv[1]),
-                             arr.point(tv[2]))
-                if o <= 0:
-                    raise TriangulationError(f"triangle {t}={tv} not CCW ({o})")
-            for k in range(3):
-                nb = tn[3 * t + k]
-                if nb < 0:
-                    if self.n_live_triangles > 1:
-                        raise TriangulationError(f"triangle {t} edge {k} unlinked")
-                    continue
-                if arr.is_dead(nb):
-                    raise TriangulationError(f"{t} links dead triangle {nb}")
-                u, v = self._edge(t, k)
-                kk = self._edge_index(nb, v, u)
-                if tn[3 * nb + kk] != t:
-                    raise TriangulationError(f"asymmetric adjacency {t}<->{nb}")
-        rows = arr.tri_v()
-        n_live = int(np.count_nonzero(rows[:, 0] != DEAD))
-        if n_live != self.n_live_triangles:
-            raise TriangulationError(
-                f"n_live_triangles is {self.n_live_triangles}, "
-                f"{n_live} rows are live")
-        hint = arr.vertex_tri()
-        hinted = np.flatnonzero(hint >= 0)
-        # One DEAD row stands for every slot past n_tris.
-        rows = np.vstack((rows, np.full((1, 3), DEAD, dtype=rows.dtype)))
-        held = rows[np.minimum(hint[hinted], arr.n_tris)]
-        stale = (held[:, 0] == DEAD) | ~(held == hinted[:, None]).any(axis=1)
-        if stale.any():
-            v = int(hinted[np.argmax(stale)])
-            raise TriangulationError(
-                f"vertex {v} hints triangle {hint[v]}, which is dead or "
-                "lacks it")
 
 
 def triangulate(points: np.ndarray, *,

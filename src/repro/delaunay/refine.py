@@ -45,6 +45,7 @@ from ..geometry.predicates import (
     ORIENT_ERR_BOUND, ORIENT_UNDERFLOW_GUARD, exact_eq, orient2d)
 from ..geometry.primitives import segments_intersect
 from ..runtime.counters import current as counters_current
+from ..sizing.functions import UniformSizing
 from .arrays import DEAD
 from .cavity import carve, find_directed_edge, insert_point, retriangulate, walk
 from .constrained import carve as carve_regions, triangulate_pslg
@@ -62,6 +63,8 @@ __all__ = [
 #: Ruppert's circumradius-to-shortest-edge termination bound (paper Eq. 1
 #: context): sqrt(2) corresponds to a 20.7-degree minimum angle.
 RUPPERT_BOUND = math.sqrt(2.0)
+#: Steiner points one refinement may insert before it gives up.
+MAX_STEINER = 2_000_000
 
 
 class RefinementError(RuntimeError):
@@ -218,7 +221,7 @@ class Refiner:
         quality_bound: Optional[float] = RUPPERT_BOUND,
         criterion: Optional[AreaCriterion] = None,
         min_edge_floor: float = 0.0,
-        max_steiner: int = 2_000_000,
+        max_steiner: int = MAX_STEINER,
         lock_segments: bool = False,
     ) -> None:
         self.tri = tri
@@ -730,8 +733,10 @@ def refine_pslg(
     """One-call PSLG -> refined quality mesh (the Triangle workflow),
     at Ruppert's bound :data:`RUPPERT_BOUND`.
 
-    ``max_area`` is a uniform bound; ``area_fn`` a spatially varying one
-    (both may be given — the effective bound is the minimum).
+    ``max_area`` is a uniform bound (a :class:`~repro.sizing.UniformSizing`,
+    so the criterion's Lipschitz filter decides most verdicts); ``area_fn``
+    a spatially varying one (both may be given — the effective bound is
+    the minimum).
     """
     if max_area is not None and max_area <= 0:
         raise ValueError("max_area must be positive")
@@ -740,7 +745,7 @@ def refine_pslg(
     if max_area is not None and area_fn is not None:
         criterion = AreaCriterion(lambda x, y: min(max_area, area_fn(x, y)))
     elif max_area is not None:
-        criterion = AreaCriterion(lambda x, y: max_area)
+        criterion = AreaCriterion(UniformSizing(max_area).area_at)
     elif area_fn is not None:
         criterion = AreaCriterion(area_fn)
 

@@ -24,10 +24,8 @@ from . import serde
 from .counters import monotonic
 from .service import (
     FRAME_HEAD,
-    FRAME_MAGIC,
-    MAX_FRAME_BYTES,
-    FrameError,
     ServiceError,
+    decode_head,
     decode_kind,
     encode_frame,
     parse_address,
@@ -52,12 +50,7 @@ def recv_exact(sock: socket.socket, n: int) -> bytes:
 
 def read_frame_blocking(sock: socket.socket) -> Tuple[str, bytes]:
     """Blocking twin of :func:`repro.runtime.service.read_frame`."""
-    head = recv_exact(sock, FRAME_HEAD.size)
-    magic, klen, plen = FRAME_HEAD.unpack(head)
-    if magic != FRAME_MAGIC:
-        raise FrameError(f"bad frame magic {magic!r} (want {FRAME_MAGIC!r})")
-    if plen > MAX_FRAME_BYTES:
-        raise FrameError(f"frame payload of {plen} bytes over cap")
+    klen, plen = decode_head(recv_exact(sock, FRAME_HEAD.size))
     kind = decode_kind(recv_exact(sock, klen))
     payload = recv_exact(sock, plen) if plen else b""
     return kind, payload

@@ -20,12 +20,12 @@ Supported objects:
   (float64 seeds) and the ``insert_strategy`` name as text;
 * :class:`~repro.geometry.pslg.PSLG` — points, loop index table, flags,
   and a uint8-encoded name blob;
-* sizing functions (``Uniform``/``Radial``/``GradedDistance``) — a kind
-  code plus parameter/point arrays (any other sizing object wraps
-  arbitrary Python and is rejected with a clear error pointing at the
-  in-process backend);
-* :class:`~repro.core.bl_pipeline.BoundaryLayerConfig` — its numeric
-  fields, every one of them.
+* the pipeline's sizing function, a ``GradedDistanceSizing`` —
+  parameter and surface-point arrays (any other sizing object is
+  rejected with an error naming the in-process path);
+* :class:`~repro.core.pipeline.MeshConfig` with its nested
+  :class:`~repro.core.bl_pipeline.BoundaryLayerConfig` — their fields,
+  the numbers a request can vary; their class constants stay behind.
 
 Composition: :func:`nest` prefixes a packed dict's keys so several
 objects share one payload; :func:`unnest` extracts them back.
@@ -556,73 +556,45 @@ def unpack_pslg(buffers: Buffers):
 
 
 # ----------------------------------------------------------------------
-# Sizing functions
+# Sizing function
 # ----------------------------------------------------------------------
-_SIZING_UNIFORM = 0
-_SIZING_RADIAL = 1
-_SIZING_GRADED = 2
-
-
 def pack_sizing(sizing) -> Buffers:
-    """Flatten a sizing function (kind code + parameters)."""
-    from ..sizing.functions import (GradedDistanceSizing, RadialSizing,
-                                    UniformSizing)
+    """Flatten the sizing function the pipeline ships, a
+    :class:`~repro.sizing.functions.GradedDistanceSizing`: its
+    parameters and its surface points."""
+    from ..sizing.functions import GradedDistanceSizing
 
-    if isinstance(sizing, UniformSizing):
-        kind, params, pts = _SIZING_UNIFORM, [sizing.area], None
-    elif isinstance(sizing, RadialSizing):
-        kind = _SIZING_RADIAL
-        params = [sizing.center[0], sizing.center[1], sizing.h0,
-                  sizing.grading, sizing.h_max]
-        pts = None
-    elif isinstance(sizing, GradedDistanceSizing):
-        kind = _SIZING_GRADED
-        params = [sizing.h0, sizing.grading, sizing.h_max]
-        pts = sizing._pts
-    else:
+    if not isinstance(sizing, GradedDistanceSizing):
         raise SerdeError(
             f"sizing function {type(sizing).__name__} is not serializable "
-            "(it wraps arbitrary Python callables); use the serial "
-            "backend, or one of Uniform/Radial/GradedDistanceSizing"
-        )
+            "(only GradedDistanceSizing travels); refine with it in "
+            "process: repro.core.decouple.refine_subdomain")
     return {
-        "kind": np.asarray([kind], dtype=np.int32),
-        "params": np.asarray(params, dtype=np.float64),
-        "points": (_f64(pts, 2) if pts is not None
-                   else np.empty((0, 2), dtype=np.float64)),
+        "params": np.asarray([sizing.h0, sizing.grading, sizing.h_max],
+                             dtype=np.float64),
+        "points": _f64(sizing._pts, 2),
     }
 
 
 def unpack_sizing(buffers: Buffers):
-    from ..sizing.functions import (GradedDistanceSizing, RadialSizing,
-                                    UniformSizing)
+    from ..sizing.functions import GradedDistanceSizing
 
-    kind = int(buffers["kind"][0])
-    params = [float(x) for x in buffers["params"]]
-    if kind == _SIZING_UNIFORM:
-        return UniformSizing(params[0])
-    if kind == _SIZING_RADIAL:
-        cx, cy, h0, grading, h_max = params
-        return RadialSizing((cx, cy), h0, grading=grading, h_max=h_max)
-    if kind == _SIZING_GRADED:
-        h0, grading, h_max = params
-        return GradedDistanceSizing(_f64(buffers["points"], 2), h0,
-                                    grading=grading, h_max=h_max)
-    raise SerdeError(f"unknown sizing kind code {kind}")
+    h0, grading, h_max = (float(x) for x in buffers["params"])
+    return GradedDistanceSizing(_f64(buffers["points"], 2), h0,
+                                grading=grading, h_max=h_max)
 
 
 # ----------------------------------------------------------------------
 # BoundaryLayerConfig
 # ----------------------------------------------------------------------
 _BL_FIELDS = (
-    "first_spacing", "growth_ratio", "max_layers", "max_height",
-    "large_angle_deg", "cusp_angle_deg", "max_ray_angle_deg",
-    "isotropy_factor", "truncation_factor",
+    "first_spacing", "growth_ratio", "max_layers", "max_ray_angle_deg",
+    "truncation_factor",
 )
 
 
 def pack_bl_config(config) -> Buffers:
-    """Flatten a :class:`BoundaryLayerConfig` (its numeric fields)."""
+    """Flatten a :class:`BoundaryLayerConfig` (its fields)."""
     return {
         "params": np.asarray([float(getattr(config, f)) for f in _BL_FIELDS],
                              dtype=np.float64),
@@ -641,14 +613,13 @@ def unpack_bl_config(buffers: Buffers):
 # MeshConfig (the push-button pipeline's full input, BL config nested)
 # ----------------------------------------------------------------------
 _MESH_FIELDS = (
-    "farfield_chords", "h0", "grading", "h_max_chords",
-    "nearbody_margin_chords", "target_subdomains", "quality_bound",
-    "max_steiner",
+    "farfield_chords", "grading", "h_max_chords", "nearbody_margin_chords",
+    "target_subdomains",
 )
 
 #: MeshConfig fields where ``None`` is legal; encoded as NaN (a float
 #: parameter can never legitimately be NaN, so the mapping is lossless).
-_MESH_OPTIONAL = ("h0", "h_max_chords")
+_MESH_OPTIONAL = ("h_max_chords",)
 
 
 def pack_mesh_config(config) -> Buffers:
@@ -675,5 +646,4 @@ def unpack_mesh_config(buffers: Buffers):
         if np.isnan(values[name]):
             values[name] = None
     values["target_subdomains"] = int(values["target_subdomains"])
-    values["max_steiner"] = int(values["max_steiner"])
     return MeshConfig(bl=unpack_bl_config(unnest("bl.", buffers)), **values)

@@ -73,6 +73,7 @@ __all__ = [
     "MAX_FRAME_BYTES",
     "encode_frame",
     "read_frame",
+    "decode_head",
     "decode_kind",
     "parse_address",
     "percentile",
@@ -120,15 +121,22 @@ def encode_frame(kind: str, payload: bytes = b"") -> bytes:
 
 async def read_frame(reader: asyncio.StreamReader) -> Tuple[str, bytes]:
     """Read one frame; raises ``IncompleteReadError`` on clean EOF."""
-    head = await reader.readexactly(FRAME_HEAD.size)
+    klen, plen = decode_head(await reader.readexactly(FRAME_HEAD.size))
+    kind = decode_kind(await reader.readexactly(klen))
+    payload = await reader.readexactly(plen) if plen else b""
+    return kind, payload
+
+
+def decode_head(head: bytes) -> Tuple[int, int]:
+    """``(kind length, payload length)`` of a frame header, for both
+    readers; a bad magic or a payload over the cap makes the frame
+    malformed (:class:`FrameError`) before anything is allocated."""
     magic, klen, plen = FRAME_HEAD.unpack(head)
     if magic != FRAME_MAGIC:
         raise FrameError(f"bad frame magic {magic!r} (want {FRAME_MAGIC!r})")
     if plen > MAX_FRAME_BYTES:
         raise FrameError(f"frame payload of {plen} bytes over cap")
-    kind = decode_kind(await reader.readexactly(klen))
-    payload = await reader.readexactly(plen) if plen else b""
-    return kind, payload
+    return klen, plen
 
 
 def decode_kind(raw: bytes) -> str:
@@ -170,6 +178,10 @@ def parse_address(spec: str) -> Tuple[str, Union[str, Tuple[str, int]]]:
     separator, ``tcp:127.0.0.1:7070``, and bare ``host:port``.
     """
     if spec.startswith("unix:"):
+        if not spec[5:]:
+            raise ServiceError(
+                f"empty socket path in service address {spec!r} — want "
+                "unix:<path>")
         return ("unix", spec[5:])
     if spec.startswith("tcp:"):
         host, _, port = spec[4:].rpartition(":")

@@ -53,14 +53,16 @@ class NetworkModel:
             raise ValueError("invalid network model")
 
 
+#: a rank requests work when its queue cost drops below this fraction
+#: of the mean per-rank load.
+STEAL_THRESHOLD_FRAC = 0.05
+#: retry back-off after an unsuccessful steal (window poll period).
+POLL_PERIOD = 1.0e-4
+
+
 @dataclass
 class SimConfig:
     network: NetworkModel = field(default_factory=NetworkModel)
-    #: a rank requests work when its queue cost drops below this fraction
-    #: of the mean per-rank load.
-    steal_threshold_frac: float = 0.05
-    #: retry back-off after an unsuccessful steal (window poll period).
-    poll_period: float = 1.0e-4
     #: per-item fixed scheduling overhead on the mesher thread (queue pop,
     #: Triangle call setup) — the non-communication serial overhead.
     per_task_overhead: float = 0.0
@@ -152,7 +154,7 @@ def simulate(tasks: Sequence[SimTask], n_ranks: int,
     if n_ranks < 1:
         raise ValueError("need at least one rank")
     total_work = sum(t.cost for t in tasks)
-    threshold = config.steal_threshold_frac * total_work / n_ranks
+    threshold = STEAL_THRESHOLD_FRAC * total_work / n_ranks
 
     queues, ready = _tree_distribute(tasks, n_ranks, net)
     ready += config.serial_setup
@@ -216,15 +218,15 @@ def simulate(tasks: Sequence[SimTask], n_ranks: int,
             outstanding -= 1
             finished_at[rank] = now
             start_next(rank, now)
-            # Wake hungry ranks: either work remains stealable somewhere,
-            # or the run is draining and they should re-check termination.
+            # Wake hungry ranks after one window-update latency: either
+            # work remains stealable somewhere, or the run is draining and
+            # they should re-check termination.
             if hungry and config.stealing:
-                delay = config.poll_period  # window-update latency
                 # Sorted wake order (lint R4): the steal schedule must not
                 # depend on set hash order, or simulated timelines drift
                 # between runs.
                 for h in sorted(hungry):
-                    push(now + delay, "try_steal", h)
+                    push(now + POLL_PERIOD, "try_steal", h)
                 hungry.clear()
         elif kind == "try_steal":
             if running[rank] is not None or queues[rank]:
@@ -277,7 +279,7 @@ def simulate(tasks: Sequence[SimTask], n_ranks: int,
                 if queues[rank]:
                     start_next(rank, now)
                 elif outstanding > 0:
-                    push(now + config.poll_period, "try_steal", rank)
+                    push(now + POLL_PERIOD, "try_steal", rank)
                 else:
                     finished_at[rank] = max(finished_at[rank], now)
 

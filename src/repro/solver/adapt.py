@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..delaunay.adapt import HIGH_BAND, LOW_BAND, AdaptReport, adapt_mesh
+from ..delaunay.adapt import AdaptReport, adapt_mesh
 from ..delaunay.mesh import TriMesh
 from ..metric import MetricField
 
@@ -180,14 +180,12 @@ class AdaptLoopResult:
 
 def adapt_step(mesh: TriMesh, metric: MetricField, *,
                holes: Sequence[Tuple[float, float]],
-               max_passes: int, smooth_iterations: int,
-               protect_segments: bool,
+               max_passes: int, protect_segments: bool,
                backend: Optional[str]) -> Tuple[TriMesh, AdaptReport]:
     """Run one adapt step locally or through the runtime executor."""
     if backend is None:
         return adapt_mesh(
             mesh, metric, holes=holes, max_passes=max_passes,
-            smooth_iterations=smooth_iterations,
             protect_segments=protect_segments,
         )
     from ..core import pipeline
@@ -196,7 +194,6 @@ def adapt_step(mesh: TriMesh, metric: MetricField, *,
     impl = executor.get_backend(backend)
     payload = pipeline.pack_adapt_item(
         mesh, metric, holes=holes, max_passes=max_passes,
-        smooth_iterations=smooth_iterations,
         protect_segments=protect_segments,
     )
     (out,) = impl.map_workitems(pipeline.adapt_workitem, [payload])
@@ -213,7 +210,6 @@ def adapt_loop(
     h_max: float = 0.5,
     grading: float = 0.5,
     max_passes: int = 3,
-    smooth_iterations: int = 1,
     holes: Sequence[Tuple[float, float]] = (),
     protect_segments: bool = False,
     flatten_rtol: float = 0.02,
@@ -257,7 +253,6 @@ def adapt_loop(
         metric = metric.limit_gradation(mesh.edges(), grading=grading)
         mesh, report = adapt_step(
             mesh, metric, holes=holes, max_passes=max_passes,
-            smooth_iterations=smooth_iterations,
             protect_segments=protect_segments, backend=backend,
         )
         u = solve_on_mesh(mesh, problem)

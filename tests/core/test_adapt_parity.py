@@ -11,7 +11,6 @@ import pytest
 
 from repro.core import pipeline
 from repro.delaunay import refine_pslg
-from repro.delaunay.adapt import HIGH_BAND, LOW_BAND
 from repro.metric import MetricField, tensor
 from repro.runtime import executor, serde
 
@@ -69,9 +68,8 @@ class TestAdaptWorkitem:
         mesh, field = case
         payload = pipeline.pack_adapt_item(
             mesh, field, holes=[(0.5, 0.5)],
-            max_passes=1, smooth_iterations=2, protect_segments=True)
-        np.testing.assert_allclose(payload["params"],
-                                   [LOW_BAND, HIGH_BAND, 1.0, 2.0, 1.0])
+            max_passes=1, protect_segments=True)
+        np.testing.assert_allclose(payload["params"], [1.0, 1.0])
         np.testing.assert_allclose(payload["holes"], [[0.5, 0.5]])
 
     @pytest.mark.parametrize("backend", ["serial", "processes"])

@@ -6,14 +6,16 @@ the exact ``incircle`` / ``orient2d`` on coordinates read through
 this cavity for cavity.
 
 :func:`canonical` is the insertion-order-free form of a Delaunay mesh
-the batch-insertion parity tests hash.
+the batch-insertion parity tests hash, :func:`check_integrity` the
+structural self-check the kernel tests run after every edit.
 """
 
 from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.delaunay.kernel import GHOST
+from repro.delaunay.arrays import DEAD
+from repro.delaunay.kernel import GHOST, TriangulationError
 from repro.delaunay.mesh import TriMesh
 from repro.geometry.predicates import incircle, orient2d
 
@@ -174,3 +176,47 @@ def _canonical_ties(points: np.ndarray, tris: np.ndarray,
             if len(edge_map.get(key, ())) == 2:
                 queue.append(key)
     return np.asarray(tlist, dtype=np.int64)
+
+
+def check_integrity(tri) -> None:
+    """Assert adjacency symmetry and positive orientation everywhere,
+    the live-triangle count, and that every vertex hint names a live
+    triangle holding its vertex."""
+    arr = tri._arr
+    tn = arr.tn
+    for t in tri.live_triangles():
+        tv = arr.triangle(t)
+        if GHOST not in tv:
+            o = orient2d(arr.point(tv[0]), arr.point(tv[1]),
+                         arr.point(tv[2]))
+            if o <= 0:
+                raise TriangulationError(f"triangle {t}={tv} not CCW ({o})")
+        for k in range(3):
+            nb = tn[3 * t + k]
+            if nb < 0:
+                if tri.n_live_triangles > 1:
+                    raise TriangulationError(f"triangle {t} edge {k} unlinked")
+                continue
+            if arr.tv[3 * nb] == DEAD:
+                raise TriangulationError(f"{t} links dead triangle {nb}")
+            u, v = tri._edge(t, k)
+            kk = tri._edge_index(nb, v, u)
+            if tn[3 * nb + kk] != t:
+                raise TriangulationError(f"asymmetric adjacency {t}<->{nb}")
+    rows = arr.tri_v()
+    n_live = int(np.count_nonzero(rows[:, 0] != DEAD))
+    if n_live != tri.n_live_triangles:
+        raise TriangulationError(
+            f"n_live_triangles is {tri.n_live_triangles}, "
+            f"{n_live} rows are live")
+    hint = arr.vertex_tri()
+    hinted = np.flatnonzero(hint >= 0)
+    # One DEAD row stands for every slot past n_tris.
+    rows = np.vstack((rows, np.full((1, 3), DEAD, dtype=rows.dtype)))
+    held = rows[np.minimum(hint[hinted], arr.n_tris)]
+    stale = (held[:, 0] == DEAD) | ~(held == hinted[:, None]).any(axis=1)
+    if stale.any():
+        v = int(hinted[np.argmax(stale)])
+        raise TriangulationError(
+            f"vertex {v} hints triangle {hint[v]}, which is dead or "
+            "lacks it")

@@ -42,6 +42,7 @@ from repro.metric import MetricField, tensor
 from .. import pins
 from ..pins import SQUARE_SEGS, UNIT_SQUARE, mesh_hash, pin
 from . import oracle_adapt
+from .oracle import check_integrity
 
 
 def square_mesh(max_area=0.02):
@@ -118,7 +119,7 @@ class TestOperationInvariants:
         tri = triangulate_pslg(mesh.points, mesh.segments)
         adaptor = MeshAdaptor(tri, field)
         adaptor.adapt(max_passes=passes)
-        tri.check_integrity()
+        check_integrity(tri)
         assert_no_inversion(tri)
         out = adaptor.to_mesh()
         assert_segments_survive(out, mesh.segments, mesh.points)
@@ -145,7 +146,7 @@ class TestOperationInvariants:
                 adaptor.collapse_edge(u, v, protected)
             else:
                 oracle_adapt.flip_edge(adaptor, u, v)
-            tri.check_integrity()
+            check_integrity(tri)
             assert_no_inversion(tri)
         out = adaptor.to_mesh()
         assert_segments_survive(out, mesh.segments, mesh.points)
@@ -241,7 +242,7 @@ class TestAdaptedMeshPins:
 
         def checked(self, **kwargs):
             report = adapt(self, **kwargs)
-            self.tri.check_integrity()
+            check_integrity(self.tri)
             return report
 
         monkeypatch.setattr(MeshAdaptor, "adapt", checked)

@@ -13,7 +13,7 @@ import pytest
 
 from repro import generate_mesh
 from repro.delaunay import refine_pslg
-from repro.delaunay.arrays import MeshArrays
+from repro.delaunay.arrays import DEAD, MeshArrays
 from repro.delaunay.kernel import (
     Triangulation,
     TriangulationError,
@@ -45,9 +45,9 @@ class TestMeshArrays:
         for i in range(6):
             a.new_point(float(i), float(i * i))
         t = tri._new_triangle(5, 1, 2)
-        assert not a.is_dead(t)
+        assert a.tv[3 * t] != DEAD
         a.kill(t)
-        assert a.is_dead(t)
+        assert a.tv[3 * t] == DEAD
         assert a.triangle(t) is None
         assert tri._new_triangle(0, 1, 2) == t  # recycled from the free list
 

@@ -13,6 +13,8 @@ from repro.delaunay.constrained import (
 )
 from repro.delaunay.kernel import Triangulation, triangulate
 
+from .oracle import check_integrity
+
 
 def build(points):
     tri = Triangulation()
@@ -39,7 +41,7 @@ class TestInsertSegment:
         else:
             insert_segment(tri, a, c)
             assert tri.has_edge(a, c)
-        tri.check_integrity()
+        check_integrity(tri)
 
     def test_long_segment_through_many_triangles(self):
         rng = np.random.default_rng(5)
@@ -48,7 +50,7 @@ class TestInsertSegment:
         pts.append((1.5, 0.5))
         tri, ids = build(pts)
         insert_segment(tri, ids[-2], ids[-1])
-        tri.check_integrity()
+        check_integrity(tri)
         # The segment may have been split by collinear vertices (none here
         # with random data): it must exist as an edge.
         assert tri.has_edge(ids[-2], ids[-1])
@@ -60,7 +62,7 @@ class TestInsertSegment:
         assert sorted(
             tuple(sorted(s)) for s in created
         ) == [(ids[0], ids[1]), (ids[1], ids[2])]
-        tri.check_integrity()
+        check_integrity(tri)
 
     def test_degenerate_raises(self):
         tri, ids = build([(0, 0), (1, 0), (0, 1)])
@@ -77,7 +79,7 @@ class TestInsertSegment:
         if i == j:
             return
         segs = insert_segment(tri, ids[i], ids[j])
-        tri.check_integrity()
+        check_integrity(tri)
         for u, v in segs:
             assert tri.has_edge(u, v)
         mesh = tri.to_mesh()
@@ -91,7 +93,7 @@ class TestTriangulatePSLG:
         pts = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float)
         segs = np.array([(0, 1), (1, 2), (2, 3), (3, 0)])
         tri = triangulate_pslg(pts, segs)
-        tri.check_integrity()
+        check_integrity(tri)
         mesh = tri.to_mesh()
         assert mesh.contains_segments(
             np.array([[mesh_idx(mesh, pts[u]), mesh_idx(mesh, pts[v])]

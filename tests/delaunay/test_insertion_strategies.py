@@ -29,6 +29,7 @@ from repro.runtime import serde
 from repro.runtime.counters import use_counters
 
 from . import oracle
+from .oracle import check_integrity
 
 
 # ----------------------------------------------------------------------
@@ -117,7 +118,7 @@ class TestIndependenceProperty:
             c + rng.normal(scale=1e-3, size=(30, 2)) for c in centers
         ])
         tri, trace = _batch_triangulate(pts)
-        tri.check_integrity()
+        check_integrity(tri)
         for sub in trace:
             claimed = set()
             for cav, nbhd in sub:
@@ -181,7 +182,7 @@ class TestDifferential:
         rng = np.random.default_rng(99)
         pts = rng.uniform(0, 10, size=(800, 2))
         tri = triangulate(pts, strategy="batch")
-        tri.check_integrity()
+        check_integrity(tri)
         assert tri.stat_batch_points > 0
 
     def test_duplicate_points_map_to_first_occurrence(self):

@@ -49,6 +49,7 @@ from repro.geometry.predicates import incircle, orient2d
 from repro.sizing.functions import UniformSizing
 
 from . import oracle
+from .oracle import check_integrity
 from .oracle_refine import assert_refinement_complete, find_vertex_at
 from .test_fuzz_pslg import star_polygon
 
@@ -120,7 +121,7 @@ def assert_constraints_preserved(tri: Triangulation) -> None:
 
 def assert_invariants(tri: Triangulation, *, exhaustive: bool = False
                       ) -> None:
-    tri.check_integrity()
+    check_integrity(tri)
     assert_positive_orientation(tri)
     assert_locally_delaunay(tri)
     assert_constraints_preserved(tri)

@@ -10,6 +10,8 @@ from repro.delaunay.kernel import GHOST, Triangulation, TriangulationError, tria
 from repro.geometry.predicates import orient2d
 from repro.geometry.primitives import polygon_area
 
+from .oracle import check_integrity
+
 
 def hull_area(points):
     from .oracle_hull import convex_hull
@@ -32,7 +34,7 @@ class TestBootstrap:
         for p in [(0, 0), (1, 0), (0, 1)]:
             t.insert_point(*p)
         assert t.n_live_triangles == 4  # 1 real + 3 ghosts
-        t.check_integrity()
+        check_integrity(t)
         mesh = t.to_mesh()
         assert mesh.n_triangles == 1
 
@@ -40,7 +42,7 @@ class TestBootstrap:
         t = Triangulation()
         for p in [(0, 0), (1, 0), (2, 0), (3, 0), (1, 1)]:
             t.insert_point(*p)
-        t.check_integrity()
+        check_integrity(t)
         mesh = t.to_mesh()
         assert mesh.n_points == 5
         assert mesh.is_conforming()
@@ -67,7 +69,7 @@ class TestInsertion:
         t = Triangulation()
         for p in [(0, 0), (4, 0), (0, 4), (1, 1)]:
             t.insert_point(*p)
-        t.check_integrity()
+        check_integrity(t)
         assert t.to_mesh().n_triangles == 3
 
     def test_point_on_edge(self):
@@ -75,7 +77,7 @@ class TestInsertion:
         for p in [(0, 0), (4, 0), (0, 4)]:
             t.insert_point(*p)
         t.insert_point(2, 0)  # exactly on hull edge
-        t.check_integrity()
+        check_integrity(t)
         mesh = t.to_mesh()
         assert mesh.n_triangles == 2
         assert mesh.delaunay_violations(respect_segments=False) == 0
@@ -86,7 +88,7 @@ class TestInsertion:
             t.insert_point(*p)
         # (2, 2) lies exactly on the diagonal shared edge.
         t.insert_point(2, 2)
-        t.check_integrity()
+        check_integrity(t)
         mesh = t.to_mesh()
         assert mesh.n_triangles == 4
         assert mesh.delaunay_violations(respect_segments=False) == 0
@@ -95,7 +97,7 @@ class TestInsertion:
         t = Triangulation()
         for p in [(0, 0), (1, 0), (0, 1), (5, 5), (-3, 2), (2, -4)]:
             t.insert_point(*p)
-            t.check_integrity()
+            check_integrity(t)
         mesh = t.to_mesh()
         assert mesh.n_points == 6
         assert mesh.delaunay_violations(respect_segments=False) == 0
@@ -108,7 +110,7 @@ class TestInsertion:
         t = Triangulation()
         for p in [(0, 0), (1, 0), (0, 1), (2, 0), (3, 0)]:
             t.insert_point(*p)
-            t.check_integrity()
+            check_integrity(t)
         mesh = t.to_mesh()
         assert mesh.n_triangles == 3
 
@@ -119,7 +121,7 @@ class TestRandomSets:
         rng = np.random.default_rng(seed)
         pts = rng.uniform(-10, 10, size=(n, 2))
         tri = triangulate(pts)
-        tri.check_integrity()
+        check_integrity(tri)
         mesh = tri.to_mesh()
         assert mesh.n_points == n
         assert mesh.is_conforming()
@@ -169,7 +171,7 @@ class TestRandomSets:
         xs, ys = np.meshgrid(np.arange(8.0), np.arange(8.0))
         pts = np.column_stack([xs.ravel(), ys.ravel()])
         tri = triangulate(pts)
-        tri.check_integrity()
+        check_integrity(tri)
         mesh = tri.to_mesh()
         assert mesh.n_points == 64
         # Triangulated area must tile the 7x7 square exactly.
@@ -280,7 +282,7 @@ class TestWalkContract:
         t = tri.locate(p)
         insert_point(tri, *p, t)
         assert t in tri.last_removed
-        tri.check_integrity()
+        check_integrity(tri)
 
     def test_step_cap_exhaustion_takes_fallback(self, monkeypatch):
         tri = lattice()
@@ -313,7 +315,7 @@ class TestFlip:
             if flipped:
                 break
         assert flipped
-        t.check_integrity()
+        check_integrity(t)
         edges_after = {tuple(e) for e in t.to_mesh().edges().tolist()}
         assert edges_before != edges_after
         assert len(edges_after) == len(edges_before)
@@ -376,10 +378,10 @@ class TestVertexStar:
 class TestCheckIntegrity:
     def test_live_count_mismatch(self):
         t = lattice()
-        t.check_integrity()
+        check_integrity(t)
         t.n_live_triangles += 1
         with pytest.raises(TriangulationError, match="n_live_triangles"):
-            t.check_integrity()
+            check_integrity(t)
 
     @pytest.mark.parametrize("stale", ["dead", "lacks_vertex"])
     def test_stale_vertex_hint(self, stale):
@@ -389,12 +391,12 @@ class TestCheckIntegrity:
                      else next(s for s in t.live_triangles()
                                if 7 not in arr.triangle(s)))
         with pytest.raises(TriangulationError, match="vertex 7 hints"):
-            t.check_integrity()
+            check_integrity(t)
 
     def test_holds_after_scalar_and_batch_bulk_insertion(self):
         pts = np.random.default_rng(3).uniform(0.0, 1.0, size=(500, 2))
         for strategy in ("scalar", "batch"):
-            triangulate(pts, strategy=strategy).check_integrity()
+            check_integrity(triangulate(pts, strategy=strategy))
 
 
 @given(
@@ -412,7 +414,7 @@ class TestCheckIntegrity:
 def test_property_always_delaunay_and_conforming(pts):
     arr = np.asarray(pts, dtype=float)
     tri = triangulate(arr)
-    tri.check_integrity()
+    check_integrity(tri)
     mesh = tri.to_mesh()
     assert mesh.is_conforming()
     assert mesh.delaunay_violations(respect_segments=False) == 0

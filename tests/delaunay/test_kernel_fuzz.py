@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from repro.delaunay.constrained import insert_segment
 from repro.delaunay.kernel import Triangulation, TriangulationError
 
+from .oracle import check_integrity
+
 
 @st.composite
 def op_sequence(draw):
@@ -67,8 +69,8 @@ class TestMixedOps:
                     tri.mark_constraint(su, sv)
                     constrained_pairs.append((su, sv))
             if step % 5 == 0:
-                tri.check_integrity()
-        tri.check_integrity()
+                check_integrity(tri)
+        check_integrity(tri)
         # All surviving constrained edges still exist...
         for su, sv in constrained_pairs:
             key = (min(su, sv), max(su, sv))
@@ -91,7 +93,7 @@ class TestMixedOps:
         second = [tri.insert_point(x, y) for x, y in pts]
         assert first == second
         assert tri.n_live_triangles == n_before
-        tri.check_integrity()
+        check_integrity(tri)
 
     @given(st.integers(min_value=0, max_value=200))
     @settings(max_examples=20, deadline=None)
@@ -107,7 +109,7 @@ class TestMixedOps:
             x, y = rng.uniform(0, 10, 2)
             tri.insert_point(x, y)
             if tri.n_live_triangles:
-                tri.check_integrity()
+                check_integrity(tri)
         mesh = tri.to_mesh()
         assert mesh.is_conforming()
         assert mesh.delaunay_violations(respect_segments=False) == 0

@@ -13,6 +13,7 @@ from repro.core.bl_pipeline import BoundaryLayerConfig
 from repro.core.decouple import DecoupledSubdomain
 from repro.core.pipeline import MeshConfig, pack_mesh_request, request_cost
 from repro.delaunay.mesh import TriMesh
+from repro.delaunay.refine import MAX_STEINER, RUPPERT_BOUND
 from repro.geometry.airfoils import naca0012, three_element_airfoil
 from repro.geometry.pslg import PSLG
 from repro.runtime import serde
@@ -237,19 +238,16 @@ class TestPSLGRoundTrip:
 
 
 class TestSizingRoundTrip:
-    def test_uniform(self):
-        s = serde.unpack_sizing(serde.pack_sizing(UniformSizing(0.125)))
-        assert isinstance(s, UniformSizing)
-        assert s.area_at(3.0, -4.0) == pytest.approx(0.125, abs=0.0)
-
-    def test_radial_with_inf_cap(self):
-        src = RadialSizing((0.5, -0.25), h0=1e-3, grading=0.3,
-                           h_max=math.inf)
-        s = serde.unpack_sizing(serde.pack_sizing(src))
-        assert isinstance(s, RadialSizing)
-        for x, y in [(0.0, 0.0), (10.0, 5.0), (-3.0, 7.0)]:
-            assert s.area_at(x, y) == pytest.approx(src.area_at(x, y),
-                                                    abs=0.0)
+    @pytest.mark.parametrize("sizing", [
+        UniformSizing(0.125),
+        RadialSizing((0.5, -0.25), h0=1e-3, grading=0.3, h_max=math.inf),
+    ], ids=type)
+    def test_in_process_sizing_rejected(self, sizing):
+        """Only the sizing the pipeline ships travels; the error names
+        the in-process path for any other."""
+        with pytest.raises(serde.SerdeError,
+                           match="not serializable.*refine_subdomain"):
+            serde.pack_sizing(sizing)
 
     def test_graded_distance_identical_everywhere(self):
         rng = np.random.default_rng(6)
@@ -269,7 +267,7 @@ class TestSizingRoundTrip:
 class TestBLConfigRoundTrip:
     def test_exact(self):
         cfg = BoundaryLayerConfig(first_spacing=3e-4, growth_ratio=1.17,
-                                  max_layers=23, isotropy_factor=0.8)
+                                  max_layers=23, truncation_factor=0.8)
         back = serde.unpack_bl_config(serde.pack_bl_config(cfg))
         assert back == cfg
 
@@ -307,6 +305,22 @@ class TestConfigIsTheRequest:
                 == set(serde._BL_FIELDS))
         assert ({f.name for f in fields(MeshConfig)} - {"bl"}
                 == set(serde._MESH_FIELDS))
+
+    @pytest.mark.parametrize("cls, name, value", [
+        (MeshConfig, "h0", None),
+        (MeshConfig, "quality_bound", RUPPERT_BOUND),
+        (MeshConfig, "max_steiner", MAX_STEINER),
+        (BoundaryLayerConfig, "max_height", math.inf),
+        (BoundaryLayerConfig, "large_angle_deg", 40.0),
+        (BoundaryLayerConfig, "cusp_angle_deg", 100.0),
+        (BoundaryLayerConfig, "isotropy_factor", 1.0),
+    ])
+    def test_constants_are_not_inputs(self, cls, name, value):
+        """A value no request varies is a class constant: readable at
+        the value every request had, not settable, not packed."""
+        assert getattr(cls(), name) == value
+        with pytest.raises(TypeError, match=name):
+            cls(**{name: value})
 
     @given(MESH_CONFIGS)
     @settings(max_examples=60, deadline=None)

@@ -84,6 +84,22 @@ def _decode_frames(data, count):
     return asyncio.run(go())
 
 
+def _read_blocking(data, count):
+    left, right = socket.socketpair()
+    try:
+        left.sendall(data)
+        left.shutdown(socket.SHUT_WR)
+        return [read_frame_blocking(right) for _ in range(count)]
+    finally:
+        left.close()
+        right.close()
+
+
+#: both frame readers: the daemon's and the client's blocking twin.
+READERS = pytest.mark.parametrize("read", [_decode_frames, _read_blocking],
+                                  ids=["async", "blocking"])
+
+
 class TestFrameCodec:
     def test_round_trip_stream(self):
         wire = (encode_frame("mesh", b"abc") + encode_frame("ping")
@@ -92,15 +108,17 @@ class TestFrameCodec:
         assert frames == [("mesh", b"abc"), ("ping", b""),
                           ("stats", b"\x00" * 100)]
 
-    def test_bad_magic_rejected(self):
+    @READERS
+    def test_bad_magic_rejected(self, read):
         wire = b"XXXX" + encode_frame("ping")[4:]
         with pytest.raises(FrameError, match="magic"):
-            _decode_frames(wire, 1)
+            read(wire, 1)
 
-    def test_oversize_length_rejected_before_allocation(self):
+    @READERS
+    def test_oversize_length_rejected_before_allocation(self, read):
         head = FRAME_HEAD.pack(FRAME_MAGIC, 4, 1 << 62)
         with pytest.raises(FrameError, match="over cap"):
-            _decode_frames(head + b"mesh", 1)
+            read(head + b"mesh", 1)
 
     def test_non_ascii_kind_is_a_frame_error(self):
         wire = FRAME_HEAD.pack(FRAME_MAGIC, 2, 0) + b"\xff\xfe"
@@ -139,6 +157,10 @@ class TestAddressing:
             ("tcp", ("127.0.0.1", 7070))
         assert parse_address("localhost:0") == ("tcp", ("localhost", 0))
         assert parse_address("tcp::9000") == ("tcp", ("127.0.0.1", 9000))
+
+    def test_empty_unix_path_is_rejected(self):
+        with pytest.raises(ServiceError, match="empty socket path"):
+            parse_address("unix:")
 
     def test_unparseable(self):
         with pytest.raises(ServiceError, match="cannot parse"):

@@ -138,6 +138,15 @@ class TestServiceParsers:
         err = capsys.readouterr().err
         assert f"service address 'tcp:{spec}'" in err
 
+    @pytest.mark.parametrize("command", [["serve", "--backend", "serial"],
+                                         ["submit", "--ping"]])
+    def test_empty_socket_path_is_a_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--socket", ""])
+        assert exc.value.code == 2
+        assert ("empty socket path in service address 'unix:'"
+                in capsys.readouterr().err)
+
     def test_submit_with_nothing_to_do_fails_fast(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["submit", "--socket", str(tmp_path / "s.sock")])

@@ -9,10 +9,11 @@ one has long since imported everything.  The static half walks the
 and ``core/`` is on a path from an entry point, or is listed with the
 reason it is not.  It also walks the names ``src/repro``,
 ``benchmarks/`` and ``examples/`` mention: every function, class and
-method of ``src/repro`` has a caller outside ``tests/``, or is listed
-with the reason it has none.  And it walks their calls: every defaulted
-parameter of ``src/repro`` is passed by a call outside ``tests/``, or is
-listed with the reason it stays an option.
+method of ``src/repro`` has a caller outside ``tests/``.  And it walks
+their calls: every defaulted parameter and every defaulted dataclass
+field of ``src/repro`` is passed by a call outside ``tests/`` (or, for
+a field, written by ``src/repro``: state), or is listed with the reason
+it stays an option.
 """
 
 import ast
@@ -191,16 +192,6 @@ def test_every_runtime_and_core_module_is_reachable_from_an_entry_point():
 # ----------------------------------------------------------------------
 REPO = SRC.parent
 
-#: definitions nothing outside ``tests/`` calls, each with the reason it
-#: is still in the tree.  At most one; an entry that gained a caller
-#: (or whose definition is gone) fails the test.
-TEST_ONLY_FOR_A_REASON = {
-    "repro.delaunay.kernel.Triangulation.check_integrity":
-        "the kernel oracle behind 30+ tests; ROADMAP's 'one oracle' item "
-        "decides its future",
-}
-
-
 def definitions(path):
     """``(qualified name, name, (path, first, last line))`` of every
     ``def`` and ``class`` in ``path``: methods included, dunder methods
@@ -253,8 +244,7 @@ def uncalled_definitions():
     """Qualified names of the definitions whose name appears neither in
     ``benchmarks/`` or ``examples/`` nor in ``src/repro`` outside their
     own body.  A use inside another uncalled definition calls nothing,
-    to a fixed point, so a chain of test-only helpers is named whole;
-    the entries of ``TEST_ONLY_FOR_A_REASON`` do count as callers."""
+    to a fixed point, so a chain of test-only helpers is named whole."""
     defs, uses = [], {}
     for path in sorted((SRC / "repro").rglob("*.py")):
         defs += definitions(path)
@@ -269,8 +259,7 @@ def uncalled_definitions():
 
     uncalled = {}
     while True:
-        dead = [span for qual, span in uncalled.items()
-                if qual not in TEST_ONLY_FOR_A_REASON]
+        dead = list(uncalled.values())
         found = {
             qual: span for qual, name, span in defs
             if name not in outside and not any(
@@ -283,13 +272,10 @@ def uncalled_definitions():
 
 
 def test_every_definition_has_a_caller_outside_tests():
-    uncalled = uncalled_definitions()
-    extra = sorted(uncalled - set(TEST_ONLY_FOR_A_REASON))
-    assert not extra, "called by tests/ alone:\n" + "\n".join(extra)
-    stale = sorted(set(TEST_ONLY_FOR_A_REASON) - uncalled)
-    assert not stale, "called, or gone:\n" + "\n".join(stale)
-    assert len(TEST_ONLY_FOR_A_REASON) <= 1
-    assert all(TEST_ONLY_FOR_A_REASON.values())
+    """A definition only tests call moves to ``tests/`` (an oracle such
+    as ``tests/delaunay/oracle.check_integrity``) or is deleted."""
+    uncalled = sorted(uncalled_definitions())
+    assert not uncalled, "called by tests/ alone:\n" + "\n".join(uncalled)
 
 
 # ----------------------------------------------------------------------
@@ -310,14 +296,22 @@ OPTIONS_FOR_A_REASON = {
 }
 
 
+def is_dataclass(node):
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
+
+
 def option_definitions(path, root):
-    """``(qualified option, called name, parameter, index)`` of every
-    parameter with a default of every ``def`` in ``path``: methods and
-    ``__init__`` included, other dunders and functions nested in
-    functions not.  A call reaches the function through ``called name``
-    (an ``__init__`` through its class name); ``index`` is the
-    parameter's position (``None`` for keyword-only), counted after
-    ``self``/``cls`` for a method."""
+    """``(qualified option, called name, parameter, index, is field)``
+    of every parameter with a default of every ``def`` in ``path`` —
+    methods and ``__init__`` included, other dunders and functions nested
+    in functions not — and of every defaulted field of a ``@dataclass``
+    (an annotated class attribute; a ``ClassVar`` or an unannotated one
+    is a constant).  A call reaches the function through ``called name``
+    (an ``__init__`` and a dataclass field through the class name);
+    ``index`` is the parameter's position (``None`` for keyword-only),
+    counted after ``self``/``cls`` for a method."""
     parts = path.relative_to(root).with_suffix("").parts
     module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
     found = []
@@ -325,6 +319,15 @@ def option_definitions(path, root):
     def visit(node, prefix, in_class):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
+                if is_dataclass(child):
+                    fields = [s for s in child.body
+                              if isinstance(s, ast.AnnAssign)
+                              and isinstance(s.target, ast.Name)
+                              and "ClassVar" not in ast.unparse(s.annotation)]
+                    found.extend(
+                        (f"{module}.{prefix}{child.name}({s.target.id}=)",
+                         child.name, s.target.id, i, True)
+                        for i, s in enumerate(fields) if s.value is not None)
                 visit(child, f"{prefix}{child.name}.", child.name)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = child.name
@@ -344,7 +347,8 @@ def option_definitions(path, root):
                             if default is not None]
                 called = in_class if name == "__init__" else name
                 found.extend((f"{module}.{prefix}{name}({arg.arg}=)", called,
-                              arg.arg, index) for arg, index in indexed)
+                              arg.arg, index, False)
+                             for arg, index in indexed)
             else:
                 visit(child, prefix, in_class)
 
@@ -356,15 +360,20 @@ def passes(path):
     """``(called name, keywords, positional count, splat)`` of every
     call in ``path``.  ``called name`` is the bare name or attribute
     called; ``super().__init__(...)`` calls the enclosing class's bases.
-    A ``*``/``**`` argument is a splat."""
+    A ``*``/``**`` argument is a splat — except inside an ``unpack_*``
+    function, whose splat only rebuilds what its ``pack_*`` twin read."""
 
-    def visit(node, bases):
+    def visit(node, bases, rebuild):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
                 yield from visit(child, [b.id for b in child.bases
-                                         if isinstance(b, ast.Name)])
+                                         if isinstance(b, ast.Name)], rebuild)
                 continue
-            yield from visit(child, bases)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, bases,
+                                 child.name.startswith("unpack_"))
+                continue
+            yield from visit(child, bases, rebuild)
             if not isinstance(child, ast.Call):
                 continue
             func = child.func
@@ -379,35 +388,101 @@ def passes(path):
                 names = [func.attr]
             else:
                 continue
-            splat = (any(isinstance(a, ast.Starred) for a in child.args)
-                     or any(k.arg is None for k in child.keywords))
+            splat = not rebuild and (
+                any(isinstance(a, ast.Starred) for a in child.args)
+                or any(k.arg is None for k in child.keywords))
             keywords = {k.arg for k in child.keywords if k.arg}
             for name in names:
                 yield name, keywords, len(child.args), splat
 
-    yield from visit(ast.parse(path.read_text()), [])
+    yield from visit(ast.parse(path.read_text()), [], False)
+
+
+#: methods that change the container they are called on.
+MUTATORS = {"add", "append", "clear", "discard", "extend", "insert", "pop",
+            "remove", "setdefault", "sort", "update"}
+
+
+def stores(path):
+    """``(receiver, attribute, class)`` of every attribute ``path``
+    assigns (``ray.heights = ...``, ``result.n_splits += 1``,
+    ``x.table[k] = ...``) or mutates (``pragma.used.add(...)``).
+    ``receiver`` is the last name of the object written to (``report``
+    in ``self.report.splits``), ``class`` the class whose method holds
+    the store (``None`` outside one)."""
+
+    def visit(node, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, child.name)
+                continue
+            yield from visit(child, in_class)
+            if isinstance(child, ast.Assign):
+                targets = child.targets
+            elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+                targets = [child.target]
+            elif (isinstance(child, ast.Call)
+                  and isinstance(child.func, ast.Attribute)
+                  and child.func.attr in MUTATORS):
+                targets = [child.func.value]
+            else:
+                continue
+            for target in targets:
+                for attr in written(target):
+                    owner = attr.value
+                    receiver = (owner.id if isinstance(owner, ast.Name)
+                                else getattr(owner, "attr", ""))
+                    yield receiver, attr.attr, in_class
+
+    yield from visit(ast.parse(path.read_text()), None)
+
+
+def written(target):
+    """The attributes an assignment target (or a mutated object) writes:
+    ``a.x`` itself, ``a.x`` of ``a.x[k]``, each of a tuple's."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from written(elt)
+    elif isinstance(target, (ast.Starred, ast.Subscript)):
+        yield from written(target.value)
+    elif isinstance(target, ast.Attribute):
+        yield target
 
 
 def unpassed_options(src, callers):
-    """Qualified names (``module.function(param=)``) of the defaulted
-    parameters of every module under ``src`` that no call under ``src``
-    or ``callers`` passes: by keyword, by position or through a splat,
-    to a function of the parameter's function's name (for ``__init__``,
-    the class name, or ``super().__init__`` in a subclass).  A recursive
-    call counts: recursion state is not an option."""
-    options, calls = [], {}
+    """Qualified names (``module.function(param=)``, ``module.Class(field=)``)
+    of the defaulted parameters and dataclass fields of every module
+    under ``src`` that no call under ``src`` or ``callers`` passes: by
+    keyword, by position or through a splat, to a function of the
+    parameter's function's name (for ``__init__`` and a field, the class
+    name, or ``super().__init__`` in a subclass).  A recursive call
+    counts: recursion state is not an option.  Nor is a field that
+    ``src`` assigns or mutates: that is state.  The walk has no types,
+    so a store belongs to class ``C`` when a method of ``C`` makes it or
+    its receiver's name ends ``C``'s (``ray`` for ``Ray``, ``result``
+    for ``DecompositionResult``)."""
+    options, calls, stored = [], {}, []
     for path in sorted(src.rglob("*.py")):
         options += option_definitions(path, src.parent)
+        stored += stores(path)
     for top in (src, *callers):
         for path in sorted(top.rglob("*.py")):
             for name, keywords, n_positional, splat in passes(path):
                 calls.setdefault(name, []).append(
                     (keywords, n_positional, splat))
-    return {qual for qual, called, param, index in options
+
+    def is_state(cls, field):
+        return any(attr == field and (
+            in_class == cls
+            or receiver and cls.lower().endswith(receiver.lower()))
+            for receiver, attr, in_class in stored)
+
+    return {qual for qual, called, param, index, is_field in options
             if not any(splat or param in keywords
                        or (index is not None and index < n_positional)
                        for keywords, n_positional, splat
-                       in calls.get(called, ()))}
+                       in calls.get(called, ()))
+            and not (is_field and is_state(called, param))}
 
 
 def check_options(unpassed, allowed):
@@ -492,6 +567,59 @@ def test_option_walk_positive_control(tmp_path):
         check_options(set(five), five)
     check_options(set(five) - {"pkg.mod.f4(b=)"},
                   {k: v for k, v in five.items() if k != "pkg.mod.f4(b=)"})
+
+
+SYNTHETIC_FIELDS = '''
+from dataclasses import dataclass, field
+from typing import ClassVar
+
+@dataclass
+class Config:
+    size: int
+    by_position: float = 1.0
+    by_keyword: float = 1.0
+    unpassed: float = 1.0
+    state: list = field(default_factory=list)
+    counter: int = 0
+    rebuilt: float = 1.0
+    constant = 2.0
+    pinned: ClassVar[float] = 3.0
+
+    def bump(self):
+        self.counter += 1
+
+class Sizing:
+    def __init__(self, unpassed):
+        self.unpassed = unpassed
+
+def fill(config):
+    config.state.append(1)
+
+def unpack_config(values):
+    return Config(**values)
+'''
+
+SYNTHETIC_CONSTRUCTION = '''
+from pkg.fields import Config
+
+Config(1, 2.0, by_keyword=3.0)
+'''
+
+
+def test_field_walk_positive_control(tmp_path):
+    """Dataclass fields on a small tree: a field passed by position or
+    by keyword is not named, nor one a method or a function mutates
+    (state); an unpassed field is, even where another class's ``self``
+    stores an attribute of its name, and so is one only an
+    ``unpack_*`` splat rebuilds.  Unannotated and ``ClassVar`` class
+    attributes are constants, not fields."""
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "fields.py").write_text(SYNTHETIC_FIELDS)
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "use.py").write_text(SYNTHETIC_CONSTRUCTION)
+    assert unpassed_options(tmp_path / "src" / "pkg",
+                            [tmp_path / "scripts"]) == {
+        "pkg.fields.Config(unpassed=)", "pkg.fields.Config(rebuilt=)"}
 
 
 PACKAGES = {
