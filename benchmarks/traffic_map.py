@@ -18,7 +18,9 @@ and its ways off the fast path (``locked_segment_skips``;
 per-rank item counts when a pool ran the op (``executor.items.rank*``,
 ``executor.bl_item.rank*``), then the sink's ``adapt_*``
 events with ``adapt_flips_per_evaluation`` (the useful share of the flip
-pass's scoring; only ``adapt_shear`` adapts).  The
+pass's scoring) and ``adapt_quality_evals_per_evaluation`` (quality
+calls per scored edge: 4 without the flip pass's per-slot memo; only
+``adapt_shear`` adapts).  The
 ``service_mix`` daemon is out of the profiler's sight, so its in-process
 op is ``check_direct`` of a served request.
 Usage: ``python3 benchmarks/traffic_map.py [--smoke] [--workload NAME]``
@@ -136,10 +138,11 @@ def main(argv=None) -> None:
                        if k.startswith(("executor.items.rank",
                                         "executor.bl_item.rank", "adapt_")))
         if events.get("adapt_flip_evaluations"):
-            rows.append(("adapt_flips_per_evaluation", events["adapt_flips"]
-                         / events["adapt_flip_evaluations"]))
+            rows += [(f"adapt_{k}_per_evaluation", events[f"adapt_{k}"]
+                      / events["adapt_flip_evaluations"])
+                     for k in ("flips", "quality_evals")]
         for key, value in rows:
-            print(f"  {key:<28} {value:.6g}")
+            print(f"  {key:<34} {value:.6g}")
 
 
 if __name__ == "__main__":

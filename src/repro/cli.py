@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -288,11 +289,9 @@ def _run_adaptation(pslg: PSLG, mesh, args: argparse.Namespace,
 
     body_loops = [pslg.loop_points(lp) for lp in pslg.body_loops]
     holes = [interior_seed(lp) for lp in body_loops]
-    h_min = (args.adapt_hmin if args.adapt_hmin is not None
-             else args.first_spacing)
-    h_max = args.adapt_hmax if args.adapt_hmax is not None else 1.0
+    h_min, h_max = args.adapt_hmin, args.adapt_hmax
     cycles = []
-    for _ in range(max(args.adapt_cycles, 0)):
+    for _ in range(args.adapt_cycles):
         flow = solve_potential_flow(mesh, body_loops)
         metric = MetricField.from_hessian(mesh, flow.psi,
                                           eps=args.adapt_eps,
@@ -314,10 +313,35 @@ def _run_adaptation(pslg: PSLG, mesh, args: argparse.Namespace,
         "smooth_moves": sum(c["smooth_moves"] for c in cycles),
         "flip_evaluations": sum(c["flip_evaluations"] for c in cycles),
         "flip_sweeps": sum(c["flip_sweeps"] for c in cycles),
-        "conformity": (cycles[-1]["conformity_after"] if cycles
-                       else float("nan")),
+        "conformity": cycles[-1]["conformity_after"],
     }
     return mesh, summary
+
+
+def _check_adaptation(parser: argparse.ArgumentParser,
+                      args: argparse.Namespace) -> None:
+    """Resolve the default metric spacings (``--first-spacing`` and one
+    chord) into ``args`` and reject adaptation settings that no metric
+    or loop can use, before anything is meshed."""
+    hmin_flag = ("--adapt-hmin" if args.adapt_hmin is not None
+                 else "--adapt-hmin (default: --first-spacing)")
+    if args.adapt_hmin is None:
+        args.adapt_hmin = args.first_spacing
+    if args.adapt_hmax is None:
+        args.adapt_hmax = 1.0
+    for flag, value in (("--adapt-eps", args.adapt_eps),
+                        (hmin_flag, args.adapt_hmin),
+                        ("--adapt-hmax", args.adapt_hmax)):
+        if not (math.isfinite(value) and value > 0):
+            parser.error(f"{flag} must be a finite number > 0, "
+                         f"got {value}")
+    if args.adapt_hmin > args.adapt_hmax:
+        parser.error(f"{hmin_flag} = {args.adapt_hmin} exceeds "
+                     f"--adapt-hmax = {args.adapt_hmax}")
+    for flag, value in (("--adapt-passes", args.adapt_passes),
+                        ("--adapt-cycles", args.adapt_cycles)):
+        if value < 1:
+            parser.error(f"{flag} must be at least 1, got {value}")
 
 
 def _service_address(parser: argparse.ArgumentParser,
@@ -450,6 +474,8 @@ def main(argv=None) -> int:
             f"{backend} runs in-process (drop --ranks or pick one of: "
             + ", ".join(sorted(n for n in executor.available_backends()
                                if executor.get_backend(n).parallel)) + ")")
+    if args.adapt:
+        _check_adaptation(parser, args)
     n_ranks = args.ranks if args.ranks is not None else 4
     insert_strategy = insertion.get_strategy(args.insert_strategy).name
     pslg = _load_geometry(args)

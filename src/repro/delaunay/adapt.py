@@ -37,14 +37,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..geometry.predicates import orient2d
 from ..metric import tensor as _mt
 from ..runtime.counters import current as counters_current
 from .arrays import DEAD
 from .constrained import triangulate_pslg
 from .kernel import GHOST, TriangulationError
 from .mesh import TriMesh
-from .refine import Refiner
+from .refine import Refiner, _orient
 
 __all__ = ["AdaptReport", "MeshAdaptor", "adapt_mesh", "LOW_BAND", "HIGH_BAND",
            "FLIP_MAX_SWEEPS", "FLIP_TOL"]
@@ -61,6 +60,42 @@ FLIP_TOL = 1e-12
 SMOOTH_RELAXATION = 0.5
 
 _QUALITY_SCALE = 4.0 * math.sqrt(3.0)
+
+
+def _pairwise_sum(values: List[float]) -> float:
+    """``np.sum(values)`` of a list of floats, bit for bit (signed zeros,
+    subnormals and non-finite values included), without building an
+    array.
+
+    NumPy sums a block of fewer than 8 terms left to right from ``-0.0``
+    and a block of up to 128 in eight interleaved accumulators, combined
+    pairwise, with the tail (length mod 8) added in order; the reduction
+    then adds the block to its ``0.0`` identity.  Longer inputs, which
+    NumPy splits recursively, go to ``np.sum`` itself.
+    """
+    n = len(values)
+    if n > 128:
+        return float(np.sum(values))
+    if n < 8:
+        res = -0.0
+        for x in values:
+            res += x
+        return 0.0 + res
+    r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+    end = n - n % 8
+    for i in range(8, end, 8):
+        r0 += values[i]
+        r1 += values[i + 1]
+        r2 += values[i + 2]
+        r3 += values[i + 3]
+        r4 += values[i + 4]
+        r5 += values[i + 5]
+        r6 += values[i + 6]
+        r7 += values[i + 7]
+    res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for i in range(end, n):
+        res += values[i]
+    return 0.0 + res
 
 
 def _metric_quality(px, tensors, a: int, b: int, c: int) -> float:
@@ -99,6 +134,52 @@ def _metric_quality(px, tensors, a: int, b: int, c: int) -> float:
     if denom <= 0.0:
         return 0.0
     return _QUALITY_SCALE * (area * math.sqrt(det_m)) / denom
+
+
+def _ear_clip(px, ring: List[int]) -> Optional[List[Tuple[int, int, int]]]:
+    """Triangles of the CCW polygon ``ring`` by ear clipping, or
+    ``None`` when it cannot be clipped into positive triangles.
+
+    Each step clips the first convex corner (in ring order) whose
+    triangle holds no other ring vertex, inside or on its boundary; the
+    orientation tests are exact (:func:`repro.delaunay.refine._orient`
+    on the coordinates in ``px``).
+    """
+    poly = list(ring)
+    new_tris: List[Tuple[int, int, int]] = []
+    guard = 0
+    while len(poly) > 3:
+        guard += 1
+        if guard > 2 * len(ring) * len(ring) + 16:
+            return None
+        n = len(poly)
+        for i in range(n):
+            a, b, c = poly[i - 1], poly[i], poly[(i + 1) % n]
+            ax, ay = px[2 * a], px[2 * a + 1]
+            bx, by = px[2 * b], px[2 * b + 1]
+            cx, cy = px[2 * c], px[2 * c + 1]
+            if _orient(ax, ay, bx, by, cx, cy) <= 0:
+                continue
+            for w in poly:
+                if w == a or w == b or w == c:
+                    continue
+                wx, wy = px[2 * w], px[2 * w + 1]
+                if (_orient(ax, ay, bx, by, wx, wy) >= 0
+                        and _orient(bx, by, cx, cy, wx, wy) >= 0
+                        and _orient(cx, cy, ax, ay, wx, wy) >= 0):
+                    break  # w blocks this ear
+            else:
+                new_tris.append((a, b, c))
+                poly.pop(i)
+                break
+        else:
+            return None  # no ear
+    a, b, c = poly
+    if _orient(px[2 * a], px[2 * a + 1], px[2 * b], px[2 * b + 1],
+               px[2 * c], px[2 * c + 1]) <= 0:
+        return None
+    new_tris.append((a, b, c))
+    return new_tris
 
 
 @dataclass
@@ -162,6 +243,8 @@ class MeshAdaptor(Refiner):
         self.report = AdaptReport()
         #: Flip passes the sweep cap ended while edges were still flipping.
         self.flip_sweep_caps = 0
+        #: ``_metric_quality`` calls the flip passes made.
+        self.quality_evals = 0
         # Edit clocks: ``_topology_edits`` moves with every committed
         # split, collapse and flip, ``_point_edits`` whenever a vertex
         # is added or moved.  A snapshot is kept with the clock value it
@@ -302,12 +385,14 @@ class MeshAdaptor(Refiner):
         """Delete vertex ``v`` and retriangulate its star polygon.
 
         The star ring (ordered CCW by the kernel's triangle orientation)
-        is ear-clipped with exact orientation tests; the new fan is wired
-        into the surrounding adjacency atomically — nothing mutates until
-        a complete valid retriangulation exists.
+        is ear-clipped with exact orientation tests
+        (:func:`_ear_clip`); the new fan is wired into the surrounding
+        adjacency atomically — nothing mutates until a complete valid
+        retriangulation exists.
         """
         tri = self.tri
         arr = tri._arr
+        tv = arr.tv
         star = tri.triangles_around_vertex(v)
         if len(star) < 3:
             return False
@@ -315,20 +400,25 @@ class MeshAdaptor(Refiner):
         ring_next: Dict[int, int] = {}
         outer: Dict[Tuple[int, int], int] = {}
         for t in star:
-            tv = arr.triangle(t)
-            if tv is None or GHOST in tv:
-                return False
+            j = 3 * t
+            x, y, z = tv[j], tv[j + 1], tv[j + 2]
+            if x < 0 or y < 0 or z < 0:
+                return False  # a ghost (or dead) row
             lab = self._is_interior(t)
             if label is None:
                 label = lab
             elif lab != label:
                 return False  # star crosses a region boundary
-            i = tv.index(v)
-            a, b = tv[(i + 1) % 3], tv[(i + 2) % 3]
+            if x == v:
+                a, b, k = y, z, 0
+            elif y == v:
+                a, b, k = z, x, 1
+            else:
+                a, b, k = x, y, 2
             if a in ring_next:
                 return False  # non-manifold star
             ring_next[a] = b
-            outer[(a, b)] = arr.tn[3 * t + i]
+            outer[(a, b)] = arr.tn[j + k]
         start = min(ring_next)
         ring = [start]
         while True:
@@ -340,55 +430,23 @@ class MeshAdaptor(Refiner):
                 return False  # broken ring
         if len(ring) != len(star):
             return False
-
-        point = arr.point
-        poly = list(ring)
-        new_tris: List[Tuple[int, int, int]] = []
-        guard = 0
-        while len(poly) > 3:
-            guard += 1
-            if guard > 2 * len(ring) * len(ring) + 16:
-                return False
-            n = len(poly)
-            clipped = False
-            for i in range(n):
-                a, b, c = poly[i - 1], poly[i], poly[(i + 1) % n]
-                pa, pb, pc = point(a), point(b), point(c)
-                if orient2d(pa, pb, pc) <= 0:
-                    continue
-                ok = True
-                for w in poly:
-                    if w in (a, b, c):
-                        continue
-                    pw = point(w)
-                    if (orient2d(pa, pb, pw) >= 0
-                            and orient2d(pb, pc, pw) >= 0
-                            and orient2d(pc, pa, pw) >= 0):
-                        ok = False
-                        break
-                if ok:
-                    new_tris.append((a, b, c))
-                    poly.pop(i)
-                    clipped = True
-                    break
-            if not clipped:
-                return False
-        a, b, c = poly
-        if orient2d(point(a), point(b), point(c)) <= 0:
+        new_tris = _ear_clip(arr.px, ring)
+        if new_tris is None:
             return False
-        new_tris.append((a, b, c))
 
         # Commit: kill the star, create the fan, wire adjacency.
         for t in star:
             tri._kill_triangle(t)
             self._interior.pop(t, None)
-        created = [tri._new_triangle(*tv) for tv in new_tris]
+        created = [tri._new_triangle(*row) for row in new_tris]
         for t in created:
             self._interior[t] = bool(label)
+        # Directed edge k of row (a, b, c) is opposite vertex k.
         emap: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        for t in created:
-            for k in range(3):
-                emap[tri._edge(t, k)] = (t, k)
+        for t, (a, b, c) in zip(created, new_tris):
+            emap[(b, c)] = (t, 0)
+            emap[(c, a)] = (t, 1)
+            emap[(a, b)] = (t, 2)
         tn = arr.tn
         for (eu, ev), (t, k) in sorted(emap.items()):
             rev = emap.get((ev, eu))
@@ -504,6 +562,10 @@ class MeshAdaptor(Refiner):
         # u -> v (u < v): the side decides which slot a flip writes
         # which new triangle to, hence the output's triangle rows.
         slot_of = dict(zip(work, slot.tolist()))
+        # quality[t]: _metric_quality of slot t as tv stores it, memoised
+        # until a flip rewrites the slot (no point or tensor moves here).
+        quality: List[Optional[float]] = [None] * arr.n_tris
+        evals = 0
         total = 0
         for _ in range(FLIP_MAX_SWEEPS):
             rep.flip_sweeps += 1
@@ -524,21 +586,31 @@ class MeshAdaptor(Refiner):
                     continue
                 u, v = divmod(key, n)
                 i2 = 3 * t2
-                b = tv[i2 + tri._edge_index(t2, v, u)]
+                # t2 holds v, u and its apex b (GHOST on the hull).
+                b = tv[i2] + tv[i2 + 1] + tv[i2 + 2] - u - v
                 if b == GHOST:
                     continue
                 rep.flip_evaluations += 1
-                q_now = min(
-                    _metric_quality(px, tensors,
-                                    tv[i1], tv[i1 + 1], tv[i1 + 2]),
-                    _metric_quality(px, tensors,
-                                    tv[i2], tv[i2 + 1], tv[i2 + 2]))
-                q_new = min(_metric_quality(px, tensors, a, u, b),
-                            _metric_quality(px, tensors, b, v, a))
-                if not (q_new > q_now + FLIP_TOL
+                q1 = quality[t1]
+                if q1 is None:
+                    q1 = quality[t1] = _metric_quality(
+                        px, tensors, tv[i1], tv[i1 + 1], tv[i1 + 2])
+                    evals += 1
+                q2 = quality[t2]
+                if q2 is None:
+                    q2 = quality[t2] = _metric_quality(
+                        px, tensors, tv[i2], tv[i2 + 1], tv[i2 + 2])
+                    evals += 1
+                q_a = _metric_quality(px, tensors, a, u, b)
+                q_b = _metric_quality(px, tensors, b, v, a)
+                evals += 2
+                if not (min(q_a, q_b) > min(q1, q2) + FLIP_TOL
                         and self._flip_opposite(t1, k1)):
                     continue
                 flipped += 1
+                # The flip wrote exactly the two rotations just scored.
+                quality[t1] = q_a
+                quality[t2] = q_b
                 # Now t1 = [a, u, b] and t2 = [b, v, a]: edge 1 of each
                 # is the new diagonal, edges 0 and 2 the outer four.
                 diagonal = a * n + b if a < b else b * n + a
@@ -564,17 +636,28 @@ class MeshAdaptor(Refiner):
             work = sorted(later)
         else:
             self.flip_sweep_caps += 1
+        self.quality_evals += evals
         return total
 
     def smooth_pass(self) -> int:
         """Move free vertices toward the metric-weighted neighbour
         centroid; each move is validated (no inverted incident triangle)
-        with step halving before acceptance."""
+        with step halving before acceptance.
+
+        Plain floats throughout, in the order of the array formulation
+        this replaced (``tests/delaunay/oracle_adapt.py``), so the moves
+        are bit-equal to it: per neighbour ``w`` the weight is
+        ``sqrt(max(quad_form(0.5 * (t_v + t_w), p_w - p_v), 0))``, the
+        weights are summed in NumPy's pairwise order
+        (:func:`_pairwise_sum`) and the weighted centroid left to right.
+        """
         tri = self.tri
-        tensors = self._vertex_tensors()
+        tensors = self._vertex_tensors().tolist()
         protected = self._protected_vertices()
+        interior = self._interior
         arr = tri._arr
-        px, vt = arr.px, arr.vt
+        px, tv, vt = arr.px, arr.tv, arr.vt
+        sqrt = math.sqrt
         moves = 0
         for v in range(arr.n_pts):
             if v in protected or vt[v] < 0:
@@ -585,49 +668,55 @@ class MeshAdaptor(Refiner):
             ok = True
             neighbours: set = set()
             for t in star:
-                tv = arr.triangle(t)
-                if tv is None or GHOST in tv or not self._is_interior(t):
-                    ok = False
+                i = 3 * t
+                a, b, c = tv[i], tv[i + 1], tv[i + 2]
+                if a < 0 or b < 0 or c < 0 or not interior.get(t, False):
+                    ok = False  # a ghost row or a hole triangle
                     break
-                for w in tv:
-                    if w != v:
-                        neighbours.add(w)
+                neighbours.update((a, b, c))
+            neighbours.discard(v)
             if not ok or len(neighbours) < 3:
                 continue
-            nbr = sorted(neighbours)
-            old = arr.point(v)
-            pv = np.array(old)
-            npts = np.array([arr.point(w) for w in nbr])
-            vecs = npts - pv[None, :]
-            m_edge = 0.5 * (np.repeat(tensors[v][None, :], len(nbr), axis=0)
-                            + tensors[nbr])
-            w_len = np.sqrt(np.maximum(_mt.quad_form(m_edge, vecs), 0.0))
-            wsum = float(w_len.sum())
+            i = 2 * v
+            ox, oy = px[i], px[i + 1]
+            s0, s1, s2 = tensors[v]
+            weights = []
+            cx = cy = 0.0
+            for w in sorted(neighbours):
+                j = 2 * w
+                wx, wy = px[j], px[j + 1]
+                t0, t1, t2 = tensors[w]
+                m0 = 0.5 * (s0 + t0)
+                m1 = 0.5 * (s1 + t1)
+                m2 = 0.5 * (s2 + t2)
+                ex, ey = wx - ox, wy - oy
+                q = m0 * ex * ex + 2.0 * m1 * ex * ey + m2 * ey * ey
+                # np.maximum(q, 0.0): NaN stays NaN, -0.0 becomes 0.0.
+                weight = 0.0 if q <= 0.0 else sqrt(q)
+                weights.append(weight)
+                cx += weight * wx
+                cy += weight * wy
+            wsum = _pairwise_sum(weights)
             if wsum <= 0.0:
                 continue
-            target = (w_len[:, None] * npts).sum(axis=0) / wsum
+            tx, ty = cx / wsum, cy / wsum
             step = SMOOTH_RELAXATION
-            accepted = False
             for _ in range(3):
-                # target is NumPy: store plain floats (see arrays.py).
-                px[2 * v] = float(old[0] + step * (target[0] - old[0]))
-                px[2 * v + 1] = float(old[1] + step * (target[1] - old[1]))
-                valid = True
+                px[i] = ox + step * (tx - ox)
+                px[i + 1] = oy + step * (ty - oy)
                 for t in star:
-                    tv = arr.triangle(t)
-                    if orient2d(arr.point(tv[0]), arr.point(tv[1]),
-                                arr.point(tv[2])) <= 0:
-                        valid = False
-                        break
-                if valid:
-                    accepted = True
+                    j = 3 * t
+                    a, b, c = 2 * tv[j], 2 * tv[j + 1], 2 * tv[j + 2]
+                    if _orient(px[a], px[a + 1], px[b], px[b + 1],
+                               px[c], px[c + 1]) <= 0:
+                        break  # this step inverts a triangle
+                else:
+                    moves += 1
                     break
                 step *= 0.5
-            if accepted:
-                moves += 1
-            else:
-                px[2 * v] = old[0]
-                px[2 * v + 1] = old[1]
+            else:  # every step inverted one: stay put
+                px[i] = ox
+                px[i + 1] = oy
         self.report.smooth_moves += moves
         self._point_edits += moves
         return moves
@@ -668,6 +757,7 @@ class MeshAdaptor(Refiner):
             sink.incr("adapt_smooth_moves", rep.smooth_moves)
             sink.incr("adapt_flip_evaluations", rep.flip_evaluations)
             sink.incr("adapt_flip_sweeps", rep.flip_sweeps)
+            sink.incr("adapt_quality_evals", self.quality_evals)
             if self.flip_sweep_caps:
                 sink.incr("adapt_flip_sweep_cap", self.flip_sweep_caps)
         return rep

@@ -21,8 +21,7 @@ insertion still sees every write after it.
 
 A list stores whatever it is given, and a NumPy scalar in it slows every
 later read: only plain ``float`` / ``int`` go in, and the write sites
-that can receive NumPy values (:meth:`new_point`, the adaptor's
-smoothing) coerce.
+that can receive NumPy values (:meth:`new_point`) coerce.
 
 NumPy lives at the boundary only.  :meth:`pts`, :meth:`tri_v`,
 :meth:`tri_n` and :meth:`vertex_tri` return fresh, read-only

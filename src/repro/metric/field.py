@@ -24,6 +24,7 @@ toolkit (Alauzet/Loseille; Tsolakis & Chrisochoides, arXiv:2404.18030):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -96,8 +97,10 @@ class MetricField:
         """
         from ..solver.fem import gradients
 
-        if eps <= 0 or h_min <= 0 or h_max < h_min:
-            raise ValueError("need eps > 0 and 0 < h_min <= h_max")
+        if not (eps > 0 and 0 < h_min <= h_max
+                and all(map(math.isfinite, (eps, h_min, h_max)))):
+            raise ValueError("need finite eps > 0 and 0 < h_min <= h_max, "
+                             f"got eps={eps}, h_min={h_min}, h_max={h_max}")
         u = np.asarray(u, dtype=np.float64).reshape(-1)
         if len(u) != mesh.n_points:
             raise ValueError("solution length does not match mesh points")

@@ -18,13 +18,24 @@ per-triangle Python scan per call), kept for the same reason, and
 ``tests/delaunay/test_adapt_flip.py`` requires the production pass to
 flip the same edges in the same order in the same sweeps, and the
 production quality routine to return the same float.
+
+``smooth_pass`` is the NumPy smoothing pass and ``ear_clip`` the
+point-tuple ear clipping of ``MeshAdaptor._remove_vertex`` as they
+shipped before the adaptor read the flat lists as scalars (commit
+9dc4cd2), moved here verbatim (``ear_clip`` returns ``None`` where the
+method returned ``False``, and the triangles where it went on to commit
+them).  ``tests/delaunay/test_adapt_smooth.py`` requires the scalar
+pass to leave the same floats in ``px`` and the scalar ear clipping to
+return the same triangles.
 """
 
 import math
 
 import numpy as np
 
+from repro.delaunay.adapt import SMOOTH_RELAXATION
 from repro.delaunay.kernel import GHOST
+from repro.geometry.predicates import orient2d
 from repro.metric import tensor as _mt
 
 
@@ -147,3 +158,112 @@ def flip_pass(self, *, max_sweeps=10, tol=1e-12, log=None):
         if flipped == 0:
             break
     return total
+
+
+def smooth_pass(self):
+    """Move free vertices toward the metric-weighted neighbour
+    centroid; each move is validated (no inverted incident triangle)
+    with step halving before acceptance."""
+    tri = self.tri
+    tensors = self._vertex_tensors()
+    protected = self._protected_vertices()
+    arr = tri._arr
+    px, vt = arr.px, arr.vt
+    moves = 0
+    for v in range(arr.n_pts):
+        if v in protected or vt[v] < 0:
+            continue
+        star = tri.triangles_around_vertex(v)
+        if not star:
+            continue
+        ok = True
+        neighbours: set = set()
+        for t in star:
+            tv = arr.triangle(t)
+            if tv is None or GHOST in tv or not self._is_interior(t):
+                ok = False
+                break
+            for w in tv:
+                if w != v:
+                    neighbours.add(w)
+        if not ok or len(neighbours) < 3:
+            continue
+        nbr = sorted(neighbours)
+        old = arr.point(v)
+        pv = np.array(old)
+        npts = np.array([arr.point(w) for w in nbr])
+        vecs = npts - pv[None, :]
+        m_edge = 0.5 * (np.repeat(tensors[v][None, :], len(nbr), axis=0)
+                        + tensors[nbr])
+        w_len = np.sqrt(np.maximum(_mt.quad_form(m_edge, vecs), 0.0))
+        wsum = float(w_len.sum())
+        if wsum <= 0.0:
+            continue
+        target = (w_len[:, None] * npts).sum(axis=0) / wsum
+        step = SMOOTH_RELAXATION
+        accepted = False
+        for _ in range(3):
+            # target is NumPy: store plain floats (see arrays.py).
+            px[2 * v] = float(old[0] + step * (target[0] - old[0]))
+            px[2 * v + 1] = float(old[1] + step * (target[1] - old[1]))
+            valid = True
+            for t in star:
+                tv = arr.triangle(t)
+                if orient2d(arr.point(tv[0]), arr.point(tv[1]),
+                            arr.point(tv[2])) <= 0:
+                    valid = False
+                    break
+            if valid:
+                accepted = True
+                break
+            step *= 0.5
+        if accepted:
+            moves += 1
+        else:
+            px[2 * v] = old[0]
+            px[2 * v + 1] = old[1]
+    self.report.smooth_moves += moves
+    self._point_edits += moves
+    return moves
+
+
+def ear_clip(point, ring):
+    """The star-polygon ear clipping of ``_remove_vertex``: the
+    triangles of CCW ``ring``, or ``None`` where it returned ``False``.
+    ``point`` is ``MeshArrays.point``."""
+    poly = list(ring)
+    new_tris = []
+    guard = 0
+    while len(poly) > 3:
+        guard += 1
+        if guard > 2 * len(ring) * len(ring) + 16:
+            return None
+        n = len(poly)
+        clipped = False
+        for i in range(n):
+            a, b, c = poly[i - 1], poly[i], poly[(i + 1) % n]
+            pa, pb, pc = point(a), point(b), point(c)
+            if orient2d(pa, pb, pc) <= 0:
+                continue
+            ok = True
+            for w in poly:
+                if w in (a, b, c):
+                    continue
+                pw = point(w)
+                if (orient2d(pa, pb, pw) >= 0
+                        and orient2d(pb, pc, pw) >= 0
+                        and orient2d(pc, pa, pw) >= 0):
+                    ok = False
+                    break
+            if ok:
+                new_tris.append((a, b, c))
+                poly.pop(i)
+                clipped = True
+                break
+        if not clipped:
+            return None
+    a, b, c = poly
+    if orient2d(point(a), point(b), point(c)) <= 0:
+        return None
+    new_tris.append((a, b, c))
+    return new_tris

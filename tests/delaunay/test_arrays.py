@@ -121,10 +121,10 @@ class TestMeshArrays:
 
 class TestPlainScalarsOnly:
     def test_every_entry_is_a_python_float_or_int(self, monkeypatch):
-        """NumPy scalars reach the store from the adaptor's smoothing
-        (its target is an array), from ``insert_points`` rows and from
-        the batch planner's slot arrays; every write site coerces, so
-        a generate_mesh item, one adaptation cycle and a batch
+        """NumPy scalars reach the store from ``insert_points`` rows and
+        from the batch planner's slot arrays, where the write sites
+        coerce; the adaptor's smoothing moves vertices in plain floats.
+        So a generate_mesh item, one adaptation cycle and a batch
         triangulation leave nothing but ``float``/``int`` behind."""
         kernels = []
         export = Triangulation.to_mesh

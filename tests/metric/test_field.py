@@ -62,6 +62,22 @@ class TestConstruction:
         # Strong direction is y.
         assert np.median(np.abs(v1[interior, 1])) > 0.99
 
+    @pytest.mark.parametrize("eps, h_min, h_max", [
+        (0.0, 1e-3, 1.0), (-1.0, 1e-3, 1.0), (float("nan"), 1e-3, 1.0),
+        (float("inf"), 1e-3, 1.0), (1e-2, 0.0, 1.0), (1e-2, 0.5, 0.1),
+        (1e-2, float("nan"), 1.0), (1e-2, 1e-3, float("nan")),
+        (1e-2, 1e-3, float("inf")),
+    ])
+    def test_from_hessian_rejects_unusable_settings(self, square_mesh, eps,
+                                                   h_min, h_max):
+        """NaN passes every ``<=`` test and infinity clamps a spacing to
+        0, so both are rejected with the non-positive and the inverted
+        settings."""
+        u = np.zeros(square_mesh.n_points)
+        with pytest.raises(ValueError, match="need finite eps > 0"):
+            MetricField.from_hessian(square_mesh, u, eps=eps, h_min=h_min,
+                                     h_max=h_max)
+
     def test_from_hessian_clamps_spacing(self, square_mesh):
         u = np.zeros(square_mesh.n_points)  # zero Hessian -> h_max clamp
         f = MetricField.from_hessian(square_mesh, u, eps=1e-2,

@@ -95,6 +95,35 @@ class TestAdaptFlags:
         assert events["adapt_flip_evaluations"] == adapt["flip_evaluations"]
 
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--adapt-eps", "0"], "--adapt-eps"),
+        (["--adapt-eps", "-1"], "--adapt-eps"),
+        (["--adapt-eps", "nan"], "--adapt-eps"),
+        (["--adapt-eps", "inf"], "--adapt-eps"),
+        (["--adapt-hmin", "0"], "--adapt-hmin"),
+        (["--adapt-hmin", "0.5", "--adapt-hmax", "0.1"], "--adapt-hmin"),
+        (["--adapt-hmax", "1e-4"], "--adapt-hmin (default: --first-spacing)"),
+        (["--adapt-hmax", "nan"], "--adapt-hmax"),
+        (["--adapt-passes", "-2"], "--adapt-passes"),
+        (["--adapt-passes", "0"], "--adapt-passes"),
+        (["--adapt-cycles", "0"], "--adapt-cycles"),
+    ])
+    def test_unusable_adapt_settings_fail_before_meshing(
+            self, monkeypatch, capsys, tmp_path, flags, named):
+        """A usage error naming the flag, not a traceback after the whole
+        mesh was generated, NaN coordinates or a run that adapted
+        nothing."""
+        def no_mesh(*args, **kwargs):
+            raise AssertionError("meshed before checking the adapt flags")
+
+        monkeypatch.setattr("repro.cli.generate_mesh", no_mesh)
+        with pytest.raises(SystemExit) as exc:
+            main(["--naca", "0012", "--surface-points", "41", "--adapt",
+                  *flags, "-o", str(tmp_path / "m")])
+        assert exc.value.code == 2
+        assert f"error: {named} " in capsys.readouterr().err
+
+
 class TestServiceParsers:
     def test_serve_backend_choices_derived_from_registry(self):
         parser = build_serve_parser()
