@@ -243,17 +243,35 @@ def _load_geometry(args: argparse.Namespace) -> PSLG:
     return pslg
 
 
-def _config_from_args(args: argparse.Namespace) -> MeshConfig:
-    return MeshConfig(
-        bl=BoundaryLayerConfig(
-            first_spacing=args.first_spacing,
-            growth_ratio=args.growth_ratio,
-            max_layers=args.max_layers,
-        ),
-        farfield_chords=args.farfield_chords,
-        grading=args.grading,
-        target_subdomains=args.subdomains,
-    )
+#: the flag each config field the parsers set comes from.
+_CONFIG_FLAGS = {
+    "first_spacing": "--first-spacing",
+    "growth_ratio": "--growth-ratio",
+    "max_layers": "--max-layers",
+    "farfield_chords": "--farfield-chords",
+    "grading": "--grading",
+    "target_subdomains": "--subdomains",
+}
+
+
+def _config_from_args(parser: argparse.ArgumentParser,
+                      args: argparse.Namespace) -> MeshConfig:
+    """The mesh request of the flags; a value the config rejects (not
+    finite, or out of its range) is a usage error naming its flag."""
+    try:
+        return MeshConfig(
+            bl=BoundaryLayerConfig(
+                first_spacing=args.first_spacing,
+                growth_ratio=args.growth_ratio,
+                max_layers=args.max_layers,
+            ),
+            farfield_chords=args.farfield_chords,
+            grading=args.grading,
+            target_subdomains=args.subdomains,
+        )
+    except ValueError as exc:
+        field, rest = str(exc).split(" ", 1)
+        parser.error(f"{_CONFIG_FLAGS[field]} {rest}")
 
 
 def _write_mesh_outputs(args: argparse.Namespace, mesh) -> list:
@@ -414,6 +432,7 @@ def _submit_main(argv) -> int:
                      "--server-stats or --shutdown")
     if has_geometry and args.output is None:
         parser.error("-o/--output is required when submitting a geometry")
+    config = _config_from_args(parser, args)
     client = ServiceClient(_service_address(parser, args),
                            timeout=args.timeout,
                            connect_retries=max(args.connect_retries, 0))
@@ -423,7 +442,7 @@ def _submit_main(argv) -> int:
             summary["ping_rtt_s"] = round(client.ping(), 6)
         if has_geometry:
             pslg = _load_geometry(args)
-            reply = client.submit(pslg, _config_from_args(args))
+            reply = client.submit(pslg, config)
             written = _write_mesh_outputs(args, reply.mesh)
             summary.update({
                 "cached": reply.cached,
@@ -478,8 +497,8 @@ def main(argv=None) -> int:
         _check_adaptation(parser, args)
     n_ranks = args.ranks if args.ranks is not None else 4
     insert_strategy = insertion.get_strategy(args.insert_strategy).name
+    config = _config_from_args(parser, args)
     pslg = _load_geometry(args)
-    config = _config_from_args(args)
     # Worker counter snapshots (including from the processes backend's
     # separate address spaces) merge into this sink; it stays installed
     # over the adaptation stage.

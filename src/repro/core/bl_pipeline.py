@@ -44,6 +44,17 @@ __all__ = ["BoundaryLayerConfig", "BoundaryLayerResult",
            "generate_boundary_layer", "interior_seed"]
 
 
+def require_field(name: str, value, in_range: bool, need: str = "") -> None:
+    """Raise ``ValueError`` unless ``value`` is finite and ``in_range``.
+
+    The message starts with the field ``name``, so a caller can name the
+    input the field came from (the CLI names its flag).
+    """
+    if not (math.isfinite(value) and in_range):
+        raise ValueError(f"{name} must be a finite number{need}, "
+                         f"got {value}")
+
+
 @dataclass
 class BoundaryLayerConfig:
     """User-facing boundary-layer parameters (the push-button inputs).
@@ -64,6 +75,16 @@ class BoundaryLayerConfig:
     large_angle_deg = 40.0
     cusp_angle_deg = 100.0
     isotropy_factor = 1.0
+
+    def __post_init__(self) -> None:
+        require_field("first_spacing", self.first_spacing,
+                      self.first_spacing > 0, " > 0")
+        require_field("growth_ratio", self.growth_ratio,
+                      self.growth_ratio >= 1, " >= 1")
+        require_field("max_layers", self.max_layers, self.max_layers >= 1,
+                      " >= 1")
+        require_field("max_ray_angle_deg", self.max_ray_angle_deg, True)
+        require_field("truncation_factor", self.truncation_factor, True)
 
     def growth_function(self) -> GeometricGrowth:
         return GeometricGrowth(self.first_spacing, self.growth_ratio)

@@ -42,6 +42,7 @@ from .bl_pipeline import (
     BoundaryLayerResult,
     interior_seed,
     prepare_boundary_layer,
+    require_field,
     triangulate_boundary_layer,
 )
 from .decouple import (
@@ -94,6 +95,18 @@ class MeshConfig:
     h0 = None
     quality_bound = RUPPERT_BOUND
     max_steiner = MAX_STEINER
+
+    def __post_init__(self) -> None:
+        require_field("farfield_chords", self.farfield_chords,
+                      self.farfield_chords > 0, " > 0")
+        require_field("grading", self.grading, self.grading >= 0, " >= 0")
+        if self.h_max_chords is not None:
+            require_field("h_max_chords", self.h_max_chords,
+                          self.h_max_chords > 0, " > 0 (or None)")
+        require_field("nearbody_margin_chords", self.nearbody_margin_chords,
+                      True)
+        require_field("target_subdomains", self.target_subdomains,
+                      self.target_subdomains >= 1, " >= 1")
 
 
 @dataclass

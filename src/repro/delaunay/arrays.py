@@ -150,7 +150,7 @@ class MeshArrays:
         When every vertex is referenced, ``points`` is the read-only
         :meth:`pts` snapshot and ``remap`` is ``None`` (identity);
         otherwise both are fancy-indexed at C speed.  No per-triangle
-        Python loops (lint rule R7).
+        Python loops.
         """
         n_p = self.n_pts
         tv = self.tri_v()

@@ -34,15 +34,12 @@ approximations they inherit):
   over-approximation), which can only add spurious leak paths, never
   hide real ones.
 * ``with`` bodies are inlined; ``__exit__`` is assumed not to raise.
-
-Dominators (for the epoch-fence rule) come from the standard iterative
-set intersection over the same graph.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["CFG", "CFGNode", "build_cfg", "FLOW", "EXC"]
 
@@ -56,7 +53,7 @@ _CATCH_ALL = {"BaseException", "Exception"}
 class CFGNode:
     """One CFG node: a statement, or a synthetic boundary marker."""
 
-    __slots__ = ("idx", "stmt", "kind", "succ", "pred")
+    __slots__ = ("idx", "stmt", "kind", "succ")
 
     def __init__(self, idx: int, stmt: Optional[ast.stmt],
                  kind: str) -> None:
@@ -66,8 +63,6 @@ class CFGNode:
         self.kind = kind
         #: outgoing edges as ``(node_idx, edge_kind)``.
         self.succ: List[Tuple[int, str]] = []
-        #: incoming edges as ``(node_idx, edge_kind)``.
-        self.pred: List[Tuple[int, str]] = []
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         label = (f"L{getattr(self.stmt, 'lineno', '?')}"
@@ -93,50 +88,10 @@ class CFG:
     def _edge(self, src: int, dst: int, kind: str = FLOW) -> None:
         if (dst, kind) not in self.nodes[src].succ:
             self.nodes[src].succ.append((dst, kind))
-            self.nodes[dst].pred.append((src, kind))
 
     # -- queries --------------------------------------------------------
     def stmt_nodes(self) -> Iterable[CFGNode]:
         return (n for n in self.nodes if n.kind == "stmt")
-
-    def dominators(self) -> List[Set[int]]:
-        """``dom[i]`` = node ids dominating node ``i`` (incl. itself).
-
-        Unreachable nodes dominate nothing and report an empty set.
-        """
-        n = len(self.nodes)
-        reachable = self._reachable()
-        full = set(range(n))
-        dom: List[Set[int]] = [full.copy() for _ in range(n)]
-        dom[self.entry] = {self.entry}
-        changed = True
-        while changed:
-            changed = False
-            for node in self.nodes:
-                i = node.idx
-                if i == self.entry or i not in reachable:
-                    continue
-                preds = [p for p, _k in node.pred if p in reachable]
-                if not preds:
-                    continue
-                new = set.intersection(*(dom[p] for p in preds)) | {i}
-                if new != dom[i]:
-                    dom[i] = new
-                    changed = True
-        for i in range(n):
-            if i not in reachable:
-                dom[i] = set()
-        return dom
-
-    def _reachable(self) -> Set[int]:
-        seen = {self.entry}
-        stack = [self.entry]
-        while stack:
-            for s, _k in self.nodes[stack.pop()].succ:
-                if s not in seen:
-                    seen.add(s)
-                    stack.append(s)
-        return seen
 
 
 # ----------------------------------------------------------------------

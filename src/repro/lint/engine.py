@@ -19,32 +19,25 @@ from __future__ import annotations
 
 import ast
 import io
-import json
 import re
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-__all__ = ["Finding", "FileContext", "Rule", "LintRunner", "RULESET_VERSION",
+__all__ = ["Finding", "FileContext", "Rule", "LintRunner",
            "iter_python_files", "DEFAULT_SEVERITY_MAP"]
-
-#: Bumped whenever a rule is added or its detection heuristic changes, so
-#: machine consumers (CI, ``--stats-json``) can pin expectations.
-RULESET_VERSION = "3.0"
 
 #: Per-tree rule-severity overrides: a finding whose path contains the
 #: key as a directory part gets the mapped severity for that rule —
 #: ``"off"`` drops it, ``"warn"`` keeps it visible without failing the
 #: run.  Test/example helpers legitimately read wall clocks (R5), hold
-#: short-lived wire envelopes across asserts (R8), sleep in async
-#: scaffolding (R9) and observe single streams to exercise the counter
-#: machinery (R12); holding them to production severity would bury real
-#: findings under justified noise.  Engine-level findings (P0/P1/E9)
-#: are never demoted.
+#: short-lived wire envelopes across asserts (R8) and build buffers of
+#: any dtype to exercise the transport (R10); holding them to
+#: production severity would bury real findings under justified noise.
+#: Engine-level findings (P0/P1/E9) are never demoted.
 DEFAULT_SEVERITY_MAP: Dict[str, Dict[str, str]] = {
-    "tests": {"R5": "off", "R8": "off", "R9": "off", "R10": "off",
-              "R12": "off"},
+    "tests": {"R5": "off", "R8": "off", "R10": "off"},
     "examples": {"R5": "warn"},
 }
 
@@ -76,16 +69,6 @@ class Finding:
         return (f"{self.path}:{self.line}:{self.col + 1}: "
                 f"{self.rule}{tag}: {self.message}")
 
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "severity": self.severity,
-        }
-
 
 @dataclass
 class Pragma:
@@ -111,18 +94,6 @@ class FileContext:
         self.source = source
         self.lines = source.splitlines()
         self.tree = tree
-        self._cfg_cache: Dict[int, object] = {}
-
-    def cfg_of(self, scope: ast.AST):
-        """Build (once) and cache the CFG of a function/module scope, so
-        the dataflow rules share graphs instead of rebuilding per rule."""
-        key = id(scope)
-        cfg = self._cfg_cache.get(key)
-        if cfg is None:
-            from .cfg import build_cfg
-            cfg = build_cfg(scope)
-            self._cfg_cache[key] = cfg
-        return cfg
 
     # ------------------------------------------------------------------
     def in_pkg(self, *fragments: str) -> bool:
@@ -259,20 +230,14 @@ def _dotted(node: ast.AST) -> str:
 class LintRunner:
     """Run a rule set over files, reconciling findings with pragmas.
 
-    ``catalog`` is the full rule-id universe (defaults to the rules
-    actually run): pragma *unknown-rule* checks (P0) go against the
-    catalog, while *staleness* (P1) is only judged for rules that ran —
-    otherwise ``--select R5`` would condemn every legitimate pragma
-    naming an unselected rule.  Findings take the per-tree overrides of
-    :data:`DEFAULT_SEVERITY_MAP`.
+    A pragma naming a rule outside the set is unknown (P0); one whose
+    rule found nothing on its line is stale (P1).  Findings take the
+    per-tree overrides of :data:`DEFAULT_SEVERITY_MAP`.
     """
 
-    def __init__(self, rules: Sequence,
-                 catalog: Optional[Iterable[str]] = None) -> None:
+    def __init__(self, rules: Sequence) -> None:
         self.rules = list(rules)
-        self._selected_ids = {r.id for r in self.rules}
-        base = set(catalog) if catalog is not None else set(self._selected_ids)
-        self._catalog_ids = base | {"P0", "P1", "E9"}
+        self._rule_ids = {r.id for r in self.rules}
 
     # ------------------------------------------------------------------
     def _apply_severity(self, f: Finding) -> Optional[Finding]:
@@ -325,7 +290,7 @@ class LintRunner:
 
         # Pragma hygiene (not suppressible by pragmas themselves).
         for pragma in pragmas.values():
-            unknown = [r for r in pragma.rules if r not in self._catalog_ids]
+            unknown = [r for r in pragma.rules if r not in self._rule_ids]
             if unknown:
                 survived.append(Finding(
                     "P0", posix, pragma.line, 0,
@@ -335,7 +300,7 @@ class LintRunner:
                     "P0", posix, pragma.line, 0,
                     "pragma has no justification — append '-- <one line why>'"))
             stale = [r for r in pragma.rules
-                     if r in self._selected_ids and r not in pragma.used]
+                     if r in self._rule_ids and r not in pragma.used]
             if stale:
                 survived.append(Finding(
                     "P1", posix, pragma.line, 0,
@@ -355,19 +320,3 @@ class LintRunner:
             findings.extend(self.run_file(f))
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
         return findings, len(files)
-
-
-def format_json(findings: Sequence[Finding], files_scanned: int,
-                rules: Sequence) -> str:
-    return json.dumps(
-        {
-            "version": RULESET_VERSION,
-            "files_scanned": files_scanned,
-            "n_findings": len(findings),
-            "rules": [
-                {"id": r.id, "title": r.title} for r in rules
-            ],
-            "findings": [f.as_dict() for f in findings],
-        },
-        indent=2,
-    )

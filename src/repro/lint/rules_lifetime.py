@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Set
 
 from .engine import FileContext, Finding, Rule, _dotted, _scopes
 from . import dataflow
+from .cfg import build_cfg
 
 __all__ = ["ShmLifetimeRule", "ACQUIRE_FUNCS", "RELEASE_FUNCS"]
 
@@ -134,7 +135,7 @@ class ShmLifetimeRule(Rule):
 
     def _check_scope(self, ctx: FileContext,
                      scope: ast.AST) -> List[Finding]:
-        cfg = ctx.cfg_of(scope)
+        cfg = build_cfg(scope)
         facts: List[_Fact] = []
         gen: Dict[int, Set[int]] = {}
         kill: Dict[int, Set[int]] = {}

@@ -156,8 +156,7 @@ async def offload(fn: Callable, *args):
 
     The sanctioned escape hatch for anything that would stall the event
     loop (pool warmup/shutdown, batch dispatch, filesystem calls): the
-    callable is passed by reference, never invoked in the coroutine
-    (lint rule R9 enforces exactly this shape).
+    callable is passed by reference, never invoked in the coroutine.
     """
     return await asyncio.get_running_loop().run_in_executor(None, fn, *args)
 

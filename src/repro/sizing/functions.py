@@ -56,8 +56,8 @@ def decoupling_edge_length(area: float) -> float:
     local area bound when the neighbouring subdomains are refined
     independently.
     """
-    if area <= 0:
-        raise ValueError("area must be positive")
+    if not 0 < area < math.inf:
+        raise ValueError(f"area must be positive and finite, got {area}")
     return 0.5 * math.sqrt(area / math.sqrt(2.0))
 
 

@@ -7,6 +7,7 @@ from repro.core.bl_pipeline import BoundaryLayerConfig
 from repro.core.pipeline import MeshConfig, generate_mesh
 from repro.geometry.airfoils import naca0012, three_element_airfoil
 from repro.geometry.pslg import PSLG
+from repro.sizing.functions import decoupling_edge_length
 
 
 def small_config(**kw):
@@ -93,6 +94,48 @@ class TestBackendArgument:
         pslg = PSLG.from_loops([naca0012(41)])
         with pytest.raises(ValueError):
             generate_mesh(pslg, small_config(), backend="mpi")
+
+
+class TestConfigValidation:
+    """Every float setting is finite and in the range the mesher relies
+    on.  A NaN grading, spacing or ratio, or an infinite far field, used
+    to hang the decoupling march; a negative grading or a zero spacing
+    failed after the boundary layer was built; a subdomain count below 1
+    quietly meant 4."""
+
+    @pytest.mark.parametrize("field, value", [
+        ("first_spacing", float("nan")), ("first_spacing", 0.0),
+        ("first_spacing", float("inf")),
+        ("growth_ratio", float("nan")), ("growth_ratio", float("inf")),
+        ("growth_ratio", 0.9),
+        ("max_layers", 0),
+        ("max_ray_angle_deg", float("nan")),
+        ("truncation_factor", float("inf")),
+    ])
+    def test_boundary_layer_config(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a finite"):
+            BoundaryLayerConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("farfield_chords", float("inf")), ("farfield_chords", 0.0),
+        ("grading", float("nan")), ("grading", float("inf")),
+        ("grading", -1.0),
+        ("h_max_chords", float("nan")), ("h_max_chords", 0.0),
+        ("nearbody_margin_chords", float("nan")),
+        ("target_subdomains", 0), ("target_subdomains", -3),
+    ])
+    def test_mesh_config(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a finite"):
+            MeshConfig(**{field: value})
+
+    def test_edge_values_are_accepted(self):
+        MeshConfig(bl=BoundaryLayerConfig(growth_ratio=1.0, max_layers=1),
+                   grading=0.0, h_max_chords=None, target_subdomains=1)
+
+    @pytest.mark.parametrize("area", [float("nan"), float("inf"), 0.0])
+    def test_decoupling_edge_length_needs_a_finite_area(self, area):
+        with pytest.raises(ValueError, match="positive and finite"):
+            decoupling_edge_length(area)
 
 
 class TestThreeElementPipeline:

@@ -279,12 +279,15 @@ _FIELD_VALUES = {
     "int": st.integers(1, 10_000),
     "Optional[float]": st.none() | st.floats(1e-3, 1e3),
 }
+#: Fields whose valid range (the configs reject other values) is
+#: narrower than their type's strategy.
+_FIELD_RANGES = {"growth_ratio": st.floats(1.0, 1e3)}
 
 
 def _configs(cls, **nested):
     return st.builds(cls, **nested, **{
-        f.name: _FIELD_VALUES[f.type] for f in fields(cls)
-        if f.name not in nested})
+        f.name: _FIELD_RANGES.get(f.name, _FIELD_VALUES[f.type])
+        for f in fields(cls) if f.name not in nested})
 
 
 MESH_CONFIGS = st.deferred(

@@ -164,3 +164,26 @@ def test_old_layout_is_an_error_not_another_mesh(tmp_path, backend,
         assert not service._batcher.done()
     finally:
         thread.stop()  # re-raises whatever killed the batcher
+
+
+def test_non_finite_setting_is_an_error_not_a_hang(tmp_path, direct_bytes):
+    """A request packed with ``grading = nan`` (a client that skipped
+    ``MeshConfig``'s checks) gets an ``err`` frame naming the field, and
+    the next valid request on the same daemon is served.  It used to
+    hang its worker in the decoupling march; on ``processes`` a hung
+    worker is terminated at shutdown, so a regression fails here
+    instead of stalling the suite."""
+    payload = pack_mesh_request(*_request())
+    params = payload["config.params"].copy()
+    params[serde._MESH_FIELDS.index("grading")] = np.nan
+    payload["config.params"] = params
+    service, thread, endpoint = _start(tmp_path, "processes")
+    try:
+        with ServiceClient(endpoint, timeout=30.0) as client:
+            with pytest.raises(ServiceError,
+                               match="grading must be a finite number"):
+                client.submit_packed(payload)
+            assert client.submit(*_request()).raw == direct_bytes
+        assert not service._batcher.done()
+    finally:
+        thread.stop()  # re-raises whatever killed the batcher

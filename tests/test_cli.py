@@ -2,13 +2,19 @@
 serve/submit service subcommands."""
 
 import json
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, build_serve_parser, build_submit_parser, main
 from repro.runtime import executor
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 class TestBackendFlags:
@@ -122,6 +128,38 @@ class TestAdaptFlags:
                   *flags, "-o", str(tmp_path / "m")])
         assert exc.value.code == 2
         assert f"error: {named} " in capsys.readouterr().err
+
+
+class TestMeshFlags:
+    @pytest.mark.parametrize("flags, named", [
+        (["--grading", "nan"], "--grading"),
+        (["--grading", "inf"], "--grading"),
+        (["--grading", "-1"], "--grading"),
+        (["--first-spacing", "nan"], "--first-spacing"),
+        (["--first-spacing", "0"], "--first-spacing"),
+        (["--growth-ratio", "nan"], "--growth-ratio"),
+        (["--growth-ratio", "inf"], "--growth-ratio"),
+        (["--farfield-chords", "inf"], "--farfield-chords"),
+        (["--subdomains", "0"], "--subdomains"),
+        (["--subdomains", "-3"], "--subdomains"),
+    ])
+    def test_unusable_mesh_settings_are_usage_errors(self, tmp_path, flags,
+                                                     named):
+        """A non-finite or out-of-range mesh setting exits 2 naming its
+        flag before anything is meshed; it used to hang in the decoupling
+        march (NaN/inf), print a traceback after the boundary layer was
+        built, or quietly mesh with other settings.  A subprocess with a
+        deadline, so a hang fails instead of stalling the suite."""
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "--naca", "0012",
+             "--surface-points", "41", "--max-layers", "8",
+             "--farfield-chords", "5", "--subdomains", "4",
+             "-o", str(tmp_path / "OUT"), *flags],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": SRC})
+        assert done.returncode == 2, done.stderr
+        assert f"error: {named} must be a finite number" in done.stderr
+        assert not list(tmp_path.iterdir())
 
 
 class TestServiceParsers:

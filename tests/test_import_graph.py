@@ -98,8 +98,7 @@ def test_cli_mesh_run_loads_no_lint_module():
 
 
 @pytest.mark.parametrize(
-    "module", ["rules_async", "rules_counters", "rules_epoch",
-               "rules_lifetime", "rules_serde"])
+    "module", ["rules_lifetime", "rules_serde"])
 def test_rule_module_imports_first_in_a_fresh_interpreter(module):
     """The ``rules_*`` modules build on ``engine`` alone, so importing
     one before ``repro.lint.rules`` is not a cycle."""
@@ -107,7 +106,7 @@ def test_rule_module_imports_first_in_a_fresh_interpreter(module):
         f"import sys, repro.lint.{module}\n"
         "assert 'repro.lint.rules' not in sys.modules\n"
         "from repro.lint.rules import ALL_RULES\n"
-        "assert len(ALL_RULES) == 11\n")
+        "assert len(ALL_RULES) == 7\n")
     assert done.returncode == 0, done.stderr
 
 
@@ -625,7 +624,7 @@ def test_field_walk_positive_control(tmp_path):
 PACKAGES = {
     "repro.solver": ("solve_potential_flow", "flow", 21),
     "repro.runtime": ("ServiceClient", "client", 22),
-    "repro.lint": ("rule_ids", "rules", 6),
+    "repro.lint": ("ALL_RULES", "rules", 4),
 }
 
 
