@@ -13,7 +13,10 @@ quality/size tests per point it inserted) and what the size tests cost
 Lipschitz bound, ``size_verdicts_band`` by the centroid's exact value)
 and its ways off the fast path (``locked_segment_skips``;
 ``straight_walk_fallbacks``, circumcenters the kernel walk located;
-``blocked_circumcenters``, ones a segment hid), then the boundary-layer triangulation work item (``bl_item_s``,
+``blocked_circumcenters``, ones a segment hid), the subdomain rings
+triangulated (``ring_points``) with ``flips_per_ring_point`` (the Lawson
+flips that made them Delaunay, per ring point: ~1.8), then the
+boundary-layer triangulation work item (``bl_item_s``,
 ``bl_item_kb``: its wall and bytes where it ran) beside the executor's
 per-rank item counts when a pool ran the op (``executor.items.rank*``,
 ``executor.bl_item.rank*``), then the sink's ``adapt_*``
@@ -129,6 +132,10 @@ def main(argv=None) -> None:
                                "blocked_circumcenters")]
             rows.append(("triangle_tests_per_steiner",
                          events["triangle_tests"] / events["steiner_points"]))
+        if events.get("ring_points"):
+            rows += [("ring_points", events["ring_points"]),
+                     ("flips_per_ring_point",
+                      kernel.flips / events["ring_points"])]
         if sink.samples.get("executor.bl_item_seconds"):
             rows += [("bl_item_s",
                       sum(sink.samples["executor.bl_item_seconds"])),

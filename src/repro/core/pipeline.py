@@ -40,7 +40,6 @@ from ..sizing.functions import GradedDistanceSizing
 from .bl_pipeline import (
     BoundaryLayerConfig,
     BoundaryLayerResult,
-    interior_seed,
     prepare_boundary_layer,
     require_field,
     triangulate_boundary_layer,
@@ -160,12 +159,13 @@ def generate_mesh(
     barriered reference the ``processes`` backend is byte-compared to.
 
     ``insert_strategy`` picks the Delaunay cavity-engine insertion
-    strategy (any name from
+    strategy of the BL cloud's triangulation (any name from
     :func:`repro.delaunay.available_strategies`); ``None`` is
-    ``scalar``.  It is resolved once here and travels as data:
-    a field of the BL triangulation item and of every refinement item,
-    so workers forked earlier (a warm pool) triangulate with the same
-    strategy as the parent.
+    ``scalar``.  It is resolved once here and travels as data, a field
+    of the BL triangulation item, so workers forked earlier (a warm
+    pool) triangulate with the same strategy as the parent.  A
+    subdomain inserts no points in bulk: it is triangulated from its
+    rings (:func:`~repro.core.decouple.refine_subdomain`).
     """
     insert_strategy = get_strategy(insert_strategy).name
     config = config or MeshConfig()
@@ -211,7 +211,6 @@ def generate_mesh(
         nearbody = DecoupledSubdomain(
             ring=nb_ring,
             hole_rings=[np.asarray(ob) for ob in bl.outer_borders],
-            holes=[interior_seed(np.asarray(ob)) for ob in bl.outer_borders],
         )
     timings["nearbody_setup"] = tm.elapsed
 
@@ -237,7 +236,7 @@ def generate_mesh(
                 else max(estimate_triangles(s, sizing), 1.0))
 
     def _payload(s: DecoupledSubdomain) -> serde.Buffers:
-        return _pack_refine_item(s, sizing, insert_strategy)
+        return _pack_refine_item(s, sizing)
 
     # Note: ``refinement`` wall time spans the whole overlapped region
     # (it contains ``decoupling``).
@@ -290,12 +289,10 @@ def generate_mesh(
     )
 
 
-def _pack_refine_item(sub: DecoupledSubdomain, sizing,
-                      insert_strategy: str) -> serde.Buffers:
+def _pack_refine_item(sub: DecoupledSubdomain, sizing) -> serde.Buffers:
     """One refinement work item as a flat buffer dict (process-safe)."""
     payload = serde.nest("sub.", serde.pack_subdomain(sub))
     payload.update(serde.nest("sizing.", serde.pack_sizing(sizing)))
-    payload["insert_strategy"] = serde._text(insert_strategy)
     return payload
 
 
@@ -347,10 +344,7 @@ def _refine_item(payload: serde.Buffers) -> serde.Buffers:
     """Refine one packed subdomain -> packed mesh."""
     sub = serde.unpack_subdomain(serde.unnest("sub.", payload))
     sizing = serde.unpack_sizing(serde.unnest("sizing.", payload))
-    mesh = refine_subdomain(
-        sub, sizing,
-        insert_strategy=serde._untext(payload["insert_strategy"]))
-    return serde.pack_mesh(mesh)
+    return serde.pack_mesh(refine_subdomain(sub, sizing))
 
 
 # ----------------------------------------------------------------------

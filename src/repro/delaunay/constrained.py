@@ -1,29 +1,37 @@
-"""Constrained Delaunay triangulation: segment recovery and carving.
+"""Constrained Delaunay triangulation: of a PSLG, and of a polygon.
 
-Builds on the incremental kernel: after inserting all PSLG vertices, each
-input segment is *recovered* (forced to appear as an edge) by flipping the
-edges that cross it — the classic Lawson walk-and-flip scheme — and then
-locked against future flips and cavity crossings.  Vertices that happen to
-lie exactly on a segment split it (the CDT of a PSLG must contain the
-sub-segments).
-
-After recovery, :func:`carve` classifies triangles as interior/exterior by
-flooding from the ghost layer (and from user hole seeds) without crossing
-constrained edges — the same behaviour the paper relies on from Triangle:
-"Triangle first creates an initial triangulation and then removes elements
-inside concavities and holes" (Section II.E).
+:func:`triangulate_pslg` builds on the incremental kernel: after
+inserting all PSLG vertices, each input segment is *recovered* (forced to
+appear as an edge) by flipping the edges that cross it — the classic
+Lawson walk-and-flip scheme — and then locked against future flips and
+cavity crossings.  Vertices that happen to lie exactly on a segment split
+it (the CDT of a PSLG must contain the sub-segments).  After recovery,
+:func:`carve` classifies triangles as interior/exterior by flooding from
+the ghost layer (and from user hole seeds) without crossing constrained
+edges — the same behaviour the paper relies on from Triangle: "Triangle
+first creates an initial triangulation and then removes elements inside
+concavities and holes" (Section II.E).  The boundary-layer cloud and
+``refine_pslg`` take this path; a decoupled subdomain, whose only points
+are its rings, is :func:`triangulate_polygon` of the polygon they bound:
+no hull, no segment to recover, nothing to carve away.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..geometry.predicates import orient2d
+from ..geometry.primitives import segments_intersect_batch
 from ..runtime.counters import current as counters_current
 from .cavity import (
+    _CCW_ERR,
+    _CCW_GUARD,
+    _NXT,
+    _PRV,
     brio_order,
     find_directed_edge,
     get_strategy,
@@ -32,9 +40,13 @@ from .cavity import (
 from .kernel import GHOST, Triangulation, TriangulationError
 from .mesh import TriMesh
 
+#: Seeds the random ear order of :func:`triangulate_polygon`.
+_EAR_SEED = 0
+
 __all__ = [
     "insert_segment",
     "triangulate_pslg",
+    "triangulate_polygon",
     "carve",
     "constrained_delaunay",
 ]
@@ -257,6 +269,275 @@ def triangulate_pslg(points: np.ndarray, segments: np.ndarray,
         ku, kv = kernel_id[int(u)], kernel_id[int(v)]
         for su, sv in insert_segment(tri, ku, kv):
             tri.mark_constraint(su, sv)
+    return tri
+
+
+def _orient_counted(tri, ax, ay, bx, by, cx, cy) -> int:
+    """Sign of ``orient2d(a, b, c)``: the kernel's inlined filter, exact
+    when it cannot decide, counted in the kernel's ``stat_orient_*``."""
+    detleft = (ax - cx) * (by - cy)
+    detright = (ay - cy) * (bx - cx)
+    det = detleft - detright
+    detsum = abs(detleft) + abs(detright)
+    if detsum > _CCW_GUARD:
+        errbound = _CCW_ERR * detsum
+        if det > errbound:  # lint: disable=R1 -- inlined orient2d filter; shares ORIENT_ERR_BOUND, exact fallback below
+            tri.stat_orient_fast += 1
+            return 1
+        if -det > errbound:
+            tri.stat_orient_fast += 1
+            return -1
+    tri.stat_orient_exact += 1
+    o = orient2d((ax, ay), (bx, by), (cx, cy))
+    tri.stat_orient_zero += o == 0
+    return o
+
+
+def _boundary_slot(arr, u: int, w: int) -> int:
+    """Flat ``tn`` index of directed boundary edge ``u -> w``: turn
+    clockwise about ``u`` from its hint until the edge."""
+    tv, tn = arr.tv, arr.tn
+    t = arr.vt[u]
+    while True:
+        i3 = 3 * t
+        k = 0 if tv[i3] == u else (1 if tv[i3 + 1] == u else 2)
+        if tv[i3 + _NXT[k]] == w:
+            return i3 + _PRV[k]
+        t = tn[i3 + _PRV[k]]
+
+
+def triangulate_polygon(ring: np.ndarray,
+                        hole_rings: Sequence[np.ndarray] = ()
+                        ) -> Triangulation:
+    """Constrained Delaunay triangulation of a polygon, from its rings.
+
+    ``ring`` is the outer border, counter-clockwise, each of
+    ``hole_rings`` a hole border, clockwise, all simple and disjoint
+    (``repro.core.decouple.checked_rings``).  Kernel vertex ``i`` is ring
+    vertex ``i``, outer ring first; every ring edge is a constraint
+    bordered by a ghost.  Holes are bridged to the outer border (Eberly
+    2002), leaving one weakly simple polygon whose bridge ends appear
+    twice; its ears are removed in a seeded random order and put back
+    in reverse, each legalised by Lawson flips across the edges opposite
+    its tip (Chew 1990); bridges are glued and legalised last.  Every
+    sign is the kernel's filtered predicate, counted in its ``stat_*``.
+    """
+    tri = Triangulation()
+    arr = tri._arr
+    rings = [np.asarray(r, dtype=np.float64).reshape(-1, 2)
+             for r in (ring, *hole_rings)]
+    pts = np.vstack(rings)
+    n = arr.n_pts = len(pts)
+    arr.px.extend(pts.ravel().tolist())
+    arr.vt.extend([-1] * n)
+    starts = np.cumsum([0] + [len(r) for r in rings])
+    # The polygon as a cycle of vertex ids; a bridge end gets a twin id
+    # (same point, appended after the rings) for its second visit.
+    nxt = np.arange(1, n + 1)
+    nxt[starts[1:] - 1] = starts[:-1]
+    prv = np.arange(-1, n - 1)
+    prv[starts[:-1]] = starts[1:] - 1
+    ring_edges = np.stack([np.arange(n), nxt], axis=1)
+    nxt, prv, orig = nxt.tolist(), prv.tolist(), list(range(n))
+    outer = list(range(starts[1]))
+    bridges: List[Tuple[int, int]] = []
+    # A hole bridges from its rightmost vertex m, rightmost hole first,
+    # to the nearest outer vertex p strictly right of m that sees it: no
+    # ring edge or bridge but those at m or p meets the segment.
+    tops = [(int(s + np.lexsort((pts[s:e, 1], pts[s:e, 0]))[-1]), s, e)
+            for s, e in zip(starts[1:-1].tolist(), starts[2:].tolist())]
+    for m, s, e in sorted(tops, key=lambda top: tuple(pts[top[0]]),
+                          reverse=True):
+        cand = np.asarray([v for v in outer if pts[v, 0] > pts[m, 0]],
+                          dtype=np.int64)
+        for p in cand[np.lexsort(
+                (cand, ((pts[cand] - pts[m]) ** 2).sum(axis=1)))].tolist():
+            far = pts[ring_edges[~np.isin(ring_edges, (m, p)).any(axis=1)]]
+            if not segments_intersect_batch(
+                    np.broadcast_to(pts[m], far[:, 0].shape),
+                    np.broadcast_to(pts[p], far[:, 0].shape),
+                    far[:, 0], far[:, 1]).any():
+                break
+        else:
+            raise TriangulationError(f"hole vertex {m} sees no vertex")
+        ring_edges = np.vstack([ring_edges, [[m, p]]])
+        # An earlier bridge end is visited more than once: enter at the
+        # visit whose corner opens towards m.
+        for c in [v for v in range(len(orig)) if orig[v] == p]:
+            pa, pc, pb, pm = (arr.point(w) for w in (prv[c], c, nxt[c], m))
+            right, left = orient2d(pc, pb, pm) > 0, orient2d(pa, pc, pm) > 0
+            if (right and left) if orient2d(pa, pc, pb) > 0 else right or left:
+                p = c
+                break
+        m2, p2 = arr.new_point(*pts[m]), arr.new_point(*arr.point(p))
+        orig += [m, orig[p]]
+        pn, mp = nxt[p], prv[m]
+        nxt[p], prv[m], nxt[mp], prv[pn] = m, p, m2, p2
+        nxt += [p2, pn]
+        prv += [mp, m2]
+        bridges.append((orig[p], m))
+        outer.extend(range(s, e))
+
+    px = arr.px
+    n_all = len(orig)
+    # Each bridge is two boundary edges, one each way, glued at the end.
+    edge_at = {(orig[v], orig[nxt[v]]): v for v in range(n_all)}
+    glue = [(edge_at[pm], edge_at[pm[::-1]]) for pm in bridges]
+    glue = [(u, nxt[u], w, nxt[w]) for u, w in glue]
+    # turn[v]: orientation of the corner at v, None once a clip moved a
+    # neighbour.
+    turn: List[Optional[int]] = [
+        _orient_counted(tri, px[2 * p], px[2 * p + 1], px[2 * v],
+                        px[2 * v + 1], px[2 * q], px[2 * q + 1])
+        for p, v, q in zip(prv, range(n_all), nxt)]
+    # What can block an ear: reflex and flat vertices (a convex one
+    # never turns reflex) and bridge ends, sorted by x and by y.
+    ends = set(orig[n:])
+    blockers = [v for v in range(n_all) if turn[v] <= 0 or orig[v] in ends]
+    by_x = sorted(blockers, key=lambda v: (px[2 * v], v))
+    by_y = sorted(blockers, key=lambda v: (px[2 * v + 1], v))
+    xs = [px[2 * v] for v in by_x]
+    ys = [px[2 * v + 1] for v in by_y]
+    alive = [True] * n_all
+
+    def is_ear(v: int) -> bool:
+        p, q = prv[v], nxt[v]
+        ax, ay, bx, by = px[2 * p], px[2 * p + 1], px[2 * v], px[2 * v + 1]
+        cx, cy = px[2 * q], px[2 * q + 1]
+        if turn[v] is None:
+            turn[v] = _orient_counted(tri, ax, ay, bx, by, cx, cy)
+        if turn[v] <= 0:
+            return False
+        x0, x1 = min(ax, bx, cx), max(ax, bx, cx)
+        y0, y1 = min(ay, by, cy), max(ay, by, cy)
+        i, j = bisect_left(xs, x0), bisect_right(xs, x1)
+        k, m = bisect_left(ys, y0), bisect_right(ys, y1)
+        own = (orig[p], orig[v], orig[q])
+        for w in (by_x[i:j] if j - i <= m - k else by_y[k:m]):
+            if not alive[w] or orig[w] in own:
+                continue
+            wx, wy = px[2 * w], px[2 * w + 1]
+            # The diagonal first: it rejects most of what the box lets in.
+            if (x0 <= wx <= x1 and y0 <= wy <= y1
+                    and _orient_counted(tri, cx, cy, ax, ay, wx, wy) >= 0
+                    and _orient_counted(tri, ax, ay, bx, by, wx, wy) >= 0
+                    and _orient_counted(tri, bx, by, cx, cy, wx, wy) >= 0):
+                return False
+        return True
+
+    # Random ear order: a candidate drawn at random is clipped when it is
+    # an ear.  Candidates are the convex vertices, then each vertex whose
+    # neighbour a clip moved since it was drawn; an ear a clip uncovered
+    # elsewhere is found by one rescan when none is left.
+    cand = [v for v in range(n_all) if turn[v] > 0]
+    slot = [-1] * n_all
+    for i, v in enumerate(cand):
+        slot[v] = i
+    rng = np.random.default_rng(_EAR_SEED)
+    draws: List[float] = []
+    clipped: List[Tuple[int, int, int]] = []
+    left = n_all
+    rescanned = False
+    while left > 3:
+        if not cand:
+            if rescanned:
+                raise TriangulationError(
+                    "polygon has no ear: its rings are not simple")
+            rescanned = True
+            v = clipped[-1][0] if clipped else 0
+            for _ in range(left):
+                if slot[v] < 0:
+                    slot[v] = len(cand)
+                    cand.append(v)
+                v = nxt[v]
+        if not draws:
+            draws = rng.random(n_all).tolist()
+        i = int(draws.pop() * len(cand))
+        v = cand[i]
+        cand[i] = cand[-1]
+        slot[cand[i]] = i
+        cand.pop()
+        slot[v] = -1
+        if not is_ear(v):
+            continue
+        rescanned = False
+        p, q = prv[v], nxt[v]
+        clipped.append((p, v, q))
+        nxt[p], prv[q] = q, p
+        alive[v] = False
+        left -= 1
+        turn[p] = turn[q] = None
+        for w in (p, q):
+            if slot[w] < 0:
+                slot[w] = len(cand)
+                cand.append(w)
+    a = alive.index(True)
+    b, c = nxt[a], nxt[nxt[a]]
+    if _orient_counted(tri, px[2 * a], px[2 * a + 1], px[2 * b],
+                       px[2 * b + 1], px[2 * c], px[2 * c + 1]) <= 0:
+        raise TriangulationError("polygon has no ear: its rings are not simple")
+
+    # Reverse: glue each ear back onto the diagonal it cut off, then flip
+    # until the edges opposite its tip v are locally Delaunay.
+    tv, tn, vt = arr.tv, arr.tn, arr.vt
+    in_disk = tri._in_disk
+    tv.extend((a, b, c))
+    tn.extend((-1, -1, -1))
+    vt[a] = vt[b] = vt[c] = 0
+    for p, v, q in reversed(clipped):
+        e = _boundary_slot(arr, p, q)
+        t = vt[v] = len(tv) // 3
+        tv.extend((p, v, q))
+        tn.extend((-1, e // 3, -1))
+        tn[e] = t
+        stack = [(t, 1)]
+        while stack:
+            t1, k1 = stack.pop()
+            i1 = 3 * t1
+            t2 = tn[i1 + k1]
+            if t2 < 0:
+                continue
+            i2 = 3 * t2
+            k2 = 0 if tn[i2] == t1 else (1 if tn[i2 + 1] == t1 else 2)
+            d = tv[i2 + k2]
+            if not in_disk(t1, px[2 * d], px[2 * d + 1]):
+                continue
+            tri.flip(t1, k1)  # v is now vertex 0 of t1 and 2 of t2
+            stack.append((t1, 0))
+            stack.append((t2, 2))
+    arr.n_tris = len(tv) // 3
+
+    # Glue each bridge to its twin, fold the twin ids back, legalise.
+    for u, un, w, wn in glue:
+        e1, e2 = _boundary_slot(arr, u, un), _boundary_slot(arr, w, wn)
+        tn[e1], tn[e2] = e2 // 3, e1 // 3
+    if bridges:
+        tv[:] = [orig[x] for x in tv]
+        del arr.px[2 * n:], vt[n:]
+        arr.n_pts = n
+        legalize_edges(tri, bridges)
+
+    # Ghosts: one per boundary edge, linked round each ring.
+    n_real = arr.n_tris
+    start: Dict[int, int] = {}
+    for t in range(n_real):
+        for k in (0, 1, 2):
+            if tn[3 * t + k] < 0:
+                w = tv[3 * t + _PRV[k]]
+                tn[3 * t + k] = start[w] = arr.n_tris
+                arr.n_tris += 1
+                tv.extend((w, tv[3 * t + _NXT[k]], GHOST))
+                tn.extend((-1, -1, t))
+    for g in range(n_real, arr.n_tris):
+        h = tn[3 * g] = start[tv[3 * g + 1]]
+        tn[3 * h + 1] = g
+    tri.n_live_triangles = arr.n_tris
+    tri._last_tri = 0
+    tri.constraints.update(
+        (u, w) if u < w else (w, u) for u, w in ring_edges[:n].tolist())
+    sink = counters_current()
+    if sink is not None:
+        sink.incr("ring_points", n)
     return tri
 
 

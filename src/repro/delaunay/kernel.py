@@ -4,12 +4,15 @@ This is the repository's substitute for Shewchuk's Triangle: the engine
 used to triangulate boundary-layer subdomains and to Delaunay-refine the
 decoupled inviscid subdomains.  Design:
 
-* **Ghost triangles.**  The convex hull is bordered by *ghost* triangles
-  sharing a symbolic vertex :data:`GHOST`.  A ghost triangle ``[u, v, G]``
-  represents the open half-plane strictly left of the directed hull edge
-  ``u -> v`` (plus the open edge itself).  Ghosts make insertion outside
-  the current hull a completely uniform cavity operation — no giant
-  super-triangle, no magic coordinates, exact arithmetic everywhere.
+* **Ghost triangles.**  Each boundary edge is bordered by a *ghost*
+  ``[u, v, G]`` sharing a symbolic vertex :data:`GHOST`.  Built by
+  insertion, the boundary is the convex hull and a ghost is the open
+  half-plane strictly left of ``u -> v`` (plus the open edge): insertion
+  outside the hull is a uniform cavity operation — no super-triangle, no
+  magic coordinates.  Built from a polygon's rings
+  (:func:`~repro.delaunay.constrained.triangulate_polygon`), every ghost
+  edge is a constraint and a ghost is a *wall*: no cavity, flood or
+  straight walk crosses a constraint, so none reaches one.
 * **State here, algorithms in** :mod:`repro.delaunay.cavity`.
   :class:`Triangulation` owns slots, adjacency, the constraint set,
   the counters, edge flips and export; the three steps of an insertion
@@ -68,8 +71,10 @@ from .cavity import (
     TriangulationError,
     _CCW_ERR,
     _CCW_GUARD,
+    _ICC_CHEAP,
     _ICC_ERR,
     _ICC_GUARD,
+    _ICC_S_GUARD,
     _NXT,
     _PRV,
     brio_order,
@@ -261,6 +266,15 @@ class Triangulation:
             clift = cdx * cdx + cdy * cdy
             det = (alift * (bdxcdy - cdxbdy) + blift * (cdxady - adxcdy)
                    + clift * (adxbdy - bdxady))
+            s = alift + blift + clift
+            if s > _ICC_S_GUARD:
+                cheap = _ICC_CHEAP * s * s
+                if det > cheap:  # lint: disable=R1 -- inlined incircle cheap certificate; full filter + exact below
+                    self.stat_incircle_fast += 1
+                    return True
+                if -det > cheap:
+                    self.stat_incircle_fast += 1
+                    return False
             permanent = ((abs(bdxcdy) + abs(cdxbdy)) * alift
                          + (abs(cdxady) + abs(adxcdy)) * blift
                          + (abs(adxbdy) + abs(bdxady)) * clift)
@@ -407,13 +421,15 @@ class Triangulation:
         self.last_removed = []
 
     # ------------------------------------------------------------------
-    # Edge flipping (used by constraint recovery and legalisation)
+    # Edge flipping (constraint recovery, legalisation, the polygon builder)
     # ------------------------------------------------------------------
     def flip(self, t1: int, k1: int) -> Tuple[int, int]:
-        """Flip the edge opposite vertex ``k1`` of ``t1``.
+        """Flip the edge ``(u, v)`` opposite vertex ``k1`` of ``t1``.
 
-        Returns the two triangle ids after the flip (same slots reused).
-        The quadrilateral must be strictly convex — caller checks.
+        The same two slots are reused: ``t1`` becomes ``[a, u, b]`` and
+        its neighbour ``t2`` becomes ``[b, v, a]``, ``a`` and ``b`` their
+        apexes; returns ``(t1, t2)``.  The quadrilateral must be strictly
+        convex — caller checks.
         """
         arr = self._arr
         tvm = arr.tv
@@ -422,56 +438,42 @@ class Triangulation:
         t2 = tnm[i1 + k1]
         if t2 < 0:
             raise TriangulationError("cannot flip hull edge")
+        i2 = 3 * t2
+        k2 = 0 if tnm[i2] == t1 else (1 if tnm[i2 + 1] == t1 else 2)
         u = tvm[i1 + _NXT[k1]]
         v = tvm[i1 + _PRV[k1]]
-        k2 = self._edge_index(t2, v, u)
-        i2 = 3 * t2
         a = tvm[i1 + k1]   # apex of t1
         b = tvm[i2 + k2]   # apex of t2
+        if tnm[i2 + k2] != t1 or tvm[i2 + _NXT[k2]] != v:
+            raise TriangulationError(f"triangles {t1}, {t2} not adjacent")
         if GHOST in (a, b, u, v):
             raise TriangulationError("cannot flip an edge of a ghost triangle")
         key = (u, v) if u < v else (v, u)
         if key in self.constraints:
             raise TriangulationError("cannot flip a constrained edge")
-
-        # Outer neighbours before rewiring.
-        # Edges of t1 = [.., a at k1], directed edges: k1:(u,v), k1+1:(v,a), k1+2:(a,u)
-        n_va = tnm[i1 + _NXT[k1]]    # across (v, a)
-        n_au = tnm[i1 + _PRV[k1]]    # across (a, u)
-        n_ub = tnm[i2 + _NXT[k2]]    # across (u, b)
-        n_bv = tnm[i2 + _PRV[k2]]    # across (b, v)
-
-        # New triangles: t1 <- [a, u, b], t2 <- [b, v, a]; shared edge (a, b)?
-        # t1=[a,u,b]: edges: 0:(u,b) -> n_ub ; 1:(b,a) -> t2 ; 2:(a,u) -> n_au
-        # t2=[b,v,a]: edges: 0:(v,a) -> n_va ; 1:(a,b) -> t1 ; 2:(b,v) -> n_bv
-        tvm[i1] = a
-        tvm[i1 + 1] = u
-        tvm[i1 + 2] = b
-        tvm[i2] = b
-        tvm[i2 + 1] = v
-        tvm[i2 + 2] = a
-        tnm[i1] = n_ub
-        tnm[i1 + 1] = t2
-        tnm[i1 + 2] = n_au
-        tnm[i2] = n_va
-        tnm[i2 + 1] = t1
-        tnm[i2 + 2] = n_bv
-        # Fix back-pointers of outer neighbours.
-        for t, nb, eu, ev in (
-            (t1, n_ub, u, b),
-            (t1, n_au, a, u),
-            (t2, n_va, v, a),
-            (t2, n_bv, b, v),
-        ):
-            if nb >= 0:
-                tnm[3 * nb + self._edge_index(nb, ev, eu)] = t
-        # All four quad vertices are real (GHOST raised above); net effect
-        # of the old per-triangle hint loops: u -> t1, the rest -> t2.
+        # Outer neighbours: across (v, a) and (a, u) of t1, (u, b) and
+        # (b, v) of t2.
+        n_va = tnm[i1 + _NXT[k1]]
+        n_au = tnm[i1 + _PRV[k1]]
+        n_ub = tnm[i2 + _NXT[k2]]
+        n_bv = tnm[i2 + _PRV[k2]]
+        tvm[i1], tvm[i1 + 1], tvm[i1 + 2] = a, u, b
+        tvm[i2], tvm[i2 + 1], tvm[i2 + 2] = b, v, a
+        tnm[i1], tnm[i1 + 1], tnm[i1 + 2] = n_ub, t2, n_au
+        tnm[i2], tnm[i2 + 1], tnm[i2 + 2] = n_va, t1, n_bv
+        # (u, b) moved from t2 to t1 and (v, a) from t1 to t2; the other
+        # two outer edges kept their slot.
+        if n_ub >= 0:
+            j = 3 * n_ub
+            tnm[j + (0 if tnm[j] == t2 else (1 if tnm[j + 1] == t2
+                                             else 2))] = t1
+        if n_va >= 0:
+            j = 3 * n_va
+            tnm[j + (0 if tnm[j] == t1 else (1 if tnm[j + 1] == t1
+                                             else 2))] = t2
         vtm = arr.vt
         vtm[u] = t1
-        vtm[b] = t2
-        vtm[v] = t2
-        vtm[a] = t2
+        vtm[b] = vtm[v] = vtm[a] = t2
         self.stat_flips += 1
         return t1, t2
 

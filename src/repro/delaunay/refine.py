@@ -47,7 +47,8 @@ from ..geometry.primitives import segments_intersect
 from ..runtime.counters import current as counters_current
 from ..sizing.functions import UniformSizing
 from .arrays import DEAD
-from .cavity import carve, find_directed_edge, insert_point, retriangulate, walk
+from .cavity import (carve, find_directed_edge, insert_point, locate_fallback,
+                     retriangulate, walk)
 from .constrained import carve as carve_regions, triangulate_pslg
 from .kernel import GHOST, Triangulation, TriangulationError
 from .mesh import TriMesh
@@ -620,11 +621,14 @@ class Refiner:
 
         Returns ``(blocker, dest, certified)``: the first constrained
         edge on the way (``cc`` is not visible; ``dest`` means nothing),
-        else ``None`` and the triangle holding ``cc`` — the one the walk
-        ended in when ``cc`` is strictly inside it (``certified``);
-        when ``cc`` is on an edge or a numeric corner stopped the walk,
-        the kernel's :func:`~repro.delaunay.cavity.walk` from ``t``
-        picks among the candidates.
+        else ``None`` and the triangle whose closed region holds ``cc``
+        — ``certified`` when strictly inside, else ``cc`` is on its
+        boundary, which ``carve`` accepts as a start.  Only when a
+        numeric corner stopped the walk does the kernel's
+        :func:`~repro.delaunay.cavity.walk` from ``t`` locate ``cc``;
+        a ghost it returns behind a constrained edge is a wall (the
+        border of a polygon triangulation, not a hull half-plane), and
+        an exhaustive scan locates ``cc`` instead.
         """
         tri = self.tri
         arr = tri._arr
@@ -638,7 +642,7 @@ class Refiner:
         steps = 0
         max_steps = 4 * (tri.n_live_triangles + 8)
         blocker = None
-        strictly_inside = False
+        inside = strictly_inside = False
         while blocker is None and steps < max_steps:
             steps += 1
             i = 3 * cur
@@ -650,6 +654,7 @@ class Refiner:
             signs = [_orient(px[j], px[j + 1], px[m], px[m + 1], x, y)
                      for _, _, j, m in edges]
             if min(signs) >= 0:
+                inside = True
                 strictly_inside = 0 not in signs
                 break
             for k in range(3):
@@ -671,10 +676,15 @@ class Refiner:
         tri.stat_walk_hist[min(steps, 31)] += 1
         if blocker is not None:
             self.blocked += 1
-        if blocker is not None or strictly_inside:
+        if blocker is not None or inside:
             return blocker, cur, strictly_inside
         self.walk_fallbacks += 1
-        return (None, *walk(tri, x, y, t))
+        dest, certified = walk(tri, x, y, t)
+        if tri.is_ghost(dest):
+            u, v = tri.ghost_edge(dest)
+            if ((u, v) if u < v else (v, u)) in tri.constraints:
+                return None, locate_fallback(tri, x, y), False
+        return None, dest, certified
 
     def _encroached_boundary(self, cavity: Set[int], seed: int, x: float,
                              y: float) -> List[Tuple[int, int]]:

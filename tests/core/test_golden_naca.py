@@ -23,19 +23,24 @@ import pytest
 
 from repro import generate_mesh
 from repro.core import decouple, pipeline
+from repro.delaunay import validate_mesh
+from repro.delaunay.refine import Refiner
 from repro.runtime.counters import use_counters
 
 from .. import pins
+from ..delaunay.oracle_refine import assert_refinement_complete
 from ..pins import pin
 from . import oracle_estimate
 
 
 def run_with_checked_estimates(pslg, config, **kwargs):
-    """``(result, counters sink, estimates)`` of a ``generate_mesh``.  The sink only listens, and so does the third:
+    """``(result, counters sink, estimates, refiners)`` of a
+    ``generate_mesh``.  The sink only listens, and so do the others:
     every ``estimate_triangles`` call made on the way (they order the
     decoupling heap and the dispatch) as ``(value, the scalar oracle's
-    value)``."""
+    value)``, and the ``Refiner`` of every subdomain once it is done."""
     estimates = []
+    refiners = []
 
     def listening(sub, sizing, real=decouple.estimate_triangles):
         value = real(sub, sizing)
@@ -43,11 +48,16 @@ def run_with_checked_estimates(pslg, config, **kwargs):
             (value, oracle_estimate.estimate_triangles(sub, sizing)))
         return value
 
+    def refining(refiner, real=Refiner.refine):
+        real(refiner)
+        refiners.append(refiner)
+
     with pytest.MonkeyPatch.context() as patch, use_counters() as sink:
         patch.setattr(decouple, "estimate_triangles", listening)
         patch.setattr(pipeline, "estimate_triangles", listening)
+        patch.setattr(Refiner, "refine", refining)
         result = generate_mesh(pslg, config, **kwargs)
-    return result, sink, estimates
+    return result, sink, estimates, refiners
 
 
 def pinned_run(name):
@@ -108,11 +118,16 @@ class TestKernelTraffic:
         once.  The slack is attempts that end without an insertion,
         circumcenters that land on an edge, segment recovery's own
         locates, and the candidates a carve must reject (the parent of
-        this test walked 1.7x and tested 3.2-3.4x)."""
+        this test walked 1.7x and tested 3.2-3.4x).  The subdomain
+        triangulations carve nothing: their incircle tests, one per
+        ring point glued back plus two per flip at most, come on top."""
         kernel = quickstart_run[1].kernel
+        events = quickstart_run[1].events
         assert kernel.inserts > 1000
         assert kernel.locates <= 1.2 * kernel.inserts
-        assert kernel.incircle_tests <= 2.2 * kernel.cavity_triangles
+        assert kernel.incircle_tests <= (2.2 * kernel.cavity_triangles
+                                         + events["ring_points"]
+                                         + 2 * kernel.flips)
 
     def test_triangles_are_tested_when_queued_not_per_scan(self,
                                                            quickstart_run):
@@ -184,3 +199,20 @@ class TestPinnedHashes:
     def test_ledger_highlift_bl_seed0(self, highlift_bl_run):
         assert pins.generate_mesh_pins(*highlift_bl_run[:2])["mesh"] == pin(
             "generate_mesh", "highlift_bl", "mesh")
+
+
+class TestPinnedMeshesAreCorrect:
+    """Each pinned case: the merged mesh validates (conforming, no
+    Delaunay violation across an unconstrained edge), and every
+    subdomain's refinement is complete: each triangle left is good or
+    its fix is denied."""
+
+    @pytest.mark.parametrize("run", ["quickstart_run", "naca_farfield_run",
+                                     "highlift_bl_run"])
+    def test_valid_and_complete(self, run, request):
+        result, _, _, refiners = request.getfixturevalue(run)
+        report = validate_mesh(result.mesh)
+        assert report.ok and report.delaunay_violations == 0, report.summary()
+        assert len(refiners) == 1 + len(result.inviscid_meshes)
+        for refiner in refiners:
+            assert_refinement_complete(refiner)
