@@ -200,7 +200,7 @@ class TestDividingPathAblation:
 
         from repro.analysis.metrics import alignment_to_surface
         from repro.core.decompose import decompose, triangulate_leaves
-        from repro.delaunay.constrained import constrained_delaunay
+        from repro.delaunay.constrained import carve, triangulate_pslg
         from repro.delaunay.kernel import delaunay_mesh
         from repro.delaunay.mesh import merge_meshes
 
@@ -228,7 +228,8 @@ class TestDividingPathAblation:
         for cx in cut_xs:
             col = [idx((cx, h)) for h in np.linspace(0, 0.04, 4)]
             segs.extend((a, b) for a, b in zip(col, col[1:]))
-        mesh_cut = constrained_delaunay(pts, np.asarray(segs))
+        tri = triangulate_pslg(pts, np.asarray(segs))
+        mesh_cut = tri.to_mesh(keep_mask=carve(tri))
 
         def near_cut_scores(mesh):
             sc_all = alignment_to_surface(mesh, surface, min_ratio=3.0)

@@ -15,7 +15,10 @@ and its ways off the fast path (``locked_segment_skips``;
 ``straight_walk_fallbacks``, circumcenters the kernel walk located;
 ``blocked_circumcenters``, ones a segment hid), the subdomain rings
 triangulated (``ring_points``) with ``flips_per_ring_point`` (the Lawson
-flips that made them Delaunay, per ring point: ~1.8), then the
+flips that made them Delaunay, per ring point: ~1.8), the boundary-layer
+annuli zipped from their rays (``bl_points``, the strip checks'
+``bl_orient_tests``, ``bl_incircle_tests`` and ``bl_flips``, outside the
+kernel block) with ``bl_flips_per_point`` (~0.3), then the
 boundary-layer triangulation work item (``bl_item_s``,
 ``bl_item_kb``: its wall and bytes where it ran) beside the executor's
 per-rank item counts when a pool ran the op (``executor.items.rank*``,
@@ -136,6 +139,11 @@ def main(argv=None) -> None:
             rows += [("ring_points", events["ring_points"]),
                      ("flips_per_ring_point",
                       kernel.flips / events["ring_points"])]
+        if events.get("bl_points"):
+            rows += [(k, events[k]) for k in ("bl_points", "bl_orient_tests",
+                                              "bl_incircle_tests", "bl_flips")]
+            rows.append(("bl_flips_per_point",
+                         events["bl_flips"] / events["bl_points"]))
         if sink.samples.get("executor.bl_item_seconds"):
             rows += [("bl_item_s",
                       sum(sink.samples["executor.bl_item_seconds"])),

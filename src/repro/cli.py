@@ -32,7 +32,6 @@ import numpy as np
 
 from .core.bl_pipeline import BoundaryLayerConfig
 from .core.pipeline import MeshConfig, generate_mesh
-from .delaunay import cavity as insertion
 from .geometry.airfoils import naca4, three_element_airfoil
 from .geometry.pslg import PSLG
 from .io.meshio import read_poly, write_mesh_ascii, write_mesh_npz
@@ -110,12 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_geometry_arguments(p, required=True)
     _add_mesh_arguments(p)
     _add_backend_argument(p)
-    p.add_argument("--insert-strategy",
-                   choices=insertion.available_strategies(), default=None,
-                   help="Delaunay cavity-engine insertion strategy "
-                   "(default: scalar); 'batch' bins BRIO rounds and "
-                   "inserts independent cavity sets through vectorised "
-                   "predicates")
     p.add_argument("--ranks", type=int, default=None,
                    help="worker count for the parallel backends "
                    "(default 4); rejected with --backend serial")
@@ -254,6 +247,15 @@ _CONFIG_FLAGS = {
 }
 
 
+def _flag_error(parser: argparse.ArgumentParser, exc: ValueError):
+    """Re-raise ``exc`` as a usage error naming the flag of the config
+    field its message starts with; any other error propagates."""
+    field, _, rest = str(exc).partition(" ")
+    if field not in _CONFIG_FLAGS:
+        raise exc
+    parser.error(f"{_CONFIG_FLAGS[field]} {rest}")
+
+
 def _config_from_args(parser: argparse.ArgumentParser,
                       args: argparse.Namespace) -> MeshConfig:
     """The mesh request of the flags; a value the config rejects (not
@@ -270,8 +272,7 @@ def _config_from_args(parser: argparse.ArgumentParser,
             target_subdomains=args.subdomains,
         )
     except ValueError as exc:
-        field, rest = str(exc).split(" ", 1)
-        parser.error(f"{_CONFIG_FLAGS[field]} {rest}")
+        _flag_error(parser, exc)
 
 
 def _write_mesh_outputs(args: argparse.Namespace, mesh) -> list:
@@ -496,7 +497,6 @@ def main(argv=None) -> int:
     if args.adapt:
         _check_adaptation(parser, args)
     n_ranks = args.ranks if args.ranks is not None else 4
-    insert_strategy = insertion.get_strategy(args.insert_strategy).name
     config = _config_from_args(parser, args)
     pslg = _load_geometry(args)
     # Worker counter snapshots (including from the processes backend's
@@ -505,9 +505,11 @@ def main(argv=None) -> int:
     with (use_counters() if args.profile
           else contextlib.nullcontext()) as profile_sink:
         with timed("total") as tm:
-            result = generate_mesh(pslg, config, backend=backend,
-                                   n_ranks=n_ranks,
-                                   insert_strategy=insert_strategy)
+            try:
+                result = generate_mesh(pslg, config, backend=backend,
+                                       n_ranks=n_ranks)
+            except ValueError as exc:  # a far field too small
+                _flag_error(parser, exc)
         elapsed = tm.elapsed
 
         adapt_summary = None
@@ -529,7 +531,6 @@ def main(argv=None) -> int:
 
     summary = {
         "backend": backend,
-        "insert_strategy": insert_strategy,
         "n_ranks": n_ranks,
         "elapsed_s": round(elapsed, 3),
         "n_points": final_mesh.n_points,

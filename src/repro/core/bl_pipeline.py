@@ -3,7 +3,8 @@
 Per body loop: surface normals -> refined rays (fans at cusps) ->
 intersection resolution (self, then multi-element) -> growth-function
 point insertion with isotropy termination -> tip-border simplification ->
-constrained Delaunay triangulation of the boundary-layer annulus.
+constrained Delaunay triangulation of the boundary-layer annulus, built
+from its rays.
 
 The stage has two halves.  :func:`prepare_boundary_layer` runs everything
 up to the assembled PSLG of the annuli and already yields what sizing, the
@@ -11,10 +12,11 @@ near-body ring, decoupling and every refinement item read: the outer
 borders (the inviscid region's inner boundaries) and the per-element ray
 sets (the parallel decomposition partitions their points).
 :func:`triangulate_boundary_layer` is the constrained Delaunay
-triangulation of that PSLG: plain arrays in, the BL mesh out, first read
-by the final merge — so :func:`repro.core.pipeline.generate_mesh` runs it
-as a work item beside refinement.  :func:`generate_boundary_layer` is
-their composition.
+triangulation of that PSLG, zipped from the ray chains and flipped
+(:func:`~repro.delaunay.constrained.triangulate_rays`): plain arrays in,
+the BL mesh out, first read by the final merge — so
+:func:`repro.core.pipeline.generate_mesh` runs it as a work item beside
+refinement.  :func:`generate_boundary_layer` is their composition.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..delaunay.constrained import constrained_delaunay
+from ..delaunay.constrained import triangulate_rays
 from ..delaunay.mesh import TriMesh
 from ..geometry.pslg import PSLG
 from ..runtime.counters import phase
@@ -99,16 +101,24 @@ class BoundaryLayerResult:
     mesh: Optional[TriMesh]
     outer_borders: List[np.ndarray]          # per element, closed (m, 2)
     surface_loops: List[np.ndarray]          # per element, closed (m, 2)
-    #: the annuli's PSLG over ``points``: constrained edges (k, 2) int64
-    #: and one seed (x, y) inside each body, the triangulation's input.
+    #: the annuli's PSLG over ``points``: constrained edges (k, 2) int64,
+    #: and the rays as vertex chains in CSR form (``triangulate_rays``).
     segments: np.ndarray
-    holes: np.ndarray
+    element_ptr: np.ndarray
+    ray_ptr: np.ndarray
+    ray_ids: np.ndarray
+    ray_h: np.ndarray
     stats: Dict[str, float] = field(default_factory=dict)
 
     def attach_mesh(self, mesh: TriMesh) -> None:
         """Complete a prepared result with its triangulation."""
         self.mesh = mesh
         self.stats["n_triangles"] = float(mesh.n_triangles)
+
+    def item(self) -> tuple:
+        """The arguments of :func:`triangulate_boundary_layer`."""
+        return (self.points, self.segments, self.element_ptr, self.ray_ptr,
+                self.ray_ids, self.ray_h)
 
 
 def interior_seed(loop_pts: np.ndarray) -> Tuple[float, float]:
@@ -241,9 +251,9 @@ def prepare_boundary_layer(
     """The boundary-layer stage up to the assembled PSLG of the annuli.
 
     Rays, intersection resolution, layer points and border untangling.
-    The result's ``mesh`` is ``None`` and ``points`` / ``segments`` /
-    ``holes`` are the input of :func:`triangulate_boundary_layer`;
-    everything else, the outer borders above all, is final.
+    The result's ``mesh`` is ``None`` and :meth:`~BoundaryLayerResult.item`
+    is the input of :func:`triangulate_boundary_layer`; everything else,
+    the outer borders above all, is final.
     """
     config = config or BoundaryLayerConfig()
     growth = config.growth_function()
@@ -307,7 +317,9 @@ def prepare_boundary_layer(
     segments: List[Tuple[int, int]] = []
     surface_loops: List[np.ndarray] = []
     outer_borders: List[np.ndarray] = []
-    holes: List[Tuple[float, float]] = []
+    ray_ptr: List[int] = [0]
+    ray_ids: List[int] = []
+    ray_h: List[float] = []
 
     for el, rays in enumerate(element_rays):
         surf_ring = dedupe_ring([r.origin for r in rays])
@@ -321,11 +333,13 @@ def prepare_boundary_layer(
                 u, v = ids[i], ids[(i + 1) % m]
                 if u != v:
                     segments.append((u, v))
-        holes.append(interior_seed(np.asarray(surf_ring)))
-        # Interior layer points.
+        # Interior layer points, and each ray as its chain of ids.
         for r in rays:
-            for h in r.heights:
-                vid(r.point_at(h))
+            ray_ids.append(vid(r.origin))
+            ray_ids.extend(vid(r.point_at(h)) for h in r.heights)
+            ray_h.append(0.0)
+            ray_h.extend(r.heights)
+            ray_ptr.append(len(ray_ids))
 
     return BoundaryLayerResult(
         element_rays=element_rays,
@@ -334,7 +348,10 @@ def prepare_boundary_layer(
         outer_borders=outer_borders,
         surface_loops=surface_loops,
         segments=np.asarray(segments, dtype=np.int64).reshape(-1, 2),
-        holes=np.asarray(holes, dtype=np.float64).reshape(-1, 2),
+        element_ptr=np.cumsum([0] + [len(r) for r in element_rays]),
+        ray_ptr=np.asarray(ray_ptr, dtype=np.int64),
+        ray_ids=np.asarray(ray_ids, dtype=np.int64),
+        ray_h=np.asarray(ray_h, dtype=np.float64),
         stats={
             "n_rays": float(sum(len(r) for r in element_rays)),
             "n_points": float(len(pts)),
@@ -346,19 +363,18 @@ def prepare_boundary_layer(
 
 
 def triangulate_boundary_layer(points: np.ndarray, segments: np.ndarray,
-                               holes: np.ndarray, *,
-                               insert_strategy: Optional[str] = None
+                               element_ptr: np.ndarray, ray_ptr: np.ndarray,
+                               ray_ids: np.ndarray, ray_h: np.ndarray
                                ) -> TriMesh:
     """Constrained Delaunay triangulation of the boundary-layer annuli.
 
-    The three arrays are the ones :func:`prepare_boundary_layer` left on
-    its result; ``insert_strategy`` names the cavity-engine insertion
-    strategy (``None``: ``scalar``).  A function of its arguments only,
-    so it runs wherever they are shipped.
+    The arguments are :meth:`BoundaryLayerResult.item`; mesh vertex ``i``
+    is ``points[i]``.  A function of its arguments only, so it runs
+    wherever they are shipped.
     """
     with phase("bl.triangulate"):
-        return constrained_delaunay(points, segments, holes,
-                                    strategy=insert_strategy)
+        return triangulate_rays(points, segments, element_ptr, ray_ptr,
+                                ray_ids, ray_h).to_mesh()
 
 
 def generate_boundary_layer(
@@ -370,6 +386,5 @@ def generate_boundary_layer(
     :func:`triangulate_boundary_layer` on what it assembled.
     """
     bl = prepare_boundary_layer(pslg, config)
-    bl.attach_mesh(triangulate_boundary_layer(bl.points, bl.segments,
-                                              bl.holes))
+    bl.attach_mesh(triangulate_boundary_layer(*bl.item()))
     return bl

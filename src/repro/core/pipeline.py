@@ -10,7 +10,8 @@ Composes every stage of the paper's Section II:
    quadrants and their '+'-split descendants;
 4. the work items, independent of each other and dispatched through the
    pluggable executor layer (:mod:`repro.runtime.executor`): the
-   Delaunay triangulation of the boundary-layer cloud first, then
+   constrained Delaunay triangulation of the boundary-layer annuli, from
+   their rays, first, then
    Ruppert refinement of the near-body and of every decoupled
    subdomain — sequential (``backend="serial"``) or on a warm pool of
    worker processes (``backend="processes"``);
@@ -103,7 +104,7 @@ class MeshConfig:
             require_field("h_max_chords", self.h_max_chords,
                           self.h_max_chords > 0, " > 0 (or None)")
         require_field("nearbody_margin_chords", self.nearbody_margin_chords,
-                      True)
+                      self.nearbody_margin_chords > 0, " > 0")
         require_field("target_subdomains", self.target_subdomains,
                       self.target_subdomains >= 1, " >= 1")
 
@@ -120,8 +121,8 @@ class MeshResult:
     #: triangulation work item's wall where it ran; ``refinement`` spans
     #: the dispatch of every work item and contains ``decoupling``.
     timings: Dict[str, float]
-    #: numeric run statistics plus the resolved ``insert_strategy`` name.
-    stats: Dict[str, object]
+    #: numeric run statistics.
+    stats: Dict[str, float]
 
 
 def _median_spacing(border: np.ndarray) -> float:
@@ -148,7 +149,7 @@ def generate_mesh(
 
     Work is fed to the executor as it is discovered.  Everything
     downstream of the boundary layer reads only its outer borders, so
-    the triangulation of the BL cloud is submitted first, as work item
+    the triangulation of the BL annuli is submitted first, as work item
     0, the moment the borders exist; then the near-body subdomain,
     before decoupling starts, and each decoupled subdomain the moment
     it is final.  Pool workers triangulate and refine while the parent
@@ -158,16 +159,18 @@ def generate_mesh(
     decoupling finished; submission order is the same, so it is the
     barriered reference the ``processes`` backend is byte-compared to.
 
-    ``insert_strategy`` picks the Delaunay cavity-engine insertion
-    strategy of the BL cloud's triangulation (any name from
-    :func:`repro.delaunay.available_strategies`); ``None`` is
-    ``scalar``.  It is resolved once here and travels as data, a field
-    of the BL triangulation item, so workers forked earlier (a warm
-    pool) triangulate with the same strategy as the parent.  A
-    subdomain inserts no points in bulk: it is triangulated from its
-    rings (:func:`~repro.core.decouple.refine_subdomain`).
+    ``insert_strategy`` is checked against
+    :func:`repro.delaunay.available_strategies` and changes nothing:
+    nothing here inserts points in bulk.  The BL annuli are zipped from
+    their rays (:func:`~repro.core.bl_pipeline.triangulate_boundary_layer`)
+    and a subdomain is triangulated from its rings
+    (:func:`~repro.core.decouple.refine_subdomain`).
+
+    A far field that does not strictly contain the near-body box raises
+    ``ValueError`` naming ``farfield_chords`` and the bound it must
+    exceed, before any work item is submitted.
     """
-    insert_strategy = get_strategy(insert_strategy).name
+    get_strategy(insert_strategy)
     config = config or MeshConfig()
     backend_impl = executor.get_backend(backend)
     timings: Dict[str, float] = {}
@@ -218,13 +221,20 @@ def generate_mesh(
     # 4. Decouple the far field.
     # ------------------------------------------------------------------
     cx, cy = nb_box.center
+    reach = max(nb_box.xmax - cx, cx - nb_box.xmin, nb_box.ymax - cy,
+                cy - nb_box.ymin) / chord
+    if not config.farfield_chords > reach:
+        raise ValueError(
+            f"farfield_chords must be > {reach:.6g} for this geometry (the "
+            f"near-body box reaches that far from its centre), got "
+            f"{config.farfield_chords}")
     half = config.farfield_chords * chord
     ff_box = AABB(cx - half, cy - half, cx + half, cy + half)
     quads = initial_quadrants(nb_box, ff_box, sizing)
     target = max(config.target_subdomains - 1, 4)
 
     # ------------------------------------------------------------------
-    # 4+5. Triangulate the BL cloud, decouple the far field and refine
+    # 4+5. Triangulate the BL annuli, decouple the far field and refine
     #    everything (near-body + inviscid subdomains) through the
     #    executor layer: each work item is serde-packed, each result one
     #    packed mesh, ordered like the inputs.  The BL item goes first,
@@ -244,10 +254,8 @@ def generate_mesh(
         session = backend_impl.stream_workitems(_workitem, n_ranks=n_ranks)
         # A triangulation of n points has about 2n triangles: the unit
         # the refinement items' estimates are in.
-        session.submit(
-            serde.nest("bl.", serde.pack_bl_item(
-                bl.points, bl.segments, bl.holes, insert_strategy)),
-            cost=2.0 * len(bl.points))
+        session.submit(serde.nest("bl.", serde.pack_bl_item(*bl.item())),
+                       cost=2.0 * len(bl.points))
         session.submit(_payload(nearbody), cost=_cost(nearbody))
         subdomains: List[DecoupledSubdomain] = []
         with timed("decoupling") as tm_decouple:
@@ -275,7 +283,6 @@ def generate_mesh(
         "n_subdomains": float(len(meshes)),
         "h0": h0,
         "chord": chord,
-        "insert_strategy": insert_strategy,
         **{f"bl_{k}": v for k, v in bl.stats.items()},
     }
     return MeshResult(
@@ -315,7 +322,7 @@ def _workitem(payload: serde.Buffers) -> serde.Buffers:
 
 
 def _triangulate_bl_item(payload: serde.Buffers) -> serde.Buffers:
-    """Triangulate the packed BL cloud -> packed mesh plus ``seconds``,
+    """Triangulate the packed BL annuli -> packed mesh plus ``seconds``,
     the wall it took here (the parent's ``timings["bl_triangulate"]``).
 
     Under a profiling sink the item also leaves its wall and bytes as
@@ -323,10 +330,8 @@ def _triangulate_bl_item(payload: serde.Buffers) -> serde.Buffers:
     as an event; they reach the parent with the worker's snapshot.
     """
     with timed("bl_triangulate") as tm:
-        points, segments, holes, insert_strategy = serde.unpack_bl_item(
-            serde.unnest("bl.", payload))
-        mesh = triangulate_boundary_layer(points, segments, holes,
-                                          insert_strategy=insert_strategy)
+        mesh = triangulate_boundary_layer(
+            *serde.unpack_bl_item(serde.unnest("bl.", payload)))
         result = serde.pack_mesh(mesh)
     result["seconds"] = np.asarray([tm.elapsed], dtype=np.float64)
     sink = current()

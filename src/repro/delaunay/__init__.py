@@ -9,7 +9,7 @@ from .cavity import (
     available_strategies,
     get_strategy,
 )
-from .constrained import constrained_delaunay, insert_segment, triangulate_pslg, carve
+from .constrained import insert_segment, triangulate_pslg, carve
 from .dnc import insertion_order, triangulate_ordered
 from .hull import lower_hull_sorted
 from .kernel import (
@@ -48,7 +48,6 @@ __all__ = [
     "get_strategy",
     "validate_mesh",
     "carve",
-    "constrained_delaunay",
     "delaunay_mesh",
     "insert_segment",
     "insertion_order",

@@ -10,10 +10,13 @@ it (the CDT of a PSLG must contain the sub-segments).  After recovery,
 the ghost layer (and from user hole seeds) without crossing constrained
 edges — the same behaviour the paper relies on from Triangle: "Triangle
 first creates an initial triangulation and then removes elements inside
-concavities and holes" (Section II.E).  The boundary-layer cloud and
-``refine_pslg`` take this path; a decoupled subdomain, whose only points
-are its rings, is :func:`triangulate_polygon` of the polygon they bound:
-no hull, no segment to recover, nothing to carve away.
+concavities and holes" (Section II.E).  ``refine_pslg`` takes this path.
+The two inputs of ``generate_mesh`` already triangulated in all but name
+are built from what they are instead: a decoupled subdomain, whose only
+points are its rings, is :func:`triangulate_polygon` of the polygon they
+bound, and the boundary-layer annuli, whose points all lie on extrusion
+rays, are :func:`triangulate_rays` of those rays — no hull, no segment
+to recover, nothing to carve away.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from ..runtime.counters import current as counters_current
 from .cavity import (
     _CCW_ERR,
     _CCW_GUARD,
+    _ICC_ERR,
+    _ICC_GUARD,
     _NXT,
     _PRV,
     brio_order,
@@ -47,8 +52,8 @@ __all__ = [
     "insert_segment",
     "triangulate_pslg",
     "triangulate_polygon",
+    "triangulate_rays",
     "carve",
-    "constrained_delaunay",
 ]
 
 
@@ -250,20 +255,19 @@ def _recover_by_flips(tri: Triangulation, a: int, b: int,
     return None
 
 
-def triangulate_pslg(points: np.ndarray, segments: np.ndarray,
-                     *, strategy: Optional[str] = None) -> Triangulation:
+def triangulate_pslg(points: np.ndarray, segments: np.ndarray
+                     ) -> Triangulation:
     """Insert all PSLG points, then recover and lock every segment.
 
-    Point insertion goes through the cavity-engine strategy
-    ``strategy`` (``None``: ``scalar``); segment recovery is always
-    sequential.  No constraints exist during the bulk phase, so the
-    batched strategy is safe here.
+    Point insertion goes through the default cavity-engine strategy;
+    segment recovery is always sequential.  No constraints exist during
+    the bulk phase, so the batched strategy is safe here.
     """
     points = np.asarray(points, dtype=np.float64)
     segments = np.asarray(segments, dtype=np.int64)
     tri = Triangulation()
     order = brio_order(points, seed=0xFACADE)
-    kernel_id: Dict[int, int] = get_strategy(strategy).insert_points(
+    kernel_id: Dict[int, int] = get_strategy().insert_points(
         tri, points, order)
     for u, v in segments:
         ku, kv = kernel_id[int(u)], kernel_id[int(v)]
@@ -541,6 +545,137 @@ def triangulate_polygon(ring: np.ndarray,
     return tri
 
 
+def triangulate_rays(points: np.ndarray, segments: np.ndarray,
+                     element_ptr: np.ndarray, ray_ptr: np.ndarray,
+                     ray_ids: np.ndarray, ray_h: np.ndarray
+                     ) -> Triangulation:
+    """Constrained Delaunay triangulation of boundary-layer annuli, from
+    their rays (DESIGN.md, "Boundary-layer triangulation").
+
+    Ray ``r`` is the vertex chain ``ray_ids[ray_ptr[r]:ray_ptr[r + 1]]``
+    (origin, layer points, tip) at heights ``ray_h`` of the same slice;
+    element ``e`` owns rays ``element_ptr[e]:element_ptr[e + 1]``, in
+    counter-clockwise order.  Each ray is zipped with the next into a
+    strip, always advancing the chain whose next height is lower.  Unless
+    every strip triangle turns strictly counter-clockwise and the edges
+    one triangle owns are exactly ``segments``,
+    :class:`TriangulationError` names the element, the ray pair and the
+    check.  Lawson flips then make every edge locally Delaunay.  Kernel
+    vertex ``i`` is ``points[i]``; a segment is a constraint, no ghost.
+    """
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    segments = np.asarray(segments, dtype=np.int64).reshape(-1, 2)
+    element_ptr, ray_ptr, ids = (np.asarray(a, dtype=np.int64)
+                                 for a in (element_ptr, ray_ptr, ray_ids))
+    n, n_rays = len(pts), len(ray_ptr) - 1
+    succ = np.arange(1, n_rays + 1)
+    succ[element_ptr[1:] - 1] = element_ptr[:-1]
+    pred = np.argsort(succ)
+
+    def fail(r: int, check: str):
+        e = int(np.searchsorted(element_ptr, r, side="right")) - 1
+        return TriangulationError(
+            f"boundary layer element {e}, rays {r - element_ptr[e]} and "
+            f"{succ[r] - element_ptr[e]}: {check}")
+
+    # Zip: each chain step q (up to a layer point or tip) is side A of
+    # its own ray's strip and side B of its predecessor's, and the steps
+    # of one strip are taken in height order.
+    ray_of = np.repeat(np.arange(n_rays), np.diff(ray_ptr))
+    q = np.flatnonzero(ray_of[1:] == ray_of[:-1]) + 1
+    pair = np.concatenate([ray_of[q], pred[ray_of[q]]])
+    side_b = np.repeat([False, True], len(q))
+    q = np.concatenate([q, q])
+    order = np.lexsort((side_b, np.asarray(ray_h)[q], pair))
+    pair, side_b, q = pair[order], side_b[order], q[order]
+    first = np.searchsorted(pair, pair)
+    b_done = np.cumsum(side_b) - side_b
+    a_done = np.arange(len(q)) - b_done
+    a_now = ray_ptr[pair] + a_done - a_done[first]
+    b_now = ray_ptr[succ[pair]] + b_done - b_done[first]
+    tris = ids[np.stack([np.where(side_b, a_now, q - 1), q,
+                         np.where(side_b, q - 1, b_now)], axis=1)]
+    keep = (tris != np.roll(tris, 1, axis=1)).all(axis=1)  # no repeat
+    tris, pair = tris[keep], pair[keep]
+    n_tris = len(tris)
+
+    tri = Triangulation()
+    ac, bc = (pts[tris[:, k]] - pts[tris[:, 2]] for k in (0, 1))
+    left, right = ac[:, 0] * bc[:, 1], ac[:, 1] * bc[:, 0]
+    detsum = np.abs(left) + np.abs(right)
+    ccw = left - right > _CCW_ERR * detsum  # orient2d's filter
+    unsure = np.flatnonzero(~(ccw & (detsum > _CCW_GUARD)))
+    tri.stat_orient_fast += n_tris - len(unsure)
+    tri.stat_orient_exact += len(unsure)
+    for t in unsure.tolist():
+        if orient2d(*pts[tris[t]].tolist()) <= 0:
+            raise fail(pair[t], f"triangle {tris[t].tolist()} is not "
+                       "strictly counter-clockwise")
+
+    # Edge k of t runs tv[_NXT[k]] -> tv[_PRV[k]]; its twin is the
+    # reversed edge, and an edge without one is on the boundary.
+    u, v = tris[:, list(_NXT)].ravel(), tris[:, list(_PRV)].ravel()
+    by_code = np.argsort(u * n + v, kind="stable")
+    code = (u * n + v)[by_code]
+    twice = np.flatnonzero(code[1:] == code[:-1])
+    if len(twice):
+        raise fail(pair[by_code[twice[0]] // 3],
+                   "two strip triangles share a directed edge")
+    at = np.minimum(np.searchsorted(code, v * n + u), 3 * n_tris - 1)
+    twin = np.where(code[at] == v * n + u, by_code[at], -1)
+    lo, hi = np.minimum(u, v)[twin < 0], np.maximum(u, v)[twin < 0]
+    odd = np.setxor1d(lo * n + hi, segments.min(axis=1) * n
+                      + segments.max(axis=1))
+    if len(odd):
+        w = int(odd[0] // n)
+        raise fail(ray_of[np.flatnonzero(ids == w)[0]],
+                   f"edge {(w, int(odd[0] % n))} is a segment or a boundary "
+                   "edge of the strips, not both")
+
+    arr = tri._arr
+    arr.px, arr.tv = pts.ravel().tolist(), tris.ravel().tolist()
+    arr.tn = np.where(twin < 0, -1, twin // 3).tolist()
+    vt = np.full(n, -1, dtype=np.int64)
+    vt[tris.ravel()] = np.repeat(np.arange(n_tris), 3)
+    arr.vt, arr.n_pts, arr.n_tris = vt.tolist(), n, n_tris
+    tri.n_live_triangles, tri._last_tri = n_tris, 0
+    tri.constraints.update(zip(segments.min(axis=1).tolist(),
+                               segments.max(axis=1).tolist()))
+
+    # Lawson: the interior edges the incircle filter does not certify go
+    # on the stack; a flip stacks the four edges round its quad.
+    inner = np.flatnonzero(twin > np.arange(3 * n_tris))
+    rel = pts[tris[inner // 3]] - pts[tris.ravel()[twin[inner]]][:, None]
+    lift = (rel ** 2).sum(axis=2)
+    cross = rel[:, [1, 2, 0], 0] * rel[:, [2, 0, 1], 1]
+    cross_t = rel[:, [2, 0, 1], 0] * rel[:, [1, 2, 0], 1]
+    det = (lift * (cross - cross_t)).sum(axis=1)
+    permanent = (lift * (np.abs(cross) + np.abs(cross_t))).sum(axis=1)
+    outside = (permanent > _ICC_GUARD) & (-det > _ICC_ERR * permanent)
+    tri.stat_incircle_fast += int(np.count_nonzero(outside))
+    stack = inner[~outside].tolist()
+    px, tv, tn = arr.px, arr.tv, arr.tn
+    while stack:
+        s = stack.pop()
+        t1, t2 = s // 3, tn[s]
+        if t2 < 0:
+            continue
+        i2 = 3 * t2
+        w = tv[i2 + (0 if tn[i2] == t1 else (1 if tn[i2 + 1] == t1 else 2))]
+        if tri._in_disk(t1, px[2 * w], px[2 * w + 1]):
+            tri.flip(t1, s - 3 * t1)
+            stack += (3 * t1, 3 * t1 + 2, i2, i2 + 2)
+    sink = counters_current()
+    if sink is not None:
+        sink.incr("bl_points", n)
+        sink.incr("bl_flips", tri.stat_flips)
+        sink.incr("bl_orient_tests",
+                  tri.stat_orient_fast + tri.stat_orient_exact)
+        sink.incr("bl_incircle_tests",
+                  tri.stat_incircle_fast + tri.stat_incircle_exact)
+    return tri
+
+
 def carve(tri: Triangulation, holes: Sequence[Tuple[float, float]] = ()
           ) -> np.ndarray:
     """Interior mask over triangle ids (True = keep), as a bool array.
@@ -593,12 +728,3 @@ def carve(tri: Triangulation, holes: Sequence[Tuple[float, float]] = ()
         if not tri.is_ghost(t) and not outside[t]:
             keep[t] = True
     return keep
-
-
-def constrained_delaunay(points: np.ndarray, segments: np.ndarray,
-                         holes: Sequence[Tuple[float, float]] = (),
-                         *, strategy: Optional[str] = None) -> TriMesh:
-    """One-call CDT of a PSLG with exterior/hole carving."""
-    tri = triangulate_pslg(points, segments, strategy=strategy)
-    mask = carve(tri, holes)
-    return tri.to_mesh(keep_mask=mask)

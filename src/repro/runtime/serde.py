@@ -16,8 +16,9 @@ Supported objects:
   concatenated into one coordinate array with an offsets table;
 * :class:`~repro.delaunay.mesh.TriMesh` — points/triangles/segments;
 * the boundary-layer triangulation work item — the annuli's PSLG as
-  ``points`` (float64), ``segments`` (int64 vertex pairs), ``holes``
-  (float64 seeds) and the ``insert_strategy`` name as text;
+  ``points`` (float64) and ``segments`` (int64 vertex pairs), and its
+  ray chains in CSR form (int64 ``element_ptr`` / ``ray_ptr`` /
+  ``ray_ids``, float64 ``ray_h``), under layout version ``layout``;
 * :class:`~repro.geometry.pslg.PSLG` — points, loop index table, flags,
   and a uint8-encoded name blob;
 * the pipeline's sizing function, a ``GradedDistanceSizing`` —
@@ -427,29 +428,37 @@ def unpack_mesh(buffers: Buffers):
 # ----------------------------------------------------------------------
 # Boundary-layer triangulation work item
 # ----------------------------------------------------------------------
-def pack_bl_item(points, segments, holes, insert_strategy: str) -> Buffers:
+#: Layout version of the boundary-layer item; 1 (unversioned) carried
+#: hole seeds and an insertion strategy instead of ray chains.
+BL_ITEM_LAYOUT = 2
+
+#: Its int64 arrays, in argument order after ``points``.
+_BL_INT64 = ("segments", "element_ptr", "ray_ptr", "ray_ids")
+
+
+def pack_bl_item(points, segments, element_ptr, ray_ptr, ray_ids,
+                 ray_h) -> Buffers:
     """Flatten the input of
     :func:`repro.core.bl_pipeline.triangulate_boundary_layer`: the PSLG
-    of the boundary-layer annuli plus the insertion strategy's name."""
-    return {
-        "points": _f64(points, 2),
-        "segments": np.ascontiguousarray(
-            segments, dtype=np.int64).reshape(-1, 2),
-        "holes": _f64(holes, 2),
-        "insert_strategy": _text(insert_strategy),
-    }
+    of the boundary-layer annuli and its ray chains."""
+    out = {"layout": np.asarray([BL_ITEM_LAYOUT], dtype=np.int32),
+           "points": _f64(points, 2), "ray_h": _f64(ray_h)}
+    for key, a in zip(_BL_INT64, (segments, element_ptr, ray_ptr, ray_ids)):
+        out[key] = np.ascontiguousarray(a, dtype=np.int64).reshape(-1)
+    return out
 
 
-def unpack_bl_item(buffers: Buffers
-                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, str]:
-    """Inverse of :func:`pack_bl_item` ->
-    ``(points, segments, holes, insert_strategy)``."""
-    return (
-        _f64(buffers["points"], 2),
-        np.asarray(buffers["segments"], dtype=np.int64).reshape(-1, 2),
-        _f64(buffers["holes"], 2),
-        _untext(buffers["insert_strategy"]),
-    )
+def unpack_bl_item(buffers: Buffers) -> tuple:
+    """Inverse of :func:`pack_bl_item` -> its six arguments, in order;
+    an item of another layout version is a :class:`SerdeError`."""
+    layout = int(buffers.get("layout", [1])[0])
+    if layout != BL_ITEM_LAYOUT:
+        raise SerdeError(f"boundary-layer item layout {layout}, this "
+                         f"build reads {BL_ITEM_LAYOUT}")
+    segments, *csr = (np.asarray(buffers[k], dtype=np.int64)
+                      for k in _BL_INT64)
+    return (_f64(buffers["points"], 2), segments.reshape(-1, 2), *csr,
+            _f64(buffers["ray_h"]))
 
 
 # ----------------------------------------------------------------------

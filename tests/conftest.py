@@ -8,8 +8,8 @@ def pytest_addoption(parser):
         "--insert-strategy", choices=cavity.available_strategies(),
         default=None,
         help="run the session with this cavity-engine insertion strategy "
-        "as the default (CI drives the kernel and pipeline suites through "
-        "'batch' this way)")
+        "as the default (CI drives the Delaunay suites through 'batch' "
+        "this way; generate_mesh inserts no points in bulk)")
 
 
 def pytest_configure(config):

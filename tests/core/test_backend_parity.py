@@ -123,32 +123,3 @@ class TestStreamingParity:
         assert len(streamed.subdomains) == len(self.barriered.subdomains)
         for a, b in zip(streamed.subdomains, self.barriered.subdomains):
             assert np.array_equal(a.ring, b.ring)
-
-
-class TestInsertStrategyTransport:
-    """An explicit ``insert_strategy`` is data carried by the call — an
-    argument to the BL triangulation and a field of every refinement
-    work item — so it reaches pool workers that were forked *before*
-    the call (``tests/test_env_knobs.py`` pins that nothing under
-    ``src/repro`` writes the process environment)."""
-
-    @staticmethod
-    def digest(mesh):
-        """Hash of the raw buffers: no canonical reordering first."""
-        return serde.canonical_hash(serde.pack_mesh(mesh))
-
-    def test_explicit_strategy_reaches_warm_pool(self):
-        pslg = PSLG.from_loops([naca0012(61)])
-        config = MeshConfig(farfield_chords=10.0, target_subdomains=8)
-        serial = {
-            name: self.digest(generate_mesh(
-                pslg, config, backend="serial", insert_strategy=name).mesh)
-            for name in ("scalar", "batch")
-        }
-        assert serial["scalar"] != serial["batch"]
-        backend = executor.get_backend("processes")
-        backend.shutdown_pool()
-        assert backend.warm_pool(2) == 2
-        warm = generate_mesh(pslg, config, backend="processes",
-                             n_ranks=2, insert_strategy="batch")
-        assert self.digest(warm.mesh) == serial["batch"]

@@ -94,28 +94,45 @@ class TestPackedItem:
         bl = self.prepared
         assert bl.mesh is None and "n_triangles" not in bl.stats
         assert bl.segments.dtype == np.int64 and bl.segments.shape[1] == 2
-        assert bl.holes.shape == (len(self.pslg.body_loops), 2)
         assert len(bl.outer_borders) == len(self.pslg.body_loops)
         assert bl.segments.max() < len(bl.points)
+        # One chain per ray, from its origin at height 0; every point on
+        # some chain.
+        n_rays = sum(len(rays) for rays in bl.element_rays)
+        assert bl.element_ptr.tolist() == np.cumsum(
+            [0] + [len(rays) for rays in bl.element_rays]).tolist()
+        assert len(bl.ray_ptr) == n_rays + 1
+        assert len(bl.ray_ids) == len(bl.ray_h) == bl.ray_ptr[-1]
+        assert (bl.ray_h[bl.ray_ptr[:-1]] == 0.0).all()
+        assert set(bl.ray_ids.tolist()) == set(range(len(bl.points)))
 
     def test_round_trip_is_exact(self):
         bl = self.prepared
-        packed = serde.pack_bl_item(bl.points, bl.segments, bl.holes,
-                                    "scalar")
+        packed = serde.pack_bl_item(*bl.item())
         assert packed["points"].dtype == np.float64
         assert packed["segments"].dtype == np.int64
-        assert packed["holes"].dtype == np.float64
+        assert packed["ray_h"].dtype == np.float64
+        for key in ("element_ptr", "ray_ptr", "ray_ids"):
+            assert packed[key].dtype == np.int64
         wire = serde.bytes_to_buffers(serde.buffers_to_bytes(packed))
-        points, segments, holes, strategy = serde.unpack_bl_item(wire)
-        assert points.tobytes() == bl.points.tobytes()
-        assert segments.tobytes() == bl.segments.tobytes()
-        assert holes.tobytes() == bl.holes.tobytes()
-        assert strategy == "scalar"
+        back = serde.unpack_bl_item(wire)
+        assert len(back) == len(bl.item())
+        for got, sent in zip(back, bl.item()):
+            assert got.dtype == np.asarray(sent).dtype
+            assert got.tobytes() == np.asarray(sent).tobytes()
+
+    def test_an_item_of_another_layout_is_a_typed_error(self):
+        packed = serde.pack_bl_item(*self.prepared.item())
+        packed["layout"] = np.asarray([1], dtype=np.int32)
+        with pytest.raises(serde.SerdeError, match="layout 1"):
+            serde.unpack_bl_item(packed)
+        del packed["layout"]
+        with pytest.raises(serde.SerdeError, match="layout 1"):
+            serde.unpack_bl_item(packed)
 
     def test_item_result_is_the_composed_mesh(self):
         bl = self.prepared
-        payload = serde.nest("bl.", serde.pack_bl_item(
-            bl.points, bl.segments, bl.holes, "scalar"))
+        payload = serde.nest("bl.", serde.pack_bl_item(*bl.item()))
         result = pipeline._workitem(payload)
         assert result["seconds"][0] > 0.0
         mesh = serde.unpack_mesh(result)
@@ -162,9 +179,10 @@ class TestItemKinds:
         assert rule._in_scope("unpack_bl_item")
         findings, n_files = LintRunner([rule]).run([serde.__file__])
         assert n_files == 1 and findings == []
-        packed = serde.pack_bl_item(np.zeros((3, 2)), [(0, 1)],
-                                    [(0.1, 0.1)], "scalar")
-        assert sorted(packed) == ["holes", "insert_strategy", "points",
+        packed = serde.pack_bl_item(np.zeros((3, 2)), [(0, 1)], [0, 1],
+                                    [0, 3], [0, 1, 2], [0.0, 1.0, 2.0])
+        assert sorted(packed) == ["element_ptr", "layout", "points",
+                                  "ray_h", "ray_ids", "ray_ptr",
                                   "segments"]
 
 

@@ -85,27 +85,17 @@ def test_service_path_is_byte_identical_to_direct(tmp_path,
 
 @pytest.mark.parametrize("name", DOMAIN_NAMES)
 def test_domain_batch_strategy_differential(name, direct_results):
-    """Batch insertion through the full pipeline: same invariant suite,
-    macro statistics pinned to the scalar run.
-
-    The meshes are not byte-identical — exact cocircular ties resolve by
-    insertion order, which shifts individual Steiner points — but
-    counts, quality and total area must agree tightly with scalar."""
+    """``insert_strategy="batch"`` is still accepted and changes
+    nothing: ``generate_mesh`` inserts no points in bulk (the BL annuli
+    are zipped from their rays, a subdomain is triangulated from its
+    rings), so the mesh is the scalar run's, byte for byte."""
     pslg, config = DOMAINS[name]()
     result = generate_mesh(pslg, config, backend="serial",
                            insert_strategy="batch")
-    assert result.stats["insert_strategy"] == "batch"
-    mesh = result.mesh
-    report = validate_mesh(mesh)
-    assert report.ok, report.summary()
-    assert report.delaunay_violations == 0
-    assert report.inverted_triangles == 0
-    scalar_mesh = direct_results[name].mesh
-    assert mesh.n_triangles == pytest.approx(scalar_mesh.n_triangles,
-                                             rel=0.05)
-    got = float(np.abs(mesh.areas()).sum())
-    want = float(np.abs(scalar_mesh.areas()).sum())
-    assert got == pytest.approx(want, rel=1e-6)
+    assert "insert_strategy" not in result.stats
+    assert (serde.canonical_hash(serde.pack_mesh(result.mesh))
+            == serde.canonical_hash(serde.pack_mesh(
+                direct_results[name].mesh)))
 
 
 def test_domain_builders_are_pure():

@@ -1,5 +1,7 @@
 """Integration tests for the push-button meshing pipeline."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.core.bl_pipeline import BoundaryLayerConfig
 from repro.core.pipeline import MeshConfig, generate_mesh
 from repro.geometry.airfoils import naca0012, three_element_airfoil
 from repro.geometry.pslg import PSLG
+from repro.runtime.counters import use_counters
 from repro.sizing.functions import decoupling_edge_length
 
 
@@ -122,11 +125,31 @@ class TestConfigValidation:
         ("grading", -1.0),
         ("h_max_chords", float("nan")), ("h_max_chords", 0.0),
         ("nearbody_margin_chords", float("nan")),
+        ("nearbody_margin_chords", 0.0), ("nearbody_margin_chords", -0.1),
         ("target_subdomains", 0), ("target_subdomains", -3),
     ])
     def test_mesh_config(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be a finite"):
             MeshConfig(**{field: value})
+
+    def test_far_field_must_contain_the_near_body_box(self):
+        """A far field inside the near-body box used to fail in
+        ``initial_quadrants`` with a bare "outer box must contain inner
+        box"; it is a ``ValueError`` naming ``farfield_chords`` and the
+        bound it must exceed, before any work item runs, and a value
+        just past that bound meshes."""
+        pslg = PSLG.from_loops([naca0012(41)])
+        bl = BoundaryLayerConfig(max_layers=5)
+        with use_counters() as sink:
+            with pytest.raises(ValueError) as exc:
+                generate_mesh(pslg, MeshConfig(bl=bl, farfield_chords=0.6))
+        bound = re.match(r"farfield_chords must be > ([0-9.]+) .*got 0\.6$",
+                         str(exc.value))
+        assert bound, str(exc.value)
+        assert "bl.triangulate" not in sink.phase_calls
+        result = generate_mesh(pslg, MeshConfig(
+            bl=bl, farfield_chords=1.001 * float(bound.group(1))))
+        assert result.mesh.n_triangles > 0
 
     def test_edge_values_are_accepted(self):
         MeshConfig(bl=BoundaryLayerConfig(growth_ratio=1.0, max_layers=1),

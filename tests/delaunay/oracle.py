@@ -7,7 +7,8 @@ this cavity for cavity.
 
 :func:`canonical` is the insertion-order-free form of a Delaunay mesh
 the batch-insertion parity tests hash, :func:`check_integrity` the
-structural self-check the kernel tests run after every edit.
+structural self-check the kernel tests run after every edit, and
+:func:`constrained_delaunay` the hull-and-carve CDT of a PSLG.
 """
 
 from typing import Dict, List, Tuple
@@ -220,3 +221,14 @@ def check_integrity(tri) -> None:
         raise TriangulationError(
             f"vertex {v} hints triangle {hint[v]}, which is dead or "
             "lacks it")
+
+
+def constrained_delaunay(points, segments, holes=()) -> TriMesh:
+    """The PSLG's constrained Delaunay triangulation, carved: exterior
+    and ``holes`` (seed points) removed.  The composition the library
+    left behind when the boundary layer stopped being built this way."""
+    from repro.delaunay.constrained import carve as carve_cdt
+    from repro.delaunay.constrained import triangulate_pslg
+
+    tri = triangulate_pslg(points, segments)
+    return tri.to_mesh(keep_mask=carve_cdt(tri, holes))

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from repro.delaunay.constrained import (
     carve,
-    constrained_delaunay,
     insert_segment,
     triangulate_pslg,
 )
 from repro.delaunay.kernel import Triangulation, triangulate
 
-from .oracle import check_integrity
+from .oracle import check_integrity, constrained_delaunay
 
 
 def build(points):

@@ -12,12 +12,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.delaunay.constrained import constrained_delaunay
 from repro.delaunay.refine import RUPPERT_BOUND, Refiner
 from repro.delaunay.validate import validate_mesh
 from repro.geometry.primitives import polygon_area
 
 from .fuzz_refine_digest import outcome, refined
+from .oracle import constrained_delaunay
 from .oracle_refine import RescanRefiner, assert_refinement_complete
 
 

@@ -40,7 +40,7 @@ def _request():
 
 def _flat_request():
     """A body loop of three collinear points: a valid layout that
-    ``generate_mesh`` rejects (no interior seed)."""
+    ``generate_mesh`` rejects (its boundary-layer strips have no area)."""
     flat = np.array([(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)])
     return PSLG.from_loops([flat], names=["flat"]), _config()
 
@@ -134,7 +134,7 @@ def test_request_that_fails_to_mesh_fails_alone(tmp_path, backend,
             "good": lambda c: c.submit(*_request()).raw,
         })
         assert isinstance(replies["bad"], ServiceError)
-        assert "interior seed" in str(replies["bad"])
+        assert "not strictly counter-clockwise" in str(replies["bad"])
         assert replies["good"] == direct_bytes
         # One window of two, then each alone.
         stats = service.stats()

@@ -162,6 +162,31 @@ class TestMeshFlags:
         assert not list(tmp_path.iterdir())
 
 
+    def test_a_far_field_too_small_for_the_geometry_is_a_usage_error(
+            self, tmp_path):
+        """Known only once the boundary layer exists; it used to print a
+        traceback from inside the decoupling and exit 1."""
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "--naca", "0012",
+             "--surface-points", "41", "--max-layers", "5",
+             "--farfield-chords", "0.6", "-o", str(tmp_path / "OUT")],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": SRC})
+        assert done.returncode == 2, done.stderr
+        assert "error: --farfield-chords must be > " in done.stderr
+        assert "Traceback" not in done.stderr
+        assert not list(tmp_path.iterdir())
+
+    def test_insert_strategy_is_not_a_mesh_flag(self, capsys, tmp_path):
+        """Nothing the mesher runs inserts points in bulk."""
+        with pytest.raises(SystemExit) as exc:
+            main(["--naca", "0012", "-o", str(tmp_path / "OUT"),
+                  "--insert-strategy", "batch"])
+        assert exc.value.code == 2
+        assert ("unrecognized arguments: --insert-strategy batch"
+                in capsys.readouterr().err)
+
+
 class TestServiceParsers:
     def test_serve_backend_choices_derived_from_registry(self):
         parser = build_serve_parser()
