@@ -14,17 +14,20 @@ True
 
 Package layout (see DESIGN.md for the full inventory):
 
-- :mod:`repro.geometry` — predicates, primitives, PSLG, airfoils;
-- :mod:`repro.spatial`  — alternating digital tree, bucket grid;
+- :mod:`repro.geometry` — predicates, primitives, boxes, PSLG, airfoils;
 - :mod:`repro.delaunay` — the Triangle-substitute kernel: incremental
-  Bowyer–Watson, constrained edges, Ruppert refinement;
+  Bowyer–Watson, constrained edges, Ruppert refinement, metric
+  adaptation;
 - :mod:`repro.sizing`   — sizing fields and the BL growth law;
+- :mod:`repro.metric`   — SPD metric-tensor fields for adaptation;
 - :mod:`repro.core`     — the paper's algorithms: boundary layers,
   projection-based decomposition, graded decoupling, push-button pipeline;
 - :mod:`repro.runtime`  — executor backends (serial, process pool),
   buffer serde, service daemon, discrete-event cluster simulator;
 - :mod:`repro.solver`   — P1 FEM + potential flow (the FUN3D stand-in);
-- :mod:`repro.io`       — Triangle-format and NPZ mesh I/O.
+- :mod:`repro.analysis` — anisotropy metrics and mesh reports;
+- :mod:`repro.io`       — Triangle-format and NPZ mesh I/O;
+- :mod:`repro.lint`     — static checks of the mesher's own invariants.
 """
 
 from .core.bl_pipeline import (

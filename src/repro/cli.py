@@ -202,7 +202,10 @@ def build_submit_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load_geometry(args: argparse.Namespace) -> PSLG:
+def _load_geometry(parser: argparse.ArgumentParser,
+                   args: argparse.Namespace) -> PSLG:
+    """The PSLG the geometry flags name; a ``--poly`` file that cannot
+    be read is a usage error."""
     from .geometry.airfoils import circle, flat_plate, joukowski, naca5
     from .geometry.resample import resample_curvature
 
@@ -224,7 +227,10 @@ def _load_geometry(args: argparse.Namespace) -> PSLG:
     elif args.three_element:
         pslg = three_element_airfoil(n_points=args.surface_points)
     else:
-        pslg, _holes = read_poly(args.poly)
+        try:
+            pslg, _holes = read_poly(args.poly)
+        except (OSError, ValueError) as exc:
+            parser.error(f"--poly: {exc}")
     if args.resample:
         loops = [
             resample_curvature(pslg.loop_points(lp), args.resample,
@@ -434,6 +440,7 @@ def _submit_main(argv) -> int:
     if has_geometry and args.output is None:
         parser.error("-o/--output is required when submitting a geometry")
     config = _config_from_args(parser, args)
+    pslg = _load_geometry(parser, args) if has_geometry else None
     client = ServiceClient(_service_address(parser, args),
                            timeout=args.timeout,
                            connect_retries=max(args.connect_retries, 0))
@@ -442,7 +449,6 @@ def _submit_main(argv) -> int:
         if args.ping:
             summary["ping_rtt_s"] = round(client.ping(), 6)
         if has_geometry:
-            pslg = _load_geometry(args)
             reply = client.submit(pslg, config)
             written = _write_mesh_outputs(args, reply.mesh)
             summary.update({
@@ -498,7 +504,7 @@ def main(argv=None) -> int:
         _check_adaptation(parser, args)
     n_ranks = args.ranks if args.ranks is not None else 4
     config = _config_from_args(parser, args)
-    pslg = _load_geometry(args)
+    pslg = _load_geometry(parser, args)
     # Worker counter snapshots (including from the processes backend's
     # separate address spaces) merge into this sink; it stays installed
     # over the adaptation stage.

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..delaunay.cavity import get_strategy
+from ..delaunay.kernel import check_strategy
 from ..delaunay.mesh import TriMesh, merge_meshes
 from ..delaunay.refine import MAX_STEINER, RUPPERT_BOUND
 from ..geometry.aabb import AABB
@@ -159,8 +159,8 @@ def generate_mesh(
     decoupling finished; submission order is the same, so it is the
     barriered reference the ``processes`` backend is byte-compared to.
 
-    ``insert_strategy`` is checked against
-    :func:`repro.delaunay.available_strategies` and changes nothing:
+    ``insert_strategy`` is checked by
+    :func:`repro.delaunay.kernel.check_strategy` and changes nothing:
     nothing here inserts points in bulk.  The BL annuli are zipped from
     their rays (:func:`~repro.core.bl_pipeline.triangulate_boundary_layer`)
     and a subdomain is triangulated from its rings
@@ -170,7 +170,7 @@ def generate_mesh(
     ``ValueError`` naming ``farfield_chords`` and the bound it must
     exceed, before any work item is submitted.
     """
-    get_strategy(insert_strategy)
+    check_strategy(insert_strategy)
     config = config or MeshConfig()
     backend_impl = executor.get_backend(backend)
     timings: Dict[str, float] = {}

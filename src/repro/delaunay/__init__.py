@@ -4,11 +4,6 @@ This package is the repository's from-scratch replacement for Shewchuk's
 Triangle (see DESIGN.md, substitutions table).
 """
 
-from .cavity import (
-    InsertionStrategy,
-    available_strategies,
-    get_strategy,
-)
 from .constrained import insert_segment, triangulate_pslg, carve
 from .dnc import insertion_order, triangulate_ordered
 from .hull import lower_hull_sorted
@@ -34,7 +29,6 @@ __all__ = [
     "GHOST",
     "AdaptReport",
     "AreaCriterion",
-    "InsertionStrategy",
     "MeshAdaptor",
     "RUPPERT_BOUND",
     "RefinementError",
@@ -44,8 +38,6 @@ __all__ = [
     "TriangulationError",
     "ValidationReport",
     "adapt_mesh",
-    "available_strategies",
-    "get_strategy",
     "validate_mesh",
     "carve",
     "delaunay_mesh",

@@ -23,11 +23,11 @@ A list stores whatever it is given, and a NumPy scalar in it slows every
 later read: only plain ``float`` / ``int`` go in, and the write sites
 that can receive NumPy values (:meth:`new_point`) coerce.
 
-NumPy lives at the boundary only.  :meth:`pts`, :meth:`tri_v`,
-:meth:`tri_n` and :meth:`vertex_tri` return fresh, read-only
-``float64`` / ``int32`` snapshots — one C-speed conversion each — for
-the vectorised readers (finalize, sizing, the adaptor's tables, the
-batch planner), and :meth:`compact` builds the finalized mesh from them.
+NumPy lives at the boundary only.  :meth:`pts`, :meth:`tri_v` and
+:meth:`tri_n` return fresh, read-only ``float64`` / ``int32``
+snapshots — one C-speed conversion each — for the vectorised readers
+(finalize, sizing, the adaptor's tables), and :meth:`compact` builds
+the finalized mesh from them.
 
 Dead-triangle contract (lint-able)
 ----------------------------------
@@ -56,9 +56,7 @@ _NEW_ROW = (-1, -1, -1)
 
 
 def _snapshot(values: Sequence, dtype, width: int) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
-    if width:
-        out = out.reshape(-1, width)
+    out = np.array(values, dtype=dtype).reshape(-1, width)
     out.flags.writeable = False
     return out
 
@@ -132,10 +130,6 @@ class MeshArrays:
     def tri_n(self) -> np.ndarray:
         """``int32 (n_tris, 3)`` neighbour ids, column k opposite vertex k."""
         return _snapshot(self.tn, np.int32, 3)
-
-    def vertex_tri(self) -> np.ndarray:
-        """``int32 (n_pts,)`` one incident triangle per vertex."""
-        return _snapshot(self.vt, np.int32, 0)
 
     # ------------------------------------------------------------------
     # Finalize

@@ -23,37 +23,9 @@ is lives with the tests (``tests/delaunay/oracle.py``), which compare
 the one Lawson flip loop (segment recovery, and the guard behind a
 pruned cavity).
 
-On top of the operations sit two **insertion strategies**, looked up
-by name with :func:`get_strategy`: a strategy turns a bulk point set
-plus an insertion order into kernel vertices.
-
-* ``scalar`` — one point at a time through :func:`insert_point`
-  (:func:`walk` → duplicate check → :func:`carve` →
-  :func:`retriangulate`); the default.
-* ``batch`` — independent-set insertion: BRIO rounds are binned through
-  the planner's own :class:`~repro.spatial.grid.BucketGrid` snapshot of
-  the vertices (:func:`_partition_grid`; one candidate per bucket per
-  sub-batch, the CPAFT consistent-partitioning trick), every candidate
-  walks to its containing triangle with one vectorised
-  :func:`~repro.geometry.predicates.orient2d_batch3` call per step,
-  cavities are carved level-by-level with
-  :func:`~repro.geometry.predicates.incircle_batch`, and a greedy scan
-  keeps only candidates whose cavity closed edge-neighbourhoods are
-  pairwise non-overlapping (Spielman, Teng & Üngör: conflict-free
-  insertion sets of bounded depth exist).  Neighbourhood-separated
-  cavities commute — inserting one point never grows another accepted
-  point's conflict set — so replaying the precomputed cavities
-  sequentially through :func:`retriangulate` produces exactly the
-  Delaunay triangulation the scalar path builds, up to vertex
-  numbering.  Conflicting candidates retry in the next sub-batch and
-  fall back to the scalar path after :data:`_MAX_RETRIES` rounds, as do
-  walks that leave the hull, hit an exactly-degenerate orientation, or
-  exceed the step cap — the batch path never *decides* a degeneracy,
-  it defers it.
-
-Strategy selection: an explicit name, else :data:`DEFAULT_STRATEGY`.
-The environment is never consulted, so the triangulation is a function
-of the arguments alone.
+:func:`insert_all` turns a bulk point set plus an insertion order into
+kernel vertices, one :func:`insert_point` at a time: the kernel has one
+insertion path (DESIGN.md, "One insertion path").
 """
 
 from __future__ import annotations
@@ -66,36 +38,25 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from .arrays import DEAD
-from ..geometry.aabb import AABB
 from ..geometry.predicates import (
     INCIRCLE_ERR_BOUND,
     INCIRCLE_UNDERFLOW_GUARD,
     ORIENT_ERR_BOUND,
     ORIENT_UNDERFLOW_GUARD,
-    batch_exact_counts,
     incircle,
-    incircle_batch,
     orient2d,
-    orient2d_batch3,
 )
-from ..runtime.counters import current as counters_current
-from ..spatial.grid import BucketGrid
 
 __all__ = [
     "GHOST",
     "TriangulationError",
-    "DEFAULT_STRATEGY",
-    "InsertionStrategy",
-    "ScalarInsertion",
-    "BatchInsertion",
-    "get_strategy",
-    "available_strategies",
     "brio_order",
     "find_directed_edge",
     "walk",
     "locate_fallback",
     "carve",
     "insert_point",
+    "insert_all",
     "retriangulate",
     "prune_cavity_visibility",
     "legalize_edges",
@@ -125,34 +86,6 @@ _ICC_GUARD = INCIRCLE_UNDERFLOW_GUARD
 _ICC_CHEAP = INCIRCLE_ERR_BOUND / 3.0
 #: ``S*S`` must stay clear of underflow for the cheap bound to be sound.
 _ICC_S_GUARD = 1e-125
-
-#: The strategy :func:`get_strategy` returns for ``None``.
-DEFAULT_STRATEGY = "scalar"
-
-#: Scalar insertions before the batch strategy starts batching: the
-#: initial structure must exist and the grid partition must be coarser
-#: than the cavity diameter for independent sets to be worth finding.
-#: 120 is a BRIO round boundary, so batch windows align with rounds.
-_BATCH_BOOTSTRAP = 120
-#: Sub-batches smaller than this go through the scalar path — the numpy
-#: call overhead would exceed the interpreter savings.
-_BATCH_MIN_GROUP = 8
-#: Vectorised-walk step cap; a walker still travelling defers to the
-#: scalar path (its exhaustive-fallback guarantees still apply).
-_WALK_STEP_CAP = 64
-#: Conflicted candidates retry this many sub-batches, then go scalar.
-#: Retries are cheap (they restart beside their winner's fresh fan via
-#: the hint machinery), so patience beats the scalar fallback.
-_MAX_RETRIES = 8
-#: Window cap: one batch window never stages more points than this.
-_WINDOW_CAP = 8192
-#: Independence partition coarsening: one candidate per _COARSEN x
-#: _COARSEN block of grid buckets.  The partition grid averages ~2-4
-#: points per bucket, so adjacent-bucket candidates' cavities touch and
-#: conflict; a 2x2 block balances the acceptance rate against sub-batch
-#: size (coarser blocks shrink the batches until per-level numpy
-#: overhead dominates, finer ones drown the planner in retries).
-_COARSEN = 2
 
 
 class TriangulationError(RuntimeError):
@@ -548,7 +481,7 @@ def carve(tri, px: float, py: float, t0: int, certified: bool = False
 
 
 # ----------------------------------------------------------------------
-# Scalar insertion: walk -> duplicate check -> carve -> retriangulate
+# Insertion: walk -> duplicate check -> carve -> retriangulate
 # ----------------------------------------------------------------------
 def insert_point(tri, px: float, py: float, hint: int) -> int:
     """Insert ``(px, py)`` into a triangulation that already has a
@@ -824,707 +757,37 @@ def legalize_edges(tri, edges: Sequence[Tuple[int, int]]) -> None:
 
 
 # ----------------------------------------------------------------------
-# Insertion strategies
+# Bulk insertion
 # ----------------------------------------------------------------------
-class InsertionStrategy:
-    """A bulk point-insertion policy over a :class:`Triangulation`.
-
-    Concrete strategies implement :meth:`insert_points`; they receive
-    the kernel, the raw ``(n, 2)`` coordinate array and the insertion
-    order (input indices) and return the ``input index -> kernel
-    vertex id`` map.  Duplicate inputs map to the existing vertex.
-    """
-
-    name: str = "abstract"
-    description: str = ""
-
-    def insert_points(self, tri, points: np.ndarray,
-                      order: Sequence[int]) -> Dict[int, int]:
-        raise NotImplementedError
-
-
-# ----------------------------------------------------------------------
-# Scalar strategy (behaviour-preserving default)
-# ----------------------------------------------------------------------
-class ScalarInsertion(InsertionStrategy):
-    """One-point-at-a-time insertion through :func:`insert_point`."""
-
-    name = "scalar"
-    description = "sequential walk-and-carve insertion (default)"
-
-    def insert_points(self, tri, points: np.ndarray,
-                      order: Sequence[int]) -> Dict[int, int]:
-        coords = (points.tolist() if isinstance(points, np.ndarray)
-                  else [list(q) for q in points])
-        inserted: Dict[int, int] = {}
-        # The bulk loop allocates ~a dozen small objects per insertion
-        # and keeps them all reachable; generational GC scans buy
-        # nothing here, so pause collection for the loop.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            it = iter(order)
-            # Until the first triangle exists the kernel's wrapper
-            # buffers collinear prefixes.
-            for i in it:
-                i = int(i)
-                x, y = coords[i]
-                inserted[i] = tri.insert_point(x, y)
-                if tri.n_live_triangles:
-                    break
-            for i in it:
-                i = int(i)
-                x, y = coords[i]
-                # Coordinates were validated by the caller, so skip the
-                # per-point wrapper (duplicates map to the existing
-                # vertex).
-                r = insert_point(tri, x, y, -1)
-                inserted[i] = r if r >= 0 else -2 - r
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        return inserted
-
-
-# ----------------------------------------------------------------------
-# Batch strategy (independent-set insertion)
-# ----------------------------------------------------------------------
-def _scalar_insert_one(tri, x: float, y: float, hint: int = -1) -> int:
-    """:func:`insert_point` with duplicates mapped to the existing
-    vertex; returns the kernel vertex id.
-
-    ``hint`` is a walk-start triangle (the batch walk's last position
-    for this point) — it spares the insert the walk from the last
-    touched triangle that a cold start pays, and :func:`walk`
-    revalidates it, so a hint killed by an interleaved commit is merely
-    ignored.  The batch path hands NumPy scalars in: they are coerced
-    here, before anything reaches the kernel's lists."""
-    r = insert_point(tri, float(x), float(y), int(hint))
-    return r if r >= 0 else -2 - r
-
-
-#: ``(tri_v, tri_n, pts)`` snapshots of a triangulation's store.
-_Snapshot = Tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _plan_snapshot(tri) -> _Snapshot:
-    """``(tri_v, tri_n, pts)`` snapshots of ``tri``'s store: one set
-    serves a sub-batch's whole read-only plan (seed, walk, carve), which
-    commits nothing until it is done."""
-    arr = tri._arr
-    return arr.tri_v(), arr.tri_n(), arr.pts()
-
-
-def walk_batch(tri, snap: _Snapshot, seeds: np.ndarray, qxy: np.ndarray
-               ) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorised visibility walk for a batch of query points over the
-    :func:`_plan_snapshot` ``snap``.
-
-    One :func:`orient2d_batch3` call per step evaluates all three edge
-    orientations of every still-walking record with exact escalation,
-    so each step's routing decisions are exact.  Records are *located*
-    when every sign is strictly positive (strictly inside a real
-    triangle — which also certifies cavity membership of the containing
-    triangle).  Records defer to the scalar path when they reach a
-    ghost row (outside the hull), meet an exactly-zero orientation
-    (on an edge or vertex: duplicate/boundary handling stays scalar),
-    or survive past the straggler cutoff — once the active set shrinks
-    to a sliver of the batch, each further level is numpy fixed cost
-    for a handful of rows, so the tail finishes scalar instead.
-
-    Returns ``(t0, located)`` arrays aligned with the batch.  For
-    located records ``t0`` is the containing triangle; for deferred
-    ones it is the record's last walk position — a warm start for the
-    scalar fallback either way.
-    """
-    m = len(seeds)
-    t0_out = np.asarray(seeds, dtype=np.int64).copy()
-    located = np.zeros(m, dtype=bool)
-    cutoff = max(4, m >> 5)
-    act = np.arange(m, dtype=np.int64)
-    cur = np.asarray(seeds, dtype=np.int64).copy()
-    # Per-record deterministic LCG streams derived from the kernel LCG
-    # (one global draw per batch, Knuth-hashed per record): the walk
-    # stays reproducible for identical inputs and seeds.
-    tri._lcg = (tri._lcg * 1103515245 + 12345) & 0x7FFFFFFF
-    lcg = (tri._lcg + 2654435761 * (act + 1)) & 0x7FFFFFFF
-    steps_total = 0
-    n_steps = np.zeros(m, dtype=np.int64)
-    col = np.arange(3, dtype=np.int64)
-    tv_rows, tn_rows, coords_all = snap
-    exact_before = batch_exact_counts()["orient2d"]
-    entries = 0
-    for _ in range(_WALK_STEP_CAP):
-        if act.size == 0:
-            break
-        if act.size < cutoff:
-            # Straggler tail: remember where each survivor got to and
-            # let the scalar fallback finish from there.
-            t0_out[act] = cur
-            break
-        rows = tv_rows[cur]                          # (ma, 3) gather
-        ghost = rows.min(axis=1) < 0
-        if ghost.any():
-            t0_out[act[ghost]] = cur[ghost]
-            keep = ~ghost
-            act = act[keep]
-            cur = cur[keep]
-            lcg = lcg[keep]
-            if act.size == 0:
-                break
-            rows = rows[keep]
-        n_steps[act] += 1
-        steps_total += act.size
-        tri_xy = coords_all[rows]                    # (ma, 3, 2) gather
-        p_now = qxy[act]
-        # Directed edge opposite vertex k is (tv[_NXT[k]], tv[_PRV[k]]).
-        signs = orient2d_batch3(tri_xy[:, (1, 2, 0), :],
-                                tri_xy[:, (2, 0, 1), :], p_now)
-        entries += 3 * act.size
-        neg = signs < 0
-        zero_any = (signs == 0).any(axis=1)
-        has_neg = neg.any(axis=1)
-        inside = ~has_neg & ~zero_any
-        if inside.any():
-            hit = act[inside]
-            t0_out[hit] = cur[inside]
-            located[hit] = True
-        dropped = ~(has_neg & ~zero_any)
-        if dropped.any():
-            # Located and zero-sign records both leave here; either way
-            # ``cur`` is the best-known position for this point.
-            t0_out[act[dropped]] = cur[dropped]
-        move = ~dropped
-        if not move.any():
-            break
-        # Pseudo-random edge priority, rotated per record: among the
-        # negative edges pick the first at-or-after k0 (the scalar
-        # walk's tie-breaking, vectorised).
-        lcg = (lcg * 1103515245 + 12345) & 0x7FFFFFFF
-        k0 = lcg % 3
-        prio = (col[None, :] - k0[:, None]) % 3
-        prio = np.where(neg, prio, 4)
-        ksel = prio.argmin(axis=1)
-        nxt = tn_rows[cur, ksel]
-        act = act[move]
-        cur = nxt[move]
-        lcg = lcg[move]
-    if act.size:
-        t0_out[act] = cur        # step-cap exhaustion: warm starts too
-    n_exact = batch_exact_counts()["orient2d"] - exact_before
-    tri.stat_batch_calls += 1
-    tri.stat_batch_entries += entries
-    tri.stat_orient_exact += n_exact
-    tri.stat_orient_fast += entries - n_exact
-    tri.stat_locates += m
-    tri.stat_walk_steps += steps_total
-    hist = tri.stat_walk_hist
-    for s, c in zip(*np.unique(np.minimum(n_steps, 31),
-                               return_counts=True)):
-        hist[int(s)] += int(c)
-    return t0_out, located
-
-
-def carve_batch(tri, snap: _Snapshot, t0s: Sequence[int], qxy: np.ndarray
-                ) -> Tuple[List[List[int]], List[List[int]]]:
-    """Carve the Bowyer–Watson cavities of a batch of located points
-    over the :func:`_plan_snapshot` ``snap``.
-
-    Level-synchronous BFS over all records at once: each level gathers
-    every record's unseen neighbour candidates, decides the real ones
-    with a single :func:`incircle_batch` call (exact escalation inside)
-    and the ghost ones with the scalar half-plane test, then advances.
-    Per-record membership is identical to the scalar carve: the cavity
-    is the connected component of triangles whose open circumdisk
-    contains the point, reached from the containing triangle.  The
-    cross-level "already tested" bookkeeping is a sorted array of
-    ``record * n_tris + triangle`` composite keys (triangle slots are
-    stable during the carve — nothing commits), so dedup is a
-    ``searchsorted`` instead of a Python set probe per candidate.
-
-    ``qxy[i]`` must lie strictly inside triangle ``t0s[i]``, which
-    makes ``t0s[i]`` a cavity member for free.
-
-    Returns ``(cavities, neighbours)``: per record the cavity as a
-    duplicate-free list of triangle ids and the raw gathered adjacency
-    rows of those triangles (3 entries per cavity triangle, possibly
-    duplicated, cavity members and ``-1`` placeholders included).
-    Together the two lists cover the closed edge-neighbourhood, which
-    is all the independence selection needs — handing back plain lists
-    instead of sets keeps the hot path free of per-record set
-    construction (the commit path consumes the lists directly).
-    """
-    n_rec = len(t0s)
-    if n_rec == 0:
-        return [], []
-    arr = tri._arr
-    tv_rows, tn_rows, coords_all = snap
-    tn_flat = arr.tn
-    n_cap = arr.n_tris            # slot-stable for the whole carve
-    f_rec = np.arange(n_rec, dtype=np.int64)
-    f_tri = np.asarray(t0s, dtype=np.int64)
-    acc_rec = [f_rec]
-    acc_tri = [f_tri]
-    seen_keys = np.sort(f_rec * n_cap + f_tri)
-    q_list = qxy.tolist()
-    cutoff = max(4, n_rec >> 5)
-    stragglers: Optional[Tuple[List[int], List[int]]] = None
-    while f_rec.size:
-        if f_rec.size < cutoff:
-            # Straggler tail: a few deep cavities still growing.  Each
-            # numpy level now costs fixed overhead for a handful of
-            # rows, so finish them scalar after the grouping below.
-            stragglers = (f_rec.tolist(), f_tri.tolist())
-            break
-        nb3 = tn_rows[f_tri]                          # (F, 3) gather
-        cand_rec = np.repeat(f_rec, 3)
-        cand_tri = nb3.reshape(-1)
-        valid = cand_tri >= 0
-        keys = np.unique(cand_rec[valid] * n_cap + cand_tri[valid])
-        pos = np.searchsorted(seen_keys, keys)
-        pos_c = np.minimum(pos, seen_keys.size - 1)
-        keys = keys[(seen_keys[pos_c] != keys) | (pos == seen_keys.size)]
-        if keys.size == 0:
-            break
-        seen_keys = np.sort(np.concatenate((seen_keys, keys)))
-        rec = keys // n_cap
-        tids = keys % n_cap
-        rows = tv_rows[tids]
-        ghost = rows.min(axis=1) < 0
-        keep = np.zeros(keys.size, dtype=bool)
-        if ghost.any():
-            in_disk = tri._in_disk
-            for ii in np.flatnonzero(ghost).tolist():
-                qx, qy = q_list[rec[ii]]
-                if in_disk(int(tids[ii]), qx, qy):
-                    keep[ii] = True
-        real = ~ghost
-        n_real = int(real.sum())
-        if n_real:
-            abc = coords_all[rows[real]]              # (m, 3, 2) gather
-            before = batch_exact_counts()["incircle"]
-            signs = incircle_batch(abc[:, 0], abc[:, 1], abc[:, 2],
-                                   qxy[rec[real]])
-            n_exact = batch_exact_counts()["incircle"] - before
-            tri.stat_batch_calls += 1
-            tri.stat_batch_entries += n_real
-            tri.stat_incircle_exact += n_exact
-            tri.stat_incircle_fast += n_real - n_exact
-            keep[real] = signs > 0
-        f_rec = rec[keep]
-        f_tri = tids[keep]
-        if f_rec.size:
-            acc_rec.append(f_rec)
-            acc_tri.append(f_tri)
-    # Group accumulated members into per-record lists in one pass
-    # (every record owns at least its t0, so every chunk exists).
-    all_rec = np.concatenate(acc_rec)
-    all_tri = np.concatenate(acc_tri)
-    order = np.argsort(all_rec, kind="stable")
-    ar = all_rec[order]
-    at = all_tri[order]
-    chunk = np.flatnonzero(np.diff(ar)) + 1
-    starts = np.concatenate(([0], chunk))
-    ends = np.concatenate((chunk, [ar.size]))
-    at_l = at.tolist()
-    nb_l = tn_rows[at].reshape(-1).tolist()
-    cavities: List[List[int]] = [[] for _ in range(n_rec)]
-    nbrs: List[List[int]] = [[] for _ in range(n_rec)]
-    for r, s, e in zip(ar[starts].tolist(), starts.tolist(),
-                       ends.tolist()):
-        cavities[r] = at_l[s:e]
-        nbrs[r] = nb_l[3 * s:3 * e]
-    if stragglers is not None:
-        in_disk = tri._in_disk
-        s_rec, s_tri = stragglers
-        touched = sorted(set(s_rec))
-        # Rebuild each straggler's "seen" set from its key range (the
-        # keys are sorted, so it is one contiguous slice).
-        seen_of = {}
-        for r in touched:
-            lo = int(np.searchsorted(seen_keys, r * n_cap))
-            hi = int(np.searchsorted(seen_keys, (r + 1) * n_cap))
-            seen_of[r] = set((seen_keys[lo:hi] % n_cap).tolist())
-        for r, t in zip(s_rec, s_tri):
-            stack = [t]
-            cav = cavities[r]
-            sn = seen_of[r]
-            qx, qy = q_list[r]
-            while stack:
-                i3 = 3 * stack.pop()
-                for nb in (tn_flat[i3], tn_flat[i3 + 1],
-                           tn_flat[i3 + 2]):
-                    if nb >= 0 and nb not in sn:
-                        sn.add(nb)
-                        if in_disk(nb, qx, qy):
-                            cav.append(nb)
-                            stack.append(nb)
-        for r in touched:
-            nbr = []
-            for t in cavities[r]:
-                i3 = 3 * t
-                nbr.append(tn_flat[i3])
-                nbr.append(tn_flat[i3 + 1])
-                nbr.append(tn_flat[i3 + 2])
-            nbrs[r] = nbr
-    return cavities, nbrs
-
-
-_NBR8 = ((1, 0), (-1, 0), (0, 1), (0, -1),
-         (1, 1), (-1, 1), (1, -1), (-1, -1))
-
-
-def _near_hint(arr, h: int, qx: float, qy: float, r2: float) -> int:
-    """Return ``h`` when it is a live triangle within ``sqrt(r2)`` of
-    ``(qx, qy)``, else ``-1``.
-
-    Freed triangle slots are recycled by later commits *anywhere* in
-    the domain, so a stored hint can pass a liveness check yet sit far
-    from the point it was recorded for — and a far seed turns the walk
-    into an O(domain-diameter) march.  The distance gate keeps only
-    hints that still buy something over a grid seed."""
-    if h < 0 or h >= arr.n_tris:
-        return -1
-    i3 = 3 * h
-    v = arr.tv[i3]
-    if v == DEAD:
-        return -1
-    if v < 0:
-        v = arr.tv[i3 + 1]
-        if v < 0:
-            return -1
-    j = 2 * v
-    dx = arr.px[j] - qx
-    dy = arr.px[j + 1] - qy
-    if dx * dx + dy * dy <= r2:
-        return h
-    return -1
-
-
-def _partition_grid(tri) -> BucketGrid:
-    """The batch planner's bucket partition of ``tri``'s vertices.
-
-    A snapshot, cached on the triangulation being inserted into:
-    inserts do not feed it (that would tax every insertion), so it is
-    rebuilt when the point count outgrows the size it was laid out for
-    — a stale head vertex is still a nearby walk seed, just a few steps
-    further out."""
-    n = tri._arr.n_pts
-    cached = tri._batch_grid
-    if cached is not None and n <= cached[1]:
-        return cached[0]
-    pts = tri._arr.pts()
-    # Laid out for twice the snapshot (floor 256: the scalar bootstrap
-    # hands over at ~120 vertices), so it serves until the count doubles.
-    cap = max(2 * n, 256)
-    grid = BucketGrid(AABB.of_points(pts), target_per_bucket=4.0,
-                      expected_points=cap)
-    grid.insert_many(pts)
-    tri._batch_grid = (grid, cap)
-    return grid
-
-
-class BatchInsertion(InsertionStrategy):
-    """Independent-set batched insertion (see the module docstring)."""
-
-    name = "batch"
-    description = ("BRIO-binned independent-set insertion with "
-                   "vectorised predicate batches")
-
-    # -- driver -------------------------------------------------------
-    def insert_points(self, tri, points: np.ndarray,
-                      order: Sequence[int]) -> Dict[int, int]:
-        pts_arr = np.asarray(points, dtype=np.float64)
-        order_list = [int(i) for i in order]
-        inserted: Dict[int, int] = {}
-        # Constraints make cavities order-dependent (clipping + Lawson
-        # repair); the batch plan assumes pure Delaunay cavities, so a
-        # constrained kernel takes the scalar path wholesale.  Bulk
-        # insertion in triangulate()/triangulate_pslg() always runs
-        # before segment recovery, so this is the cold branch.
-        if tri.constraints:
-            return get_strategy("scalar").insert_points(tri, points, order)
-        n = len(order_list)
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            pos = 0
-            # Scalar bootstrap: initial structure + enough density for
-            # the bucket partition to separate candidates.
-            while pos < n and (pos < _BATCH_BOOTSTRAP
-                               or tri.n_live_triangles == 0):
-                i = order_list[pos]
-                inserted[i] = tri.insert_point(pts_arr[i, 0], pts_arr[i, 1])
-                pos += 1
-            # Window boundaries follow the BRIO doubling rounds (8, 24,
-            # 56, 120, ...): a full round is a random sample of the
-            # input spread over the whole domain, so binning it yields
-            # many distinct buckets (a *contiguous* slice of a round
-            # would be one snake-ordered band and bin terribly).
-            bound, size = 8, 8
-            while bound <= pos:
-                size *= 2
-                bound += size
-            while pos < n:
-                end = min(bound, n)
-                w = pos
-                while w < end:
-                    stop = min(w + _WINDOW_CAP, end)
-                    self._process_window(tri, order_list[w:stop],
-                                         pts_arr, inserted)
-                    w = stop
-                pos = end
-                size *= 2
-                bound += size
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        return inserted
-
-    # -- one BRIO-round window ---------------------------------------
-    def _process_window(self, tri, idxs: List[int], pts_arr: np.ndarray,
-                        inserted: Dict[int, int]) -> None:
-        arr = tri._arr
-        grid = _partition_grid(tri)
-        w_xy = pts_arr[np.asarray(idxs, dtype=np.int64)]
-        ids = grid.cell_ids(w_xy)
-        if _COARSEN > 1:
-            # One candidate per _COARSEN x _COARSEN block of buckets:
-            # the independence partition must be coarser than a cavity
-            # diameter or same-sub-batch neighbours mostly conflict.
-            ix = ids % grid.nx
-            iy = ids // grid.nx
-            ncx = (grid.nx + _COARSEN - 1) // _COARSEN
-            ids = (iy // _COARSEN) * ncx + (ix // _COARSEN)
-        n_w = len(idxs)
-        pending = np.arange(n_w, dtype=np.int64)
-        tries = np.zeros(n_w, dtype=np.int64)
-        # Last known walk position per window record (filled in by
-        # _insert_batch): retries re-seed from it and scalar fallbacks
-        # start warm instead of at the last touched triangle.  Hints only
-        # count when still within a few grid cells of their point
-        # (_near_hint) — recycled slots otherwise send walks across
-        # the whole domain.
-        hints = np.full(n_w, -1, dtype=np.int64)
-        cw = (grid.bounds.width or 1.0) / grid.nx
-        ch = (grid.bounds.height or 1.0) / grid.ny
-        r2 = 9.0 * (cw * cw + ch * ch)
-        while pending.size:
-            # One candidate per block and round: np.unique's
-            # return_index is the first occurrence in pending order,
-            # exactly the scan the scalar loop used to do.
-            sel = np.zeros(pending.size, dtype=bool)
-            sel[np.unique(ids[pending], return_index=True)[1]] = True
-            batch = pending[sel].tolist()
-            later = pending[~sel]
-            conflicted = self._insert_batch(tri, grid, idxs, w_xy, batch,
-                                            inserted, hints, r2)
-            if conflicted:
-                cf = np.asarray(conflicted, dtype=np.int64)
-                tries[cf] += 1
-                exhausted = tries[cf] >= _MAX_RETRIES
-                for j in cf[exhausted].tolist():
-                    x, y = w_xy[j, 0], w_xy[j, 1]
-                    inserted[idxs[j]] = _scalar_insert_one(
-                        tri, x, y, _near_hint(arr, int(hints[j]), x, y,
-                                              r2))
-                pending = np.sort(np.concatenate((cf[~exhausted],
-                                                  later)))
-            else:
-                pending = later
-
-    # -- one conflict-screened sub-batch ------------------------------
-    def _insert_batch(self, tri, grid: BucketGrid, idxs: List[int],
-                      w_xy: np.ndarray, batch: List[int],
-                      inserted: Dict[int, int], hints: np.ndarray,
-                      r2: float) -> List[int]:
-        """Walk + carve + select + commit one sub-batch (one candidate
-        per grid bucket).  Returns the window positions whose cavities
-        conflicted (the caller retries them); ``hints`` is updated with
-        each record's last walk position."""
-        m = len(batch)
-        arr = tri._arr
-        if m < _BATCH_MIN_GROUP:
-            for j in batch:
-                x, y = w_xy[j, 0], w_xy[j, 1]
-                inserted[idxs[j]] = _scalar_insert_one(
-                    tri, x, y, _near_hint(arr, int(hints[j]), x, y, r2))
-            return []
-        batch_np = np.asarray(batch, dtype=np.int64)
-        qxy = w_xy[batch_np]
-        snap = _plan_snapshot(tri)
-        seeds = self._seed_triangles(tri, snap, grid, qxy, hints[batch_np],
-                                     r2)
-        t0s, located = walk_batch(tri, snap, seeds, qxy)
-        hints[batch_np] = t0s
-        loc_pos = np.flatnonzero(located).tolist()
-        cavities, nbrs = carve_batch(
-            tri, snap, t0s[loc_pos],
-            qxy[np.asarray(loc_pos, dtype=np.int64)])
-        # Greedy independent-set selection in batch order: keep a
-        # candidate only when its cavity's *closed edge-neighbourhood*
-        # (cavity plus every triangle sharing an edge with it) misses
-        # every cavity already claimed this sub-batch.  Disjointness of
-        # the cavities alone is NOT enough: by the Clarkson–Shor
-        # history lemma, a fan triangle created over cavity boundary
-        # edge (u, v) has its circumdisk inside disk(destroyed inner
-        # triangle) ∪ disk(surviving outer neighbour) — so a candidate
-        # whose cavity *touches* an accepted cavity across an edge can
-        # still gain that fan triangle as a new conflict.  With the
-        # neighbourhood kept clear, no accepted point's conflict set
-        # changes while the batch replays (adjacency is symmetric, so
-        # the one-sided check covers both directions), and replaying
-        # the precomputed cavities sequentially below is exactly
-        # Delaunay.
-        claimed: Set[int] = set()
-        owner: Dict[int, int] = {}
-        accepted: List[Tuple[int, List[int], List[int]]] = []
-        conflicted: List[int] = []
-        loser_owner: List[Tuple[int, int]] = []
-        for k, cav, nbr in zip(loc_pos, cavities, nbrs):
-            # cav plus the raw adjacency rows cover the closed
-            # neighbourhood; testing the two lists separately avoids
-            # materialising a per-record set on the hot path.
-            if claimed.isdisjoint(cav) and claimed.isdisjoint(nbr):
-                owner.update(dict.fromkeys(cav, len(accepted)))
-                claimed.update(cav)
-                accepted.append((k, cav, nbr))
-            else:
-                # The winner whose cavity intruded: its committed fan
-                # will sit exactly where this loser wants to go, so it
-                # becomes the retry hint once the vids are known.
-                w = next((t for t in cav if t in claimed), -1)
-                if w < 0:
-                    w = next(t for t in nbr if t in claimed)
-                loser_owner.append((batch[k], owner[w]))
-                conflicted.append(batch[k])
-        if accepted:
-            # Commit by replay: the neighbourhoods are disjoint, so each
-            # precomputed cavity is still exactly its point's conflict
-            # region when its turn comes.
-            q_list = qxy.tolist()
-            t0_list = t0s.tolist()
-            vid_list = []
-            for k, cav, _ in accepted:
-                vid = arr.new_point(*q_list[k])
-                retriangulate(tri, vid, set(cav), t0_list[k])
-                inserted[idxs[batch[k]]] = vid
-                vid_list.append(vid)
-            tri.stat_inserts += len(accepted)
-            tri.stat_batch_points += len(accepted)
-            # Losers restart from their winner's live star fan (set
-            # after all commits: vt rows are final only then).
-            vtm = arr.vt
-            for j, oi in loser_owner:
-                hints[j] = vtm[vid_list[oi]]
-        # Walk deferrals (hull exits, degeneracies, step-cap) go
-        # through the scalar path now, in batch order.
-        for k in range(m):
-            if not located[k]:
-                j = batch[k]
-                inserted[idxs[j]] = _scalar_insert_one(
-                    tri, w_xy[j, 0], w_xy[j, 1], int(hints[j]))
-        tri.stat_conflict_retries += len(conflicted)
-        sink = counters_current()
-        if sink is not None:
-            sink.observe("kernel.batch_size", float(len(accepted)))
-            sink.observe("kernel.conflict_retries", float(len(conflicted)))
-        return conflicted
-
-    @staticmethod
-    def _seed_triangles(tri, snap: _Snapshot, grid: BucketGrid,
-                        qxy: np.ndarray, hints: Sequence[int], r2: float
-                        ) -> np.ndarray:
-        """Per-record walk-start triangles: a nearby live walk hint
-        from an earlier round wins (retried candidates restart next to
-        their previous cavity), else the grid snapshot.  One vectorised
-        pass: the hint liveness/distance gate, the bucket head lookup,
-        the 8-neighbour probe for empty buckets and the ghost step-in
-        are all array expressions (:func:`_near_hint` is the scalar
-        reference semantics)."""
-        arr = tri._arr
-        tv_rows, tn_rows, coords = snap
-        fallback = tri._last_tri
-        if fallback < 0 or arr.tv[3 * fallback] == DEAD:
-            fallback = next(iter(tri.live_triangles()))
-
-        # Hint gate: live (first vertex not DEAD), with a real vertex
-        # to measure from, within sqrt(r2) of the query.
-        h = np.asarray(hints, dtype=np.int64)
-        ok = (h >= 0) & (h < arr.n_tris)
-        hc = np.where(ok, h, 0)
-        v0 = tv_rows[hc, 0].astype(np.int64)
-        v1 = tv_rows[hc, 1].astype(np.int64)
-        v = np.where(v0 >= 0, v0, v1)
-        ok &= (v0 != DEAD) & (v >= 0)
-        d = coords[np.where(ok, v, 0)] - qxy
-        ok &= (d * d).sum(axis=1) <= r2
-        seeds = np.where(ok, h, np.int64(-1))
-
-        # Grid path for the rest: bucket head, widening to the 8
-        # neighbours when the bucket is empty (the snapshot averages
-        # ~2 points per cell, so ~13% of buckets are empty).
-        need = np.flatnonzero(~ok)
-        if need.size:
-            nx = grid.nx
-            ny = grid.ny
-            heads = grid.head_payloads()
-            cells = grid.cell_ids(qxy[need])
-            pay = heads[cells]
-            miss = pay < 0
-            if miss.any():
-                cx = cells[miss] % nx
-                cy = cells[miss] // nx
-                pm = pay[miss]
-                for dx, dy in _NBR8:
-                    if not (pm < 0).any():
-                        break
-                    x2 = cx + dx
-                    y2 = cy + dy
-                    inb = (x2 >= 0) & (x2 < nx) & (y2 >= 0) & (y2 < ny)
-                    cand = heads[np.where(inb, y2 * nx + x2, 0)]
-                    cand = np.where(inb, cand, -1)
-                    pm = np.where(pm < 0, cand, pm)
-                pay[miss] = pm
-            t = arr.vertex_tri()[np.maximum(pay, 0)].astype(np.int64)
-            live = (pay >= 0) & (t >= 0) & (tv_rows[np.maximum(t, 0), 0]
-                                            != DEAD)
-            tri.stat_grid_seeds += int(live.sum())
-            seeds[need] = np.where(live, t, np.int64(fallback))
-
-        # Ghost seeds: step across the real edge into the hull.
-        sv = tv_rows[seeds]
-        g_rows = np.flatnonzero((sv < 0).any(axis=1))
-        if g_rows.size:
-            g_col = np.argmax(sv[g_rows] < 0, axis=1)
-            nb = tn_rows[seeds[g_rows], g_col].astype(np.int64)
-            take = nb >= 0
-            seeds[g_rows[take]] = nb[take]
-        return seeds
-
-
-# ----------------------------------------------------------------------
-# Strategies by name
-# ----------------------------------------------------------------------
-_STRATEGIES: Dict[str, InsertionStrategy] = {
-    s.name: s for s in (ScalarInsertion(), BatchInsertion())
-}
-
-
-def get_strategy(name: Optional[str] = None) -> InsertionStrategy:
-    """The strategy called ``name``; ``None`` means
-    :data:`DEFAULT_STRATEGY` (read at call time)."""
-    if name is None:
-        name = DEFAULT_STRATEGY
+def insert_all(tri, points: np.ndarray, order: Sequence[int]
+               ) -> Dict[int, int]:
+    """Insert ``points[order]`` one at a time through :func:`insert_point`
+    and return the ``input index -> kernel vertex id`` map; a duplicate
+    maps to the existing vertex.  The coordinates must be finite (the
+    caller checks)."""
+    coords = points.tolist()
+    inserted: Dict[int, int] = {}
+    # The loop allocates ~a dozen small objects per insertion and keeps
+    # them all reachable; generational GC scans buy nothing here, so
+    # pause collection for the loop.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        return _STRATEGIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown insertion strategy: {name} (available: "
-            f"{', '.join(available_strategies())})"
-        ) from None
-
-
-def available_strategies() -> List[str]:
-    """Every accepted ``--insert-strategy`` value."""
-    return sorted(_STRATEGIES)
+        it = iter(order)
+        # Until the first triangle exists the kernel's wrapper buffers
+        # collinear prefixes.
+        for i in it:
+            i = int(i)
+            x, y = coords[i]
+            inserted[i] = tri.insert_point(x, y)
+            if tri.n_live_triangles:
+                break
+        for i in it:
+            i = int(i)
+            x, y = coords[i]
+            r = insert_point(tri, x, y, -1)
+            inserted[i] = r if r >= 0 else -2 - r
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return inserted

@@ -39,7 +39,7 @@ from .cavity import (
     _PRV,
     brio_order,
     find_directed_edge,
-    get_strategy,
+    insert_all,
     legalize_edges,
 )
 from .kernel import GHOST, Triangulation, TriangulationError
@@ -259,21 +259,42 @@ def triangulate_pslg(points: np.ndarray, segments: np.ndarray
                      ) -> Triangulation:
     """Insert all PSLG points, then recover and lock every segment.
 
-    Point insertion goes through the default cavity-engine strategy;
-    segment recovery is always sequential.  No constraints exist during
-    the bulk phase, so the batched strategy is safe here.
+    The points go in one at a time (:func:`~.cavity.insert_all`) before
+    any segment exists; segment recovery follows, one segment at a
+    time.  ``segments`` is an ``(m, 2)`` array of integral indices into
+    ``points``; any other shape, a fractional or an out-of-range index
+    raises ``ValueError`` (naming the row) before anything is inserted.
     """
     points = np.asarray(points, dtype=np.float64)
-    segments = np.asarray(segments, dtype=np.int64)
+    segments = _checked_segments(segments, len(points))
     tri = Triangulation()
     order = brio_order(points, seed=0xFACADE)
-    kernel_id: Dict[int, int] = get_strategy().insert_points(
-        tri, points, order)
-    for u, v in segments:
-        ku, kv = kernel_id[int(u)], kernel_id[int(v)]
-        for su, sv in insert_segment(tri, ku, kv):
+    kernel_id: Dict[int, int] = insert_all(tri, points, order)
+    for u, v in segments.tolist():
+        for su, sv in insert_segment(tri, kernel_id[u], kernel_id[v]):
             tri.mark_constraint(su, sv)
     return tri
+
+
+def _checked_segments(segments, n: int) -> np.ndarray:
+    """``segments`` as an ``int64 (m, 2)`` array of indices in ``[0, n)``,
+    or ``ValueError`` naming the first row that is not."""
+    seg = np.asarray(segments)
+    if seg.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if seg.ndim != 2 or seg.shape[1] != 2:
+        raise ValueError(f"segments must have shape (m, 2), got {seg.shape}")
+    with np.errstate(invalid="ignore"):     # NaN / inf: flagged below
+        idx = seg.astype(np.int64)
+    fractional = (idx != seg).any(axis=1)
+    outside = ((idx < 0) | (idx >= n)).any(axis=1)
+    bad = np.flatnonzero(fractional | outside)
+    if bad.size:
+        row = int(bad[0])
+        what = ("is not a pair of integral vertex indices" if fractional[row]
+                else f"names a vertex outside [0, {n})")
+        raise ValueError(f"segments row {row}: {seg[row].tolist()} {what}")
+    return idx
 
 
 def _orient_counted(tri, ax, ay, bx, by, cx, cy) -> int:

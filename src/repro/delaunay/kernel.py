@@ -48,10 +48,9 @@ Storage is :class:`repro.delaunay.arrays.MeshArrays`: flat Python
 lists ``px[2*v]`` / ``tv[3*t+k]`` / ``tn[3*t+k]`` / ``vt[v]`` that hot
 paths index directly and that grow by appending in place, so an alias
 never goes stale; cold paths call ``_arr.point(v)`` /
-``_arr.triangle(t)``.  NumPy readers (the ``batch`` strategy's
-vectorised walk, carve and grid, :func:`delaunay_mesh`) take read-only
-snapshots from ``MeshArrays``; :meth:`Triangulation.to_mesh` is a
-vectorised compaction of them.
+``_arr.triangle(t)``.  NumPy readers (:func:`delaunay_mesh`, the
+adaptor's tables) take read-only snapshots from ``MeshArrays``;
+:meth:`Triangulation.to_mesh` is a vectorised compaction of them.
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ from .cavity import (
     _PRV,
     brio_order,
     carve,
-    get_strategy,
+    insert_all,
     insert_point as cavity_insert_point,
     retriangulate,
     walk,
@@ -92,6 +91,7 @@ __all__ = [
     "GHOST",
     "Triangulation",
     "TriangulationError",
+    "check_strategy",
     "delaunay_mesh",
     "triangulate",
 ]
@@ -129,9 +129,6 @@ class Triangulation:
         # O(n) snapshots.
         self.last_created: List[int] = []
         self.last_removed: List[int] = []
-        # The batch strategy's vertex partition, ``(grid, capacity)``:
-        # built and cached by cavity._partition_grid, unused otherwise.
-        self._batch_grid = None
         # Observability counters: the ``stat_*`` attributes of the
         # schema in repro.runtime.counters, which absorbs them.
         reset_kernel_stats(self)
@@ -584,6 +581,22 @@ class Triangulation:
         return mesh
 
 
+#: What the ``strategy=`` of :func:`triangulate` and the
+#: ``insert_strategy=`` of :func:`repro.core.pipeline.generate_mesh`
+#: accept.  The kernel inserts points one way (:func:`cavity.insert_all
+#: <repro.delaunay.cavity.insert_all>`); the names stay accepted for
+#: callers that still pass them, and change nothing.
+_STRATEGY_NAMES = (None, "scalar", "batch")
+
+
+def check_strategy(name: Optional[str]) -> None:
+    """Raise ``ValueError`` unless ``name`` is one of
+    :data:`_STRATEGY_NAMES`."""
+    if name not in _STRATEGY_NAMES:
+        raise ValueError(f"unknown insertion strategy: {name!r} "
+                         "(accepted: scalar, batch)")
+
+
 def triangulate(points: np.ndarray, *,
                 strategy: Optional[str] = None) -> Triangulation:
     """Delaunay-triangulate a point set incrementally, in BRIO order
@@ -592,28 +605,25 @@ def triangulate(points: np.ndarray, *,
     :func:`repro.delaunay.dnc.triangulate_ordered`'s ``"sorted"``
     policy).  Identical inputs produce byte-identical triangulations.
 
-    ``strategy`` names the bulk insertion strategy
-    (:func:`repro.delaunay.cavity.get_strategy`: ``scalar`` or
-    ``batch``); ``None`` is the scalar default.  Every strategy
-    produces a Delaunay triangulation of the same point set; vertex
-    numbering may differ.
+    ``strategy`` is checked by :func:`check_strategy` and changes
+    nothing.
     """
+    check_strategy(strategy)
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError("points must be (n, 2)")
-    tri, _ = _triangulate_with_map(points, strategy)
+    tri, _ = _triangulate_with_map(points)
     return tri
 
 
-def _triangulate_with_map(points: np.ndarray, strategy: Optional[str]
+def _triangulate_with_map(points: np.ndarray
                           ) -> Tuple[Triangulation, Dict[int, int]]:
     if len(points) and not np.isfinite(points).all():
         raise ValueError("non-finite coordinates")
     seed = 0xC0FFEE
     tri = Triangulation(seed=seed)
     order = brio_order(points, seed=seed).tolist()
-    inserted = get_strategy(strategy).insert_points(tri, points, order)
-    return tri, inserted
+    return tri, insert_all(tri, points, order)
 
 
 def delaunay_mesh(points: np.ndarray) -> TriMesh:
@@ -623,7 +633,7 @@ def delaunay_mesh(points: np.ndarray) -> TriMesh:
     always refer to the caller's array.
     """
     points = np.asarray(points, dtype=np.float64)
-    tri, inserted = _triangulate_with_map(points, None)
+    tri, inserted = _triangulate_with_map(points)
     arr = tri._arr
     # kernel vertex id -> smallest input index that produced it
     inv = np.full(arr.n_pts, len(points), dtype=np.int64)

@@ -18,9 +18,11 @@ We use the standard two-stage scheme popularised by Shewchuk:
 
 The exact stage is slow but is only reached for (near-)degenerate inputs,
 which are rare in practice, so the amortised cost is close to the plain
-float cost.  Vectorised batch versions (filter-only, with a mask of
-uncertain entries escalated to the exact path) are provided for the hot
-loops of the triangulation kernel.
+float cost.  The triangulation kernel inlines the filter stage of the
+scalar predicates in its hot loops and shares their error bounds from
+here.  :func:`orient2d_batch` is the one vectorised form (the filter
+over whole arrays, uncertain entries escalated to the exact path one by
+one), for callers that hold whole arrays.
 """
 
 from __future__ import annotations
@@ -30,9 +32,7 @@ import numpy as np
 __all__ = [
     "orient2d",
     "orient2d_batch",
-    "orient2d_batch3",
     "incircle",
-    "incircle_batch",
     "ORIENT_CCW",
     "ORIENT_CW",
     "ORIENT_COLLINEAR",
@@ -40,7 +40,6 @@ __all__ = [
     "INCIRCLE_ERR_BOUND",
     "ORIENT_UNDERFLOW_GUARD",
     "INCIRCLE_UNDERFLOW_GUARD",
-    "batch_exact_counts",
     "exact_eq",
 ]
 
@@ -72,19 +71,6 @@ ORIENT_ERR_BOUND = _CCW_ERR_BOUND
 INCIRCLE_ERR_BOUND = _ICC_ERR_BOUND
 ORIENT_UNDERFLOW_GUARD = _ORIENT_UNDERFLOW_GUARD
 INCIRCLE_UNDERFLOW_GUARD = _ICC_UNDERFLOW_GUARD
-
-# Escalation tallies for the batch predicates: entries whose filter stage
-# was inconclusive and fell through to exact integer arithmetic.  Callers
-# snapshot around a batch call to attribute escalations (the counters
-# layer reports the rate); plain ints, so the cost is one addition per
-# batch call.
-_batch_exact = {"orient2d": 0, "incircle": 0}
-
-
-def batch_exact_counts() -> dict:
-    """Running totals of exact-path escalations inside the batch predicates."""
-    return dict(_batch_exact)
-
 
 def exact_eq(a, b):
     """Intentional bitwise float equality (scalar or elementwise array).
@@ -191,31 +177,11 @@ def orient2d_batch(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     out = np.zeros(det.shape, dtype=np.int8)
     out[certified & (det > 0)] = ORIENT_CCW
     out[certified & (det < 0)] = ORIENT_CW
-    uncertain = np.flatnonzero(~certified & ~both_zero)
-    _batch_exact["orient2d"] += len(uncertain)
-    for i in uncertain:
+    for i in np.flatnonzero(~certified & ~both_zero):
         out[i] = _orient2d_exact(
             a[i, 0], a[i, 1], b[i, 0], b[i, 1], c[i, 0], c[i, 1]
         )
     return out
-
-
-def orient2d_batch3(u: np.ndarray, v: np.ndarray, p: np.ndarray
-                    ) -> np.ndarray:
-    """Exact signs of ``orient2d(u[i, k], v[i, k], p[i])`` as ``(m, 3)``.
-
-    The vectorised cavity walk asks one question per step: for every
-    still-walking point, which of its triangle's three directed edges
-    is it strictly right of?  ``u``/``v`` are ``(m, 3, 2)`` edge
-    endpoint arrays and ``p`` is ``(m, 2)``.  The query flattens to one
-    :func:`orient2d_batch` call (whose exact-escalation path indexes
-    flat ``(n, 2)`` inputs), so every sign is exact and escalations
-    land in the shared ``orient2d`` batch tally.
-    """
-    u = np.asarray(u, dtype=np.float64).reshape(-1, 2)
-    v = np.asarray(v, dtype=np.float64).reshape(-1, 2)
-    p3 = np.repeat(np.asarray(p, dtype=np.float64), 3, axis=0)
-    return orient2d_batch(u, v, p3).reshape(-1, 3)
 
 
 def _incircle_exact(ax, ay, bx, by, cx, cy, dx, dy) -> int:
@@ -286,57 +252,3 @@ def incircle(a, b, c, d) -> int:
         if -det > errbound:
             return -1
     return _incircle_exact(ax, ay, bx, by, cx, cy, dx, dy)
-
-
-def incircle_batch(
-    a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray
-) -> np.ndarray:
-    """Vectorised :func:`incircle` over arrays of shape ``(n, 2)``.
-
-    ``d`` may be a single ``(2,)`` query shared by every row or an
-    ``(n, 2)`` per-row query; it is broadcast up front so the exact
-    escalation loop can index rows uniformly.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    d = np.broadcast_to(np.asarray(d, dtype=np.float64), a.shape)
-
-    adx, ady = a[..., 0] - d[..., 0], a[..., 1] - d[..., 1]
-    bdx, bdy = b[..., 0] - d[..., 0], b[..., 1] - d[..., 1]
-    cdx, cdy = c[..., 0] - d[..., 0], c[..., 1] - d[..., 1]
-
-    bdxcdy = bdx * cdy
-    cdxbdy = cdx * bdy
-    alift = adx * adx + ady * ady
-    cdxady = cdx * ady
-    adxcdy = adx * cdy
-    blift = bdx * bdx + bdy * bdy
-    adxbdy = adx * bdy
-    bdxady = bdx * ady
-    clift = cdx * cdx + cdy * cdy
-
-    det = (
-        alift * (bdxcdy - cdxbdy)
-        + blift * (cdxady - adxcdy)
-        + clift * (adxbdy - bdxady)
-    )
-    permanent = (
-        (np.abs(bdxcdy) + np.abs(cdxbdy)) * alift
-        + (np.abs(cdxady) + np.abs(adxcdy)) * blift
-        + (np.abs(adxbdy) + np.abs(bdxady)) * clift
-    )
-    errbound = _ICC_ERR_BOUND * permanent
-
-    certified = (permanent > _ICC_UNDERFLOW_GUARD) & (np.abs(det) > errbound)
-    out = np.zeros(det.shape, dtype=np.int8)
-    out[certified & (det > 0)] = 1
-    out[certified & (det < 0)] = -1
-    uncertain = np.flatnonzero(~certified)
-    _batch_exact["incircle"] += len(uncertain)
-    for i in uncertain:
-        out[i] = _incircle_exact(
-            a[i, 0], a[i, 1], b[i, 0], b[i, 1],
-            c[i, 0], c[i, 1], d[i, 0], d[i, 1],
-        )
-    return out

@@ -137,42 +137,72 @@ def read_poly(path: PathLike):
     """Read a ``.poly`` file; loops are reconstructed from the segments.
 
     Returns ``(pslg, holes)``; a boundary-marker column is skipped.
-    Segments must form disjoint closed loops (the format this package
-    writes).
+    Vertices and holes are numbered from 1, each number once, and the
+    segments must form disjoint closed loops, one segment leaving each
+    vertex (the format this package writes).  Anything else raises
+    ``ValueError`` naming the file and the line.
     """
     with open(path) as f:
-        header = f.readline().split()
-        if len(header) < 2:
-            raise ValueError(f"{path}: malformed .poly header {header!r}")
-        n, dim = int(header[0]), int(header[1])
-        if dim != 2:
-            raise ValueError("only 2D .poly supported")
-        pts = np.empty((n, 2), dtype=np.float64)
+        lines = [line.split() for line in f]
+    at = 0      # 1-based number of the line read last
+
+    def fail(msg: str) -> ValueError:
+        return ValueError(f"{path}, line {at}: {msg}")
+
+    def fields(what: str, width: int) -> list:
+        nonlocal at
+        at += 1
+        parts = lines[at - 1] if at <= len(lines) else []
+        if len(parts) < width:
+            raise fail(f"truncated .poly {what}")
+        return parts
+
+    def number(text: str, kind=float):
+        try:
+            return kind(text)
+        except ValueError:
+            raise fail(f"{text!r} is not a number") from None
+
+    def index(text: str, n: int, what: str) -> int:
+        i = number(text, int) - 1
+        if not 0 <= i < n:
+            raise fail(f"{what} {text} is outside 1..{n}")
+        return i
+
+    def count(text: str) -> int:
+        c = number(text, int)
+        if c < 0:
+            raise fail(f"negative count {c}")
+        return c
+
+    def numbered_xy(n: int, what: str) -> np.ndarray:
+        out = np.empty((n, 2), dtype=np.float64)
+        done = np.zeros(n, dtype=bool)
         for _ in range(n):
-            parts = f.readline().split()
-            if len(parts) < 3:
-                raise ValueError(f"{path}: truncated .poly vertex section")
-            pts[int(parts[0]) - 1] = (float(parts[1]), float(parts[2]))
-        seg_header = f.readline().split()
-        if not seg_header:
-            raise ValueError(f"{path}: missing .poly segment header")
-        m = int(seg_header[0])
-        nxt = {}
-        for _ in range(m):
-            parts = f.readline().split()
-            if len(parts) < 3:
-                raise ValueError(f"{path}: truncated .poly segment section")
-            nxt[int(parts[1]) - 1] = int(parts[2]) - 1
-        hole_header = f.readline().split()
-        if not hole_header:
-            raise ValueError(f"{path}: missing .poly hole header")
-        k = int(hole_header[0])
-        holes = np.empty((k, 2), dtype=np.float64)
-        for i in range(k):
-            parts = f.readline().split()
-            if len(parts) < 3:
-                raise ValueError(f"{path}: truncated .poly hole section")
-            holes[int(parts[0]) - 1] = (float(parts[1]), float(parts[2]))
+            parts = fields(f"{what} section", 3)
+            i = index(parts[0], n, f"{what} number")
+            if done[i]:
+                raise fail(f"{what} {parts[0]} is listed twice")
+            done[i] = True
+            out[i] = number(parts[1]), number(parts[2])
+        return out
+
+    header = fields("header", 2)
+    n = count(header[0])
+    if number(header[1], int) != 2:
+        raise fail("only 2D .poly supported")
+    pts = numbered_xy(n, "vertex")
+    nxt = {}
+    line_of = {}        # vertex -> line of the segment leaving it
+    for _ in range(count(fields("segment header", 1)[0])):
+        parts = fields("segment section", 3)
+        u = index(parts[1], n, "segment endpoint")
+        if u in nxt:
+            raise fail(f"vertex {parts[1]} starts a second segment (the "
+                       f"first is on line {line_of[u]})")
+        nxt[u] = index(parts[2], n, "segment endpoint")
+        line_of[u] = at
+    holes = numbered_xy(count(fields("hole header", 1)[0]), "hole")
     # Walk the successor map into loops.
     loops = []
     remaining = dict(nxt)
@@ -181,6 +211,12 @@ def read_poly(path: PathLike):
         loop = [start]
         cur = remaining.pop(start)
         while cur != start:
+            if cur not in remaining:
+                at = line_of[loop[-1]]
+                if cur in nxt:
+                    raise fail(f"vertex {cur + 1} ends a second segment")
+                raise fail(f"no segment leaves vertex {cur + 1}: the loop "
+                           "is open")
             loop.append(cur)
             cur = remaining.pop(cur)
         loops.append(Loop(np.asarray(loop)))

@@ -138,11 +138,10 @@ class Histogram:
 #: escalations the exact stage answered 0: true zeros, which no filter
 #: can certify, as opposed to filter misses.
 KERNEL_FIELDS = (
-    "inserts", "locates", "walk_steps", "brute_locates", "grid_seeds",
+    "inserts", "locates", "walk_steps", "brute_locates",
     "visibility_prunes", "cavity_triangles", "flips",
     "orient_fast", "orient_exact", "incircle_fast", "incircle_exact",
     "orient_zero", "incircle_zero",
-    "batch_calls", "batch_entries", "batch_points", "conflict_retries",
     "finalize_ns",
 )
 #: ``(histogram slot, count field, total field, as_dict label)``: the
@@ -249,18 +248,13 @@ class KernelCounters:
             f"  inserts            {self.inserts}",
             f"  walk steps         {self.walk_hist.summary()}",
             f"  cavity size        {self.cavity_hist.summary()}",
-            f"  grid-seeded walks  {self.grid_seeds}"
-            f"   brute-force locates {self.brute_locates}",
+            f"  brute-force locates {self.brute_locates}",
             f"  visibility prunes  {self.visibility_prunes}"
             f"  (wrapped cavities cut back and legalised)",
             f"  orient tests       {self.orient_tests}"
             f"  (exact {self.orient_exact})",
             f"  incircle tests     {self.incircle_tests}"
             f"  (exact {self.incircle_exact})",
-            f"  batched entries    {self.batch_entries}"
-            f"  in {self.batch_calls} batch calls",
-            f"  batch-inserted pts {self.batch_points}"
-            f"  (conflict retries {self.conflict_retries})",
             f"  flips              {self.flips}",
             f"  finalize time      {self.finalize_ns / 1e6:.2f} ms",
             f"  exact escalation   {self.exact_escalation_rate:.4%}"

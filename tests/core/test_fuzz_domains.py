@@ -88,8 +88,11 @@ def test_domain_batch_strategy_differential(name, direct_results):
     """``insert_strategy="batch"`` is still accepted and changes
     nothing: ``generate_mesh`` inserts no points in bulk (the BL annuli
     are zipped from their rays, a subdomain is triangulated from its
-    rings), so the mesh is the scalar run's, byte for byte."""
+    rings), so the mesh is the scalar run's, byte for byte.  A name the
+    keyword does not know is a ``ValueError``, before any work."""
     pslg, config = DOMAINS[name]()
+    with pytest.raises(ValueError, match="'nope'"):
+        generate_mesh(pslg, config, backend="serial", insert_strategy="nope")
     result = generate_mesh(pslg, config, backend="serial",
                            insert_strategy="batch")
     assert "insert_strategy" not in result.stats

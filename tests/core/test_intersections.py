@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from repro.geometry.airfoils import (
     three_element_airfoil,
     transform_coords,
 )
-from repro.geometry.predicates import batch_exact_counts
+from repro.geometry import predicates
 from repro.geometry.primitives import segments_intersect
 from repro.geometry.pslg import PSLG
 from repro.runtime.counters import use_counters
@@ -246,7 +247,7 @@ class TestMultiElement:
         for r in left[1:-1]:  # interior rays squarely face the border
             assert r.max_height <= 0.7 + 1e-9
 
-    def test_fan_origins_add_no_degenerate_obstacles(self):
+    def test_fan_origins_add_no_degenerate_obstacles(self, monkeypatch):
         # A square body whose corner (1, 1) carries a five-ray fan: the
         # surface ring repeats that origin, and a zero-length obstacle
         # segment makes every orientation test against it an exact-zero
@@ -260,12 +261,22 @@ class TestMultiElement:
                   for y in np.linspace(-0.2, 1.3, 9)]
         want = copy_rays([body, probes])
         oracle.resolve_multi_element_intersections(want, default_height=1.2)
+        # Spy on the exact stage, counting only what orient2d_batch
+        # escalates (the scalar orient2d shares the function).
+        escalated = []
+        exact = predicates._orient2d_exact
+        batch_code = predicates.orient2d_batch.__code__
+
+        def spy(*args):
+            if sys._getframe(1).f_code is batch_code:
+                escalated.append(args)
+            return exact(*args)
+
+        monkeypatch.setattr(predicates, "_orient2d_exact", spy)
         with use_counters() as sink:
-            before = batch_exact_counts()["orient2d"]
             n = resolve_multi_element_intersections([body, probes],
                                                     default_height=1.2)
-            escalated = batch_exact_counts()["orient2d"] - before
-        assert escalated == 0
+        assert escalated == []
         assert n > 0
         assert ([r.max_height for r in body + probes]
                 == [r.max_height for rays in want for r in rays])

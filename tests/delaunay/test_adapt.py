@@ -30,7 +30,6 @@ from hypothesis import strategies as st
 from repro.delaunay import (
     MeshAdaptor,
     adapt_mesh,
-    cavity,
     refine_pslg,
 )
 from repro.delaunay.adapt import HIGH_BAND, LOW_BAND
@@ -228,11 +227,6 @@ class TestByteIdentity:
 # Adapted meshes, pinned at commit c676863 (full-sweep flip pass)
 # ----------------------------------------------------------------------
 class TestAdaptedMeshPins:
-    @pytest.mark.skipif(
-        cavity.DEFAULT_STRATEGY != "scalar",
-        reason="cycle 2 re-triangulates 456 vertices: past its 120-point "
-               "scalar bootstrap `batch` numbers the start triangulation "
-               "differently, and every later operation follows from it")
     def test_shear_layer_loop(self, monkeypatch):
         """The perf ledger's seed-0 ``adapt_shear`` op (hash, size, DOF,
         error, operation counts, conformity traces; the frozen ledger
@@ -249,8 +243,6 @@ class TestAdaptedMeshPins:
         assert pins.adapt_shear_pins(pins.adapt_shear()) == pin(
             "adapt_shear")
 
-    # 53 vertices: inside `batch`'s scalar bootstrap, so these two hold
-    # under either session strategy.
     @pytest.mark.parametrize("protect, digest, size, ops, conformity", [
         (protect, want["hash"], want["size"], want["ops"],
          want["conformity_after"])

@@ -157,7 +157,7 @@ class TestAgainstFullSweepOracle:
             assert got == want
             assert mesh_hash(new.to_mesh()) == mesh_hash(old.to_mesh())
             a, b = new.tri._arr, old.tri._arr
-            assert np.array_equal(a.vertex_tri(), b.vertex_tri())
+            assert a.vt == b.vt
 
             # Count gate: every edge once, then <= 5 edges per flip.
             evaluations = new.report.flip_evaluations - before[0]

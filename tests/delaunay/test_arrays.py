@@ -68,8 +68,7 @@ class TestMeshArrays:
         arr = tri._arr
         shapes = {"pts": ((arr.n_pts, 2), np.float64, arr.px),
                   "tri_v": ((arr.n_tris, 3), np.int32, arr.tv),
-                  "tri_n": ((arr.n_tris, 3), np.int32, arr.tn),
-                  "vertex_tri": ((arr.n_pts,), np.int32, arr.vt)}
+                  "tri_n": ((arr.n_tris, 3), np.int32, arr.tn)}
         before = {name: getattr(arr, name)() for name in shapes}
         for name, (shape, dtype, flat) in shapes.items():
             snap = before[name]
@@ -121,11 +120,11 @@ class TestMeshArrays:
 
 class TestPlainScalarsOnly:
     def test_every_entry_is_a_python_float_or_int(self, monkeypatch):
-        """NumPy scalars reach the store from ``insert_points`` rows and
-        from the batch planner's slot arrays, where the write sites
-        coerce; the adaptor's smoothing moves vertices in plain floats.
-        So a generate_mesh item, one adaptation cycle and a batch
-        triangulation leave nothing but ``float``/``int`` behind."""
+        """NumPy scalars reach the store from ``insert_points`` rows,
+        where the write sites coerce; the adaptor's smoothing moves
+        vertices in plain floats.  So a generate_mesh item, one
+        adaptation cycle and a bulk triangulation leave nothing but
+        ``float``/``int`` behind."""
         kernels = []
         export = Triangulation.to_mesh
 
@@ -144,9 +143,7 @@ class TestPlainScalarsOnly:
         assert result.history[-1].report.smooth_moves > 0
         n_adapt = len(kernels) - n_mesh
         kernels.append(triangulate(
-            np.random.default_rng(4).uniform(0, 1, size=(600, 2)),
-            strategy="batch"))
-        assert kernels[-1].stat_batch_points > 0
+            np.random.default_rng(4).uniform(0, 1, size=(600, 2))))
         assert n_mesh > 10 and n_adapt > 0
         for tri in kernels:
             arr = tri._arr

@@ -11,6 +11,7 @@ from repro.delaunay.constrained import (
     triangulate_pslg,
 )
 from repro.delaunay.kernel import Triangulation, triangulate
+from repro.delaunay.refine import refine_pslg
 
 from .oracle import check_integrity, constrained_delaunay
 
@@ -145,6 +146,28 @@ class TestTriangulatePSLG:
         assert total < 20.0
         assert total > 19.0  # airfoil area is ~0.08
         assert mesh.delaunay_violations(respect_segments=True) == 0
+
+    @pytest.mark.parametrize("segs, match", [
+        ([(0, 1), (1, 2), (2, 5)], r"row 2: \[2, 5\] names a vertex "
+                                   r"outside \[0, 4\)"),
+        ([(0, 1), (-1, 2)], r"row 1: \[-1, 2\] names a vertex outside"),
+        ([(0.5, 1), (1, 2)], r"row 0: \[0.5, 1.0\] is not a pair of "
+                             "integral"),
+        ([(0, 1, 2)], r"shape \(m, 2\), got \(1, 3\)"),
+    ], ids=["past-the-end", "negative", "fractional", "three-columns"])
+    def test_bad_segments_name_the_row(self, segs, match):
+        """``refine_pslg`` hands its segments to ``triangulate_pslg``,
+        which checks them once, before inserting anything."""
+        pts = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float)
+        with pytest.raises(ValueError, match=match):
+            refine_pslg(pts, np.array(segs), max_area=0.1)
+
+    def test_integral_float_and_empty_segments_are_accepted(self):
+        pts = np.array([(0, 0), (1, 0), (1, 1), (0, 1)], dtype=float)
+        segs = np.array([(0, 1), (1, 2), (2, 3), (3, 0)])
+        want = triangulate_pslg(pts, segs).constraints
+        assert triangulate_pslg(pts, segs.astype(float)).constraints == want
+        assert not triangulate_pslg(pts, np.array([])).constraints
 
 
 def mesh_idx(mesh, p):

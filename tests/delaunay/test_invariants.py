@@ -322,7 +322,6 @@ class TestRandomClouds:
             tri.insert_point(x, y)
         assert tri.stat_inserts == 5000
         assert tri.stat_brute_locates == 0
-        assert tri.stat_grid_seeds == 0
         assert_invariants(tri)
 
 

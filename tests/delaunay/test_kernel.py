@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.delaunay.cavity import insert_point, walk
-from repro.delaunay.kernel import GHOST, Triangulation, TriangulationError, triangulate
+from repro.delaunay.kernel import (
+    GHOST, Triangulation, TriangulationError, delaunay_mesh, triangulate)
 from repro.geometry.predicates import orient2d
 from repro.geometry.primitives import polygon_area
 
@@ -20,6 +21,18 @@ def hull_area(points):
     if len(h) < 3:
         return 0.0
     return abs(polygon_area(points[h]))
+
+
+#: Bulk-insertion clouds: name -> points from a generator.
+CLOUDS = {
+    "uniform": lambda rng: rng.uniform(0, 1, size=(500, 2)),
+    "gaussian": lambda rng: rng.normal(size=(500, 2)),
+    "anisotropic": lambda rng: rng.uniform(0, 1, (500, 2)) * [100.0, 1.0],
+    "grid-jitter": lambda rng: (
+        np.stack(np.meshgrid(np.arange(20.0), np.arange(20.0)),
+                 axis=-1).reshape(-1, 2)
+        + rng.normal(scale=1e-6, size=(400, 2))),
+}
 
 
 class TestBootstrap:
@@ -155,7 +168,7 @@ class TestRandomSets:
         base = rng.uniform(0, 1, size=(150, 2))
         pts = np.vstack([base, base[rng.integers(0, 150, 40)]])
         pts = pts[rng.permutation(len(pts))]
-        tri, inserted = _triangulate_with_map(pts, None)
+        tri, inserted = _triangulate_with_map(pts)
         inv = {}
         for i, k in inserted.items():
             if k not in inv or i < inv[k]:
@@ -196,6 +209,29 @@ class TestRandomSets:
         mesh = triangulate(pts).to_mesh()
         assert mesh.delaunay_violations(respect_segments=False) == 0
         assert mesh.n_points == 100
+
+    @pytest.mark.parametrize("cloud", sorted(CLOUDS))
+    def test_bulk_cloud_exactly_delaunay(self, cloud):
+        """Every interior edge of a bulk-inserted cloud passes the exact
+        incircle test, on clouds the filters find hard: 100:1
+        anisotropy and a lattice jittered by 1e-6."""
+        pts = CLOUDS[cloud](np.random.default_rng(sorted(CLOUDS).index(cloud)))
+        mesh = triangulate(pts).to_mesh()
+        assert mesh.is_conforming()
+        assert mesh.n_points == len(pts)
+        assert mesh.delaunay_violations(respect_segments=False) == 0
+
+    def test_bulk_duplicates_map_to_the_existing_vertex(self):
+        rng = np.random.default_rng(3)
+        base = rng.uniform(0, 1, size=(300, 2))
+        pts = np.vstack([base, base[:50]])
+        # The kernel dedups: one vertex per distinct coordinate.
+        assert triangulate(pts)._arr.n_pts == 300
+        # delaunay_mesh keeps the caller's indexing but triangles only
+        # ever reference the first occurrence of a duplicate.
+        mesh = delaunay_mesh(pts)
+        assert mesh.n_points == 350
+        assert int(mesh.triangles.max()) < 300
 
 
 class TestLocate:
@@ -375,6 +411,22 @@ class TestVertexStar:
             t.triangles_around_vertex(0)
 
 
+class TestStrategyKeyword:
+    """``strategy=`` survives for callers that still pass a name: the
+    kernel inserts points one way, whatever it says."""
+
+    @pytest.mark.parametrize("name", ["scalar", "batch"])
+    def test_accepted_names_change_nothing(self, name):
+        pts = np.random.default_rng(21).uniform(0, 1, size=(400, 2))
+        got, want = triangulate(pts, strategy=name)._arr, triangulate(pts)._arr
+        assert (got.px, got.tv, got.tn, got.vt, got.free) == (
+            want.px, want.tv, want.tn, want.vt, want.free)
+
+    def test_unknown_name_raises(self):
+        with pytest.raises(ValueError, match="'nope'"):
+            triangulate(np.zeros((3, 2)), strategy="nope")
+
+
 class TestCheckIntegrity:
     def test_live_count_mismatch(self):
         t = lattice()
@@ -393,10 +445,9 @@ class TestCheckIntegrity:
         with pytest.raises(TriangulationError, match="vertex 7 hints"):
             check_integrity(t)
 
-    def test_holds_after_scalar_and_batch_bulk_insertion(self):
+    def test_holds_after_bulk_insertion(self):
         pts = np.random.default_rng(3).uniform(0.0, 1.0, size=(500, 2))
-        for strategy in ("scalar", "batch"):
-            check_integrity(triangulate(pts, strategy=strategy))
+        check_integrity(triangulate(pts))
 
 
 @given(

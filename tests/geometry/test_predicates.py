@@ -13,7 +13,6 @@ from repro.geometry.predicates import (
     ORIENT_COLLINEAR,
     ORIENT_CW,
     incircle,
-    incircle_batch,
     orient2d,
     orient2d_batch,
 )
@@ -125,21 +124,6 @@ class TestIncircle:
         assert incircle(a, b, c, c) == 0
 
 
-class TestIncircleBatch:
-    @given(
-        st.lists(st.tuples(point, point, point, point), min_size=1, max_size=20)
-    )
-    @settings(max_examples=40)
-    def test_matches_scalar(self, quads):
-        a = np.array([q[0] for q in quads])
-        b = np.array([q[1] for q in quads])
-        c = np.array([q[2] for q in quads])
-        d = np.array([q[3] for q in quads])
-        batch = incircle_batch(a, b, c, d)
-        for i, (pa, pb, pc, pd) in enumerate(quads):
-            assert batch[i] == incircle(pa, pb, pc, pd)
-
-
 def test_incircle_consistent_with_circumcircle_distance():
     rng = np.random.default_rng(42)
     from tests.delaunay.oracle_refine import circumcenter, distance
@@ -234,7 +218,7 @@ class TestIntegerExactStage:
         _assert_matches_oracle(tuple(math.ldexp(i, exp) for i in ints))
 
     def test_public_predicates_agree_on_the_corpus(self):
-        """Scalar and batch forms, filter and all, return the oracle's
+        """Scalar and array forms, filter and all, return the oracle's
         sign on inputs whose filter stage mostly cannot decide."""
         corpus = np.array(_exact_stage_corpus(), dtype=np.float64)
         a, b, c, d = (corpus[:, 0:2], corpus[:, 2:4], corpus[:, 4:6],
@@ -245,4 +229,3 @@ class TestIntegerExactStage:
         assert [incircle(*p) for p in zip(a, b, c, d)] == want_i
         with np.errstate(all="ignore"):  # the 1e300 rows overflow the filter
             assert orient2d_batch(a, b, c).tolist() == want_o
-            assert incircle_batch(a, b, c, d).tolist() == want_i

@@ -151,6 +151,43 @@ class TestPoly:
             read_poly(p)
 
 
+#: A unit square, 1-based: four vertices, four segments, no holes.
+SQUARE_POLY = ["4 2 0 0", "1 0 0", "2 1 0", "3 1 1", "4 0 1",
+               "4 0", "1 1 2", "2 2 3", "3 3 4", "4 4 1", "0"]
+
+
+def _square_with(line: int, text: str) -> str:
+    """``SQUARE_POLY`` with its 1-based ``line`` replaced by ``text``."""
+    lines = list(SQUARE_POLY)
+    lines[line - 1] = text
+    return "\n".join(lines) + "\n"
+
+
+class TestPolyRejects:
+    """Input ``read_poly`` cannot read as a set of closed loops is a
+    ``ValueError`` naming the file and the line, never a bare
+    ``KeyError`` / ``IndexError``, an uninitialised row or a silently
+    different geometry."""
+
+    @pytest.mark.parametrize("text, line, match", [
+        (_square_with(3, "1 1 0"), 3, "vertex 1 is listed twice"),
+        (_square_with(5, "5 0 1"), 5, "vertex number 5 is outside 1..4"),
+        (_square_with(10, "4 1 3"), 10,
+         "vertex 1 starts a second segment .the first is on line 7"),
+        (_square_with(10, "4 4 3"), 10, "vertex 3 ends a second segment"),
+        (_square_with(6, "3 0").replace("4 4 1\n", ""), 9,
+         "no segment leaves vertex 4: the loop is open"),
+        (_square_with(9, "3 3 5"), 9, "segment endpoint 5 is outside 1..4"),
+    ], ids=["repeated-vertex", "vertex-out-of-range", "two-outgoing",
+            "two-incoming", "open-chain", "endpoint-out-of-range"])
+    def test_names_file_and_line(self, tmp_path, text, line, match):
+        p = tmp_path / "bad.poly"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=match) as exc:
+            read_poly(p)
+        assert str(exc.value).startswith(f"{p}, line {line}: ")
+
+
 class TestCLI:
     def test_naca_end_to_end(self, tmp_path):
         from repro.cli import main

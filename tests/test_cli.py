@@ -177,6 +177,26 @@ class TestMeshFlags:
         assert "Traceback" not in done.stderr
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", [
+        [], ["submit", "--socket", "unused.sock"]], ids=["mesh", "submit"])
+    @pytest.mark.parametrize("content, match", [
+        (None, "No such file"),
+        ("4 2 0 0\n1 0 0\n1 1 0\n", "line 3: vertex 1 is listed twice"),
+    ], ids=["missing", "malformed"])
+    def test_unreadable_poly_is_a_usage_error(self, capsys, tmp_path,
+                                              command, content, match):
+        """A ``--poly`` file that cannot be read exits 2 with a parser
+        error naming the problem, before any meshing or connecting."""
+        poly = tmp_path / "in.poly"
+        if content is not None:
+            poly.write_text(content)
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--poly", str(poly), "-o", str(tmp_path / "OUT")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: --poly: " in err and match in err
+        assert not (tmp_path / "OUT").exists()
+
     def test_insert_strategy_is_not_a_mesh_flag(self, capsys, tmp_path):
         """Nothing the mesher runs inserts points in bulk."""
         with pytest.raises(SystemExit) as exc:

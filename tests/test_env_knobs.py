@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.pipeline import mesh_workitem, pack_mesh_request
-from repro.delaunay import cavity
 from repro.delaunay.kernel import triangulate
 from repro.runtime import serde
 
@@ -70,13 +69,12 @@ def test_ambient_insert_variable_cannot_change_a_request(monkeypatch):
 
     monkeypatch.delenv("REPRO_INSERT", raising=False)
     unset = serde.buffers_to_bytes(mesh_workitem(request))
+    clean = triangulate(pts)._arr
     monkeypatch.setenv("REPRO_INSERT", "batch")
     assert serde.buffers_to_bytes(mesh_workitem(request)) == unset
 
     ambient = triangulate(pts)._arr
-    explicit = triangulate(pts, strategy=cavity.DEFAULT_STRATEGY)._arr
-    assert (ambient.n_pts, ambient.n_tris) == (explicit.n_pts,
-                                               explicit.n_tris)
+    assert (ambient.n_pts, ambient.n_tris) == (clean.n_pts, clean.n_tris)
     for name in ("pts", "tri_v", "tri_n"):
         assert np.array_equal(getattr(ambient, name)(),
-                              getattr(explicit, name)())
+                              getattr(clean, name)())
