@@ -242,24 +242,30 @@ def _load_geometry(parser: argparse.ArgumentParser,
     return pslg
 
 
-#: the flag each config field the parsers set comes from.
-_CONFIG_FLAGS = {
+#: the flag each config field or service setting the parsers set
+#: comes from.
+_FLAGS = {
     "first_spacing": "--first-spacing",
     "growth_ratio": "--growth-ratio",
     "max_layers": "--max-layers",
     "farfield_chords": "--farfield-chords",
     "grading": "--grading",
     "target_subdomains": "--subdomains",
+    "n_ranks": "--ranks",
+    "batch_window": "--batch-window",
+    "max_batch": "--max-batch",
+    "cache_entries": "--cache-entries",
 }
 
 
 def _flag_error(parser: argparse.ArgumentParser, exc: ValueError):
     """Re-raise ``exc`` as a usage error naming the flag of the config
-    field its message starts with; any other error propagates."""
+    field or service setting its message starts with; any other error
+    propagates."""
     field, _, rest = str(exc).partition(" ")
-    if field not in _CONFIG_FLAGS:
+    if field not in _FLAGS:
         raise exc
-    parser.error(f"{_CONFIG_FLAGS[field]} {rest}")
+    parser.error(f"{_FLAGS[field]} {rest}")
 
 
 def _config_from_args(parser: argparse.ArgumentParser,
@@ -396,14 +402,17 @@ def _serve_main(argv) -> int:
         parser.error(
             f"--ranks only applies to parallel backends; --backend "
             f"{args.backend} runs in-process")
-    service = MeshService(
-        _service_address(parser, args),
-        backend=args.backend,
-        n_ranks=args.ranks if args.ranks is not None else 4,
-        batch_window=args.batch_window,
-        max_batch=args.max_batch,
-        cache_entries=args.cache_entries,
-    )
+    try:
+        service = MeshService(
+            _service_address(parser, args),
+            backend=args.backend,
+            n_ranks=args.ranks if args.ranks is not None else 4,
+            batch_window=args.batch_window,
+            max_batch=args.max_batch,
+            cache_entries=args.cache_entries,
+        )
+    except ValueError as exc:
+        _flag_error(parser, exc)
 
     async def _run() -> None:
         await service.start()
@@ -427,7 +436,10 @@ def _serve_main(argv) -> int:
 
 
 def _submit_main(argv) -> int:
+    """``repro-mesh submit``; a daemon that cannot be reached, an
+    ``err`` reply or a timeout is one line on stderr and exit 1."""
     from .runtime.client import ServiceClient
+    from .runtime.service import ServiceError
 
     parser = build_submit_parser()
     args = parser.parse_args(argv)
@@ -441,10 +453,13 @@ def _submit_main(argv) -> int:
         parser.error("-o/--output is required when submitting a geometry")
     config = _config_from_args(parser, args)
     pslg = _load_geometry(parser, args) if has_geometry else None
-    client = ServiceClient(_service_address(parser, args),
-                           timeout=args.timeout,
-                           connect_retries=max(args.connect_retries, 0))
+    address = _service_address(parser, args)
     summary = {}
+    try:
+        client = ServiceClient(address, timeout=args.timeout,
+                               connect_retries=max(args.connect_retries, 0))
+    except ServiceError as exc:
+        return _submit_error(exc)
     try:
         if args.ping:
             summary["ping_rtt_s"] = round(client.ping(), 6)
@@ -464,6 +479,11 @@ def _submit_main(argv) -> int:
         if args.shutdown:
             client.shutdown_server()
             summary["shutdown"] = True
+    except TimeoutError:
+        return _submit_error(f"no reply from {address} within "
+                             f"--timeout {args.timeout}s")
+    except (ServiceError, OSError) as exc:
+        return _submit_error(exc)
     finally:
         client.close()
     if args.stats_json:
@@ -483,6 +503,11 @@ def _submit_main(argv) -> int:
         if summary.get("shutdown"):
             print("service shut down")
     return 0
+
+
+def _submit_error(message) -> int:
+    print(f"repro-mesh submit: error: {message}", file=sys.stderr)
+    return 1
 
 
 def main(argv=None) -> int:

@@ -15,10 +15,11 @@ the reply frame arrives); open one client per thread for concurrency.
 
 from __future__ import annotations
 
+import hashlib
 import socket
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from . import serde
 from .counters import monotonic
@@ -135,14 +136,18 @@ class ServiceClient:
             raise ServiceError(f"unexpected reply to ping: {kind!r}")
         return monotonic() - t0
 
-    def submit_packed(self, payload: serde.Buffers) -> Tuple[str, bytes]:
-        """Submit an already-packed mesh request; returns (kind, bytes).
+    def submit_packed(self, payload: Union[serde.Buffers, bytes]
+                      ) -> Tuple[str, bytes]:
+        """Submit an already-packed mesh request, as a buffer dict or
+        as its canonical stream; returns (kind, bytes).
 
         The reply kind is ``mesh-ok`` (freshly meshed), ``mesh-hit``
         (served from the content cache) or raises :class:`ServiceError`
         with the daemon's message for an ``err`` frame.
         """
-        kind, blob = self.request("mesh", serde.buffers_to_bytes(payload))
+        if not isinstance(payload, bytes):
+            payload = serde.buffers_to_bytes(payload)
+        kind, blob = self.request("mesh", payload)
         if kind == "err":
             raise ServiceError(blob.decode("utf-8", "replace"))
         if kind not in ("mesh-ok", "mesh-hit"):
@@ -153,13 +158,14 @@ class ServiceClient:
         """Mesh one (PSLG, MeshConfig) request on the daemon."""
         from ..core.pipeline import pack_mesh_request
 
-        payload = pack_mesh_request(pslg, config)
-        key = serde.canonical_hash(payload)
+        # Encoded once: the digest of the stream is its canonical_hash.
+        stream = serde.buffers_to_bytes(pack_mesh_request(pslg, config))
         t0 = monotonic()
-        kind, blob = self.submit_packed(payload)
+        kind, blob = self.submit_packed(stream)
         elapsed = monotonic() - t0
         mesh = serde.unpack_mesh(serde.bytes_to_buffers(blob))
-        return MeshReply(mesh=mesh, cached=(kind == "mesh-hit"), key=key,
+        return MeshReply(mesh=mesh, cached=(kind == "mesh-hit"),
+                         key=hashlib.sha256(stream).hexdigest(),
                          elapsed_s=elapsed, raw=blob)
 
     def stats(self) -> Dict[str, float]:

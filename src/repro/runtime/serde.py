@@ -38,13 +38,16 @@ read-only views.  Because the encoding is canonical — independent of
 dict insertion order and of how the arrays were produced —
 :func:`canonical_hash` (SHA-256 over the stream) is a *content address*:
 two requests hash equal iff their packed geometry/config bits are
-identical.  The meshing service keys its mesh cache and frames its
-socket protocol with exactly this encoding.
+identical.  The decoder accepts only canonical streams, so the SHA-256
+of any stream it accepts is the decoded dict's ``canonical_hash``: the
+meshing service keys a request by the digest of its raw bytes before
+decoding it, and frames its socket protocol with this encoding.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from typing import Dict, List, Tuple
 
@@ -181,9 +184,18 @@ def buffers_to_bytes(buffers: Buffers) -> bytes:
 def bytes_to_buffers(data: bytes) -> Buffers:
     """Decode a :func:`buffers_to_bytes` stream as zero-copy views.
 
+    Only canonical streams decode: exactly the ones
+    :func:`buffers_to_bytes` writes, so re-encoding the result gives
+    ``data`` back and the SHA-256 of ``data`` is the result's
+    :func:`canonical_hash` (the daemon keys a request by the digest of
+    its raw bytes on that promise).  Any other stream is a
+    :class:`SerdeError` naming the entry: keys not strictly sorted, a
+    dtype string that is not its own ``np.dtype(s).str``, a 0-d or
+    negative shape, a byte count other than shape x itemsize, a
+    truncated entry or trailing bytes.
+
     The returned arrays are read-only views over ``data`` (no copy of
-    the payload bytes), so serving a cached mesh is a pointer hand-off,
-    not a reserialization.
+    the payload bytes).
     """
     view = memoryview(data)
     if len(view) < _CANON_HEAD.size:
@@ -194,28 +206,60 @@ def bytes_to_buffers(data: bytes) -> Buffers:
             f"bad canonical stream magic {magic!r} (want {CANON_MAGIC!r})")
     out: Buffers = {}
     off = _CANON_HEAD.size
-    try:
-        for _ in range(n_entries):
-            klen, dlen, ndim, nbytes = _CANON_ENTRY.unpack_from(view, off)
-            off += _CANON_ENTRY.size
+    key = ""
+    for index in range(n_entries):
+        if off + _CANON_ENTRY.size > len(view):
+            raise SerdeError(f"canonical stream entry {index}: truncated")
+        klen, dlen, ndim, nbytes = _CANON_ENTRY.unpack_from(view, off)
+        off += _CANON_ENTRY.size
+        if off + klen + dlen + 8 * ndim + nbytes > len(view):
+            raise SerdeError(f"canonical stream entry {index}: truncated")
+        previous = key
+        try:
             key = bytes(view[off:off + klen]).decode("utf-8")
-            off += klen
-            dtype = np.dtype(bytes(view[off:off + dlen]).decode("ascii"))
-            off += dlen
-            shape = struct.unpack_from(f"<{ndim}q", view, off)
-            off += 8 * ndim
-            count = nbytes // dtype.itemsize if dtype.itemsize else 0
+            dstr = bytes(view[off + klen:off + klen + dlen]).decode("ascii")
+        except UnicodeDecodeError:
+            raise SerdeError(f"canonical stream entry {index}: key or "
+                             "dtype is not text") from None
+        off += klen + dlen
+        if index and key <= previous:
+            raise _entry_error(index, key, "keys not strictly sorted "
+                               f"(follows {previous!r})")
+        try:
+            dtype = np.dtype(dstr)
+        except (TypeError, ValueError, SyntaxError):  # what np.dtype raises
+            raise _entry_error(index, key, f"unknown dtype {dstr!r}") from None
+        if dtype.str != dstr:
+            raise _entry_error(index, key, f"dtype {dstr!r} is not "
+                               f"canonical (want {dtype.str!r})")
+        shape = struct.unpack_from(f"<{ndim}q", view, off)
+        off += 8 * ndim
+        if not shape:
+            raise _entry_error(index, key, "0-d (the encoder writes shape "
+                               "(1,))")
+        if min(shape) < 0:
+            raise _entry_error(index, key, "negative dimension in shape "
+                               f"{shape}")
+        count = math.prod(shape)
+        if nbytes != count * dtype.itemsize:
+            raise _entry_error(index, key, f"{nbytes} bytes for shape "
+                               f"{shape} of {dtype.str}")
+        try:
             a = np.frombuffer(view, dtype=dtype, count=count,
                               offset=off).reshape(shape)
-            a.flags.writeable = False
-            out[key] = a
-            off += nbytes
-    except (struct.error, ValueError) as exc:
-        raise SerdeError(f"canonical stream truncated or corrupt: {exc}")
+        except ValueError as exc:
+            raise _entry_error(index, key, str(exc)) from None
+        a.flags.writeable = False
+        out[key] = a
+        off += nbytes
     if off != len(view):
         raise SerdeError(
             f"canonical stream has {len(view) - off} trailing bytes")
     return out
+
+
+def _entry_error(index: int, key: str, what: str) -> SerdeError:
+    return SerdeError(f"canonical stream entry {index} ({key!r}): {what}")
 
 
 def canonical_hash(buffers: Buffers) -> str:

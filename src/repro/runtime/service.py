@@ -21,8 +21,12 @@ serves many requests:
   (PSLG + full MeshConfig, BL nested).  Identical geometry + config
   bits hash identically regardless of dict order or how the arrays
   were built, and backend parity guarantees the mesh is a pure function
-  of that key.  A hit replies with the stored canonical bytes — a
-  pointer hand-off, no re-meshing, no reserialization.
+  of that key.  The decoder accepts only canonical streams, whose
+  SHA-256 is that hash, so the daemon keys a request by the digest of
+  its raw bytes before decoding it: a hit is one digest, one lookup and
+  one write of the stored bytes — no decoding, no re-meshing, no
+  reserialization, no copy into a new frame.  Only a miss is decoded;
+  a stream that is not canonical gets an ``err`` frame.
 
 * **Request batching** — concurrent misses are collected for a short
   batching window and dispatched through a *single*
@@ -43,15 +47,16 @@ serves many requests:
   ``shutdown_pool``) directly; on ``serial`` they do nothing, and an
   in-flight batch runs out.
 
-Counters: ``service.requests``, ``service.cache_hits``,
-``service.batches``, ``service.batch_size`` / ``service.
-latency_seconds`` sample streams, ``service.dedup_joins``,
-``service.disconnects``, ``service.errors``.
+Counters: ``service.requests``, ``service.cache_hits`` (the stats
+frame adds the cache's ``cache_misses``), ``service.batches``,
+``service.batch_size`` / ``service.latency_seconds`` sample streams,
+``service.dedup_joins``, ``service.disconnects``, ``service.errors``.
 """
 
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import math
 import os
 import struct
@@ -71,6 +76,7 @@ __all__ = [
     "FrameError",
     "FRAME_MAGIC",
     "MAX_FRAME_BYTES",
+    "frame_head",
     "encode_frame",
     "read_frame",
     "decode_head",
@@ -109,14 +115,20 @@ FRAME_HEAD = struct.Struct("<4sBQ")
 MAX_FRAME_BYTES = 1 << 36
 
 
-def encode_frame(kind: str, payload: bytes = b"") -> bytes:
-    """One wire frame: header + ascii kind + raw payload bytes."""
+def frame_head(kind: str, size: int) -> bytes:
+    """A frame up to its payload: header + ascii kind, for a payload
+    of ``size`` bytes."""
     kb = kind.encode("ascii")
     if not kb or len(kb) > 255:
         raise FrameError(f"frame kind must be 1-255 ascii bytes: {kind!r}")
-    if len(payload) > MAX_FRAME_BYTES:
-        raise FrameError(f"frame payload of {len(payload)} bytes over cap")
-    return FRAME_HEAD.pack(FRAME_MAGIC, len(kb), len(payload)) + kb + payload
+    if size > MAX_FRAME_BYTES:
+        raise FrameError(f"frame payload of {size} bytes over cap")
+    return FRAME_HEAD.pack(FRAME_MAGIC, len(kb), size) + kb
+
+
+def encode_frame(kind: str, payload: bytes = b"") -> bytes:
+    """One wire frame: header + ascii kind + raw payload bytes."""
+    return frame_head(kind, len(payload)) + payload
 
 
 async def read_frame(reader: asyncio.StreamReader) -> Tuple[str, bytes]:
@@ -224,14 +236,12 @@ class MeshCache:
     """LRU store of finalized meshes keyed by request content hash.
 
     Values are the meshes' canonical byte streams — exactly what goes
-    back on the wire, so a hit is served without touching serde again
-    (:func:`~repro.runtime.serde.bytes_to_buffers` re-views one as
-    read-only zero-copy arrays).
+    back on the wire, so a hit is written out as the stored object,
+    without touching serde.  ``hits + misses`` counts the lookups: one
+    per mesh request.
     """
 
     def __init__(self, max_entries: int = 256) -> None:
-        if max_entries < 1:
-            raise ValueError("cache needs at least one entry")
         self.max_entries = int(max_entries)
         self._store: "OrderedDict[str, bytes]" = OrderedDict()
         self._lock = threading.Lock()
@@ -312,13 +322,22 @@ class MeshService:
         self.address = parse_address(address)
         self._backend: executor.Backend = executor.get_backend(backend)
         self.backend_name = self._backend.name
+        counts = [("max_batch", max_batch), ("cache_entries", cache_entries)]
+        if self._backend.parallel:
+            counts.append(("n_ranks", n_ranks))
+        for name, value in counts:
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+        if not (math.isfinite(batch_window) and batch_window >= 0):
+            raise ValueError("batch_window must be a finite number >= 0, "
+                             f"got {batch_window}")
         if self.backend_name == "processes":
             # Service-owned pool: shutdown() must be able to stop the
             # workers without tearing down the shared instance.
             self._backend = executor.ProcessesBackend()
         self.n_ranks = int(n_ranks)
         self.batch_window = float(batch_window)
-        self.max_batch = max(int(max_batch), 1)
+        self.max_batch = int(max_batch)
         self.cache = MeshCache(cache_entries)
         self.counters = Counters()
         if work_fn is None or cost_fn is None:
@@ -461,6 +480,7 @@ class MeshService:
             "uptime_s": monotonic() - self._t_start,
             "requests": requests,
             "cache_hits": hits,
+            "cache_misses": float(self.cache.misses),
             "hit_ratio": hits / requests if requests else 0.0,
             "dedup_joins": float(events.get("service.dedup_joins", 0)),
             "batches": float(events.get("service.batches", 0)),
@@ -540,13 +560,10 @@ class MeshService:
         t0 = monotonic()
         sink = self.counters
         sink.incr("service.requests")
-        try:
-            payload = serde.bytes_to_buffers(payload_bytes)
-        except serde.SerdeError as exc:
-            sink.incr("service.errors")
-            await self._send(writer, "err", f"bad request: {exc}".encode())
-            return
-        key = serde.canonical_hash(payload)
+        # Only canonical streams decode, and the digest of one is its
+        # canonical_hash: the raw bytes key the request, so a hit is
+        # served without decoding anything.
+        key = hashlib.sha256(payload_bytes).hexdigest()
         blob = self.cache.get(key)
         if blob is not None:
             sink.incr("service.cache_hits")
@@ -560,9 +577,11 @@ class MeshService:
                 await self._send(writer, "err",
                                  b"service is shutting down")
                 return
-            # Priced before it queues: a payload the cost function
-            # rejects fails here, alone, instead of with its batch.
+            # Decoded and priced before it queues: a stream that is not
+            # canonical, or a payload the cost function rejects, fails
+            # here, alone, instead of with its batch.
             try:
+                payload = serde.bytes_to_buffers(payload_bytes)
                 cost = self._cost_fn(payload)
             except serde.SerdeError as exc:
                 sink.incr("service.errors")
@@ -589,7 +608,10 @@ class MeshService:
 
     async def _send(self, writer: asyncio.StreamWriter, kind: str,
                     payload: bytes) -> None:
-        writer.write(encode_frame(kind, payload))
+        # The payload object itself goes to the transport: a cached mesh
+        # is not copied into a new frame.
+        writer.write(frame_head(kind, len(payload)))
+        writer.write(payload)
         await writer.drain()
 
     # -- batching scheduler --------------------------------------------

@@ -4,7 +4,9 @@ The service's cache is only sound if the canonical hash is a faithful
 fingerprint of request *content*: invariant under serde pack→unpack
 round trips and dict key order (both of which vary by transport path),
 and different whenever any byte of any buffer differs (else distinct
-requests would alias to the same mesh).
+requests would alias to the same mesh).  The service keys a request by
+the SHA-256 of its raw bytes, which is that hash only because the
+decoder accepts nothing but the streams the encoder writes.
 """
 
 import hashlib
@@ -105,6 +107,124 @@ def test_hash_sensitive_to_any_flipped_byte(buffers, data):
     mutated[key] = np.frombuffer(bytes(raw),
                                  dtype=arr.dtype).reshape(arr.shape)
     assert serde.canonical_hash(mutated) != serde.canonical_hash(buffers)
+
+
+def split_stream(stream):
+    """A canonical stream's entries as ``[key, dtype, shape, raw]``
+    byte fields, read by the documented layout."""
+    count = struct.unpack_from("<4sI", stream, 0)[1]
+    off = 8
+    entries = []
+    for _ in range(count):
+        klen, dlen, ndim, nbytes = struct.unpack_from("<HBBQ", stream, off)
+        off += 12
+        key = stream[off:off + klen]
+        dtype = stream[off + klen:off + klen + dlen]
+        off += klen + dlen
+        shape = list(struct.unpack_from(f"<{ndim}q", stream, off))
+        off += 8 * ndim
+        entries.append([key, dtype, shape, stream[off:off + nbytes]])
+        off += nbytes
+    return entries
+
+
+def join_stream(entries):
+    """Inverse of :func:`split_stream`, writing whatever it is given."""
+    parts = [struct.pack("<4sI", b"RSB1", len(entries))]
+    for key, dtype, shape, raw in entries:
+        parts.append(struct.pack("<HBBQ", len(key), len(dtype), len(shape),
+                                 len(raw)))
+        parts += [key, dtype, struct.pack(f"<{len(shape)}q", *shape), raw]
+    return b"".join(parts)
+
+
+def decoded_is_canonical(stream):
+    """False when the decoder refuses ``stream``; else assert that it is
+    the encoding of what it decodes to, and that its digest is that
+    dict's cache key."""
+    try:
+        out = serde.bytes_to_buffers(stream)
+    except serde.SerdeError:
+        return False
+    assert serde.buffers_to_bytes(out) == stream
+    assert hashlib.sha256(stream).hexdigest() == serde.canonical_hash(out)
+    return True
+
+
+@given(buffer_dicts())
+@settings(max_examples=60, deadline=None)
+def test_every_encoded_stream_decodes_canonically(buffers):
+    stream = serde.buffers_to_bytes(buffers)
+    assert split_stream(stream) and join_stream(split_stream(stream)) == \
+        stream
+    assert decoded_is_canonical(stream)
+
+
+@given(buffer_dicts(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_flipped_byte_is_refused_or_canonical(buffers, data):
+    stream = bytearray(serde.buffers_to_bytes(buffers))
+    idx = data.draw(st.integers(0, len(stream) - 1))
+    stream[idx] ^= data.draw(st.integers(1, 255))
+    decoded_is_canonical(bytes(stream))
+
+
+def _alias(dtype):
+    """Spellings ``np.dtype`` reads as ``dtype`` that are not its str."""
+    name = np.dtype(dtype).name.encode()
+    return [name, b"=" + dtype[1:]] if dtype[:1] == b"<" else [name]
+
+
+#: stream mutations the encoder can never write; each one a decoder
+#: that is not canonical-only turns into a different stream.
+MUTATIONS = ["swap", "repeat", "alias", "negative", "more", "fewer"]
+
+
+@given(buffer_dicts(), st.sampled_from(MUTATIONS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_mutated_stream_is_refused_naming_its_entry(buffers, mutation,
+                                                      data):
+    entries = split_stream(serde.buffers_to_bytes(buffers))
+    i = data.draw(st.integers(0, len(entries) - 1))
+    entry = entries[i]
+    if mutation == "swap":
+        if len(entries) < 2:
+            return
+        j = data.draw(st.integers(0, len(entries) - 1).filter(
+            lambda j: j != i))
+        entries[i], entries[j] = entries[j], entries[i]
+    elif mutation == "repeat":
+        entries.insert(i, list(entry))
+    elif mutation == "alias":
+        entry[1] = data.draw(st.sampled_from(_alias(entry[1])))
+    elif mutation == "negative":
+        k = data.draw(st.integers(0, len(entry[2]) - 1))
+        entry[2][k] = -entry[2][k] - 1
+    elif mutation == "more":
+        entry[3] += b"\x00"
+    elif not entry[3]:  # "fewer" needs a byte to drop
+        return
+    else:
+        entry[3] = entry[3][:-1]
+    with pytest.raises(serde.SerdeError, match="canonical stream entry"):
+        serde.bytes_to_buffers(join_stream(entries))
+
+
+def test_request_corpus_keys_are_the_digest_of_the_request_bytes():
+    """The service keys a request by the digest of its raw bytes; on
+    every ``pack_mesh_request`` payload that is ``canonical_hash``, so
+    no cache key moved."""
+    for code in ("0012", "2412", "4412"):
+        for n_points in (21, 31):
+            pslg = PSLG.from_loops([naca4(code, n_points)],
+                                   names=[f"naca{code}"])
+            for config in (MeshConfig(), MeshConfig(grading=0.5,
+                                                    h_max_chords=2.0)):
+                payload = pack_mesh_request(pslg, config)
+                stream = serde.buffers_to_bytes(payload)
+                assert decoded_is_canonical(stream)
+                assert hashlib.sha256(stream).hexdigest() == \
+                    serde.canonical_hash(payload)
 
 
 def test_hash_distinguishes_key_names_and_dtypes():

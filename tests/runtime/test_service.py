@@ -17,6 +17,9 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.pipeline import MeshConfig, pack_mesh_request
+from repro.geometry.airfoils import naca4
+from repro.geometry.pslg import PSLG
 from repro.runtime import serde
 from repro.runtime.client import ServiceClient, read_frame_blocking
 from repro.runtime.counters import monotonic
@@ -57,6 +60,17 @@ def _slow_counted_item(payload):
 
 def _boom_item(payload):
     raise ValueError("boom in work item")
+
+
+def _big_item(payload):
+    """A reply far larger than a socket buffer holds."""
+    return {"y": np.full(1 << 20, float(payload["tag"][0]))}
+
+
+def _one_triangle_item(payload):
+    return {"points": np.asarray([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+            "triangles": np.asarray([[0, 1, 2]], dtype=np.int32),
+            "segments": np.asarray([[0, 1]], dtype=np.int32)}
 
 
 def _unit_cost(payload):
@@ -254,6 +268,125 @@ class TestServiceEndToEnd:
             assert stats["cache_hits"] == 1.0
         finally:
             thread.stop()
+
+    def test_hit_neither_decodes_nor_rehashes(self, tmp_path, monkeypatch):
+        """A hit is one digest of the raw bytes, one lookup, one write."""
+        calls = []
+        for name in ("bytes_to_buffers", "canonical_hash"):
+            def spy(*args, _real=getattr(serde, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(serde, name, spy)
+        svc, thread, endpoint = _start(tmp_path)
+        try:
+            with ServiceClient(endpoint) as client:
+                assert client.submit_packed(_buffers(1.0))[0] == "mesh-ok"
+                assert calls == ["bytes_to_buffers"]  # only a miss decodes
+                del calls[:]
+                assert client.submit_packed(_buffers(1.0))[0] == "mesh-hit"
+                assert calls == []
+        finally:
+            thread.stop()
+
+    def test_hits_plus_misses_are_the_mesh_requests(self, tmp_path):
+        svc, thread, endpoint = _start(tmp_path)
+        try:
+            with ServiceClient(endpoint) as client:
+                for tag in (1.0, 1.0, 2.0, 1.0):
+                    client.submit_packed(_buffers(tag))
+                assert client.request("mesh", b"junk")[0] == "err"
+                stats = client.stats()
+            assert stats["requests"] == 5.0
+            assert stats["cache_hits"] == 2.0
+            assert stats["cache_hits"] + stats["cache_misses"] == \
+                stats["requests"]
+        finally:
+            thread.stop()
+
+    def test_non_canonical_request_err_frame_then_next_request(
+            self, tmp_path):
+        """A stream the encoder would not write (here a dtype alias) is
+        refused on its own; the connection goes on."""
+        canonical = serde.buffers_to_bytes(_buffers(1.0))
+        alias = canonical.replace(b"<f8", b"=f8", 1)
+        svc, thread, endpoint = _start(tmp_path)
+        try:
+            raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            raw.connect(str(tmp_path / "svc.sock"))
+            try:
+                raw.sendall(encode_frame("mesh", alias))
+                kind, payload = read_frame_blocking(raw)
+                assert kind == "err"
+                assert b"bad request" in payload
+                assert b"'=f8' is not canonical" in payload
+                raw.sendall(encode_frame("mesh", canonical))
+                assert read_frame_blocking(raw)[0] == "mesh-ok"
+            finally:
+                raw.close()
+        finally:
+            thread.stop()
+
+    def test_eviction_while_a_hit_reply_is_in_flight(self, tmp_path):
+        """A hit's reply is written from the cached object itself; its
+        bytes survive the eviction of that entry mid-write."""
+        a, b = _buffers(1.0), _buffers(2.0)
+        svc, thread, endpoint = _start(tmp_path, work_fn=_big_item,
+                                       cache_entries=1)
+        try:
+            with ServiceClient(endpoint) as client:
+                kind, first_a = client.submit_packed(a)
+            assert kind == "mesh-ok"
+            slow = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+            slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            slow.connect(str(tmp_path / "svc.sock"))
+            try:
+                slow.sendall(encode_frame("mesh", serde.buffers_to_bytes(a)))
+                deadline = monotonic() + 30.0
+                while svc.stats()["cache_hits"] < 1.0:
+                    assert monotonic() < deadline, "the hit never came"
+                    time.sleep(0.01)
+                with ServiceClient(endpoint) as client:
+                    assert client.submit_packed(b)[0] == "mesh-ok"
+                assert svc.stats()["cache_evictions"] == 1.0
+                kind, blob = read_frame_blocking(slow)  # read it now
+            finally:
+                slow.close()
+            assert kind == "mesh-hit"
+            assert blob == first_a
+            with ServiceClient(endpoint) as client:
+                kind, again = client.submit_packed(a)
+            assert kind == "mesh-ok"
+            assert again == first_a
+        finally:
+            thread.stop()
+
+    def test_submit_encodes_its_request_once(self, tmp_path, monkeypatch):
+        """``ServiceClient.submit`` encodes the request once and keys the
+        reply by the digest of those bytes: ``canonical_hash``."""
+        pslg = PSLG.from_loops([naca4("0012", 21)], names=["naca0012"])
+        config = MeshConfig()
+        client_calls = []
+        real = serde.buffers_to_bytes
+
+        def spy(buffers):
+            if threading.current_thread() is threading.main_thread():
+                client_calls.append(sorted(buffers))
+            return real(buffers)
+
+        svc, thread, endpoint = _start(tmp_path, work_fn=_one_triangle_item)
+        try:
+            monkeypatch.setattr(serde, "buffers_to_bytes", spy)
+            with ServiceClient(endpoint) as client:
+                replies = [client.submit(pslg, config) for _ in range(2)]
+            monkeypatch.undo()
+        finally:
+            thread.stop()
+        assert len(client_calls) == 2
+        assert [r.cached for r in replies] == [False, True]
+        key = serde.canonical_hash(pack_mesh_request(pslg, config))
+        assert [r.key for r in replies] == [key, key]
+        assert replies[0].mesh.n_triangles == 1
 
     def test_tcp_ephemeral_port(self, tmp_path):
         svc = MeshService("tcp:127.0.0.1:0", backend="serial",
@@ -476,6 +609,20 @@ def test_shutdown_aborts_inflight_batch_via_epoch_fence(tmp_path):
     assert all("abort" in msg or "shutting down" in msg
                for msg in errors.values())
     assert stop_elapsed < 7.0
+
+
+@pytest.mark.parametrize("settings, named", [
+    ({"backend": "processes", "n_ranks": 0}, "n_ranks must be at least 1"),
+    ({"cache_entries": 0}, "cache_entries must be at least 1"),
+    ({"max_batch": 0}, "max_batch must be at least 1"),
+    ({"batch_window": float("inf")}, "batch_window must be a finite"),
+    ({"batch_window": -0.5}, "batch_window must be a finite"),
+    ({"batch_window": float("nan")}, "batch_window must be a finite"),
+])
+def test_unusable_settings_are_refused(tmp_path, settings, named):
+    with pytest.raises(ValueError, match=named):
+        MeshService(f"unix:{tmp_path}/svc.sock", work_fn=_echo_item,
+                    cost_fn=_unit_cost, **settings)
 
 
 def test_service_thread_lifecycle_guards(tmp_path):

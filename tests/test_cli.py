@@ -3,6 +3,7 @@ serve/submit service subcommands."""
 
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -237,6 +238,31 @@ class TestServiceParsers:
         err = capsys.readouterr().err
         assert "--ranks only applies to parallel backends" in err
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--cache-entries", "0"], "--cache-entries must be at least 1"),
+        (["--backend", "processes", "--ranks", "0"],
+         "--ranks must be at least 1"),
+        (["--max-batch", "0"], "--max-batch must be at least 1"),
+        (["--batch-window", "inf"], "--batch-window must be a finite"),
+        (["--batch-window", "-0.5"], "--batch-window must be a finite"),
+        (["--batch-window", "nan"], "--batch-window must be a finite"),
+    ])
+    def test_unusable_serve_settings_fail_before_the_daemon_starts(
+            self, capsys, monkeypatch, tmp_path, flags, named):
+        """A setting the daemon cannot run with is a usage error naming
+        its flag; the daemon never starts (a start is a test failure,
+        not a hang)."""
+        from repro.runtime.service import MeshService
+
+        def must_not_start(self):
+            raise AssertionError("the daemon started")
+
+        monkeypatch.setattr(MeshService, "start", must_not_start)
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--socket", str(tmp_path / "s.sock")] + flags)
+        assert exc.value.code == 2
+        assert named in capsys.readouterr().err
+
     @pytest.mark.parametrize("command, spec", [
         (["serve", "--backend", "serial"], "localhost"),
         (["serve", "--backend", "serial"], "127.0.0.1:99999"),
@@ -342,3 +368,54 @@ class TestServeSubmitEndToEnd:
         assert not thread.is_alive()
         assert rc.get("value") == 0
         assert "service shut down" in capsys.readouterr().out
+
+
+def _boom_item(payload):
+    raise ValueError("boom in work item")
+
+
+class TestSubmitErrors:
+    """``submit`` fails in one line on stderr with exit 1, never with a
+    traceback."""
+
+    MESH = ["--naca", "0012", "--surface-points", "31", "--max-layers",
+            "6", "--farfield-chords", "5", "--subdomains", "4"]
+
+    @staticmethod
+    def _one_line(capsys, *needles):
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert err.startswith("repro-mesh submit: error: "), err
+        assert all(n in err for n in needles), err
+
+    def test_no_daemon_at_the_address(self, capsys, tmp_path):
+        sock = tmp_path / "nobody.sock"
+        assert main(["submit", "--socket", str(sock), "--ping"]) == 1
+        self._one_line(capsys, "cannot connect", str(sock))
+
+    def test_err_reply(self, capsys, tmp_path):
+        from repro.runtime.service import MeshService
+        from tests.runtime.service_thread import ServiceThread
+
+        sock = tmp_path / "svc.sock"
+        thread = ServiceThread(MeshService(f"unix:{sock}", backend="serial",
+                                           work_fn=_boom_item))
+        thread.start()
+        try:
+            assert main(["submit", "--socket", str(sock), *self.MESH,
+                         "-o", str(tmp_path / "m")]) == 1
+        finally:
+            thread.stop()
+        self._one_line(capsys, "boom in work item")
+
+    def test_socket_timeout(self, capsys, tmp_path):
+        sock = tmp_path / "mute.sock"
+        listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            listener.bind(str(sock))
+            listener.listen(1)  # connects, never answers
+            assert main(["submit", "--socket", str(sock), "--ping",
+                         "--timeout", "0.2"]) == 1
+        finally:
+            listener.close()
+        self._one_line(capsys, "no reply", "--timeout 0.2")
