@@ -39,10 +39,11 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE / "ledger")]
 
 import workloads  # noqa: E402  (benchmarks/ledger/workloads.py)
 from repro import generate_mesh  # noqa: E402
-from repro.core import decouple, pipeline  # noqa: E402
+from repro.core import pipeline  # noqa: E402
 from repro.core.bl_pipeline import interior_seed  # noqa: E402
 from repro.delaunay.constrained import (  # noqa: E402
     carve,
+    checked_rings,
     triangulate_polygon,
     triangulate_pslg,
     triangulate_rays,
@@ -147,14 +148,14 @@ def main(argv=None) -> int:
     differ = 0
     for name in ("naca_farfield", "highlift_bl"):
         bl, subs = inputs(name, args.smoke)
-        rings = [decouple.checked_rings(s) for s in subs]
+        rings = [checked_rings(s.ring, s.hole_rings) for s in subs]
         ring_pslgs = [ring_pslg(r, h) for r, h in rings]
         cases = {
             "rings": (len(rings), sum(len(p) for p, _, _ in ring_pslgs),
                       lambda: [triangulate_polygon(r, h) for r, h in rings],
                       lambda: [pslg_cdt(*c) for c in ring_pslgs],
-                      best_of(repeats, lambda: [decouple.checked_rings(s)
-                                                for s in subs])),
+                      best_of(repeats, lambda: [
+                          checked_rings(s.ring, s.hole_rings) for s in subs])),
             "bl annuli": (len(bl.outer_borders), len(bl.points),
                           lambda: [triangulate_rays(*bl.item())],
                           lambda: [pslg_cdt(bl.points, bl.segments, [

@@ -15,7 +15,8 @@ and its ways off the fast path (``locked_segment_skips``;
 ``straight_walk_fallbacks``, circumcenters the kernel walk located;
 ``blocked_circumcenters``, ones a segment hid), the subdomain rings
 triangulated (``ring_points``) with ``flips_per_ring_point`` (the Lawson
-flips that made them Delaunay, per ring point: ~1.8), the boundary-layer
+flips that made them Delaunay, per ring point: ~1.8; not printed under
+adaptation, whose flips share the counter), the boundary-layer
 annuli zipped from their rays (``bl_points``, the strip checks'
 ``bl_orient_tests``, ``bl_incircle_tests`` and ``bl_flips``, outside the
 kernel block) with ``bl_flips_per_point`` (~0.3), then the
@@ -135,7 +136,9 @@ def main(argv=None) -> None:
                                "blocked_circumcenters")]
             rows.append(("triangle_tests_per_steiner",
                          events["triangle_tests"] / events["steiner_points"]))
-        if events.get("ring_points"):
+        # The adaptor's flips and the edge splits' Lawson flips share
+        # the kernel's flip counter: no ratio to ring points there.
+        if events.get("ring_points") and not events.get("adapt_passes"):
             rows += [("ring_points", events["ring_points"]),
                      ("flips_per_ring_point",
                       kernel.flips / events["ring_points"])]

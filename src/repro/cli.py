@@ -313,13 +313,11 @@ def _run_adaptation(pslg: PSLG, mesh, args: argparse.Namespace,
     the result).  Body surfaces are constrained segments and protected
     from splitting, so the geometry never degrades.
     """
-    from .core.bl_pipeline import interior_seed
     from .metric import MetricField
     from .solver.adapt import adapt_step
     from .solver.flow import solve_potential_flow
 
     body_loops = [pslg.loop_points(lp) for lp in pslg.body_loops]
-    holes = [interior_seed(lp) for lp in body_loops]
     h_min, h_max = args.adapt_hmin, args.adapt_hmax
     cycles = []
     for _ in range(args.adapt_cycles):
@@ -328,7 +326,7 @@ def _run_adaptation(pslg: PSLG, mesh, args: argparse.Namespace,
                                           eps=args.adapt_eps,
                                           h_min=h_min, h_max=h_max)
         metric = metric.limit_gradation(mesh.edges(), grading=args.grading)
-        mesh, report = adapt_step(mesh, metric, holes=holes,
+        mesh, report = adapt_step(mesh, metric,
                                   max_passes=args.adapt_passes,
                                   protect_segments=True, backend=backend)
         cycles.append(report.to_dict())

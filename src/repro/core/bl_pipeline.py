@@ -29,6 +29,7 @@ import numpy as np
 
 from ..delaunay.constrained import triangulate_rays
 from ..delaunay.mesh import TriMesh
+from ..geometry.primitives import point_in_polygon
 from ..geometry.pslg import PSLG
 from ..runtime.counters import phase
 from ..sizing.growth import GeometricGrowth
@@ -143,22 +144,9 @@ def interior_seed(loop_pts: np.ndarray) -> Tuple[float, float]:
         mx, my = 0.5 * (a[0] + b[0]), 0.5 * (a[1] + b[1])
         for scale in (0.3, 0.1, 0.03, 0.01):
             px, py = mx + nx * scale * elen, my + ny * scale * elen
-            if _point_in_polygon(px, py, loop_pts):
+            if point_in_polygon(px, py, loop_pts):
                 return (px, py)
     raise ValueError("could not find an interior seed (degenerate loop?)")
-
-
-def _point_in_polygon(x, y, poly: np.ndarray):
-    """Even-odd ray casting (horizontal ray to +inf), vectorised over
-    the edges — and over points when ``x`` and ``y`` are ``(k, 1)``
-    columns (one answer per row)."""
-    poly = np.asarray(poly, dtype=np.float64)
-    xi, yi = poly[:, 0], poly[:, 1]
-    xj, yj = np.roll(xi, 1), np.roll(yi, 1)
-    straddle = (yi > y) != (yj > y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x_cross = xi + (y - yi) / (yj - yi) * (xj - xi)
-    return (straddle & (x < x_cross)).sum(axis=-1) % 2 == 1
 
 
 def _border_rings(element_rays: Sequence[Sequence[Ray]]

@@ -35,10 +35,10 @@ import numpy as np
 from ..delaunay.mesh import TriMesh
 from ..delaunay.refine import (MAX_STEINER, RUPPERT_BOUND, AreaCriterion,
                                Refiner)
-from ..delaunay.constrained import triangulate_polygon
-from ..geometry.aabb import AABB, boxes_from_segments, overlapping_pairs
-from ..geometry.predicates import exact_eq, orient2d_batch
-from ..geometry.primitives import polygon_area, segments_intersect_batch
+from ..delaunay.constrained import checked_rings, triangulate_polygon
+from ..geometry.aabb import AABB
+from ..geometry.predicates import exact_eq
+from ..geometry.primitives import point_in_polygon, polygon_area
 from ..sizing.functions import (
     SizingFunction,
     areas_at,
@@ -47,13 +47,11 @@ from ..sizing.functions import (
 
 __all__ = [
     "DecoupledSubdomain",
-    "RingError",
     "march_path",
     "ring_from_parts",
     "initial_quadrants",
     "decouple",
     "decouple_stream",
-    "checked_rings",
     "refine_subdomain",
     "estimate_triangles",
 ]
@@ -70,28 +68,14 @@ ESTIMATE_SAMPLES = 64
 ESTIMATE_SEED = 0
 
 
-class RingError(ValueError):
-    """A subdomain ring :func:`refine_subdomain` cannot triangulate:
-    ``ring`` 0 is the outer ring, ``ring`` i hole ring ``i - 1``, and
-    ``vertex`` indexes that ring as given."""
-
-    def __init__(self, ring: int, vertex: int, problem: str) -> None:
-        super().__init__(f"{_ring_name(ring)}, vertex {vertex}: {problem}")
-        self.ring, self.vertex = ring, vertex
-
-
-def _ring_name(ring: int) -> str:
-    return "outer ring" if ring == 0 else f"hole ring {ring - 1}"
-
-
 @dataclass
 class DecoupledSubdomain:
     """A convex-ish inviscid subdomain: a CCW ring of border vertices.
 
     ``hole_rings`` are used only by the near-body subdomain (the region
-    between the boundary-layer outer borders and the near-body box);
-    ``holes`` are seed points inside them, which refinement does not
-    need: the triangulation of the rings covers nothing else.
+    between the boundary-layer outer borders and the near-body box).
+    ``holes`` (seeds inside them) is read by nothing and not sent: the
+    rings' triangulation covers nothing else.  The ledger's replay sets it.
     """
 
     ring: np.ndarray
@@ -257,8 +241,6 @@ def estimate_triangles(sub: DecoupledSubdomain, sizing: SizingFunction
     the constant cancels in load balancing but keeps absolute estimates
     honest for the cost model.
     """
-    from .bl_pipeline import _point_in_polygon
-
     area = sub.area()
     box = AABB.of_points(sub.ring)
     rng = np.random.default_rng(ESTIMATE_SEED)
@@ -270,7 +252,7 @@ def estimate_triangles(sub: DecoupledSubdomain, sizing: SizingFunction
         xy = rng.uniform((box.xmin, box.ymin), (box.xmax, box.ymax),
                          size=(ESTIMATE_SAMPLES, 2))
         inside = np.vstack(
-            [inside, xy[_point_in_polygon(xy[:, :1], xy[:, 1:], sub.ring)]])
+            [inside, xy[point_in_polygon(xy[:, :1], xy[:, 1:], sub.ring)]])
         if len(inside) >= ESTIMATE_SAMPLES:
             break
     samples = inside[:ESTIMATE_SAMPLES] if len(inside) else [sub.centroid()]
@@ -395,64 +377,6 @@ def decouple(
                                 target_count=target_count))
 
 
-def checked_rings(sub: DecoupledSubdomain
-                  ) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """The subdomain's rings as a polygon: the outer ring
-    counter-clockwise, every hole ring clockwise.
-
-    Raises :class:`RingError` for a ring with fewer than three distinct
-    vertices, a vertex repeated next to itself, no area, or a vertex
-    where the ring folds back onto itself, and for two ring edges that
-    meet anywhere but at the vertex they share.  The crossing search is
-    the one of :func:`~repro.core.intersections.crossing_pairs`
-    (extent-box broad phase, exact batch test), minus the pairs of ring
-    neighbours, which always touch.
-    """
-    parts = [np.asarray(r, dtype=np.float64).reshape(-1, 2)
-             for r in (sub.ring, *sub.hole_rings)]
-    for r, pts in enumerate(parts):
-        nxt, prv = np.roll(pts, -1, axis=0), np.roll(pts, 1, axis=0)
-        repeat = (pts == nxt).all(axis=1)
-        if repeat.any():
-            raise RingError(r, int(np.argmax(repeat)),
-                            "repeats the vertex after it")
-        if len(np.unique(pts, axis=0)) < 3:
-            raise RingError(r, 0, "has fewer than 3 distinct vertices")
-        # A fold-back is a zero turn between neighbours on one side.
-        acute = np.flatnonzero(((prv - pts) * (nxt - pts)).sum(axis=1) > 0)
-        if len(acute):
-            fold = acute[orient2d_batch(prv[acute], pts[acute],
-                                        nxt[acute]) == 0]
-            if len(fold):
-                raise RingError(r, int(fold[0]), "folds back on itself")
-    sizes = [len(p) for p in parts]
-    ring_of = np.repeat(np.arange(len(parts)), sizes)
-    vertex_of = np.concatenate([np.arange(m) for m in sizes])
-    size_of = np.repeat(sizes, sizes)
-    segs = np.concatenate(
-        [np.stack([p, np.roll(p, -1, axis=0)], axis=1) for p in parts])
-    i, j = overlapping_pairs(boxes_from_segments(segs))
-    step = (vertex_of[j] - vertex_of[i]) % size_of[i]
-    apart = ((ring_of[i] != ring_of[j])
-             | ((step != 1) & (step != size_of[i] - 1)))
-    i, j = i[apart], j[apart]
-    if len(i):
-        meet = np.flatnonzero(segments_intersect_batch(
-            segs[i, 0], segs[i, 1], segs[j, 0], segs[j, 1]))
-        if len(meet):
-            a, b = i[meet[0]], j[meet[0]]
-            raise RingError(int(ring_of[a]), int(vertex_of[a]),
-                            f"its edge meets edge {int(vertex_of[b])} of "
-                            f"the {_ring_name(int(ring_of[b]))}")
-    for r, pts in enumerate(parts):
-        area = polygon_area(pts)
-        if exact_eq(area, 0.0):
-            raise RingError(r, 0, "encloses no area")
-        if (area > 0.0) != (r == 0):
-            parts[r] = pts[::-1]
-    return parts[0], parts[1:]
-
-
 def refine_subdomain(
     sub: DecoupledSubdomain,
     sizing: SizingFunction,
@@ -462,14 +386,13 @@ def refine_subdomain(
 ) -> TriMesh:
     """Independently Ruppert-refine one decoupled subdomain.
 
-    The rings are checked (:func:`checked_rings`) and triangulated as
-    the polygon they bound (:func:`~repro.delaunay.constrained.
-    triangulate_polygon`).  Border segments are locked (never split):
+    The rings are checked and triangulated as the polygon they bound
+    (:mod:`repro.delaunay.constrained`).  Border segments are locked:
     the decoupling sized them so refinement terminates without touching
     them, keeping neighbouring subdomain meshes conforming with zero
     communication.
     """
-    ring, hole_rings = checked_rings(sub)
+    ring, hole_rings = checked_rings(sub.ring, sub.hole_rings)
     refiner = Refiner(
         triangulate_polygon(ring, hole_rings),
         quality_bound=quality_bound,

@@ -430,7 +430,7 @@ def mesh_workitem(payload: serde.Buffers) -> serde.Buffers:
 # Metric adaptation work items
 # ----------------------------------------------------------------------
 def pack_adapt_item(mesh: TriMesh, metric_field, *,
-                    holes=(), max_passes: int = 3,
+                    max_passes: int = 3,
                     protect_segments: bool = False) -> serde.Buffers:
     """One metric-adaptation work item as a flat buffer dict.  The
     length band (:data:`~repro.delaunay.adapt.LOW_BAND` ..
@@ -439,9 +439,6 @@ def pack_adapt_item(mesh: TriMesh, metric_field, *,
     travel."""
     payload = serde.nest("mesh.", serde.pack_mesh(mesh))
     payload.update(serde.nest("metric.", serde.pack_metric(metric_field)))
-    holes_arr = (np.asarray(holes, dtype=np.float64).reshape(-1, 2)
-                 if len(holes) else np.empty((0, 2), dtype=np.float64))
-    payload["holes"] = holes_arr
     payload["params"] = np.asarray(
         [float(max_passes), 1.0 if protect_segments else 0.0],
         dtype=np.float64)
@@ -460,10 +457,8 @@ def adapt_workitem(payload: serde.Buffers) -> serde.Buffers:
     mesh = serde.unpack_mesh(serde.unnest("mesh.", payload))
     metric_field = serde.unpack_metric(serde.unnest("metric.", payload))
     max_passes, protect = (float(x) for x in payload["params"])
-    holes = [tuple(h) for h in payload["holes"]]
     new_mesh, report = adapt_mesh(
         mesh, metric_field,
-        holes=holes,
         max_passes=int(max_passes),
         protect_segments=bool(protect),
     )

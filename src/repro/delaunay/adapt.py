@@ -7,9 +7,8 @@ the mesh is (approximately) *unit* in the metric — every edge with metric
 length inside ``[1/sqrt(2), sqrt(2)]``:
 
 * **split** edges longer than :data:`HIGH_BAND` at their midpoint —
-  constrained segments split through the same region-safe path as
-  Ruppert refinement, interior edges through the kernel's cavity-engine
-  point insertion;
+  constrained segments as edges (:func:`~repro.delaunay.cavity.
+  split_edge`), interior edges by cavity insertion;
 * **collapse** edges shorter than :data:`LOW_BAND` by removing a free
   endpoint and retriangulating its star polygon (ear clipping with exact
   orientation guards);
@@ -20,11 +19,13 @@ length inside ``[1/sqrt(2), sqrt(2)]``:
 * **smooth** free vertices toward the metric-weighted centroid of their
   neighbours, with step-halving validity guards.
 
-:class:`MeshAdaptor` extends :class:`repro.delaunay.refine.Refiner` — it
-inherits the interior/hole region bookkeeping, the constraint-aware
-segment splitting, and the cavity-engine insertion path, and adds the
-structural operations refinement never needs (collapse, quality flips,
-vertex relocation).  :func:`adapt_mesh` is the one-call driver used by
+:func:`adapt_mesh` loads the mesh as it is
+(:func:`~repro.delaunay.constrained.load_mesh`): its triangles are the
+region and every boundary edge is a constraint with a ghost wall behind
+it.  :class:`MeshAdaptor` extends :class:`repro.delaunay.refine.Refiner`
+(segment split, Steiner budget, edge lookups) with the operations
+refinement never needs (collapse, quality flips, vertex relocation).
+:func:`adapt_mesh` is the one-call driver used by
 :mod:`repro.solver.adapt` and the CLI.
 """
 
@@ -40,7 +41,8 @@ import numpy as np
 from ..metric import tensor as _mt
 from ..runtime.counters import current as counters_current
 from .arrays import DEAD
-from .constrained import triangulate_pslg
+from .cavity import insert_point
+from .constrained import load_mesh
 from .kernel import GHOST, TriangulationError
 from .mesh import TriMesh
 from .refine import Refiner, _orient
@@ -219,7 +221,7 @@ class AdaptReport:
 class MeshAdaptor(Refiner):
     """Local-operation adaptation driver over a constrained triangulation.
 
-    Parameters mirror :class:`Refiner` (region bookkeeping is shared);
+    ``tri`` is a region as :class:`Refiner` takes it (a loaded mesh);
     ``metric_field`` prescribes the target metric.  The collapse/split
     thresholds in metric length are the unit band's ends,
     :data:`LOW_BAND` and :data:`HIGH_BAND`.
@@ -230,10 +232,9 @@ class MeshAdaptor(Refiner):
         tri,
         metric_field,
         *,
-        holes: Sequence[Tuple[float, float]] = (),
         protect_segments: bool = False,
     ) -> None:
-        super().__init__(tri, holes=holes, quality_bound=None)
+        super().__init__(tri, quality_bound=None)
         self.field = metric_field
         # When True, constrained segments are never split: callers whose
         # downstream stages match boundary vertices by exact coordinates
@@ -271,29 +272,23 @@ class MeshAdaptor(Refiner):
         """``(uv, slot)`` of the interior edges, from the flat arrays:
         one scan per state of the connectivity.
 
-        ``uv`` holds the ``(u, v)``, ``u < v`` rows of every edge with an
-        interior (non-hole, non-ghost) triangle on either side, sorted
-        like tuples; ``slot[i] = 3 * t + k`` is where the triangle left
-        of ``u -> v`` stores that edge (``t`` may be a ghost: a hull
-        edge).  Every edge is stored once in each direction, so the
-        ``u < v`` occurrences are the unique edges.
+        ``uv`` holds the ``(u, v)``, ``u < v`` rows of every edge of the
+        region, sorted like tuples; ``slot[i] = 3 * t + k`` is where the
+        triangle left of ``u -> v`` stores it (``t`` is a ghost for a
+        boundary edge).  Each edge is stored once per direction, so the
+        ``u < v`` rows are the unique edges; a ghost end (-1) fails
+        ``u >= 0`` or ``u < v``.
         """
         clock, table = self._edges_at
         if clock == self._topology_edits:
             return table
         arr = self.tri._arr
-        n_t = arr.n_tris
         tv = arr.tri_v()
-        # One spare False row: an unlinked neighbour (-1) reads it.
-        inside = np.zeros(n_t + 1, dtype=bool)
-        inside[[t for t, lab in self._interior.items() if lab]] = True
-        inside[:n_t] &= tv.min(axis=1) >= 0  # neither dead nor ghost
         # Directed edge k of a row is (row[k + 1], row[k + 2]); a dead
-        # row keeps stale vertices and neighbours, hence the live test.
+        # row keeps stale vertices, hence the live test.
         src = tv[:, (1, 2, 0)]
         dst = tv[:, (2, 0, 1)]
-        keep = ((tv[:, :1] != DEAD) & (src >= 0) & (src < dst)
-                & (inside[:n_t, None] | inside[arr.tri_n()]))
+        keep = (tv[:, :1] != DEAD) & (src >= 0) & (src < dst)
         slot = np.flatnonzero(keep.ravel())
         uv = np.column_stack([src.ravel()[slot], dst.ravel()[slot]]
                              ).astype(np.int64)
@@ -307,7 +302,7 @@ class MeshAdaptor(Refiner):
         return _mt.edge_lengths(tensors, self.tri._arr.pts(), edges)
 
     def conformity(self) -> float:
-        """Fraction of interior edges with metric length in the band."""
+        """Fraction of the region's edges with metric length in band."""
         edges = self._edge_table()[0]
         if not len(edges):
             return 1.0
@@ -316,13 +311,10 @@ class MeshAdaptor(Refiner):
         return float(inband.mean())
 
     def _protected_vertices(self) -> set:
-        """Vertices that collapse/smooth must not move or remove:
-        constraint endpoints and hull vertices."""
-        tri = self.tri
-        tv = tri._arr.tri_v()
-        ghosts = tv[tv.min(axis=1) == GHOST]  # dead rows read DEAD < GHOST
-        protected = set(ghosts[ghosts != GHOST].tolist())
-        for uv in tri.constraints:
+        """Vertices that collapse/smooth must not move or remove: the
+        constraint endpoints, the boundary's among them."""
+        protected: set = set()
+        for uv in self.tri.constraints:
             protected.update(uv)
         return protected
 
@@ -332,31 +324,29 @@ class MeshAdaptor(Refiner):
     def split_edge(self, u: int, v: int) -> bool:
         """Split edge (u, v) at its midpoint.
 
-        Constrained segments go through the region-safe subsegment path;
-        interior edges through cavity insertion.  Returns ``False`` when
-        the edge no longer exists or the midpoint collides with an
-        existing vertex.
+        Constrained segments split as edges (:meth:`_split_segment`),
+        interior edges by cavity insertion.  ``False`` when the edge is
+        gone, the midpoint is a vertex, or a half would not turn CCW.
         """
         tri = self.tri
         loc = self._find_any_edge_triangle(u, v)
         if loc is None:
             return False
-        pu, pv = tri._arr.point(u), tri._arr.point(v)
-        mx, my = 0.5 * (pu[0] + pv[0]), 0.5 * (pu[1] + pv[1])
         key = (u, v) if u < v else (v, u)
-        if key in tri.constraints:
-            if self.protect_segments:
-                self.locked_skips += 1
-                return False
-            self._insert_on_segment(u, v, mx, my)
-        else:
-            if tri.is_ghost(loc):
-                return False
-            try:
-                if self._insert_tracked(mx, my, interior_hint=loc) < 0:
+        try:
+            if key in tri.constraints:
+                if self.protect_segments:
+                    self.locked_skips += 1
+                    return False
+                self._split_segment(u, v)
+            else:
+                pu, pv = tri._arr.point(u), tri._arr.point(v)
+                if insert_point(tri, 0.5 * (pu[0] + pv[0]),
+                                0.5 * (pu[1] + pv[1]), loc) < 0:
                     return False  # the midpoint is an existing vertex
-            except TriangulationError:
-                return False
+                self._count_steiner()
+        except TriangulationError:
+            return False
         self.report.splits += 1
         self._topology_edits += 1
         self._point_edits += 1
@@ -367,9 +357,9 @@ class MeshAdaptor(Refiner):
         """Collapse edge (u, v) by removing a free endpoint.
 
         Prefers removing ``v``; falls back to ``u``.  A vertex is free
-        when it is not a constraint endpoint, not on the hull, and its
-        star is uniformly labelled ghost-free interior.  Returns
-        ``False`` when neither endpoint can be removed safely.
+        when it is not a constraint endpoint (every boundary vertex is
+        one) and its star is ghost-free.  Returns ``False`` when neither
+        endpoint can be removed safely.
         """
         if protected is None:
             protected = self._protected_vertices()
@@ -396,7 +386,6 @@ class MeshAdaptor(Refiner):
         star = tri.triangles_around_vertex(v)
         if len(star) < 3:
             return False
-        label: Optional[bool] = None
         ring_next: Dict[int, int] = {}
         outer: Dict[Tuple[int, int], int] = {}
         for t in star:
@@ -404,11 +393,6 @@ class MeshAdaptor(Refiner):
             x, y, z = tv[j], tv[j + 1], tv[j + 2]
             if x < 0 or y < 0 or z < 0:
                 return False  # a ghost (or dead) row
-            lab = self._is_interior(t)
-            if label is None:
-                label = lab
-            elif lab != label:
-                return False  # star crosses a region boundary
             if x == v:
                 a, b, k = y, z, 0
             elif y == v:
@@ -437,10 +421,7 @@ class MeshAdaptor(Refiner):
         # Commit: kill the star, create the fan, wire adjacency.
         for t in star:
             tri._kill_triangle(t)
-            self._interior.pop(t, None)
         created = [tri._new_triangle(*row) for row in new_tris]
-        for t in created:
-            self._interior[t] = bool(label)
         # Directed edge k of row (a, b, c) is opposite vertex k.
         emap: Dict[Tuple[int, int], Tuple[int, int]] = {}
         for t, (a, b, c) in zip(created, new_tris):
@@ -463,21 +444,16 @@ class MeshAdaptor(Refiner):
 
     def _flip_opposite(self, t1: int, k1: int) -> bool:
         """Flip the edge opposite vertex ``k1`` of real triangle ``t1``
-        when the other side is real, in the same region, and the quad
-        strictly convex.  ``t1`` decides which slot gets which of the
-        new triangles (:meth:`Triangulation.flip`)."""
+        when the other side is real and the quad strictly convex.  ``t1``
+        decides which slot gets which of the new triangles
+        (:meth:`Triangulation.flip`)."""
         tri = self.tri
         t2 = tri._arr.tn[3 * t1 + k1]
         if t2 < 0 or tri.is_ghost(t2):
             return False
-        label = self._is_interior(t1)
-        if label != self._is_interior(t2):
-            return False
         if not tri.edge_is_flippable(t1, k1):
             return False
-        n1, n2 = tri.flip(t1, k1)
-        self._interior[n1] = label
-        self._interior[n2] = label
+        tri.flip(t1, k1)
         self.report.flips += 1
         self._topology_edits += 1
         return True
@@ -538,14 +514,14 @@ class MeshAdaptor(Refiner):
         that existed when it began; up to :data:`FLIP_MAX_SWEEPS` sweeps
         run, the last one flipping nothing unless the cap cut it short.
         Whether an edge flips is a function of its two triangles alone
-        (their slots and stored rotation, region labels, four points,
-        four tensors), and a flip rewrites exactly two triangles, so
-        after the first sweep only the five edges of a flipped pair can
-        decide differently: the sweep is a worklist of those *dirty*
-        edges.  An outer edge of the new pair rejoins the running sweep
-        when that sweep still has it ahead (it sorts after the edge just
-        flipped and was not born in this sweep); otherwise, and always
-        for the new diagonal, it waits for the next sweep.  That visits
+        (their slots and stored rotation, four points, four tensors),
+        and a flip rewrites exactly two triangles, so after the first
+        sweep only the five edges of a flipped pair can decide
+        differently: the sweep is a worklist of those *dirty* edges.  An
+        outer edge of the new pair rejoins the running sweep when that
+        sweep still has it ahead (it sorts after the edge just flipped
+        and was not born in this sweep); otherwise, and always for the
+        new diagonal, it waits for the next sweep.  That visits
         every edge whose answer can have changed at the very place a
         full sweep over all edges would, and no other.
         """
@@ -654,7 +630,6 @@ class MeshAdaptor(Refiner):
         tri = self.tri
         tensors = self._vertex_tensors().tolist()
         protected = self._protected_vertices()
-        interior = self._interior
         arr = tri._arr
         px, tv, vt = arr.px, arr.tv, arr.vt
         sqrt = math.sqrt
@@ -670,8 +645,8 @@ class MeshAdaptor(Refiner):
             for t in star:
                 i = 3 * t
                 a, b, c = tv[i], tv[i + 1], tv[i + 2]
-                if a < 0 or b < 0 or c < 0 or not interior.get(t, False):
-                    ok = False  # a ghost row or a hole triangle
+                if a < 0 or b < 0 or c < 0:
+                    ok = False  # a ghost row
                     break
                 neighbours.update((a, b, c))
             neighbours.discard(v)
@@ -739,7 +714,7 @@ class MeshAdaptor(Refiner):
             n_split = self.split_pass()
             n_coll = self.collapse_pass()
             n_flip = self.flip_pass()
-            for _ in range(max(int(smooth_iterations), 0)):
+            for _ in range(smooth_iterations):
                 self.smooth_pass()
             rep.conformity_trace.append(self.conformity())
             if n_split == 0 and n_coll == 0 and n_flip == 0:
@@ -774,18 +749,24 @@ def adapt_mesh(
 ) -> Tuple[TriMesh, AdaptReport]:
     """Adapt ``mesh`` to ``metric_field``; returns (new mesh, report).
 
-    The mesh's constrained segments are preserved through the rebuild
-    (they are re-marked as constraints and never collapsed; they may
-    gain split vertices when the metric asks for finer boundary spacing,
-    unless ``protect_segments`` forbids it).  ``holes`` are the region
-    seed points of the original geometry, exactly as given to
-    :func:`repro.delaunay.refine_pslg`.
+    The mesh is loaded as it is (:func:`~repro.delaunay.constrained.
+    load_mesh`): its triangles are the region; its segments and boundary
+    edges are constraints, never collapsed, split where the metric asks
+    unless ``protect_segments``.  ``ValueError`` unless ``max_passes``
+    >= 1 and ``smooth_iterations`` >= 0.  ``holes`` must be empty (a
+    hole of the mesh is already one); it stays for old callers.
     """
-    tri = triangulate_pslg(mesh.points, mesh.segments)
+    if len(holes):
+        raise ValueError("adapt_mesh takes no hole seeds: the mesh's own "
+                         "triangles are the region")
+    if max_passes < 1:
+        raise ValueError(f"max_passes must be >= 1, got {max_passes!r}")
+    if smooth_iterations < 0:
+        raise ValueError(
+            f"smooth_iterations must be >= 0, got {smooth_iterations!r}")
     adaptor = MeshAdaptor(
-        tri,
+        load_mesh(mesh.points, mesh.triangles, mesh.segments),
         metric_field,
-        holes=holes,
         protect_segments=protect_segments,
     )
     adaptor.adapt(max_passes=max_passes, smooth_iterations=smooth_iterations)

@@ -60,6 +60,7 @@ __all__ = [
     "retriangulate",
     "prune_cavity_visibility",
     "legalize_edges",
+    "split_edge",
 ]
 
 #: Symbolic hull vertex: ghost triangle ``[u, v, GHOST]`` is the open
@@ -721,13 +722,14 @@ def prune_cavity_visibility(tri, cavity: Set[int], t0: int,
     return comp
 
 
-def legalize_edges(tri, edges: Sequence[Tuple[int, int]]) -> None:
+def legalize_edges(tri, edges: Sequence[Tuple[int, int]]) -> List[int]:
     """Lawson legalisation: flip non-constrained, non-locally-Delaunay
     edges, re-queueing the four edges of every flipped quad.  The one
-    flip loop: segment recovery runs it over the edges its flips
-    created, :func:`retriangulate` over the fan of a pruned cavity."""
+    flip loop (segment recovery, pruned cavities, :func:`split_edge`).
+    Returns the slots the flips rewrote, two per flip, in flip order."""
     arr = tri._arr
     queue: deque = deque(edges)
+    flipped: List[int] = []
     ops = 0
     while queue:
         ops += 1
@@ -751,9 +753,72 @@ def legalize_edges(tri, edges: Sequence[Tuple[int, int]]) -> None:
         if incircle(arr.point(tv[0]), arr.point(tv[1]), arr.point(tv[2]),
                     arr.point(apex2)) > 0:
             if tri.edge_is_flippable(t1, k1):
-                tri.flip(t1, k1)
+                flipped += tri.flip(t1, k1)
                 for e in ((apex1, u), (u, apex2), (apex2, v), (v, apex1)):
                     queue.append(e)
+    return flipped
+
+
+def split_edge(tri, u: int, v: int, x: float, y: float) -> int:
+    """Split edge ``(u, v)`` at ``(x, y)`` on it; returns the new vertex.
+
+    Each triangle across the edge, real or ghost, becomes two, a
+    constrained edge its two halves, and :func:`legalize_edges` flips
+    the real sides: a segment split never carves, so no cavity meets a
+    ghost.  ``last_created`` is the four halves, then the flipped slots.
+    :class:`TriangulationError`, before anything changes, when ``(u, v)``
+    is no edge, has nothing across it (no ghost layer), or a real half
+    would not turn strictly counter-clockwise.
+    """
+    arr = tri._arr
+    tvm, tnm, vtm = arr.tv, arr.tn, arr.vt
+    loc = find_directed_edge(tri, u, v)
+    if loc is None:
+        raise TriangulationError(f"({u},{v}) is not an edge")
+    t1, k1 = loc
+    i1 = 3 * t1
+    t2 = tnm[i1 + k1]
+    if t2 < 0:
+        raise TriangulationError(f"({u},{v}) has nothing across it")
+    i2 = 3 * t2
+    k2 = 0 if tnm[i2] == t1 else (1 if tnm[i2 + 1] == t1 else 2)
+    a, b = tvm[i1 + k1], tvm[i2 + k2]        # t1 = (u, v, a), t2 = (v, u, b)
+    p = (x, y)
+    pu, pv = arr.point(u), arr.point(v)
+    for w, first, second in ((a, pu, pv), (b, pv, pu)):
+        if w != GHOST:
+            pw = arr.point(w)
+            if orient2d(first, p, pw) <= 0 or orient2d(p, second, pw) <= 0:
+                raise TriangulationError(
+                    f"split of edge ({u},{v}) at {p}: a half with apex {w} "
+                    "would not turn strictly counter-clockwise")
+    # Outer neighbours across (v, a), (a, u) of t1 and (u, b), (b, v) of t2.
+    n_va, n_au = tnm[i1 + _NXT[k1]], tnm[i1 + _PRV[k1]]
+    n_ub, n_bv = tnm[i2 + _NXT[k2]], tnm[i2 + _PRV[k2]]
+    m = arr.new_point(x, y)
+    s1, s2 = arr.new_triangle_slot(), arr.new_triangle_slot()
+    # t1 = (u, m, a), s1 = (m, v, a), t2 = (v, m, b), s2 = (m, u, b).
+    tvm[i1:i1 + 3], tnm[i1:i1 + 3] = (u, m, a), (s1, n_au, s2)
+    tvm[3 * s1:3 * s1 + 3], tnm[3 * s1:3 * s1 + 3] = (m, v, a), (n_va, t1, t2)
+    tvm[i2:i2 + 3], tnm[i2:i2 + 3] = (v, m, b), (s2, n_bv, s1)
+    tvm[3 * s2:3 * s2 + 3], tnm[3 * s2:3 * s2 + 3] = (m, u, b), (n_ub, t2, t1)
+    tnm[3 * n_va + tri._edge_index(n_va, a, v)] = s1
+    tnm[3 * n_ub + tri._edge_index(n_ub, b, u)] = s2
+    vtm[u], vtm[v] = t1, t2
+    vtm[m] = t1 if a != GHOST else t2
+    tri.n_live_triangles += 2
+    tri.stat_inserts += 1
+    key = (u, v) if u < v else (v, u)
+    if key in tri.constraints:
+        tri.constraints.discard(key)
+        tri.mark_constraint(u, m)
+        tri.mark_constraint(m, v)
+    created = [t1, s1, t2, s2]
+    created += legalize_edges(tri, [e for e in ((a, u), (v, a), (b, v),
+                                                (u, b)) if GHOST not in e])
+    tri.last_created = list(dict.fromkeys(created))
+    tri.last_removed = []
+    return m
 
 
 # ----------------------------------------------------------------------

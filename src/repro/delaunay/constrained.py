@@ -1,22 +1,19 @@
-"""Constrained Delaunay triangulation: of a PSLG, and of a polygon.
+"""Constrained Delaunay triangulation: of a polygon, of boundary-layer
+rays, of a mesh as it is, and of a PSLG.
 
-:func:`triangulate_pslg` builds on the incremental kernel: after
-inserting all PSLG vertices, each input segment is *recovered* (forced to
-appear as an edge) by flipping the edges that cross it — the classic
-Lawson walk-and-flip scheme — and then locked against future flips and
-cavity crossings.  Vertices that happen to lie exactly on a segment split
-it (the CDT of a PSLG must contain the sub-segments).  After recovery,
-:func:`carve` classifies triangles as interior/exterior by flooding from
-the ghost layer (and from user hole seeds) without crossing constrained
-edges — the same behaviour the paper relies on from Triangle: "Triangle
-first creates an initial triangulation and then removes elements inside
-concavities and holes" (Section II.E).  ``refine_pslg`` takes this path.
-The two inputs of ``generate_mesh`` already triangulated in all but name
-are built from what they are instead: a decoupled subdomain, whose only
-points are its rings, is :func:`triangulate_polygon` of the polygon they
-bound, and the boundary-layer annuli, whose points all lie on extrusion
-rays, are :func:`triangulate_rays` of those rays — no hull, no segment
-to recover, nothing to carve away.
+What the product refines or adapts is built from what it is, so its real
+triangles are exactly the domain and its ghosts are walls (DESIGN.md,
+"One region model"): a polygon — a decoupled subdomain, or the loops of
+``refine_pslg`` (:func:`triangulate_loops`) — is
+:func:`triangulate_polygon` of its rings; the boundary-layer annuli are
+:func:`triangulate_rays` of their rays; a mesh given to ``adapt_mesh``
+is :func:`load_mesh` of its triangles.  The last two share one loader.
+
+:func:`triangulate_pslg` (insert the points, recover the segments by
+Lawson flips) and :func:`carve` (Triangle's "removes elements inside
+concavities and holes", Section II.E) build the general-PSLG CDT no
+product path takes; tests and ``benchmarks/bench_border_cdt.py`` compare
+against it.
 """
 
 from __future__ import annotations
@@ -27,8 +24,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..geometry.predicates import orient2d
-from ..geometry.primitives import segments_intersect_batch
+from ..geometry.aabb import boxes_from_segments, overlapping_pairs
+from ..geometry.predicates import exact_eq, orient2d, orient2d_batch
+from ..geometry.primitives import (point_in_polygon, polygon_area,
+                                  segments_intersect_batch)
 from ..runtime.counters import current as counters_current
 from .cavity import (
     _CCW_ERR,
@@ -49,12 +48,30 @@ from .mesh import TriMesh
 _EAR_SEED = 0
 
 __all__ = [
+    "RingError",
+    "checked_rings",
     "insert_segment",
+    "load_mesh",
+    "triangulate_loops",
     "triangulate_pslg",
     "triangulate_polygon",
     "triangulate_rays",
     "carve",
 ]
+
+
+class RingError(ValueError):
+    """A ring :func:`triangulate_polygon` cannot triangulate: ``ring`` 0
+    is the outer ring, ``ring`` i hole ring ``i - 1``, and ``vertex``
+    indexes that ring as given."""
+
+    def __init__(self, ring: int, vertex: int, problem: str) -> None:
+        super().__init__(f"{_ring_name(ring)}, vertex {vertex}: {problem}")
+        self.ring, self.vertex = ring, vertex
+
+
+def _ring_name(ring: int) -> str:
+    return "outer ring" if ring == 0 else f"hole ring {ring - 1}"
 
 
 def _first_obstruction(tri: Triangulation, a: int, b: int):
@@ -331,6 +348,134 @@ def _boundary_slot(arr, u: int, w: int) -> int:
         t = tn[i3 + _PRV[k]]
 
 
+def checked_rings(ring: np.ndarray, hole_rings: Sequence[np.ndarray]
+                  ) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """``ring`` and ``hole_rings`` as a polygon: the outer ring
+    counter-clockwise, every hole ring clockwise.
+
+    Raises :class:`RingError` for a ring with fewer than three distinct
+    vertices, a vertex repeated next to itself, no area, or a vertex
+    where the ring folds back onto itself, and for two ring edges that
+    meet anywhere but at the vertex they share.  The crossing search is
+    the one of :func:`~repro.core.intersections.crossing_pairs`
+    (extent-box broad phase, exact batch test), minus the pairs of ring
+    neighbours, which always touch.
+    """
+    parts = [np.asarray(r, dtype=np.float64).reshape(-1, 2)
+             for r in (ring, *hole_rings)]
+    for r, pts in enumerate(parts):
+        nxt, prv = np.roll(pts, -1, axis=0), np.roll(pts, 1, axis=0)
+        repeat = (pts == nxt).all(axis=1)
+        if repeat.any():
+            raise RingError(r, int(np.argmax(repeat)),
+                            "repeats the vertex after it")
+        if len(np.unique(pts, axis=0)) < 3:
+            raise RingError(r, 0, "has fewer than 3 distinct vertices")
+        # A fold-back is a zero turn between neighbours on one side.
+        acute = np.flatnonzero(((prv - pts) * (nxt - pts)).sum(axis=1) > 0)
+        if len(acute):
+            fold = acute[orient2d_batch(prv[acute], pts[acute],
+                                        nxt[acute]) == 0]
+            if len(fold):
+                raise RingError(r, int(fold[0]), "folds back on itself")
+    sizes = [len(p) for p in parts]
+    ring_of = np.repeat(np.arange(len(parts)), sizes)
+    vertex_of = np.concatenate([np.arange(m) for m in sizes])
+    size_of = np.repeat(sizes, sizes)
+    segs = np.concatenate(
+        [np.stack([p, np.roll(p, -1, axis=0)], axis=1) for p in parts])
+    i, j = overlapping_pairs(boxes_from_segments(segs))
+    step = (vertex_of[j] - vertex_of[i]) % size_of[i]
+    apart = ((ring_of[i] != ring_of[j])
+             | ((step != 1) & (step != size_of[i] - 1)))
+    i, j = i[apart], j[apart]
+    if len(i):
+        meet = np.flatnonzero(segments_intersect_batch(
+            segs[i, 0], segs[i, 1], segs[j, 0], segs[j, 1]))
+        if len(meet):
+            a, b = i[meet[0]], j[meet[0]]
+            raise RingError(int(ring_of[a]), int(vertex_of[a]),
+                            f"its edge meets edge {int(vertex_of[b])} of "
+                            f"the {_ring_name(int(ring_of[b]))}")
+    for r, pts in enumerate(parts):
+        area = polygon_area(pts)
+        if exact_eq(area, 0.0):
+            raise RingError(r, 0, "encloses no area")
+        if (area > 0.0) != (r == 0):
+            parts[r] = pts[::-1]
+    return parts[0], parts[1:]
+
+
+def triangulate_loops(points: np.ndarray, segments: np.ndarray,
+                      holes: Sequence[Tuple[float, float]]
+                      ) -> Triangulation:
+    """:func:`triangulate_polygon` of the closed loops of a PSLG.
+
+    ``segments`` must form closed loops, in any order and direction,
+    through every point: the loop that contains all others is the outer
+    ring, each other one a hole whose seed in ``holes`` lies inside it.
+    ``ValueError`` names the vertex, point or seed of any other input;
+    crossing or degenerate loops are :func:`checked_rings`' errors.
+    """
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    seg = _checked_segments(segments, len(points))
+    if not len(seg):
+        raise ValueError("no segments: the domain must be bounded by "
+                         "closed loops of segments")
+    degree = np.bincount(seg.ravel(), minlength=len(points))
+    for v in np.flatnonzero((degree != 2)
+                            | ~np.isfinite(points).all(axis=1))[:1]:
+        where = f"point {v} {tuple(points[v].tolist())}"
+        if degree[v] == 0:
+            raise ValueError(f"{where} is on no loop")
+        if degree[v] == 2:
+            raise ValueError(f"{where} is not finite")
+        raise ValueError(f"vertex {v} is an end of {degree[v]} segments, "
+                         "not 2: the segments must form closed loops")
+    # Both neighbours of each vertex, then one walk round each loop.
+    ends = np.concatenate([seg, seg[:, ::-1]])
+    nbr = ends[np.argsort(ends[:, 0], kind="stable"), 1].reshape(-1, 2)
+    loops: List[List[int]] = []
+    left = set(range(len(points)))
+    while left:
+        loop = [min(left)]
+        prev, cur = loop[0], int(nbr[loop[0], 0])
+        while cur != loop[0]:
+            loop.append(cur)
+            a, b = nbr[cur].tolist()
+            prev, cur = cur, (b if a == prev else a)
+        left.difference_update(loop)
+        loops.append(loop)
+    o = int(np.argmax([abs(polygon_area(points[lp])) for lp in loops]))
+    inner = loops[:o] + loops[o + 1:]
+    outer, hole_rings = checked_rings(points[loops[o]],
+                                      [points[lp] for lp in inner])
+    fx, fy = np.split(points[[lp[0] for lp in inner]].reshape(-1, 2), 2,
+                      axis=1)
+    for i in np.flatnonzero(~point_in_polygon(fx, fy, outer))[:1].tolist():
+        raise ValueError(f"vertex {inner[i][0]}: its loop lies outside the "
+                         f"loop through vertex {loops[o][0]}, the largest, so "
+                         "no loop contains all others")
+    for k, ring in enumerate(hole_rings):
+        held = point_in_polygon(fx, fy, ring)
+        held[k] = False  # its own first vertex
+        for i in np.flatnonzero(held)[:1].tolist():
+            raise ValueError(f"vertex {inner[i][0]}: its loop lies inside "
+                             f"the inner loop through vertex {inner[k][0]}: "
+                             "inner loops are holes of the outer one")
+    seeds = np.asarray(holes, dtype=np.float64).reshape(-1, 2)
+    hit = np.array([point_in_polygon(seeds[:, :1], seeds[:, 1:], ring)
+                    for ring in hole_rings]).reshape(len(inner), len(seeds))
+    for s in np.flatnonzero(~hit.any(axis=0))[:1].tolist():
+        raise ValueError(f"hole seed {s} at {tuple(seeds[s].tolist())} lies "
+                         "inside no inner loop")
+    for i in np.flatnonzero(~hit.any(axis=1))[:1].tolist():
+        raise ValueError(f"vertex {inner[i][0]}: its inner loop has no "
+                         "hole seed (every inner loop is a hole and needs "
+                         "one)")
+    return triangulate_polygon(outer, hole_rings)
+
+
 def triangulate_polygon(ring: np.ndarray,
                         hole_rings: Sequence[np.ndarray] = ()
                         ) -> Triangulation:
@@ -338,7 +483,7 @@ def triangulate_polygon(ring: np.ndarray,
 
     ``ring`` is the outer border, counter-clockwise, each of
     ``hole_rings`` a hole border, clockwise, all simple and disjoint
-    (``repro.core.decouple.checked_rings``).  Kernel vertex ``i`` is ring
+    (:func:`checked_rings`).  Kernel vertex ``i`` is ring
     vertex ``i``, outer ring first; every ring edge is a constraint
     bordered by a ghost.  Holes are bridged to the outer border (Eberly
     2002), leaving one weakly simple polygon whose bridge ends appear
@@ -542,7 +687,21 @@ def triangulate_polygon(ring: np.ndarray,
         arr.n_pts = n
         legalize_edges(tri, bridges)
 
-    # Ghosts: one per boundary edge, linked round each ring.
+    _add_ghosts(tri)
+    tri._last_tri = 0
+    tri.constraints.update(
+        (u, w) if u < w else (w, u) for u, w in ring_edges[:n].tolist())
+    sink = counters_current()
+    if sink is not None:
+        sink.incr("ring_points", n)
+    return tri
+
+
+def _add_ghosts(tri: Triangulation) -> None:
+    """A ghost across every boundary edge (``tn`` -1), linked round each
+    boundary loop; a vertex starts one boundary edge at most."""
+    arr = tri._arr
+    tv, tn = arr.tv, arr.tn
     n_real = arr.n_tris
     start: Dict[int, int] = {}
     for t in range(n_real):
@@ -557,12 +716,97 @@ def triangulate_polygon(ring: np.ndarray,
         h = tn[3 * g] = start[tv[3 * g + 1]]
         tn[3 * h + 1] = g
     tri.n_live_triangles = arr.n_tris
-    tri._last_tri = 0
-    tri.constraints.update(
-        (u, w) if u < w else (w, u) for u, w in ring_edges[:n].tolist())
-    sink = counters_current()
-    if sink is not None:
-        sink.incr("ring_points", n)
+
+
+def _not_ccw(pts: np.ndarray, tris: np.ndarray) -> Tuple[int, int]:
+    """``(exact tests, first row of tris not strictly CCW or -1)``: the
+    orient2d filter, exact on the rows it cannot certify."""
+    ac, bc = (pts[tris[:, k]] - pts[tris[:, 2]] for k in (0, 1))
+    left, right = ac[:, 0] * bc[:, 1], ac[:, 1] * bc[:, 0]
+    detsum = np.abs(left) + np.abs(right)
+    ccw = left - right > _CCW_ERR * detsum  # orient2d's filter
+    unsure = np.flatnonzero(~(ccw & (detsum > _CCW_GUARD)))
+    for t in unsure.tolist():
+        if orient2d(*pts[tris[t]].tolist()) <= 0:
+            return len(unsure), t
+    return len(unsure), -1
+
+
+def _edge_twins(u: np.ndarray, v: np.ndarray, n: int
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """``(twin, twice)``: ``twin[s]`` is the slot of ``v[s] -> u[s]``
+    (slot ``3 t + k`` is edge ``k`` of ``t``; -1 on the boundary),
+    ``twice`` the slots of directed edges another slot holds too."""
+    code = u * n + v
+    by_code = np.argsort(code, kind="stable")
+    code = code[by_code]
+    twice = by_code[np.flatnonzero(code[1:] == code[:-1])]
+    at = np.minimum(np.searchsorted(code, v * n + u), len(code) - 1)
+    twin = np.where(code[at] == v * n + u, by_code[at], -1)
+    return twin, twice
+
+
+def _linked(pts: np.ndarray, tris: np.ndarray, twin: np.ndarray,
+            segments: np.ndarray) -> Triangulation:
+    """The loader: vertex ``i`` is ``pts[i]``, slot ``t`` ``tris[t]``,
+    linked by ``twin``; each row of ``segments`` is a constraint."""
+    n, n_tris = len(pts), len(tris)
+    tri = Triangulation()
+    arr = tri._arr
+    arr.px, arr.tv = pts.ravel().tolist(), tris.ravel().tolist()
+    arr.tn = np.where(twin < 0, -1, twin // 3).tolist()
+    vt = np.full(n, -1, dtype=np.int64)
+    vt[tris.ravel()] = np.repeat(np.arange(n_tris), 3)
+    arr.vt, arr.n_pts, arr.n_tris = vt.tolist(), n, n_tris
+    tri.n_live_triangles, tri._last_tri = n_tris, 0
+    tri.constraints.update(zip(segments.min(axis=1).tolist(),
+                               segments.max(axis=1).tolist()))
+    return tri
+
+
+def load_mesh(points: np.ndarray, triangles: np.ndarray,
+              segments: np.ndarray) -> Triangulation:
+    """A mesh as the triangulation it is, with a ghost wall on every
+    boundary edge: vertex ``i`` is ``points[i]``, slot ``t``
+    ``triangles[t]``, and ``segments`` and the boundary edges are the
+    constraints.  ``ValueError`` names what is not a mesh: no triangles,
+    one not strictly counter-clockwise, a directed edge two triangles
+    hold, a segment that is no edge, two boundary loops at one vertex.
+    """
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+    n = len(pts)
+    segs = _checked_segments(segments, n)
+    if not len(tris):
+        raise ValueError("the mesh has no triangles")
+    n_exact, bad = _not_ccw(pts, tris)
+    if bad >= 0:
+        raise ValueError(f"triangle {bad} {tris[bad].tolist()} does not "
+                         "turn strictly counter-clockwise")
+    u, v = tris[:, list(_NXT)].ravel(), tris[:, list(_PRV)].ravel()
+    twin, twice = _edge_twins(u, v, n)
+    if len(twice):
+        s = int(twice[0])
+        raise ValueError(f"triangle {s // 3}: edge {(int(u[s]), int(v[s]))}"
+                         " is held by two triangles in the same direction")
+    edges = np.minimum(u, v) * n + np.maximum(u, v)
+    missing = np.flatnonzero(~np.isin(segs.min(axis=1) * n
+                                      + segs.max(axis=1), edges))
+    if len(missing):
+        r = int(missing[0])
+        raise ValueError(f"segments row {r}: {segs[r].tolist()} is not an "
+                         "edge of the mesh")
+    bu, bv = u[twin < 0], v[twin < 0]
+    pinch = np.flatnonzero(np.bincount(bu, minlength=n) > 1)
+    if len(pinch):
+        raise ValueError(f"vertex {int(pinch[0])}: two boundary loops meet "
+                         "there")
+    tri = _linked(pts, tris, twin, segs)
+    tri.stat_orient_fast += len(tris) - n_exact
+    tri.stat_orient_exact += n_exact
+    _add_ghosts(tri)
+    tri.constraints.update(zip(np.minimum(bu, bv).tolist(),
+                               np.maximum(bu, bv).tolist()))
     return tri
 
 
@@ -581,8 +825,9 @@ def triangulate_rays(points: np.ndarray, segments: np.ndarray,
     every strip triangle turns strictly counter-clockwise and the edges
     one triangle owns are exactly ``segments``,
     :class:`TriangulationError` names the element, the ray pair and the
-    check.  Lawson flips then make every edge locally Delaunay.  Kernel
-    vertex ``i`` is ``points[i]``; a segment is a constraint, no ghost.
+    check.  The strips are loaded as :func:`load_mesh` loads, with no
+    ghosts, and Lawson flips make every edge locally Delaunay.  Kernel
+    vertex ``i`` is ``points[i]``; a segment is a constraint.
     """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     segments = np.asarray(segments, dtype=np.int64).reshape(-1, 2)
@@ -620,30 +865,18 @@ def triangulate_rays(points: np.ndarray, segments: np.ndarray,
     tris, pair = tris[keep], pair[keep]
     n_tris = len(tris)
 
-    tri = Triangulation()
-    ac, bc = (pts[tris[:, k]] - pts[tris[:, 2]] for k in (0, 1))
-    left, right = ac[:, 0] * bc[:, 1], ac[:, 1] * bc[:, 0]
-    detsum = np.abs(left) + np.abs(right)
-    ccw = left - right > _CCW_ERR * detsum  # orient2d's filter
-    unsure = np.flatnonzero(~(ccw & (detsum > _CCW_GUARD)))
-    tri.stat_orient_fast += n_tris - len(unsure)
-    tri.stat_orient_exact += len(unsure)
-    for t in unsure.tolist():
-        if orient2d(*pts[tris[t]].tolist()) <= 0:
-            raise fail(pair[t], f"triangle {tris[t].tolist()} is not "
-                       "strictly counter-clockwise")
+    n_exact, bad = _not_ccw(pts, tris)
+    if bad >= 0:
+        raise fail(pair[bad], f"triangle {tris[bad].tolist()} is not "
+                   "strictly counter-clockwise")
 
     # Edge k of t runs tv[_NXT[k]] -> tv[_PRV[k]]; its twin is the
     # reversed edge, and an edge without one is on the boundary.
     u, v = tris[:, list(_NXT)].ravel(), tris[:, list(_PRV)].ravel()
-    by_code = np.argsort(u * n + v, kind="stable")
-    code = (u * n + v)[by_code]
-    twice = np.flatnonzero(code[1:] == code[:-1])
+    twin, twice = _edge_twins(u, v, n)
     if len(twice):
-        raise fail(pair[by_code[twice[0]] // 3],
+        raise fail(pair[twice[0] // 3],
                    "two strip triangles share a directed edge")
-    at = np.minimum(np.searchsorted(code, v * n + u), 3 * n_tris - 1)
-    twin = np.where(code[at] == v * n + u, by_code[at], -1)
     lo, hi = np.minimum(u, v)[twin < 0], np.maximum(u, v)[twin < 0]
     odd = np.setxor1d(lo * n + hi, segments.min(axis=1) * n
                       + segments.max(axis=1))
@@ -653,15 +886,9 @@ def triangulate_rays(points: np.ndarray, segments: np.ndarray,
                    f"edge {(w, int(odd[0] % n))} is a segment or a boundary "
                    "edge of the strips, not both")
 
-    arr = tri._arr
-    arr.px, arr.tv = pts.ravel().tolist(), tris.ravel().tolist()
-    arr.tn = np.where(twin < 0, -1, twin // 3).tolist()
-    vt = np.full(n, -1, dtype=np.int64)
-    vt[tris.ravel()] = np.repeat(np.arange(n_tris), 3)
-    arr.vt, arr.n_pts, arr.n_tris = vt.tolist(), n, n_tris
-    tri.n_live_triangles, tri._last_tri = n_tris, 0
-    tri.constraints.update(zip(segments.min(axis=1).tolist(),
-                               segments.max(axis=1).tolist()))
+    tri = _linked(pts, tris, twin, segments)
+    tri.stat_orient_fast += n_tris - n_exact
+    tri.stat_orient_exact += n_exact
 
     # Lawson: the interior edges the incircle filter does not certify go
     # on the stack; a flip stacks the four edges round its quad.
@@ -675,6 +902,7 @@ def triangulate_rays(points: np.ndarray, segments: np.ndarray,
     outside = (permanent > _ICC_GUARD) & (-det > _ICC_ERR * permanent)
     tri.stat_incircle_fast += int(np.count_nonzero(outside))
     stack = inner[~outside].tolist()
+    arr = tri._arr
     px, tv, tn = arr.px, arr.tv, arr.tn
     while stack:
         s = stack.pop()

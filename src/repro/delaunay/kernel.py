@@ -10,9 +10,10 @@ decoupled inviscid subdomains.  Design:
   half-plane strictly left of ``u -> v`` (plus the open edge): insertion
   outside the hull is a uniform cavity operation — no super-triangle, no
   magic coordinates.  Built from a polygon's rings
-  (:func:`~repro.delaunay.constrained.triangulate_polygon`), every ghost
-  edge is a constraint and a ghost is a *wall*: no cavity, flood or
-  straight walk crosses a constraint, so none reaches one.
+  (:func:`~repro.delaunay.constrained.triangulate_polygon`) or loaded
+  from a mesh (:func:`~repro.delaunay.constrained.load_mesh`), every
+  ghost edge is a constraint and a ghost is a *wall*: no cavity, flood
+  or straight walk crosses a constraint, so none reaches one.
 * **State here, algorithms in** :mod:`repro.delaunay.cavity`.
   :class:`Triangulation` owns slots, adjacency, the constraint set,
   the counters, edge flips and export; the three steps of an insertion
@@ -124,9 +125,8 @@ class Triangulation:
         # RNG state.
         self._lcg = int(np.random.default_rng(seed).integers(1, 1 << 31))
         self.n_live_triangles = 0                    # includes ghosts
-        # Triangles created/removed by the most recent insert_point call —
-        # lets refinement track per-triangle labels in O(cavity) instead of
-        # O(n) snapshots.
+        # Triangles created/removed by the most recent insertion or edge
+        # split: the refiner's new work is the created star.
         self.last_created: List[int] = []
         self.last_removed: List[int] = []
         # Observability counters: the ``stat_*`` attributes of the

@@ -26,11 +26,13 @@ the one kind of bad triangle no insertion replaces — the one that
 outlived the split of the segments its circumcenter encroached
 (Ruppert leaves it "still in the queue"), which goes back in when the
 queue drains.  The mesh is never scanned again.
-Interior/exterior classification is maintained incrementally: a cavity
-never crosses a constrained edge, so every retriangulated cavity
-inherits a uniform region label.  The hot path reads the kernel's flat
-arrays and builds no point tuples; its geometry keeps every float and
-every exact decision of the point-tuple primitives.
+
+The input is a region: a polygon triangulation or a loaded mesh, whose
+ghost edges are all constraints, so a ghost is a wall no cavity or walk
+crosses and the real triangles are the domain — no label is kept.  A
+segment splits as an edge (:func:`~repro.delaunay.cavity.split_edge`).
+The hot path reads the kernel's flat arrays and builds no point tuples;
+its geometry keeps every float and exact decision of the primitives.
 """
 
 from __future__ import annotations
@@ -47,10 +49,10 @@ from ..geometry.primitives import segments_intersect
 from ..runtime.counters import current as counters_current
 from ..sizing.functions import UniformSizing
 from .arrays import DEAD
-from .cavity import (carve, find_directed_edge, insert_point, locate_fallback,
-                     retriangulate, walk)
-from .constrained import carve as carve_regions, triangulate_pslg
-from .kernel import GHOST, Triangulation, TriangulationError
+from .cavity import (carve, find_directed_edge, locate_fallback,
+                     retriangulate, split_edge, walk)
+from .constrained import triangulate_loops
+from .kernel import GHOST, Triangulation
 from .mesh import TriMesh
 
 __all__ = [
@@ -70,13 +72,25 @@ MAX_STEINER = 2_000_000
 
 class RefinementError(RuntimeError):
     """Refinement cannot go on: the insertion budget is spent, or a
-    segment split found the region labels broken or its point taken."""
+    segment is too short to split (its midpoint is an end)."""
 
 
 AreaFn = Callable[[float, float], float]
 
 #: The sizing functions' ``area = _UNIT_AREA * h**2`` (equilateral).
 _UNIT_AREA = math.sqrt(3.0) / 4.0
+#: An area bound at ``(x, y)`` must exceed this times ``x*x + y*y``: an
+#: edge under 2**-40 of ``|(x, y)|`` is below the float resolution there.
+_MIN_REL_AREA = _UNIT_AREA * 2.0 ** -80
+_INF = math.inf
+
+
+def _checked_area(area: float, x: float, y: float) -> float:
+    if not _MIN_REL_AREA * (x * x + y * y) < area < _INF:
+        raise ValueError(
+            f"the size bound at ({x!r}, {y!r}) is area {area!r}: it must be "
+            "a positive finite number, over the float resolution there")
+    return area
 
 
 def _orient(ax, ay, bx, by, cx, cy) -> int:
@@ -142,6 +156,11 @@ class AreaCriterion:
     test above runs, so every verdict is the unfiltered one.  The edge
     lengths are kept by vertex id, so a criterion serves one
     triangulation.
+
+    An area ``area_fn`` returns that is not a positive finite number over
+    the float resolution at its point (:data:`_MIN_REL_AREA`) is a
+    ``ValueError`` naming the point: a NaN would switch the size test
+    off, and a bound no float spacing meets would spend the budget.
     """
 
     def __init__(self, area_fn: AreaFn) -> None:
@@ -158,8 +177,13 @@ class AreaCriterion:
         many = getattr(self._sizing, "area_at_many", None)
         if self._lipschitz is not None and many is not None:
             self.evals += len(pts)
+            areas = many(pts)
+            bad = np.flatnonzero(~((_MIN_REL_AREA * (pts * pts).sum(axis=1)
+                                    < areas) & (areas < _INF)))
+            for i in bad[:1].tolist():
+                _checked_area(float(areas[i]), *pts[i].tolist())
             self._edge_at.update(enumerate(
-                np.sqrt(many(pts) / _UNIT_AREA).tolist()))
+                np.sqrt(areas / _UNIT_AREA).tolist()))
 
     def oversized(self, a: int, b: int, c: int, ax: float, ay: float,
                   bx: float, by: float, cx: float, cy: float, area: float
@@ -173,7 +197,8 @@ class AreaCriterion:
                 h = edge_at.get(v)
                 if h is None:
                     self.evals += 1
-                    h = edge_at[v] = math.sqrt(self.area_fn(x, y) / _UNIT_AREA)
+                    h = edge_at[v] = math.sqrt(
+                        _checked_area(self.area_fn(x, y), x, y) / _UNIT_AREA)
                 reach = grow * math.hypot(gx - x, gy - y) + slack
                 # 1e-9 of the operands, a million roundings of anything
                 # here or in area_fn: the bounds hold for its floats.
@@ -186,7 +211,7 @@ class AreaCriterion:
                     return big
             self.band += 1
         self.evals += 1
-        return area > self.area_fn(gx, gy)
+        return area > _checked_area(self.area_fn(gx, gy), gx, gy)
 
 
 class Refiner:
@@ -195,9 +220,9 @@ class Refiner:
     Parameters
     ----------
     tri:
-        A constrained triangulation (segments already recovered/locked).
-    holes:
-        Seed points of hole regions (excluded from refinement and output).
+        A constrained triangulation whose real triangles are exactly the
+        region to refine and whose ghost edges are all constraints: a
+        polygon triangulation or a loaded mesh; ``ValueError`` otherwise.
     quality_bound:
         Circumradius-to-shortest-edge bound B; ``None`` disables quality
         refinement (area-only).
@@ -218,13 +243,26 @@ class Refiner:
         self,
         tri: Triangulation,
         *,
-        holes: Sequence[Tuple[float, float]] = (),
         quality_bound: Optional[float] = RUPPERT_BOUND,
         criterion: Optional[AreaCriterion] = None,
         min_edge_floor: float = 0.0,
         max_steiner: int = MAX_STEINER,
         lock_segments: bool = False,
     ) -> None:
+        # A ghost across an unconstrained edge is a hull half-plane (a
+        # point-cloud or general-PSLG hull): refining would mesh outside.
+        # An edge with nothing across it (no ghost layer) cannot split.
+        rows = np.sort(tri._arr.tri_v(), axis=1)  # dead: DEAD < GHOST
+        if -1 in tri._arr.tn and (
+                tri._arr.tri_n()[rows[:, 0] != DEAD] < 0).any():
+            raise ValueError("an edge has no triangle or ghost across it: "
+                             "the refiner takes a region with ghost walls")
+        for u, v in rows[rows[:, 0] == GHOST, 1:].tolist():
+            if (u, v) not in tri.constraints:
+                raise ValueError(
+                    f"boundary edge ({u},{v}) is not a constraint: the "
+                    "refiner takes a region whose ghosts are walls (a "
+                    "polygon triangulation or a loaded mesh)")
         self.tri = tri
         self.quality_bound = quality_bound
         self.criterion = criterion
@@ -245,33 +283,9 @@ class Refiner:
         # slot -> vertex triple (a cavity slot is recycled at once, so
         # the triple is the identity): the worklist's only re-entries.
         self._survivors: Dict[int, Tuple[int, int, int]] = {}
-        # interior[t]: True for triangles in the meshed region.
-        mask = carve_regions(tri, holes)
-        self._interior: Dict[int, bool] = {
-            t: bool(mask[t]) for t in tri.live_triangles()
-        }
 
-    # ------------------------------------------------------------------
-    # Region bookkeeping
-    # ------------------------------------------------------------------
-    def _is_interior(self, t: int) -> bool:
-        return self._interior.get(t, False)
-
-    def _track_cavity(self, label: bool) -> None:
-        """Carry region label ``label`` over the cavity the kernel just
-        committed (``last_removed`` -> ``last_created``) and charge the
-        Steiner budget.  Cavities cannot cross constraints, so the label
-        is uniform over the cavity and inherited by every new triangle.
-        """
-        tri = self.tri
-        interior = self._interior
-        for t in tri.last_removed:
-            interior.pop(t, None)
-        tv = tri._arr.tv
-        for t in tri.last_created:
-            i = 3 * t
-            interior[t] = (label and tv[i] >= 0 and tv[i + 1] >= 0
-                           and tv[i + 2] >= 0)
+    def _count_steiner(self) -> None:
+        """Charge the Steiner budget for the vertex just added."""
         self.steiner_count += 1
         if self.steiner_count > self.max_steiner:
             raise RefinementError(
@@ -279,119 +293,25 @@ class Refiner:
                 "sizing function or input geometry is inconsistent"
             )
 
-    def _insert_tracked(self, x: float, y: float, *, interior_hint: int
-                        ) -> int:
-        """Insert a point nobody needs to inspect the cavity of, through
-        the kernel's own composition of the three steps.
-
-        ``interior_hint`` is a triangle known to contain the point (the
-        walk start and the label source).  Returns the vertex id, or
-        :func:`~repro.delaunay.cavity.insert_point`'s negative code when
-        the point duplicates an existing vertex (nothing changed).
-        """
-        label = self._is_interior(interior_hint)
-        vid = insert_point(self.tri, x, y, interior_hint)
-        if vid >= 0:
-            self._track_cavity(label)
-        return vid
-
-    def _insert_on_segment(self, u: int, v: int, x: float, y: float) -> int:
-        """Split constrained segment (u, v) at (x, y) on the segment.
-
-        The two sides of a constrained segment may carry different region
-        labels (interior vs hole/exterior), and the insertion cavity spans
-        both sides while the constraint is lifted — so new triangles must
-        be relabelled.  Classification is by *connectivity*: each new
-        triangle adopts the label of a neighbour reachable without
-        crossing a constrained edge (a geometric side-of-line test would
-        misclassify cavity triangles beyond the segment's endpoints).
-        """
-        tri = self.tri
-        arr = tri._arr
-        sides = list(self._edge_sides(u, v))
-        if not sides:
-            raise TriangulationError(f"segment ({u},{v}) is not an edge")
-        loc = next((t for t, w in sides if w != GHOST), sides[0][0])
+    def _split_segment(self, u: int, v: int) -> int:
+        """Split constrained segment (u, v) at its midpoint: an edge
+        split (:func:`~repro.delaunay.cavity.split_edge`), whose two
+        halves stay constrained."""
+        arr = self.tri._arr
         pu, pv = arr.point(u), arr.point(v)
-        # Side labels of the segment before the split (valid within the
-        # segment's slab): used to seed the connectivity propagation for
-        # triangles adjacent to the new subsegments — necessary when the
-        # cavity swallows every pre-existing triangle of a region.
-        label_side = {}
-        for t, w in sides:
-            if w != GHOST and t in self._interior:
-                side = orient2d(pu, pv, arr.point(w))
-                if side != 0:
-                    label_side[side] = self._interior[t]
-
-        tri.unmark_constraint(u, v)
-        vid = self._insert_tracked(x, y, interior_hint=loc)
-        if vid < 0:
-            tri.mark_constraint(u, v)
+        mid = (0.5 * (pu[0] + pv[0]), 0.5 * (pu[1] + pv[1]))
+        if mid == pu or mid == pv:
             raise RefinementError(
-                f"segment ({u},{v}) cannot be split at {(x, y)}: the "
-                f"point is existing vertex {-2 - vid}")
-        tri.mark_constraint(u, vid)
-        tri.mark_constraint(vid, v)
-
-        created = tri.last_created
-        created_set = set(created)
-        pending = []
-        resolved: dict = {}
-        for t in created:
-            if tri.is_ghost(t):
-                continue  # labelled exterior by _track_cavity
-            tv = arr.triangle(t)
-            # Adjacent to a new subsegment: side-of-line is valid here
-            # (no w: the sliver (u, v, vid) of a midpoint rounded off
-            # the segment).
-            if (u in tv or v in tv) and vid in tv:
-                w = next((w for w in tv if w not in (u, v, vid)), None)
-                side = 0 if w is None else orient2d(pu, pv, arr.point(w))
-                if side in label_side:
-                    resolved[t] = self._interior[t] = label_side[side]
-                    continue
-            pending.append(t)
-        while pending:
-            rest = []
-            for t in pending:
-                label = None
-                for k in range(3):
-                    e_u, e_v = tri._edge(t, k)  # real: t is no ghost
-                    key = (e_u, e_v) if e_u < e_v else (e_v, e_u)
-                    if key in tri.constraints:
-                        continue  # labels do not cross constraints
-                    nb = arr.tn[3 * t + k]
-                    if nb < 0:
-                        continue
-                    if tri.is_ghost(nb):
-                        label = False  # open to the outside of the hull
-                        break
-                    if nb in resolved:
-                        label = resolved[nb]
-                        break
-                    if nb not in created_set and nb in self._interior:
-                        label = self._interior[nb]
-                        break
-                if label is None:
-                    rest.append(t)
-                else:
-                    resolved[t] = self._interior[t] = label
-            if len(rest) == len(pending):
-                # The cavity boundary always touches labelled
-                # pre-existing triangles or ghosts; if it does not, the
-                # region bookkeeping is broken and guessing a label
-                # would silently drop (or leak) triangles in to_mesh().
-                raise RefinementError(
-                    f"split of segment ({u},{v}) at {(x, y)}: "
-                    f"{len(rest)} new triangles reach no labelled region")
-            pending = rest
+                f"segment ({u},{v}) cannot be split at {mid}: the point is "
+                "one of its ends")
+        vid = split_edge(self.tri, u, v, *mid)
+        self._count_steiner()
         return vid
 
     def _edge_sides(self, u: int, v: int):
         """``(triangle, apex)`` left of ``u -> v``, then left of
         ``v -> u`` (lazily: one directed-edge probe each).  A side is
-        missing only when the edge is; a hull edge has a ghost side,
+        missing only when the edge is; a boundary edge has a ghost side,
         whose apex is ``GHOST``."""
         tri = self.tri
         for a, b in ((u, v), (v, u)):
@@ -400,14 +320,10 @@ class Refiner:
                 yield loc[0], tri._arr.tv[3 * loc[0] + loc[1]]
 
     def _find_any_edge_triangle(self, u: int, v: int) -> Optional[int]:
-        """Any live triangle holding edge {u, v}, preferring a real one."""
-        ghost: Optional[int] = None
-        for t, apex in self._edge_sides(u, v):
-            if apex != GHOST:
-                return t
-            if ghost is None:
-                ghost = t
-        return ghost
+        """A real triangle holding edge {u, v} (every edge of a region
+        has one), or ``None`` when it is no edge."""
+        return next((t for t, apex in self._edge_sides(u, v)
+                     if apex != GHOST), None)
 
     # ------------------------------------------------------------------
     # Encroachment
@@ -426,13 +342,13 @@ class Refiner:
     # Quality / size tests
     # ------------------------------------------------------------------
     def _triangle_bad(self, t: int) -> bool:
-        """Does live interior triangle ``t`` fail the size or shape test?"""
+        """Does live real triangle ``t`` fail the size or shape test?"""
         self.triangle_tests += 1
         arr = self.tri._arr
         tv = arr.tv
         a, b, c = tv[3 * t], tv[3 * t + 1], tv[3 * t + 2]
         # A dead slot reads DEAD (< 0) at a, a ghost GHOST (< 0) anywhere.
-        if a < 0 or b < 0 or c < 0 or not self._interior.get(t, False):
+        if a < 0 or b < 0 or c < 0:
             return False
         px = arr.px
         ax, ay = px[2 * a], px[2 * a + 1]
@@ -535,11 +451,6 @@ class Refiner:
                 if n:
                     sink.incr(name, n)
 
-    def _split_segment(self, u: int, v: int) -> int:
-        pu, pv = self.tri._arr.point(u), self.tri._arr.point(v)
-        mx, my = 0.5 * (pu[0] + pv[0]), 0.5 * (pu[1] + pv[1])
-        return self._insert_on_segment(u, v, mx, my)
-
     def _process_bad_triangle(self, t: int, work: deque) -> None:
         tri = self.tri
         arr = tri._arr
@@ -560,7 +471,7 @@ class Refiner:
             return
         i = 3 * dest
         a, b, c = tv[i], tv[i + 1], tv[i + 2]
-        if (a < 0 or b < 0 or c < 0 or not self._interior.get(dest, False)
+        if (a < 0 or b < 0 or c < 0
                 or any(px[2 * w] == x and px[2 * w + 1] == y
                        for w in (a, b, c))):
             # Outside the region without crossing a constraint (numeric
@@ -578,7 +489,7 @@ class Refiner:
         vid = arr.new_point(x, y)
         tri.stat_inserts += 1
         retriangulate(tri, vid, cavity, seed)
-        self._track_cavity(True)
+        self._count_steiner()
         self._requeue_created(work)
 
     def _split_segments(self, segments: Sequence[Tuple[int, int]], t: int,
@@ -626,9 +537,9 @@ class Refiner:
         boundary, which ``carve`` accepts as a start.  Only when a
         numeric corner stopped the walk does the kernel's
         :func:`~repro.delaunay.cavity.walk` from ``t`` locate ``cc``;
-        a ghost it returns behind a constrained edge is a wall (the
-        border of a polygon triangulation, not a hull half-plane), and
-        an exhaustive scan locates ``cc`` instead.
+        a ghost it returns is a wall (every ghost edge is a constraint,
+        not a hull half-plane), and an exhaustive scan locates ``cc``
+        instead.
         """
         tri = self.tri
         arr = tri._arr
@@ -680,10 +591,8 @@ class Refiner:
             return blocker, cur, strictly_inside
         self.walk_fallbacks += 1
         dest, certified = walk(tri, x, y, t)
-        if tri.is_ghost(dest):
-            u, v = tri.ghost_edge(dest)
-            if ((u, v) if u < v else (v, u)) in tri.constraints:
-                return None, locate_fallback(tri, x, y), False
+        if tri.is_ghost(dest):  # a wall: its edge is a constraint
+            return None, locate_fallback(tri, x, y), False
         return None, dest, certified
 
     def _encroached_boundary(self, cavity: Set[int], seed: int, x: float,
@@ -721,10 +630,8 @@ class Refiner:
     # Output
     # ------------------------------------------------------------------
     def to_mesh(self) -> TriMesh:
-        # Dead slots need no test: the compaction keeps live rows only.
-        mask = np.zeros(self.tri._arr.n_tris, dtype=bool)
-        mask[[t for t, lab in self._interior.items() if lab]] = True
-        mesh = self.tri.to_mesh(keep_mask=mask)
+        """The real triangles: the region, and nothing else."""
+        mesh = self.tri.to_mesh()
         sink = counters_current()
         if sink is not None:
             sink.absorb_finalize(self.tri)
@@ -743,24 +650,32 @@ def refine_pslg(
     """One-call PSLG -> refined quality mesh (the Triangle workflow),
     at Ruppert's bound :data:`RUPPERT_BOUND`.
 
+    The segments must form closed loops through every point: the one
+    that contains all others bounds the domain, each other one is a hole
+    with its seed in ``holes`` inside it (:func:`~repro.delaunay.
+    constrained.triangulate_loops` names what it refuses).  The polygon
+    is refined with its segments unlocked.
+
     ``max_area`` is a uniform bound (a :class:`~repro.sizing.UniformSizing`,
     so the criterion's Lipschitz filter decides most verdicts); ``area_fn``
     a spatially varying one (both may be given — the effective bound is
-    the minimum).
+    the minimum).  Each must be a positive finite number, else
+    ``ValueError``.
     """
-    if max_area is not None and max_area <= 0:
-        raise ValueError("max_area must be positive")
+    if max_area is not None and not 0.0 < max_area < _INF:
+        raise ValueError(
+            f"max_area must be a positive finite number, got {max_area!r}")
 
     criterion = None
     if max_area is not None and area_fn is not None:
-        criterion = AreaCriterion(lambda x, y: min(max_area, area_fn(x, y)))
+        # area_fn first: min() would drop a NaN in second place.
+        criterion = AreaCriterion(lambda x, y: min(area_fn(x, y), max_area))
     elif max_area is not None:
         criterion = AreaCriterion(UniformSizing(max_area).area_at)
     elif area_fn is not None:
         criterion = AreaCriterion(area_fn)
 
-    tri = triangulate_pslg(points, segments)
-    refiner = Refiner(tri, holes=holes, criterion=criterion,
-                      min_edge_floor=min_edge_floor)
+    refiner = Refiner(triangulate_loops(points, segments, holes),
+                      criterion=criterion, min_edge_floor=min_edge_floor)
     refiner.refine()
     return refiner.to_mesh()

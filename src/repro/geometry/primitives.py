@@ -177,6 +177,19 @@ def polygon_area(pts) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
+def point_in_polygon(x, y, poly: np.ndarray):
+    """Even-odd ray casting (horizontal ray to +inf), vectorised over
+    the edges — and over points when ``x`` and ``y`` are ``(k, 1)``
+    columns (one answer per row)."""
+    poly = np.asarray(poly, dtype=np.float64)
+    xi, yi = poly[:, 0], poly[:, 1]
+    xj, yj = np.roll(xi, 1), np.roll(yi, 1)
+    straddle = (yi > y) != (yj > y)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_cross = xi + (y - yi) / (yj - yi) * (xj - xi)
+    return (straddle & (x < x_cross)).sum(axis=-1) % 2 == 1
+
+
 def slerp_unit(u, v, t: float) -> Tuple[float, float]:
     """Spherical (constant-angular-rate) interpolation of unit vectors.
 

@@ -543,12 +543,9 @@ def pack_subdomain(sub) -> Buffers:
     rings = [_f64(sub.ring, 2)] + [_f64(hr, 2) for hr in sub.hole_rings]
     offsets = np.zeros(len(rings) + 1, dtype=np.int32)
     np.cumsum([len(r) for r in rings], out=offsets[1:])
-    holes = (_f64(sub.holes, 2) if sub.holes
-             else np.empty((0, 2), dtype=np.float64))
     return {
         "coords": np.vstack(rings),
         "ring_offsets": offsets,
-        "holes": holes,
         "meta": np.asarray([float(sub.level), float(sub.est_triangles)],
                            dtype=np.float64),
     }
@@ -561,14 +558,12 @@ def unpack_subdomain(buffers: Buffers):
     offsets = _i32(buffers["ring_offsets"])
     rings = [np.ascontiguousarray(coords[offsets[i]:offsets[i + 1]])
              for i in range(len(offsets) - 1)]
-    holes = _f64(buffers["holes"], 2)
     level, est = (float(x) for x in buffers["meta"])
     return DecoupledSubdomain(
         ring=rings[0],
         level=int(level),
         est_triangles=est,
         hole_rings=rings[1:],
-        holes=[(float(x), float(y)) for x, y in holes],
     )
 
 

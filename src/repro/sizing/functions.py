@@ -61,13 +61,27 @@ def decoupling_edge_length(area: float) -> float:
     return 0.5 * math.sqrt(area / math.sqrt(2.0))
 
 
+def _positive(name: str, value: float, cap: bool = False) -> float:
+    """``value`` as a float, or ``ValueError`` naming ``name`` unless it
+    is a positive finite number (or, for a ``cap``, ``inf``: no cap)."""
+    if not (0.0 < value < math.inf or cap and value == math.inf):
+        raise ValueError(f"{name} must be a positive finite number"
+                         f"{' or inf' if cap else ''}, got {float(value)!r}")
+    return float(value)
+
+
+def _grading(value: float) -> float:
+    if not 0.0 <= value < math.inf:
+        raise ValueError(
+            f"grading must be a finite number >= 0, got {float(value)!r}")
+    return float(value)
+
+
 class UniformSizing:
     """Constant maximum area everywhere."""
 
     def __init__(self, area: float) -> None:
-        if area <= 0:
-            raise ValueError("area must be positive")
-        self.area = float(area)
+        self.area = _positive("area", area)
 
     lipschitz = (0.0, 0.0)  #: see :attr:`GradedDistanceSizing.lipschitz`
 
@@ -107,12 +121,10 @@ class GradedDistanceSizing:
         pts = np.ascontiguousarray(np.asarray(surface_points, np.float64))
         if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
             raise ValueError("surface_points must be a nonempty (n, 2) array")
-        if h0 <= 0 or grading < 0 or h_max <= 0:
-            raise ValueError("h0, h_max must be > 0 and grading >= 0")
         self._pts = pts
-        self.h0 = float(h0)
-        self.grading = float(grading)
-        self.h_max = float(h_max)
+        self.h0 = _positive("h0", h0)
+        self.grading = _grading(grading)
+        self.h_max = _positive("h_max", h_max, cap=True)
         # Coarse acceleration: keep a decimated cloud for the far field and
         # the exact covering radius ("pad") of the decimation — the largest
         # distance from any surface point to its nearest coarse sample.
@@ -188,12 +200,10 @@ class RadialSizing:
 
     def __init__(self, center: Tuple[float, float], h0: float,
                  grading: float = 0.3, h_max: float = math.inf) -> None:
-        if h0 <= 0 or grading < 0:
-            raise ValueError("h0 must be > 0 and grading >= 0")
         self.center = (float(center[0]), float(center[1]))
-        self.h0 = float(h0)
-        self.grading = float(grading)
-        self.h_max = float(h_max)
+        self.h0 = _positive("h0", h0)
+        self.grading = _grading(grading)
+        self.h_max = _positive("h_max", h_max, cap=True)
 
     @property
     def lipschitz(self) -> Tuple[float, float]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -179,13 +179,12 @@ class AdaptLoopResult:
 
 
 def adapt_step(mesh: TriMesh, metric: MetricField, *,
-               holes: Sequence[Tuple[float, float]],
                max_passes: int, protect_segments: bool,
                backend: Optional[str]) -> Tuple[TriMesh, AdaptReport]:
     """Run one adapt step locally or through the runtime executor."""
     if backend is None:
         return adapt_mesh(
-            mesh, metric, holes=holes, max_passes=max_passes,
+            mesh, metric, max_passes=max_passes,
             protect_segments=protect_segments,
         )
     from ..core import pipeline
@@ -193,7 +192,7 @@ def adapt_step(mesh: TriMesh, metric: MetricField, *,
 
     impl = executor.get_backend(backend)
     payload = pipeline.pack_adapt_item(
-        mesh, metric, holes=holes, max_passes=max_passes,
+        mesh, metric, max_passes=max_passes,
         protect_segments=protect_segments,
     )
     (out,) = impl.map_workitems(pipeline.adapt_workitem, [payload])
@@ -210,7 +209,6 @@ def adapt_loop(
     h_max: float = 0.5,
     grading: float = 0.5,
     max_passes: int = 3,
-    holes: Sequence[Tuple[float, float]] = (),
     protect_segments: bool = False,
     flatten_rtol: float = 0.02,
     backend: Optional[str] = None,
@@ -252,7 +250,7 @@ def adapt_loop(
             mesh, u, eps=eps, h_min=h_min, h_max=h_max)
         metric = metric.limit_gradation(mesh.edges(), grading=grading)
         mesh, report = adapt_step(
-            mesh, metric, holes=holes, max_passes=max_passes,
+            mesh, metric, max_passes=max_passes,
             protect_segments=protect_segments, backend=backend,
         )
         u = solve_on_mesh(mesh, problem)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.delaunay import adapt_mesh, refine_pslg
 from repro.delaunay.adapt import HIGH_BAND, LOW_BAND, MeshAdaptor
-from repro.delaunay.constrained import triangulate_pslg
+from repro.delaunay.constrained import load_mesh
 from repro.metric import MetricField, tensor
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -45,8 +45,8 @@ class TestMetricConformity:
 
     def test_conformity_in_unit_interval(self, mesh):
         field = MetricField.uniform(mesh.points, 0.05)
-        adaptor = MeshAdaptor(triangulate_pslg(mesh.points, mesh.segments),
-                              field)
+        adaptor = MeshAdaptor(
+            load_mesh(mesh.points, mesh.triangles, mesh.segments), field)
         assert 0.0 <= adaptor.conformity() <= 1.0
 
     def test_adaptation_raises_conformity(self, mesh):

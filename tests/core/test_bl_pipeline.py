@@ -30,16 +30,16 @@ class TestInteriorSeed:
         pts = np.array([(0, 0), (4, 0), (4, 1), (1, 1), (1, 3), (0, 3)],
                        dtype=float)
         x, y = interior_seed(pts)
-        from repro.core.bl_pipeline import _point_in_polygon
+        from repro.geometry.primitives import point_in_polygon
 
-        assert _point_in_polygon(x, y, pts)
+        assert point_in_polygon(x, y, pts)
 
     def test_airfoil(self):
         pts = naca0012(101)
         x, y = interior_seed(pts)
-        from repro.core.bl_pipeline import _point_in_polygon
+        from repro.geometry.primitives import point_in_polygon
 
-        assert _point_in_polygon(x, y, pts)
+        assert point_in_polygon(x, y, pts)
 
 
 class TestInsertion:
@@ -159,7 +159,7 @@ class TestMultiElementBL:
                 + res.stats["n_multi_truncations"]) > 0
 
     def test_no_bl_point_inside_any_element(self):
-        from repro.core.bl_pipeline import _point_in_polygon
+        from repro.geometry.primitives import point_in_polygon
 
         pslg = three_element_airfoil(n_points=41)
         cfg = BoundaryLayerConfig(first_spacing=1.5e-3, growth_ratio=1.45,
@@ -173,7 +173,7 @@ class TestMultiElementBL:
                 for h in r.heights:
                     q = r.point_at(h)
                     for loop_pts in loops:
-                        assert not _point_in_polygon(q[0], q[1], loop_pts), (
+                        assert not point_in_polygon(q[0], q[1], loop_pts), (
                             q, r.origin)
 
 

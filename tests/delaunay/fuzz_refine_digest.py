@@ -30,7 +30,8 @@ ROOT = Path(__file__).resolve().parents[2]
 if __name__ == "__main__":
     sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
-from repro.delaunay.constrained import triangulate_pslg  # noqa: E402
+from repro.delaunay.constrained import (  # noqa: E402
+    RingError, triangulate_loops)
 from repro.delaunay.kernel import TriangulationError  # noqa: E402
 from repro.delaunay.refine import (  # noqa: E402
     AreaCriterion, RefinementError, Refiner)
@@ -70,13 +71,15 @@ def star_case(seed: int):
     return points, np.array(segments), holes, max_area
 
 
-def refined(cls, points, segments, *, max_area=None, **options) -> Refiner:
+def refined(cls, points, segments, *, holes=(), max_area=None, **options
+            ) -> Refiner:
     """``cls`` (a :class:`Refiner` taking ``options``) run to completion
-    on the PSLG, un-locked, under a uniform area bound."""
+    on the polygon of the PSLG's loops (``refine_pslg``'s input),
+    un-locked, under a uniform area bound."""
     criterion = (None if max_area is None
                  else AreaCriterion(lambda x, y: max_area))
-    refiner = cls(triangulate_pslg(points, segments), criterion=criterion,
-                  **options)
+    refiner = cls(triangulate_loops(points, segments, holes),
+                  criterion=criterion, **options)
     refiner.refine()
     return refiner
 
@@ -86,7 +89,7 @@ def outcome(cls, points, segments, **options):
     typed error, None)`` when the input is refused."""
     try:
         refiner = refined(cls, points, segments, **options)
-    except (TriangulationError, RefinementError) as exc:
+    except (RingError, TriangulationError, RefinementError) as exc:
         return type(exc).__name__, None
     return mesh_hash(refiner.to_mesh()), refiner
 

@@ -45,12 +45,14 @@ def vertex_tensors(self):
 
 
 def interior_edges(self):
-    """Sorted unique edges of interior (non-hole, non-ghost) triangles."""
+    """Sorted unique edges of the real (non-ghost) triangles: the region
+    (the copy also skipped hole triangles, which a loaded mesh has
+    none of)."""
     tri = self.tri
     edges = set()
     for t in tri.live_triangles():
         tv = tri._arr.triangle(t)
-        if tv is None or GHOST in tv or not self._is_interior(t):
+        if tv is None or GHOST in tv:
             continue
         for k in range(3):
             u, v = tv[k], tv[(k + 1) % 3]
@@ -76,8 +78,8 @@ def protected_vertices(self):
 
 
 def flip_edge(self, u, v):
-    """Flip edge (u, v) when legal (convex quad, unconstrained, same
-    region on both sides).  Returns ``True`` on success."""
+    """Flip edge (u, v) when legal (convex quad, unconstrained, real on
+    both sides).  Returns ``True`` on success."""
     tri = self.tri
     key = (u, v) if u < v else (v, u)
     if key in tri.constraints:
@@ -180,7 +182,7 @@ def smooth_pass(self):
         neighbours: set = set()
         for t in star:
             tv = arr.triangle(t)
-            if tv is None or GHOST in tv or not self._is_interior(t):
+            if tv is None or GHOST in tv:
                 ok = False
                 break
             for w in tv:

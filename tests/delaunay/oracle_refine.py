@@ -1,9 +1,10 @@
 """The refinement driver as it was before the survivor worklist — the
 reference :class:`repro.delaunay.refine.Refiner` is compared against.
 
-:class:`RescanRefiner` carries ``refine``, ``_track_cavity``,
+:class:`RescanRefiner` carries ``refine``, ``_track_cavity`` (now
+``_count_steiner``: no region label is left to carry),
 ``_process_bad_triangle`` and ``_split_segments`` of commit ``e3ad0f4``
-verbatim: the deque drains, then a *rescan* re-tests every live
+verbatim but for the labels: the deque drains, then a *rescan* re-tests every live
 triangle, steered by the per-slot ``_unfixable`` flag set (a triangle
 whose fix was denied is never rescanned) and capped at 10 000 rescans.
 A rescan only ever finds the bad triangle that outlived the split of the
@@ -16,8 +17,8 @@ Two edits to the copied text: ``_triangle_bad`` is tested for truth
 ``rescan_found`` counts what the rescans put back, so a test can tell
 whether a case exercised the rescan at all.  Everything else the driver
 needs (`_triangle_bad`, `_locate_visible`, `_encroached_boundary`, the
-region bookkeeping) is production's: this is an oracle for the
-*worklist*, not a second refiner.
+segment split) is production's: this is an oracle for the *worklist*,
+not a second refiner.
 
 :func:`assert_refinement_complete` is the same scan as a postcondition:
 what no driver may leave behind, whatever order it worked in.
@@ -83,20 +84,13 @@ class RescanRefiner(Refiner):
         self._unfixable: set = set()
         self.rescan_found = 0
 
-    def _track_cavity(self, label: bool) -> None:
+    def _count_steiner(self) -> None:
         tri = self.tri
         for t in tri.last_removed:
-            self._interior.pop(t, None)
             self._unfixable.discard(t)
         for t in tri.last_created:
-            self._interior[t] = label and not tri.is_ghost(t)
             self._unfixable.discard(t)
-        self.steiner_count += 1
-        if self.steiner_count > self.max_steiner:
-            raise RefinementError(
-                f"exceeded Steiner budget ({self.max_steiner}); "
-                "sizing function or input geometry is inconsistent"
-            )
+        super()._count_steiner()
 
     def refine(self) -> None:
         """Run to completion (or raise :class:`RefinementError`)."""
@@ -163,8 +157,7 @@ class RescanRefiner(Refiner):
         if blocker is not None:
             self._split_segments([blocker], t, work)
             return
-        if (tri.is_ghost(dest) or not self._is_interior(dest)
-                or find_vertex_at(tri, cc, dest) is not None):
+        if tri.is_ghost(dest) or find_vertex_at(tri, cc, dest) is not None:
             # Outside the region without crossing a constraint (numeric
             # corner) or on top of an existing vertex — nothing safe to
             # insert.
@@ -181,7 +174,7 @@ class RescanRefiner(Refiner):
         vid = tri._arr.new_point(cc[0], cc[1])
         tri.stat_inserts += 1
         retriangulate(tri, vid, cavity, seed)
-        self._track_cavity(True)
+        self._count_steiner()
         self._requeue_created(work)
 
     def _split_segments(self, segments: Sequence[Tuple[int, int]], t: int,
@@ -212,8 +205,7 @@ def fix_denied(refiner: Refiner, t: int) -> bool:
     blocker, dest, certified = refiner._locate_visible(t, *cc)
     if blocker is not None:
         return not refiner._split_allowed(*blocker)
-    if (tri.is_ghost(dest) or not refiner._is_interior(dest)
-            or find_vertex_at(tri, cc, dest) is not None):
+    if tri.is_ghost(dest) or find_vertex_at(tri, cc, dest) is not None:
         return True
     encroached = refiner._encroached_boundary(
         *carve(tri, cc[0], cc[1], dest, certified), *cc)
@@ -223,8 +215,8 @@ def fix_denied(refiner: Refiner, t: int) -> bool:
 
 def assert_refinement_complete(refiner: Refiner) -> None:
     """The whole-mesh scan the driver itself never makes: once
-    ``refine()`` has returned, every live interior triangle is good or
-    its fix is denied."""
+    ``refine()`` has returned, every live real triangle is good or its
+    fix is denied."""
     left = [t for t in refiner.tri.live_triangles()
             if refiner._triangle_bad(t) and not fix_denied(refiner, t)]
     assert not left, (

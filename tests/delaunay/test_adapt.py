@@ -9,14 +9,14 @@ Three layers of guarantees:
   adjacency audit stays green.
 * **Adaptation effectiveness**: adapting toward a metric raises the
   fraction of in-band metric edge lengths.
-* **Differential byte-identity**: the size-criterion refactor of the
-  refinement sizing contract keeps the area path *bit-identical* —
-  pinned canonical hashes from the pre-refactor code must reproduce
-  exactly.
+* **Refinement pins**: ``refine_pslg`` meshes, byte for byte.
 * **Adapted-mesh pins**: whole ``adapt_loop`` / ``adapt_mesh`` outputs
-  (hash, DOF, error, operation counts, conformity traces) recorded
-  before the flip pass became a dirty-edge worklist; the differential
-  against the full-sweep oracle is ``test_adapt_flip.py``.
+  (hash, DOF, error, operation counts, conformity traces); the
+  differential against the full-sweep flip oracle is
+  ``test_adapt_flip.py``.
+* **One region model**: ``adapt_mesh`` loads the mesh it is given, so a
+  hole needs no seed, and a split of a hole's or the outer boundary's
+  segment is an edge split next to a ghost.
 
 Every pinned value is in ``tests/pins.json``; ``tests/pins.py`` builds
 the cases.
@@ -31,9 +31,10 @@ from repro.delaunay import (
     MeshAdaptor,
     adapt_mesh,
     refine_pslg,
+    validate_mesh,
 )
 from repro.delaunay.adapt import HIGH_BAND, LOW_BAND
-from repro.delaunay.constrained import triangulate_pslg
+from repro.delaunay.constrained import load_mesh
 from repro.delaunay.kernel import GHOST
 from repro.geometry.predicates import orient2d
 from repro.metric import MetricField, tensor
@@ -115,7 +116,7 @@ class TestOperationInvariants:
             self, case, h_fine, h_coarse, passes):
         mesh = square_mesh()
         field = metric_from_case(mesh.points, case, h_fine, h_coarse)
-        tri = triangulate_pslg(mesh.points, mesh.segments)
+        tri = load_mesh(mesh.points, mesh.triangles, mesh.segments)
         adaptor = MeshAdaptor(tri, field)
         adaptor.adapt(max_passes=passes)
         check_integrity(tri)
@@ -129,7 +130,7 @@ class TestOperationInvariants:
         """Random interleaving of raw split/collapse/flip calls."""
         mesh = square_mesh(max_area=0.05)
         field = MetricField.uniform(mesh.points, 0.15)
-        tri = triangulate_pslg(mesh.points, mesh.segments)
+        tri = load_mesh(mesh.points, mesh.triangles, mesh.segments)
         adaptor = MeshAdaptor(tri, field)
         protected = adaptor._protected_vertices()
         for _ in range(20):
@@ -188,23 +189,113 @@ class TestAdaptationEffect:
         assert report.collapses > 0
 
     def test_holes_stay_empty(self):
+        """The hole of the mesh is a hole of the loaded triangulation:
+        no seed says so."""
         mesh = pins.holed_square()
         field = MetricField.uniform(mesh.points, 0.1)
-        adapted, _ = adapt_mesh(mesh, field, holes=[(0.5, 0.5)],
-                                max_passes=2)
+        adapted, _ = adapt_mesh(mesh, field, max_passes=2)
         cents = adapted.points[adapted.triangles].mean(axis=1)
         inside = ((np.abs(cents[:, 0] - 0.5) < 0.1 - 1e-9)
                   & (np.abs(cents[:, 1] - 0.5) < 0.1 - 1e-9))
         assert not inside.any()
+        assert np.abs(adapted.areas()).sum() == pytest.approx(0.96)
 
 
 # ----------------------------------------------------------------------
-# Differential byte-identity of the size-criterion refactor
+# One region model: the mesh is loaded as it is
+# ----------------------------------------------------------------------
+def holed_square_mesh(side=4.0, hole=(1.5, 2.5), max_area=1.0):
+    """A ``side`` square around a square hole spanning ``hole`` in x and
+    y, refined without splitting a segment more than it must."""
+    lo, hi = hole
+    pts = np.array([(0, 0), (side, 0), (side, side), (0, side),
+                    (lo, lo), (hi, lo), (hi, hi), (lo, hi)], dtype=float)
+    segs = np.array([(0, 1), (1, 2), (2, 3), (3, 0),
+                     (4, 5), (5, 6), (6, 7), (7, 4)])
+    return refine_pslg(pts, segs, holes=[(2.0, 2.0)], max_area=max_area)
+
+
+class TestLoadedMesh:
+    def test_load_then_export_is_the_same_mesh(self):
+        mesh = pins.holed_square()
+        tri = load_mesh(mesh.points, mesh.triangles, mesh.segments)
+        check_integrity(tri)
+        out = tri.to_mesh()
+        assert np.array_equal(out.points, mesh.points)
+        assert np.array_equal(out.triangles, mesh.triangles)
+        assert np.array_equal(out.segments, mesh.segments)
+
+    def test_every_boundary_edge_is_a_constraint_with_a_ghost(self):
+        """A mesh that lists no segments still has walls: its boundary
+        edges become constraints, each bordered by a ghost."""
+        mesh = pins.holed_square()
+        tri = load_mesh(mesh.points, mesh.triangles, np.empty((0, 2)))
+        boundary = {tuple(sorted(e)) for e in mesh.boundary_edges().tolist()}
+        assert tri.constraints == boundary
+        ghosts = [tri.ghost_edge(t) for t in tri.live_triangles()
+                  if tri.is_ghost(t)]
+        assert {tuple(sorted(e)) for e in ghosts} == boundary
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda t, s: (t[:, ::-1], s), "counter-clockwise"),
+        (lambda t, s: (np.vstack([t, t[:1]]), s), "held by two triangles"),
+        (lambda t, s: (t, np.vstack([s, [[0, 2]]])), "not an edge"),
+        (lambda t, s: (t[:0], s), "no triangles"),
+    ])
+    def test_what_is_not_a_mesh_is_a_value_error(self, edit, match):
+        mesh = pins.holed_square()
+        tris, segs = edit(mesh.triangles.astype(np.int64),
+                          mesh.segments.astype(np.int64))
+        with pytest.raises(ValueError, match=match):
+            load_mesh(mesh.points, tris, segs)
+
+    def test_a_pinched_boundary_is_a_value_error(self):
+        """Two triangles touching at one vertex: two boundary loops meet
+        there, and no ghost ring can go round both."""
+        pts = np.array([(0, 0), (1, 0), (0, 1), (-1, 0), (0, -1)], float)
+        tris = np.array([(0, 1, 2), (0, 3, 4)])
+        with pytest.raises(ValueError, match="vertex 0: two boundary"):
+            load_mesh(pts, tris, np.empty((0, 2)))
+
+    def test_hole_seeds_are_refused(self):
+        mesh = pins.holed_square()
+        field = MetricField.uniform(mesh.points, 0.1)
+        with pytest.raises(ValueError, match="no hole seeds"):
+            adapt_mesh(mesh, field, holes=[(0.5, 0.5)])
+
+    @pytest.mark.parametrize("protect", [False, True])
+    def test_split_of_hole_and_outer_segments_is_valid(self, protect):
+        """A metric of spacing 0.15 splits every segment of the hole and
+        of the outer square many times over (or, protected, none).  The
+        split is an edge split beside a ghost: the mesh stays valid,
+        the hole stays empty and the area stays 15."""
+        mesh = holed_square_mesh()
+        field = MetricField.uniform(mesh.points, 0.15)
+        adapted, report = adapt_mesh(mesh, field, max_passes=3,
+                                     protect_segments=protect)
+        assert validate_mesh(adapted, check_delaunay=False).ok
+        assert np.abs(adapted.areas()).sum() == pytest.approx(15.0)
+        cents = adapted.points[adapted.triangles].mean(axis=1)
+        assert not (np.abs(cents - 2.0) < 0.5).all(axis=1).any()
+        def on_hole_and_outer(points):
+            return ((np.abs(points - 2.0).max(axis=1) == 0.5).sum(),
+                    ((points == 0.0) | (points == 4.0)).any(axis=1).sum())
+
+        before, after = on_hole_and_outer(mesh.points), on_hole_and_outer(
+            adapted.points)
+        if protect:
+            assert after == before
+        else:
+            # Side 1 and 4 at spacing 0.15: about 7 and 27 per side.
+            assert after[0] >= 4 * 6 and after[1] >= 4 * 20 > before[1]
+
+
+# ----------------------------------------------------------------------
+# refine_pslg pins
 # ----------------------------------------------------------------------
 class TestByteIdentity:
-    """Hashes pinned from the pre-refactor refinement code (commit
-    946022f): the AreaCriterion default path reproduces them byte for
-    byte."""
+    """``refine_pslg`` meshes (``tests/pins.py``), byte for byte: each
+    refines the polygon its loops bound, un-locked."""
 
     def test_square_max_area(self):
         assert mesh_hash(pins.square_max_area()) == pin(
@@ -224,7 +315,7 @@ class TestByteIdentity:
 
 
 # ----------------------------------------------------------------------
-# Adapted meshes, pinned at commit c676863 (full-sweep flip pass)
+# Adapted meshes
 # ----------------------------------------------------------------------
 class TestAdaptedMeshPins:
     def test_shear_layer_loop(self, monkeypatch):
@@ -248,7 +339,8 @@ class TestAdaptedMeshPins:
          want["conformity_after"])
         for protect, want in (
             (False, pin("holed_square_adapt", "free")),
-            (True, pin("holed_square_adapt", "protected")))])
+            (True, pin("holed_square_adapt", "protected")))],
+        ids=["free", "protected"])
     def test_holed_square_rotated_metric(self, protect, digest, size, ops,
                                          conformity):
         assert pins.holed_square_adapt(protect) == {

@@ -20,7 +20,7 @@ from repro.delaunay import MeshAdaptor, refine_pslg
 from repro.delaunay import adapt as adapt_module
 from repro.delaunay.adapt import FLIP_MAX_SWEEPS, FLIP_TOL
 from repro.delaunay.arrays import MeshArrays
-from repro.delaunay.constrained import triangulate_pslg
+from repro.delaunay.constrained import load_mesh
 from repro.delaunay.kernel import GHOST
 from repro.metric import MetricField
 from repro.runtime import counters
@@ -59,10 +59,9 @@ def banded_metric(points, theta, h_fine, ratio):
     return MetricField(points, tensors)
 
 
-def make_adaptor(mesh, field, holed, protect):
-    tri = triangulate_pslg(mesh.points, mesh.segments)
-    return MeshAdaptor(tri, field, holes=[(0.5, 0.5)] if holed else (),
-                       protect_segments=protect)
+def make_adaptor(mesh, field, protect):
+    tri = load_mesh(mesh.points, mesh.triangles, mesh.segments)
+    return MeshAdaptor(tri, field, protect_segments=protect)
 
 
 def logged_flip_pass(adaptor):
@@ -104,8 +103,6 @@ def still_improvable(adaptor):
         if len(sides) != 2 or GHOST in (sides[0][1], sides[1][1]):
             continue
         (t1, a), (t2, b) = sides
-        if adaptor._is_interior(t1) != adaptor._is_interior(t2):
-            continue
         q_now = min(
             oracle_adapt.metric_quality(adaptor, *tri._arr.triangle(t1),
                                         tensors),
@@ -134,8 +131,8 @@ class TestAgainstFullSweepOracle:
             self, theta, ratio, h_fine, max_area, holed, protect):
         mesh = start_mesh(max_area, holed)
         field = banded_metric(mesh.points, theta, h_fine, ratio)
-        new = make_adaptor(mesh, field, holed, protect)
-        old = make_adaptor(mesh, field, holed, protect)
+        new = make_adaptor(mesh, field, protect)
+        old = make_adaptor(mesh, field, protect)
         for _ in range(2):
             for adaptor in (new, old):
                 adaptor.split_pass()
@@ -180,8 +177,8 @@ class TestAgainstFullSweepOracle:
         monkeypatch.setattr(adapt_module, "FLIP_MAX_SWEEPS", 1)
         mesh = start_mesh(0.02, False)
         field = banded_metric(mesh.points, 0.6, 0.04, 30.0)
-        new = make_adaptor(mesh, field, False, False)
-        old = make_adaptor(mesh, field, False, False)
+        new = make_adaptor(mesh, field, False)
+        old = make_adaptor(mesh, field, False)
         for adaptor in (new, old):
             adaptor.split_pass()
             adaptor.collapse_pass()

@@ -63,13 +63,13 @@ def degrees(adaptor):
     return out
 
 
-def run_both(mesh, field, holed, protect, passes=2):
+def run_both(mesh, field, protect, passes=2):
     """Adapt twin adaptors, smoothing one with the production pass and
     the other with the oracle; asserts equal floats after every smooth
     pass.  Returns ``(degree, moved)`` pairs of every smoothed vertex
     and the ear-clip calls."""
-    new = make_adaptor(mesh, field, holed, protect)
-    old = make_adaptor(mesh, field, holed, protect)
+    new = make_adaptor(mesh, field, protect)
+    old = make_adaptor(mesh, field, protect)
     smoothed = []
     with ear_clips_checked() as clips:
         for _ in range(passes):
@@ -107,7 +107,7 @@ class TestAgainstArrayOracle:
                                    holed, protect):
         mesh = start_mesh(max_area, holed)
         run_both(mesh, banded_metric(mesh.points, theta, h_fine, ratio),
-                 holed, protect)
+                 protect)
 
     def test_high_degree_vertices_move(self):
         """Positive control: only where a vertex has 8 or more neighbours
@@ -116,7 +116,7 @@ class TestAgainstArrayOracle:
         must clip stars larger than a triangle."""
         mesh = start_mesh(0.02, False)
         smoothed, clips = run_both(
-            mesh, banded_metric(mesh.points, 0.0, 0.03, 1.0), False, False)
+            mesh, banded_metric(mesh.points, 0.0, 0.03, 1.0), False)
         assert sum(moved for deg, moved in smoothed if deg >= 8) >= 20
         assert sum(1 for n, tris in clips if n >= 5 and tris) >= 20
 

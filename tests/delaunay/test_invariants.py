@@ -42,7 +42,8 @@ from repro.core.decouple import DecoupledSubdomain, refine_subdomain
 from repro.delaunay import cavity as cavity_module
 from repro.delaunay import refine as refine_module
 from repro.delaunay.cavity import carve, retriangulate
-from repro.delaunay.constrained import insert_segment, triangulate_pslg
+from repro.delaunay.constrained import (
+    insert_segment, triangulate_loops, triangulate_pslg)
 from repro.delaunay.kernel import Triangulation, triangulate
 from repro.delaunay.refine import AreaCriterion, Refiner
 from repro.geometry.predicates import incircle, orient2d
@@ -386,16 +387,30 @@ class TestConstrainedInvariants:
     @given(poly=star_polygon(min_v=5, max_v=10))
     @settings(max_examples=10, deadline=None)
     def test_refined_cdt_invariants(self, poly):
+        """``refine_pslg``'s traffic: every circumcenter a cavity the
+        oracle agrees with, every segment split an edge split, and the
+        two together every Steiner point."""
         n = len(poly)
         segs = np.array([(i, (i + 1) % n) for i in range(n)])
-        tri = triangulate_pslg(poly, segs)
+        tri = triangulate_loops(poly, segs, ())
         span = float(np.ptp(poly, axis=0).max())
         refiner = Refiner(
             tri, criterion=AreaCriterion(lambda x, y: (span / 6) ** 2),
             min_edge_floor=span * 1e-3)
-        with checking_commits() as sizes:
-            refiner.refine()
-        assert len(sizes) == refiner.steiner_count
+        split = refine_module.split_edge
+        splits = []
+
+        def counting(*args):
+            splits.append(args[1:3])
+            return split(*args)
+
+        refine_module.split_edge = counting
+        try:
+            with checking_commits() as sizes:
+                refiner.refine()
+        finally:
+            refine_module.split_edge = split
+        assert len(sizes) + len(splits) == refiner.steiner_count
         assert_invariants(tri)
         assert_refinement_complete(refiner)
 

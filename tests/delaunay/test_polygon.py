@@ -23,16 +23,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.decouple import (
-    DecoupledSubdomain,
-    RingError,
-    checked_rings,
-    refine_subdomain,
-)
+from repro.core.decouple import DecoupledSubdomain, refine_subdomain
 from repro.delaunay import refine
 from repro.delaunay.cavity import find_directed_edge, walk
 from repro.delaunay.constrained import (
+    RingError,
     carve,
+    checked_rings,
     triangulate_pslg,
     triangulate_polygon,
 )
@@ -333,23 +330,23 @@ class TestCheckedRings:
     def test_too_few_distinct_vertices(self):
         ring = np.asarray([(0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (1.0, 0.0)])
         with pytest.raises(RingError, match="fewer than 3"):
-            checked_rings(DecoupledSubdomain(ring=ring))
+            checked_rings(ring, [])
 
     def test_fold_back(self):
         ring = np.asarray([(0.0, 0.0), (2.0, 0.0), (1.0, 0.0), (1.0, 1.0)])
         with pytest.raises(RingError, match="vertex 1: folds back"):
-            checked_rings(DecoupledSubdomain(ring=ring))
+            checked_rings(ring, [])
 
     def test_crossing_edges(self):
         bowtie = np.asarray([(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)])
         with pytest.raises(RingError, match="meets edge"):
-            checked_rings(DecoupledSubdomain(ring=bowtie))
+            checked_rings(bowtie, [])
 
     def test_hole_touching_the_outer_ring(self):
         ring = unit_square_ring()
         hole = np.asarray([(0.5, 0.0), (0.6, 0.2), (0.4, 0.2)])
         with pytest.raises(RingError) as err:
-            checked_rings(DecoupledSubdomain(ring=ring, hole_rings=[hole]))
+            checked_rings(ring, [hole])
         assert {err.value.ring} <= {0, 1}
 
     def test_orientation_is_fixed_not_required(self):
@@ -358,7 +355,7 @@ class TestCheckedRings:
                                        (1.0, 1.0), (-1.0, 1.0)])
         sub = DecoupledSubdomain(ring=ring[::-1].copy(), hole_rings=[hole])
         assert sub.area() == pytest.approx(1.0 - 0.04)
-        outer, (inner,) = checked_rings(sub)
+        outer, (inner,) = checked_rings(sub.ring, sub.hole_rings)
         assert np.array_equal(outer, ring)
         assert np.array_equal(inner, hole[::-1])
         mesh = refine_subdomain(sub, UniformSizing(0.01))

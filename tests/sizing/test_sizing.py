@@ -129,3 +129,45 @@ class TestRadial:
         assert s.edge_length_at(0, 0) == pytest.approx(0.1)
         assert s.edge_length_at(2, 0) == pytest.approx(1.1)
         assert s.area_at(2, 0) > s.area_at(0, 0)
+
+
+class TestBoundsRefused:
+    """A sizing parameter that is not a positive finite number (a
+    grading that is not a finite number >= 0) is a ``ValueError`` naming
+    it, not a sizing whose areas are NaN or whose cap is silently off.
+    ``h_max=inf`` is the absent cap and stays allowed."""
+
+    CIRCLE = np.column_stack([np.cos(np.arange(8.0)), np.sin(np.arange(8.0))])
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda v: UniformSizing(v), "area"),
+        (lambda v: GradedDistanceSizing(TestBoundsRefused.CIRCLE, h0=v),
+         "h0"),
+        (lambda v: GradedDistanceSizing(TestBoundsRefused.CIRCLE, h0=0.1,
+                                        grading=v), "grading"),
+        (lambda v: GradedDistanceSizing(TestBoundsRefused.CIRCLE, h0=0.1,
+                                        h_max=v), "h_max"),
+        (lambda v: RadialSizing((0, 0), h0=v), "h0"),
+        (lambda v: RadialSizing((0, 0), h0=0.1, grading=v), "grading"),
+        (lambda v: RadialSizing((0, 0), h0=0.1, h_max=v), "h_max"),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, -1.0])
+    def test_named(self, build, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            build(value)
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda: UniformSizing(math.inf), "area"),
+        (lambda: GradedDistanceSizing(TestBoundsRefused.CIRCLE,
+                                      h0=math.inf), "h0"),
+        (lambda: RadialSizing((0, 0), h0=0.1, grading=math.inf), "grading"),
+        (lambda: RadialSizing((0, 0), h0=0.1, h_max=0.0), "h_max"),
+    ])
+    def test_infinite_or_zero(self, build, name):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            build()
+
+    def test_infinite_cap_is_no_cap(self):
+        s = GradedDistanceSizing(self.CIRCLE, h0=0.1, h_max=math.inf)
+        assert s.edge_length_at(100.0, 0.0) > 10.0
+        assert RadialSizing((0, 0), h0=0.1, h_max=math.inf).h_max == math.inf

@@ -10,13 +10,15 @@ the in-process one.
 import numpy as np
 import pytest
 
-from repro.delaunay import refine_pslg
+from repro.delaunay import adapt_mesh, refine_pslg
 from repro.metric import MetricField
 from repro.runtime import serde
+from repro.runtime.executor import ExecutorError
 from repro.solver.adapt import (
     AdaptLoopResult,
     ShearLayerProblem,
     adapt_loop,
+    adapt_step,
     l2_error,
     solve_on_mesh,
 )
@@ -72,6 +74,22 @@ class TestAdaptLoop:
         first = loop_result.history[0].error
         assert loop_result.error < first / 10.0
 
+    def test_run_on_best_error_of_the_shear_ledger_loop(self):
+        """The ``adapt_shear`` loop (``tests/pins.py``) stops after two
+        cycles, before it converges, so its pinned error follows how the
+        start mesh samples the layer: from this 41-point right-isosceles
+        square it is 0.0224 at 339 DOF, from the 42-point hull-and-carve
+        square ``refine_pslg`` built before it triangulated its loops
+        0.0180 at 353.  Run on until the error stops falling, the loop
+        reaches 0.0127 at 422 DOF; the hull-and-carve start reached
+        0.0150 at 417."""
+        result = adapt_loop(square_mesh(0.02), cycles=10,
+                            problem=ShearLayerProblem(0.05, 0.1),
+                            eps=4e-2, h_min=1e-3, h_max=0.3)
+        assert result.history[0].dof == 41
+        assert result.error <= 0.0150
+        assert abs(result.dof - 417) <= 0.1 * 417
+
     def test_half_the_dof_of_uniform_refinement_at_equal_error(
             self, loop_result):
         """What the metric stack is for: uniform refinement needs at
@@ -109,6 +127,20 @@ class TestAdaptLoop:
     def test_rejects_zero_cycles(self):
         with pytest.raises(ValueError):
             adapt_loop(square_mesh(), cycles=0)
+
+    @pytest.mark.parametrize("passes", [0, -2])
+    def test_rejects_pass_counts_that_do_nothing(self, passes):
+        """No pass would run: the input mesh would come back as the
+        adapted one."""
+        with pytest.raises(ValueError, match="max_passes must be >= 1"):
+            adapt_loop(square_mesh(), cycles=1, max_passes=passes)
+
+    def test_rejects_negative_smoothing(self):
+        mesh = square_mesh()
+        with pytest.raises(ValueError,
+                           match="smooth_iterations must be >= 0"):
+            adapt_mesh(mesh, MetricField.uniform(mesh.points, 0.1),
+                       smooth_iterations=-1)
 
     @pytest.mark.parametrize("errors,converged", [
         ([1.0, 0.5, 0.495], True),     # improvement fell below 2 %
@@ -185,6 +217,15 @@ class TestAdaptLoop:
 
 
 class TestExecutorDispatch:
+    def test_pooled_step_rejects_a_pass_count_that_does_nothing(self):
+        """The worker's ``adapt_mesh`` refuses it; the pool reports the
+        failed item with the worker's message."""
+        mesh = square_mesh()
+        with pytest.raises(ExecutorError, match="max_passes must be >= 1"):
+            adapt_step(mesh, MetricField.uniform(mesh.points, 0.1),
+                       max_passes=0, protect_segments=False,
+                       backend="processes")
+
     def test_serial_backend_matches_inprocess(self):
         """Backend-dispatched adapt step == in-process, bit for bit."""
         mesh = square_mesh()
