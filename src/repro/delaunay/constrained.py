@@ -67,7 +67,11 @@ class RingError(ValueError):
 
     def __init__(self, ring: int, vertex: int, problem: str) -> None:
         super().__init__(f"{_ring_name(ring)}, vertex {vertex}: {problem}")
-        self.ring, self.vertex = ring, vertex
+        self.ring, self.vertex, self.problem = ring, vertex, problem
+
+    def __reduce__(self) -> tuple:
+        # Rebuilt from its own arguments, so it crosses a process pool.
+        return type(self), (self.ring, self.vertex, self.problem)
 
 
 def _ring_name(ring: int) -> str:

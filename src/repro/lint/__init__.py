@@ -2,16 +2,14 @@
 
 The paper's correctness story rests on invariants the code can silently
 break: exact-arithmetic escalation for geometric predicates (Section
-II.B), reproducible output, and leak-free hand-off of work items
-between the pool's processes (Section II.F).  Tier-1 checks *outputs*
+II.B), reproducible output, and the buffer contract of the work items
+the pool's processes exchange (Section II.F).  Tier-1 checks *outputs*
 (``tests/pins.json``, the fuzz digests); this package checks *sources*,
 and keeps a rule only while it flags a recorded defect that tier-1
 misses.  Each rule's defect is a fixture under ``tests/lint/mutants/``
 (the mutated function, with the input that shows the defect), and
-``tests/lint/test_mutants.py`` asserts the rule flags it.  R8 runs a
-function-scope CFG + dataflow engine (:mod:`repro.lint.cfg`,
-:mod:`repro.lint.dataflow`) to follow a value across exception edges;
-the others are statement-level AST checks.
+``tests/lint/test_mutants.py`` asserts the rule flags it.  Every rule
+is a statement-level AST check.
 
 Usage::
 
@@ -32,7 +30,7 @@ the code it excuses.  Per-tree severity overrides
 (:data:`repro.lint.engine.DEFAULT_SEVERITY_MAP`) relax production-only
 rules for ``tests/`` and ``examples/``.
 
-The rule set (ids are never reused; R6, R7, R9, R11 and R12 are gone)
+The rule set (ids are never reused; R6–R9, R11 and R12 are gone)
 and the defect each one's fixture records:
 
 =======  =============================================  ==================================
@@ -50,9 +48,6 @@ and the defect each one's fixture records:
                                                         between daemons
 ``R5``   wall-clock read outside ``runtime.counters``   ``generate_mesh``: ``--profile``
                                                         loses the ``merge`` phase
-``R8``   shm/wire value leaked on some path             ``_pool_worker_main``: a failed
-         (exception edges included)                     counters snapshot leaks a
-                                                        ``/dev/shm`` segment
 ``R10``  serde buffer-contract violation (dtype or      ``MeshService._stats_buffers``:
          key naming) in ``pack_*``/``*_buffers``        the stats frame rounds to
                                                         float32

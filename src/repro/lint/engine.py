@@ -31,13 +31,12 @@ __all__ = ["Finding", "FileContext", "Rule", "LintRunner",
 #: Per-tree rule-severity overrides: a finding whose path contains the
 #: key as a directory part gets the mapped severity for that rule —
 #: ``"off"`` drops it, ``"warn"`` keeps it visible without failing the
-#: run.  Test/example helpers legitimately read wall clocks (R5), hold
-#: short-lived wire envelopes across asserts (R8) and build buffers of
-#: any dtype to exercise the transport (R10); holding them to
-#: production severity would bury real findings under justified noise.
-#: Engine-level findings (P0/P1/E9) are never demoted.
+#: run.  Test/example helpers legitimately read wall clocks (R5) and
+#: build buffers of any dtype to exercise the transport (R10); holding
+#: them to production severity would bury real findings under justified
+#: noise.  Engine-level findings (P0/P1/E9) are never demoted.
 DEFAULT_SEVERITY_MAP: Dict[str, Dict[str, str]] = {
-    "tests": {"R5": "off", "R8": "off", "R10": "off"},
+    "tests": {"R5": "off", "R10": "off"},
     "examples": {"R5": "warn"},
 }
 

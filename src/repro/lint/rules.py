@@ -14,12 +14,11 @@ from typing import Dict, List, Sequence
 
 from .engine import (FileContext, Finding, Rule, _local_assigns, _scoped_walk,
                      _scopes)
-from .rules_lifetime import ShmLifetimeRule
 from .rules_serde import SerdeContractRule
 
 __all__ = ["Rule", "ALL_RULES",
            "DetSignRule", "FloatEqRule", "RngRule", "SetIterRule",
-           "WallClockRule", "ShmLifetimeRule", "SerdeContractRule"]
+           "WallClockRule", "SerdeContractRule"]
 
 
 # ----------------------------------------------------------------------
@@ -365,6 +364,5 @@ ALL_RULES: Sequence[Rule] = (
     RngRule(),
     SetIterRule(),
     WallClockRule(),
-    ShmLifetimeRule(),
     SerdeContractRule(),
 )

@@ -39,6 +39,7 @@ import atexit
 import bisect
 import contextlib
 import os
+import pickle
 import queue as queue_mod
 import traceback
 import weakref
@@ -245,13 +246,14 @@ def _pool_worker_main(rank: int, inbox, result_q,
         ("task", epoch, idx, fn_module, fn_qualname, wire, profile)
         ("stop",)
         -> ("ok", rank, epoch, idx, result_wire, snapshot, seconds, nbytes)
-        -> ("item_err", rank, epoch, idx, traceback_text)
+        -> ("item_err", rank, epoch, idx, pickled_error, traceback_text)
 
     One task is in flight per worker at any time, so the parent can map
     a dead worker to exactly one requeueable item.  A work function
     raising is an *item* error — reported and survived, the worker
-    keeps serving.  Both payloads and results travel as serde wire
-    envelopes (inline or shared-memory, by size).
+    keeps serving; the exception travels pickled when it survives the
+    round trip (:func:`_portable_error`).  Both payloads and results
+    travel as serde wire envelopes (inline or shared-memory, by size).
 
     ``close_fds`` names parent fds this fork must not keep — above all
     a daemon's listening socket: a worker respawned *after* the socket
@@ -292,6 +294,7 @@ def _pool_worker_main(rank: int, inbox, result_q,
                     )
                 nbytes = (serde.buffers_nbytes(payload)
                           + serde.buffers_nbytes(result))
+                # Published under the sink, so the snapshot counts it.
                 out_wire = serde.buffers_to_wire(result)
             try:
                 snapshot = sink.snapshot() if sink is not None else None
@@ -302,9 +305,22 @@ def _pool_worker_main(rank: int, inbox, result_q,
                 # shm segment before reporting, or it outlives us.
                 serde.discard_wire(out_wire)
                 raise
-        except BaseException:  # noqa: BLE001 - shipped to the parent
+        except BaseException as exc:  # noqa: BLE001 - shipped to the parent
             result_q.put(("item_err", rank, epoch, idx,
-                          traceback.format_exc()))
+                          _portable_error(exc), traceback.format_exc()))
+
+
+def _portable_error(exc: BaseException) -> Optional[bytes]:
+    """``exc`` pickled, if it is an ``Exception`` that survives the
+    round trip; else None, and the parent raises :class:`ExecutorError`."""
+    if not isinstance(exc, Exception):
+        return None
+    try:
+        blob = pickle.dumps(exc)
+        pickle.loads(blob)
+    except Exception:  # noqa: BLE001 - any failure means "not portable"
+        return None
+    return blob
 
 
 class _PoolTask:
@@ -318,7 +334,7 @@ class _PoolTask:
         #: while in flight); bounded by ``ProcessesBackend.max_attempts``.
         self.attempts = 0
         #: the wire envelope of the *current* dispatch, kept so an
-        #: undelivered shm payload can be freed if the worker dies.
+        #: undelivered shm payload can be freed if its worker is retired.
         self.wire = None
 
 
@@ -413,7 +429,9 @@ class ProcessesBackend:
         return handle
 
     def _retire(self, handle: _PoolWorkerHandle) -> None:
-        """Stop one worker (idle or already dead) and forget it."""
+        """Stop one worker (idle or already dead) and forget it, freeing
+        the payload wire of an item it still held (a worker unlinks a
+        payload segment only when it attaches it)."""
         try:
             handle.conn.send(("stop",))
         except (OSError, BrokenPipeError, ValueError):
@@ -427,6 +445,8 @@ class ProcessesBackend:
             handle.proc.terminate()
             handle.proc.join(timeout=5.0)
         self._workers.pop(handle.rank, None)
+        if handle.task is not None:
+            serde.discard_wire(handle.task.wire)
 
     def warm_pool(self, n_ranks: int) -> int:
         """Pre-fork pool workers up to ``n_ranks``; returns the count.
@@ -648,9 +668,9 @@ class PoolStream:
         """Wait out in-flight items so the pool is reusable after abort.
 
         Results arriving during the wait are discarded (their shm wires
-        freed).  Workers that refuse to finish within a bounded grace
-        period are terminated and dropped — their stale results, if
-        any, are drained by the next call.
+        freed).  Workers that die, or refuse to finish within a bounded
+        grace period and are terminated, are retired — their stale
+        results, if any, are drained by the next call.
         """
         backend = self._backend
         deadline = monotonic() + 30.0
@@ -668,7 +688,7 @@ class PoolStream:
                 for rank in sorted(list(backend._workers)):
                     handle = backend._workers.get(rank)
                     if handle is not None and not handle.proc.is_alive():
-                        backend._workers.pop(rank, None)
+                        backend._retire(handle)
                 continue
             backend._handle_stale(msg)
             handle = backend._workers.get(msg[1])
@@ -701,6 +721,9 @@ class PoolStream:
             self._dispatch(handle, task)
 
     def _dispatch(self, handle: _PoolWorkerHandle, task: _PoolTask) -> None:
+        # The worker unlinks the payload segment on attach; if the worker
+        # is retired first (it died, or an abort or shutdown stopped
+        # it), ``ProcessesBackend._retire`` frees it.
         task.wire = serde.buffers_to_wire(task.payload)
         task.attempts += 1
         try:
@@ -772,13 +795,19 @@ class PoolStream:
                 sink.observe("executor.item_bytes", float(nbytes))
             self._fill()
         elif kind == "item_err":
-            _, _, _, idx, tb = msg
+            _, _, _, idx, pickled, tb = msg
             if handle is not None and handle.task is self._tasks[idx]:
                 handle.task = None
             if self._out[idx] is not None:
                 return  # duplicate after requeue; result already good
-            self._fail(ExecutorError(
-                f"work item {idx} failed in pool worker {rank}:\n{tb}"))
+            err = ExecutorError(
+                f"work item {idx} failed in pool worker {rank}:\n{tb}")
+            if pickled is not None:
+                # The caller catches the item's own class, as on serial.
+                original = pickle.loads(pickled)
+                original.__cause__ = err
+                err = original
+            self._fail(err)
         # Unknown kinds cannot occur: the worker protocol is closed.
 
     def _sweep_deaths(self) -> None:
@@ -796,10 +825,6 @@ class PoolStream:
             backend.stats["respawns"] += 1
             if self._sink is not None:
                 self._sink.incr("executor.respawns")
-            # Free the payload envelope if the worker never attached it
-            # (no-op when it was consumed before the crash).
-            serde.discard_wire(task.wire)
-            task.wire = None
             if task.attempts >= backend.max_attempts:
                 self._fail(ExecutorError(
                     f"work item {task.idx} crashed its worker on all "

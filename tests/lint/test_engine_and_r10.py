@@ -1,12 +1,12 @@
-"""Seeded-fault tests for the lifetime (R8) and serde-contract (R10)
-rules, and the engine around every rule.
+"""Seeded-fault tests for the serde-contract rule (R10), and the engine
+around every rule.
 
 The defect each rule exists for is its recorded mutant
-(``test_mutants.py``).  The bad snippets here are the other shapes the
-rule flags — a leak on an early return, an acquire dropped on the spot,
-an ``astype`` narrowing, a bad key — and the test asserts the finding
-lands with the right rule id, file and line.  Each good twin is the
-production shape and must stay finding-free.
+(``test_mutants.py``).  The bad snippets here are the other shapes R10
+flags — an ``astype`` narrowing, a bad key — and the test asserts the
+finding lands with the right rule id.  Each good twin is the production
+shape and must stay finding-free.  The engine tests drive the severity
+map, the exit codes and the ordering with the same R10 shape.
 """
 
 import subprocess
@@ -32,105 +32,6 @@ def only(findings, rule):
 
 def rules_hit(findings):
     return {f.rule for f in findings}
-
-
-# ----------------------------------------------------------------------
-# R8 — shm/wire lifetime
-# ----------------------------------------------------------------------
-class TestR8Lifetime:
-    LEAK_ON_RAISE = """
-        from repro.runtime import serde
-
-        def ship(result_q, result, sink):
-            wire = serde.buffers_to_wire(result)
-            snapshot = sink.snapshot()
-            result_q.put((wire, snapshot))
-    """
-
-    def test_guarded_error_edge_is_clean(self, tmp_path):
-        good = """
-            from repro.runtime import serde
-
-            def ship(result_q, result, sink):
-                wire = serde.buffers_to_wire(result)
-                try:
-                    snapshot = sink.snapshot()
-                    result_q.put((wire, snapshot))
-                except BaseException:
-                    serde.discard_wire(wire)
-                    raise
-        """
-        findings = lint_snippet(tmp_path, "repro/runtime/good_ship.py", good)
-        assert not only(findings, "R8")
-
-    def test_leak_on_early_return_path(self, tmp_path):
-        bad = """
-            from repro.runtime import serde
-
-            def maybe(buffers, flag):
-                name, meta = serde.buffers_to_shm(buffers)
-                if flag:
-                    return None
-                return serde.buffers_from_shm(name, meta)
-        """
-        findings = lint_snippet(tmp_path, "repro/runtime/bad_ret.py", bad)
-        hits = only(findings, "R8")
-        assert len(hits) == 1
-        assert hits[0].line == 5
-        assert "normal exit path" in hits[0].message
-
-    def test_returning_the_value_is_clean(self, tmp_path):
-        good = """
-            from repro.runtime import serde
-
-            def pack(buffers):
-                wire = serde.buffers_to_wire(buffers)
-                return wire
-        """
-        findings = lint_snippet(tmp_path, "repro/runtime/good_ret.py", good)
-        assert not only(findings, "R8")
-
-    def test_release_in_finally_covers_all_paths(self, tmp_path):
-        good = """
-            from repro.runtime import serde
-
-            def robust(buffers, sink):
-                wire = serde.buffers_to_wire(buffers)
-                try:
-                    sink.consume()
-                finally:
-                    serde.discard_wire(wire)
-        """
-        findings = lint_snippet(tmp_path, "repro/runtime/good_fin.py", good)
-        assert not only(findings, "R8")
-
-    def test_bare_expression_acquire_flagged(self, tmp_path):
-        bad = """
-            from repro.runtime import serde
-
-            def drop(buffers):
-                serde.buffers_to_shm(buffers)
-        """
-        findings = lint_snippet(tmp_path, "repro/runtime/bad_drop.py", bad)
-        hits = only(findings, "R8")
-        assert len(hits) == 1
-        assert "dropped on the spot" in hits[0].message
-
-    def test_shipping_via_queue_is_clean(self, tmp_path):
-        good = """
-            from repro.runtime import serde
-
-            def ship(result_q, result):
-                wire = serde.buffers_to_wire(result)
-                result_q.put(("ok", wire))
-        """
-        findings = lint_snippet(tmp_path, "repro/runtime/good_q.py", good)
-        assert not only(findings, "R8")
-
-    def test_serde_module_itself_exempt(self, tmp_path):
-        findings = lint_snippet(
-            tmp_path, "repro/runtime/serde.py", self.LEAK_ON_RAISE)
-        assert not only(findings, "R8")
 
 
 # ----------------------------------------------------------------------
@@ -186,26 +87,24 @@ class TestR10SerdeContract:
 # Engine features: severity map, exit codes, pragmas
 # ----------------------------------------------------------------------
 class TestSeverityMap:
-    BAD_DROP = """
-        from repro.runtime import serde
-
-        def drop(buffers):
-            serde.buffers_to_shm(buffers)
+    BAD_PACK = """
+        def pack_points(pts):
+            return {"pts": pts.astype("float32")}
     """
 
-    def test_tests_tree_exempt_from_lifetime_rule(self, tmp_path):
-        f = tmp_path / "tests" / "helper_drop.py"
+    def test_tests_tree_exempt_from_serde_rule(self, tmp_path):
+        f = tmp_path / "tests" / "helper_pack.py"
         f.parent.mkdir(parents=True)
-        f.write_text(textwrap.dedent(self.BAD_DROP))
+        f.write_text(textwrap.dedent(self.BAD_PACK))
         findings, _ = LintRunner(ALL_RULES).run([str(f)])
-        assert "R8" not in rules_hit(findings)
+        assert "R10" not in rules_hit(findings)
 
     def test_same_code_fails_outside_tests_tree(self, tmp_path):
-        f = tmp_path / "repro" / "runtime" / "helper_drop.py"
+        f = tmp_path / "repro" / "runtime" / "helper_pack.py"
         f.parent.mkdir(parents=True)
-        f.write_text(textwrap.dedent(self.BAD_DROP))
+        f.write_text(textwrap.dedent(self.BAD_PACK))
         findings, _ = LintRunner(ALL_RULES).run([str(f)])
-        assert "R8" in rules_hit(findings)
+        assert "R10" in rules_hit(findings)
 
     def test_warn_severity_does_not_gate(self, tmp_path):
         # examples/ demotes R5 (wall-clock reads) to a warning.
@@ -231,7 +130,7 @@ class TestCLI:
     def test_exit_one_on_findings(self, tmp_path):
         f = tmp_path / "repro" / "runtime" / "bad.py"
         f.parent.mkdir(parents=True)
-        f.write_text(textwrap.dedent(TestSeverityMap.BAD_DROP))
+        f.write_text(textwrap.dedent(TestSeverityMap.BAD_PACK))
         assert self.run_cli(str(f)).returncode == 1
 
     def test_exit_two_on_unparseable(self, tmp_path):
@@ -248,9 +147,9 @@ class TestCLI:
         pkg = tmp_path / "repro" / "runtime"
         pkg.mkdir(parents=True)
         (pkg / "b_bad.py").write_text(
-            textwrap.dedent(TestSeverityMap.BAD_DROP))
+            textwrap.dedent(TestSeverityMap.BAD_PACK))
         (pkg / "a_bad.py").write_text(
-            textwrap.dedent(TestSeverityMap.BAD_DROP))
+            textwrap.dedent(TestSeverityMap.BAD_PACK))
         out = self.run_cli(str(tmp_path))
         locs = [line.split(":")[:2] for line in out.stdout.splitlines()[:-1]]
         assert len(locs) == 2

@@ -5,9 +5,17 @@ Work functions used with the ``processes`` backend live at module scope
 process boundary).
 """
 
+import importlib
+import inspect
+import pickle
+import pkgutil
+import re
+
 import numpy as np
 import pytest
 
+import repro
+from repro.delaunay.constrained import RingError
 from repro.runtime import counters as counters_mod
 from repro.runtime import executor
 from repro.runtime.executor import ExecutorError, ProcessesBackend
@@ -30,6 +38,22 @@ def _maybe_boom(payload):
 
 def _not_buffers(payload):
     return 3.5
+
+
+class _NeedsTwoArgs(Exception):
+    """An exception ``pickle`` cannot rebuild: its ``args`` hold one
+    message, its ``__init__`` wants two arguments."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+def _raise_ring_error(payload):
+    raise RingError(1, 4, "crosses hole ring 0")
+
+
+def _raise_unpicklable(payload):
+    raise _NeedsTwoArgs("stuck", 7)
 
 
 def _count_events(payload):
@@ -130,10 +154,15 @@ class TestProcessesContracts:
             backend.map_workitems(_not_buffers, [{"x": np.ones(1)}])
 
     def test_worker_exception_propagates(self):
+        """The item's own exception class reaches the caller, as on
+        serial; the pool's report naming item and worker is its cause."""
         backend = executor.get_backend("processes")
         payloads = [{"flag": np.asarray([0.0])}, {"flag": np.asarray([1.0])}]
-        with pytest.raises(ExecutorError, match="boom in worker"):
+        with pytest.raises(ValueError, match="boom in worker") as info:
             backend.map_workitems(_maybe_boom, payloads, n_ranks=2)
+        assert isinstance(info.value.__cause__, ExecutorError)
+        assert re.match(r"work item 1 failed in pool worker \d+",
+                        str(info.value.__cause__))
 
     def test_counter_snapshots_merge_into_parent(self):
         backend = executor.get_backend("processes")
@@ -221,3 +250,54 @@ class TestLifecycle:
             assert sorted(backend._workers) == [2, 3]  # ranks not reused
         finally:
             backend.shutdown_pool()
+
+
+# ----------------------------------------------------------------------
+# Item errors keep their class across the pool
+# ----------------------------------------------------------------------
+def _own_exception_classes():
+    """Every exception class ``src/repro`` defines, by qualified name."""
+    found = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        for obj in vars(module).values():
+            if (inspect.isclass(obj) and issubclass(obj, BaseException)
+                    and obj.__module__ == info.name):
+                found[f"{info.name}.{obj.__qualname__}"] = obj
+    return found
+
+
+class TestItemErrors:
+    #: an instance of every exception class of ``src/repro`` with its own
+    #: ``__init__``: ``pickle`` rebuilds an exception from its ``args``,
+    #: which such an ``__init__`` may not take back.
+    CUSTOM_INIT = {
+        "repro.delaunay.constrained.RingError":
+            RingError(0, 3, "repeats vertex 2"),
+    }
+
+    def test_every_exception_with_its_own_init_round_trips(self):
+        classes = _own_exception_classes()
+        assert "repro.runtime.executor.ExecutorError" in classes
+        custom = {name for name, cls in classes.items()
+                  if "__init__" in vars(cls)}
+        assert custom == set(self.CUSTOM_INIT)
+        for exc in self.CUSTOM_INIT.values():
+            back = pickle.loads(pickle.dumps(exc))
+            assert type(back) is type(exc)
+            assert back.args == exc.args
+            assert vars(back) == vars(exc)
+
+    def test_pooled_ring_error_keeps_ring_and_vertex(self):
+        backend = executor.get_backend("processes")
+        with pytest.raises(RingError, match="hole ring 0, vertex 4") as info:
+            backend.map_workitems(_raise_ring_error, [{"x": np.ones(1)}])
+        assert (info.value.ring, info.value.vertex) == (1, 4)
+        assert "work item 0 failed" in str(info.value.__cause__)
+
+    def test_exception_that_cannot_round_trip_is_an_executor_error(self):
+        backend = executor.get_backend("processes")
+        with pytest.raises(ExecutorError,
+                           match=r"(?s)work item 0 failed in pool worker "
+                                 r"\d+:.*_NeedsTwoArgs: stuck at 7"):
+            backend.map_workitems(_raise_unpicklable, [{"x": np.ones(1)}])

@@ -14,6 +14,7 @@ every retry succeeds deterministically.
 """
 
 import os
+import re
 import signal
 
 import numpy as np
@@ -140,10 +141,12 @@ class TestItemError:
         payloads[3] = {"flag": np.asarray([1.0])}
         backend = ProcessesBackend()
         try:
-            with pytest.raises(
-                    ExecutorError,
-                    match=r"work item 3 failed in pool worker \d+"):
+            with pytest.raises(ValueError,
+                               match="deliberate item failure") as info:
                 backend.map_workitems(_boom_on_flag, payloads, n_ranks=2)
+            assert isinstance(info.value.__cause__, ExecutorError)
+            assert re.match(r"work item 3 failed in pool worker \d+",
+                            str(info.value.__cause__))
             # No hang, no poisoned state: the very next batch succeeds
             # on the same pool (workers were not torn down).
             out = backend.map_workitems(
@@ -156,11 +159,14 @@ class TestItemError:
     def test_traceback_is_carried_in_the_error(self):
         backend = ProcessesBackend()
         try:
-            with pytest.raises(
-                    ExecutorError, match="deliberate item failure"):
+            with pytest.raises(ValueError) as info:
                 backend.map_workitems(_boom_on_flag,
                                       [{"flag": np.asarray([1.0])}],
                                       n_ranks=1)
+            worker_tb = str(info.value.__cause__)
+            assert "Traceback" in worker_tb
+            assert "in _boom_on_flag" in worker_tb
+            assert "ValueError: deliberate item failure" in worker_tb
         finally:
             backend.shutdown_pool()
 

@@ -218,13 +218,24 @@ class TestAdaptLoop:
 
 class TestExecutorDispatch:
     def test_pooled_step_rejects_a_pass_count_that_does_nothing(self):
-        """The worker's ``adapt_mesh`` refuses it; the pool reports the
-        failed item with the worker's message."""
+        """The worker's ``adapt_mesh`` refuses it with the ``ValueError``
+        the serial backend raises; the pool's report is its cause."""
         mesh = square_mesh()
-        with pytest.raises(ExecutorError, match="max_passes must be >= 1"):
+        with pytest.raises(ValueError,
+                           match="max_passes must be >= 1") as info:
             adapt_step(mesh, MetricField.uniform(mesh.points, 0.1),
                        max_passes=0, protect_segments=False,
                        backend="processes")
+        assert isinstance(info.value.__cause__, ExecutorError)
+        assert "work item 0 failed in pool worker" in str(
+            info.value.__cause__)
+
+    def test_serial_step_rejects_the_same_pass_count(self):
+        mesh = square_mesh()
+        with pytest.raises(ValueError, match="max_passes must be >= 1"):
+            adapt_step(mesh, MetricField.uniform(mesh.points, 0.1),
+                       max_passes=0, protect_segments=False,
+                       backend="serial")
 
     def test_serial_backend_matches_inprocess(self):
         """Backend-dispatched adapt step == in-process, bit for bit."""

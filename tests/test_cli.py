@@ -393,19 +393,28 @@ class TestSubmitErrors:
         assert main(["submit", "--socket", str(sock), "--ping"]) == 1
         self._one_line(capsys, "cannot connect", str(sock))
 
-    def test_err_reply(self, capsys, tmp_path):
+    def _submit_to_failing_daemon(self, tmp_path, backend):
         from repro.runtime.service import MeshService
         from tests.runtime.service_thread import ServiceThread
 
         sock = tmp_path / "svc.sock"
-        thread = ServiceThread(MeshService(f"unix:{sock}", backend="serial",
-                                           work_fn=_boom_item))
+        thread = ServiceThread(MeshService(f"unix:{sock}", backend=backend,
+                                           n_ranks=1, work_fn=_boom_item))
         thread.start()
         try:
-            assert main(["submit", "--socket", str(sock), *self.MESH,
-                         "-o", str(tmp_path / "m")]) == 1
+            return main(["submit", "--socket", str(sock), *self.MESH,
+                         "-o", str(tmp_path / "m")])
         finally:
             thread.stop()
+
+    def test_err_reply(self, capsys, tmp_path):
+        assert self._submit_to_failing_daemon(tmp_path, "serial") == 1
+        self._one_line(capsys, "boom in work item")
+
+    def test_err_reply_from_a_pool_worker(self, capsys, tmp_path):
+        """The item's own error reaches the daemon from a pool worker as
+        it does on serial: one line, no worker traceback."""
+        assert self._submit_to_failing_daemon(tmp_path, "processes") == 1
         self._one_line(capsys, "boom in work item")
 
     def test_socket_timeout(self, capsys, tmp_path):

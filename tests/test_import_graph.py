@@ -98,7 +98,7 @@ def test_cli_mesh_run_loads_no_lint_module():
 
 
 @pytest.mark.parametrize(
-    "module", ["rules_lifetime", "rules_serde"])
+    "module", ["rules_serde"])
 def test_rule_module_imports_first_in_a_fresh_interpreter(module):
     """The ``rules_*`` modules build on ``engine`` alone, so importing
     one before ``repro.lint.rules`` is not a cycle."""
@@ -106,7 +106,7 @@ def test_rule_module_imports_first_in_a_fresh_interpreter(module):
         f"import sys, repro.lint.{module}\n"
         "assert 'repro.lint.rules' not in sys.modules\n"
         "from repro.lint.rules import ALL_RULES\n"
-        "assert len(ALL_RULES) == 7\n")
+        "assert len(ALL_RULES) == 6\n")
     assert done.returncode == 0, done.stderr
 
 
