@@ -13,7 +13,13 @@ quality/size tests per point it inserted) and what the size tests cost
 Lipschitz bound, ``size_verdicts_band`` by the centroid's exact value)
 and its ways off the fast path (``locked_segment_skips``;
 ``straight_walk_fallbacks``, circumcenters the kernel walk located;
-``blocked_circumcenters``, ones a segment hid), the subdomain rings
+``blocked_circumcenters``, ones a segment hid) and, counted by the
+same profile hook, the calls per Steiner point of the refiner's four
+steps (``calls_per_steiner.*``: the triangle test, the straight walk,
+``carve`` and ``retriangulate``; near 1 for the walk and each cavity
+step means each question is asked once, the excess being attempts a
+segment or a lock stopped; under ``adapt_shear`` the adaptor's own
+insertions add carves and commits), the subdomain rings
 triangulated (``ring_points``) with ``flips_per_ring_point`` (the Lawson
 flips that made them Delaunay, per ring point: ~1.8; not printed under
 adaptation, whose flips share the counter), the boundary-layer
@@ -38,6 +44,7 @@ from __future__ import annotations
 import argparse
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -86,29 +93,44 @@ def run_op(name: str, smoke: bool) -> counters.Counters:
     return sink
 
 
+#: The refiner's steps per Steiner point: ``(row, module, qualname)``.
+REFINER_STEPS = (
+    ("triangle_test", "repro.delaunay.refine", "Refiner._triangle_bad"),
+    ("straight_walk", "repro.delaunay.refine", "Refiner._locate_visible"),
+    ("carve", "repro.delaunay.cavity", "carve"),
+    ("retriangulate", "repro.delaunay.cavity", "retriangulate"),
+)
+
+
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--smoke", action="store_true", help="small inputs")
     ap.add_argument("--workload", action="append",
                     choices=sorted(workloads.WORKLOADS))
     args = ap.parse_args(argv)
-    called = set()
+    calls = Counter()
 
     def profiler(frame, event, arg):
         if event == "call":
             code = frame.f_code
-            called.add((code.co_filename, code.co_firstlineno))
+            calls[code.co_filename, code.co_firstlineno] += 1
 
+    functions = defined_functions()
+    where = {name: at for at, name in functions.items()}
+    steps = {}
+    sinks = {}
     sys.setprofile(profiler)    # this thread: no op here starts another
     try:
-        sinks = {name: run_op(name, args.smoke)
-                 for name in args.workload or sorted(workloads.WORKLOADS)}
+        for name in args.workload or sorted(workloads.WORKLOADS):
+            before = calls.copy()
+            sinks[name] = run_op(name, args.smoke)
+            steps[name] = [(row, calls[where[m, q]] - before[where[m, q]])
+                           for row, m, q in REFINER_STEPS]
     finally:
         sys.setprofile(None)
 
-    functions = defined_functions()
     every = set(functions.values())
-    dead = sorted(every - {functions[k] for k in called if k in functions})
+    dead = sorted(every - {functions[k] for k in calls if k in functions})
     print(f"== never called: {len(dead)} of {len(every)} functions of "
           f"src/repro ({', '.join(sinks)})")
     for module in sorted({m for m, _ in dead}):
@@ -136,6 +158,9 @@ def main(argv=None) -> None:
                                "blocked_circumcenters")]
             rows.append(("triangle_tests_per_steiner",
                          events["triangle_tests"] / events["steiner_points"]))
+            rows += [(f"calls_per_steiner.{row}",
+                      n / events["steiner_points"])
+                     for row, n in steps[name]]
         # The adaptor's flips and the edge splits' Lawson flips share
         # the kernel's flip counter: no ratio to ring points there.
         if events.get("ring_points") and not events.get("adapt_passes"):

@@ -7,9 +7,9 @@ free functions over a :class:`~repro.delaunay.kernel.Triangulation`
 three public steps:
 
 * **locate** — :func:`walk` finds the triangle holding the point;
-* **conflict region** — :func:`carve` returns the cavity and its seed
-  (the one statement of where a cavity starts) and changes nothing, so
-  a caller can inspect the region before deciding;
+* **conflict region** — :func:`carve` returns the cavity, its seed (the
+  one statement of where a cavity starts) and the segments it met, and
+  changes nothing, so a caller can inspect the region before deciding;
 * **commit** — :func:`retriangulate` replaces the region by the star
   fan of a freshly stored vertex.
 
@@ -326,11 +326,11 @@ def find_directed_edge(tri, u: int, v: int) -> Optional[Tuple[int, int]]:
 # Cavity carving
 # ----------------------------------------------------------------------
 def carve(tri, px: float, py: float, t0: int, certified: bool = False
-          ) -> Tuple[Set[int], int]:
+          ) -> Tuple[Set[int], int, List[Tuple[int, int]], bool]:
     """Bowyer–Watson conflict region of ``(px, py)``, located in ``t0``
-    by :func:`walk`.  Returns ``(cavity, seed)`` and touches nothing: the
-    caller may inspect the region and then commit it
-    (:func:`retriangulate`) or drop it.
+    by :func:`walk`.  Returns ``(cavity, seed, segments, wrapped)`` and
+    touches nothing: the caller may inspect the region and then commit
+    it (:func:`retriangulate`) or drop it.
 
     Where a cavity starts: at ``t0`` when the point lies in its open
     circumdisk (``certified`` — strictly inside ``t0`` — already says
@@ -339,10 +339,15 @@ def carve(tri, px: float, py: float, t0: int, certified: bool = False
     connected component, reached from ``seed`` without crossing a
     constrained edge, of triangles whose open circumdisk contains the
     point.  Level-order search, one scalar filtered test per candidate:
-    cavities are O(1) triangles (mean 4.0–4.2 on every mesh workload),
+    cavities are O(1) triangles (mean 4.6–4.9 on the mesh workloads),
     so there is nothing to batch.  The order candidates are staged in
     fixes the set's iteration order, hence the fan's slot numbering and
     the pinned mesh bytes.
+
+    The search asks every edge of a cavity triangle whether it is a
+    segment, and reports it: ``segments`` lists each as the directed
+    edge ``(u, v)`` of its cavity triangle, and ``wrapped`` says one has
+    cavity triangles on both sides (the region went round its end).
     """
     arr = tri._arr
     tvm = arr.tv
@@ -359,6 +364,8 @@ def carve(tri, px: float, py: float, t0: int, certified: bool = False
                 f"insertion point {(px, py)} in no circumdisk (duplicate?)"
             )
     constraints = tri.constraints
+    segments: List[Tuple[int, int]] = []
+    wrapped = False
     cavity: Set[int] = {t0}
     # seen = cavity plus rejected candidates, so a rejected triangle
     # bordering two cavity triangles is tested once, not twice.
@@ -372,26 +379,29 @@ def carve(tri, px: float, py: float, t0: int, certified: bool = False
             for t in frontier:
                 i3 = 3 * t
                 nb = tnm[i3]
-                if nb >= 0 and nb not in seen:
-                    u = tvm[i3 + 1]
-                    v = tvm[i3 + 2]
-                    if not (u >= 0 and v >= 0 and
-                            ((u, v) if u < v else (v, u)) in constraints):
-                        cand.append(nb)
+                u, v = tvm[i3 + 1], tvm[i3 + 2]
+                if (u >= 0 and v >= 0
+                        and ((u, v) if u < v else (v, u)) in constraints):
+                    segments.append((u, v))
+                    wrapped = wrapped or nb in cavity
+                elif nb >= 0 and nb not in seen:
+                    cand.append(nb)
                 nb = tnm[i3 + 1]
-                if nb >= 0 and nb not in seen:
-                    u = tvm[i3 + 2]
-                    v = tvm[i3]
-                    if not (u >= 0 and v >= 0 and
-                            ((u, v) if u < v else (v, u)) in constraints):
-                        cand.append(nb)
+                u, v = tvm[i3 + 2], tvm[i3]
+                if (u >= 0 and v >= 0
+                        and ((u, v) if u < v else (v, u)) in constraints):
+                    segments.append((u, v))
+                    wrapped = wrapped or nb in cavity
+                elif nb >= 0 and nb not in seen:
+                    cand.append(nb)
                 nb = tnm[i3 + 2]
-                if nb >= 0 and nb not in seen:
-                    u = tvm[i3]
-                    v = tvm[i3 + 1]
-                    if not (u >= 0 and v >= 0 and
-                            ((u, v) if u < v else (v, u)) in constraints):
-                        cand.append(nb)
+                u, v = tvm[i3], tvm[i3 + 1]
+                if (u >= 0 and v >= 0
+                        and ((u, v) if u < v else (v, u)) in constraints):
+                    segments.append((u, v))
+                    wrapped = wrapped or nb in cavity
+                elif nb >= 0 and nb not in seen:
+                    cand.append(nb)
         else:
             for t in frontier:
                 i3 = 3 * t
@@ -478,7 +488,7 @@ def carve(tri, px: float, py: float, t0: int, certified: bool = False
                 frontier.append(nb)
     tri.stat_incircle_fast += n_ifast
     tri.stat_incircle_exact += n_iexact
-    return cavity, t0
+    return cavity, t0, segments, wrapped
 
 
 # ----------------------------------------------------------------------
@@ -503,17 +513,18 @@ def insert_point(tri, px: float, py: float, hint: int) -> int:
                 tri.last_created = []
                 tri.last_removed = []
                 return -2 - vtx
-    cavity, seed = carve(tri, px, py, t0, certified)
+    cavity, seed, _, wrapped = carve(tri, px, py, t0, certified)
     vid = arr.new_point(px, py)
     tri.stat_inserts += 1
-    retriangulate(tri, vid, cavity, seed)
+    retriangulate(tri, vid, cavity, seed, wrapped)
     return vid
 
 
 # ----------------------------------------------------------------------
 # Retriangulation
 # ----------------------------------------------------------------------
-def retriangulate(tri, vid: int, cavity: Set[int], t0: int) -> None:
+def retriangulate(tri, vid: int, cavity: Set[int], t0: int,
+                  wrapped: bool) -> None:
     """Replace ``cavity`` by the star fan of ``vid``.
 
     The fan of a :func:`carve` cavity is constrained Delaunay as it
@@ -521,8 +532,9 @@ def retriangulate(tri, vid: int, cavity: Set[int], t0: int) -> None:
     segment, a hull edge, or shared with a triangle that failed the
     in-disk test — and the incircle determinant is symmetric in the two
     apexes, so that edge is locally Delaunay.  No repair pass follows;
-    only a cavity that wrapped round a segment's end and was pruned
-    back (``stat_visibility_prunes``) is legalised.
+    only a cavity that ``carve`` reported ``wrapped`` round a segment's
+    end — keeping it whole would delete the segment — is pruned back to
+    what ``vid`` sees (``stat_visibility_prunes``) and legalised.
     """
     arr = tri._arr
     n_cavity = len(cavity)
@@ -531,36 +543,10 @@ def retriangulate(tri, vid: int, cavity: Set[int], t0: int) -> None:
     vtm = arr.vt
     tri.stat_cavity_triangles += n_cavity
     tri.stat_cavity_hist[n_cavity if n_cavity < 31 else 31] += 1
-
-    # Constrained-Delaunay visibility pruning: with spiky constrained
-    # boundaries the circumdisk BFS can wrap AROUND a constrained edge
-    # (reaching both of its sides without ever crossing it).  Keeping
-    # such triangles would delete the constraint during
-    # retriangulation.  Detect the configuration and prune cavity
-    # triangles whose centroid is not visible from p.
-    wrapped_edge = False
-    if tri.constraints:
-        p = arr.point(vid)
-        for t in cavity:
-            i3 = 3 * t
-            for k in range(3):
-                nb = tnm[i3 + k]
-                if nb not in cavity:
-                    continue
-                u = tvm[i3 + _NXT[k]]
-                v = tvm[i3 + _PRV[k]]
-                if u == GHOST or v == GHOST:
-                    continue
-                key = (u, v) if u < v else (v, u)
-                if key in tri.constraints:
-                    wrapped_edge = True
-                    break
-            if wrapped_edge:
-                break
-        if wrapped_edge:
-            tri.stat_visibility_prunes += 1
-            cavity = prune_cavity_visibility(tri, cavity, t0, p)
-            n_cavity = len(cavity)
+    if wrapped:
+        tri.stat_visibility_prunes += 1
+        cavity = prune_cavity_visibility(tri, cavity, t0, arr.point(vid))
+        n_cavity = len(cavity)
 
     # Walk the cavity boundary in ring order, creating the fan as we
     # go: fan triangle [u, v, vid] has edge 0 = (v, vid) bordering
@@ -651,7 +637,7 @@ def retriangulate(tri, vid: int, cavity: Set[int], t0: int) -> None:
         if tvm[i3] >= 0 and tvm[i3 + 1] >= 0 and tvm[i3 + 2] >= 0:
             vtm[vid] = t
             break
-    if wrapped_edge:
+    if wrapped:
         # The pruned cavity is no longer the whole conflict region, so
         # its fan need not be locally Delaunay: legalise from the edges
         # opposite the new vertex (Lawson flips, never crossing

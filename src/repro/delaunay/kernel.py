@@ -388,8 +388,9 @@ class Triangulation:
                     for v in range(n):
                         if v not in used:
                             x, y = arr.point(v)
-                            retriangulate(self, v, *carve(
-                                self, x, y, *walk(self, x, y, -1)))
+                            cavity, seed, _, wrapped = carve(
+                                self, x, y, *walk(self, x, y, -1))
+                            retriangulate(self, v, cavity, seed, wrapped)
                     return c
         return c  # all points still collinear
 

@@ -17,9 +17,11 @@ circumcenter would encroach a segment, in which case the segment splits
 instead.  A circumcenter costs the kernel's three steps
 (:mod:`repro.delaunay.cavity`), each asked for once: one straight walk
 locates it (or meets the segment that hides it), one ``carve`` yields
-its conflict region — whose constrained boundary edges are the only
-segments it can encroach, so that question is read off the region — and
-``retriangulate`` commits the same region, whose star is the new work.
+its conflict region and lists the segments bounding it — the only ones
+it can encroach, so encroachment is a dot product per listed segment —
+and ``retriangulate`` commits the same region, with ``carve``'s word on
+whether it wrapped a segment, and its star is the new work.  A triangle
+is judged by one test over the flat arrays, size before shape.
 That is all of the work there is: the worklist starts as one scan of the
 mesh and afterwards holds only the triangles an insertion created, plus
 the one kind of bad triangle no insertion replaces — the one that
@@ -124,6 +126,29 @@ def _encroaches(px, u: int, v: int, x: float, y: float) -> bool:
     return (px[i] - x) * (px[j] - x) + (px[i + 1] - y) * (px[j + 1] - y) < 0.0
 
 
+def _depth_first(tri, cavity: Set[int], seed: int, segments, encroached):
+    """``encroached``, some of the ``segments`` ``carve`` listed for
+    ``cavity``, in the order a depth-first search from ``seed`` that
+    crosses none meets them: the split order of un-locked refinement."""
+    tv, tn = tri._arr.tv, tri._arr.tn
+    out: List[Tuple[int, int]] = []
+    seen = {seed}
+    stack = [seed]
+    while stack:
+        i = 3 * stack.pop()
+        a, b, c = tv[i], tv[i + 1], tv[i + 2]
+        for k, u, v in ((0, b, c), (1, c, a), (2, a, b)):
+            if (u, v) in segments:
+                if (u, v) in encroached:
+                    out.append((u, v))
+            else:
+                nb = tn[i + k]
+                if nb in cavity and nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+    return out
+
+
 def _circumcenter(ax, ay, bx, by, cx, cy) -> Optional[Tuple[float, float]]:
     """Circumcenter of triangle ``abc``, relative to ``a`` (Shewchuk's
     formulation), or ``None`` when it has no finite one."""
@@ -141,9 +166,10 @@ def _circumcenter(ax, ay, bx, by, cx, cy) -> Optional[Tuple[float, float]]:
 
 class AreaCriterion:
     """Scalar area bound ``area_fn(centroid)`` — the classic Triangle
-    ``-a`` semantics: :meth:`oversized` says whether a triangle, given
-    its corners and the area the refiner computed, must split for size;
-    the shape test stays in the refiner.  The arithmetic (centroid then
+    ``-a`` semantics: a triangle whose area exceeds it must split for
+    size.  The criterion holds the bound and its state; the refiner's
+    one triangle test (:meth:`Refiner._triangle_bad`) reads them and
+    decides size and shape together.  The arithmetic (centroid then
     compare) is kept bit-identical to the pre-criterion refiner so
     meshes hash the same.
 
@@ -166,8 +192,8 @@ class AreaCriterion:
     def __init__(self, area_fn: AreaFn) -> None:
         self.area_fn = area_fn
         self._sizing = getattr(area_fn, "__self__", None)
-        self._lipschitz = getattr(self._sizing, "lipschitz", None)
-        self._edge_at: Dict[int, float] = {}
+        self.lipschitz = getattr(self._sizing, "lipschitz", None)
+        self.edge_at: Dict[int, float] = {}
         #: ``area_fn`` calls; verdicts the bounds decided / left open.
         self.evals = self.clear = self.band = 0
 
@@ -175,43 +201,15 @@ class AreaCriterion:
         """Edge lengths at vertices ``0 .. len(pts) - 1`` (their
         coordinates, ``(n, 2)``), in one array call."""
         many = getattr(self._sizing, "area_at_many", None)
-        if self._lipschitz is not None and many is not None:
+        if self.lipschitz is not None and many is not None:
             self.evals += len(pts)
             areas = many(pts)
             bad = np.flatnonzero(~((_MIN_REL_AREA * (pts * pts).sum(axis=1)
                                     < areas) & (areas < _INF)))
             for i in bad[:1].tolist():
                 _checked_area(float(areas[i]), *pts[i].tolist())
-            self._edge_at.update(enumerate(
+            self.edge_at.update(enumerate(
                 np.sqrt(areas / _UNIT_AREA).tolist()))
-
-    def oversized(self, a: int, b: int, c: int, ax: float, ay: float,
-                  bx: float, by: float, cx: float, cy: float, area: float
-                  ) -> bool:
-        gx = (ax + bx + cx) / 3.0
-        gy = (ay + by + cy) / 3.0
-        if self._lipschitz is not None:
-            grow, slack = self._lipschitz
-            edge_at = self._edge_at
-            for v, x, y in ((a, ax, ay), (b, bx, by), (c, cx, cy)):
-                h = edge_at.get(v)
-                if h is None:
-                    self.evals += 1
-                    h = edge_at[v] = math.sqrt(
-                        _checked_area(self.area_fn(x, y), x, y) / _UNIT_AREA)
-                reach = grow * math.hypot(gx - x, gy - y) + slack
-                # 1e-9 of the operands, a million roundings of anything
-                # here or in area_fn: the bounds hold for its floats.
-                reach += 1e-9 * (h + reach)
-                hi = h + reach
-                lo = h - reach
-                big = area > _UNIT_AREA * hi * hi
-                if big or (lo > 0.0 and area < _UNIT_AREA * lo * lo):
-                    self.clear += 1
-                    return big
-            self.band += 1
-        self.evals += 1
-        return area > _checked_area(self.area_fn(gx, gy), gx, gy)
 
 
 class Refiner:
@@ -342,11 +340,15 @@ class Refiner:
     # Quality / size tests
     # ------------------------------------------------------------------
     def _triangle_bad(self, t: int) -> bool:
-        """Does live real triangle ``t`` fail the size or shape test?"""
+        """Does live real triangle ``t`` fail the size or shape test?
+        Size first (the criterion's filter corner by corner, else the
+        bound at the centroid), then shape, in the floats of the
+        point-tuple test: lengths ``sqrt(dx*dx + dy*dy)`` of ``q - p``."""
         self.triangle_tests += 1
         arr = self.tri._arr
         tv = arr.tv
-        a, b, c = tv[3 * t], tv[3 * t + 1], tv[3 * t + 2]
+        i = 3 * t
+        a, b, c = tv[i], tv[i + 1], tv[i + 2]
         # A dead slot reads DEAD (< 0) at a, a ghost GHOST (< 0) anywhere.
         if a < 0 or b < 0 or c < 0:
             return False
@@ -354,28 +356,57 @@ class Refiner:
         ax, ay = px[2 * a], px[2 * a + 1]
         bx, by = px[2 * b], px[2 * b + 1]
         cx, cy = px[2 * c], px[2 * c + 1]
-        # Edge lengths as sqrt(dx*dx + dy*dy) of q - p, the area from the
-        # same differences: the floats of the point-tuple test.
-        dx, dy = cx - bx, cy - by
         cax, cay = cx - ax, cy - ay
         bax, bay = bx - ax, by - ay
-        la = math.sqrt(dx * dx + dy * dy)
-        lb = math.sqrt(cax * cax + cay * cay)
-        lc = math.sqrt(bax * bax + bay * bay)
-        lmin = min(la, lb, lc)
         area = 0.5 * abs(bax * cay - bay * cax)
-        if exact_eq(area, 0.0):
+        if area <= 0.0:
             return False  # exactly degenerate slivers cannot be improved
-        if self.criterion is not None:
-            if self.criterion.oversized(a, b, c, ax, ay, bx, by, cx, cy,
-                                        area):
-                return True
+        crit = self.criterion
+        if crit is not None:
+            gx = (ax + bx + cx) / 3.0
+            gy = (ay + by + cy) / 3.0
+            bounds = crit.lipschitz
+            k = i  # corners i .. i + 2 in turn; without a filter, none
+            end = i + 3 if bounds is not None else i
+            while k < end:
+                v = tv[k]
+                k += 1
+                x, y = px[2 * v], px[2 * v + 1]
+                h = crit.edge_at.get(v)
+                if h is None:
+                    crit.evals += 1
+                    h = crit.edge_at[v] = math.sqrt(_checked_area(
+                        crit.area_fn(x, y), x, y) / _UNIT_AREA)
+                reach = bounds[0] * math.hypot(gx - x, gy - y) + bounds[1]
+                # 1e-9 of the operands, a million roundings of anything
+                # here or in area_fn: the bounds hold for its floats.
+                reach += 1e-9 * (h + reach)
+                hi = h + reach
+                if area > _UNIT_AREA * hi * hi:
+                    crit.clear += 1
+                    return True
+                lo = h - reach
+                if lo > 0.0 and area < _UNIT_AREA * lo * lo:
+                    crit.clear += 1
+                    break
+            else:
+                if bounds is not None:
+                    crit.band += 1
+                crit.evals += 1
+                if area > _checked_area(crit.area_fn(gx, gy), gx, gy):
+                    return True
         if self.quality_bound is not None:
-            r = la * lb * lc / (4.0 * area)
-            if r / lmin > self.quality_bound:
-                if self.min_edge_floor and lmin <= self.min_edge_floor:
-                    return False  # small-angle guard
-                return True
+            dx, dy = cx - bx, cy - by
+            la = math.sqrt(dx * dx + dy * dy)
+            lb = math.sqrt(cax * cax + cay * cay)
+            lc = math.sqrt(bax * bax + bay * bay)
+            lmin = la if la < lb else lb
+            if lc < lmin:
+                lmin = lc
+            if la * lb * lc / (4.0 * area) / lmin > self.quality_bound:
+                # The small-angle guard: no split under the floor.
+                return not (self.min_edge_floor
+                            and lmin <= self.min_edge_floor)
         return False
 
     # ------------------------------------------------------------------
@@ -423,8 +454,10 @@ class Refiner:
             i = 3 * t
             if tv[i] != DEAD:
                 corners = (tv[i], tv[i + 1], tv[i + 2])
-                tested, bad = verdicts.get(t, (None, False))
-                if tested != corners:
+                memo = verdicts.get(t)
+                if memo is not None and memo[0] == corners:
+                    bad = memo[1]
+                else:
                     bad = self._triangle_bad(t)
                     verdicts[t] = (corners, bad)
                 if bad:
@@ -470,25 +503,31 @@ class Refiner:
             self._split_segments([blocker], t, work)
             return
         i = 3 * dest
-        a, b, c = tv[i], tv[i + 1], tv[i + 2]
-        if (a < 0 or b < 0 or c < 0
-                or any(px[2 * w] == x and px[2 * w + 1] == y
-                       for w in (a, b, c))):
+        ja, jb, jc = 2 * tv[i], 2 * tv[i + 1], 2 * tv[i + 2]
+        if (ja < 0 or jb < 0 or jc < 0
+                or (px[ja] == x and px[ja + 1] == y)
+                or (px[jb] == x and px[jb + 1] == y)
+                or (px[jc] == x and px[jc + 1] == y)):
             # Outside the region without crossing a constraint (numeric
             # corner) or on top of an existing vertex — nothing safe to
             # insert.
             return
-        # Conflict region, carved once and inspected before it is
-        # committed: cc must not encroach a segment of its boundary.
-        cavity, seed = carve(tri, x, y, dest, certified)
-        encroached = self._encroached_boundary(cavity, seed, x, y)
-        if encroached:
-            self._split_segments(encroached, t, work)
-            return
+        # Conflict region, carved once with the segments bounding it,
+        # and inspected before it is committed: cc must encroach none.
+        cavity, seed, segments, wrapped = carve(tri, x, y, dest, certified)
+        if segments:
+            encroached = [(u, v) for u, v in segments
+                          if _encroaches(px, u, v, x, y)]
+            if encroached:
+                if len(encroached) > 1 and not self.lock_segments:
+                    encroached = _depth_first(tri, cavity, seed, segments,
+                                              encroached)
+                self._split_segments(encroached, t, work)
+                return
         # Commit the same set.
         vid = arr.new_point(x, y)
         tri.stat_inserts += 1
-        retriangulate(tri, vid, cavity, seed)
+        retriangulate(tri, vid, cavity, seed, wrapped)
         self._count_steiner()
         self._requeue_created(work)
 
@@ -560,28 +599,33 @@ class Refiner:
             a, b, c = tv[i], tv[i + 1], tv[i + 2]
             if a < 0 or b < 0 or c < 0:  # dead or ghost
                 break
-            ja, jb, jc = 2 * a, 2 * b, 2 * c
-            edges = ((b, c, jb, jc), (c, a, jc, ja), (a, b, ja, jb))
-            signs = [_orient(px[j], px[j + 1], px[m], px[m + 1], x, y)
-                     for _, _, j, m in edges]
-            if min(signs) >= 0:
-                inside = True
-                strictly_inside = 0 not in signs
-                break
-            for k in range(3):
-                u, v, j, m = edges[k]
-                if signs[k] < 0 and _crosses(sx, sy, x, y, px[j], px[j + 1],
-                                             px[m], px[m + 1], signs[k]):
-                    if ((u, v) if u < v else (v, u)) in tri.constraints:
-                        blocker = (u, v)
-                        break
-                    nxt = tn[i + k]
-                    if nxt >= 0 and nxt not in visited:
-                        visited.add(nxt)
-                        cur = nxt
-                        break
+            # Edge k is (u, v) = (b, c), (c, a), (a, b); the first one
+            # behind cc that the walk crosses is the way on.
+            u, v, w = b, c, a
+            behind = on_edge = False
+            for k in (0, 1, 2):
+                j, m = 2 * u, 2 * v
+                sign = _orient(px[j], px[j + 1], px[m], px[m + 1], x, y)
+                if sign < 0:
+                    behind = True
+                    if _crosses(sx, sy, x, y, px[j], px[j + 1], px[m],
+                                px[m + 1], sign):
+                        if ((u, v) if u < v else (v, u)) in tri.constraints:
+                            blocker = (u, v)
+                            break
+                        nxt = tn[i + k]
+                        if nxt >= 0 and nxt not in visited:
+                            visited.add(nxt)
+                            cur = nxt
+                            break
+                elif not sign:
+                    on_edge = True
+                u, v, w = v, w, u
             else:
-                break  # no way on: a numeric corner
+                # Inside, or no way on: a numeric corner.
+                inside = not behind
+                strictly_inside = inside and not on_edge
+                break
         tri.stat_locates += 1
         tri.stat_walk_steps += steps
         tri.stat_walk_hist[min(steps, 31)] += 1
@@ -594,37 +638,6 @@ class Refiner:
         if tri.is_ghost(dest):  # a wall: its edge is a constraint
             return None, locate_fallback(tri, x, y), False
         return None, dest, certified
-
-    def _encroached_boundary(self, cavity: Set[int], seed: int, x: float,
-                             y: float) -> List[Tuple[int, int]]:
-        """Constrained boundary edges of ``cavity`` that ``(x, y)``
-        encroaches.
-
-        Membership-only traversal (no predicate is evaluated): depth
-        first from ``seed``, because the order the segments are listed
-        in is the order they are split in, and the vertex numbering of
-        un-locked refinement follows from it.
-        """
-        tri = self.tri
-        tv, tn, px = tri._arr.tv, tri._arr.tn, tri._arr.px
-        constraints = tri.constraints
-        out: List[Tuple[int, int]] = []
-        seen = {seed}
-        stack = [seed]
-        while stack:
-            i = 3 * stack.pop()
-            a, b, c = tv[i], tv[i + 1], tv[i + 2]
-            for k, u, v in ((0, b, c), (1, c, a), (2, a, b)):
-                if (u >= 0 and v >= 0
-                        and ((u, v) if u < v else (v, u)) in constraints):
-                    if _encroaches(px, u, v, x, y):
-                        out.append((u, v))
-                else:
-                    nb = tn[i + k]
-                    if nb in cavity and nb not in seen:
-                        seen.add(nb)
-                        stack.append(nb)
-        return out
 
     # ------------------------------------------------------------------
     # Output

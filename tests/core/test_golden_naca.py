@@ -23,6 +23,8 @@ import pytest
 
 from repro import generate_mesh
 from repro.core import decouple, pipeline
+from repro.delaunay import cavity as cavity_module
+from repro.delaunay import refine as refine_module
 from repro.delaunay import validate_mesh
 from repro.delaunay.refine import Refiner
 from repro.runtime.counters import use_counters
@@ -33,14 +35,24 @@ from ..pins import pin
 from . import oracle_estimate
 
 
+#: The refiner's steps for one bad triangle, counted by
+#: :func:`run_with_checked_estimates`: the straight walk, the conflict
+#: region, its commit, and any other pass over a cavity (the split-order
+#: search, a visibility prune).
+STEPS = ("walks", "carves", "commits", "cavity_passes")
+
+
 def run_with_checked_estimates(pslg, config, **kwargs):
-    """``(result, counters sink, estimates, refiners)`` of a
+    """``(result, counters sink, estimates, refiners, steps)`` of a
     ``generate_mesh``.  The sink only listens, and so do the others:
     every ``estimate_triangles`` call made on the way (they order the
     decoupling heap and the dispatch) as ``(value, the scalar oracle's
-    value)``, and the ``Refiner`` of every subdomain once it is done."""
+    value)``, the ``Refiner`` of every subdomain once it is done, and
+    per bad triangle the refiner worked on, how often it called each of
+    :data:`STEPS` (a dict)."""
     estimates = []
     refiners = []
+    steps = []
 
     def listening(sub, sizing, real=decouple.estimate_triangles):
         value = real(sub, sizing)
@@ -52,12 +64,30 @@ def run_with_checked_estimates(pslg, config, **kwargs):
         real(refiner)
         refiners.append(refiner)
 
+    def processing(refiner, t, work, real=Refiner._process_bad_triangle):
+        steps.append(dict.fromkeys(STEPS, 0))
+        real(refiner, t, work)
+
+    def counted(step, real):
+        def call(*args):
+            steps[-1][step] += 1
+            return real(*args)
+        return call
+
     with pytest.MonkeyPatch.context() as patch, use_counters() as sink:
         patch.setattr(decouple, "estimate_triangles", listening)
         patch.setattr(pipeline, "estimate_triangles", listening)
         patch.setattr(Refiner, "refine", refining)
+        patch.setattr(Refiner, "_process_bad_triangle", processing)
+        for owner, name, step in (
+                (Refiner, "_locate_visible", "walks"),
+                (refine_module, "carve", "carves"),
+                (refine_module, "retriangulate", "commits"),
+                (refine_module, "_depth_first", "cavity_passes"),
+                (cavity_module, "prune_cavity_visibility", "cavity_passes")):
+            patch.setattr(owner, name, counted(step, getattr(owner, name)))
         result = generate_mesh(pslg, config, **kwargs)
-    return result, sink, estimates, refiners
+    return result, sink, estimates, refiners, steps
 
 
 def pinned_run(name):
@@ -141,6 +171,22 @@ class TestKernelTraffic:
         assert events["steiner_points"] > 1000
         assert events["triangle_tests"] <= 5.95 * events["steiner_points"]
 
+    def test_each_question_once_per_circumcenter(self, quickstart_run):
+        """The refiner's call profile, in structure: per bad triangle
+        whose circumcenter it located, one straight walk, at most one
+        carve, at most one commit, and no other pass over the cavity —
+        ``carve`` reports the segments the point could encroach and
+        whether the region wrapped one, so neither question walks the
+        cavity again.  A change that brings a second pass back names
+        itself here."""
+        steps = quickstart_run[4]
+        located = [s for s in steps if s["walks"]]
+        assert len(located) > 1000
+        profiles = {tuple(s.values()) for s in located}
+        assert profiles <= {(1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0)}
+        n_commits = sum(s["commits"] for s in located)
+        assert n_commits == quickstart_run[1].events["steiner_points"]
+
     def test_size_verdicts_come_from_a_bound(self, quickstart_run):
         """The sizing function is evaluated once per vertex and once per
         verdict its Lipschitz bound leaves open (0.54 evaluations per
@@ -210,7 +256,7 @@ class TestPinnedMeshesAreCorrect:
     @pytest.mark.parametrize("run", ["quickstart_run", "naca_farfield_run",
                                      "highlift_bl_run"])
     def test_valid_and_complete(self, run, request):
-        result, _, _, refiners = request.getfixturevalue(run)
+        result, _, _, refiners, _ = request.getfixturevalue(run)
         report = validate_mesh(result.mesh)
         assert report.ok and report.delaunay_violations == 0, report.summary()
         assert len(refiners) == 1 + len(result.inviscid_meshes)

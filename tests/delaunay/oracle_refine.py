@@ -12,13 +12,22 @@ segments its circumcenter encroached; production re-queues exactly that
 triangle, so both drivers must produce byte-identical meshes
 (``test_fuzz_pslg.py``, ``fuzz_refine_digest.py``).
 
-Two edits to the copied text: ``_triangle_bad`` is tested for truth
-(production returns ``bool`` now, the copy said ``is not None``), and
+Three edits to the copied text: ``_triangle_bad`` is tested for truth
+(production returns ``bool`` now, the copy said ``is not None``),
 ``rescan_found`` counts what the rescans put back, so a test can tell
-whether a case exercised the rescan at all.  Everything else the driver
-needs (`_triangle_bad`, `_locate_visible`, `_encroached_boundary`, the
-segment split) is production's: this is an oracle for the *worklist*,
-not a second refiner.
+whether a case exercised the rescan at all, and the constrained boundary
+of a cavity is found by the two passes production made before ``carve``
+reported it (:func:`encroached_boundary`, :func:`wrapped_edge`), so the
+fuzz slices compare ``carve``'s report with them.  Everything else the
+driver needs (`_triangle_bad`, `_locate_visible`, the segment split) is
+production's: this is an oracle for the *worklist*, not a second
+refiner.
+
+:func:`constrained_boundary` is the refiner's depth-first pass over a
+carved cavity (``Refiner._encroached_boundary`` before ``carve`` listed
+the segments itself) without the encroachment test, and
+:func:`wrapped_edge` is ``retriangulate``'s scan for a segment with
+cavity triangles on both sides, verbatim.
 
 :func:`assert_refinement_complete` is the same scan as a postcondition:
 what no driver may leave behind, whatever order it worked in.
@@ -34,9 +43,9 @@ import math
 from collections import deque
 from typing import Optional, Sequence, Tuple
 
-from repro.delaunay.cavity import carve, retriangulate
+from repro.delaunay.cavity import _NXT, _PRV, carve, retriangulate
 from repro.delaunay.kernel import GHOST
-from repro.delaunay.refine import RefinementError, Refiner
+from repro.delaunay.refine import RefinementError, Refiner, _encroaches
 from repro.geometry.predicates import exact_eq
 from repro.runtime.counters import current as counters_current
 
@@ -73,6 +82,55 @@ def find_vertex_at(tri, p: Tuple[float, float], t: int) -> Optional[int]:
         if v != GHOST and arr.point(v) == (p[0], p[1]):
             return v
     return None
+
+
+def constrained_boundary(tri, cavity, seed):
+    """The constrained edges of ``cavity``'s triangles, each as the
+    directed edge of its triangle, depth first from ``seed`` (never
+    crossing a constrained edge): the order un-locked refinement splits
+    the encroached ones in."""
+    tv, tn = tri._arr.tv, tri._arr.tn
+    constraints = tri.constraints
+    out = []
+    seen = {seed}
+    stack = [seed]
+    while stack:
+        i = 3 * stack.pop()
+        a, b, c = tv[i], tv[i + 1], tv[i + 2]
+        for k, u, v in ((0, b, c), (1, c, a), (2, a, b)):
+            if (u >= 0 and v >= 0
+                    and ((u, v) if u < v else (v, u)) in constraints):
+                out.append((u, v))
+            else:
+                nb = tn[i + k]
+                if nb in cavity and nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+    return out
+
+
+def encroached_boundary(tri, cavity, seed, x, y):
+    """Constrained boundary edges of ``cavity`` that ``(x, y)``
+    encroaches, in :func:`constrained_boundary`'s order."""
+    return [(u, v) for u, v in constrained_boundary(tri, cavity, seed)
+            if _encroaches(tri._arr.px, u, v, x, y)]
+
+
+def wrapped_edge(tri, cavity) -> bool:
+    """Does a constrained edge have cavity triangles on both sides?"""
+    tvm, tnm = tri._arr.tv, tri._arr.tn
+    for t in cavity:
+        i3 = 3 * t
+        for k in range(3):
+            if tnm[i3 + k] not in cavity:
+                continue
+            u = tvm[i3 + _NXT[k]]
+            v = tvm[i3 + _PRV[k]]
+            if u == GHOST or v == GHOST:
+                continue
+            if ((u, v) if u < v else (v, u)) in tri.constraints:
+                return True
+    return False
 
 
 class RescanRefiner(Refiner):
@@ -165,15 +223,15 @@ class RescanRefiner(Refiner):
             return
         # Conflict region, carved once and inspected before it is
         # committed: cc must not encroach a segment of its boundary.
-        cavity, seed = carve(tri, cc[0], cc[1], dest, certified)
-        encroached = self._encroached_boundary(cavity, seed, *cc)
+        cavity, seed, _, _ = carve(tri, cc[0], cc[1], dest, certified)
+        encroached = encroached_boundary(tri, cavity, seed, *cc)
         if encroached:
             self._split_segments(encroached, t, work)
             return
         # Commit the same set.
         vid = tri._arr.new_point(cc[0], cc[1])
         tri.stat_inserts += 1
-        retriangulate(tri, vid, cavity, seed)
+        retriangulate(tri, vid, cavity, seed, wrapped_edge(tri, cavity))
         self._count_steiner()
         self._requeue_created(work)
 
@@ -207,8 +265,8 @@ def fix_denied(refiner: Refiner, t: int) -> bool:
         return not refiner._split_allowed(*blocker)
     if tri.is_ghost(dest) or find_vertex_at(tri, cc, dest) is not None:
         return True
-    encroached = refiner._encroached_boundary(
-        *carve(tri, cc[0], cc[1], dest, certified), *cc)
+    cavity, seed, _, _ = carve(tri, cc[0], cc[1], dest, certified)
+    encroached = encroached_boundary(tri, cavity, seed, *cc)
     return bool(encroached) and not any(
         refiner._split_allowed(u, v) for u, v in encroached)
 

@@ -16,7 +16,7 @@ from repro.delaunay.refine import RUPPERT_BOUND, Refiner
 from repro.delaunay.validate import validate_mesh
 from repro.geometry.primitives import polygon_area
 
-from .fuzz_refine_digest import outcome, refined
+from .fuzz_refine_digest import case_outcome, outcome, refined
 from .oracle import constrained_delaunay
 from .oracle_refine import RescanRefiner, assert_refinement_complete
 
@@ -144,6 +144,16 @@ class TestCDTFuzz:
         assert got == want
         if refiner is not None:
             assert_refinement_complete(refiner)
+
+    @pytest.mark.parametrize("seed", [19, 43, 57])
+    def test_segments_split_together_split_depth_first(self, seed):
+        """Digest-fuzz stars where a circumcenter encroaches two or more
+        segments at once and ``carve`` lists them in another order than
+        the depth-first pass the rescan oracle reads them with: the
+        refiner must split them in the oracle's order (splitting them
+        as ``carve`` lists them moves all three meshes)."""
+        assert case_outcome(Refiner, seed)[0] == case_outcome(
+            RescanRefiner, seed)[0]
 
     @given(poly=star_polygon(min_v=5, max_v=10))
     @settings(max_examples=25, deadline=None)

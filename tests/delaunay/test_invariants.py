@@ -23,9 +23,11 @@ with exact arithmetic:
 The same harness runs over uniform-random clouds, degenerate (cocircular
 / collinear-heavy) inputs, the fuzz PSLG corpus and dangling-needle
 PSLGs; a differential test pins ``cavity.carve`` (seed rule included)
-to the exact oracle (:mod:`.oracle`) cavity for cavity, at every
-insertion — the refiner, which calls the kernel's three steps itself, is
-held to the same oracle at the commit step (:func:`checking_commits`) —
+to the exact oracle (:mod:`.oracle`) cavity for cavity, and its report
+of the cavity's segments to the passes it replaced
+(:func:`assert_boundary_report`), at every insertion — the refiner,
+which calls the kernel's three steps itself, is held to the same oracle
+at the commit step (:func:`checking_commits`) —
 and constrained triangulations are re-checked after *every* insertion,
 because nothing repairs a fan afterwards.
 """
@@ -45,13 +47,15 @@ from repro.delaunay.cavity import carve, retriangulate
 from repro.delaunay.constrained import (
     insert_segment, triangulate_loops, triangulate_pslg)
 from repro.delaunay.kernel import Triangulation, triangulate
-from repro.delaunay.refine import AreaCriterion, Refiner
+from repro.delaunay.refine import AreaCriterion, Refiner, _depth_first
 from repro.geometry.predicates import incircle, orient2d
 from repro.sizing.functions import UniformSizing
 
 from . import oracle
 from .oracle import check_integrity
-from .oracle_refine import assert_refinement_complete, find_vertex_at
+from .oracle_refine import (
+    assert_refinement_complete, constrained_boundary, find_vertex_at,
+    wrapped_edge)
 from .test_fuzz_pslg import star_polygon
 
 
@@ -130,12 +134,50 @@ def assert_invariants(tri: Triangulation, *, exhaustive: bool = False
         assert_globally_delaunay(tri)
 
 
+def assert_boundary_report(tri: Triangulation, cavity, seed, segments,
+                           wrapped) -> None:
+    """``carve``'s report of the cavity's constrained boundary is what
+    the two passes it replaced found: the same directed edges, in the
+    depth-first order once the refiner orders them (the split order),
+    and the same wrapped flag."""
+    want = constrained_boundary(tri, cavity, seed)
+    assert sorted(segments) == sorted(want)
+    assert _depth_first(tri, cavity, seed, segments, segments) == want
+    assert wrapped == wrapped_edge(tri, cavity)
+
+
+def same_level_wrap(tri: Triangulation, cavity, seed) -> bool:
+    """Do both sides of a segment wrapped by ``cavity`` lie at the same
+    depth of ``carve``'s level-order search from ``seed``?"""
+    tv, tn = tri._arr.tv, tri._arr.tn
+
+    def segment(t, k):
+        u, v = tv[3 * t + (k + 1) % 3], tv[3 * t + (k + 2) % 3]
+        return u >= 0 and v >= 0 and ((u, v) if u < v else (v, u)) in tri.constraints
+
+    depth = {seed: 0}
+    frontier = [seed]
+    while frontier:
+        reached = []
+        for t in frontier:
+            for k in range(3):
+                nb = tn[3 * t + k]
+                if nb in cavity and nb not in depth and not segment(t, k):
+                    depth[nb] = depth[t] + 1
+                    reached.append(nb)
+        frontier = reached
+    return any(depth[t] == depth[tn[3 * t + k]] for t in cavity
+               for k in range(3) if tn[3 * t + k] in cavity and segment(t, k))
+
+
 def insert_checking_cavities(tri: Triangulation, points) -> int:
     """Insert ``points`` one at a time; before each insertion the
-    production carve must equal the oracle's cavity, and after each
-    insertion into a constrained triangulation every invariant must hold
-    as it stands (the star fan of a clipped cavity gets no legalisation
-    pass).  Returns how many cavities a constraint truly clipped."""
+    production carve must equal the oracle's cavity, with its report of
+    the constrained boundary (:func:`assert_boundary_report`), and after
+    each insertion into a constrained triangulation every invariant must
+    hold as it stands (the star fan of a clipped cavity gets no
+    legalisation pass).  Returns how many cavities a constraint truly
+    clipped."""
     n_clipped = 0
     for x, y in points:
         p = (float(x), float(y))
@@ -147,8 +189,10 @@ def insert_checking_cavities(tri: Triangulation, points) -> int:
             continue
         t0 = oracle.seed(tri, t, p)
         want, clipped = oracle.carve(tri, p, t0)
-        got = carve(tri, p[0], p[1], t)
-        assert got == (want, t0), f"cavity of {p} differs from the oracle's"
+        cavity, seed, segments, wrapped = carve(tri, p[0], p[1], t)
+        assert (cavity, seed) == (want, t0), (
+            f"cavity of {p} differs from the oracle's")
+        assert_boundary_report(tri, cavity, seed, segments, wrapped)
         n_clipped += clipped
         cavity_module.insert_point(tri, *p, t)
         if tri.constraints:
@@ -164,7 +208,8 @@ def checking_commits():
     to ``retriangulate`` — by ``insert_point`` or by the refiner, which
     composes the three steps itself and so never passes through
     :func:`insert_checking_cavities` — must equal the oracle's cavity
-    from the same seed.  The refiner's own commit is the circumcenter of
+    from the same seed, and its wrapped flag the oracle's scan.  The
+    refiner's own commit is the circumcenter of
     the bad triangle in hand, which must die in that cavity: the
     worklist never comes back to it.  Yields the list of committed
     cavity sizes."""
@@ -173,16 +218,17 @@ def checking_commits():
     sizes = []
     in_hand = []
 
-    def checked(tri, vid, cavity, t0):
+    def checked(tri, vid, cavity, t0, wrapped):
         want, _ = oracle.carve(tri, tri._arr.point(vid), t0)
         assert cavity == want, f"cavity of vertex {vid} differs from the oracle's"
+        assert wrapped == wrapped_edge(tri, cavity)
         sizes.append(len(cavity))
-        commit(tri, vid, cavity, t0)
+        commit(tri, vid, cavity, t0, wrapped)
 
-    def checked_circumcenter(tri, vid, cavity, t0):
+    def checked_circumcenter(tri, vid, cavity, t0, wrapped):
         assert in_hand[-1] in cavity, (
             f"bad triangle {in_hand[-1]} outlives its circumcenter {vid}")
-        checked(tri, vid, cavity, t0)
+        checked(tri, vid, cavity, t0, wrapped)
 
     def processing(refiner, t, work):
         in_hand.append(t)
@@ -499,13 +545,40 @@ class TestConstrainedInvariants:
         (needle,) = tri.constraints
         p = (float(rng.uniform(-0.2, 0.2)), float(rng.uniform(0.03, 0.08)))
         tri.constraints = set()
-        cavity, seed_t = carve(tri, *p, tri.locate(p))
+        cavity, seed_t, _, _ = carve(tri, *p, tri.locate(p))
         tri.constraints = {needle}
         assert sum(set(needle) <= set(tri._arr.triangle(t))
                    for t in cavity) == 2, "the region misses the needle"
-        retriangulate(tri, tri._arr.new_point(*p), cavity, seed_t)
+        assert wrapped_edge(tri, cavity)
+        retriangulate(tri, tri._arr.new_point(*p), cavity, seed_t, True)
         assert tri.stat_visibility_prunes == 1
         assert_invariants(tri)
+
+    def test_report_matches_the_scan_where_cavities_wrap(self):
+        """``carve``'s ``wrapped`` flag where it is ``True``: on a
+        triangulation whose coordinates were scrambled after it was
+        built, the in-disk tests answer anything, so cavities go round
+        segment ends — both sides of a segment joining the cavity in
+        different levels, or in the same one, where neither side is a
+        fresh candidate of the other.  The report must still be the
+        oracles' (:func:`assert_boundary_report`), flag included."""
+        n_wrapped = n_same_level = 0
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            tri = triangulate(rng.uniform(-1.0, 1.0, (40, 2)))
+            live = real_triangles(tri)
+            for t in live[::2]:
+                a, b, _ = tri._arr.triangle(t)
+                tri.mark_constraint(a, b)
+            tri._arr.px[:80] = rng.uniform(-1.0, 1.0, 80).tolist()
+            for t in rng.choice(live, 200).tolist():
+                x, y = rng.uniform(-1.0, 1.0, 2).tolist()
+                cavity, seed_t, segments, wrapped = carve(tri, x, y, t, True)
+                assert_boundary_report(tri, cavity, seed_t, segments, wrapped)
+                n_wrapped += wrapped
+                n_same_level += wrapped and same_level_wrap(tri, cavity,
+                                                            seed_t)
+        assert n_wrapped > 20 and n_same_level > 0
 
     def test_locked_edges_survive_nearby_insertions(self):
         square = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 4.0], [0.0, 4.0],

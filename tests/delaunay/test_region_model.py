@@ -38,11 +38,11 @@ def ghost_free_cavities():
     carve = cavity_module.carve
 
     def spy(tri, x, y, t0, certified=False):
-        cavity, seed = carve(tri, x, y, t0, certified)
+        report = carve(tri, x, y, t0, certified)
         tv = tri._arr.tv
-        ghosts = [t for t in cavity if GHOST in tv[3 * t:3 * t + 3]]
+        ghosts = [t for t in report[0] if GHOST in tv[3 * t:3 * t + 3]]
         assert not ghosts, f"cavity of {(x, y)} holds ghosts {ghosts}"
-        return cavity, seed
+        return report
 
     cavity_module.carve = refine_module.carve = spy
     try:

@@ -2,9 +2,11 @@
 
 A sizing function that declares ``lipschitz = (L, slack)`` lets the
 criterion decide most size verdicts from the edge length at a corner.
-The filter must never change a verdict: ``CheckedCriterion`` recomputes
-the unfiltered test on *every* call and asserts equality, driven through
-``refine_subdomain`` (the path every ``generate_mesh`` subdomain takes).
+The filter must never change a verdict: ``CheckedRefiner`` recomputes
+the unfiltered triangle test (:func:`unfiltered_bad`) on *every* call of
+the refiner's one test and asserts equality — and that it ran — driven
+through ``refine_subdomain`` (the path every ``generate_mesh`` subdomain
+takes).
 The graded clouds have >= 600 surface points, so the sizing decimates
 (``step > 1``, ``_coarse_pad > 0``) and the subdomains straddle the
 ``20 * pad`` distance where its far branch takes over with a jump — the
@@ -21,7 +23,8 @@ from hypothesis import strategies as st
 
 from repro.core import decouple
 from repro.core.decouple import DecoupledSubdomain, march_path, ring_from_parts
-from repro.delaunay.refine import AreaCriterion
+from repro.delaunay.refine import AreaCriterion, Refiner
+from repro.geometry.predicates import exact_eq
 from repro.sizing.functions import (
     GradedDistanceSizing,
     RadialSizing,
@@ -31,31 +34,73 @@ from repro.sizing.functions import (
 from tests.domains import CallableSizing
 
 
+def unfiltered_bad(refiner, t):
+    """The refiner's triangle test as it was before the size filter:
+    the shape test, and the size test as ``area > area_fn(centroid)``,
+    in the floats of the point-tuple test."""
+    arr = refiner.tri._arr
+    corners = arr.triangle(t)
+    if min(corners) < 0:
+        return False
+    (ax, ay), (bx, by), (cx, cy) = (arr.point(v) for v in corners)
+    dx, dy = cx - bx, cy - by
+    cax, cay = cx - ax, cy - ay
+    bax, bay = bx - ax, by - ay
+    la = math.sqrt(dx * dx + dy * dy)
+    lb = math.sqrt(cax * cax + cay * cay)
+    lc = math.sqrt(bax * bax + bay * bay)
+    lmin = min(la, lb, lc)
+    area = 0.5 * abs(bax * cay - bay * cax)
+    if exact_eq(area, 0.0):
+        return False
+    crit = refiner.criterion
+    gx = (ax + bx + cx) / 3.0
+    gy = (ay + by + cy) / 3.0
+    if crit is not None and area > crit.area_fn(gx, gy):
+        return True
+    if (refiner.quality_bound is not None
+            and la * lb * lc / (4.0 * area) / lmin > refiner.quality_bound):
+        return not (refiner.min_edge_floor and lmin <= refiner.min_edge_floor)
+    return False
+
+
+class CheckedRefiner(Refiner):
+    """``Refiner`` whose every triangle verdict is compared with the
+    unfiltered one, and counted on its criterion (``checked``)."""
+
+    def _triangle_bad(self, t):
+        got = super()._triangle_bad(t)
+        assert got == unfiltered_bad(self, t), (t, self.tri._arr.triangle(t))
+        self.criterion.checked += 1
+        return got
+
+
 class CheckedCriterion(AreaCriterion):
-    """``AreaCriterion`` whose every verdict is compared with the
-    unfiltered one (the whole ``oversized`` before the filter), and
-    whose priming is counted."""
+    """``AreaCriterion`` whose priming is counted, and whose verdicts a
+    :class:`CheckedRefiner` counts in ``checked``."""
 
     made = []
 
     def __init__(self, area_fn):
         super().__init__(area_fn)
-        self.primed = 0
+        self.primed = self.checked = 0
         self.made.append(self)
 
     def prime(self, pts):
-        before = len(self._edge_at)
+        before = len(self.edge_at)
         super().prime(pts)
-        self.primed += len(self._edge_at) - before
+        self.primed += len(self.edge_at) - before
         # Primed by id: vertex v holds the edge length at row v.
-        assert len(self._edge_at) in (before, len(pts))
+        assert len(self.edge_at) in (before, len(pts))
 
-    def oversized(self, a, b, c, ax, ay, bx, by, cx, cy, area):
-        got = super().oversized(a, b, c, ax, ay, bx, by, cx, cy, area)
-        gx = (ax + bx + cx) / 3.0
-        gy = (ay + by + cy) / 3.0
-        assert got == (area > self.area_fn(gx, gy)), (a, b, c, area)
-        return got
+
+def only_criterion(made):
+    """The one criterion ``refine_subdomain`` built; its verdicts were
+    checked (a refiner that stopped calling the checked test would
+    leave ``checked`` at 0 and pass every comparison)."""
+    (crit,) = made
+    assert crit.checked > 0
+    return crit
 
 
 def assert_one_evaluation_per_vertex_and_open_verdict(crit):
@@ -63,16 +108,17 @@ def assert_one_evaluation_per_vertex_and_open_verdict(crit):
     size test reached (the refiner's Steiner points; every vertex when
     the sizing has no ``area_at_many``), and once per verdict the bound
     left open — never twice for one vertex."""
-    new_vertices = len(crit._edge_at) - crit.primed
+    new_vertices = len(crit.edge_at) - crit.primed
     assert new_vertices > 0
     assert crit.evals == crit.primed + new_vertices + crit.band
 
 
 @pytest.fixture
 def checked(monkeypatch):
-    """``refine_subdomain`` builds a ``CheckedCriterion``; yields the
-    list of those built."""
+    """``refine_subdomain`` builds a ``CheckedCriterion`` and refines
+    with a ``CheckedRefiner``; yields the list of criteria built."""
     monkeypatch.setattr(decouple, "AreaCriterion", CheckedCriterion)
+    monkeypatch.setattr(decouple, "Refiner", CheckedRefiner)
     CheckedCriterion.made = []
     return CheckedCriterion.made
 
@@ -128,7 +174,7 @@ class TestFilterNeverChangesAVerdict:
         # The far branch takes over inside the subdomain.
         assert 20.0 * sizing._coarse_pad < 1.0
         mesh = decouple.refine_subdomain(annulus(sizing), sizing)
-        (crit,) = checked
+        crit = only_criterion(checked)
         assert mesh.n_triangles > 300
         # Both outcomes of the filter happen (the ragged cloud's slack
         # leaves a third of the verdicts open), and it pays: one
@@ -143,14 +189,14 @@ class TestFilterNeverChangesAVerdict:
     def test_radial(self, checked):
         sizing = RadialSizing((0.2, -0.1), h0=0.05, grading=0.4, h_max=0.5)
         decouple.refine_subdomain(annulus(sizing), sizing)
-        (crit,) = checked
+        crit = only_criterion(checked)
         assert crit.clear > crit.band > 0
         assert_one_evaluation_per_vertex_and_open_verdict(crit)
 
     def test_uniform_is_all_clear_or_rounding(self, checked):
         sizing = UniformSizing(0.004)
         mesh = decouple.refine_subdomain(annulus(sizing), sizing)
-        (crit,) = checked
+        crit = only_criterion(checked)
         assert mesh.n_triangles > 300
         # L = 0: only an area within 1e-9 of the bound is left open.
         assert crit.clear > 0 and crit.band == 0
@@ -160,7 +206,7 @@ class TestFilterNeverChangesAVerdict:
         radial = RadialSizing((0.0, 0.0), h0=0.08, grading=0.3)
         sizing = CallableSizing(lambda x, y: radial.area_at(x, y))
         mesh = decouple.refine_subdomain(annulus(sizing), sizing)
-        (crit,) = checked
+        crit = only_criterion(checked)
         assert crit.clear == crit.band == 0
         assert crit.evals > mesh.n_triangles
 
