@@ -7,6 +7,11 @@ workload called, by module (deletion *candidates*: one may still be a
 test reference or safety code) and (2) each workload's merged
 ``KernelCounters`` plus three ratios of them (``locates_per_insert``,
 ``incircle_per_cavity_triangle``, ``orient_per_walk_step``), the
+graded sizing's scalar queries (``sizing.area_at_calls``) with
+``sizing.capped_share``, the share of them its bounding box answered at
+the cap without a scan of the cloud (``distance_to_surface`` not
+called; counted by the same profile hook, 0 where no graded sizing
+runs), the
 refiner's ``triangle_tests`` with ``triangle_tests_per_steiner`` (its
 quality/size tests per point it inserted) and what the size tests cost
 (``sizing_evals``; ``size_verdicts_clear`` decided by the sizing's
@@ -101,6 +106,14 @@ REFINER_STEPS = (
     ("retriangulate", "repro.delaunay.cavity", "retriangulate"),
 )
 
+#: The graded sizing's scalar query and the scan behind it: ``area_at``
+#: calls that scanned the cloud ran ``distance_to_surface`` once.
+SIZING_STEPS = (
+    ("area_at", "repro.sizing.functions", "GradedDistanceSizing.area_at"),
+    ("scans", "repro.sizing.functions",
+     "GradedDistanceSizing.distance_to_surface"),
+)
+
 
 def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -124,8 +137,8 @@ def main(argv=None) -> None:
         for name in args.workload or sorted(workloads.WORKLOADS):
             before = calls.copy()
             sinks[name] = run_op(name, args.smoke)
-            steps[name] = [(row, calls[where[m, q]] - before[where[m, q]])
-                           for row, m, q in REFINER_STEPS]
+            steps[name] = {row: calls[where[m, q]] - before[where[m, q]]
+                           for row, m, q in REFINER_STEPS + SIZING_STEPS}
     finally:
         sys.setprofile(None)
 
@@ -148,6 +161,10 @@ def main(argv=None) -> None:
                 ("orient_per_walk_step", kernel.orient_tests,
                  kernel.walk_steps)):
             rows.append((key, count / per if per else 0.0))
+        queries = steps[name]["area_at"]
+        rows += [("sizing.area_at_calls", queries),
+                 ("sizing.capped_share",
+                  1.0 - steps[name]["scans"] / queries if queries else 0.0)]
         events = sink.events
         if events.get("steiner_points"):
             rows += [(k, events.get(k, 0))
@@ -159,8 +176,8 @@ def main(argv=None) -> None:
             rows.append(("triangle_tests_per_steiner",
                          events["triangle_tests"] / events["steiner_points"]))
             rows += [(f"calls_per_steiner.{row}",
-                      n / events["steiner_points"])
-                     for row, n in steps[name]]
+                      steps[name][row] / events["steiner_points"])
+                     for row, _, _ in REFINER_STEPS]
         # The adaptor's flips and the edge splits' Lawson flips share
         # the kernel's flip counter: no ratio to ring points there.
         if events.get("ring_points") and not events.get("adapt_passes"):

@@ -106,10 +106,14 @@ def march_path(
     Implements Section II.E: starting at ``v_current`` with
     ``k_current = k(A(v_current))``, the next vertex is placed
     ``D = STEP_FACTOR * k_current`` ahead and pulled closer while
-    ``D >= 2 k_next``; interior vertices are finally rescaled along the
-    segment so the last step ends exactly on ``p1`` without compressing
-    any gap below ``2k/sqrt(3)`` locally (the rescale factor is bounded
-    by one step over the total).
+    ``D >= 2 k_next``, until the next step would reach ``p1``.
+
+    A backward march from ``p1`` closes the path.  It stops where the
+    gap to the forward front meets the bound at both ends, or where it
+    would cross that front, so the closing edge can be far shorter than
+    its neighbours (``naca_farfield``: 0.00034 beside 0.598).  Every
+    border is locked, so such an edge is a sliver that no refinement
+    can fix; it is not a local over-refinement.
     """
     p0 = (float(p0[0]), float(p0[1]))
     p1 = (float(p1[0]), float(p1[1]))
@@ -143,8 +147,9 @@ def march_path(
     # interior edges; the *final* edge to p1 may still violate the bound
     # when the sizing shrinks toward p1 (e.g. approaching the body).  Fix
     # with a backward march from p1 until the junction gap satisfies the
-    # bound at both of its endpoints; the junction edge may end up shorter
-    # than 2k/sqrt(3), which only over-refines locally.
+    # bound at both of its endpoints.  The junction edge may end up far
+    # shorter than 2k/sqrt(3): against a locked border that is a sliver
+    # no refinement can fix (see the docstring).
     bs = [total]
     guard = 0
     while True:

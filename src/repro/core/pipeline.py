@@ -230,7 +230,6 @@ def generate_mesh(
             f"{config.farfield_chords}")
     half = config.farfield_chords * chord
     ff_box = AABB(cx - half, cy - half, cx + half, cy + half)
-    quads = initial_quadrants(nb_box, ff_box, sizing)
     target = max(config.target_subdomains - 1, 4)
 
     # ------------------------------------------------------------------
@@ -249,20 +248,29 @@ def generate_mesh(
         return _pack_refine_item(s, sizing)
 
     # Note: ``refinement`` wall time spans the whole overlapped region
-    # (it contains ``decoupling``).
+    # (it contains ``decoupling``, which marches the initial quadrants).
+    # An exception in the parent between the first submit and results()
+    # cancels the session, so the pool is free for the next call.
     with timed("refinement") as tm_refine:
         session = backend_impl.stream_workitems(_workitem, n_ranks=n_ranks)
-        # A triangulation of n points has about 2n triangles: the unit
-        # the refinement items' estimates are in.
-        session.submit(serde.nest("bl.", serde.pack_bl_item(*bl.item())),
-                       cost=2.0 * len(bl.points))
-        session.submit(_payload(nearbody), cost=_cost(nearbody))
         subdomains: List[DecoupledSubdomain] = []
-        with timed("decoupling") as tm_decouple:
-            for s in decouple_stream(quads, sizing, target_count=target):
-                subdomains.append(s)
-                session.submit(_payload(s), cost=_cost(s))
-        bl_packed, *packed = session.results()
+        try:
+            # A triangulation of n points has about 2n triangles: the
+            # unit the refinement items' estimates are in.
+            session.submit(serde.nest("bl.",
+                                      serde.pack_bl_item(*bl.item())),
+                           cost=2.0 * len(bl.points))
+            session.submit(_payload(nearbody), cost=_cost(nearbody))
+            with timed("decoupling") as tm_decouple:
+                quads = initial_quadrants(nb_box, ff_box, sizing)
+                for s in decouple_stream(quads, sizing,
+                                         target_count=target):
+                    subdomains.append(s)
+                    session.submit(_payload(s), cost=_cost(s))
+            bl_packed, *packed = session.results()
+        except BaseException:
+            session.cancel()
+            raise
         bl.attach_mesh(serde.unpack_mesh(bl_packed))
         timings["bl_triangulate"] = float(bl_packed["seconds"][0])
         meshes = [serde.unpack_mesh(b) for b in packed]

@@ -272,6 +272,18 @@ class TriMesh:
         }
 
 
+def _group_rows(rows: np.ndarray):
+    """``(order, head)``: the stable lexicographic order of the integer
+    rows of ``rows`` (first column most significant) and, per sorted
+    position, whether it starts a run of equal rows — so
+    ``order[head]`` is the first appearance of each distinct row."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    head = np.ones(len(rows), dtype=bool)
+    head[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return order, head
+
+
 def merge_meshes(meshes: List[TriMesh]) -> TriMesh:
     """Merge subdomain meshes, welding vertices that coincide within 1e-12.
 
@@ -286,18 +298,20 @@ def merge_meshes(meshes: List[TriMesh]) -> TriMesh:
 
     # Weld: quantised keys for every vertex of every mesh, welded to the
     # global id of their first appearance (np.round == round: both
-    # half-to-even).  Fully vectorised — no per-vertex Python loop.
+    # half-to-even).  One stable lexsort groups equal keys with each
+    # group's first appearance at its head; no per-vertex Python loop.
     all_pts = np.vstack([np.asarray(m.points, dtype=np.float64).reshape(-1, 2)
                          for m in meshes])
     keys = np.round(all_pts * inv).astype(np.int64)
-    _, first_idx, inverse = np.unique(keys, axis=0, return_index=True,
-                                      return_inverse=True)
-    # np.unique sorts by key; renumber so gids follow first appearance.
-    appearance = np.argsort(first_idx, kind="stable")
-    rank = np.empty(len(first_idx), dtype=np.int64)
-    rank[appearance] = np.arange(len(first_idx), dtype=np.int64)
-    gid = rank[inverse]
-    points = all_pts[first_idx[appearance]]
+    order, head = _group_rows(keys)
+    # Per sorted row, the first appearance of its key.
+    first = order[head][np.cumsum(head) - 1]
+    kept = np.zeros(len(keys), dtype=bool)
+    kept[first] = True
+    new_id = np.cumsum(kept) - 1
+    gid = np.empty(len(keys), dtype=np.int64)
+    gid[order] = new_id[first]
+    points = all_pts[kept]
 
     offsets = np.cumsum([0] + [m.n_points for m in meshes])
     tri_blocks = [
@@ -308,9 +322,10 @@ def merge_meshes(meshes: List[TriMesh]) -> TriMesh:
         tris = np.vstack(tri_blocks)
         # Drop duplicate triangles (none expected), keeping first
         # appearance order like the sequential weld did.
-        canon = np.sort(tris, axis=1)
-        _, tfirst = np.unique(canon, axis=0, return_index=True)
-        tris = tris[np.sort(tfirst)].astype(np.int32)
+        order, head = _group_rows(np.sort(tris, axis=1))
+        kept = np.zeros(len(tris), dtype=bool)
+        kept[order[head]] = True
+        tris = tris[kept].astype(np.int32)
     else:
         tris = np.empty((0, 3), np.int32)
 
@@ -319,8 +334,10 @@ def merge_meshes(meshes: List[TriMesh]) -> TriMesh:
         for i, m in enumerate(meshes) if len(m.segments)
     ]
     if seg_blocks:
+        # Each segment once, as (low, high), the rows in sorted order.
         segs = np.sort(np.vstack(seg_blocks), axis=1)
-        segs = np.unique(segs, axis=0).astype(np.int32)
+        order, head = _group_rows(segs)
+        segs = segs[order[head]].astype(np.int32)
     else:
         segs = np.empty((0, 2), np.int32)
 

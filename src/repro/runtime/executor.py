@@ -72,13 +72,16 @@ class StreamSession(Protocol):
 
     ``submit`` returns the item's index; ``results`` blocks until every
     submitted item finished and returns the results in submission
-    order.  A session is single-use: ``results`` closes it.
+    order.  A session is single-use: ``results`` closes it, and so does
+    ``cancel``, the producer's way out when it fails before collecting.
     """
 
     def submit(self, payload: Any, *, cost: float = 1.0,
                eager: bool = True) -> int: ...
 
     def results(self) -> List[Any]: ...
+
+    def cancel(self) -> None: ...
 
 
 class Backend(Protocol):
@@ -186,6 +189,10 @@ class _SerialStream:
         if not self._payloads:
             return []
         return self._backend.map_workitems(self._fn, self._payloads)
+
+    def cancel(self) -> None:
+        self._closed = True
+        self._payloads.clear()
 
 
 class SerialBackend:
@@ -637,6 +644,17 @@ class PoolStream:
             self._pump(block=True)
         self._close()
         return list(self._out)
+
+    def cancel(self) -> None:
+        """Abandon the session from the dispatching thread, when its
+        producer failed before ``results()``: in-flight items are
+        quiesced behind the pool's epoch fence (their results discarded,
+        shm wires freed) and the pool is free for the next session.  A
+        session that already closed or failed is left as it is."""
+        if self._error is None and not self._closed:
+            self._error = ExecutorError("streaming session cancelled")
+            self._quiesce()
+            self._close()
 
     # -- internals -----------------------------------------------------
     def _check_open(self) -> None:

@@ -103,6 +103,16 @@ class GradedDistanceSizing:
     dominant cost pattern is thousands of queries against a fixed point
     cloud, so the implementation stores the cloud contiguously.
 
+    Where the cap binds, :meth:`area_at` and :meth:`area_at_many` answer
+    from the cloud's bounding box without scanning it: the box distance,
+    shrunk by ``1e-12`` relative and by ``pad / 2`` (the decimated far
+    branch's offset), is at most the float :meth:`distance_to_surface`
+    returns, and float ``+`` and ``*`` are monotone, so when
+    ``h0 + grading * bound >= h_max`` the scan would return the cap too
+    and the cap's area is the exact float it gives.  A query with a NaN
+    coordinate never takes the shortcut; every other query the bound
+    cannot settle takes the scan unchanged.
+
     Parameters
     ----------
     surface_points:
@@ -143,6 +153,10 @@ class GradedDistanceSizing:
         # Both clouds as contiguous x / y columns, for the queries' hypot.
         self._px, self._py = np.ascontiguousarray(pts.T)
         self._cx, self._cy = np.ascontiguousarray(coarse.T)
+        # The cap shortcut: the cloud's box (it holds the coarse cloud
+        # too) and the area every capped query returns.
+        self._box = (*pts.min(axis=0).tolist(), *pts.max(axis=0).tolist())
+        self._cap_area = math.sqrt(3.0) / 4.0 * self.h_max * self.h_max
 
     @property
     def lipschitz(self) -> Tuple[float, float]:
@@ -167,16 +181,38 @@ class GradedDistanceSizing:
         return min(self.h0 + self.grading * d, self.h_max)
 
     def area_at(self, x: float, y: float) -> float:
+        if x == x and y == y:  # a NaN never takes the shortcut
+            xlo, ylo, xhi, yhi = self._box
+            d = math.hypot(max(xlo - x, x - xhi, 0.0),
+                           max(ylo - y, y - yhi, 0.0))
+            lower = d * (1.0 - 1e-12) - 0.5 * self._coarse_pad
+            if self.h0 + self.grading * lower >= self.h_max:
+                return self._cap_area
         h = self.edge_length_at(x, y)
         return math.sqrt(3.0) / 4.0 * h * h
 
     def area_at_many(self, xy: np.ndarray) -> np.ndarray:
-        """:meth:`area_at` of every row of ``xy`` in one pass over the
-        cloud — the scalar arithmetic term for term, so the same floats."""
+        """:meth:`area_at` of every row of ``xy``: the capped rows from
+        the box, the others in one pass over the cloud — the scalar
+        arithmetic term for term, so the same floats."""
         xy = np.asarray(xy, np.float64).reshape(-1, 2)
+        x, y = xy[:, 0], xy[:, 1]
+        xlo, ylo, xhi, yhi = self._box
+        d = np.hypot(np.maximum(np.maximum(xlo - x, x - xhi), 0.0),
+                     np.maximum(np.maximum(ylo - y, y - yhi), 0.0))
+        lower = d * (1.0 - 1e-12) - 0.5 * self._coarse_pad
+        scan = ~(self.h0 + self.grading * lower >= self.h_max)
+        scan |= np.isnan(x) | np.isnan(y)
+        areas = np.full(len(xy), self._cap_area)
+        if scan.any():
+            areas[scan] = self._scan_areas(xy[scan])
+        return areas
+
+    def _scan_areas(self, xy: np.ndarray) -> np.ndarray:
+        """The areas of the rows of ``xy`` from a scan of the cloud."""
         rows = max(1, 2 ** 16 // len(self._px))  # chunked: bounded memory
         if len(xy) > rows:
-            return np.concatenate([self.area_at_many(xy[lo:lo + rows])
+            return np.concatenate([self._scan_areas(xy[lo:lo + rows])
                                    for lo in range(0, len(xy), rows)])
         x, y = xy[:, :1], xy[:, 1:]
         d = np.hypot(self._cx - x, self._cy - y).min(axis=1)

@@ -1,16 +1,20 @@
 """Integration tests for the push-button meshing pipeline."""
 
+import os
 import re
 
 import numpy as np
 import pytest
 
+from repro.core import pipeline
 from repro.core.bl_pipeline import BoundaryLayerConfig
 from repro.core.pipeline import MeshConfig, generate_mesh
 from repro.geometry.airfoils import naca0012, three_element_airfoil
 from repro.geometry.pslg import PSLG
+from repro.runtime import executor, serde
 from repro.runtime.counters import use_counters
 from repro.sizing.functions import decoupling_edge_length
+from tests import pins
 
 
 def small_config(**kw):
@@ -171,3 +175,57 @@ class TestThreeElementPipeline:
         assert len(res.bl.element_rays) == 3
         # All three BL regions meshed.
         assert res.stats["n_bl_triangles"] > 500
+
+
+class ParentFailure(RuntimeError):
+    """Raised in the parent while the pool holds submitted items."""
+
+
+class TestParentErrorFreesThePool:
+    """An exception the parent raises between the first ``submit`` and
+    ``results()`` (while marching the quadrants, or after one decoupled
+    subdomain) cancels the stream session: the caller gets that
+    exception, its own class, and the next ``generate_mesh`` on the same
+    pool returns the pinned mesh, with no ``psm_*`` segment left (every
+    transfer rides shared memory here)."""
+
+    @staticmethod
+    def segments():
+        return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"),
+                        reason="no /dev/shm to scan on this platform")
+    @pytest.mark.parametrize("where", ["initial_quadrants",
+                                       "decouple_stream"])
+    def test_next_call_returns_the_pinned_mesh(self, monkeypatch, where):
+        backend = executor.get_backend("processes")
+        backend.shutdown_pool()  # workers fork with the zeroed threshold
+        monkeypatch.setattr(serde, "SHM_MIN_BYTES", 0)
+        before = self.segments()
+        real = getattr(pipeline, where)
+
+        def failing_march(*args, **kwargs):
+            raise ParentFailure(where)
+
+        def failing_stream(*args, **kwargs):
+            stream = real(*args, **kwargs)
+            yield next(stream)
+            raise ParentFailure(where)
+
+        failing = (failing_march if where == "initial_quadrants"
+                   else failing_stream)
+
+        pslg, config = pins.quickstart()
+        try:
+            monkeypatch.setattr(pipeline, where, failing)
+            with pytest.raises(ParentFailure) as caught:
+                generate_mesh(pslg, config, backend="processes", n_ranks=2)
+            assert type(caught.value) is ParentFailure
+            monkeypatch.setattr(pipeline, where, real)
+            result = generate_mesh(pslg, config, backend="processes",
+                                   n_ranks=2)
+            assert pins.mesh_hash(result.mesh) == pins.pin(
+                "generate_mesh", "quickstart", "mesh", "hash")
+        finally:
+            backend.shutdown_pool()
+        assert self.segments() - before == set()

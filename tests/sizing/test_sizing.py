@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.delaunay.refine import AreaCriterion, _checked_area
 from repro.sizing.functions import (
     GradedDistanceSizing,
     RadialSizing,
@@ -14,6 +15,7 @@ from repro.sizing.functions import (
     areas_at,
     decoupling_edge_length,
 )
+from tests.sizing import oracle_sizing
 
 
 class TestDecouplingEdgeLength:
@@ -171,3 +173,136 @@ class TestBoundsRefused:
         s = GradedDistanceSizing(self.CIRCLE, h0=0.1, h_max=math.inf)
         assert s.edge_length_at(100.0, 0.0) > 10.0
         assert RadialSizing((0, 0), h0=0.1, h_max=math.inf).h_max == math.inf
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, np.float64).tobytes()
+
+
+def _cloud(n):
+    theta = np.linspace(0, 2 * np.pi, n, endpoint=False)
+    return np.column_stack([np.cos(theta), 0.2 * np.sin(theta)])
+
+
+class TestCapShortcut:
+    """Where the cap binds, ``area_at`` and ``area_at_many`` answer from
+    the cloud's box; each must be the scan's float bit for bit
+    (``oracle_sizing``), on both sides of the cap distance, on the box
+    itself, with a decimated cloud, without grading or cap, for NaN and
+    infinite coordinates and in batches of several chunks."""
+
+    SIZINGS = [(0.15, 1.2), (0.0, 1.2), (0.0, 0.01), (0.0, 0.005),
+               (0.15, math.inf), (0.15, 0.01)]
+
+    @staticmethod
+    def counting(s):
+        """Count the scans ``s`` runs (``distance_to_surface`` calls)."""
+        calls = []
+        scan = s.distance_to_surface
+        s.distance_to_surface = lambda x, y: calls.append(1) or scan(x, y)
+        return calls
+
+    def check(self, s, xy):
+        xy = np.asarray(xy, np.float64).reshape(-1, 2)
+        want = [oracle_sizing.scan_area(s, x, y) for x, y in xy.tolist()]
+        assert _bits(oracle_sizing.scan_areas(s, xy)) == _bits(want)
+        assert _bits([s.area_at(x, y) for x, y in xy.tolist()]) == _bits(want)
+        assert _bits(s.area_at_many(xy)) == _bits(want)
+
+    def straddling(self, s):
+        """Queries whose distance is the cap distance ±1e-9 relative: on
+        the x axis right of the cloud (box distance = distance) and off
+        its corner (box distance < distance)."""
+        reach = (s.h_max - s.h0) / s.grading
+        rel = np.linspace(-1e-9, 1e-9, 41)
+        xs = np.concatenate([1.0 + reach * (1.0 + rel),
+                             1.0 + 0.5 * s._coarse_pad + reach * (1.0 + rel)])
+        corner = np.column_stack([1.0 + reach * (1.0 + rel) / math.sqrt(2),
+                                  0.2 + reach * (1.0 + rel) / math.sqrt(2)])
+        return np.vstack([np.column_stack([xs, np.zeros_like(xs)]), corner])
+
+    @pytest.mark.parametrize("n_surface", [168, 700, 3000])
+    def test_straddling_the_cap_distance(self, n_surface):
+        s = GradedDistanceSizing(_cloud(n_surface), h0=0.01, grading=0.15,
+                                 h_max=1.2)
+        assert (s._coarse_pad > 0.0) == (n_surface > 511)
+        xy = self.straddling(s)
+        self.check(s, xy)
+        calls = self.counting(s)
+        areas = [s.area_at(x, y) for x, y in xy.tolist()]
+        # Both sides are reached: some queries scan, some take the box.
+        assert 0 < len(calls) < len(xy)
+        assert areas.count(s._cap_area) > len(xy) - len(calls)
+
+    @pytest.mark.parametrize("n_surface", [168, 700, 3000])
+    @pytest.mark.parametrize("grading, h_max", SIZINGS)
+    def test_on_the_box(self, n_surface, grading, h_max):
+        """Points on the box's edges and corners, and just outside."""
+        s = GradedDistanceSizing(_cloud(n_surface), h0=0.01,
+                                 grading=grading, h_max=h_max)
+        xlo, ylo, xhi, yhi = s._box
+        t = np.linspace(0.0, 1.0, 9)
+        edges = [np.column_stack([xlo + (xhi - xlo) * t, np.full(9, ylo)]),
+                 np.column_stack([xlo + (xhi - xlo) * t, np.full(9, yhi)]),
+                 np.column_stack([np.full(9, xlo), ylo + (yhi - ylo) * t]),
+                 np.column_stack([np.full(9, xhi), ylo + (yhi - ylo) * t])]
+        box = np.vstack(edges)
+        self.check(s, np.vstack([box, np.nextafter(box, 2.0 * box)]))
+
+    @pytest.mark.parametrize("n_surface", [168, 700, 3000])
+    @pytest.mark.parametrize("grading, h_max", SIZINGS)
+    def test_mixed_batches_over_several_chunks(self, n_surface, grading,
+                                               h_max):
+        s = GradedDistanceSizing(_cloud(n_surface), h0=0.01,
+                                 grading=grading, h_max=h_max)
+        rows = max(1, 2 ** 16 // n_surface)
+        rng = np.random.default_rng(n_surface)
+        xy = np.vstack([rng.uniform(-30, 30, (3 * rows, 2)),
+                        rng.uniform(-1.5, 1.5, (3 * rows, 2))])
+        xy = xy[rng.permutation(len(xy))]
+        if grading > 0.0 and h_max < math.inf:
+            xy = np.vstack([xy, self.straddling(s)])
+        assert len(xy) > 2 * rows
+        self.check(s, xy)
+        calls = self.counting(s)
+        for x, y in xy.tolist():
+            s.area_at(x, y)
+        if (grading, h_max) == (0.15, 1.2):
+            assert 0 < len(calls) < len(xy)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("grading, h_max", SIZINGS)
+    @pytest.mark.parametrize("x, y", [
+        (math.nan, 0.0), (math.nan, 1e6), (1e6, math.nan),
+        (math.nan, math.inf), (-math.inf, math.nan), (math.nan, math.nan),
+        (math.inf, 0.0), (-math.inf, 0.1), (0.3, math.inf),
+        (math.inf, -math.inf)])
+    def test_nan_and_infinite_coordinates(self, grading, h_max, x, y):
+        """An infinite coordinate gets the scan's float, whatever branch
+        gives it; a NaN one is always scanned."""
+        s = GradedDistanceSizing(_cloud(700), h0=0.01, grading=grading,
+                                 h_max=h_max)
+        self.check(s, [(x, y)])
+        if math.isnan(x) or math.isnan(y):
+            calls = self.counting(s)
+            s.area_at(x, y)
+            assert len(calls) == 1
+            nans = []
+            scan = s._scan_areas
+            s._scan_areas = (lambda xy: nans.append(np.isnan(xy).any(axis=1)
+                                                    .sum()) or scan(xy))
+            s.area_at_many(np.array([(x, y), (1.0, 0.0), (x, y)]))
+            assert nans == [2]
+
+    @pytest.mark.parametrize("x, y", [(math.nan, 1e6), (1e6, math.nan),
+                                      (math.nan, 0.0)])
+    def test_refinement_names_a_nan_point(self, x, y):
+        """The refiner's criterion still refuses a NaN point by name,
+        through the scalar and the array call."""
+        s = GradedDistanceSizing(_cloud(700), h0=0.01, grading=0.15,
+                                 h_max=1.2)
+        criterion = AreaCriterion(s.area_at)
+        with pytest.raises(ValueError, match=r"size bound at \("):
+            criterion.prime(np.array([(0.0, 0.0), (x, y)]))
+        with pytest.raises(ValueError, match=r"size bound at \("):
+            _checked_area(criterion.area_fn(x, y), x, y)
