@@ -26,8 +26,7 @@ Package layout (see DESIGN.md for the full inventory):
   buffer serde, service daemon, discrete-event cluster simulator;
 - :mod:`repro.solver`   — P1 FEM + potential flow (the FUN3D stand-in);
 - :mod:`repro.analysis` — anisotropy metrics and mesh reports;
-- :mod:`repro.io`       — Triangle-format and NPZ mesh I/O;
-- :mod:`repro.lint`     — static checks of the mesher's own invariants.
+- :mod:`repro.io`       — Triangle-format and NPZ mesh I/O.
 """
 
 from .core.bl_pipeline import (

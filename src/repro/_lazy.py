@@ -3,9 +3,8 @@
 A package that re-exports its submodules' public names eagerly makes
 every importer of *one* submodule pay for all of them: ``repro.solver``
 loaded ``scipy.sparse`` into every process that only wanted a problem
-dataclass, ``repro.runtime`` loaded ``asyncio`` and the service daemon
-into every pool worker, ``repro.lint`` compiled every rule module for
-every reader of the ruleset version.  :func:`lazy_exports` keeps the
+dataclass, and ``repro.runtime`` loaded ``asyncio`` and the service
+daemon into every pool worker.  :func:`lazy_exports` keeps the
 public surface (``from package import name``, ``package.name``,
 ``package.submodule``, ``__all__``, ``dir()``) and defers each
 submodule's import to the first use of a name it defines.

@@ -29,15 +29,15 @@ snapshots — one C-speed conversion each — for the vectorised readers
 (finalize, sizing, the adaptor's tables), and :meth:`compact` builds
 the finalized mesh from them.
 
-Dead-triangle contract (lint-able)
-----------------------------------
+Dead-triangle contract
+----------------------
 A recycled slot is marked dead by writing :data:`DEAD` (= ``-2``) into
 ``tv[3*t]``; the remaining five ints are stale garbage.  ``-1`` is
 *not* usable as a death marker because :data:`~repro.delaunay.kernel.GHOST`
 (= ``-1``) legitimately occupies any ``tv`` column.  Callers must
 check ``tv[3*t] == DEAD`` (or use :meth:`triangle`, which returns
 ``None``) before interpreting a row; APIs that dereference a dead slot
-raise.
+raise (``tests/delaunay/test_arrays.py::TestDeadSlotContract``).
 """
 
 from __future__ import annotations

@@ -195,7 +195,9 @@ def walk(tri, px: float, py: float, hint: int) -> Tuple[int, bool]:
             detsum = abs(detleft) + abs(detright)
             if detsum > _CCW_GUARD:
                 errbound = _CCW_ERR * detsum
-                if det > errbound:  # lint: disable=R1 -- inlined orient2d filter; shares ORIENT_ERR_BOUND, exact fallback below
+                # Inlined orient2d filter: shares ORIENT_ERR_BOUND, exact
+                # fallback below.
+                if det > errbound:
                     n_ofast += 1
                     t0 = t
                     certified = True
@@ -250,7 +252,9 @@ def walk(tri, px: float, py: float, hint: int) -> Tuple[int, bool]:
             detsum = abs(detleft) + abs(detright)
             if detsum > _CCW_GUARD:
                 errbound = _CCW_ERR * detsum
-                if det > errbound:  # lint: disable=R1 -- inlined orient2d filter; shares ORIENT_ERR_BOUND, exact fallback below
+                # Inlined orient2d filter: shares ORIENT_ERR_BOUND, exact
+                # fallback below.
+                if det > errbound:
                     n_ofast += 1
                     continue
                 if -det > errbound:
@@ -457,7 +461,9 @@ def carve(tri, px: float, py: float, t0: int, certified: bool = False
             s = alift + blift + clift
             if s > _ICC_S_GUARD:
                 cheap = _ICC_CHEAP * s * s
-                if det > cheap:  # lint: disable=R1 -- inlined incircle cheap certificate; full filter + exact below
+                # Inlined incircle cheap certificate: full filter + exact
+                # below.
+                if det > cheap:
                     n_ifast += 1
                     cavity.add(nb)
                     frontier.append(nb)
@@ -471,7 +477,8 @@ def carve(tri, px: float, py: float, t0: int, certified: bool = False
                          + (abs(adxbdy) + abs(bdxady)) * clift)
             if permanent > _ICC_GUARD:
                 errbound = _ICC_ERR * permanent
-                if det > errbound:  # lint: disable=R1 -- inlined incircle Shewchuk filter; exact escalation below
+                # Inlined incircle Shewchuk filter: exact escalation below.
+                if det > errbound:
                     n_ifast += 1
                     cavity.add(nb)
                     frontier.append(nb)

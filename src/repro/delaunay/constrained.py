@@ -327,7 +327,9 @@ def _orient_counted(tri, ax, ay, bx, by, cx, cy) -> int:
     detsum = abs(detleft) + abs(detright)
     if detsum > _CCW_GUARD:
         errbound = _CCW_ERR * detsum
-        if det > errbound:  # lint: disable=R1 -- inlined orient2d filter; shares ORIENT_ERR_BOUND, exact fallback below
+        # Inlined orient2d filter: shares ORIENT_ERR_BOUND, exact fallback
+        # below.
+        if det > errbound:
             tri.stat_orient_fast += 1
             return 1
         if -det > errbound:

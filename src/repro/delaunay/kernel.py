@@ -120,9 +120,9 @@ class Triangulation:
         self.constraints: Set[Tuple[int, int]] = set()
         self._last_tri: int = -1                     # walk hint
         # Instance-owned LCG word for walk tie-breaking, drawn once from
-        # a seeded generator (never the stdlib/global RNG — lint rule
-        # R3): two kernels alive in one process must not share hidden
-        # RNG state.
+        # a seeded generator, never the stdlib/global RNG (the global
+        # seed must not reach a mesh: tests/test_determinism.py): two
+        # kernels alive in one process must not share hidden RNG state.
         self._lcg = int(np.random.default_rng(seed).integers(1, 1 << 31))
         self.n_live_triangles = 0                    # includes ghosts
         # Triangles created/removed by the most recent insertion or edge
@@ -266,7 +266,9 @@ class Triangulation:
             s = alift + blift + clift
             if s > _ICC_S_GUARD:
                 cheap = _ICC_CHEAP * s * s
-                if det > cheap:  # lint: disable=R1 -- inlined incircle cheap certificate; full filter + exact below
+                # Inlined incircle cheap certificate: full filter + exact
+                # below.
+                if det > cheap:
                     self.stat_incircle_fast += 1
                     return True
                 if -det > cheap:
@@ -277,7 +279,8 @@ class Triangulation:
                          + (abs(adxbdy) + abs(bdxady)) * clift)
             if permanent > _ICC_GUARD:
                 errbound = _ICC_ERR * permanent
-                if det > errbound:  # lint: disable=R1 -- inlined incircle Shewchuk filter; exact escalation below
+                # Inlined incircle Shewchuk filter: exact escalation below.
+                if det > errbound:
                     self.stat_incircle_fast += 1
                     return True
                 if -det > errbound:
@@ -305,7 +308,9 @@ class Triangulation:
         detsum = abs(detleft) + abs(detright)
         if detsum > _CCW_GUARD:
             errbound = _CCW_ERR * detsum
-            if det > errbound:  # lint: disable=R1 -- inlined orient2d filter; shares ORIENT_ERR_BOUND, exact fallback below
+            # Inlined orient2d filter: shares ORIENT_ERR_BOUND, exact fallback
+            # below.
+            if det > errbound:
                 self.stat_orient_fast += 1
                 return True
             if -det > errbound:

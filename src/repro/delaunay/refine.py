@@ -104,7 +104,9 @@ def _orient(ax, ay, bx, by, cx, cy) -> int:
     detsum = abs(detleft) + abs(detright)
     if (detsum > ORIENT_UNDERFLOW_GUARD
             and abs(det) > ORIENT_ERR_BOUND * detsum):
-        return 1 if det > 0.0 else -1  # lint: disable=R1 -- inlined orient2d filter; shares ORIENT_ERR_BOUND, exact fallback below
+        # Inlined orient2d filter: shares ORIENT_ERR_BOUND, exact fallback
+        # below.
+        return 1 if det > 0.0 else -1
     return orient2d((ax, ay), (bx, by), (cx, cy))
 
 

@@ -75,12 +75,14 @@ INCIRCLE_UNDERFLOW_GUARD = _ICC_UNDERFLOW_GUARD
 def exact_eq(a, b):
     """Intentional bitwise float equality (scalar or elementwise array).
 
-    Geometric code is forbidden (lint rule R2) from writing a bare
-    ``x == 0.0``: the reader cannot tell a tolerance bug from a
-    deliberate exact-representation test.  This helper *names* the
-    intent — true-zero guards before division, duplicate-coordinate
-    detection, sentinel defaults — and is the sanctioned spelling.
-    Anything that actually wants a tolerance must not come here.
+    Geometric code does not write a bare ``x == 0.0``: the reader
+    cannot tell a tolerance bug from a deliberate exact-representation
+    test (an exact cusp test at a zero-width spike turns its tip normal
+    into the body: ``tests/core/test_normals.py::TestZeroWidthSpike``).
+    This helper *names* the intent — true-zero guards before division,
+    duplicate-coordinate detection, sentinel defaults — and is the
+    sanctioned spelling.  Anything that actually wants a tolerance must
+    not come here.
     """
     return a == b
 

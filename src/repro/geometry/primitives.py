@@ -152,8 +152,9 @@ def segment_intersection_point(p1, p2, q1, q2) -> Optional[Tuple[float, float]]:
 
     Returns the crossing point for proper and endpoint-touching
     intersections.  For collinear overlaps returns an arbitrary shared
-    point.  The coordinates are computed in floating point; the *existence*
-    decision is exact.
+    point.  The *existence* decision is exact; the coordinates are
+    computed in floating point, with the parameter along ``p1p2`` clamped
+    to [0, 1], so the point never lies past either end of ``p1p2``.
     """
     if not segments_intersect(p1, p2, q1, q2):
         return None
@@ -167,6 +168,7 @@ def segment_intersection_point(p1, p2, q1, q2) -> Optional[Tuple[float, float]]:
                 return (float(pt[0]), float(pt[1]))
         return None
     t = ((q1[0] - p1[0]) * sy - (q1[1] - p1[1]) * sx) / denom
+    t = min(max(t, 0.0), 1.0)
     return (p1[0] + t * rx, p1[1] + t * ry)
 
 

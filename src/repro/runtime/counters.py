@@ -53,7 +53,7 @@ SAMPLE_WINDOW = 4096
 
 
 def monotonic() -> float:
-    """The sanctioned monotonic-clock read point (lint rule R5).
+    """The sanctioned monotonic-clock read point.
 
     Scheduling code that needs *deadline* arithmetic — worker-pool TTL
     reaping, hang detection — reads the clock here instead of importing
@@ -65,7 +65,7 @@ def monotonic() -> float:
 
 
 def monotonic_ns() -> int:
-    """Integer-nanosecond sibling of :func:`monotonic` (lint rule R5).
+    """Integer-nanosecond sibling of :func:`monotonic`.
 
     Hot kernels accumulate per-phase budgets in integer nanoseconds to
     avoid float rounding across millions of samples; they read the
@@ -469,11 +469,13 @@ def phase(name: str) -> Iterator[None]:
 class timed:
     """Wall-time a block *and* report it as a phase to the ambient sink.
 
-    The single sanctioned wall-clock read point outside this module (lint
-    rule R5): algorithm code that needs an elapsed figure — the pipeline's
+    The single sanctioned wall-clock read point outside this module:
+    algorithm code that needs an elapsed figure — the pipeline's
     per-stage ``timings`` dict, the CLI's total — opens a ``timed`` block
     instead of pairing raw ``time.perf_counter()`` calls, so ``--profile``
-    can never miss a stage that user-facing timings report.
+    can never miss a stage that user-facing timings report
+    (``tests/core/test_bl_workitem.py::TestAttribution::
+    test_every_timing_is_a_profile_phase``).
 
     >>> with timed("refinement") as t:
     ...     ...

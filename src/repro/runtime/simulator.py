@@ -222,9 +222,9 @@ def simulate(tasks: Sequence[SimTask], n_ranks: int,
             # work remains stealable somewhere, or the run is draining and
             # they should re-check termination.
             if hungry and config.stealing:
-                # Sorted wake order (lint R4): the steal schedule must not
-                # depend on set hash order, or simulated timelines drift
-                # between runs.
+                # Sorted wake order: the steal schedule must not depend
+                # on set hash order, or simulated timelines drift between
+                # runs (tests/test_determinism.py).
                 for h in sorted(hungry):
                     push(now + POLL_PERIOD, "try_steal", h)
                 hungry.clear()

@@ -11,6 +11,7 @@ aborted with item 0 in flight.
 """
 
 import os
+import re
 import signal
 import threading
 import time
@@ -25,13 +26,15 @@ from repro.core.bl_pipeline import (
     prepare_boundary_layer,
     triangulate_boundary_layer,
 )
+from repro.core.decouple import DecoupledSubdomain
 from repro.core.pipeline import MeshConfig, generate_mesh
 from repro.geometry.airfoils import naca0012, three_element_airfoil
 from repro.geometry.pslg import PSLG
-from repro.lint.engine import LintRunner
+from repro.metric import MetricField
 from repro.runtime import executor, serde
 from repro.runtime.counters import monotonic, use_counters
 from repro.runtime.executor import ExecutorError
+from repro.sizing.functions import GradedDistanceSizing
 
 from ..pins import mesh_hash, pin, quickstart
 
@@ -169,21 +172,75 @@ class TestItemKinds:
         with pytest.raises(serde.SerdeError, match="unknown work item kind"):
             pipeline._workitem({"mesh.points": np.zeros((3, 2))})
 
-    def test_new_keys_are_under_the_buffer_contract_lint(self):
-        """R10 reads ``pack_*`` / ``unpack_*`` factories: the new pair is
-        in its scope by name and its keys and dtypes pass."""
-        from repro.lint.rules import SerdeContractRule
+    def test_every_pack_factory_keeps_the_buffer_contract(self):
+        """Every ``pack_*`` factory of ``runtime/serde.py``, and the two of
+        the pipeline, on a small real input: keys are snake_case (dotted
+        where nested), every dtype is one the canonical stream is pinned
+        with, and the dict round-trips exactly through the byte stream
+        and its ``unpack_*`` (packing the unpacked value again gives the
+        same bytes)."""
+        pslg, config = smoke_naca()
+        result = generate_mesh(pslg, config, backend="serial")
+        bl = prepare_boundary_layer(pslg, config.bl)
+        borders = [np.asarray(ob) for ob in bl.outer_borders]
+        box = np.asarray([(-1.0, -1.0), (2.0, -1.0), (2.0, 1.0), (-1.0, 1.0)])
+        field = MetricField.uniform(result.mesh.points, 0.1)
 
-        rule = SerdeContractRule()
-        assert rule._in_scope("pack_bl_item")
-        assert rule._in_scope("unpack_bl_item")
-        findings, n_files = LintRunner([rule]).run([serde.__file__])
-        assert n_files == 1 and findings == []
-        packed = serde.pack_bl_item(np.zeros((3, 2)), [(0, 1)], [0, 1],
-                                    [0, 3], [0, 1, 2], [0.0, 1.0, 2.0])
-        assert sorted(packed) == ["element_ptr", "layout", "points",
-                                  "ray_h", "ray_ids", "ray_ptr",
-                                  "segments"]
+        def unpack_adapt_item(b):
+            max_passes, protect = (float(x) for x in b["params"])
+            return (serde.unpack_mesh(serde.unnest("mesh.", b)),
+                    serde.unpack_metric(serde.unnest("metric.", b)),
+                    int(max_passes), bool(protect))
+
+        def pack_adapt_item(mesh, metric_field, max_passes, protect):
+            return pipeline.pack_adapt_item(mesh, metric_field,
+                                            max_passes=max_passes,
+                                            protect_segments=protect)
+
+        factories = [
+            (serde.pack_mesh, result.mesh, serde.unpack_mesh),
+            (serde.pack_bl_item, bl.item(), serde.unpack_bl_item),
+            (serde.pack_metric, field, serde.unpack_metric),
+            (serde.pack_subdomain,
+             DecoupledSubdomain(ring=box, level=2, est_triangles=12.5,
+                                hole_rings=borders),
+             serde.unpack_subdomain),
+            (serde.pack_pslg, pslg, serde.unpack_pslg),
+            (serde.pack_sizing,
+             GradedDistanceSizing(np.vstack(borders), 0.01, grading=0.35,
+                                  h_max=1.2),
+             serde.unpack_sizing),
+            (serde.pack_bl_config, config.bl, serde.unpack_bl_config),
+            (serde.pack_mesh_config, config, serde.unpack_mesh_config),
+            (serde.pack_mesh_config, MeshConfig(h_max_chords=None),
+             serde.unpack_mesh_config),
+            (pipeline.pack_mesh_request, (pslg, config),
+             pipeline.unpack_mesh_request),
+            (pack_adapt_item, (result.mesh, field, 2, True),
+             unpack_adapt_item),
+        ]
+        assert {pack for pack, _, _ in factories} >= {
+            getattr(serde, name) for name in dir(serde)
+            if name.startswith("pack_")}
+        key = re.compile(r"[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*")
+        for pack, value, unpack in factories:
+            args = value if isinstance(value, tuple) else (value,)
+            packed = pack(*args)
+            name = pack.__name__
+            for k, a in packed.items():
+                assert key.fullmatch(k), (name, k)
+                assert a.dtype.name in {"float64", "int32", "int64",
+                                        "uint8", "bool"}, (name, k, a.dtype)
+            stream = serde.buffers_to_bytes(packed)
+            wire = serde.bytes_to_buffers(stream)
+            assert sorted(wire) == sorted(packed), name
+            for k, a in packed.items():
+                assert wire[k].dtype == a.dtype, (name, k)
+                assert wire[k].shape == a.shape, (name, k)
+                assert wire[k].tobytes() == a.tobytes(), (name, k)
+            back = unpack(wire)
+            again = pack(*back) if isinstance(back, tuple) else pack(back)
+            assert serde.buffers_to_bytes(again) == stream, name
 
 
 # ----------------------------------------------------------------------
@@ -230,6 +287,21 @@ class TestAttribution:
         # No worker process: no rank to report.
         assert not [name for name in sink.events
                     if name.startswith("executor.bl_item.rank")]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_every_timing_is_a_profile_phase(self, backend):
+        """A stage ``generate_mesh`` times is a phase of the profile
+        (``--profile``): timed through ``counters.timed``, not by a
+        clock read of its own, which would leave the stage out of the
+        report."""
+        pslg, config = smoke_naca()
+        with use_counters() as sink:
+            result = generate_mesh(pslg, config, backend=backend,
+                                   n_ranks=2)
+        assert sorted(result.timings) == [
+            "bl_triangulate", "boundary_layer", "decoupling", "merge",
+            "nearbody_setup", "refinement"]
+        assert set(result.timings) <= set(sink.phases)
 
 
 # ----------------------------------------------------------------------

@@ -100,3 +100,19 @@ class TestAirfoil:
         with pytest.raises(ValueError):
             loop_surface_vertices(p, p.loops[0],
                                   large_angle=1.0, cusp_angle=0.5)
+
+
+class TestZeroWidthSpike:
+    def test_tip_normal_points_out_of_the_body(self):
+        """A spike that doubles back on itself from the top edge of the
+        unit square: at its tip (0.6, 1.9) the two edge normals cancel to
+        a rounding-noise bisector (length 9.7e-17, not 0).  The cusp test
+        must treat that as zero and fall back to the incoming edge's
+        normal; normalising the noise instead gives (0, -1), back down
+        the spike into the body."""
+        pts = np.array([(0, 0), (1, 0), (1, 1), (0.525, 1.225), (0.6, 1.9),
+                        (0.55, 1.45), (0, 1)])
+        p = PSLG.from_loops([pts])
+        sv = loop_surface_vertices(p, p.loops[0])
+        tip = next(v for v in sv if v.position == (0.6, 1.9))
+        assert tip.normal == pytest.approx((0.9939, -0.1104), abs=1e-4)

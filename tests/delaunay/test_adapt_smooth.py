@@ -20,7 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.delaunay import adapt as adapt_module
-from repro.delaunay.adapt import _pairwise_sum
+from repro.delaunay.adapt import MeshAdaptor, _pairwise_sum
+from repro.delaunay.constrained import load_mesh
+from repro.delaunay.kernel import GHOST
+from repro.geometry.predicates import orient2d
+from repro.metric import MetricField
 
 from . import oracle_adapt
 from .oracle import check_integrity
@@ -119,6 +123,37 @@ class TestAgainstArrayOracle:
             mesh, banded_metric(mesh.points, 0.0, 0.03, 1.0), False)
         assert sum(moved for deg, moved in smoothed if deg >= 8) >= 20
         assert sum(1 for n, tris in clips if n >= 5 and tris) >= 20
+
+
+class TestInversionGuard:
+    def test_trial_move_beside_a_near_collinear_edge_is_refused(self):
+        """A five-triangle star whose free vertex's first smoothing trial
+        (half way to its neighbours' length-weighted centroid under the
+        unit metric; the free vertex and two ring vertices were solved
+        for it) lands at ``P`` = (0.5000000000000046,
+        0.5000000000000053), just across the line through (24, 24) and
+        (12, 12).  The float determinant of
+        that triangle is +5.7e-14, its exact orientation -1: a guard
+        that trusts the float sign keeps the move and leaves an
+        inverted triangle.  After the pass every triangle must turn
+        counter-clockwise by ``orient2d``."""
+        P = (0.5000000000000046, 0.5000000000000053)
+        a, b = (24.0, 24.0), (12.0, 12.0)
+        assert (a[0] - P[0]) * (b[1] - P[1]) \
+            - (a[1] - P[1]) * (b[0] - P[0]) > 0.0
+        assert orient2d(a, b, P) < 0
+        pts = np.array([a, b, (-31.474933126058698, 12.0), (-12.0, -20.0),
+                        (14.0, -27.312870380486217),
+                        (0.5000000000000007, 0.40000000000000024)])
+        tri = load_mesh(pts, [[0, 1, 5], [1, 2, 5], [2, 3, 5], [3, 4, 5],
+                              [4, 0, 5]], np.zeros((0, 2), dtype=np.int64))
+        adaptor = MeshAdaptor(tri, MetricField.uniform(pts, 1.0))
+        assert adaptor.smooth_pass() == 1
+        arr = tri._arr
+        for t in tri.live_triangles():
+            v = arr.triangle(t)
+            if GHOST not in v:
+                assert orient2d(*(arr.point(i) for i in v)) > 0, v
 
 
 class TestEarClip:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from repro.delaunay.mesh import TriMesh
@@ -123,6 +123,8 @@ class TestSegments:
         assert segments_intersect(a, b, c, d) == segments_intersect(b, a, d, c)
 
     @given(a=point, b=point, c=point, d=point)
+    @example(a=(0.0, 5.710232707477135e-08), b=(1.875, 513.0), c=(0.0, 0.0),
+             d=(1.875, 513.0))  # nearly collinear, one shared end
     @settings(max_examples=100)
     def test_intersection_point_lies_on_both(self, a, b, c, d):
         p = segment_intersection_point(a, b, c, d)

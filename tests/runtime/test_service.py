@@ -304,6 +304,25 @@ class TestServiceEndToEnd:
         finally:
             thread.stop()
 
+    def test_stats_frame_carries_the_daemon_floats_exactly(self, tmp_path):
+        """The stats frame is float64 end to end: after one miss and two
+        hits a client reads ``hit_ratio`` as the daemon computes it,
+        2/3 to the last bit (a float32 frame reads 0.6666666865348816),
+        and every other entry but the running uptime equals the daemon's
+        own."""
+        svc, thread, endpoint = _start(tmp_path)
+        try:
+            with ServiceClient(endpoint) as client:
+                for _ in range(3):
+                    client.submit_packed(_buffers(1.0))
+                stats = client.stats()
+                now = svc.stats()
+            assert stats["hit_ratio"] == 2 / 3
+            assert stats.pop("uptime_s") <= now.pop("uptime_s")
+            assert stats == now
+        finally:
+            thread.stop()
+
     def test_non_canonical_request_err_frame_then_next_request(
             self, tmp_path):
         """A stream the encoder would not write (here a dtype alias) is

@@ -1,9 +1,9 @@
 """What the mesher's import path loads, and what it must not.
 
-``repro.solver``, ``repro.runtime`` and ``repro.lint`` re-export their
-submodules' names lazily (``repro._lazy``), so a process that meshes
-does not pay for ``scipy.sparse``, ``asyncio`` + the service daemon or
-any of ``repro.lint``.  Those checks run in a fresh interpreter: this
+``repro.solver`` and ``repro.runtime`` re-export their submodules'
+names lazily (``repro._lazy``), so a process that meshes does not pay
+for ``scipy.sparse``, ``asyncio``, the service daemon or the solver.
+Those checks run in a fresh interpreter: this
 one has long since imported everything.  The static half walks the
 ``import`` statements under ``src/repro``: every module of ``runtime/``
 and ``core/`` is on a path from an entry point, or is listed with the
@@ -53,7 +53,7 @@ for name in sorted(sys.modules):
         print(name)
 """
 
-UNWANTED = ("scipy", "asyncio", "repro.lint",
+UNWANTED = ("scipy", "asyncio",
             "repro.runtime.service", "repro.runtime.client",
             "repro.runtime.simulator",
             "repro.solver.fem", "repro.solver.convergence")
@@ -66,48 +66,14 @@ def unwanted_after_meshing(backend, n_ranks):
     return done.stdout.split()
 
 
-def test_serial_mesher_loads_no_solver_daemon_or_lint_engine():
+def test_serial_mesher_loads_no_scipy_asyncio_daemon_or_solver():
     assert unwanted_after_meshing("serial", 1) == []
 
 
-def test_processes_mesher_loads_no_lint_module():
-    """``runtime/executor.py`` imports nothing from ``repro.lint``: a
-    parent that meshes through the pool has not even the package."""
+def test_processes_mesher_loads_no_scipy_asyncio_daemon_or_solver():
+    """A parent that meshes through the pool loads no more than a
+    serial one."""
     assert unwanted_after_meshing("processes", 2) == []
-
-
-CLI_RUN = """
-import sys, tempfile
-from repro.cli import main
-
-with tempfile.TemporaryDirectory() as out:
-    assert main(["--naca", "0012", "--surface-points", "21",
-                 "--max-layers", "4", "--farfield-chords", "5",
-                 "--subdomains", "2", "-o", out + "/m"]) == 0
-print("lint modules:", sorted(n for n in sys.modules
-                              if n.startswith("repro.lint")))
-"""
-
-
-def test_cli_mesh_run_loads_no_lint_module():
-    """``repro-mesh`` meshes without importing the linter: its summary
-    carries no ruleset, and ``cli.py`` imports nothing of ``repro.lint``."""
-    done = fresh_python(CLI_RUN)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "lint modules: []"
-
-
-@pytest.mark.parametrize(
-    "module", ["rules_serde"])
-def test_rule_module_imports_first_in_a_fresh_interpreter(module):
-    """The ``rules_*`` modules build on ``engine`` alone, so importing
-    one before ``repro.lint.rules`` is not a cycle."""
-    done = fresh_python(
-        f"import sys, repro.lint.{module}\n"
-        "assert 'repro.lint.rules' not in sys.modules\n"
-        "from repro.lint.rules import ALL_RULES\n"
-        "assert len(ALL_RULES) == 6\n")
-    assert done.returncode == 0, done.stderr
 
 
 # ----------------------------------------------------------------------
@@ -289,8 +255,6 @@ OPTIONS_FOR_A_REASON = {
     "repro.runtime.service.MeshService.__init__(cost_fn=)":
         "the tests' fake cost model, paired with work_fn",
     "repro.cli.main(argv=)":
-        "entry point: None reads sys.argv, tests hand it a list",
-    "repro.lint.__main__.main(argv=)":
         "entry point: None reads sys.argv, tests hand it a list",
 }
 
@@ -624,7 +588,6 @@ def test_field_walk_positive_control(tmp_path):
 PACKAGES = {
     "repro.solver": ("solve_potential_flow", "flow", 21),
     "repro.runtime": ("ServiceClient", "client", 22),
-    "repro.lint": ("ALL_RULES", "rules", 4),
 }
 
 

@@ -46,5 +46,5 @@ def test_every_hint_in_src_resolves():
             typing.get_type_hints(fn)
         except Exception as exc:  # noqa: BLE001 - collected for the assert
             failures.append(f"{qualname}: {type(exc).__name__}: {exc}")
-    assert len(found) > 700  # the walk reached the whole package
+    assert len(found) > 650  # the walk reached the whole package
     assert not failures, "\n".join(failures)
