@@ -157,13 +157,8 @@ def build_serve_parser() -> argparse.ArgumentParser:
     _add_address_arguments(p)
     _add_backend_argument(p)
     p.add_argument("--ranks", type=int, default=None,
-                   help="worker count per batched dispatch (default 4)")
-    p.add_argument("--batch-window", type=float, metavar="SECONDS",
-                   default=0.005,
-                   help="how long to gather concurrent cache misses into "
-                   "one executor dispatch (default 0.005s)")
-    p.add_argument("--max-batch", type=int, default=16,
-                   help="cap on requests per dispatch window (default 16)")
+                   help="worker pool size: cache misses meshed at once "
+                   "(default 4)")
     p.add_argument("--cache-entries", type=int, default=256,
                    help="content-addressed mesh cache capacity (default 256)")
     p.add_argument("--stats-json", action="store_true",
@@ -252,8 +247,6 @@ _FLAGS = {
     "grading": "--grading",
     "target_subdomains": "--subdomains",
     "n_ranks": "--ranks",
-    "batch_window": "--batch-window",
-    "max_batch": "--max-batch",
     "cache_entries": "--cache-entries",
 }
 
@@ -405,8 +398,6 @@ def _serve_main(argv) -> int:
             _service_address(parser, args),
             backend=args.backend,
             n_ranks=args.ranks if args.ranks is not None else 4,
-            batch_window=args.batch_window,
-            max_batch=args.max_batch,
             cache_entries=args.cache_entries,
         )
     except ValueError as exc:
@@ -420,7 +411,7 @@ def _serve_main(argv) -> int:
             await service.serve_forever()
         except asyncio.CancelledError:
             # ^C cancels the main task; shut down on the same loop so
-            # in-flight batches abort through the pool's epoch fence.
+            # in-flight misses abort through the pool's epoch fence.
             await service.shutdown()
             raise
 

@@ -422,9 +422,9 @@ def request_cost(payload: serde.Buffers) -> float:
 def mesh_workitem(payload: serde.Buffers) -> serde.Buffers:
     """Executor work function: run one *whole* mesh request.
 
-    The meshing service batches concurrent client requests through a
-    single ``map_workitems`` dispatch with this function, so each pool
-    worker owns one request end to end.  Refinement inside the worker
+    The meshing service streams each cache miss to a free pool worker
+    with this function, so each pool worker owns one request end to
+    end.  Refinement inside the worker
     runs on the serial backend — the parallelism axis here is *across*
     requests, and a nested process pool inside a pool worker would
     oversubscribe the machine.

@@ -24,10 +24,11 @@ the seam that decides *what a worker is*:
     parent's ambient sink.
 
 Every backend implements the :class:`Backend` protocol —
-``map_workitems(fn, payloads, costs, n_ranks) -> results`` (in payload
+``map_workitems(fn, payloads, n_ranks) -> results`` (in payload
 order), ``stream_workitems(fn, n_ranks) -> session`` (submit items one
 at a time as a producer discovers them; the warm pool starts refining
-the first subdomain while decomposition is still splitting the rest)
+the first subdomain while decomposition is still splitting the rest;
+collect them all with ``results`` or each as it finishes with ``take``)
 and the pool lifecycle (no-ops on ``serial``) — and is looked up by
 name with :func:`get_backend`; the CLI derives its ``--backend``
 choices from :func:`available_backends`.
@@ -37,14 +38,15 @@ from __future__ import annotations
 
 import atexit
 import bisect
+import collections
 import contextlib
 import os
 import pickle
 import queue as queue_mod
 import traceback
 import weakref
-from typing import (Any, Callable, Dict, List, Optional, Protocol, Sequence,
-                    Tuple)
+from typing import (Any, Callable, Deque, Dict, List, Optional, Protocol,
+                    Sequence, Tuple)
 
 from . import counters as counters_mod
 from . import serde
@@ -70,16 +72,33 @@ class ExecutorError(RuntimeError):
 class StreamSession(Protocol):
     """An open streaming dispatch: submit items as they are produced.
 
-    ``submit`` returns the item's index; ``results`` blocks until every
-    submitted item finished and returns the results in submission
-    order.  A session is single-use: ``results`` closes it, and so does
-    ``cancel``, the producer's way out when it fails before collecting.
+    ``submit`` returns the item's index.  A session is consumed one of
+    two ways:
+
+    * ``results`` blocks until every submitted item finished and returns
+      the results in submission order; the first item that fails fails
+      the whole session with that item's exception (fail-fast);
+    * ``take`` returns the next item to finish as ``(index, result,
+      error, started)`` — ``error`` is the item's own exception (then
+      ``result`` is None), ``started`` the :func:`monotonic` time it went
+      to a worker (None if it never did) — and leaves the other items
+      running when one fails.  It returns None when nothing is
+      outstanding, or when ``wake`` (the one call that is safe from
+      another thread) was called since the last ``take``.
+
+    ``results`` closes the session, and so does ``cancel``, the
+    producer's way out when it fails before collecting.
     """
 
     def submit(self, payload: Any, *, cost: float = 1.0,
                eager: bool = True) -> int: ...
 
     def results(self) -> List[Any]: ...
+
+    def take(self) -> Optional[Tuple[int, Any, Optional[BaseException],
+                                     Optional[float]]]: ...
+
+    def wake(self) -> None: ...
 
     def cancel(self) -> None: ...
 
@@ -89,11 +108,11 @@ class Backend(Protocol):
 
     ``map_workitems`` applies a module-level function to every payload
     and returns the results *in payload order* regardless of which
-    worker processed what.  ``costs`` (optional, same length) drive
-    largest-first scheduling on the parallel backend.
-    ``stream_workitems`` opens a :class:`StreamSession` for producers
-    that discover work incrementally.  A long-running owner (the
-    meshing service) drives the four lifecycle calls.
+    worker processed what.  ``stream_workitems`` opens a
+    :class:`StreamSession` for producers that discover work
+    incrementally; its per-item costs drive largest-first scheduling.
+    A long-running owner (the meshing service) drives the four
+    lifecycle calls.
     """
 
     #: the name :func:`get_backend` finds it under.
@@ -106,7 +125,6 @@ class Backend(Protocol):
         fn: Callable[[Any], Any],
         payloads: Sequence[Any],
         *,
-        costs: Optional[Sequence[float]] = None,
         n_ranks: int = 1,
     ) -> List[Any]: ...
 
@@ -166,21 +184,30 @@ class _SerialStream:
     There is no pool to feed incrementally, so streamed submission
     accumulates and ``results`` runs one ``map_workitems``: decouple
     fully, then map — the barriered reference the ``processes`` backend
-    is byte-compared against.
+    is byte-compared against.  ``take`` runs the largest pending item in
+    the calling thread; nothing can interrupt it, so ``wake`` does
+    nothing.
     """
 
     def __init__(self, backend: "SerialBackend", fn: Callable) -> None:
         self._backend = backend
         self._fn = fn
-        self._payloads: List[Any] = []
+        #: submitted items not yet run, by index (submission order).
+        self._payloads: Dict[int, Any] = {}
+        #: the same items as (-cost, idx), largest first.
+        self._pending: List[tuple] = []
+        self._count = 0
         self._closed = False
 
     def submit(self, payload: Any, *, cost: float = 1.0,
                eager: bool = True) -> int:
         if self._closed:
             raise ExecutorError("streaming session already closed")
-        self._payloads.append(payload)
-        return len(self._payloads) - 1
+        idx = self._count
+        self._count += 1
+        self._payloads[idx] = payload
+        bisect.insort(self._pending, (-float(cost), idx))
+        return idx
 
     def results(self) -> List[Any]:
         if self._closed:
@@ -188,11 +215,32 @@ class _SerialStream:
         self._closed = True
         if not self._payloads:
             return []
-        return self._backend.map_workitems(self._fn, self._payloads)
+        return self._backend.map_workitems(self._fn,
+                                           list(self._payloads.values()))
+
+    def take(self):
+        if self._closed:
+            raise ExecutorError("streaming session already closed")
+        if not self._pending:
+            return None
+        _, idx = self._pending.pop(0)
+        payload = self._payloads.pop(idx)
+        started = monotonic()
+        try:
+            return idx, self._fn(payload), None, started
+        except Exception as exc:  # noqa: BLE001 - the item's outcome
+            exc.__cause__ = ExecutorError(
+                f"work item {idx} failed in the serial backend's calling "
+                f"thread:\n{traceback.format_exc()}")
+            return idx, None, exc, started
+
+    def wake(self) -> None:
+        pass
 
     def cancel(self) -> None:
         self._closed = True
         self._payloads.clear()
+        self._pending.clear()
 
 
 class SerialBackend:
@@ -205,7 +253,7 @@ class SerialBackend:
     name = "serial"
     parallel = False
 
-    def map_workitems(self, fn, payloads, *, costs=None, n_ranks=1):
+    def map_workitems(self, fn, payloads, *, n_ranks=1):
         with phase(f"executor.{self.name}"):
             return [fn(p) for p in payloads]
 
@@ -331,7 +379,7 @@ def _portable_error(exc: BaseException) -> Optional[bytes]:
 
 
 class _PoolTask:
-    __slots__ = ("idx", "payload", "cost", "attempts", "wire")
+    __slots__ = ("idx", "payload", "cost", "attempts", "wire", "started")
 
     def __init__(self, idx: int, payload: Any, cost: float) -> None:
         self.idx = idx
@@ -340,6 +388,8 @@ class _PoolTask:
         #: dispatch attempts so far (== worker deaths survived + 1
         #: while in flight); bounded by ``ProcessesBackend.max_attempts``.
         self.attempts = 0
+        #: when the first dispatch handed it to a worker.
+        self.started: Optional[float] = None
         #: the wire envelope of the *current* dispatch, kept so an
         #: undelivered shm payload can be freed if its worker is retired.
         self.wire = None
@@ -485,10 +535,11 @@ class ProcessesBackend:
         """Request abort of the open streaming session, if any.
 
         Thread-safe entry point for an external controller (the meshing
-        service's shutdown path): the open :class:`PoolStream` notices
-        the flag at its next pump tick, quiesces in-flight items behind
-        the epoch fence, and raises :class:`ExecutorError` out of the
-        blocked ``results()`` call.  Returns whether a session was open.
+        service's shutdown path): the open :class:`PoolStream` is woken
+        at once, quiesces in-flight items behind the epoch fence and
+        ends every outstanding item with :class:`ExecutorError` —
+        raised out of a blocked ``results()``, each item's outcome for
+        ``take()``.  Returns whether a session was open.
         """
         call = self._call
         if call is None:
@@ -512,7 +563,8 @@ class ProcessesBackend:
 
     # -- stale-result hygiene ------------------------------------------
     def _handle_stale(self, msg) -> None:
-        """Free a result from an aborted epoch (shm wire, idle marking)."""
+        """Free a result from an aborted epoch (its shm wire); a stale
+        wake-up carries nothing."""
         if msg[0] == "ok":
             serde.discard_wire(msg[4])
 
@@ -526,13 +578,11 @@ class ProcessesBackend:
             self._handle_stale(msg)
 
     # -- dispatch ------------------------------------------------------
-    def map_workitems(self, fn, payloads, *, costs=None, n_ranks=1):
-        if costs is None:
-            costs = [1.0] * len(payloads)
+    def map_workitems(self, fn, payloads, *, n_ranks=1):
         with phase(f"executor.{self.name}"):
             stream = self.stream_workitems(fn, n_ranks=n_ranks)
-            for p, c in zip(payloads, costs):
-                stream.submit(p, cost=c, eager=False)
+            for p in payloads:
+                stream.submit(p, eager=False)
             return stream.results()
 
     def stream_workitems(self, fn, *, n_ranks=1):
@@ -566,6 +616,12 @@ class PoolStream:
     largest-first — LPT-like).  Dispatch is demand-driven: pending
     items are kept largest-cost-first and handed to whichever worker
     frees up, which subsumes steal-on-idle without shared state.
+
+    Every finished item becomes an outcome — its result, its own
+    exception, or the :class:`ExecutorError` of a worker it crashed
+    :attr:`ProcessesBackend.max_attempts` times — in the order the
+    items finish.  ``take`` hands them out one by one; ``results``
+    raises the first failure.
     """
 
     def __init__(self, backend: ProcessesBackend, fn: Callable,
@@ -587,63 +643,98 @@ class PoolStream:
         self._fn_mod = fn.__module__
         self._fn_qual = fn.__qualname__
         self._sink = sink
-        self._tasks: List[_PoolTask] = []
+        #: items submitted so far; the next one's index.
+        self._count = 0
+        #: submitted items without an outcome yet, by index.
+        self._tasks: Dict[int, _PoolTask] = {}
         #: undispatched tasks as (-cost, idx, task), kept sorted so
         #: index 0 is always the largest remaining item.
         self._pending: List[tuple] = []
-        self._out: List[Any] = []
-        self._done = 0
+        #: outcomes in finishing order, not yet taken.
+        self._finished: Deque[tuple] = collections.deque()
+        #: the first item failure, which ``results()`` raises.
+        self._item_error: Optional[BaseException] = None
+        #: seconds of result-queue silence since the last worker message.
+        self._idle = 0.0
+        #: a wake-up arrived since the last ``take()``.
+        self._woken = False
         self._error: Optional[BaseException] = None
         self._closed = False
         #: abort reason requested by another thread (GIL-atomic write);
-        #: honoured at the next pump tick / results() iteration.
+        #: honoured at the next wait of the dispatching thread.
         self._abort_reason: Optional[str] = None
 
     # -- public API ----------------------------------------------------
     def request_abort(self, reason: str = "aborted") -> None:
         """Ask the dispatching thread to abandon this session.
 
-        Safe to call from any thread while ``results()`` blocks: the
-        session fails with :class:`ExecutorError`, in-flight items are
-        quiesced behind the pool's epoch fence (stale results discarded,
-        their shm wires freed) and the pool stays reusable.
+        Safe to call from any thread while ``results()`` or ``take()``
+        blocks: every outstanding item ends with :class:`ExecutorError`,
+        in-flight items are quiesced behind the pool's epoch fence
+        (stale results discarded, their shm wires freed) and the pool
+        stays reusable.
         """
         self._abort_reason = reason
+        self.wake()
 
-    def _check_abort(self) -> None:
-        reason = self._abort_reason
-        if reason is not None and self._error is None:
-            self._fail(ExecutorError(f"dispatch aborted: {reason}"))
+    def wake(self) -> None:
+        """Make a blocked ``take()`` return None now (any thread).
+
+        The wake-up rides the result queue, stamped with this session's
+        epoch: a later session drops it as stale.
+        """
+        result_q = self._backend._result_q
+        if result_q is not None and not self._closed:
+            result_q.put(("wake", None, self._epoch))
 
     def submit(self, payload, *, cost: float = 1.0,
                eager: bool = True) -> int:
         """Queue one item; with ``eager`` dispatch it right away."""
         self._check_open()
-        idx = len(self._tasks)
+        idx = self._count
         if not is_buffers(payload):
             self._fail_validation(idx, payload)
         task = _PoolTask(idx, payload, cost)
-        self._tasks.append(task)
-        self._out.append(None)
+        self._count += 1
+        self._tasks[idx] = task
         bisect.insort(self._pending, (-task.cost, task.idx, task))
         if eager:
             # Absorb any finished results (frees workers) then dispatch.
-            while self._pump(block=False):
+            while self._poll():
                 pass
             self._fill()
         return idx
 
     def results(self) -> List[Any]:
         """Block until every submitted item finished; payload order."""
-        if self._error is not None:
-            raise self._error
-        self._check_open()
         self._check_abort()
-        self._fill()
-        while self._done < len(self._tasks):
-            self._pump(block=True)
+        self._check_open()
+        while self._tasks and self._item_error is None:
+            self._fill()
+            self._wait()
+        if self._item_error is not None:
+            self._fail(self._item_error)
+        self._check_open()
         self._close()
-        return list(self._out)
+        out: List[Any] = [None] * self._count
+        for idx, result, _, _ in self._finished:
+            out[idx] = result
+        return out
+
+    def take(self):
+        """The next outcome ``(index, result, error, started)``; blocks
+        while items are outstanding, None when none are or on ``wake``
+        (one absorbed while submitting counts too)."""
+        if not (self._finished or self._woken):
+            self._check_open()
+            while self._tasks and not (self._finished or self._woken):
+                self._fill()
+                self._wait()
+            self._check_abort()  # an abort wakes it too
+        if self._finished:
+            return self._finished.popleft()
+        self._woken = False
+        return None
 
     def cancel(self) -> None:
         """Abandon the session from the dispatching thread, when its
@@ -663,6 +754,11 @@ class PoolStream:
         if self._closed:
             raise ExecutorError("streaming session already closed")
 
+    def _check_abort(self) -> None:
+        reason = self._abort_reason
+        if reason is not None and self._error is None:
+            self._end(ExecutorError(f"dispatch aborted: {reason}"))
+
     def _close(self) -> None:
         if not self._closed:
             self._closed = True
@@ -681,6 +777,24 @@ class PoolStream:
         self._quiesce()
         self._close()
         raise err
+
+    def _end(self, err: BaseException) -> None:
+        """Close the session on ``err``: in-flight work is quiesced and
+        every outstanding item ends with ``err`` as its outcome."""
+        self._error = err
+        self._quiesce()
+        for idx in sorted(self._tasks):
+            self._record(self._tasks[idx], None, err)
+        self._pending.clear()
+        self._close()
+
+    def _record(self, task: _PoolTask, result, error) -> None:
+        """``task``'s outcome, unless it already has one."""
+        if self._tasks.pop(task.idx, None) is None:
+            return
+        self._finished.append((task.idx, result, error, task.started))
+        if error is not None and self._item_error is None:
+            self._item_error = error
 
     def _quiesce(self) -> None:
         """Wait out in-flight items so the pool is reusable after abort.
@@ -743,6 +857,8 @@ class PoolStream:
         # is retired first (it died, or an abort or shutdown stopped
         # it), ``ProcessesBackend._retire`` frees it.
         task.wire = serde.buffers_to_wire(task.payload)
+        if task.started is None:
+            task.started = monotonic()
         task.attempts += 1
         try:
             handle.conn.send(("task", self._epoch, task.idx, self._fn_mod,
@@ -755,55 +871,64 @@ class PoolStream:
             pass
         handle.task = task
 
-    def _pump(self, *, block: bool) -> bool:
-        """Absorb one result message; True if one was handled."""
-        result_q = self._backend._result_q
-        if block:
-            idle = 0.0
-            timeout = self._backend.idle_timeout
-            while True:
-                self._check_abort()
-                try:
-                    msg = result_q.get(timeout=0.5)
-                    break
-                except queue_mod.Empty:
-                    idle += 0.5
-                    self._sweep_deaths()
-                    if idle > timeout:
-                        self._fail(ExecutorError(
-                            "processes pool made no progress for "
-                            f"{timeout:.0f}s — aborting"))
-        else:
-            try:
-                msg = result_q.get_nowait()
-            except queue_mod.Empty:
-                self._sweep_deaths()
-                return False
+    def _poll(self) -> bool:
+        """Absorb one waiting message without blocking; True if there
+        was one."""
+        try:
+            msg = self._backend._result_q.get_nowait()
+        except queue_mod.Empty:
+            self._sweep_deaths()
+            return False
         self._handle(msg)
         return True
 
+    def _wait(self) -> None:
+        """Absorb one message, or after half a second without one sweep
+        for dead workers."""
+        self._check_abort()
+        if self._error is not None:
+            return
+        try:
+            msg = self._backend._result_q.get(timeout=0.5)
+        except queue_mod.Empty:
+            self._idle += 0.5
+            self._sweep_deaths()
+            timeout = self._backend.idle_timeout
+            if self._idle > timeout:
+                self._end(ExecutorError(
+                    "processes pool made no progress for "
+                    f"{timeout:.0f}s — aborting"))
+            return
+        self._handle(msg)
+
     def _handle(self, msg) -> None:
+        """Absorb one result-queue message."""
         backend = self._backend
         kind = msg[0]
-        rank = msg[1]
         epoch = msg[2]
         if epoch != self._epoch:
             backend._handle_stale(msg)
             return
+        if kind == "wake":
+            self._woken = True
+            return
+        self._idle = 0.0
+        rank = msg[1]
+        idx = msg[3]
         handle = backend._workers.get(rank)
+        if (handle is not None and handle.task is not None
+                and handle.task.idx == idx):
+            handle.task = None
+        task = self._tasks.get(idx)
         if kind == "ok":
-            _, _, _, idx, wire, snapshot, elapsed, nbytes = msg
-            task = self._tasks[idx]
-            if handle is not None and handle.task is task:
-                handle.task = None
-            if self._out[idx] is not None:
+            _, _, _, _, wire, snapshot, elapsed, nbytes = msg
+            if task is None:
                 # The worker finished, queued the result, and *then*
                 # died; the death sweep already requeued the item and a
                 # second result arrived.  Keep the first, free this one.
                 serde.discard_wire(wire)
                 return
-            self._out[idx] = serde.wire_to_buffers(wire)
-            self._done += 1
+            result = serde.wire_to_buffers(wire)
             sink = self._sink
             if sink is not None:
                 if snapshot is not None:
@@ -811,13 +936,11 @@ class PoolStream:
                 sink.incr(f"executor.items.rank{rank}")
                 sink.observe("executor.item_seconds", float(elapsed))
                 sink.observe("executor.item_bytes", float(nbytes))
-            self._fill()
+            self._record(task, result, None)
         elif kind == "item_err":
-            _, _, _, idx, pickled, tb = msg
-            if handle is not None and handle.task is self._tasks[idx]:
-                handle.task = None
-            if self._out[idx] is not None:
+            if task is None:
                 return  # duplicate after requeue; result already good
+            _, _, _, _, pickled, tb = msg
             err = ExecutorError(
                 f"work item {idx} failed in pool worker {rank}:\n{tb}")
             if pickled is not None:
@@ -825,11 +948,12 @@ class PoolStream:
                 original = pickle.loads(pickled)
                 original.__cause__ = err
                 err = original
-            self._fail(err)
+            self._record(task, None, err)
         # Unknown kinds cannot occur: the worker protocol is closed.
 
     def _sweep_deaths(self) -> None:
-        """Respawn dead workers; requeue their in-flight items."""
+        """Retire dead workers; requeue their in-flight items, or end an
+        item that crashed its worker on every allowed attempt."""
         backend = self._backend
         for rank in sorted(list(backend._workers)):
             handle = backend._workers.get(rank)
@@ -838,18 +962,18 @@ class PoolStream:
             task = handle.task
             exitcode = handle.proc.exitcode
             backend._retire(handle)
-            if task is None:
-                continue
+            if task is None or self._tasks.get(task.idx) is not task:
+                continue  # idle, or the item already has its outcome
             backend.stats["respawns"] += 1
             if self._sink is not None:
                 self._sink.incr("executor.respawns")
             if task.attempts >= backend.max_attempts:
-                self._fail(ExecutorError(
+                self._record(task, None, ExecutorError(
                     f"work item {task.idx} crashed its worker on all "
                     f"{task.attempts} dispatch attempts (last exit code "
                     f"{exitcode}) — giving up"))
+                continue
             bisect.insort(self._pending, (-task.cost, task.idx, task))
-        self._fill()
 
 
 # ----------------------------------------------------------------------

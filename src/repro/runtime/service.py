@@ -28,29 +28,34 @@ serves many requests:
   reserialization, no copy into a new frame.  Only a miss is decoded;
   a stream that is not canonical gets an ``err`` frame.
 
-* **Request batching** — concurrent misses are collected for a short
-  batching window and dispatched through a *single*
-  ``executor.map_workitems`` call (one
-  :func:`~repro.core.pipeline.mesh_workitem` per request,
-  largest-first by :func:`~repro.core.pipeline.request_cost`), so the
-  warm pool parallelizes *across* requests.  Identical in-window
-  requests are deduplicated through single-flight futures.  A request
-  that fails while meshing fails alone: its window is re-dispatched one
-  request at a time.
+* **Streamed dispatch** — one long-lived dispatch thread owns a
+  stream session (``executor.stream_workitems``) on the daemon's pool.
+  Each decoded miss goes to it the moment it arrives (one
+  :func:`~repro.core.pipeline.mesh_workitem` per request; misses that
+  find every worker busy wait largest-first by
+  :func:`~repro.core.pipeline.request_cost`), and each is answered —
+  encoded, cached, its future resolved on the event loop — when its own
+  mesh is done, as ``take`` hands the outcome back.  Identical
+  in-flight requests are deduplicated through single-flight futures.
+  A request that fails while meshing, or whose reply cannot be
+  encoded, fails alone; the others in flight run on.
 
-* **Shutdown discipline** — stopping the service while a batch is in
-  flight aborts the dispatch through the worker pool's epoch fence
+* **Shutdown discipline** — stopping the service with misses in flight
+  aborts the session through the worker pool's epoch fence
   (``Backend.abort``): in-flight results are quiesced and discarded,
   and every pending client receives a clean ``err`` frame instead of a
   hung socket.  The service drives the backend's lifecycle calls
   (``warm_pool``, ``exclude_fds_from_workers``, ``abort``,
-  ``shutdown_pool``) directly; on ``serial`` they do nothing, and an
-  in-flight batch runs out.
+  ``shutdown_pool``) directly; on ``serial`` they do nothing, the item
+  running runs out and the misses not yet started fail.
 
 Counters: ``service.requests``, ``service.cache_hits`` (the stats
-frame adds the cache's ``cache_misses``), ``service.batches``,
-``service.batch_size`` / ``service.latency_seconds`` sample streams,
+frame adds the cache's ``cache_misses``), ``service.dispatched``,
+``service.batch_size`` (per answered miss: the most misses in flight at
+once while it was), ``service.dispatch_wait_seconds`` (arrival to
+worker) and ``service.latency_seconds`` sample streams,
 ``service.dedup_joins``, ``service.disconnects``, ``service.errors``.
+The stats frame is versioned: :data:`STATS_SCHEMA_VERSION`.
 """
 
 from __future__ import annotations
@@ -59,6 +64,7 @@ import asyncio
 import hashlib
 import math
 import os
+import queue
 import struct
 import threading
 from collections import OrderedDict
@@ -76,6 +82,7 @@ __all__ = [
     "FrameError",
     "FRAME_MAGIC",
     "MAX_FRAME_BYTES",
+    "STATS_SCHEMA_VERSION",
     "frame_head",
     "encode_frame",
     "read_frame",
@@ -113,6 +120,11 @@ FRAME_HEAD = struct.Struct("<4sBQ")
 #: hard cap on one frame's payload — far above any real mesh, low
 #: enough that a corrupt length field fails instead of allocating.
 MAX_FRAME_BYTES = 1 << 36
+
+#: version of the stats frame's key set; bump when a key changes
+#: meaning or goes.  2: streamed dispatch (``batches`` gave way to
+#: ``dispatched``; ``inflight`` and the dispatch-wait percentiles came).
+STATS_SCHEMA_VERSION = 2
 
 
 def frame_head(kind: str, size: int) -> bytes:
@@ -167,8 +179,9 @@ async def offload(fn: Callable, *args):
     """Run a blocking callable on the loop's default thread pool.
 
     The sanctioned escape hatch for anything that would stall the event
-    loop (pool warmup/shutdown, batch dispatch, filesystem calls): the
-    callable is passed by reference, never invoked in the coroutine.
+    loop (pool warmup/shutdown, joining the dispatch thread, filesystem
+    calls): the callable is passed by reference, never invoked in the
+    coroutine.
     """
     return await asyncio.get_running_loop().run_in_executor(None, fn, *args)
 
@@ -280,21 +293,35 @@ class MeshCache:
 # ----------------------------------------------------------------------
 # The daemon
 # ----------------------------------------------------------------------
-class _Pending:
-    """One cache-missed request waiting for a dispatch slot."""
+class _Miss:
+    """One cache-missed request, from its arrival to its reply."""
 
-    __slots__ = ("key", "payload", "cost", "future")
+    __slots__ = ("key", "payload", "cost", "future", "arrived", "peak")
 
     def __init__(self, key: str, payload: serde.Buffers, cost: float,
-                 future: "asyncio.Future[bytes]") -> None:
+                 future: "asyncio.Future[bytes]", arrived: float) -> None:
         self.key = key
         self.payload = payload
         self.cost = cost
         self.future = future
+        self.arrived = arrived
+        #: the most misses in flight at once while this one was.
+        self.peak = 0
+
+
+def _settle(future: "asyncio.Future[bytes]", blob: Optional[bytes],
+            error: Optional[BaseException]) -> None:
+    """Resolve a miss's future on the event loop (once)."""
+    if future.done():
+        return
+    if error is None:
+        future.set_result(blob)
+    else:
+        future.set_exception(error)
 
 
 class MeshService:
-    """Asyncio meshing daemon: warm executor + batcher + mesh cache.
+    """Asyncio meshing daemon: warm executor + dispatch thread + cache.
 
     ``address`` is anything :func:`parse_address` accepts; TCP port 0
     binds an ephemeral port (read the bound endpoint from
@@ -313,8 +340,6 @@ class MeshService:
         *,
         backend: str = "serial",
         n_ranks: int = 4,
-        batch_window: float = 0.005,
-        max_batch: int = 16,
         cache_entries: int = 256,
         work_fn: Optional[Callable] = None,
         cost_fn: Optional[Callable] = None,
@@ -322,22 +347,15 @@ class MeshService:
         self.address = parse_address(address)
         self._backend: executor.Backend = executor.get_backend(backend)
         self.backend_name = self._backend.name
-        counts = [("max_batch", max_batch), ("cache_entries", cache_entries)]
-        if self._backend.parallel:
-            counts.append(("n_ranks", n_ranks))
-        for name, value in counts:
+        for name, value in (("n_ranks", n_ranks),
+                            ("cache_entries", cache_entries)):
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
-        if not (math.isfinite(batch_window) and batch_window >= 0):
-            raise ValueError("batch_window must be a finite number >= 0, "
-                             f"got {batch_window}")
         if self.backend_name == "processes":
             # Service-owned pool: shutdown() must be able to stop the
             # workers without tearing down the shared instance.
             self._backend = executor.ProcessesBackend()
         self.n_ranks = int(n_ranks)
-        self.batch_window = float(batch_window)
-        self.max_batch = int(max_batch)
         self.cache = MeshCache(cache_entries)
         self.counters = Counters()
         if work_fn is None or cost_fn is None:
@@ -347,12 +365,19 @@ class MeshService:
             cost_fn = cost_fn or _pipeline.request_cost
         self._work_fn = work_fn
         self._cost_fn = cost_fn
-        self._queue: "asyncio.Queue[Optional[_Pending]]" = asyncio.Queue()
+        #: decoded misses on their way to the dispatch thread; None
+        #: stops it.
+        self._arrivals: "queue.SimpleQueue[Optional[_Miss]]" = \
+            queue.SimpleQueue()
+        #: the dispatch thread's misses in its session, by item index.
+        self._running: Dict[int, _Miss] = {}
+        self._session: Optional[executor.StreamSession] = None
+        self._dispatcher: Optional[threading.Thread] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._inflight: Dict[str, "asyncio.Future[bytes]"] = {}
         self._conns: Dict[int, "asyncio.Task"] = {}
         self._next_conn = 0
         self._server: Optional[asyncio.AbstractServer] = None
-        self._batcher: Optional["asyncio.Task"] = None
         self._shutdown_task: Optional["asyncio.Task"] = None
         self._stopping = False
         self._started = False
@@ -361,10 +386,11 @@ class MeshService:
 
     # -- lifecycle -----------------------------------------------------
     async def start(self) -> None:
-        """Bind the endpoint and start the batching scheduler."""
+        """Bind the endpoint and start the dispatch thread."""
         if self._started:
             raise ServiceError("service already started")
         self._done_event = asyncio.Event()
+        self._loop = asyncio.get_running_loop()
         # Fork the worker pool BEFORE any connection fd exists: workers
         # forked mid-traffic would inherit open connection fds, and a
         # duplicated fd keeps the peer from seeing EOF until the worker
@@ -384,8 +410,11 @@ class MeshService:
         # keeping a duplicate accept() endpoint alive.
         self._backend.exclude_fds_from_workers(
             [s.fileno() for s in self._server.sockets])
-        self._batcher = asyncio.get_running_loop().create_task(
-            self._batch_loop())
+        self._open_session()
+        self._dispatcher = threading.Thread(
+            target=self._dispatch_loop, name="repro-mesh-dispatch",
+            daemon=True)
+        self._dispatcher.start()
         self._started = True
         self._t_start = monotonic()
 
@@ -411,10 +440,10 @@ class MeshService:
     async def shutdown(self) -> None:
         """Stop accepting, fail pending work cleanly, stop the pool.
 
-        Queued-but-undispatched requests fail with
-        :class:`ServiceUnavailable`; an in-flight batch is aborted
-        through the worker pool's epoch fence so its clients get an
-        ``err`` frame promptly instead of waiting the batch out.
+        Misses the pool has not started fail with
+        :class:`ServiceUnavailable`; the ones in flight are aborted
+        through the worker pool's epoch fence so their clients get an
+        ``err`` frame promptly instead of waiting their meshes out.
         Idempotent; concurrent calls await the first one.
         """
         if self._stopping:
@@ -425,24 +454,12 @@ class MeshService:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        # Fail everything still waiting for a dispatch slot.
-        drained: List[_Pending] = []
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except asyncio.QueueEmpty:
-                break
-            if item is not None:
-                drained.append(item)
-        self._queue.put_nowait(None)  # wake/stop the batcher
-        for item in drained:
-            if not item.future.done():
-                item.future.set_exception(
-                    ServiceUnavailable("service is shutting down"))
-        # Abort the in-flight dispatch behind the pool's epoch fence.
+        # Stop the dispatch thread and abort its session behind the
+        # pool's epoch fence.
+        self._arrivals.put(None)
         self._backend.abort("service is shutting down")
-        if self._batcher is not None:
-            await self._batcher
+        if self._dispatcher is not None:
+            await offload(self._dispatcher.join)
         # Stop the pool BEFORE draining connections: a worker that was
         # (re)forked while a connection was open holds a duplicate of
         # its fd, and the handler can't see the client's EOF until
@@ -466,25 +483,28 @@ class MeshService:
         """A plain scalar snapshot of the service counters.
 
         Counts, means and the batch-size max are exact over the uptime;
-        the latency percentiles are taken over the latest
-        :data:`~repro.runtime.counters.SAMPLE_WINDOW` requests.
+        the latency and dispatch-wait percentiles are taken over the
+        latest :data:`~repro.runtime.counters.SAMPLE_WINDOW` requests.
         """
         events = self.counters.events
         n_lat, lat_total, _, lat = self.counters.stream(
             "service.latency_seconds")
-        n_batches, size_total, size_max, _ = self.counters.stream(
+        n_done, size_total, size_max, _ = self.counters.stream(
             "service.batch_size")
+        _, _, _, wait = self.counters.stream("service.dispatch_wait_seconds")
         requests = float(events.get("service.requests", 0))
         hits = float(events.get("service.cache_hits", 0))
         return {
+            "schema_version": float(STATS_SCHEMA_VERSION),
             "uptime_s": monotonic() - self._t_start,
             "requests": requests,
             "cache_hits": hits,
             "cache_misses": float(self.cache.misses),
             "hit_ratio": hits / requests if requests else 0.0,
             "dedup_joins": float(events.get("service.dedup_joins", 0)),
-            "batches": float(events.get("service.batches", 0)),
-            "batch_size_mean": size_total / n_batches if n_batches else 0.0,
+            "dispatched": float(events.get("service.dispatched", 0)),
+            "inflight": float(len(self._running)),
+            "batch_size_mean": size_total / n_done if n_done else 0.0,
             "batch_size_max": size_max,
             "cache_entries": float(len(self.cache)),
             "cache_evictions": float(self.cache.evictions),
@@ -492,6 +512,8 @@ class MeshService:
             "latency_p50_s": percentile(lat, 50.0),
             "latency_p99_s": percentile(lat, 99.0),
             "latency_mean_s": lat_total / n_lat if n_lat else 0.0,
+            "dispatch_wait_p50_s": percentile(wait, 50.0),
+            "dispatch_wait_p99_s": percentile(wait, 99.0),
             "disconnects": float(events.get("service.disconnects", 0)),
             "errors": float(events.get("service.errors", 0)),
         }
@@ -579,7 +601,7 @@ class MeshService:
                 return
             # Decoded and priced before it queues: a stream that is not
             # canonical, or a payload the cost function rejects, fails
-            # here, alone, instead of with its batch.
+            # here, alone, and never reaches the pool.
             try:
                 payload = serde.bytes_to_buffers(payload_bytes)
                 cost = self._cost_fn(payload)
@@ -592,10 +614,13 @@ class MeshService:
             self._inflight[key] = future
             future.add_done_callback(
                 lambda _fut, _key=key: self._inflight.pop(_key, None))
-            self._queue.put_nowait(_Pending(key, payload, cost, future))
+            self._arrivals.put(_Miss(key, payload, cost, future, t0))
+            # The dispatch thread may be waiting on the pool: wake it to
+            # hand this miss to a free worker now.
+            self._session.wake()
         else:
-            # Identical request already queued/dispatching: join it
-            # instead of meshing twice (single-flight).
+            # Identical request already in flight: join it instead of
+            # meshing twice (single-flight).
             sink.incr("service.dedup_joins")
         try:
             blob = await future
@@ -614,78 +639,87 @@ class MeshService:
         writer.write(payload)
         await writer.drain()
 
-    # -- batching scheduler --------------------------------------------
-    async def _batch_loop(self) -> None:
-        """Collect misses for one batching window, dispatch, repeat."""
+    # -- dispatch thread -----------------------------------------------
+    def _open_session(self) -> executor.StreamSession:
+        """A stream session on the daemon's pool; worker counters merge
+        into the service sink."""
+        with counters_mod.use_counters(self.counters):
+            self._session = self._backend.stream_workitems(
+                self._work_fn, n_ranks=self.n_ranks)
+        return self._session
+
+    def _dispatch_loop(self) -> None:
+        """Hand each miss to the session as it arrives and answer each
+        when its own item finishes; blocks, with no timed polling,
+        while nothing is in flight."""
+        session = self._session
         while True:
-            item = await self._queue.get()
-            if item is None:
-                return
-            batch = [item]
-            deadline = monotonic() + self.batch_window
-            stop_after = False
-            while len(batch) < self.max_batch:
-                remaining = deadline - monotonic()
-                if remaining <= 0.0:
-                    break
+            arrivals = [] if self._running else [self._arrivals.get()]
+            while True:
                 try:
-                    nxt = await asyncio.wait_for(self._queue.get(),
-                                                 timeout=remaining)
-                except asyncio.TimeoutError:
+                    arrivals.append(self._arrivals.get_nowait())
+                except queue.Empty:
                     break
-                if nxt is None:
-                    stop_after = True
-                    break
-                batch.append(nxt)
-            await self._dispatch(batch)
-            if stop_after:
-                return
+            if None in arrivals:
+                break
+            try:
+                while arrivals:
+                    self._submit(session, arrivals[0])
+                    del arrivals[0]
+                done = session.take()
+            except Exception as exc:  # noqa: BLE001 - the session failed
+                # Its misses fail with it; a fresh session serves on.
+                for miss in list(self._running.values()) + arrivals:
+                    self._answer(miss, None, exc)
+                self._running.clear()
+                session.cancel()
+                session = self._open_session()
+                continue
+            if done is not None:
+                self._deliver(*done)
+        session.cancel()
+        gone = ServiceUnavailable("service is shutting down")
+        for miss in list(self._running.values()) + arrivals:
+            if miss is not None:
+                self._answer(miss, None, gone)
+        self._running.clear()
 
-    async def _dispatch(self, batch: List[_Pending]) -> None:
-        """One ``map_workitems`` window over the whole batch.
+    def _submit(self, session: executor.StreamSession, miss: _Miss) -> None:
+        idx = session.submit(miss.payload, cost=miss.cost)
+        self.counters.incr("service.dispatched")
+        self._running[idx] = miss
+        count = len(self._running)
+        for other in self._running.values():
+            other.peak = max(other.peak, count)
 
-        When the window fails, each of its requests is dispatched again
-        on its own, so only the one that fails gets the error.
-        """
+    def _deliver(self, idx: int, result, error: Optional[BaseException],
+                 started: Optional[float]) -> None:
+        """Encode, cache and answer one finished miss; a reply that
+        cannot be encoded is that request's error alone."""
+        miss = self._running.pop(idx)
         sink = self.counters
-        if self._stopping:
-            for item in batch:
-                if not item.future.done():
-                    item.future.set_exception(
-                        ServiceUnavailable("service is shutting down"))
-            return
-        sink.incr("service.batches")
-        sink.observe("service.batch_size", float(len(batch)))
-        payloads = [item.payload for item in batch]
-        costs = [item.cost for item in batch]
+        sink.observe("service.batch_size", float(miss.peak))
+        if started is not None:
+            sink.observe("service.dispatch_wait_seconds",
+                         started - miss.arrived)
+        blob = None
+        if error is None:
+            try:
+                blob = serde.buffers_to_bytes(result)
+            except Exception as exc:  # noqa: BLE001 - answered as err
+                error = ServiceError(
+                    f"the mesh reply could not be encoded: {exc}")
+            else:
+                self.cache.put(miss.key, blob)
+        self._answer(miss, blob, error)
 
-        def run() -> List[serde.Buffers]:
-            # The dispatch thread installs the service sink so executor
-            # and worker counters merge into the same report the stats
-            # frame serves.
-            with counters_mod.use_counters(sink):
-                with sink.phase("service.dispatch"):
-                    return self._backend.map_workitems(
-                        self._work_fn, payloads, costs=costs,
-                        n_ranks=self.n_ranks)
-
-        try:
-            results = await offload(run)
-        except BaseException as exc:  # noqa: BLE001 - forwarded to clients
-            if (len(batch) > 1 and isinstance(exc, Exception)
-                    and not self._stopping):
-                for item in batch:
-                    await self._dispatch([item])
-                return
-            err = exc if isinstance(exc, (ServiceError,
-                                          executor.ExecutorError)) \
-                else ServiceError(f"batch dispatch failed: {exc}")
-            for item in batch:
-                if not item.future.done():
-                    item.future.set_exception(err)
-            return
-        for item, result in zip(batch, results):
-            blob = serde.buffers_to_bytes(result)
-            self.cache.put(item.key, blob)
-            if not item.future.done():
-                item.future.set_result(blob)
+    def _answer(self, miss: _Miss, blob: Optional[bytes],
+                error: Optional[BaseException]) -> None:
+        """Resolve ``miss``'s future on the event loop."""
+        if error is not None and not isinstance(
+                error, (ServiceError, executor.ExecutorError)):
+            wrapped = ServiceError(f"meshing failed: {error}")
+            wrapped.__cause__ = error
+            error = wrapped
+        assert self._loop is not None
+        self._loop.call_soon_threadsafe(_settle, miss.future, blob, error)

@@ -58,8 +58,7 @@ def test_domain_bl_stats_sane(name, direct_results):
 
 def test_service_path_is_byte_identical_to_direct(tmp_path,
                                                   direct_results):
-    service = MeshService(f"unix:{tmp_path}/fuzz.sock", backend="serial",
-                          batch_window=0.01)
+    service = MeshService(f"unix:{tmp_path}/fuzz.sock", backend="serial")
     thread = ServiceThread(service)
     endpoint = thread.start()
     try:

@@ -7,9 +7,12 @@ process boundary).
 
 import importlib
 import inspect
+import os
 import pickle
 import pkgutil
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +20,8 @@ import pytest
 import repro
 from repro.delaunay.constrained import RingError
 from repro.runtime import counters as counters_mod
-from repro.runtime import executor
+from repro.runtime import executor, serde
+from repro.runtime.counters import monotonic
 from repro.runtime.executor import ExecutorError, ProcessesBackend
 
 ALL_BACKENDS = ["serial", "processes"]
@@ -54,6 +58,11 @@ def _raise_ring_error(payload):
 
 def _raise_unpicklable(payload):
     raise _NeedsTwoArgs("stuck", 7)
+
+
+def _sleep_then_double(payload):
+    time.sleep(float(payload["delay"][0]))
+    return {"x": payload["x"] * 2.0}
 
 
 def _count_events(payload):
@@ -100,11 +109,14 @@ class TestRegistry:
 class TestMapWorkitems:
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_results_in_payload_order(self, name):
+        """Costs reorder the dispatch (largest first), never the
+        results."""
         backend = executor.get_backend(name)
-        payloads = [{"x": np.full(3, float(i))} for i in range(9)]
-        costs = [float(9 - i) for i in range(9)]
-        results = backend.map_workitems(_double, payloads, costs=costs,
-                                        n_ranks=3)
+        session = backend.stream_workitems(_double, n_ranks=3)
+        for i in range(9):
+            session.submit({"x": np.full(3, float(i))}, cost=float(i),
+                           eager=False)
+        results = session.results()
         assert len(results) == 9
         for i, r in enumerate(results):
             assert np.array_equal(r["x"], np.full(3, 2.0 * i))
@@ -195,14 +207,16 @@ class TestProcessesContracts:
 
     def test_eager_stream_matches_map(self):
         """A session fed item by item with ``eager=True`` (the pipeline's
-        submission mode) returns exactly what ``map_workitems`` (the
-        same session driven with ``eager=False``) returns for the same
-        payloads and costs, in payload order."""
+        submission mode) returns exactly what the same session driven
+        with ``eager=False`` (as ``map_workitems`` drives it) returns for
+        the same payloads and costs, in payload order."""
         backend = executor.get_backend("processes")
         payloads = [{"x": np.full(3, float(i))} for i in range(7)]
         costs = [float(1 + (3 * i) % 7) for i in range(7)]
-        mapped = backend.map_workitems(_double, payloads, costs=costs,
-                                       n_ranks=2)
+        queued = backend.stream_workitems(_double, n_ranks=2)
+        for p, c in zip(payloads, costs):
+            queued.submit(p, cost=c, eager=False)
+        mapped = queued.results()
         session = backend.stream_workitems(_double, n_ranks=2)
         for i, (p, c) in enumerate(zip(payloads, costs)):
             assert session.submit(p, cost=c, eager=True) == i
@@ -301,3 +315,144 @@ class TestItemErrors:
                            match=r"(?s)work item 0 failed in pool worker "
                                  r"\d+:.*_NeedsTwoArgs: stuck at 7"):
             backend.map_workitems(_raise_unpicklable, [{"x": np.ones(1)}])
+
+
+# ----------------------------------------------------------------------
+# take(): outcomes as items finish, on both backends
+# ----------------------------------------------------------------------
+def _session(name, fn, n_ranks=3):
+    """A fresh session: a private pool on ``processes``."""
+    backend = (ProcessesBackend() if name == "processes"
+               else executor.get_backend(name))
+    return backend, backend.stream_workitems(fn, n_ranks=n_ranks)
+
+
+def _drain(session):
+    """Every outcome ``take`` hands out, up to its first None."""
+    out = []
+    while True:
+        done = session.take()
+        if done is None:
+            return out
+        out.append(done)
+
+
+class TestTake:
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    def test_outcomes_come_in_completion_order(self, name):
+        """On ``processes`` the items run at once and finish by their
+        delay; on ``serial`` ``take`` runs the largest pending item
+        first.  Either way ``take`` hands them out as they finish."""
+        backend, session = _session(name, _sleep_then_double)
+        try:
+            for i, (delay, cost) in enumerate([(0.6, 1.0), (0.05, 3.0),
+                                               (0.3, 2.0)]):
+                assert session.submit({"x": np.full(2, float(i)),
+                                       "delay": np.asarray([delay])},
+                                      cost=cost) == i
+            t0 = monotonic()
+            outcomes = _drain(session)
+        finally:
+            backend.shutdown_pool()
+        assert [o[0] for o in outcomes] == [1, 2, 0]
+        for idx, result, error, started in outcomes:
+            assert error is None
+            np.testing.assert_array_equal(result["x"], np.full(2, 2.0 * idx))
+            assert t0 - 5.0 < started < monotonic()
+
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    def test_an_item_error_is_its_own_outcome(self, name):
+        """The failing item's outcome is its own exception, whose cause
+        names the item and where it ran; the others finish."""
+        backend, session = _session(name, _maybe_boom, n_ranks=2)
+        try:
+            for flag in (0.0, 1.0, 0.0, 0.0):
+                session.submit({"flag": np.asarray([flag])})
+            outcomes = {o[0]: o for o in _drain(session)}
+        finally:
+            backend.shutdown_pool()
+        assert sorted(outcomes) == [0, 1, 2, 3]
+        _, result, error, _ = outcomes[1]
+        assert result is None and isinstance(error, ValueError)
+        assert str(error) == "boom in worker"
+        assert isinstance(error.__cause__, ExecutorError)
+        assert re.match(r"work item 1 failed in (pool worker \d+|the serial "
+                        r"backend's calling thread):\n",
+                        str(error.__cause__))
+        assert "Traceback" in str(error.__cause__)
+        for idx in (0, 2, 3):
+            assert outcomes[idx][2] is None
+            assert outcomes[idx][1]["flag"][0] == 0.0
+
+    @pytest.mark.parametrize("name", ALL_BACKENDS)
+    def test_nothing_outstanding_takes_none(self, name):
+        backend, session = _session(name, _double)
+        try:
+            assert session.take() is None
+            session.submit({"x": np.ones(1)})
+            assert session.take()[0] == 0
+            assert session.take() is None
+        finally:
+            backend.shutdown_pool()
+
+    def test_wake_interrupts_a_blocked_take(self):
+        backend, session = _session("processes", _sleep_then_double,
+                                    n_ranks=1)
+        try:
+            session.submit({"x": np.ones(1), "delay": np.asarray([2.0])})
+            timer = threading.Timer(0.2, session.wake)
+            t0 = monotonic()
+            timer.start()
+            assert session.take() is None
+            assert monotonic() - t0 < 1.5
+            assert session.take()[0] == 0  # the item itself ran on
+        finally:
+            timer.cancel()
+            backend.shutdown_pool()
+
+    def test_abort_ends_every_outstanding_item(self, monkeypatch):
+        """``abort`` from another thread while ``take`` blocks: every
+        item in flight or pending ends with ``ExecutorError``, no shm
+        segment outlives the session, and the pool runs new work."""
+        monkeypatch.setattr(serde, "SHM_MIN_BYTES", 0)
+        before = {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+        backend, session = _session("processes", _sleep_then_double,
+                                    n_ranks=2)
+        try:
+            for i in range(4):
+                session.submit({"x": np.full(8, float(i)),
+                                "delay": np.asarray([0.5])})
+            timer = threading.Timer(0.1, backend.abort, args=("test stop",))
+            timer.start()
+            outcomes = _drain_until_closed(session)
+            assert sorted(o[0] for o in outcomes) == [0, 1, 2, 3]
+            for _, result, error, _ in outcomes:
+                assert result is None
+                assert isinstance(error, ExecutorError)
+                assert str(error) == "dispatch aborted: test stop"
+            out = backend.map_workitems(_double, [{"x": np.ones(2)}],
+                                        n_ranks=2)
+            assert out[0]["x"][0] == 2.0
+        finally:
+            timer.cancel()
+            backend.shutdown_pool()
+        assert {n for n in os.listdir("/dev/shm")
+                if n.startswith("psm_")} <= before
+
+    def test_serial_abort_is_a_no_op_and_take_runs_on(self):
+        """``serial`` has no worker to fence: ``abort`` returns False,
+        and the session's pending items still run."""
+        backend, session = _session("serial", _double)
+        for i in range(2):
+            session.submit({"x": np.full(2, float(i))})
+        assert backend.abort("test stop") is False
+        assert [o[0] for o in _drain(session)] == [0, 1]
+
+
+def _drain_until_closed(session):
+    """Every outcome of an aborted session; once none is left, ``take``
+    raises the abort (after at most one ``None`` for its wake-up)."""
+    out = _drain(session)
+    with pytest.raises(ExecutorError, match="dispatch aborted: test stop"):
+        session.take()
+    return out

@@ -6,7 +6,9 @@ item, and the batch result is byte-identical to a serial run.  A worker
 that *raises* (an item bug, not a crash) aborts the batch with an
 ``ExecutorError`` naming the payload index, without hanging or
 poisoning the pool.  An item that kills every worker it touches is
-given up on after a bounded number of dispatch attempts.
+given up on after a bounded number of dispatch attempts.  Through
+``take`` each of those is the item's own outcome, and the other items
+finish.
 
 Work functions live at module scope (processes-backend contract); the
 crash switch is a marker file so the first execution attempt dies and
@@ -52,6 +54,13 @@ def _kill_once_then_double(payload):
 def _kill_always(payload):
     """Poison item: SIGKILL whichever worker dares to execute it."""
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _kill_on_flag(payload):
+    """Poison only the items flagged ``kill``; double the rest."""
+    if payload["kill"][0] > 0:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return {"x": payload["x"] * 2.0}
 
 
 def _boom_on_flag(payload):
@@ -112,6 +121,51 @@ class TestWorkerCrash:
             backend.shutdown_pool()
         for i, res in enumerate(results):
             assert res["x"].tobytes() == np.full(3, float(i) * 2.0).tobytes()
+
+    def test_crash_requeues_the_item_for_take(self, tmp_path):
+        """Through ``take`` the SIGKILLed item is requeued and finishes
+        like the rest; no outcome is lost or doubled."""
+        marker = str(tmp_path / "killed-once-take")
+        backend = ProcessesBackend()
+        try:
+            session = backend.stream_workitems(_kill_once_then_double,
+                                               n_ranks=2)
+            for i in range(4):
+                session.submit({
+                    "x": np.full(3, float(i)),
+                    "kill": np.asarray([1.0 if i == 0 else 0.0]),
+                    "marker": _encode_path(marker)})
+            outcomes = {}
+            while (done := session.take()) is not None:
+                assert done[0] not in outcomes
+                outcomes[done[0]] = done
+            assert backend.stats["respawns"] >= 1
+        finally:
+            backend.shutdown_pool()
+        assert sorted(outcomes) == [0, 1, 2, 3]
+        for i, (_, result, error, _) in outcomes.items():
+            assert error is None
+            assert result["x"].tobytes() == np.full(3, 2.0 * i).tobytes()
+
+    def test_poison_item_is_its_own_outcome_for_take(self):
+        """An item that kills every worker ends with ``ExecutorError``
+        after the bounded attempts; the item beside it finishes."""
+        backend = ProcessesBackend()
+        try:
+            session = backend.stream_workitems(_kill_on_flag, n_ranks=2)
+            session.submit({"x": np.zeros(2), "kill": np.asarray([1.0])})
+            session.submit({"x": np.ones(2), "kill": np.asarray([0.0])})
+            outcomes = {}
+            while (done := session.take()) is not None:
+                outcomes[done[0]] = done
+        finally:
+            backend.shutdown_pool()
+        assert outcomes[1][2] is None
+        assert outcomes[1][1]["x"].tolist() == [2.0, 2.0]
+        error = outcomes[0][2]
+        assert isinstance(error, ExecutorError)
+        assert re.match(r"work item 0 crashed its worker on all \d+ "
+                        r"dispatch attempts", str(error))
 
     def test_poison_item_gives_up_after_bounded_attempts(self):
         """An item that kills every worker is abandoned with an error

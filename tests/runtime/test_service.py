@@ -1,15 +1,17 @@
 """Unit and end-to-end tests for the meshing service daemon.
 
 Covers the wire frame codec, address parsing, the content-addressed
-cache, request batching/dedup through a live daemon, error frames,
-client disconnects, and the shutdown-mid-batch abort path through the
-worker pool's epoch fence (the processes-backend test at the bottom).
+cache, streamed dispatch and dedup through a live daemon, error frames,
+client disconnects, the stats frame's schema, and the shutdown abort
+path through the worker pool's epoch fence (the processes-backend tests
+at the bottom).
 
 Work functions are module-level so the processes backend's workers can
 resolve them by import path (closures are rejected by design).
 """
 
 import asyncio
+import os
 import socket
 import threading
 import time
@@ -23,6 +25,7 @@ from repro.geometry.pslg import PSLG
 from repro.runtime import serde
 from repro.runtime.client import ServiceClient, read_frame_blocking
 from repro.runtime.counters import monotonic
+from repro.runtime.executor import PoolStream
 from repro.runtime.service import (
     FRAME_HEAD,
     FRAME_MAGIC,
@@ -34,6 +37,7 @@ from repro.runtime.service import (
     parse_address,
     percentile,
     read_frame,
+    STATS_SCHEMA_VERSION,
 )
 
 from tests.runtime.service_thread import ServiceThread
@@ -73,6 +77,32 @@ def _one_triangle_item(payload):
             "segments": np.asarray([[0, 1]], dtype=np.int32)}
 
 
+def _bad_reply_for_tag_one(payload):
+    """A reply the daemon cannot encode (an int key) for tag 1."""
+    if float(payload["tag"][0]) == 1.0:
+        return {1: np.zeros(1)}
+    return _echo_item(payload)
+
+
+def _log_path(path):
+    return np.frombuffer(str(path).encode(), dtype=np.uint8).copy()
+
+
+def _timed_item(payload):
+    """Sleep ``delay`` s, or raise when ``boom`` is set; each call is
+    appended to the ``log`` file (pool workers are other processes).
+    The reply carries the item's start and end on the system clock."""
+    started = time.monotonic()
+    tag = float(payload["tag"][0])
+    with open(bytes(payload["log"]).decode(), "a") as log:
+        log.write(f"{tag}\n")
+    if payload["boom"][0] > 0:
+        raise ValueError(f"boom in item {tag}")
+    time.sleep(float(payload["delay"][0]))
+    return {"tag": payload["tag"],
+            "span": np.asarray([started, time.monotonic()])}
+
+
 def _unit_cost(payload):
     return 1.0
 
@@ -81,7 +111,6 @@ def _start(tmp_path, **kw):
     kw.setdefault("backend", "serial")
     kw.setdefault("work_fn", _echo_item)
     kw.setdefault("cost_fn", _unit_cost)
-    kw.setdefault("batch_window", 0.01)
     svc = MeshService(f"unix:{tmp_path}/svc.sock", **kw)
     thread = ServiceThread(svc)
     endpoint = thread.start()
@@ -108,6 +137,15 @@ def _read_blocking(data, count):
         left.close()
         right.close()
 
+
+#: every key of the stats frame (schema version 2).
+STATS_KEYS = {
+    "schema_version", "uptime_s", "requests", "cache_hits", "cache_misses",
+    "hit_ratio", "dedup_joins", "dispatched", "inflight", "batch_size_mean",
+    "batch_size_max", "cache_entries", "cache_evictions", "cache_nbytes",
+    "latency_p50_s", "latency_p99_s", "latency_mean_s",
+    "dispatch_wait_p50_s", "dispatch_wait_p99_s", "disconnects", "errors",
+}
 
 #: both frame readers: the daemon's and the client's blocking twin.
 READERS = pytest.mark.parametrize("read", [_decode_frames, _read_blocking],
@@ -320,6 +358,52 @@ class TestServiceEndToEnd:
             assert stats["hit_ratio"] == 2 / 3
             assert stats.pop("uptime_s") <= now.pop("uptime_s")
             assert stats == now
+            assert set(stats) | {"uptime_s"} == STATS_KEYS
+        finally:
+            thread.stop()
+
+    def test_stats_frame_keeps_the_keys_the_ledger_reads(self, tmp_path):
+        """``requests``, ``hit_ratio``, ``cache_evictions`` and
+        ``batch_size_mean`` are read by the benchmark ledger; the frame
+        says which schema it is, and one miss observes its batch size
+        and its wait from arrival to a worker once each."""
+        svc, thread, endpoint = _start(tmp_path, cache_entries=1)
+        try:
+            with ServiceClient(endpoint) as client:
+                for tag in (1.0, 2.0, 2.0):
+                    client.submit_packed(_buffers(tag))
+                stats = client.stats()
+        finally:
+            thread.stop()
+        assert stats["schema_version"] == float(STATS_SCHEMA_VERSION) == 2.0
+        assert (stats["requests"], stats["hit_ratio"],
+                stats["cache_evictions"], stats["batch_size_mean"]) == \
+            (3.0, 1 / 3, 1.0, 1.0)
+        assert (stats["dispatched"], stats["inflight"]) == (2.0, 0.0)
+        n_wait, _, _, waits = svc.counters.stream(
+            "service.dispatch_wait_seconds")
+        assert n_wait == 2 and all(w >= 0.0 for w in waits)
+        assert stats["dispatch_wait_p99_s"] == max(waits)
+
+    def test_a_reply_that_cannot_be_encoded_fails_alone(self, tmp_path):
+        """A work function whose result the daemon cannot encode answers
+        that request with ``err``; the daemon goes on serving, and the
+        same request sent again fails again instead of joining a future
+        that never resolves."""
+        svc, thread, endpoint = _start(tmp_path,
+                                       work_fn=_bad_reply_for_tag_one)
+        try:
+            with ServiceClient(endpoint, timeout=10.0) as client:
+                with pytest.raises(ServiceError, match="could not be encoded"):
+                    client.submit_packed(_buffers(1.0))
+            with ServiceClient(endpoint, timeout=10.0) as client:
+                assert client.submit_packed(_buffers(2.0))[0] == "mesh-ok"
+            with ServiceClient(endpoint, timeout=10.0) as client:
+                with pytest.raises(ServiceError, match="could not be encoded"):
+                    client.submit_packed(_buffers(1.0))
+            stats = svc.stats()
+            assert (stats["errors"], stats["inflight"]) == (2.0, 0.0)
+            assert svc._dispatcher.is_alive()
         finally:
             thread.stop()
 
@@ -422,37 +506,10 @@ class TestServiceEndToEnd:
         finally:
             thread.stop()
 
-    def test_batching_window_groups_concurrent_misses(self, tmp_path):
-        del _SLOW_CALLS[:]
-        svc, thread, endpoint = _start(
-            tmp_path, work_fn=_slow_counted_item, batch_window=0.4,
-            max_batch=8)
-        try:
-            replies = {}
-
-            def run(tag):
-                with ServiceClient(endpoint) as client:
-                    payload = _buffers(tag)
-                    payload["delay"] = np.asarray([0.15])
-                    replies[tag] = client.submit_packed(payload)[0]
-
-            threads = [threading.Thread(target=run, args=(float(i),))
-                       for i in range(3)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-            assert sorted(replies) == [0.0, 1.0, 2.0]
-            stats = svc.stats()
-            assert stats["batches"] == 1.0
-            assert stats["batch_size_max"] == 3.0
-        finally:
-            thread.stop()
-
     def test_identical_inflight_requests_deduplicate(self, tmp_path):
         del _SLOW_CALLS[:]
         svc, thread, endpoint = _start(
-            tmp_path, work_fn=_slow_counted_item, batch_window=0.02)
+            tmp_path, work_fn=_slow_counted_item)
         try:
             payload = _buffers(7.0)
             payload["delay"] = np.asarray([0.5])
@@ -530,7 +587,7 @@ class TestServiceEndToEnd:
     def test_client_disconnect_mid_request_is_graceful(self, tmp_path):
         del _SLOW_CALLS[:]
         svc, thread, endpoint = _start(
-            tmp_path, work_fn=_slow_counted_item, batch_window=0.02)
+            tmp_path, work_fn=_slow_counted_item)
         try:
             payload = _buffers(5.0)
             payload["delay"] = np.asarray([0.5])
@@ -553,9 +610,7 @@ class TestServiceEndToEnd:
             thread.stop()
 
     def test_shutdown_fails_queued_requests_cleanly(self, tmp_path):
-        svc, thread, endpoint = _start(
-            tmp_path, work_fn=_slow_counted_item, batch_window=0.01,
-            max_batch=1)
+        svc, thread, endpoint = _start(tmp_path, work_fn=_slow_counted_item)
         try:
             outcome = {}
 
@@ -569,8 +624,9 @@ class TestServiceEndToEnd:
                 except ServiceError as exc:
                     outcome[tag] = f"error: {exc}"
 
-            # First request dispatches alone (max_batch=1); the second
-            # queues behind it and must be failed by shutdown.
+            # On serial the dispatch thread runs the first request
+            # itself; the second waits in the session behind it and
+            # must be failed by shutdown.
             threads = [threading.Thread(target=run, args=(1.0, 0.0)),
                        threading.Thread(target=run, args=(2.0, 0.2))]
             for t in threads:
@@ -585,14 +641,199 @@ class TestServiceEndToEnd:
             thread.stop()
 
 
-def test_shutdown_aborts_inflight_batch_via_epoch_fence(tmp_path):
-    """Service shutdown mid-batch must quiesce the pool through the
-    epoch fence and return clean error frames to every pending client
-    — not wait out the whole batch, not hang, not leak workers."""
+def _segments():
+    """Names of live posix shared-memory segments (Python's psm_ pool)."""
+    return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+
+
+def _pooled(tmp_path, **kw):
+    """A live daemon on two pool workers running ``_timed_item``."""
+    svc = MeshService(f"unix:{tmp_path}/svc.sock", backend="processes",
+                      n_ranks=2, work_fn=_timed_item, cost_fn=_unit_cost,
+                      **kw)
+    thread = ServiceThread(svc)
+    return svc, thread, thread.start()
+
+
+def _timed_request(tmp_path, tag, delay, boom=False):
+    payload = _buffers(tag)
+    payload["delay"] = np.asarray([delay])
+    payload["boom"] = np.asarray([1.0 if boom else 0.0])
+    payload["log"] = _log_path(tmp_path / "calls.log")
+    return payload
+
+
+def _send_later(endpoint, payload, replies, label, delay=0.0):
+    """Submit ``payload`` on its own client thread after ``delay`` s;
+    ``replies[label]`` gets ``(kind or error, blob, reply time)``."""
+    def run():
+        time.sleep(delay)
+        try:
+            with ServiceClient(endpoint, timeout=30.0) as client:
+                kind, blob = client.submit_packed(payload)
+                replies[label] = (kind, blob, monotonic())
+        except ServiceError as exc:
+            replies[label] = (f"error: {exc}", b"", monotonic())
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread
+
+
+def _span(reply):
+    return serde.bytes_to_buffers(reply[1])["span"]
+
+
+def _wait_inflight(svc, count):
+    deadline = monotonic() + 20.0
+    while svc.stats()["inflight"] < count:
+        assert monotonic() < deadline, "the misses never reached the pool"
+        time.sleep(0.01)
+
+
+class TestStreamedDispatch:
+    """Each miss goes to a free worker when it arrives and is answered
+    when its own mesh is done (processes backend, two workers)."""
+
+    def test_fast_miss_is_answered_before_the_slow_one_finishes(
+            self, tmp_path):
+        svc, thread, endpoint = _pooled(tmp_path)
+        try:
+            replies = {}
+            t0 = monotonic()
+            clients = [
+                _send_later(endpoint, _timed_request(tmp_path, 1.0, 1.0),
+                            replies, "slow"),
+                _send_later(endpoint, _timed_request(tmp_path, 2.0, 0.05),
+                            replies, "fast")]
+            for t in clients:
+                t.join(timeout=30)
+        finally:
+            thread.stop()
+        assert replies["slow"][0] == replies["fast"][0] == "mesh-ok"
+        # The fast reply was out while the slow item still ran.
+        assert replies["fast"][2] < _span(replies["slow"])[1]
+        assert replies["fast"][2] - t0 < 1.0
+
+    def test_a_miss_sent_while_two_are_in_flight_starts_when_a_worker_frees(
+            self, tmp_path):
+        svc, thread, endpoint = _pooled(tmp_path)
+        try:
+            replies = {}
+            clients = [
+                _send_later(endpoint, _timed_request(tmp_path, 1.0, 0.5),
+                            replies, "short"),
+                _send_later(endpoint, _timed_request(tmp_path, 2.0, 2.0),
+                            replies, "long")]
+            _wait_inflight(svc, 2)
+            clients.append(_send_later(
+                endpoint, _timed_request(tmp_path, 3.0, 0.05), replies,
+                "late"))
+            for t in clients:
+                t.join(timeout=30)
+            stats = svc.stats()
+        finally:
+            thread.stop()
+        assert {r[0] for r in replies.values()} == {"mesh-ok"}
+        short, long_, late = (_span(replies[k])
+                              for k in ("short", "long", "late"))
+        # The late miss took the worker the short one freed, at once,
+        # and was answered while the long one still ran.
+        assert late[0] >= short[1]
+        assert late[0] - short[1] < 0.25
+        assert replies["late"][2] < long_[1]
+        assert stats["batch_size_max"] == 3.0
+
+    def test_a_miss_reaches_an_idle_worker_at_once(self, tmp_path):
+        """One worker busy, one idle: a new miss must not wait for the
+        busy one (the dispatch thread is woken, not polled)."""
+        svc, thread, endpoint = _pooled(tmp_path)
+        try:
+            replies = {}
+            clients = [_send_later(endpoint,
+                                   _timed_request(tmp_path, 1.0, 1.5),
+                                   replies, "long")]
+            _wait_inflight(svc, 1)
+            sent = monotonic()
+            clients.append(_send_later(
+                endpoint, _timed_request(tmp_path, 2.0, 0.05), replies,
+                "late"))
+            for t in clients:
+                t.join(timeout=30)
+            stats = svc.stats()
+        finally:
+            thread.stop()
+        assert _span(replies["late"])[0] - sent < 0.25
+        assert replies["late"][2] < _span(replies["long"])[1]
+        assert stats["dispatch_wait_p99_s"] < 0.25
+
+    def test_a_burst_of_two_reads_two(self, tmp_path, monkeypatch):
+        """Two misses sent back to back, as the benchmark ledger sends a
+        burst: each goes to its own worker at once, so each is in flight
+        beside the other and both read a batch size of 2.  A slowed
+        ``submit`` holds the dispatch thread between taking the first
+        miss and waiting on the pool while the second one arrives."""
+        real_submit = PoolStream.submit
+
+        def slow_submit(self, *args, **kwargs):
+            time.sleep(0.05)
+            return real_submit(self, *args, **kwargs)
+
+        monkeypatch.setattr(PoolStream, "submit", slow_submit)
+        svc, thread, endpoint = _pooled(tmp_path)
+        try:
+            with ServiceClient(endpoint) as a, ServiceClient(endpoint) as b:
+                for burst in range(3):
+                    frames = [encode_frame("mesh", serde.buffers_to_bytes(
+                        _timed_request(tmp_path, 2.0 * burst + i, 0.3)))
+                        for i in range(2)]
+                    a.sock.sendall(frames[0])
+                    time.sleep(0.01)
+                    b.sock.sendall(frames[1])
+                    spans = [_span(read_frame_blocking(c.sock))
+                             for c in (a, b)]
+                    # Side by side, not one after the other.
+                    assert max(s[0] for s in spans) < min(s[1] for s in spans)
+            stats = svc.stats()
+        finally:
+            thread.stop()
+        assert (stats["batch_size_mean"], stats["batch_size_max"]) == \
+            (2.0, 2.0)
+
+    def test_a_failing_item_leaves_its_neighbour_running_once(
+            self, tmp_path):
+        svc, thread, endpoint = _pooled(tmp_path)
+        try:
+            replies = {}
+            clients = [
+                _send_later(endpoint, _timed_request(tmp_path, 1.0, 0.8),
+                            replies, "good"),
+                _send_later(endpoint,
+                            _timed_request(tmp_path, 2.0, 0.0, boom=True),
+                            replies, "bad")]
+            for t in clients:
+                t.join(timeout=30)
+        finally:
+            thread.stop()
+        assert replies["good"][0] == "mesh-ok"
+        assert replies["bad"][0].startswith("error: ")
+        assert "boom in item 2.0" in replies["bad"][0]
+        calls = (tmp_path / "calls.log").read_text().split()
+        assert sorted(calls) == ["1.0", "2.0"]
+
+
+def test_shutdown_aborts_inflight_batch_via_epoch_fence(tmp_path,
+                                                       monkeypatch):
+    """Service shutdown with misses in flight must quiesce the pool
+    through the epoch fence and return clean error frames to every
+    pending client — not wait out every item, not hang, not leak
+    workers or shared-memory segments — and leave the pool usable."""
+    monkeypatch.setattr(serde, "SHM_MIN_BYTES", 0)
+    before = _segments()
     del _SLOW_CALLS[:]
     svc = MeshService(f"unix:{tmp_path}/svc.sock", backend="processes",
-                      n_ranks=2, batch_window=0.05, max_batch=8,
-                      work_fn=_slow_counted_item, cost_fn=_unit_cost)
+                      n_ranks=2, work_fn=_slow_counted_item,
+                      cost_fn=_unit_cost)
     thread = ServiceThread(svc)
     endpoint = thread.start()
     errors = {}
@@ -611,32 +852,36 @@ def test_shutdown_aborts_inflight_batch_via_epoch_fence(tmp_path):
                for i in range(4)]
     for t in clients:
         t.start()
-    deadline = monotonic() + 20.0
-    while svc.stats()["batches"] < 1.0 and monotonic() < deadline:
-        time.sleep(0.02)
-    time.sleep(0.3)  # let the pool actually dispatch the first items
+    _wait_inflight(svc, 4)
+    time.sleep(0.3)  # let the pool actually start the first items
     t0 = monotonic()
     thread.stop()
     stop_elapsed = monotonic() - t0
     for t in clients:
         t.join(timeout=30)
     # All four clients got error frames, not hung sockets; the two
-    # undispatched items were dropped at the fence, so shutdown is
-    # bounded by one in-flight item (4s), not the whole batch (8s).
+    # items no worker had started were dropped at the fence, so
+    # shutdown is bounded by one in-flight item (4s), not two (8s).
     assert not oks
     assert sorted(errors) == [0.0, 1.0, 2.0, 3.0]
     assert all("abort" in msg or "shutting down" in msg
                for msg in errors.values())
     assert stop_elapsed < 7.0
+    assert _segments() <= before
+    # The pool the daemon aborted runs new work.
+    pool = svc._backend
+    try:
+        out = pool.map_workitems(_echo_item, [_buffers(5.0)], n_ranks=2)
+        np.testing.assert_array_equal(out[0]["y"], np.full(16, 10.0))
+    finally:
+        pool.shutdown_pool()
+    assert _segments() <= before
 
 
 @pytest.mark.parametrize("settings, named", [
     ({"backend": "processes", "n_ranks": 0}, "n_ranks must be at least 1"),
     ({"cache_entries": 0}, "cache_entries must be at least 1"),
-    ({"max_batch": 0}, "max_batch must be at least 1"),
-    ({"batch_window": float("inf")}, "batch_window must be a finite"),
-    ({"batch_window": -0.5}, "batch_window must be a finite"),
-    ({"batch_window": float("nan")}, "batch_window must be a finite"),
+    ({"n_ranks": 0}, "n_ranks must be at least 1"),
 ])
 def test_unusable_settings_are_refused(tmp_path, settings, named):
     with pytest.raises(ValueError, match=named):

@@ -1,15 +1,15 @@
 """A malformed ``mesh`` frame fails its own client and nobody else.
 
 The daemon prices every cache miss with ``request_cost`` before the
-request joins the batching queue, and ``request_cost`` accepts exactly
-the keys ``pack_mesh_request`` writes.  So a payload with a key missing
-or one too many gets a typed ``err`` frame naming the keys, while the
-batcher, the requests batched beside it and every later client are
-served as if it had never arrived — on both backends.  A request whose
-layout is valid but whose geometry fails in ``generate_mesh`` fails
-alone too: its batch is re-dispatched one request at a time.
+request goes to the dispatch thread, and ``request_cost`` accepts
+exactly the keys ``pack_mesh_request`` writes.  So a payload with a key
+missing or one too many gets a typed ``err`` frame naming the keys,
+while the dispatch thread, the requests in flight beside it and every
+later client are served as if it had never arrived — on both backends.
+A request whose layout is valid but whose geometry fails in
+``generate_mesh`` fails alone too: its failure is its own item's
+outcome, and the item beside it runs once.
 """
-
 import threading
 
 import numpy as np
@@ -52,9 +52,9 @@ def direct_bytes():
         generate_mesh(*_request(), backend="serial").mesh))
 
 
-def _start(tmp_path, backend, batch_window=0.01):
+def _start(tmp_path, backend):
     service = MeshService(f"unix:{tmp_path}/svc.sock", backend=backend,
-                          n_ranks=2, batch_window=batch_window)
+                          n_ranks=2)
     thread = ServiceThread(service)
     return service, thread, thread.start()
 
@@ -99,15 +99,15 @@ def test_missing_points_then_a_valid_request(tmp_path, backend,
         with ServiceClient(endpoint, timeout=60.0) as later:
             assert later.submit(*_request()).raw == direct_bytes
         stats = service.stats()
-        assert (stats["errors"], stats["batches"]) == (1.0, 1.0)
-        assert not service._batcher.done()
+        assert (stats["errors"], stats["dispatched"]) == (1.0, 1.0)
+        assert service._dispatcher.is_alive()
     finally:
-        thread.stop()  # re-raises whatever killed the batcher
+        thread.stop()
 
 
 @BACKENDS
 def test_bad_and_good_request_in_one_window(tmp_path, backend, direct_bytes):
-    service, thread, endpoint = _start(tmp_path, backend, batch_window=0.5)
+    service, thread, endpoint = _start(tmp_path, backend)
     try:
         replies = _submit_together(endpoint, {
             "bad": lambda c: c.submit_packed(_without("config.bl.params")),
@@ -116,18 +116,18 @@ def test_bad_and_good_request_in_one_window(tmp_path, backend, direct_bytes):
         assert isinstance(replies["bad"], ServiceError)
         assert "config.bl.params" in str(replies["bad"])
         assert replies["good"] == direct_bytes
-        # The bad request never joined the batch the good one rode in.
+        # The bad request never reached the pool the good one rode in.
         stats = service.stats()
-        assert (stats["batches"], stats["batch_size_max"]) == (1.0, 1.0)
-        assert not service._batcher.done()
+        assert (stats["dispatched"], stats["batch_size_max"]) == (1.0, 1.0)
+        assert service._dispatcher.is_alive()
     finally:
-        thread.stop()  # re-raises whatever killed the batcher
+        thread.stop()
 
 
 @BACKENDS
 def test_request_that_fails_to_mesh_fails_alone(tmp_path, backend,
                                                 direct_bytes):
-    service, thread, endpoint = _start(tmp_path, backend, batch_window=0.5)
+    service, thread, endpoint = _start(tmp_path, backend)
     try:
         replies = _submit_together(endpoint, {
             "bad": lambda c: c.submit(*_flat_request()).raw,
@@ -136,14 +136,15 @@ def test_request_that_fails_to_mesh_fails_alone(tmp_path, backend,
         assert isinstance(replies["bad"], ServiceError)
         assert "not strictly counter-clockwise" in str(replies["bad"])
         assert replies["good"] == direct_bytes
-        # One window of two, then each alone.
+        # Each meshed once, side by side: the failure ended its own
+        # item only.
         stats = service.stats()
-        assert (stats["batches"], stats["batch_size_max"]) == (3.0, 2.0)
-        assert not service._batcher.done()
+        assert stats["dispatched"] == 2.0
+        assert service._dispatcher.is_alive()
         with ServiceClient(endpoint, timeout=60.0) as later:
             assert later.submit(*_request()).raw == direct_bytes
     finally:
-        thread.stop()  # re-raises whatever killed the batcher
+        thread.stop()
 
 
 @BACKENDS
@@ -161,9 +162,9 @@ def test_old_layout_is_an_error_not_another_mesh(tmp_path, backend,
                     match=r"unexpected \['config.bl.triangulation'\]"):
                 client.submit_packed(payload)
             assert client.submit(*_request()).raw == direct_bytes
-        assert not service._batcher.done()
+        assert service._dispatcher.is_alive()
     finally:
-        thread.stop()  # re-raises whatever killed the batcher
+        thread.stop()
 
 
 def test_non_finite_setting_is_an_error_not_a_hang(tmp_path, direct_bytes):
@@ -184,6 +185,6 @@ def test_non_finite_setting_is_an_error_not_a_hang(tmp_path, direct_bytes):
                                match="grading must be a finite number"):
                 client.submit_packed(payload)
             assert client.submit(*_request()).raw == direct_bytes
-        assert not service._batcher.done()
+        assert service._dispatcher.is_alive()
     finally:
-        thread.stop()  # re-raises whatever killed the batcher
+        thread.stop()

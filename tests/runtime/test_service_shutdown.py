@@ -4,9 +4,9 @@ Two concerns live here:
 
 * **a backend without workers** — on ``serial``,
   ``warm_pool``/``abort``/``exclude_fds_from_workers``/``shutdown_pool``
-  do nothing, so service shutdown cannot interrupt a batch: the
-  in-flight batch runs out, every client still gets a definitive
-  ok/err frame, and stop time stays bounded.
+  do nothing, so service shutdown cannot interrupt the item running:
+  it runs out, the misses not yet started fail, every client still
+  gets a definitive ok/err frame, and stop time stays bounded.
 * **fd hygiene** — a pool worker respawned *after* the daemon has
   bound its listening socket forks with that fd open.  The pool's
   ``exclude_fds`` contract makes the worker close it at startup; the
@@ -54,11 +54,11 @@ def _unit_cost(payload):
 
 def test_serial_shutdown_mid_batch_returns_frames_and_is_bounded(tmp_path):
     """The serial backend's abort does nothing: shutdown lets the
-    in-flight batch finish, fails undispatched requests cleanly, and
-    every client gets exactly one ok/err frame — no hung sockets."""
+    running item finish, fails the requests not yet started cleanly,
+    and every client gets exactly one ok/err frame — no hung
+    sockets."""
     svc = MeshService(f"unix:{tmp_path}/svc.sock", backend="serial",
-                      n_ranks=2, batch_window=0.05, max_batch=8,
-                      work_fn=_slow_item, cost_fn=_unit_cost)
+                      n_ranks=2, work_fn=_slow_item, cost_fn=_unit_cost)
     thread = ServiceThread(svc)
     endpoint = thread.start()
     oks = {}
@@ -79,7 +79,7 @@ def test_serial_shutdown_mid_batch_returns_frames_and_is_bounded(tmp_path):
     for t in clients:
         t.start()
     deadline = monotonic() + 20.0
-    while svc.stats()["batches"] < 1.0 and monotonic() < deadline:
+    while svc.stats()["requests"] < 4.0 and monotonic() < deadline:
         time.sleep(0.02)
     t0 = monotonic()
     thread.stop()
@@ -94,8 +94,8 @@ def test_serial_shutdown_mid_batch_returns_frames_and_is_bounded(tmp_path):
         np.testing.assert_allclose(result["y"], np.full(16, tag) + 1.0)
     assert all("shutting down" in msg or "abort" in msg
                for msg in errors.values())
-    # Bounded by the batch running out (at most 4 items x 0.5s), not by any
-    # timeout: a hang here means a no-op lifecycle call regressed.
+    # Bounded by the running item (0.5s), not by any timeout: a hang
+    # here means a no-op lifecycle call regressed.
     assert stop_elapsed < 10.0
 
 

@@ -101,8 +101,7 @@ def _soak(endpoint, workload, direct, *,
 def test_parallel_clients_mixed_workload_serial(tmp_path):
     workload = _workload()
     direct = _direct_bytes(workload)
-    service = MeshService(f"unix:{tmp_path}/soak.sock", backend="serial",
-                          batch_window=0.02)
+    service = MeshService(f"unix:{tmp_path}/soak.sock", backend="serial")
     thread = ServiceThread(service)
     endpoint = thread.start()
     try:
@@ -130,8 +129,7 @@ def test_soak_processes_backend_no_shm_leaks(tmp_path, shm_everything):
     workload = _workload()[:2]
     direct = _direct_bytes(workload)
     service = MeshService(f"unix:{tmp_path}/soak.sock",
-                          backend="processes", n_ranks=2,
-                          batch_window=0.05)
+                          backend="processes", n_ranks=2)
     thread = ServiceThread(service)
     endpoint = thread.start()
     try:
@@ -160,8 +158,7 @@ def test_soak_survives_reconnect_churn(tmp_path):
     concurrency: connection setup/teardown must not leak state."""
     workload = _workload()[:1]
     direct = _direct_bytes(workload)
-    service = MeshService(f"unix:{tmp_path}/churn.sock", backend="serial",
-                          batch_window=0.01)
+    service = MeshService(f"unix:{tmp_path}/churn.sock", backend="serial")
     thread = ServiceThread(service)
     endpoint = thread.start()
     try:
@@ -204,7 +201,7 @@ def test_telemetry_is_bounded_and_exact(tmp_path, monkeypatch):
     ``batch_size_mean`` stay exact over the whole uptime."""
     monkeypatch.setattr(counters, "SAMPLE_WINDOW", 8)
     service = MeshService(f"unix:{tmp_path}/bounded.sock", backend="serial",
-                          batch_window=0.05, work_fn=_echo,
+                          work_fn=_echo,
                           cost_fn=_unit_cost)
     thread = ServiceThread(service)
     endpoint = thread.start()
@@ -214,7 +211,7 @@ def test_telemetry_is_bounded_and_exact(tmp_path, monkeypatch):
             return client.submit_packed({"x": np.full(4, float(tag))})
 
     try:
-        # A burst of concurrent misses (batched together or not), then
+        # A burst of concurrent misses (in flight together or not), then
         # sequential misses and hits on one connection.
         burst = [threading.Thread(target=request, args=(i,))
                  for i in range(4)]
@@ -233,8 +230,14 @@ def test_telemetry_is_bounded_and_exact(tmp_path, monkeypatch):
         thread.stop()
     assert stats["requests"] == 44.0
     assert stats["hit_ratio"] == 30 / 44
-    # Every distinct miss was dispatched once, in some batch.
-    assert stats["batch_size_mean"] == 14 / stats["batches"]
+    # Every distinct miss was dispatched once and observed its batch
+    # size once; the mean is over all 14, not the window's last 8 (the
+    # sequential misses, each alone).
+    assert stats["dispatched"] == 14.0
+    n_sizes, size_total, _, sizes = service.counters.stream(
+        "service.batch_size")
+    assert (n_sizes, sizes) == (14, [1.0] * 8)
+    assert stats["batch_size_mean"] == size_total / 14
     assert all(len(v) <= 8 for v in service.counters.samples.values())
     n_lat, _, _, window = service.counters.stream("service.latency_seconds")
     assert (n_lat, len(window)) == (44, 8)

@@ -152,13 +152,13 @@ class TestShmHygiene:
             os.kill(victim, signal.SIGSTOP)
             killer = threading.Timer(1.0, os.kill, (victim, signal.SIGKILL))
             killer.start()
-            # Largest first: the failing item goes to worker 0, the
-            # other one into worker 1's pipe.
+            # Equal costs go in payload order: the failing item goes to
+            # worker 0, the other one into worker 1's pipe.
             with pytest.raises(ValueError, match="hygiene failure path"):
                 backend.map_workitems(
                     _boom_on_flag, [{"flag": np.asarray([1.0])},
                                     {"flag": np.asarray([0.0])}],
-                    costs=[2.0, 1.0], n_ranks=2)
+                    n_ranks=2)
             killer.join()
             assert _segments() <= before
         finally:

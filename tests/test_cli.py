@@ -242,10 +242,15 @@ class TestServiceParsers:
         (["--cache-entries", "0"], "--cache-entries must be at least 1"),
         (["--backend", "processes", "--ranks", "0"],
          "--ranks must be at least 1"),
-        (["--max-batch", "0"], "--max-batch must be at least 1"),
-        (["--batch-window", "inf"], "--batch-window must be a finite"),
-        (["--batch-window", "-0.5"], "--batch-window must be a finite"),
-        (["--batch-window", "nan"], "--batch-window must be a finite"),
+        # Each miss goes to a free worker as it arrives: there is no
+        # batching window to size.
+        (["--max-batch", "0"], "unrecognized arguments: --max-batch 0"),
+        (["--batch-window", "inf"],
+         "unrecognized arguments: --batch-window inf"),
+        (["--batch-window", "-0.5"],
+         "unrecognized arguments: --batch-window -0.5"),
+        (["--batch-window", "0.005"],
+         "unrecognized arguments: --batch-window 0.005"),
     ])
     def test_unusable_serve_settings_fail_before_the_daemon_starts(
             self, capsys, monkeypatch, tmp_path, flags, named):
@@ -322,8 +327,7 @@ class TestServeSubmitEndToEnd:
 
         def run():
             rc["value"] = main(["serve", "--socket", str(sock_path),
-                                "--backend", "serial",
-                                "--batch-window", "0.005"])
+                                "--backend", "serial"])
 
         thread = threading.Thread(target=run, daemon=True)
         thread.start()
